@@ -3,11 +3,11 @@
 GO ?= go
 SDLINT := tools/sdlint/bin/sdlint
 
-.PHONY: check test lint lint-fast sdlint race race-equivalence bench bench-check smoke large chaos
+.PHONY: check test lint lint-fast sdlint race race-equivalence bench bench-vet bench-check smoke large chaos
 
-# check is the default pre-commit gate: the sdlint invariants suite plus
-# the full test run.
-check: lint test
+# check is the default pre-commit gate: the sdlint invariants suite, a
+# compile of the nested bench module, and the full test run.
+check: lint bench-vet test
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -81,9 +81,17 @@ bench:
 bench-check:
 	$(GO) run ./cmd/benchjson -out BENCH_6.json -baseline BENCH_baseline.json -check
 
+# bench-vet compiles the nested bench module (drillload and its tests)
+# against this tree's smartdrill/internal/... packages. Tier-1 never
+# builds bench/, so this is what catches an internal rename breaking the
+# repo's benchmark (≈1 s warm).
+bench-vet:
+	cd bench && $(GO) vet ./...
+
 # race-equivalence runs the kernel-equivalence and parallel-determinism
-# property layer under the race detector: ablation subsets × worker
-# counts bit-identical, bitset containers and accumulator merges raced.
+# property layer under the race detector: fast path vs brs.Options.Reference
+# × worker counts on every arm-forcing view shape bit-identical, bitset
+# containers and accumulator merges raced.
 race-equivalence:
 	$(GO) test -race -run 'Equivalence|Parallel' ./internal/...
 

@@ -7,11 +7,9 @@
 // Nodes on the wire are addressed by *stable string IDs* ("n1", "n42"):
 // a node keeps its ID from the moment an expansion creates it until a
 // collapse or re-expansion removes it from the displayed tree, regardless
-// of what happens elsewhere in the tree. The legacy child-index Path
-// addressing is still carried on every node and accepted in requests for
-// backward compatibility, but paths are positional — a mutation of an
-// ancestor's child list silently re-targets them — so new clients should
-// address nodes by ID only.
+// of what happens elsewhere in the tree. IDs are the only node address:
+// requests are decoded strictly, so a body carrying any other field (the
+// retired positional "path" included) is a bad_request.
 //
 // The package deliberately depends on nothing but the standard library:
 // importing it pulls in no engine code, so second-language clients can
@@ -25,9 +23,6 @@ type Node struct {
 	// root). IDs are never reused while a session lives; a node orphaned by
 	// collapse or re-expansion resolves to not_found afterwards.
 	ID string `json:"id"`
-	// Path is the legacy child-index address from the root (root = []).
-	// Deprecated: positional — prefer ID.
-	Path []int `json:"path"`
 	// Rule maps instantiated column names to their values; wildcarded
 	// columns are absent.
 	Rule map[string]string `json:"rule"`
@@ -94,7 +89,7 @@ type DatasetHealth struct {
 	Cache *CacheHealth `json:"cache,omitempty"`
 }
 
-// Health is the body of GET /v1/health (and the legacy /healthz alias).
+// Health is the body of GET /v1/health.
 type Health struct {
 	Status   string `json:"status"`
 	Version  string `json:"version"`
@@ -137,18 +132,19 @@ type CreateSessionRequest struct {
 }
 
 // DrillRequest is the body of POST /v1/sessions/{id}/drill and
-// /collapse. The target node is addressed by Node (stable ID, preferred)
-// or, when Node is empty, by the legacy Path; both empty means the root.
-// For drill, a non-empty Column requests the paper's star drill-down on
-// that column; collapse ignores Column.
+// /collapse. The target node is addressed by its stable ID in Node; empty
+// means the root. For drill, a non-empty Column requests the paper's star
+// drill-down on that column; collapse ignores Column.
 type DrillRequest struct {
 	Node   string `json:"node,omitempty"`
-	Path   []int  `json:"path,omitempty"`
 	Column string `json:"column,omitempty"`
 }
 
 // SearchStats mirrors the BRS search counters of one request — clients
-// can watch candidate reuse and postings-vs-scan routing per drill.
+// can watch candidate reuse and postings-vs-scan routing per drill. The
+// server fills it by struct conversion from the engine's counters, so the
+// two definitions must keep identical field names, types and order; a
+// drift fails the build.
 type SearchStats struct {
 	Passes             int   `json:"passes"`
 	CandidatesCounted  int   `json:"candidates_counted"`
@@ -183,7 +179,6 @@ type DrillResponse struct {
 // provisional (sample-estimated) node to its exact aggregate.
 type RefineRequest struct {
 	Node string `json:"node,omitempty"`
-	Path []int  `json:"path,omitempty"`
 }
 
 // RefineResponse reports whether the refinement changed the node, with
@@ -198,7 +193,6 @@ type RefineResponse struct {
 // (read-only; provided for comparison with smart drill-down).
 type TraditionalRequest struct {
 	Node   string `json:"node,omitempty"`
-	Path   []int  `json:"path,omitempty"`
 	Column string `json:"column"`
 }
 

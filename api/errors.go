@@ -17,9 +17,9 @@ const (
 	// ErrNotFound: the addressed dataset, session, or node does not exist
 	// (expired, evicted, collapsed away, or never created).
 	ErrNotFound ErrorCode = "not_found"
-	// ErrBadRule: the request addressed the tree inconsistently — an
-	// invalid path, a malformed node ID, an unknown column, or a star
-	// drill on an already-instantiated column.
+	// ErrBadRule: the request addressed the tree inconsistently — a
+	// malformed node ID, an unknown column, or a star drill on an
+	// already-instantiated column.
 	ErrBadRule ErrorCode = "bad_rule"
 	// ErrBudget: a budget or limit parameter is out of range (negative
 	// budget_ms, oversized k, negative max_rules).

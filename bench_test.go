@@ -315,26 +315,6 @@ func BenchmarkCachedDrill(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationPruning quantifies the value of Algorithm 2's sub-rule
-// upper-bound pruning.
-func BenchmarkAblationPruning(b *testing.B) {
-	tab := benchMarketing()
-	w := weight.NewSize(tab.NumCols())
-	for _, disabled := range []bool{false, true} {
-		name := "on"
-		if disabled {
-			name = "off"
-		}
-		b.Run("pruning="+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := brs.Run(tab.All(), w, brs.Options{K: 4, MaxWeight: 5, DisablePruning: disabled}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationAllocator compares the Problem 5 DP against the
 // Problem 6 convex relaxation on a realistic displayed tree.
 func BenchmarkAblationAllocator(b *testing.B) {
@@ -549,8 +529,8 @@ func BenchmarkRepeatedDrilldown(b *testing.B) {
 // on the three evaluation datasets, with the index warmed (the server's
 // steady state after dataset registration). cmd/benchjson records these
 // configurations in the BENCH file; the /prior variants run the same search
-// with cross-step reuse and postings-driven counting disabled (the
-// pre-optimization path) for before/after comparison.
+// under brs.Options.Reference (the textbook per-step algorithm, serial by
+// definition) for before/after comparison.
 func BenchmarkBRS(b *testing.B) {
 	for _, c := range benchcfg.BRSCases() {
 		tab := c.Tab()
@@ -565,7 +545,7 @@ func BenchmarkBRS(b *testing.B) {
 		})
 		b.Run(c.Name+"/prior", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opts := brs.Options{K: 4, MaxWeight: c.MW, DisableReuse: true, DisableIndex: true}
+				opts := brs.Options{K: 4, MaxWeight: c.MW, Reference: true}
 				if _, _, err := brs.Run(tab.All(), w, opts); err != nil {
 					b.Fatal(err)
 				}

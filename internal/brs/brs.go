@@ -11,7 +11,7 @@
 // found.
 //
 // Three hot-path optimizations sit on top of the textbook algorithm, all
-// result-preserving (and individually ablatable via Options):
+// result-preserving:
 //
 //   - Packed candidate identity: candidates are deduplicated, looked up,
 //     and ordered by a fixed-size rule.PackedKey instead of heap-allocated
@@ -28,6 +28,9 @@
 //     sorted row set, a per-level cost model routes counting to
 //     intersections of the table's posting lists (level-1 counts under
 //     Count are just posting lengths) instead of row scans.
+//
+// Options.Reference switches all three off at once — the textbook
+// algorithm the equivalence suite holds the fast path bit-identical to.
 package brs
 
 import (
@@ -73,25 +76,12 @@ type Options struct {
 	// comparison — but Stats.SampledRowsScanned records the sample rows the
 	// search read. 0 or 1 means the view is exact.
 	SampleScale float64
-	// DisablePruning turns off the sub-rule upper-bound pruning (ablation).
-	DisablePruning bool
-	// DisableReuse turns off cross-step candidate reuse (ablation, and the
-	// equivalence suite's reference): every greedy step rebuilds topW and
-	// recounts every candidate from scratch, as the textbook algorithm is
-	// written.
-	DisableReuse bool
-	// DisableIndex turns off postings-driven counting (ablation, and the
-	// equivalence suite's reference): every level is counted by row scans.
-	// Implies DisableBitmap — the bitmap kernel is an index access path.
-	DisableIndex bool
-	// DisableBitmap turns off the bitset counting kernel (ablation): the
-	// cost planner only ever chooses between row scans and galloping
-	// posting intersections, as before the packed containers existed.
-	DisableBitmap bool
-	// DisableParallel forces every pass serial regardless of Workers and
-	// the automatic core count (ablation, and the deterministic reference
-	// for the parallel-merge equivalence suite).
-	DisableParallel bool
+	// Reference runs Algorithms 1–2 as the paper writes them, for the
+	// equivalence suite to compare the fast path against: every greedy step
+	// rebuilds topW with one pass and recounts every surviving candidate by
+	// serial row scans — no cross-step reuse, no index, no bitmap, no
+	// workers. A-priori pruning stays: it is Algorithm 2.
+	Reference bool
 	// MaxCandidatesPerLevel caps the candidate set per pass as a memory
 	// safety valve; 0 means DefaultMaxCandidates. When the cap is hit the
 	// result may be suboptimal; Stats.CandidateCapHit records it.
@@ -101,11 +91,10 @@ type Options struct {
 	// Count aggregate, serial otherwise (auto-parallelism is only applied
 	// where bit-identity to the serial path is guaranteed — Count
 	// accumulators stay integral; Sum callers opt in explicitly and accept
-	// last-ulp float reordering). 1 runs serially; see also
-	// DisableParallel. Every pass splits rows (or candidates) into one
-	// contiguous chunk per worker with private accumulators merged in
-	// worker order at the pass boundary, so results never depend on
-	// goroutine scheduling.
+	// last-ulp float reordering). 1 runs serially. Every pass splits rows
+	// (or candidates) into one contiguous chunk per worker with private
+	// accumulators merged in worker order at the pass boundary, so results
+	// never depend on goroutine scheduling.
 	Workers int
 	// MinGainRatio (used by RunIncremental only) stops the stream once a
 	// rule's marginal value drops below this fraction of the first rule's
@@ -130,8 +119,7 @@ type Result struct {
 	MCount float64
 }
 
-// Stats instruments a run for the performance experiments (Figure 5) and
-// the pruning/reuse/index ablations.
+// Stats instruments a run for the performance experiments (Figure 5).
 type Stats struct {
 	Passes            int   `json:"passes"`             // row-scan passes across all greedy steps
 	CandidatesCounted int   `json:"candidates_counted"` // rules whose aggregate mass was measured
@@ -275,9 +263,7 @@ func newRunner(v *table.View, w weight.Weighter, opts Options) (*runner, error) 
 	}
 	run := &runner{
 		v: v, parent: v.Table(), w: w, agg: agg, mw: mw, base: base,
-		prune: !opts.DisablePruning, maxCand: maxCand, par: opts.Workers,
-		noReuse: opts.DisableReuse, noIndex: opts.DisableIndex,
-		noBitmap: opts.DisableBitmap, noParallel: opts.DisableParallel,
+		maxCand: maxCand, par: opts.Workers, reference: opts.Reference,
 		scale: scale,
 	}
 	if !opts.BaseCovered && !base.IsTrivial() {
@@ -290,7 +276,7 @@ func newRunner(v *table.View, w weight.Weighter, opts Options) (*runner, error) 
 	run.baseMask = base.Mask()
 	run.freeCols = run.freeColumns()
 	_, run.countAgg = agg.(score.CountAgg)
-	if !run.noIndex {
+	if !run.reference {
 		// Postings-driven counting needs the view to be a sorted row set so
 		// posting intersections enumerate view positions. The full table,
 		// index-backed rule filters, and handler-served samples (sorted row
@@ -308,7 +294,7 @@ func newRunner(v *table.View, w weight.Weighter, opts Options) (*runner, error) 
 		// so it applies only when view positions are parent rows (full
 		// table); and popcount counting is mass accumulation only under
 		// Count (every row weighs 1, sums stay integral).
-		run.bitmapOK = !run.noBitmap && run.fullTable && run.countAgg && run.ix != nil
+		run.bitmapOK = run.fullTable && run.countAgg && run.ix != nil
 		run.bitmapWords = int64((run.parent.NumRows() + 63) / 64)
 	}
 	run.store = newCandStore()
@@ -343,13 +329,9 @@ type runner struct {
 	base        rule.Rule
 	baseMask    rule.Mask
 	freeCols    []int // columns the base leaves starred
-	prune       bool
 	maxCand     int
 	par         int
-	noReuse     bool
-	noIndex     bool
-	noBitmap    bool
-	noParallel  bool
+	reference   bool    // Options.Reference: textbook steps, serial scans only
 	scale       float64 // SampleScale normalized: emitted masses multiply by it
 	sorted      bool    // view rows ascending: postings-driven counting possible
 	fullTable   bool    // view spans every parent row
@@ -488,7 +470,7 @@ func (rn *runner) findBestMarginal() *cand {
 	if rn.v.NumRows() == 0 || len(rn.freeCols) == 0 || rn.canceled() {
 		return nil
 	}
-	if rn.noReuse {
+	if rn.reference {
 		rn.store = newCandStore()
 		rn.level1 = nil
 		rn.rebuildTopW()
@@ -534,7 +516,7 @@ func (rn *runner) findBestMarginal() *cand {
 				survivors = append(survivors, c)
 				continue
 			}
-			if rn.prune && rn.upperBound(c) < H {
+			if rn.upperBound(c) < H {
 				rn.stats.CandidatesPruned++
 				continue
 			}
@@ -570,7 +552,7 @@ func (rn *runner) findBestMarginal() *cand {
 // topW rebuild plus per-candidate recount the textbook algorithm pays.
 func (rn *runner) applySelection(best *cand) {
 	rn.selected = append(rn.selected, selectedRule{best.r, best.weight})
-	if rn.noReuse {
+	if rn.reference {
 		return // findBestMarginal rebuilds topW and recounts from scratch
 	}
 	n := rn.v.NumRows()
@@ -647,7 +629,7 @@ func (rn *runner) applySelection(best *cand) {
 }
 
 // rebuildTopW recomputes topW from the selected set with one pass — the
-// textbook per-step pass, kept for the DisableReuse reference path.
+// textbook per-step pass, kept for the Reference path.
 func (rn *runner) rebuildTopW() {
 	if len(rn.selected) == 0 {
 		rn.topW = nil
@@ -692,8 +674,8 @@ type levelOneAcc struct {
 // countLevelOne counts every rule extending the base by one (column,
 // value) pair — by posting-list lengths when the view is the whole table
 // under Count (zero row reads), otherwise in a single column-major pass —
-// and registers the candidates in the store. Runs once per run unless
-// reuse is disabled.
+// and registers the candidates in the store. Runs once per run (once per
+// step under Reference).
 func (rn *runner) countLevelOne() []*cand {
 	v := rn.v
 	accs := make([]levelOneAcc, 0, len(rn.freeCols))

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"smartdrill/internal/baseline"
 	"smartdrill/internal/rule"
@@ -24,6 +25,24 @@ func randomTable(rng *rand.Rand, cols, vals, n int) *table.Table {
 			row[c] = string(rune('a' + rng.Intn(vals)))
 		}
 		b.MustAddRow(row)
+	}
+	return b.Build()
+}
+
+// randomMeasuredTable is randomTable with one measure column "M" of
+// fractional masses in [0, 10), for the Sum aggregate.
+func randomMeasuredTable(rng *rand.Rand, cols, vals, n int) *table.Table {
+	names := make([]string, cols)
+	for c := range names {
+		names[c] = string(rune('A' + c))
+	}
+	b := table.MustBuilder(names, []string{"M"})
+	row := make([]string, cols)
+	for i := 0; i < n; i++ {
+		for c := range row {
+			row[c] = string(rune('a' + rng.Intn(vals)))
+		}
+		b.MustAddRow(row, rng.Float64()*10)
 	}
 	return b.Build()
 }
@@ -232,29 +251,79 @@ func TestSumAggregate(t *testing.T) {
 	}
 }
 
-func TestPruningMatchesUnpruned(t *testing.T) {
-	// Pruning is a pure optimization: results must match the unpruned run.
+// TestGreedyStepIsArgmax checks the literal contract of Algorithm 2 against
+// brute force, not against another engine configuration: on tiny tables,
+// every greedy step's selected rule must attain the maximum marginal value
+// over every super-rule of the base with weight ≤ mw, and the search may
+// stop short of K only when no rule has positive marginal value left. That
+// subsumes pruning soundness — a-priori pruning that ever discarded the
+// best rule would lose a step here.
+func TestGreedyStepIsArgmax(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 20; trial++ {
-		tab := randomTable(rng, 4, 3, 60)
-		w := weight.NewSize(4)
-		pruned, ps, err := Run(tab.All(), w, Options{K: 3, MaxWeight: 4})
-		if err != nil {
-			t.Fatal(err)
+	pruned := 0
+	for trial := 0; trial < 40; trial++ {
+		cols := 2 + rng.Intn(3)
+		tab := randomMeasuredTable(rng, cols, 2+rng.Intn(3), 20+rng.Intn(60))
+		tab.Index().Warm()
+
+		var w weight.Weighter = weight.NewSize(cols)
+		if trial%2 == 1 {
+			w = weight.BitsFor(tab)
 		}
-		unpruned, us, err := Run(tab.All(), w, Options{K: 3, MaxWeight: 4, DisablePruning: true})
-		if err != nil {
-			t.Fatal(err)
+		var agg score.Aggregator = score.CountAgg{}
+		if trial%4 >= 2 {
+			agg = score.SumAgg{Measure: 0}
 		}
-		sp := score.SetScore(tab, w, score.CountAgg{}, rulesOf(pruned))
-		su := score.SetScore(tab, w, score.CountAgg{}, rulesOf(unpruned))
-		if math.Abs(sp-su) > 1e-9 {
-			t.Fatalf("trial %d: pruned score %g != unpruned %g", trial, sp, su)
+		base := rule.Trivial(cols)
+		if trial%3 == 0 {
+			base = base.With(rng.Intn(cols), 0)
 		}
-		if ps.CandidatesCounted > us.CandidatesCounted {
-			t.Fatalf("pruning counted more candidates (%d) than unpruned (%d)",
-				ps.CandidatesCounted, us.CandidatesCounted)
+		mw := w.MaxWeight(1 + rng.Intn(cols))
+
+		// The search space of Problem 3 under this drill-down: supported
+		// strict super-rules of the base, no heavier than mw.
+		var universe []rule.Rule
+		for _, r := range baseline.EnumerateSupportedRules(tab) {
+			if base.SubRuleOf(r) && !r.Equal(base) && weight.WeightRule(w, r) <= mw {
+				universe = append(universe, r)
+			}
 		}
+		bestGain := func(selected []rule.Rule) float64 {
+			best := 0.0
+			for _, r := range universe {
+				best = math.Max(best, score.MarginalGain(tab, w, agg, selected, r))
+			}
+			return best
+		}
+
+		const k = 4
+		for _, reference := range []bool{false, true} {
+			var selected []rule.Rule
+			opts := Options{MaxWeight: mw, Base: base, Agg: agg, Reference: reference}
+			stats, err := RunIncremental(tab.All(), w, opts, k, time.Time{}, func(r Result) bool {
+				want := bestGain(selected)
+				got := score.MarginalGain(tab, w, agg, selected, r.Rule)
+				if got < want-1e-9*math.Max(1, want) {
+					t.Fatalf("trial %d reference=%v step %d: selected %v with marginal value %g, but %g is attainable",
+						trial, reference, len(selected), r.Rule, got, want)
+				}
+				selected = append(selected, r.Rule)
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(selected) < k {
+				if left := bestGain(selected); left > 1e-9 {
+					t.Fatalf("trial %d reference=%v: stopped after %d rules with marginal value %g still attainable",
+						trial, reference, len(selected), left)
+				}
+			}
+			pruned += stats.CandidatesPruned
+		}
+	}
+	if pruned == 0 {
+		t.Error("a-priori pruning never engaged (CandidatesPruned == 0 everywhere)")
 	}
 }
 

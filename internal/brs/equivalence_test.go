@@ -8,16 +8,15 @@ import (
 
 	"smartdrill/internal/rule"
 	"smartdrill/internal/score"
-	"smartdrill/internal/table"
 	"smartdrill/internal/weight"
 )
 
 // The fast path — packed candidate keys, cross-step count reuse, and
 // postings-driven counting — must be a pure access-path change: results
-// bit-identical under the Count aggregate to the reference configuration
-// (DisableReuse + DisableIndex, the textbook per-step algorithm), at any
-// worker count. CI runs this file under -race, so the shared lazy index
-// build is exercised concurrently with parallel passes.
+// bit-identical under the Count aggregate to Options.Reference (the
+// textbook per-step algorithm, serial by definition), at any worker
+// count. CI runs this file under -race, so the shared lazy index build is
+// exercised concurrently with parallel passes.
 
 func sameResults(t *testing.T, label string, got, want []Result) {
 	t.Helper()
@@ -36,10 +35,10 @@ func sameResults(t *testing.T, label string, got, want []Result) {
 	}
 }
 
-// TestFastPathMatchesReference fuzzes the three optimizations (separately
-// and combined) against the reference path on random tables: full-table
-// views with warmed posting lists, index-filtered base views, and
-// self-restricting runs, serial and parallel.
+// TestFastPathMatchesReference fuzzes the fast path against the reference
+// on random tables: full-table views with warmed posting lists,
+// index-filtered base views, and self-restricting runs, auto-parallel and
+// at an explicit worker count.
 func TestFastPathMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	var sawReuse, sawIndex bool
@@ -52,55 +51,40 @@ func TestFastPathMatchesReference(t *testing.T) {
 			w = weight.BitsFor(tab)
 		}
 		mw := w.MaxWeight(3)
-		ref := Options{K: 4, MaxWeight: mw, DisableReuse: true, DisableIndex: true}
-
-		configs := []struct {
-			name string
-			opts Options
-		}{
-			{"reuse-only", Options{K: 4, MaxWeight: mw, DisableIndex: true}},
-			{"index-only", Options{K: 4, MaxWeight: mw, DisableReuse: true}},
-			{"fast", Options{K: 4, MaxWeight: mw}},
-			{"fast-nopruning", Options{K: 4, MaxWeight: mw, DisablePruning: true}},
+		ref := Options{K: 4, MaxWeight: mw, Reference: true}
+		want, _, err := Run(tab.All(), w, ref)
+		if err != nil {
+			t.Fatal(err)
 		}
+		base := rule.Trivial(cols).With(rng.Intn(cols), rule.Value(rng.Intn(2)))
+		bRef := ref
+		bRef.Base, bRef.BaseCovered = base, true
+		bView := tab.ViewOf(tab.FilterIndices(base))
+		bWant, _, err := Run(bView, w, bRef)
+		if err != nil {
+			t.Fatal(err)
+		}
+
 		for _, workers := range []int{0, 4} {
-			refOpts := ref
-			refOpts.Workers = workers
-			want, _, err := Run(tab.All(), w, refOpts)
+			got, stats, err := Run(tab.All(), w, Options{K: 4, MaxWeight: mw, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, cfg := range configs {
-				opts := cfg.opts
-				opts.Workers = workers
-				got, stats, err := Run(tab.All(), w, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResults(t, fmt.Sprintf("trial %d %s workers=%d", trial, cfg.name, workers), got, want)
-				if !opts.DisableReuse && len(got) > 1 && stats.CandidatesReused > 0 {
-					sawReuse = true
-				}
-				if !opts.DisableIndex && stats.IndexLevels > 0 {
-					sawIndex = true
-				}
+			sameResults(t, fmt.Sprintf("trial %d fast workers=%d", trial, workers), got, want)
+			if len(got) > 1 && stats.CandidatesReused > 0 {
+				sawReuse = true
+			}
+			if stats.IndexLevels > 0 {
+				sawIndex = true
 			}
 
 			// Base-restricted run over an index-backed ascending view.
-			base := rule.Trivial(cols).With(rng.Intn(cols), rule.Value(rng.Intn(2)))
-			bOpts := ref
-			bOpts.Workers, bOpts.Base, bOpts.BaseCovered = workers, base, true
-			bView := tab.ViewOf(tab.FilterIndices(base))
-			want, _, err = Run(bView, w, bOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
 			fOpts := Options{K: 4, MaxWeight: mw, Workers: workers, Base: base, BaseCovered: true}
-			got, _, err := Run(bView, w, fOpts)
+			got, _, err = Run(bView, w, fOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameResults(t, fmt.Sprintf("trial %d base workers=%d", trial, workers), got, want)
+			sameResults(t, fmt.Sprintf("trial %d base workers=%d", trial, workers), got, bWant)
 
 			// Self-restricting full view (BaseCovered false).
 			sOpts := fOpts
@@ -109,7 +93,7 @@ func TestFastPathMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameResults(t, fmt.Sprintf("trial %d self-restrict workers=%d", trial, workers), got, want)
+			sameResults(t, fmt.Sprintf("trial %d self-restrict workers=%d", trial, workers), got, bWant)
 		}
 	}
 	if !sawReuse {
@@ -122,16 +106,18 @@ func TestFastPathMatchesReference(t *testing.T) {
 
 // TestCrossStepReuseObservable pins the headline reuse claim: on a
 // multi-step run, later steps serve level-1 candidates from the cache
-// (CandidatesReused > 0) and counting work drops versus the reference.
+// (CandidatesReused > 0) and counting work drops versus the reference. The
+// table's index is cold, so the fast run scans too and reuse is the only
+// difference between the two.
 func TestCrossStepReuseObservable(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	tab := randomTable(rng, 5, 4, 600)
 	w := weight.NewSize(5)
-	fast, fs, err := Run(tab.All(), w, Options{K: 4, MaxWeight: 4, DisableIndex: true})
+	fast, fs, err := Run(tab.All(), w, Options{K: 4, MaxWeight: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, rs, err := Run(tab.All(), w, Options{K: 4, MaxWeight: 4, DisableReuse: true, DisableIndex: true})
+	ref, rs, err := Run(tab.All(), w, Options{K: 4, MaxWeight: 4, Reference: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +152,7 @@ func TestLevelOnePostingsPath(t *testing.T) {
 	if stats.IndexLevels == 0 {
 		t.Fatalf("warmed full-table run never used postings: %+v", stats)
 	}
-	want, _, err := Run(tab.All(), w, Options{K: 3, MaxWeight: 4, DisableReuse: true, DisableIndex: true})
+	want, _, err := Run(tab.All(), w, Options{K: 3, MaxWeight: 4, Reference: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,21 +183,11 @@ func TestSumAggregateSerialEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	for trial := 0; trial < 10; trial++ {
 		cols := 3
-		names := []string{"A", "B", "C"}
-		b := table.MustBuilder(names, []string{"M"})
-		row := make([]string, cols)
-		n := 200 + rng.Intn(200)
-		for i := 0; i < n; i++ {
-			for c := range row {
-				row[c] = string(rune('a' + rng.Intn(3)))
-			}
-			b.MustAddRow(row, rng.Float64()*10)
-		}
-		tab := b.Build()
+		tab := randomMeasuredTable(rng, cols, 3, 200+rng.Intn(200))
 		tab.Index().Warm()
 		w := weight.NewSize(cols)
 		agg := score.SumAgg{Measure: 0}
-		want, _, err := Run(tab.All(), w, Options{K: 3, MaxWeight: 3, Agg: agg, DisableReuse: true, DisableIndex: true})
+		want, _, err := Run(tab.All(), w, Options{K: 3, MaxWeight: 3, Agg: agg, Reference: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +216,7 @@ func TestIncrementalFastMatchesReference(t *testing.T) {
 			}
 			return out
 		}
-		want := collect(Options{MaxWeight: 4, DisableReuse: true, DisableIndex: true})
+		want := collect(Options{MaxWeight: 4, Reference: true})
 		got := collect(Options{MaxWeight: 4})
 		sameResults(t, fmt.Sprintf("incremental trial %d", trial), got, want)
 	}

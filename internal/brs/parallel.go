@@ -21,15 +21,15 @@ import (
 // accumulator-merge overheads outweigh any conceivable gain.
 const MaxWorkers = 64
 
-// workers resolves the configured parallelism. DisableParallel forces
-// serial. Workers 0 saturates the hardware — runtime.NumCPU() under the
-// Count aggregate, serial otherwise (auto-parallelism only where
-// bit-identity to the serial path is guaranteed). An explicit request is
+// workers resolves the configured parallelism. Reference forces serial.
+// Workers 0 saturates the hardware — runtime.NumCPU() under the Count
+// aggregate, serial otherwise (auto-parallelism only where bit-identity
+// to the serial path is guaranteed). An explicit request is
 // honored (capped at MaxWorkers) rather than clamped to NumCPU —
 // oversubscription is harmless, and honoring the request keeps the
 // parallel code paths exercised on single-core machines.
 func (rn *runner) workers() int {
-	if rn.noParallel {
+	if rn.reference {
 		return 1
 	}
 	w := rn.par

@@ -125,6 +125,13 @@ func TestParallelDeterministicMerge(t *testing.T) {
 			if stats.IndexLevels == 0 {
 				t.Fatalf("run never used the index kernels: %+v", stats)
 			}
+			ref := opts
+			ref.Reference = true
+			want, _, err := Run(tab.All(), w, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResults(t, "parallel vs reference", got, want)
 			continue
 		}
 		if out != wantOut {

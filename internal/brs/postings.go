@@ -37,9 +37,8 @@ import (
 //
 // Every kernel visits rows ascending — the order a scan visits them — so
 // accumulated masses are bit-identical across all three access paths, and
-// routing is a pure performance decision. Options.DisableIndex removes
-// both kernels (every step scans); Options.DisableBitmap removes only the
-// bitmap kernel.
+// routing is a pure performance decision. Options.Reference removes both
+// index kernels (every step scans).
 
 // postingsCostSlack is the fixed per-candidate overhead charged by the
 // cost model (list setup, gallop restarts, AND-loop setup).

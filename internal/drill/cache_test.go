@@ -48,9 +48,9 @@ func TestRepeatedDrillServedFromCache(t *testing.T) {
 	if st := s2.LastStats; st.Passes != 0 || st.RowsScanned != 0 || st.CacheHits != 1 {
 		t.Fatalf("cached drill stats = %+v; want Passes=0 RowsScanned=0 CacheHits=1", st)
 	}
-	// The cache counters also flow into the store's disk accounting.
-	if hits := s2.Store().Stats().SearchCacheHits; hits != 1 {
-		t.Fatalf("store cache-hit accounting = %d, want 1", hits)
+	// The cache counters also flow into the session's running totals.
+	if hits := s2.TotalStats.CacheHits; hits != 1 {
+		t.Fatalf("session cache-hit total = %d, want 1", hits)
 	}
 
 	// Both sessions display identical expansions.

@@ -55,15 +55,10 @@ type Config struct {
 	// Seed makes sampling deterministic; 0 means seed 1.
 	Seed int64
 	// Workers parallelizes BRS table passes across goroutines; 0 picks the
-	// hardware core count under the Count aggregate (serial otherwise).
-	// Results are identical under the Count aggregate at any worker count.
+	// hardware core count under the Count aggregate (serial otherwise), 1
+	// runs serially. Results are identical under the Count aggregate at any
+	// worker count.
 	Workers int
-	// DisableParallel forces every BRS pass serial (ablation; the
-	// equivalence suites' deterministic reference).
-	DisableParallel bool
-	// DisableBitmap turns off the packed-bitset counting kernel, leaving
-	// scan and galloping-postings counting (ablation).
-	DisableBitmap bool
 	// ProbModel predicts which displayed rule the analyst drills next,
 	// steering prefetch memory allocation (Section 4.1). Nil means the
 	// uniform distribution. drill sessions feed the model their own
@@ -180,38 +175,6 @@ func (s *Session) forget(nodes []*Node) {
 //
 //sdlint:holds mu — callers resolve IDs inside their session critical section
 func (s *Session) NodeByID(id uint64) *Node { return s.byID[id] }
-
-// PathOf returns n's child-index address from the root (the legacy wire
-// address), reporting false when n is no longer displayed.
-//
-//sdlint:holds mu — the path is only stable inside the caller's critical section
-func (s *Session) PathOf(n *Node) ([]int, bool) {
-	var rev []int
-	cur := n
-	for cur.parent != nil {
-		p := cur.parent
-		idx := -1
-		for i, c := range p.Children {
-			if c == cur {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return nil, false
-		}
-		rev = append(rev, idx)
-		cur = p
-	}
-	if cur != s.root {
-		return nil, false
-	}
-	path := make([]int, len(rev))
-	for i, idx := range rev {
-		path[len(rev)-1-i] = idx
-	}
-	return path, true
-}
 
 // NewSession starts a session on t. The root node is the trivial rule with
 // the exact table count, as in Table 1 of the paper.
@@ -396,33 +359,28 @@ func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter) error 
 //sdlint:holds mu — reached only from expansion paths the owner serializes
 func (s *Session) searchRequest(kind search.Kind, r rule.Rule, w weight.Weighter, degraded bool) search.Request {
 	return search.Request{
-		Kind:            kind,
-		Rule:            r,
-		K:               s.cfg.K,
-		Weighter:        w,
-		Agg:             s.cfg.Agg,
-		MaxWeight:       s.cfg.MaxWeight,
-		Seed:            s.cfg.Seed,
-		Workers:         s.cfg.Workers,
-		DisableParallel: s.cfg.DisableParallel,
-		DisableBitmap:   s.cfg.DisableBitmap,
-		Sampled:         s.useSample(r, degraded),
-		Degraded:        degraded,
-		NoCache:         s.cfg.DisableCache,
-		Store:           s.store,
+		Kind:      kind,
+		Rule:      r,
+		K:         s.cfg.K,
+		Weighter:  w,
+		Agg:       s.cfg.Agg,
+		MaxWeight: s.cfg.MaxWeight,
+		Seed:      s.cfg.Seed,
+		Workers:   s.cfg.Workers,
+		Sampled:   s.useSample(r, degraded),
+		Degraded:  degraded,
+		NoCache:   s.cfg.DisableCache,
+		Store:     s.store,
 	}
 }
 
-// recordStats files one expansion's BRS statistics: the latest snapshot,
-// the session running totals, and the store's search accounting (postings
-// read by BRS counting are I/O the disk cost model must see; cache hits
-// and singleflight waits are the passes the session avoided paying).
+// recordStats files one expansion's BRS statistics: the latest snapshot
+// and the session running totals.
 //
 //sdlint:holds mu — reached only from expansion paths the owner serializes
 func (s *Session) recordStats(stats brs.Stats) {
 	s.LastStats = stats
 	s.TotalStats.Add(stats)
-	s.accountStats(stats)
 }
 
 // recordAuxStats accumulates statistics of a non-expansion search (refine,
@@ -432,14 +390,6 @@ func (s *Session) recordStats(stats brs.Stats) {
 //sdlint:holds mu — reached only from paths the owner serializes
 func (s *Session) recordAuxStats(stats brs.Stats) {
 	s.TotalStats.Add(stats)
-	s.accountStats(stats)
-}
-
-func (s *Session) accountStats(stats brs.Stats) {
-	s.store.AccountSearchIndex(stats.PostingsRead)
-	s.store.AccountSearchBitmap(stats.BitmapWordsRead)
-	s.store.AccountSampledRead(stats.SampledRowsScanned)
-	s.store.AccountSearchCache(int64(stats.CacheHits), int64(stats.CacheMisses), int64(stats.SingleflightWaits))
 }
 
 // coveredView obtains the tuples covered by r as a zero-copy view: a

@@ -15,22 +15,19 @@ import (
 // avoiding stale estimates.
 
 // snapshotNode is the JSON form of a displayed node. Rules are stored as
-// decoded strings (with "?" wildcards) so snapshots remain readable and
-// survive dictionary-id reassignment across table reloads.
+// decoded strings so snapshots remain readable and survive dictionary-id
+// reassignment across table reloads; a star is JSON null, which no cell
+// value can collide with (a column may well hold the literal "?").
 type snapshotNode struct {
 	// ID is the node's session-scoped stable identifier. Persisting it
 	// lets a restored session keep every wire address valid — an analyst
 	// who drilled "n4" before a server restart can refine "n4" after it.
-	// Snapshots written before IDs existed carry none; Load then falls
-	// back to fresh pre-order assignment (see Load).
-	ID     uint64   `json:"id,omitempty"`
-	Values []string `json:"values"`
-	Weight float64  `json:"weight"`
-	Count  float64  `json:"count"`
-	Exact  bool     `json:"exact"`
-	// HasCI marks CILow/CIHigh as a genuine interval. Older snapshots
-	// predate the flag; Load falls back to the historical non-zero-bounds
-	// heuristic for them (see restore).
+	ID     uint64    `json:"id"`
+	Values []*string `json:"values"`
+	Weight float64   `json:"weight"`
+	Count  float64   `json:"count"`
+	Exact  bool      `json:"exact"`
+	// HasCI marks CILow/CIHigh as a genuine interval.
 	HasCI    bool           `json:"hasCI,omitempty"`
 	CILow    float64        `json:"ciLow,omitempty"`
 	CIHigh   float64        `json:"ciHigh,omitempty"`
@@ -62,9 +59,14 @@ func (s *Session) Save(w io.Writer) error {
 }
 
 func (s *Session) snapshotOf(n *Node) snapshotNode {
+	cells := s.tab.DecodeRule(n.Rule)
+	values := make([]*string, len(cells))
+	for _, c := range n.Rule.InstantiatedColumns() {
+		values[c] = &cells[c]
+	}
 	out := snapshotNode{
 		ID:     n.id,
-		Values: s.tab.DecodeRule(n.Rule),
+		Values: values,
 		Weight: n.Weight,
 		Count:  n.Count,
 		Exact:  n.Exact,
@@ -105,25 +107,17 @@ func (s *Session) Load(r io.Reader) error {
 		return fmt.Errorf("drill: snapshot root is not the trivial rule")
 	}
 	// Commit: the old tree's index is dropped wholesale and the restored
-	// nodes are re-registered. Snapshots that recorded stable IDs restore
-	// them verbatim — wire addresses survive the Load, which is what lets
-	// a rehydrated server session resume exactly where the analyst
-	// stopped. Legacy snapshots without IDs get fresh IDs in pre-order
-	// (their analysts' addresses are long gone anyway). Either way the
-	// commit happens only now, so a failed Load leaves the session's
-	// index untouched.
-	if snap.Root.ID != 0 {
-		byID := make(map[uint64]*Node)
-		maxID, err := indexTree(root, byID)
-		if err != nil {
-			return err
-		}
-		s.byID = byID
-		s.nextID = max(snap.NextID, maxID)
-	} else {
-		s.byID = make(map[uint64]*Node)
-		s.adoptTree(root)
+	// nodes are re-registered under their recorded IDs — wire addresses
+	// survive the Load, which is what lets a rehydrated server session
+	// resume exactly where the analyst stopped. The commit happens only
+	// now, so a failed Load leaves the session's index untouched.
+	byID := make(map[uint64]*Node)
+	maxID, err := indexTree(root, byID)
+	if err != nil {
+		return err
 	}
+	s.byID = byID
+	s.nextID = max(snap.NextID, maxID)
 	s.root = root
 	return nil
 }
@@ -133,7 +127,7 @@ func (s *Session) Load(r io.Reader) error {
 // hand-edited snapshot and are rejected before any commit.
 func indexTree(n *Node, byID map[uint64]*Node) (maxID uint64, err error) {
 	if n.id == 0 {
-		return 0, fmt.Errorf("drill: snapshot node %v has no id but the root carries one", n.Rule)
+		return 0, fmt.Errorf("drill: snapshot node %v has no id", n.Rule)
 	}
 	if _, dup := byID[n.id]; dup {
 		return 0, fmt.Errorf("drill: snapshot reuses node id %d", n.id)
@@ -150,14 +144,6 @@ func indexTree(n *Node, byID map[uint64]*Node) (maxID uint64, err error) {
 	return maxID, nil
 }
 
-// adoptTree assigns fresh IDs to a whole subtree in pre-order.
-func (s *Session) adoptTree(n *Node) {
-	s.adopt(n)
-	for _, c := range n.Children {
-		s.adoptTree(c)
-	}
-}
-
 func (s *Session) restore(sn snapshotNode, parent *Node) (*Node, error) {
 	if len(sn.Values) != s.tab.NumCols() {
 		return nil, fmt.Errorf("drill: snapshot rule has %d values, table has %d columns",
@@ -165,12 +151,12 @@ func (s *Session) restore(sn snapshotNode, parent *Node) (*Node, error) {
 	}
 	r := rule.Trivial(s.tab.NumCols())
 	for c, v := range sn.Values {
-		if v == "?" {
+		if v == nil {
 			continue
 		}
-		id, ok := s.tab.Dict(c).Lookup(v)
+		id, ok := s.tab.Dict(c).Lookup(*v)
 		if !ok {
-			return nil, fmt.Errorf("drill: snapshot value %q not in column %q", v, s.tab.ColumnNames()[c])
+			return nil, fmt.Errorf("drill: snapshot value %q not in column %q", *v, s.tab.ColumnNames()[c])
 		}
 		r[c] = id
 	}
@@ -180,10 +166,7 @@ func (s *Session) restore(sn snapshotNode, parent *Node) (*Node, error) {
 		Weight: sn.Weight,
 		Count:  sn.Count,
 		Exact:  sn.Exact,
-		// Snapshots written before the explicit flag existed mark genuine
-		// intervals only by non-zero bounds; accept that legacy sentinel
-		// when the flag is absent.
-		HasCI:  sn.HasCI || (!sn.Exact && (sn.CILow != 0 || sn.CIHigh != 0)),
+		HasCI:  sn.HasCI,
 		CILow:  sn.CILow,
 		CIHigh: sn.CIHigh,
 		parent: parent,

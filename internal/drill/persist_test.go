@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"smartdrill/internal/datagen"
+	"smartdrill/internal/table"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -86,5 +87,89 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if err := s.Load(strings.NewReader(`{"columns":["Store","Product","Region"],"root":{"values":["Walmart","?","?"]}}`)); err == nil {
 		t.Fatal("non-trivial root must be rejected")
+	}
+}
+
+// questionMarkTable holds the literal value "?" — the UCI census
+// missing-value marker — as column A's dominant value, so the root drill
+// surfaces the rule (A=?).
+func questionMarkTable() *table.Table {
+	b := table.MustBuilder([]string{"A", "B", "C"}, nil)
+	for i := 0; i < 300; i++ {
+		a := "?"
+		if i%3 == 0 {
+			a = string(rune('p' + i%5))
+		}
+		b.MustAddRow([]string{a, string(rune('a' + i%4)), string(rune('x' + i%2))})
+	}
+	return b.Build()
+}
+
+// TestQuestionMarkValueSurvivesSaveLoad is the regression test for the
+// snapshot-v1 star encoding: stars were written as the string "?" and read
+// back as wildcards, so a rule instantiating a cell whose value *is* "?"
+// came back one column wider — node n2 silently meant a different rule
+// after a restore. Stars are JSON null now; every node's rule must
+// round-trip exactly, ID by ID.
+func TestQuestionMarkValueSurvivesSaveLoad(t *testing.T) {
+	tab := questionMarkTable()
+	s, err := NewSession(tab, Config{K: 3, MaxWeight: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Expand(s.Root()); err != nil {
+		t.Fatal(err)
+	}
+	qm, _ := tab.Dict(0).Lookup("?")
+	var target *Node
+	for _, c := range s.Root().Children {
+		if c.Rule[0] == qm {
+			target = c
+		}
+	}
+	if target == nil {
+		t.Fatalf("root drill did not surface a rule with A=\"?\":\n%s", s.Render())
+	}
+	if err := s.Expand(target); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := NewSession(tab, Config{K: 3, MaxWeight: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Load(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	var check func(n *Node)
+	check = func(n *Node) {
+		got := s2.NodeByID(n.ID())
+		if got == nil {
+			t.Fatalf("node %d missing after load", n.ID())
+		}
+		if !got.Rule.Equal(n.Rule) {
+			t.Fatalf("node %d: rule %v became %v across save/load", n.ID(), n.Rule, got.Rule)
+		}
+		for _, c := range n.Children {
+			check(c)
+		}
+	}
+	check(s.Root())
+}
+
+// TestLoadRejectsIDlessSnapshot: every snapshot this build writes records
+// node IDs; one without them is not a format Load understands.
+func TestLoadRejectsIDlessSnapshot(t *testing.T) {
+	s, _ := NewSession(datagen.StoreSales(42), Config{K: 3})
+	snap := `{"columns":["Store","Product","Region"],"root":{"values":[null,null,null],"count":6000,"exact":true}}`
+	if err := s.Load(strings.NewReader(snap)); err == nil {
+		t.Fatal("snapshot without node ids loaded")
+	}
+	if s.NodeByID(1) != s.Root() {
+		t.Fatal("failed load disturbed the session's id index")
 	}
 }

@@ -50,19 +50,17 @@ func baseRequest() Request {
 // fails the test — the runtime twin of the cachekey analyzer's
 // unkeyed-field diagnostic.
 var mutations = map[string]func(*Request){
-	"Kind":            func(r *Request) { r.Kind = KindRefine },
-	"Rule":            func(r *Request) { r.Rule = r.Rule.With(1, 2) },
-	"K":               func(r *Request) { r.K++ },
-	"MaxRules":        func(r *Request) { r.MaxRules++ },
-	"MinGainRatio":    func(r *Request) { r.MinGainRatio = 0.5 },
-	"Weighter":        func(r *Request) { r.Weighter = weight.SizeMinusOne{} },
-	"Agg":             func(r *Request) { r.Agg = score.SumAgg{Measure: 0} },
-	"MaxWeight":       func(r *Request) { r.MaxWeight = 3.5 },
-	"Seed":            func(r *Request) { r.Seed = 8 },
-	"Workers":         func(r *Request) { r.Workers = 3 },
-	"DisableParallel": func(r *Request) { r.DisableParallel = true },
-	"DisableBitmap":   func(r *Request) { r.DisableBitmap = true },
-	"Column":          func(r *Request) { r.Column = 2 },
+	"Kind":         func(r *Request) { r.Kind = KindRefine },
+	"Rule":         func(r *Request) { r.Rule = r.Rule.With(1, 2) },
+	"K":            func(r *Request) { r.K++ },
+	"MaxRules":     func(r *Request) { r.MaxRules++ },
+	"MinGainRatio": func(r *Request) { r.MinGainRatio = 0.5 },
+	"Weighter":     func(r *Request) { r.Weighter = weight.SizeMinusOne{} },
+	"Agg":          func(r *Request) { r.Agg = score.SumAgg{Measure: 0} },
+	"MaxWeight":    func(r *Request) { r.MaxWeight = 3.5 },
+	"Seed":         func(r *Request) { r.Seed = 8 },
+	"Workers":      func(r *Request) { r.Workers = 3 },
+	"Column":       func(r *Request) { r.Column = 2 },
 
 	"Deadline": func(r *Request) { r.Deadline = time.Unix(1, 0) },
 	"Yield":    func(r *Request) { r.Yield = func(brs.Result) bool { return true } },

@@ -7,14 +7,14 @@
 //
 //   - a bounded LRU answer cache of completed exact expansions, keyed by
 //     the canonicalized request (rule identity via rule.PackedKey, k,
-//     weighter and aggregate names, mw, seed, worker shape, and a dataset
-//     version stamp), with hits served as clones so sessions can never
-//     mutate shared results;
+//     weighter and aggregate names, mw, seed and worker count), with hits
+//     served as clones so sessions can never mutate shared results;
 //   - singleflight collapsing of concurrent identical searches, so a
 //     thundering herd on one popular expansion costs one BRS run — and a
 //     canceled leader re-elects a waiter instead of poisoning the flight;
-//   - background warming hooks (MarkWarmed) and counters that flow into
-//     brs.Stats → storage.Stats → session totals → /v1/health.
+//   - background warming hooks (MarkWarmed), cache counters filed into the
+//     response's brs.Stats (which sessions total and the wire carries
+//     unchanged), and per-dataset Counters for /v1/health.
 //
 // Only complete, exact, unscaled results enter the cache: sampled
 // expansions depend on per-session handler state, degraded requests must
@@ -57,7 +57,7 @@ const (
 )
 
 // Request is the canonical form of one search. Identity fields (Kind
-// through DisableBitmap) make up the cache key; the remaining fields are
+// through Column) make up the cache key; the remaining fields are
 // execution inputs that either route around the cache (Sampled, Degraded,
 // NoCache, a Deadline-bounded stream) or are only consulted on a miss
 // (Resolve, MaxWeightFor, Store, Yield).
@@ -83,12 +83,10 @@ type Request struct {
 	MaxWeight float64
 	// Seed fixes the mw probe's sampling RNG.
 	Seed int64
-	// Workers, DisableParallel and DisableBitmap shape the execution; they
-	// are keyed conservatively (results are proven bit-identical across
-	// worker counts only under the Count aggregate).
-	Workers         int
-	DisableParallel bool
-	DisableBitmap   bool
+	// Workers shapes the execution; it is keyed conservatively (results are
+	// proven bit-identical across worker counts only under the Count
+	// aggregate).
+	Workers int
 	// Column is the traditional listing's group-by column.
 	Column int
 
@@ -179,7 +177,6 @@ const DefaultEntries = 256
 // falling back to the string form for rules too wide to pack — so cache
 // and flight lookups are single map operations with no allocation.
 type key struct {
-	version  uint64
 	kind     Kind
 	packed   rule.PackedKey
 	wide     string // Rule.Key() when the rule exceeds PackedKey capacity
@@ -191,8 +188,6 @@ type key struct {
 	maxW     float64
 	seed     int64
 	workers  int
-	serial   bool
-	nobitmap bool
 	column   int
 }
 
@@ -228,10 +223,6 @@ type Service struct {
 	misses atomic.Int64
 	waits  atomic.Int64
 	warmed atomic.Int64
-	// version stamps every cache key. It is always 0 today; BumpVersion is
-	// the invalidation hook for mutable datasets (ROADMAP item 4) — one
-	// bump orphans every cached answer without touching the entries.
-	version atomic.Uint64
 
 	// onFlightWait, when non-nil, runs each time a request starts waiting
 	// on another request's in-flight execution — a deterministic
@@ -285,19 +276,9 @@ func (s *Service) Counters() Counters {
 // layer's RegisterDataset warmers call it per expansion they land).
 func (s *Service) MarkWarmed() { s.warmed.Add(1) }
 
-// Version returns the dataset version stamped into every cache key.
-func (s *Service) Version() uint64 { return s.version.Load() }
-
-// BumpVersion advances the dataset version: every previously cached
-// answer becomes unreachable (and ages out of the LRU) without scanning
-// the cache. This is the invalidation hook for mutable datasets; nothing
-// bumps it today.
-func (s *Service) BumpVersion() { s.version.Add(1) }
-
 // keyOf canonicalizes a request.
-func (s *Service) keyOf(req Request) key {
+func (*Service) keyOf(req Request) key {
 	k := key{
-		version:  s.version.Load(),
 		kind:     req.Kind,
 		k:        req.K,
 		maxRules: req.MaxRules,
@@ -305,8 +286,6 @@ func (s *Service) keyOf(req Request) key {
 		maxW:     req.MaxWeight,
 		seed:     req.Seed,
 		workers:  req.Workers,
-		serial:   req.DisableParallel,
-		nobitmap: req.DisableBitmap,
 		column:   req.Column,
 	}
 	if req.Weighter != nil {
@@ -438,15 +417,13 @@ func (s *Service) execute(ctx context.Context, req Request, cacheable bool) (Res
 			mw = req.MaxWeightFor(view)
 		}
 		results, stats, err := brs.RunCtx(ctx, view, req.Weighter, brs.Options{
-			K:               req.K,
-			MaxWeight:       mw,
-			Base:            req.Rule,
-			BaseCovered:     true, // Resolve delivers exactly the rule's coverage
-			Agg:             req.Agg,
-			Workers:         req.Workers,
-			DisableParallel: req.DisableParallel,
-			DisableBitmap:   req.DisableBitmap,
-			SampleScale:     scale,
+			K:           req.K,
+			MaxWeight:   mw,
+			Base:        req.Rule,
+			BaseCovered: true, // Resolve delivers exactly the rule's coverage
+			Agg:         req.Agg,
+			Workers:     req.Workers,
+			SampleScale: scale,
 		})
 		resp := Response{Results: results, Scale: scale, Exact: exact, Stats: stats}
 		if err != nil {
@@ -470,15 +447,13 @@ func (s *Service) execute(ctx context.Context, req Request, cacheable bool) (Res
 		var collected []brs.Result
 		stopped := false
 		stats, err := brs.RunIncrementalCtx(ctx, view, req.Weighter, brs.Options{
-			MaxWeight:       mw,
-			Base:            req.Rule,
-			BaseCovered:     true,
-			Agg:             req.Agg,
-			Workers:         req.Workers,
-			DisableParallel: req.DisableParallel,
-			DisableBitmap:   req.DisableBitmap,
-			MinGainRatio:    req.MinGainRatio,
-			SampleScale:     scale,
+			MaxWeight:    mw,
+			Base:         req.Rule,
+			BaseCovered:  true,
+			Agg:          req.Agg,
+			Workers:      req.Workers,
+			MinGainRatio: req.MinGainRatio,
+			SampleScale:  scale,
 		}, req.MaxRules, req.Deadline, func(r brs.Result) bool {
 			collected = append(collected, r)
 			if req.Yield != nil && !req.Yield(r) {

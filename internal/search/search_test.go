@@ -144,27 +144,6 @@ func TestLRUBoundAndEviction(t *testing.T) {
 	}
 }
 
-func TestBumpVersionOrphansCachedAnswers(t *testing.T) {
-	tab := testTable()
-	var resolves atomic.Int32
-	svc := NewService(Config{})
-
-	if _, err := svc.Run(context.Background(), batchReq(tab, &resolves)); err != nil {
-		t.Fatal(err)
-	}
-	svc.BumpVersion()
-	if svc.Version() != 1 {
-		t.Fatalf("version = %d after one bump", svc.Version())
-	}
-	resp, err := svc.Run(context.Background(), batchReq(tab, &resolves))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Cached || resolves.Load() != 2 {
-		t.Fatalf("post-bump run served stale answer (cached=%v resolves=%d)", resp.Cached, resolves.Load())
-	}
-}
-
 func TestBypassesNeverTouchCache(t *testing.T) {
 	tab := testTable()
 	cases := []struct {

@@ -167,34 +167,26 @@ func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request) (*session
 	return sess, true
 }
 
-// resolveNode resolves a node reference — stable ID preferred, legacy
-// child-index path otherwise, both empty meaning the root — returning the
-// node and its current path. The caller must hold the session's lock. On
-// failure it writes the error response and returns false: an unknown (or
-// no-longer-displayed) ID is not_found, a malformed ID or invalid path is
-// bad_rule.
+// resolveNode resolves a node reference — a stable ID, empty meaning the
+// root. The caller must hold the session's lock. On failure it writes the
+// error response and returns false: an unknown (or no-longer-displayed) ID
+// is not_found, a malformed ID is bad_rule.
 //
 //sdlint:holds mu — every handler resolves nodes inside its session critical section
-func resolveNode(w http.ResponseWriter, sess *session, nodeID string, path []int) (*smartdrill.Node, []int, bool) {
-	if nodeID != "" {
-		n, err := sess.eng.NodeByID(nodeID)
-		if err != nil {
-			code := api.ErrBadRule
-			if errors.Is(err, smartdrill.ErrUnknownNode) {
-				code = api.ErrNotFound
-			}
-			writeError(w, code, err.Error())
-			return nil, nil, false
-		}
-		p, _ := sess.eng.PathOf(n) // a resolvable ID is always displayed
-		return n, p, true
+func resolveNode(w http.ResponseWriter, sess *session, nodeID string) (*smartdrill.Node, bool) {
+	if nodeID == "" {
+		return sess.eng.Root(), true
 	}
-	n, err := sess.eng.NodeByPath(path)
+	n, err := sess.eng.NodeByID(nodeID)
 	if err != nil {
-		writeError(w, api.ErrBadRule, err.Error())
-		return nil, nil, false
+		code := api.ErrBadRule
+		if errors.Is(err, smartdrill.ErrUnknownNode) {
+			code = api.ErrNotFound
+		}
+		writeError(w, code, err.Error())
+		return nil, false
 	}
-	return n, path, true
+	return n, true
 }
 
 func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
@@ -223,7 +215,7 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 	// request context rides into the BRS search, so a client that
 	// abandons the request stops the search at the next pass boundary.
 	sess.mu.Lock()
-	n, path, ok := resolveNode(w, sess, req.Node, req.Path)
+	n, ok := resolveNode(w, sess, req.Node)
 	if !ok {
 		sess.mu.Unlock()
 		return
@@ -247,7 +239,7 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 	resp := api.DrillResponse{
 		Access: sess.eng.LastAccessMethod(),
 		Search: encodeStats(stats),
-		Node:   encodeNode(sess.eng, n, path),
+		Node:   encodeNode(sess.eng, n),
 	}
 	var provisional []*smartdrill.Node
 	// Under degraded admission pressure the refinement is skipped, not
@@ -280,13 +272,13 @@ func (s *Server) handleCollapse(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.mu.Lock()
-	n, path, ok := resolveNode(w, sess, req.Node, req.Path)
+	n, ok := resolveNode(w, sess, req.Node)
 	if !ok {
 		sess.mu.Unlock()
 		return
 	}
 	sess.eng.Collapse(n)
-	resp := api.DrillResponse{Node: encodeNode(sess.eng, n, path)}
+	resp := api.DrillResponse{Node: encodeNode(sess.eng, n)}
 	sess.mu.Unlock()
 	s.persistSession(sess)
 	writeJSON(w, http.StatusOK, resp)
@@ -307,13 +299,13 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.mu.Lock()
-	n, path, ok := resolveNode(w, sess, req.Node, req.Path)
+	n, ok := resolveNode(w, sess, req.Node)
 	if !ok {
 		sess.mu.Unlock()
 		return
 	}
 	changed := sess.eng.RefineNode(n)
-	resp := api.RefineResponse{Changed: changed, Node: encodeNode(sess.eng, n, path)}
+	resp := api.RefineResponse{Changed: changed, Node: encodeNode(sess.eng, n)}
 	sess.mu.Unlock()
 	if changed {
 		s.persistSession(sess)
@@ -339,7 +331,7 @@ func (s *Server) handleTraditional(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.mu.Lock()
-	n, _, ok := resolveNode(w, sess, req.Node, req.Path)
+	n, ok := resolveNode(w, sess, req.Node)
 	if !ok {
 		sess.mu.Unlock()
 		return

@@ -15,10 +15,8 @@ import (
 // every response body (and SSE payload) is an api type, so the contract
 // clients compile against is exactly what travels.
 
-// encodeNode converts a displayed subtree to wire form. path is the node's
-// legacy child-index address and is extended into every descendant's
-// address; the stable ID rides alongside it.
-func encodeNode(e *smartdrill.Engine, n *smartdrill.Node, path []int) *api.Node {
+// encodeNode converts a displayed subtree to wire form.
+func encodeNode(e *smartdrill.Engine, n *smartdrill.Node) *api.Node {
 	t := e.Table()
 	cells := t.DecodeRule(n.Rule)
 	ruleMap := make(map[string]string)
@@ -27,7 +25,6 @@ func encodeNode(e *smartdrill.Engine, n *smartdrill.Node, path []int) *api.Node 
 	}
 	out := &api.Node{
 		ID:      e.NodeID(n),
-		Path:    append([]int{}, path...), // non-nil so the root marshals as [] not null
 		Rule:    ruleMap,
 		Display: cells,
 		Count:   n.Count,
@@ -40,8 +37,8 @@ func encodeNode(e *smartdrill.Engine, n *smartdrill.Node, path []int) *api.Node 
 	if !n.Exact && n.HasCI {
 		out.CI = &[2]float64{n.CILow, n.CIHigh}
 	}
-	for i, child := range n.Children {
-		out.Children = append(out.Children, encodeNode(e, child, append(path, i)))
+	for _, child := range n.Children {
+		out.Children = append(out.Children, encodeNode(e, child))
 	}
 	return out
 }
@@ -58,28 +55,16 @@ func encodeTree(sess *session) *api.Tree {
 		Columns:   e.Table().ColumnNames(),
 		Aggregate: e.AggregateName(),
 		K:         e.K(),
-		Root:      encodeNode(e, e.Root(), nil),
+		Root:      encodeNode(e, e.Root()),
 		Rendered:  e.Render(),
 	}
 }
 
-// encodeStats converts the engine's BRS counters to their wire mirror.
+// encodeStats converts the engine's BRS counters to their wire mirror — a
+// struct conversion, so the build breaks if the two definitions drift.
 func encodeStats(s smartdrill.SearchStats) *api.SearchStats {
-	return &api.SearchStats{
-		Passes:             s.Passes,
-		CandidatesCounted:  s.CandidatesCounted,
-		CandidatesPruned:   s.CandidatesPruned,
-		CandidatesReused:   s.CandidatesReused,
-		RowsScanned:        s.RowsScanned,
-		PostingsRead:       s.PostingsRead,
-		BitmapWordsRead:    s.BitmapWordsRead,
-		IndexLevels:        s.IndexLevels,
-		CandidateCapHit:    s.CandidateCapHit,
-		SampledRowsScanned: s.SampledRowsScanned,
-		CacheHits:          s.CacheHits,
-		CacheMisses:        s.CacheMisses,
-		SingleflightWaits:  s.SingleflightWaits,
-	}
+	out := api.SearchStats(s)
+	return &out
 }
 
 // writeJSON writes v with the given status.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"time"
 
 	"smartdrill/api"
@@ -19,6 +20,13 @@ import (
 // directory. Persistence failures degrade durability, never availability:
 // they are logged and counted, and the request that triggered the write
 // still succeeds.
+
+// recordVersion is the snapshot record format this build reads and
+// writes. Version 2 encodes wildcards in the tree as JSON null (version 1
+// wrote the string "?", indistinguishable from a cell holding a literal
+// "?"). Records of any other version are unusable: skipped at recovery,
+// 404 on lookup.
+const recordVersion = 2
 
 // sessionRecord is the JSON snapshot record a backend stores per session.
 type sessionRecord struct {
@@ -49,7 +57,7 @@ func (s *Server) persistSession(sess *session) {
 	sess.seq++
 	seq := sess.seq
 	rec := sessionRecord{
-		Version: 1,
+		Version: recordVersion,
 		ID:      sess.id,
 		Dataset: sess.dataset,
 		Created: sess.created,
@@ -85,6 +93,23 @@ func (s *Server) persistSession(sess *session) {
 	sess.savedSeq = seq
 }
 
+// loadRecord reads and decodes id's snapshot record, rejecting records of
+// a format version this build does not speak.
+func (s *Server) loadRecord(id string) (sessionRecord, error) {
+	var rec sessionRecord
+	data, err := s.backend.Load(id)
+	if err != nil {
+		return rec, err
+	}
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return rec, fmt.Errorf("corrupt snapshot record: %w", err)
+	}
+	if rec.Version != recordVersion {
+		return rec, fmt.Errorf("snapshot record has format version %d, this server reads version %d", rec.Version, recordVersion)
+	}
+	return rec, nil
+}
+
 // PersistFailures reports how many snapshot write-throughs have failed
 // since the server started — an operational signal that sessions are
 // being served from memory without a durable copy.
@@ -114,8 +139,8 @@ func (s *Server) putSession(sess *session) {
 // single rehydration mutex keeps two concurrent misses on one id from
 // building two engines; the double-check under it resolves the race to
 // one winner. Returns false when the id has no snapshot (or the snapshot
-// is unusable — wrong dataset, corrupt record), in which case the caller
-// falls through to its usual not-found path.
+// is unusable — wrong dataset, corrupt record, other format version), in
+// which case the caller falls through to its usual not-found path.
 //
 //sdlint:allow persistguard rehydration restores the snapshot just read; persisting it back would rewrite identical bytes
 func (s *Server) rehydrate(id string) (*session, bool) {
@@ -127,16 +152,11 @@ func (s *Server) rehydrate(id string) (*session, bool) {
 	if sess, ok := s.store.get(id); ok {
 		return sess, true // another request rehydrated it first
 	}
-	data, err := s.backend.Load(id)
+	rec, err := s.loadRecord(id)
 	if err != nil {
 		if !errors.Is(err, ErrNoSnapshot) {
 			s.cfg.Logger.Printf("session %s: loading snapshot failed: %v", id, err)
 		}
-		return nil, false
-	}
-	var rec sessionRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		s.cfg.Logger.Printf("session %s: corrupt snapshot record: %v", id, err)
 		return nil, false
 	}
 	if rec.ID != "" && rec.ID != id {
@@ -176,8 +196,9 @@ func (s *Server) rehydrate(id string) (*session, bool) {
 // first request for an id pays the engine rebuild — so recovery cost does
 // not scale with the number of dormant sessions; this call exists to
 // verify the backend is readable and to tell the operator what survived
-// the restart. Snapshots referencing datasets that are no longer
-// registered are counted separately and left on disk untouched.
+// the restart. Snapshots that are unreadable, of another format version,
+// or reference datasets no longer registered are counted separately and
+// left on disk untouched.
 func (s *Server) RecoverSessions() (resumable int, err error) {
 	if s.backend == nil {
 		return 0, nil
@@ -188,13 +209,8 @@ func (s *Server) RecoverSessions() (resumable int, err error) {
 	}
 	orphaned := 0
 	for _, id := range ids {
-		data, err := s.backend.Load(id)
+		rec, err := s.loadRecord(id)
 		if err != nil {
-			orphaned++
-			continue
-		}
-		var rec sessionRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
 			orphaned++
 			continue
 		}
@@ -205,7 +221,7 @@ func (s *Server) RecoverSessions() (resumable int, err error) {
 		resumable++
 	}
 	if orphaned > 0 {
-		s.cfg.Logger.Printf("session recovery: %d resumable, %d orphaned (unreadable or dataset not registered)", resumable, orphaned)
+		s.cfg.Logger.Printf("session recovery: %d resumable, %d orphaned (unreadable, other format version, or dataset not registered)", resumable, orphaned)
 	} else {
 		s.cfg.Logger.Printf("session recovery: %d resumable session(s)", resumable)
 	}

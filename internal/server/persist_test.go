@@ -1,14 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"smartdrill"
 	"smartdrill/api"
 )
 
@@ -247,5 +250,133 @@ func TestSnapshotIDValidation(t *testing.T) {
 	}
 	if _, err := backend.Load("../escape"); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("traversal id load: %v", err)
+	}
+}
+
+// questionMarkTable holds the literal value "?" (the UCI census
+// missing-value marker) as column A's dominant value.
+func questionMarkTable() *smartdrill.Table {
+	b, err := smartdrill.NewTableBuilder([]string{"A", "B", "C"}, nil)
+	if err != nil {
+		panic(err)
+	}
+	for i := 0; i < 300; i++ {
+		a := "?"
+		if i%3 == 0 {
+			a = string(rune('p' + i%5))
+		}
+		b.MustAddRow([]string{a, string(rune('a' + i%4)), string(rune('x' + i%2))})
+	}
+	return b.Build()
+}
+
+// TestQuestionMarkValueSurvivesRestart: regression for the snapshot-v1
+// star encoding, which wrote wildcards as the string "?" — after a
+// kill/restart a node whose rule instantiates a cell holding a literal "?"
+// came back as a wildcard, so the same node ID meant a different rule.
+func TestQuestionMarkValueSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newDurableServer(t, dir, Config{})
+	s1.RegisterDataset("qm", questionMarkTable())
+	tree := createSession(t, ts1.URL, api.CreateSessionRequest{Dataset: "qm", K: 3, Seed: 1})
+	var dr api.DrillResponse
+	if code := doJSON(t, "POST", ts1.URL+"/v1/sessions/"+tree.ID+"/drill", api.DrillRequest{}, &dr); code != http.StatusOK {
+		t.Fatalf("drill: status %d", code)
+	}
+	var target *api.Node
+	for _, c := range dr.Node.Children {
+		if v, ok := c.Rule["A"]; ok && v == "?" {
+			target = c
+		}
+	}
+	if target == nil {
+		t.Fatalf("root drill surfaced no rule with A=\"?\": %+v", dr.Node.Children)
+	}
+	before := fetchTree(t, ts1.URL, tree.ID)
+	ts1.CloseClientConnections() // crash, not graceful shutdown
+	ts1.Close()
+
+	s2, ts2 := newDurableServer(t, dir, Config{})
+	s2.RegisterDataset("qm", questionMarkTable())
+	if n, err := s2.RecoverSessions(); err != nil || n != 1 {
+		t.Fatalf("RecoverSessions = %d, %v; want 1", n, err)
+	}
+	if after := fetchTree(t, ts2.URL, tree.ID); string(before) != string(after) {
+		t.Fatalf("tree changed across restart:\nbefore: %s\nafter:  %s", before, after)
+	}
+	// The restored node still means (A="?"): its children instantiate A.
+	var dr2 api.DrillResponse
+	if code := doJSON(t, "POST", ts2.URL+"/v1/sessions/"+tree.ID+"/drill", api.DrillRequest{Node: target.ID}, &dr2); code != http.StatusOK {
+		t.Fatalf("drill after restart: status %d", code)
+	}
+	if dr2.Node.Rule["A"] != "?" || dr2.Node.Count != target.Count {
+		t.Fatalf("node %s after restart: rule %v count %v, want A=\"?\" count %v", target.ID, dr2.Node.Rule, dr2.Node.Count, target.Count)
+	}
+	for _, c := range dr2.Node.Children {
+		if c.Rule["A"] != "?" {
+			t.Fatalf("child %v of the restored (A=\"?\") node does not instantiate A", c.Rule)
+		}
+	}
+}
+
+// TestForeignVersionSnapshotsNeverLoad: the record's version field means
+// something — a v1 record (stars as "?") and a record from a future format
+// are both skipped by RecoverSessions, counted as orphaned, and 404 on
+// lookup instead of being parsed as the current format.
+func TestForeignVersionSnapshotsNeverLoad(t *testing.T) {
+	dir := t.TempDir()
+	var logs bytes.Buffer
+	backend, err := NewDirBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Backend: backend, Logger: log.New(&logs, "", 0)})
+	s.RegisterDataset("store", storeTable())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// A current-format record to copy from: valid in every respect but the
+	// version stamp.
+	tree := createSession(t, ts.URL, api.CreateSessionRequest{Dataset: "store", K: 3, Seed: 1})
+	data, err := backend.Load(tree.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]json.RawMessage
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if string(rec["version"]) != "2" {
+		t.Fatalf("server wrote record version %s, want 2", rec["version"])
+	}
+	for id, version := range map[string]string{"aaaa0001": "1", "aaaa0099": "99"} {
+		rec["version"] = json.RawMessage(version)
+		rec["id"] = json.RawMessage(`"` + id + `"`)
+		forged, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := backend.Save(id, forged); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if n, err := s.RecoverSessions(); err != nil || n != 1 {
+		t.Fatalf("RecoverSessions = %d, %v; want only the v2 record resumable", n, err)
+	}
+	if !strings.Contains(logs.String(), "1 resumable, 2 orphaned") {
+		t.Fatalf("recovery log does not count the foreign-version records as orphaned:\n%s", logs.String())
+	}
+	for _, id := range []string{"aaaa0001", "aaaa0099"} {
+		var e api.ErrorEnvelope
+		if code := doJSON(t, "GET", ts.URL+"/v1/sessions/"+id+"/tree", nil, &e); code != http.StatusNotFound {
+			t.Fatalf("session %s (foreign snapshot version): status %d, want 404", id, code)
+		}
+		if e.Error == nil || e.Error.Code != api.ErrNotFound {
+			t.Fatalf("session %s: error %+v, want not_found", id, e.Error)
+		}
+	}
+	if !strings.Contains(logs.String(), "format version 99") || !strings.Contains(logs.String(), "format version 1,") {
+		t.Fatalf("lookups of foreign-version records were not logged with their version:\n%s", logs.String())
 	}
 }

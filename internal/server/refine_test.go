@@ -69,8 +69,8 @@ func TestDrillStreamRefineEvents(t *testing.T) {
 		t.Fatalf("got %d events, want rules + refines + done", len(events))
 	}
 
-	rules := map[string]api.Node{}   // path key → provisional node
-	refines := map[string]api.Node{} // path key → refined node
+	rules := map[string]api.Node{}   // node ID → provisional node
+	refines := map[string]api.Node{} // node ID → refined node
 	var done struct {
 		Rules   int    `json:"rules"`
 		Refined int    `json:"refined"`
@@ -84,14 +84,13 @@ func TestDrillStreamRefineEvents(t *testing.T) {
 			if err := json.Unmarshal([]byte(ev.data), &n); err != nil {
 				t.Fatalf("%s payload %q: %v", ev.event, ev.data, err)
 			}
-			key, _ := json.Marshal(n.Path)
 			if ev.event == "rule" {
-				rules[string(key)] = n
+				rules[n.ID] = n
 			} else {
-				if _, seen := rules[string(key)]; !seen {
-					t.Fatalf("refine for path %s before its rule event", key)
+				if _, seen := rules[n.ID]; !seen {
+					t.Fatalf("refine for node %s before its rule event", n.ID)
 				}
-				refines[string(key)] = n
+				refines[n.ID] = n
 			}
 		case "done":
 			if i != len(events)-1 {

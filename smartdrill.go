@@ -201,20 +201,9 @@ func WithSeed(seed int64) Option { return func(c *drill.Config) { c.Seed = seed 
 
 // WithWorkers parallelizes drill-down computation across the given number
 // of goroutines. Results are unchanged (bit-identical under Count). 0 (the
-// default) saturates the hardware under Count; use WithParallelDisabled for
-// a guaranteed-serial session.
+// default) saturates the hardware under Count; 1 is a guaranteed-serial
+// session.
 func WithWorkers(n int) Option { return func(c *drill.Config) { c.Workers = n } }
-
-// WithParallelDisabled forces every search pass serial regardless of
-// WithWorkers and the hardware core count — the ablation switch mirroring
-// WithSamplingDisabled: results are bit-identical under Count, so this
-// trades speed for nothing but determinism guarantees under Sum.
-func WithParallelDisabled() Option { return func(c *drill.Config) { c.DisableParallel = true } }
-
-// WithBitmapDisabled turns off the packed-bitset counting kernel, leaving
-// row scans and galloping posting intersections (ablation; results are
-// bit-identical on every aggregate).
-func WithBitmapDisabled() Option { return func(c *drill.Config) { c.DisableBitmap = true } }
 
 // SearchService is the dataset-scoped seam every BRS invocation goes
 // through: one answer cache of completed expansions, singleflight

@@ -245,9 +245,6 @@ func TestNodeIDSurface(t *testing.T) {
 	if err != nil || back != child {
 		t.Fatalf("NodeByID(%q) = %v, %v", id, back, err)
 	}
-	if path, ok := e.PathOf(child); !ok || len(path) != 1 || path[0] != 0 {
-		t.Fatalf("PathOf(child) = %v, %v", path, ok)
-	}
 	if _, err := e.NodeByID("banana"); err == nil {
 		t.Fatal("malformed ID accepted")
 	}

@@ -10,7 +10,7 @@ type key struct {
 	k    int
 }
 
-type Service struct{ version uint64 }
+type Service struct{}
 
 type Request struct {
 	Kind Kind
@@ -25,7 +25,7 @@ type Request struct {
 	Contradict int /* want "marked //sdlint:nonidentity but Service.keyOf consumes it" */
 }
 
-func (s *Service) keyOf(req Request) key {
+func (*Service) keyOf(req Request) key {
 	k := key{kind: req.Kind, k: req.K}
 	if req.Contradict != 0 {
 		k.k++
