@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"smartdrill/internal/baseline"
+	"smartdrill/internal/datagen"
 	"smartdrill/internal/rule"
 	"smartdrill/internal/score"
 	"smartdrill/internal/table"
@@ -248,6 +249,33 @@ func TestSumAggregate(t *testing.T) {
 	}
 	if results[0].Count != 3000 {
 		t.Fatalf("Sum count = %g, want 3000", results[0].Count)
+	}
+}
+
+// BenchmarkSumAggregate measures the Section 6.3 Sum variant against plain
+// Count on the department-store example (Sum runs serially by design).
+func BenchmarkSumAggregate(b *testing.B) {
+	tab := datagen.StoreSales(42)
+	tab.Index().Warm()
+	w := weight.NewSize(tab.NumCols())
+	m, err := tab.MeasureIndex("Sales")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		agg  score.Aggregator
+	}{
+		{"count", nil},
+		{"sum", score.SumAgg{Measure: m, Label: "Sales"}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Run(tab.All(), w, Options{K: 3, MaxWeight: 3, Agg: c.agg}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

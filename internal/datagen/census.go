@@ -12,8 +12,8 @@ import (
 const CensusColumnCount = 68
 
 // CensusN is the paper's dataset size (~2.5M rows). Generating the full
-// size is supported but slow; experiments default to a smaller n and note
-// the substitution in EXPERIMENTS.md.
+// size is supported but slow; experiments default to a smaller n
+// (cmd/figures -census-n).
 const CensusN = 2458285
 
 // Census generates a synthetic stand-in for the Census dataset: n rows over

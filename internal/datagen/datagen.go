@@ -1,5 +1,5 @@
 // Package datagen generates the synthetic datasets that stand in for the
-// paper's evaluation data (see DESIGN.md §3 for the substitution rationale):
+// paper's evaluation data, which is not redistributable:
 //
 //   - StoreSales: the department-store table of the paper's running example
 //     (Tables 1–3), with the example's group counts planted exactly.

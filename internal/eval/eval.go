@@ -1,7 +1,7 @@
 // Package eval is the experiment harness: it regenerates every table and
 // figure of the paper's evaluation (Section 5) as parameter sweeps that
-// print the same rows/series the paper reports. See DESIGN.md §4 for the
-// experiment index and EXPERIMENTS.md for measured-vs-paper results.
+// print the same rows/series the paper reports; cmd/figures is its
+// command-line front end.
 package eval
 
 import (
@@ -213,7 +213,7 @@ type ScalingRow struct {
 // table size, the first expansion pays the Create scan (a·|T|) plus BRS on
 // the sample (b·minSS). On this in-memory substrate a is tens of
 // nanoseconds per row, so ScanMS isolates the linear-in-|T| term that a
-// disk-resident table would amplify (see EXPERIMENTS.md).
+// disk-resident table would amplify.
 func ScalingSweep(gen func(n int) *table.Table, sizes []int, minSS, k int) []ScalingRow {
 	var rows []ScalingRow
 	for _, n := range sizes {

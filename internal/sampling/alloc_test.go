@@ -242,3 +242,37 @@ func randomTree(rng *rand.Rand) *TreeNode {
 	}
 	return root
 }
+
+// BenchmarkAllocator compares the Problem 5 DP against the Problem 6
+// convex relaxation on a realistic displayed tree (4 first-level rules
+// with 3 children each over a 100k-row root, M=50000, minSS=5000).
+func BenchmarkAllocator(b *testing.B) {
+	const rows = 100000
+	root := &TreeNode{Rule: rule.Trivial(7), Count: rows}
+	for i := 0; i < 4; i++ {
+		mid := &TreeNode{
+			Rule:  rule.Trivial(7).With(i%7, rule.Value(i)),
+			Count: rows / float64(2+i),
+		}
+		for j := 0; j < 3; j++ {
+			mid.Children = append(mid.Children, &TreeNode{
+				Rule:  mid.Rule.With((i+j+1)%7, rule.Value(j)),
+				Count: mid.Count / float64(2+j),
+			})
+		}
+		root.Children = append(root.Children, mid)
+	}
+	UniformLeafProbs(root)
+	b.Run("dp", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := AllocateDP(root, 50000, 5000); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("convex", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			AllocateConvex(root, 50000, 5000, ConvexOptions{})
+		}
+	})
+}

@@ -22,8 +22,8 @@ func SuggestMinSS(columns, minCardinality int, rho float64) int {
 
 // RelativeError returns the expected relative standard deviation of a
 // sampled count estimate for a rule covering fraction x of the table, on a
-// sample of the given size: √((1−x)/(x·size)). Tests and EXPERIMENTS.md
-// use it to check the measured Figure 8(b) error curve follows 1/√minSS.
+// sample of the given size: √((1−x)/(x·size)) — the 1/√minSS shape of the
+// Figure 8(b) error curve.
 func RelativeError(x float64, size int) float64 {
 	if x <= 0 || size <= 0 {
 		return math.Inf(1)

@@ -228,6 +228,8 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		sess.mu.Unlock()
+		// A failed re-drill has already collapsed the node it replaces.
+		s.persistSession(sess)
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			writeError(w, api.ErrCanceled, "request canceled during search: "+err.Error())
 			return
@@ -354,7 +356,15 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	// Delete is delete everywhere: a session evicted to disk (absent from
 	// the store) must still be deletable, and a deleted session must not
 	// resurrect through rehydration. Success if either layer had it.
-	inStore := s.store.remove(id)
+	sess := s.store.remove(id)
+	if sess != nil {
+		// Tombstone before the snapshot goes: a request or refiner still
+		// holding sess would otherwise write the file back afterwards.
+		// Taking persistMu waits out a write already in flight.
+		sess.persistMu.Lock()
+		sess.deleted = true
+		sess.persistMu.Unlock()
+	}
 	onDisk := false
 	if s.backend != nil && validSnapshotID(id) {
 		switch err := s.backend.Delete(id); {
@@ -364,7 +374,7 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 			s.cfg.Logger.Printf("session %s: deleting snapshot failed: %v", id, err)
 		}
 	}
-	if !inStore && !onDisk {
+	if sess == nil && !onDisk {
 		writeError(w, api.ErrNotFound, fmt.Sprintf("unknown session %q", id))
 		return
 	}

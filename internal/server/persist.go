@@ -79,8 +79,8 @@ func (s *Server) persistSession(sess *session) {
 	}
 	sess.persistMu.Lock()
 	defer sess.persistMu.Unlock()
-	if seq <= sess.savedSeq {
-		return // a newer snapshot already landed on disk
+	if sess.deleted || seq <= sess.savedSeq {
+		return // deleted meanwhile, or a newer snapshot already landed on disk
 	}
 	if err := s.backend.Save(sess.id, data); err != nil {
 		// Durability degraded, availability intact: the mutation already

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -379,4 +380,125 @@ func TestForeignVersionSnapshotsNeverLoad(t *testing.T) {
 	if !strings.Contains(logs.String(), "format version 99") || !strings.Contains(logs.String(), "format version 1,") {
 		t.Fatalf("lookups of foreign-version records were not logged with their version:\n%s", logs.String())
 	}
+}
+
+// directJSON drives the handler in-process (no network) under ctx and
+// returns the recorded response.
+func directJSON(t *testing.T, s *Server, ctx context.Context, method, target string, body any) *httptest.ResponseRecorder {
+	t.Helper()
+	var data []byte
+	if body != nil {
+		var err error
+		if data, err = json.Marshal(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	serveDirect(s, ctx, method, target, data, rec)
+	return rec
+}
+
+// TestFailedRedrillPersistsCollapse: re-drilling an expanded node
+// collapses it before the search runs, so a re-drill that is canceled (or
+// a stream that finds no rule) has still mutated the tree and must write
+// through — otherwise a restart brings the old children back.
+func TestFailedRedrillPersistsCollapse(t *testing.T) {
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	live := context.Background()
+	cases := []struct {
+		name, method, route string
+		body                any
+		status              int
+	}{
+		{"batch", "POST", "/drill", api.DrillRequest{}, api.StatusCanceled},
+		{"stream", "GET", "/drill/stream", nil, http.StatusOK},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1, _ := newDurableServer(t, dir, Config{})
+			var tree api.Tree
+			rec := directJSON(t, s1, live, "POST", "/v1/sessions", api.CreateSessionRequest{Dataset: "store", K: 4, Seed: 1})
+			if err := json.Unmarshal(rec.Body.Bytes(), &tree); err != nil {
+				t.Fatal(err)
+			}
+			if rec := directJSON(t, s1, live, "POST", "/v1/sessions/"+tree.ID+"/drill", api.DrillRequest{}); rec.Code != http.StatusOK {
+				t.Fatalf("drill: status %d", rec.Code)
+			}
+			if rec := directJSON(t, s1, dead, c.method, "/v1/sessions/"+tree.ID+c.route, c.body); rec.Code != c.status {
+				t.Fatalf("re-drill: status %d, want %d: %s", rec.Code, c.status, rec.Body.String())
+			}
+			before := directJSON(t, s1, live, "GET", "/v1/sessions/"+tree.ID+"/tree", nil).Body.String()
+			var inMemory api.Tree
+			if err := json.Unmarshal([]byte(before), &inMemory); err != nil {
+				t.Fatal(err)
+			}
+			if len(inMemory.Root.Children) != 0 {
+				t.Fatalf("failed re-drill left %d children in memory; the test's premise (collapse-and-replace) no longer holds", len(inMemory.Root.Children))
+			}
+
+			s2, _ := newDurableServer(t, dir, Config{}) // restart on the same directory
+			after := directJSON(t, s2, live, "GET", "/v1/sessions/"+tree.ID+"/tree", nil).Body.String()
+			if before != after {
+				t.Fatalf("tree changed across restart:\nin memory: %s\nrehydrated: %s", before, after)
+			}
+		})
+	}
+}
+
+// TestDeleteWinsOverLateWriteThrough: a request or refiner still holding
+// the session when DELETE lands writes through afterwards; the tombstone
+// drops that write, so the deleted id neither leaves a snapshot nor
+// rehydrates.
+func TestDeleteWinsOverLateWriteThrough(t *testing.T) {
+	gone := func(t *testing.T, backend *DirBackend, base, id string) {
+		t.Helper()
+		if code := doJSON(t, "GET", base+"/v1/sessions/"+id+"/tree", nil, nil); code != http.StatusNotFound {
+			t.Fatalf("deleted session resurrected: status %d", code)
+		}
+		if _, err := backend.Load(id); !errors.Is(err, ErrNoSnapshot) {
+			t.Fatalf("snapshot re-created after delete: %v", err)
+		}
+	}
+
+	// Deterministic: the DELETE fires synchronously inside the Flush of a
+	// stream's first rule event, before the stream's own write-through.
+	t.Run("stream", func(t *testing.T) {
+		backend, err := NewDirBackend(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, ts := newTestServer(t, Config{Backend: backend})
+		id := createSession(t, ts.URL, api.CreateSessionRequest{Dataset: "store", K: 4, Seed: 1}).ID
+		cw := &cancelWriter{hookAt: 2, hook: func() {
+			if rec := directJSON(t, s, context.Background(), "DELETE", "/v1/sessions/"+id, nil); rec.Code != http.StatusOK {
+				t.Errorf("delete during stream: status %d", rec.Code)
+			}
+		}}
+		serveDirect(s, context.Background(), "GET", "/v1/sessions/"+id+"/drill/stream?max_rules=2", nil, cw)
+		if !strings.Contains(cw.body.String(), "event: "+api.EventDone) {
+			t.Fatalf("stream did not finish:\n%s", cw.body.String())
+		}
+		gone(t, backend, ts.URL, id)
+	})
+
+	// Concurrent: the background refiner's exact passes race the DELETE
+	// (the -race half of the check).
+	t.Run("refiner", func(t *testing.T) {
+		backend, err := NewDirBackend(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, ts := newSampledServer(t, Config{Backend: backend, BackgroundRefine: true})
+		id := createSession(t, ts.URL, sampledCreate()).ID
+		if code := doJSON(t, "POST", ts.URL+"/v1/sessions/"+id+"/drill", api.DrillRequest{}, nil); code != http.StatusOK {
+			t.Fatalf("drill: status %d", code)
+		}
+		if code := doJSON(t, "DELETE", ts.URL+"/v1/sessions/"+id, nil, nil); code != http.StatusOK {
+			t.Fatalf("delete: status %d", code)
+		}
+		s.WaitRefiners()
+		gone(t, backend, ts.URL, id)
+	})
 }

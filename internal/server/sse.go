@@ -109,9 +109,8 @@ func (s *Server) handleDrillStream(w http.ResponseWriter, r *http.Request) {
 	access := sess.eng.LastAccessMethod()
 	children := append([]*smartdrill.Node{}, n.Children...)
 	sess.mu.Unlock()
-	if rules > 0 {
-		s.persistSession(sess) // the streamed rules are a tree mutation
-	}
+	// Even a stream that found no rule has collapsed the node it re-drills.
+	s.persistSession(sess)
 
 	// Refinement phase: replace every provisional count the search just
 	// streamed with the exact one (one accounted pass per rule), pushing a

@@ -34,9 +34,12 @@ type session struct {
 	seq uint64 // guardedby: mu
 
 	// persistMu serializes backend writes for this session; savedSeq is
-	// the seq of the record known to be on disk.
+	// the seq of the record known to be on disk. deleted is the DELETE
+	// tombstone: a handler or refiner that still holds this session when
+	// it is deleted must not write its snapshot back.
 	persistMu sync.Mutex
 	savedSeq  uint64 // guardedby: persistMu
+	deleted   bool   // guardedby: persistMu
 }
 
 // sessionStore is a sharded, LRU-evicting registry of sessions. IDs hash to
@@ -129,18 +132,18 @@ func (st *sessionStore) get(id string) (*session, bool) {
 	return el.Value.(*session), true
 }
 
-// remove deletes the session, reporting whether it existed.
-func (st *sessionStore) remove(id string) bool {
+// remove deletes and returns the session, nil if it was not resident.
+func (st *sessionStore) remove(id string) *session {
 	sh := st.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	el, ok := sh.entries[id]
 	if !ok {
-		return false
+		return nil
 	}
 	sh.lru.Remove(el)
 	delete(sh.entries, id)
-	return true
+	return el.Value.(*session)
 }
 
 // len counts live sessions across all shards.

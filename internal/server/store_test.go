@@ -36,11 +36,11 @@ func TestStoreLRUEviction(t *testing.T) {
 func TestStoreRemove(t *testing.T) {
 	st := newSessionStore(4, 2)
 	st.put(&session{id: "a"})
-	if !st.remove("a") {
-		t.Fatal("remove existing returned false")
+	if st.remove("a") == nil {
+		t.Fatal("remove existing returned nil")
 	}
-	if st.remove("a") {
-		t.Fatal("remove missing returned true")
+	if st.remove("a") != nil {
+		t.Fatal("remove missing returned a session")
 	}
 	if st.len() != 0 {
 		t.Fatalf("len = %d, want 0", st.len())

@@ -3,19 +3,15 @@
 // dominates response time; the SampleHandler exists to avoid such passes.
 //
 // We stand in for the disk with an in-memory table wrapped in a Store that
-// (a) accounts every full scan, row read, and inverted-index lookup, so
-// experiments can report pass counts alongside wall time, and (b)
-// optionally injects a per-row delay to model slower media in
-// demonstrations. The substitution preserves the relevant behaviour: scans
-// remain the dominant, linear-in-|T| cost, index lookups cost their posting
-// entries, and the Find/Combine/Create decision logic is exercised
-// identically.
+// accounts every full scan, row read, and inverted-index lookup, so
+// experiments can report pass counts alongside wall time. The substitution
+// preserves the relevant behaviour: scans remain the dominant,
+// linear-in-|T| cost, index lookups cost their posting entries, and the
+// Find/Combine/Create decision logic is exercised identically.
 package storage
 
 import (
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"smartdrill/internal/rule"
 	"smartdrill/internal/table"
@@ -36,10 +32,6 @@ type Stats struct {
 // accounting. It is safe for concurrent use.
 type Store struct {
 	t *table.Table
-
-	// PerRowDelay, if nonzero, busy-waits this long per row scanned to
-	// emulate slow media. Tests leave it zero; demos may set it.
-	PerRowDelay time.Duration
 
 	mu            sync.Mutex
 	fullScans     int64
@@ -69,9 +61,6 @@ func (s *Store) Scan(fn func(i int) bool) {
 	n := s.t.NumRows()
 	read := int64(0)
 	for i := 0; i < n; i++ {
-		if s.PerRowDelay > 0 {
-			spin(s.PerRowDelay)
-		}
 		read++
 		if !fn(i) {
 			break
@@ -85,18 +74,11 @@ func (s *Store) Scan(fn func(i int) bool) {
 
 // FilterRows returns the row indices covered by r, answered from the
 // table's shared inverted index and accounted as index I/O: the lookup is
-// charged the posting entries it read, not a full pass. PerRowDelay applies
-// per posting entry, keeping the slow-media model consistent between the
-// two access paths.
+// charged the posting entries it read, not a full pass.
 //
 //sdlint:io postings (self-accounted: books indexRowsRead below)
 func (s *Store) FilterRows(r rule.Rule) []int {
 	rows, read := s.t.Index().Lookup(r)
-	if s.PerRowDelay > 0 {
-		for i := int64(0); i < read; i++ {
-			spin(s.PerRowDelay)
-		}
-	}
 	s.mu.Lock()
 	s.indexLookups++
 	s.indexRowsRead += read
@@ -138,15 +120,4 @@ func (s *Store) CountExact(r rule.Rule) int {
 		return true
 	})
 	return n
-}
-
-var spinSink atomic.Int64
-
-// spin busy-waits to model per-row latency without descheduling (sleep
-// granularity is far coarser than per-row costs).
-func spin(d time.Duration) {
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		spinSink.Add(1)
-	}
 }

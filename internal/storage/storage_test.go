@@ -107,12 +107,3 @@ func TestNumRowsNoIO(t *testing.T) {
 		t.Fatal("NumRows must not count as a scan")
 	}
 }
-
-func TestPerRowDelay(t *testing.T) {
-	s := NewStore(fixture(t))
-	s.PerRowDelay = 1 // 1ns: exercises the spin path without slowing tests
-	s.Scan(func(i int) bool { return true })
-	if s.Stats().RowsRead != 10 {
-		t.Fatal("delayed scan must still read all rows")
-	}
-}

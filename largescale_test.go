@@ -14,8 +14,8 @@ import (
 	"testing"
 	"time"
 
-	"smartdrill/internal/benchcfg"
 	"smartdrill/internal/brs"
+	"smartdrill/internal/datagen"
 	"smartdrill/internal/weight"
 )
 
@@ -23,7 +23,7 @@ func TestMillionRowInteractiveLatency(t *testing.T) {
 	if os.Getenv("SMARTDRILL_LARGE") == "" {
 		t.Skip("set SMARTDRILL_LARGE=1 (or run `make large`) for the million-row acceptance check")
 	}
-	tab := benchcfg.CensusLarge()
+	tab := datagen.CensusProjected(1000000, 7, 7)
 	tab.Index().Warm()
 
 	// Exact BRS at this scale blows the interactive budget.

@@ -1,0 +1,26 @@
+#!/usr/bin/env python3
+"""Compare drillload's result (the last line on stdin) with a committed expectation.
+
+usage: bash bench/run.sh ... | python3 tools/drillload_check.py docs/drillload-expect.json
+
+The expectation lists the box-independent part of a count-based run: the
+correctness verdict, the operation counts, and the two counted end-to-end
+metrics. Every listed value must be exactly equal; timed metrics and RSS
+are not listed because they do not repeat.
+"""
+import json
+import sys
+
+with open(sys.argv[1]) as f:
+    expect = json.load(f)
+result = json.loads(sys.stdin.read().splitlines()[-1])
+got = {k: result.get(k) for k in ("correct", "attempted", "failed")}
+got.update({k: v["value"] for k, v in result["metrics"].items()})
+
+bad = [k for k, want in expect.items() if k not in got or got[k] != want]
+for k in bad:
+    print(f"drillload-check: {k} = {got.get(k)!r}, expected {expect[k]!r}", file=sys.stderr)
+if bad:
+    print(f"drillload-check: search work or wire bytes changed; if intended, update {sys.argv[1]} in the same change", file=sys.stderr)
+    sys.exit(1)
+print("drillload-check: ok " + json.dumps({k: got[k] for k in expect}))

@@ -1,7 +1,8 @@
 // Package ioaccount checks that the engine's I/O counters stay honest.
 //
-// The paper's cost model — and the repo's bench-check gates — rely on
-// the scan/postings/bitmap counters (Stats.RowsScanned,
+// The paper's cost model — and drillload's wire.* and
+// search_work_per_drill counters, which make drillload-check gates
+// exactly — rely on the scan/postings/bitmap counters (Stats.RowsScanned,
 // Stats.PostingsRead, Stats.BitmapWordsRead in the search layer; the
 // Store's rowsRead/indexRowsRead/... mirrors in the storage layer)
 // being exact. Every site that touches a posting list, bitset words, or
