@@ -17,17 +17,24 @@
 //     and ordered by a fixed-size rule.PackedKey instead of heap-allocated
 //     Rule.Key() strings, so the inner loops never allocate per candidate.
 //
-//   - Cross-step count reuse: candidate aggregate masses are invariant
-//     across the K greedy steps, so counted candidates (and each
-//     candidate's generated super-rule set) live on the runner and are
-//     reused by later steps; after each selection one cheap maintenance
-//     pass over the selected rule's coverage re-derives every cached
-//     marginal against the new topW, instead of recounting everything.
+//   - Cross-step reuse with lazy marginals: candidate aggregate masses are
+//     invariant across the K greedy steps, and because Score is submodular
+//     a marginal measured in an earlier step is an upper bound on today's.
+//     Counted candidates (and each candidate's generated super-rule set)
+//     live on the runner; a selection only raises topW over its own
+//     coverage, and the next step opens by re-measuring cached candidates
+//     in descending order of their stale marginal until the best fresh one
+//     matches or beats every stale one left (lazy greedy evaluation, Minoux
+//     1978). The rest stay stale: they cannot win the step, and serve as
+//     parents and as looser, still sound, sub-rule bounds.
 //
 //   - Postings-driven counting: when the view is the full table or a
-//     sorted row set, a per-level cost model routes counting to
+//     sorted row set, a per-level cost model routes coverage walks to
 //     intersections of the table's posting lists (level-1 counts under
-//     Count are just posting lengths) instead of row scans.
+//     Count are just posting lengths) instead of row scans. On every
+//     route the walk that discovers a parent's extensions also counts
+//     them, so a candidate that survives pruning in the step its parent
+//     was expanded in is never intersected on its own.
 //
 // Options.Reference switches all three off at once — the textbook
 // algorithm the equivalence suite holds the fast path bit-identical to.
@@ -249,9 +256,12 @@ func newRunner(v *table.View, w weight.Weighter, opts Options) (*runner, error) 
 	if agg == nil {
 		agg = score.CountAgg{}
 	}
+	// No rule outweighs the weighter's own bound, so a larger mw (the §6.1
+	// estimate doubles its probe) says "no bound" too; clamping it keeps the
+	// slack mw − W out of every a-priori bound.
 	mw := opts.MaxWeight
-	if mw <= 0 {
-		mw = w.MaxWeight(v.NumCols())
+	if top := w.MaxWeight(v.NumCols()); mw <= 0 || mw > top {
+		mw = top
 	}
 	maxCand := opts.MaxCandidatesPerLevel
 	if maxCand <= 0 {
@@ -315,9 +325,9 @@ func resultsToRules(rs []Result) []rule.Rule {
 // base's free columns.
 //
 // The cross-step caches live here: topW (weight of the best selected rule
-// covering each view row, maintained incrementally by applySelection), the
-// candidate store (every candidate materialized this run, with counted
-// masses and current marginals), and the cached level-1 candidate list.
+// covering each view row, raised by raiseTopW), the candidate store (every
+// candidate materialized this run, with its mass and the marginal it had in
+// the step that last measured it), and the cached level-1 candidate list.
 type runner struct {
 	v           *table.View
 	parent      *table.Table // v's parent, for aggregate mass and sub-rule tests
@@ -338,8 +348,9 @@ type runner struct {
 	bitmapOK    bool    // bitset kernel eligible: full table, Count, index present
 	bitmapWords int64   // words per bitset container: ceil(parentRows/64)
 
-	topW     []float64 // W(TOP(t, selection)) per view row; nil until first selection
+	topW     []float64 // W(TOP(t, selection[:raised])) per view row; nil until the first raise
 	selected []selectedRule
+	raised   int // selections topW already reflects, see raiseTopW
 	store    candStore
 	level1   []*cand // cached single-extension candidates (step 1's pass)
 	gen      int     // generation-merge epoch, see generateCandidates
@@ -400,9 +411,10 @@ type cand struct {
 	mask   rule.Mask // full instantiated-column mask (base included)
 	weight float64
 
-	count    float64 // aggregate mass covered (step-invariant once counted)
-	marginal float64 // marginal value vs the *current* selection
-	counted  bool    // mass has been measured
+	count    float64 // aggregate mass covered (step-invariant)
+	marginal float64 // marginal value against the selection of step asOf
+	asOf     int     // greedy step that measured count and marginal; 0 = never
+	counted  bool    // survived pruning in some step: a bound source and a parent
 	expanded bool    // children holds every supported one-column extension
 	children []*cand
 	lastGen  int // epoch marker deduplicating the cross-parent child merge
@@ -429,8 +441,8 @@ func candLess(a, b *cand) bool {
 
 // candStore is the run-wide candidate registry (C in Algorithm 2, hoisted
 // out of the per-step procedure so steps 2..K reuse step 1's counting
-// work). counted lists counted candidates in counting order — the
-// deterministic order marginal-maintenance accumulators are merged in.
+// work). counted lists counted candidates in counting order, for the next
+// step's refresh to rank.
 type candStore struct {
 	packed  map[rule.PackedKey]*cand
 	over    map[string]*cand // candidates too deep for a packed key
@@ -454,45 +466,67 @@ func (cs *candStore) addOver(key string, c *cand) {
 	cs.over[key] = c
 }
 
-// markCounted flags c as counted and appends it to the counted order.
+// step numbers the greedy step in progress from 1; a candidate whose asOf
+// equals it carries a marginal against the current selection.
+func (rn *runner) step() int { return len(rn.selected) + 1 }
+
+// markCounted flags c as counted in this step and appends it to the
+// counted order.
 func (rn *runner) markCounted(c *cand) {
 	c.counted = true
+	c.asOf = rn.step()
 	rn.store.counted = append(rn.store.counted, c)
 	rn.stats.CandidatesCounted++
 }
 
 // findBestMarginal implements Algorithm 2: level-wise candidate counting
-// with sub-rule upper-bound pruning against threshold H. Candidates
-// already counted in earlier greedy steps are served from the runner's
-// store — their counts are invariant and their marginals are kept current
-// by applySelection — so only genuinely new candidates touch the data.
+// with sub-rule upper-bound pruning against threshold H. Candidates counted
+// in earlier greedy steps are served from the runner's store: their counts
+// are invariant and their marginals are upper bounds on today's, so the
+// step first re-measures the few that could still win (refreshStale),
+// starts H there, and only genuinely new candidates touch the data.
 func (rn *runner) findBestMarginal() *cand {
 	if rn.v.NumRows() == 0 || len(rn.freeCols) == 0 || rn.canceled() {
 		return nil
 	}
+	H := math.Inf(-1)
 	if rn.reference {
 		rn.store = newCandStore()
 		rn.level1 = nil
 		rn.rebuildTopW()
+	} else {
+		rn.raiseTopW()
+		H = rn.refreshStale()
+		if rn.canceled() {
+			return nil
+		}
 	}
+	step := rn.step()
 
+	// The winner is the first candidate, in level-then-key order, to reach
+	// the step's maximum marginal. Stale candidates never do (refreshStale
+	// re-measured every one that could); they ride along as survivors.
 	var best *cand
-	H := 0.0
+	consider := func(c *cand) {
+		if c.asOf != step {
+			rn.stats.CandidatesReused++
+			return
+		}
+		if best == nil || c.marginal > best.marginal {
+			best = c
+			if c.marginal > H {
+				H = c.marginal
+			}
+		}
+	}
 
 	// Level 1: every single-extension rule base+(c,v), counted once per run
 	// (one pass, or posting lengths) and reused by later steps.
 	if rn.level1 == nil {
 		rn.level1 = rn.countLevelOne()
-	} else {
-		rn.stats.CandidatesReused += len(rn.level1)
 	}
 	for _, c := range rn.level1 {
-		if best == nil || c.marginal > best.marginal {
-			best = c
-		}
-	}
-	if best != nil {
-		H = best.marginal
+		consider(c)
 	}
 
 	// Levels 2..: generate super-rules of the previous level's candidates,
@@ -510,9 +544,8 @@ func (rn *runner) findBestMarginal() *cand {
 		var toCount []*cand
 		for _, c := range next {
 			if c.counted {
-				// Cached from an earlier step: exact count and an
-				// up-to-date marginal, no bound test needed.
-				rn.stats.CandidatesReused++
+				// Cached from an earlier step: a parent and a bound source
+				// whatever its marginal, no bound test needed.
 				survivors = append(survivors, c)
 				continue
 			}
@@ -521,111 +554,132 @@ func (rn *runner) findBestMarginal() *cand {
 				continue
 			}
 			survivors = append(survivors, c)
-			toCount = append(toCount, c)
+			if c.asOf != step {
+				// Not measured by its parent's expansion walk in this step: a
+				// late survivor (pruned when its parents were expanded,
+				// admitted now that H is lower), or any survivor under
+				// Reference, which never counts while expanding.
+				c.count, c.marginal = 0, 0
+				toCount = append(toCount, c)
+			}
+			rn.markCounted(c)
 		}
 		if len(survivors) == 0 {
 			break
 		}
 		if len(toCount) > 0 {
 			rn.countCandidates(toCount)
-			for _, c := range toCount {
-				rn.markCounted(c)
-			}
 		}
 		for _, c := range survivors {
-			if best == nil || c.marginal > best.marginal {
-				best = c
-				H = c.marginal
-			}
+			consider(c)
 		}
 		prev = survivors
 	}
 	return best
 }
 
-// applySelection commits best as the step's selected rule and brings the
-// cross-step caches up to date: topW rises to best.weight on best's
-// coverage, and every cached marginal is re-derived in the same pass —
-// for each row whose topW changed, each counted candidate covering it
-// loses exactly the mass the new selection claims. One pass over best's
-// coverage (or a posting intersection when cheaper) replaces the full
-// topW rebuild plus per-candidate recount the textbook algorithm pays.
+// applySelection commits best as the step's selected rule. Nothing is walked
+// here: the topW raise waits for the next step's raiseTopW, so the last
+// selection of a run — which no later step reads — costs nothing, and every
+// cached marginal simply turns stale.
 func (rn *runner) applySelection(best *cand) {
 	rn.selected = append(rn.selected, selectedRule{best.r, best.weight})
-	if rn.reference {
-		return // findBestMarginal rebuilds topW and recounts from scratch
-	}
+	// From the raise on topW is at least best.weight over all of best's
+	// coverage, for the rest of the run.
+	best.marginal = 0
+}
+
+// raiseTopW lifts topW to each not yet applied selection's weight over
+// that rule's coverage — one walk of the coverage by the index, or one row
+// scan when that is cheaper. It runs to completion between cancellation
+// checks, so topW never reflects half a selection.
+func (rn *runner) raiseTopW() {
 	n := rn.v.NumRows()
-	if rn.topW == nil {
-		rn.topW = make([]float64, n)
-	}
-	counted := rn.store.counted
-	idx := rn.buildCandIndex(counted)
-	wSel := best.weight
-
-	// visit applies the topW update and marginal deltas for one covered
-	// view row, accumulating per-candidate deltas into deltas.
-	visit := func(pos, pi int, deltas []float64) {
-		old := rn.topW[pos]
-		if wSel <= old {
-			return
+	for ; rn.raised < len(rn.selected); rn.raised++ {
+		if rn.topW == nil {
+			rn.topW = make([]float64, n)
 		}
-		rn.topW[pos] = wSel
-		mass := rn.agg.Mass(rn.parent, pi)
-		for ci, col := range idx.cols {
-			for _, p := range idx.byVal[ci][rn.parent.Value(col, pi)] {
-				c := counted[p]
-				if !rn.coversFreeParent(c.r, pi) {
-					continue
+		topW, sel := rn.topW, rn.selected[rn.raised]
+		raise := func(pos int) {
+			if topW[pos] < sel.w {
+				topW[pos] = sel.w
+			}
+		}
+		if plan, ok := rn.planPostingsOne(sel.r); ok {
+			if plan.bitmap {
+				// Full-table bitmap walk: view positions are parent rows.
+				rn.stats.BitmapWordsRead += table.AndEach(rn.candBitmaps(sel.r), raise)
+			} else {
+				entries, words := rn.v.EachInAll(rn.candLists(sel.r), func(pos, _ int) { raise(pos) }, rn.candBitmaps(sel.r)...)
+				rn.stats.PostingsRead += entries
+				rn.stats.BitmapWordsRead += words
+			}
+			rn.stats.IndexLevels++
+			continue
+		}
+		rn.parallelRows(n, func(lo, hi, _ int) {
+			for i := lo; i < hi; i++ {
+				if rn.coversFreeParent(sel.r, rn.v.ParentRow(i)) {
+					raise(i)
 				}
-				d := max0(c.weight-wSel) - max0(c.weight-old)
-				if d != 0 {
-					deltas[p] += d * mass
-				}
+			}
+		})
+		rn.stats.Passes++
+		rn.stats.RowsScanned += int64(n)
+	}
+}
+
+// refreshBatch is how many stale candidates one refresh pass re-measures:
+// enough to amortise a scan-route pass over the view, few enough that the
+// pass which overshoots the winner wastes little.
+const refreshBatch = 32
+
+// refreshStale opens steps 2..K. Every cached marginal was measured
+// against a smaller selection and can only have fallen since, so cached
+// candidates are re-measured — reset and recounted in ascending row order
+// by the counting kernels, exactly as Reference recounts them — in
+// descending order of their stale marginal, until the best fresh marginal
+// matches or beats every stale one left. It continues through equality so
+// that each candidate tied for the maximum is fresh and the level-then-key
+// tie-break of findBestMarginal sees them all. A candidate whose stale
+// marginal is not positive can never be selected and is left alone. The
+// best fresh marginal (−Inf when nothing was refreshed) is returned as the
+// step's opening threshold H.
+func (rn *runner) refreshStale() float64 {
+	best := math.Inf(-1)
+	if len(rn.selected) == 0 {
+		return best
+	}
+	var stale []*cand
+	for _, c := range rn.store.counted {
+		if c.marginal > 0 {
+			stale = append(stale, c)
+		}
+	}
+	sort.SliceStable(stale, func(i, j int) bool { return stale[i].marginal > stale[j].marginal })
+	step := rn.step()
+	for len(stale) > 0 && stale[0].marginal >= best {
+		if rn.canceled() {
+			break
+		}
+		batch := stale
+		if len(batch) > refreshBatch {
+			batch = batch[:refreshBatch]
+		}
+		stale = stale[len(batch):]
+		for _, c := range batch {
+			c.count, c.marginal = 0, 0
+		}
+		rn.countCandidates(batch)
+		rn.stats.CandidatesCounted += len(batch)
+		for _, c := range batch {
+			c.asOf = step
+			if c.marginal > best {
+				best = c.marginal
 			}
 		}
 	}
-
-	if plan, ok := rn.planPostingsOne(best); ok {
-		deltas := make([]float64, len(counted))
-		if plan.bitmap {
-			// Full-table bitmap walk: view positions are parent rows.
-			rn.stats.BitmapWordsRead += table.AndEach(rn.candBitmaps(best), func(row int) {
-				visit(row, row, deltas)
-			})
-		} else {
-			rn.stats.PostingsRead += rn.v.EachInAll(rn.candLists(best), func(pos, row int) {
-				visit(pos, row, deltas)
-			})
-		}
-		rn.stats.IndexLevels++
-		for p, d := range deltas {
-			counted[p].marginal += d
-		}
-		return
-	}
-	nw := rn.workers()
-	perWorker := make([][]float64, nw)
-	for g := range perWorker {
-		perWorker[g] = make([]float64, len(counted))
-	}
-	rn.parallelRows(n, func(lo, hi, g int) {
-		deltas := perWorker[g]
-		for i := lo; i < hi; i++ {
-			pi := rn.v.ParentRow(i)
-			if !rn.coversFreeParent(best.r, pi) {
-				continue
-			}
-			visit(i, pi, deltas)
-		}
-	})
-	rn.stats.Passes++
-	rn.stats.RowsScanned += int64(n)
-	for g := 0; g < nw; g++ {
-		for p, d := range perWorker[g] {
-			counted[p].marginal += d
-		}
-	}
+	return best
 }
 
 // rebuildTopW recomputes topW from the selected set with one pass — the
@@ -663,12 +717,103 @@ func (rn *runner) freeColumns() []int {
 	return cols
 }
 
-// levelOneAcc is one free column's level-1 accumulator skeleton.
-type levelOneAcc struct {
+// extAcc accumulates, for one parent rule and one of its star columns, the
+// mass and marginal value of every one-value extension, indexed by value
+// id. Level 1 uses it with the base as the parent; expandParents with each
+// candidate it expands.
+type extAcc struct {
 	col    int
-	weight float64
-	cnt    []float64
-	mv     []float64
+	weight float64   // of every extension in this column
+	cnt    []float64 // mass per value; nil when the walk only marks (Reference)
+	mv     []float64 // marginal per value; nil while nothing is selected (it is weight·cnt)
+	hit    []bool    // some covered row holds the value; nil where cnt > 0 says so
+}
+
+// blankCopy returns accumulators shaped like accs — same columns, the same
+// arrays present — and zeroed: one more worker's private set.
+func blankCopy(accs []extAcc) []extAcc {
+	cp := make([]extAcc, len(accs))
+	for i := range accs {
+		like := &accs[i]
+		cp[i] = extAcc{col: like.col, weight: like.weight}
+		if like.cnt != nil {
+			cp[i].cnt = make([]float64, len(like.cnt))
+		}
+		if like.mv != nil {
+			cp[i].mv = make([]float64, len(like.mv))
+		}
+		if like.hit != nil {
+			cp[i].hit = make([]bool, len(like.hit))
+		}
+	}
+	return cp
+}
+
+// add books one covered row holding value val: its mass, and its marginal
+// contribution given tw, the weight the selection already claims for it.
+func (a *extAcc) add(val rule.Value, mass, tw float64) {
+	if a.hit != nil {
+		a.hit[val] = true
+	}
+	if a.cnt == nil {
+		return
+	}
+	a.cnt[val] += mass
+	if a.mv != nil && a.weight > tw {
+		a.mv[val] += (a.weight - tw) * mass
+	}
+}
+
+// seen reports whether any covered row held value val.
+func (a *extAcc) seen(val int) bool {
+	if a.hit != nil {
+		return a.hit[val]
+	}
+	return a.cnt[val] > 0
+}
+
+// marginal is the marginal value of the extension by val.
+func (a *extAcc) marginal(val int) float64 {
+	if a.mv != nil {
+		return a.mv[val]
+	}
+	return a.weight * a.cnt[val]
+}
+
+// mergeAccs folds another worker's copy into accs.
+func mergeAccs(accs, other []extAcc) {
+	for i := range accs {
+		a, o := &accs[i], &other[i]
+		for v, x := range o.cnt {
+			a.cnt[v] += x
+		}
+		for v, x := range o.mv {
+			a.mv[v] += x
+		}
+		for v, ok := range o.hit {
+			if ok {
+				a.hit[v] = true
+			}
+		}
+	}
+}
+
+// bytes is the memory of one copy of a's arrays.
+func (a *extAcc) bytes() int { return 8*len(a.cnt) + 8*len(a.mv) + len(a.hit) }
+
+// bookRow adds one covered row — view position pos, parent row — to each
+// of a parent's accumulators.
+func (rn *runner) bookRow(accs []extAcc, pos, row int) {
+	mass, tw := 1.0, 0.0
+	if !rn.countAgg {
+		mass = rn.agg.Mass(rn.parent, row)
+	}
+	if rn.topW != nil {
+		tw = rn.topW[pos]
+	}
+	for a := range accs {
+		accs[a].add(rn.parent.Value(accs[a].col, row), mass, tw)
+	}
 }
 
 // countLevelOne counts every rule extending the base by one (column,
@@ -678,7 +823,7 @@ type levelOneAcc struct {
 // step under Reference).
 func (rn *runner) countLevelOne() []*cand {
 	v := rn.v
-	accs := make([]levelOneAcc, 0, len(rn.freeCols))
+	accs := make([]extAcc, 0, len(rn.freeCols))
 	for _, c := range rn.freeCols {
 		m := rn.baseMask
 		m.Set(c)
@@ -686,7 +831,7 @@ func (rn *runner) countLevelOne() []*cand {
 		if wgt > rn.mw {
 			continue // weight cap: super-rules only get heavier (monotone)
 		}
-		accs = append(accs, levelOneAcc{col: c, weight: wgt})
+		accs = append(accs, extAcc{col: c, weight: wgt})
 	}
 	if len(accs) == 0 {
 		return nil
@@ -706,54 +851,19 @@ func (rn *runner) countLevelOne() []*cand {
 	n := v.NumRows()
 	// One accumulator set per worker; merged after the pass.
 	nw := rn.workers()
-	perWorker := make([][]levelOneAcc, nw)
+	perWorker := make([][]extAcc, nw)
 	perWorker[0] = accs
 	for g := 1; g < nw; g++ {
-		cp := make([]levelOneAcc, len(accs))
-		for a, acc := range accs {
-			cp[a] = levelOneAcc{col: acc.col, weight: acc.weight, cnt: make([]float64, len(acc.cnt))}
-			if !virgin {
-				cp[a].mv = make([]float64, len(acc.mv))
-			}
-		}
-		perWorker[g] = cp
+		perWorker[g] = blankCopy(accs)
 	}
-	parent := rn.parent
-	topW := rn.topW
 	rn.parallelRows(n, func(lo, hi, g int) {
-		mine := perWorker[g]
+		// Every view row covers the base: no per-row base check.
 		for i := lo; i < hi; i++ {
-			// Every view row covers the base: no per-row base check. The
-			// parent row is resolved once per row for all accumulators.
-			pi := v.ParentRow(i)
-			mass := rn.agg.Mass(parent, pi)
-			if virgin {
-				for a := range mine {
-					acc := &mine[a]
-					acc.cnt[parent.Value(acc.col, pi)] += mass
-				}
-				continue
-			}
-			tw := topW[i]
-			for a := range mine {
-				acc := &mine[a]
-				val := parent.Value(acc.col, pi)
-				acc.cnt[val] += mass
-				if acc.weight > tw {
-					acc.mv[val] += (acc.weight - tw) * mass
-				}
-			}
+			rn.bookRow(perWorker[g], i, v.ParentRow(i))
 		}
 	})
 	for g := 1; g < nw; g++ {
-		for a := range accs {
-			for v := range accs[a].cnt {
-				accs[a].cnt[v] += perWorker[g][a].cnt[v]
-				if !virgin {
-					accs[a].mv[v] += perWorker[g][a].mv[v]
-				}
-			}
-		}
+		mergeAccs(accs, perWorker[g])
 	}
 	rn.stats.Passes++
 	rn.stats.RowsScanned += int64(n)
@@ -765,18 +875,14 @@ func (rn *runner) countLevelOne() []*cand {
 			if acc.cnt[val] == 0 {
 				continue
 			}
-			mv := acc.weight * acc.cnt[val]
-			if !virgin {
-				mv = acc.mv[val]
-			}
-			out = append(out, rn.addLevelOne(acc, rule.Value(val), acc.cnt[val], mv))
+			out = append(out, rn.addLevelOne(acc, rule.Value(val), acc.cnt[val], acc.marginal(val)))
 		}
 	}
 	return out
 }
 
 // addLevelOne materializes and registers one level-1 candidate.
-func (rn *runner) addLevelOne(acc *levelOneAcc, val rule.Value, count, marginal float64) *cand {
+func (rn *runner) addLevelOne(acc *extAcc, val rule.Value, count, marginal float64) *cand {
 	var pk rule.PackedKey
 	pk, _ = pk.Extend(acc.col, val) // one value always packs
 	m := rn.baseMask
@@ -881,50 +987,70 @@ func sortCands(cands []*cand) {
 
 // expandParents discovers, in one pass, every supported one-column
 // extension of the given parents and caches them as the parents' children,
-// registering new candidates (uncounted) in the store.
+// registering new candidates in the store — and counts them where it finds
+// them. The walk over a parent's coverage visits exactly the rows its
+// extensions cover, ascending like every counting kernel, so each
+// extension's mass and marginal accumulate per (parent, star column, value)
+// bit-identical to a count of its own. Reference only marks the values
+// seen and leaves counting to its per-level pass.
 //
-// The pass is allocation-light: phase 1 marks, per (parent, star column),
-// the distinct extension values seen among covered rows in boolean arrays;
-// phase 2 materializes each distinct extension once, and only touches the
-// rule/key machinery for candidates the store has never seen.
+// The pass is allocation-light: phase 1 fills one value-indexed accumulator
+// per (parent, star column); phase 2 materializes each distinct extension
+// once, and only touches the rule/key machinery for candidates the store
+// has never seen.
 func (rn *runner) expandParents(parents []*cand) {
 	v := rn.v
 	n := v.NumRows()
 
-	// Phase 1: seen[p][si][val] marks that parent p extends with value val
-	// in its si-th star column.
-	starCols := make([][]int, len(parents))
-	seen := make([][][]bool, len(parents))
+	// Phase 1: accs[p] holds one accumulator per star column of parent p
+	// whose extensions stay within mw (weights are monotone, so a column
+	// over the cap has no admissible extension at any depth).
+	accs := make([][]extAcc, len(parents))
+	accBytes := 0
 	for p, c := range parents {
 		for _, col := range rn.freeCols {
-			if c.r[col] == rule.Star {
-				starCols[p] = append(starCols[p], col)
-				seen[p] = append(seen[p], make([]bool, v.DistinctCount(col)))
+			if c.r[col] != rule.Star {
+				continue
 			}
+			m := c.mask
+			m.Set(col)
+			acc := extAcc{col: col, weight: rn.w.Weight(m)}
+			if acc.weight > rn.mw {
+				continue
+			}
+			dc := v.DistinctCount(col)
+			if !rn.reference {
+				acc.cnt = make([]float64, dc)
+				if rn.topW != nil {
+					acc.mv = make([]float64, dc)
+				}
+			}
+			if !rn.countAgg || rn.reference {
+				// Masses may be zero or negative: presence needs its own mark.
+				acc.hit = make([]bool, dc)
+			}
+			accBytes += acc.bytes()
+			accs[p] = append(accs[p], acc)
 		}
 	}
-	parent := rn.parent
 	if plans, ok := rn.planIndex(parents); ok {
 		// Index route: walk each parent's own coverage (bitset AND or
-		// galloping intersection per its plan) and mark its extension
-		// values. Workers partition whole parents, and each parent's walk
-		// writes only that parent's seen arrays, so nothing is shared and
-		// no merge is needed; the marks are idempotent booleans, identical
-		// to the scan route's.
+		// probing intersection per its plan). Workers partition whole
+		// parents, and each parent's walk writes only that parent's
+		// accumulators, in ascending row order, so nothing is shared, no
+		// merge is needed, and the sums equal the scan route's.
 		nw := rn.workers()
 		preads := make([]int64, nw)
 		breads := make([]int64, nw)
 		rn.parallelRows(len(parents), func(lo, hi, g int) {
 			for p := lo; p < hi; p++ {
-				mark := func(row int) {
-					for si, sc := range starCols[p] {
-						seen[p][si][parent.Value(sc, row)] = true
-					}
-				}
+				mine, r := accs[p], parents[p].r
 				if plans[p].bitmap {
-					breads[g] += table.AndEach(rn.candBitmaps(parents[p]), func(row int) { mark(row) })
+					breads[g] += table.AndEach(rn.candBitmaps(r), func(row int) { rn.bookRow(mine, row, row) })
 				} else {
-					preads[g] += rn.v.EachInAll(rn.candLists(parents[p]), func(pos, row int) { mark(row) })
+					entries, words := rn.v.EachInAll(rn.candLists(r), func(pos, row int) { rn.bookRow(mine, pos, row) }, rn.candBitmaps(r)...)
+					preads[g] += entries
+					breads[g] += words
 				}
 			}
 		})
@@ -933,88 +1059,71 @@ func (rn *runner) expandParents(parents []*cand) {
 			rn.stats.BitmapWordsRead += breads[g]
 		}
 		rn.stats.IndexLevels++
-		rn.materializeChildren(parents, starCols, seen)
+		rn.materializeChildren(parents, accs)
 		return
 	}
 	idx := rn.buildCandIndex(parents)
-	// Parallelize with one seen-array set per worker, OR-merged after the
-	// pass — but only while the extra memory stays modest.
+	// Parallelize with one accumulator set per worker, merged in worker
+	// order after the pass — but only while the extra copies stay modest.
 	nw := rn.workers()
-	totalBools := 0
-	for p := range seen {
-		for si := range seen[p] {
-			totalBools += len(seen[p][si])
-		}
-	}
-	const parallelSeenCap = 64 << 20
-	if nw > 1 && totalBools*(nw-1) > parallelSeenCap {
+	const parallelAccCap = 64 << 20 // bytes
+	if nw > 1 && accBytes*(nw-1) > parallelAccCap {
 		nw = 1
 	}
-	perWorker := make([][][][]bool, nw)
-	perWorker[0] = seen
+	perWorker := make([][][]extAcc, nw)
+	perWorker[0] = accs
 	for g := 1; g < nw; g++ {
-		cp := make([][][]bool, len(seen))
-		for p := range seen {
-			cp[p] = make([][]bool, len(seen[p]))
-			for si := range seen[p] {
-				cp[p][si] = make([]bool, len(seen[p][si]))
-			}
+		perWorker[g] = make([][]extAcc, len(accs))
+		for p := range accs {
+			perWorker[g][p] = blankCopy(accs[p])
 		}
-		perWorker[g] = cp
 	}
-	scanRange := func(lo, hi int, mine [][][]bool) {
+	scanRange := func(lo, hi int, mine [][]extAcc) {
 		for i := lo; i < hi; i++ {
 			pi := v.ParentRow(i)
 			for ci, col := range idx.cols {
-				for _, p := range idx.byVal[ci][parent.Value(col, pi)] {
-					if !rn.coversFreeParent(parents[p].r, pi) {
-						continue
-					}
-					for si, sc := range starCols[p] {
-						mine[p][si][parent.Value(sc, pi)] = true
+				for _, p := range idx.byVal[ci][rn.parent.Value(col, pi)] {
+					if rn.coversFreeParent(parents[p].r, pi) {
+						rn.bookRow(mine[p], i, pi)
 					}
 				}
 			}
 		}
 	}
 	if nw == 1 {
-		scanRange(0, n, seen)
+		scanRange(0, n, accs)
 	} else {
 		rn.parallelRows(n, func(lo, hi, g int) { scanRange(lo, hi, perWorker[g]) })
 	}
 	for g := 1; g < nw; g++ {
-		for p := range seen {
-			for si := range seen[p] {
-				for v, ok := range perWorker[g][p][si] {
-					if ok {
-						seen[p][si][v] = true
-					}
-				}
-			}
+		for p := range accs {
+			mergeAccs(accs[p], perWorker[g][p])
 		}
 	}
 	rn.stats.Passes++
 	rn.stats.RowsScanned += int64(n)
-	rn.materializeChildren(parents, starCols, seen)
+	rn.materializeChildren(parents, accs)
 }
 
 // materializeChildren is expandParents' phase 2, shared by the scan and
-// index routes: resolve each distinct marked extension to its (possibly
-// already-registered) candidate and cache it on the parent.
-func (rn *runner) materializeChildren(parents []*cand, starCols [][]int, seen [][][]bool) {
-
-	// Phase 2: materialize each distinct extension once; candidates the
-	// store already holds are linked, not rebuilt.
+// index routes: resolve each distinct extension the walk saw to its
+// (possibly already-registered) candidate, cache it on the parent, and hand
+// a not yet counted one the mass and marginal the walk measured — if it
+// survives this step's bound test it is counted without a read of its own.
+func (rn *runner) materializeChildren(parents []*cand, accs [][]extAcc) {
+	step := rn.step()
 	created := 0
 	for p, c := range parents {
-		for si, sc := range starCols[p] {
-			for val, ok := range seen[p][si] {
-				if !ok {
+		for a := range accs[p] {
+			acc := &accs[p][a]
+			for val, nv := 0, rn.v.DistinctCount(acc.col); val < nv; val++ {
+				if !acc.seen(val) {
 					continue
 				}
-				child := rn.childOf(c, sc, rule.Value(val), &created)
-				if child != nil {
-					c.children = append(c.children, child)
+				child := rn.childOf(c, acc, rule.Value(val), &created)
+				c.children = append(c.children, child)
+				if acc.cnt != nil && !child.counted {
+					child.count, child.marginal, child.asOf = acc.cnt[val], acc.marginal(val), step
 				}
 				if created >= rn.maxCand {
 					// Abort without marking this parent expanded: a later
@@ -1031,24 +1140,19 @@ func (rn *runner) materializeChildren(parents []*cand, starCols [][]int, seen []
 	}
 }
 
-// childOf resolves the extension of parent by (col, val) to its shared
-// cand — from the store when another parent (or an earlier step) already
-// materialized it, freshly registered otherwise. Overweight extensions
-// yield nil without touching the rule machinery; created counts new
-// registrations for the per-level cap.
-func (rn *runner) childOf(parent *cand, col int, val rule.Value, created *int) *cand {
+// childOf resolves the extension of parent in acc's column by val to its
+// shared cand — from the store when another parent (or an earlier step)
+// already materialized it, freshly registered otherwise; created counts
+// new registrations for the per-level cap.
+func (rn *runner) childOf(parent *cand, acc *extAcc, val rule.Value, created *int) *cand {
 	m := parent.mask
-	m.Set(col)
-	wgt := rn.w.Weight(m)
-	if wgt > rn.mw {
-		return nil
-	}
+	m.Set(acc.col)
 	if parent.packed {
-		if pk, ok := parent.pk.Extend(col, val); ok {
+		if pk, ok := parent.pk.Extend(acc.col, val); ok {
 			if c := rn.store.byPK(pk); c != nil {
 				return c
 			}
-			c := &cand{r: parent.r.With(col, val), pk: pk, packed: true, mask: m, weight: wgt}
+			c := &cand{r: parent.r.With(acc.col, val), pk: pk, packed: true, mask: m, weight: acc.weight}
 			rn.store.packed[pk] = c
 			*created++
 			return c
@@ -1056,12 +1160,12 @@ func (rn *runner) childOf(parent *cand, col int, val rule.Value, created *int) *
 	}
 	// Overflow: the extension needs more than rule.MaxPackedValues free
 	// values; identity falls back to the string key.
-	ext := parent.r.With(col, val)
+	ext := parent.r.With(acc.col, val)
 	key := ext.Key()
 	if c := rn.store.over[key]; c != nil {
 		return c
 	}
-	c := &cand{r: ext, skey: key, mask: m, weight: wgt}
+	c := &cand{r: ext, skey: key, mask: m, weight: acc.weight}
 	rn.store.addOver(key, c)
 	*created++
 	return c
@@ -1110,7 +1214,7 @@ func (rn *runner) upperBound(c *cand) float64 {
 }
 
 // countCandidates measures count and marginal value for each candidate,
-// routing to the index kernels (bitset AND or galloping intersection, per
+// routing to the index kernels (bitset AND or probing intersection, per
 // candidate) or a row scan per the cost model.
 func (rn *runner) countCandidates(cands []*cand) {
 	if plans, ok := rn.planIndex(cands); ok {
@@ -1193,11 +1297,4 @@ func (rn *runner) finalStats() Stats {
 		rn.stats.SampledRowsScanned = rn.stats.RowsScanned
 	}
 	return rn.stats
-}
-
-func max0(x float64) float64 {
-	if x > 0 {
-		return x
-	}
-	return 0
 }

@@ -285,13 +285,19 @@ func BenchmarkSumAggregate(b *testing.B) {
 // over every super-rule of the base with weight ≤ mw, and the search may
 // stop short of K only when no rule has positive marginal value left. That
 // subsumes pruning soundness — a-priori pruning that ever discarded the
-// best rule would lose a step here.
+// best rule would lose a step here. Six steps exercise the lazy refresh
+// across five selections, and every fifth table repeats a column, so twin
+// rules tie exactly at every step.
 func TestGreedyStepIsArgmax(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	pruned := 0
 	for trial := 0; trial < 40; trial++ {
 		cols := 2 + rng.Intn(3)
 		tab := randomMeasuredTable(rng, cols, 2+rng.Intn(3), 20+rng.Intn(60))
+		if trial%5 == 4 {
+			tab = withDuplicateColumn(tab, rng.Intn(cols))
+			cols++
+		}
 		tab.Index().Warm()
 
 		var w weight.Weighter = weight.NewSize(cols)
@@ -324,7 +330,7 @@ func TestGreedyStepIsArgmax(t *testing.T) {
 			return best
 		}
 
-		const k = 4
+		const k = 6
 		for _, reference := range []bool{false, true} {
 			var selected []rule.Rule
 			opts := Options{MaxWeight: mw, Base: base, Agg: agg, Reference: reference}

@@ -55,7 +55,7 @@ func RunIncrementalCtx(ctx context.Context, v *table.View, w weight.Weighter, op
 		if best == nil || best.marginal <= 0 {
 			break
 		}
-		gain := best.marginal // applySelection re-derives cached marginals
+		gain := best.marginal // applySelection zeroes it
 		if step == 0 {
 			firstGain = gain
 		} else if opts.MinGainRatio > 0 && gain < opts.MinGainRatio*firstGain {

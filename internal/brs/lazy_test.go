@@ -1,0 +1,338 @@
+package brs
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"smartdrill/internal/rule"
+	"smartdrill/internal/score"
+	"smartdrill/internal/table"
+	"smartdrill/internal/weight"
+)
+
+// Hand-built tables for the places where lazy marginals and fused counting
+// could go wrong without a random table noticing: a candidate pruned in one
+// step and admitted in the next, exact ties between a cached candidate and
+// a freshly counted one, extensions whose mass sums to zero or less, and
+// the walk a last selection must not pay.
+
+// group is n rows with the given cells; a cell ending in '#' is made
+// distinct per row (the row number is appended). Under Sum, mass[i%len]
+// is row i's measure.
+type group struct {
+	cells []string
+	n     int
+	mass  []float64
+}
+
+func groupTable(cols []string, groups ...group) *table.Table {
+	b := table.MustBuilder(cols, []string{"M"})
+	row := make([]string, len(cols))
+	id := 0
+	for _, g := range groups {
+		for i := 0; i < g.n; i++ {
+			for c, cell := range g.cells {
+				row[c] = cell
+				if cell[len(cell)-1] == '#' {
+					row[c] = fmt.Sprintf("%s%d", cell, id)
+				}
+			}
+			mass := 1.0
+			if len(g.mass) > 0 {
+				mass = g.mass[i%len(g.mass)]
+			}
+			b.MustAddRow(row, mass)
+			id++
+		}
+	}
+	return b.Build()
+}
+
+func mustRule(t *testing.T, tab *table.Table, pattern map[string]string) rule.Rule {
+	t.Helper()
+	r, err := tab.EncodeRule(pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func (rn *runner) lookup(r rule.Rule) *cand {
+	pk, _ := r.PackKey(rn.baseMask)
+	return rn.store.byPK(pk)
+}
+
+func stream(t *testing.T, v *table.View, w weight.Weighter, opts Options, maxRules int) []Result {
+	t.Helper()
+	var out []Result
+	_, err := RunIncremental(v, w, opts, maxRules, time.Time{}, func(r Result) bool {
+		out = append(out, r)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestEquivalenceLazyTieBreaks pins the greedy order on two tables where
+// step 2 is decided by an exact tie that involves a late survivor: X =
+// (a2,b2), 20 rows, is pruned in step 1 (bound 40 < H = 60) under parents
+// that step 1 expands, and is worth exactly 40 once (a1,?) is selected.
+//
+//   - "cached first": (a3,?) — level 1, cached, 40 — ties with X; level
+//     order gives the step to the cached rule.
+//   - "fresh first": (a4,b4) — level 2, counted in step 1 at 40 — ties
+//     with X, which sorts before it; key order gives the step to the
+//     freshly counted rule.
+//
+// Each stream must equal the order worked out by hand and Reference's, on
+// the index routes (warm) and the scan routes (cold), at every worker
+// count.
+func TestEquivalenceLazyTieBreaks(t *testing.T) {
+	cols := []string{"A", "B"}
+	common := []group{
+		{cells: []string{"a1", "u#"}, n: 60},
+		{cells: []string{"a2", "b2"}, n: 20},
+	}
+	cases := []struct {
+		name  string
+		extra []group
+		want  []map[string]string
+	}{
+		{"cached first",
+			[]group{{cells: []string{"a3", "v#"}, n: 40}},
+			[]map[string]string{{"A": "a1"}, {"A": "a3"}, {"A": "a2", "B": "b2"}}},
+		{"fresh first",
+			[]group{
+				{cells: []string{"a4", "b4"}, n: 20},
+				{cells: []string{"a4", "w#"}, n: 10},
+				{cells: []string{"x#", "b4"}, n: 10}},
+			[]map[string]string{{"A": "a1"}, {"A": "a2", "B": "b2"}, {"A": "a4", "B": "b4"}}},
+	}
+	w := weight.NewSize(2)
+	for _, tc := range cases {
+		for _, warm := range []bool{true, false} {
+			tab := groupTable(cols, append(append([]group{}, common...), tc.extra...)...)
+			if warm {
+				tab.Index().Warm()
+			}
+			label := fmt.Sprintf("%s warm=%v", tc.name, warm)
+			x := mustRule(t, tab, map[string]string{"A": "a2", "B": "b2"})
+
+			// Step 1 expands X's parents, measures X in their walks, and
+			// prunes it; no later walk can measure it again, so when step 2
+			// counts it, it is by a count of its own.
+			rn, err := newRunner(tab.All(), w, Options{MaxWeight: 2, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rn.applySelection(rn.findBestMarginal())
+			c := rn.lookup(x)
+			if c == nil || c.counted || c.asOf != 1 || c.count != 20 {
+				t.Fatalf("%s: after step 1 X = %+v, want measured (count 20, step 1) and pruned", label, c)
+			}
+			for _, p := range []map[string]string{{"A": "a2"}, {"B": "b2"}} {
+				if pc := rn.lookup(mustRule(t, tab, p)); pc == nil || !pc.expanded {
+					t.Fatalf("%s: X's parent %v not expanded in step 1", label, p)
+				}
+			}
+			rn.findBestMarginal()
+			if !c.counted || c.asOf != 2 || c.marginal != 40 {
+				t.Fatalf("%s: after step 2 X = %+v, want counted with marginal 40", label, c)
+			}
+
+			want := stream(t, tab.All(), w, Options{MaxWeight: 2, Reference: true}, 3)
+			if len(want) != len(tc.want) {
+				t.Fatalf("%s: Reference streamed %d rules, want %d", label, len(want), len(tc.want))
+			}
+			for i, p := range tc.want {
+				if r := mustRule(t, tab, p); !want[i].Rule.Equal(r) {
+					t.Fatalf("%s: Reference rule %d = %v, want %v", label, i, want[i].Rule, r)
+				}
+			}
+			for _, workers := range []int{1, 2, 8} {
+				got := stream(t, tab.All(), w, Options{MaxWeight: 2, Workers: workers}, 3)
+				sameResults(t, fmt.Sprintf("%s workers=%d", label, workers), got, want)
+			}
+		}
+	}
+}
+
+// TestEquivalenceRefreshThroughTies: the refresh must go on while the next
+// stale marginal *equals* the best fresh one. After (a1,?) is selected,
+// each of the refreshBatch rules (?,b_i) falls from a stale 50 to 40 — one
+// full batch — and the next stale candidate, (a0,?), is worth 40 before and
+// after. It precedes every (?,b_i) in level-1 order, so it is step 2's
+// winner, which only a refresh that continues through the tie can see.
+func TestEquivalenceRefreshThroughTies(t *testing.T) {
+	var groups []group
+	for i := 0; i < refreshBatch; i++ {
+		b := fmt.Sprintf("b%d", i)
+		groups = append(groups,
+			group{cells: []string{"a1", b}, n: 10},
+			group{cells: []string{"r#", b}, n: 40})
+	}
+	groups = append(groups, group{cells: []string{"a0", "s#"}, n: 40})
+	w := weight.NewSize(2)
+	for _, warm := range []bool{true, false} {
+		tab := groupTable([]string{"A", "B"}, groups...)
+		if warm {
+			tab.Index().Warm()
+		}
+		want := stream(t, tab.All(), w, Options{MaxWeight: 1, Reference: true}, 2)
+		if len(want) != 2 || !want[1].Rule.Equal(mustRule(t, tab, map[string]string{"A": "a0"})) {
+			t.Fatalf("warm=%v: Reference streamed %v, want (a1,?) then (a0,?)", warm, want)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			got := stream(t, tab.All(), w, Options{MaxWeight: 1, Workers: workers}, 2)
+			sameResults(t, fmt.Sprintf("warm=%v workers=%d", warm, workers), got, want)
+		}
+	}
+}
+
+// TestFusedChildExistsBySight: under Sum an extension can cover rows whose
+// masses sum to zero or less. It is still a candidate — Reference marks the
+// values it sees, not the masses — so the fast path's first step must
+// materialize exactly the candidates Reference's does.
+func TestFusedChildExistsBySight(t *testing.T) {
+	tab := groupTable([]string{"A", "B", "C"},
+		group{cells: []string{"a1", "b1", "c#"}, n: 2, mass: []float64{5, -5}}, // (a1,b1) sums to 0
+		group{cells: []string{"a1", "b2", "c3"}, n: 1, mass: []float64{3}},
+		group{cells: []string{"a2", "b1", "c3"}, n: 1, mass: []float64{4}},
+		group{cells: []string{"a2", "b2", "c1"}, n: 1, mass: []float64{-2}}, // (a2,b2) sums to −2
+		group{cells: []string{"a3", "b3", "c3"}, n: 6, mass: []float64{1}},
+	)
+	w := weight.NewSize(3)
+	for _, warm := range []bool{false, true} {
+		if warm {
+			tab.Index().Warm()
+		}
+		opts := Options{MaxWeight: 3, Agg: score.SumAgg{Measure: 0}, Workers: 1}
+		fast, err := newRunner(tab.All(), w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Reference = true
+		ref, err := newRunner(tab.All(), w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast.findBestMarginal()
+		ref.findBestMarginal()
+		for _, p := range []map[string]string{{"A": "a1", "B": "b1"}, {"A": "a2", "B": "b2"}} {
+			if fast.lookup(mustRule(t, tab, p)) == nil {
+				t.Errorf("warm=%v: extension %v was seen but not materialized", warm, p)
+			}
+		}
+		if len(fast.store.packed) != len(ref.store.packed) {
+			t.Errorf("warm=%v: fast path materialized %d candidates, Reference %d", warm, len(fast.store.packed), len(ref.store.packed))
+		}
+		for pk := range ref.store.packed {
+			if fast.store.byPK(pk) == nil {
+				t.Errorf("warm=%v: Reference materialized a candidate the fast path never saw", warm)
+			}
+		}
+	}
+}
+
+// TestLastSelectionPaysNoWalk: a selection's topW raise is applied when the
+// next step opens, so the selection that ends a run — Run's K-th, a
+// stream's max_rules-th, the one a callback or a cancellation stops on —
+// costs no coverage walk, and a stopped run has done exactly the work of
+// the shorter run.
+func TestLastSelectionPaysNoWalk(t *testing.T) {
+	// One column: level 1 is the whole search, so a one-rule run is one
+	// pass (or, on a warm index, posting lengths alone).
+	tab := groupTable([]string{"A"},
+		group{cells: []string{"x"}, n: 50}, group{cells: []string{"y"}, n: 30}, group{cells: []string{"z"}, n: 20})
+	w := weight.NewSize(1)
+	_, cold, err := Run(tab.All(), w, Options{K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Passes != 1 || cold.RowsScanned != 100 {
+		t.Fatalf("one-rule scan run: %+v, want exactly the level-1 pass", cold)
+	}
+	tab.Index().Warm()
+	_, warm, err := Run(tab.All(), w, Options{K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.IndexLevels != 1 || warm.PostingsRead != 0 || warm.BitmapWordsRead != 0 || warm.Passes != 0 {
+		t.Fatalf("one-rule index run: %+v, want posting lengths only", warm)
+	}
+
+	wide := groupTable([]string{"A", "B"},
+		group{cells: []string{"a1", "u#"}, n: 60}, group{cells: []string{"a2", "b2"}, n: 20}, group{cells: []string{"a3", "b2"}, n: 15})
+	w2 := weight.NewSize(2)
+	for _, warmIndex := range []bool{false, true} {
+		if warmIndex {
+			wide.Index().Warm()
+		}
+		statsOf := func(ctx context.Context, maxRules int, yield Yield) Stats {
+			st, err := RunIncrementalCtx(ctx, wide.All(), w2, Options{MaxWeight: 2}, maxRules, time.Time{}, yield)
+			if err != nil && !errors.Is(err, context.Canceled) {
+				t.Fatal(err)
+			}
+			return st
+		}
+		all := func(Result) bool { return true }
+		one, two := statsOf(context.Background(), 1, all), statsOf(context.Background(), 2, all)
+		if one == two {
+			t.Fatalf("warm=%v: a second step cost nothing: %+v", warmIndex, two)
+		}
+		for k, want := range map[int]Stats{1: one, 2: two} {
+			_, batch, err := Run(wide.All(), w2, Options{K: k, MaxWeight: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch != want {
+				t.Errorf("warm=%v: Run K=%d did %+v, the %d-rule stream %+v", warmIndex, k, batch, k, want)
+			}
+		}
+		if got := statsOf(context.Background(), 0, func(Result) bool { return false }); got != one {
+			t.Errorf("warm=%v: stream stopped by its callback did %+v, want the one-rule run's %+v", warmIndex, got, one)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		if got := statsOf(ctx, 0, func(Result) bool { cancel(); return true }); got != one {
+			t.Errorf("warm=%v: stream canceled after its first rule did %+v, want the one-rule run's %+v", warmIndex, got, one)
+		}
+		cancel()
+	}
+}
+
+// TestMaxWeightClampedToWeighterBound: an mw above the weighter's own bound
+// (the §6.1 estimate doubles its probe) means "no bound" and must run
+// exactly like it — same rules, same pruning, same work.
+func TestMaxWeightClampedToWeighterBound(t *testing.T) {
+	tab := groupTable([]string{"A", "B", "C"},
+		group{cells: []string{"a1", "b#", "c1"}, n: 60},
+		group{cells: []string{"a2", "b2", "c#"}, n: 25},
+		group{cells: []string{"a3", "b2", "c2"}, n: 15})
+	tab.Index().Warm()
+	w := weight.NewSize(3)
+	top := w.MaxWeight(3)
+	for _, reference := range []bool{false, true} {
+		want, ws, err := Run(tab.All(), w, Options{K: 3, MaxWeight: top, Reference: reference})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ws.CandidatesPruned == 0 {
+			t.Fatalf("reference=%v: pruning never engaged: %+v", reference, ws)
+		}
+		for _, mw := range []float64{0, 2 * top, 100} {
+			got, gs, err := Run(tab.All(), w, Options{K: 3, MaxWeight: mw, Reference: reference})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResults(t, fmt.Sprintf("reference=%v mw=%g", reference, mw), got, want)
+			if gs != ws {
+				t.Errorf("reference=%v mw=%g: work %+v, want mw=%g's %+v", reference, mw, gs, top, ws)
+			}
+		}
+	}
+}

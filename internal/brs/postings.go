@@ -8,12 +8,14 @@ import (
 // Index-driven counting. A candidate's coverage within the view is the
 // intersection of the view's row set with the posting lists of the
 // candidate's instantiated free columns, so counting (and candidate
-// generation, and post-selection marginal maintenance) can be answered
+// generation, and the topW raise over a selected rule) can be answered
 // from the index instead of scanning every view row. Two index kernels
 // exist:
 //
-//   - Galloping: merge walks over the sorted []int32 posting lists
-//     (table.View.EachInAll). Cost per candidate is roughly (number of
+//   - Probing: a walk of the shortest sorted []int32 posting list that
+//     tests each entry against the other lists (table.View.EachInAll) —
+//     one word read where the list carries a bitset, a galloping search
+//     where it is too sparse to. Cost per candidate is roughly (number of
 //     lists) × (shortest list length) — governed by the most selective
 //     column. A level-1 count on the full table under Count is just a
 //     posting-list length, read without touching a single row.
@@ -41,32 +43,32 @@ import (
 // index kernels (every step scans).
 
 // postingsCostSlack is the fixed per-candidate overhead charged by the
-// cost model (list setup, gallop restarts, AND-loop setup).
+// cost model (list setup, probe and gallop restarts, AND-loop setup).
 const postingsCostSlack = 16
 
 // candPlan is the planner's routing decision for one candidate within an
 // index-driven pass.
 type candPlan struct {
 	cost   int64 // estimated entry/word reads for the chosen kernel
-	bitmap bool  // true: bitset AND kernel; false: galloping lists
+	bitmap bool  // true: bitset AND kernel; false: probing walk of the lists
 }
 
-// planCand costs the index kernels for c. anchor is the posting length of
-// c's anchor column (the scan kernel's per-candidate work, see
+// planCand costs the index kernels for rule r. anchor is the posting length
+// of r's anchor column (the scan kernel's per-candidate work, see
 // buildCandIndex); ok is false when some needed column has no built
 // posting lists, which forces the whole pass to scan.
-func (rn *runner) planCand(c *cand) (plan candPlan, anchor int64, ok bool) {
+func (rn *runner) planCand(r rule.Rule) (plan candPlan, anchor int64, ok bool) {
 	lists := 0
 	shortest := int64(^uint64(0) >> 1)
 	allBitmaps := rn.bitmapOK
 	for _, col := range rn.freeCols {
-		if c.r[col] == rule.Star {
+		if r[col] == rule.Star {
 			continue
 		}
 		if !rn.ix.ColumnBuilt(col) {
 			return candPlan{}, 0, false
 		}
-		l := int64(rn.ix.PostingsLen(col, c.r[col]))
+		l := int64(rn.ix.PostingsLen(col, r[col]))
 		if lists == 0 {
 			anchor = l // first instantiated free column = scan anchor
 		}
@@ -74,7 +76,7 @@ func (rn *runner) planCand(c *cand) (plan candPlan, anchor int64, ok bool) {
 		if l < shortest {
 			shortest = l
 		}
-		if allBitmaps && rn.ix.Bitmap(col, c.r[col]) == nil { //sdlint:allow ioaccount existence probe for the cost model; no bitmap words are read
+		if allBitmaps && rn.ix.Bitmap(col, r[col]) == nil { //sdlint:allow ioaccount existence probe for the cost model; no bitmap words are read
 			allBitmaps = false
 		}
 	}
@@ -105,7 +107,7 @@ func (rn *runner) planIndex(cands []*cand) ([]candPlan, bool) {
 	var anchors int64
 	plans := make([]candPlan, len(cands))
 	for i, c := range cands {
-		plan, anchor, ok := rn.planCand(c)
+		plan, anchor, ok := rn.planCand(c.r)
 		if !ok {
 			return nil, false
 		}
@@ -121,40 +123,41 @@ func (rn *runner) planIndex(cands []*cand) ([]candPlan, bool) {
 }
 
 // planPostingsOne is the planner for a single rule's coverage walk (the
-// marginal-maintenance pass over a selected rule). The walk's visit work
-// is identical on every path, so the decision weighs only enumeration
-// cost: galloping entries or bitmap words versus one row scan.
-func (rn *runner) planPostingsOne(c *cand) (plan candPlan, ok bool) {
+// topW raise over a selected rule). The walk's visit work is identical on
+// every path, so the decision weighs only enumeration cost: posting
+// entries or bitmap words versus one row scan.
+func (rn *runner) planPostingsOne(r rule.Rule) (plan candPlan, ok bool) {
 	if rn.ix == nil || !rn.sorted {
 		return candPlan{}, false
 	}
-	plan, _, ok = rn.planCand(c)
+	plan, _, ok = rn.planCand(r)
 	return plan, ok && plan.cost < int64(rn.v.NumRows())
 }
 
-// candLists gathers the posting lists of c's instantiated free columns.
+// candLists gathers the posting lists of r's instantiated free columns.
 //
-//sdlint:allow ioaccount hands list headers to the intersection kernels; the entries actually read are metered by EachInAll and booked by the counting pass that called it
-func (rn *runner) candLists(c *cand) [][]int32 {
+//sdlint:allow ioaccount hands list headers to the intersection kernels; the entries actually read are metered by EachInAll and booked by the pass that called it
+func (rn *runner) candLists(r rule.Rule) [][]int32 {
 	lists := make([][]int32, 0, len(rn.freeCols))
 	for _, col := range rn.freeCols {
-		if c.r[col] != rule.Star {
-			lists = append(lists, rn.ix.Postings(col, c.r[col]))
+		if r[col] != rule.Star {
+			lists = append(lists, rn.ix.Postings(col, r[col]))
 		}
 	}
 	return lists
 }
 
-// candBitmaps gathers the bitset containers of c's instantiated free
-// columns. Only called for candidates the planner routed to the bitmap
-// kernel, so every container exists.
+// candBitmaps gathers, aligned with candLists, the bitset container
+// shadowing each of those lists — nil where a list is too sparse to carry
+// one. The planner routes a rule to the AND kernels only when every
+// container exists; the probing walk takes them as they come.
 //
-//sdlint:allow ioaccount hands bitset containers to the AND kernels; the words actually read are metered by AndCount/AndEach and booked by the counting pass that called it
-func (rn *runner) candBitmaps(c *cand) []*table.Bitset {
+//sdlint:allow ioaccount hands bitset containers to the AND kernels and the probing walk; the words actually read are metered by AndCount/AndEach/EachInAll and booked by the pass that called it
+func (rn *runner) candBitmaps(r rule.Rule) []*table.Bitset {
 	sets := make([]*table.Bitset, 0, len(rn.freeCols))
 	for _, col := range rn.freeCols {
-		if c.r[col] != rule.Star {
-			sets = append(sets, rn.ix.Bitmap(col, c.r[col]))
+		if r[col] != rule.Star {
+			sets = append(sets, rn.ix.Bitmap(col, r[col]))
 		}
 	}
 	return sets
@@ -162,7 +165,7 @@ func (rn *runner) candBitmaps(c *cand) []*table.Bitset {
 
 // countCandidatesIndex is the index counting pass: each candidate's count
 // and marginal accumulate over its own intersection — bitset AND or
-// galloping walk per its plan — with candidates fanned out across
+// probing walk per its plan — with candidates fanned out across
 // workers. Per-candidate accumulation is self-contained and visits rows
 // ascending, so results are bit-identical to the scan kernel at any
 // worker count.
@@ -181,11 +184,11 @@ func (rn *runner) countCandidatesIndex(cands []*cand, plans []candPlan) {
 				// virgin step needs no per-row work at all — the count is a
 				// popcount over the ANDed words.
 				if virgin {
-					cnt, words := table.AndCount(rn.candBitmaps(c))
+					cnt, words := table.AndCount(rn.candBitmaps(c.r))
 					c.count += float64(cnt)
 					breads[g] += words
 				} else {
-					breads[g] += table.AndEach(rn.candBitmaps(c), func(row int) {
+					breads[g] += table.AndEach(rn.candBitmaps(c.r), func(row int) {
 						c.count++
 						if tw := topW[row]; c.weight > tw {
 							c.marginal += c.weight - tw
@@ -193,7 +196,7 @@ func (rn *runner) countCandidatesIndex(cands []*cand, plans []candPlan) {
 					})
 				}
 			} else {
-				preads[g] += rn.v.EachInAll(rn.candLists(c), func(pos, row int) {
+				entries, words := rn.v.EachInAll(rn.candLists(c.r), func(pos, row int) {
 					mass := rn.agg.Mass(parent, row)
 					c.count += mass
 					if !virgin {
@@ -201,7 +204,9 @@ func (rn *runner) countCandidatesIndex(cands []*cand, plans []candPlan) {
 							c.marginal += (c.weight - tw) * mass
 						}
 					}
-				})
+				}, rn.candBitmaps(c.r)...)
+				preads[g] += entries
+				breads[g] += words
 			}
 			if virgin {
 				c.marginal = c.weight * c.count
@@ -217,7 +222,7 @@ func (rn *runner) countCandidatesIndex(cands []*cand, plans []candPlan) {
 
 // levelOneColumnsBuilt reports whether every level-1 column already has
 // posting lists, the precondition for the length-only level-1 path.
-func (rn *runner) levelOneColumnsBuilt(accs []levelOneAcc) bool {
+func (rn *runner) levelOneColumnsBuilt(accs []extAcc) bool {
 	if rn.ix == nil {
 		return false
 	}
@@ -235,7 +240,7 @@ func (rn *runner) levelOneColumnsBuilt(accs []levelOneAcc) bool {
 // weight·count. Zero rows are read. Candidate order (column, then value
 // ascending) matches the scan path's, so downstream tie-breaks are
 // unchanged.
-func (rn *runner) levelOneFromPostings(accs []levelOneAcc) []*cand {
+func (rn *runner) levelOneFromPostings(accs []extAcc) []*cand {
 	var out []*cand
 	for a := range accs {
 		acc := &accs[a]

@@ -14,7 +14,7 @@ import (
 // Property layer for the counting kernels: the fast path must be
 // bit-identical to Options.Reference — the textbook per-step serial scan
 // algorithm — at every worker count, on view shapes chosen so that each
-// planner arm (bitmap, gallop, scan) is the one that runs. Arms are
+// planner arm (bitmap, probing walk, scan) is the one that runs. Arms are
 // selected by input shape, the way production selects them, and every
 // cell asserts its arm engaged, so the matrix cannot silently degenerate
 // into comparing the reference with itself. CI runs this file under -race
@@ -36,7 +36,7 @@ type armShape struct {
 // TestEquivalencePropertyMatrix: seeded random tables × arm-forcing view
 // shapes × Workers ∈ {1, 2, 8}, every cell bit-identical to Reference.
 // Skewed value distributions make some posting lists dense (bitmap
-// containers) and others sparse (galloping).
+// containers, probed) and others sparse (galloped).
 func TestEquivalencePropertyMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	trials := 6
@@ -64,20 +64,51 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 		for i := range probe {
 			probe[i] = rng.Intn(n)
 		}
-		bitmapRead := func(s Stats) bool { return s.BitmapWordsRead != 0 }
-		gallop := func(s Stats) bool { return s.PostingsRead > 0 }
+		// Off the full table, and under Sum, the bitset AND kernel cannot
+		// run, so every bitmap word read is a probe of the intersection
+		// walk: at most one per driver entry per other list, and a rule has
+		// at most one list per free column.
+		probesOnly := func(freeCols int) func(Stats) bool {
+			return func(s Stats) bool { return s.BitmapWordsRead > s.PostingsRead*int64(freeCols-1) }
+		}
+		walk := func(s Stats) bool { return s.PostingsRead > 0 }
+		// Irrational weights: a marginal is a sum of products no ± delta
+		// bookkeeping could keep exact, only a recount in row order.
+		per := make([]float64, cols)
+		for c := range per {
+			per[c] = 0.5 + float64(c)*0.75
+		}
+		frac := weight.NewLinear(per, 1.3, "frac")
+		// A duplicated column makes every rule over it a twin of another
+		// with exactly the same mass: steps ≥ 2 tie cached candidates with
+		// freshly counted ones to the last bit.
+		dup := withDuplicateColumn(tab, 1)
+		dup.Index().Warm()
+		multiStep := func(s Stats) bool { return s.CandidatesReused > 0 && s.IndexLevels > 0 }
 		shapes := []armShape{
 			{name: "full-count", view: tab.All(), w: w,
 				opts:    Options{K: 4, MaxWeight: mw},
 				engaged: func(s Stats) bool { return s.BitmapWordsRead > 0 }},
+			// Six rules: the lazy refresh runs across five steps.
+			{name: "k6", view: tab.All(), w: w,
+				opts: Options{K: 6, MaxWeight: mw}, engaged: multiStep},
+			{name: "fractional", view: tab.All(), w: frac,
+				opts: Options{K: 4, MaxWeight: frac.MaxWeight(3)}, engaged: multiStep},
+			{name: "dup-column", view: dup.All(), w: weight.NewSize(cols + 1),
+				opts: Options{K: 5, MaxWeight: 3}, engaged: multiStep},
 			{name: "child", view: tab.ViewOf(tab.FilterIndices(base)), w: w,
 				opts:   Options{K: 4, MaxWeight: mw, Base: base, BaseCovered: true},
-				forbid: bitmapRead, engaged: gallop},
+				forbid: probesOnly(cols - 1), engaged: walk},
 			// Integral masses under Size weights keep every Sum accumulator
 			// exact, so worker merge order cannot show in the last ulp.
 			{name: "sum", view: tab.All(), w: size,
 				opts:   Options{K: 4, MaxWeight: 3, Agg: score.SumAgg{Measure: 0}},
-				forbid: bitmapRead, engaged: gallop},
+				forbid: probesOnly(cols), engaged: walk},
+			// Zero and negative masses: an extension exists because a row
+			// was seen, whatever its mass sums to.
+			{name: "sum-signed", view: tab.All(), w: size,
+				opts:   Options{K: 4, MaxWeight: 3, Agg: score.SumAgg{Measure: 1}},
+				forbid: probesOnly(cols), engaged: walk},
 			{name: "probe", view: tab.ViewOf(probe), w: w,
 				opts:    Options{K: 4, MaxWeight: mw},
 				forbid:  func(s Stats) bool { return s.IndexLevels != 0 },
@@ -116,14 +147,16 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 // skewedTable builds a random table whose first column concentrates 85%
 // of its mass on one value — its posting list is dense enough for a
 // bitmap container — while the remaining columns draw uniformly, leaving
-// a mix of dense and sparse lists for the planner to choose between. One
-// measure column of small integers rides along for the Sum shape.
+// a mix of dense and sparse lists for the planner to choose between. Two
+// measure columns ride along for the Sum shapes: M, small positive
+// integers, and Z, integers in [−2, 5] (zeros and negatives included)
+// that follow the row number and leave the random stream alone.
 func skewedTable(rng *rand.Rand, cols, vals, n int) *table.Table {
 	names := make([]string, cols)
 	for c := range names {
 		names[c] = string(rune('A' + c))
 	}
-	b := table.MustBuilder(names, []string{"M"})
+	b := table.MustBuilder(names, []string{"M", "Z"})
 	row := make([]string, cols)
 	for i := 0; i < n; i++ {
 		if rng.Intn(100) < 85 {
@@ -134,7 +167,28 @@ func skewedTable(rng *rand.Rand, cols, vals, n int) *table.Table {
 		for c := 1; c < cols; c++ {
 			row[c] = string(rune('a' + rng.Intn(vals)))
 		}
-		b.MustAddRow(row, float64(1+rng.Intn(9)))
+		b.MustAddRow(row, float64(1+rng.Intn(9)), float64((i*7+3)%8-2))
+	}
+	return b.Build()
+}
+
+// withDuplicateColumn returns tab with column c repeated as a last column.
+func withDuplicateColumn(tab *table.Table, c int) *table.Table {
+	names := append(append([]string{}, tab.ColumnNames()...), tab.ColumnNames()[c]+"'")
+	b := table.MustBuilder(names, tab.MeasureNames())
+	row := make([]string, len(names))
+	measures := make([]float64, len(tab.MeasureNames()))
+	for i := 0; i < tab.NumRows(); i++ {
+		for j := 0; j < tab.NumCols(); j++ {
+			row[j] = tab.Dict(j).Decode(tab.Value(j, i))
+		}
+		row[len(row)-1] = row[c]
+		for m := range measures {
+			measures[m] = tab.Measure(m)[i]
+		}
+		if err := b.AddRow(row, measures); err != nil {
+			panic(err)
+		}
 	}
 	return b.Build()
 }

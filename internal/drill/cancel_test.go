@@ -30,6 +30,14 @@ func TestExpandCtxPreCanceled(t *testing.T) {
 	}
 
 	// Not poisoned: the session expands normally and matches a fresh one.
+	expandsLikeFresh(t, s)
+}
+
+// expandsLikeFresh re-expands s's root and requires the children of an
+// untouched session: whatever stopped the previous search left nothing
+// behind that a later one could read.
+func expandsLikeFresh(t *testing.T, s *Session) {
+	t.Helper()
 	if err := s.Expand(s.Root()); err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +50,11 @@ func TestExpandCtxPreCanceled(t *testing.T) {
 	}
 	a, b := s.Root().Children, fresh.Root().Children
 	if len(a) != len(b) {
-		t.Fatalf("post-cancel expansion: %d children, fresh session has %d", len(a), len(b))
+		t.Fatalf("expansion after a stopped search: %d children, fresh session has %d", len(a), len(b))
 	}
 	for i := range a {
 		if !a[i].Rule.Equal(b[i].Rule) || a[i].Count != b[i].Count {
-			t.Fatalf("post-cancel child %d = %+v, fresh = %+v", i, a[i], b[i])
+			t.Fatalf("child %d after a stopped search = %+v, fresh = %+v", i, a[i], b[i])
 		}
 	}
 }
@@ -91,12 +99,27 @@ func TestExpandStreamCtxCancelMidSearch(t *testing.T) {
 		t.Fatalf("NodeByID(%d) = %p, want %p", child.ID(), got, child)
 	}
 	// …and the session keeps working.
-	if err := s.Expand(s.Root()); err != nil {
-		t.Fatal(err)
-	}
+	expandsLikeFresh(t, s)
 	if len(s.Root().Children) != 3 {
 		t.Fatalf("post-cancel expansion returned %d children, want 3", len(s.Root().Children))
 	}
+}
+
+// TestExpandStreamStoppedAtMaxRules: a stream that ends at max_rules stops
+// on a selection the search never had to apply. The tree keeps exactly the
+// rules streamed and the session expands like an untouched one.
+func TestExpandStreamStoppedAtMaxRules(t *testing.T) {
+	s, err := NewSession(datagen.StoreSales(42), Config{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ExpandStreamCtx(context.Background(), s.Root(), 1, time.Minute, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.Root().Children); got != 1 {
+		t.Fatalf("stream capped at one rule kept %d children", got)
+	}
+	expandsLikeFresh(t, s)
 }
 
 // TestStableIDsAcrossMutations: IDs survive unrelated mutations, die with

@@ -13,8 +13,9 @@ import "math/bits"
 // the index builds a bitset only for lists dense enough that the bitmap
 // (numRows/8 bytes) costs no more memory than the sorted list it shadows
 // (4 bytes per entry), i.e. when the list covers at least 1/32 of the
-// table. Sparse lists keep galloping; the cost planner picks per
-// candidate.
+// table. Sparse lists stay sorted lists only: an intersection walk gallops
+// through them and probes the bitsets of the dense ones (View.EachInAll);
+// the cost planner picks the kernel per candidate.
 
 // Bitset is an immutable packed row set over a fixed universe [0, n).
 // Safe for concurrent readers, like the posting lists it shadows.
@@ -76,7 +77,7 @@ func AndCount(sets []*Bitset) (count int, wordsRead int64) {
 }
 
 // AndEach calls fn(row) for every row common to all sets, in ascending
-// row order — the order a scan or galloping walk visits them, so
+// row order — the order a scan or a posting-list walk visits them, so
 // aggregate accumulation stays bit-identical across access paths — and
 // returns the words read. All sets must share one universe. Zero sets
 // visit nothing.

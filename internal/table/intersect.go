@@ -25,36 +25,62 @@ func (v *View) Ascending() bool {
 
 // EachInAll calls fn(pos, row) for every view position pos whose parent
 // row appears in all of the given ascending posting lists, in ascending
-// row order, and returns the number of posting entries examined (the I/O
-// charged in place of a scan). The view's rows must be ascending (see
-// Ascending); lists must be non-nil. The shortest list drives the walk and
-// the others advance by galloping, so cost is governed by the most
-// selective column, not the table.
-func (v *View) EachInAll(lists [][]int32, fn func(pos, row int)) int64 {
+// row order, and returns what it read in place of a scan: posting entries
+// and packed bitset words. The view's rows must be ascending (see
+// Ascending); lists must be non-nil. bits, when given, is aligned with
+// lists: bits[i] is the Bitset shadowing lists[i], or nil where the list
+// carries none.
+//
+// The shortest list drives the walk. Each driver row is tested against
+// every other list — by one word read where the list has a bitset
+// (membership is over parent rows, so this holds on sub-views too), by
+// galloping where it has none — so cost is governed by the most selective
+// column: when every other list has a bitset, at most one unit per driver
+// entry per list, however many entries of the longer lists lie between.
+func (v *View) EachInAll(lists [][]int32, fn func(pos, row int), bits ...*Bitset) (postingsRead, wordsRead int64) {
 	if len(lists) == 0 {
-		return 0
+		return 0, 0
 	}
-	// Order by length ascending without mutating the caller's slice.
-	ordered := make([][]int32, len(lists))
-	copy(ordered, lists)
-	sort.Slice(ordered, func(i, j int) bool { return len(ordered[i]) < len(ordered[j]) })
-	driver := ordered[0]
+	// Order by length ascending without mutating the caller's slices.
+	order := make([]int, len(lists))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool { return len(lists[order[i]]) < len(lists[order[j]]) })
+	driver := lists[order[0]]
 	if len(driver) == 0 {
-		return 0
+		return 0, 0
 	}
-	read := int64(len(driver))
-	offs := make([]int, len(ordered))
+	// others are the non-driver lists, shortest (most selective) first;
+	// probe[j] replaces galloping through others[j] when non-nil.
+	others := make([][]int32, len(order)-1)
+	probe := make([]*Bitset, len(others))
+	for j, i := range order[1:] {
+		others[j] = lists[i]
+		if i < len(bits) {
+			probe[j] = bits[i]
+		}
+	}
+	postingsRead = int64(len(driver))
+	offs := make([]int, len(others))
 	vo := 0
 outer:
 	for _, r := range driver {
-		for j := 1; j < len(ordered); j++ {
-			o := gallop32(ordered[j], offs[j], r)
-			read += int64(o - offs[j])
+		for j, list := range others {
+			if b := probe[j]; b != nil {
+				wordsRead++
+				if !b.Contains(int(r)) {
+					continue outer
+				}
+				continue
+			}
+			o := gallop32(list, offs[j], r)
+			postingsRead += int64(o - offs[j])
 			offs[j] = o
-			if o == len(ordered[j]) {
+			if o == len(list) {
 				break outer // this list is exhausted; no further common rows
 			}
-			if ordered[j][o] != r {
+			if list[o] != r {
 				continue outer
 			}
 		}
@@ -71,7 +97,7 @@ outer:
 		}
 		fn(pos, int(r))
 	}
-	return read
+	return postingsRead, wordsRead
 }
 
 // gallop32 returns the smallest index i in [from, len(a)] with a[i] >=

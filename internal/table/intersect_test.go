@@ -56,9 +56,10 @@ func TestColumnBuiltAndPostingsLen(t *testing.T) {
 	}
 }
 
-// TestEachInAll cross-checks the galloping intersection against a naive
+// TestEachInAll cross-checks the intersection walk against a naive
 // reference over random tables, rules, and view subsets — full-table and
-// explicit ascending views, one to three posting lists.
+// explicit ascending views, one to three posting lists, with and without
+// the index's bitsets to probe.
 func TestEachInAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 200; trial++ {
@@ -82,11 +83,16 @@ func TestEachInAll(t *testing.T) {
 		// Random rule over a random subset of columns.
 		r := rule.Trivial(cols)
 		var lists [][]int32
+		var bits []*Bitset
 		for c := 0; c < cols; c++ {
 			if rng.Intn(2) == 0 {
 				r[c] = rule.Value(rng.Intn(tab.DistinctCount(c)))
 				lists = append(lists, ix.Postings(c, r[c]))
+				bits = append(bits, ix.Bitmap(c, r[c]))
 			}
+		}
+		if trial%2 == 0 {
+			bits = nil // all-gallop
 		}
 		if len(lists) == 0 {
 			continue
@@ -111,7 +117,7 @@ func TestEachInAll(t *testing.T) {
 		v.EachInAll(lists, func(pos, row int) {
 			gotPos = append(gotPos, pos)
 			gotRow = append(gotRow, row)
-		})
+		}, bits...)
 
 		var wantPos, wantRow []int
 		for i := 0; i < v.NumRows(); i++ {
@@ -146,4 +152,94 @@ func TestGallop(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzEachInAll drives the intersection walk with random ascending lists,
+// an arbitrary subset of them shadowed by bitsets, over the full table and
+// over a sub-view. Whatever is probed and whatever is galloped, the walk
+// must visit the rows — in the order, at the positions — that the
+// all-gallop walk and a naive set intersection do, and when every list
+// has a bitset it may read no more than one unit per driver entry per list.
+func FuzzEachInAll(f *testing.F) {
+	f.Add(int64(1), uint16(100), uint8(3), uint8(50), uint8(0xff), uint8(0))
+	f.Add(int64(2), uint16(64), uint8(1), uint8(100), uint8(1), uint8(2))
+	f.Add(int64(3), uint16(129), uint8(4), uint8(5), uint8(0b0101), uint8(3))
+	f.Add(int64(4), uint16(4096), uint8(5), uint8(90), uint8(0b11110), uint8(0))
+	f.Add(int64(5), uint16(1), uint8(2), uint8(100), uint8(0), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, rows16 uint16, nlists, density, shadow, keep uint8) {
+		rows := int(rows16)%5000 + 1
+		k := int(nlists)%6 + 1
+		rng := rand.New(rand.NewSource(seed))
+		lists := make([][]int32, k)
+		bits := make([]*Bitset, k)
+		shadowed := 0
+		for i := range lists {
+			lists[i] = []int32{} // empty, not nil
+			d := int(density)%101 + rng.Intn(20)
+			for r := 0; r < rows; r++ {
+				if rng.Intn(120) < d {
+					lists[i] = append(lists[i], int32(r))
+				}
+			}
+			if shadow&(1<<i) != 0 {
+				bits[i] = NewBitsetFromSorted(lists[i], rows)
+				shadowed++
+			}
+		}
+		// keep = 0: the full table; otherwise a sub-view that drops about one
+		// row in keep+1.
+		v := (&Table{n: rows}).All()
+		inView := func(r int32) (int, bool) { return int(r), true }
+		if keep != 0 {
+			pos := map[int32]int{}
+			vrows := []int{}
+			for r := 0; r < rows; r++ {
+				if rng.Intn(int(keep)+1) != 0 {
+					pos[int32(r)] = len(vrows)
+					vrows = append(vrows, r)
+				}
+			}
+			v = v.t.ViewOf(vrows)
+			inView = func(r int32) (int, bool) { p, ok := pos[r]; return p, ok }
+		}
+
+		type visit struct{ pos, row int }
+		var want []visit
+		for _, r := range naiveIntersect(lists) {
+			if p, ok := inView(r); ok {
+				want = append(want, visit{p, int(r)})
+			}
+		}
+		walk := func(bits []*Bitset) (got []visit, entries, words int64) {
+			entries, words = v.EachInAll(lists, func(pos, row int) { got = append(got, visit{pos, row}) }, bits...)
+			return got, entries, words
+		}
+		shortest := len(lists[0])
+		for _, l := range lists {
+			if len(l) < shortest {
+				shortest = len(l)
+			}
+		}
+		gallop, _, gallopWords := walk(nil)
+		probed, entries, words := walk(bits)
+		if gallopWords != 0 {
+			t.Fatalf("all-gallop walk read %d bitset words", gallopWords)
+		}
+		if words > int64(shortest)*int64(k-1) {
+			t.Fatalf("probed %d words, more than %d driver entries × %d other lists", words, shortest, k-1)
+		}
+		if shadowed == k && entries+words > int64(shortest)*int64(k) {
+			t.Fatalf("every list has a bitset, yet read %d entries + %d words > %d × %d", entries, words, shortest, k)
+		}
+		for name, got := range map[string][]visit{"all-gallop": gallop, "probing": probed} {
+			if len(got) != len(want) {
+				t.Fatalf("%s walk visited %d rows, want %d (rows=%d k=%d shadow=%b keep=%d)", name, len(got), len(want), rows, k, shadow, keep)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s walk visit %d = %+v, want %+v", name, i, got[i], want[i])
+				}
+			}
+		}
+	})
 }

@@ -53,7 +53,7 @@ var passFuncs = map[string]bool{
 	"countCandidatesScan":  true,
 	"countCandidatesIndex": true,
 	"expandParents":        true,
-	"applySelection":       true,
+	"raiseTopW":            true,
 	"rebuildTopW":          true,
 }
 

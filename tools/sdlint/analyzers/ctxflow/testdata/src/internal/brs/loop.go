@@ -6,7 +6,7 @@ type runner struct {
 
 func (rn *runner) canceled() bool       { return rn.ctxErr != nil }
 func (rn *runner) countCandidates() int { return 0 }
-func (rn *runner) applySelection()      {}
+func (rn *runner) raiseTopW()           {}
 func (rn *runner) housekeeping()        {}
 
 func (rn *runner) searchPolledMethod() {
@@ -15,7 +15,7 @@ func (rn *runner) searchPolledMethod() {
 		if rn.canceled() {
 			return
 		}
-		rn.applySelection()
+		rn.raiseTopW()
 	}
 }
 
@@ -33,7 +33,7 @@ func (rn *runner) searchPolledField() int {
 func (rn *runner) searchUnpolled() {
 	for i := 0; i < 10; i++ { // want "loop drives counting passes but never polls cancellation"
 		rn.countCandidates()
-		rn.applySelection()
+		rn.raiseTopW()
 	}
 }
 
@@ -49,6 +49,6 @@ func (rn *runner) idleLoop() {
 //sdlint:allow ctxflow teardown loop after the search result is sealed; nothing upstream is waiting
 func (rn *runner) drain() {
 	for i := 0; i < 2; i++ {
-		rn.applySelection()
+		rn.raiseTopW()
 	}
 }

@@ -111,6 +111,14 @@ func (s classSet) names() []string {
 	return out
 }
 
+func setOf(cs ...class) classSet {
+	var s classSet
+	for _, c := range cs {
+		s.add(c)
+	}
+	return s
+}
+
 func setOfNames(names []string) classSet {
 	var s classSet
 	for _, n := range names {
@@ -132,19 +140,19 @@ var statsFields = map[class][]string{
 }
 
 // rawOps maps "pkg.Recv.Func" (package NAME, so analysistest stubs
-// qualify) to the I/O class the callee performs. These are the ways the
+// qualify) to the I/O classes the callee performs. These are the ways the
 // engine touches storage below the accounted storage.Store layer; the
 // Store's own raw surfaces are declared in-source with //sdlint:io and
 // travel as facts.
-var rawOps = map[string]class{
-	"table.Index.Postings":    postings, // hands out the raw posting list
-	"table.Index.Lookup":      postings, // metered kernel: returns postingsRead
-	"table.View.EachInAll":    postings, // metered kernel: returns entries read
-	"table.Index.Bitmap":      bitmap,   // hands out the raw bitset
-	"table..AndCount":         bitmap,   // metered kernel: returns wordsRead
-	"table..AndEach":          bitmap,   // metered kernel: returns wordsRead
-	"table.View.Refine":       rowscan,  // full scan of the view's rows
-	"brs.runner.parallelRows": rowscan,  // chunked row fan-out of a counting pass
+var rawOps = map[string]classSet{
+	"table.Index.Postings":    setOf(postings),         // hands out the raw posting list
+	"table.Index.Lookup":      setOf(postings),         // metered kernel: returns postingsRead
+	"table.View.EachInAll":    setOf(postings, bitmap), // metered kernel: returns entries read and words probed
+	"table.Index.Bitmap":      setOf(bitmap),           // hands out the raw bitset
+	"table..AndCount":         setOf(bitmap),           // metered kernel: returns wordsRead
+	"table..AndEach":          setOf(bitmap),           // metered kernel: returns wordsRead
+	"table.View.Refine":       setOf(rowscan),          // full scan of the view's rows
+	"brs.runner.parallelRows": setOf(rowscan),          // chunked row fan-out of a counting pass
 }
 
 // exemptCallees perform no data-plane I/O despite living next to it:
@@ -228,9 +236,7 @@ func classify(pass *analysis.Pass) map[*types.Func]*funcInfo {
 				continue
 			}
 			fi := &funcInfo{decl: fd}
-			if cls, isRaw := rawOps[opKey(fn)]; isRaw {
-				fi.raw.add(cls)
-			}
+			fi.raw.union(rawOps[opKey(fn)])
 			for _, arg := range analysis.FuncDirectives(fd, "io") {
 				name, _, _ := cutWord(arg)
 				cls, ok := classByName[name]
@@ -262,9 +268,7 @@ func classify(pass *analysis.Pass) map[*types.Func]*funcInfo {
 // the local tables when it is declared in this package, from imported
 // facts otherwise, with the name-keyed seed table applying everywhere.
 func calleeClasses(pass *analysis.Pass, funcs map[*types.Func]*funcInfo, callee *types.Func) (raw, acc classSet) {
-	if cls, isRaw := rawOps[opKey(callee)]; isRaw {
-		raw.add(cls)
-	}
+	raw.union(rawOps[opKey(callee)])
 	if fi, isLocal := funcs[callee]; isLocal {
 		raw.union(fi.raw)
 		acc.union(fi.accounted)

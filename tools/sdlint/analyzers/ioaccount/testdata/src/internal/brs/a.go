@@ -27,13 +27,21 @@ func (rn *runner) countScanUnaccounted(rows []int) {
 	rn.parallelRows(len(rows), func(lo, hi, g int) {}) // want "brs.runner.parallelRows reads rows but this function never adds to Stats.RowsScanned"
 }
 
-func (rn *runner) gatherAccounted(lists [][]int32) {
-	read := rn.v.EachInAll(lists, func(pos, row int) {})
-	rn.stats.PostingsRead += read
+func (rn *runner) gatherAccounted(lists [][]int32, bits []*table.Bitset) {
+	entries, words := rn.v.EachInAll(lists, func(pos, row int) {}, bits...)
+	rn.stats.PostingsRead += entries
+	rn.stats.BitmapWordsRead += words
 }
 
-func (rn *runner) gatherUnaccounted(lists [][]int32) int64 {
-	return rn.v.EachInAll(lists, func(pos, row int) {}) // want "table.View.EachInAll reads posting entries"
+func (rn *runner) gatherUnaccounted(lists [][]int32) (int64, int64) {
+	return rn.v.EachInAll(lists, func(pos, row int) {}) // want "table.View.EachInAll reads posting entries" "table.View.EachInAll reads bitmap words"
+}
+
+// gatherDropsWords books the entries the walk read but not the bitset
+// words it probed: the walk reads both classes.
+func (rn *runner) gatherDropsWords(lists [][]int32, bits []*table.Bitset) {
+	entries, _ := rn.v.EachInAll(lists, func(pos, row int) {}, bits...) // want "table.View.EachInAll reads bitmap words but this function never adds to Stats.BitmapWordsRead"
+	rn.stats.PostingsRead += entries
 }
 
 func (rn *runner) bitmapAccounted(sets []*table.Bitset) int {

@@ -14,8 +14,10 @@ func (ix *Index) Lookup(r int) ([]int, int64)   { return nil, 0 }
 
 type View struct{}
 
-func (v *View) EachInAll(lists [][]int32, fn func(pos, row int)) int64 { return 0 }
-func (v *View) Refine(base []int) *View                                { return nil }
+func (v *View) EachInAll(lists [][]int32, fn func(pos, row int), bits ...*Bitset) (int64, int64) {
+	return 0, 0
+}
+func (v *View) Refine(base []int) *View { return nil }
 
 func AndCount(sets []*Bitset) (int, int64)           { return 0, 0 }
 func AndEach(sets []*Bitset, fn func(row int)) int64 { return 0 }
