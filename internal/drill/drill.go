@@ -115,54 +115,62 @@ func (n *Node) ID() uint64 { return n.id }
 
 // Session is an interactive drill-down over one table.
 //
-// A Session is a single-writer structure with no mutex of its own: the
-// mutable fields below are marked "guardedby: mu" for a lock the *owner*
-// holds — the serving layer wraps each Session in a server session whose
-// mu serializes every call (single-goroutine embedders need no lock at
-// all). Accessors therefore declare the contract with //sdlint:holds mu,
-// which the lockguard analyzer checks.
+// A Session is a single-writer structure with no mutex of its own: no
+// method — and no read of a Node it handed out — may overlap another. The
+// owner serializes: the serving layer keeps each Session behind a session
+// door that runs one visit at a time, and single-goroutine embedders need
+// nothing at all.
 type Session struct {
 	tab     *table.Table
 	store   *storage.Store
 	handler *sampling.Handler
 	svc     *search.Service
 	cfg     Config
-	root    *Node // guardedby: mu (the owner's lock; see the type comment)
+	root    *Node
 
 	// LastMethod records how the most recent expansion obtained its
 	// tuples: "direct" or a sampling.Method name.
-	LastMethod string // guardedby: mu
+	LastMethod string
 	// LastStats holds the BRS statistics of the most recent expansion.
-	LastStats brs.Stats // guardedby: mu
+	LastStats brs.Stats
 	// TotalStats accumulates BRS statistics across every expansion of the
 	// session — repeated drill-downs share the dataset's warmed posting
 	// lists, so TotalStats.CandidatesReused and .PostingsRead measure how
 	// much of a session's search work the caches absorbed.
-	TotalStats brs.Stats // guardedby: mu
+	TotalStats brs.Stats
 
 	// nextID feeds the session-scoped node ID sequence; byID is the O(1)
 	// id→node index of every currently displayed node, maintained by
 	// adopt/forget so serving layers resolve wire addresses without tree
 	// walks.
-	nextID uint64           // guardedby: mu
-	byID   map[uint64]*Node // guardedby: mu
+	nextID uint64
+	byID   map[uint64]*Node
+
+	// rev counts changes to what Save writes; see Revision.
+	rev uint64
 }
+
+// Revision identifies the state Save would write: it moves whenever the
+// displayed tree or the ID sequence changes (a node adopted, a subtree
+// collapsed, a count refined or upgraded by prefetch, a snapshot loaded)
+// and never otherwise, so equal revisions of one session mean equal
+// snapshots. An owner that persists snapshots compares it with the
+// revision it last wrote instead of tracking which calls mutate. A new
+// session is at revision 1 — its root's adoption — so 0 names no state.
+func (s *Session) Revision() uint64 { return s.rev }
 
 // adopt assigns n the next stable ID and registers it in the id index.
 // Every node enters the displayed tree through here exactly once.
-//
-//sdlint:holds mu — reached only from expansion paths the owner serializes
 func (s *Session) adopt(n *Node) {
 	s.nextID++
 	n.id = s.nextID
 	s.byID[n.id] = n
+	s.rev++
 }
 
 // forget removes a subtree's nodes from the id index; their IDs are never
 // reused, so stale wire addresses resolve to "unknown node" rather than to
 // an unrelated later node.
-//
-//sdlint:holds mu — reached only from Collapse/re-expansion under the owner's lock
 func (s *Session) forget(nodes []*Node) {
 	for _, n := range nodes {
 		delete(s.byID, n.id)
@@ -172,8 +180,6 @@ func (s *Session) forget(nodes []*Node) {
 
 // NodeByID resolves a stable node ID in O(1), or nil when no displayed
 // node carries it (never assigned, or removed by collapse/re-expansion).
-//
-//sdlint:holds mu — callers resolve IDs inside their session critical section
 func (s *Session) NodeByID(id uint64) *Node { return s.byID[id] }
 
 // NewSession starts a session on t. The root node is the trivial rule with
@@ -226,8 +232,6 @@ func NewSession(t *table.Table, cfg Config) (*Session, error) {
 }
 
 // Root returns the displayed tree's root.
-//
-//sdlint:holds mu — the tree is only stable inside the caller's critical section
 func (s *Session) Root() *Node { return s.root }
 
 // K returns the normalized rules-per-expansion setting.
@@ -284,11 +288,14 @@ func (s *Session) ExpandStarCtx(ctx context.Context, n *Node, c int) error {
 // Collapse removes n's children — the roll-up of Section 2.3. The removed
 // subtree's node IDs leave the id index and are never reused.
 func (s *Session) Collapse(n *Node) {
+	if len(n.Children) == 0 {
+		return
+	}
 	s.forget(n.Children)
 	n.Children = nil
+	s.rev++
 }
 
-//sdlint:holds mu — reached only from Expand*/DrillDown paths the owner serializes
 func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter) error {
 	if n.Expanded() {
 		s.Collapse(n)
@@ -355,8 +362,6 @@ func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter) error 
 // routing flags (Sampled, Degraded, NoCache) that decide whether the
 // request may touch the shared answer cache at all. Kind-specific fields
 // (Resolve, MaxWeightFor, Yield, deadlines) are filled by the caller.
-//
-//sdlint:holds mu — reached only from expansion paths the owner serializes
 func (s *Session) searchRequest(kind search.Kind, r rule.Rule, w weight.Weighter, degraded bool) search.Request {
 	return search.Request{
 		Kind:      kind,
@@ -376,8 +381,6 @@ func (s *Session) searchRequest(kind search.Kind, r rule.Rule, w weight.Weighter
 
 // recordStats files one expansion's BRS statistics: the latest snapshot
 // and the session running totals.
-//
-//sdlint:holds mu — reached only from expansion paths the owner serializes
 func (s *Session) recordStats(stats brs.Stats) {
 	s.LastStats = stats
 	s.TotalStats.Add(stats)
@@ -386,8 +389,6 @@ func (s *Session) recordStats(stats brs.Stats) {
 // recordAuxStats accumulates statistics of a non-expansion search (refine,
 // traditional) without overwriting LastStats, which by contract reflects
 // the most recent *expansion*.
-//
-//sdlint:holds mu — reached only from paths the owner serializes
 func (s *Session) recordAuxStats(stats brs.Stats) {
 	s.TotalStats.Add(stats)
 }
@@ -397,8 +398,6 @@ func (s *Session) recordAuxStats(stats brs.Stats) {
 // the table's inverted index through the accounting store (no full scan,
 // no materialized copy). scale converts view aggregates to table
 // estimates; exact reports whether they need no scaling.
-//
-//sdlint:holds mu — reached only from expansion paths the owner serializes
 func (s *Session) coveredView(r rule.Rule, degraded bool) (view *table.View, scale float64, exact bool, err error) {
 	if s.useSample(r, degraded) {
 		v, err := s.handler.GetSample(r)
@@ -506,6 +505,7 @@ func (s *Session) RefineNode(n *Node) bool {
 	n.CILow, n.CIHigh = resp.Count, resp.Count
 	n.HasCI = false
 	n.Exact = true
+	s.rev++
 	return true
 }
 
@@ -534,8 +534,6 @@ func (s *Session) Traditional(n *Node, c int) ([]baseline.Group, error) {
 // tree: every link of its parent chain must still list it (or its
 // ancestor) as a child, and the chain must end at the root. Collapse and
 // re-expansion replace child slices, so orphaned nodes fail the check.
-//
-//sdlint:holds mu — walks parent links the owner's lock keeps consistent
 func (s *Session) displayed(n *Node) bool {
 	for cur := n; ; {
 		p := cur.parent
@@ -558,8 +556,6 @@ func (s *Session) displayed(n *Node) bool {
 
 // ProvisionalNodes lists displayed nodes whose counts are still sample
 // estimates, in display (pre-order) order — the refiner's work queue.
-//
-//sdlint:holds mu — callers enumerate inside their session critical section
 func (s *Session) ProvisionalNodes() []*Node { return s.ProvisionalNodesIn(s.root) }
 
 // ProvisionalNodesIn is ProvisionalNodes restricted to n's subtree.
@@ -581,8 +577,6 @@ func (s *Session) ProvisionalNodesIn(n *Node) []*Node {
 // prefetch rebuilds samples for the displayed tree's likely next
 // drill-downs and upgrades displayed counts to exact values learned during
 // the prefetching scan.
-//
-//sdlint:holds mu — reached only from expansion paths the owner serializes
 func (s *Session) prefetch() {
 	troot := s.buildTree(s.root, nil)
 	if s.cfg.ProbModel != nil {
@@ -590,7 +584,7 @@ func (s *Session) prefetch() {
 	} else {
 		sampling.UniformLeafProbs(troot)
 	}
-	if _, err := s.handler.Prefetch(troot, sampling.PrefetchOptions{}); err != nil {
+	if _, err := s.handler.Prefetch(troot); err != nil {
 		return // prefetching is best-effort; the next expand will Create
 	}
 	// Samples created by the prefetch carry exact coverage counts; reflect
@@ -607,6 +601,7 @@ func (s *Session) prefetch() {
 			node.CILow, node.CIHigh = node.Count, node.Count
 			node.HasCI = false
 			node.Exact = true
+			s.rev++
 		}
 	}
 }
@@ -632,8 +627,6 @@ func (s *Session) observeDrill(n *Node) {
 }
 
 // buildTree mirrors the displayed tree into the sampling model's shape.
-//
-//sdlint:holds mu — reached only from expansion paths the owner serializes
 func (s *Session) buildTree(n *Node, parent *sampling.TreeNode) *sampling.TreeNode {
 	tn := &sampling.TreeNode{Rule: n.Rule, Count: n.Count}
 	if n == s.root {

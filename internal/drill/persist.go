@@ -45,8 +45,6 @@ type snapshot struct {
 }
 
 // Save writes the displayed tree as JSON.
-//
-//sdlint:holds mu — snapshots the tree inside the caller's critical section
 func (s *Session) Save(w io.Writer) error {
 	snap := snapshot{
 		Columns: append([]string{}, s.tab.ColumnNames()...),
@@ -83,8 +81,6 @@ func (s *Session) snapshotOf(n *Node) snapshotNode {
 // Load replaces the displayed tree with a previously saved one. The
 // session's table must have the same column names; rule values absent from
 // the current table are rejected (the snapshot describes different data).
-//
-//sdlint:holds mu — replaces the tree inside the caller's critical section
 func (s *Session) Load(r io.Reader) error {
 	var snap snapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
@@ -119,6 +115,7 @@ func (s *Session) Load(r io.Reader) error {
 	s.byID = byID
 	s.nextID = max(snap.NextID, maxID)
 	s.root = root
+	s.rev++
 	return nil
 }
 

@@ -10,8 +10,6 @@ import (
 // row of column names plus the aggregate and Weight columns, then the
 // displayed tree in depth-first order with ". " markers per depth level
 // (matching Tables 2–3 of the paper).
-//
-//sdlint:holds mu — renders the tree inside the caller's critical section
 func (s *Session) Render() string {
 	headers := append(append([]string{}, s.tab.ColumnNames()...), s.cfg.Agg.Name(), "Weight")
 	var rows [][]string

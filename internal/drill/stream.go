@@ -33,7 +33,6 @@ func (s *Session) ExpandStreamCtx(ctx context.Context, n *Node, maxRules int, bu
 	return s.expandStream(ctx, n, s.cfg.Weighter, maxRules, budget, onRule)
 }
 
-//sdlint:holds mu — reached only from ExpandStream* paths the owner serializes
 func (s *Session) expandStream(ctx context.Context, n *Node, w weight.Weighter, maxRules int, budget time.Duration, onRule func(*Node) bool) error {
 	if n.Expanded() {
 		s.Collapse(n)

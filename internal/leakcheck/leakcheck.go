@@ -1,10 +1,10 @@
 // Package leakcheck verifies at the end of a test binary that no
-// goroutine outlived the tests — the runtime complement to the goflow
-// static analyzer. goflow proves every spawn in the serving layers is
-// tied to a WaitGroup or declared detached; leakcheck catches what
-// static analysis cannot: a drain that is wired up but never called, a
-// Done skipped on an error path, a goroutine blocked forever on a
-// channel nobody closes.
+// goroutine outlived the tests. The serving layer starts its background
+// work through a task group that counts every spawn; leakcheck is the
+// proof that the counting drains — and catches what no structure can
+// rule out: a goroutine started some other way, a drain that is wired
+// up but never called, a goroutine blocked forever on a channel nobody
+// closes.
 //
 // Wire it into a package with a one-line TestMain:
 //

@@ -1,7 +1,9 @@
 package sampling
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"smartdrill/internal/rule"
@@ -275,4 +277,96 @@ func BenchmarkAllocator(b *testing.B) {
 			AllocateConvex(root, 50000, 5000, ConvexOptions{})
 		}
 	})
+}
+
+// AllocateBrute solves Problem 5 exactly by exhaustive search over
+// candidate sizes — the oracle the DP is cross-checked against on tiny
+// instances.
+// Candidate n values per node are 0, minSS, and the ceil(minSS/S) points.
+func AllocateBrute(root *TreeNode, m, minSS int) (Allocation, float64) {
+	var nodes []*TreeNode
+	var walk func(n *TreeNode)
+	walk = func(n *TreeNode) {
+		nodes = append(nodes, n)
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(root)
+
+	cands := make([][]int, len(nodes))
+	for i, n := range nodes {
+		set := map[int]struct{}{0: {}, minCap(minSS, n): {}}
+		for _, c := range n.Children {
+			if len(c.Children) == 0 {
+				if s := selectivity(n, c); s > 0 {
+					set[minCap(int(math.Ceil(float64(minSS)/s)), n)] = struct{}{}
+				}
+			}
+		}
+		for v := range set {
+			cands[i] = append(cands[i], v)
+		}
+		sort.Ints(cands[i])
+	}
+
+	parentOf := map[*TreeNode]*TreeNode{}
+	var link func(n *TreeNode)
+	link = func(n *TreeNode) {
+		for _, c := range n.Children {
+			parentOf[c] = n
+			link(c)
+		}
+	}
+	link(root)
+
+	bestProb := -1.0
+	var bestAlloc Allocation
+	sizes := make([]int, len(nodes))
+	var rec func(i, used int)
+	rec = func(i, used int) {
+		if used > m {
+			return
+		}
+		if i == len(nodes) {
+			prob := 0.0
+			for j, n := range nodes {
+				if len(n.Children) > 0 {
+					continue
+				}
+				ess := float64(sizes[j])
+				if p := parentOf[n]; p != nil {
+					for jj, nn := range nodes {
+						if nn == p {
+							ess += float64(sizes[jj]) * selectivity(p, n)
+						}
+					}
+				}
+				satisfied := ess >= float64(minSS)
+				if n.Count > 0 && n.Count < float64(minSS) && ess >= n.Count {
+					satisfied = true // exhaustive sample
+				}
+				if satisfied {
+					prob += n.Prob
+				}
+			}
+			if prob > bestProb || (prob == bestProb && bestAlloc != nil && used < bestAlloc.TotalSize()) {
+				bestProb = prob
+				bestAlloc = Allocation{}
+				for j, n := range nodes {
+					if sizes[j] > 0 {
+						bestAlloc[n.Rule.Key()] = sizes[j]
+					}
+				}
+			}
+			return
+		}
+		for _, v := range cands[i] {
+			sizes[i] = v
+			rec(i+1, used+v)
+		}
+		sizes[i] = 0
+	}
+	rec(0, 0)
+	return bestAlloc, bestProb
 }

@@ -6,45 +6,27 @@ import (
 	"smartdrill/internal/rule"
 )
 
+// prefetchSlack inflates minSS during prefetch allocation: an allocation
+// sized exactly at minSS leaves ~half of drill-downs marginally short once
+// reservoir variance realizes, forcing needless Create scans.
+const prefetchSlack = 1.1
+
 // Prefetch implements the Section 4.3 background pass: given the currently
 // displayed tree (with estimated counts and drill probabilities on its
-// leaves), compute the optimal memory allocation and rebuild all targeted
-// samples in a single accounted scan, so the user's likely next drill-down
-// is served by Find or Combine instead of Create.
-//
-// The allocator defaults to the Problem 5 DP; set UseConvex to use the
-// hinge-loss relaxation instead (exercised by the ablation bench).
-type PrefetchOptions struct {
-	UseConvex bool
-	Convex    ConvexOptions
-	// Slack inflates minSS during allocation (default 1.1): an allocation
-	// sized exactly at minSS leaves ~half of drill-downs marginally short
-	// once reservoir variance realizes, forcing needless Create scans.
-	Slack float64
-}
-
-// Prefetch reallocates sample memory for the displayed tree and rebuilds
-// samples in one scan. Existing samples whose filters keep a nonzero
-// allocation are replaced (their rows could be reused; a fresh reservoir
-// keeps every sample exactly uniform). Returns the allocation used.
-func (h *Handler) Prefetch(root *TreeNode, opts PrefetchOptions) (Allocation, error) {
-	slack := opts.Slack
-	if slack <= 0 {
-		slack = 1.1
-	}
-	allocMinSS := int(float64(h.MinSS) * slack)
+// leaves), compute the optimal memory allocation (the Problem 5 DP) and
+// rebuild all targeted samples in a single accounted scan, so the user's
+// likely next drill-down is served by Find or Combine instead of Create.
+// Existing samples whose filters keep a nonzero allocation are replaced
+// (their rows could be reused; a fresh reservoir keeps every sample exactly
+// uniform). Returns the allocation used.
+func (h *Handler) Prefetch(root *TreeNode) (Allocation, error) {
+	allocMinSS := int(float64(h.MinSS) * prefetchSlack)
 	if allocMinSS > h.M {
 		allocMinSS = h.M
 	}
-	var alloc Allocation
-	if opts.UseConvex {
-		alloc, _ = AllocateConvex(root, h.M, allocMinSS, opts.Convex)
-	} else {
-		var err error
-		alloc, _, err = AllocateDP(root, h.M, allocMinSS)
-		if err != nil {
-			return nil, err
-		}
+	alloc, _, err := AllocateDP(root, h.M, allocMinSS)
+	if err != nil {
+		return nil, err
 	}
 
 	// Index tree rules by key for filter lookup.

@@ -55,7 +55,7 @@ func TestPrefetchBuildsAllocatedSamples(t *testing.T) {
 	}
 	UniformLeafProbs(root)
 
-	alloc, err := h.Prefetch(root, PrefetchOptions{})
+	alloc, err := h.Prefetch(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,20 +93,15 @@ func TestPrefetchBuildsAllocatedSamples(t *testing.T) {
 	}
 }
 
+// TestPrefetchConvexOption: the Problem 6 relaxation, which Prefetch does
+// not use (it runs the DP), stays within the memory budget on a prefetch-
+// shaped tree.
 func TestPrefetchConvexOption(t *testing.T) {
 	tab := grid(20000, 4, 4)
-	store := storage.NewStore(tab)
-	h, err := NewHandler(store, 10000, 1000, NewTestRNG(8))
-	if err != nil {
-		t.Fatal(err)
-	}
 	root := &TreeNode{Rule: rule.Trivial(2), Count: float64(tab.NumRows())}
 	r, _ := tab.EncodeRule(map[string]string{"A": "a"})
 	root.Children = append(root.Children, &TreeNode{Rule: r, Count: 5000, Prob: 1})
-	alloc, err := h.Prefetch(root, PrefetchOptions{UseConvex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	alloc, _ := AllocateConvex(root, 10000, 1000, ConvexOptions{})
 	if alloc.TotalSize() > 10000 {
 		t.Fatalf("convex allocation %d over budget", alloc.TotalSize())
 	}
@@ -122,7 +117,7 @@ func TestPrefetchEmptyTree(t *testing.T) {
 	// A root with zero count gets no allocation; prefetch must be a no-op
 	// rather than an error.
 	root := &TreeNode{Rule: rule.Trivial(2), Count: 0}
-	if _, err := h.Prefetch(root, PrefetchOptions{}); err != nil {
+	if _, err := h.Prefetch(root); err != nil {
 		t.Fatal(err)
 	}
 	if store.Stats().FullScans != 0 {

@@ -26,12 +26,12 @@ import (
 	"container/list"
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"smartdrill/internal/baseline"
 	"smartdrill/internal/brs"
+	"smartdrill/internal/guarded"
 	"smartdrill/internal/rule"
 	"smartdrill/internal/score"
 	"smartdrill/internal/storage"
@@ -212,12 +212,8 @@ type flight struct {
 // is not usable; construct with NewService. All methods are safe for
 // concurrent use.
 type Service struct {
-	cfg Config
-
-	mu      sync.Mutex
-	lru     *list.List            // guardedby: mu (front = most recent; values are *lruItem)
-	byKey   map[key]*list.Element // guardedby: mu
-	flights map[key]*flight       // guardedby: mu
+	cfg   Config
+	state guarded.Value[cacheState]
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -228,6 +224,14 @@ type Service struct {
 	// on another request's in-flight execution — a deterministic
 	// synchronization point for concurrency tests. Never set in production.
 	onFlightWait func()
+}
+
+// cacheState is everything the service's lock protects: the answer cache
+// and the table of in-flight executions.
+type cacheState struct {
+	lru     *list.List // front = most recent; values are *lruItem
+	byKey   map[key]*list.Element
+	flights map[key]*flight
 }
 
 type lruItem struct {
@@ -241,10 +245,12 @@ func NewService(cfg Config) *Service {
 		cfg.Entries = DefaultEntries
 	}
 	return &Service{
-		cfg:     cfg,
-		lru:     list.New(),
-		byKey:   make(map[key]*list.Element),
-		flights: make(map[key]*flight),
+		cfg: cfg,
+		state: guarded.New(cacheState{
+			lru:     list.New(),
+			byKey:   make(map[key]*list.Element),
+			flights: make(map[key]*flight),
+		}),
 	}
 }
 
@@ -260,9 +266,8 @@ type Counters struct {
 
 // Counters returns a snapshot of the cache counters.
 func (s *Service) Counters() Counters {
-	s.mu.Lock()
-	entries := s.lru.Len()
-	s.mu.Unlock()
+	var entries int
+	s.state.Do(func(st *cacheState) { entries = st.lru.Len() })
 	return Counters{
 		Entries:           entries,
 		Hits:              s.hits.Load(),
@@ -316,14 +321,29 @@ func (s *Service) Run(ctx context.Context, req Request) (Response, error) {
 	}
 	k := s.keyOf(req)
 	for {
-		s.mu.Lock()
-		if e, ok := s.lookup(k); ok {
-			s.mu.Unlock()
+		// One critical section decides this request's role: served from
+		// the cache (e), waiting on another request's execution (f), or
+		// leading a new one (f, leader).
+		var (
+			e      *entry
+			f      *flight
+			leader bool
+		)
+		s.state.Do(func(st *cacheState) {
+			if e = st.lookup(k); e != nil {
+				return
+			}
+			if f = st.flights[k]; f == nil {
+				f = &flight{done: make(chan struct{})}
+				st.flights[k] = f
+				leader = true
+			}
+		})
+		if e != nil {
 			s.hits.Add(1)
 			return replay(e, req, brs.Stats{CacheHits: 1}), nil
 		}
-		if f, ok := s.flights[k]; ok {
-			s.mu.Unlock()
+		if !leader {
 			if s.onFlightWait != nil {
 				s.onFlightWait()
 			}
@@ -349,17 +369,14 @@ func (s *Service) Run(ctx context.Context, req Request) (Response, error) {
 			s.waits.Add(1)
 			return replay(f.entry, req, brs.Stats{SingleflightWaits: 1}), nil
 		}
-		f := &flight{done: make(chan struct{})}
-		s.flights[k] = f
-		s.mu.Unlock()
 
 		resp, e, err := s.execute(ctx, req, true)
-		s.mu.Lock()
-		delete(s.flights, k)
-		if err == nil && e != nil {
-			s.insert(k, e)
-		}
-		s.mu.Unlock()
+		s.state.Do(func(st *cacheState) {
+			delete(st.flights, k)
+			if err == nil && e != nil {
+				st.insert(k, e, s.cfg.Entries)
+			}
+		})
 		f.entry, f.err = e, err
 		close(f.done)
 		if err == nil {
@@ -370,33 +387,29 @@ func (s *Service) Run(ctx context.Context, req Request) (Response, error) {
 	}
 }
 
-// lookup finds and refreshes a cached entry.
-//
-//sdlint:holds mu — called only under Run's critical section
-func (s *Service) lookup(k key) (*entry, bool) {
-	el, ok := s.byKey[k]
+// lookup finds and refreshes a cached entry, nil when absent.
+func (st *cacheState) lookup(k key) *entry {
+	el, ok := st.byKey[k]
 	if !ok {
-		return nil, false
+		return nil
 	}
-	s.lru.MoveToFront(el)
-	return el.Value.(*lruItem).e, true
+	st.lru.MoveToFront(el)
+	return el.Value.(*lruItem).e
 }
 
 // insert files a completed search, evicting the least recently used
-// entry beyond the configured bound.
-//
-//sdlint:holds mu — called only under Run's critical section
-func (s *Service) insert(k key, e *entry) {
-	if el, ok := s.byKey[k]; ok {
-		s.lru.MoveToFront(el)
+// entries beyond bound.
+func (st *cacheState) insert(k key, e *entry, bound int) {
+	if el, ok := st.byKey[k]; ok {
+		st.lru.MoveToFront(el)
 		el.Value.(*lruItem).e = e
 		return
 	}
-	s.byKey[k] = s.lru.PushFront(&lruItem{k: k, e: e})
-	for s.lru.Len() > s.cfg.Entries {
-		oldest := s.lru.Back()
-		s.lru.Remove(oldest)
-		delete(s.byKey, oldest.Value.(*lruItem).k)
+	st.byKey[k] = st.lru.PushFront(&lruItem{k: k, e: e})
+	for st.lru.Len() > bound {
+		oldest := st.lru.Back()
+		st.lru.Remove(oldest)
+		delete(st.byKey, oldest.Value.(*lruItem).k)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"testing"
 
+	"smartdrill"
 	"smartdrill/api"
 )
 
@@ -151,16 +152,14 @@ func TestStreamCancelStopsSearch(t *testing.T) {
 	if !ok {
 		t.Fatal("canceled session vanished")
 	}
-	sess.mu.Lock()
-	canceledStats := sess.eng.TotalSearchStats()
-	sess.mu.Unlock()
+	var canceledStats smartdrill.SearchStats
+	sess.do(func(e *smartdrill.Engine) { canceledStats = e.TotalSearchStats() })
 	if canceledStats.Passes == 0 && canceledStats.PostingsRead == 0 {
 		t.Fatal("canceled search recorded no work at all")
 	}
 	ctlSess, _ := s.store.get(controlID)
-	ctlSess.mu.Lock()
-	ctlStats := ctlSess.eng.TotalSearchStats()
-	ctlSess.mu.Unlock()
+	var ctlStats smartdrill.SearchStats
+	ctlSess.do(func(e *smartdrill.Engine) { ctlStats = e.TotalSearchStats() })
 	if canceledStats.RowsScanned+canceledStats.PostingsRead >= ctlStats.RowsScanned+ctlStats.PostingsRead {
 		t.Fatalf("canceled search read %d rows+postings, control read %d — the abort saved nothing",
 			canceledStats.RowsScanned+canceledStats.PostingsRead, ctlStats.RowsScanned+ctlStats.PostingsRead)

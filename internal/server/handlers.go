@@ -55,7 +55,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req api.CreateSessionRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, api.ErrBadRequest, err.Error())
 		return
 	}
@@ -77,18 +77,11 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err.Error())
 		return
 	}
-	sess := &session{
-		id:      newSessionID(),
-		dataset: req.Dataset,
-		created: time.Now().UTC(),
-		req:     req,
-		eng:     eng,
-	}
+	sess := s.newSession(newSessionID(), req.Dataset, time.Now().UTC(), req, eng, false)
 	s.putSession(sess)
-	s.persistSession(sess)
-	sess.mu.Lock()
-	tree := encodeTree(sess)
-	sess.mu.Unlock()
+	// A new session is ahead of disk, so this first visit also saves it.
+	var tree *api.Tree
+	sess.do(func(e *smartdrill.Engine) { tree = encodeTree(sess, e) })
 	writeJSON(w, http.StatusCreated, tree)
 }
 
@@ -167,26 +160,32 @@ func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request) (*session
 	return sess, true
 }
 
-// resolveNode resolves a node reference — a stable ID, empty meaning the
-// root. The caller must hold the session's lock. On failure it writes the
-// error response and returns false: an unknown (or no-longer-displayed) ID
-// is not_found, a malformed ID is bad_rule.
-//
-//sdlint:holds mu — every handler resolves nodes inside its session critical section
-func resolveNode(w http.ResponseWriter, sess *session, nodeID string) (*smartdrill.Node, bool) {
-	if nodeID == "" {
-		return sess.eng.Root(), true
-	}
-	n, err := sess.eng.NodeByID(nodeID)
-	if err != nil {
-		code := api.ErrBadRule
-		if errors.Is(err, smartdrill.ErrUnknownNode) {
-			code = api.ErrNotFound
+// Every session handler has the same shape: decode, one visit through the
+// session's door that computes the whole outcome (an error or an encoded
+// response), then write. Nothing is written from inside the door — the SSE
+// stream's rule events, which must go out as they are found, excepted — so
+// a slow client reading the response never holds up the session, and every
+// response follows the visit's write-through.
+
+// visitNode runs fn inside sess's door on the node nodeID addresses — a
+// stable ID, empty meaning the root — and returns fn's verdict. An unknown
+// (or no-longer-displayed) ID is not_found, a malformed ID is bad_rule.
+func visitNode(sess *session, nodeID string, fn func(e *smartdrill.Engine, n *smartdrill.Node) *api.Error) (fail *api.Error) {
+	sess.do(func(e *smartdrill.Engine) {
+		n := e.Root()
+		if nodeID != "" {
+			var err error
+			if n, err = e.NodeByID(nodeID); err != nil {
+				fail = &api.Error{Code: api.ErrBadRule, Message: err.Error()}
+				if errors.Is(err, smartdrill.ErrUnknownNode) {
+					fail.Code = api.ErrNotFound
+				}
+				return
+			}
 		}
-		writeError(w, code, err.Error())
-		return nil, false
-	}
-	return n, true
+		fail = fn(e, n)
+	})
+	return fail
 }
 
 func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
@@ -194,9 +193,8 @@ func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sess.mu.Lock()
-	tree := encodeTree(sess)
-	sess.mu.Unlock()
+	var tree *api.Tree
+	sess.do(func(e *smartdrill.Engine) { tree = encodeTree(sess, e) })
 	writeJSON(w, http.StatusOK, tree)
 }
 
@@ -206,59 +204,52 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.DrillRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, api.ErrBadRequest, err.Error())
 		return
 	}
-	// Encode under the session lock, write after releasing it: a slow
-	// client reading the response must not hold up the session. The
-	// request context rides into the BRS search, so a client that
+	var (
+		resp        api.DrillResponse
+		provisional []*smartdrill.Node
+	)
+	// The request context rides into the BRS search, so a client that
 	// abandons the request stops the search at the next pass boundary.
-	sess.mu.Lock()
-	n, ok := resolveNode(w, sess, req.Node)
-	if !ok {
-		sess.mu.Unlock()
-		return
-	}
-	var err error
-	if req.Column != "" {
-		err = sess.eng.DrillDownStarCtx(r.Context(), n, req.Column)
-	} else {
-		err = sess.eng.DrillDownCtx(r.Context(), n)
-	}
-	if err != nil {
-		sess.mu.Unlock()
-		// A failed re-drill has already collapsed the node it replaces.
-		s.persistSession(sess)
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			writeError(w, api.ErrCanceled, "request canceled during search: "+err.Error())
-			return
+	fail := visitNode(sess, req.Node, func(e *smartdrill.Engine, n *smartdrill.Node) *api.Error {
+		var err error
+		if req.Column != "" {
+			err = e.DrillDownStarCtx(r.Context(), n, req.Column)
+		} else {
+			err = e.DrillDownCtx(r.Context(), n)
 		}
-		writeError(w, api.ErrBadRule, err.Error())
+		switch {
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			return &api.Error{Code: api.ErrCanceled, Message: "request canceled during search: " + err.Error()}
+		case err != nil:
+			return &api.Error{Code: api.ErrBadRule, Message: err.Error()}
+		}
+		resp = api.DrillResponse{
+			Access: e.LastAccessMethod(),
+			Search: encodeStats(e.LastSearchStats()),
+			Node:   encodeNode(e, n),
+		}
+		// Under degraded admission pressure the refinement is skipped, not
+		// queued: provisional estimates are the graceful-degradation answer,
+		// and the refiner's extra counting passes are exactly the load the
+		// ladder is trying to shed. The nodes stay provisional and refine on
+		// demand (or on a later non-degraded drill).
+		if s.cfg.BackgroundRefine && !smartdrill.IsDegraded(r.Context()) {
+			provisional = e.ProvisionalNodesIn(n)
+		}
+		return nil
+	})
+	if fail != nil {
+		writeError(w, fail.Code, fail.Message)
 		return
 	}
-	stats := sess.eng.LastSearchStats()
-	resp := api.DrillResponse{
-		Access: sess.eng.LastAccessMethod(),
-		Search: encodeStats(stats),
-		Node:   encodeNode(sess.eng, n),
-	}
-	var provisional []*smartdrill.Node
-	// Under degraded admission pressure the refinement is skipped, not
-	// queued: provisional estimates are the graceful-degradation answer,
-	// and the refiner's extra counting passes are exactly the load the
-	// ladder is trying to shed. The nodes stay provisional and refine on
-	// demand (or on a later non-degraded drill).
-	if s.cfg.BackgroundRefine && !smartdrill.IsDegraded(r.Context()) {
-		provisional = sess.eng.ProvisionalNodesIn(n)
-	}
-	sess.mu.Unlock()
-	s.persistSession(sess)
 	if len(provisional) > 0 {
 		// Respond with the provisional estimates immediately; exact counts
 		// arrive in the background and show up on the next /tree fetch.
-		s.refiners.Add(1)
-		go s.refineNodes(sess, provisional)
+		s.refineInBackground(sess, provisional)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -269,20 +260,20 @@ func (s *Server) handleCollapse(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.DrillRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, api.ErrBadRequest, err.Error())
 		return
 	}
-	sess.mu.Lock()
-	n, ok := resolveNode(w, sess, req.Node)
-	if !ok {
-		sess.mu.Unlock()
+	var resp api.DrillResponse
+	fail := visitNode(sess, req.Node, func(e *smartdrill.Engine, n *smartdrill.Node) *api.Error {
+		e.Collapse(n)
+		resp = api.DrillResponse{Node: encodeNode(e, n)}
+		return nil
+	})
+	if fail != nil {
+		writeError(w, fail.Code, fail.Message)
 		return
 	}
-	sess.eng.Collapse(n)
-	resp := api.DrillResponse{Node: encodeNode(sess.eng, n)}
-	sess.mu.Unlock()
-	s.persistSession(sess)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -296,21 +287,19 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.RefineRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, api.ErrBadRequest, err.Error())
 		return
 	}
-	sess.mu.Lock()
-	n, ok := resolveNode(w, sess, req.Node)
-	if !ok {
-		sess.mu.Unlock()
+	var resp api.RefineResponse
+	fail := visitNode(sess, req.Node, func(e *smartdrill.Engine, n *smartdrill.Node) *api.Error {
+		changed := e.RefineNode(n)
+		resp = api.RefineResponse{Changed: changed, Node: encodeNode(e, n)}
+		return nil
+	})
+	if fail != nil {
+		writeError(w, fail.Code, fail.Message)
 		return
-	}
-	changed := sess.eng.RefineNode(n)
-	resp := api.RefineResponse{Changed: changed, Node: encodeNode(sess.eng, n)}
-	sess.mu.Unlock()
-	if changed {
-		s.persistSession(sess)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -324,7 +313,7 @@ func (s *Server) handleTraditional(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.TraditionalRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, api.ErrBadRequest, err.Error())
 		return
 	}
@@ -332,16 +321,16 @@ func (s *Server) handleTraditional(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.ErrBadRequest, "column is required")
 		return
 	}
-	sess.mu.Lock()
-	n, ok := resolveNode(w, sess, req.Node)
-	if !ok {
-		sess.mu.Unlock()
-		return
-	}
-	groups, err := sess.eng.TraditionalDrillDown(n, req.Column)
-	sess.mu.Unlock()
-	if err != nil {
-		writeError(w, api.ErrBadRule, err.Error())
+	var groups []smartdrill.TraditionalGroup
+	fail := visitNode(sess, req.Node, func(e *smartdrill.Engine, n *smartdrill.Node) *api.Error {
+		var err error
+		if groups, err = e.TraditionalDrillDown(n, req.Column); err != nil {
+			return &api.Error{Code: api.ErrBadRule, Message: err.Error()}
+		}
+		return nil
+	})
+	if fail != nil {
+		writeError(w, fail.Code, fail.Message)
 		return
 	}
 	resp := api.TraditionalResponse{Groups: []api.TraditionalGroup{}}
@@ -360,10 +349,7 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	if sess != nil {
 		// Tombstone before the snapshot goes: a request or refiner still
 		// holding sess would otherwise write the file back afterwards.
-		// Taking persistMu waits out a write already in flight.
-		sess.persistMu.Lock()
-		sess.deleted = true
-		sess.persistMu.Unlock()
+		sess.tombstone()
 	}
 	onDisk := false
 	if s.backend != nil && validSnapshotID(id) {
@@ -381,11 +367,16 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, api.DeleteResponse{Deleted: id})
 }
 
-// decodeBody parses a JSON request body into v, rejecting unknown fields so
-// client typos surface as 400s instead of silently-default behavior. An
-// empty body decodes as the zero request.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps a request body. The largest legitimate v1 request is a
+// create with a handful of short fields; 1 MiB is orders of magnitude of
+// headroom and still bounds what one request can make the decoder buffer.
+const maxBodyBytes = 1 << 20
+
+// decodeBody parses a JSON request body of at most maxBodyBytes into v,
+// rejecting unknown fields so client typos surface as 400s instead of
+// silently-default behavior. An empty body decodes as the zero request.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		if errors.Is(err, io.EOF) {

@@ -43,12 +43,9 @@ func encodeNode(e *smartdrill.Engine, n *smartdrill.Node) *api.Node {
 	return out
 }
 
-// encodeTree converts a session's full displayed tree to wire form. The
-// caller must hold the session's lock.
-//
-//sdlint:holds mu — callers encode inside their session critical section
-func encodeTree(sess *session) *api.Tree {
-	e := sess.eng
+// encodeTree converts a session's full displayed tree to wire form, inside
+// the session's door.
+func encodeTree(sess *session, e *smartdrill.Engine) *api.Tree {
 	return &api.Tree{
 		ID:        sess.id,
 		Dataset:   sess.dataset,

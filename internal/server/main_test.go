@@ -7,7 +7,6 @@ import (
 )
 
 // TestMain fails the binary if any test leaks a goroutine — refiners,
-// warmers, SSE writers, and rehydration must all drain. goflow proves
-// statically that every spawn is tracked or declared detached; this
-// proves at runtime that the tracking actually drains.
+// warmers, SSE writers, and rehydration must all drain. The task groups
+// count every background spawn; this proves the counting drains.
 func TestMain(m *testing.M) { leakcheck.VerifyTestMain(m) }

@@ -7,13 +7,15 @@ import (
 	"fmt"
 	"time"
 
+	"smartdrill"
 	"smartdrill/api"
 )
 
 // Durable sessions: every session mutation writes through to the
-// configured SessionBackend as one self-contained record — the create
-// request (the engine-rebuild recipe) plus the engine's tree snapshot,
-// which persists stable node IDs. LRU eviction therefore demotes a
+// configured SessionBackend (by the session's door — see session.do) as
+// one self-contained record — the create request (the engine-rebuild
+// recipe) plus the engine's tree snapshot, which persists stable node IDs.
+// LRU eviction therefore demotes a
 // session from memory to disk instead of destroying it, a store miss
 // consults the backend before 404ing (rehydration), and a restarted
 // process resumes every persisted session id against the same snapshot
@@ -44,55 +46,6 @@ type sessionRecord struct {
 	Tree json.RawMessage `json:"tree"`
 }
 
-// persistSession writes sess through to the backend (write-through on
-// mutation). Callers must NOT hold sess.mu — the snapshot is taken under
-// it here. Concurrent persists of one session are ordered by a sequence
-// number so a slow older snapshot never overwrites a newer one.
-func (s *Server) persistSession(sess *session) {
-	if s.backend == nil {
-		return
-	}
-	var buf bytes.Buffer
-	sess.mu.Lock()
-	sess.seq++
-	seq := sess.seq
-	rec := sessionRecord{
-		Version: recordVersion,
-		ID:      sess.id,
-		Dataset: sess.dataset,
-		Created: sess.created,
-		Request: sess.req,
-	}
-	err := sess.eng.SaveState(&buf)
-	sess.mu.Unlock()
-	if err != nil {
-		s.persistFailures.Add(1)
-		s.cfg.Logger.Printf("session %s: snapshot failed: %v", sess.id, err)
-		return
-	}
-	rec.Tree = buf.Bytes()
-	data, err := json.Marshal(rec)
-	if err != nil {
-		s.persistFailures.Add(1)
-		s.cfg.Logger.Printf("session %s: encoding snapshot record failed: %v", sess.id, err)
-		return
-	}
-	sess.persistMu.Lock()
-	defer sess.persistMu.Unlock()
-	if sess.deleted || seq <= sess.savedSeq {
-		return // deleted meanwhile, or a newer snapshot already landed on disk
-	}
-	if err := s.backend.Save(sess.id, data); err != nil {
-		// Durability degraded, availability intact: the mutation already
-		// happened in memory and the next successful write-through will
-		// carry it (savedSeq stays put, so that write is not skipped).
-		s.persistFailures.Add(1)
-		s.cfg.Logger.Printf("session %s: persisting snapshot failed: %v", sess.id, err)
-		return
-	}
-	sess.savedSeq = seq
-}
-
 // loadRecord reads and decodes id's snapshot record, rejecting records of
 // a format version this build does not speak.
 func (s *Server) loadRecord(id string) (sessionRecord, error) {
@@ -117,18 +70,16 @@ func (s *Server) PersistFailures() uint64 { return s.persistFailures.Load() }
 
 // putSession inserts sess into the in-memory store. A session the insert
 // evicts is demoted to disk, not destroyed: write-through already keeps
-// its snapshot current, and a final best-effort persist here covers any
-// earlier failed write. Without a backend, eviction is what it always
+// its snapshot current, and one last empty visit through its door covers
+// any earlier failed write. Without a backend, eviction is what it always
 // was — the session is gone.
-//
-//sdlint:mutator
 func (s *Server) putSession(sess *session) {
 	evicted := s.store.put(sess)
 	if evicted == nil {
 		return
 	}
 	if s.backend != nil {
-		s.persistSession(evicted)
+		evicted.do(func(*smartdrill.Engine) {})
 		s.cfg.Logger.Printf("session %s evicted to disk (per-shard LRU, session cap %d)", evicted.id, s.cfg.MaxSessions)
 		return
 	}
@@ -140,9 +91,9 @@ func (s *Server) putSession(sess *session) {
 // building two engines; the double-check under it resolves the race to
 // one winner. Returns false when the id has no snapshot (or the snapshot
 // is unusable — wrong dataset, corrupt record, other format version), in
-// which case the caller falls through to its usual not-found path.
-//
-//sdlint:allow persistguard rehydration restores the snapshot just read; persisting it back would rewrite identical bytes
+// which case the caller falls through to its usual not-found path. The
+// restored session starts level with disk: it holds exactly the snapshot
+// just read, so nothing is written back until a request changes it.
 func (s *Server) rehydrate(id string) (*session, bool) {
 	if s.backend == nil || !validSnapshotID(id) {
 		return nil, false
@@ -179,13 +130,7 @@ func (s *Server) rehydrate(id string) (*session, bool) {
 			return nil, false
 		}
 	}
-	sess := &session{
-		id:      id,
-		dataset: rec.Dataset,
-		created: rec.Created,
-		req:     rec.Request,
-		eng:     eng,
-	}
+	sess := s.newSession(id, rec.Dataset, rec.Created, rec.Request, eng, true)
 	s.putSession(sess)
 	s.cfg.Logger.Printf("session %s rehydrated from snapshot (dataset %q)", id, rec.Dataset)
 	return sess, true

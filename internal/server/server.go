@@ -26,11 +26,11 @@
 // every session reading them, including one inverted index per dataset
 // (built at registration) that answers every session's rule filters by
 // posting-list intersection instead of per-request scans. Each session
-// owns a private Engine guarded by a per-session mutex, so operations on
-// one session serialize while distinct sessions run fully in parallel
-// (each expansion can additionally fan out across BRS workers). The
-// session registry itself is sharded to keep lookup contention off the hot
-// path.
+// owns a private Engine reachable only through the session's door
+// (session.do), which holds the per-session lock, so operations on one
+// session serialize while distinct sessions run fully in parallel (each
+// expansion can additionally fan out across BRS workers). The session
+// registry itself is sharded to keep lookup contention off the hot path.
 package server
 
 import (
@@ -48,6 +48,7 @@ import (
 
 	"smartdrill"
 	"smartdrill/api"
+	"smartdrill/internal/guarded"
 )
 
 // Config tunes a Server. Zero values get serving defaults.
@@ -202,8 +203,7 @@ type Server struct {
 	backend SessionBackend // durable session layer; nil = memory only
 	adm     *admission     // work-endpoint concurrency limiter; nil = unlimited
 
-	mu       sync.RWMutex
-	datasets map[string]dataset // guardedby: mu
+	datasets guarded.Value[map[string]dataset]
 
 	// rehydrateMu serializes backend rehydrations so two concurrent store
 	// misses on one session id build one engine, not two.
@@ -215,11 +215,11 @@ type Server struct {
 	// refiners tracks in-flight background refinement goroutines so tests
 	// and embedders can await quiescence (WaitRefiners) and graceful
 	// shutdown can drain them.
-	refiners sync.WaitGroup
+	refiners taskGroup
 	// warmers tracks in-flight dataset warming goroutines (WarmChildren),
 	// drained on shutdown like the refiners; warmCancel aborts their
 	// searches at the next counting-pass boundary.
-	warmers    sync.WaitGroup
+	warmers    taskGroup
 	warmCtx    context.Context
 	warmCancel context.CancelFunc
 
@@ -233,7 +233,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		store:    newSessionStore(cfg.MaxSessions, cfg.StoreShards),
 		backend:  cfg.Backend,
-		datasets: make(map[string]dataset),
+		datasets: guarded.New(make(map[string]dataset)),
 	}
 	s.warmCtx, s.warmCancel = context.WithCancel(context.Background())
 	if cfg.MaxConcurrent > 0 {
@@ -267,12 +267,9 @@ func (s *Server) RegisterDataset(name string, t *smartdrill.Table) {
 			Disabled: s.cfg.CacheOff,
 		}),
 	}
-	s.mu.Lock()
-	s.datasets[name] = d
-	s.mu.Unlock()
+	s.datasets.Do(func(m *map[string]dataset) { (*m)[name] = d })
 	if s.cfg.WarmChildren > 0 && !s.cfg.CacheOff {
-		s.warmers.Add(1)
-		go s.warmDataset(name, d)
+		s.warmers.Go(func() { s.warmDataset(name, d) })
 	}
 }
 
@@ -281,11 +278,9 @@ func (s *Server) RegisterDataset(name string, t *smartdrill.Table) {
 // engine built from an empty create request so the cache keys match the
 // ones default sessions will ask for. Warming is best-effort: failures
 // (including shutdown cancellation) are logged and abandoned, never
-// surfaced — the cache just stays cold.
-//
-//sdlint:allow persistguard warming drives a throwaway engine that never backs a stored session
+// surfaced — the cache just stays cold. The engine never backs a session,
+// so nothing here is persisted.
 func (s *Server) warmDataset(name string, d dataset) {
-	defer s.warmers.Done()
 	eng, err := s.buildEngine(d, api.CreateSessionRequest{Dataset: name})
 	if err != nil {
 		s.cfg.Logger.Printf("dataset %s: warming skipped: %v", name, err)
@@ -314,21 +309,20 @@ func (s *Server) warmDataset(name string, d dataset) {
 }
 
 // dataset looks up a registered dataset.
-func (s *Server) dataset(name string) (dataset, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	d, ok := s.datasets[name]
+func (s *Server) dataset(name string) (d dataset, ok bool) {
+	s.datasets.Do(func(m *map[string]dataset) { d, ok = (*m)[name] })
 	return d, ok
 }
 
 // datasetNames returns registered names in sorted order.
 func (s *Server) datasetNames() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.datasets))
-	for n := range s.datasets {
-		names = append(names, n)
-	}
+	var names []string
+	s.datasets.Do(func(m *map[string]dataset) {
+		names = make([]string, 0, len(*m))
+		for n := range *m {
+			names = append(names, n)
+		}
+	})
 	sort.Strings(names)
 	return names
 }
@@ -351,25 +345,17 @@ func (s *Server) WaitRefiners() { s.refiners.Wait() }
 // counters) before measuring.
 func (s *Server) WaitWarmers() { s.warmers.Wait() }
 
-// refineNodes is the background refiner: it re-counts each provisional
-// node exactly (one accounted pass per node), taking the session lock per
-// node so live drill requests on the same session interleave with
-// refinement instead of queueing behind all the passes. The refined
-// counts are persisted once at the end — losing a refinement to a crash
-// costs only re-deriving exact counts, never analyst state.
-func (s *Server) refineNodes(sess *session, nodes []*smartdrill.Node) {
-	defer s.refiners.Done()
-	changed := false
-	for _, n := range nodes {
-		sess.mu.Lock()
-		if sess.eng.RefineNode(n) {
-			changed = true
+// refineInBackground is the background refiner: it re-counts each
+// provisional node exactly (one accounted pass per node), one visit through
+// the session's door per node, so live drill requests on the same session
+// interleave with refinement instead of queueing behind all the passes —
+// and each refined count is written through as it lands.
+func (s *Server) refineInBackground(sess *session, nodes []*smartdrill.Node) {
+	s.refiners.Go(func() {
+		for _, n := range nodes {
+			sess.do(func(e *smartdrill.Engine) { e.RefineNode(n) })
 		}
-		sess.mu.Unlock()
-	}
-	if changed {
-		s.persistSession(sess)
-	}
+	})
 }
 
 func (s *Server) routes() http.Handler {
@@ -408,7 +394,9 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	}
 	s.logLimits(addr)
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }() //sdlint:detached listener goroutine; the select below consumes errc and Shutdown/Close unblocks it, so it ends with Serve
+	// The select below consumes errc and Shutdown/Close unblocks Serve, so
+	// the listener goroutine ends with this call.
+	go func() { errc <- srv.ListenAndServe() }()
 	select {
 	case err := <-errc:
 		return err
@@ -428,44 +416,16 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 		// background refiners so their exact counts (and write-through
 		// snapshots) land instead of being abandoned mid-count — and the
 		// cancelled warmers, which exit at their next pass boundary.
-		s.drainRefiners(shutCtx)
-		s.drainWarmers(shutCtx)
+		if !s.refiners.WaitCtx(shutCtx) {
+			s.cfg.Logger.Printf("shutdown grace expired with background refiners still in flight; abandoning them")
+		}
+		if !s.warmers.WaitCtx(shutCtx) {
+			s.cfg.Logger.Printf("shutdown grace expired with dataset warmers still in flight; abandoning them")
+		}
 		if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
 			return err
 		}
 		return nil
-	}
-}
-
-// drainRefiners waits for in-flight background refiners until ctx
-// expires, logging whether they drained or were abandoned.
-func (s *Server) drainRefiners(ctx context.Context) {
-	done := make(chan struct{})
-	//sdlint:detached drain waiter: exits when the refiners WaitGroup drains; abandoned by design if the grace period expires first
-	go func() {
-		s.refiners.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		s.cfg.Logger.Printf("shutdown grace expired with background refiners still in flight; abandoning them")
-	}
-}
-
-// drainWarmers waits for cancelled dataset warmers to notice the
-// cancellation and exit, within ctx.
-func (s *Server) drainWarmers(ctx context.Context) {
-	done := make(chan struct{})
-	//sdlint:detached drain waiter: exits when the warmers WaitGroup drains; abandoned by design if the grace period expires first
-	go func() {
-		s.warmers.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		s.cfg.Logger.Printf("shutdown grace expired with dataset warmers still in flight; abandoning them")
 	}
 }
 

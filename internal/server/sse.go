@@ -81,69 +81,70 @@ func (s *Server) handleDrillStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The search phase holds the session lock for its whole (budgeted)
-	// duration: a concurrent drill would mutate the tree under the running
-	// incremental search.
-	sess.mu.Lock()
-	n, ok := resolveNode(w, sess, nodeID)
-	if !ok {
-		sess.mu.Unlock()
+	// The search phase is one visit through the session's door, held for its
+	// whole (budgeted) duration: a concurrent drill would mutate the tree
+	// under the running incremental search. Rule events are flushed from
+	// inside it, the moment the search finds them. When the visit returns
+	// the tree is on disk — even a stream that found no rule has collapsed
+	// the node it re-drills.
+	ctx := r.Context()
+	var (
+		start    time.Time
+		err      error
+		rules    int
+		access   string
+		children []*smartdrill.Node
+	)
+	fail := visitNode(sess, nodeID, func(e *smartdrill.Engine, n *smartdrill.Node) *api.Error {
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.Header().Set("Cache-Control", "no-cache")
+		w.Header().Set("Connection", "keep-alive")
+		w.WriteHeader(http.StatusOK)
+		flusher.Flush()
+
+		start = time.Now()
+		err = e.DrillDownStreamCtx(ctx, n, maxRules, budget, func(child *smartdrill.Node) bool {
+			writeSSE(w, api.EventRule, encodeNode(e, child))
+			flusher.Flush()
+			rules++
+			return true
+		})
+		access = e.LastAccessMethod()
+		children = append(children, n.Children...)
+		return nil
+	})
+	if fail != nil {
+		writeError(w, fail.Code, fail.Message)
 		return
 	}
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	ctx := r.Context()
-	start := time.Now()
-	rules := 0
-	err := sess.eng.DrillDownStreamCtx(ctx, n, maxRules, budget, func(child *smartdrill.Node) bool {
-		writeSSE(w, api.EventRule, encodeNode(sess.eng, child))
-		flusher.Flush()
-		rules++
-		return true
-	})
-	access := sess.eng.LastAccessMethod()
-	children := append([]*smartdrill.Node{}, n.Children...)
-	sess.mu.Unlock()
-	// Even a stream that found no rule has collapsed the node it re-drills.
-	s.persistSession(sess)
 
 	// Refinement phase: replace every provisional count the search just
 	// streamed with the exact one (one accounted pass per rule), pushing a
 	// refine event as each lands. The analyst saw provisional rules within
 	// the interactive budget; the authoritative counts follow on the same
-	// connection. Unlike the search, refinement takes the session lock per
-	// node (the background refiner's discipline), so concurrent requests on
-	// this session interleave with the passes instead of queueing behind
-	// them — RefineNode skips any child a concurrent drill orphans.
+	// connection. Unlike the search, refinement is one visit per node (the
+	// background refiner's discipline), so concurrent requests on this
+	// session interleave with the passes instead of queueing behind them —
+	// RefineNode skips exact children and any child a concurrent drill
+	// orphans — and each exact count is on disk before its event is sent.
 	refined := 0
 	if err == nil {
 		for _, child := range children {
 			if ctx.Err() != nil {
 				break // client went away; stop paying for passes
 			}
-			if child.Exact {
-				continue
-			}
-			sess.mu.Lock()
 			var payload *api.Node
-			if sess.eng.RefineNode(child) {
-				payload = encodeNode(sess.eng, child)
-			}
-			sess.mu.Unlock()
+			sess.do(func(e *smartdrill.Engine) {
+				if e.RefineNode(child) {
+					payload = encodeNode(e, child)
+				}
+			})
 			if payload != nil {
 				writeSSE(w, api.EventRefine, payload)
 				flusher.Flush()
 				refined++
 			}
 		}
-	}
-	if refined > 0 {
-		s.persistSession(sess) // exact counts replaced provisional ones
 	}
 	done := api.DoneEvent{
 		Rules:     rules,

@@ -5,45 +5,12 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"hash/fnv"
-	"sync"
-	"time"
 
-	"smartdrill"
-	"smartdrill/api"
+	"smartdrill/internal/guarded"
 )
 
-// session is one live drill-down exploration. All Engine operations must be
-// performed while holding mu: the drill tree and the sampling machinery
-// behind it are single-writer structures, so concurrent requests against
-// one session serialize here while distinct sessions (distinct mutexes)
-// proceed fully in parallel.
-type session struct {
-	id      string
-	dataset string
-	created time.Time
-	// req is the create request that built (or rebuilt) the engine — the
-	// immutable recipe persisted in the session's snapshot record so a
-	// rehydrating server reconstructs an identically-configured engine.
-	req api.CreateSessionRequest
-
-	mu  sync.Mutex
-	eng *smartdrill.Engine // guardedby: mu
-	// seq numbers this object's snapshots: bumped by each write-through,
-	// so persistSession can refuse to overwrite a newer snapshot with a
-	// slower older one.
-	seq uint64 // guardedby: mu
-
-	// persistMu serializes backend writes for this session; savedSeq is
-	// the seq of the record known to be on disk. deleted is the DELETE
-	// tombstone: a handler or refiner that still holds this session when
-	// it is deleted must not write its snapshot back.
-	persistMu sync.Mutex
-	savedSeq  uint64 // guardedby: persistMu
-	deleted   bool   // guardedby: persistMu
-}
-
 // sessionStore is a sharded, LRU-evicting registry of sessions. IDs hash to
-// a shard; each shard owns an independent mutex, map, and recency list, so
+// a shard; each shard owns an independent lock, map, and recency list, so
 // the store itself is never a global point of contention. The session cap
 // is split evenly across shards (eviction is therefore approximate with
 // respect to global recency — an acceptable trade for shard independence).
@@ -52,10 +19,14 @@ type sessionStore struct {
 }
 
 type storeShard struct {
-	mu      sync.Mutex
-	cap     int                      // immutable after construction
-	entries map[string]*list.Element // guardedby: mu (values are *session)
-	lru     *list.List               // guardedby: mu (front = most recently used)
+	cap   int // immutable after construction
+	state guarded.Value[shardState]
+}
+
+// shardState is what a shard's lock protects.
+type shardState struct {
+	entries map[string]*list.Element // values are *session
+	lru     *list.List               // front = most recently used
 }
 
 // newSessionStore builds a store holding at most capacity sessions spread
@@ -82,9 +53,11 @@ func newSessionStore(capacity, shards int) *sessionStore {
 			c++
 		}
 		st.shards[i] = storeShard{
-			cap:     c,
-			entries: make(map[string]*list.Element),
-			lru:     list.New(),
+			cap: c,
+			state: guarded.New(shardState{
+				entries: make(map[string]*list.Element),
+				lru:     list.New(),
+			}),
 		}
 	}
 	return st
@@ -101,59 +74,52 @@ func (st *sessionStore) shard(id string) *storeShard {
 // so the owner can demote it to the durable backend (evict-to-disk).
 func (st *sessionStore) put(s *session) (evicted *session) {
 	sh := st.shard(s.id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.entries[s.id]; ok { // overwrite (unlikely: random IDs)
-		sh.lru.Remove(el)
-		delete(sh.entries, s.id)
-	}
-	if sh.lru.Len() >= sh.cap {
-		if back := sh.lru.Back(); back != nil {
-			old := back.Value.(*session)
-			sh.lru.Remove(back)
-			delete(sh.entries, old.id)
-			evicted = old
+	sh.state.Do(func(ss *shardState) {
+		if el, ok := ss.entries[s.id]; ok { // overwrite (unlikely: random IDs)
+			ss.lru.Remove(el)
+			delete(ss.entries, s.id)
 		}
-	}
-	sh.entries[s.id] = sh.lru.PushFront(s)
+		if ss.lru.Len() >= sh.cap {
+			if back := ss.lru.Back(); back != nil {
+				evicted = back.Value.(*session)
+				ss.lru.Remove(back)
+				delete(ss.entries, evicted.id)
+			}
+		}
+		ss.entries[s.id] = ss.lru.PushFront(s)
+	})
 	return evicted
 }
 
 // get returns the session and marks it most recently used.
-func (st *sessionStore) get(id string) (*session, bool) {
-	sh := st.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.entries[id]
-	if !ok {
-		return nil, false
-	}
-	sh.lru.MoveToFront(el)
-	return el.Value.(*session), true
+func (st *sessionStore) get(id string) (sess *session, ok bool) {
+	st.shard(id).state.Do(func(ss *shardState) {
+		var el *list.Element
+		if el, ok = ss.entries[id]; ok {
+			ss.lru.MoveToFront(el)
+			sess = el.Value.(*session)
+		}
+	})
+	return sess, ok
 }
 
 // remove deletes and returns the session, nil if it was not resident.
-func (st *sessionStore) remove(id string) *session {
-	sh := st.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.entries[id]
-	if !ok {
-		return nil
-	}
-	sh.lru.Remove(el)
-	delete(sh.entries, id)
-	return el.Value.(*session)
+func (st *sessionStore) remove(id string) (sess *session) {
+	st.shard(id).state.Do(func(ss *shardState) {
+		if el, ok := ss.entries[id]; ok {
+			ss.lru.Remove(el)
+			delete(ss.entries, id)
+			sess = el.Value.(*session)
+		}
+	})
+	return sess
 }
 
 // len counts live sessions across all shards.
 func (st *sessionStore) len() int {
 	n := 0
 	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		n += sh.lru.Len()
-		sh.mu.Unlock()
+		st.shards[i].state.Do(func(ss *shardState) { n += ss.lru.Len() })
 	}
 	return n
 }

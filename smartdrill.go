@@ -260,8 +260,6 @@ func (e *Engine) Table() *Table { return e.tab }
 
 // DrillDown expands n into the best rule list of super-rules of n's rule.
 // If n is already expanded it is collapsed and re-expanded.
-//
-//sdlint:mutator
 func (e *Engine) DrillDown(n *Node) error { return e.s.Expand(n) }
 
 // DrillDownCtx is DrillDown under a cancellation context: the BRS search
@@ -269,24 +267,18 @@ func (e *Engine) DrillDown(n *Node) error { return e.s.Expand(n) }
 // abandoned request stops paying for table passes almost immediately. A
 // canceled expansion leaves n collapsed, records the partial search's
 // statistics, and leaves the session fully usable.
-//
-//sdlint:mutator
 func (e *Engine) DrillDownCtx(ctx context.Context, n *Node) error {
 	return e.s.ExpandCtx(ctx, n)
 }
 
 // DrillDownStar expands n like DrillDown but requires every returned rule
 // to instantiate the named column — the paper's "click on a ?" operation.
-//
-//sdlint:mutator
 func (e *Engine) DrillDownStar(n *Node, column string) error {
 	return e.DrillDownStarCtx(context.Background(), n, column)
 }
 
 // DrillDownStarCtx is DrillDownStar under a cancellation context (see
 // DrillDownCtx).
-//
-//sdlint:mutator
 func (e *Engine) DrillDownStarCtx(ctx context.Context, n *Node, column string) error {
 	c, err := e.tab.ColumnIndex(column)
 	if err != nil {
@@ -296,8 +288,6 @@ func (e *Engine) DrillDownStarCtx(ctx context.Context, n *Node, column string) e
 }
 
 // Collapse removes n's children (roll-up).
-//
-//sdlint:mutator
 func (e *Engine) Collapse(n *Node) { e.s.Collapse(n) }
 
 // DrillDownStream expands n incrementally: each rule is appended to n's
@@ -305,8 +295,6 @@ func (e *Engine) Collapse(n *Node) { e.s.Collapse(n) }
 // (Section 6.1's anytime operation). The search stops when onRule returns
 // false, after maxRules rules (0 = unbounded), or when budget elapses
 // (0 = unbounded). onRule may be nil.
-//
-//sdlint:mutator
 func (e *Engine) DrillDownStream(n *Node, maxRules int, budget time.Duration, onRule func(*Node) bool) error {
 	return e.s.ExpandStream(n, maxRules, budget, onRule)
 }
@@ -315,8 +303,6 @@ func (e *Engine) DrillDownStream(n *Node, maxRules int, budget time.Duration, on
 // search additionally stops between counting passes when ctx fires,
 // returning ctx's error. Rules streamed before the cancellation stay in
 // the tree; the session remains fully usable.
-//
-//sdlint:mutator
 func (e *Engine) DrillDownStreamCtx(ctx context.Context, n *Node, maxRules int, budget time.Duration, onRule func(*Node) bool) error {
 	return e.s.ExpandStreamCtx(ctx, n, maxRules, budget, onRule)
 }
@@ -340,8 +326,6 @@ func IsDegraded(ctx context.Context) bool { return drill.DegradedFrom(ctx) }
 // provisional→exact half of the approximate pipeline. It reports whether
 // the node changed; exact nodes and nodes no longer in the displayed tree
 // (orphaned by a collapse or re-expansion) are untouched.
-//
-//sdlint:mutator
 func (e *Engine) RefineNode(n *Node) bool { return e.s.RefineNode(n) }
 
 // ProvisionalNodes lists displayed nodes whose counts are still sample
@@ -468,3 +452,10 @@ func (e *Engine) SaveState(w io.Writer) error { return e.s.Save(w) }
 // engine's table must have the same columns and contain every value the
 // snapshot references.
 func (e *Engine) LoadState(r io.Reader) error { return e.s.Load(r) }
+
+// Revision identifies the state SaveState would write: it moves whenever
+// the drill-down tree changes (drill-down, collapse, refinement, prefetch
+// upgrade, LoadState) and never otherwise, and is never 0. A serving layer
+// that persists snapshots saves when it differs from the revision it last
+// wrote, instead of tracking which calls mutate.
+func (e *Engine) Revision() uint64 { return e.s.Revision() }

@@ -12,8 +12,8 @@
 // its Fact types in FactTypes and calls Pass.ExportObjectFact /
 // Pass.ImportObjectFact — with one deliberate narrowing: facts attach
 // only to package-level functions and methods (*types.Func), because
-// every cross-package contract sdlint checks (accounted I/O helpers,
-// session mutators, goroutine drains) is a property of a function. See
+// the one cross-package contract sdlint checks (ioaccount's accounted I/O
+// helpers) is a property of a function. See
 // facts.go for the encoding and FactKey for the object identity.
 // Requires chaining remains absent: each analyzer is self-contained.
 package analysis

@@ -33,29 +33,11 @@ type allowDirective struct {
 	pos      token.Pos
 }
 
-// LineDirective is one "//sdlint:<name> <args>" comment with its line
-// coverage resolved against the AST: the line it is written on
-// (end-of-line comment), additionally the line below (last line of a
-// standalone comment group), or the whole declaration (func doc
-// comment). Args is the trimmed text after the directive name, empty
-// for a bare directive.
-type LineDirective struct {
-	Args     string
-	FromLine int
-	ToLine   int
-	Pos      token.Pos
-}
-
-// Covers reports whether the directive's line range includes line.
-func (d LineDirective) Covers(line int) bool {
-	return d.FromLine <= line && line <= d.ToLine
-}
-
-// CollectLineDirectives gathers every "//sdlint:<name>" directive in the
-// file with its line coverage resolved. It is the shared machinery
-// behind //sdlint:allow and the statement-scoped directives (detached).
-func CollectLineDirectives(fset *token.FileSet, file *ast.File, name string) []LineDirective {
-	prefix := "//sdlint:" + name
+// collectAllows gathers every allow directive in the file, with its line
+// coverage resolved against the AST and its args split into the analyzer
+// key and the mandatory reason.
+func collectAllows(fset *token.FileSet, file *ast.File) []allowDirective {
+	const prefix = "//sdlint:allow"
 	// Doc-comment directives cover their whole declaration.
 	docRange := make(map[*ast.CommentGroup][2]int)
 	ast.Inspect(file, func(n ast.Node) bool {
@@ -71,48 +53,32 @@ func CollectLineDirectives(fset *token.FileSet, file *ast.File, name string) []L
 	})
 	code := codeLines(fset, file)
 
-	var out []LineDirective
+	var out []allowDirective
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
 			rest, ok := strings.CutPrefix(c.Text, prefix)
 			if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
 				continue
 			}
-			d := LineDirective{Args: strings.TrimSpace(rest), Pos: c.Pos()}
+			key, reason, _ := strings.Cut(strings.TrimSpace(rest), " ")
+			if key == "" {
+				continue
+			}
+			d := allowDirective{key: key, reason: strings.TrimSpace(reason), pos: c.Pos()}
 			if r, isDoc := docRange[cg]; isDoc {
-				d.FromLine, d.ToLine = r[0], r[1]
+				d.fromLine, d.toLine = r[0], r[1]
 			} else {
 				// An end-of-line comment (code precedes it on the line)
 				// covers its own line only; the last line of a standalone
 				// group also covers the line below it.
 				line := fset.Position(c.Pos()).Line
-				d.FromLine, d.ToLine = line, line
+				d.fromLine, d.toLine = line, line
 				if !code[line] && line == fset.Position(cg.End()).Line {
-					d.ToLine = line + 1
+					d.toLine = line + 1
 				}
 			}
 			out = append(out, d)
 		}
-	}
-	return out
-}
-
-// collectAllows gathers every allow directive in the file, splitting the
-// args into the analyzer key and the mandatory reason.
-func collectAllows(fset *token.FileSet, file *ast.File) []allowDirective {
-	var out []allowDirective
-	for _, d := range CollectLineDirectives(fset, file, "allow") {
-		key, reason, _ := strings.Cut(d.Args, " ")
-		if key == "" {
-			continue
-		}
-		out = append(out, allowDirective{
-			key:      key,
-			reason:   strings.TrimSpace(reason),
-			fromLine: d.FromLine,
-			toLine:   d.ToLine,
-			pos:      d.Pos,
-		})
 	}
 	return out
 }
@@ -181,9 +147,9 @@ func ApplySuppression(fset *token.FileSet, files []*ast.File, a *Analyzer, diags
 }
 
 // FuncDirectives returns the trimmed argument text of every
-// "//sdlint:<name> <args>" line in fn's doc comment, in order. It is the
-// shared parser behind the declaration-scoped directives (io, mutator,
-// holds): one entry per occurrence, empty string for a bare directive.
+// "//sdlint:<name> <args>" line in fn's doc comment, in order — the parser
+// behind the declaration-scoped directive (io): one entry per occurrence,
+// empty string for a bare directive.
 func FuncDirectives(fn *ast.FuncDecl, name string) []string {
 	if fn == nil || fn.Doc == nil {
 		return nil
@@ -198,26 +164,6 @@ func FuncDirectives(fn *ast.FuncDecl, name string) []string {
 		out = append(out, strings.TrimSpace(rest))
 	}
 	return out
-}
-
-// Holds reports whether fn's doc comment carries "//sdlint:holds <guard>"
-// — the caller-acquires-the-lock escape hatch lockguard honors.
-func Holds(fn *ast.FuncDecl, guard string) bool {
-	if fn == nil || fn.Doc == nil {
-		return false
-	}
-	for _, c := range fn.Doc.List {
-		const p = "//sdlint:holds"
-		if !strings.HasPrefix(c.Text, p) {
-			continue
-		}
-		rest := strings.TrimSpace(strings.TrimPrefix(c.Text, p))
-		name, _, _ := strings.Cut(rest, " ")
-		if name == guard {
-			return true
-		}
-	}
-	return false
 }
 
 // FieldDirective returns the trimmed argument text of the first
@@ -235,36 +181,6 @@ func FieldDirective(field *ast.Field, name string) (args string, ok bool) {
 				continue
 			}
 			return strings.TrimSpace(rest), true
-		}
-	}
-	return "", false
-}
-
-// GuardedBy extracts the "guardedby: <mutex>" annotation from a struct
-// field's doc or trailing comment, reporting ok=false when absent. The
-// annotation is free-form prose after the mutex name, e.g.
-//
-//	// guardedby: mu (held by the owning server session)
-//	eng *smartdrill.Engine
-func GuardedBy(field *ast.Field) (guard string, ok bool) {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			text = strings.TrimPrefix(text, "/*")
-			text = strings.TrimSpace(text)
-			const p = "guardedby:"
-			if !strings.HasPrefix(text, p) {
-				continue
-			}
-			rest := strings.TrimSpace(text[len(p):])
-			name, _, _ := strings.Cut(rest, " ")
-			name = strings.TrimSuffix(name, ".")
-			if name != "" {
-				return name, true
-			}
 		}
 	}
 	return "", false

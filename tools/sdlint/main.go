@@ -1,8 +1,8 @@
 // Command sdlint is smartdrill's repo-specific static-analysis suite: a
 // go/analysis-style multichecker that machine-checks the engine's
-// cross-cutting invariants — I/O accounting, lock discipline, context
-// threading, determinism of result-producing paths, and API error-code
-// coverage. See docs/INVARIANTS.md at the repository root for the
+// cross-cutting invariants — I/O accounting, context threading,
+// determinism of result-producing paths, API error-code coverage, and
+// cache-key completeness. See docs/INVARIANTS.md at the repository root for the
 // catalogue and the annotation syntax.
 //
 // Run it through the go command, which supplies type information per
@@ -22,21 +22,15 @@ import (
 	"smartdrill/tools/sdlint/analyzers/cachekey"
 	"smartdrill/tools/sdlint/analyzers/ctxflow"
 	"smartdrill/tools/sdlint/analyzers/detwalk"
-	"smartdrill/tools/sdlint/analyzers/goflow"
 	"smartdrill/tools/sdlint/analyzers/ioaccount"
-	"smartdrill/tools/sdlint/analyzers/lockguard"
-	"smartdrill/tools/sdlint/analyzers/persistguard"
 )
 
 func main() {
 	unitchecker.Main(
 		ioaccount.Analyzer,
-		lockguard.Analyzer,
 		ctxflow.Analyzer,
 		detwalk.Analyzer,
 		apicodes.Analyzer,
 		cachekey.Analyzer,
-		persistguard.Analyzer,
-		goflow.Analyzer,
 	)
 }
