@@ -145,6 +145,10 @@ type DrillRequest struct {
 // server fills it by struct conversion from the engine's counters, so the
 // two definitions must keep identical field names, types and order; a
 // drift fails the build.
+//
+// CandidatesPruned counts rules the search generated and then dropped by
+// the a-priori bound test. Super-rules of a rule whose own bound already
+// fails are never generated, and are not counted.
 type SearchStats struct {
 	Passes             int   `json:"passes"`
 	CandidatesCounted  int   `json:"candidates_counted"`

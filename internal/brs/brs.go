@@ -36,7 +36,16 @@
 //     them, so a candidate that survives pruning in the step its parent
 //     was expanded in is never intersected on its own.
 //
-// Options.Reference switches all three off at once — the textbook
+// Because counting is fused into generation, the bound is tested before
+// the walk: a counted rule whose own bound MV + Count·(mw − W) is below the
+// step's threshold H is not expanded — every super-rule its walk would
+// find would be pruned by that very number — and waits, unexpanded, for
+// the first later step whose H falls to its bound. Only walks are gated.
+// The merge of already-expanded parents' cached children is not: a cached
+// child can hold the step's maximum while its parent's bound, the same sum
+// taken in another order, is one ulp smaller.
+//
+// Options.Reference switches all of it off at once — the textbook
 // algorithm the equivalence suite holds the fast path bit-identical to.
 package brs
 
@@ -127,10 +136,16 @@ type Result struct {
 }
 
 // Stats instruments a run for the performance experiments (Figure 5).
+//
+// CandidatesPruned counts rules generated and then dropped by the
+// upper-bound test. Super-rules of a parent whose own bound is already below
+// the threshold are never generated — generateCandidates tests the bound
+// before the walk — and are not counted: a smaller number means fewer
+// coverage walks, not weaker pruning.
 type Stats struct {
 	Passes            int   `json:"passes"`             // row-scan passes across all greedy steps
 	CandidatesCounted int   `json:"candidates_counted"` // rules whose aggregate mass was measured
-	CandidatesPruned  int   `json:"candidates_pruned"`  // rules dropped by the upper-bound test
+	CandidatesPruned  int   `json:"candidates_pruned"`  // rules generated, then dropped by the upper-bound test
 	CandidatesReused  int   `json:"candidates_reused"`  // counted rules served from the cross-step cache
 	RowsScanned       int64 `json:"rows_scanned"`       // total row visits by scan passes
 	PostingsRead      int64 `json:"postings_read"`      // posting entries read by index-driven counting
@@ -415,7 +430,7 @@ type cand struct {
 	marginal float64 // marginal value against the selection of step asOf
 	asOf     int     // greedy step that measured count and marginal; 0 = never
 	counted  bool    // survived pruning in some step: a bound source and a parent
-	expanded bool    // children holds every supported one-column extension
+	expanded bool    // walked: children holds every supported one-column extension
 	children []*cand
 	lastGen  int // epoch marker deduplicating the cross-parent child merge
 }
@@ -529,14 +544,15 @@ func (rn *runner) findBestMarginal() *cand {
 		consider(c)
 	}
 
-	// Levels 2..: generate super-rules of the previous level's candidates,
-	// prune uncounted ones by upper bound, count the survivors.
+	// Levels 2..: generate super-rules of the previous level's candidates
+	// whose own bound reaches H, prune uncounted ones by upper bound, count
+	// the survivors.
 	prev := rn.level1
 	for level := 2; level <= len(rn.freeCols); level++ {
 		if rn.canceled() {
 			return nil
 		}
-		next := rn.generateCandidates(prev)
+		next := rn.generateCandidates(prev, H)
 		if len(next) == 0 {
 			break
 		}
@@ -555,10 +571,12 @@ func (rn *runner) findBestMarginal() *cand {
 			}
 			survivors = append(survivors, c)
 			if c.asOf != step {
-				// Not measured by its parent's expansion walk in this step: a
-				// late survivor (pruned when its parents were expanded,
-				// admitted now that H is lower), or any survivor under
-				// Reference, which never counts while expanding.
+				// Not measured by a parent's expansion walk in this step: a
+				// late survivor (measured and pruned by earlier steps' walks,
+				// admitted now that H is lower with every parent already
+				// expanded — rare, since a parent gated then is walked now),
+				// or any survivor under Reference, which never counts while
+				// expanding.
 				c.count, c.marginal = 0, 0
 				toCount = append(toCount, c)
 			}
@@ -947,10 +965,22 @@ func (rn *runner) buildCandIndex(cands []*cand) candIndex {
 // so each parent's supported children are discovered once (expandParents)
 // and merged from the cache on later steps — a greedy step only pays a
 // generation pass for parents it is the first to reach.
-func (rn *runner) generateCandidates(prev []*cand) []*cand {
+//
+// The bound is tested before the walk: a parent whose own subRuleBound is
+// below the step's threshold H is not expanded. Every extension its walk
+// would discover is either uncounted — and upperBound, a min that contains
+// exactly this float, would prune it against the same H — or counted, and
+// then cached on the expanded parent that materialized it. The parent stays
+// a survivor and a bound source, and the first later step whose H falls to
+// its bound walks it, measuring its children fresh. Only the walk is gated,
+// never the merge: an expanded parent's cached child can hold the step's
+// maximum while the parent's bound — the same sum in another order — sits
+// one ulp below it. Reference expands every survivor, as Algorithm 2 is
+// written.
+func (rn *runner) generateCandidates(prev []*cand, H float64) []*cand {
 	fresh := prev[:0:0]
 	for _, c := range prev {
-		if !c.expanded {
+		if !c.expanded && (rn.reference || rn.subRuleBound(c) >= H) {
 			fresh = append(fresh, c)
 		}
 	}
@@ -1171,6 +1201,14 @@ func (rn *runner) childOf(parent *cand, acc *extAcc, val rule.Value, created *in
 	return c
 }
 
+// subRuleBound is the bound a counted rule c places on the marginal value
+// of every super-rule: MV(c) + Count(c)·(mw − W(c)). upperBound takes the
+// min of it over a candidate's sub-rules and generateCandidates gates c's
+// expansion walk by it, so both read the same float.
+func (rn *runner) subRuleBound(c *cand) float64 {
+	return c.marginal + c.count*(rn.mw-c.weight)
+}
+
 // upperBound computes M from Algorithm 2 step 3.3.2: the tightest bound
 // min over counted sub-rules R' of MV(R') + Count(R')·(mw − W(R')) over the
 // candidate's immediate sub-rules. Any counted sub-rule bounds all its
@@ -1185,7 +1223,7 @@ func (rn *runner) upperBound(c *cand) float64 {
 		if sc == nil || !sc.counted {
 			return
 		}
-		if b := sc.marginal + sc.count*(rn.mw-sc.weight); b < bound {
+		if b := rn.subRuleBound(sc); b < bound {
 			bound = b
 		}
 	}

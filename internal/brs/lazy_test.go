@@ -13,11 +13,12 @@ import (
 	"smartdrill/internal/weight"
 )
 
-// Hand-built tables for the places where lazy marginals and fused counting
-// could go wrong without a random table noticing: a candidate pruned in one
-// step and admitted in the next, exact ties between a cached candidate and
-// a freshly counted one, extensions whose mass sums to zero or less, and
-// the walk a last selection must not pay.
+// Hand-built tables for the places where lazy marginals, fused counting and
+// the bound-before-walk gate could go wrong without a random table
+// noticing: a parent gated in one step and walked in the next, a candidate
+// pruned in one step and admitted in a later one, exact ties between a
+// cached candidate and a freshly counted one, extensions whose mass sums to
+// zero, and the walk a last selection must not pay.
 
 // group is n rows with the given cells; a cell ending in '#' is made
 // distinct per row (the row number is appended). Under Sum, mass[i%len]
@@ -78,16 +79,40 @@ func stream(t *testing.T, v *table.View, w weight.Weighter, opts Options, maxRul
 	return out
 }
 
+// sameStreams requires Reference to stream exactly the hand-derived order
+// and the fast path to stream Reference's results at every worker count.
+func sameStreams(t *testing.T, label string, tab *table.Table, w weight.Weighter, opts Options, order []map[string]string) {
+	t.Helper()
+	ref := opts
+	ref.Reference = true
+	want := stream(t, tab.All(), w, ref, len(order))
+	if len(want) != len(order) {
+		t.Fatalf("%s: Reference streamed %d rules, want %d", label, len(want), len(order))
+	}
+	for i, p := range order {
+		if r := mustRule(t, tab, p); !want[i].Rule.Equal(r) {
+			t.Fatalf("%s: Reference rule %d = %v, want %v", label, i, want[i].Rule, r)
+		}
+	}
+	for _, workers := range []int{1, 2, 8} {
+		opts.Workers = workers
+		got := stream(t, tab.All(), w, opts, len(order))
+		sameResults(t, fmt.Sprintf("%s workers=%d", label, workers), got, want)
+	}
+}
+
 // TestEquivalenceLazyTieBreaks pins the greedy order on two tables where
-// step 2 is decided by an exact tie that involves a late survivor: X =
-// (a2,b2), 20 rows, is pruned in step 1 (bound 40 < H = 60) under parents
-// that step 1 expands, and is worth exactly 40 once (a1,?) is selected.
+// step 2 is decided by an exact tie that involves a rule step 1 never
+// generated: X = (a2,b2), 20 rows. Both its parents bound their super-rules
+// by 40 < H = 60 in step 1, so neither is walked; once (a1,?) is selected H
+// opens at 40, (a2,?) is walked and X is measured by that walk at exactly
+// 40.
 //
 //   - "cached first": (a3,?) — level 1, cached, 40 — ties with X; level
 //     order gives the step to the cached rule.
 //   - "fresh first": (a4,b4) — level 2, counted in step 1 at 40 — ties
 //     with X, which sorts before it; key order gives the step to the
-//     freshly counted rule.
+//     freshly generated rule.
 //
 // Each stream must equal the order worked out by hand and Reference's, on
 // the index routes (warm) and the scan routes (cold), at every worker
@@ -123,41 +148,100 @@ func TestEquivalenceLazyTieBreaks(t *testing.T) {
 			label := fmt.Sprintf("%s warm=%v", tc.name, warm)
 			x := mustRule(t, tab, map[string]string{"A": "a2", "B": "b2"})
 
-			// Step 1 expands X's parents, measures X in their walks, and
-			// prunes it; no later walk can measure it again, so when step 2
-			// counts it, it is by a count of its own.
 			rn, err := newRunner(tab.All(), w, Options{MaxWeight: 2, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			rn.applySelection(rn.findBestMarginal())
-			c := rn.lookup(x)
-			if c == nil || c.counted || c.asOf != 1 || c.count != 20 {
-				t.Fatalf("%s: after step 1 X = %+v, want measured (count 20, step 1) and pruned", label, c)
-			}
-			for _, p := range []map[string]string{{"A": "a2"}, {"B": "b2"}} {
-				if pc := rn.lookup(mustRule(t, tab, p)); pc == nil || !pc.expanded {
-					t.Fatalf("%s: X's parent %v not expanded in step 1", label, p)
-				}
+			a2 := rn.lookup(mustRule(t, tab, map[string]string{"A": "a2"}))
+			if a2 == nil || !a2.counted || a2.expanded {
+				t.Fatalf("%s: after step 1 (a2,?) = %+v, want counted and not expanded", label, a2)
 			}
 			rn.findBestMarginal()
-			if !c.counted || c.asOf != 2 || c.marginal != 40 {
+			if !a2.expanded {
+				t.Fatalf("%s: (a2,?) still not expanded after step 2", label)
+			}
+			if c := rn.lookup(x); c == nil || !c.counted || c.asOf != 2 || c.marginal != 40 {
 				t.Fatalf("%s: after step 2 X = %+v, want counted with marginal 40", label, c)
 			}
 
-			want := stream(t, tab.All(), w, Options{MaxWeight: 2, Reference: true}, 3)
-			if len(want) != len(tc.want) {
-				t.Fatalf("%s: Reference streamed %d rules, want %d", label, len(want), len(tc.want))
+			sameStreams(t, label, tab, w, Options{MaxWeight: 2}, tc.want)
+		}
+	}
+}
+
+// TestEquivalenceLateSurvivorTieBreaks: the tie of step 3 involves a late
+// survivor — a rule measured by a parent's walk, pruned, and admitted by a
+// later step that has no walk left to measure it, so it is counted on its
+// own. X = (a1,b1), 10 rows, worth 20 throughout.
+//
+//		step 1  H = 50, (?,bs). (a1,?) bounds by 50 and is walked, measuring X;
+//		        (?,b1) bounds by 2·count < 50: gated, and X is pruned under it.
+//		step 2  H = 36, (a3,?). (?,b1) now passes and its walk measures X again,
+//		        but (a1,?), 15 of its 25 rows under (?,bs), has fallen to
+//		        10 + 25 = 35: pruned.
+//		step 3  H = 20 or less, both parents long expanded: X is admitted and
+//		        recounted.
+//
+//	  - "cached first": (?,b1) — level 1, 20 rows — ties with X at 20.
+//	  - "fresh first": (?,b1) has 18 rows; (a4,bs) — level 2, counted in
+//	    step 1, 20 rows under the selected (?,bs) — ties with X, which sorts
+//	    before it.
+func TestEquivalenceLateSurvivorTieBreaks(t *testing.T) {
+	common := []group{
+		{cells: []string{"a1", "b1"}, n: 10},
+		{cells: []string{"a1", "bs"}, n: 15},
+		{cells: []string{"a3", "w#"}, n: 36},
+	}
+	cases := []struct {
+		name  string
+		extra []group
+		want  []map[string]string
+	}{
+		{"cached first",
+			[]group{
+				{cells: []string{"o#", "b1"}, n: 10},
+				{cells: []string{"u#", "bs"}, n: 35}},
+			[]map[string]string{{"B": "bs"}, {"A": "a3"}, {"B": "b1"}}},
+		{"fresh first",
+			[]group{
+				{cells: []string{"o#", "b1"}, n: 8},
+				{cells: []string{"a4", "bs"}, n: 20},
+				{cells: []string{"a4", "q#"}, n: 5},
+				{cells: []string{"u#", "bs"}, n: 15}},
+			[]map[string]string{{"B": "bs"}, {"A": "a3"}, {"A": "a1", "B": "b1"}}},
+	}
+	w := weight.NewSize(2)
+	for _, tc := range cases {
+		for _, warm := range []bool{true, false} {
+			tab := groupTable([]string{"A", "B"}, append(append([]group{}, common...), tc.extra...)...)
+			if warm {
+				tab.Index().Warm()
 			}
-			for i, p := range tc.want {
-				if r := mustRule(t, tab, p); !want[i].Rule.Equal(r) {
-					t.Fatalf("%s: Reference rule %d = %v, want %v", label, i, want[i].Rule, r)
-				}
+			label := fmt.Sprintf("%s warm=%v", tc.name, warm)
+
+			rn, err := newRunner(tab.All(), w, Options{MaxWeight: 2, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 8} {
-				got := stream(t, tab.All(), w, Options{MaxWeight: 2, Workers: workers}, 3)
-				sameResults(t, fmt.Sprintf("%s workers=%d", label, workers), got, want)
+			rn.applySelection(rn.findBestMarginal())
+			a1 := rn.lookup(mustRule(t, tab, map[string]string{"A": "a1"}))
+			b1 := rn.lookup(mustRule(t, tab, map[string]string{"B": "b1"}))
+			x := rn.lookup(mustRule(t, tab, map[string]string{"A": "a1", "B": "b1"}))
+			if !a1.expanded || b1.expanded || x == nil || x.counted || x.asOf != 1 || x.count != 10 {
+				t.Fatalf("%s: after step 1 (a1,?) expanded=%v (?,b1) expanded=%v X=%+v, want X measured under (a1,?) alone and pruned",
+					label, a1.expanded, b1.expanded, x)
 			}
+			rn.applySelection(rn.findBestMarginal())
+			if !b1.expanded || x.counted || x.asOf != 2 {
+				t.Fatalf("%s: after step 2 (?,b1) expanded=%v X=%+v, want X measured again and pruned under (a1,?)", label, b1.expanded, x)
+			}
+			rn.findBestMarginal()
+			if !x.counted || x.asOf != 3 || x.marginal != 20 {
+				t.Fatalf("%s: after step 3 X = %+v, want counted with marginal 20", label, x)
+			}
+
+			sameStreams(t, label, tab, w, Options{MaxWeight: 2}, tc.want)
 		}
 	}
 }
@@ -195,17 +279,29 @@ func TestEquivalenceRefreshThroughTies(t *testing.T) {
 }
 
 // TestFusedChildExistsBySight: under Sum an extension can cover rows whose
-// masses sum to zero or less. It is still a candidate — Reference marks the
-// values it sees, not the masses — so the fast path's first step must
-// materialize exactly the candidates Reference's does.
+// masses sum to nothing (SumAgg clamps negative measures to zero). It is
+// still a candidate — Reference marks the values it sees, not the masses —
+// so the first step, which opens H where Reference does, must leave every
+// candidate Reference counts in the fast store, and a walk must materialize
+// a zero-sum extension with its parent's other children. Which step walks
+// which parent is the gate's business: the extensions here sit under
+// parents step 1 leaves unexpanded.
 func TestFusedChildExistsBySight(t *testing.T) {
 	tab := groupTable([]string{"A", "B", "C"},
-		group{cells: []string{"a1", "b1", "c#"}, n: 2, mass: []float64{5, -5}}, // (a1,b1) sums to 0
+		group{cells: []string{"a1", "b1", "c#"}, n: 2, mass: []float64{5, -5}}, // (a1,b1,c#1) sums to 0
 		group{cells: []string{"a1", "b2", "c3"}, n: 1, mass: []float64{3}},
 		group{cells: []string{"a2", "b1", "c3"}, n: 1, mass: []float64{4}},
-		group{cells: []string{"a2", "b2", "c1"}, n: 1, mass: []float64{-2}}, // (a2,b2) sums to −2
+		group{cells: []string{"a2", "b2", "c1"}, n: 1, mass: []float64{-2}}, // (a2,b2) sums to 0
 		group{cells: []string{"a3", "b3", "c3"}, n: 6, mass: []float64{1}},
 	)
+	// Each zero-sum extension under each parent that is a candidate itself
+	// ((?,?,c1), zero too, is no level-1 candidate on either path).
+	bySight := []struct{ ext, parent map[string]string }{
+		{map[string]string{"A": "a2", "B": "b2"}, map[string]string{"A": "a2"}},
+		{map[string]string{"A": "a2", "B": "b2"}, map[string]string{"B": "b2"}},
+		{map[string]string{"A": "a2", "C": "c1"}, map[string]string{"A": "a2"}},
+		{map[string]string{"B": "b2", "C": "c1"}, map[string]string{"B": "b2"}},
+	}
 	w := weight.NewSize(3)
 	for _, warm := range []bool{false, true} {
 		if warm {
@@ -221,22 +317,42 @@ func TestFusedChildExistsBySight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast.findBestMarginal()
+		best := fast.findBestMarginal()
 		ref.findBestMarginal()
-		for _, p := range []map[string]string{{"A": "a1", "B": "b1"}, {"A": "a2", "B": "b2"}} {
-			if fast.lookup(mustRule(t, tab, p)) == nil {
-				t.Errorf("warm=%v: extension %v was seen but not materialized", warm, p)
+		for pk, c := range ref.store.packed {
+			if c.counted && fast.store.byPK(pk) == nil {
+				t.Errorf("warm=%v: Reference counted %v in step 1, which the fast path never materialized", warm, c.r)
 			}
 		}
-		if len(fast.store.packed) != len(ref.store.packed) {
-			t.Errorf("warm=%v: fast path materialized %d candidates, Reference %d", warm, len(fast.store.packed), len(ref.store.packed))
-		}
-		for pk := range ref.store.packed {
-			if fast.store.byPK(pk) == nil {
-				t.Errorf("warm=%v: Reference materialized a candidate the fast path never saw", warm)
+		walked := 0
+		for step := 1; best != nil && best.marginal > 0; step++ {
+			walked = 0
+			for _, bs := range bySight {
+				pc := fast.lookup(mustRule(t, tab, bs.parent))
+				if !pc.expanded {
+					continue
+				}
+				walked++
+				if ext := fast.lookup(mustRule(t, tab, bs.ext)); ext == nil || !hasChild(pc, ext) {
+					t.Errorf("warm=%v step %d: %v was walked but its zero-sum extension %v is not among its children", warm, step, bs.parent, bs.ext)
+				}
 			}
+			fast.applySelection(best)
+			best = fast.findBestMarginal()
+		}
+		if walked == 0 {
+			t.Errorf("warm=%v: no parent of a zero-sum extension was ever walked; the table no longer tests anything", warm)
 		}
 	}
+}
+
+func hasChild(p, child *cand) bool {
+	for _, ch := range p.children {
+		if ch == child {
+			return true
+		}
+	}
+	return false
 }
 
 // TestLastSelectionPaysNoWalk: a selection's topW raise is applied when the

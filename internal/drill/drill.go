@@ -316,7 +316,7 @@ func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter) error 
 		return v, scale, exact, err
 	}
 	req.MaxWeightFor = func(v *table.View) float64 {
-		return EstimateMaxWeight(v, w, s.cfg.K, s.cfg.Seed)
+		return estimateMaxWeight(ctx, v, w, s.cfg.K, s.cfg.Seed)
 	}
 	resp, err := s.svc.Run(ctx, req)
 	if resp.Cached {
@@ -656,26 +656,38 @@ func (s *Session) findNode(n *Node, r rule.Rule) *Node {
 // the caller will actually request — probing with a different k skews the
 // estimate toward the weights of a differently-sized rule list.
 func EstimateMaxWeight(v *table.View, w weight.Weighter, k int, seed int64) float64 {
+	return estimateMaxWeight(context.Background(), v, w, k, seed)
+}
+
+// estimateMaxWeight is EstimateMaxWeight under the drill's own context, so
+// the probe stops with the request it serves. A canceled probe returns the
+// weighter's bound; the search that follows reports ctx's error at its
+// first check.
+//
+// A view no larger than the probe would be its own sample: the unbounded
+// search would run once to choose mw and again, bounded, to re-pick the
+// same rules. Such a view is searched once, at the weighter's bound.
+func estimateMaxWeight(ctx context.Context, v *table.View, w weight.Weighter, k int, seed int64) float64 {
 	const probeSize = 2000
-	probe := v
-	if v.NumRows() > probeSize {
-		rng := sampling.NewTestRNG(seed)
-		positions := make([]int, probeSize)
-		for i := range positions {
-			positions[i] = rng.Intn(v.NumRows())
-		}
-		probe = v.Subset(positions)
+	top := w.MaxWeight(v.NumCols())
+	if v.NumRows() <= probeSize {
+		return top
 	}
-	results, _, err := brs.Run(probe, w, brs.Options{K: k, MaxWeight: w.MaxWeight(v.NumCols())})
-	if err != nil || len(results) == 0 {
-		return w.MaxWeight(v.NumCols())
+	rng := sampling.NewTestRNG(seed)
+	positions := make([]int, probeSize)
+	for i := range positions {
+		positions[i] = rng.Intn(v.NumRows())
+	}
+	results, _, err := brs.RunCtx(ctx, v.Subset(positions), w, brs.Options{K: k, MaxWeight: top})
+	if err != nil {
+		return top
 	}
 	maxW := 0.0
 	for _, r := range results {
 		maxW = math.Max(maxW, r.Weight)
 	}
 	if maxW == 0 {
-		return w.MaxWeight(v.NumCols())
+		return top
 	}
 	return 2 * maxW
 }

@@ -81,7 +81,7 @@ func (s *Session) expandStream(ctx context.Context, n *Node, w weight.Weighter, 
 		if probeK > maxProbeK {
 			probeK = maxProbeK
 		}
-		return EstimateMaxWeight(v, w, probeK, s.cfg.Seed)
+		return estimateMaxWeight(ctx, v, w, probeK, s.cfg.Seed)
 	}
 	req.Yield = func(r brs.Result) bool {
 		child := &Node{

@@ -13,7 +13,10 @@ import (
 // probe: the four best rules are weight-1 singles, the fifth is a weight-3
 // triple. Probing with k=4 yields mw = 2·1 = 2, which wrongly excludes the
 // triple from a k=5 expansion; probing with k=5 yields mw = 6, which
-// admits it. The streamed path used to hardcode k=4 here.
+// admits it. The streamed path used to hardcode k=4 here. The table is
+// larger than the estimator's probe — a view the probe would cover whole is
+// not probed at all — and the triple's gain sits far enough from its
+// neighbours' that the 2000-row sample keeps the order.
 func mwSensitiveTable() *table.Table {
 	b := table.MustBuilder([]string{"A", "B", "C"}, nil)
 	filler := 0
@@ -23,11 +26,11 @@ func mwSensitiveTable() *table.Table {
 			filler++
 		}
 	}
-	addFiller("a0", 500)
-	addFiller("a1", 400)
-	addFiller("a2", 300)
-	addFiller("a3", 250)
-	for i := 0; i < 80; i++ {
+	addFiller("a0", 1000)
+	addFiller("a1", 800)
+	addFiller("a2", 600)
+	addFiller("a3", 500)
+	for i := 0; i < 100; i++ {
 		b.MustAddRow([]string{"aX", "bX", "cX"})
 	}
 	return b.Build()

@@ -65,7 +65,9 @@ func TestHealthReportsCacheAndPersistFailures(t *testing.T) {
 	}
 }
 
-// TestCacheOffDisablesSharing: with CacheOff every drill executes.
+// TestCacheOffDisablesSharing: with CacheOff every drill executes — it
+// reads the table, by whichever access path, and the cache files neither a
+// hit nor a miss.
 func TestCacheOffDisablesSharing(t *testing.T) {
 	_, ts := newTestServer(t, Config{CacheOff: true, WarmChildren: 2})
 	for i := 0; i < 2; i++ {
@@ -74,7 +76,8 @@ func TestCacheOffDisablesSharing(t *testing.T) {
 		if code := doJSON(t, "POST", ts.URL+"/v1/sessions/"+tree.ID+"/drill", api.DrillRequest{}, &dr); code != http.StatusOK {
 			t.Fatalf("drill: status %d", code)
 		}
-		if dr.Access == "cache" || dr.Search == nil || dr.Search.CacheHits != 0 || dr.Search.Passes == 0 {
+		if dr.Access == "cache" || dr.Search == nil || dr.Search.CacheHits != 0 || dr.Search.CacheMisses != 0 ||
+			dr.Search.RowsScanned+dr.Search.PostingsRead+dr.Search.BitmapWordsRead == 0 {
 			t.Fatalf("drill %d served from cache despite CacheOff: access=%q stats=%+v", i, dr.Access, dr.Search)
 		}
 	}
