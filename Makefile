@@ -44,8 +44,13 @@ lint: lint-fast
 		echo "lint: staticcheck not installed; skipping (CI runs it pinned)"; \
 	fi
 
+# race runs the concurrent packages under the race detector, then repeats
+# the CSV ingest's block-independence check on the bundled table: what its
+# workers and its in-order merge share is exercised by every block, and ten
+# schedules find what one does not.
 race:
 	$(GO) test -race ./client/ ./internal/server/ ./internal/drill/ ./internal/table/ ./internal/brs/ ./internal/search/
+	$(GO) test -race -count=10 -run 'TestIngestBlockIndependence/storesales' ./internal/table/
 
 # chaos runs the fault-injection end-to-end suite (crash/restart resume,
 # 429-storm convergence, dropped connections, flaky-disk snapshots) under
@@ -96,7 +101,8 @@ smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 # large runs the gated million-row acceptance check: provisional answers
-# within the interactive budget where exact BRS is seconds-slow, refined
-# to exact counts on the same session.
+# within the interactive budget and at least five times sooner than exact
+# BRS on the same box, refined to exact counts on the same session; then
+# the table's CSV through the ingest pipeline and back, cell for cell.
 large:
 	SMARTDRILL_LARGE=1 $(GO) test -run TestMillionRow -v .

@@ -39,6 +39,12 @@
 // so the first analyst's default drills are cache hits. -cache-off
 // disables all of it (the ablation switch).
 //
+// -workers N is the number of goroutines one expansion's counting passes
+// fan out over, for sessions that do not ask for their own. The default 0
+// means every CPU when the session counts tuples and one goroutine when it
+// sums a measure (parallel float sums are not bit-identical to serial
+// ones); -workers 1 is serial for both.
+//
 // The server shuts down gracefully on SIGINT/SIGTERM.
 package main
 
@@ -104,7 +110,7 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		demo         = flag.Bool("demo", false, "register the paper's department-store example as dataset \"store\"")
 		maxSessions  = flag.Int("max-sessions", 1024, "live session cap (LRU eviction beyond it)")
-		workers      = flag.Int("workers", 0, "default BRS worker goroutines per expansion (0 = serial)")
+		workers      = flag.Int("workers", 0, "default BRS worker goroutines per expansion (0 = every CPU for Count sessions, serial for Sum; 1 = serial)")
 		k            = flag.Int("k", 3, "default rules per expansion")
 		streamBudget = flag.Duration("stream-budget", 5*time.Second, "default anytime budget for /drill/stream")
 		bgRefine     = flag.Bool("background-refine", true, "re-count provisional sampled drill results exactly in the background")
@@ -164,13 +170,19 @@ func main() {
 		logger.Printf("registered demo dataset \"store\" (department-store running example, 6000 rows)")
 	}
 	for _, spec := range datasets.specs {
+		start := time.Now()
 		t, err := smartdrill.LoadCSV(spec.path, spec.measures)
 		if err != nil {
 			log.Fatalf("dataset %s: %v", spec.name, err)
 		}
+		parsed := time.Since(start)
+		// RegisterDataset warms the index; warming it here first only
+		// moves that work to where it can be timed.
+		t.Index().Warm()
+		indexed := time.Since(start) - parsed
 		srv.RegisterDataset(spec.name, t)
-		logger.Printf("registered dataset %q: %d rows × %d columns from %s",
-			spec.name, t.NumRows(), t.NumCols(), spec.path)
+		logger.Printf("registered dataset %q: %d rows × %d columns from %s (parsed %.2fs, indexed %.2fs)",
+			spec.name, t.NumRows(), t.NumCols(), spec.path, parsed.Seconds(), indexed.Seconds())
 	}
 
 	if backend != nil {

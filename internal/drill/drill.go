@@ -217,9 +217,18 @@ func NewSession(t *table.Table, cfg Config) (*Session, error) {
 		}
 		s.handler = h
 	}
+	// The root's count is the table's total mass; for the two aggregates
+	// there are, the table already knows it.
 	var rootCount float64
-	for i := 0; i < t.NumRows(); i++ {
-		rootCount += cfg.Agg.Mass(t, i)
+	switch agg := cfg.Agg.(type) {
+	case score.CountAgg:
+		rootCount = float64(t.NumRows())
+	case score.SumAgg:
+		rootCount = t.MeasureMass(agg.Measure)
+	default:
+		for i := 0; i < t.NumRows(); i++ {
+			rootCount += cfg.Agg.Mass(t, i)
+		}
 	}
 	s.root = &Node{
 		Rule:   rule.Trivial(t.NumCols()),

@@ -158,7 +158,9 @@ func TestCountPrefetchStillRefines(t *testing.T) {
 	}
 }
 
-// TestRootSumExact checks the root of a Sum session shows the exact total.
+// TestRootSumExact checks the root of a Sum session shows the exact total:
+// the table's memoised mass is the row-order sum to the bit (snapshots and
+// resumed trees are compared byte for byte), on every session that asks.
 func TestRootSumExact(t *testing.T) {
 	tab := buildSalesTable(1000, 6)
 	m, _ := tab.MeasureIndex("Sales")
@@ -171,7 +173,11 @@ func TestRootSumExact(t *testing.T) {
 	for i := 0; i < tab.NumRows(); i++ {
 		truth += agg.Mass(tab, i)
 	}
-	if math.Abs(s.Root().Count-truth) > 1e-6 {
-		t.Fatalf("root sum %g != %g", s.Root().Count, truth)
+	again, err := NewSession(tab, Config{K: 2, Agg: agg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Root().Count != truth || again.Root().Count != truth {
+		t.Fatalf("root sums %v and %v, want %v", s.Root().Count, again.Root().Count, truth)
 	}
 }

@@ -36,7 +36,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		}
 		h.Datasets = append(h.Datasets, dh)
 	}
-	writeJSON(w, http.StatusOK, h)
+	s.writeJSON(w, http.StatusOK, h)
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
@@ -50,7 +50,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 			Measures: d.measures,
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	s.writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
@@ -82,7 +82,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	// A new session is ahead of disk, so this first visit also saves it.
 	var tree *api.Tree
 	sess.do(func(e *smartdrill.Engine) { tree = encodeTree(sess, e) })
-	writeJSON(w, http.StatusCreated, tree)
+	s.writeJSON(w, http.StatusCreated, tree)
 }
 
 // errKTooLarge classifies the oversized-k rejection so the handler can
@@ -195,7 +195,7 @@ func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
 	}
 	var tree *api.Tree
 	sess.do(func(e *smartdrill.Engine) { tree = encodeTree(sess, e) })
-	writeJSON(w, http.StatusOK, tree)
+	s.writeJSON(w, http.StatusOK, tree)
 }
 
 func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
@@ -251,7 +251,7 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 		// arrive in the background and show up on the next /tree fetch.
 		s.refineInBackground(sess, provisional)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleCollapse(w http.ResponseWriter, r *http.Request) {
@@ -274,7 +274,7 @@ func (s *Server) handleCollapse(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fail.Code, fail.Message)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleRefine upgrades one provisional (sample-estimated) node to its
@@ -301,7 +301,7 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fail.Code, fail.Message)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleTraditional serves the classic OLAP drill-down listing on one
@@ -337,7 +337,7 @@ func (s *Server) handleTraditional(w http.ResponseWriter, r *http.Request) {
 	for _, g := range groups {
 		resp.Groups = append(resp.Groups, api.TraditionalGroup{Value: g.Value, Count: g.Count})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
@@ -364,7 +364,7 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.ErrNotFound, fmt.Sprintf("unknown session %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, api.DeleteResponse{Deleted: id})
+	s.writeJSON(w, http.StatusOK, api.DeleteResponse{Deleted: id})
 }
 
 // maxBodyBytes caps a request body. The largest legitimate v1 request is a

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -64,21 +65,41 @@ func encodeStats(s smartdrill.SearchStats) *api.SearchStats {
 	return &out
 }
 
-// writeJSON writes v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// encodeJSON is the wire form of every response body.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	err := enc.Encode(v)
+	return buf.Bytes(), err
+}
+
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client went away; nothing to do
+	w.Write(body) //nolint:errcheck // client went away; nothing to do
+}
+
+// writeJSON writes v with the given status. v is encoded before the status
+// goes out: a value encoding/json refuses (a NaN or infinite count) is a
+// logged 500 internal, not a success status over an empty body.
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := encodeJSON(v)
+	if err != nil {
+		s.cfg.Logger.Printf("encoding %T for a %d response: %v", v, status, err)
+		writeError(w, api.ErrInternal, "response could not be encoded")
+		return
+	}
+	writeBody(w, status, body)
 }
 
 // writeError writes the uniform v1 error envelope
 // {"error":{"code":...,"message":...}} with the code's HTTP status.
 func writeError(w http.ResponseWriter, code api.ErrorCode, msg string) {
-	writeJSON(w, api.HTTPStatus(code), api.ErrorEnvelope{
+	body, _ := encodeJSON(api.ErrorEnvelope{ // two strings: cannot fail
 		Error: &api.Error{Code: code, Message: msg},
 	})
+	writeBody(w, api.HTTPStatus(code), body)
 }
 
 // writeOverloaded writes the shed-load response: 429 overloaded with a

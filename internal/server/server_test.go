@@ -182,6 +182,32 @@ func TestSumAggregateSession(t *testing.T) {
 	}
 }
 
+// TestUnencodableResponseIs500: a body encoding/json refuses must not go
+// out as a success status over nothing. Non-finite measures are refused at
+// the table's doors, so the one way left to a non-finite count is a total
+// that overflows: the create below used to answer 201 with Content-Length 0.
+func TestUnencodableResponseIs500(t *testing.T) {
+	var logged bytes.Buffer
+	s := New(Config{Logger: log.New(&logged, "", 0)})
+	b, err := smartdrill.NewTableBuilder([]string{"A"}, []string{"M"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.MustAddRow([]string{"x"}, 1e308)
+	b.MustAddRow([]string{"y"}, 1e308)
+	s.RegisterDataset("huge", b.Build())
+	ts := httptest.NewServer(s.Handler())
+	var env api.ErrorEnvelope
+	code := doJSON(t, "POST", ts.URL+"/v1/sessions", api.CreateSessionRequest{Dataset: "huge", Sum: "M"}, &env)
+	ts.Close() // waits for the handler, and so for everything it logs
+	if code != http.StatusInternalServerError || env.Error == nil || env.Error.Code != api.ErrInternal {
+		t.Fatalf("status %d, body %+v; want 500 with an internal error envelope", code, env.Error)
+	}
+	if !strings.Contains(logged.String(), "unsupported value") {
+		t.Errorf("the encoder's complaint is not in the log: %q", logged.String())
+	}
+}
+
 func TestSampledSessionReportsIntervals(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	tree := createSession(t, ts.URL, api.CreateSessionRequest{

@@ -1,10 +1,9 @@
 package table
 
 import (
-	"encoding/csv"
-	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 
 	"smartdrill/internal/rule"
@@ -20,14 +19,15 @@ import (
 // numeric columns (already-bucketized codes, booleans, ratings) stay
 // categorical, matching how the paper's datasets arrive pre-bucketized.
 //
-// The reader streams: each record is dictionary-encoded the moment it is
-// read, so peak transient memory is the encoded table itself (4 bytes per
-// cell plus one interned string per distinct value) — never a [][]string
-// of every cell, which on a million-row CSV costs an order of magnitude
-// more than the table it produces. Numeric classification needs no second
-// pass over the rows either: a column is all-numeric exactly when every
-// entry of its dictionary parses, so the decision reads distinct values,
-// not cells.
+// The reader streams through the same block-parallel pipeline as ReadCSV
+// (ingest.go), every column provisionally categorical, so peak transient
+// memory is the encoded table itself (4 bytes per cell plus one interned
+// string per distinct value) — never a [][]string of every cell, which on
+// a million-row CSV costs an order of magnitude more than the table it
+// produces. Numeric classification needs no second pass over the rows
+// either: a column is all-numeric exactly when every entry of its
+// dictionary parses as a finite number, so the decision reads distinct
+// values, not cells.
 
 // AutoOptions tunes ReadCSVAuto. Zero values mean: maxDistinct 20,
 // 6 buckets, equi-depth.
@@ -52,43 +52,37 @@ func (o AutoOptions) withDefaults() AutoOptions {
 }
 
 // ReadCSVAuto loads a CSV with automatic numeric-column detection and
-// bucketization, in one streaming pass (see the package comment above on
-// memory). It returns the table plus the names of the columns that were
-// detected as numeric.
+// bucketization, in one streaming pass (see the comment above on memory).
+// It returns the table plus the names of the columns that were detected as
+// numeric.
 func ReadCSVAuto(r io.Reader, opts AutoOptions) (*Table, []string, error) {
-	opts = opts.withDefaults()
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true // field strings are fresh per record; only the slice is reused
-	header, err := cr.Read()
-	if err == io.EOF {
-		return nil, nil, fmt.Errorf("table: empty CSV")
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("table: reading CSV: %w", err)
-	}
-	header = append([]string{}, header...)
-	nc := len(header)
+	return readCSVAuto(r, opts, ingestBlockSize, runtime.GOMAXPROCS(0))
+}
 
+// readCSVAuto is ReadCSVAuto with the pipeline's parameters exposed, as
+// readCSV is ReadCSV.
+func readCSVAuto(r io.Reader, opts AutoOptions, blockSize, workers int) (*Table, []string, error) {
+	in, header, err := startIngest(r, blockSize, workers, rule.MaxColumns)
+	if err != nil {
+		return nil, nil, err
+	}
 	// Stream every row into provisional per-column dictionary encodings.
-	dicts := make([]*Dictionary, nc)
-	ids := make([][]rule.Value, nc)
-	for c := range dicts {
-		dicts[c] = NewDictionary()
+	prov := &Table{dicts: make([]*Dictionary, len(header)), cols: make([][]rule.Value, len(header))}
+	fields := make([]int, len(header))
+	for c := range fields {
+		prov.dicts[c] = NewDictionary()
+		fields[c] = c
 	}
-	rows := 0
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("table: reading CSV: %w", err)
-		}
-		for c := 0; c < nc; c++ {
-			ids[c] = append(ids[c], dicts[c].Encode(rec[c]))
-		}
-		rows++
+	if err := in.fill(prov, fields); err != nil {
+		return nil, nil, err
 	}
+	return bucketizeNumeric(prov, header, opts.withDefaults())
+}
+
+// bucketizeNumeric turns prov, the CSV read with every column categorical,
+// into ReadCSVAuto's result.
+func bucketizeNumeric(prov *Table, header []string, opts AutoOptions) (*Table, []string, error) {
+	dicts, ids, rows, nc := prov.dicts, prov.cols, prov.n, len(header)
 
 	// Classify columns from their dictionaries: all-numeric means every
 	// distinct value parses, and only high-cardinality numeric columns are
@@ -104,7 +98,7 @@ func ReadCSVAuto(r io.Reader, opts AutoOptions) (*Table, []string, error) {
 		allNumeric := true
 		for id := range fv {
 			v, err := strconv.ParseFloat(d.Decode(rule.Value(id)), 64)
-			if err != nil {
+			if err != nil || !finite(v) {
 				allNumeric = false
 				break
 			}

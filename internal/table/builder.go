@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"math"
 
 	"smartdrill/internal/rule"
 )
@@ -54,13 +55,18 @@ func MustBuilder(columns []string, measures []string) *Builder {
 }
 
 // AddRow appends one tuple given as strings for the categorical columns and
-// float64s for the measure columns.
+// float64s, which must be finite, for the measure columns.
 func (b *Builder) AddRow(values []string, measures []float64) error {
 	if len(values) != len(b.t.colNames) {
 		return fmt.Errorf("table: row has %d values, schema has %d columns", len(values), len(b.t.colNames))
 	}
 	if len(measures) != len(b.t.measureNames) {
 		return fmt.Errorf("table: row has %d measures, schema has %d", len(measures), len(b.t.measureNames))
+	}
+	for m, v := range measures {
+		if !finite(v) {
+			return fmt.Errorf("table: measure %q: %v is not a finite number", b.t.measureNames[m], v)
+		}
 	}
 	for c, s := range values {
 		b.t.cols[c] = append(b.t.cols[c], b.t.dicts[c].Encode(s))
@@ -71,6 +77,11 @@ func (b *Builder) AddRow(values []string, measures []float64) error {
 	b.t.n++
 	return nil
 }
+
+// finite reports whether v can be a measure: a NaN or an infinity would make
+// every Sum over it NaN or infinite, which no response can carry (JSON has
+// no such number), so every door to a table refuses them.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // MustAddRow is AddRow that panics on error, for generators with known-good
 // shapes.

@@ -5,32 +5,42 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
+
+	"smartdrill/internal/rule"
 )
 
 // ReadCSV loads a table from CSV. The first record is the header. Columns
-// whose names appear in measureCols are parsed as float64 measures; all
-// other columns are categorical. Header names must be unique.
+// whose names appear in measureCols are parsed as float64 measures, which
+// must be finite; all other columns are categorical. Header names must be
+// unique. The input is parsed by the block-parallel pipeline of ingest.go.
 func ReadCSV(r io.Reader, measureCols []string) (*Table, error) {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
+	return readCSV(r, measureCols, ingestBlockSize, runtime.GOMAXPROCS(0))
+}
+
+// readCSV is ReadCSV with the pipeline's block size and worker count
+// exposed, so tests can hold the result to be independent of both.
+func readCSV(r io.Reader, measureCols []string, blockSize, workers int) (*Table, error) {
+	// A header with more fields than this has too many categorical columns
+	// whatever they are called.
+	in, header, err := startIngest(r, blockSize, workers, rule.MaxColumns+len(measureCols))
 	if err != nil {
-		return nil, fmt.Errorf("table: reading CSV header: %w", err)
+		return nil, err
 	}
 	isMeasure := make(map[string]bool, len(measureCols))
 	for _, m := range measureCols {
 		isMeasure[m] = true
 	}
 	var catNames, measNames []string
-	var catIdx, measIdx []int
+	fields := make([]int, len(header)) // see ingest.fill
 	for i, name := range header {
 		if isMeasure[name] {
+			fields[i] = ^len(measNames)
 			measNames = append(measNames, name)
-			measIdx = append(measIdx, i)
 		} else {
+			fields[i] = len(catNames)
 			catNames = append(catNames, name)
-			catIdx = append(catIdx, i)
 		}
 	}
 	if len(measNames) != len(measureCols) {
@@ -40,29 +50,8 @@ func ReadCSV(r io.Reader, measureCols []string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	vals := make([]string, len(catIdx))
-	meas := make([]float64, len(measIdx))
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("table: reading CSV line %d: %w", line, err)
-		}
-		for j, i := range catIdx {
-			vals[j] = rec[i]
-		}
-		for j, i := range measIdx {
-			v, err := strconv.ParseFloat(rec[i], 64)
-			if err != nil {
-				return nil, fmt.Errorf("table: line %d, measure %q: %w", line, measNames[j], err)
-			}
-			meas[j] = v
-		}
-		if err := b.AddRow(vals, meas); err != nil {
-			return nil, fmt.Errorf("table: line %d: %w", line, err)
-		}
+	if err := in.fill(b.t, fields); err != nil {
+		return nil, err
 	}
 	return b.Build(), nil
 }

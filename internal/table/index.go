@@ -1,6 +1,7 @@
 package table
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -182,8 +183,23 @@ func (ix *Index) FilterIndices(r rule.Rule) []int {
 
 // Warm eagerly builds every column's posting lists. The server calls it at
 // dataset registration so no analyst's first drill-down pays the build.
+// Columns are independent (each behind its own once), so up to GOMAXPROCS
+// of them build at a time, the caller's goroutine included.
 func (ix *Index) Warm() {
-	for c := range ix.cols {
-		ix.buildCol(c)
+	var next atomic.Int32
+	build := func() {
+		for c := int(next.Add(1)) - 1; c < len(ix.cols); c = int(next.Add(1)) - 1 {
+			ix.buildCol(c)
+		}
 	}
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(ix.cols)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			build()
+		}()
+	}
+	build()
+	wg.Wait()
 }

@@ -140,12 +140,21 @@ func TestIndexConcurrentBuild(t *testing.T) {
 		want[r.Key()] = len(tab.FilterIndicesScan(r))
 	}
 	// Many goroutines race to build the lazy per-column posting lists and
-	// the shared Index allocation itself (run under -race in CI).
+	// the shared Index allocation itself (run under -race in CI), against
+	// each other and against Warm's own builders.
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
+			if seed%4 == 0 {
+				tab.Index().Warm()
+				for c := 0; c < tab.NumCols(); c++ {
+					if !tab.Index().ColumnBuilt(c) {
+						t.Errorf("column %d not built after Warm", c)
+					}
+				}
+			}
 			rng := rand.New(rand.NewSource(seed))
 			for probe := 0; probe < 50; probe++ {
 				r := randomRule(rng, tab)

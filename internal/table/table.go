@@ -40,7 +40,11 @@ func (d *Dictionary) Encode(s string) rule.Value {
 	if id, ok := d.byValue[s]; ok {
 		return id
 	}
-	s = strings.Clone(s)
+	return d.add(strings.Clone(s))
+}
+
+// add interns s, which must be unseen and must not alias a larger buffer.
+func (d *Dictionary) add(s string) rule.Value {
 	id := rule.Value(len(d.values))
 	d.byValue[s] = id
 	d.values = append(d.values, s)
@@ -77,6 +81,10 @@ type Table struct {
 	// shared dataset reuses the same posting lists.
 	idxOnce sync.Once
 	idx     *Index
+
+	// mass memoises MeasureMass, likewise once per table.
+	massOnce sync.Once
+	mass     []float64
 }
 
 // NumRows returns the number of tuples.
@@ -137,6 +145,23 @@ func (t *Table) MeasureIndex(name string) (int, error) {
 
 // Measure returns measure column m. The returned slice must not be modified.
 func (t *Table) Measure(m int) []float64 { return t.measures[m] }
+
+// MeasureMass returns the total of measure column m with negative values
+// counted as zero — the mass of the whole table under the Sum aggregate
+// (score.SumAgg), i.e. a Sum session's root count. Every session on the
+// table asks for it, so the pass over the rows (in row order: the total is
+// the same float whoever asks) is made once per table, not once per session.
+func (t *Table) MeasureMass(m int) float64 {
+	t.massOnce.Do(func() {
+		t.mass = make([]float64, len(t.measures))
+		for m, col := range t.measures {
+			for _, v := range col {
+				t.mass[m] += max(v, 0)
+			}
+		}
+	})
+	return t.mass[m]
+}
 
 // Covers reports whether rule r covers row i, without materializing the row.
 func (t *Table) Covers(r rule.Rule, i int) bool {

@@ -2,20 +2,26 @@ package smartdrill
 
 // Million-row acceptance check for the approximate interactive pipeline
 // (ISSUE 4): on a ≥1M-row synthetic Census table a cold drill-down must
-// answer with provisional rules well inside the interactive budget while
-// exact BRS takes seconds, and refinement must replace every provisional
-// count with the exact one on the same session. Generating and searching
-// a million rows exactly takes ~30s, so the test is gated:
+// answer with provisional rules well inside the interactive budget and
+// several times sooner than exact BRS on the same box, and refinement must
+// replace every provisional count with the exact one on the same session.
+// The same table then goes out through WriteCSV and back in through the
+// ingest pipeline, which must reproduce it cell for cell. Generating and
+// searching a million rows exactly takes several seconds, so the test is
+// gated:
 //
 //	make large            # or SMARTDRILL_LARGE=1 go test -run TestMillionRow .
 
 import (
+	"bytes"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
 	"smartdrill/internal/brs"
 	"smartdrill/internal/datagen"
+	"smartdrill/internal/rule"
 	"smartdrill/internal/weight"
 )
 
@@ -26,15 +32,13 @@ func TestMillionRowInteractiveLatency(t *testing.T) {
 	tab := datagen.CensusProjected(1000000, 7, 7)
 	tab.Index().Warm()
 
-	// Exact BRS at this scale blows the interactive budget.
+	// Exact BRS at this scale is the baseline the sampled answer is
+	// measured against below.
 	start := time.Now()
 	if _, _, err := brs.Run(tab.All(), weight.NewSize(tab.NumCols()), brs.Options{K: 4, MaxWeight: 4}); err != nil {
 		t.Fatal(err)
 	}
 	exactDur := time.Since(start)
-	if exactDur < 2*time.Second {
-		t.Fatalf("exact BRS took %s; the sampled pipeline's premise (exact > 2s at 1M rows) no longer holds — move this check to a bigger table", exactDur)
-	}
 
 	// A cold sampled session answers provisionally within the budget.
 	e, err := New(tab,
@@ -51,8 +55,12 @@ func TestMillionRowInteractiveLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	provDur := time.Since(start)
-	if provDur > 250*time.Millisecond {
-		t.Errorf("cold sampled drill-down took %s, want < 250ms (exact path: %s)", provDur, exactDur)
+	// The paper's claim is relative — samples answer several times sooner
+	// than the table (§4) — and the budget absolute; a constant for the
+	// exact search's time would only date the test (it was "> 2s" until
+	// the search got faster than that).
+	if provDur > 250*time.Millisecond || 5*provDur > exactDur {
+		t.Errorf("cold sampled drill-down took %s, want < 250ms and at most a fifth of the exact path's %s", provDur, exactDur)
 	}
 	if len(e.Root().Children) == 0 {
 		t.Fatal("sampled drill-down returned no rules")
@@ -83,4 +91,34 @@ func TestMillionRowInteractiveLatency(t *testing.T) {
 	}
 	t.Logf("1M rows: provisional in %s, exact BRS %s (%.0fx), %d rules refined",
 		provDur, exactDur, exactDur.Seconds()/provDur.Seconds(), len(e.Root().Children))
+
+	// CSV round trip at the same scale: the pipeline assigns every value
+	// the id the generator's row-by-row Builder did.
+	var buf bytes.Buffer
+	if err := tab.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	size := buf.Len()
+	start = time.Now()
+	back, err := ReadCSV(&buf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("1M rows: %d MB of CSV ingested in %s", size>>20, time.Since(start))
+	if back.NumRows() != tab.NumRows() || !slices.Equal(back.ColumnNames(), tab.ColumnNames()) {
+		t.Fatalf("round trip: %d rows × %v, want %d × %v", back.NumRows(), back.ColumnNames(), tab.NumRows(), tab.ColumnNames())
+	}
+	for c := 0; c < tab.NumCols(); c++ {
+		if back.DistinctCount(c) != tab.DistinctCount(c) {
+			t.Fatalf("round trip: column %d has %d values, want %d", c, back.DistinctCount(c), tab.DistinctCount(c))
+		}
+		for id := rule.Value(0); int(id) < tab.DistinctCount(c); id++ {
+			if got, want := back.Dict(c).Decode(id), tab.Dict(c).Decode(id); got != want {
+				t.Fatalf("round trip: column %d value id %d is %q, want %q", c, id, got, want)
+			}
+		}
+		if !slices.Equal(back.Column(c), tab.Column(c)) {
+			t.Fatalf("round trip: column %d cells differ", c)
+		}
+	}
 }
