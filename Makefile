@@ -75,9 +75,12 @@ drillload:
 
 # drillload-check is the CI guard that needs no quiet machine: one
 # count-based cold-exact session, whose correctness verdict, operation
-# count, search work and wire bytes are functions of the code alone and
-# must equal docs/drillload-expect.json exactly (timed readings spread
-# 8–37 % on shared boxes, see bench/NOISE.md; counts do not move). A
+# count and search work are functions of the code alone and must equal
+# docs/drillload-expect.json exactly (timed readings spread 8–37 % on
+# shared boxes, see bench/NOISE.md; counts do not move). Wire bytes per
+# operation must be within 0.25 of it: a stream's done event prints
+# elapsed_ms, whose digit count follows the clock. That slack is interim,
+# until a benchmark PR leaves timing digits out of the counted bytes. A
 # change that alters work or response bytes edits that file in its diff.
 drillload-check:
 	bash bench/run.sh --workload cold-exact --seed 1 -sessions 1 --trace 0 \

@@ -54,6 +54,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"smartdrill/internal/rule"
 	"smartdrill/internal/score"
@@ -209,22 +210,14 @@ func RunCtx(ctx context.Context, v *table.View, w weight.Weighter, opts Options)
 		return nil, Stats{}, err
 	}
 	run.ctx = ctx
+	// A batch run is the stream that stops at K (Section 6.1): no deadline,
+	// no gain cutoff, every rule kept.
 	var selected []Result
-	for step := 0; step < opts.K; step++ {
-		best := run.findBestMarginal()
-		if run.ctxErr != nil {
-			return nil, run.finalStats(), run.ctxErr
-		}
-		if best == nil || best.marginal <= 0 {
-			break
-		}
-		selected = append(selected, Result{
-			Rule:   best.r,
-			Weight: best.weight,
-			Count:  best.count * run.scale,
-			MCount: 0, // recomputed below once ordering is final
-		})
-		run.applySelection(best)
+	if err := run.greedy(opts.K, time.Time{}, 0, func(r Result) bool {
+		selected = append(selected, r)
+		return true
+	}); err != nil {
+		return nil, run.finalStats(), err
 	}
 	// Order by descending weight and fill marginal counts in that order.
 	// Each tie-break key is built once, not on every comparison.
@@ -254,6 +247,52 @@ func RunCtx(ctx context.Context, v *table.View, w weight.Weighter, opts Options)
 		selected[i].MCount = mcs[i] * run.scale
 	}
 	return selected, run.finalStats(), nil
+}
+
+// greedy is the one greedy driver (Algorithm 1): find the best marginal
+// rule, commit it, hand it to yield in selection order, and repeat until
+// yield returns false, maxRules rules are out (0 = unbounded), the optional
+// deadline passes, no rule adds positive marginal value, or — when
+// minGainRatio is positive — a rule's marginal value falls below that
+// fraction of the first rule's. The yielded MCount is the marginal mass at
+// selection time: marginal = Σ (W − wS) per tuple, which is W·MCount for the
+// first selection and makes the quotient only an upper bound for later ones;
+// RunCtx replaces it with score.MCounts on the final list. It returns the
+// context's error when that is what stopped it.
+func (rn *runner) greedy(maxRules int, deadline time.Time, minGainRatio float64, yield Yield) error {
+	firstGain := 0.0
+	for step := 0; maxRules <= 0 || step < maxRules; step++ {
+		if !deadline.IsZero() && !time.Now().Before(deadline) { //sdlint:allow nondeterminism anytime deadline: the clock decides when to stop emitting rules, never which rule is emitted or its count
+			break
+		}
+		best := rn.findBestMarginal()
+		if rn.ctxErr != nil {
+			return rn.ctxErr
+		}
+		if best == nil || best.marginal <= 0 {
+			break
+		}
+		gain := best.marginal // applySelection zeroes it
+		if step == 0 {
+			firstGain = gain
+		} else if minGainRatio > 0 && gain < minGainRatio*firstGain {
+			break // diminishing returns: stop flooding the display
+		}
+		rn.applySelection(best)
+		mcount := gain
+		if best.weight > 0 {
+			mcount = gain / best.weight
+		}
+		if !yield(Result{
+			Rule:   best.r,
+			Weight: best.weight,
+			Count:  best.count * rn.scale,
+			MCount: mcount * rn.scale,
+		}) {
+			break
+		}
+	}
+	return nil
 }
 
 // newRunner normalizes options and restricts the view to Base's coverage

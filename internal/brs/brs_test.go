@@ -293,8 +293,33 @@ func BenchmarkSumAggregate(b *testing.B) {
 // its parent's bound differ in the last ulp (TestEquivalenceMergeIsNotGated
 // is that table by hand).
 func TestGreedyStepIsArgmax(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
 	pruned := 0
+	const k = 6
+	eachOracleCase(func(trial int, tab *table.Table, w weight.Weighter, opts Options) {
+		for _, reference := range []bool{false, true} {
+			opts.Reference = reference
+			var got []Result
+			stats, err := RunIncremental(tab.All(), w, opts, k, time.Time{}, func(r Result) bool {
+				got = append(got, r)
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireGreedyArgmax(t, fmt.Sprintf("trial %d reference=%v", trial, reference), tab, w, opts, k, got)
+			pruned += stats.CandidatesPruned
+		}
+	})
+	if pruned == 0 {
+		t.Error("a-priori pruning never engaged (CandidatesPruned == 0 everywhere)")
+	}
+}
+
+// eachOracleCase calls fn on the 120 brute-forceable cases of the argmax
+// oracle: tiny measured tables, Size and Bits weighting, Count and Sum,
+// trivial and non-trivial bases, a drawn mw.
+func eachOracleCase(fn func(trial int, tab *table.Table, w weight.Weighter, opts Options)) {
+	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 120; trial++ {
 		cols := 2 + rng.Intn(3)
 		tab := randomMeasuredTable(rng, cols, 2+rng.Intn(3), 20+rng.Intn(60))
@@ -317,24 +342,7 @@ func TestGreedyStepIsArgmax(t *testing.T) {
 			base = base.With(rng.Intn(cols), 0)
 		}
 		mw := w.MaxWeight(1 + rng.Intn(cols))
-
-		const k = 6
-		for _, reference := range []bool{false, true} {
-			opts := Options{MaxWeight: mw, Base: base, Agg: agg, Reference: reference}
-			var got []Result
-			stats, err := RunIncremental(tab.All(), w, opts, k, time.Time{}, func(r Result) bool {
-				got = append(got, r)
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireGreedyArgmax(t, fmt.Sprintf("trial %d reference=%v", trial, reference), tab, w, opts, k, got)
-			pruned += stats.CandidatesPruned
-		}
-	}
-	if pruned == 0 {
-		t.Error("a-priori pruning never engaged (CandidatesPruned == 0 everywhere)")
+		fn(trial, tab, w, Options{MaxWeight: mw, Base: base, Agg: agg})
 	}
 }
 

@@ -24,7 +24,9 @@ type Yield func(Result) bool
 // deadline passes, maxRules rules have been emitted (0 = unbounded), no
 // rule adds positive marginal value, or the marginal value falls below
 // MinGainRatio of the first rule's. The Result passed to yield carries the
-// rule's Count; MCount is the marginal mass at selection time.
+// rule's Count; MCount is the marginal mass at selection time, exact for the
+// first rule and an upper bound after it — callers needing exact MCounts use
+// score.MCounts on the final list, as Run does.
 func RunIncremental(v *table.View, w weight.Weighter, opts Options, maxRules int, deadline time.Time, yield Yield) (Stats, error) {
 	return RunIncrementalCtx(context.Background(), v, w, opts, maxRules, deadline, yield)
 }
@@ -35,56 +37,13 @@ func RunIncremental(v *table.View, w weight.Weighter, opts Options, maxRules int
 // yielded stay yielded — cancellation stops future work, it does not
 // retract results.
 func RunIncrementalCtx(ctx context.Context, v *table.View, w weight.Weighter, opts Options, maxRules int, deadline time.Time, yield Yield) (Stats, error) {
-	if opts.K <= 0 {
-		opts.K = 1 // K is unused by the incremental driver but validated by shared code paths
-	}
 	run, err := newRunner(v, w, opts)
 	if err != nil {
 		return Stats{}, err
 	}
 	run.ctx = ctx
-	firstGain := 0.0
-	for step := 0; maxRules <= 0 || step < maxRules; step++ {
-		if !deadline.IsZero() && !time.Now().Before(deadline) { //sdlint:allow nondeterminism anytime deadline: the clock decides when to stop emitting rules, never which rule is emitted or its count
-			break
-		}
-		best := run.findBestMarginal()
-		if run.ctxErr != nil {
-			return run.finalStats(), run.ctxErr
-		}
-		if best == nil || best.marginal <= 0 {
-			break
-		}
-		gain := best.marginal // applySelection zeroes it
-		if step == 0 {
-			firstGain = gain
-		} else if opts.MinGainRatio > 0 && gain < opts.MinGainRatio*firstGain {
-			break // diminishing returns: stop flooding the display
-		}
-		run.applySelection(best)
-		ok := yield(Result{
-			Rule:   best.r,
-			Weight: best.weight,
-			Count:  best.count * run.scale,
-			MCount: gain / weightOrOne(best.weight) * run.scale,
-		})
-		if !ok {
-			break
-		}
-	}
-	return run.finalStats(), nil
-}
-
-// weightOrOne guards the MCount back-calculation (marginal = Σ (W−wS) per
-// tuple; when nothing was previously selected this is W·MCount, so divide
-// by W). For multi-step selections the quotient is only an upper bound on
-// the true marginal count; callers needing exact MCounts should use
-// score.MCounts on the final list, as Run does.
-func weightOrOne(w float64) float64 {
-	if w <= 0 {
-		return 1
-	}
-	return w
+	err = run.greedy(maxRules, deadline, opts.MinGainRatio, yield)
+	return run.finalStats(), err
 }
 
 func errBaseArity(got, want int) error {

@@ -1,6 +1,7 @@
 package brs
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -13,14 +14,12 @@ import (
 func TestRunIncrementalMatchesRunPrefix(t *testing.T) {
 	// The incremental stream must equal the greedy selection order of Run:
 	// greedy is prefix-stable (the k-rule answer extends the (k−1)-rule
-	// answer), the property Section 6.1 builds on.
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 10; trial++ {
-		tab := randomTable(rng, 4, 3, 80)
-		w := weight.NewSize(4)
-
+	// answer), the property Section 6.1 builds on. Run re-orders by weight,
+	// so the two are compared as sets.
+	check := func(label string, tab *table.Table, w weight.Weighter, opts Options) {
+		t.Helper()
 		var streamed []Result
-		_, err := RunIncremental(tab.All(), w, Options{MaxWeight: 4}, 4, time.Time{},
+		_, err := RunIncremental(tab.All(), w, opts, opts.K, time.Time{},
 			func(r Result) bool {
 				streamed = append(streamed, r)
 				return true
@@ -28,24 +27,31 @@ func TestRunIncrementalMatchesRunPrefix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, _, err := Run(tab.All(), w, Options{K: 4, MaxWeight: 4})
+		full, _, err := Run(tab.All(), w, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(streamed) != len(full) {
-			t.Fatalf("trial %d: streamed %d rules, Run returned %d", trial, len(streamed), len(full))
+			t.Fatalf("%s: streamed %d rules, Run returned %d", label, len(streamed), len(full))
 		}
-		// Same rule sets (Run re-orders by weight; compare as sets).
 		want := map[string]bool{}
 		for _, r := range full {
 			want[r.Rule.Key()] = true
 		}
 		for _, r := range streamed {
 			if !want[r.Rule.Key()] {
-				t.Fatalf("trial %d: streamed rule %v not in Run result", trial, r.Rule)
+				t.Fatalf("%s: streamed rule %v not in Run result", label, r.Rule)
 			}
 		}
 	}
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 10; trial++ {
+		check(fmt.Sprintf("trial %d", trial), randomTable(rng, 4, 3, 80), weight.NewSize(4), Options{K: 4, MaxWeight: 4})
+	}
+	eachOracleCase(func(trial int, tab *table.Table, w weight.Weighter, opts Options) {
+		opts.K = 6
+		check(fmt.Sprintf("oracle table %d", trial), tab, w, opts)
+	})
 }
 
 func TestRunIncrementalStopEarly(t *testing.T) {

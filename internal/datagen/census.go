@@ -11,11 +11,6 @@ import (
 // attributes, all pre-bucketized to categorical).
 const CensusColumnCount = 68
 
-// CensusN is the paper's dataset size (~2.5M rows). Generating the full
-// size is supported but slow; experiments default to a smaller n
-// (cmd/figures -census-n).
-const CensusN = 2458285
-
 // Census generates a synthetic stand-in for the Census dataset: n rows over
 // 68 categorical columns with cardinalities between 2 and 10, zipf-skewed
 // marginals of varying exponent, and block correlations (each column in a

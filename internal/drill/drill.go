@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"smartdrill/internal/baseline"
 	"smartdrill/internal/brs"
@@ -273,7 +274,7 @@ func (s *Session) Expand(n *Node) error {
 // gone — expansion is a collapse-and-replace) and the session fully
 // usable; the partial search's statistics are still recorded.
 func (s *Session) ExpandCtx(ctx context.Context, n *Node) error {
-	return s.expand(ctx, n, s.cfg.Weighter)
+	return s.expand(ctx, n, s.cfg.Weighter, search.KindBatch, 0, 0, nil)
 }
 
 // ExpandStar performs a star drill-down on column c of n (Problem 1, star
@@ -291,7 +292,7 @@ func (s *Session) ExpandStarCtx(ctx context.Context, n *Node, c int) error {
 	if n.Rule[c] != rule.Star {
 		return fmt.Errorf("drill: column %d of rule is already instantiated", c)
 	}
-	return s.expand(ctx, n, weight.StarConstraint{Inner: s.cfg.Weighter, Column: c})
+	return s.expand(ctx, n, weight.StarConstraint{Inner: s.cfg.Weighter, Column: c}, search.KindBatch, 0, 0, nil)
 }
 
 // Collapse removes n's children — the roll-up of Section 2.3. The removed
@@ -305,7 +306,13 @@ func (s *Session) Collapse(n *Node) {
 	s.rev++
 }
 
-func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter) error {
+// expand is the one expansion path — rule, star and streamed drills. A
+// search.KindBatch drill adopts the complete rule list in display order
+// once the search returns; a search.KindStream one (Section 6.1) adopts each
+// rule as the greedy search selects it, hands it to onRule, and stops after
+// maxRules rules (0 = unbounded), when budget elapses (0 = unbounded) or when
+// onRule returns false.
+func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter, kind search.Kind, maxRules int, budget time.Duration, onRule func(*Node) bool) error {
 	if n.Expanded() {
 		s.Collapse(n)
 	}
@@ -315,47 +322,85 @@ func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter) error 
 	s.observeDrill(n)
 
 	degraded := DegradedFrom(ctx)
-	var viewRows int
-	req := s.searchRequest(search.KindBatch, n.Rule, w, degraded)
+	req := s.searchRequest(kind, n.Rule, w, degraded)
+	// view is what the children's display needs of the searched view. On a
+	// cache hit Resolve never runs and the replayed results are exact with
+	// scale 1 — the initial values.
+	view := struct {
+		scale float64
+		exact bool
+		bound float64 // the enclosing view's scaled size
+	}{1, true, float64(s.tab.NumRows())}
 	req.Resolve = func() (*table.View, float64, bool, error) {
 		v, scale, exact, err := s.coveredView(n.Rule, degraded)
-		if v != nil {
-			viewRows = v.NumRows()
+		if err == nil {
+			view.scale, view.exact, view.bound = scale, exact, scale*float64(v.NumRows())
 		}
 		return v, scale, exact, err
 	}
 	req.MaxWeightFor = func(v *table.View) float64 {
-		return estimateMaxWeight(ctx, v, w, s.cfg.K, s.cfg.Seed)
+		// Probe with the number of rules this expansion will request —
+		// maxRules when bounded, else the session's k — so the weight cap
+		// fits the rule list being built. The probe runs before a stream's
+		// deadline exists and its cost grows with k, so a caller-supplied
+		// maxRules is capped: past a screenful of rules the estimate has
+		// long saturated.
+		const maxProbeK = 100
+		k := s.cfg.K
+		if maxRules > 0 {
+			k = maxRules
+		}
+		if k > maxProbeK {
+			k = maxProbeK
+		}
+		return estimateMaxWeight(ctx, v, w, k, s.cfg.Seed)
+	}
+	addChild := func(r brs.Result) *Node {
+		child := &Node{
+			Rule:   r.Rule,
+			Weight: r.Weight,
+			Count:  r.Count,
+			Exact:  view.exact,
+			parent: n,
+		}
+		child.CILow, child.CIHigh, child.HasCI = countCI(s.cfg.Agg, view.exact, view.scale, r.Count, view.bound)
+		s.adopt(child)
+		n.Children = append(n.Children, child)
+		return child
+	}
+	if kind == search.KindStream {
+		req.MaxRules = maxRules
+		req.MinGainRatio = 0.01 // drop the long tail of near-worthless rules
+		if budget > 0 {
+			// A deadline-bounded stream can truncate anywhere, so the service
+			// runs it directly — never cached, never joined by singleflight.
+			// Budget-free streams run to completion and are cached like batch
+			// expansions, replayed rule by rule through the same yield.
+			req.Deadline = time.Now().Add(budget)
+		}
+		req.Yield = func(r brs.Result) bool {
+			child := addChild(r)
+			return onRule == nil || onRule(child)
+		}
 	}
 	resp, err := s.svc.Run(ctx, req)
 	if resp.Cached {
 		// The view was never resolved: the expansion is a clone of a
 		// completed identical search.
 		s.LastMethod = "cache"
-		viewRows = s.tab.NumRows() // cached results are exact; the CI path below is never taken
 	}
 	// A canceled search still did real work; record it before bailing so
 	// the session's accounting (and the caller's SearchStats view) shows
-	// the aborted passes.
+	// the aborted passes. Rules a stream delivered before the error stay.
 	s.recordStats(resp.Stats)
 	if err != nil {
 		return err
 	}
-
-	scale, exact := resp.Scale, resp.Exact
-	bound := scale * float64(viewRows) // the enclosing view's scaled size
-	n.Children = make([]*Node, 0, len(resp.Results))
-	for _, r := range resp.Results {
-		child := &Node{
-			Rule:   r.Rule,
-			Weight: r.Weight,
-			Count:  r.Count,
-			Exact:  exact,
-			parent: n,
+	if kind == search.KindBatch {
+		n.Children = make([]*Node, 0, len(resp.Results))
+		for _, r := range resp.Results {
+			addChild(r)
 		}
-		child.CILow, child.CIHigh, child.HasCI = countCI(s.cfg.Agg, exact, scale, r.Count, bound)
-		s.adopt(child)
-		n.Children = append(n.Children, child)
 	}
 
 	// Prefetch is pure background work; a degraded (overloaded) server
@@ -481,8 +526,7 @@ func countCI(agg score.Aggregator, exact bool, scale, count, bound float64) (lo,
 // RefineNode upgrades a provisional (sample-estimated) node to its exact
 // aggregate — the paper's background count refinement: provisional rules
 // answer instantly from the sample, and the authoritative count arrives
-// once the store has re-counted the rule with one accounted pass
-// (Store.CountExact under Count, an aggregate scan under Sum). It reports
+// once the store has re-counted the rule with one accounted pass. It reports
 // whether the node changed; exact nodes are left untouched, as are nodes
 // that have left the displayed tree (a background refiner can lose a race
 // with a collapse or re-expansion — paying a full pass for an orphaned

@@ -1,10 +1,13 @@
 package drill
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
 
+	"smartdrill/internal/datagen"
+	"smartdrill/internal/sampling"
 	"smartdrill/internal/table"
 	"smartdrill/internal/weight"
 )
@@ -61,29 +64,30 @@ func TestStreamUsesConfiguredK(t *testing.T) {
 		t.Fatalf("fixture does not separate k=4 (mw %g) from k=5 (mw %g)", mw4, mw5)
 	}
 
-	batch, err := NewSession(tab, Config{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := batch.Expand(batch.Root()); err != nil {
-		t.Fatal(err)
-	}
-
-	streamed, err := NewSession(tab, Config{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := streamed.ExpandStream(streamed.Root(), 5, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	got, want := childKeys(streamed.Root()), childKeys(batch.Root())
-	if len(got) != len(want) {
-		t.Fatalf("streamed %d rules, batch %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("streamed rules %v != batch rules %v", got, want)
+	// Batch and streamed expansions of the root agree at both probe sizes:
+	// k=4, where the estimate binds and shuts the triple out of either, and
+	// k=5, where it admits it.
+	var streamed *Session
+	var got []string
+	for _, k := range []int{4, 5} {
+		batch, err := NewSession(tab, Config{K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := batch.Expand(batch.Root()); err != nil {
+			t.Fatal(err)
+		}
+		streamed, err = NewSession(tab, Config{K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := streamed.ExpandStream(streamed.Root(), k, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		got, want = childKeys(streamed.Root()), childKeys(batch.Root())
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("k=%d: streamed rules %v != batch rules %v", k, got, want)
 		}
 	}
 	// The triple only survives under the correctly-sized probe.
@@ -119,5 +123,67 @@ func TestStreamUsesConfiguredK(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("bounded stream on a K=3 session excluded the triple; rules: %v", childKeys(bounded.Root()))
+	}
+}
+
+// TestStreamFeedsModelAndPrefetches pins that a streamed drill is an
+// expansion like any other: it reports the drill to the session's RankModel
+// and runs the Section 4.3 prefetch (a degraded one still skips it).
+func TestStreamFeedsModelAndPrefetches(t *testing.T) {
+	tab := datagen.CensusProjected(40000, 5, 9)
+	model := sampling.NewRankModel()
+	s, err := NewSession(tab, Config{
+		K: 3, SampleMemory: 30000, MinSampleSize: 2000, Prefetch: true, ProbModel: model, Seed: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefetched := func(n *Node) bool {
+		for _, smp := range s.Handler().Samples() {
+			if smp.Filter.Equal(n.Rule) {
+				return true
+			}
+		}
+		return false
+	}
+
+	if err := s.ExpandStreamCtx(WithDegraded(context.Background()), s.Root(), 3, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range s.Root().Children {
+		if prefetched(c) {
+			t.Fatalf("degraded stream prefetched a sample for %v", c.Rule)
+		}
+	}
+
+	if err := s.ExpandStream(s.Root(), 3, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	kids := s.Root().Children
+	if len(kids) < 2 {
+		t.Fatalf("root stream displayed %d rules, want at least 2", len(kids))
+	}
+	held := 0
+	for _, c := range kids {
+		if prefetched(c) {
+			held++
+		}
+	}
+	if held == 0 {
+		t.Fatal("streamed expansion prefetched no sample for its children")
+	}
+
+	// Drill the last displayed rule: a model that saw it now ranks that
+	// position above the first; a model that saw nothing stays uniform.
+	if err := s.ExpandStream(kids[len(kids)-1], 3, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	probe := &sampling.TreeNode{}
+	for range kids {
+		probe.Children = append(probe.Children, &sampling.TreeNode{})
+	}
+	model.Assign(probe)
+	if first, last := probe.Children[0].Prob, probe.Children[len(kids)-1].Prob; last <= first {
+		t.Fatalf("RankModel did not observe the streamed drill: P(first) = %g, P(last) = %g", first, last)
 	}
 }

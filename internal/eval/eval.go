@@ -13,8 +13,6 @@ import (
 
 	"smartdrill/internal/brs"
 	"smartdrill/internal/drill"
-	"smartdrill/internal/rule"
-	"smartdrill/internal/score"
 	"smartdrill/internal/storage"
 	"smartdrill/internal/table"
 	"smartdrill/internal/weight"
@@ -315,35 +313,4 @@ func SortFig5(rows []Fig5Row) {
 		}
 		return a.MW < b.MW
 	})
-}
-
-// RuleSetKey canonicalizes a displayed rule list for comparisons in tests.
-func RuleSetKey(rules []rule.Rule) string {
-	keys := make([]string, len(rules))
-	for i, r := range rules {
-		keys[i] = r.Key()
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "|")
-}
-
-// ExactCounts returns the exact table counts of the displayed children of
-// root (Figure 8b ground truth helper).
-func ExactCounts(t *table.Table, nodes []*drill.Node) []float64 {
-	out := make([]float64, len(nodes))
-	for i, n := range nodes {
-		out[i] = float64(t.Count(n.Rule))
-	}
-	return out
-}
-
-// ScoreOfChildren computes the exact Score of the displayed children under
-// the given weighter — used to compare smart vs traditional drill-down
-// (Section 5.1's qualitative claim, made quantitative).
-func ScoreOfChildren(t *table.Table, w weight.Weighter, nodes []*drill.Node) float64 {
-	rules := make([]rule.Rule, len(nodes))
-	for i, n := range nodes {
-		rules[i] = n.Rule
-	}
-	return score.SetScore(t, w, score.CountAgg{}, rules)
 }

@@ -62,15 +62,6 @@ func selectivity(parent, child *TreeNode) float64 {
 // Allocation maps rule keys to sample sizes (in tuples).
 type Allocation map[string]int
 
-// TotalSize returns the summed allocation.
-func (a Allocation) TotalSize() int {
-	t := 0
-	for _, n := range a {
-		t += n
-	}
-	return t
-}
-
 // localSolution is one locally-optimal assignment for a (parent, leaf
 // children) group: cost in tuples, probability mass of leaves whose ess
 // reaches minSS, and the per-node sizes realizing it.

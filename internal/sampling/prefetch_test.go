@@ -59,8 +59,8 @@ func TestPrefetchBuildsAllocatedSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alloc.TotalSize() == 0 || alloc.TotalSize() > 20000 {
-		t.Fatalf("allocation size %d out of budget", alloc.TotalSize())
+	if totalSize(alloc) == 0 || totalSize(alloc) > 20000 {
+		t.Fatalf("allocation size %d out of budget", totalSize(alloc))
 	}
 	if got := store.Stats().FullScans; got != 1 {
 		t.Fatalf("prefetch cost %d scans, want exactly 1", got)
@@ -90,20 +90,6 @@ func TestPrefetchBuildsAllocatedSamples(t *testing.T) {
 	}
 	if store.Stats().FullScans != 0 {
 		t.Fatal("post-prefetch drills must not scan")
-	}
-}
-
-// TestPrefetchConvexOption: the Problem 6 relaxation, which Prefetch does
-// not use (it runs the DP), stays within the memory budget on a prefetch-
-// shaped tree.
-func TestPrefetchConvexOption(t *testing.T) {
-	tab := grid(20000, 4, 4)
-	root := &TreeNode{Rule: rule.Trivial(2), Count: float64(tab.NumRows())}
-	r, _ := tab.EncodeRule(map[string]string{"A": "a"})
-	root.Children = append(root.Children, &TreeNode{Rule: r, Count: 5000, Prob: 1})
-	alloc, _ := AllocateConvex(root, 10000, 1000, ConvexOptions{})
-	if alloc.TotalSize() > 10000 {
-		t.Fatalf("convex allocation %d over budget", alloc.TotalSize())
 	}
 }
 

@@ -8,8 +8,7 @@
 // sub-rules of the request — uniform because every requested tuple had the
 // same inclusion probability in each contributing sample), falling back to
 // Create (one accounted pass building a reservoir sample). Memory is
-// allocated across displayed rules by the Problem 5 dynamic program or the
-// Problem 6 convex relaxation.
+// allocated across displayed rules by the Problem 5 dynamic program.
 package sampling
 
 import (

@@ -13,10 +13,10 @@ import (
 	"smartdrill/internal/weight"
 )
 
-// nonIdentity mirrors the //sdlint:nonidentity annotations on Request:
-// fields that deliberately stay out of the cache key. The cachekey
-// analyzer checks the annotations statically; this test checks the same
-// split dynamically against keyOf's actual behavior.
+// nonIdentity mirrors the //sdlint:nonidentity comments on Request: fields
+// that deliberately stay out of the cache key. The comments are
+// documentation; this test is what holds the split, against keyOf's actual
+// behavior.
 var nonIdentity = map[string]bool{
 	"Deadline":     true,
 	"Yield":        true,
@@ -47,8 +47,7 @@ func baseRequest() Request {
 // mutations sets each Request field to a value different from
 // baseRequest's. Reflection walks every field of Request, so adding a
 // field without extending this table (and deciding its identity status)
-// fails the test — the runtime twin of the cachekey analyzer's
-// unkeyed-field diagnostic.
+// fails the test.
 var mutations = map[string]func(*Request){
 	"Kind":         func(r *Request) { r.Kind = KindRefine },
 	"Rule":         func(r *Request) { r.Rule = r.Rule.With(1, 2) },

@@ -60,7 +60,9 @@ const (
 // through Column) make up the cache key; the remaining fields are
 // execution inputs that either route around the cache (Sampled, Degraded,
 // NoCache, a Deadline-bounded stream) or are only consulted on a miss
-// (Resolve, MaxWeightFor, Store, Yield).
+// (Resolve, MaxWeightFor, Store, Yield); each carries a
+// //sdlint:nonidentity comment saying why it stays out of the key, and
+// TestKeyOfFieldIdentity holds the split for every field.
 type Request struct {
 	Kind Kind
 	// Rule is the expansion target: the drilled rule for batch/stream,
@@ -420,7 +422,7 @@ func (st *cacheState) insert(k key, e *entry, bound int) {
 // search did real work the session's accounting must see.
 func (s *Service) execute(ctx context.Context, req Request, cacheable bool) (Response, *entry, error) {
 	switch req.Kind {
-	case KindBatch:
+	case KindBatch, KindStream:
 		view, scale, exact, err := req.Resolve()
 		if err != nil {
 			return Response{}, nil, err
@@ -429,53 +431,31 @@ func (s *Service) execute(ctx context.Context, req Request, cacheable bool) (Res
 		if mw <= 0 {
 			mw = req.MaxWeightFor(view)
 		}
-		results, stats, err := brs.RunCtx(ctx, view, req.Weighter, brs.Options{
-			K:           req.K,
-			MaxWeight:   mw,
-			Base:        req.Rule,
-			BaseCovered: true, // Resolve delivers exactly the rule's coverage
-			Agg:         req.Agg,
-			Workers:     req.Workers,
-			SampleScale: scale,
-		})
-		resp := Response{Results: results, Scale: scale, Exact: exact, Stats: stats}
-		if err != nil {
-			return resp, nil, err
-		}
-		var e *entry
-		if cacheable && exact && scale == 1 {
-			e = &entry{results: cloneResults(results)}
-		}
-		return resp, e, nil
-
-	case KindStream:
-		view, scale, exact, err := req.Resolve()
-		if err != nil {
-			return Response{}, nil, err
-		}
-		mw := req.MaxWeight
-		if mw <= 0 {
-			mw = req.MaxWeightFor(view)
-		}
-		var collected []brs.Result
-		stopped := false
-		stats, err := brs.RunIncrementalCtx(ctx, view, req.Weighter, brs.Options{
+		opts := brs.Options{
+			K:            req.K,
 			MaxWeight:    mw,
 			Base:         req.Rule,
-			BaseCovered:  true,
+			BaseCovered:  true, // Resolve delivers exactly the rule's coverage
 			Agg:          req.Agg,
 			Workers:      req.Workers,
 			MinGainRatio: req.MinGainRatio,
 			SampleScale:  scale,
-		}, req.MaxRules, req.Deadline, func(r brs.Result) bool {
-			collected = append(collected, r)
-			if req.Yield != nil && !req.Yield(r) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		resp := Response{Results: collected, Scale: scale, Exact: exact, Stats: stats}
+		}
+		var (
+			results []brs.Result
+			stats   brs.Stats
+			stopped bool
+		)
+		if req.Kind == KindBatch {
+			results, stats, err = brs.RunCtx(ctx, view, req.Weighter, opts)
+		} else {
+			stats, err = brs.RunIncrementalCtx(ctx, view, req.Weighter, opts, req.MaxRules, req.Deadline, func(r brs.Result) bool {
+				results = append(results, r)
+				stopped = req.Yield != nil && !req.Yield(r)
+				return !stopped
+			})
+		}
+		resp := Response{Results: results, Scale: scale, Exact: exact, Stats: stats}
 		if err != nil {
 			return resp, nil, err
 		}
@@ -483,23 +463,19 @@ func (s *Service) execute(ctx context.Context, req Request, cacheable bool) (Res
 		// A consumer-stopped stream is truncated: the search would have
 		// gone on. It must never be replayed as the complete expansion.
 		if cacheable && !stopped && exact && scale == 1 {
-			e = &entry{results: cloneResults(collected)}
+			e = &entry{results: cloneResults(results)}
 		}
 		return resp, e, nil
 
 	case KindRefine:
+		t := req.Store.Table()
 		var count float64
-		if _, isCount := req.Agg.(score.CountAgg); isCount {
-			count = float64(req.Store.CountExact(req.Rule))
-		} else {
-			t := req.Store.Table()
-			req.Store.Scan(func(i int) bool {
-				if t.Covers(req.Rule, i) {
-					count += req.Agg.Mass(t, i)
-				}
-				return true
-			})
-		}
+		req.Store.Scan(func(i int) bool {
+			if t.Covers(req.Rule, i) {
+				count += req.Agg.Mass(t, i)
+			}
+			return true
+		})
 		var e *entry
 		if cacheable {
 			e = &entry{count: count}

@@ -80,10 +80,10 @@ func (s *Server) putSession(sess *session) {
 	}
 	if s.backend != nil {
 		evicted.do(func(*smartdrill.Engine) {})
-		s.cfg.Logger.Printf("session %s evicted to disk (per-shard LRU, session cap %d)", evicted.id, s.cfg.MaxSessions)
+		s.cfg.Logger.Printf("session %s evicted to disk (LRU, session cap %d)", evicted.id, s.cfg.MaxSessions)
 		return
 	}
-	s.cfg.Logger.Printf("session %s evicted (per-shard LRU, session cap %d)", evicted.id, s.cfg.MaxSessions)
+	s.cfg.Logger.Printf("session %s evicted (LRU, session cap %d)", evicted.id, s.cfg.MaxSessions)
 }
 
 // rehydrate restores a session from the backend after a store miss. The

@@ -92,7 +92,7 @@ func TestRestartResumesSession(t *testing.T) {
 // the pre-backend behavior (404 on evicted, TestSessionEviction) becomes a
 // cache miss.
 func TestEvictionRehydrates(t *testing.T) {
-	_, ts := newDurableServer(t, t.TempDir(), Config{MaxSessions: 1, StoreShards: 1})
+	_, ts := newDurableServer(t, t.TempDir(), Config{MaxSessions: 1})
 	first := createSession(t, ts.URL, api.CreateSessionRequest{Dataset: "store", K: 3, Seed: 1})
 	before := fetchTree(t, ts.URL, first.ID)
 	createSession(t, ts.URL, api.CreateSessionRequest{Dataset: "store", K: 3, Seed: 2}) // evicts first
@@ -108,7 +108,7 @@ func TestEvictionRehydrates(t *testing.T) {
 // rehydrate with the CIs intact, and RefineNode still upgrades a restored
 // provisional node to exact.
 func TestProvisionalRoundTrip(t *testing.T) {
-	_, ts := newDurableServer(t, t.TempDir(), Config{MaxSessions: 1, StoreShards: 1})
+	_, ts := newDurableServer(t, t.TempDir(), Config{MaxSessions: 1})
 	tree := createSession(t, ts.URL, api.CreateSessionRequest{
 		Dataset: "store", Seed: 7, SampleMemory: 3000, MinSampleSize: 500,
 	})
@@ -166,7 +166,7 @@ func TestDeleteRemovesSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestServer(t, Config{Backend: backend, MaxSessions: 1, StoreShards: 1})
+	_, ts := newTestServer(t, Config{Backend: backend, MaxSessions: 1})
 	first := createSession(t, ts.URL, api.CreateSessionRequest{Dataset: "store", Seed: 1})
 	createSession(t, ts.URL, api.CreateSessionRequest{Dataset: "store", Seed: 2}) // evict first to disk
 

@@ -5,6 +5,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -56,8 +57,21 @@ func trueCount(t *testing.T, n *api.Node) float64 {
 // over SSE: provisional rule events with confidence intervals first, then
 // one refine event per rule replacing the estimate with the exact count.
 func TestDrillStreamRefineEvents(t *testing.T) {
+	// With prefetch on, the stream's own §4.3 pass upgrades some children to
+	// exact before the refinement phase reaches them; they owe the client a
+	// refine event all the same.
+	for _, prefetch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("prefetch=%v", prefetch), func(t *testing.T) {
+			streamRefineEvents(t, prefetch)
+		})
+	}
+}
+
+func streamRefineEvents(t *testing.T, prefetch bool) {
 	_, ts := newSampledServer(t, Config{})
-	id := createSession(t, ts.URL, sampledCreate()).ID
+	create := sampledCreate()
+	create.Prefetch = prefetch
+	id := createSession(t, ts.URL, create).ID
 
 	resp, err := http.Get(ts.URL + "/v1/sessions/" + id + "/drill/stream?budget_ms=10000&max_rules=4")
 	if err != nil {
@@ -196,7 +210,7 @@ func TestBackgroundRefine(t *testing.T) {
 // the per-node lock/unlock refinement cycle. Run under -race (make race /
 // CI) this is the pipeline's data-race check.
 func TestBackgroundRefinerRace(t *testing.T) {
-	srv, ts := newSampledServer(t, Config{BackgroundRefine: true, StoreShards: 1})
+	srv, ts := newSampledServer(t, Config{BackgroundRefine: true})
 	id := createSession(t, ts.URL, sampledCreate()).ID
 
 	var wg sync.WaitGroup

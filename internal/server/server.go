@@ -1,6 +1,6 @@
 // Package server exposes smart drill-down sessions over the versioned v1
 // JSON HTTP API — the serving layer behind cmd/smartdrilld. It manages a
-// registry of named datasets and a sharded, LRU-evicting session store,
+// registry of named datasets and an LRU-evicting session store,
 // and implements the paper's interactive operations (drill-down, star
 // drill-down, roll-up, anytime streaming, provisional→exact refinement)
 // as endpoints under /v1, speaking the api package's DTOs — stable string
@@ -30,7 +30,7 @@
 // (session.do), which holds the per-session lock, so operations on one
 // session serialize while distinct sessions run fully in parallel (each
 // expansion can additionally fan out across BRS workers). The session
-// registry itself is sharded to keep lookup contention off the hot path.
+// registry's own lock covers one map lookup and one list move.
 package server
 
 import (
@@ -56,9 +56,6 @@ type Config struct {
 	// MaxSessions caps live sessions; the least recently used session is
 	// evicted when a create would exceed it. Default 1024.
 	MaxSessions int
-	// StoreShards is the number of independent session-store shards.
-	// Default 16; tests pin it to 1 for deterministic eviction.
-	StoreShards int
 	// DefaultK is the rules-per-expansion when a create request does not
 	// specify k. Default 3 (the paper's UI default).
 	DefaultK int
@@ -142,9 +139,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 1024
-	}
-	if c.StoreShards <= 0 {
-		c.StoreShards = 16
 	}
 	if c.DefaultK <= 0 {
 		c.DefaultK = 3
@@ -233,7 +227,7 @@ func New(cfg Config) *Server {
 	cfg.fill()
 	s := &Server{
 		cfg:      cfg,
-		store:    newSessionStore(cfg.MaxSessions, cfg.StoreShards),
+		store:    newSessionStore(cfg.MaxSessions),
 		backend:  cfg.Backend,
 		datasets: guarded.New(make(map[string]dataset)),
 	}

@@ -494,10 +494,10 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestSessionEviction pins the store to one shard with capacity 1 so LRU
-// eviction is deterministic: creating a second session evicts the first.
+// TestSessionEviction caps the store at one session: creating a second
+// evicts the first.
 func TestSessionEviction(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxSessions: 1, StoreShards: 1})
+	s, ts := newTestServer(t, Config{MaxSessions: 1})
 	first := createSession(t, ts.URL, api.CreateSessionRequest{Dataset: "store"}).ID
 	second := createSession(t, ts.URL, api.CreateSessionRequest{Dataset: "store"}).ID
 	if got := s.SessionCount(); got != 1 {

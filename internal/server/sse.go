@@ -89,11 +89,12 @@ func (s *Server) handleDrillStream(w http.ResponseWriter, r *http.Request) {
 	// the node it re-drills.
 	ctx := r.Context()
 	var (
-		start    time.Time
-		err      error
-		rules    int
-		access   string
-		children []*smartdrill.Node
+		start  time.Time
+		err    error
+		rules  int
+		access string
+		// provisional lists the children streamed with a sample estimate.
+		provisional []*smartdrill.Node
 	)
 	fail := visitNode(sess, nodeID, func(e *smartdrill.Engine, n *smartdrill.Node) *api.Error {
 		w.Header().Set("Content-Type", "text/event-stream")
@@ -104,13 +105,15 @@ func (s *Server) handleDrillStream(w http.ResponseWriter, r *http.Request) {
 
 		start = time.Now()
 		err = e.DrillDownStreamCtx(ctx, n, maxRules, budget, func(child *smartdrill.Node) bool {
+			if !child.Exact {
+				provisional = append(provisional, child)
+			}
 			writeSSE(w, api.EventRule, encodeNode(e, child))
 			flusher.Flush()
 			rules++
 			return true
 		})
 		access = e.LastAccessMethod()
-		children = append(children, n.Children...)
 		return nil
 	})
 	if fail != nil {
@@ -129,13 +132,15 @@ func (s *Server) handleDrillStream(w http.ResponseWriter, r *http.Request) {
 	// orphans — and each exact count is on disk before its event is sent.
 	refined := 0
 	if err == nil {
-		for _, child := range children {
+		for _, child := range provisional {
 			if ctx.Err() != nil {
 				break // client went away; stop paying for passes
 			}
 			var payload *api.Node
 			sess.do(func(e *smartdrill.Engine) {
-				if e.RefineNode(child) {
+				// A child the stream's own prefetch already upgraded owes
+				// the client its exact count just the same.
+				if e.RefineNode(child) || child.Exact {
 					payload = encodeNode(e, child)
 				}
 			})

@@ -4,82 +4,51 @@ import (
 	"container/list"
 	"crypto/rand"
 	"encoding/hex"
-	"hash/fnv"
 
 	"smartdrill/internal/guarded"
 )
 
-// sessionStore is a sharded, LRU-evicting registry of sessions. IDs hash to
-// a shard; each shard owns an independent lock, map, and recency list, so
-// the store itself is never a global point of contention. The session cap
-// is split evenly across shards (eviction is therefore approximate with
-// respect to global recency — an acceptable trade for shard independence).
+// sessionStore is the LRU-evicting registry of resident sessions: one lock
+// around one map and one recency list, so MaxSessions is an exact cap and
+// eviction follows exact global recency. The critical section is a map
+// lookup and a list move; the work of a request happens behind the session's
+// own door, not here.
 type sessionStore struct {
-	shards []storeShard
-}
-
-type storeShard struct {
 	cap   int // immutable after construction
-	state guarded.Value[shardState]
+	state guarded.Value[storeState]
 }
 
-// shardState is what a shard's lock protects.
-type shardState struct {
+// storeState is what the store's lock protects.
+type storeState struct {
 	entries map[string]*list.Element // values are *session
 	lru     *list.List               // front = most recently used
 }
 
-// newSessionStore builds a store holding at most capacity sessions spread
-// over the given number of shards (minimum 1 each). Small capacities shrink
-// the shard count rather than inflate the cap, so an operator's
-// -max-sessions is honored exactly when it is below the shard count.
-func newSessionStore(capacity, shards int) *sessionStore {
+// newSessionStore builds a store holding at most capacity sessions
+// (minimum 1).
+func newSessionStore(capacity int) *sessionStore {
 	if capacity < 1 {
 		capacity = 1
 	}
-	if shards < 1 {
-		shards = 1
+	return &sessionStore{
+		cap: capacity,
+		state: guarded.New(storeState{
+			entries: make(map[string]*list.Element),
+			lru:     list.New(),
+		}),
 	}
-	if shards > capacity {
-		shards = capacity
-	}
-	st := &sessionStore{shards: make([]storeShard, shards)}
-	// Distribute capacity exactly: the first capacity%shards shards take
-	// one extra slot, so the per-shard caps sum to capacity.
-	base, extra := capacity/shards, capacity%shards
-	for i := range st.shards {
-		c := base
-		if i < extra {
-			c++
-		}
-		st.shards[i] = storeShard{
-			cap: c,
-			state: guarded.New(shardState{
-				entries: make(map[string]*list.Element),
-				lru:     list.New(),
-			}),
-		}
-	}
-	return st
 }
 
-func (st *sessionStore) shard(id string) *storeShard {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return &st.shards[h.Sum32()%uint32(len(st.shards))]
-}
-
-// put inserts a session, evicting the shard's least recently used entry
-// when the shard is at capacity. It returns the evicted session, if any,
-// so the owner can demote it to the durable backend (evict-to-disk).
+// put inserts a session, evicting the least recently used one when the
+// store is at capacity. It returns the evicted session, if any, so the
+// owner can demote it to the durable backend (evict-to-disk).
 func (st *sessionStore) put(s *session) (evicted *session) {
-	sh := st.shard(s.id)
-	sh.state.Do(func(ss *shardState) {
+	st.state.Do(func(ss *storeState) {
 		if el, ok := ss.entries[s.id]; ok { // overwrite (unlikely: random IDs)
 			ss.lru.Remove(el)
 			delete(ss.entries, s.id)
 		}
-		if ss.lru.Len() >= sh.cap {
+		if ss.lru.Len() >= st.cap {
 			if back := ss.lru.Back(); back != nil {
 				evicted = back.Value.(*session)
 				ss.lru.Remove(back)
@@ -93,7 +62,7 @@ func (st *sessionStore) put(s *session) (evicted *session) {
 
 // get returns the session and marks it most recently used.
 func (st *sessionStore) get(id string) (sess *session, ok bool) {
-	st.shard(id).state.Do(func(ss *shardState) {
+	st.state.Do(func(ss *storeState) {
 		var el *list.Element
 		if el, ok = ss.entries[id]; ok {
 			ss.lru.MoveToFront(el)
@@ -105,7 +74,7 @@ func (st *sessionStore) get(id string) (sess *session, ok bool) {
 
 // remove deletes and returns the session, nil if it was not resident.
 func (st *sessionStore) remove(id string) (sess *session) {
-	st.shard(id).state.Do(func(ss *shardState) {
+	st.state.Do(func(ss *storeState) {
 		if el, ok := ss.entries[id]; ok {
 			ss.lru.Remove(el)
 			delete(ss.entries, id)
@@ -115,12 +84,9 @@ func (st *sessionStore) remove(id string) (sess *session) {
 	return sess
 }
 
-// len counts live sessions across all shards.
-func (st *sessionStore) len() int {
-	n := 0
-	for i := range st.shards {
-		st.shards[i].state.Do(func(ss *shardState) { n += ss.lru.Len() })
-	}
+// len counts resident sessions.
+func (st *sessionStore) len() (n int) {
+	st.state.Do(func(ss *storeState) { n = ss.lru.Len() })
 	return n
 }
 

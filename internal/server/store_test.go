@@ -7,7 +7,7 @@ import (
 )
 
 func TestStoreLRUEviction(t *testing.T) {
-	st := newSessionStore(3, 1)
+	st := newSessionStore(3)
 	for i := 0; i < 3; i++ {
 		if evicted := st.put(&session{id: fmt.Sprintf("s%d", i)}); evicted != nil {
 			t.Fatalf("premature eviction of %s", evicted.id)
@@ -34,7 +34,7 @@ func TestStoreLRUEviction(t *testing.T) {
 }
 
 func TestStoreRemove(t *testing.T) {
-	st := newSessionStore(4, 2)
+	st := newSessionStore(4)
 	st.put(&session{id: "a"})
 	if st.remove("a") == nil {
 		t.Fatal("remove existing returned nil")
@@ -47,9 +47,9 @@ func TestStoreRemove(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrent exercises sharded put/get/remove under -race.
+// TestStoreConcurrent exercises put/get/remove under -race.
 func TestStoreConcurrent(t *testing.T) {
-	st := newSessionStore(64, 8)
+	st := newSessionStore(64)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -55,8 +55,6 @@ func (s *Store) NumRows() int { return s.t.NumRows() }
 // Scan performs one accounted full pass, invoking fn for every row index
 // until fn returns false. Even early-terminated scans count as full scans
 // for pass accounting (reservoir building always scans fully anyway).
-//
-//sdlint:io rows (self-accounted: books rowsRead below)
 func (s *Store) Scan(fn func(i int) bool) {
 	n := s.t.NumRows()
 	read := int64(0)
@@ -75,8 +73,6 @@ func (s *Store) Scan(fn func(i int) bool) {
 // FilterRows returns the row indices covered by r, answered from the
 // table's shared inverted index and accounted as index I/O: the lookup is
 // charged the posting entries it read, not a full pass.
-//
-//sdlint:io postings (self-accounted: books indexRowsRead below)
 func (s *Store) FilterRows(r rule.Rule) []int {
 	rows, read := s.t.Index().Lookup(r)
 	s.mu.Lock()
@@ -104,20 +100,4 @@ func (s *Store) ResetStats() {
 	s.fullScans, s.rowsRead = 0, 0
 	s.indexLookups, s.indexRowsRead = 0, 0
 	s.mu.Unlock()
-}
-
-// CountExact counts rows covered by r with one accounted pass: the
-// background "find exact counts for displayed rules" refinement of
-// Section 4.3's pre-fetching discussion.
-//
-//sdlint:io rows (accounted through Scan, which books the pass)
-func (s *Store) CountExact(r rule.Rule) int {
-	n := 0
-	s.Scan(func(i int) bool {
-		if s.t.Covers(r, i) {
-			n++
-		}
-		return true
-	})
-	return n
 }

@@ -3,7 +3,6 @@ package storage
 import (
 	"testing"
 
-	"smartdrill/internal/rule"
 	"smartdrill/internal/table"
 )
 
@@ -53,24 +52,6 @@ func TestScanEarlyStop(t *testing.T) {
 	}
 	if got := s.Stats().RowsRead; got != 3 {
 		t.Fatalf("RowsRead = %d, want 3", got)
-	}
-}
-
-func TestCountExact(t *testing.T) {
-	tab := fixture(t)
-	s := NewStore(tab)
-	even, err := tab.EncodeRule(map[string]string{"A": "even"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.CountExact(even); got != 5 {
-		t.Fatalf("CountExact = %d, want 5", got)
-	}
-	if got := s.CountExact(rule.Trivial(1)); got != 10 {
-		t.Fatalf("CountExact(trivial) = %d", got)
-	}
-	if got := s.Stats().FullScans; got != 2 {
-		t.Fatalf("CountExact must account scans, got %d", got)
 	}
 }
 

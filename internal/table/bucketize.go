@@ -106,37 +106,3 @@ func formatBound(v float64) string {
 	}
 	return strconv.FormatFloat(v, 'g', 4, 64)
 }
-
-// BucketizeMeasure replaces measure column name with a new categorical
-// column of bucketized labels appended to the schema, returning a new Table.
-// The measure column itself is retained (it can still be Sum-aggregated).
-func (t *Table) BucketizeMeasure(name string, buckets int, scheme BucketScheme) (*Table, error) {
-	m, err := t.MeasureIndex(name)
-	if err != nil {
-		return nil, err
-	}
-	labels, _, err := Bucketize(t.measures[m], buckets, scheme)
-	if err != nil {
-		return nil, err
-	}
-	cols := append(append([]string{}, t.colNames...), name+"_bucket")
-	b, err := NewBuilder(cols, t.measureNames)
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]string, len(cols))
-	meas := make([]float64, len(t.measureNames))
-	for i := 0; i < t.n; i++ {
-		for c := range t.colNames {
-			vals[c] = t.dicts[c].Decode(t.cols[c][i])
-		}
-		vals[len(cols)-1] = labels[i]
-		for mm := range t.measureNames {
-			meas[mm] = t.measures[mm][i]
-		}
-		if err := b.AddRow(vals, meas); err != nil {
-			return nil, err
-		}
-	}
-	return b.Build(), nil
-}

@@ -81,34 +81,6 @@ func TestBucketizeEdgeCases(t *testing.T) {
 	}
 }
 
-func TestBucketizeMeasure(t *testing.T) {
-	b := MustBuilder([]string{"Store"}, []string{"Age"})
-	ages := []float64{18, 22, 25, 31, 35, 44, 52, 61, 70}
-	for i, a := range ages {
-		b.MustAddRow([]string{[]string{"A", "B", "C"}[i%3]}, a)
-	}
-	tab := b.Build()
-	bt, err := tab.BucketizeMeasure("Age", 3, EquiDepth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bt.NumCols() != 2 {
-		t.Fatalf("cols = %d, want 2 (Store + Age_bucket)", bt.NumCols())
-	}
-	if bt.ColumnNames()[1] != "Age_bucket" {
-		t.Fatalf("new column name = %q", bt.ColumnNames()[1])
-	}
-	if len(bt.MeasureNames()) != 1 {
-		t.Fatal("original measure must be retained")
-	}
-	if bt.NumRows() != tab.NumRows() {
-		t.Fatal("row count changed")
-	}
-	if _, err := tab.BucketizeMeasure("Nope", 3, EquiWidth); err == nil {
-		t.Error("unknown measure should fail")
-	}
-}
-
 func TestBucketizeBoundaryMembership(t *testing.T) {
 	// Equi-width over [0,100] with 2 buckets: boundary value 50 belongs to
 	// the upper bucket; 100 (the max) stays in the last bucket.

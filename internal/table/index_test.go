@@ -184,7 +184,7 @@ func TestViewSemantics(t *testing.T) {
 	if sub.NumRows() != 2 || sub.ParentRow(0) != 2 {
 		t.Fatalf("sub view misreports shape")
 	}
-	if sub.Value(1, 0) != tab.Value(1, 2) || sub.MeasureValue(0, 1) != 1 {
+	if sub.Value(1, 0) != tab.Value(1, 2) {
 		t.Fatal("view does not share parent arrays")
 	}
 	xr, _ := tab.EncodeRule(map[string]string{"A": "x"})
@@ -201,10 +201,6 @@ func TestViewSemantics(t *testing.T) {
 	}
 	if empty := sub.Refine(rule.Rule{rule.Star, rule.Star - 1}); empty.NumRows() != 0 {
 		t.Fatal("Refine with impossible rule must be empty, not full")
-	}
-	mat := sub.Materialize()
-	if mat.NumRows() != 2 || mat.Value(0, 0) != tab.Value(0, 2) {
-		t.Fatal("Materialize copied wrong rows")
 	}
 }
 

@@ -62,14 +62,6 @@ func (v *View) Value(c, i int) rule.Value {
 	return v.t.cols[c][i]
 }
 
-// MeasureValue returns measure column m at view position i.
-func (v *View) MeasureValue(m, i int) float64 {
-	if v.rows != nil {
-		i = v.rows[i]
-	}
-	return v.t.measures[m][i]
-}
-
 // Covers reports whether rule r covers the tuple at view position i.
 func (v *View) Covers(r rule.Rule, i int) bool {
 	if v.rows != nil {
@@ -102,18 +94,4 @@ func (v *View) Refine(r rule.Rule) *View {
 		rows = []int{} // distinguish "empty result" from "all rows"
 	}
 	return &View{t: v.t, rows: rows}
-}
-
-// Materialize copies the view's rows into an independent dense Table
-// (sharing dictionaries). Tests use it to cross-check view-backed results
-// against the copying path.
-func (v *View) Materialize() *Table {
-	rows := v.rows
-	if rows == nil {
-		rows = make([]int, v.t.n)
-		for i := range rows {
-			rows[i] = i
-		}
-	}
-	return v.t.Select(rows)
 }

@@ -8,14 +8,8 @@
 // API deliberately mirrors x/tools (same field and method names), so each
 // analyzer would port to the real framework by changing one import path.
 //
-// Analyzer facts are supported in the x/tools shape — an analyzer lists
-// its Fact types in FactTypes and calls Pass.ExportObjectFact /
-// Pass.ImportObjectFact — with one deliberate narrowing: facts attach
-// only to package-level functions and methods (*types.Func), because
-// the one cross-package contract sdlint checks (ioaccount's accounted I/O
-// helpers) is a property of a function. See
-// facts.go for the encoding and FactKey for the object identity.
-// Requires chaining remains absent: each analyzer is self-contained.
+// Facts and Requires chaining are absent: each analyzer is self-contained
+// and sees one package at a time.
 package analysis
 
 import (
@@ -23,7 +17,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"reflect"
 )
 
 // Analyzer describes one static check.
@@ -41,19 +34,6 @@ type Analyzer struct {
 	// this analyzer's diagnostics, beyond Name itself (detwalk, for
 	// example, is suppressed by the more readable key "nondeterminism").
 	AllowKeys []string
-	// FactTypes lists the fact types this analyzer exports and imports,
-	// one zero value per type (e.g. new(AccountedFact)). An analyzer
-	// with an empty FactTypes runs only on the packages being vetted;
-	// one that declares facts additionally runs over module-internal
-	// dependency packages so its exports are available downstream.
-	FactTypes []Fact
-}
-
-// A Fact is cross-package analyzer state attached to a function. Fact
-// types are pointers to JSON-serializable structs and identify
-// themselves with the marker method.
-type Fact interface {
-	AFact()
 }
 
 // Pass presents one package to an Analyzer.Run.
@@ -67,16 +47,6 @@ type Pass struct {
 	// suppression directives are applied by the driver after Run
 	// returns, so analyzers report unconditionally.
 	Report func(Diagnostic)
-	// ExportObjectFact associates fact with obj for downstream
-	// packages. obj must be a function or method; facts on other
-	// objects are silently dropped (see FactKey). Populated by the
-	// driver.
-	ExportObjectFact func(obj types.Object, fact Fact)
-	// ImportObjectFact copies into fact the fact of that type
-	// previously exported for obj (by a dependency package, or earlier
-	// in this pass) and reports whether one existed. Populated by the
-	// driver.
-	ImportObjectFact func(obj types.Object, fact Fact) bool
 }
 
 // Reportf reports a formatted diagnostic at pos.
@@ -101,18 +71,6 @@ func Validate(analyzers []*Analyzer) error {
 			return fmt.Errorf("analysis: duplicate analyzer name %q", a.Name)
 		}
 		seen[a.Name] = true
-		factNames := make(map[string]bool)
-		for _, f := range a.FactTypes {
-			t := reflect.TypeOf(f)
-			if t == nil || t.Kind() != reflect.Ptr || t.Elem().Kind() != reflect.Struct {
-				return fmt.Errorf("analysis: analyzer %q fact type %T is not a pointer to struct", a.Name, f)
-			}
-			name := t.Elem().Name()
-			if factNames[name] {
-				return fmt.Errorf("analysis: analyzer %q declares fact type %s twice", a.Name, name)
-			}
-			factNames[name] = true
-		}
 	}
 	return nil
 }

@@ -16,12 +16,6 @@
 // Suppression directives are applied before matching, exactly as the
 // unitchecker driver applies them, so golden packages can assert both
 // that a pattern is flagged and that an annotated twin is not.
-//
-// Facts work as under the unitchecker driver: before a package is
-// checked, the analyzer runs in fact-export mode (diagnostics
-// discarded) over every testdata package loaded as a dependency, in
-// dependency order, so a golden package can exercise cross-package fact
-// import by simply importing a sibling.
 package analysistest
 
 import (
@@ -57,60 +51,26 @@ func TestData(t *testing.T) string {
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgpaths ...string) {
 	t.Helper()
 	ld := newLoader(filepath.Join(dir, "src"))
-	facts := analysis.NewFactSet()
-	exported := make(map[string]bool)
 	for _, path := range pkgpaths {
 		pkg, files, err := ld.load(path)
 		if err != nil {
 			t.Errorf("loading %s: %v", path, err)
 			continue
 		}
-		// Mirror the unitchecker: dependencies are visited for facts
-		// before the package under test runs. ld.order lists loaded
-		// packages in dependency order (imports complete first).
-		for _, dep := range ld.order {
-			if dep == path || exported[dep] {
-				continue
-			}
-			exportFacts(t, ld, a, facts, dep)
-			exported[dep] = true
-		}
-		check(t, ld, a, facts, path, pkg, files)
-		exported[path] = true
+		check(t, ld, a, path, pkg, files)
 	}
 }
 
-// exportFacts runs a over a dependency package purely for its exported
-// facts, as the unitchecker does for VetxOnly visits.
-func exportFacts(t *testing.T, ld *loader, a *analysis.Analyzer, facts *analysis.FactSet, path string) {
-	t.Helper()
-	pass := &analysis.Pass{
-		Analyzer:         a,
-		Fset:             ld.fset,
-		Files:            ld.asts[path],
-		Pkg:              ld.pkgs[path],
-		TypesInfo:        ld.info,
-		Report:           func(analysis.Diagnostic) {},
-		ExportObjectFact: facts.ExportFunc(a),
-		ImportObjectFact: facts.ImportFunc(a),
-	}
-	if _, err := a.Run(pass); err != nil {
-		t.Errorf("%s: analyzer %s failed on dependency visit: %v", path, a.Name, err)
-	}
-}
-
-func check(t *testing.T, ld *loader, a *analysis.Analyzer, facts *analysis.FactSet, path string, pkg *types.Package, files []*ast.File) {
+func check(t *testing.T, ld *loader, a *analysis.Analyzer, path string, pkg *types.Package, files []*ast.File) {
 	t.Helper()
 	var diags []analysis.Diagnostic
 	pass := &analysis.Pass{
-		Analyzer:         a,
-		Fset:             ld.fset,
-		Files:            files,
-		Pkg:              pkg,
-		TypesInfo:        ld.info,
-		Report:           func(d analysis.Diagnostic) { diags = append(diags, d) },
-		ExportObjectFact: facts.ExportFunc(a),
-		ImportObjectFact: facts.ImportFunc(a),
+		Analyzer:  a,
+		Fset:      ld.fset,
+		Files:     files,
+		Pkg:       pkg,
+		TypesInfo: ld.info,
+		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 	}
 	if _, err := a.Run(pass); err != nil {
 		t.Errorf("%s: analyzer %s failed: %v", path, a.Name, err)
@@ -209,7 +169,6 @@ type loader struct {
 	std    types.Importer
 	pkgs   map[string]*types.Package
 	asts   map[string][]*ast.File
-	order  []string // load-completion order: dependencies before dependents
 }
 
 func newLoader(srcdir string) *loader {
@@ -262,7 +221,6 @@ func (l *loader) load(path string) (*types.Package, []*ast.File, error) {
 	}
 	l.pkgs[path] = pkg
 	l.asts[path] = files
-	l.order = append(l.order, path)
 	return pkg, files, nil
 }
 

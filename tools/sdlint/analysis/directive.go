@@ -145,43 +145,3 @@ func ApplySuppression(fset *token.FileSet, files []*ast.File, a *Analyzer, diags
 	}
 	return out
 }
-
-// FuncDirectives returns the trimmed argument text of every
-// "//sdlint:<name> <args>" line in fn's doc comment, in order — the parser
-// behind the declaration-scoped directive (io): one entry per occurrence,
-// empty string for a bare directive.
-func FuncDirectives(fn *ast.FuncDecl, name string) []string {
-	if fn == nil || fn.Doc == nil {
-		return nil
-	}
-	prefix := "//sdlint:" + name
-	var out []string
-	for _, c := range fn.Doc.List {
-		rest, ok := strings.CutPrefix(c.Text, prefix)
-		if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-			continue
-		}
-		out = append(out, strings.TrimSpace(rest))
-	}
-	return out
-}
-
-// FieldDirective returns the trimmed argument text of the first
-// "//sdlint:<name> <args>" comment attached to a struct field (doc or
-// trailing comment), reporting ok=false when no such directive exists.
-func FieldDirective(field *ast.Field, name string) (args string, ok bool) {
-	prefix := "//sdlint:" + name
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			rest, found := strings.CutPrefix(c.Text, prefix)
-			if !found || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-				continue
-			}
-			return strings.TrimSpace(rest), true
-		}
-	}
-	return "", false
-}

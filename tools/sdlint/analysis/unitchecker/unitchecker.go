@@ -12,17 +12,10 @@
 // version line including a content hash, used as the cache key so edits
 // to sdlint invalidate cached vet results).
 //
-// The driver speaks the same facts protocol as
-// golang.org/x/tools/go/analysis/unitchecker: cmd/go visits dependency
-// packages in "VetxOnly" mode purely to produce fact files (.vetx),
-// then hands each package the .vetx files of its dependencies, so facts
-// flow in dependency order exactly like export data and the vet result
-// cache keys them by the tool's -V=full hash. Standard-library
-// dependencies (recognized by an empty ModulePath in their vet config)
-// are answered with an empty facts file without even parsing — sdlint's
-// facts only describe this repository's functions — while
-// module-internal dependencies are parsed, type-checked and run through
-// the fact-declaring analyzers with diagnostics discarded.
+// sdlint's analyzers export no facts, so the facts half of the protocol
+// is answered minimally: cmd/go still visits every dependency in
+// "VetxOnly" mode and expects the fact file (.vetx) it named, which is
+// written empty, without parsing anything.
 package unitchecker
 
 import (
@@ -123,56 +116,13 @@ func run(cfgFile string, analyzers []*analysis.Analyzer) {
 		log.Fatalf("parsing %s: %v", cfgFile, err)
 	}
 
-	// Gather the facts exported by this package's dependencies. The map
-	// is iterated in sorted order so fact files are byte-reproducible.
-	facts := analysis.NewFactSet()
-	depPaths := make([]string, 0, len(cfg.PackageVetx))
-	for path := range cfg.PackageVetx {
-		depPaths = append(depPaths, path)
-	}
-	sort.Strings(depPaths)
-	for _, path := range depPaths {
-		data, err := os.ReadFile(cfg.PackageVetx[path])
-		if err != nil {
-			log.Fatalf("reading facts of %s: %v", path, err)
-		}
-		if err := facts.Decode(data); err != nil {
-			log.Fatalf("facts of %s: %v", path, err)
-		}
-	}
-	writeFacts := func() {
-		if cfg.VetxOutput == "" {
-			return
-		}
-		data, err := facts.Encode()
-		if err != nil {
+	if cfg.VetxOutput != "" {
+		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
 			log.Fatal(err)
 		}
-		if err := os.WriteFile(cfg.VetxOutput, data, 0o666); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	// cmd/go visits dependencies only for their facts. Standard-library
-	// packages (no module path) carry none of ours: re-export the
-	// imported set without parsing. Module packages — smartdrill's own,
-	// in any build this repo runs — are analyzed for fact export below.
-	if cfg.VetxOnly && cfg.ModulePath == "" {
-		writeFacts()
-		os.Exit(0)
 	}
 	if cfg.VetxOnly {
-		var factful []*analysis.Analyzer
-		for _, a := range analyzers {
-			if len(a.FactTypes) > 0 {
-				factful = append(factful, a)
-			}
-		}
-		analyzers = factful
-		if len(analyzers) == 0 {
-			writeFacts()
-			os.Exit(0)
-		}
+		os.Exit(0)
 	}
 
 	fset := token.NewFileSet()
@@ -181,8 +131,7 @@ func run(cfgFile string, analyzers []*analysis.Analyzer) {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 		if err != nil {
 			if cfg.SucceedOnTypecheckFailure {
-				writeFacts() // pass the imported facts through
-				os.Exit(0)   // the compiler will report it better
+				os.Exit(0) // the compiler will report it better
 			}
 			log.Fatal(err)
 		}
@@ -220,7 +169,6 @@ func run(cfgFile string, analyzers []*analysis.Analyzer) {
 	pkg, err := tc.Check(cfg.ImportPath, fset, files, info)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
-			writeFacts()
 			os.Exit(0)
 		}
 		log.Fatalf("typechecking %s: %v", cfg.ImportPath, err)
@@ -230,20 +178,15 @@ func run(cfgFile string, analyzers []*analysis.Analyzer) {
 	for _, a := range analyzers {
 		var diags []analysis.Diagnostic
 		pass := &analysis.Pass{
-			Analyzer:         a,
-			Fset:             fset,
-			Files:            files,
-			Pkg:              pkg,
-			TypesInfo:        info,
-			Report:           func(d analysis.Diagnostic) { diags = append(diags, d) },
-			ExportObjectFact: facts.ExportFunc(a),
-			ImportObjectFact: facts.ImportFunc(a),
+			Analyzer:  a,
+			Fset:      fset,
+			Files:     files,
+			Pkg:       pkg,
+			TypesInfo: info,
+			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 		}
 		if _, err := a.Run(pass); err != nil {
 			log.Fatalf("analyzer %s: %v", a.Name, err)
-		}
-		if cfg.VetxOnly {
-			continue // fact-export visit: diagnostics belong to the real vet of this package
 		}
 		diags = analysis.ApplySuppression(fset, files, a, diags)
 		sort.SliceStable(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
@@ -252,7 +195,6 @@ func run(cfgFile string, analyzers []*analysis.Analyzer) {
 			exit = 2
 		}
 	}
-	writeFacts()
 	os.Exit(exit)
 }
 

@@ -1,38 +1,21 @@
-// Package storage mirrors the real accounted Store surface: raw I/O
-// methods declared with //sdlint:io whose accounted status travels to
-// importing packages as facts.
+// Package storage mirrors the real accounted Store: a method that calls
+// a metering kernel books what the kernel read in its own body.
 package storage
 
+import "table"
+
 type Store struct {
-	rowsRead      int64
+	ix            *table.Index
 	indexRowsRead int64
 }
 
-// Scan is the accounted full pass.
-//
-//sdlint:io rows (self-accounted: books rowsRead below)
-func (s *Store) Scan(fn func(i int) bool) {
-	read := int64(0)
-	for i := 0; i < 10; i++ {
-		read++
-		if !fn(i) {
-			break
-		}
-	}
-	s.rowsRead += read
+func (s *Store) FilterRows(r int) []int {
+	rows, read := s.ix.Lookup(r)
+	s.indexRowsRead += read
+	return rows
 }
 
-// CountExact performs its pass entirely through Scan, which books it:
-// accounted-ness propagates through the local delegation fixpoint.
-//
-//sdlint:io rows (accounted through Scan)
-func (s *Store) CountExact() int {
-	n := 0
-	s.Scan(func(i int) bool { n++; return true })
-	return n
+func (s *Store) filterRowsUnbooked(r int) []int {
+	rows, _ := s.ix.Lookup(r) // want "table.Index.Lookup reads posting entries but this function never adds to Stats.PostingsRead"
+	return rows
 }
-
-// RawRows hands out rows without booking them; callers must account.
-//
-//sdlint:io rows
-func (s *Store) RawRows() []int { return nil }

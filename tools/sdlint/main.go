@@ -1,8 +1,8 @@
 // Command sdlint is smartdrill's repo-specific static-analysis suite: a
 // go/analysis-style multichecker that machine-checks the engine's
 // cross-cutting invariants — I/O accounting, context threading,
-// determinism of result-producing paths, API error-code coverage, and
-// cache-key completeness. See docs/INVARIANTS.md at the repository root for the
+// determinism of result-producing paths, and API error-code coverage.
+// See docs/INVARIANTS.md at the repository root for the
 // catalogue and the annotation syntax.
 //
 // Run it through the go command, which supplies type information per
@@ -19,7 +19,6 @@ package main
 import (
 	"smartdrill/tools/sdlint/analysis/unitchecker"
 	"smartdrill/tools/sdlint/analyzers/apicodes"
-	"smartdrill/tools/sdlint/analyzers/cachekey"
 	"smartdrill/tools/sdlint/analyzers/ctxflow"
 	"smartdrill/tools/sdlint/analyzers/detwalk"
 	"smartdrill/tools/sdlint/analyzers/ioaccount"
@@ -31,6 +30,5 @@ func main() {
 		ctxflow.Analyzer,
 		detwalk.Analyzer,
 		apicodes.Analyzer,
-		cachekey.Analyzer,
 	)
 }
