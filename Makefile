@@ -45,12 +45,14 @@ lint: lint-fast
 	fi
 
 # race runs the concurrent packages under the race detector, then repeats
-# the CSV ingest's block-independence check on the bundled table: what its
-# workers and its in-order merge share is exercised by every block, and ten
-# schedules find what one does not.
+# the CSV ingest's block-independence check on the bundled table — what its
+# workers and its in-order merge share is exercised by every block — and
+# two sessions racing to build a table's memoised distinct-tuple table with
+# their first drill: ten schedules find what one does not.
 race:
 	$(GO) test -race ./client/ ./internal/server/ ./internal/drill/ ./internal/table/ ./internal/brs/ ./internal/search/
 	$(GO) test -race -count=10 -run 'TestIngestBlockIndependence/storesales' ./internal/table/
+	$(GO) test -race -count=10 -run 'TestEquivalenceDistinctBuildBookedOnce' ./internal/drill/
 
 # chaos runs the fault-injection end-to-end suite (crash/restart resume,
 # 429-storm convergence, dropped connections, flaky-disk snapshots) under

@@ -340,6 +340,7 @@ func newRunner(v *table.View, w weight.Weighter, opts Options) (*runner, error) 
 	run.baseMask = base.Mask()
 	run.freeCols = run.freeColumns()
 	_, run.countAgg = agg.(score.CountAgg)
+	run.unitMass = run.countAgg && !run.parent.Weighted()
 	if !run.reference {
 		// Postings-driven counting needs the view to be a sorted row set so
 		// posting intersections enumerate view positions. The full table,
@@ -356,8 +357,8 @@ func newRunner(v *table.View, w weight.Weighter, opts Options) (*runner, error) 
 		}
 		// The bitmap kernel answers counting over the *parent* row universe,
 		// so it applies only when view positions are parent rows (full
-		// table); and popcount counting is mass accumulation only under
-		// Count (every row weighs 1, sums stay integral).
+		// table), and is kept to Count, whose masses — 1, or a distinct
+		// tuple's multiplicity — keep every sum integral.
 		run.bitmapOK = run.fullTable && run.countAgg && run.ix != nil
 		run.bitmapWords = int64((run.parent.NumRows() + 63) / 64)
 	}
@@ -389,6 +390,7 @@ type runner struct {
 	w           weight.Weighter
 	agg         score.Aggregator
 	countAgg    bool // agg is the plain Count aggregate
+	unitMass    bool // Count over an unweighted table: every row's mass is 1, a count of rows is a sum of masses
 	mw          float64
 	base        rule.Rule
 	baseMask    rule.Mask
@@ -858,13 +860,18 @@ func mergeAccs(accs, other []extAcc) {
 // bytes is the memory of one copy of a's arrays.
 func (a *extAcc) bytes() int { return 8*len(a.cnt) + 8*len(a.mv) + len(a.hit) }
 
+// mass is the aggregate mass of parent row.
+func (rn *runner) mass(row int) float64 {
+	if rn.unitMass {
+		return 1
+	}
+	return rn.agg.Mass(rn.parent, row)
+}
+
 // bookRow adds one covered row — view position pos, parent row — to each
 // of a parent's accumulators.
 func (rn *runner) bookRow(accs []extAcc, pos, row int) {
-	mass, tw := 1.0, 0.0
-	if !rn.countAgg {
-		mass = rn.agg.Mass(rn.parent, row)
-	}
+	mass, tw := rn.mass(row), 0.0
 	if rn.topW != nil {
 		tw = rn.topW[pos]
 	}
@@ -874,8 +881,9 @@ func (rn *runner) bookRow(accs []extAcc, pos, row int) {
 }
 
 // countLevelOne counts every rule extending the base by one (column,
-// value) pair — by posting-list lengths when the view is the whole table
-// under Count (zero row reads), otherwise in a single column-major pass —
+// value) pair — by posting-list lengths when the view is the whole of an
+// unweighted table under Count (zero row reads), otherwise in a single
+// column-major pass —
 // and registers the candidates in the store. Runs once per run (once per
 // step under Reference).
 func (rn *runner) countLevelOne() []*cand {
@@ -895,7 +903,7 @@ func (rn *runner) countLevelOne() []*cand {
 	}
 	virgin := len(rn.selected) == 0 // topW ≡ 0: marginal is weight·count
 
-	if virgin && rn.countAgg && rn.fullTable && rn.levelOneColumnsBuilt(accs) {
+	if virgin && rn.unitMass && rn.fullTable && rn.levelOneColumnsBuilt(accs) {
 		return rn.levelOneFromPostings(accs)
 	}
 

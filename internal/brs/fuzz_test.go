@@ -16,11 +16,14 @@ import (
 // followed by the row's mass as eight little-endian float64 bytes.
 //
 //	[0] columns 2..5      [1] bit 0 Sum, bit 1 Bits weights, bit 2 cold index (scan
-//	                          routes), bit 3 masses truncated to integers below 1024
+//	                          routes), bit 3 masses truncated to integers below 1024,
+//	                          bit 4 under Count, search the table's distinct tuples
+//	                          (where it has few enough), each weighing its multiplicity
 //	[2] base: 0 trivial, else column (b−1) mod columns at its first row's value
 //	[3] mw = MaxWeight(1 + b mod columns)      [4] K = 1 + b mod 5
 type fuzzCase struct {
 	tab  *table.Table
+	rows *table.Table // when tab is a distinct-tuple table: the table it was built from
 	w    weight.Weighter
 	opts Options // K, MaxWeight, Base, Agg
 	cold bool    // leave the index unbuilt: every pass scans
@@ -82,6 +85,11 @@ func decodeFuzzCase(data []byte) (fuzzCase, bool) {
 	if data[2] != 0 {
 		fc.opts.Base = fc.opts.Base.With((int(data[2])-1)%cols, 0)
 	}
+	if data[1]&16 != 0 && fc.opts.Agg == nil {
+		if d, _ := fc.tab.Distinct(); d != nil {
+			fc.tab, fc.rows = d, fc.tab
+		}
+	}
 	return fc, true
 }
 
@@ -122,6 +130,11 @@ func FuzzFastMatchesReference(f *testing.F) {
 	// Sum with integral masses under Bits, base on the last column, cold.
 	f.Add(encodeFuzzCase([fuzzHeader]byte{0, 7, 2, 1, 2},
 		[]string{"ab", "ab", "ba", "bb", "cb", "ca", "ab"}, []float64{3, 0, 5, 2, 2, 7, 1}))
+	// Count over the distinct tuples of a table that repeats three of them:
+	// multiplicities 9, 6 and 1, a base, two rules wanted beyond the first.
+	f.Add(encodeFuzzCase([fuzzHeader]byte{1, 16, 1, 2, 2},
+		[]string{"aab", "aab", "abc", "aab", "abc", "aab", "aab", "abc", "aab", "aab", "abc", "aab", "abc", "abc", "aab", "bca"},
+		[]float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fc, ok := decodeFuzzCase(data)
 		if !ok {
@@ -135,6 +148,9 @@ func FuzzFastMatchesReference(f *testing.F) {
 		ref.Reference = true
 		want := stream(t, tab.All(), w, ref, opts.K)
 		requireGreedyArgmax(t, "Reference", tab, w, opts, opts.K, want)
+		if fc.rows != nil {
+			sameResults(t, "Reference over the rows", stream(t, fc.rows.All(), w, ref, opts.K), want)
+		}
 		opts.Workers = 1
 		got := stream(t, tab.All(), w, opts, opts.K)
 		if !fc.orderFree {

@@ -24,8 +24,9 @@ import (
 //     containers that shadow dense posting lists (table.Bitset). Cost per
 //     candidate is (number of lists) × (words per container) regardless
 //     of selectivity, and a pure *count* needs only popcount — zero rows
-//     enumerated. Applies on full-table views under the Count aggregate,
-//     where view positions are parent rows and masses stay integral.
+//     enumerated — where every row's mass is 1 (Count over an unweighted
+//     table). Applies on full-table views under the Count aggregate, where
+//     view positions are parent rows and masses stay integral.
 //
 // A cost model decides per counting step which access path runs, and per
 // candidate which kernel. Scan cost is one visit per view row plus the
@@ -180,18 +181,21 @@ func (rn *runner) countCandidatesIndex(cands []*cand, plans []candPlan) {
 		for i := lo; i < hi; i++ {
 			c := cands[i]
 			if plans[i].bitmap {
-				// Full-table Count: mass ≡ 1 and positions are rows. A
-				// virgin step needs no per-row work at all — the count is a
+				// Full-table Count: positions are rows. Where every mass is 1
+				// a virgin step needs no per-row work at all — the count is a
 				// popcount over the ANDed words.
-				if virgin {
+				if virgin && rn.unitMass {
 					cnt, words := table.AndCount(rn.candBitmaps(c.r))
 					c.count += float64(cnt)
 					breads[g] += words
 				} else {
 					breads[g] += table.AndEach(rn.candBitmaps(c.r), func(row int) {
-						c.count++
-						if tw := topW[row]; c.weight > tw {
-							c.marginal += c.weight - tw
+						mass := rn.mass(row)
+						c.count += mass
+						if !virgin {
+							if tw := topW[row]; c.weight > tw {
+								c.marginal += (c.weight - tw) * mass
+							}
 						}
 					})
 				}
@@ -234,8 +238,9 @@ func (rn *runner) levelOneColumnsBuilt(accs []extAcc) bool {
 	return true
 }
 
-// levelOneFromPostings answers level 1 on a full-table view under Count
-// from posting-list lengths: Count(base+(c,v)) over the whole table is
+// levelOneFromPostings answers level 1 on a full-table view of an
+// unweighted table under Count from posting-list lengths:
+// Count(base+(c,v)) over the whole table is
 // len(postings(c,v)), and with nothing selected the marginal is
 // weight·count. Zero rows are read. Candidate order (column, then value
 // ascending) matches the scan path's, so downstream tie-breaks are

@@ -27,6 +27,7 @@ import (
 type armShape struct {
 	name    string
 	view    *table.View
+	rows    *table.View // when view is of a distinct-tuple table: the same tuples, one per row
 	w       weight.Weighter
 	opts    Options
 	forbid  func(Stats) bool // nil: nothing ruled out
@@ -85,6 +86,22 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 		dup := withDuplicateColumn(tab, 1)
 		dup.Index().Warm()
 		multiStep := func(s Stats) bool { return s.CandidatesReused > 0 && s.IndexLevels > 0 }
+		// A table of few distinct tuples, and its distinct-tuple table: Count
+		// over rows that each weigh their multiplicity. A kernel that counts
+		// rows where it should sum masses — a posting-list length, a
+		// popcount, a count++ — disagrees with Reference, which sums
+		// Agg.Mass row by row; and either must return what the rows give.
+		heavy := skewedTable(rand.New(rand.NewSource(int64(trial)+100)), 4, 4, n)
+		heavy.Index().Warm()
+		weighted, _ := heavy.Distinct()
+		if weighted == nil {
+			t.Fatalf("trial %d: %d rows over at most 320 tuples did not compress", trial, n)
+		}
+		heavyW := w
+		if trial%2 == 1 {
+			heavyW = weight.BitsFor(heavy)
+		}
+		heavyBase := rule.Trivial(4).With(0, 0)
 		shapes := []armShape{
 			{name: "full-count", view: tab.All(), w: w,
 				opts:    Options{K: 4, MaxWeight: mw},
@@ -109,6 +126,12 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 			{name: "sum-signed", view: tab.All(), w: size,
 				opts:   Options{K: 4, MaxWeight: 3, Agg: score.SumAgg{Measure: 1}},
 				forbid: probesOnly(cols), engaged: walk},
+			{name: "weighted-count", view: weighted.All(), w: heavyW, rows: heavy.All(),
+				opts: Options{K: 6, MaxWeight: heavyW.MaxWeight(3)}, engaged: multiStep},
+			{name: "weighted-child", view: weighted.ViewOf(weighted.FilterIndices(heavyBase)), w: heavyW,
+				rows:    heavy.ViewOf(heavy.FilterIndices(heavyBase)),
+				opts:    Options{K: 4, MaxWeight: heavyW.MaxWeight(3), Base: heavyBase, BaseCovered: true},
+				engaged: func(s Stats) bool { return s.RowsScanned+s.PostingsRead > 0 }},
 			{name: "probe", view: tab.ViewOf(probe), w: w,
 				opts:    Options{K: 4, MaxWeight: mw},
 				forbid:  func(s Stats) bool { return s.IndexLevels != 0 },
@@ -123,6 +146,13 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 			}
 			if rs.IndexLevels != 0 || rs.CandidatesReused != 0 {
 				t.Fatalf("trial %d %s: Reference used the index or the cross-step cache: %+v", trial, sh.name, rs)
+			}
+			if sh.rows != nil {
+				fromRows, _, err := Run(sh.rows, sh.w, ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResults(t, fmt.Sprintf("trial %d %s: Reference over the rows", trial, sh.name), fromRows, want)
 			}
 			for _, workers := range []int{1, 2, 8} {
 				opts := sh.opts
@@ -191,4 +221,52 @@ func withDuplicateColumn(tab *table.Table, c int) *table.Table {
 		}
 	}
 	return b.Build()
+}
+
+// TestEquivalenceWeightedKernelsSumMasses drives the two counting kernels a
+// search seldom reaches in its first step — there the walk that generates a
+// candidate also counts it — directly: over a distinct-tuple table both the
+// bitset kernel and the probing walk must return the multiplicities'
+// sum, not the number of rows, before anything is selected and after.
+func TestEquivalenceWeightedKernelsSumMasses(t *testing.T) {
+	tab := groupTable([]string{"A", "B", "C"},
+		group{cells: []string{"a1", "b1", "c1"}, n: 40},
+		group{cells: []string{"a1", "b1", "c2"}, n: 7},
+		group{cells: []string{"a1", "b2", "c1"}, n: 12},
+		group{cells: []string{"a2", "b1", "c1"}, n: 5},
+		group{cells: []string{"a2", "b2", "c2"}, n: 30})
+	d, _ := tab.Distinct()
+	if d == nil || d.NumRows() != 5 {
+		t.Fatalf("distinct table %v, want 5 rows", d)
+	}
+	w := weight.NewSize(3)
+	for _, selected := range []bool{false, true} {
+		for _, bitmap := range []bool{true, false} {
+			rn, err := newRunner(d.All(), w, Options{MaxWeight: 3, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rn.findBestMarginal()
+			if selected {
+				rn.applySelection(rn.lookup(mustRule(t, tab, map[string]string{"C": "c1"})))
+				rn.raiseTopW()
+			}
+			c := rn.lookup(mustRule(t, tab, map[string]string{"A": "a1", "B": "b1"}))
+			if c == nil {
+				t.Fatal("(a1,b1,?) was never generated")
+			}
+			c.count, c.marginal = 0, 0
+			rn.countCandidatesIndex([]*cand{c}, []candPlan{{bitmap: bitmap}})
+			// 47 tuples in 2 rows; selecting (?,?,c1) at weight 1 leaves the 40
+			// of them it covers a marginal of 1 each.
+			wantMarginal := 2.0 * 47
+			if selected {
+				wantMarginal = 1*40 + 2*7
+			}
+			if c.count != 47 || c.marginal != wantMarginal {
+				t.Fatalf("selected=%v bitmap=%v: (a1,b1,?) counted %v with marginal %v, want 47 and %v",
+					selected, bitmap, c.count, c.marginal, wantMarginal)
+			}
+		}
+	}
 }

@@ -1,0 +1,432 @@
+package drill
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"smartdrill/internal/brs"
+	"smartdrill/internal/rule"
+	"smartdrill/internal/score"
+	"smartdrill/internal/table"
+	"smartdrill/internal/weight"
+)
+
+// An exact Count drill searches the table's distinct tuples, each weighing
+// its multiplicity, instead of the rows. That is an access path, like the
+// index before it: everything a session shows must be what the rows give,
+// bit for bit. Session.rowPath is the seam that keeps a session on the rows
+// for the comparison.
+
+// pooledTable draws n rows from a pool of distinct random tuples over
+// cols columns of vals values each: every pool tuple once, then the first
+// one for every other row and the early ones far more often than the late
+// ones — so a sample of the rows is nothing like a sample of the tuples.
+func pooledTable(rng *rand.Rand, cols, vals, pool, n int) *table.Table {
+	names := make([]string, cols)
+	for c := range names {
+		names[c] = string(rune('A' + c))
+	}
+	seen := make(map[string]bool, pool)
+	tuples := make([][]string, 0, pool)
+	for len(tuples) < pool {
+		row := make([]string, cols)
+		for c := range row {
+			row[c] = string(rune('a' + rng.Intn(vals)))
+		}
+		if k := fmt.Sprint(row); !seen[k] {
+			seen[k] = true
+			tuples = append(tuples, row)
+		}
+	}
+	b := table.MustBuilder(names, nil)
+	for i := 0; i < n; i++ {
+		j := i
+		if i >= pool {
+			j = (i % 2) * int(float64(pool)*rng.Float64()*rng.Float64())
+		}
+		b.MustAddRow(tuples[j])
+	}
+	return b.Build()
+}
+
+// sameSubtree fails unless got shows what want shows under the two nodes:
+// the same rules in the same order with the same weights and counts, exact.
+func sameSubtree(t *testing.T, label string, got, want *Node) {
+	t.Helper()
+	if len(got.Children) != len(want.Children) {
+		t.Fatalf("%s: %d rules under %v, want %d", label, len(got.Children), got.Rule, len(want.Children))
+	}
+	for i, w := range want.Children {
+		g := got.Children[i]
+		if !g.Rule.Equal(w.Rule) || g.Weight != w.Weight || g.Count != w.Count || g.Exact != w.Exact || g.HasCI != w.HasCI {
+			t.Fatalf("%s: rule %d is %v (weight %v, count %v, exact %v), want %v (%v, %v, %v)",
+				label, i, g.Rule, g.Weight, g.Count, g.Exact, w.Rule, w.Weight, w.Count, w.Exact)
+		}
+		sameSubtree(t, label, g, w)
+	}
+}
+
+// drillable returns n's first child that leaves a column to drill on.
+func drillable(n *Node) *Node {
+	for _, c := range n.Children {
+		if c.Rule.Size() < len(c.Rule) {
+			return c
+		}
+	}
+	return nil
+}
+
+// TestEquivalenceDistinctPath holds the distinct-tuple path to the row path
+// on random tables of three shapes — both views below the mw probe's size,
+// only the distinct view below it, both above it — under Size, Bits and
+// Size−1 weights and the star constraint over each, for rule, star and
+// streamed drills at Workers 1, 2 and 8: the same rules in the same order
+// with the same Count, MCount and mw.
+func TestEquivalenceDistinctPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	ctx := context.Background()
+	for _, shape := range []struct {
+		name                  string
+		cols, vals, pool, n   int
+		rootProbes, rowProbes bool // the root's distinct view, its row view, exceeds probeSize
+	}{
+		{"small", 4, 3, 60, 1200, false, false},
+		{"mixed", 4, 4, 200, 4000, false, true},
+		{"large", 5, 6, 2400, 12000, true, true},
+	} {
+		tab := pooledTable(rng, shape.cols, shape.vals, shape.pool, shape.n)
+		tab.Index().Warm()
+		for wi, inner := range []weight.Weighter{weight.NewSize(shape.cols), weight.BitsFor(tab), weight.SizeMinusOne{}} {
+			for _, workers := range []int{1, 2, 8} {
+				label := fmt.Sprintf("%s %s workers=%d", shape.name, inner.Name(), workers)
+				top := inner.MaxWeight(shape.cols)
+				cfg := Config{K: 4, Weighter: inner, Workers: workers, Seed: int64(3 + wi)}
+				dist, err := NewSession(tab, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Where only the row view is large enough to be probed, the
+				// distinct path searches at the weighter's bound; so does a
+				// row path told that bound.
+				if shape.rowProbes && !shape.rootProbes {
+					cfg.MaxWeight = top
+				}
+				rows, err := NewSession(tab, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows.rowPath = true
+
+				// The search itself, where MCount and mw can be seen: the
+				// root, and the root's first drillable child.
+				targets := []rule.Rule{rule.Trivial(shape.cols)}
+				if err := rows.Expand(rows.Root()); err != nil {
+					t.Fatal(err)
+				}
+				if c := drillable(rows.Root()); c != nil {
+					targets = append(targets, c.Rule)
+				}
+				for _, r := range targets {
+					star := 0
+					for r[star] != rule.Star {
+						star++
+					}
+					for _, w := range []weight.Weighter{inner, weight.StarConstraint{Inner: inner, Column: star}} {
+						dv, _, _, _ := dist.coveredView(r, w, false)
+						rv, _, _, _ := rows.coveredView(r, w, false)
+						if !dv.Table().Weighted() || rv.Table() != tab {
+							t.Fatalf("%s %v: distinct path reads a weighted table %v, row path the table %v", label, r, dv.Table().Weighted(), rv.Table() == tab)
+						}
+						if r.IsTrivial() && (dv.NumRows() > probeSize) != shape.rootProbes || r.IsTrivial() && (rv.NumRows() > probeSize) != shape.rowProbes {
+							t.Fatalf("%s: root views of %d and %d rows are not the shape's", label, dv.NumRows(), rv.NumRows())
+						}
+						dmw := dist.maxWeightFor(ctx, r, dv, w, 0)
+						rmw := rows.maxWeightFor(ctx, r, rv, w, 0)
+						if cfg.MaxWeight > 0 {
+							rmw = cfg.MaxWeight
+						}
+						switch {
+						case (dv.NumRows() > probeSize) == (rv.NumRows() > probeSize):
+							if dmw != rmw {
+								t.Fatalf("%s %v under %s: mw %v on the distinct path, %v on the rows", label, r, w.Name(), dmw, rmw)
+							}
+						case dmw != top:
+							t.Fatalf("%s %v under %s: %d distinct tuples searched at mw %v, want the weighter's bound %v", label, r, w.Name(), dv.NumRows(), dmw, top)
+						default:
+							rmw = top
+						}
+						opts := brs.Options{K: 4, MaxWeight: dmw, Base: r, BaseCovered: true, Workers: workers}
+						got, _, err := brs.Run(dv, w, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						opts.MaxWeight = rmw
+						want, _, err := brs.Run(rv, w, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameResults(t, fmt.Sprintf("%s %v under %s", label, r, w.Name()), got, want)
+					}
+				}
+
+				// The sessions, through the one expand: rule, star, stream.
+				if err := dist.Expand(dist.Root()); err != nil {
+					t.Fatal(err)
+				}
+				// Below the root the two views can fall on different sides of
+				// the probe's size; only where neither is ever probed is the
+				// row path's mw the distinct path's at every depth.
+				if !shape.rootProbes {
+					if c := drillable(dist.Root()); c != nil {
+						if err := dist.Expand(c); err != nil {
+							t.Fatal(err)
+						}
+						if err := rows.Expand(drillable(rows.Root())); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				sameSubtree(t, label+" rule drill", dist.Root(), rows.Root())
+				if dist.LastMethod != "direct" || rows.LastMethod != "direct" {
+					t.Fatalf("%s: access %q and %q, want direct on both paths", label, dist.LastMethod, rows.LastMethod)
+				}
+				for _, s := range []*Session{dist, rows} {
+					if err := s.ExpandStar(s.Root(), 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sameSubtree(t, label+" star drill", dist.Root(), rows.Root())
+				for _, s := range []*Session{dist, rows} {
+					if err := s.ExpandStream(s.Root(), 5, 0, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sameSubtree(t, label+" stream", dist.Root(), rows.Root())
+				if dist.TotalStats.RowsScanned+dist.TotalStats.PostingsRead+dist.TotalStats.BitmapWordsRead == 0 {
+					t.Fatalf("%s: the distinct path reports no reads: %+v", label, dist.TotalStats)
+				}
+			}
+		}
+	}
+}
+
+// TestEquivalenceDistinctPathGates: what cannot be summed per distinct
+// tuple bit for bit stays on the rows — a Sum, whose masses are fractional,
+// and weights that are not integers — without the distinct table ever being
+// built for it; whole weights take the distinct path.
+func TestEquivalenceDistinctPathGates(t *testing.T) {
+	build := func() *table.Table {
+		rng := rand.New(rand.NewSource(5))
+		b := table.MustBuilder([]string{"A", "B", "C"}, []string{"M"})
+		for i := 0; i < 3000; i++ {
+			b.MustAddRow([]string{fmt.Sprint(rng.Intn(3)), fmt.Sprint(rng.Intn(4)), fmt.Sprint(rng.Intn(2))}, rng.Float64())
+		}
+		return b.Build()
+	}
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		distinct bool
+	}{
+		{"size", Config{}, true},
+		{"whole linear", Config{Weighter: weight.NewLinear([]float64{2, 1, 3}, 1, "whole")}, true},
+		{"whole scaled star", Config{Weighter: weight.Scaled{Inner: weight.StarConstraint{Inner: weight.SizeMinusOne{}, Column: 1}, Factor: 2}}, true},
+		{"fractional linear", Config{Weighter: weight.NewLinear([]float64{1, 0.5, 1.25}, 1, "frac")}, false},
+		{"powered linear", Config{Weighter: weight.NewLinear([]float64{1, 2, 1}, 1.5, "pow")}, false},
+		{"fractional scale", Config{Weighter: weight.Scaled{Inner: weight.NewSize(3), Factor: 0.1}}, false},
+		{"sum", Config{Agg: score.SumAgg{Measure: 0}}, false},
+		{"astronomic weights", Config{Weighter: weight.NewLinear([]float64{1 << 50, 1, 1}, 1, "huge")}, false},
+	} {
+		tab := build()
+		s, err := NewSession(tab, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Expand(s.Root()); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.Root().Children) == 0 {
+			t.Fatalf("%s: no rules", tc.name)
+		}
+		v, _, _, _ := s.coveredView(s.Root().Rule, s.cfg.Weighter, false)
+		if got := v.Table() != tab; got != tc.distinct {
+			t.Fatalf("%s: searched the distinct table: %v, want %v", tc.name, got, tc.distinct)
+		}
+		// Whoever resolves the distinct table is told how many rows that
+		// read; being told now means no drill asked before.
+		if _, read := tab.Distinct(); (read == 0) != tc.distinct {
+			t.Fatalf("%s: the drill built the distinct table: %v, want %v", tc.name, read == 0, tc.distinct)
+		}
+	}
+}
+
+// TestEquivalenceDistinctBuildBookedOnce: the pass that builds the distinct
+// table — or finds there is none to have — is read once, by the first exact
+// Count drill on the table from whichever session, and shows in that
+// drill's statistics and in its store's; with two sessions racing to be
+// first, in exactly one of them. `make race` runs this under the detector.
+func TestEquivalenceDistinctBuildBookedOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, tc := range []struct {
+		name string
+		tab  *table.Table
+		read int64 // rows the build reads
+	}{
+		{"compressible", pooledTable(rng, 4, 4, 150, 4000), 4000},
+		{"incompressible", pooledTable(rng, 6, 6, 2600, 2604), 2604/4 + 1},
+	} {
+		tab := tc.tab
+		var resolved []table.DistinctReport
+		tab.OnDistinct(func(r table.DistinctReport) { resolved = append(resolved, r) })
+		racers := make([]*Session, 2)
+		var wg sync.WaitGroup
+		for i := range racers {
+			s, err := NewSession(tab, Config{K: 3, Workers: 1, DisableCache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			racers[i] = s
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := s.Expand(s.Root()); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		after, err := NewSession(tab, Config{K: 3, Workers: 1, DisableCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := after.Expand(after.Root()); err != nil {
+			t.Fatal(err)
+		}
+		if len(resolved) != 1 || int64(resolved[0].Read) != tc.read {
+			t.Fatalf("%s: resolved %+v, want once after %d rows", tc.name, resolved, tc.read)
+		}
+		base := after.LastStats
+		if scans := after.Store().Stats().FullScans; scans != 0 {
+			t.Fatalf("%s: a drill after the build made %d full scans", tc.name, scans)
+		}
+		a, b := racers[0], racers[1]
+		if a.LastStats.RowsScanned < b.LastStats.RowsScanned {
+			a, b = b, a
+		}
+		if a.LastStats.RowsScanned != base.RowsScanned+tc.read || a.LastStats.Passes != base.Passes+1 ||
+			b.LastStats.RowsScanned != base.RowsScanned || b.LastStats.Passes != base.Passes {
+			t.Fatalf("%s: racers scanned %d rows in %d passes and %d in %d; want %d+%d in %d+1 for one and %d in %d for the other",
+				tc.name, a.LastStats.RowsScanned, a.LastStats.Passes, b.LastStats.RowsScanned, b.LastStats.Passes,
+				base.RowsScanned, tc.read, base.Passes, base.RowsScanned, base.Passes)
+		}
+		if st := a.Store().Stats(); st.FullScans != 1 || st.RowsRead != tc.read {
+			t.Fatalf("%s: the building session's store booked %+v, want one scan of %d rows", tc.name, st, tc.read)
+		}
+		if st := b.Store().Stats(); st.FullScans != 0 {
+			t.Fatalf("%s: the other session's store booked %+v", tc.name, st)
+		}
+		sameSubtree(t, tc.name, a.Root(), after.Root())
+		sameSubtree(t, tc.name, b.Root(), after.Root())
+		// A later drill of the building session is booked nothing more.
+		if err := a.Expand(a.Root()); err != nil {
+			t.Fatal(err)
+		}
+		if a.LastStats.RowsScanned != base.RowsScanned {
+			t.Fatalf("%s: the building session's next drill scanned %d rows, want %d", tc.name, a.LastStats.RowsScanned, base.RowsScanned)
+		}
+	}
+}
+
+// FuzzDistinctMatchesRows: on any small table with repeated rows, under any
+// of the integer weightings and any k, a session searching the distinct
+// tuples shows what a session searching the rows shows — for a rule drill
+// at two depths, a star drill and a stream.
+//
+//	[0] columns 2..4   [1] weights: 0 Size, 1 Bits, 2 Size−1   [2] low nibble: copies
+//	of the rows, 4..7; high nibble: leading rows repeated once more   [3] k 1..5
+//	then one byte per row, two bits per column
+func FuzzDistinctMatchesRows(f *testing.F) {
+	f.Add([]byte{1, 0, 0x30, 2, 0x00, 0x00, 0x15, 0x2a, 0x15, 0x00, 0x3f})
+	f.Add([]byte{2, 1, 0x53, 3, 0x1b, 0xe4, 0x1b, 0x00, 0xff, 0xe4, 0x1b, 0x07, 0x70})
+	f.Add([]byte{0, 2, 0x00, 0, 0x01, 0x02, 0x03, 0x00})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const header, maxRows = 4, 64
+		if len(data) <= header {
+			t.Skip()
+		}
+		cols := 2 + int(data[0])%3
+		cells := data[header:]
+		if len(cells) > maxRows {
+			cells = cells[:maxRows]
+		}
+		names := make([]string, cols)
+		for c := range names {
+			names[c] = string(rune('A' + c))
+		}
+		b := table.MustBuilder(names, nil)
+		add := func(cell byte) {
+			row := make([]string, cols)
+			for c := range row {
+				row[c] = string(rune('a' + (cell>>(2*c))&3))
+			}
+			b.MustAddRow(row)
+		}
+		for copies := 4 + int(data[2]&15)%4; copies > 0; copies-- {
+			for _, cell := range cells {
+				add(cell)
+			}
+		}
+		for _, cell := range cells[:min(int(data[2]>>4), len(cells))] {
+			add(cell)
+		}
+		tab := b.Build()
+		var w weight.Weighter
+		switch data[1] % 3 {
+		case 0:
+			w = weight.NewSize(cols)
+		case 1:
+			w = weight.BitsFor(tab)
+		default:
+			w = weight.SizeMinusOne{}
+		}
+		cfg := Config{K: 1 + int(data[3])%5, Weighter: w, Workers: 1 + int(data[3]>>4)%3}
+		dist, err := NewSession(tab, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := NewSession(tab, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows.rowPath = true
+		if v, _, _, _ := dist.coveredView(dist.Root().Rule, w, false); !v.Table().Weighted() {
+			t.Fatalf("%d rows holding at most %d tuples did not compress", tab.NumRows(), len(cells))
+		}
+		for _, s := range []*Session{dist, rows} {
+			if err := s.Expand(s.Root()); err != nil {
+				t.Fatal(err)
+			}
+			if c := drillable(s.Root()); c != nil {
+				if err := s.Expand(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		sameSubtree(t, "rule drill", dist.Root(), rows.Root())
+		for _, s := range []*Session{dist, rows} {
+			if err := s.ExpandStar(s.Root(), cols-1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sameSubtree(t, "star drill", dist.Root(), rows.Root())
+		for _, s := range []*Session{dist, rows} {
+			if err := s.ExpandStream(s.Root(), 0, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sameSubtree(t, "stream", dist.Root(), rows.Root())
+	})
+}

@@ -149,6 +149,15 @@ type Session struct {
 
 	// rev counts changes to what Save writes; see Revision.
 	rev uint64
+
+	// unbooked is work done for an expansion outside its search — the pass
+	// that builds the table's distinct-tuple table — held until recordStats
+	// files it with the search's own.
+	unbooked brs.Stats
+	// rowPath keeps exact expansions off the distinct-tuple table: the seam
+	// through which tests hold the two paths to the same answers. Never set
+	// in production.
+	rowPath bool
 }
 
 // Revision identifies the state Save would write: it moves whenever the
@@ -332,29 +341,13 @@ func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter, kind s
 		bound float64 // the enclosing view's scaled size
 	}{1, true, float64(s.tab.NumRows())}
 	req.Resolve = func() (*table.View, float64, bool, error) {
-		v, scale, exact, err := s.coveredView(n.Rule, degraded)
+		v, scale, exact, err := s.coveredView(n.Rule, w, degraded)
 		if err == nil {
 			view.scale, view.exact, view.bound = scale, exact, scale*float64(v.NumRows())
 		}
 		return v, scale, exact, err
 	}
-	req.MaxWeightFor = func(v *table.View) float64 {
-		// Probe with the number of rules this expansion will request —
-		// maxRules when bounded, else the session's k — so the weight cap
-		// fits the rule list being built. The probe runs before a stream's
-		// deadline exists and its cost grows with k, so a caller-supplied
-		// maxRules is capped: past a screenful of rules the estimate has
-		// long saturated.
-		const maxProbeK = 100
-		k := s.cfg.K
-		if maxRules > 0 {
-			k = maxRules
-		}
-		if k > maxProbeK {
-			k = maxProbeK
-		}
-		return estimateMaxWeight(ctx, v, w, k, s.cfg.Seed)
-	}
+	req.MaxWeightFor = func(v *table.View) float64 { return s.maxWeightFor(ctx, n.Rule, v, w, maxRules) }
 	addChild := func(r brs.Result) *Node {
 		child := &Node{
 			Rule:   r.Rule,
@@ -411,6 +404,31 @@ func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter, kind s
 	return nil
 }
 
+// maxWeightFor estimates mw for the expansion of r, whose resolved view v is
+// about to be searched under w for maxRules rules (0: the session's k).
+func (s *Session) maxWeightFor(ctx context.Context, r rule.Rule, v *table.View, w weight.Weighter, maxRules int) float64 {
+	// Probe with the number of rules this expansion will request — maxRules
+	// when bounded, else the session's k — so the weight cap fits the rule
+	// list being built. The probe runs before a stream's deadline exists and
+	// its cost grows with k, so a caller-supplied maxRules is capped: past a
+	// screenful of rules the estimate has long saturated.
+	const maxProbeK = 100
+	k := s.cfg.K
+	if maxRules > 0 {
+		k = maxRules
+	}
+	if k > maxProbeK {
+		k = maxProbeK
+	}
+	if v.Table().Weighted() && v.NumRows() > probeSize {
+		// The probe samples tuples of the table, whatever structure the
+		// search reads them from: the rule's rows, fetched only now that its
+		// distinct tuples are too many to search just once.
+		v = s.exactView(s.tab, r)
+	}
+	return estimateMaxWeight(ctx, v, w, k, s.cfg.Seed)
+}
+
 // searchRequest assembles the canonical request for one expansion of this
 // session: every identity field the search service keys on, plus the
 // routing flags (Sampled, Degraded, NoCache) that decide whether the
@@ -436,6 +454,8 @@ func (s *Session) searchRequest(kind search.Kind, r rule.Rule, w weight.Weighter
 // recordStats files one expansion's BRS statistics: the latest snapshot
 // and the session running totals.
 func (s *Session) recordStats(stats brs.Stats) {
+	stats.Add(s.unbooked)
+	s.unbooked = brs.Stats{}
 	s.LastStats = stats
 	s.TotalStats.Add(stats)
 }
@@ -447,12 +467,14 @@ func (s *Session) recordAuxStats(stats brs.Stats) {
 	s.TotalStats.Add(stats)
 }
 
-// coveredView obtains the tuples covered by r as a zero-copy view: a
-// sample for large tables, otherwise the rule's exact coverage answered by
-// the table's inverted index through the accounting store (no full scan,
-// no materialized copy). scale converts view aggregates to table
-// estimates; exact reports whether they need no scaling.
-func (s *Session) coveredView(r rule.Rule, degraded bool) (view *table.View, scale float64, exact bool, err error) {
+// coveredView obtains the tuples covered by r, to be searched under w, as a
+// zero-copy view: a sample for large tables, otherwise the rule's exact
+// coverage answered by an inverted index through the accounting store (no
+// full scan, no materialized copy) — over the table's distinct tuples where
+// exactTable allows, over its rows otherwise. scale converts view
+// aggregates to table estimates; exact reports whether they need no
+// scaling.
+func (s *Session) coveredView(r rule.Rule, w weight.Weighter, degraded bool) (view *table.View, scale float64, exact bool, err error) {
 	if s.useSample(r, degraded) {
 		v, err := s.handler.GetSample(r)
 		if err != nil {
@@ -462,10 +484,42 @@ func (s *Session) coveredView(r rule.Rule, degraded bool) (view *table.View, sca
 		return v.Tab, v.Scale, v.Scale == 1, nil
 	}
 	s.LastMethod = "direct"
+	return s.exactView(s.exactTable(w), r), 1, true, nil
+}
+
+// exactView is r's coverage in t — the table or its distinct-tuple table.
+func (s *Session) exactView(t *table.Table, r rule.Rule) *table.View {
 	if r.IsTrivial() {
-		return s.tab.All(), 1, true, nil
+		return t.All()
 	}
-	return s.tab.ViewOf(s.store.FilterRows(r)), 1, true, nil
+	return t.ViewOf(s.store.FilterRowsOf(t, r))
+}
+
+// exactTable picks what an exact expansion under w reads. BRS's answer
+// depends only on the multiset of tuples, so it is searched over the
+// table's distinct tuples, each with its multiplicity for a mass (Section
+// 6.3), when that search returns bit for bit what the rows would: under
+// the Count aggregate — a Sum adds fractional masses, and its total depends
+// on the order they are added in — and under weights that are integers
+// small enough for every product and sum to be exact (weight.Integral).
+// Everything else, and a table too varied for the distinct table to be
+// worth having (table.Table.Distinct), reads the rows. The first expansion
+// to ask builds the distinct table, and is booked the pass.
+func (s *Session) exactTable(w weight.Weighter) *table.Table {
+	const exactInts = 1 << 53 // float64 holds every integer below it
+	if _, count := s.cfg.Agg.(score.CountAgg); !count || s.rowPath ||
+		!weight.Integral(w) || w.MaxWeight(s.tab.NumCols())*float64(s.tab.NumRows()) >= exactInts {
+		return s.tab
+	}
+	d, read := s.store.Distinct()
+	if read > 0 {
+		s.unbooked.Passes++
+		s.unbooked.RowsScanned += read
+	}
+	if d == nil {
+		return s.tab
+	}
+	return d
 }
 
 // useSample decides an expansion's access path: the sampled pipeline runs
@@ -703,6 +757,9 @@ func (s *Session) findNode(n *Node, r rule.Rule) *Node {
 	return nil
 }
 
+// probeSize is the number of tuples the mw probe samples (with replacement).
+const probeSize = 2000
+
 // EstimateMaxWeight implements the Section 6.1 heuristic for mw: run BRS on
 // a small sample with an unbounded mw, observe the maximum selected weight
 // x, and return 2x to absorb sampling error. k must be the number of rules
@@ -721,7 +778,6 @@ func EstimateMaxWeight(v *table.View, w weight.Weighter, k int, seed int64) floa
 // search would run once to choose mw and again, bounded, to re-pick the
 // same rules. Such a view is searched once, at the weighter's bound.
 func estimateMaxWeight(ctx context.Context, v *table.View, w weight.Weighter, k int, seed int64) float64 {
-	const probeSize = 2000
 	top := w.MaxWeight(v.NumCols())
 	if v.NumRows() <= probeSize {
 		return top

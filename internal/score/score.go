@@ -26,11 +26,13 @@ type Aggregator interface {
 	Name() string
 }
 
-// CountAgg is the Count aggregate: every tuple has mass 1.
+// CountAgg is the Count aggregate: every tuple has mass 1, so a row's mass
+// is the number of tuples it stands for — 1 on an ordinary table, its
+// multiplicity on a distinct-tuple table (table.Table.Distinct).
 type CountAgg struct{}
 
 // Mass implements Aggregator.
-func (CountAgg) Mass(*table.Table, int) float64 { return 1 }
+func (CountAgg) Mass(t *table.Table, i int) float64 { return float64(t.Multiplicity(i)) }
 
 // Name implements Aggregator.
 func (CountAgg) Name() string { return "Count" }

@@ -49,6 +49,7 @@ import (
 	"smartdrill"
 	"smartdrill/api"
 	"smartdrill/internal/guarded"
+	"smartdrill/internal/table"
 )
 
 // Config tunes a Server. Zero values get serving defaults.
@@ -253,8 +254,22 @@ func New(cfg Config) *Server {
 // precomputes the root expansion plus the top-N level-1 children with
 // the server's default session parameters, so the first analyst's
 // default drills are cache hits.
+//
+// What registration does not build is the table's distinct-tuple table,
+// which exact Count drills search in place of the rows: the first such
+// drill builds it (start-up stays at parse speed), and one log line says
+// how it resolved.
 func (s *Server) RegisterDataset(name string, t *smartdrill.Table) {
 	t.Index().Warm()
+	t.OnDistinct(func(r table.DistinctReport) {
+		if r.Distinct == 0 {
+			s.cfg.Logger.Printf("dataset %s: %d rows not compressible, gave up after %d rows in %s",
+				name, r.Rows, r.Read, r.Elapsed.Round(time.Microsecond))
+			return
+		}
+		s.cfg.Logger.Printf("dataset %s: %d rows → %d distinct tuples (%.1f×) in %s",
+			name, r.Rows, r.Distinct, float64(r.Rows)/float64(r.Distinct), r.Elapsed.Round(time.Microsecond))
+	})
 	d := dataset{
 		table:    t,
 		measures: t.MeasureNames(),

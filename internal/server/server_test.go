@@ -557,3 +557,47 @@ func TestUnversionedRoutesGone(t *testing.T) {
 		t.Fatalf("the unversioned DELETE reached the session: v1 tree status %d", code)
 	}
 }
+
+// TestDistinctTuplesLoggedAndBookedOnce: the first exact Count drill on a
+// dataset builds its distinct-tuple table; the wire shows that drill the
+// pass (and no later one), the answers are the same, and the log says once
+// how the dataset resolved.
+func TestDistinctTuplesLoggedAndBookedOnce(t *testing.T) {
+	var logged bytes.Buffer
+	s := New(Config{Logger: log.New(&logged, "", 0), CacheOff: true})
+	b, err := smartdrill.NewTableBuilder([]string{"A", "B", "C"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 1200
+	for i := 0; i < rows; i++ {
+		b.MustAddRow([]string{fmt.Sprint(i % 2), fmt.Sprint(i % 3), fmt.Sprint(i % 5 / 3)})
+	}
+	s.RegisterDataset("repeats", b.Build())
+	ts := httptest.NewServer(s.Handler())
+	var drills [3]api.DrillResponse
+	for i := range drills {
+		tree := createSession(t, ts.URL, api.CreateSessionRequest{Dataset: "repeats"})
+		if code := doJSON(t, "POST", ts.URL+"/v1/sessions/"+tree.ID+"/drill", api.DrillRequest{}, &drills[i]); code != http.StatusOK {
+			t.Fatalf("drill %d: status %d", i, code)
+		}
+	}
+	ts.Close()
+	first, later := drills[0].Search, drills[1].Search
+	if first.RowsScanned != later.RowsScanned+rows || first.Passes != later.Passes+1 {
+		t.Fatalf("first drill scanned %d rows in %d passes, the next %d in %d; want the %d-row build pass on the first only",
+			first.RowsScanned, first.Passes, later.RowsScanned, later.Passes, rows)
+	}
+	if *drills[2].Search != *later || drills[0].Access != "direct" {
+		t.Fatalf("third drill %+v, second %+v, access %q", drills[2].Search, later, drills[0].Access)
+	}
+	for i := range drills[0].Node.Children {
+		if a, b := drills[0].Node.Children[i], drills[2].Node.Children[i]; a.Count != b.Count || fmt.Sprint(a.Rule) != fmt.Sprint(b.Rule) {
+			t.Fatalf("rule %d differs between the building drill and a later one: %+v, %+v", i, a, b)
+		}
+	}
+	want := fmt.Sprintf("dataset repeats: %d rows → 12 distinct tuples (100.0×)", rows)
+	if got := strings.Count(logged.String(), "dataset repeats:"); got != 1 || !strings.Contains(logged.String(), want) {
+		t.Fatalf("log has %d dataset lines, want one starting %q:\n%s", got, want, logged.String())
+	}
+}

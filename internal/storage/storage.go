@@ -73,13 +73,36 @@ func (s *Store) Scan(fn func(i int) bool) {
 // FilterRows returns the row indices covered by r, answered from the
 // table's shared inverted index and accounted as index I/O: the lookup is
 // charged the posting entries it read, not a full pass.
-func (s *Store) FilterRows(r rule.Rule) []int {
-	rows, read := s.t.Index().Lookup(r)
+func (s *Store) FilterRows(r rule.Rule) []int { return s.FilterRowsOf(s.t, r) }
+
+// FilterRowsOf is FilterRows against t's own index, where t is the backing
+// table or the distinct-tuple table Distinct returned for it: rules mean
+// the same on both, and the store accounts for reads of either.
+func (s *Store) FilterRowsOf(t *table.Table, r rule.Rule) []int {
+	rows, read := t.Index().Lookup(r)
 	s.mu.Lock()
 	s.indexLookups++
 	s.indexRowsRead += read
 	s.mu.Unlock()
 	return rows
+}
+
+// Distinct returns the backing table's distinct-tuple table, nil when the
+// table does not compress (see table.Table.Distinct). The table is built
+// once, by whichever store asks first; that store accounts for the pass —
+// the rows it read, fewer than a full scan when the build gave up — and
+// reports them as read so the caller can book them to the request that
+// caused them. Every other call reads nothing and returns 0.
+func (s *Store) Distinct() (d *table.Table, read int64) {
+	d, n := s.t.Distinct()
+	if n > 0 {
+		read = int64(n)
+		s.mu.Lock()
+		s.fullScans++
+		s.rowsRead += read
+		s.mu.Unlock()
+	}
+	return d, read
 }
 
 // Stats returns a snapshot of accumulated I/O counters.

@@ -1,0 +1,170 @@
+package table
+
+import (
+	"time"
+
+	"smartdrill/internal/rule"
+)
+
+// The distinct-tuple table. A search's answer depends only on the multiset
+// of tuples it reads, and the paper's tables are categorical with a handful
+// of values per column: a hundred thousand census rows over seven columns
+// hold a few thousand distinct tuples. Grouping the table by all of its
+// columns once — the finest cuboid of a data cube — lets every later pass
+// read each tuple once, carrying its multiplicity as the tuple's mass
+// (Section 6.3), instead of once per row that repeats it.
+
+// distinctGiveUp is the compression below which the distinct table is not
+// worth having: the build abandons the table as soon as it has seen more
+// than NumRows/distinctGiveUp distinct tuples. A wide table (Marketing's
+// fourteen columns) crosses the line within its first few thousand rows,
+// so finding out costs part of one pass, once.
+const distinctGiveUp = 4
+
+// DistinctReport describes how a table's distinct-tuple table resolved.
+type DistinctReport struct {
+	Rows     int // rows of the table
+	Read     int // rows the build read: Rows, or fewer when it gave up
+	Distinct int // rows of the distinct table; 0 when the table does not compress
+	Elapsed  time.Duration
+}
+
+// Distinct returns t's distinct-tuple table: one row per distinct tuple of
+// t, in the order t first shows them, sharing t's dictionaries (value ids
+// and rules mean the same on both), each row carrying the number of t's
+// rows equal to it (Multiplicity), with an inverted index of its own, built
+// with it. It has no measure columns: only the Count aggregate, whose
+// masses stay integral, can be summed per tuple in any order.
+//
+// The table is built by the first call, in one pass over t, and kept for
+// t's lifetime; so is the finding that t does not compress (see
+// distinctGiveUp), which costs that call the rows it read before giving up
+// and every later call nothing. d is nil when t does not compress, or is
+// itself a distinct table. read is the number of rows this call's build
+// read — zero for every call but the one that resolved the table — so the
+// caller can account for the pass it caused.
+func (t *Table) Distinct() (d *Table, read int) {
+	if t.mult != nil {
+		return nil, 0
+	}
+	t.distinctOnce.Do(func() {
+		start := time.Now()
+		t.distinct, read = t.buildDistinct()
+		rep := DistinctReport{Rows: t.n, Read: read}
+		if t.distinct != nil {
+			// Built here, not column by column as searches come: which
+			// columns are built steers a search's scan-or-index planning, and
+			// its work must not depend on which drills ran before it.
+			t.distinct.Index().Warm()
+			rep.Distinct = t.distinct.n
+		}
+		rep.Elapsed = time.Since(start)
+		if fn := t.onDistinct.Load(); fn != nil {
+			(*fn)(rep)
+		}
+	})
+	return t.distinct, read
+}
+
+// OnDistinct registers fn to be told, once, how the distinct table resolved
+// — by the goroutine whose Distinct call resolves it, before that call
+// returns. A serving layer registers its log line here before it publishes
+// the table; a later registration replaces an earlier one.
+func (t *Table) OnDistinct(fn func(DistinctReport)) { t.onDistinct.Store(&fn) }
+
+// Multiplicity returns the number of tuples row i stands for: 1 on an
+// ordinary table, the count of equal rows in the table it was built from on
+// a distinct-tuple table. It is the row's mass under the Count aggregate.
+func (t *Table) Multiplicity(i int) int {
+	if t.mult == nil {
+		return 1
+	}
+	return int(t.mult[i])
+}
+
+// Weighted reports whether some row may stand for more than one tuple,
+// i.e. whether t is a distinct-tuple table. Kernels that count rows instead
+// of summing masses (posting-list lengths, popcounts) apply only where it
+// is false.
+func (t *Table) Weighted() bool { return t.mult != nil }
+
+// buildDistinct groups t's rows by all columns in one pass. Tuples are
+// interned in an open-addressing table of distinct-row ids keyed by a hash
+// of the row and confirmed by comparing the columns, so any width works and
+// the first-seen order depends on nothing but t's row order. The table
+// starts small and doubles; the give-up bound caps it at NumRows/2 slots.
+func (t *Table) buildDistinct() (d *Table, read int) {
+	limit := t.n / distinctGiveUp
+	if limit == 0 {
+		return nil, 0 // too few rows for any tuple to repeat enough
+	}
+	cols := make([][]rule.Value, len(t.cols))
+	var (
+		mult   []int32
+		hashes []uint64 // by distinct-row id
+		slots  = make([]int32, 1024)
+	)
+	for i := 0; i < t.n; i++ {
+		var h uint64
+		for _, col := range t.cols {
+			h = (h ^ uint64(uint32(col[i]))) * 0x9E3779B97F4A7C15
+		}
+		h ^= h >> 32
+		mask := uint64(len(slots) - 1)
+	probe:
+		for j := h & mask; ; j = (j + 1) & mask {
+			id := int(slots[j]) - 1 // id + 1 is stored; 0 marks an empty slot
+			switch {
+			case id < 0:
+				if len(mult) == limit {
+					return nil, i + 1
+				}
+				for c, col := range t.cols {
+					cols[c] = append(cols[c], col[i])
+				}
+				mult = append(mult, 1)
+				hashes = append(hashes, h)
+				slots[j] = int32(len(mult))
+				if 2*len(mult) > len(slots) {
+					slots = regrow(slots, hashes)
+				}
+				break probe
+			case hashes[id] == h && sameTuple(cols, id, t.cols, i):
+				mult[id]++
+				break probe
+			}
+		}
+	}
+	return &Table{
+		colNames: t.colNames,
+		dicts:    t.dicts,
+		cols:     cols,
+		n:        len(mult),
+		mult:     mult,
+	}, t.n
+}
+
+// sameTuple reports whether row i of a equals row j of b, column by column.
+func sameTuple(a [][]rule.Value, i int, b [][]rule.Value, j int) bool {
+	for c := range a {
+		if a[c][i] != b[c][j] {
+			return false
+		}
+	}
+	return true
+}
+
+// regrow doubles the slot table and re-files every distinct-row id by its
+// stored hash.
+func regrow(old []int32, hashes []uint64) []int32 {
+	slots := make([]int32, 2*len(old))
+	mask := uint64(len(slots) - 1)
+	for id, h := range hashes {
+		j := h & mask
+		for slots[j] != 0 {
+			j = (j + 1) & mask
+		}
+		slots[j] = int32(id + 1)
+	}
+	return slots
+}

@@ -18,6 +18,7 @@ func (t *Table) Project(columns []string) (*Table, error) {
 		n:            t.n,
 		measureNames: t.measureNames,
 		measures:     t.measures,
+		mult:         t.mult,
 	}
 	for i, name := range columns {
 		c, err := t.ColumnIndex(name)

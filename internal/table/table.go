@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"smartdrill/internal/rule"
 )
@@ -85,6 +86,16 @@ type Table struct {
 	// mass memoises MeasureMass, likewise once per table.
 	massOnce sync.Once
 	mass     []float64
+
+	// distinct memoises Distinct — the table, or nil for the finding that
+	// there is none worth having — and onDistinct is who to tell.
+	distinctOnce sync.Once
+	distinct     *Table
+	onDistinct   atomic.Pointer[func(DistinctReport)]
+
+	// mult is a distinct-tuple table's multiplicity per row (see Distinct);
+	// nil on an ordinary table, where every row is one tuple.
+	mult []int32
 }
 
 // NumRows returns the number of tuples.
@@ -234,6 +245,12 @@ func (t *Table) Select(rows []int) *Table {
 			col[j] = src[i]
 		}
 		out.measures[m] = col
+	}
+	if t.mult != nil {
+		out.mult = make([]int32, len(rows))
+		for j, i := range rows {
+			out.mult[j] = t.mult[i]
+		}
 	}
 	return out
 }

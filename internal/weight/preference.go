@@ -47,6 +47,10 @@ func (p Preference) MaxWeight(cols int) float64 {
 	return p.Inner.MaxWeight(cols) + bonus*float64(minInt(cols, p.Favored.Count()))
 }
 
+// Integral reports whether a whole bonus is added to integer weights (see
+// Integral).
+func (p Preference) Integral() bool { return whole(p.Bonus) && Integral(p.Inner) }
+
 // Name implements Weighter.
 func (p Preference) Name() string {
 	var parts []string

@@ -32,6 +32,29 @@ type Weighter interface {
 	Name() string
 }
 
+// Integral reports whether w vouches that every weight it assigns is an
+// integer. Products and sums of integers are exact in float64 (below 2^53),
+// so a marginal value Σ (W − W_top)·mass over integral masses is then the
+// same float in whatever order, and however grouped, the tuples are added —
+// which is what lets a search read each distinct tuple once with its
+// multiplicity for a mass and still return, bit for bit, what it returns
+// reading the rows. A weighter reports the property with an
+// Integral() bool method; one without the method is taken not to have it.
+func Integral(w Weighter) bool {
+	i, ok := w.(interface{ Integral() bool })
+	return ok && i.Integral()
+}
+
+// whole reports whether every x is an integer.
+func whole(xs ...float64) bool {
+	for _, x := range xs {
+		if x != math.Trunc(x) {
+			return false
+		}
+	}
+	return true
+}
+
 // WeightRule is a convenience helper applying w to a concrete rule.
 func WeightRule(w Weighter, r rule.Rule) float64 { return w.Weight(r.Mask()) }
 
@@ -51,6 +74,9 @@ func (s Size) MaxWeight(cols int) float64 { return float64(min(cols, s.Columns))
 
 // Name implements Weighter.
 func (s Size) Name() string { return "Size" }
+
+// Integral reports that Size weights are integers (see Integral).
+func (s Size) Integral() bool { return true }
 
 // Bits weighs each instantiated column by ceil(log2(distinct values)): the
 // information content of pinning that column. Columns with two values (e.g.
@@ -121,6 +147,10 @@ func (b Bits) MaxWeight(cols int) float64 {
 // Name implements Weighter.
 func (b Bits) Name() string { return "Bits" }
 
+// Integral reports that Bits weights, sums of ceilings, are integers (see
+// Integral).
+func (b Bits) Integral() bool { return true }
+
 // SizeMinusOne is W(r) = max(0, Size(r)−1): the weighting of Figure 7,
 // which zeroes single-column rules so drill-downs only surface multi-column
 // patterns. (The paper's text writes Min(0, Size−1) but the accompanying
@@ -137,6 +167,9 @@ func (SizeMinusOne) MaxWeight(cols int) float64 { return math.Max(0, float64(col
 
 // Name implements Weighter.
 func (SizeMinusOne) Name() string { return "Size-1" }
+
+// Integral reports that Size−1 weights are integers (see Integral).
+func (SizeMinusOne) Integral() bool { return true }
 
 // Linear is the parametric family of Section 6.1:
 //
@@ -202,6 +235,10 @@ func (l Linear) MaxWeight(cols int) float64 {
 // Name implements Weighter.
 func (l Linear) Name() string { return l.Label }
 
+// Integral reports whether every weight is an integer: whole per-column
+// weights, summed and not raised to a power (see Integral).
+func (l Linear) Integral() bool { return l.Power == 1 && whole(l.PerColumn...) }
+
 // ColumnDrill emulates traditional drill-down on one column (Section 5.1.2):
 // W(r) = 1 if the column is instantiated, else 0. With k set to the column's
 // distinct-value count, BRS then returns exactly the classic GROUP BY
@@ -227,6 +264,9 @@ func (d ColumnDrill) MaxWeight(cols int) float64 {
 // Name implements Weighter.
 func (d ColumnDrill) Name() string { return fmt.Sprintf("ColumnDrill(%d)", d.Column) }
 
+// Integral reports that the weights, 0 and 1, are integers (see Integral).
+func (d ColumnDrill) Integral() bool { return true }
+
 // StarConstraint wraps a weighter for star drill-down (Problem 1 → 2
 // reduction): rules leaving the clicked column starred get weight zero, so
 // the optimizer only surfaces rules instantiating that column.
@@ -251,6 +291,10 @@ func (s StarConstraint) Name() string {
 	return fmt.Sprintf("%s|col%d!=?", s.Inner.Name(), s.Column)
 }
 
+// Integral reports whether the inner weights are integers: the constraint
+// only replaces some of them by 0 (see Integral).
+func (s StarConstraint) Integral() bool { return Integral(s.Inner) }
+
 // Scaled multiplies an inner weighter by a positive constant; useful for
 // blending weighters or expressing "favor this column group".
 type Scaled struct {
@@ -266,6 +310,10 @@ func (s Scaled) MaxWeight(cols int) float64 { return s.Factor * s.Inner.MaxWeigh
 
 // Name implements Weighter.
 func (s Scaled) Name() string { return fmt.Sprintf("%.3g*%s", s.Factor, s.Inner.Name()) }
+
+// Integral reports whether a whole factor scales integer weights (see
+// Integral).
+func (s Scaled) Integral() bool { return whole(s.Factor) && Integral(s.Inner) }
 
 func min(a, b int) int {
 	if a < b {

@@ -180,3 +180,53 @@ func TestLinearPowerHalf(t *testing.T) {
 		t.Fatalf("sqrt weighting = %g", got)
 	}
 }
+
+// TestIntegralVouchesForEveryWeight: a weighter that reports Integral
+// assigns an integer to every mask, and the ones with fractional weights do
+// not report it — the drill layer sums such weights per distinct tuple and
+// relies on the sums being exact.
+func TestIntegralVouchesForEveryWeight(t *testing.T) {
+	const cols = 5
+	size := NewSize(cols)
+	bits := NewBits([]int{2, 7, 1, 100, 33})
+	fav := rule.Mask{}
+	fav.Set(1)
+	for _, tc := range []struct {
+		w    Weighter
+		want bool
+	}{
+		{size, true},
+		{bits, true},
+		{SizeMinusOne{}, true},
+		{ColumnDrill{Column: 2}, true},
+		{StarConstraint{Inner: bits, Column: 3}, true},
+		{NewLinear([]float64{3, 0, 2, 7, 1}, 1, ""), true},
+		{Scaled{Inner: size, Factor: 3}, true},
+		{Preference{Inner: size, Favored: fav}, true},
+		{Preference{Inner: size, Favored: fav, Bonus: 2}, true},
+		{NewLinear([]float64{3, 0.5, 2, 7, 1}, 1, ""), false},
+		{NewLinear([]float64{3, 1, 2, 7, 1}, 2, ""), false},
+		{Scaled{Inner: size, Factor: 0.5}, false},
+		{Preference{Inner: size, Favored: fav, Bonus: 1.5}, false},
+		{StarConstraint{Inner: Scaled{Inner: bits, Factor: 1.1}, Column: 0}, false},
+		{antiMonotone{}, false}, // reports nothing: taken not to be integral
+	} {
+		if got := Integral(tc.w); got != tc.want {
+			t.Fatalf("%s: Integral = %v, want %v", tc.w.Name(), got, tc.want)
+		}
+		if !tc.want {
+			continue
+		}
+		for bitsSet := 0; bitsSet < 1<<cols; bitsSet++ {
+			var m rule.Mask
+			for c := 0; c < cols; c++ {
+				if bitsSet&(1<<c) != 0 {
+					m.Set(c)
+				}
+			}
+			if w := tc.w.Weight(m); w != math.Trunc(w) {
+				t.Fatalf("%s reports Integral but weighs %v at %g", tc.w.Name(), m.Columns(), w)
+			}
+		}
+	}
+}

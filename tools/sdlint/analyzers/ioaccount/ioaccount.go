@@ -73,6 +73,7 @@ var rawOps = map[string][]class{
 	"table..AndCount":         {bitmap},           // metered kernel: returns wordsRead
 	"table..AndEach":          {bitmap},           // metered kernel: returns wordsRead
 	"table.View.Refine":       {rowscan},          // full scan of the view's rows
+	"table.Table.Distinct":    {rowscan},          // metered build: returns the rows its one pass read (0 once resolved)
 	"brs.runner.parallelRows": {rowscan},          // chunked row fan-out of a counting pass
 }
 
