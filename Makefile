@@ -76,17 +76,28 @@ drillload:
 	bash bench/run.sh -out bench/out/results.json
 
 # drillload-check is the CI guard that needs no quiet machine: one
-# count-based cold-exact session, whose correctness verdict, operation
-# count and search work are functions of the code alone and must equal
-# docs/drillload-expect.json exactly (timed readings spread 8–37 % on
-# shared boxes, see bench/NOISE.md; counts do not move). Wire bytes per
-# operation must be within 0.25 of it: a stream's done event prints
-# elapsed_ms, whose digit count follows the clock. That slack is interim,
-# until a benchmark PR leaves timing digits out of the counted bytes. A
-# change that alters work or response bytes edits that file in its diff.
+# count-based session a line, whose correctness verdict, operation count
+# and search work are functions of the code alone and must equal the
+# committed expectation exactly (timed readings spread 8–37 % on shared
+# boxes, see bench/NOISE.md; counts do not move). Wire bytes per operation
+# must be within 0.25 of it: a stream's done event prints elapsed_ms, whose
+# digit count follows the clock. That slack is interim, until a benchmark
+# PR leaves timing digits out of the counted bytes. A change that alters
+# work or response bytes edits the expectation in its diff.
+#
+# The first line guards the exact path (cold-exact: cache off on
+# census-100k, every drill searching the table's distinct tuples,
+# docs/drillload-expect.json); the second the sampled one (sampled-1m:
+# census-1m answered from per-session samples, every drill grouping or
+# re-reading its sample's distinct tuples, docs/drillload-expect-sampled.json)
+# — the work of a sampled drill repeats as exactly as an exact one's, and a
+# change that puts it back on the sample's rows, books the grouping pass
+# twice or not at all, or widens a confidence interval's digits fails here.
 drillload-check:
 	bash bench/run.sh --workload cold-exact --seed 1 -sessions 1 --trace 0 \
 		| python3 tools/drillload_check.py docs/drillload-expect.json
+	bash bench/run.sh --workload sampled-1m --seed 1 -sessions 1 --trace 0 \
+		| python3 tools/drillload_check.py docs/drillload-expect-sampled.json
 
 # bench-vet compiles the nested bench module (drillload and its tests)
 # against this tree's smartdrill/internal/... packages. Tier-1 never

@@ -53,7 +53,8 @@ func pooledTable(rng *rand.Rand, cols, vals, pool, n int) *table.Table {
 }
 
 // sameSubtree fails unless got shows what want shows under the two nodes:
-// the same rules in the same order with the same weights and counts, exact.
+// the same rules in the same order with the same weights, counts and
+// confidence intervals, as exact.
 func sameSubtree(t *testing.T, label string, got, want *Node) {
 	t.Helper()
 	if len(got.Children) != len(want.Children) {
@@ -61,9 +62,10 @@ func sameSubtree(t *testing.T, label string, got, want *Node) {
 	}
 	for i, w := range want.Children {
 		g := got.Children[i]
-		if !g.Rule.Equal(w.Rule) || g.Weight != w.Weight || g.Count != w.Count || g.Exact != w.Exact || g.HasCI != w.HasCI {
-			t.Fatalf("%s: rule %d is %v (weight %v, count %v, exact %v), want %v (%v, %v, %v)",
-				label, i, g.Rule, g.Weight, g.Count, g.Exact, w.Rule, w.Weight, w.Count, w.Exact)
+		if !g.Rule.Equal(w.Rule) || g.Weight != w.Weight || g.Count != w.Count || g.Exact != w.Exact ||
+			g.HasCI != w.HasCI || g.CILow != w.CILow || g.CIHigh != w.CIHigh {
+			t.Fatalf("%s: rule %d is %v (weight %v, count %v in [%v, %v], exact %v), want %v (%v, %v in [%v, %v], %v)",
+				label, i, g.Rule, g.Weight, g.Count, g.CILow, g.CIHigh, g.Exact, w.Rule, w.Weight, w.Count, w.CILow, w.CIHigh, w.Exact)
 		}
 		sameSubtree(t, label, g, w)
 	}
@@ -135,16 +137,17 @@ func TestEquivalenceDistinctPath(t *testing.T) {
 						star++
 					}
 					for _, w := range []weight.Weighter{inner, weight.StarConstraint{Inner: inner, Column: star}} {
-						dv, _, _, _ := dist.coveredView(r, w, false)
-						rv, _, _, _ := rows.coveredView(r, w, false)
+						dcov, _ := dist.coveredView(r, w, false)
+						rcov, _ := rows.coveredView(r, w, false)
+						dv, rv := dcov.view, rcov.view
 						if !dv.Table().Weighted() || rv.Table() != tab {
 							t.Fatalf("%s %v: distinct path reads a weighted table %v, row path the table %v", label, r, dv.Table().Weighted(), rv.Table() == tab)
 						}
 						if r.IsTrivial() && (dv.NumRows() > probeSize) != shape.rootProbes || r.IsTrivial() && (rv.NumRows() > probeSize) != shape.rowProbes {
 							t.Fatalf("%s: root views of %d and %d rows are not the shape's", label, dv.NumRows(), rv.NumRows())
 						}
-						dmw := dist.maxWeightFor(ctx, r, dv, w, 0)
-						rmw := rows.maxWeightFor(ctx, r, rv, w, 0)
+						dmw := dist.maxWeightFor(ctx, dcov, w, 0)
+						rmw := rows.maxWeightFor(ctx, rcov, w, 0)
 						if cfg.MaxWeight > 0 {
 							rmw = cfg.MaxWeight
 						}
@@ -251,8 +254,8 @@ func TestEquivalenceDistinctPathGates(t *testing.T) {
 		if len(s.Root().Children) == 0 {
 			t.Fatalf("%s: no rules", tc.name)
 		}
-		v, _, _, _ := s.coveredView(s.Root().Rule, s.cfg.Weighter, false)
-		if got := v.Table() != tab; got != tc.distinct {
+		cov, _ := s.coveredView(s.Root().Rule, s.cfg.Weighter, false)
+		if got := cov.view.Table() != tab; got != tc.distinct {
 			t.Fatalf("%s: searched the distinct table: %v, want %v", tc.name, got, tc.distinct)
 		}
 		// Whoever resolves the distinct table is told how many rows that
@@ -343,10 +346,13 @@ func TestEquivalenceDistinctBuildBookedOnce(t *testing.T) {
 // FuzzDistinctMatchesRows: on any small table with repeated rows, under any
 // of the integer weightings and any k, a session searching the distinct
 // tuples shows what a session searching the rows shows — for a rule drill
-// at two depths, a star drill and a stream.
+// at two depths, a star drill and a stream; and so does a pair of sessions
+// answering from samples, one searching each sample's distinct tuples and
+// one its rows.
 //
-//	[0] columns 2..4   [1] weights: 0 Size, 1 Bits, 2 Size−1   [2] low nibble: copies
-//	of the rows, 4..7; high nibble: leading rows repeated once more   [3] k 1..5
+//	[0] columns 2..4; /3: the sampling seed   [1] weights: 0 Size, 1 Bits, 2 Size−1;
+//	/3: the sample size, 2..5 eighths of the rows   [2] low nibble: copies of the
+//	rows, 4..7; high nibble: leading rows repeated once more   [3] k 1..5
 //	then one byte per row, two bits per column
 func FuzzDistinctMatchesRows(f *testing.F) {
 	f.Add([]byte{1, 0, 0x30, 2, 0x00, 0x00, 0x15, 0x2a, 0x15, 0x00, 0x3f})
@@ -402,7 +408,7 @@ func FuzzDistinctMatchesRows(f *testing.F) {
 			t.Fatal(err)
 		}
 		rows.rowPath = true
-		if v, _, _, _ := dist.coveredView(dist.Root().Rule, w, false); !v.Table().Weighted() {
+		if cov, _ := dist.coveredView(dist.Root().Rule, w, false); !cov.view.Table().Weighted() {
 			t.Fatalf("%d rows holding at most %d tuples did not compress", tab.NumRows(), len(cells))
 		}
 		for _, s := range []*Session{dist, rows} {
@@ -428,5 +434,20 @@ func FuzzDistinctMatchesRows(f *testing.F) {
 			}
 		}
 		sameSubtree(t, "stream", dist.Root(), rows.Root())
+
+		// The sampled arm: same seed, same samples, tuples against rows.
+		cfg.Seed = 1 + int64(data[0])/3
+		cfg.SampleMemory = tab.NumRows()
+		cfg.MinSampleSize = tab.NumRows() * (2 + int(data[1])/3%4) / 8
+		tup, row := sampledPair(t, tab, cfg, false)
+		both(t, "sampled rule drill", tup, row, func(s *Session) error { return s.Expand(s.Root()) })
+		if tup.LastMethod != "Create" || len(tup.Root().Children) > 0 && tup.Root().Children[0].Exact {
+			t.Fatalf("a %d-row sample of %d rows was served by %s, as exact", cfg.MinSampleSize, tab.NumRows(), tup.LastMethod)
+		}
+		if drillable(tup.Root()) != nil {
+			both(t, "sampled rule drill, depth 2", tup, row, func(s *Session) error { return s.Expand(drillable(s.Root())) })
+		}
+		both(t, "sampled star drill", tup, row, func(s *Session) error { return s.ExpandStar(s.Root(), cols-1) })
+		both(t, "sampled stream", tup, row, func(s *Session) error { return s.ExpandStream(s.Root(), 0, 0, nil) })
 	})
 }

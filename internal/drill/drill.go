@@ -151,12 +151,12 @@ type Session struct {
 	rev uint64
 
 	// unbooked is work done for an expansion outside its search — the pass
-	// that builds the table's distinct-tuple table — held until recordStats
-	// files it with the search's own.
+	// that groups the table, or a sample of it, into distinct tuples — held
+	// until recordStats files it with the search's own.
 	unbooked brs.Stats
-	// rowPath keeps exact expansions off the distinct-tuple table: the seam
-	// through which tests hold the two paths to the same answers. Never set
-	// in production.
+	// rowPath keeps expansions, exact and sampled, off distinct-tuple tables:
+	// the seam through which tests hold the two paths to the same answers.
+	// Never set in production.
 	rowPath bool
 }
 
@@ -221,7 +221,11 @@ func NewSession(t *table.Table, cfg Config) (*Session, error) {
 		s.svc = search.NewService(search.Config{})
 	}
 	if !cfg.DisableSampling && cfg.SampleMemory > 0 && cfg.MinSampleSize > 0 && t.NumRows() > cfg.MinSampleSize {
-		h, err := sampling.NewHandler(s.store, cfg.SampleMemory, cfg.MinSampleSize, sampling.NewTestRNG(cfg.Seed))
+		// The budget is row ids of this table: beyond its row count it buys
+		// nothing, and the prefetch allocator's tables grow with it — a
+		// client's 2 000 000 000 must not become a 16 GB allocation.
+		memory := min(cfg.SampleMemory, t.NumRows())
+		h, err := sampling.NewHandler(s.store, memory, cfg.MinSampleSize, sampling.NewTestRNG(cfg.Seed))
 		if err != nil {
 			return nil, err
 		}
@@ -332,31 +336,34 @@ func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter, kind s
 
 	degraded := DegradedFrom(ctx)
 	req := s.searchRequest(kind, n.Rule, w, degraded)
-	// view is what the children's display needs of the searched view. On a
-	// cache hit Resolve never runs and the replayed results are exact with
-	// scale 1 — the initial values.
-	view := struct {
-		scale float64
-		exact bool
-		bound float64 // the enclosing view's scaled size
-	}{1, true, float64(s.tab.NumRows())}
+	// cov is the searched coverage, of which the children's display needs
+	// the scale, the exactness and bound, the enclosing view's scaled size.
+	// On a cache hit Resolve never runs and the replayed results are exact
+	// with scale 1 — the initial values.
+	cov := coverage{scale: 1, exact: true}
+	bound := float64(s.tab.NumRows())
 	req.Resolve = func() (*table.View, float64, bool, error) {
-		v, scale, exact, err := s.coveredView(n.Rule, w, degraded)
-		if err == nil {
-			view.scale, view.exact, view.bound = scale, exact, scale*float64(v.NumRows())
+		resolved, err := s.coveredView(n.Rule, w, degraded)
+		if err != nil {
+			return nil, 0, false, err
 		}
-		return v, scale, exact, err
+		cov = resolved
+		// The tuples the view holds, not the rows it holds them in: scaled
+		// by distinct tuples the bound would clamp every interval's upper
+		// end down onto its lower one.
+		bound = cov.scale * float64(cov.view.NumTuples())
+		return cov.view, cov.scale, cov.exact, nil
 	}
-	req.MaxWeightFor = func(v *table.View) float64 { return s.maxWeightFor(ctx, n.Rule, v, w, maxRules) }
+	req.MaxWeightFor = func(*table.View) float64 { return s.maxWeightFor(ctx, cov, w, maxRules) }
 	addChild := func(r brs.Result) *Node {
 		child := &Node{
 			Rule:   r.Rule,
 			Weight: r.Weight,
 			Count:  r.Count,
-			Exact:  view.exact,
+			Exact:  cov.exact,
 			parent: n,
 		}
-		child.CILow, child.CIHigh, child.HasCI = countCI(s.cfg.Agg, view.exact, view.scale, r.Count, view.bound)
+		child.CILow, child.CIHigh, child.HasCI = countCI(s.cfg.Agg, cov.exact, cov.scale, r.Count, bound)
 		s.adopt(child)
 		n.Children = append(n.Children, child)
 		return child
@@ -404,9 +411,9 @@ func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter, kind s
 	return nil
 }
 
-// maxWeightFor estimates mw for the expansion of r, whose resolved view v is
+// maxWeightFor estimates mw for an expansion whose resolved coverage cov is
 // about to be searched under w for maxRules rules (0: the session's k).
-func (s *Session) maxWeightFor(ctx context.Context, r rule.Rule, v *table.View, w weight.Weighter, maxRules int) float64 {
+func (s *Session) maxWeightFor(ctx context.Context, cov coverage, w weight.Weighter, maxRules int) float64 {
 	// Probe with the number of rules this expansion will request — maxRules
 	// when bounded, else the session's k — so the weight cap fits the rule
 	// list being built. The probe runs before a stream's deadline exists and
@@ -420,11 +427,12 @@ func (s *Session) maxWeightFor(ctx context.Context, r rule.Rule, v *table.View, 
 	if k > maxProbeK {
 		k = maxProbeK
 	}
+	v := cov.view
 	if v.Table().Weighted() && v.NumRows() > probeSize {
 		// The probe samples tuples of the table, whatever structure the
-		// search reads them from: the rule's rows, fetched only now that its
+		// search reads them from: the row view, fetched only now that the
 		// distinct tuples are too many to search just once.
-		v = s.exactView(s.tab, r)
+		v = cov.rows()
 	}
 	return estimateMaxWeight(ctx, v, w, k, s.cfg.Seed)
 }
@@ -467,24 +475,56 @@ func (s *Session) recordAuxStats(stats brs.Stats) {
 	s.TotalStats.Add(stats)
 }
 
+// coverage is the tuples an expansion searches, as coveredView resolved them.
+type coverage struct {
+	// view is what the search reads: the tuples row by row, or — where
+	// groupable allows and they compress — grouped, each distinct tuple once
+	// with its multiplicity for a mass.
+	view *table.View
+	// rows returns the same tuples row by row, which is what the mw probe
+	// samples; a grouped exact view fetches them only when asked.
+	rows  func() *table.View
+	scale float64 // converts view aggregates to table estimates
+	exact bool    // they need no scaling
+}
+
 // coveredView obtains the tuples covered by r, to be searched under w, as a
 // zero-copy view: a sample for large tables, otherwise the rule's exact
 // coverage answered by an inverted index through the accounting store (no
-// full scan, no materialized copy) — over the table's distinct tuples where
-// exactTable allows, over its rows otherwise. scale converts view
-// aggregates to table estimates; exact reports whether they need no
-// scaling.
-func (s *Session) coveredView(r rule.Rule, w weight.Weighter, degraded bool) (view *table.View, scale float64, exact bool, err error) {
+// full scan, no materialized copy). Either is read as distinct tuples where
+// groupable allows and the tuples repeat enough — the table's own memoised
+// grouping (exactTable), or the sample's (sampling.View.Tuples) — and row by
+// row otherwise.
+func (s *Session) coveredView(r rule.Rule, w weight.Weighter, degraded bool) (coverage, error) {
 	if s.useSample(r, degraded) {
 		v, err := s.handler.GetSample(r)
 		if err != nil {
-			return nil, 0, false, err
+			return coverage{}, err
 		}
 		s.LastMethod = v.Method.String()
-		return v.Tab, v.Scale, v.Scale == 1, nil
+		cov := coverage{view: v.Tab, rows: func() *table.View { return v.Tab }, scale: v.Scale, exact: v.Scale == 1}
+		if s.groupable(w, v.Tab.NumRows()) {
+			// The first drill on a sample groups it and is booked the pass
+			// over the sample's rows; a sample served again is read nothing.
+			tuples, read := v.Tuples()
+			if read > 0 {
+				s.unbooked.Passes++
+				s.unbooked.RowsScanned += int64(read)
+				s.unbooked.SampledRowsScanned += int64(read)
+			}
+			if tuples != nil {
+				cov.view = tuples
+			}
+		}
+		return cov, nil
 	}
 	s.LastMethod = "direct"
-	return s.exactView(s.exactTable(w), r), 1, true, nil
+	return coverage{
+		view:  s.exactView(s.exactTable(w), r),
+		rows:  func() *table.View { return s.exactView(s.tab, r) },
+		scale: 1,
+		exact: true,
+	}, nil
 }
 
 // exactView is r's coverage in t — the table or its distinct-tuple table.
@@ -495,20 +535,29 @@ func (s *Session) exactView(t *table.Table, r rule.Rule) *table.View {
 	return t.ViewOf(s.store.FilterRowsOf(t, r))
 }
 
-// exactTable picks what an exact expansion under w reads. BRS's answer
-// depends only on the multiset of tuples, so it is searched over the
-// table's distinct tuples, each with its multiplicity for a mass (Section
-// 6.3), when that search returns bit for bit what the rows would: under
-// the Count aggregate — a Sum adds fractional masses, and its total depends
-// on the order they are added in — and under weights that are integers
-// small enough for every product and sum to be exact (weight.Integral).
-// Everything else, and a table too varied for the distinct table to be
-// worth having (table.Table.Distinct), reads the rows. The first expansion
-// to ask builds the distinct table, and is booked the pass.
-func (s *Session) exactTable(w weight.Weighter) *table.Table {
+// groupable reports whether a search under w over rows tuples of the table
+// may read them grouped instead. BRS's answer depends only on the multiset
+// of tuples, so it can be searched over the distinct ones, each with its
+// multiplicity for a mass (Section 6.3), when that search returns bit for
+// bit what the rows would: under the Count aggregate — a Sum adds fractional
+// masses, and its total depends on the order they are added in — and under
+// weights that are integers small enough for every product and sum to be
+// exact (weight.Integral). Everything else reads the rows, and so do tuples
+// too varied for their grouping to be worth having, which only grouping them
+// finds out.
+func (s *Session) groupable(w weight.Weighter, rows int) bool {
 	const exactInts = 1 << 53 // float64 holds every integer below it
-	if _, count := s.cfg.Agg.(score.CountAgg); !count || s.rowPath ||
-		!weight.Integral(w) || w.MaxWeight(s.tab.NumCols())*float64(s.tab.NumRows()) >= exactInts {
+	_, count := s.cfg.Agg.(score.CountAgg)
+	return count && !s.rowPath && weight.Integral(w) &&
+		w.MaxWeight(s.tab.NumCols())*float64(rows) < exactInts
+}
+
+// exactTable picks what an exact expansion under w reads: the table's
+// distinct-tuple table where groupable allows and the table compresses
+// (table.Table.Distinct), its rows otherwise. The first expansion to ask
+// builds the distinct table, and is booked the pass.
+func (s *Session) exactTable(w weight.Weighter) *table.Table {
+	if !s.groupable(w, s.tab.NumRows()) {
 		return s.tab
 	}
 	d, read := s.store.Distinct()

@@ -214,8 +214,37 @@ func findSmallRule(t *testing.T, tab *table.Table, max int) rule.Rule {
 	return nil
 }
 
+// TestSampleMemoryClampedToRows: a sample budget beyond the table's rows is
+// the table's rows — the budget is row ids of this table, and the prefetch
+// allocator's tables grow with it — and a budget within them is left alone.
+func TestSampleMemoryClampedToRows(t *testing.T) {
+	tab := datagen.CensusProjected(10000, 7, 7)
+	for _, tc := range []struct{ memory, want int }{
+		{1 << 60, 10000},
+		{2000000000, 10000},
+		{10001, 10000},
+		{4000, 4000},
+	} {
+		s, err := NewSession(tab, Config{K: 3, SampleMemory: tc.memory, MinSampleSize: 1000, Prefetch: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Handler().M; got != tc.want {
+			t.Fatalf("sample_memory %d on %d rows: handler budget %d, want %d", tc.memory, tab.NumRows(), got, tc.want)
+		}
+		if err := s.Expand(s.Root()); err != nil {
+			t.Fatalf("sample_memory %d: %v", tc.memory, err)
+		}
+		if len(s.Root().Children) == 0 || s.Handler().MemoryUsed() > tc.want {
+			t.Fatalf("sample_memory %d: %d rules, %d rows resident", tc.memory, len(s.Root().Children), s.Handler().MemoryUsed())
+		}
+	}
+}
+
 // TestRefineNodeLifecycle: provisional nodes refine to the authoritative
-// count with one accounted pass, become exact, and refuse double work.
+// count, become exact, and refuse double work. Under Count a refine reads the
+// table's distinct tuples: one accounted pass over the table builds them for
+// the first refine, and every refine reads each of them once.
 func TestRefineNodeLifecycle(t *testing.T) {
 	tab := datagen.CensusProjected(25000, 7, 7)
 	s, err := NewSession(tab, Config{
@@ -234,7 +263,7 @@ func TestRefineNodeLifecycle(t *testing.T) {
 	if len(prov) == 0 {
 		t.Fatal("sampled expansion produced no provisional nodes")
 	}
-	scansBefore := s.Store().Stats().FullScans
+	before := s.Store().Stats()
 	for _, n := range prov {
 		if !s.RefineNode(n) {
 			t.Fatalf("node %v did not refine", n.Rule)
@@ -250,8 +279,15 @@ func TestRefineNodeLifecycle(t *testing.T) {
 			t.Fatalf("node %v refined twice", n.Rule)
 		}
 	}
-	if got := s.Store().Stats().FullScans - scansBefore; got != int64(len(prov)) {
-		t.Fatalf("refinement charged %d full scans, want %d (one per node)", got, len(prov))
+	d, _ := tab.Distinct()
+	if d == nil {
+		t.Fatal("census does not compress")
+	}
+	after := s.Store().Stats()
+	wantRows := int64(tab.NumRows() + len(prov)*d.NumRows())
+	if scans, rows := after.FullScans-before.FullScans, after.RowsRead-before.RowsRead; scans != 1 || rows != wantRows {
+		t.Fatalf("refinement charged %d full scans and %d rows, want 1 (the build) and %d (it, and %d distinct tuples per node)",
+			scans, rows, wantRows, d.NumRows())
 	}
 	if len(s.ProvisionalNodes()) != 0 {
 		t.Fatal("provisional nodes remain after refining all")

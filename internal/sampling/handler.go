@@ -109,7 +109,7 @@ func (h *Handler) find(r rule.Rule) *View {
 		return nil
 	}
 	h.touch(s)
-	return h.viewOf(s.sortedRows(), s.Scale(), Find)
+	return h.viewOf(s, s.sortedRows(), s.Scale(), Find)
 }
 
 // combine unions the r-covered tuples of every resident sample whose filter
@@ -157,7 +157,7 @@ func (h *Handler) combine(r rule.Rule) *View {
 	for _, s := range contributors {
 		h.touch(s)
 	}
-	return h.viewOf(rows, 1/pInclude, Combine)
+	return h.viewOf(nil, rows, 1/pInclude, Combine)
 }
 
 // create scans the store once, installing a fresh sample for r of up to
@@ -172,7 +172,7 @@ func (h *Handler) create(r rule.Rule, target int) (*View, error) {
 	}
 	s := CreateSample(h.store, r, target, h.rng)
 	h.install(s)
-	return h.viewOf(s.sortedRows(), s.Scale(), Create), nil
+	return h.viewOf(s, s.sortedRows(), s.Scale(), Create), nil
 }
 
 // install adds s, evicting LRU samples (never s itself) until the budget
@@ -205,14 +205,15 @@ func (h *Handler) touch(s *Sample) {
 	s.lastUsed = h.clock
 }
 
-// viewOf wraps an ascending row set as a sample view. Sorted rows are the
+// viewOf wraps an ascending row set — resident sample s's, or with s nil a
+// union belonging to none — as a sample view. Sorted rows are the
 // serving contract: uniformity does not depend on order, and ascending
 // rows let BRS's cost planner answer candidate counting by intersecting
 // the master table's posting lists with the sample (per-column sample
 // postings, materialization-free) whenever that reads fewer entries than
 // scanning the sample. Find/Create serve Sample.sortedRows; Combine's
 // deduplicated union is sorted as it is built.
-func (h *Handler) viewOf(rows []int, scale float64, m Method) *View {
+func (h *Handler) viewOf(s *Sample, rows []int, scale float64, m Method) *View {
 	// Zero-copy: the view shares the master table's column arrays, so
 	// serving a sample never materializes its tuples.
 	tab := h.store.Table().ViewOf(rows)
@@ -221,6 +222,8 @@ func (h *Handler) viewOf(rows []int, scale float64, m Method) *View {
 		Scale:          scale,
 		Method:         m,
 		EstimatedCount: float64(tab.NumRows()) * scale,
+		rows:           rows,
+		sample:         s,
 	}
 }
 

@@ -35,17 +35,25 @@ type Sample struct {
 
 	lastUsed int64 // eviction clock
 	sorted   []int // cached ascending view of Rows; see sortedRows
+
+	// tuples caches sorted grouped into distinct tuples — nil, with grouped
+	// set, for the finding that the sample does not compress; see
+	// tupleTable.
+	tuples  *table.Table
+	grouped bool
 }
 
 // sortedRows returns the sample's rows as an ascending row set, computed
 // once per sample and cached so repeat serves (Find, the cascade's fast
 // path) are zero-cost. Rows itself keeps its reservoir insertion order —
 // budget trims drop a uniform suffix, which a sorted slice would bias —
-// and a trim invalidates the cache by the length check.
+// and a trim invalidates the cache, and the tuple table grouped from it,
+// by the length check.
 func (s *Sample) sortedRows() []int {
 	if s.sorted != nil && len(s.sorted) == len(s.Rows) {
 		return s.sorted
 	}
+	s.tuples, s.grouped = nil, false
 	if sort.IntsAreSorted(s.Rows) {
 		s.sorted = s.Rows
 	} else {
@@ -54,6 +62,34 @@ func (s *Sample) sortedRows() []int {
 		sort.Ints(s.sorted)
 	}
 	return s.sorted
+}
+
+// sampleGiveUp is the compression below which a sample is searched row by
+// row: grouping stops at the first tuple beyond len(rows)/sampleGiveUp
+// distinct ones. Grouping n rows into D tuples costs n reads and saves
+// n − D on every pass of the search it is built for, which makes at least
+// two; from D < n/2 the first search already repays it. (The dataset's own
+// table keeps a stricter rule, table.Distinct's, for a costlier build.)
+const sampleGiveUp = 2
+
+// groupRows groups an ascending row list of t into its distinct-tuple
+// table, first-seen order following the rows so ties break as on the row
+// view; nil when the rows do not compress. read is the rows the pass read.
+func groupRows(t *table.Table, rows []int) (d *table.Table, read int) {
+	return t.GroupRows(rows, len(rows)/sampleGiveUp)
+}
+
+// tupleTable returns the sample's rows, of table t, grouped into distinct
+// tuples (see groupRows) — built by the first call after the sample was
+// created or trimmed and kept beside sorted, as is the finding that there is
+// none to have; read is non-zero for that call only.
+func (s *Sample) tupleTable(t *table.Table) (d *table.Table, read int) {
+	rows := s.sortedRows() // drops a table grouped before a trim
+	if !s.grouped {
+		s.tuples, read = groupRows(t, rows)
+		s.grouped = true
+	}
+	return s.tuples, read
 }
 
 // Rate returns the per-tuple inclusion probability of the sample.
@@ -130,6 +166,36 @@ type View struct {
 	// EstimatedCount is the estimated master-table Count of the requested
 	// rule (Tab.NumRows() * Scale, precomputed for convenience).
 	EstimatedCount float64
+
+	rows   []int   // Tab's rows, ascending
+	sample *Sample // the resident sample rows belongs to; nil for Combine's union
+}
+
+// Tuples returns the view's tuples grouped: every distinct tuple of Tab once,
+// in the order Tab first shows it, carrying the number of Tab's rows equal
+// to it as its multiplicity, as a whole-table view with a warmed index of
+// its own (see table.Table.GroupRows). Under the Count aggregate a search of
+// it returns what a search of Tab returns and reads each tuple once per
+// pass. It is nil when more than half of Tab's rows are distinct: such a
+// sample is searched row by row.
+//
+// A resident sample (Find, Create) groups its rows once, on the first call,
+// and keeps the table until it is trimmed or evicted; Combine's union
+// belongs to no sample and is grouped per call. read is the number of sample
+// rows this call's grouping read — zero when the table was already there —
+// so the caller can account for the pass it caused.
+func (v *View) Tuples() (tuples *table.View, read int) {
+	t := v.Tab.Table()
+	var d *table.Table
+	if v.sample != nil {
+		d, read = v.sample.tupleTable(t)
+	} else {
+		d, read = groupRows(t, v.rows)
+	}
+	if d == nil {
+		return nil, read
+	}
+	return d.All(), read
 }
 
 // Method identifies which of Section 4.3's three mechanisms served a

@@ -468,9 +468,17 @@ func (s *Service) execute(ctx context.Context, req Request, cacheable bool) (Res
 		return resp, e, nil
 
 	case KindRefine:
+		// A count is the same integer summed row by row or multiplicity by
+		// multiplicity, so Count reads the table's distinct tuples where it
+		// has them; a Sum's fractional masses are added in row order.
 		t := req.Store.Table()
+		if _, isCount := req.Agg.(score.CountAgg); isCount {
+			if d, _ := req.Store.Distinct(); d != nil {
+				t = d
+			}
+		}
 		var count float64
-		req.Store.Scan(func(i int) bool {
+		req.Store.ScanOf(t, func(i int) bool {
 			if t.Covers(req.Rule, i) {
 				count += req.Agg.Mass(t, i)
 			}

@@ -228,6 +228,29 @@ func TestSampledSessionReportsIntervals(t *testing.T) {
 	}
 }
 
+// TestSampleMemoryBoundedByTable: sample_memory is the client's, and the
+// prefetch allocator's tables grow with it — 2 000 000 000 would be 16 GB a
+// layer, and the value here a makeslice panic — so the session's budget is
+// the smaller of it and the table's rows, and the drill answers.
+// (TestSampleMemoryClampedToRows, internal/drill, looks at the handler.)
+func TestSampleMemoryBoundedByTable(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	tree := createSession(t, ts.URL, api.CreateSessionRequest{
+		Dataset: "store", Seed: 7, SampleMemory: 1 << 60, MinSampleSize: 500, Prefetch: true,
+	})
+	sessURL := ts.URL + "/v1/sessions/" + tree.ID
+	var dr api.DrillResponse
+	if code := doJSON(t, "POST", sessURL+"/drill", api.DrillRequest{}, &dr); code != http.StatusOK {
+		t.Fatalf("root drill: status %d", code)
+	}
+	if len(dr.Node.Children) == 0 || dr.Access != "Create" {
+		t.Fatalf("root drill: %d children by %q, want a sampled answer", len(dr.Node.Children), dr.Access)
+	}
+	if code := doJSON(t, "POST", sessURL+"/drill", api.DrillRequest{Node: dr.Node.Children[0].ID}, &dr); code != http.StatusOK {
+		t.Fatalf("child drill: status %d", code)
+	}
+}
+
 // TestSampledSumOmitsCI verifies that Sum estimates — which have no
 // interval support — do not advertise a degenerate [est, est] bound.
 func TestSampledSumOmitsCI(t *testing.T) {

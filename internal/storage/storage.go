@@ -55,8 +55,13 @@ func (s *Store) NumRows() int { return s.t.NumRows() }
 // Scan performs one accounted full pass, invoking fn for every row index
 // until fn returns false. Even early-terminated scans count as full scans
 // for pass accounting (reservoir building always scans fully anyway).
-func (s *Store) Scan(fn func(i int) bool) {
-	n := s.t.NumRows()
+func (s *Store) Scan(fn func(i int) bool) { s.ScanOf(s.t, fn) }
+
+// ScanOf is Scan over t's rows, where t is the backing table or the
+// distinct-tuple table Distinct returned for it. The rows read are
+// accounted either way; only a pass over the backing table is a full scan.
+func (s *Store) ScanOf(t *table.Table, fn func(i int) bool) {
+	n := t.NumRows()
 	read := int64(0)
 	for i := 0; i < n; i++ {
 		read++
@@ -65,7 +70,9 @@ func (s *Store) Scan(fn func(i int) bool) {
 		}
 	}
 	s.mu.Lock()
-	s.fullScans++
+	if t == s.t {
+		s.fullScans++
+	}
 	s.rowsRead += read
 	s.mu.Unlock()
 }

@@ -40,6 +40,25 @@ func TestScanAccounting(t *testing.T) {
 	}
 }
 
+// TestScanOfDistinctAccounting: a pass over the distinct-tuple table books
+// the tuples it read and no full scan — that is a pass over the table itself.
+func TestScanOfDistinctAccounting(t *testing.T) {
+	s := NewStore(fixture(t))
+	d, read := s.Distinct()
+	if d == nil || read != 10 || d.NumRows() != 2 {
+		t.Fatalf("distinct table %v after %d rows", d != nil, read)
+	}
+	built := s.Stats()
+	mass := 0
+	s.ScanOf(d, func(i int) bool { mass += d.Multiplicity(i); return true })
+	if mass != 10 {
+		t.Fatalf("multiplicities sum to %d, want 10", mass)
+	}
+	if st := s.Stats(); st.FullScans != built.FullScans || st.RowsRead != built.RowsRead+2 {
+		t.Fatalf("stats = %+v after the build's %+v, want two more rows and no more scans", st, built)
+	}
+}
+
 func TestScanEarlyStop(t *testing.T) {
 	s := NewStore(fixture(t))
 	seen := 0

@@ -18,7 +18,9 @@ import (
 // worth having: the build abandons the table as soon as it has seen more
 // than NumRows/distinctGiveUp distinct tuples. A wide table (Marketing's
 // fourteen columns) crosses the line within its first few thousand rows,
-// so finding out costs part of one pass, once.
+// so finding out costs part of one pass, once. A quarter, not a half: the
+// table is kept for the dataset's lifetime beside the rows, and its build
+// is a pass over them that only many later searches repay.
 const distinctGiveUp = 4
 
 // DistinctReport describes how a table's distinct-tuple table resolved.
@@ -44,18 +46,11 @@ type DistinctReport struct {
 // read — zero for every call but the one that resolved the table — so the
 // caller can account for the pass it caused.
 func (t *Table) Distinct() (d *Table, read int) {
-	if t.mult != nil {
-		return nil, 0
-	}
 	t.distinctOnce.Do(func() {
 		start := time.Now()
-		t.distinct, read = t.buildDistinct()
+		t.distinct, read = t.GroupRows(nil, t.n/distinctGiveUp)
 		rep := DistinctReport{Rows: t.n, Read: read}
 		if t.distinct != nil {
-			// Built here, not column by column as searches come: which
-			// columns are built steers a search's scan-or-index planning, and
-			// its work must not depend on which drills ran before it.
-			t.distinct.Index().Warm()
 			rep.Distinct = t.distinct.n
 		}
 		rep.Elapsed = time.Since(start)
@@ -88,15 +83,30 @@ func (t *Table) Multiplicity(i int) int {
 // is false.
 func (t *Table) Weighted() bool { return t.mult != nil }
 
-// buildDistinct groups t's rows by all columns in one pass. Tuples are
-// interned in an open-addressing table of distinct-row ids keyed by a hash
-// of the row and confirmed by comparing the columns, so any width works and
-// the first-seen order depends on nothing but t's row order. The table
-// starts small and doubles; the give-up bound caps it at NumRows/2 slots.
-func (t *Table) buildDistinct() (d *Table, read int) {
-	limit := t.n / distinctGiveUp
-	if limit == 0 {
-		return nil, 0 // too few rows for any tuple to repeat enough
+// GroupRows groups the given rows of t — nil for all of them — by all
+// columns in one pass: the distinct-tuple table of that row list, as
+// Distinct describes it, in the order the list first shows each tuple, a
+// row listed twice counted twice. It is the one grouping routine: Distinct
+// memoises its answer for the whole table, and a sample of t's rows groups
+// itself with it. The pass is abandoned — d nil, read the rows it got
+// through — at the first tuple beyond limit distinct ones; read is the
+// list's length otherwise, and nothing is read at all when limit is not
+// positive or t is itself a distinct table.
+//
+// Tuples are interned in an open-addressing table of distinct-row ids keyed
+// by a hash of the row and confirmed by comparing the columns, so any width
+// works and the first-seen order depends on nothing but the list's order.
+// The table starts small and doubles; limit caps it at 4·limit slots. The
+// returned table's index is built with it, not column by column as searches
+// come: which columns are built steers a search's scan-or-index planning,
+// and its work must not depend on which drills ran before it.
+func (t *Table) GroupRows(rows []int, limit int) (d *Table, read int) {
+	if limit <= 0 || t.mult != nil {
+		return nil, 0
+	}
+	n := t.n
+	if rows != nil {
+		n = len(rows)
 	}
 	cols := make([][]rule.Value, len(t.cols))
 	var (
@@ -104,7 +114,11 @@ func (t *Table) buildDistinct() (d *Table, read int) {
 		hashes []uint64 // by distinct-row id
 		slots  = make([]int32, 1024)
 	)
-	for i := 0; i < t.n; i++ {
+	for k := 0; k < n; k++ {
+		i := k
+		if rows != nil {
+			i = rows[k]
+		}
 		var h uint64
 		for _, col := range t.cols {
 			h = (h ^ uint64(uint32(col[i]))) * 0x9E3779B97F4A7C15
@@ -117,7 +131,7 @@ func (t *Table) buildDistinct() (d *Table, read int) {
 			switch {
 			case id < 0:
 				if len(mult) == limit {
-					return nil, i + 1
+					return nil, k + 1
 				}
 				for c, col := range t.cols {
 					cols[c] = append(cols[c], col[i])
@@ -135,13 +149,15 @@ func (t *Table) buildDistinct() (d *Table, read int) {
 			}
 		}
 	}
-	return &Table{
+	d = &Table{
 		colNames: t.colNames,
 		dicts:    t.dicts,
 		cols:     cols,
 		n:        len(mult),
 		mult:     mult,
-	}, t.n
+	}
+	d.Index().Warm()
+	return d, n
 }
 
 // sameTuple reports whether row i of a equals row j of b, column by column.

@@ -130,24 +130,125 @@ func TestEquivalenceDistinctAcrossIngest(t *testing.T) {
 		if d == nil {
 			t.Fatalf("workers=%d: census does not compress", workers)
 		}
+		// Distinct is the one grouping routine, memoised: asked for every
+		// row under the same limit it builds the same table, byte for byte.
+		g, read := tab.GroupRows(nil, tab.NumRows()/4)
+		if g == nil || read != tab.NumRows() {
+			t.Fatalf("workers=%d: GroupRows over the whole table: table %v after %d rows", workers, g != nil, read)
+		}
+		requireSameDistinct(t, "workers="+strconv.Itoa(workers)+" GroupRows vs Distinct", g, d)
 		if want == nil {
 			want = d
 			requireDistinctOf(t, d, tab)
 			continue
 		}
-		if d.NumRows() != want.NumRows() {
-			t.Fatalf("workers=%d: %d distinct rows, want %d", workers, d.NumRows(), want.NumRows())
+		requireSameDistinct(t, "workers="+strconv.Itoa(workers), d, want)
+	}
+}
+
+// requireSameDistinct fails unless two distinct-tuple tables hold the same
+// tuples in the same order with the same multiplicities.
+func requireSameDistinct(t *testing.T, label string, d, want *table.Table) {
+	t.Helper()
+	if d.NumRows() != want.NumRows() {
+		t.Fatalf("%s: %d distinct rows, want %d", label, d.NumRows(), want.NumRows())
+	}
+	for j := 0; j < d.NumRows(); j++ {
+		if d.Multiplicity(j) != want.Multiplicity(j) {
+			t.Fatalf("%s: distinct row %d has multiplicity %d, want %d", label, j, d.Multiplicity(j), want.Multiplicity(j))
 		}
-		for j := 0; j < d.NumRows(); j++ {
-			if d.Multiplicity(j) != want.Multiplicity(j) {
-				t.Fatalf("workers=%d: distinct row %d has multiplicity %d, want %d", workers, j, d.Multiplicity(j), want.Multiplicity(j))
+		for c := 0; c < d.NumCols(); c++ {
+			if got, w := d.Dict(c).Decode(d.Value(c, j)), want.Dict(c).Decode(want.Value(c, j)); got != w {
+				t.Fatalf("%s: distinct row %d column %d is %q, want %q", label, j, c, got, w)
 			}
-			for c := 0; c < d.NumCols(); c++ {
-				if got, w := d.Dict(c).Decode(d.Value(c, j)), want.Dict(c).Decode(want.Value(c, j)); got != w {
-					t.Fatalf("workers=%d: distinct row %d column %d is %q, want %q", workers, j, c, got, w)
+		}
+	}
+}
+
+// TestEquivalenceGroupRows: grouping a row list is grouping the table those
+// rows would make — in the list's order, a row listed twice counted twice —
+// and is abandoned, after reading no more than it must, at the first tuple
+// beyond the limit.
+func TestEquivalenceGroupRows(t *testing.T) {
+	tab := datagen.CensusProjected(20000, 7, 5)
+	rng := rand.New(rand.NewSource(31))
+	for name, rows := range map[string][]int{
+		"ascending sample": func() []int {
+			var rows []int
+			for i := 0; i < tab.NumRows(); i++ {
+				if rng.Intn(4) == 0 {
+					rows = append(rows, i)
 				}
 			}
-		}
+			return rows
+		}(),
+		"with replacement, unordered": func() []int {
+			rows := make([]int, 6000)
+			for k := range rows {
+				rows[k] = rng.Intn(tab.NumRows() / 8) // many rows drawn twice
+			}
+			return rows
+		}(),
+		"one row, many times": {17, 17, 17, 17},
+		"empty":               {},
+	} {
+		t.Run(name, func(t *testing.T) {
+			d, read := tab.GroupRows(rows, len(rows)/2)
+			if len(rows) < 2 {
+				if d != nil || read != 0 {
+					t.Fatalf("%d rows under limit %d: table %v after %d rows; want nothing read", len(rows), len(rows)/2, d != nil, read)
+				}
+				return
+			}
+			if d == nil || read != len(rows) {
+				t.Fatalf("table %v after %d rows; want a table and one pass of %d", d != nil, read, len(rows))
+			}
+			// The listed rows as a table of their own, one row per listing:
+			// d must be that table's distinct-tuple table, which pins the
+			// order (the list's), the multiplicities (listings, not rows)
+			// and their sum.
+			requireDistinctOf(t, d, tab.Select(rows))
+			if total := d.All().NumTuples(); total != len(rows) {
+				t.Fatalf("multiplicities sum to %d, the list has %d rows", total, len(rows))
+			}
+			for c := 0; c < d.NumCols(); c++ {
+				if !d.Index().ColumnBuilt(c) {
+					t.Fatalf("column %d of the grouped table's index was left unbuilt", c)
+				}
+			}
+			if _, r := tab.Distinct(); r == 0 {
+				t.Fatal("grouping a row list resolved the table's own memoised Distinct")
+			}
+		})
+		// Each subtest must find the table's own Distinct unresolved.
+		tab = datagen.CensusProjected(20000, 7, 5)
+	}
+
+	// Giving up: a unique id in every row, so tuple limit+1 is row limit+1.
+	const n = 9000
+	b := table.MustBuilder([]string{"Id", "Parity"}, nil)
+	for i := 0; i < n; i++ {
+		b.MustAddRow([]string{strconv.Itoa(i), strconv.Itoa(i % 2)})
+	}
+	ids := b.Build()
+	rows := make([]int, 0, n/3)
+	for i := 0; i < n; i += 3 {
+		rows = append(rows, i)
+	}
+	if d, read := ids.GroupRows(rows, len(rows)/2); d != nil || read != len(rows)/2+1 {
+		t.Fatalf("%d distinct rows under the half rule: table %v after %d rows; want none after %d", len(rows), d != nil, read, len(rows)/2+1)
+	}
+	// Exactly at the limit is kept; one tuple more is not.
+	if d, read := ids.GroupRows(rows, len(rows)); d == nil || read != len(rows) || d.NumRows() != len(rows) {
+		t.Fatalf("limit = distinct tuples: table %v after %d rows", d != nil, read)
+	}
+	if d, _ := ids.GroupRows(rows, len(rows)-1); d != nil {
+		t.Fatal("limit one below the distinct tuples: the table was kept")
+	}
+	// A distinct table is not grouped again.
+	d, _ := tab.Distinct()
+	if dd, read := d.GroupRows(nil, d.NumRows()); dd != nil || read != 0 {
+		t.Fatalf("grouping a distinct table: table %v, %d rows read", dd != nil, read)
 	}
 }
 

@@ -38,6 +38,20 @@ func (v *View) NumRows() int {
 	return len(v.rows)
 }
 
+// NumTuples returns the number of tuples the view's rows stand for: its
+// rows, or on a distinct-tuple table the sum of their multiplicities.
+func (v *View) NumTuples() int {
+	n := v.NumRows()
+	if v.t.mult == nil {
+		return n
+	}
+	tuples := 0
+	for i := 0; i < n; i++ {
+		tuples += int(v.t.mult[v.ParentRow(i)])
+	}
+	return tuples
+}
+
 // NumCols returns the number of categorical columns (same as the parent).
 func (v *View) NumCols() int { return v.t.NumCols() }
 

@@ -9,9 +9,15 @@ package smartdrill
 // table that does not compress costs. This one does — a million census rows
 // over seven columns are some fifteen thousand distinct tuples — and an
 // exact Count drill through the engine searches those (docs/ARCHITECTURE.md,
-// "The distinct-tuple table"), so here the exact drill rivals the sampled
-// one: the test logs both, and asserts nothing about their order. Sampling
-// earns its keep on tables whose rows do not repeat, and for Sum.
+// "The distinct-tuple table"). So does the sampled drill, over its sample's
+// own distinct tuples (some 1 300 of its 5 000 rows): its search is a
+// millisecond or two, and what is left of it is the pass over the million
+// rows that draws the sample — about 35 ms where it was 57, under half of the
+// exact drill that builds the table's distinct tuples, and still above a
+// later exact drill at this configured mw (about 20 ms, unprobed), which has
+// no pass to make. The test logs all three, and asserts nothing about their
+// order. Sampling earns its keep on tables whose rows do not repeat, and for
+// Sum.
 // The same table then goes out through WriteCSV and back in through the
 // ingest pipeline, which must reproduce it cell for cell. Generating and
 // searching a million rows exactly takes several seconds, so the test is
@@ -114,8 +120,8 @@ func TestMillionRowInteractiveLatency(t *testing.T) {
 	}
 	t.Logf("1M rows: provisional in %s, exact BRS over the rows %s (%.0fx), %d rules refined",
 		provDur, exactDur, exactDur.Seconds()/provDur.Seconds(), len(e.Root().Children))
-	t.Logf("1M rows: exact drill through the engine %s building the distinct tuples, %s after (sampled: %s)",
-		engineDur[0], engineDur[1], provDur)
+	t.Logf("1M rows: sampled drill over its sample's distinct tuples %s; exact drill through the engine %s building the table's, %s after",
+		provDur, engineDur[0], engineDur[1])
 
 	// CSV round trip at the same scale: the pipeline assigns every value
 	// the id the generator's row-by-row Builder did.

@@ -73,7 +73,9 @@ var rawOps = map[string][]class{
 	"table..AndCount":         {bitmap},           // metered kernel: returns wordsRead
 	"table..AndEach":          {bitmap},           // metered kernel: returns wordsRead
 	"table.View.Refine":       {rowscan},          // full scan of the view's rows
-	"table.Table.Distinct":    {rowscan},          // metered build: returns the rows its one pass read (0 once resolved)
+	"table.Table.GroupRows":   {rowscan},          // metered grouping pass: returns the rows it read
+	"table.Table.Distinct":    {rowscan},          // GroupRows memoised per table: returns the rows its one pass read (0 once resolved)
+	"sampling.View.Tuples":    {rowscan},          // GroupRows memoised per sample: returns the sample rows it read (0 once grouped)
 	"brs.runner.parallelRows": {rowscan},          // chunked row fan-out of a counting pass
 }
 
