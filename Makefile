@@ -46,12 +46,14 @@ lint: lint-fast
 
 # race runs the concurrent packages under the race detector, then repeats
 # the CSV ingest's block-independence check on the bundled table — what its
-# workers and its in-order merge share is exercised by every block — and
-# two sessions racing to build a table's memoised distinct-tuple table with
-# their first drill: ten schedules find what one does not.
+# workers and its in-order merge share is exercised by every block — with
+# Warm and lookups racing on a table the ingest loaded across both cell-width
+# crossings (its first column was widened in place twice), and two sessions
+# racing to build a table's memoised distinct-tuple table with their first
+# drill: ten schedules find what one does not.
 race:
 	$(GO) test -race ./client/ ./internal/server/ ./internal/drill/ ./internal/table/ ./internal/brs/ ./internal/search/
-	$(GO) test -race -count=10 -run 'TestIngestBlockIndependence/storesales' ./internal/table/
+	$(GO) test -race -count=10 -run 'TestIngestBlockIndependence/storesales|TestIndexConcurrentBuild' ./internal/table/
 	$(GO) test -race -count=10 -run 'TestEquivalenceDistinctBuildBookedOnce' ./internal/drill/
 
 # chaos runs the fault-injection end-to-end suite (crash/restart resume,
@@ -108,8 +110,10 @@ bench-vet:
 
 # race-equivalence runs the kernel-equivalence and parallel-determinism
 # property layer under the race detector: fast path vs brs.Options.Reference
-# × worker counts on every arm-forcing view shape bit-identical, bitset
-# containers and accumulator merges raced.
+# × worker counts on every arm-forcing view shape bit-identical — bitset AND,
+# the probing walk driven by a posting list and by a dense value's bitset
+# (Sum, and a sorted sub-view under Count), scan — index containers and
+# accumulator merges raced.
 race-equivalence:
 	$(GO) test -race -run 'Equivalence|Parallel' ./internal/...
 

@@ -181,8 +181,10 @@ func main() {
 		t.Index().Warm()
 		indexed := time.Since(start) - parsed
 		srv.RegisterDataset(spec.name, t)
-		logger.Printf("registered dataset %q: %d rows × %d columns from %s (parsed %.2fs, indexed %.2fs)",
-			spec.name, t.NumRows(), t.NumCols(), spec.path, parsed.Seconds(), indexed.Seconds())
+		cells, index := t.ResidentBytes()
+		logger.Printf("registered dataset %q: %d rows × %d columns from %s (parsed %.2fs, indexed %.2fs, cells %.1f MiB, index %.1f MiB)",
+			spec.name, t.NumRows(), t.NumCols(), spec.path, parsed.Seconds(), indexed.Seconds(),
+			float64(cells)/(1<<20), float64(index)/(1<<20))
 	}
 
 	if backend != nil {

@@ -38,10 +38,9 @@ func TraditionalDrillDown(t *table.Table, base rule.Rule, column int, agg score.
 		agg = score.CountAgg{}
 	}
 	mass := make([]float64, t.DistinctCount(column))
-	col := t.Column(column)
 	for i := 0; i < t.NumRows(); i++ {
 		if t.Covers(base, i) {
-			mass[col[i]] += agg.Mass(t, i)
+			mass[t.Value(column, i)] += agg.Mass(t, i)
 		}
 	}
 	var groups []Group

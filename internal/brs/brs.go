@@ -669,7 +669,8 @@ func (rn *runner) raiseTopW() {
 				// Full-table bitmap walk: view positions are parent rows.
 				rn.stats.BitmapWordsRead += table.AndEach(rn.candBitmaps(sel.r), raise)
 			} else {
-				entries, words := rn.v.EachInAll(rn.candLists(sel.r), func(pos, _ int) { raise(pos) }, rn.candBitmaps(sel.r)...)
+				lists, sets := rn.candSets(sel.r)
+				entries, words := rn.v.EachInAll(lists, func(pos, _ int) { raise(pos) }, sets...)
 				rn.stats.PostingsRead += entries
 				rn.stats.BitmapWordsRead += words
 			}
@@ -1125,7 +1126,8 @@ func (rn *runner) expandParents(parents []*cand) {
 				if plans[p].bitmap {
 					breads[g] += table.AndEach(rn.candBitmaps(r), func(row int) { rn.bookRow(mine, row, row) })
 				} else {
-					entries, words := rn.v.EachInAll(rn.candLists(r), func(pos, row int) { rn.bookRow(mine, pos, row) }, rn.candBitmaps(r)...)
+					lists, sets := rn.candSets(r)
+					entries, words := rn.v.EachInAll(lists, func(pos, row int) { rn.bookRow(mine, pos, row) }, sets...)
 					preads[g] += entries
 					breads[g] += words
 				}

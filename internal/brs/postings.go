@@ -6,34 +6,37 @@ import (
 )
 
 // Index-driven counting. A candidate's coverage within the view is the
-// intersection of the view's row set with the posting lists of the
+// intersection of the view's row set with the index containers of the
 // candidate's instantiated free columns, so counting (and candidate
 // generation, and the topW raise over a selected rule) can be answered
-// from the index instead of scanning every view row. Two index kernels
-// exist:
+// from the index instead of scanning every view row. The index keeps each
+// (column, value) in one container — a sorted []int32 posting list where
+// the value is sparse, a packed []uint64 bitset (table.Bitset) where it is
+// dense — and two kernels read them:
 //
-//   - Probing: a walk of the shortest sorted []int32 posting list that
-//     tests each entry against the other lists (table.View.EachInAll) —
-//     one word read where the list carries a bitset, a galloping search
-//     where it is too sparse to. Cost per candidate is roughly (number of
-//     lists) × (shortest list length) — governed by the most selective
-//     column. A level-1 count on the full table under Count is just a
-//     posting-list length, read without touching a single row.
+//   - Probing (table.View.EachInAll): a walk of the smallest container that
+//     tests each of its rows against the others — one word read where the
+//     other is a bitset, a galloping search where it is a list. Cost per
+//     candidate is roughly (number of containers) × (smallest's rows) —
+//     governed by the most selective column. Where the smallest is itself a
+//     bitset its rows are its set bits, read for its words instead of an
+//     entry each. A level-1 count on the full table under Count is just a
+//     container's stored size, read without touching a single row.
 //
-//   - Bitmap: word-at-a-time AND over the packed []uint64 bitset
-//     containers that shadow dense posting lists (table.Bitset). Cost per
-//     candidate is (number of lists) × (words per container) regardless
-//     of selectivity, and a pure *count* needs only popcount — zero rows
-//     enumerated — where every row's mass is 1 (Count over an unweighted
-//     table). Applies on full-table views under the Count aggregate, where
-//     view positions are parent rows and masses stay integral.
+//   - Bitmap: word-at-a-time AND over bitsets (table.AndCount, AndEach).
+//     Cost per candidate is (number of containers) × (words per container)
+//     regardless of selectivity, and a pure *count* needs only popcount —
+//     zero rows enumerated — where every row's mass is 1 (Count over an
+//     unweighted table). Applies on full-table views under the Count
+//     aggregate, where view positions are parent rows and masses stay
+//     integral, to candidates whose every value is dense.
 //
 // A cost model decides per counting step which access path runs, and per
 // candidate which kernel. Scan cost is one visit per view row plus the
 // anchor-match work the scan kernel pays per candidate (rows sharing the
 // candidate's anchor value, scaled to the view); kernel costs are the
 // entry/word volumes above. The planner only routes to columns whose
-// posting lists are already built (table.Index.ColumnBuilt): a build is a
+// containers are already built (table.Index.ColumnBuilt): a build is a
 // full pass, and silently charging it to one counting step would make the
 // "cheap" path the expensive one. Warm indexes (the server warms every
 // dataset at registration) make the decision purely about read volume.
@@ -51,13 +54,13 @@ const postingsCostSlack = 16
 // index-driven pass.
 type candPlan struct {
 	cost   int64 // estimated entry/word reads for the chosen kernel
-	bitmap bool  // true: bitset AND kernel; false: probing walk of the lists
+	bitmap bool  // true: bitset AND kernel; false: probing walk of the containers
 }
 
 // planCand costs the index kernels for rule r. anchor is the posting length
 // of r's anchor column (the scan kernel's per-candidate work, see
 // buildCandIndex); ok is false when some needed column has no built
-// posting lists, which forces the whole pass to scan.
+// containers, which forces the whole pass to scan.
 func (rn *runner) planCand(r rule.Rule) (plan candPlan, anchor int64, ok bool) {
 	lists := 0
 	shortest := int64(^uint64(0) >> 1)
@@ -84,6 +87,11 @@ func (rn *runner) planCand(r rule.Rule) (plan candPlan, anchor int64, ok bool) {
 	if lists == 0 {
 		return candPlan{}, 0, false
 	}
+	// The probing walk is costed by its driver's rows — each is taken, then
+	// tested against every other container — whichever container the driver
+	// has: a dense driver's rows are read off its bitset for fewer reads
+	// than an entry each (Stats books the words), but they are still walked
+	// one by one.
 	plan.cost = int64(lists)*shortest + postingsCostSlack
 	if allBitmaps {
 		if bmCost := int64(lists)*rn.bitmapWords + postingsCostSlack; bmCost < plan.cost {
@@ -135,25 +143,28 @@ func (rn *runner) planPostingsOne(r rule.Rule) (plan candPlan, ok bool) {
 	return plan, ok && plan.cost < int64(rn.v.NumRows())
 }
 
-// candLists gathers the posting lists of r's instantiated free columns.
+// candSets gathers the index container of each of r's instantiated free
+// columns, as the probing walk takes them: a sparse value's posting list, a
+// dense value's bitset.
 //
-//sdlint:allow ioaccount hands list headers to the intersection kernels; the entries actually read are metered by EachInAll and booked by the pass that called it
-func (rn *runner) candLists(r rule.Rule) [][]int32 {
-	lists := make([][]int32, 0, len(rn.freeCols))
+//sdlint:allow ioaccount hands containers to the probing walk; the entries and words actually read are metered by EachInAll and booked by the pass that called it
+func (rn *runner) candSets(r rule.Rule) (lists [][]int32, sets []*table.Bitset) {
+	lists = make([][]int32, 0, len(rn.freeCols))
+	sets = make([]*table.Bitset, 0, len(rn.freeCols))
 	for _, col := range rn.freeCols {
 		if r[col] != rule.Star {
-			lists = append(lists, rn.ix.Postings(col, r[col]))
+			list, set := rn.ix.Container(col, r[col])
+			lists, sets = append(lists, list), append(sets, set)
 		}
 	}
-	return lists
+	return lists, sets
 }
 
-// candBitmaps gathers, aligned with candLists, the bitset container
-// shadowing each of those lists — nil where a list is too sparse to carry
-// one. The planner routes a rule to the AND kernels only when every
-// container exists; the probing walk takes them as they come.
+// candBitmaps gathers the bitsets of r's instantiated free columns for the
+// AND kernels, to which the planner routes a rule only when every one of
+// its values is dense.
 //
-//sdlint:allow ioaccount hands bitset containers to the AND kernels and the probing walk; the words actually read are metered by AndCount/AndEach/EachInAll and booked by the pass that called it
+//sdlint:allow ioaccount hands bitset containers to the AND kernels; the words actually read are metered by AndCount/AndEach and booked by the pass that called it
 func (rn *runner) candBitmaps(r rule.Rule) []*table.Bitset {
 	sets := make([]*table.Bitset, 0, len(rn.freeCols))
 	for _, col := range rn.freeCols {
@@ -200,7 +211,8 @@ func (rn *runner) countCandidatesIndex(cands []*cand, plans []candPlan) {
 					})
 				}
 			} else {
-				entries, words := rn.v.EachInAll(rn.candLists(c.r), func(pos, row int) {
+				lists, sets := rn.candSets(c.r)
+				entries, words := rn.v.EachInAll(lists, func(pos, row int) {
 					mass := rn.agg.Mass(parent, row)
 					c.count += mass
 					if !virgin {
@@ -208,7 +220,7 @@ func (rn *runner) countCandidatesIndex(cands []*cand, plans []candPlan) {
 							c.marginal += (c.weight - tw) * mass
 						}
 					}
-				}, rn.candBitmaps(c.r)...)
+				}, sets...)
 				preads[g] += entries
 				breads[g] += words
 			}

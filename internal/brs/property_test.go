@@ -36,8 +36,9 @@ type armShape struct {
 
 // TestEquivalencePropertyMatrix: seeded random tables × arm-forcing view
 // shapes × Workers ∈ {1, 2, 8}, every cell bit-identical to Reference.
-// Skewed value distributions make some posting lists dense (bitmap
-// containers, probed) and others sparse (galloped).
+// Skewed value distributions make some values dense (one bitset each:
+// probed, or walked by its set bits where it drives) and others sparse (one
+// posting list each: read by entry, galloped).
 func TestEquivalencePropertyMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	trials := 6
@@ -66,13 +67,24 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 			probe[i] = rng.Intn(n)
 		}
 		// Off the full table, and under Sum, the bitset AND kernel cannot
-		// run, so every bitmap word read is a probe of the intersection
-		// walk: at most one per driver entry per other list, and a rule has
-		// at most one list per free column.
-		probesOnly := func(freeCols int) func(Stats) bool {
-			return func(s Stats) bool { return s.BitmapWordsRead > s.PostingsRead*int64(freeCols-1) }
+		// run: every index read is the intersection walk's. Where every
+		// value the walk can meet is dense there is no posting list to read
+		// an entry of — the driver's rows are its bitset's set bits — and
+		// where every one is sparse there is no bitset to read a word of.
+		walk := func(s Stats) bool { return s.IndexLevels > 0 && s.PostingsRead+s.BitmapWordsRead > 0 }
+		denseWalk := func(s Stats) bool { return s.IndexLevels > 0 && s.BitmapWordsRead > 0 }
+		noEntries := func(s Stats) bool { return s.PostingsRead != 0 }
+		// tab without its skewed first column: a few uniform values a column,
+		// every one of them dense.
+		flat, err := tab.Project(tab.ColumnNames()[1:])
+		if err != nil {
+			t.Fatal(err)
 		}
-		walk := func(s Stats) bool { return s.PostingsRead > 0 }
+		flat.Index().Warm()
+		// Forty values a column: every one but the skewed column's favourite
+		// is sparse.
+		thin := skewedTable(rand.New(rand.NewSource(int64(trial)+200)), 3, 40, n)
+		thin.Index().Warm()
 		// Irrational weights: a marginal is a sum of products no ± delta
 		// bookkeeping could keep exact, only a recount in row order.
 		per := make([]float64, cols)
@@ -113,19 +125,28 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 				opts: Options{K: 4, MaxWeight: frac.MaxWeight(3)}, engaged: multiStep},
 			{name: "dup-column", view: dup.All(), w: weight.NewSize(cols + 1),
 				opts: Options{K: 5, MaxWeight: 3}, engaged: multiStep},
+			// A sorted sub-view under Count, its free columns all dense: the
+			// probing walk with a bitset for a driver.
 			{name: "child", view: tab.ViewOf(tab.FilterIndices(base)), w: w,
 				opts:   Options{K: 4, MaxWeight: mw, Base: base, BaseCovered: true},
-				forbid: probesOnly(cols - 1), engaged: walk},
+				forbid: noEntries, engaged: denseWalk},
 			// Integral masses under Size weights keep every Sum accumulator
 			// exact, so worker merge order cannot show in the last ulp.
 			{name: "sum", view: tab.All(), w: size,
-				opts:   Options{K: 4, MaxWeight: 3, Agg: score.SumAgg{Measure: 0}},
-				forbid: probesOnly(cols), engaged: walk},
+				opts: Options{K: 4, MaxWeight: 3, Agg: score.SumAgg{Measure: 0}}, engaged: walk},
 			// Zero and negative masses: an extension exists because a row
 			// was seen, whatever its mass sums to.
 			{name: "sum-signed", view: tab.All(), w: size,
-				opts:   Options{K: 4, MaxWeight: 3, Agg: score.SumAgg{Measure: 1}},
-				forbid: probesOnly(cols), engaged: walk},
+				opts: Options{K: 4, MaxWeight: 3, Agg: score.SumAgg{Measure: 1}}, engaged: walk},
+			// The whole table under Sum, every value dense: bitset drivers
+			// again, this time because of the aggregate.
+			{name: "sum-dense", view: flat.All(), w: weight.NewSize(cols - 1),
+				opts:   Options{K: 4, MaxWeight: 3, Agg: score.SumAgg{Measure: 0}},
+				forbid: noEntries, engaged: denseWalk},
+			// And nearly every value sparse: list drivers, galloped lists.
+			{name: "sum-sparse", view: thin.All(), w: weight.NewSize(3),
+				opts:    Options{K: 4, MaxWeight: 3, Agg: score.SumAgg{Measure: 0}},
+				engaged: func(s Stats) bool { return s.IndexLevels > 0 && s.PostingsRead > 0 }},
 			{name: "weighted-count", view: weighted.All(), w: heavyW, rows: heavy.All(),
 				opts: Options{K: 6, MaxWeight: heavyW.MaxWeight(3)}, engaged: multiStep},
 			{name: "weighted-child", view: weighted.ViewOf(weighted.FilterIndices(heavyBase)), w: heavyW,

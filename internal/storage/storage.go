@@ -25,7 +25,7 @@ type Stats struct {
 	FullScans     int64 // complete passes over the backing table
 	RowsRead      int64 // total rows delivered to scan callbacks
 	IndexLookups  int64 // rule filters answered from the inverted index
-	IndexRowsRead int64 // posting-list entries read by those lookups
+	IndexRowsRead int64 // posting entries and bitset words read by those lookups
 }
 
 // Store wraps the authoritative full table behind a scan interface with
@@ -79,7 +79,7 @@ func (s *Store) ScanOf(t *table.Table, fn func(i int) bool) {
 
 // FilterRows returns the row indices covered by r, answered from the
 // table's shared inverted index and accounted as index I/O: the lookup is
-// charged the posting entries it read, not a full pass.
+// charged the posting entries and bitset words it read, not a full pass.
 func (s *Store) FilterRows(r rule.Rule) []int { return s.FilterRowsOf(s.t, r) }
 
 // FilterRowsOf is FilterRows against t's own index, where t is the backing

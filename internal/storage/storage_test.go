@@ -85,9 +85,11 @@ func TestFilterRowsAccounting(t *testing.T) {
 	if want := tab.FilterIndicesScan(even); len(rows) != len(want) {
 		t.Fatalf("FilterRows returned %d rows, scan %d", len(rows), len(want))
 	}
+	// Half of ten rows is a dense value: its one container is a bitset, and
+	// its five rows are read off the bitset's one word.
 	st := s.Stats()
-	if st.IndexLookups != 1 || st.IndexRowsRead != 5 {
-		t.Fatalf("index stats = %+v, want 1 lookup reading 5 postings", st)
+	if st.IndexLookups != 1 || st.IndexRowsRead != 1 {
+		t.Fatalf("index stats = %+v, want 1 lookup reading 1 bitset word", st)
 	}
 	if st.FullScans != 0 || st.RowsRead != 0 {
 		t.Fatalf("FilterRows must not account as a scan: %+v", st)
@@ -95,6 +97,28 @@ func TestFilterRowsAccounting(t *testing.T) {
 	s.ResetStats()
 	if st := s.Stats(); st.IndexLookups != 0 || st.IndexRowsRead != 0 {
 		t.Fatalf("reset must clear index stats: %+v", st)
+	}
+
+	// Two of a hundred rows is a sparse value: a posting list, an entry read
+	// per row.
+	b := table.MustBuilder([]string{"A"}, nil)
+	for i := 0; i < 100; i++ {
+		v := "common"
+		if i%50 == 7 {
+			v = "rare"
+		}
+		b.MustAddRow([]string{v})
+	}
+	s = NewStore(b.Build())
+	rare, err := s.Table().EncodeRule(map[string]string{"A": "rare"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := s.FilterRows(rare); len(rows) != 2 || rows[0] != 7 || rows[1] != 57 {
+		t.Fatalf("FilterRows(rare) = %v, want [7 57]", rows)
+	}
+	if st := s.Stats(); st.IndexLookups != 1 || st.IndexRowsRead != 2 {
+		t.Fatalf("index stats = %+v, want 1 lookup reading 2 postings", st)
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 //
 // The reader streams through the same block-parallel pipeline as ReadCSV
 // (ingest.go), every column provisionally categorical, so peak transient
-// memory is the encoded table itself (4 bytes per cell plus one interned
-// string per distinct value) — never a [][]string of every cell, which on
+// memory is the encoded table itself (1 to 4 bytes per cell, see column,
+// plus one interned string per distinct value) — never a [][]string of every cell, which on
 // a million-row CSV costs an order of magnitude more than the table it
 // produces. Numeric classification needs no second pass over the rows
 // either: a column is all-numeric exactly when every entry of its
@@ -67,7 +67,7 @@ func readCSVAuto(r io.Reader, opts AutoOptions, blockSize, workers int) (*Table,
 		return nil, nil, err
 	}
 	// Stream every row into provisional per-column dictionary encodings.
-	prov := &Table{dicts: make([]*Dictionary, len(header)), cols: make([][]rule.Value, len(header))}
+	prov := &Table{dicts: make([]*Dictionary, len(header)), cols: make([]column, len(header))}
 	fields := make([]int, len(header))
 	for c := range fields {
 		prov.dicts[c] = NewDictionary()
@@ -139,21 +139,19 @@ func bucketizeNumeric(prov *Table, header []string, opts AutoOptions) (*Table, [
 			continue
 		}
 		vals := make([]float64, rows)
-		for i, id := range ids[c] {
-			vals[i] = idFloat[c][id]
+		for i := range vals {
+			vals[i] = idFloat[c][ids[c].at(i)]
 		}
 		labels, _, err := Bucketize(vals, opts.Buckets, opts.Scheme)
 		if err != nil {
 			return nil, nil, err
 		}
-		col := make([]rule.Value, rows)
-		for i, l := range labels {
-			col[i] = t.dicts[c].Encode(l)
+		for _, l := range labels {
+			t.cols[c].push(t.dicts[c].Encode(l), t.dicts[c].Len())
 		}
-		t.cols[c] = col
 		t.measures[mi] = vals
 		mi++
-		ids[c] = nil // the provisional encoding is dead; free it eagerly
+		ids[c] = column{} // the provisional encoding is dead; free it eagerly
 	}
 	t.n = rows
 	return b.Build(), numericNames, nil

@@ -2,48 +2,37 @@ package table
 
 import "math/bits"
 
-// Packed bitset containers. A Bitset stores one (column, value) posting
-// list as row-membership bits in []uint64 words: bit (row % 64) of word
-// (row / 64) is set iff the row holds the value. Dense lists answer
-// intersections word-at-a-time — 64 rows per AND — and intersection
-// *counts* by popcount alone, never touching rows, which is exactly what
-// BRS candidate counting under the Count aggregate needs.
+// Packed bitset containers. A Bitset stores one (column, value) row set as
+// row-membership bits in []uint64 words: bit (row % 64) of word (row / 64)
+// is set iff the row holds the value. Dense sets answer intersections
+// word-at-a-time — 64 rows per AND — and intersection *counts* by popcount
+// alone, never touching rows, which is exactly what BRS candidate counting
+// under the Count aggregate needs.
 //
-// Bitsets exist alongside the sorted []int32 lists, not instead of them:
-// the index builds a bitset only for lists dense enough that the bitmap
-// (numRows/8 bytes) costs no more memory than the sorted list it shadows
-// (4 bytes per entry), i.e. when the list covers at least 1/32 of the
-// table. Sparse lists stay sorted lists only: an intersection walk gallops
-// through them and probes the bitsets of the dense ones (View.EachInAll);
-// the cost planner picks the kernel per candidate.
+// A bitset is a dense value's only container, instead of a sorted []int32
+// list, not beside one: the index stores a value as a bitset exactly when
+// the bitmap (numRows/8 bytes) costs no more memory than the sorted list
+// would (4 bytes per entry), i.e. when the value covers at least 1/32 of the
+// table. Sparse values are sorted lists only: an intersection walk gallops
+// through them and probes the bitsets of the dense ones, or, where every
+// value is dense, ANDs their words (View.EachInAll); the cost planner picks
+// the kernel per candidate.
 
 // Bitset is an immutable packed row set over a fixed universe [0, n).
-// Safe for concurrent readers, like the posting lists it shadows.
+// Safe for concurrent readers, like the posting lists of sparse values.
 type Bitset struct {
 	words []uint64
-	n     int // set bits (the shadowed posting list's length)
+	n     int // set bits
 }
 
-// bitsetDense reports whether a posting list of the given length over a
-// table of numRows rows qualifies for a bitset container: the bitmap's
-// numRows/8 bytes must not exceed the 4·length bytes the sorted list
-// already pays, i.e. length ≥ numRows/32.
+// bitsetDense reports whether a value held by length of a table's numRows
+// rows is stored as a bitset: the bitmap's numRows/8 bytes must not exceed
+// the 4·length bytes a sorted list would cost, i.e. length ≥ numRows/32.
 func bitsetDense(length, numRows int) bool {
 	return length > 0 && 32*length >= numRows
 }
 
-// NewBitsetFromSorted packs an ascending row list over universe [0, rows)
-// into a bitset. The list must be strictly ascending with entries in
-// range, as posting lists are by construction.
-func NewBitsetFromSorted(list []int32, rows int) *Bitset {
-	b := &Bitset{words: make([]uint64, (rows+63)/64), n: len(list)}
-	for _, r := range list {
-		b.words[r>>6] |= 1 << (uint(r) & 63)
-	}
-	return b
-}
-
-// Len returns the number of set bits (the posting list length).
+// Len returns the number of set bits: the rows holding the value.
 func (b *Bitset) Len() int { return b.n }
 
 // NumWords returns the container's word count: ceil(universe / 64).

@@ -2,11 +2,22 @@ package table
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"smartdrill/internal/rule"
 )
+
+// newBitsetFromSorted packs an ascending row list over universe [0, rows)
+// into a bitset, the way the index's fill pass sets a dense value's bits.
+func newBitsetFromSorted(list []int32, rows int) *Bitset {
+	b := &Bitset{words: make([]uint64, (rows+63)/64), n: len(list)}
+	for _, r := range list {
+		b.words[r>>6] |= 1 << (uint(r) & 63)
+	}
+	return b
+}
 
 // The bitmap kernel must agree with sorted-list intersection on every
 // input, including the shapes where word-packing goes wrong: bits on both
@@ -43,7 +54,7 @@ func checkKernels(t *testing.T, label string, lists [][]int32, rows int) {
 	t.Helper()
 	sets := make([]*Bitset, len(lists))
 	for i, l := range lists {
-		sets[i] = NewBitsetFromSorted(l, rows)
+		sets[i] = newBitsetFromSorted(l, rows)
 		if sets[i].Len() != len(l) {
 			t.Fatalf("%s: set %d Len = %d, want %d", label, i, sets[i].Len(), len(l))
 		}
@@ -133,7 +144,7 @@ func TestBitsetKernelsAdversarial(t *testing.T) {
 
 // TestBitsetContains covers membership including out-of-universe probes.
 func TestBitsetContains(t *testing.T) {
-	b := NewBitsetFromSorted([]int32{0, 63, 64, 99}, 100)
+	b := newBitsetFromSorted([]int32{0, 63, 64, 99}, 100)
 	if b.NumWords() != 2 {
 		t.Fatalf("NumWords = %d, want 2 for 100 rows", b.NumWords())
 	}
@@ -219,16 +230,22 @@ func TestBitsetMatchesIndexPostings(t *testing.T) {
 
 // FuzzBitsetIntersect feeds the kernels randomized list shapes — sizes,
 // densities, and universes derived from the fuzz input — and checks both
-// against the naive reference.
+// against the naive reference. The top bit of nsets also runs the
+// intersection walk over the same bitsets and nothing else, the way it gets
+// a rule whose every value is dense: the driver's rows are its set bits,
+// and the walk must visit what AndEach visits without reading an entry.
 func FuzzBitsetIntersect(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(3), uint8(50))
 	f.Add(int64(2), uint16(64), uint8(1), uint8(100))
 	f.Add(int64(3), uint16(65), uint8(4), uint8(1))
 	f.Add(int64(4), uint16(1), uint8(2), uint8(100))
 	f.Add(int64(5), uint16(4096), uint8(5), uint8(10))
+	f.Add(int64(6), uint16(129), uint8(0x80|3), uint8(50))
+	f.Add(int64(7), uint16(4096), uint8(0x80|5), uint8(100))
+	f.Add(int64(8), uint16(64), uint8(0x80), uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, rows16 uint16, nsets uint8, density uint8) {
 		rows := int(rows16)%5000 + 1
-		k := int(nsets)%6 + 1
+		k := int(nsets&0x7f)%6 + 1
 		rng := rand.New(rand.NewSource(seed))
 		lists := make([][]int32, k)
 		for i := range lists {
@@ -241,7 +258,7 @@ func FuzzBitsetIntersect(f *testing.F) {
 		}
 		sets := make([]*Bitset, k)
 		for i, l := range lists {
-			sets[i] = NewBitsetFromSorted(l, rows)
+			sets[i] = newBitsetFromSorted(l, rows)
 		}
 		want := naiveIntersect(lists)
 		count, _ := AndCount(sets)
@@ -257,6 +274,19 @@ func FuzzBitsetIntersect(f *testing.F) {
 			if got[i] != want[i] {
 				t.Fatalf("AndEach[%d] = %d, want %d", i, got[i], want[i])
 			}
+		}
+		if nsets&0x80 == 0 {
+			return
+		}
+		var walked []int32
+		entries, _ := (&Table{n: rows}).All().EachInAll(make([][]int32, k), func(pos, row int) {
+			if pos != row {
+				t.Fatalf("full-table walk visited row %d at position %d", row, pos)
+			}
+			walked = append(walked, int32(row))
+		}, sets...)
+		if entries != 0 || !slices.Equal(walked, want) {
+			t.Fatalf("walk over bitsets alone read %d entries and visited %d rows, want none and the %d of AndEach (rows=%d k=%d)", entries, len(walked), len(want), rows, k)
 		}
 	})
 }

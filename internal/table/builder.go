@@ -34,7 +34,7 @@ func NewBuilder(columns []string, measures []string) (*Builder, error) {
 	t := &Table{
 		colNames:     append([]string{}, columns...),
 		dicts:        make([]*Dictionary, len(columns)),
-		cols:         make([][]rule.Value, len(columns)),
+		cols:         make([]column, len(columns)),
 		measureNames: append([]string{}, measures...),
 		measures:     make([][]float64, len(measures)),
 	}
@@ -69,7 +69,8 @@ func (b *Builder) AddRow(values []string, measures []float64) error {
 		}
 	}
 	for c, s := range values {
-		b.t.cols[c] = append(b.t.cols[c], b.t.dicts[c].Encode(s))
+		d := b.t.dicts[c]
+		b.t.cols[c].push(d.Encode(s), d.Len())
 	}
 	for m, v := range measures {
 		b.t.measures[m] = append(b.t.measures[m], v)

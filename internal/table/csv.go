@@ -77,7 +77,7 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	rec := make([]string, len(header))
 	for i := 0; i < t.n; i++ {
 		for c := range t.colNames {
-			rec[c] = t.dicts[c].Decode(t.cols[c][i])
+			rec[c] = t.dicts[c].Decode(t.cols[c].at(i))
 		}
 		for m := range t.measureNames {
 			rec[len(t.colNames)+m] = strconv.FormatFloat(t.measures[m][i], 'g', -1, 64)

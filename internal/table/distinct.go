@@ -1,10 +1,6 @@
 package table
 
-import (
-	"time"
-
-	"smartdrill/internal/rule"
-)
+import "time"
 
 // The distinct-tuple table. A search's answer depends only on the multiset
 // of tuples it reads, and the paper's tables are categorical with a handful
@@ -108,7 +104,10 @@ func (t *Table) GroupRows(rows []int, limit int) (d *Table, read int) {
 	if rows != nil {
 		n = len(rows)
 	}
-	cols := make([][]rule.Value, len(t.cols))
+	cols := make([]column, len(t.cols))
+	for c := range cols {
+		cols[c].width = t.cols[c].width
+	}
 	var (
 		mult   []int32
 		hashes []uint64 // by distinct-row id
@@ -120,8 +119,8 @@ func (t *Table) GroupRows(rows []int, limit int) (d *Table, read int) {
 			i = rows[k]
 		}
 		var h uint64
-		for _, col := range t.cols {
-			h = (h ^ uint64(uint32(col[i]))) * 0x9E3779B97F4A7C15
+		for c := range t.cols {
+			h = (h ^ uint64(uint32(t.cols[c].at(i)))) * 0x9E3779B97F4A7C15
 		}
 		h ^= h >> 32
 		mask := uint64(len(slots) - 1)
@@ -133,8 +132,8 @@ func (t *Table) GroupRows(rows []int, limit int) (d *Table, read int) {
 				if len(mult) == limit {
 					return nil, k + 1
 				}
-				for c, col := range t.cols {
-					cols[c] = append(cols[c], col[i])
+				for c := range t.cols {
+					cols[c].append(t.cols[c].at(i))
 				}
 				mult = append(mult, 1)
 				hashes = append(hashes, h)
@@ -161,9 +160,9 @@ func (t *Table) GroupRows(rows []int, limit int) (d *Table, read int) {
 }
 
 // sameTuple reports whether row i of a equals row j of b, column by column.
-func sameTuple(a [][]rule.Value, i int, b [][]rule.Value, j int) bool {
+func sameTuple(a []column, i int, b []column, j int) bool {
 	for c := range a {
-		if a[c][i] != b[c][j] {
+		if a[c].at(i) != b[c].at(j) {
 			return false
 		}
 	}

@@ -9,4 +9,16 @@ var (
 	SameTable        = sameTable
 	GridBlocks       = gridBlocks
 	GridWorkers      = gridWorkers
+	BitsetDense      = bitsetDense
+	CrossingCSV      = crossingCSV
 )
+
+// Layout is how column c of t is stored and indexed, for the tests that
+// hold both to their bounds: the bytes of one cell, and per value of the
+// column's dictionary the posting list and the bitset the index keeps —
+// as it keeps them, not as Postings and Bitmap hand them out.
+func Layout(t *Table, c int) (cellBytes int, lists [][]int32, bits []*Bitset) {
+	t.Index().buildCol(c)
+	cp := &t.Index().cols[c]
+	return t.cols[c].width.bytes(), cp.lists, cp.bits
+}

@@ -2,7 +2,6 @@ package table
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -10,11 +9,17 @@ import (
 )
 
 // Index is a table's inverted index: for every (column, value) pair, the
-// sorted list of rows holding that value. Posting lists are built lazily,
-// one column at a time, on first use — a dataset pays one pass per column
-// it is ever filtered on, and nothing for columns it is not. One Index
-// exists per Table (see Table.Index), so every session on a shared dataset
-// reuses the same posting lists instead of re-scanning per request.
+// set of rows holding that value, in exactly one container — a packed
+// Bitset where the value is dense enough that the bitmap is the smaller of
+// the two (see bitsetDense), the sorted list of its rows otherwise. A
+// column's index therefore costs Σ over its values of min(4·len, rows/8)
+// bytes — at most four bytes per row whatever the data, and an eighth of a
+// byte per row and value on the few-valued columns the paper's tables are
+// made of. Containers are built lazily, one column at a time, on first use —
+// a dataset pays one pass per column it is ever filtered on, and nothing
+// for columns it is not. One Index exists per Table (see Table.Index), so
+// every session on a shared dataset reuses the same containers instead of
+// re-scanning per request.
 //
 // Building is guarded by a per-column sync.Once, making the Index safe for
 // concurrent use by any number of readers.
@@ -23,19 +28,32 @@ type Index struct {
 	cols []colPostings
 }
 
+// colPostings is one column's containers. Value v's rows are bits[v] where
+// that is non-nil and lists[v] otherwise, never both; sizes[v] is how many
+// there are either way.
 type colPostings struct {
 	once  sync.Once
 	built atomic.Bool
-	lists [][]int32 // lists[v] = ascending rows with Value(c, row) == v
-	// bits[v] shadows lists[v] with a packed bitset when the list is dense
-	// enough that the bitmap costs no more memory than the list (see
-	// bitsetDense); nil otherwise. Built together with lists under the same
-	// once, so built covers both representations.
-	bits []*Bitset
+	sizes []int32
+	lists [][]int32 // ascending rows with Value(c, row) == v; nil where v is dense
+	bits  []*Bitset // nil where v is sparse
+}
+
+// bytes is what a built column's containers and sizes hold.
+func (cp *colPostings) bytes() int64 {
+	n := 4 * int64(len(cp.sizes))
+	for v, size := range cp.sizes {
+		if b := cp.bits[v]; b != nil {
+			n += 8 * int64(len(b.words))
+		} else {
+			n += 4 * int64(size)
+		}
+	}
+	return n
 }
 
 // Index returns the table's inverted index, allocating it on first call.
-// The index itself builds per-column posting lists lazily.
+// The index itself builds per-column containers lazily.
 func (t *Table) Index() *Index {
 	t.idxOnce.Do(func() {
 		t.idx = &Index{t: t, cols: make([]colPostings, len(t.cols))}
@@ -43,80 +61,129 @@ func (t *Table) Index() *Index {
 	return t.idx
 }
 
-// buildCol materializes column c's posting lists with one counting pass
-// (sizes) and one fill pass, so every list is exact-capacity and ascending
-// by construction.
+// buildCol materializes column c's containers.
 func (ix *Index) buildCol(c int) {
 	cp := &ix.cols[c]
 	cp.once.Do(func() {
-		col := ix.t.cols[c]
-		sizes := make([]int32, ix.t.dicts[c].Len())
-		for _, v := range col {
-			sizes[v]++
+		col, vals := &ix.t.cols[c], ix.t.dicts[c].Len()
+		switch col.width {
+		case w8:
+			buildPostings(cp, col.u8, vals)
+		case w16:
+			buildPostings(cp, col.u16, vals)
+		default:
+			buildPostings(cp, col.i32, vals)
 		}
-		lists := make([][]int32, len(sizes))
-		for v := range lists {
-			lists[v] = make([]int32, 0, sizes[v])
-		}
-		for i, v := range col {
-			lists[v] = append(lists[v], int32(i))
-		}
-		bits := make([]*Bitset, len(lists))
-		for v, list := range lists {
-			if bitsetDense(len(list), ix.t.n) {
-				bits[v] = NewBitsetFromSorted(list, ix.t.n)
-			}
-		}
-		cp.lists = lists
-		cp.bits = bits
 		cp.built.Store(true)
 	})
 }
 
-// ColumnBuilt reports whether column c's posting lists are already
+// buildPostings fills cp from a column of vals distinct values with one
+// counting pass (sizes) and one fill pass straight into each value's
+// container, so every list is exact-capacity and ascending by construction
+// and no list is ever built for a dense value. The sparse lists are cut
+// from one array: a column of tens of thousands of values is one
+// allocation, not one per value.
+func buildPostings[T cell](cp *colPostings, col []T, vals int) {
+	rows := len(col)
+	sizes := make([]int32, vals)
+	for _, v := range col {
+		sizes[v]++
+	}
+	lists := make([][]int32, vals)
+	bits := make([]*Bitset, vals)
+	sparse := 0
+	for v, n := range sizes {
+		if bitsetDense(int(n), rows) {
+			bits[v] = &Bitset{words: make([]uint64, (rows+63)/64), n: int(n)}
+		} else {
+			sparse += int(n)
+		}
+	}
+	arena := make([]int32, sparse)
+	for v, n := range sizes {
+		if bits[v] == nil {
+			lists[v], arena = arena[:0:n], arena[n:]
+		}
+	}
+	for i, v := range col {
+		if b := bits[v]; b != nil {
+			b.words[i>>6] |= 1 << (uint(i) & 63)
+		} else {
+			lists[v] = append(lists[v], int32(i))
+		}
+	}
+	cp.sizes, cp.lists, cp.bits = sizes, lists, bits
+}
+
+// ColumnBuilt reports whether column c's containers are already
 // materialized. Cost planners (BRS's scan-vs-postings decision) use it to
 // avoid charging a surprise build pass to a single counting step: the
 // planner only routes work to columns that are already paid for.
 func (ix *Index) ColumnBuilt(c int) bool { return ix.cols[c].built.Load() }
 
 // PostingsLen returns the number of rows holding value v in column c —
-// Count(base+(c,v)) on the full table — building the column's lists on
-// first use. Level-1 BRS counting under the Count aggregate reads only
-// these lengths, no posting entries.
-func (ix *Index) PostingsLen(c int, v rule.Value) int { return len(ix.Postings(c, v)) }
+// Count(base+(c,v)) on the full table — building the column's containers on
+// first use. It is read from the sizes stored beside them: level-1 BRS
+// counting under the Count aggregate reads only these, no container.
+func (ix *Index) PostingsLen(c int, v rule.Value) int {
+	ix.buildCol(c)
+	sizes := ix.cols[c].sizes
+	if v < 0 || int(v) >= len(sizes) {
+		return 0
+	}
+	return int(sizes[v])
+}
+
+// Container returns value v of column c's one container, building the
+// column's on first use: the ascending row list of a sparse value, the
+// Bitset of a dense one, neither for a value outside the column's
+// dictionary (never produced by Encode/Lookup). Neither may be modified.
+// This is how the kernels reach the index (View.EachInAll takes the pair
+// as it comes); callers that must not pay a build (cost planners) gate on
+// ColumnBuilt first.
+func (ix *Index) Container(c int, v rule.Value) (list []int32, bits *Bitset) {
+	ix.buildCol(c)
+	cp := &ix.cols[c]
+	if v < 0 || int(v) >= len(cp.sizes) {
+		return nil, nil
+	}
+	return cp.lists[v], cp.bits[v]
+}
 
 // Postings returns the ascending row list for value v of column c, building
-// the column's lists on first use. The returned slice must not be modified.
-// Values outside the column's dictionary (never produced by Encode/Lookup)
-// yield nil.
+// the column's containers on first use. A sparse value's list is the
+// index's own and must not be modified; a dense value has no list, so this
+// decodes its bitset into a fresh one of PostingsLen entries on every call
+// — for callers outside the engine, whose kernels read the container as it
+// is (see Container). Values outside the column's dictionary yield nil.
 func (ix *Index) Postings(c int, v rule.Value) []int32 {
-	ix.buildCol(c)
-	lists := ix.cols[c].lists
-	if v < 0 || int(v) >= len(lists) {
-		return nil
+	list, bits := ix.Container(c, v)
+	if bits == nil {
+		return list
 	}
-	return lists[v]
+	list = make([]int32, 0, bits.n)
+	AndEach([]*Bitset{bits}, func(row int) { list = append(list, int32(row)) })
+	return list
 }
 
-// Bitmap returns the packed bitset shadowing value v's posting list in
-// column c, or nil when the list is too sparse to carry one (see
-// bitsetDense) or v is outside the column's dictionary. Builds the
-// column's containers on first use, like Postings; callers that must not
-// pay a build (cost planners) gate on ColumnBuilt first.
+// Bitmap returns the packed bitset holding value v's rows in column c, or
+// nil when the value is too sparse to be stored as one (see bitsetDense) or
+// v is outside the column's dictionary. Builds the column's containers on
+// first use, like Postings; callers that must not pay a build (cost
+// planners) gate on ColumnBuilt first.
 func (ix *Index) Bitmap(c int, v rule.Value) *Bitset {
-	ix.buildCol(c)
-	bits := ix.cols[c].bits
-	if v < 0 || int(v) >= len(bits) {
-		return nil
-	}
-	return bits[v]
+	_, bits := ix.Container(c, v)
+	return bits
 }
 
-// Lookup returns the ascending rows covered by r via posting-list
-// intersection, along with the number of posting entries read (the I/O the
-// storage layer accounts in place of a full scan). The trivial rule yields
-// every row. Intersection starts from the shortest list, so cost is bounded
-// by the most selective column's coverage, not the table size.
+// Lookup returns the ascending rows covered by r by intersecting the
+// containers of r's instantiated columns (the walk of View.EachInAll over
+// the whole table), along with what it read in place of a full scan:
+// posting entries plus bitset words. The trivial rule yields every row.
+// The smallest container drives the intersection, so cost is bounded by the
+// most selective column's coverage — or, where that is dense, by its
+// bitset's words — not the table size.
 func (ix *Index) Lookup(r rule.Rule) (rows []int, postingsRead int64) {
 	cols := r.InstantiatedColumns()
 	if len(cols) == 0 {
@@ -127,50 +194,19 @@ func (ix *Index) Lookup(r rule.Rule) (rows []int, postingsRead int64) {
 		return rows, int64(ix.t.n)
 	}
 	lists := make([][]int32, len(cols))
+	bits := make([]*Bitset, len(cols))
 	for j, c := range cols {
-		lists[j] = ix.Postings(c, r[c])
-		if len(lists[j]) == 0 {
-			// Non-nil: a nil row list means "all rows" to View, the
-			// opposite of an empty coverage set.
-			return []int{}, 0
-		}
+		lists[j], bits[j] = ix.Container(c, r[c])
 	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	// Intersect the shortest list against each longer one with a merge walk
-	// (both sides ascending). The running result only shrinks, so each later
-	// merge reads at most len(result) + len(list) entries.
-	cur := lists[0]
-	postingsRead = int64(len(cur))
-	for _, next := range lists[1:] {
-		out := cur[:0:0] // fresh backing array; cur may alias a posting list
-		i, j := 0, 0
-		for i < len(cur) && j < len(next) {
-			a, b := cur[i], next[j]
-			switch {
-			case a == b:
-				out = append(out, a)
-				i++
-				j++
-			case a < b:
-				i++
-			default:
-				j++
-			}
-		}
-		postingsRead += int64(j)
-		if j < len(next) {
-			postingsRead++ // the probe that overshot cur's tail
-		}
-		cur = out
-		if len(cur) == 0 {
-			break
-		}
+	// Non-nil also when nothing is covered: a nil row list means "all rows"
+	// to View, the opposite of an empty coverage set. A single column's
+	// coverage is its container's size; an intersection's is found out.
+	rows = []int{}
+	if len(cols) == 1 {
+		rows = make([]int, 0, ix.PostingsLen(cols[0], r[cols[0]]))
 	}
-	rows = make([]int, len(cur))
-	for i, v := range cur {
-		rows[i] = int(v)
-	}
-	return rows, postingsRead
+	entries, words := ix.t.All().EachInAll(lists, func(_, row int) { rows = append(rows, row) }, bits...)
+	return rows, entries + words
 }
 
 // FilterIndices returns the rows covered by r, ascending, via the index.
@@ -181,7 +217,7 @@ func (ix *Index) FilterIndices(r rule.Rule) []int {
 	return rows
 }
 
-// Warm eagerly builds every column's posting lists. The server calls it at
+// Warm eagerly builds every column's containers. The server calls it at
 // dataset registration so no analyst's first drill-down pays the build.
 // Columns are independent (each behind its own once), so up to GOMAXPROCS
 // of them build at a time, the caller's goroutine included.

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
@@ -133,39 +134,59 @@ func TestFilterIndicesEmptyPostingList(t *testing.T) {
 
 func TestIndexConcurrentBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
-	tab := randomIndexedTable(rng, 4, 3, 500)
-	want := make(map[string]int)
-	for probe := 0; probe < 8; probe++ {
-		r := randomRule(rng, tab)
-		want[r.Key()] = len(tab.FilterIndicesScan(r))
+	// A table built row by row, and one the block-parallel ingest loaded
+	// through both width crossings (its first column ends at four bytes a
+	// cell, having been one and two): what readers and builders share must
+	// not depend on how the columns got their width.
+	crossed, err := readCSV(bytes.NewReader(crossingCSV(1<<16, 66000, 40, true)), []string{"MMM"}, 4096, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Many goroutines race to build the lazy per-column posting lists and
-	// the shared Index allocation itself (run under -race in CI), against
-	// each other and against Warm's own builders.
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			if seed%4 == 0 {
-				tab.Index().Warm()
-				for c := 0; c < tab.NumCols(); c++ {
-					if !tab.Index().ColumnBuilt(c) {
-						t.Errorf("column %d not built after Warm", c)
+	for _, tab := range []*Table{randomIndexedTable(rng, 4, 3, 500), crossed} {
+		var rules []rule.Rule
+		want := make(map[string]int)
+		for probe := 0; probe < 8; probe++ {
+			r := randomRule(rng, tab)
+			rules = append(rules, r)
+			want[r.Key()] = len(tab.FilterIndicesScan(r))
+		}
+		// Many goroutines race to build the lazy per-column containers and
+		// the shared Index allocation itself (run under -race in CI), against
+		// each other and against Warm's own builders.
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				if seed%4 == 0 {
+					tab.Index().Warm()
+					for c := 0; c < tab.NumCols(); c++ {
+						if !tab.Index().ColumnBuilt(c) {
+							t.Errorf("column %d not built after Warm", c)
+						}
 					}
 				}
-			}
-			rng := rand.New(rand.NewSource(seed))
-			for probe := 0; probe < 50; probe++ {
-				r := randomRule(rng, tab)
-				rows := tab.Index().FilterIndices(r)
-				if n, ok := want[r.Key()]; ok && n != len(rows) {
-					t.Errorf("rule %v: %d rows, want %d", r, len(rows), n)
+				rng := rand.New(rand.NewSource(seed))
+				for probe := 0; probe < 50; probe++ {
+					r := rules[rng.Intn(len(rules))]
+					if probe%2 == 0 {
+						r = randomRule(rng, tab)
+					}
+					rows := tab.Index().FilterIndices(r)
+					if n, ok := want[r.Key()]; ok && n != len(rows) {
+						t.Errorf("rule %v: %d rows, want %d", r, len(rows), n)
+					}
+					for _, i := range rows {
+						if !tab.Covers(r, i) {
+							t.Errorf("rule %v: row %d is not covered", r, i)
+							break
+						}
+					}
 				}
-			}
-		}(int64(g))
+			}(int64(g))
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
 func TestViewSemantics(t *testing.T) {

@@ -20,7 +20,8 @@ import (
 //
 // The calling goroutine reads the input in blocks and cuts each at its last
 // record boundary; workers scan whole blocks into block-local dictionaries
-// and code arrays; the caller merges the blocks in file order. Three facts
+// and code arrays; the caller merges the blocks in file order, into columns
+// of the width their dictionaries need (see column). Three facts
 // make that equal to a serial read:
 //
 //   - Cut rule. A '\n' ends a record exactly when an even number of '"'
@@ -307,7 +308,10 @@ func (in *ingest) fill(t *Table, fields []int) error {
 
 // merge appends one parsed block to t and recycles it: the block's unseen
 // values are interned in block-local order, and its codes copied through
-// the resulting local-id → dictionary-id map.
+// the resulting local-id → dictionary-id map into the column, at the
+// column's width — widened first when one of those values took the
+// dictionary past it (column.extend), so no cell is ever held wider than
+// its column ends up.
 func (in *ingest) merge(t *Table, b *block) error {
 	if b.err != nil {
 		b.err.line += in.lines
@@ -330,11 +334,7 @@ func (in *ingest) merge(t *Table, b *block) error {
 			remap = append(remap, id)
 		}
 		in.remap = remap
-		col := grow(t.cols[c], rows, expect)
-		for i, local := range b.codes[c][:b.rows] {
-			col[t.n+i] = remap[local]
-		}
-		t.cols[c] = col
+		t.cols[c].extend(b.codes[c][:b.rows], remap, d.Len(), expect)
 	}
 	for m := range t.measures {
 		t.measures[m] = grow(t.measures[m], rows, expect)
@@ -344,16 +344,6 @@ func (in *ingest) merge(t *Table, b *block) error {
 	in.lines += b.lines
 	in.release(b)
 	return nil
-}
-
-// grow returns s extended to length n, with capacity for expect elements
-// when it has to move: a good guess costs one allocation for the whole
-// load, a bad one (or none: expect 0) what append would.
-func grow[T any](s []T, n, expect int) []T {
-	if n > cap(s) {
-		s = slices.Grow(s, max(n, expect)-len(s))
-	}
-	return s[:n]
 }
 
 // finish reports what ended the stream once everything before it is merged.

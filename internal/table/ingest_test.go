@@ -84,7 +84,7 @@ func referenceReadCSVAuto(r io.Reader, opts AutoOptions) (*Table, []string, erro
 	if len(header) > rule.MaxColumns {
 		return nil, nil, ErrTooManyColumns
 	}
-	prov := &Table{dicts: make([]*Dictionary, len(header)), cols: make([][]rule.Value, len(header))}
+	prov := &Table{dicts: make([]*Dictionary, len(header)), cols: make([]column, len(header))}
 	for c := range prov.dicts {
 		prov.dicts[c] = NewDictionary()
 	}
@@ -97,7 +97,7 @@ func referenceReadCSVAuto(r io.Reader, opts AutoOptions) (*Table, []string, erro
 			return nil, nil, err
 		}
 		for c, cell := range rec {
-			prov.cols[c] = append(prov.cols[c], prov.dicts[c].Encode(cell))
+			prov.cols[c].push(prov.dicts[c].Encode(cell), prov.dicts[c].Len())
 		}
 		prov.n++
 	}
@@ -121,8 +121,16 @@ func sameTable(t *testing.T, got, want *Table) {
 		if len(got.dicts[c].byValue) != len(got.dicts[c].values) {
 			t.Fatalf("column %q: %d map entries for %d values", want.colNames[c], len(got.dicts[c].byValue), len(got.dicts[c].values))
 		}
-		if !slices.Equal(got.cols[c], want.cols[c]) {
-			t.Fatalf("column %q: cells differ", want.colNames[c])
+		if w := widthFor(got.dicts[c].Len()); got.cols[c].width != w {
+			t.Fatalf("column %q: %d-byte cells for a dictionary of %d values, want %d-byte", want.colNames[c], got.cols[c].width.bytes(), got.dicts[c].Len(), w.bytes())
+		}
+		if got.cols[c].len() != got.n {
+			t.Fatalf("column %q: %d cells for %d rows", want.colNames[c], got.cols[c].len(), got.n)
+		}
+		for i := 0; i < want.n; i++ {
+			if got.Value(c, i) != want.Value(c, i) {
+				t.Fatalf("column %q: row %d holds id %d, want %d", want.colNames[c], i, got.Value(c, i), want.Value(c, i))
+			}
 		}
 	}
 	for m := range want.measures {
@@ -150,6 +158,30 @@ func sameFailure(t *testing.T, got, want error) {
 	if !errors.As(got, &re) || re.line != pe.StartLine || !errors.Is(got, kind) {
 		t.Fatalf("pipeline: %v\nreference: %v", got, want)
 	}
+}
+
+// crossingCSV is a CSV whose first column outgrows a cell width at a chosen
+// record: rows 0 to at-1 cycle through base values (at ≥ base, so the
+// dictionary holds exactly base when row at arrives), rows at to
+// at+fresh-1 each bring a new one. Header and records are 16 bytes each, so
+// row i starts at byte 16·(i+1) and a block of 64, 4096 or 256 Ki bytes is
+// cut exactly where a multiple of it falls. The second column stays narrow,
+// the third is a measure; the last record ends the input with or without
+// its newline.
+func crossingCSV(base, at, fresh int, finalNewline bool) []byte {
+	var buf bytes.Buffer
+	buf.WriteString("AAAAAAA,BBB,MMM\n")
+	for i := 0; i < at+fresh; i++ {
+		a := i % base
+		if i >= at {
+			a = base + i - at
+		}
+		fmt.Fprintf(&buf, "%07d,%03d,%03d\n", a, i%7, i%1000)
+	}
+	if !finalNewline {
+		buf.Truncate(buf.Len() - 1)
+	}
+	return buf.Bytes()
 }
 
 func FuzzReadCSVMatchesEncodingCSV(f *testing.F) {
@@ -334,7 +366,8 @@ func TestMeasureMass(t *testing.T) {
 }
 
 // TestFileColumnsSizedFromFileSize: a regular file says how much is coming,
-// so its columns are allocated once, a whisker over their final length,
+// so its columns are allocated once, at their narrow width, a whisker over
+// their final length,
 // where a stream's are grown like any append — also when the file is not
 // read from its start.
 func TestFileColumnsSizedFromFileSize(t *testing.T) {
@@ -365,7 +398,14 @@ func TestFileColumnsSizedFromFileSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameTable(t, got, want)
-	for _, c := range []int{cap(got.cols[0]), cap(got.cols[1]), cap(got.measures[0])} {
+	// Seven and three values: both columns are a byte a row, and a byte
+	// array is where an allocator size class would show (50 500 → 57 344).
+	for c := range got.cols {
+		if got.cols[c].width != w8 {
+			t.Errorf("column %d: %d-byte cells, want 1-byte", c, got.cols[c].width.bytes())
+		}
+	}
+	for _, c := range []int{cap(got.cols[0].u8), cap(got.cols[1].u8), cap(got.measures[0])} {
 		if c < got.n || c > got.n+got.n/20 {
 			t.Errorf("capacity %d for %d rows, want within 5 %% over", c, got.n)
 		}

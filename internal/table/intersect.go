@@ -1,10 +1,13 @@
 package table
 
-import "sort"
+import (
+	mathbits "math/bits"
+	"sort"
+)
 
 // Posting intersection over views. BRS's postings-driven counting answers
 // "which of this view's rows does candidate R cover?" by intersecting the
-// posting lists of R's instantiated columns with the view's row set,
+// index containers of R's instantiated columns with the view's row set,
 // instead of scanning every view row. The walk below visits the common
 // rows in ascending order — the same order a scan visits them — so
 // aggregate accumulation is bit-identical between the two access paths.
@@ -24,80 +27,129 @@ func (v *View) Ascending() bool {
 }
 
 // EachInAll calls fn(pos, row) for every view position pos whose parent
-// row appears in all of the given ascending posting lists, in ascending
-// row order, and returns what it read in place of a scan: posting entries
-// and packed bitset words. The view's rows must be ascending (see
-// Ascending); lists must be non-nil. bits, when given, is aligned with
-// lists: bits[i] is the Bitset shadowing lists[i], or nil where the list
-// carries none.
+// row is in all of the given row sets, in ascending row order, and returns
+// what it read in place of a scan: posting entries and packed bitset words.
+// The view's rows must be ascending (see Ascending). Set i is the ascending
+// list lists[i], or — where that is nil and bits, aligned with lists, has
+// a Bitset at i — that bitset: a value of the index comes as exactly one of
+// the two (Index.Container), and is passed as it comes. Where both are
+// given the list is the set and the bitset must hold the same rows.
 //
-// The shortest list drives the walk. Each driver row is tested against
-// every other list — by one word read where the list has a bitset
-// (membership is over parent rows, so this holds on sub-views too), by
-// galloping where it has none — so cost is governed by the most selective
-// column: when every other list has a bitset, at most one unit per driver
-// entry per list, however many entries of the longer lists lie between.
+// The smallest set drives the walk: its rows are taken in ascending order —
+// a list's entries one read each, a bitset's set bits for one read of each
+// of its words, which is fewer (a value is only dense enough to be a bitset
+// when it has at least two rows per word) — and each is tested against
+// every other set: by one word read where the set has a bitset (membership
+// is over parent rows, so this holds on sub-views too), by galloping where
+// it has none. Cost is thus governed by the most selective column: when
+// every other set has a bitset, at most one unit per driver row per set,
+// however many rows of the larger sets lie between. Bit order is row order,
+// the order a scan meets the rows in, so what fn accumulates is
+// bit-identical whichever container a value happens to have.
 func (v *View) EachInAll(lists [][]int32, fn func(pos, row int), bits ...*Bitset) (postingsRead, wordsRead int64) {
 	if len(lists) == 0 {
 		return 0, 0
 	}
-	// Order by length ascending without mutating the caller's slices.
+	bitsOf := func(i int) *Bitset {
+		if i < len(bits) {
+			return bits[i]
+		}
+		return nil
+	}
+	size := func(i int) int {
+		if b := bitsOf(i); lists[i] == nil && b != nil {
+			return b.n
+		}
+		return len(lists[i])
+	}
+	// Order by size ascending without mutating the caller's slices; of
+	// equals the first given comes first.
 	order := make([]int, len(lists))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(i, j int) bool { return len(lists[order[i]]) < len(lists[order[j]]) })
-	driver := lists[order[0]]
-	if len(driver) == 0 {
+	sort.SliceStable(order, func(i, j int) bool { return size(order[i]) < size(order[j]) })
+	if size(order[0]) == 0 {
 		return 0, 0
 	}
-	// others are the non-driver lists, shortest (most selective) first;
-	// probe[j] replaces galloping through others[j] when non-nil.
-	others := make([][]int32, len(order)-1)
-	probe := make([]*Bitset, len(others))
-	for j, i := range order[1:] {
-		others[j] = lists[i]
-		if i < len(bits) {
-			probe[j] = bits[i]
+	// The non-driver sets, smallest (most selective) first: those with a
+	// bitset are probed, the rest galloped through.
+	w := walk{v: v, fn: fn}
+	for _, i := range order[1:] {
+		if b := bitsOf(i); b != nil {
+			w.probe = append(w.probe, b)
+		} else {
+			w.others = append(w.others, lists[i])
 		}
 	}
-	postingsRead = int64(len(driver))
-	offs := make([]int, len(others))
-	vo := 0
-outer:
-	for _, r := range driver {
-		for j, list := range others {
-			if b := probe[j]; b != nil {
-				wordsRead++
-				if !b.Contains(int(r)) {
-					continue outer
-				}
-				continue
-			}
-			o := gallop32(list, offs[j], r)
-			postingsRead += int64(o - offs[j])
-			offs[j] = o
-			if o == len(list) {
-				break outer // this list is exhausted; no further common rows
-			}
-			if list[o] != r {
-				continue outer
-			}
-		}
-		pos := int(r)
-		if v.rows != nil {
-			vo = gallopInt(v.rows, vo, int(r))
-			if vo == len(v.rows) {
+	w.offs = make([]int, len(w.others))
+
+	if driver := lists[order[0]]; driver != nil {
+		for _, r := range driver {
+			if !w.visit(r) {
 				break
 			}
-			if v.rows[vo] != int(r) {
-				continue
-			}
-			pos = vo
 		}
-		fn(pos, int(r))
+		return int64(len(driver)) + w.entries, w.words
 	}
-	return postingsRead, wordsRead
+	for i, word := range bitsOf(order[0]).words {
+		w.words++
+		for ; word != 0; word &= word - 1 {
+			if !w.visit(int32(i<<6 + mathbits.TrailingZeros64(word))) {
+				return w.entries, w.words
+			}
+		}
+	}
+	return w.entries, w.words
+}
+
+// walk is the part of an intersection walk every driver shares: a row of
+// the driver is sought in the sorted lists, each from where the previous
+// row left off, then in the bitsets, then in the view's rows.
+type walk struct {
+	v      *View
+	fn     func(pos, row int)
+	others [][]int32 // the non-driver sets without a bitset
+	offs   []int     // how far each of others has been read
+	probe  []*Bitset // the non-driver sets with one
+	vo     int       // how far the view's rows have been read
+
+	entries, words int64 // read of others and of probe
+}
+
+// visit calls fn if row r is in every set and in the view. It returns
+// false once a list or the view is exhausted: no later row can be common.
+func (w *walk) visit(r int32) bool {
+	for j, list := range w.others {
+		o := gallop32(list, w.offs[j], r)
+		w.entries += int64(o - w.offs[j])
+		w.offs[j] = o
+		if o == len(list) {
+			return false
+		}
+		if list[o] != r {
+			return true
+		}
+	}
+	pos := int(r)
+	for _, b := range w.probe {
+		w.words++
+		if !b.Contains(pos) {
+			return true
+		}
+	}
+	if rows := w.v.rows; rows != nil {
+		w.vo = gallopInt(rows, w.vo, pos)
+		if w.vo == len(rows) {
+			return false
+		}
+		if rows[w.vo] != pos {
+			return true
+		}
+		pos = w.vo
+	}
+	w.fn(pos, int(r))
+	return true
 }
 
 // gallop32 returns the smallest index i in [from, len(a)] with a[i] >=

@@ -2,6 +2,7 @@ package table
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"smartdrill/internal/rule"
@@ -160,12 +161,19 @@ func TestGallop(t *testing.T) {
 // must visit the rows — in the order, at the positions — that the
 // all-gallop walk and a naive set intersection do, and when every list
 // has a bitset it may read no more than one unit per driver entry per list.
+// The top bit of shadow hands the smallest set over the way the index hands
+// over a dense value — its bitset and no list — so that the walk takes the
+// driver's rows from set bits, not entries: the same visits, no entry read
+// for the driver, and no more words for it than its bitset has.
 func FuzzEachInAll(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(3), uint8(50), uint8(0xff), uint8(0))
 	f.Add(int64(2), uint16(64), uint8(1), uint8(100), uint8(1), uint8(2))
 	f.Add(int64(3), uint16(129), uint8(4), uint8(5), uint8(0b0101), uint8(3))
 	f.Add(int64(4), uint16(4096), uint8(5), uint8(90), uint8(0b11110), uint8(0))
 	f.Add(int64(5), uint16(1), uint8(2), uint8(100), uint8(0), uint8(1))
+	f.Add(int64(6), uint16(1000), uint8(3), uint8(60), uint8(0xff), uint8(2))
+	f.Add(int64(7), uint16(129), uint8(2), uint8(90), uint8(0x80), uint8(0))
+	f.Add(int64(8), uint16(4096), uint8(4), uint8(20), uint8(0x8a), uint8(5))
 	f.Fuzz(func(t *testing.T, seed int64, rows16 uint16, nlists, density, shadow, keep uint8) {
 		rows := int(rows16)%5000 + 1
 		k := int(nlists)%6 + 1
@@ -182,7 +190,7 @@ func FuzzEachInAll(f *testing.F) {
 				}
 			}
 			if shadow&(1<<i) != 0 {
-				bits[i] = NewBitsetFromSorted(lists[i], rows)
+				bits[i] = newBitsetFromSorted(lists[i], rows)
 				shadowed++
 			}
 		}
@@ -210,18 +218,36 @@ func FuzzEachInAll(f *testing.F) {
 				want = append(want, visit{p, int(r)})
 			}
 		}
-		walk := func(bits []*Bitset) (got []visit, entries, words int64) {
+		walk := func(lists [][]int32, bits []*Bitset) (got []visit, entries, words int64) {
 			entries, words = v.EachInAll(lists, func(pos, row int) { got = append(got, visit{pos, row}) }, bits...)
 			return got, entries, words
 		}
-		shortest := len(lists[0])
-		for _, l := range lists {
-			if len(l) < shortest {
-				shortest = len(l)
+		smallest := 0
+		for i, l := range lists {
+			if len(l) < len(lists[smallest]) {
+				smallest = i
 			}
 		}
-		gallop, _, gallopWords := walk(nil)
-		probed, entries, words := walk(bits)
+		shortest := len(lists[smallest])
+		gallop, _, gallopWords := walk(lists, nil)
+		probed, entries, words := walk(lists, bits)
+		walks := map[string][]visit{"all-gallop": gallop, "probing": probed}
+		if shadow&0x80 != 0 {
+			denseLists, denseBits := slices.Clone(lists), slices.Clone(bits)
+			denseLists[smallest], denseBits[smallest] = nil, newBitsetFromSorted(lists[smallest], rows)
+			dense, denseEntries, denseWords := walk(denseLists, denseBits)
+			walks["dense-driver"] = dense
+			others := shadowed
+			if bits[smallest] != nil {
+				others--
+			}
+			if limit := int64(denseBits[smallest].NumWords()) + int64(shortest)*int64(others); denseWords > limit {
+				t.Fatalf("dense driver: read %d words, more than its %d and %d rows × %d other bitsets", denseWords, denseBits[smallest].NumWords(), shortest, others)
+			}
+			if others == k-1 && denseEntries != 0 {
+				t.Fatalf("dense driver, every other set a bitset, yet read %d entries", denseEntries)
+			}
+		}
 		if gallopWords != 0 {
 			t.Fatalf("all-gallop walk read %d bitset words", gallopWords)
 		}
@@ -231,7 +257,7 @@ func FuzzEachInAll(f *testing.F) {
 		if shadowed == k && entries+words > int64(shortest)*int64(k) {
 			t.Fatalf("every list has a bitset, yet read %d entries + %d words > %d × %d", entries, words, shortest, k)
 		}
-		for name, got := range map[string][]visit{"all-gallop": gallop, "probing": probed} {
+		for name, got := range walks {
 			if len(got) != len(want) {
 				t.Fatalf("%s walk visited %d rows, want %d (rows=%d k=%d shadow=%b keep=%d)", name, len(got), len(want), rows, k, shadow, keep)
 			}

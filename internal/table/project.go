@@ -1,10 +1,6 @@
 package table
 
-import (
-	"fmt"
-
-	"smartdrill/internal/rule"
-)
+import "fmt"
 
 // Project returns a table with only the named categorical columns (in the
 // given order), sharing column data and dictionaries with t. Measure
@@ -14,7 +10,7 @@ func (t *Table) Project(columns []string) (*Table, error) {
 	out := &Table{
 		colNames:     append([]string{}, columns...),
 		dicts:        make([]*Dictionary, len(columns)),
-		cols:         make([][]rule.Value, len(columns)),
+		cols:         make([]column, len(columns)),
 		n:            t.n,
 		measureNames: t.measureNames,
 		measures:     t.measures,

@@ -1,5 +1,6 @@
 // Package table implements the relational substrate smart drill-down runs
-// on: a dictionary-encoded, column-major table of categorical values with
+// on: a dictionary-encoded, column-major table of categorical values, each
+// column stored at the width its dictionary needs (see column), with
 // optional float64 measure columns for Sum aggregation.
 //
 // As in the paper, the table is assumed denormalized (a star/snowflake
@@ -71,7 +72,7 @@ func (d *Dictionary) Len() int { return len(d.values) }
 type Table struct {
 	colNames []string
 	dicts    []*Dictionary
-	cols     [][]rule.Value // column-major: cols[c][row]
+	cols     []column // column-major: cols[c].at(row)
 	n        int
 
 	measureNames []string
@@ -127,18 +128,35 @@ func (t *Table) Dict(c int) *Dictionary { return t.dicts[c] }
 func (t *Table) DistinctCount(c int) int { return t.dicts[c].Len() }
 
 // Value returns the encoded value at (column c, row i).
-func (t *Table) Value(c, i int) rule.Value { return t.cols[c][i] }
-
-// Column returns the full encoded column c. The returned slice must not be
-// modified.
-func (t *Table) Column(c int) []rule.Value { return t.cols[c] }
+func (t *Table) Value(c, i int) rule.Value { return t.cols[c].at(i) }
 
 // Row copies row i into buf (which must have length NumCols) and returns it.
 func (t *Table) Row(i int, buf []rule.Value) []rule.Value {
 	for c := range t.cols {
-		buf[c] = t.cols[c][i]
+		buf[c] = t.cols[c].at(i)
 	}
 	return buf
+}
+
+// ResidentBytes returns what the table keeps in memory, from the lengths of
+// its arrays (nothing is measured): cells is the categorical columns at
+// their widths, eight bytes a row for each measure, and a distinct-tuple
+// table's multiplicities; index is the containers and stored sizes of the
+// index columns built so far (see Index) — all of them on a warmed table.
+// Dictionary strings, slice headers and the memoised distinct-tuple table,
+// a Table of its own, are not counted.
+func (t *Table) ResidentBytes() (cells, index int64) {
+	for c := range t.cols {
+		cells += int64(t.cols[c].len()) * int64(t.cols[c].width.bytes())
+	}
+	cells += 8*int64(t.n)*int64(len(t.measures)) + 4*int64(len(t.mult))
+	ix := t.Index()
+	for c := range ix.cols {
+		if cp := &ix.cols[c]; cp.built.Load() {
+			index += cp.bytes()
+		}
+	}
+	return cells, index
 }
 
 // MeasureNames returns the measure (numeric aggregate) column names.
@@ -177,7 +195,7 @@ func (t *Table) MeasureMass(m int) float64 {
 // Covers reports whether rule r covers row i, without materializing the row.
 func (t *Table) Covers(r rule.Rule, i int) bool {
 	for c, v := range r {
-		if v != rule.Star && t.cols[c][i] != v {
+		if v != rule.Star && t.cols[c].at(i) != v {
 			return false
 		}
 	}
@@ -225,18 +243,13 @@ func (t *Table) Select(rows []int) *Table {
 	out := &Table{
 		colNames:     t.colNames,
 		dicts:        t.dicts,
-		cols:         make([][]rule.Value, len(t.cols)),
+		cols:         make([]column, len(t.cols)),
 		n:            len(rows),
 		measureNames: t.measureNames,
 		measures:     make([][]float64, len(t.measures)),
 	}
 	for c := range t.cols {
-		col := make([]rule.Value, len(rows))
-		src := t.cols[c]
-		for j, i := range rows {
-			col[j] = src[i]
-		}
-		out.cols[c] = col
+		out.cols[c] = t.cols[c].gather(rows)
 	}
 	for m := range t.measures {
 		col := make([]float64, len(rows))

@@ -167,9 +167,10 @@ func TestRowAndColumn(t *testing.T) {
 	if tab.Dict(0).Decode(buf[0]) != "Target" || tab.Dict(1).Decode(buf[1]) != "bikes" {
 		t.Fatalf("Row(3) = %v", buf)
 	}
-	col := tab.Column(1)
-	if len(col) != 6 {
-		t.Fatalf("Column len = %d", len(col))
+	for i := 0; i < tab.NumRows(); i++ {
+		if tab.Row(i, buf)[1] != tab.Value(1, i) {
+			t.Fatalf("row %d: Row reads %d in column 1, Value %d", i, buf[1], tab.Value(1, i))
+		}
 	}
 }
 

@@ -73,7 +73,7 @@ func (v *View) Value(c, i int) rule.Value {
 	if v.rows != nil {
 		i = v.rows[i]
 	}
-	return v.t.cols[c][i]
+	return v.t.cols[c].at(i)
 }
 
 // Covers reports whether rule r covers the tuple at view position i.

@@ -66,9 +66,10 @@ var statsFields = map[class][]string{
 // qualify) to the I/O classes the callee performs: the ways the engine
 // touches table data.
 var rawOps = map[string][]class{
-	"table.Index.Postings":    {postings},         // hands out the raw posting list
-	"table.Index.Lookup":      {postings},         // metered kernel: returns postingsRead
-	"table.View.EachInAll":    {postings, bitmap}, // metered kernel: returns entries read and words probed
+	"table.Index.Container":   {postings, bitmap}, // hands out a value's one container: its posting list if sparse, its bitset if dense
+	"table.Index.Postings":    {postings},         // hands out the raw posting list (a dense value's decoded from its bitset)
+	"table.Index.Lookup":      {postings},         // metered kernel: returns postingsRead, bitset words included
+	"table.View.EachInAll":    {postings, bitmap}, // metered kernel: returns entries read and words read (probes, and a dense driver's set bits)
 	"table.Index.Bitmap":      {bitmap},           // hands out the raw bitset
 	"table..AndCount":         {bitmap},           // metered kernel: returns wordsRead
 	"table..AndEach":          {bitmap},           // metered kernel: returns wordsRead

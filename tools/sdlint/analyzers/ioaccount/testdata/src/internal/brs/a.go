@@ -55,12 +55,22 @@ func (rn *runner) bitmapUnaccounted(sets []*table.Bitset) int {
 	return cnt
 }
 
-// candLists gathers list headers only; the kernels that consume them
-// meter the entries actually read.
+// candSets gathers containers only; the walk that consumes them meters
+// the entries and words actually read.
 //
-//sdlint:allow ioaccount hands list headers to the intersection kernels, which meter and book the entries read
-func (rn *runner) candLists(col, val int) [][]int32 {
-	return [][]int32{rn.ix.Postings(col, val)}
+//sdlint:allow ioaccount hands containers to the probing walk, which meters and books the entries and words read
+func (rn *runner) candSets(col, val int) ([][]int32, []*table.Bitset) {
+	list, set := rn.ix.Container(col, val)
+	return [][]int32{list}, []*table.Bitset{set}
+}
+
+// walkDenseDriverUnbooked reaches a value's container and walks it, but
+// books entries only: where the value is dense the container is a bitset,
+// its rows are read off its words, and those are bitmap words.
+func (rn *runner) walkDenseDriverUnbooked(col, val int) {
+	list, set := rn.ix.Container(col, val)                                    // want "table.Index.Container reads bitmap words but this function never adds to Stats.BitmapWordsRead"
+	entries, _ := rn.v.EachInAll([][]int32{list}, func(pos, row int) {}, set) // want "table.View.EachInAll reads bitmap words but this function never adds to Stats.BitmapWordsRead"
+	rn.stats.PostingsRead += entries
 }
 
 func (rn *runner) planLen(col, val int) int {

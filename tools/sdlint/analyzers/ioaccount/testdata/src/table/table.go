@@ -7,10 +7,11 @@ type Bitset struct{ words []uint64 }
 
 type Index struct{}
 
-func (ix *Index) Postings(col, val int) []int32 { return nil }
-func (ix *Index) PostingsLen(col, val int) int  { return len(ix.Postings(col, val)) }
-func (ix *Index) Bitmap(col, val int) *Bitset   { return nil }
-func (ix *Index) Lookup(r int) ([]int, int64)   { return nil, 0 }
+func (ix *Index) Container(col, val int) ([]int32, *Bitset) { return nil, nil }
+func (ix *Index) Postings(col, val int) []int32             { return nil }
+func (ix *Index) PostingsLen(col, val int) int              { return 0 }
+func (ix *Index) Bitmap(col, val int) *Bitset               { return nil }
+func (ix *Index) Lookup(r int) ([]int, int64)               { return nil, 0 }
 
 type View struct{}
 
