@@ -50,11 +50,12 @@ lint: lint-fast
 # Warm and lookups racing on a table the ingest loaded across both cell-width
 # crossings (its first column was widened in place twice), and two sessions
 # racing to build a table's memoised distinct-tuple table with their first
-# drill: ten schedules find what one does not.
+# drill — exact ones, and sampled ones resolving it through their first
+# GetSample: ten schedules find what one does not.
 race:
 	$(GO) test -race ./client/ ./internal/server/ ./internal/drill/ ./internal/table/ ./internal/brs/ ./internal/search/
 	$(GO) test -race -count=10 -run 'TestIngestBlockIndependence/storesales|TestIndexConcurrentBuild' ./internal/table/
-	$(GO) test -race -count=10 -run 'TestEquivalenceDistinctBuildBookedOnce' ./internal/drill/
+	$(GO) test -race -count=10 -run 'TestEquivalence(Sampled)?DistinctBuildBookedOnce' ./internal/drill/
 
 # chaos runs the fault-injection end-to-end suite (crash/restart resume,
 # 429-storm convergence, dropped connections, flaky-disk snapshots) under
@@ -90,11 +91,13 @@ drillload:
 # The first line guards the exact path (cold-exact: cache off on
 # census-100k, every drill searching the table's distinct tuples,
 # docs/drillload-expect.json); the second the sampled one (sampled-1m:
-# census-1m answered from per-session samples, every drill grouping or
-# re-reading its sample's distinct tuples, docs/drillload-expect-sampled.json)
-# — the work of a sampled drill repeats as exactly as an exact one's, and a
-# change that puts it back on the sample's rows, books the grouping pass
-# twice or not at all, or widens a confidence interval's digits fails here.
+# census-1m answered from per-session samples drawn from the table's distinct
+# tuples, each born as the weighted table of its own,
+# docs/drillload-expect-sampled.json) — the work of a sampled drill repeats as
+# exactly as an exact one's, and a change that brings back a grouping pass
+# over a sample's rows, reads a master-table row to draw or serve a sample,
+# books the tuples copied into a sample's table twice or not at all, or widens
+# a confidence interval's digits fails here.
 drillload-check:
 	bash bench/run.sh --workload cold-exact --seed 1 -sessions 1 --trace 0 \
 		| python3 tools/drillload_check.py docs/drillload-expect.json

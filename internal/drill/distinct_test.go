@@ -10,6 +10,7 @@ import (
 	"smartdrill/internal/brs"
 	"smartdrill/internal/rule"
 	"smartdrill/internal/score"
+	"smartdrill/internal/search"
 	"smartdrill/internal/table"
 	"smartdrill/internal/weight"
 )
@@ -346,9 +347,9 @@ func TestEquivalenceDistinctBuildBookedOnce(t *testing.T) {
 // FuzzDistinctMatchesRows: on any small table with repeated rows, under any
 // of the integer weightings and any k, a session searching the distinct
 // tuples shows what a session searching the rows shows — for a rule drill
-// at two depths, a star drill and a stream; and so does a pair of sessions
-// answering from samples, one searching each sample's distinct tuples and
-// one its rows.
+// at two depths, a star drill and a stream; and a session answering from
+// samples, which it draws from the distinct tuples, shows what a search of
+// each sample laid out row by row returns (sameAsExpanded).
 //
 //	[0] columns 2..4; /3: the sampling seed   [1] weights: 0 Size, 1 Bits, 2 Size−1;
 //	/3: the sample size, 2..5 eighths of the rows   [2] low nibble: copies of the
@@ -435,19 +436,31 @@ func FuzzDistinctMatchesRows(f *testing.F) {
 		}
 		sameSubtree(t, "stream", dist.Root(), rows.Root())
 
-		// The sampled arm: same seed, same samples, tuples against rows.
+		// The sampled arm: samples drawn from the distinct tuples, against
+		// the rows they stand for.
 		cfg.Seed = 1 + int64(data[0])/3
 		cfg.SampleMemory = tab.NumRows()
 		cfg.MinSampleSize = tab.NumRows() * (2 + int(data[1])/3%4) / 8
-		tup, row := sampledPair(t, tab, cfg, false)
-		both(t, "sampled rule drill", tup, row, func(s *Session) error { return s.Expand(s.Root()) })
-		if tup.LastMethod != "Create" || len(tup.Root().Children) > 0 && tup.Root().Children[0].Exact {
-			t.Fatalf("a %d-row sample of %d rows was served by %s, as exact", cfg.MinSampleSize, tab.NumRows(), tup.LastMethod)
+		tup, err := NewSession(tab, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if drillable(tup.Root()) != nil {
-			both(t, "sampled rule drill, depth 2", tup, row, func(s *Session) error { return s.Expand(drillable(s.Root())) })
+		sampled := func(label string, n *Node, w weight.Weighter, kind search.Kind, step func(*Node) error) {
+			if err := step(n); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if n == tup.Root() && len(n.Children) > 0 && n.Children[0].Exact {
+				t.Fatalf("%s: a %d-row sample of %d rows was served by %s, as exact", label, cfg.MinSampleSize, tab.NumRows(), tup.LastMethod)
+			}
+			sameAsExpanded(t, label, tup, n, w, kind, 0, false)
 		}
-		both(t, "sampled star drill", tup, row, func(s *Session) error { return s.ExpandStar(s.Root(), cols-1) })
-		both(t, "sampled stream", tup, row, func(s *Session) error { return s.ExpandStream(s.Root(), 0, 0, nil) })
+		sampled("sampled rule drill", tup.Root(), w, search.KindBatch, tup.Expand)
+		if c := drillable(tup.Root()); c != nil {
+			sampled("sampled rule drill, depth 2", c, w, search.KindBatch, tup.Expand)
+		}
+		sampled("sampled star drill", tup.Root(), weight.StarConstraint{Inner: w, Column: cols - 1}, search.KindBatch,
+			func(n *Node) error { return tup.ExpandStar(n, cols-1) })
+		sampled("sampled stream", tup.Root(), w, search.KindStream,
+			func(n *Node) error { return tup.ExpandStream(n, 0, 0, nil) })
 	})
 }

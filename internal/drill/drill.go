@@ -10,6 +10,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"time"
 
 	"smartdrill/internal/baseline"
@@ -229,6 +231,15 @@ func NewSession(t *table.Table, cfg Config) (*Session, error) {
 		if err != nil {
 			return nil, err
 		}
+		// What the handler draws from is decided once, by the session's own
+		// weighter, and resolved by the first drill that samples: creating a
+		// session reads nothing.
+		h.SampleTuples(func() *table.Table {
+			if d := s.exactTable(s.cfg.Weighter); d != s.tab {
+				return d
+			}
+			return nil
+		})
 		s.handler = h
 	}
 	// The root's count is the table's total mass; for the two aggregates
@@ -428,10 +439,11 @@ func (s *Session) maxWeightFor(ctx context.Context, cov coverage, w weight.Weigh
 		k = maxProbeK
 	}
 	v := cov.view
-	if v.Table().Weighted() && v.NumRows() > probeSize {
+	if v.Table().Weighted() && v.NumRows() > probeSize && cov.rows != nil {
 		// The probe samples tuples of the table, whatever structure the
 		// search reads them from: the row view, fetched only now that the
-		// distinct tuples are too many to search just once.
+		// distinct tuples are too many to search just once. A sample drawn
+		// from the distinct tuples has none, and is probed by mass.
 		v = cov.rows()
 	}
 	return estimateMaxWeight(ctx, v, w, k, s.cfg.Seed)
@@ -482,19 +494,25 @@ type coverage struct {
 	// with its multiplicity for a mass.
 	view *table.View
 	// rows returns the same tuples row by row, which is what the mw probe
-	// samples; a grouped exact view fetches them only when asked.
+	// samples; a grouped exact view fetches them only when asked. It is nil
+	// for a sample drawn from the distinct tuples, which no row view stands
+	// behind: the probe draws from view by mass.
 	rows  func() *table.View
 	scale float64 // converts view aggregates to table estimates
 	exact bool    // they need no scaling
 }
 
-// coveredView obtains the tuples covered by r, to be searched under w, as a
-// zero-copy view: a sample for large tables, otherwise the rule's exact
-// coverage answered by an inverted index through the accounting store (no
-// full scan, no materialized copy). Either is read as distinct tuples where
-// groupable allows and the tuples repeat enough — the table's own memoised
-// grouping (exactTable), or the sample's (sampling.View.Tuples) — and row by
-// row otherwise.
+// coveredView obtains the tuples covered by r, to be searched under w: a
+// sample for large tables, otherwise the rule's exact coverage answered by an
+// inverted index through the accounting store (no full scan, no materialized
+// copy). Either is read as distinct tuples where groupable allows and the
+// tuples repeat enough. An exact view reads the table's own memoised grouping
+// (exactTable). So does the session's handler, once exactTable has one to
+// give: its samples are drawn from the distinct tuples and come grouped
+// (sampling.Handler.SampleTuples; tupleSample). A handler left on the rows —
+// a Sum, fractional weights, a table that does not compress — serves
+// zero-copy row views, which a Count drill under integer weights groups per
+// sample (sampling.View.Tuples; rowSample).
 func (s *Session) coveredView(r rule.Rule, w weight.Weighter, degraded bool) (coverage, error) {
 	if s.useSample(r, degraded) {
 		v, err := s.handler.GetSample(r)
@@ -502,21 +520,10 @@ func (s *Session) coveredView(r rule.Rule, w weight.Weighter, degraded bool) (co
 			return coverage{}, err
 		}
 		s.LastMethod = v.Method.String()
-		cov := coverage{view: v.Tab, rows: func() *table.View { return v.Tab }, scale: v.Scale, exact: v.Scale == 1}
-		if s.groupable(w, v.Tab.NumRows()) {
-			// The first drill on a sample groups it and is booked the pass
-			// over the sample's rows; a sample served again is read nothing.
-			tuples, read := v.Tuples()
-			if read > 0 {
-				s.unbooked.Passes++
-				s.unbooked.RowsScanned += int64(read)
-				s.unbooked.SampledRowsScanned += int64(read)
-			}
-			if tuples != nil {
-				cov.view = tuples
-			}
+		if v.Tab.Table().Weighted() {
+			return s.tupleSample(v), nil
 		}
-		return cov, nil
+		return s.rowSample(v, w), nil
 	}
 	s.LastMethod = "direct"
 	return coverage{
@@ -525,6 +532,40 @@ func (s *Session) coveredView(r rule.Rule, w weight.Weighter, degraded bool) (co
 		scale: 1,
 		exact: true,
 	}, nil
+}
+
+// tupleSample is the coverage of a sample drawn from the distinct tuples: v's
+// weighted table as it comes. The sample's table is built by the first serve
+// of the sample, a Combine's by each, and that drill is booked the
+// distinct-table rows copied into it; a sample served again is read nothing.
+func (s *Session) tupleSample(v *sampling.View) coverage {
+	if copied := v.Copied(); copied > 0 {
+		s.unbooked.Passes++
+		s.unbooked.RowsScanned += int64(copied)
+		s.unbooked.SampledRowsScanned += int64(copied)
+	}
+	return coverage{view: v.Tab, scale: v.Scale, exact: v.Scale == 1}
+}
+
+// rowSample is the coverage of a sample of rows, to be searched under w: v's
+// zero-copy row view, or where groupable allows and the rows repeat enough
+// the sample's own grouping of them. The first drill on a sample groups it
+// and is booked the pass over the sample's rows; a sample served again is
+// read nothing.
+func (s *Session) rowSample(v *sampling.View, w weight.Weighter) coverage {
+	cov := coverage{view: v.Tab, rows: func() *table.View { return v.Tab }, scale: v.Scale, exact: v.Scale == 1}
+	if s.groupable(w, v.Tab.NumRows()) {
+		tuples, read := v.Tuples()
+		if read > 0 {
+			s.unbooked.Passes++
+			s.unbooked.RowsScanned += int64(read)
+			s.unbooked.SampledRowsScanned += int64(read)
+		}
+		if tuples != nil {
+			cov.view = tuples
+		}
+	}
+	return cov
 }
 
 // exactView is r's coverage in t — the table or its distinct-tuple table.
@@ -552,10 +593,11 @@ func (s *Session) groupable(w weight.Weighter, rows int) bool {
 		w.MaxWeight(s.tab.NumCols())*float64(rows) < exactInts
 }
 
-// exactTable picks what an exact expansion under w reads: the table's
+// exactTable picks what an exact expansion under w reads, and under the
+// session's weighter what its sample handler draws from: the table's
 // distinct-tuple table where groupable allows and the table compresses
-// (table.Table.Distinct), its rows otherwise. The first expansion to ask
-// builds the distinct table, and is booked the pass.
+// (table.Table.Distinct), its rows otherwise. The first expansion to ask,
+// exact or sampled, builds the distinct table, and is booked the pass.
 func (s *Session) exactTable(w weight.Weighter) *table.Table {
 	if !s.groupable(w, s.tab.NumRows()) {
 		return s.tab
@@ -831,12 +873,7 @@ func estimateMaxWeight(ctx context.Context, v *table.View, w weight.Weighter, k 
 	if v.NumRows() <= probeSize {
 		return top
 	}
-	rng := sampling.NewTestRNG(seed)
-	positions := make([]int, probeSize)
-	for i := range positions {
-		positions[i] = rng.Intn(v.NumRows())
-	}
-	results, _, err := brs.RunCtx(ctx, v.Subset(positions), w, brs.Options{K: k, MaxWeight: top})
+	results, _, err := brs.RunCtx(ctx, probeView(v, sampling.NewTestRNG(seed)), w, brs.Options{K: k, MaxWeight: top})
 	if err != nil {
 		return top
 	}
@@ -848,4 +885,44 @@ func estimateMaxWeight(ctx context.Context, v *table.View, w weight.Weighter, k 
 		return top
 	}
 	return 2 * maxW
+}
+
+// probeView draws the probe's probeSize tuples from v uniformly with
+// replacement. From a view of rows that is a view of the drawn rows. From a
+// view of distinct tuples with multiplicities — a sample born grouped — a
+// tuple is drawn with probability proportional to its multiplicity, which is
+// drawing among the rows it stands for, and the draws are handed to the
+// search tallied: each drawn tuple once, in the order first drawn, standing
+// for the number of times it was.
+func probeView(v *table.View, rng *rand.Rand) *table.View {
+	if !v.Table().Weighted() {
+		positions := make([]int, probeSize)
+		for i := range positions {
+			positions[i] = rng.Intn(v.NumRows())
+		}
+		return v.Subset(positions)
+	}
+	// cum[i] is the number of tuples standing before view position i.
+	cum := make([]int, v.NumRows()+1)
+	for i := 0; i < v.NumRows(); i++ {
+		cum[i+1] = cum[i] + v.Table().Multiplicity(v.ParentRow(i))
+	}
+	var rows []int
+	var times []int32
+	slot := make(map[int]int, probeSize) // view position → index in rows
+	for n := 0; n < probeSize; n++ {
+		u := rng.Intn(cum[len(cum)-1])
+		i := sort.Search(v.NumRows(), func(i int) bool { return cum[i+1] > u })
+		at, ok := slot[i]
+		if !ok {
+			at = len(rows)
+			slot[i] = at
+			rows = append(rows, v.ParentRow(i))
+			times = append(times, 0)
+		}
+		times[at]++
+	}
+	//sdlint:allow ioaccount the probe's reads are not booked: its search's brs.Stats are dropped too
+	tally, _ := v.Table().SelectWeighted(rows, times)
+	return tally.All()
 }

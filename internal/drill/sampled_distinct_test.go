@@ -4,69 +4,155 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
 	"smartdrill/internal/brs"
 	"smartdrill/internal/datagen"
+	"smartdrill/internal/rule"
 	"smartdrill/internal/score"
+	"smartdrill/internal/search"
 	"smartdrill/internal/table"
 	"smartdrill/internal/weight"
 )
 
-// A sampled Count drill searches its sample's distinct tuples, each
-// weighing the sample rows equal to it, where an exact one searches the
-// table's. Two sessions with one seed draw the same samples; rowPath keeps
-// one of them on the sample's rows, and everything the other shows —
-// estimates and their confidence intervals included — must be what it shows.
+// A sampled Count session under integer weights draws its samples from the
+// table's distinct tuples (sampling.Handler.SampleTuples): a sample is a
+// weighted table of its own, a row for each distinct tuple it holds carrying
+// the number of sampled rows equal to it, and no row view stands behind it.
+// A session held to the rows (rowPath) draws different, equally uniform rows,
+// so the two no longer show the same trees. What still holds bit for bit is
+// what the grouping is for: a search of the weighted table returns what a
+// search of the same multiset of tuples laid out row by row returns, and the
+// session displays exactly that.
 
-// sampledPair is two sessions over tab with one configuration and one seed,
-// tup free to search its samples' distinct tuples and row held to their rows.
-// Where a sample of more rows than the mw probe draws holds no more distinct
-// tuples than that, only the row path would probe, and the tuple path
-// searches at the weighter's bound; so does a row path told that bound.
-func sampledPair(t *testing.T, tab *table.Table, cfg Config, rowProbesAlone bool) (tup, row *Session) {
+// expandedRows lays a weighted view out row by row: an unweighted table, with
+// tab's dictionaries, holding each of v's tuples as many times over as its
+// multiplicity, in v's order.
+func expandedRows(t *testing.T, tab *table.Table, v *table.View) *table.View {
 	t.Helper()
-	tup, err := NewSession(tab, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rowProbesAlone {
-		cfg.MaxWeight = cfg.Weighter.MaxWeight(tab.NumCols())
-	}
-	row, err = NewSession(tab, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row.rowPath = true
-	return tup, row
-}
-
-// both runs one step on the tuple-path session and on the row-path one, and
-// holds the two to the same access method and the same displayed tree.
-func both(t *testing.T, label string, tup, row *Session, step func(s *Session) error) {
-	t.Helper()
-	for _, s := range []*Session{tup, row} {
-		if err := step(s); err != nil {
-			t.Fatalf("%s: %v", label, err)
+	var rows []int
+	tuple := make(rule.Rule, v.NumCols())
+	for i := 0; i < v.NumRows(); i++ {
+		for c := range tuple {
+			tuple[c] = v.Value(c, i)
+		}
+		equal := tab.FilterIndices(tuple)
+		if len(equal) == 0 {
+			t.Fatalf("the sample holds %v, which the table does not", tuple)
+		}
+		for m := v.Table().Multiplicity(v.ParentRow(i)); m > 0; m-- {
+			rows = append(rows, equal[0])
 		}
 	}
-	if tup.LastMethod != row.LastMethod {
-		t.Fatalf("%s: access %q on the tuple path, %q on the rows", label, tup.LastMethod, row.LastMethod)
-	}
-	sameSubtree(t, label, tup.Root(), row.Root())
+	return tab.Select(rows).All()
 }
 
-// TestEquivalenceSampledDistinctPath holds the sampled tuple path to the
-// sampled row path on census- and Marketing-shaped tables and on one whose
-// samples hold more distinct tuples than the mw probe draws — under Size,
-// Bits and Size−1 weights and the star constraint over each, for rule, star
-// and streamed drills at Workers 1, 2 and 8, on samples served by Create, by
-// Find, by Combine (of a parent sample holding its rule's whole coverage) and
-// under the overload ladder's forced sampling: the same rules in the same
-// order with the same Count, MCount, mw and confidence interval, and the
-// pass that groups a sample booked to the drill that caused it, once.
-func TestEquivalenceSampledDistinctPath(t *testing.T) {
+// sameAsExpanded fails unless what s shows under n — just drilled, under w,
+// as a batch or (kind search.KindStream, up to maxRules rules) streamed
+// search — is what BRS returns on n's sample laid out row by row: the same
+// rules in the same order with the same weights, counts, MCounts and
+// confidence intervals, found at the same mw, the probe included. It looks
+// the sample up again, which is a Find (or the same Combine) and no drill,
+// though it leaves its method in LastMethod.
+func sameAsExpanded(t *testing.T, label string, s *Session, n *Node, w weight.Weighter, kind search.Kind, maxRules int, degraded bool) {
+	t.Helper()
 	ctx := context.Background()
+	cov, err := s.coveredView(n.Rule, w, degraded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.unbooked = brs.Stats{}
+	if !cov.view.Table().Weighted() || cov.rows != nil || cov.view.NumRows() != cov.view.Table().NumRows() {
+		t.Fatalf("%s: the sample is no weighted table of its own (weighted %v, row view %v)", label, cov.view.Table().Weighted(), cov.rows != nil)
+	}
+	rows := expandedRows(t, s.tab, cov.view)
+	if rows.NumRows() != cov.view.NumTuples() {
+		t.Fatalf("%s: %d rows laid out for %d tuples", label, rows.NumRows(), cov.view.NumTuples())
+	}
+	k := s.cfg.K
+	if maxRules > 0 {
+		k = maxRules
+	}
+	mw := s.cfg.MaxWeight
+	if mw <= 0 {
+		// A sample of no more distinct tuples than the probe draws is searched
+		// once, at the weighter's bound, however many rows it stands for.
+		mw = w.MaxWeight(rows.NumCols())
+		if cov.view.NumRows() > probeSize {
+			mw = estimateMaxWeight(ctx, rows, w, k, s.cfg.Seed)
+		}
+		if got := s.maxWeightFor(ctx, cov, w, maxRules); got != mw {
+			t.Fatalf("%s: mw %v over %d distinct tuples, %v over their %d rows", label, got, cov.view.NumRows(), mw, rows.NumRows())
+		}
+	}
+	opts := brs.Options{K: s.cfg.K, MaxWeight: mw, Base: n.Rule, BaseCovered: true, Workers: s.cfg.Workers, SampleScale: cov.scale}
+	run := func(v *table.View) []brs.Result {
+		if kind == search.KindBatch {
+			res, _, err := brs.Run(v, w, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		var res []brs.Result
+		streamed := opts
+		streamed.MinGainRatio = 0.01
+		if _, err := brs.RunIncrementalCtx(ctx, v, w, streamed, maxRules, time.Time{}, func(r brs.Result) bool {
+			res = append(res, r)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(rows)
+	sameResults(t, label, run(cov.view), want)
+	if len(n.Children) != len(want) {
+		t.Fatalf("%s: %d rules shown, %d found on the rows", label, len(n.Children), len(want))
+	}
+	bound := cov.scale * float64(rows.NumRows())
+	for i, r := range want {
+		c := n.Children[i]
+		lo, hi, has := countCI(score.CountAgg{}, cov.exact, cov.scale, r.Count, bound)
+		if !c.Rule.Equal(r.Rule) || c.Weight != r.Weight || c.Count != r.Count || c.Exact != cov.exact ||
+			c.HasCI != has || c.CILow != lo || c.CIHigh != hi {
+			t.Fatalf("%s: rule %d is %v (weight %v, count %v in [%v, %v], exact %v), want %v (%v, %v in [%v, %v], %v)",
+				label, i, c.Rule, c.Weight, c.Count, c.CILow, c.CIHigh, c.Exact, r.Rule, r.Weight, r.Count, lo, hi, cov.exact)
+		}
+	}
+}
+
+// sampledStep drills s — step says how — and holds the result to
+// sameAsExpanded, returning what the drill was booked.
+func sampledStep(t *testing.T, label string, s *Session, at func(*Session) *Node, w weight.Weighter, kind search.Kind, maxRules int, step func(*Node) error) brs.Stats {
+	t.Helper()
+	if at(s) == nil {
+		t.Fatalf("%s: no node to drill", label)
+	}
+	if err := step(at(s)); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	drilled := s.LastStats
+	if len(at(s).Children) == 0 {
+		t.Fatalf("%s: no rules", label)
+	}
+	sameAsExpanded(t, label, s, at(s), w, kind, maxRules, false)
+	return drilled
+}
+
+// TestEquivalenceSampledDistinctPath holds a session whose samples are drawn
+// from the distinct tuples to the rows those samples stand for, on census-
+// and Marketing-shaped tables and on one whose samples hold more distinct
+// tuples than the mw probe draws (so the probe draws them by mass) — under
+// Size, Bits and Size−1 weights and the star constraint over each, for rule,
+// star and streamed drills at Workers 1, 2 and 8, on samples served by
+// Create, by Find and by Combine (of a parent sample holding its rule's
+// whole coverage). The drill that makes a sample's table is booked the
+// distinct-table rows copied into it, once; a Combine, whose union is kept
+// nowhere, each time; and no drill of the session passes over the table.
+func TestEquivalenceSampledDistinctPath(t *testing.T) {
 	marketing, err := datagen.Marketing(9409, 3).ProjectFirst(5)
 	if err != nil {
 		t.Fatal(err)
@@ -86,29 +172,39 @@ func TestEquivalenceSampledDistinctPath(t *testing.T) {
 	} {
 		tab := shape.tab
 		tab.Index().Warm()
+		// Resolved here, so that no drill below is booked the build.
+		if d, _ := tab.Distinct(); d == nil {
+			t.Fatalf("%s does not compress", shape.name)
+		}
 		cols := tab.NumCols()
 		for wi, inner := range []weight.Weighter{weight.NewSize(cols), weight.BitsFor(tab), weight.SizeMinusOne{}} {
 			for _, workers := range []int{1, 2, 8} {
 				label := fmt.Sprintf("%s %s workers=%d", shape.name, inner.Name(), workers)
-				cfg := Config{
+				s, err := NewSession(tab, Config{
 					K: 4, Weighter: inner, Workers: workers, Seed: int64(3 + wi),
 					SampleMemory: shape.memory, MinSampleSize: shape.minSS,
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				tup, row := sampledPair(t, tab, cfg, !shape.rootProbes)
 				root := func(s *Session) *Node { return s.Root() }
-				expand := func(at func(*Session) *Node) func(*Session) error {
-					return func(s *Session) error { return s.Expand(at(s)) }
+				served := func(method string, step func(*Node) error) func(*Node) error {
+					return func(n *Node) error {
+						err := step(n)
+						if err == nil && s.LastMethod != method {
+							err = fmt.Errorf("served by %s, want %s", s.LastMethod, method)
+						}
+						return err
+					}
 				}
+				const star = 1
+				starred := weight.StarConstraint{Inner: inner, Column: star}
 
-				// Create: the first drill draws the sample, groups it and is
-				// booked the pass; Find: the second is booked nothing.
-				both(t, label+" root (Create)", tup, row, expand(root))
-				created, rowCreated := tup.LastStats, row.LastStats
-				if tup.LastMethod != "Create" {
-					t.Fatalf("%s: first root drill served by %s", label, tup.LastMethod)
-				}
+				// Create: the first drill draws the sample, builds its table
+				// and is booked the tuples copied; Find: the second nothing.
+				created := sampledStep(t, label+" root (Create)", s, root, inner, search.KindBatch, 0, served("Create", s.Expand))
 				interval := false
-				for _, c := range tup.Root().Children {
+				for _, c := range s.Root().Children {
 					if c.Exact || !c.HasCI || c.CILow > c.Count || c.CIHigh < c.Count {
 						t.Fatalf("%s: child %v shows [%v, %v] around %v, exact %v", label, c.Rule, c.CILow, c.CIHigh, c.Count, c.Exact)
 					}
@@ -117,121 +213,62 @@ func TestEquivalenceSampledDistinctPath(t *testing.T) {
 				if !interval {
 					t.Fatalf("%s: every interval is a point: the bound was taken from the distinct rows", label)
 				}
-				both(t, label+" root (Find)", tup, row, expand(root))
-				if tup.LastMethod != "Find" {
-					t.Fatalf("%s: second root drill served by %s", label, tup.LastMethod)
+				found := sampledStep(t, label+" root (Find)", s, root, inner, search.KindBatch, 0, served("Find", s.Expand))
+				cov, err := s.coveredView(s.Root().Rule, inner, false)
+				if err != nil {
+					t.Fatal(err)
 				}
-				found := tup.LastStats
-				sample := int64(shape.minSS)
-				if created.Passes != found.Passes+1 || created.RowsScanned != found.RowsScanned+sample ||
-					created.SampledRowsScanned != found.SampledRowsScanned+sample || found.SampledRowsScanned != found.RowsScanned {
-					t.Fatalf("%s: the Create drill read %d rows (%d sampled) in %d passes, the Find drill %d (%d) in %d; want the %d-row grouping pass in the first alone",
-						label, created.RowsScanned, created.SampledRowsScanned, created.Passes, found.RowsScanned, found.SampledRowsScanned, found.Passes, sample)
+				tuples := int64(cov.view.NumRows())
+				if cov.view.NumTuples() != shape.minSS || 2*tuples > int64(shape.minSS) || (tuples > probeSize) != shape.rootProbes {
+					t.Fatalf("%s: a root sample of %d rows in %d distinct tuples is not the shape's", label, cov.view.NumTuples(), tuples)
 				}
-				if row.LastStats != rowCreated {
-					t.Fatalf("%s: the row path's Find drill %+v differs from its Create drill %+v", label, row.LastStats, rowCreated)
-				}
-
-				// The search itself, where MCount and mw can be seen.
-				star := 1
-				for _, w := range []weight.Weighter{inner, weight.StarConstraint{Inner: inner, Column: star}} {
-					tcov, err := tup.coveredView(tup.Root().Rule, w, false)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rcov, err := row.coveredView(row.Root().Rule, w, false)
-					if err != nil {
-						t.Fatal(err)
-					}
-					tv, rv := tcov.view, rcov.view
-					if !tv.Table().Weighted() || rv.Table() != tab || rcov.rows() != rv {
-						t.Fatalf("%s: tuple path reads a weighted table %v, row path the table's rows %v", label, tv.Table().Weighted(), rv.Table() == tab)
-					}
-					if tv.NumTuples() != rv.NumRows() || tcov.rows().NumRows() != rv.NumRows() || tcov.rows().Table() != tab ||
-						tcov.scale != rcov.scale || tcov.exact != rcov.exact {
-						t.Fatalf("%s: %d tuples at scale %v on the tuple path (row view of %d), %d rows at scale %v on the row path",
-							label, tv.NumTuples(), tcov.scale, tcov.rows().NumRows(), rv.NumRows(), rcov.scale)
-					}
-					if 2*tv.NumRows() > rv.NumRows() || (tv.NumRows() > probeSize) != shape.rootProbes || rv.NumRows() <= probeSize {
-						t.Fatalf("%s: a root sample of %d rows holding %d distinct tuples is not the shape's", label, rv.NumRows(), tv.NumRows())
-					}
-					tmw := tup.maxWeightFor(ctx, tcov, w, 0)
-					rmw := row.maxWeightFor(ctx, rcov, w, 0)
-					top := w.MaxWeight(cols)
-					if !shape.rootProbes {
-						rmw = top // what the row session is configured with
-					}
-					if tmw != rmw {
-						t.Fatalf("%s under %s: mw %v on the tuple path, %v on the rows", label, w.Name(), tmw, rmw)
-					}
-					opts := brs.Options{K: 4, MaxWeight: tmw, BaseCovered: true, Workers: workers, SampleScale: tcov.scale}
-					got, _, err := brs.Run(tv, w, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, _, err := brs.Run(rv, w, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameResults(t, label+" under "+w.Name(), got, want)
+				if created.Passes != found.Passes+1 || created.RowsScanned != found.RowsScanned+tuples ||
+					created.SampledRowsScanned != found.SampledRowsScanned+tuples || found.SampledRowsScanned != found.RowsScanned {
+					t.Fatalf("%s: the Create drill read %d rows (%d sampled) in %d passes, the Find drill %d (%d) in %d; want the %d tuples copied in the first alone",
+						label, created.RowsScanned, created.SampledRowsScanned, created.Passes, found.RowsScanned, found.SampledRowsScanned, found.Passes, tuples)
 				}
 
-				both(t, label+" star drill", tup, row, func(s *Session) error { return s.ExpandStar(s.Root(), star) })
-				both(t, label+" stream", tup, row, func(s *Session) error { return s.ExpandStream(s.Root(), 5, 0, nil) })
-				if shape.rootProbes {
-					// Below the root the two views fall on different sides of
-					// the probe's size.
-					continue
-				}
-				both(t, label+" root again", tup, row, expand(root))
-				if drillable(tup.Root()) == nil {
-					t.Fatalf("%s: no child to drill", label)
-				}
+				sampledStep(t, label+" star drill", s, root, starred, search.KindBatch, 0, func(n *Node) error { return s.ExpandStar(n, star) })
+				sampledStep(t, label+" stream", s, root, inner, search.KindStream, 5, func(n *Node) error { return s.ExpandStream(n, 5, 0, nil) })
+				sampledStep(t, label+" root again", s, root, inner, search.KindBatch, 0, s.Expand)
 				child := func(s *Session) *Node { return drillable(s.Root()) }
-				both(t, label+" child", tup, row, expand(child))
-				if !shape.combines {
-					continue
+				sampledStep(t, label+" child", s, child, inner, search.KindBatch, 0, served("Create", s.Expand))
+				if shape.combines {
+					// The child's sample holds every row the child covers, so
+					// the drill below it is served by combining: a union that
+					// belongs to no sample, its table built for this drill and
+					// booked to it, each time.
+					if !drillable(s.Root()).Children[0].Exact {
+						t.Fatalf("%s: the child's sample does not hold its whole coverage", label)
+					}
+					grandchild := func(s *Session) *Node { return drillable(child(s)) }
+					for round := 0; round < 2; round++ {
+						drilled := sampledStep(t, label+" grandchild", s, grandchild, inner, search.KindBatch, 0, served("Combine", s.Expand))
+						gcov, err := s.coveredView(grandchild(s).Rule, inner, false)
+						if err != nil {
+							t.Fatal(err)
+						}
+						s.unbooked = brs.Stats{}
+						_, search, err := brs.Run(gcov.view, inner, brs.Options{
+							K: 4, MaxWeight: s.maxWeightFor(context.Background(), gcov, inner, 0), Base: grandchild(s).Rule, BaseCovered: true,
+							Workers: workers, SampleScale: gcov.scale,
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						// An exhaustive union is exact (scale 1), so the search
+						// books no sampled rows of its own: what is booked as
+						// sampled is the copy, in each drill.
+						union := int64(gcov.view.NumRows())
+						if gcov.scale != 1 || drilled.Passes != search.Passes+1 ||
+							drilled.RowsScanned != search.RowsScanned+union || drilled.SampledRowsScanned != union {
+							t.Fatalf("%s round %d: the Combine drill read %d rows (%d sampled) in %d passes; want the search's %d in %d and %d tuples copied",
+								label, round, drilled.RowsScanned, drilled.SampledRowsScanned, drilled.Passes, search.RowsScanned, search.Passes, union)
+						}
+					}
 				}
-				// The child's sample holds every row the child covers, so the
-				// drill below it is served by combining: a union that belongs
-				// to no sample, grouped for this drill and booked to it.
-				if tup.LastMethod != "Create" || !drillable(tup.Root()).Children[0].Exact {
-					t.Fatalf("%s: the child drill (%s) did not hold its whole coverage", label, tup.LastMethod)
-				}
-				grandchild := func(s *Session) *Node { return drillable(child(s)) }
-				if grandchild(tup) == nil {
-					t.Fatalf("%s: no grandchild to drill", label)
-				}
-				for round := 0; round < 2; round++ {
-					both(t, label+" grandchild", tup, row, expand(grandchild))
-					if tup.LastMethod != "Combine" {
-						t.Fatalf("%s: the grandchild drill was served by %s, want Combine", label, tup.LastMethod)
-					}
-					drilled := tup.LastStats
-					tcov, err := tup.coveredView(grandchild(tup).Rule, inner, false)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := row.coveredView(grandchild(row).Rule, inner, false); err != nil {
-						t.Fatal(err)
-					}
-					tup.unbooked = brs.Stats{} // the look above is no drill
-					_, search, err := brs.Run(tcov.view, inner, brs.Options{
-						K: 4, MaxWeight: tup.maxWeightFor(ctx, tcov, inner, 0), Base: grandchild(tup).Rule, BaseCovered: true,
-						Workers: workers, SampleScale: tcov.scale,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					// An exhaustive union is exact (scale 1), so the search
-					// books no sampled rows of its own: what is booked as
-					// sampled is the grouping pass, in each drill.
-					union := int64(tcov.rows().NumRows())
-					if !tcov.view.Table().Weighted() || tcov.scale != 1 || drilled.Passes != search.Passes+1 ||
-						drilled.RowsScanned != search.RowsScanned+union || drilled.SampledRowsScanned != union {
-						t.Fatalf("%s round %d: the Combine drill read %d rows (%d sampled) in %d passes; want the search's %d in %d and one grouping pass of %d",
-							label, round, drilled.RowsScanned, drilled.SampledRowsScanned, drilled.Passes, search.RowsScanned, search.Passes, union)
-					}
+				if st := s.Store().Stats(); st.FullScans != 0 {
+					t.Fatalf("%s: the session passed over the table %d times", label, st.FullScans)
 				}
 			}
 		}
@@ -244,59 +281,71 @@ func TestEquivalenceSampledDistinctDegraded(t *testing.T) {
 	tab := datagen.CensusProjected(20000, 6, 11)
 	ctx := WithDegraded(context.Background())
 	for _, workers := range []int{1, 2, 8} {
-		cfg := Config{
-			K: 4, Weighter: weight.NewSize(6), Workers: workers, Seed: 5,
+		inner := weight.NewSize(6)
+		s, err := NewSession(tab, Config{
+			K: 4, Weighter: inner, Workers: workers, Seed: 5,
 			SampleMemory: 12000, MinSampleSize: 3000, SampleThreshold: 1 << 30,
-		}
-		tup, row := sampledPair(t, tab, cfg, true)
-		label := fmt.Sprintf("workers=%d", workers)
-		both(t, label+" undegraded", tup, row, func(s *Session) error { return s.Expand(s.Root()) })
-		if tup.LastMethod != "direct" {
-			t.Fatalf("%s: below the threshold the drill was served by %s", label, tup.LastMethod)
-		}
-		both(t, label+" degraded rule drill", tup, row, func(s *Session) error { return s.ExpandCtx(ctx, s.Root()) })
-		if tup.LastMethod != "Create" || tup.Root().Children[0].Exact {
-			t.Fatalf("%s: the degraded drill was served by %s, exact %v", label, tup.LastMethod, tup.Root().Children[0].Exact)
-		}
-		if cov, err := tup.coveredView(tup.Root().Rule, cfg.Weighter, true); err != nil || !cov.view.Table().Weighted() {
-			t.Fatalf("%s: the degraded drill reads the sample's rows (%v)", label, err)
-		}
-		if _, err := row.coveredView(row.Root().Rule, cfg.Weighter, true); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		both(t, label+" degraded star drill", tup, row, func(s *Session) error { return s.ExpandStarCtx(ctx, s.Root(), 2) })
-		both(t, label+" degraded stream", tup, row, func(s *Session) error { return s.ExpandStreamCtx(ctx, s.Root(), 3, 0, nil) })
+		label := fmt.Sprintf("workers=%d", workers)
+		if err := s.Expand(s.Root()); err != nil {
+			t.Fatal(err)
+		}
+		if s.LastMethod != "direct" || !s.Root().Children[0].Exact {
+			t.Fatalf("%s: below the threshold the drill was served by %s", label, s.LastMethod)
+		}
+		if err := s.ExpandCtx(ctx, s.Root()); err != nil {
+			t.Fatal(err)
+		}
+		if s.LastMethod != "Create" || s.Root().Children[0].Exact {
+			t.Fatalf("%s: the degraded drill was served by %s, exact %v", label, s.LastMethod, s.Root().Children[0].Exact)
+		}
+		sameAsExpanded(t, label+" degraded rule drill", s, s.Root(), inner, search.KindBatch, 0, true)
+		if err := s.ExpandStarCtx(ctx, s.Root(), 2); err != nil {
+			t.Fatal(err)
+		}
+		sameAsExpanded(t, label+" degraded star drill", s, s.Root(), weight.StarConstraint{Inner: inner, Column: 2}, search.KindBatch, 0, true)
+		if err := s.ExpandStreamCtx(ctx, s.Root(), 3, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		sameAsExpanded(t, label+" degraded stream", s, s.Root(), inner, search.KindStream, 3, true)
 	}
 }
 
-// TestEquivalenceSampledDistinctGates: what cannot be summed per distinct
-// tuple bit for bit is searched on the sample's rows without the sample ever
-// being grouped for it — a Sum, weights that are not integers — and so is a
-// sample more than half of whose rows are distinct, which costs the first
-// drill on it the finding, once.
+// TestEquivalenceSampledDistinctGates: which sessions draw from the distinct
+// tuples. What cannot be summed per distinct tuple bit for bit — a Sum,
+// weights that are not integers — keeps its handler on the rows and searches
+// them without a sample ever being grouped, as does the rowPath seam; a table
+// that does not compress has no distinct tuples to draw from, and a Count
+// session on it still tries each row sample's own grouping, which costs the
+// first drill on the sample the finding, once.
 func TestEquivalenceSampledDistinctGates(t *testing.T) {
 	sales := buildSalesTable(30000, 5)
 	census := datagen.CensusProjected(30000, 7, 7)
 	marketing := datagen.Marketing(9409, 3)
 	const minSS = 3000
 	for _, tc := range []struct {
-		name    string
-		tab     *table.Table
-		cfg     Config
-		grouped bool // the drill asked the sample for its tuples
-		tuples  bool // and searched them
-		// sample rows the asking read: all of them, or from the first tuple
-		// beyond half of them being distinct to the row that showed it
+		name   string
+		tab    *table.Table
+		cfg    Config
+		tuples bool // the handler draws from the distinct tuples
+		// rows the first drill is booked beyond the second: the distinct
+		// tuples copied into a tuple sample's table, or what finding a row
+		// sample does not compress read
 		readMin, readMax int64
 	}{
-		{"size", census, Config{}, true, true, minSS, minSS},
-		{"whole linear", census, Config{Weighter: weight.NewLinear([]float64{2, 1, 3, 1, 1, 2, 1}, 1, "whole")}, true, true, minSS, minSS},
-		{"fractional linear", census, Config{Weighter: weight.NewLinear([]float64{1, 0.5, 1.25, 1, 1, 1, 1}, 1, "frac")}, false, false, 0, 0},
-		{"fractional scale", census, Config{Weighter: weight.Scaled{Inner: weight.NewSize(7), Factor: 0.1}}, false, false, 0, 0},
-		{"sum", sales, Config{Agg: score.SumAgg{Measure: 0}}, false, false, 0, 0},
-		{"row path seam", census, Config{}, false, false, 0, 0},
-		{"more than half distinct", marketing, Config{}, true, false, minSS/2 + 1, minSS - 1},
+		{"size", census, Config{}, true, 1, minSS / 2},
+		{"whole linear", census, Config{Weighter: weight.NewLinear([]float64{2, 1, 3, 1, 1, 2, 1}, 1, "whole")}, true, 1, minSS / 2},
+		{"fractional linear", census, Config{Weighter: weight.NewLinear([]float64{1, 0.5, 1.25, 1, 1, 1, 1}, 1, "frac")}, false, 0, 0},
+		{"fractional scale", census, Config{Weighter: weight.Scaled{Inner: weight.NewSize(7), Factor: 0.1}}, false, 0, 0},
+		{"sum", sales, Config{Agg: score.SumAgg{Measure: 0}}, false, 0, 0},
+		{"row path seam", census, Config{}, false, 0, 0},
+		{"more than half distinct", marketing, Config{}, false, minSS/2 + 1, minSS - 1},
 	} {
+		// Resolved here, so that no drill below is booked the build.
+		tc.tab.Distinct()
 		cfg := tc.cfg
 		cfg.K, cfg.Workers, cfg.Seed = 3, 1, 2
 		cfg.MaxWeight = 2 // the gates do not look at mw, and fourteen columns searched unbounded take seconds
@@ -316,7 +365,8 @@ func TestEquivalenceSampledDistinctGates(t *testing.T) {
 			}
 			drills[i] = s.LastStats
 		}
-		// The first drill is the second plus whatever asking cost.
+		// The first drill is the second plus whatever making the sample
+		// searchable cost.
 		if d := drills[0].RowsScanned - drills[1].RowsScanned; d < tc.readMin || d > tc.readMax || drills[0].SampledRowsScanned-drills[1].SampledRowsScanned != d {
 			t.Fatalf("%s: the first drill read %d rows (%d sampled) more than the second, want %d to %d",
 				tc.name, d, drills[0].SampledRowsScanned-drills[1].SampledRowsScanned, tc.readMin, tc.readMax)
@@ -326,19 +376,161 @@ func TestEquivalenceSampledDistinctGates(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := cov.view.Table().Weighted(); got != tc.tuples {
-			t.Fatalf("%s: searched the sample's tuples: %v, want %v", tc.name, got, tc.tuples)
+			t.Fatalf("%s: searched a weighted table: %v, want %v", tc.name, got, tc.tuples)
+		}
+		if (cov.rows == nil) != tc.tuples {
+			t.Fatalf("%s: a row view stands behind the sample: %v, want %v", tc.name, cov.rows != nil, !tc.tuples)
 		}
 		if s.unbooked != (brs.Stats{}) {
 			t.Fatalf("%s: a sample served again was booked %+v", tc.name, s.unbooked)
 		}
-		// Whoever first asks a sample for its tuples is told the rows that
-		// read; being told now means no drill asked before.
+		// One pass over the table per Create on the rows, none on the tuples.
+		if scans := s.Store().Stats().FullScans; (scans == 0) != tc.tuples {
+			t.Fatalf("%s: %d passes over the table", tc.name, scans)
+		}
+		// Whoever first asks a row sample for its tuples is told the rows
+		// that read; being told now means no drill asked before.
 		v, err := s.handler.GetSample(s.Root().Rule)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, read := v.Tuples(); (read == 0) != tc.grouped {
-			t.Fatalf("%s: the drills grouped the sample: %v, want %v", tc.name, read == 0, tc.grouped)
+		_, read := v.Tuples()
+		if asked := tc.name == "more than half distinct"; (read == 0) != (asked || tc.tuples) {
+			t.Fatalf("%s: asking the sample for its tuples now read %d rows", tc.name, read)
 		}
+	}
+}
+
+// TestSampledSessionNeverPassesOverTheTable: once the table's distinct tuples
+// exist, nothing a sampled Count session does — create, root, child, star and
+// streamed drills, Find re-serves, prefetch after each of them — passes over
+// the table's rows: every Create and Prefetch walks the distinct table. A
+// re-served sample is booked no copy, and a prefetch's counts, the sums of
+// the covered tuples' multiplicities, upgrade the display to exact.
+func TestSampledSessionNeverPassesOverTheTable(t *testing.T) {
+	tab := datagen.CensusProjected(100000, 7, 7)
+	d, _ := tab.Distinct()
+	if d == nil {
+		t.Fatal("census does not compress")
+	}
+	for _, prefetch := range []bool{false, true} {
+		s, err := NewSession(tab, Config{
+			K: 3, Workers: 1, Seed: 4, Prefetch: prefetch,
+			SampleMemory: 20000, MinSampleSize: 2000, SampleThreshold: 10000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		walks := int64(0) // of the distinct table, by the handler
+		step := func(label string, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			st := s.Store().Stats()
+			_, _, creates := s.Handler().Stats()
+			if prefetch && label != "create" {
+				walks++ // one per drill
+			}
+			if want := (int64(creates) + walks) * int64(d.NumRows()); st.FullScans != 0 || st.RowsRead != want {
+				t.Fatalf("%s (prefetch %v): the store served %d passes over the table and %d rows, want none and %d (%d creates, %d prefetches, of %d distinct tuples)",
+					label, prefetch, st.FullScans, st.RowsRead, want, creates, walks, d.NumRows())
+			}
+		}
+		step("create", nil)
+		step("root", s.Expand(s.Root()))
+		first := s.LastStats
+		step("root again", s.Expand(s.Root()))
+		if !prefetch && (s.LastMethod != "Find" || s.LastStats.Passes != first.Passes-1 || s.LastStats.RowsScanned >= first.RowsScanned) {
+			t.Fatalf("the re-served root drill (%s) read %d rows in %d passes after %d in %d", s.LastMethod, s.LastStats.RowsScanned, s.LastStats.Passes, first.RowsScanned, first.Passes)
+		}
+		step("child", s.Expand(drillable(s.Root())))
+		last := s.Root().Children[len(s.Root().Children)-1]
+		star := 0
+		for last.Rule[star] != rule.Star {
+			star++
+		}
+		step("star", s.ExpandStar(last, star))
+		step("stream", s.ExpandStream(s.Root(), 4, 0, nil))
+		if !prefetch {
+			continue
+		}
+		for _, n := range s.Root().Children {
+			if !n.Exact || n.HasCI || n.Count != float64(tab.Count(n.Rule)) {
+				t.Fatalf("after a prefetch %v shows %v (exact %v), the table counts %d", n.Rule, n.Count, n.Exact, tab.Count(n.Rule))
+			}
+		}
+	}
+}
+
+// TestEquivalenceSampledDistinctBuildBookedOnce: two sampled sessions racing
+// through their first GetSample resolve the table's distinct tuples once — the
+// pass is in exactly one session's first drill and that session's store —
+// both draw from them, and a session after them is booked nothing.
+// `make race` runs this under the detector.
+func TestEquivalenceSampledDistinctBuildBookedOnce(t *testing.T) {
+	tab := pooledTable(rand.New(rand.NewSource(21)), 4, 4, 150, 6000)
+	var resolved []table.DistinctReport
+	tab.OnDistinct(func(r table.DistinctReport) { resolved = append(resolved, r) })
+	cfg := Config{K: 3, Workers: 1, SampleMemory: 3000, MinSampleSize: 1000}
+	sessions := make([]*Session, 3)
+	for i := range sessions {
+		cfg.Seed = int64(i + 1)
+		s, err := NewSession(tab, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions[i] = s
+	}
+	if len(resolved) != 0 {
+		t.Fatal("creating a sampled session resolved the distinct table")
+	}
+	var wg sync.WaitGroup
+	for _, s := range sessions[:2] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := s.Expand(s.Root()); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	after := sessions[2]
+	if err := after.Expand(after.Root()); err != nil {
+		t.Fatal(err)
+	}
+	if len(resolved) != 1 || resolved[0].Read != tab.NumRows() {
+		t.Fatalf("resolved %+v, want once after %d rows", resolved, tab.NumRows())
+	}
+	d, _ := tab.Distinct()
+	builders := 0
+	for i, s := range sessions {
+		cov, err := s.coveredView(s.Root().Rule, s.cfg.Weighter, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cov.view.Table().Weighted() || cov.rows != nil || s.LastMethod != "Find" {
+			t.Fatalf("session %d does not draw from the distinct tuples", i)
+		}
+		// Its drill: the search over the sample's tuples, their copy, and for
+		// one of the racers the build.
+		copied := int64(cov.view.NumRows())
+		_, search, err := brs.Run(cov.view, s.cfg.Weighter, brs.Options{K: 3, MaxWeight: s.cfg.Weighter.MaxWeight(4), BaseCovered: true, Workers: 1, SampleScale: cov.scale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		extra, passes := s.LastStats.RowsScanned-search.RowsScanned-copied, s.LastStats.Passes-search.Passes-1
+		st := s.Store().Stats()
+		switch {
+		case extra == 0 && passes == 0 && st.FullScans == 0 && st.RowsRead == int64(d.NumRows()):
+		case i < 2 && extra == int64(tab.NumRows()) && passes == 1 && st.FullScans == 1 && st.RowsRead == int64(tab.NumRows()+d.NumRows()):
+			builders++
+		default:
+			t.Fatalf("session %d: its first drill read %d rows in %d passes beyond its search and copy, its store %+v", i, extra, passes, st)
+		}
+	}
+	if builders != 1 {
+		t.Fatalf("%d of the racing sessions were booked the build, want one", builders)
 	}
 }

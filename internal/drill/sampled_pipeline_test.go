@@ -243,8 +243,9 @@ func TestSampleMemoryClampedToRows(t *testing.T) {
 
 // TestRefineNodeLifecycle: provisional nodes refine to the authoritative
 // count, become exact, and refuse double work. Under Count a refine reads the
-// table's distinct tuples: one accounted pass over the table builds them for
-// the first refine, and every refine reads each of them once.
+// table's distinct tuples, each once: the one accounted pass over the table
+// that builds them was the first sampled drill's, whose sample is drawn from
+// them in a walk over them.
 func TestRefineNodeLifecycle(t *testing.T) {
 	tab := datagen.CensusProjected(25000, 7, 7)
 	s, err := NewSession(tab, Config{
@@ -263,7 +264,15 @@ func TestRefineNodeLifecycle(t *testing.T) {
 	if len(prov) == 0 {
 		t.Fatal("sampled expansion produced no provisional nodes")
 	}
+	d, _ := tab.Distinct()
+	if d == nil {
+		t.Fatal("census does not compress")
+	}
 	before := s.Store().Stats()
+	if want := int64(tab.NumRows() + d.NumRows()); before.FullScans != 1 || before.RowsRead != want {
+		t.Fatalf("the sampled root drill charged %d full scans and %d rows, want 1 (the build) and %d (it, and one walk of %d distinct tuples)",
+			before.FullScans, before.RowsRead, want, d.NumRows())
+	}
 	for _, n := range prov {
 		if !s.RefineNode(n) {
 			t.Fatalf("node %v did not refine", n.Rule)
@@ -279,14 +288,10 @@ func TestRefineNodeLifecycle(t *testing.T) {
 			t.Fatalf("node %v refined twice", n.Rule)
 		}
 	}
-	d, _ := tab.Distinct()
-	if d == nil {
-		t.Fatal("census does not compress")
-	}
 	after := s.Store().Stats()
-	wantRows := int64(tab.NumRows() + len(prov)*d.NumRows())
-	if scans, rows := after.FullScans-before.FullScans, after.RowsRead-before.RowsRead; scans != 1 || rows != wantRows {
-		t.Fatalf("refinement charged %d full scans and %d rows, want 1 (the build) and %d (it, and %d distinct tuples per node)",
+	wantRows := int64(len(prov) * d.NumRows())
+	if scans, rows := after.FullScans-before.FullScans, after.RowsRead-before.RowsRead; scans != 0 || rows != wantRows {
+		t.Fatalf("refinement charged %d full scans and %d rows, want none and %d (%d distinct tuples per node)",
 			scans, rows, wantRows, d.NumRows())
 	}
 	if len(s.ProvisionalNodes()) != 0 {

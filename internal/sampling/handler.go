@@ -7,6 +7,7 @@ import (
 
 	"smartdrill/internal/rule"
 	"smartdrill/internal/storage"
+	"smartdrill/internal/table"
 )
 
 // Handler is the SampleHandler of Section 4.3: it owns a set of in-memory
@@ -19,6 +20,12 @@ type Handler struct {
 	M int
 	// MinSS is the minimum sample size BRS may run on (Section 4.1).
 	MinSS int
+
+	// pop is what samples are drawn from and their Rows name: the table's
+	// rows, unless SampleTuples said otherwise and tuples, called once by the
+	// first draw, had a distinct-tuple table to give.
+	pop    population
+	tuples func() *table.Table
 
 	samples map[string]*Sample
 	rng     *rand.Rand
@@ -46,9 +53,34 @@ func NewHandler(store *storage.Store, m, minSS int, rng *rand.Rand) (*Handler, e
 		store:   store,
 		M:       m,
 		MinSS:   minSS,
+		pop:     rowPopulation{store},
 		samples: make(map[string]*Sample),
 		rng:     rng,
 	}, nil
+}
+
+// SampleTuples has the handler draw from the table's distinct tuples instead
+// of its rows (see population): distinct is called once, by the first draw —
+// a GetSample that has to Create, or a Prefetch — so that setting a handler
+// up never costs a pass —
+// and returns the store's table grouped (storage.Store.Distinct), or nil to
+// keep the handler on the rows for good. Call it before any sample is drawn;
+// the owner decides, because only it knows whether its searches may read
+// tuples with multiplicities for rows (the Count aggregate under integer
+// weights). Samples, estimates and intervals are uniform-sample statistics
+// either way; what changes is that a draw reads the distinct tuples, not the
+// rows, and that a View's Tab comes grouped.
+func (h *Handler) SampleTuples(distinct func() *table.Table) { h.tuples = distinct }
+
+// resolve settles what pop is. Every draw starts with it, and nothing reads
+// pop before a draw has put a sample there to serve.
+func (h *Handler) resolve() {
+	if distinct := h.tuples; distinct != nil {
+		h.tuples = nil
+		if d := distinct(); d != nil {
+			h.pop = tuplePopulation{store: h.store, d: d, ranks: d.Ranks()}
+		}
+	}
 }
 
 // Stats reports how many requests each mechanism served.
@@ -118,7 +150,6 @@ func (h *Handler) find(r rule.Rule) *View {
 // deduplicated union therefore includes each r-tuple independently with
 // probability p* = 1 − Π(1 − rate_i) — a uniform sample with scale 1/p*.
 func (h *Handler) combine(r rule.Rule) *View {
-	t := h.store.Table()
 	pMiss := 1.0
 	union := make(map[int]struct{})
 	var contributors []*Sample
@@ -131,7 +162,7 @@ func (h *Handler) combine(r rule.Rule) *View {
 			continue
 		}
 		for _, i := range s.Rows {
-			if t.Covers(r, i) {
+			if h.pop.covers(r, i) {
 				union[i] = struct{}{}
 			}
 		}
@@ -160,8 +191,8 @@ func (h *Handler) combine(r rule.Rule) *View {
 	return h.viewOf(nil, rows, 1/pInclude, Combine)
 }
 
-// create scans the store once, installing a fresh sample for r of up to
-// target tuples (at least MinSS), evicting least-recently-used samples if
+// create walks the population once, installing a fresh sample for r of up
+// to target tuples (at least MinSS), evicting least-recently-used samples if
 // the budget requires.
 func (h *Handler) create(r rule.Rule, target int) (*View, error) {
 	if target < h.MinSS {
@@ -170,7 +201,8 @@ func (h *Handler) create(r rule.Rule, target int) (*View, error) {
 	if target > h.M {
 		target = h.M
 	}
-	s := CreateSample(h.store, r, target, h.rng)
+	h.resolve()
+	s := h.pop.draw([]rule.Rule{r}, []int{target}, h.rng)[0]
 	h.install(s)
 	return h.viewOf(s, s.sortedRows(), s.Scale(), Create), nil
 }
@@ -205,46 +237,35 @@ func (h *Handler) touch(s *Sample) {
 	s.lastUsed = h.clock
 }
 
-// viewOf wraps an ascending row set — resident sample s's, or with s nil a
-// union belonging to none — as a sample view. Sorted rows are the
-// serving contract: uniformity does not depend on order, and ascending
-// rows let BRS's cost planner answer candidate counting by intersecting
-// the master table's posting lists with the sample (per-column sample
-// postings, materialization-free) whenever that reads fewer entries than
-// scanning the sample. Find/Create serve Sample.sortedRows; Combine's
-// deduplicated union is sorted as it is built.
-func (h *Handler) viewOf(s *Sample, rows []int, scale float64, m Method) *View {
-	// Zero-copy: the view shares the master table's column arrays, so
-	// serving a sample never materializes its tuples.
-	tab := h.store.Table().ViewOf(rows)
+// viewOf wraps an ascending unit set — resident sample s's, or with s nil a
+// union belonging to none — as a sample view. Sorted units are the serving
+// contract: uniformity does not depend on order, and ascending rows let
+// BRS's cost planner answer candidate counting by intersecting the master
+// table's posting lists with the sample (per-column sample postings,
+// materialization-free) whenever that reads fewer entries than scanning the
+// sample; ascending ranks are what the tuple population run-lengths into a
+// sample's tuples. Find/Create serve Sample.sortedRows, which has dropped the
+// view a trim outdated; Combine's deduplicated union is sorted as it is
+// built.
+func (h *Handler) viewOf(s *Sample, units []int, scale float64, m Method) *View {
+	var tab *table.View
+	copied := 0
+	if s != nil {
+		tab = s.view
+	}
+	if tab == nil {
+		tab, copied = h.pop.view(units)
+		if s != nil {
+			s.view = tab
+		}
+	}
 	return &View{
 		Tab:            tab,
 		Scale:          scale,
 		Method:         m,
-		EstimatedCount: float64(tab.NumRows()) * scale,
-		rows:           rows,
+		EstimatedCount: float64(len(units)) * scale,
+		rows:           units,
 		sample:         s,
+		copied:         copied,
 	}
-}
-
-// EstimateCount estimates Count(r) on the master table from resident
-// samples without scanning, returning ok=false when no resident sample's
-// filter covers r's slice. When several samples qualify, the largest one
-// wins (lowest-variance estimator).
-func (h *Handler) EstimateCount(r rule.Rule) (float64, bool) {
-	t := h.store.Table()
-	bestSize, est, ok := -1, 0.0, false
-	for _, s := range h.samples {
-		if !s.Filter.SubRuleOf(r) || s.Rate() <= 0 || s.Size() <= bestSize {
-			continue
-		}
-		n := 0
-		for _, i := range s.Rows {
-			if t.Covers(r, i) {
-				n++
-			}
-		}
-		bestSize, est, ok = s.Size(), float64(n)*s.Scale(), true
-	}
-	return est, ok
 }

@@ -196,29 +196,6 @@ func TestMemoryBudgetAndEviction(t *testing.T) {
 	}
 }
 
-func TestEstimateCount(t *testing.T) {
-	tab := grid(20000, 4, 4)
-	store := storage.NewStore(tab)
-	h, err := NewHandler(store, 10000, 1000, NewTestRNG(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := h.EstimateCount(rule.Trivial(2)); ok {
-		t.Fatal("estimate without samples must report !ok")
-	}
-	if _, err := h.create(rule.Trivial(2), 5000); err != nil {
-		t.Fatal(err)
-	}
-	sub, _ := tab.EncodeRule(map[string]string{"A": "a"})
-	est, ok := h.EstimateCount(sub)
-	if !ok {
-		t.Fatal("estimate should be available")
-	}
-	if math.Abs(est-5000) > 400 {
-		t.Fatalf("estimate %g too far from 5000", est)
-	}
-}
-
 func TestCombineEstimateUnbiased(t *testing.T) {
 	// Average the Combine estimate over many RNG seeds; the mean must be
 	// close to the true count (uniformity of the deduplicated union).

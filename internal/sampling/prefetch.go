@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"math/rand"
+	"sort"
 
 	"smartdrill/internal/rule"
 )
@@ -14,10 +15,10 @@ const prefetchSlack = 1.1
 // Prefetch implements the Section 4.3 background pass: given the currently
 // displayed tree (with estimated counts and drill probabilities on its
 // leaves), compute the optimal memory allocation (the Problem 5 DP) and
-// rebuild all targeted samples in a single accounted scan, so the user's
+// rebuild all targeted samples in a single accounted walk, so the user's
 // likely next drill-down is served by Find or Combine instead of Create.
 // Existing samples whose filters keep a nonzero allocation are replaced
-// (their rows could be reused; a fresh reservoir keeps every sample exactly
+// (their rows could be reused; a fresh draw keeps every sample exactly
 // uniform). Returns the allocation used.
 func (h *Handler) Prefetch(root *TreeNode) (Allocation, error) {
 	allocMinSS := int(float64(h.MinSS) * prefetchSlack)
@@ -40,36 +41,28 @@ func (h *Handler) Prefetch(root *TreeNode) (Allocation, error) {
 	}
 	walk(root)
 
-	// Build one reservoir per allocated rule, all filled in a single scan.
-	type target struct {
-		filter rule.Rule
-		res    *reservoir
-	}
-	var targets []target
+	// One sample per allocated rule, all drawn in a single walk of the
+	// population — in key order, so that one seed gives one set of samples.
+	keys := make([]string, 0, len(alloc))
 	for key, size := range alloc {
-		f, ok := filters[key]
-		if !ok || size <= 0 {
-			continue
+		if _, ok := filters[key]; ok && size > 0 {
+			keys = append(keys, key)
 		}
-		targets = append(targets, target{filter: f, res: newReservoir(size, h.rng)})
 	}
-	if len(targets) == 0 {
+	if len(keys) == 0 {
 		return alloc, nil
 	}
-	t := h.store.Table()
-	h.store.Scan(func(i int) bool {
-		for _, tg := range targets {
-			if t.Covers(tg.filter, i) {
-				tg.res.offer(i)
-			}
-		}
-		return true
-	})
+	sort.Strings(keys)
+	targets := make([]rule.Rule, len(keys))
+	sizes := make([]int, len(keys))
+	for i, key := range keys {
+		targets[i], sizes[i] = filters[key], alloc[key]
+	}
 
 	// Replace the resident sample set with the prefetched one.
-	h.samples = make(map[string]*Sample, len(targets))
-	for _, tg := range targets {
-		s := &Sample{Filter: tg.filter, Rows: tg.res.rows, ExactCount: tg.res.seen}
+	h.resolve()
+	h.samples = make(map[string]*Sample, len(keys))
+	for _, s := range h.pop.draw(targets, sizes, h.rng) {
 		h.touch(s)
 		h.samples[s.Filter.Key()] = s
 	}

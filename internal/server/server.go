@@ -256,9 +256,9 @@ func New(cfg Config) *Server {
 // default drills are cache hits.
 //
 // What registration does not build is the table's distinct-tuple table,
-// which exact Count drills search in place of the rows: the first such
-// drill builds it (start-up stays at parse speed), and one log line says
-// how it resolved.
+// which exact Count drills search in place of the rows and sampled ones
+// draw their samples from: the first such drill builds it (start-up stays
+// at parse speed), and one log line says how it resolved.
 func (s *Server) RegisterDataset(name string, t *smartdrill.Table) {
 	t.Index().Warm()
 	t.OnDistinct(func(r table.DistinctReport) {

@@ -61,19 +61,12 @@ func (s *Store) Scan(fn func(i int) bool) { s.ScanOf(s.t, fn) }
 // distinct-tuple table Distinct returned for it. The rows read are
 // accounted either way; only a pass over the backing table is a full scan.
 func (s *Store) ScanOf(t *table.Table, fn func(i int) bool) {
-	n := t.NumRows()
-	read := int64(0)
-	for i := 0; i < n; i++ {
-		read++
-		if !fn(i) {
-			break
-		}
-	}
+	read := t.EachRow(fn)
 	s.mu.Lock()
 	if t == s.t {
 		s.fullScans++
 	}
-	s.rowsRead += read
+	s.rowsRead += int64(read)
 	s.mu.Unlock()
 }
 

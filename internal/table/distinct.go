@@ -159,6 +159,45 @@ func (t *Table) GroupRows(rows []int, limit int) (d *Table, read int) {
 	return d, n
 }
 
+// SelectWeighted returns the distinct-tuple table holding the given rows of t
+// in the given order, row k standing for mult[k] tuples — the weighted
+// table of a multiset whose distinct tuples the caller already holds apart,
+// as a sample drawn from a distinct-tuple table's rows does, so nothing is
+// hashed or compared: the rows are copied out, mult is kept (not copied),
+// and the index is built with the table as GroupRows builds it. The rows
+// must be pairwise different tuples; t may be any table. read is the rows
+// copied, for the caller to account for.
+func (t *Table) SelectWeighted(rows []int, mult []int32) (d *Table, read int) {
+	d = &Table{
+		colNames: t.colNames,
+		dicts:    t.dicts,
+		cols:     make([]column, len(t.cols)),
+		n:        len(rows),
+		mult:     mult,
+	}
+	for c := range t.cols {
+		d.cols[c] = t.cols[c].gather(rows)
+	}
+	d.Index().Warm()
+	return d, len(rows)
+}
+
+// Ranks returns the running total of a distinct-tuple table's
+// multiplicities: Ranks()[j] tuples stand before row j and Ranks()[NumRows()]
+// in all, so the tuples row j stands for are numbered Ranks()[j] up to, not
+// including, Ranks()[j+1] — the rows of the table t was grouped from, named
+// in tuple-major order. Computed by the first call and kept with the table;
+// the slice must not be modified.
+func (t *Table) Ranks() []int {
+	t.ranksOnce.Do(func() {
+		t.ranks = make([]int, t.n+1)
+		for j := 0; j < t.n; j++ {
+			t.ranks[j+1] = t.ranks[j] + t.Multiplicity(j)
+		}
+	})
+	return t.ranks
+}
+
 // sameTuple reports whether row i of a equals row j of b, column by column.
 func sameTuple(a []column, i int, b []column, j int) bool {
 	for c := range a {

@@ -299,3 +299,59 @@ func TestEquivalenceDistinctCarriedBySelect(t *testing.T) {
 		}
 	}
 }
+
+// TestEquivalenceSelectWeighted: a draw of rows from a table, named by their
+// ranks over its distinct-tuple table, run-lengthed into (tuple, times drawn)
+// pairs and copied out by SelectWeighted, is the table GroupRows makes of the
+// same rows laid out tuple by tuple — same tuples, same order, same
+// multiplicities, index built — with nothing hashed; Ranks is the running
+// total that names the rows, and EachRow the pass that stops when told.
+func TestEquivalenceSelectWeighted(t *testing.T) {
+	tab := datagen.CensusProjected(20000, 7, 5)
+	d, _ := tab.Distinct()
+	ranks := d.Ranks()
+	if len(ranks) != d.NumRows()+1 || ranks[0] != 0 || ranks[d.NumRows()] != tab.NumRows() {
+		t.Fatalf("%d ranks from %d to %d for %d tuples of %d rows", len(ranks), ranks[0], ranks[len(ranks)-1], d.NumRows(), tab.NumRows())
+	}
+	// One row of the table equal to each distinct tuple.
+	first := make(map[string]int, d.NumRows())
+	for i := tab.NumRows() - 1; i >= 0; i-- {
+		first[tupleKey(tab, i)] = i
+	}
+	rng := rand.New(rand.NewSource(41))
+	var tuples, laidOut []int
+	var mult []int32
+	for j := 0; j < d.NumRows(); j++ {
+		if ranks[j+1]-ranks[j] != d.Multiplicity(j) {
+			t.Fatalf("tuple %d spans ranks %d to %d with multiplicity %d", j, ranks[j], ranks[j+1], d.Multiplicity(j))
+		}
+		if m := rng.Intn(d.Multiplicity(j) + 1); m > 0 {
+			tuples, mult = append(tuples, j), append(mult, int32(m))
+			for ; m > 0; m-- {
+				laidOut = append(laidOut, first[tupleKey(d, j)])
+			}
+		}
+	}
+	got, read := d.SelectWeighted(tuples, mult)
+	want, _ := tab.GroupRows(laidOut, len(laidOut))
+	if read != len(tuples) || !got.Weighted() || got.All().NumTuples() != len(laidOut) {
+		t.Fatalf("%d rows copied for %d tuples standing for %d rows of %d", read, len(tuples), got.All().NumTuples(), len(laidOut))
+	}
+	requireSameDistinct(t, "SelectWeighted", got, want)
+	for c := 0; c < got.NumCols(); c++ {
+		if got.Dict(c) != tab.Dict(c) || !got.Index().ColumnBuilt(c) {
+			t.Fatalf("column %d: a dictionary of its own, or its index left unbuilt", c)
+		}
+	}
+	if empty, read := d.SelectWeighted(nil, []int32{}); read != 0 || empty.NumRows() != 0 || !empty.Weighted() {
+		t.Fatalf("no rows selected: %d read into a table of %d, weighted %v", read, empty.NumRows(), empty.Weighted())
+	}
+
+	seen := 0
+	if read := d.EachRow(func(i int) bool { seen++; return i < 9 }); read != 10 || seen != 10 {
+		t.Fatalf("a pass stopped at row 9 offered %d rows to %d calls", read, seen)
+	}
+	if read := d.EachRow(func(int) bool { return true }); read != d.NumRows() {
+		t.Fatalf("a whole pass offered %d of %d rows", read, d.NumRows())
+	}
+}

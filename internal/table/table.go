@@ -97,6 +97,10 @@ type Table struct {
 	// mult is a distinct-tuple table's multiplicity per row (see Distinct);
 	// nil on an ordinary table, where every row is one tuple.
 	mult []int32
+
+	// ranks memoises Ranks, the running total of mult.
+	ranksOnce sync.Once
+	ranks     []int
 }
 
 // NumRows returns the number of tuples.
@@ -190,6 +194,19 @@ func (t *Table) MeasureMass(m int) float64 {
 		}
 	})
 	return t.mass[m]
+}
+
+// EachRow calls fn for every row index of t in order until fn returns false
+// and returns the number of rows it offered: the pass itself, which books
+// nothing — the caller accounts for read (storage.Store.ScanOf does).
+func (t *Table) EachRow(fn func(i int) bool) (read int) {
+	for i := 0; i < t.n; i++ {
+		read++
+		if !fn(i) {
+			break
+		}
+	}
+	return read
 }
 
 // Covers reports whether rule r covers row i, without materializing the row.

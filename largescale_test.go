@@ -9,15 +9,20 @@ package smartdrill
 // table that does not compress costs. This one does — a million census rows
 // over seven columns are some fifteen thousand distinct tuples — and an
 // exact Count drill through the engine searches those (docs/ARCHITECTURE.md,
-// "The distinct-tuple table"). So does the sampled drill, over its sample's
-// own distinct tuples (some 1 300 of its 5 000 rows): its search is a
-// millisecond or two, and what is left of it is the pass over the million
-// rows that draws the sample — about 35 ms where it was 57, under half of the
-// exact drill that builds the table's distinct tuples, and still above a
-// later exact drill at this configured mw (about 20 ms, unprobed), which has
-// no pass to make. The test logs all three, and asserts nothing about their
-// order. Sampling earns its keep on tables whose rows do not repeat, and for
-// Sum.
+// "The distinct-tuple table"). The sampled session draws its samples from
+// them too (docs/ARCHITECTURE.md, "A sample is drawn from the tuples"): a
+// Create walks the fifteen thousand distinct tuples, not the million rows, and
+// hands the search a table of the sample's own distinct tuples (some 1 300
+// for its 5 000 rows at the root, one or two hundred under a child). The
+// sampled root drill is about 12 ms where the pass over the rows made it 35,
+// a Create below it a millisecond or two where it was over twenty; a later
+// exact root drill at this configured mw is about 16–20 ms, unprobed. The
+// test logs them, with each Create's count and its rows and distinct tuples
+// drawn, and asserts nothing about their order — only that no part of the
+// sampled session, its refinement included, passes over the table's rows.
+// Sampling still earns its keep where it reads far less than the exact path
+// would: on tables whose rows do not repeat, and for Sum, both of which draw
+// rows as before.
 // The table and its warmed index must fit in 16 MiB (they were 57). The same
 // table then goes out through WriteCSV and back in through the
 // ingest pipeline, which must reproduce it cell for cell. Generating and
@@ -129,8 +134,40 @@ func TestMillionRowInteractiveLatency(t *testing.T) {
 	}
 	t.Logf("1M rows: provisional in %s, exact BRS over the rows %s (%.0fx), %d rules refined",
 		provDur, exactDur, exactDur.Seconds()/provDur.Seconds(), len(e.Root().Children))
-	t.Logf("1M rows: sampled drill over its sample's distinct tuples %s; exact drill through the engine %s building the table's, %s after",
+	t.Logf("1M rows: sampled root drill, its sample drawn from the distinct tuples, %s; exact drill through the engine %s building them, %s after",
 		provDur, engineDur[0], engineDur[1])
+
+	// Below the root: each child's sample is a draw over the distinct tuples
+	// its rule covers, and a sample served again is read nothing.
+	h := e.s.Handler()
+	for _, n := range e.Root().Children {
+		if n.Rule.Size() == tab.NumCols() {
+			continue
+		}
+		start = time.Now()
+		v, err := h.GetSample(n.Rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		createDur := time.Since(start)
+		start = time.Now()
+		if err := e.DrillDown(n); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("1M rows: %v (count %.0f): sample by %s in %s, %d rows in %d distinct tuples; drill on it (%s) in %s, %d rows scanned",
+			n.Rule, n.Count, v.Method, createDur, v.Tab.NumTuples(), v.Tab.NumRows(), e.LastAccessMethod(), time.Since(start), e.LastSearchStats().RowsScanned)
+		if v.Method.String() != "Create" || e.LastAccessMethod() != "Find" || !v.Tab.Table().Weighted() {
+			t.Fatalf("rule %v: sample by %s, then drilled by %s, weighted %v", n.Rule, v.Method, e.LastAccessMethod(), v.Tab.Table().Weighted())
+		}
+		if again, _ := h.GetSample(n.Rule); again.Copied() != 0 || again.Tab != v.Tab {
+			t.Fatalf("rule %v: a sample served again copied %d rows", n.Rule, again.Copied())
+		}
+	}
+	// The distinct table existed before the session did: nothing it has done
+	// — Creates, drills, re-serves, refinement — passed over the rows.
+	if st := e.s.Store().Stats(); st.FullScans != 0 {
+		t.Errorf("the sampled session passed over the table's rows %d times", st.FullScans)
+	}
 
 	// CSV round trip at the same scale: the pipeline assigns every value
 	// the id the generator's row-by-row Builder did.

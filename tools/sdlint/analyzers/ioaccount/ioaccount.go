@@ -66,18 +66,21 @@ var statsFields = map[class][]string{
 // qualify) to the I/O classes the callee performs: the ways the engine
 // touches table data.
 var rawOps = map[string][]class{
-	"table.Index.Container":   {postings, bitmap}, // hands out a value's one container: its posting list if sparse, its bitset if dense
-	"table.Index.Postings":    {postings},         // hands out the raw posting list (a dense value's decoded from its bitset)
-	"table.Index.Lookup":      {postings},         // metered kernel: returns postingsRead, bitset words included
-	"table.View.EachInAll":    {postings, bitmap}, // metered kernel: returns entries read and words read (probes, and a dense driver's set bits)
-	"table.Index.Bitmap":      {bitmap},           // hands out the raw bitset
-	"table..AndCount":         {bitmap},           // metered kernel: returns wordsRead
-	"table..AndEach":          {bitmap},           // metered kernel: returns wordsRead
-	"table.View.Refine":       {rowscan},          // full scan of the view's rows
-	"table.Table.GroupRows":   {rowscan},          // metered grouping pass: returns the rows it read
-	"table.Table.Distinct":    {rowscan},          // GroupRows memoised per table: returns the rows its one pass read (0 once resolved)
-	"sampling.View.Tuples":    {rowscan},          // GroupRows memoised per sample: returns the sample rows it read (0 once grouped)
-	"brs.runner.parallelRows": {rowscan},          // chunked row fan-out of a counting pass
+	"table.Index.Container":      {postings, bitmap}, // hands out a value's one container: its posting list if sparse, its bitset if dense
+	"table.Index.Postings":       {postings},         // hands out the raw posting list (a dense value's decoded from its bitset)
+	"table.Index.Lookup":         {postings},         // metered kernel: returns postingsRead, bitset words included
+	"table.View.EachInAll":       {postings, bitmap}, // metered kernel: returns entries read and words read (probes, and a dense driver's set bits)
+	"table.Index.Bitmap":         {bitmap},           // hands out the raw bitset
+	"table..AndCount":            {bitmap},           // metered kernel: returns wordsRead
+	"table..AndEach":             {bitmap},           // metered kernel: returns wordsRead
+	"table.View.Refine":          {rowscan},          // full scan of the view's rows
+	"table.Table.EachRow":        {rowscan},          // the pass itself — over the table, or over its distinct tuples when a sample is drawn from them: returns the rows it offered
+	"table.Table.SelectWeighted": {rowscan},          // hash-free weighted-table builder: returns the rows it copied
+	"table.Table.GroupRows":      {rowscan},          // metered grouping pass: returns the rows it read
+	"table.Table.Distinct":       {rowscan},          // GroupRows memoised per table: returns the rows its one pass read (0 once resolved)
+	"sampling.View.Tuples":       {rowscan},          // GroupRows memoised per sample: returns the sample rows it read (0 once grouped)
+	"sampling.View.Copied":       {rowscan},          // SelectWeighted memoised per tuple sample: the distinct-table rows this serve copied (0 once built)
+	"brs.runner.parallelRows":    {rowscan},          // chunked row fan-out of a counting pass
 }
 
 // exemptCallees perform no data-plane I/O despite living next to it:

@@ -7,6 +7,23 @@ import "table"
 type Store struct {
 	ix            *table.Index
 	indexRowsRead int64
+	rowsRead      int64
+}
+
+// ScanOf is the accounted walk: over the rows, or over the distinct tuples
+// a sample is drawn from.
+func (s *Store) ScanOf(t *table.Table, fn func(i int) bool) {
+	read := t.EachRow(fn)
+	s.rowsRead += int64(read)
+}
+
+func (s *Store) scanUnbooked(t *table.Table, fn func(i int) bool) {
+	t.EachRow(fn) // want "table.Table.EachRow reads rows but this function never adds to Stats.RowsScanned"
+}
+
+func (s *Store) copyUnbooked(t *table.Table) *table.Table {
+	d, _ := t.SelectWeighted(nil, nil) // want "table.Table.SelectWeighted reads rows but this function never adds to Stats.RowsScanned"
+	return d
 }
 
 func (s *Store) FilterRows(r int) []int {

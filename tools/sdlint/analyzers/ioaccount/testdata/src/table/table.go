@@ -13,6 +13,11 @@ func (ix *Index) PostingsLen(col, val int) int              { return 0 }
 func (ix *Index) Bitmap(col, val int) *Bitset               { return nil }
 func (ix *Index) Lookup(r int) ([]int, int64)               { return nil, 0 }
 
+type Table struct{}
+
+func (t *Table) EachRow(fn func(i int) bool) int                       { return 0 }
+func (t *Table) SelectWeighted(rows []int, mult []int32) (*Table, int) { return nil, 0 }
+
 type View struct{}
 
 func (v *View) EachInAll(lists [][]int32, fn func(pos, row int), bits ...*Bitset) (int64, int64) {
