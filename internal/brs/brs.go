@@ -14,8 +14,9 @@
 // result-preserving:
 //
 //   - Packed candidate identity: candidates are deduplicated, looked up,
-//     and ordered by a fixed-size rule.PackedKey instead of heap-allocated
-//     Rule.Key() strings, so the inner loops never allocate per candidate.
+//     and — where a tie has to be broken — ordered by a fixed-size
+//     rule.PackedKey instead of heap-allocated Rule.Key() strings, so the
+//     inner loops never allocate per candidate.
 //
 //   - Cross-step reuse with lazy marginals: candidate aggregate masses are
 //     invariant across the K greedy steps, and because Score is submodular
@@ -485,9 +486,9 @@ func (c *cand) key() string {
 	return c.skey
 }
 
-// candLess orders candidates identically to the old string-key order:
-// packed keys compare in Rule.Key() byte order by construction, so the two
-// representations sort consistently even when mixed.
+// candLess is the order that breaks a tie within a level (findBestMarginal):
+// Rule.Key() byte order, which packed keys compare in by construction, so
+// the two representations order consistently even when mixed.
 func candLess(a, b *cand) bool {
 	if a.packed && b.packed {
 		return a.pk.Compare(b.pk) < 0
@@ -497,8 +498,8 @@ func candLess(a, b *cand) bool {
 
 // candStore is the run-wide candidate registry (C in Algorithm 2, hoisted
 // out of the per-step procedure so steps 2..K reuse step 1's counting
-// work). counted lists counted candidates in counting order, for the next
-// step's refresh to rank.
+// work). counted lists counted candidates in counting order — level by
+// level, each level in merge order — for the next step's refresh to rank.
 type candStore struct {
 	packed  map[rule.PackedKey]*cand
 	over    map[string]*cand // candidates too deep for a packed key
@@ -559,20 +560,28 @@ func (rn *runner) findBestMarginal() *cand {
 	}
 	step := rn.step()
 
-	// The winner is the first candidate, in level-then-key order, to reach
-	// the step's maximum marginal. Stale candidates never do (refreshStale
+	// The winner is the candidate holding the step's maximum marginal. A tie
+	// goes to the earlier level; within level 1 to the earlier in its list
+	// (column, then value id); within a deeper level — merged, not sorted, so
+	// its list order only says which parent reached a rule first — to the
+	// smaller key (candLess). Stale candidates never win (refreshStale
 	// re-measured every one that could); they ride along as survivors.
 	var best *cand
-	consider := func(c *cand) {
+	bestLevel := 0
+	consider := func(c *cand, level int) {
 		if c.asOf != step {
 			rn.stats.CandidatesReused++
 			return
 		}
-		if best == nil || c.marginal > best.marginal {
-			best = c
-			if c.marginal > H {
-				H = c.marginal
-			}
+		switch {
+		case best == nil || c.marginal > best.marginal:
+		case level >= 2 && level == bestLevel && c.marginal == best.marginal && candLess(c, best):
+		default:
+			return
+		}
+		best, bestLevel = c, level
+		if c.marginal > H {
+			H = c.marginal
 		}
 	}
 
@@ -582,7 +591,7 @@ func (rn *runner) findBestMarginal() *cand {
 		rn.level1 = rn.countLevelOne()
 	}
 	for _, c := range rn.level1 {
-		consider(c)
+		consider(c, 1)
 	}
 
 	// Levels 2..: generate super-rules of the previous level's candidates
@@ -630,7 +639,7 @@ func (rn *runner) findBestMarginal() *cand {
 			rn.countCandidates(toCount)
 		}
 		for _, c := range survivors {
-			consider(c)
+			consider(c, level)
 		}
 		prev = survivors
 	}
@@ -701,7 +710,10 @@ const refreshBatch = 32
 // descending order of their stale marginal, until the best fresh marginal
 // matches or beats every stale one left. It continues through equality so
 // that each candidate tied for the maximum is fresh and the level-then-key
-// tie-break of findBestMarginal sees them all. A candidate whose stale
+// tie-break of findBestMarginal sees them all — which is also why it does
+// not matter that candidates of equal stale marginal stand here in merge
+// order, and a batch boundary may fall between any two of them: the loop
+// ends only past the last one that could tie. A candidate whose stale
 // marginal is not positive can never be selected and is left alone. The
 // best fresh marginal (−Inf when nothing was refreshed) is returned as the
 // step's opening threshold H.
@@ -1008,7 +1020,14 @@ func (rn *runner) buildCandIndex(cands []*cand) candIndex {
 }
 
 // generateCandidates builds the next level: every one-column extension of
-// a previous-level candidate with a value that co-occurs in the data.
+// a previous-level candidate with a value that co-occurs in the data, in
+// merge order — prev's parents in order, each one's children by (column,
+// value id), a rule listed where its first parent reaches it. The level is
+// not sorted: nothing reads its order but the merge of the next level, and
+// the one thing a sort decided, which of two equal marginals wins a step,
+// findBestMarginal decides by comparing the two keys (lazy greedy needs the
+// maximum, not a ranking). prev is itself a level-1 list or a filtered merge,
+// so the order is a function of the view alone — no map is iterated.
 // Extension sets are step-invariant (they depend only on the view's rows),
 // so each parent's supported children are discovered once (expandParents)
 // and merged from the cache on later steps — a greedy step only pays a
@@ -1048,19 +1067,11 @@ func (rn *runner) generateCandidates(prev []*cand, H float64) []*cand {
 			next = append(next, ch)
 			if len(next) >= rn.maxCand {
 				rn.stats.CandidateCapHit = true
-				sortCands(next)
 				return next
 			}
 		}
 	}
-	sortCands(next)
 	return next
-}
-
-// sortCands orders candidates deterministically (packed-key order, which
-// equals Rule.Key() order) so ties in marginal value resolve stably.
-func sortCands(cands []*cand) {
-	sort.Slice(cands, func(i, j int) bool { return candLess(cands[i], cands[j]) })
 }
 
 // expandParents discovers, in one pass, every supported one-column

@@ -278,6 +278,65 @@ func TestEquivalenceRefreshThroughTies(t *testing.T) {
 	}
 }
 
+// TestEquivalenceTiesAcrossParents: a level is merged from its parents'
+// child lists and never sorted, so where a rule stands in it says which
+// parent reached it first and nothing else; of two rules of one level tied
+// for a step's maximum the smaller key wins wherever they stand. Over columns
+// A, B, C, D, X = (a1,b1,?,?) and Y = (?,?,c2,d2) cover 30 rows each and tie
+// step 1 at 60; P = (a3,b3,c3,?) and Q = (?,b4,c4,d4) cover 15 each and tie
+// step 3 at 45 (as cached candidates: step 1 counted both). X and P are the
+// first of their levels — their parents hang under column A — and Y and Q
+// the smaller keys, a star sorting before every value id but 0. With the
+// columns in the order D, C, B, A the same rules are reached the other way
+// round, and it is X and P that start with a star.
+func TestEquivalenceTiesAcrossParents(t *testing.T) {
+	groups := []group{
+		{cells: []string{"a0", "b0", "c0", "d0"}, n: 1}, // takes value id 0 of every column
+		{cells: []string{"a1", "b1", "c#", "d#"}, n: 30},
+		{cells: []string{"a#", "b#", "c2", "d2"}, n: 30},
+		{cells: []string{"a3", "b3", "c3", "d#"}, n: 15},
+		{cells: []string{"a#", "b4", "c4", "d4"}, n: 15},
+	}
+	x := map[string]string{"A": "a1", "B": "b1"}
+	y := map[string]string{"C": "c2", "D": "d2"}
+	p := map[string]string{"A": "a3", "B": "b3", "C": "c3"}
+	q := map[string]string{"B": "b4", "C": "c4", "D": "d4"}
+	cases := []struct {
+		name string
+		cols []string
+		want []map[string]string
+	}{
+		{"ABCD", []string{"A", "B", "C", "D"}, []map[string]string{y, x, q, p}},
+		{"DCBA", []string{"D", "C", "B", "A"}, []map[string]string{x, y, p, q}},
+	}
+	w := weight.NewSize(4)
+	for _, tc := range cases {
+		ordered := make([]group, len(groups))
+		for i, g := range groups {
+			ordered[i] = g
+			if tc.cols[0] == "D" {
+				ordered[i].cells = []string{g.cells[3], g.cells[2], g.cells[1], g.cells[0]}
+			}
+		}
+		for _, warm := range []bool{true, false} {
+			tab := groupTable(tc.cols, ordered...)
+			if warm {
+				tab.Index().Warm()
+			}
+			label := fmt.Sprintf("%s warm=%v", tc.name, warm)
+			// Each step's winner has the smaller key and is not the rule a
+			// parent of the first column reaches.
+			for i := 0; i < len(tc.want); i += 2 {
+				win, lose := mustRule(t, tab, tc.want[i]), mustRule(t, tab, tc.want[i+1])
+				if win.Key() >= lose.Key() || win[0] != rule.Star || lose[0] == rule.Star {
+					t.Fatalf("%s: fixture: %v must sort before %v and leave the first column starred", label, win, lose)
+				}
+			}
+			sameStreams(t, label, tab, w, Options{}, tc.want)
+		}
+	}
+}
+
 // TestFusedChildExistsBySight: under Sum an extension can cover rows whose
 // masses sum to nothing (SumAgg clamps negative measures to zero). It is
 // still a candidate — Reference marks the values it sees, not the masses —

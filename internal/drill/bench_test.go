@@ -1,0 +1,79 @@
+package drill
+
+import (
+	"testing"
+
+	"smartdrill/internal/brs"
+	"smartdrill/internal/datagen"
+	"smartdrill/internal/table"
+	"smartdrill/internal/weight"
+)
+
+// The three readings of an exact root drill, on the benchmark's own table
+// (bench/drillload: census, 100 000 rows × 7 columns, generator seed 7) at
+// K 3 under Size weighting: the drill as a session runs it with the answer
+// cache off, and its two parts — the Section 6.1 probe over the table's row
+// view, and the search over the table's distinct tuples at the weighter's
+// bound, which is the mw the probe's estimate comes to on this table.
+//
+//	go test -run '^$' -bench 'ExactRootDrill|EstimateMaxWeight|RootSearch' -benchtime 50x ./internal/drill/
+
+const benchK = 3
+
+func benchCensus() *table.Table { return datagen.CensusProjected(100_000, 7, 7) }
+
+var benchSink float64
+
+func BenchmarkExactRootDrill(b *testing.B) {
+	s, err := NewSession(benchCensus(), Config{K: benchK, DisableCache: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The first drill builds the table's distinct tuples; every later one
+	// finds them there.
+	if err := s.Expand(s.Root()); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Collapse(s.Root())
+		if err := s.Expand(s.Root()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.Logf("drill stats %+v", s.LastStats)
+}
+
+func BenchmarkEstimateMaxWeight(b *testing.B) {
+	tab := benchCensus()
+	w := weight.NewSize(tab.NumCols())
+	all := tab.All()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = EstimateMaxWeight(all, w, benchK, 1)
+	}
+	b.StopTimer()
+	b.Logf("estimate %g, weighter's bound %g", benchSink, w.MaxWeight(tab.NumCols()))
+}
+
+func BenchmarkRootSearch(b *testing.B) {
+	tab := benchCensus()
+	w := weight.NewSize(tab.NumCols())
+	d, _ := tab.Distinct()
+	if d == nil {
+		b.Fatal("census does not compress")
+	}
+	all := d.All()
+	var stats brs.Stats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, st, err := brs.Run(all, w, brs.Options{K: benchK})
+		if err != nil || len(res) != benchK {
+			b.Fatalf("root search: %d rules, err %v", len(res), err)
+		}
+		stats = st
+	}
+	b.StopTimer()
+	b.Logf("%d distinct tuples, search stats %+v", d.NumRows(), stats)
+}

@@ -136,6 +136,9 @@ type Session struct {
 	LastMethod string
 	// LastStats holds the BRS statistics of the most recent expansion.
 	LastStats brs.Stats
+	// LastPhases times the most recent expansion's resolve, mw probe and
+	// search; zero when the answer cache served it.
+	LastPhases search.Phases
 	// TotalStats accumulates BRS statistics across every expansion of the
 	// session — repeated drill-downs share the dataset's warmed posting
 	// lists, so TotalStats.CandidatesReused and .PostingsRead measure how
@@ -395,6 +398,7 @@ func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter, kind s
 		}
 	}
 	resp, err := s.svc.Run(ctx, req)
+	s.LastPhases = resp.Phases
 	if resp.Cached {
 		// The view was never resolved: the expansion is a clone of a
 		// completed identical search.
@@ -587,10 +591,17 @@ func (s *Session) exactView(t *table.Table, r rule.Rule) *table.View {
 // too varied for their grouping to be worth having, which only grouping them
 // finds out.
 func (s *Session) groupable(w weight.Weighter, rows int) bool {
-	const exactInts = 1 << 53 // float64 holds every integer below it
 	_, count := s.cfg.Agg.(score.CountAgg)
-	return count && !s.rowPath && weight.Integral(w) &&
-		w.MaxWeight(s.tab.NumCols())*float64(rows) < exactInts
+	return count && !s.rowPath && exactGrouped(w, s.tab.NumCols(), rows)
+}
+
+// exactGrouped reports whether a Count search under w over rows tuples of
+// cols columns adds the same floats however the tuples are grouped: integer
+// weights (weight.Integral), small enough for every product and sum to be
+// exact.
+func exactGrouped(w weight.Weighter, cols, rows int) bool {
+	const exactInts = 1 << 53 // float64 holds every integer below it
+	return weight.Integral(w) && w.MaxWeight(cols)*float64(rows) < exactInts
 }
 
 // exactTable picks what an exact expansion under w reads, and under the
@@ -853,8 +864,9 @@ const probeSize = 2000
 
 // EstimateMaxWeight implements the Section 6.1 heuristic for mw: run BRS on
 // a small sample with an unbounded mw, observe the maximum selected weight
-// x, and return 2x to absorb sampling error. k must be the number of rules
-// the caller will actually request — probing with a different k skews the
+// x, and return 2x to absorb sampling error — or the weighter's bound, which
+// is "no bound", where 2x reaches it. k must be the number of rules the
+// caller will actually request — probing with a different k skews the
 // estimate toward the weights of a differently-sized rule list.
 func EstimateMaxWeight(v *table.View, w weight.Weighter, k int, seed int64) float64 {
 	return estimateMaxWeight(context.Background(), v, w, k, seed)
@@ -868,44 +880,62 @@ func EstimateMaxWeight(v *table.View, w weight.Weighter, k int, seed int64) floa
 // A view no larger than the probe would be its own sample: the unbounded
 // search would run once to choose mw and again, bounded, to re-pick the
 // same rules. Such a view is searched once, at the weighter's bound.
+//
+// The probe asks one thing of its search — the heaviest weight among k
+// greedy picks, doubled and capped at the bound — so it takes the picks as
+// the search makes them and stops at the first that settles the answer: one
+// weighing half the bound or more. Twice the heaviest then reaches the
+// bound whatever the remaining picks weigh, and the bound is what any
+// larger estimate is clamped to before a search reads it (brs.newRunner).
 func estimateMaxWeight(ctx context.Context, v *table.View, w weight.Weighter, k int, seed int64) float64 {
 	top := w.MaxWeight(v.NumCols())
 	if v.NumRows() <= probeSize {
 		return top
 	}
-	results, _, err := brs.RunCtx(ctx, probeView(v, sampling.NewTestRNG(seed)), w, brs.Options{K: k, MaxWeight: top})
-	if err != nil {
-		return top
-	}
 	maxW := 0.0
-	for _, r := range results {
+	_, err := brs.RunIncrementalCtx(ctx, probeView(v, w, sampling.NewTestRNG(seed)), w, brs.Options{K: k, MaxWeight: top}, k, time.Time{}, func(r brs.Result) bool {
 		maxW = math.Max(maxW, r.Weight)
-	}
-	if maxW == 0 {
+		return 2*maxW < top
+	})
+	if err != nil || maxW == 0 || 2*maxW >= top {
 		return top
 	}
 	return 2 * maxW
 }
 
 // probeView draws the probe's probeSize tuples from v uniformly with
-// replacement. From a view of rows that is a view of the drawn rows. From a
-// view of distinct tuples with multiplicities — a sample born grouped — a
-// tuple is drawn with probability proportional to its multiplicity, which is
-// drawing among the rows it stands for, and the draws are handed to the
-// search tallied: each drawn tuple once, in the order first drawn, standing
-// for the number of times it was.
-func probeView(v *table.View, rng *rand.Rand) *table.View {
-	if !v.Table().Weighted() {
-		positions := make([]int, probeSize)
-		for i := range positions {
-			positions[i] = rng.Intn(v.NumRows())
+// replacement and hands them to the search under w tallied: each drawn tuple
+// once, in the order first drawn, standing for the number of times it was —
+// a weighted table with its index built, which the search reads in one pass
+// where the draws laid out row by row, an unsorted view no index kernel
+// applies to, cost it a scan per level. From a view of rows the drawn rows
+// are grouped (Table.GroupRows, the one grouping routine). From a view of
+// distinct tuples with multiplicities — a sample born grouped — a tuple is
+// drawn with probability proportional to its multiplicity, which is drawing
+// among the rows it stands for, and the draws are tallied as they come. The
+// search's answer is bit for bit the rows' wherever exactGrouped holds;
+// elsewhere — fractional weights — the probe keeps the view of the drawn rows.
+func probeView(v *table.View, w weight.Weighter, rng *rand.Rand) *table.View {
+	t := v.Table()
+	if !t.Weighted() {
+		rows := make([]int, probeSize) // view positions, then the table rows at them
+		for i := range rows {
+			rows[i] = rng.Intn(v.NumRows())
 		}
-		return v.Subset(positions)
+		if !exactGrouped(w, v.NumCols(), probeSize) {
+			return v.Subset(rows)
+		}
+		for i, pos := range rows {
+			rows[i] = v.ParentRow(pos)
+		}
+		//sdlint:allow ioaccount the probe's reads are not booked: its search's brs.Stats are dropped too
+		tally, _ := t.GroupRows(rows, probeSize)
+		return tally.All()
 	}
 	// cum[i] is the number of tuples standing before view position i.
 	cum := make([]int, v.NumRows()+1)
 	for i := 0; i < v.NumRows(); i++ {
-		cum[i+1] = cum[i] + v.Table().Multiplicity(v.ParentRow(i))
+		cum[i+1] = cum[i] + t.Multiplicity(v.ParentRow(i))
 	}
 	var rows []int
 	var times []int32
@@ -923,6 +953,6 @@ func probeView(v *table.View, rng *rand.Rand) *table.View {
 		times[at]++
 	}
 	//sdlint:allow ioaccount the probe's reads are not booked: its search's brs.Stats are dropped too
-	tally, _ := v.Table().SelectWeighted(rows, times)
+	tally, _ := t.SelectWeighted(rows, times)
 	return tally.All()
 }

@@ -1,0 +1,220 @@
+package drill
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"os"
+	"testing"
+	"time"
+
+	"smartdrill/internal/brs"
+	"smartdrill/internal/datagen"
+	"smartdrill/internal/sampling"
+	"smartdrill/internal/table"
+	"smartdrill/internal/weight"
+)
+
+// The mw probe searches its draws tallied and stops at the pick that settles
+// its answer. Both are ways of doing the work, not of changing it: the
+// estimate must be the one Section 6.1 written out literally gives — the
+// drawn rows laid out as a view, a batch search for k rules, twice the
+// heaviest — once that is clamped to the weighter's bound as every search
+// clamps its mw.
+
+// literalDraws draws the probe's positions as Section 6.1's sample: probeSize
+// uniform draws with replacement from v's rows.
+func literalDraws(v *table.View, seed int64) []int {
+	rng := sampling.NewTestRNG(seed)
+	positions := make([]int, probeSize)
+	for i := range positions {
+		positions[i] = rng.Intn(v.NumRows())
+	}
+	return positions
+}
+
+// literalEstimate is Section 6.1 as written, clamped: a batch search for k
+// rules, unbounded, over the drawn rows; twice the heaviest weight selected;
+// the weighter's bound where that reaches it or nothing was selected.
+func literalEstimate(t *testing.T, v *table.View, w weight.Weighter, k int, seed int64) float64 {
+	t.Helper()
+	top := w.MaxWeight(v.NumCols())
+	results, _, err := brs.RunCtx(context.Background(), v.Subset(literalDraws(v, seed)), w, brs.Options{K: k, MaxWeight: top})
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxW := 0.0
+	for _, r := range results {
+		maxW = math.Max(maxW, r.Weight)
+	}
+	if maxW == 0 || 2*maxW >= top {
+		return top
+	}
+	return 2 * maxW
+}
+
+// TestEquivalenceProbeTally holds the probe to the literal Section 6.1 over
+// tables × weighters × k × seeds, and its early stop to the pick that settles
+// the estimate: the probe crosses exactly the pass boundaries of a search of
+// its view that is asked for as many rules as it takes to reach a pick of
+// half the bound — all k where none does.
+func TestEquivalenceProbeTally(t *testing.T) {
+	type fixture struct {
+		name  string
+		tab   *table.Table
+		seeds []int64
+	}
+	fixtures := []fixture{
+		{"census20kx5", datagen.CensusProjected(20_000, 5, 3), []int64{1, 2}},
+		{"census20kx7", datagen.CensusProjected(20_000, 7, 3), []int64{1, 2}},
+		{"storesales", datagen.StoreSales(42), []int64{1, 2}},
+		{"mwSensitive", mwSensitiveTable(), []int64{1}}, // light picks: the estimate binds
+	}
+	if os.Getenv("SMARTDRILL_LARGE") != "" {
+		// The gated run: five seeds, and the wide tables, where one literal
+		// probe is seconds and two seeds are twenty minutes.
+		for i := range fixtures {
+			fixtures[i].seeds = []int64{1, 2, 3, 4, 5}
+		}
+		fixtures = append(fixtures,
+			fixture{"census20kx10", datagen.CensusProjected(20_000, 10, 3), []int64{1, 2}},
+			fixture{"marketing3000", datagen.Marketing(3000, 1), []int64{1, 2}})
+	}
+	// What the matrix must exercise to mean anything: an estimate that binds,
+	// one settled by a pick that is not the last, and one settled at equality.
+	var bound, settledEarly, settledAtEquality bool
+	for _, fx := range fixtures {
+		start := time.Now()
+		v := fx.tab.All()
+		cols := fx.tab.NumCols()
+		weighters := []weight.Weighter{
+			weight.NewSize(cols),
+			weight.BitsFor(fx.tab),
+			weight.SizeMinusOne{},
+			weight.StarConstraint{Inner: weight.NewSize(cols), Column: 1},
+			weight.Scaled{Factor: 0.5, Inner: weight.NewSize(cols)}, // fractional: the row path
+		}
+		for _, w := range weighters {
+			top := w.MaxWeight(cols)
+			for _, k := range []int{1, 3, 10} {
+				for _, seed := range fx.seeds {
+					label := fmt.Sprintf("%s/%s/k%d/seed%d", fx.name, w.Name(), k, seed)
+					want := literalEstimate(t, v, w, k, seed)
+					polled := &pollCtx{Context: context.Background()}
+					if got := estimateMaxWeight(polled, v, w, k, seed); got != want {
+						t.Fatalf("%s: estimate %v, literal Section 6.1 %v (bound %v)", label, got, want, top)
+					}
+
+					// The picks of a full search of the probe's own view, in
+					// selection order, say which one settles the estimate.
+					probe := probeView(v, w, sampling.NewTestRNG(seed))
+					if weighted := probe.Table().Weighted(); weighted != weight.Integral(w) {
+						t.Fatalf("%s: probe view tallied %v under a weighter with integral %v", label, weighted, weight.Integral(w))
+					}
+					opts := brs.Options{K: k, MaxWeight: top}
+					var picks []float64
+					if _, err := brs.RunIncremental(probe, w, opts, k, time.Time{}, func(r brs.Result) bool {
+						picks = append(picks, r.Weight)
+						return true
+					}); err != nil {
+						t.Fatal(err)
+					}
+					settles, settled := len(picks), false // rules the probe's search has to find
+					for i, weight := range picks {
+						if 2*weight >= top {
+							settles, settled = i+1, true
+							settledEarly = settledEarly || settles < len(picks)
+							settledAtEquality = settledAtEquality || (2*weight == top && settles < len(picks))
+							break
+						}
+					}
+					if settled != (want == top) {
+						t.Fatalf("%s: picks %v settle the estimate: %v, yet the literal estimate is %v of %v", label, picks, settled, want, top)
+					}
+					bound = bound || want < top
+					limited := &pollCtx{Context: context.Background()}
+					if _, err := brs.RunIncrementalCtx(limited, probe, w, opts, settles, time.Time{}, func(brs.Result) bool { return true }); err != nil {
+						t.Fatal(err)
+					}
+					if got, want := polled.polls.Load(), limited.polls.Load(); got != want {
+						t.Fatalf("%s: the probe crossed %d pass boundaries, a search for the %d of %d picks %v that settle it crosses %d",
+							label, got, settles, len(picks), picks, want)
+					}
+				}
+			}
+		}
+		t.Logf("%s: %d seeds in %v", fx.name, len(fx.seeds), time.Since(start).Round(time.Millisecond))
+	}
+	if !bound || !settledEarly || !settledAtEquality {
+		t.Fatalf("the matrix is too tame: estimate below the bound %v, settled before the last pick %v, at exactly half the bound %v",
+			bound, settledEarly, settledAtEquality)
+	}
+}
+
+// TestProbeTallyIsTheDraws: the probe's view under integer weights is the
+// literal draws and nothing else — the same tuples, first drawn in the same
+// order, each standing for the number of times it was drawn — from the whole
+// table and from a view whose positions are not table rows.
+func TestProbeTallyIsTheDraws(t *testing.T) {
+	tab := datagen.CensusProjected(20_000, 7, 3)
+	var odd []int
+	for i := 1; i < tab.NumRows(); i += 2 {
+		odd = append(odd, i)
+	}
+	tupleAt := func(v *table.View, i int) string {
+		vals := make([]int, v.NumCols())
+		for c := range vals {
+			vals[c] = int(v.Value(c, i))
+		}
+		return fmt.Sprint(vals)
+	}
+	for name, v := range map[string]*table.View{"table": tab.All(), "odd rows": tab.ViewOf(odd)} {
+		for seed := int64(1); seed <= 3; seed++ {
+			var order []string
+			times := map[string]int{}
+			for _, pos := range literalDraws(v, seed) {
+				tuple := tupleAt(v, pos)
+				if times[tuple] == 0 {
+					order = append(order, tuple)
+				}
+				times[tuple]++
+			}
+			probe := probeView(v, weight.NewSize(tab.NumCols()), sampling.NewTestRNG(seed))
+			if probe.NumRows() != len(order) || probe.NumTuples() != probeSize {
+				t.Fatalf("%s, seed %d: the probe holds %d tuples for %d draws, the draws %d for %d",
+					name, seed, probe.NumRows(), probe.NumTuples(), len(order), probeSize)
+			}
+			for i, tuple := range order {
+				if got, mult := tupleAt(probe, i), probe.Table().Multiplicity(probe.ParentRow(i)); got != tuple || mult != times[tuple] {
+					t.Fatalf("%s, seed %d: probe row %d is %s × %d, the draws' is %s × %d", name, seed, i, got, mult, tuple, times[tuple])
+				}
+			}
+		}
+	}
+}
+
+// TestProbeSkipsSmallViewsAndDeadContexts: a view of no more rows than the
+// probe draws is not probed — no search, so no pass boundary — and a probe
+// under a dead context gives way at its first: both answer the weighter's
+// bound.
+func TestProbeSkipsSmallViewsAndDeadContexts(t *testing.T) {
+	tab := mwSensitiveTable() // its best rules weigh 1: a probe answers 2, below the bound
+	w := weight.NewSize(tab.NumCols())
+	top := w.MaxWeight(tab.NumCols())
+
+	rows := make([]int, probeSize)
+	for i := range rows {
+		rows[i] = i
+	}
+	polled := &pollCtx{Context: context.Background()}
+	if mw := estimateMaxWeight(polled, tab.ViewOf(rows), w, 1, 1); mw != top || polled.polls.Load() != 0 {
+		t.Errorf("a view of %d rows: estimate %v after %d pass boundaries, want the bound %v and no search", probeSize, mw, polled.polls.Load(), top)
+	}
+	if mw := EstimateMaxWeight(tab.ViewOf(append(rows, probeSize)), w, 1, 1); mw != 2 {
+		t.Errorf("a view of %d rows: estimate %v, want the probe's 2", probeSize+1, mw)
+	}
+	dead := &pollCtx{Context: context.Background(), cancelAt: 1}
+	if mw := estimateMaxWeight(dead, tab.All(), w, 1, 1); mw != top || dead.polls.Load() != 1 {
+		t.Errorf("a dead context: estimate %v after %d pass boundaries, want the bound %v at the first", mw, dead.polls.Load(), top)
+	}
+}

@@ -159,6 +159,19 @@ type Response struct {
 	// Cached reports the response was served without executing BRS — an
 	// LRU hit, or a singleflight waiter adopting the leader's run.
 	Cached bool
+	// Phases is where the time of a batch or stream request that executed
+	// went; zero when nothing executed — a hit, a wait — and for refine and
+	// traditional.
+	Phases Phases
+}
+
+// Phases times the three steps of an executed expansion. The durations are
+// reported (the Server-Timing header, the warm log line), never read back:
+// no result depends on the clock.
+type Phases struct {
+	Resolve   time.Duration // Request.Resolve: the rule's coverage, filtered or sampled
+	MaxWeight time.Duration // Request.MaxWeightFor: the Section 6.1 probe; zero under a configured mw
+	Search    time.Duration // the BRS run
 }
 
 // Config tunes a Service.
@@ -423,14 +436,19 @@ func (st *cacheState) insert(k key, e *entry, bound int) {
 func (s *Service) execute(ctx context.Context, req Request, cacheable bool) (Response, *entry, error) {
 	switch req.Kind {
 	case KindBatch, KindStream:
+		var phases Phases
+		start := time.Now()
 		view, scale, exact, err := req.Resolve()
 		if err != nil {
 			return Response{}, nil, err
 		}
+		phases.Resolve = time.Since(start)
 		mw := req.MaxWeight
 		if mw <= 0 {
 			mw = req.MaxWeightFor(view)
+			phases.MaxWeight = time.Since(start) - phases.Resolve
 		}
+		start = time.Now()
 		opts := brs.Options{
 			K:            req.K,
 			MaxWeight:    mw,
@@ -455,7 +473,8 @@ func (s *Service) execute(ctx context.Context, req Request, cacheable bool) (Res
 				return !stopped
 			})
 		}
-		resp := Response{Results: results, Scale: scale, Exact: exact, Stats: stats}
+		phases.Search = time.Since(start)
+		resp := Response{Results: results, Scale: scale, Exact: exact, Stats: stats, Phases: phases}
 		if err != nil {
 			return resp, nil, err
 		}

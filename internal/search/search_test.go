@@ -76,6 +76,11 @@ func TestCacheHitSkipsExecution(t *testing.T) {
 	if second.Stats.CacheHits != 1 || second.Stats.Passes != 0 || second.Stats.RowsScanned != 0 {
 		t.Fatalf("hit stats = %+v; want only CacheHits=1", second.Stats)
 	}
+	// Only the run that executed has phase times; under a configured mw no
+	// probe ran, so that phase stays zero.
+	if first.Phases.Search <= 0 || first.Phases.MaxWeight != 0 || second.Phases != (Phases{}) {
+		t.Fatalf("phases: executed %+v, hit %+v", first.Phases, second.Phases)
+	}
 	if !reflect.DeepEqual(first.Results, second.Results) {
 		t.Fatalf("cached results diverge:\nfirst:  %v\nsecond: %v", first.Results, second.Results)
 	}

@@ -210,6 +210,7 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 	}
 	var (
 		resp        api.DrillResponse
+		phases      smartdrill.SearchPhases
 		provisional []*smartdrill.Node
 	)
 	// The request context rides into the BRS search, so a client that
@@ -232,6 +233,7 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 			Search: encodeStats(e.LastSearchStats()),
 			Node:   encodeNode(e, n),
 		}
+		phases = e.LastSearchPhases()
 		// Under degraded admission pressure the refinement is skipped, not
 		// queued: provisional estimates are the graceful-degradation answer,
 		// and the refiner's extra counting passes are exactly the load the
@@ -251,7 +253,19 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 		// arrive in the background and show up on the next /tree fetch.
 		s.refineInBackground(sess, provisional)
 	}
+	if phases != (smartdrill.SearchPhases{}) {
+		// The drill executed its search: say where the time went, beside the
+		// body rather than in it (a hit or a wait has nothing to say).
+		w.Header().Set("Server-Timing", serverTiming(phases))
+	}
 	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// serverTiming renders a drill's phase times as a Server-Timing header
+// value, durations in milliseconds as the header defines them.
+func serverTiming(p smartdrill.SearchPhases) string {
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	return fmt.Sprintf("resolve;dur=%.3f, mw;dur=%.3f, brs;dur=%.3f", ms(p.Resolve), ms(p.MaxWeight), ms(p.Search))
 }
 
 func (s *Server) handleCollapse(w http.ResponseWriter, r *http.Request) {

@@ -36,6 +36,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -304,6 +305,7 @@ func (s *Server) warmDataset(name string, d dataset) {
 	}
 	d.svc.MarkWarmed()
 	warmed := 1
+	phases := "root " + warmPhases(eng.LastSearchPhases())
 	children := eng.Root().Children
 	for i := 0; i < len(children) && i < s.cfg.WarmChildren; i++ {
 		if err := s.warmCtx.Err(); err != nil {
@@ -315,8 +317,15 @@ func (s *Server) warmDataset(name string, d dataset) {
 		}
 		d.svc.MarkWarmed()
 		warmed++
+		phases += fmt.Sprintf(", child %d %s", i, warmPhases(eng.LastSearchPhases()))
 	}
-	s.cfg.Logger.Printf("dataset %s: warmed %d expansions in %s", name, warmed, time.Since(start).Round(time.Millisecond))
+	s.cfg.Logger.Printf("dataset %s: warmed %d expansions in %s: %s", name, warmed, time.Since(start).Round(time.Millisecond), phases)
+}
+
+// warmPhases renders one warmed expansion's phase times for the log.
+func warmPhases(p smartdrill.SearchPhases) string {
+	r := func(d time.Duration) time.Duration { return d.Round(10 * time.Microsecond) }
+	return fmt.Sprintf("(resolve %s, mw %s, brs %s)", r(p.Resolve), r(p.MaxWeight), r(p.Search))
 }
 
 // dataset looks up a registered dataset.

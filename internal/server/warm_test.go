@@ -1,7 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"log"
 	"net/http"
+	"net/http/httptest"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"smartdrill/api"
@@ -79,6 +86,60 @@ func TestCacheOffDisablesSharing(t *testing.T) {
 		if dr.Access == "cache" || dr.Search == nil || dr.Search.CacheHits != 0 || dr.Search.CacheMisses != 0 ||
 			dr.Search.RowsScanned+dr.Search.PostingsRead+dr.Search.BitmapWordsRead == 0 {
 			t.Fatalf("drill %d served from cache despite CacheOff: access=%q stats=%+v", i, dr.Access, dr.Search)
+		}
+	}
+}
+
+// TestServerTimingOnExecutedDrills: a drill that executed its search says
+// where the time went in a Server-Timing header — resolve, mw, brs, each a
+// parsable duration — and a drill the answer cache served says nothing. The
+// warm log line names each warmed expansion with the same three phases.
+func TestServerTimingOnExecutedDrills(t *testing.T) {
+	var logged bytes.Buffer
+	s := New(Config{Logger: log.New(&logged, "", 0), WarmChildren: 1})
+	s.RegisterDataset("store", storeTable())
+	s.WaitWarmers()
+	phases := `\(resolve \S+, mw \S+, brs \S+\)`
+	if line := regexp.MustCompile(`warmed 2 expansions in \S+: root ` + phases + `, child 0 ` + phases + `\n`); !line.Match(logged.Bytes()) {
+		t.Errorf("warm log line does not name its expansions' phases: %q", logged.String())
+	}
+
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	drill := func(req api.CreateSessionRequest) (access string, timing string) {
+		t.Helper()
+		tree := createSession(t, ts.URL, req)
+		resp, err := http.Post(ts.URL+"/v1/sessions/"+tree.ID+"/drill", "application/json", strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var dr api.DrillResponse
+		if err := json.NewDecoder(resp.Body).Decode(&dr); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("drill: status %d, decode error %v", resp.StatusCode, err)
+		}
+		return dr.Access, resp.Header.Get("Server-Timing")
+	}
+
+	// K 4 is not what the warmer asked for: the first such drill executes,
+	// the second is served the entry the first published.
+	miss := api.CreateSessionRequest{Dataset: "store", K: 4}
+	access, timing := drill(miss)
+	m := regexp.MustCompile(`^resolve;dur=([0-9.]+), mw;dur=([0-9.]+), brs;dur=([0-9.]+)$`).FindStringSubmatch(timing)
+	if access != "direct" || m == nil {
+		t.Fatalf("executed drill: access %q, Server-Timing %q", access, timing)
+	}
+	for _, dur := range m[1:] {
+		if _, err := strconv.ParseFloat(dur, 64); err != nil {
+			t.Errorf("Server-Timing %q: duration %q: %v", timing, dur, err)
+		}
+	}
+	if brs, _ := strconv.ParseFloat(m[3], 64); brs <= 0 {
+		t.Errorf("Server-Timing %q: the search took no time", timing)
+	}
+	for _, hit := range []api.CreateSessionRequest{miss, {Dataset: "store"}} {
+		if access, timing := drill(hit); access != "cache" || timing != "" {
+			t.Errorf("drill served from the cache (K %d): access %q, Server-Timing %q", hit.K, access, timing)
 		}
 	}
 }
