@@ -1,6 +1,7 @@
 package drill
 
 import (
+	"bytes"
 	"testing"
 
 	"smartdrill/internal/brs"
@@ -76,4 +77,46 @@ func BenchmarkRootSearch(b *testing.B) {
 	}
 	b.StopTimer()
 	b.Logf("%d distinct tuples, search stats %+v", d.NumRows(), stats)
+}
+
+// BenchmarkSave13 is what a durable mutation serialises inside its session's
+// lock: Save of the 13-node base tree (root, 3 children, 9 grandchildren) on
+// the same table, with the snapshot's size beside its time.
+//
+//	go test -run '^$' -bench Save13 -benchtime 20000x ./internal/drill/
+func BenchmarkSave13(b *testing.B) {
+	s := baseTree(b, benchCensus())
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := s.Save(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(buf.Len()), "snapshot-bytes")
+}
+
+// baseTree returns a K 3 session on tab drilled to the 13-node base tree:
+// the root, its three rules, and each of them drilled.
+func baseTree(tb testing.TB, tab *table.Table) *Session {
+	tb.Helper()
+	s, err := NewSession(tab, Config{K: benchK})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.Expand(s.Root()); err != nil {
+		tb.Fatal(err)
+	}
+	for _, c := range s.Root().Children {
+		if err := s.Expand(c); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if n := len(displayedNodes(s)); n != 13 {
+		tb.Fatalf("base tree has %d nodes, want 13", n)
+	}
+	return s
 }

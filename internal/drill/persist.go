@@ -44,16 +44,16 @@ type snapshot struct {
 	NextID uint64 `json:"nextId,omitempty"`
 }
 
-// Save writes the displayed tree as JSON.
+// Save writes the displayed tree as compact JSON ended by one newline. Load
+// reads that and any other spacing of it — whitespace between JSON tokens
+// means nothing — so the indented files of older builds still load.
 func (s *Session) Save(w io.Writer) error {
 	snap := snapshot{
 		Columns: append([]string{}, s.tab.ColumnNames()...),
 		Root:    s.snapshotOf(s.root),
 		NextID:  s.nextID,
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snap)
+	return json.NewEncoder(w).Encode(snap)
 }
 
 func (s *Session) snapshotOf(n *Node) snapshotNode {

@@ -2,6 +2,8 @@ package drill
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -171,5 +173,48 @@ func TestLoadRejectsIDlessSnapshot(t *testing.T) {
 	}
 	if s.NodeByID(1) != s.Root() {
 		t.Fatal("failed load disturbed the session's id index")
+	}
+}
+
+// TestLoadReadsIndentedAndCompact: testdata/state-indented.json is a 13-node
+// exploration of the bundled store table as `smartdrill save` wrote it when
+// Save still indented (the build before this one, K 3: root, its three
+// rules, each of them drilled). This build loads that file and its compact
+// re-encoding to one tree — the tree the same drills build live — and saves
+// either back as the compact form, so no file an analyst kept is orphaned.
+func TestLoadReadsIndentedAndCompact(t *testing.T) {
+	indented, err := os.ReadFile("testdata/state-indented.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, indented); err != nil {
+		t.Fatal(err)
+	}
+	compact := buf.String() + "\n"
+	if len(indented) < len(compact)*3/2 {
+		t.Fatalf("the fixture (%d bytes) is not the indented form of its %d compact bytes", len(indented), len(compact))
+	}
+
+	tab := datagen.StoreSales(42)
+	live := baseTree(t, tab)
+	if got := saved(t, live); got != compact {
+		t.Fatalf("the live tree does not save as the fixture's compact form:\n%s\nwant\n%s", got, compact)
+	}
+
+	for form, snap := range map[string]string{"indented": string(indented), "compact": compact} {
+		s, err := NewSession(tab, Config{K: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Load(strings.NewReader(snap)); err != nil {
+			t.Fatalf("%s snapshot: %v", form, err)
+		}
+		if got, want := s.Render(), live.Render(); got != want {
+			t.Errorf("%s snapshot renders\n%s\nwant\n%s", form, got, want)
+		}
+		if got := saved(t, s); got != compact {
+			t.Errorf("%s snapshot saves back as\n%s\nwant\n%s", form, got, compact)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -282,6 +283,12 @@ func FuzzSessionLoad(f *testing.F) {
 	for _, tmpl := range rejectedSnapshots {
 		f.Add(fillSnapshot(seedSession, tmpl))
 	}
+	// The form older builds wrote: the same kind of tree, indented.
+	indented, err := os.ReadFile("testdata/state-indented.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(indented))
 	// The rejected shapes persist_test.go pins: a value the table lacks, a
 	// non-trivial root, a snapshot without node ids.
 	f.Add(`{"columns":["Store","Product","Region"],"root":{"values":["?","?","?"],"weight":0,"count":6000,"exact":true,"children":[{"values":["Amazon","?","?"],"weight":1,"count":10,"exact":true}]}}`)

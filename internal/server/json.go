@@ -65,17 +65,19 @@ func encodeStats(s smartdrill.SearchStats) *api.SearchStats {
 	return &out
 }
 
-// encodeJSON is the wire form of every response body.
+// encodeJSON is the wire form of every response body: compact JSON from one
+// marshal, ended by one newline.
 func encodeJSON(v any) ([]byte, error) {
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	err := enc.Encode(v)
+	err := json.NewEncoder(&buf).Encode(v)
 	return buf.Bytes(), err
 }
 
+// writeBody sends a body the server already holds whole, so its length goes
+// out with it and net/http never frames it in chunks.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	w.Write(body) //nolint:errcheck // client went away; nothing to do
 }

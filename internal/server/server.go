@@ -347,9 +347,9 @@ func (s *Server) datasetNames() []string {
 	return names
 }
 
-// Handler returns the server's root handler (all routes plus logging and
-// panic-recovery middleware), for mounting under httptest or a custom
-// http.Server.
+// Handler returns the server's root handler (all routes plus request-id,
+// logging and panic-recovery middleware), for mounting under httptest or a
+// custom http.Server.
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // SessionCount reports the number of live sessions.
@@ -394,7 +394,7 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("POST /v1/sessions/{id}/traditional", s.withAdmission(false, s.handleTraditional))
 	mux.HandleFunc("GET /v1/sessions/{id}/drill/stream", s.withAdmission(true, s.handleDrillStream))
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDeleteSession)
-	return s.withRecovery(s.withLogging(mux))
+	return withRequestID(s.withRecovery(s.withLogging(mux)))
 }
 
 // ListenAndServe serves on addr until ctx is cancelled, then shuts down
