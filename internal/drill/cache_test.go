@@ -1,10 +1,12 @@
 package drill
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 
+	"smartdrill/internal/brs"
 	"smartdrill/internal/datagen"
 	"smartdrill/internal/rule"
 	"smartdrill/internal/search"
@@ -68,6 +70,34 @@ func TestRepeatedDrillServedFromCache(t *testing.T) {
 	}
 	if c := svc.Counters(); c.Misses != 1 || c.Hits != 2 {
 		t.Fatalf("counters = %+v; want 1 execution, 2 hits", c)
+	}
+}
+
+// TestDegradedExactDrillServedFromCache: the overload ladder has no cheaper
+// path for an exact session than its answer cache, so a degraded drill after
+// the same drill was cached is a hit — access cache, nothing read — and the
+// degraded rung skips nothing a hit would have paid for.
+func TestDegradedExactDrillServedFromCache(t *testing.T) {
+	tab := datagen.CensusProjected(20000, 5, 3)
+	s, err := NewSession(tab, Config{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Expand(s.Root()); err != nil {
+		t.Fatal(err)
+	}
+	if s.LastMethod != "direct" || s.LastStats.CacheMisses != 1 {
+		t.Fatalf("first drill: method=%q stats=%+v", s.LastMethod, s.LastStats)
+	}
+	want := s.Render()
+	if err := s.ExpandCtx(WithDegraded(context.Background()), s.Root()); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.LastStats; s.LastMethod != "cache" || st != (brs.Stats{CacheHits: 1}) {
+		t.Fatalf("degraded drill: method=%q stats=%+v; want a cache hit reading nothing", s.LastMethod, st)
+	}
+	if got := s.Render(); got != want {
+		t.Fatalf("degraded drill shows\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -113,7 +113,7 @@ func TestIntervalCoverageOverRealSamples(t *testing.T) {
 				t.Fatal(err)
 			}
 			if pop.tuples {
-				h.SampleTuples(func() *table.Table { return d })
+				h.ServeGrouped(func() (bool, *table.Table) { return true, d })
 			}
 			for f, filter := range filters {
 				v, err := h.GetSample(filter)

@@ -17,8 +17,8 @@ import "context"
 //     pure background work the overloaded server cannot afford.
 //
 // Sessions without sampling configured have no cheaper path to fall back
-// to; for them the flag only suppresses prefetch here, and the serving
-// layer separately skips background refinement.
+// to: their drills are exact and use the answer cache like any other, and
+// the serving layer separately skips background refinement.
 
 // degradedKey marks a context as degraded.
 type degradedKey struct{}

@@ -234,14 +234,14 @@ func NewSession(t *table.Table, cfg Config) (*Session, error) {
 		if err != nil {
 			return nil, err
 		}
-		// What the handler draws from is decided once, by the session's own
-		// weighter, and resolved by the first drill that samples: creating a
-		// session reads nothing.
-		h.SampleTuples(func() *table.Table {
-			if d := s.exactTable(s.cfg.Weighter); d != s.tab {
-				return d
+		// How the handler serves samples is decided once, by the session's
+		// own weighter, and resolved by the first drill that samples: creating
+		// a session reads nothing.
+		h.ServeGrouped(func() (bool, *table.Table) {
+			if !s.groupable(s.cfg.Weighter, t.NumRows()) {
+				return false, nil
 			}
-			return nil
+			return true, s.distinct()
 		})
 		s.handler = h
 	}
@@ -455,7 +455,7 @@ func (s *Session) maxWeightFor(ctx context.Context, cov coverage, w weight.Weigh
 
 // searchRequest assembles the canonical request for one expansion of this
 // session: every identity field the search service keys on, plus the
-// routing flags (Sampled, Degraded, NoCache) that decide whether the
+// routing flags (Sampled, NoCache) that decide whether the
 // request may touch the shared answer cache at all. Kind-specific fields
 // (Resolve, MaxWeightFor, Yield, deadlines) are filled by the caller.
 func (s *Session) searchRequest(kind search.Kind, r rule.Rule, w weight.Weighter, degraded bool) search.Request {
@@ -469,7 +469,6 @@ func (s *Session) searchRequest(kind search.Kind, r rule.Rule, w weight.Weighter
 		Seed:      s.cfg.Seed,
 		Workers:   s.cfg.Workers,
 		Sampled:   s.useSample(r, degraded),
-		Degraded:  degraded,
 		NoCache:   s.cfg.DisableCache,
 		Store:     s.store,
 	}
@@ -500,7 +499,7 @@ type coverage struct {
 	// rows returns the same tuples row by row, which is what the mw probe
 	// samples; a grouped exact view fetches them only when asked. It is nil
 	// for a sample drawn from the distinct tuples, which no row view stands
-	// behind: the probe draws from view by mass.
+	// behind (sampling.View.Rows): the probe draws from view by mass.
 	rows  func() *table.View
 	scale float64 // converts view aggregates to table estimates
 	exact bool    // they need no scaling
@@ -511,12 +510,11 @@ type coverage struct {
 // inverted index through the accounting store (no full scan, no materialized
 // copy). Either is read as distinct tuples where groupable allows and the
 // tuples repeat enough. An exact view reads the table's own memoised grouping
-// (exactTable). So does the session's handler, once exactTable has one to
-// give: its samples are drawn from the distinct tuples and come grouped
-// (sampling.Handler.SampleTuples; tupleSample). A handler left on the rows —
-// a Sum, fractional weights, a table that does not compress — serves
-// zero-copy row views, which a Count drill under integer weights groups per
-// sample (sampling.View.Tuples; rowSample).
+// (exactTable). A sample comes as the handler serves it, a form decided once
+// per session (sampling.Handler.ServeGrouped): drawn from the table's
+// distinct tuples and born grouped, or drawn from its rows and grouped where
+// they repeat, or plain rows. The serve that builds a sample's form — its
+// first, or each of a Combine's — is booked the rows it read.
 func (s *Session) coveredView(r rule.Rule, w weight.Weighter, degraded bool) (coverage, error) {
 	if s.useSample(r, degraded) {
 		v, err := s.handler.GetSample(r)
@@ -524,10 +522,16 @@ func (s *Session) coveredView(r rule.Rule, w weight.Weighter, degraded bool) (co
 			return coverage{}, err
 		}
 		s.LastMethod = v.Method.String()
-		if v.Tab.Table().Weighted() {
-			return s.tupleSample(v), nil
+		if read := v.Read(); read > 0 {
+			s.unbooked.Passes++
+			s.unbooked.RowsScanned += int64(read)
+			s.unbooked.SampledRowsScanned += int64(read)
 		}
-		return s.rowSample(v, w), nil
+		cov := coverage{view: v.Tab, scale: v.Scale, exact: v.Scale == 1}
+		if v.Rows != nil {
+			cov.rows = func() *table.View { return v.Rows }
+		}
+		return cov, nil
 	}
 	s.LastMethod = "direct"
 	return coverage{
@@ -536,40 +540,6 @@ func (s *Session) coveredView(r rule.Rule, w weight.Weighter, degraded bool) (co
 		scale: 1,
 		exact: true,
 	}, nil
-}
-
-// tupleSample is the coverage of a sample drawn from the distinct tuples: v's
-// weighted table as it comes. The sample's table is built by the first serve
-// of the sample, a Combine's by each, and that drill is booked the
-// distinct-table rows copied into it; a sample served again is read nothing.
-func (s *Session) tupleSample(v *sampling.View) coverage {
-	if copied := v.Copied(); copied > 0 {
-		s.unbooked.Passes++
-		s.unbooked.RowsScanned += int64(copied)
-		s.unbooked.SampledRowsScanned += int64(copied)
-	}
-	return coverage{view: v.Tab, scale: v.Scale, exact: v.Scale == 1}
-}
-
-// rowSample is the coverage of a sample of rows, to be searched under w: v's
-// zero-copy row view, or where groupable allows and the rows repeat enough
-// the sample's own grouping of them. The first drill on a sample groups it
-// and is booked the pass over the sample's rows; a sample served again is
-// read nothing.
-func (s *Session) rowSample(v *sampling.View, w weight.Weighter) coverage {
-	cov := coverage{view: v.Tab, rows: func() *table.View { return v.Tab }, scale: v.Scale, exact: v.Scale == 1}
-	if s.groupable(w, v.Tab.NumRows()) {
-		tuples, read := v.Tuples()
-		if read > 0 {
-			s.unbooked.Passes++
-			s.unbooked.RowsScanned += int64(read)
-			s.unbooked.SampledRowsScanned += int64(read)
-		}
-		if tuples != nil {
-			cov.view = tuples
-		}
-	}
-	return cov
 }
 
 // exactView is r's coverage in t — the table or its distinct-tuple table.
@@ -604,22 +574,27 @@ func exactGrouped(w weight.Weighter, cols, rows int) bool {
 	return weight.Integral(w) && w.MaxWeight(cols)*float64(rows) < exactInts
 }
 
-// exactTable picks what an exact expansion under w reads, and under the
-// session's weighter what its sample handler draws from: the table's
-// distinct-tuple table where groupable allows and the table compresses
-// (table.Table.Distinct), its rows otherwise. The first expansion to ask,
-// exact or sampled, builds the distinct table, and is booked the pass.
+// exactTable picks what an exact expansion under w reads: the table's
+// distinct-tuple table where groupable allows and the table compresses, its
+// rows otherwise.
 func (s *Session) exactTable(w weight.Weighter) *table.Table {
 	if !s.groupable(w, s.tab.NumRows()) {
 		return s.tab
 	}
+	if d := s.distinct(); d != nil {
+		return d
+	}
+	return s.tab
+}
+
+// distinct returns the table's distinct-tuple table (table.Table.Distinct),
+// or nil where it does not compress. The first expansion to ask, exact or
+// sampled, builds it, and is booked the pass.
+func (s *Session) distinct() *table.Table {
 	d, read := s.store.Distinct()
 	if read > 0 {
 		s.unbooked.Passes++
 		s.unbooked.RowsScanned += read
-	}
-	if d == nil {
-		return s.tab
 	}
 	return d
 }

@@ -18,7 +18,7 @@ import (
 )
 
 // A sampled Count session under integer weights draws its samples from the
-// table's distinct tuples (sampling.Handler.SampleTuples): a sample is a
+// table's distinct tuples (sampling.Handler.ServeGrouped): a sample is a
 // weighted table of its own, a row for each distinct tuple it holds carrying
 // the number of sampled rows equal to it, and no row view stands behind it.
 // A session held to the rows (rowPath) draws different, equally uniform rows,
@@ -314,35 +314,52 @@ func TestEquivalenceSampledDistinctDegraded(t *testing.T) {
 	}
 }
 
-// TestEquivalenceSampledDistinctGates: which sessions draw from the distinct
-// tuples. What cannot be summed per distinct tuple bit for bit — a Sum,
-// weights that are not integers — keeps its handler on the rows and searches
-// them without a sample ever being grouped, as does the rowPath seam; a table
-// that does not compress has no distinct tuples to draw from, and a Count
-// session on it still tries each row sample's own grouping, which costs the
-// first drill on the sample the finding, once.
+// TestEquivalenceSampledDistinctGates: the form a session's handler serves
+// its samples in. What cannot be summed per distinct tuple bit for bit — a
+// Sum, weights that are not integers — gets plain rows, never grouped, as
+// does the rowPath seam. A Count session under integer weights draws from the
+// distinct tuples where the table compresses; where it does not, it draws rows
+// and gets a sample grouped where more than half its rows repeat — the first
+// serve booked a pass over the sample's rows — and the rows otherwise, that
+// finding costing the first serve the rows it read. A sample served again
+// comes in the form its first serve built, for nothing.
 func TestEquivalenceSampledDistinctGates(t *testing.T) {
 	sales := buildSalesTable(30000, 5)
 	census := datagen.CensusProjected(30000, 7, 7)
 	marketing := datagen.Marketing(9409, 3)
 	const minSS = 3000
+	// Ten tuples in two thirds of the rows, the rest all different: the
+	// table does not compress (table.Distinct's ¼), a sample of it does (½).
+	skewed := func() *table.Table {
+		b := table.MustBuilder([]string{"A", "B", "C"}, nil)
+		for i := 0; i < 30000; i++ {
+			if i%3 == 2 {
+				b.MustAddRow([]string{fmt.Sprint(i % 7), fmt.Sprint(i), fmt.Sprint(i % 5)})
+			} else {
+				b.MustAddRow([]string{fmt.Sprint(i % 5), "h", fmt.Sprint(i % 2)})
+			}
+		}
+		return b.Build()
+	}()
 	for _, tc := range []struct {
-		name   string
-		tab    *table.Table
-		cfg    Config
-		tuples bool // the handler draws from the distinct tuples
+		name    string
+		tab     *table.Table
+		cfg     Config
+		tuples  bool // the handler draws from the distinct tuples
+		grouped bool // the search reads a weighted table
 		// rows the first drill is booked beyond the second: the distinct
-		// tuples copied into a tuple sample's table, or what finding a row
-		// sample does not compress read
+		// tuples copied into a tuple sample's table, or the rows grouping a
+		// row sample read, or what finding it does not compress read
 		readMin, readMax int64
 	}{
-		{"size", census, Config{}, true, 1, minSS / 2},
-		{"whole linear", census, Config{Weighter: weight.NewLinear([]float64{2, 1, 3, 1, 1, 2, 1}, 1, "whole")}, true, 1, minSS / 2},
-		{"fractional linear", census, Config{Weighter: weight.NewLinear([]float64{1, 0.5, 1.25, 1, 1, 1, 1}, 1, "frac")}, false, 0, 0},
-		{"fractional scale", census, Config{Weighter: weight.Scaled{Inner: weight.NewSize(7), Factor: 0.1}}, false, 0, 0},
-		{"sum", sales, Config{Agg: score.SumAgg{Measure: 0}}, false, 0, 0},
-		{"row path seam", census, Config{}, false, 0, 0},
-		{"more than half distinct", marketing, Config{}, false, minSS/2 + 1, minSS - 1},
+		{"size", census, Config{}, true, true, 1, minSS / 2},
+		{"whole linear", census, Config{Weighter: weight.NewLinear([]float64{2, 1, 3, 1, 1, 2, 1}, 1, "whole")}, true, true, 1, minSS / 2},
+		{"fractional linear", census, Config{Weighter: weight.NewLinear([]float64{1, 0.5, 1.25, 1, 1, 1, 1}, 1, "frac")}, false, false, 0, 0},
+		{"fractional scale", census, Config{Weighter: weight.Scaled{Inner: weight.NewSize(7), Factor: 0.1}}, false, false, 0, 0},
+		{"sum", sales, Config{Agg: score.SumAgg{Measure: 0}}, false, false, 0, 0},
+		{"row path seam", census, Config{}, false, false, 0, 0},
+		{"rows that repeat", skewed, Config{}, false, true, minSS, minSS},
+		{"more than half distinct", marketing, Config{}, false, false, minSS/2 + 1, minSS - 1},
 	} {
 		// Resolved here, so that no drill below is booked the build.
 		tc.tab.Distinct()
@@ -375,8 +392,8 @@ func TestEquivalenceSampledDistinctGates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := cov.view.Table().Weighted(); got != tc.tuples {
-			t.Fatalf("%s: searched a weighted table: %v, want %v", tc.name, got, tc.tuples)
+		if got := cov.view.Table().Weighted(); got != tc.grouped {
+			t.Fatalf("%s: searched a weighted table: %v, want %v", tc.name, got, tc.grouped)
 		}
 		if (cov.rows == nil) != tc.tuples {
 			t.Fatalf("%s: a row view stands behind the sample: %v, want %v", tc.name, cov.rows != nil, !tc.tuples)
@@ -388,15 +405,14 @@ func TestEquivalenceSampledDistinctGates(t *testing.T) {
 		if scans := s.Store().Stats().FullScans; (scans == 0) != tc.tuples {
 			t.Fatalf("%s: %d passes over the table", tc.name, scans)
 		}
-		// Whoever first asks a row sample for its tuples is told the rows
-		// that read; being told now means no drill asked before.
+		// The handler serves the sample again in the form the first drill's
+		// serve built, for nothing.
 		v, err := s.handler.GetSample(s.Root().Rule)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, read := v.Tuples()
-		if asked := tc.name == "more than half distinct"; (read == 0) != (asked || tc.tuples) {
-			t.Fatalf("%s: asking the sample for its tuples now read %d rows", tc.name, read)
+		if v.Tab != cov.view || v.Read() != 0 || (v.Rows == nil) != tc.tuples {
+			t.Fatalf("%s: served again the same view %v, %d rows read, row view %v", tc.name, v.Tab == cov.view, v.Read(), v.Rows != nil)
 		}
 	}
 }

@@ -16,16 +16,14 @@ import (
 // serializes interactions as a UI would.
 type Handler struct {
 	store *storage.Store
-	// M is the memory capacity in tuples across all samples.
-	M int
-	// MinSS is the minimum sample size BRS may run on (Section 4.1).
-	MinSS int
+	m     int // the memory capacity in tuples across all samples
+	minSS int // the minimum sample size BRS may run on (Section 4.1)
 
-	// pop is what samples are drawn from and their Rows name: the table's
-	// rows, unless SampleTuples said otherwise and tuples, called once by the
-	// first draw, had a distinct-tuple table to give.
-	pop    population
-	tuples func() *table.Table
+	// pop is what samples are drawn from, what their Rows name and the form
+	// they are served in: the table's rows as they are, unless grouping,
+	// called once by the first draw, says otherwise (see ServeGrouped).
+	pop      population
+	grouping func() (grouped bool, distinct *table.Table)
 
 	samples map[string]*Sample
 	rng     *rand.Rand
@@ -51,35 +49,46 @@ func NewHandler(store *storage.Store, m, minSS int, rng *rand.Rand) (*Handler, e
 	}
 	return &Handler{
 		store:   store,
-		M:       m,
-		MinSS:   minSS,
-		pop:     rowPopulation{store},
+		m:       m,
+		minSS:   minSS,
+		pop:     rowPopulation{store: store},
 		samples: make(map[string]*Sample),
 		rng:     rng,
 	}, nil
 }
 
-// SampleTuples has the handler draw from the table's distinct tuples instead
-// of its rows (see population): distinct is called once, by the first draw —
-// a GetSample that has to Create, or a Prefetch — so that setting a handler
-// up never costs a pass —
-// and returns the store's table grouped (storage.Store.Distinct), or nil to
-// keep the handler on the rows for good. Call it before any sample is drawn;
-// the owner decides, because only it knows whether its searches may read
-// tuples with multiplicities for rows (the Count aggregate under integer
-// weights). Samples, estimates and intervals are uniform-sample statistics
-// either way; what changes is that a draw reads the distinct tuples, not the
-// rows, and that a View's Tab comes grouped.
-func (h *Handler) SampleTuples(distinct func() *table.Table) { h.tuples = distinct }
+// ServeGrouped decides, once, the form the handler serves its samples in.
+// grouping is called by the first draw — a GetSample that has to Create, or a
+// Prefetch — so that setting a handler up never costs a pass, and reports
+// whether the owner's searches may read tuples grouped, each distinct tuple
+// once with its multiplicity for a mass (the Count aggregate under integer
+// weights) and, if so, the store's table grouped (storage.Store.Distinct) or
+// nil where the table does not compress. Only the owner knows what its
+// searches may read, so it decides; call this before any sample is drawn.
+//
+// With a distinct table the handler draws from the distinct tuples and a
+// sample is born grouped (tuplePopulation). Without one it draws rows, and
+// groups a sample where more than half its rows repeat (rowPopulation); a
+// handler whose owner may not group, or never called this, serves rows as
+// they are. Samples, estimates and intervals are uniform-sample statistics
+// in every form.
+func (h *Handler) ServeGrouped(grouping func() (grouped bool, distinct *table.Table)) {
+	h.grouping = grouping
+}
 
 // resolve settles what pop is. Every draw starts with it, and nothing reads
 // pop before a draw has put a sample there to serve.
 func (h *Handler) resolve() {
-	if distinct := h.tuples; distinct != nil {
-		h.tuples = nil
-		if d := distinct(); d != nil {
-			h.pop = tuplePopulation{store: h.store, d: d, ranks: d.Ranks()}
-		}
+	grouping := h.grouping
+	if grouping == nil {
+		return
+	}
+	h.grouping = nil
+	switch grouped, d := grouping(); {
+	case d != nil:
+		h.pop = tuplePopulation{store: h.store, d: d, ranks: d.Ranks()}
+	case grouped:
+		h.pop = rowPopulation{store: h.store, group: true}
 	}
 }
 
@@ -88,7 +97,7 @@ func (h *Handler) Stats() (finds, combines, creates int) {
 	return h.finds, h.combines, h.creates
 }
 
-// Samples returns the resident samples (for inspection and tests).
+// Samples returns the resident samples in filter-key order.
 func (h *Handler) Samples() []*Sample {
 	out := make([]*Sample, 0, len(h.samples))
 	for _, s := range h.samples {
@@ -107,10 +116,10 @@ func (h *Handler) MemoryUsed() int {
 	return used
 }
 
-// GetSample returns a uniform sample of at least MinSS tuples covered by r,
+// GetSample returns a uniform sample of at least minSS tuples covered by r,
 // trying Find, then Combine, then Create — exactly the Section 4.3 cascade.
 // The returned View's Scale converts sample counts to master-table
-// estimates. When the master table itself covers fewer than MinSS tuples of
+// estimates. When the master table itself covers fewer than minSS tuples of
 // r, the view holds all of them with Scale 1 (exact).
 func (h *Handler) GetSample(r rule.Rule) (*View, error) {
 	if v := h.find(r); v != nil {
@@ -121,7 +130,7 @@ func (h *Handler) GetSample(r rule.Rule) (*View, error) {
 		h.combines++
 		return v, nil
 	}
-	v, err := h.create(r, h.MinSS)
+	v, err := h.create(r, h.minSS)
 	if err != nil {
 		return nil, err
 	}
@@ -130,18 +139,18 @@ func (h *Handler) GetSample(r rule.Rule) (*View, error) {
 }
 
 // find serves r from a resident sample whose filter is exactly r and which
-// holds at least MinSS tuples (or the filter's entire coverage, which is
+// holds at least minSS tuples (or the filter's entire coverage, which is
 // even better — the estimate is exact).
 func (h *Handler) find(r rule.Rule) *View {
 	s, ok := h.samples[r.Key()]
 	if !ok {
 		return nil
 	}
-	if s.Size() < h.MinSS && s.Size() < s.ExactCount {
+	if s.Size() < h.minSS && s.Size() < s.ExactCount {
 		return nil
 	}
 	h.touch(s)
-	return h.viewOf(s, s.sortedRows(), s.Scale(), Find)
+	return h.viewOf(s, s.Rows, s.Scale(), Find)
 }
 
 // combine unions the r-covered tuples of every resident sample whose filter
@@ -149,11 +158,14 @@ func (h *Handler) find(r rule.Rule) *View {
 // every r-tuple had the same inclusion probability rate_i in sample i; the
 // deduplicated union therefore includes each r-tuple independently with
 // probability p* = 1 − Π(1 − rate_i) — a uniform sample with scale 1/p*.
+// The samples are visited in filter-key order, so that the product's rounding
+// and the contributors' LRU touches — one seed, one estimate and one eviction
+// order — do not follow the map's.
 func (h *Handler) combine(r rule.Rule) *View {
 	pMiss := 1.0
 	union := make(map[int]struct{})
 	var contributors []*Sample
-	for _, s := range h.samples {
+	for _, s := range h.Samples() {
 		if !s.Filter.SubRuleOf(r) {
 			continue
 		}
@@ -173,11 +185,11 @@ func (h *Handler) combine(r rule.Rule) *View {
 	if pInclude <= 0 {
 		return nil
 	}
-	// Accept when the union reaches MinSS, or when some contributor's rate
+	// Accept when the union reaches minSS, or when some contributor's rate
 	// is 1 (its whole coverage is resident, so the union is exhaustive and
 	// the estimate exact even if small).
 	exhaustive := pMiss == 0
-	if len(union) < h.MinSS && !exhaustive {
+	if len(union) < h.minSS && !exhaustive {
 		return nil
 	}
 	rows := make([]int, 0, len(union))
@@ -192,41 +204,27 @@ func (h *Handler) combine(r rule.Rule) *View {
 }
 
 // create walks the population once, installing a fresh sample for r of up
-// to target tuples (at least MinSS), evicting least-recently-used samples if
-// the budget requires.
+// to target tuples (at least minSS, at most m), evicting least-recently-used
+// samples if the budget requires.
 func (h *Handler) create(r rule.Rule, target int) (*View, error) {
-	if target < h.MinSS {
-		target = h.MinSS
-	}
-	if target > h.M {
-		target = h.M
-	}
+	target = min(max(target, h.minSS), h.m)
 	h.resolve()
 	s := h.pop.draw([]rule.Rule{r}, []int{target}, h.rng)[0]
 	h.install(s)
-	return h.viewOf(s, s.sortedRows(), s.Scale(), Create), nil
+	return h.viewOf(s, s.Rows, s.Scale(), Create), nil
 }
 
 // install adds s, evicting LRU samples (never s itself) until the budget
-// holds.
+// holds — which it does with s alone, drawn at most m units.
 func (h *Handler) install(s *Sample) {
 	h.touch(s)
 	h.samples[s.Filter.Key()] = s
-	for h.MemoryUsed() > h.M {
+	for h.MemoryUsed() > h.m {
 		var victim *Sample
 		for _, c := range h.samples {
-			if c == s {
-				continue
-			}
-			if victim == nil || c.lastUsed < victim.lastUsed {
+			if c != s && (victim == nil || c.lastUsed < victim.lastUsed) {
 				victim = c
 			}
-		}
-		if victim == nil {
-			// Only s is resident and still over budget: trim it.
-			over := h.MemoryUsed() - h.M
-			s.Rows = s.Rows[:len(s.Rows)-over]
-			return
 		}
 		delete(h.samples, victim.Filter.Key())
 	}
@@ -238,34 +236,23 @@ func (h *Handler) touch(s *Sample) {
 }
 
 // viewOf wraps an ascending unit set — resident sample s's, or with s nil a
-// union belonging to none — as a sample view. Sorted units are the serving
-// contract: uniformity does not depend on order, and ascending rows let
-// BRS's cost planner answer candidate counting by intersecting the master
-// table's posting lists with the sample (per-column sample postings,
-// materialization-free) whenever that reads fewer entries than scanning the
-// sample; ascending ranks are what the tuple population run-lengths into a
-// sample's tuples. Find/Create serve Sample.sortedRows, which has dropped the
-// view a trim outdated; Combine's deduplicated union is sorted as it is
-// built.
+// union belonging to none — as a sample view. Ascending units are the
+// serving contract: uniformity does not depend on order, and ascending rows
+// let BRS's cost planner answer candidate counting by intersecting the master
+// table's posting lists with the sample (materialization-free) whenever that
+// reads fewer entries than scanning it, and are what the tuple population
+// run-lengths into a sample's tuples and the row population groups in the
+// order a search of the rows would meet them. A resident sample keeps the
+// form its first serve built; Combine's union is built per call.
 func (h *Handler) viewOf(s *Sample, units []int, scale float64, m Method) *View {
-	var tab *table.View
-	copied := 0
+	v := &View{Scale: scale, Method: m, EstimatedCount: float64(len(units)) * scale}
+	if s != nil && s.tab != nil {
+		v.Tab, v.Rows = s.tab, s.rowView
+		return v
+	}
+	v.Tab, v.Rows, v.read = h.pop.view(units)
 	if s != nil {
-		tab = s.view
+		s.tab, s.rowView = v.Tab, v.Rows
 	}
-	if tab == nil {
-		tab, copied = h.pop.view(units)
-		if s != nil {
-			s.view = tab
-		}
-	}
-	return &View{
-		Tab:            tab,
-		Scale:          scale,
-		Method:         m,
-		EstimatedCount: float64(len(units)) * scale,
-		rows:           units,
-		sample:         s,
-		copied:         copied,
-	}
+	return v
 }

@@ -1,9 +1,13 @@
 package sampling
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"smartdrill/internal/datagen"
 	"smartdrill/internal/rule"
 	"smartdrill/internal/storage"
 	"smartdrill/internal/table"
@@ -225,5 +229,170 @@ func TestCombineEstimateUnbiased(t *testing.T) {
 	mean := sum / trials
 	if math.Abs(mean-truth)/truth > 0.03 {
 		t.Fatalf("mean Combine estimate %g deviates >3%% from %g", mean, truth)
+	}
+}
+
+// TestCombineIgnoresMapOrder: Combine visits the resident samples in
+// filter-key order, so one seed gives one estimate and one eviction order
+// whatever order the samples map hands them out in. Three sub-rule samples
+// of 900, 429 and 611 of their 3 000 covered rows make Π(1 − rateᵢ) round
+// differently in different orders: over 200 fresh handlers the scale must
+// keep one bit pattern, and the contributors must be touched in key order.
+func TestCombineIgnoresMapOrder(t *testing.T) {
+	b := table.MustBuilder([]string{"A", "B", "C"}, nil)
+	for i := 0; i < 2000; i++ {
+		b.MustAddRow([]string{"a", "b", "c"})
+	}
+	for i := 0; i < 1000; i++ {
+		b.MustAddRow([]string{"a", "y", "z"})
+		b.MustAddRow([]string{"x", "b", "z"})
+		b.MustAddRow([]string{"x", "y", "c"})
+	}
+	tab := b.Build()
+	encode := func(cells map[string]string) rule.Rule {
+		r, err := tab.EncodeRule(cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	filters := []rule.Rule{encode(map[string]string{"A": "a"}), encode(map[string]string{"B": "b"}), encode(map[string]string{"C": "c"})}
+	sizes := []int{900, 429, 611}
+	r := encode(map[string]string{"A": "a", "B": "b", "C": "c"})
+	patterns := map[uint64]int{}
+	for i := 0; i < 200; i++ {
+		h, err := NewHandler(storage.NewStore(tab), 3000, 100, NewTestRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, f := range filters {
+			if _, err := h.create(f, sizes[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v, err := h.GetSample(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Method != Combine {
+			t.Fatalf("served by %s, want Combine", v.Method)
+		}
+		patterns[math.Float64bits(v.Scale)]++
+		samples := h.Samples()
+		for k := 1; k < len(samples); k++ {
+			if samples[k].lastUsed <= samples[k-1].lastUsed {
+				t.Fatalf("handler %d: Combine touched %v before %v", i, samples[k].Filter, samples[k-1].Filter)
+			}
+		}
+	}
+	if len(patterns) != 1 {
+		t.Fatalf("200 handlers on one seed gave %d scale bit patterns: %v", len(patterns), patterns)
+	}
+}
+
+// TestPropertyResidentSamples holds the handler to what a budget trim used to
+// stand for, over random GetSample and Prefetch sequences in all three
+// serving forms (tuples, grouped rows, plain rows): after every call the
+// resident samples fit the budget; each one's Rows are strictly ascending,
+// covered by its filter and exactly the units it was drawn with; and a
+// re-serve of what was just served from a resident sample is a Find of the
+// same Tab, read for nothing.
+func TestPropertyResidentSamples(t *testing.T) {
+	tab := datagen.CensusProjected(20000, 6, 5)
+	d, _ := tab.Distinct()
+	if d == nil {
+		t.Fatal("census does not compress")
+	}
+	cols := tab.NumCols()
+	randomRule := func(rng *rand.Rand) rule.Rule {
+		r := rule.Trivial(cols)
+		for n := rng.Intn(3); n > 0; n-- {
+			c := rng.Intn(cols)
+			r[c] = rule.Value(rng.Intn(tab.DistinctCount(c)))
+		}
+		return r
+	}
+	const m, minSS = 6000, 400
+	for _, mode := range []struct {
+		name     string
+		grouping func() (bool, *table.Table)
+	}{
+		{"tuples", func() (bool, *table.Table) { return true, d }},
+		{"grouped rows", func() (bool, *table.Table) { return true, nil }},
+		{"plain rows", func() (bool, *table.Table) { return false, nil }},
+	} {
+		for seed := int64(1); seed <= 4; seed++ {
+			label := fmt.Sprintf("%s seed %d", mode.name, seed)
+			rng := rand.New(rand.NewSource(seed))
+			h, err := NewHandler(storage.NewStore(tab), m, minSS, NewTestRNG(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.ServeGrouped(mode.grouping)
+			drawn := map[*Sample][]int{}
+			check := func(step string) {
+				t.Helper()
+				if used := h.MemoryUsed(); used > m {
+					t.Fatalf("%s %s: %d units resident, budget %d", label, step, used, m)
+				}
+				for _, s := range h.Samples() {
+					rows, seen := drawn[s]
+					if !seen {
+						rows = slices.Clone(s.Rows)
+						drawn[s] = rows
+					}
+					if !slices.Equal(s.Rows, rows) {
+						t.Fatalf("%s %s: the sample for %v changed since it was drawn", label, step, s.Filter)
+					}
+					for i, u := range s.Rows {
+						if i > 0 && u <= s.Rows[i-1] {
+							t.Fatalf("%s %s: the sample for %v is not strictly ascending at %d", label, step, s.Filter, i)
+						}
+						if !h.pop.covers(s.Filter, u) {
+							t.Fatalf("%s %s: %v does not cover unit %d of its sample", label, step, s.Filter, u)
+						}
+					}
+				}
+			}
+			for op := 0; op < 40; op++ {
+				if rng.Intn(4) == 0 {
+					root := &TreeNode{Rule: rule.Trivial(cols), Count: float64(tab.NumRows())}
+					for c := 1 + rng.Intn(4); c > 0; c-- {
+						r := randomRule(rng)
+						root.Children = append(root.Children, &TreeNode{Rule: r, Count: float64(tab.Count(r))})
+					}
+					UniformLeafProbs(root)
+					if _, err := h.Prefetch(root); err != nil {
+						t.Fatal(err)
+					}
+					check("after a prefetch")
+					continue
+				}
+				// Half the drills go below a resident sample, as a session's do.
+				r := randomRule(rng)
+				if samples := h.Samples(); len(samples) > 0 && rng.Intn(2) == 0 {
+					c := rng.Intn(cols)
+					r = samples[rng.Intn(len(samples))].Filter.With(c, rule.Value(rng.Intn(tab.DistinctCount(c))))
+				}
+				v, err := h.GetSample(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("after " + v.Method.String())
+				if v.Method == Combine {
+					continue
+				}
+				again, err := h.GetSample(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if again.Method != Find || again.Tab != v.Tab || again.Rows != v.Rows || again.Read() != 0 {
+					t.Fatalf("%s: a re-serve of %v after %s was a %s, same Tab %v, %d rows read", label, r, v.Method, again.Method, again.Tab == v.Tab, again.Read())
+				}
+				check("after a re-serve")
+			}
+			f, c, cr := h.Stats()
+			t.Logf("%s: %d finds, %d combines, %d creates, %d samples drawn", label, f, c, cr, len(drawn))
+		}
 	}
 }

@@ -64,7 +64,7 @@ func TestIntervalCoverage(t *testing.T) {
 	inside := 0
 	for seed := int64(0); seed < trials; seed++ {
 		store := storage.NewStore(tab)
-		s := CreateSample(store, rule.Trivial(1), 2000, NewTestRNG(seed))
+		s := drawRows(store, rule.Trivial(1), 2000, NewTestRNG(seed))
 		// Count matches of the filter within the sample.
 		n := 0
 		for _, i := range s.Rows {
@@ -112,7 +112,7 @@ func TestCountIntervalZeroCoverage(t *testing.T) {
 	misses, covered := 0, 0
 	for seed := int64(0); seed < 400; seed++ {
 		store := storage.NewStore(tab)
-		s := CreateSample(store, rule.Trivial(1), 100, NewTestRNG(seed)) // p = 0.01
+		s := drawRows(store, rule.Trivial(1), 100, NewTestRNG(seed)) // p = 0.01
 		n := 0
 		for _, i := range s.Rows {
 			if tab.Covers(filter, i) {

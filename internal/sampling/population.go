@@ -12,9 +12,9 @@ import (
 // A population is what a handler draws its samples from: the rows of the
 // store's table, each named by an int — its unit. A Sample's Rows are units;
 // everything the handler does with them (the budget M, Rate and Scale, Find,
-// Combine's exact de-duplication, LRU eviction, install's trim) counts and
-// compares units and never asks what a unit names. The three things that do
-// depend on the naming sit behind this seam.
+// Combine's exact de-duplication, LRU eviction) counts and compares units and
+// never asks what a unit names. The three things that do depend on the naming
+// sit behind this seam.
 //
 // There are two namings. rowPopulation names a row by its position in the
 // table, and draws by passing over the rows: Section 4.3's Create as the paper
@@ -25,19 +25,24 @@ import (
 type population interface {
 	// draw makes one accounted walk over the units with their masses and
 	// returns, for each filter, a uniform sample without replacement of
-	// min(caps[k], covered) of the units the filter covers, in an order a
-	// suffix of which may be dropped without bias, together with the exact
-	// number covered.
+	// min(caps[k], covered) of the units the filter covers, ascending,
+	// together with the exact number covered.
 	draw(filters []rule.Rule, caps []int, rng *rand.Rand) []*Sample
 	// covers reports whether r covers unit u.
 	covers(r rule.Rule, u int) bool
-	// view returns the ascending units as the view a search reads, and the
-	// number of table rows copied to make it.
-	view(units []int) (v *table.View, copied int)
+	// view returns the ascending units as the view a search reads, the same
+	// units as a zero-copy row view of the table (nil where no rows stand
+	// behind them), and the number of rows read to make the first.
+	view(units []int) (tab, rows *table.View, read int)
 }
 
 // rowPopulation is the table's rows in file order, a row's unit its index.
-type rowPopulation struct{ store *storage.Store }
+// group has it serve a sample grouped into its distinct tuples where that
+// compresses it (see sampleGiveUp).
+type rowPopulation struct {
+	store *storage.Store
+	group bool
+}
 
 // draw fills one reservoir per filter (Vitter's Algorithm R, the method
 // cited in Section 4.3) in a single accounted scan of the table.
@@ -57,6 +62,7 @@ func (p rowPopulation) draw(filters []rule.Rule, caps []int, rng *rand.Rand) []*
 	})
 	out := make([]*Sample, len(filters))
 	for k, f := range filters {
+		sort.Ints(res[k].rows)
 		out[k] = &Sample{Filter: f, Rows: res[k].rows, ExactCount: res[k].seen}
 	}
 	return out
@@ -64,10 +70,21 @@ func (p rowPopulation) draw(filters []rule.Rule, caps []int, rng *rand.Rand) []*
 
 func (p rowPopulation) covers(r rule.Rule, u int) bool { return p.store.Table().Covers(r, u) }
 
-// view is zero-copy: it shares the table's column arrays, so serving a row
-// sample never materializes its tuples.
-func (p rowPopulation) view(units []int) (*table.View, int) {
-	return p.store.Table().ViewOf(units), 0
+// view is zero-copy — it shares the table's column arrays — unless the
+// population groups and the rows compress: then the search reads their
+// distinct tuples (table.Table.GroupRows), first-seen order following the
+// rows so ties break as on the row view, and the grouping pass is read.
+func (p rowPopulation) view(units []int) (tab, rows *table.View, read int) {
+	t := p.store.Table()
+	rows = t.ViewOf(units)
+	if !p.group {
+		return rows, rows, 0
+	}
+	d, read := t.GroupRows(units, len(units)/sampleGiveUp)
+	if d == nil {
+		return rows, rows, read
+	}
+	return d.All(), rows, read
 }
 
 // reservoir maintains a fixed-capacity uniform sample of a stream of row
@@ -114,7 +131,7 @@ type tuplePopulation struct {
 // it, noting for each filter the tuples it covers and their running mass —
 // which totals to the filter's exact count — and then takes, per filter, the
 // first min(cap, covered) entries of a random permutation of the covered
-// units: O(distinct tuples + drawn units), whatever the rows.
+// units, sorted: O(distinct tuples + drawn units · log), whatever the rows.
 func (p tuplePopulation) draw(filters []rule.Rule, caps []int, rng *rand.Rand) []*Sample {
 	// run is one covered tuple: its first unit, and the covered units before it.
 	type run struct{ first, before int }
@@ -138,6 +155,7 @@ func (p tuplePopulation) draw(filters []rule.Rule, caps []int, rng *rand.Rand) [
 			r := rk[sort.Search(len(rk), func(x int) bool { return rk[x].before > pos })-1]
 			units[i] = r.first + pos - r.before
 		}
+		sort.Ints(units)
 		out[k] = &Sample{Filter: f, Rows: units, ExactCount: covered[k]}
 	}
 	return out
@@ -174,8 +192,8 @@ func (p tuplePopulation) covers(r rule.Rule, u int) bool { return p.d.Covers(r, 
 // from it) pairs and copies those tuples out of the distinct table into a
 // weighted table of their own (table.Table.SelectWeighted), in the distinct
 // table's order, index warmed: what a row sample becomes once grouped, without
-// the grouping.
-func (p tuplePopulation) view(units []int) (*table.View, int) {
+// the grouping. No row view stands behind it, and read is the tuples copied.
+func (p tuplePopulation) view(units []int) (tab, rows *table.View, read int) {
 	tuples := make([]int, 0, len(units))
 	mult := make([]int32, 0, len(units))
 	for i := 0; i < len(units); {
@@ -188,6 +206,6 @@ func (p tuplePopulation) view(units []int) (*table.View, int) {
 		mult = append(mult, int32(n-i))
 		i = n
 	}
-	d, copied := p.d.SelectWeighted(tuples, mult)
-	return d.All(), copied
+	d, read := p.d.SelectWeighted(tuples, mult)
+	return d.All(), nil, read
 }

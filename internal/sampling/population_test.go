@@ -23,7 +23,7 @@ func tupleHandler(t *testing.T, tab *table.Table, m, minSS int, seed int64) (*Ha
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.SampleTuples(func() *table.Table { return d })
+	h.ServeGrouped(func() (bool, *table.Table) { return true, d })
 	return h, d
 }
 
@@ -99,8 +99,8 @@ func TestTupleDrawTotals(t *testing.T) {
 		if s.ExactCount != count || s.Size() != min(target, count) || v.Tab.NumTuples() != s.Size() {
 			t.Fatalf("%v: a sample of %d rows (view of %d) knowing a count of %d, want %d of %d", r, s.Size(), v.Tab.NumTuples(), s.ExactCount, min(target, count), count)
 		}
-		if v.Copied() != v.Tab.NumRows() {
-			t.Fatalf("%v: %d rows copied into a table of %d", r, v.Copied(), v.Tab.NumRows())
+		if v.Read() != v.Tab.NumRows() || v.Rows != nil {
+			t.Fatalf("%v: %d rows copied into a table of %d, a row view behind it %v", r, v.Read(), v.Tab.NumRows(), v.Rows != nil)
 		}
 		for k, m := range multiplicities(t, v.Tab) {
 			if m < 1 || m > whole[k] {
@@ -157,9 +157,7 @@ func skewed(n int) (*table.Table, []int) {
 // gives. Their means sit on target·mᵢ/N (a chi-square over the tuples against
 // the hypergeometric variance of a mean); their variances carry the
 // finite-population factor (N−n)/(N−1), which at n = N/2 halves a
-// multinomial's; the two largest tuples' counts vary against each other; and
-// after install trims the sample to half, dropping the table made from the
-// untrimmed one, what is left passes the same chi-square.
+// multinomial's; and the two largest tuples' counts vary against each other.
 func TestTupleDrawIsHypergeometric(t *testing.T) {
 	const tuples, seeds = 50, 2000
 	tab, mult := skewed(tuples)
@@ -175,11 +173,15 @@ func TestTupleDrawIsHypergeometric(t *testing.T) {
 		}
 		keyOf[tupleKey(d.All(), j)] = i
 	}
-	type moments struct{ sum, sumSq []float64 }
-	newMoments := func() moments { return moments{make([]float64, tuples), make([]float64, tuples)} }
-	full, trimmed := newMoments(), newMoments()
+	sum, sumSq := make([]float64, tuples), make([]float64, tuples)
 	var cross float64 // Σ x·y over seeds for the two largest tuples
-	note := func(m moments, v *View, n int) []float64 {
+	trivial := rule.Trivial(2)
+	for seed := int64(1); seed <= seeds; seed++ {
+		h, _ := tupleHandler(t, tab, total, target, seed)
+		v, err := h.GetSample(trivial)
+		if err != nil {
+			t.Fatal(err)
+		}
 		x := make([]float64, tuples)
 		for k, c := range multiplicities(t, v.Tab) {
 			x[keyOf[k]] = float64(c)
@@ -189,74 +191,41 @@ func TestTupleDrawIsHypergeometric(t *testing.T) {
 			if c > float64(mult[i]) {
 				t.Fatalf("tuple %d sampled %v times over, the table holds %d", i, c, mult[i])
 			}
-			m.sum[i] += c
-			m.sumSq[i] += c * c
+			sum[i] += c
+			sumSq[i] += c * c
 			got += c
 		}
-		if int(got) != n || v.Tab.NumTuples() != n {
-			t.Fatalf("a sample of %v rows, want %d", got, n)
+		if int(got) != target || v.Tab.NumTuples() != target {
+			t.Fatalf("a sample of %v rows, want %d", got, target)
 		}
-		return x
-	}
-	trivial := rule.Trivial(2)
-	for seed := int64(1); seed <= seeds; seed++ {
-		h, _ := tupleHandler(t, tab, total, target, seed)
-		v, err := h.GetSample(trivial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := note(full, v, target)
 		cross += x[tuples-1] * x[tuples-2]
-
-		// The sample alone over a halved budget: install trims it.
-		s := h.samples[trivial.Key()]
-		h.M, h.MinSS = target/2, target/2
-		h.install(s)
-		after, err := h.GetSample(trivial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if after.Method != Find || after.Tab == v.Tab || after.Copied() != after.Tab.NumRows() {
-			t.Fatalf("after the trim: served by %s, the untrimmed sample's table %v, %d rows copied into %d",
-				after.Method, after.Tab == v.Tab, after.Copied(), after.Tab.NumRows())
-		}
-		if again, _ := h.GetSample(trivial); again.Tab != after.Tab || again.Copied() != 0 {
-			t.Fatalf("a second serve after the trim built the table again (%d rows copied)", again.Copied())
-		}
-		note(trimmed, after, target/2)
 	}
 
 	// 49 degrees of freedom: 85.4 is the 99.9th percentile.
 	const chiMax = 85.4
-	for _, tc := range []struct {
-		name string
-		m    moments
-		n    int
-	}{{"drawn", full, target}, {"trimmed", trimmed, target / 2}} {
-		fpc := float64(total-tc.n) / float64(total-1)
-		chi, ratio, big := 0.0, 0.0, 0
-		for i := range mult {
-			p := float64(mult[i]) / float64(total)
-			mean := tc.m.sum[i] / seeds
-			hyper := float64(tc.n) * p * (1 - p) * fpc
-			chi += (mean - float64(tc.n)*p) * (mean - float64(tc.n)*p) / (hyper / seeds)
-			if mult[i] >= 100 {
-				// Sample variance over multinomial variance: the factor.
-				ratio += (tc.m.sumSq[i]/seeds - mean*mean) / (float64(tc.n) * p * (1 - p))
-				big++
-			}
-		}
-		ratio /= float64(big)
-		t.Logf("%s: chi-square %.1f over %d tuples; variance %.3f of a multinomial's over the %d largest, finite-population factor %.3f", tc.name, chi, tuples, ratio, big, fpc)
-		if chi > chiMax {
-			t.Errorf("%s: chi-square %.1f of the per-tuple means against n·mᵢ/N, want below %.1f", tc.name, chi, chiMax)
-		}
-		if math.Abs(ratio-fpc) > 0.05 {
-			t.Errorf("%s: variances are %.3f of a multinomial's, want the finite-population factor %.3f", tc.name, ratio, fpc)
+	fpc := float64(total-target) / float64(total-1)
+	chi, ratio, big := 0.0, 0.0, 0
+	for i := range mult {
+		p := float64(mult[i]) / float64(total)
+		mean := sum[i] / seeds
+		hyper := float64(target) * p * (1 - p) * fpc
+		chi += (mean - float64(target)*p) * (mean - float64(target)*p) / (hyper / seeds)
+		if mult[i] >= 100 {
+			// Sample variance over multinomial variance: the factor.
+			ratio += (sumSq[i]/seeds - mean*mean) / (float64(target) * p * (1 - p))
+			big++
 		}
 	}
+	ratio /= float64(big)
+	t.Logf("chi-square %.1f over %d tuples; variance %.3f of a multinomial's over the %d largest, finite-population factor %.3f", chi, tuples, ratio, big, fpc)
+	if chi > chiMax {
+		t.Errorf("chi-square %.1f of the per-tuple means against n·mᵢ/N, want below %.1f", chi, chiMax)
+	}
+	if math.Abs(ratio-fpc) > 0.05 {
+		t.Errorf("variances are %.3f of a multinomial's, want the finite-population factor %.3f", ratio, fpc)
+	}
 	a, b := tuples-1, tuples-2
-	cov := cross/seeds - full.sum[a]/seeds*full.sum[b]/seeds
+	cov := cross/seeds - sum[a]/seeds*sum[b]/seeds
 	want := -float64(target) * float64(mult[a]) / float64(total) * float64(mult[b]) / float64(total) * float64(total-target) / float64(total-1)
 	t.Logf("covariance of the two largest tuples' counts %.2f, hypergeometric %.2f", cov, want)
 	if cov >= 0 || math.Abs(cov-want) > 0.25*math.Abs(want) {
@@ -307,8 +276,8 @@ func TestTupleCombine(t *testing.T) {
 		if both == 0 {
 			t.Fatalf("seed %d: no rank was drawn by both samples: de-duplication is not exercised", seed)
 		}
-		if v.Tab.NumTuples() != len(union) || v.Tab.NumRows() != 1 || v.Copied() != 1 || !v.Tab.Covers(r, 0) {
-			t.Fatalf("seed %d: a union of %d rows in %d tuples (%d copied), want %d in 1", seed, v.Tab.NumTuples(), v.Tab.NumRows(), v.Copied(), len(union))
+		if v.Tab.NumTuples() != len(union) || v.Tab.NumRows() != 1 || v.Read() != 1 || !v.Tab.Covers(r, 0) {
+			t.Fatalf("seed %d: a union of %d rows in %d tuples (%d copied), want %d in 1", seed, v.Tab.NumTuples(), v.Tab.NumRows(), v.Read(), len(union))
 		}
 		if want := 1 / (1 - (1-0.5)*(1-0.4)); math.Abs(v.Scale-want) > 1e-12 || v.EstimatedCount != float64(len(union))*v.Scale {
 			t.Fatalf("seed %d: scale %v estimating %v, want %v", seed, v.Scale, v.EstimatedCount, want)

@@ -21,11 +21,11 @@ const prefetchSlack = 1.1
 // (their rows could be reused; a fresh draw keeps every sample exactly
 // uniform). Returns the allocation used.
 func (h *Handler) Prefetch(root *TreeNode) (Allocation, error) {
-	allocMinSS := int(float64(h.MinSS) * prefetchSlack)
-	if allocMinSS > h.M {
-		allocMinSS = h.M
+	allocMinSS := int(float64(h.minSS) * prefetchSlack)
+	if allocMinSS > h.m {
+		allocMinSS = h.m
 	}
-	alloc, _, err := AllocateDP(root, h.M, allocMinSS)
+	alloc, _, err := AllocateDP(root, h.m, allocMinSS)
 	if err != nil {
 		return nil, err
 	}

@@ -2,11 +2,20 @@ package sampling
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
+	"smartdrill/internal/rule"
 	"smartdrill/internal/storage"
 	"smartdrill/internal/table"
 )
+
+// drawRows is Section 4.3's Create for one filter: one scan of the store
+// filling a reservoir of up to capacity rows covered by filter.
+func drawRows(store *storage.Store, filter rule.Rule, capacity int, rng *rand.Rand) *Sample {
+	return rowPopulation{store: store}.draw([]rule.Rule{filter}, []int{capacity}, rng)[0]
+}
 
 // stripes builds a 1-column table with n rows alternating over vals values.
 func stripes(n, vals int) *table.Table {
@@ -56,7 +65,7 @@ func TestCreateSampleExactCountAndScale(t *testing.T) {
 	tab := stripes(1000, 4) // 250 rows per value
 	store := storage.NewStore(tab)
 	filter, _ := tab.EncodeRule(map[string]string{"A": "a"})
-	s := CreateSample(store, filter, 100, NewTestRNG(3))
+	s := drawRows(store, filter, 100, NewTestRNG(3))
 	if s.ExactCount != 250 {
 		t.Fatalf("ExactCount = %d, want 250", s.ExactCount)
 	}
@@ -74,8 +83,11 @@ func TestCreateSampleExactCountAndScale(t *testing.T) {
 			t.Fatalf("sampled row %d not covered by filter", i)
 		}
 	}
+	if !sort.IntsAreSorted(s.Rows) {
+		t.Fatal("the draw's rows are not ascending")
+	}
 	if store.Stats().FullScans != 1 {
-		t.Fatal("CreateSample must cost exactly one scan")
+		t.Fatal("a Create must cost exactly one scan")
 	}
 }
 
@@ -83,7 +95,7 @@ func TestCreateSampleSmallCoverage(t *testing.T) {
 	tab := stripes(100, 50) // 2 rows per value
 	store := storage.NewStore(tab)
 	filter, _ := tab.EncodeRule(map[string]string{"A": "a"})
-	s := CreateSample(store, filter, 10, NewTestRNG(4))
+	s := drawRows(store, filter, 10, NewTestRNG(4))
 	if len(s.Rows) != 2 || s.ExactCount != 2 {
 		t.Fatalf("exhaustive small sample: rows=%d exact=%d", len(s.Rows), s.ExactCount)
 	}

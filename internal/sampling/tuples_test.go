@@ -8,23 +8,23 @@ import (
 	"smartdrill/internal/table"
 )
 
-// requireTuplesOf fails unless tuples is view v's rows grouped: every
-// distinct tuple once, in the order the ascending rows first show it,
-// multiplicities summing to the rows.
-func requireTuplesOf(t *testing.T, label string, tuples *table.View, v *View) {
+// requireTuplesOf fails unless v's Tab is its Rows grouped: every distinct
+// tuple once, in the order the ascending rows first show it, multiplicities
+// summing to the rows.
+func requireTuplesOf(t *testing.T, label string, v *View) {
 	t.Helper()
-	d := tuples.Table()
-	if !d.Weighted() || tuples.NumRows() != d.NumRows() {
-		t.Fatalf("%s: the tuple view is not a whole distinct-tuple table", label)
+	d := v.Tab.Table()
+	if !d.Weighted() || v.Tab.NumRows() != d.NumRows() || v.Rows == nil {
+		t.Fatalf("%s: the served view is not a whole distinct-tuple table over a row view", label)
 	}
-	if got := tuples.NumTuples(); got != v.Tab.NumRows() {
-		t.Fatalf("%s: multiplicities sum to %d, the sample holds %d rows", label, got, v.Tab.NumRows())
+	if got := v.Tab.NumTuples(); got != v.Rows.NumRows() {
+		t.Fatalf("%s: multiplicities sum to %d, the sample holds %d rows", label, got, v.Rows.NumRows())
 	}
 	seen := map[string]int{}
 	buf := make([]rule.Value, d.NumCols())
-	for i := 0; i < v.Tab.NumRows(); i++ {
+	for i := 0; i < v.Rows.NumRows(); i++ {
 		for c := range buf {
-			buf[c] = v.Tab.Value(c, i)
+			buf[c] = v.Rows.Value(c, i)
 		}
 		k := rule.Rule(buf).Key()
 		if _, ok := seen[k]; !ok {
@@ -45,110 +45,97 @@ func requireTuplesOf(t *testing.T, label string, tuples *table.View, v *View) {
 	}
 }
 
-// TestEquivalenceSampleTupleTable: a resident sample groups its rows once —
-// the first call pays one pass over them, Find re-serves the same table for
-// nothing — regroups after a trim, and Combine's union, which belongs to no
-// sample, is grouped per call and kept nowhere.
-func TestEquivalenceSampleTupleTable(t *testing.T) {
-	tab := grid(40000, 4, 4)
-	store := storage.NewStore(tab)
-	h, err := NewHandler(store, 20000, 1000, NewTestRNG(2))
+// rowHandler builds a handler drawing rows of tab, serving them grouped where
+// they compress when grouped is set, as they are otherwise.
+func rowHandler(t *testing.T, tab *table.Table, m, minSS int, seed int64, grouped bool) *Handler {
+	t.Helper()
+	h, err := NewHandler(storage.NewStore(tab), m, minSS, NewTestRNG(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.ServeGrouped(func() (bool, *table.Table) { return grouped, nil })
+	return h
+}
+
+// TestEquivalenceSampleTupleTable: a handler that groups row samples serves a
+// resident sample grouped from its first serve on — which pays one pass over
+// its rows — and Find re-serves the same table for nothing; Combine's union,
+// which belongs to no sample, is grouped per serve and kept nowhere. A
+// handler whose owner may not group serves the rows as they are, reading
+// nothing.
+func TestEquivalenceSampleTupleTable(t *testing.T) {
+	tab := grid(40000, 4, 4)
 	trivial := rule.Trivial(2)
+	sub, _ := tab.EncodeRule(map[string]string{"A": "a"})
+
+	h := rowHandler(t, tab, 20000, 1000, 2, true)
 	created, err := h.create(trivial, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := h.samples[trivial.Key()]
-	if s.grouped || s.tuples != nil {
-		t.Fatal("Create grouped the sample before any drill asked")
+	if created.Read() != s.Size() || created.Rows.NumRows() != s.Size() {
+		t.Fatalf("Create: %d rows read for a sample of %d (row view of %d); want one pass", created.Read(), s.Size(), created.Rows.NumRows())
 	}
-	first, read := created.Tuples()
-	if first == nil || read != s.Size() {
-		t.Fatalf("first call: table %v after %d rows; want one pass of %d", first != nil, read, s.Size())
-	}
-	requireTuplesOf(t, "Create", first, created)
-	if again, read := created.Tuples(); again.Table() != first.Table() || read != 0 {
-		t.Fatalf("second call: same table %v, %d rows read", again.Table() == first.Table(), read)
-	}
+	requireTuplesOf(t, "Create", created)
 	found, err := h.GetSample(trivial)
 	if err != nil || found.Method != Find {
 		t.Fatalf("second access %v (%v), want Find", found.Method, err)
 	}
-	if again, read := found.Tuples(); again.Table() != first.Table() || read != 0 {
-		t.Fatalf("Find: same table %v, %d rows read; want the sample's, for nothing", again.Table() == first.Table(), read)
+	if found.Tab != created.Tab || found.Rows != created.Rows || found.Read() != 0 {
+		t.Fatalf("Find: same table %v, same rows %v, %d rows read; want the sample's, for nothing", found.Tab == created.Tab, found.Rows == created.Rows, found.Read())
 	}
 
-	// Combine: a union of resident samples' rows, grouped on every call.
-	sub, _ := tab.EncodeRule(map[string]string{"A": "a"})
-	combined, err := h.GetSample(sub)
-	if err != nil || combined.Method != Combine {
-		t.Fatalf("sub-rule access %v (%v), want Combine", combined.Method, err)
-	}
+	// Combine: a union of resident samples' rows, grouped on every serve.
 	for call := 0; call < 2; call++ {
-		tuples, read := combined.Tuples()
-		if tuples == nil || read != combined.Tab.NumRows() {
-			t.Fatalf("Combine call %d: table %v after %d rows; want one pass of %d", call, tuples != nil, read, combined.Tab.NumRows())
+		combined, err := h.GetSample(sub)
+		if err != nil || combined.Method != Combine {
+			t.Fatalf("sub-rule access %v (%v), want Combine", combined.Method, err)
 		}
-		requireTuplesOf(t, "Combine", tuples, combined)
-	}
-	for _, r := range h.Samples() {
-		if r != s && r.grouped {
-			t.Fatalf("Combine's grouping was kept on sample %v", r.Filter)
+		if combined.Read() != combined.Rows.NumRows() {
+			t.Fatalf("Combine serve %d: %d rows read; want one pass of %d", call, combined.Read(), combined.Rows.NumRows())
 		}
+		requireTuplesOf(t, "Combine", combined)
 	}
-	if s.tuples != first.Table() {
-		t.Fatal("Combine replaced the contributing sample's own table")
+	if len(h.Samples()) != 1 || s.tab != created.Tab {
+		t.Fatal("Combine's grouping was kept, or replaced the contributing sample's own")
 	}
 
-	// A trim — install's, when the sample alone is over budget — drops a
-	// uniform suffix of Rows; the table grouped before it counts rows the
-	// sample no longer holds and must not be served.
-	h.M = 5000
-	h.install(s)
-	if s.Size() != 5000 {
-		t.Fatalf("install left %d rows, want the budget's 5000", s.Size())
+	plain := rowHandler(t, tab, 20000, 1000, 2, false)
+	for _, r := range []rule.Rule{trivial, trivial, sub} {
+		v, err := plain.GetSample(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Tab != v.Rows || v.Tab.Table() != tab || v.Read() != 0 {
+			t.Fatalf("%s on a handler that may not group: rows as they are %v, %d rows read", v.Method, v.Tab == v.Rows, v.Read())
+		}
 	}
-	trimmed, err := h.GetSample(trivial)
-	if err != nil || trimmed.Method != Find {
-		t.Fatalf("access after the trim %v (%v), want Find", trimmed.Method, err)
-	}
-	regrouped, read := trimmed.Tuples()
-	if regrouped == nil || regrouped.Table() == first.Table() || read != 5000 {
-		t.Fatalf("after the trim: table %v, same as before %v, %d rows read; want a new one after 5000",
-			regrouped != nil, regrouped != nil && regrouped.Table() == first.Table(), read)
-	}
-	requireTuplesOf(t, "trimmed", regrouped, trimmed)
 }
 
 // TestEquivalenceSampleTupleGiveUp: a sample more than half of whose rows
-// are distinct is not grouped — found out once, at the first tuple beyond
-// half, and remembered.
+// are distinct is served as rows — found out once, by its first serve, at the
+// first tuple beyond half, and kept with the sample.
 func TestEquivalenceSampleTupleGiveUp(t *testing.T) {
 	b := table.MustBuilder([]string{"Id", "Parity"}, nil)
 	for i := 0; i < 8000; i++ {
 		b.MustAddRow([]string{string(rune('a'+i%26)) + string(rune('a'+i/26%26)) + string(rune('a'+i/676)), string(rune('0' + i%2))})
 	}
-	store := storage.NewStore(b.Build())
-	h, err := NewHandler(store, 4000, 1000, NewTestRNG(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := rowHandler(t, b.Build(), 4000, 1000, 7, true)
 	v, err := h.GetSample(rule.Trivial(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tuples, read := v.Tuples(); tuples != nil || read != v.Tab.NumRows()/2+1 {
-		t.Fatalf("first call: table %v after %d rows; want none after %d", tuples != nil, read, v.Tab.NumRows()/2+1)
+	if v.Tab != v.Rows || v.Read() != v.Rows.NumRows()/2+1 {
+		t.Fatalf("first serve: grouped %v after %d rows; want the rows after %d", v.Tab != v.Rows, v.Read(), v.Rows.NumRows()/2+1)
 	}
 	for call := 2; call <= 3; call++ {
-		if tuples, read := v.Tuples(); tuples != nil || read != 0 {
-			t.Fatalf("call %d: table %v, %d rows read; the finding is not to be retried", call, tuples != nil, read)
+		again, err := h.GetSample(rule.Trivial(2))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if s := h.samples[rule.Trivial(2).Key()]; !s.grouped || s.tuples != nil {
-		t.Fatalf("the sample keeps a table %v, resolved %v", s.tuples != nil, s.grouped)
+		if again.Method != Find || again.Tab != v.Tab || again.Read() != 0 {
+			t.Fatalf("serve %d (%s): same rows %v, %d rows read; the finding is not to be retried", call, again.Method, again.Tab == v.Tab, again.Read())
+		}
 	}
 }

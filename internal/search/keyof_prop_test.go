@@ -21,7 +21,6 @@ var nonIdentity = map[string]bool{
 	"Deadline":     true,
 	"Yield":        true,
 	"Sampled":      true,
-	"Degraded":     true,
 	"NoCache":      true,
 	"Store":        true,
 	"Resolve":      true,
@@ -64,7 +63,6 @@ var mutations = map[string]func(*Request){
 	"Deadline": func(r *Request) { r.Deadline = time.Unix(1, 0) },
 	"Yield":    func(r *Request) { r.Yield = func(brs.Result) bool { return true } },
 	"Sampled":  func(r *Request) { r.Sampled = true },
-	"Degraded": func(r *Request) { r.Degraded = true },
 	"NoCache":  func(r *Request) { r.NoCache = true },
 	"Store":    func(r *Request) { r.Store = storage.NewStore(nil) },
 	"Resolve": func(r *Request) {

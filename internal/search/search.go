@@ -17,9 +17,11 @@
 //     unchanged), and per-dataset Counters for /v1/health.
 //
 // Only complete, exact, unscaled results enter the cache: sampled
-// expansions depend on per-session handler state, degraded requests must
-// stay on today's cheap path, and a budget-truncated stream must never be
-// replayed as a complete answer — all three bypass the cache entirely.
+// expansions depend on per-session handler state, and a budget-truncated
+// stream must never be replayed as a complete answer — both bypass the cache
+// entirely. A degraded (overloaded) drill needs no flag of its own: on a
+// sampled session the overload ladder makes it Sampled, and on an exact one
+// a cached answer is the cheapest there is.
 package search
 
 import (
@@ -58,8 +60,8 @@ const (
 
 // Request is the canonical form of one search. Identity fields (Kind
 // through Column) make up the cache key; the remaining fields are
-// execution inputs that either route around the cache (Sampled, Degraded,
-// NoCache, a Deadline-bounded stream) or are only consulted on a miss
+// execution inputs that either route around the cache (Sampled, NoCache, a
+// Deadline-bounded stream) or are only consulted on a miss
 // (Resolve, MaxWeightFor, Store, Yield); each carries a
 // //sdlint:nonidentity comment saying why it stays out of the key, and
 // TestKeyOfFieldIdentity holds the split for every field.
@@ -112,12 +114,6 @@ type Request struct {
 	//
 	//sdlint:nonidentity cache-routing flag: sampled requests bypass the cache entirely
 	Sampled bool
-	// Degraded marks an overload-ladder request; it bypasses the cache so
-	// degraded behavior (forced sampling, no extra work) stays exactly as
-	// without the service.
-	//
-	//sdlint:nonidentity cache-routing flag: degraded requests bypass the cache entirely
-	Degraded bool
 	// NoCache bypasses the cache for this request (the session-level
 	// DisableCache ablation).
 	//
@@ -323,13 +319,13 @@ func (*Service) keyOf(req Request) key {
 }
 
 // Run executes (or serves) one search. Requests that can never be shared
-// — sampled, degraded, cache-disabled, or deadline-bounded streams —
+// — sampled, cache-disabled, or deadline-bounded streams —
 // execute directly with bit-identical behavior to the pre-service call
 // sites. Everything else consults the answer cache, joins an identical
 // in-flight execution, or runs as the flight leader and publishes its
 // completed result.
 func (s *Service) Run(ctx context.Context, req Request) (Response, error) {
-	if s.cfg.Disabled || req.NoCache || req.Sampled || req.Degraded ||
+	if s.cfg.Disabled || req.NoCache || req.Sampled ||
 		(req.Kind == KindStream && !req.Deadline.IsZero()) {
 		resp, _, err := s.execute(ctx, req, false)
 		return resp, err

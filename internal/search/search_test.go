@@ -159,7 +159,6 @@ func TestBypassesNeverTouchCache(t *testing.T) {
 		{"disabled service", Config{Disabled: true}, func(*Request) {}},
 		{"NoCache request", Config{}, func(r *Request) { r.NoCache = true }},
 		{"Sampled request", Config{}, func(r *Request) { r.Sampled = true }},
-		{"Degraded request", Config{}, func(r *Request) { r.Degraded = true }},
 		{"deadline stream", Config{}, func(r *Request) {
 			r.Kind = KindStream
 			r.Deadline = time.Now().Add(time.Minute)

@@ -13,7 +13,7 @@ import (
 // any engine work runs. The overload ladder has three rungs:
 //
 //  1. full speed — a slot is free, the request runs normally;
-//  2. degraded — slots are scarce (in-use ≥ DegradeFraction of the cap):
+//  2. degraded — slots are scarce (in-use ≥ degradeFraction of the cap):
 //     the request still runs, but its context is marked degraded, which
 //     forces sampled sessions down the provisional pipeline and skips
 //     background refinement/prefetch (cheap answers before shed load);

@@ -115,10 +115,11 @@ func TestOverloadSheds429(t *testing.T) {
 func TestDegradedSkipsBackgroundRefine(t *testing.T) {
 	run := func(t *testing.T, pressure bool) (provisionalLeft bool) {
 		t.Helper()
-		// DegradeFraction 0 means any admitted request runs degraded.
-		cfg := Config{BackgroundRefine: true, MaxConcurrent: 4, DegradeFraction: 1}
+		// Four slots degrade from the third request in flight; one slot
+		// rounds degradeAt to 1: every admitted request runs degraded.
+		cfg := Config{BackgroundRefine: true, MaxConcurrent: 4}
 		if pressure {
-			cfg.DegradeFraction = 0.000001 // rounds to degradeAt=1: always degraded
+			cfg.MaxConcurrent = 1
 		}
 		s, ts := newTestServer(t, cfg)
 		tree := createSession(t, ts.URL, api.CreateSessionRequest{

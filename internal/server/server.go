@@ -73,10 +73,6 @@ type Config struct {
 	StreamBudget time.Duration
 	// MaxStreamBudget bounds client-requested budgets. Default 30s.
 	MaxStreamBudget time.Duration
-	// ShutdownGrace bounds how long Shutdown waits for in-flight requests
-	// — and, once they drain, for in-flight background refiners. Default
-	// 10s.
-	ShutdownGrace time.Duration
 	// Backend, when set, makes sessions durable: every mutation writes a
 	// snapshot through to it, LRU eviction demotes sessions to it instead
 	// of destroying them, store misses rehydrate from it, and a restarted
@@ -86,18 +82,13 @@ type Config struct {
 	// MaxConcurrent caps concurrently executing work requests (session
 	// create, drill, collapse, refine, traditional, stream) across all
 	// sessions. Requests beyond the cap queue up to AdmissionWait, run
-	// degraded when slots are scarce, and are shed with 429 overloaded +
-	// Retry-After when every slot stays busy. Default max(64,
-	// 4×GOMAXPROCS); negative disables admission control entirely.
+	// degraded when slots are scarce (degradeFraction), and are shed with
+	// 429 overloaded + Retry-After when every slot stays busy. Default
+	// max(64, 4×GOMAXPROCS); negative disables admission control entirely.
 	MaxConcurrent int
 	// AdmissionWait bounds how long a work request may queue for an
 	// admission slot before being shed. Default 1s.
 	AdmissionWait time.Duration
-	// DegradeFraction is the in-use fraction of MaxConcurrent at or above
-	// which admitted requests run degraded (sampled sessions answer from
-	// the provisional pipeline; background refinement and prefetch are
-	// skipped). Default 0.75; values above 1 never degrade.
-	DegradeFraction float64
 	// RetryAfter is the Retry-After hint attached to shed (429)
 	// responses. Default 1s.
 	RetryAfter time.Duration
@@ -138,6 +129,16 @@ type Config struct {
 	Logger *log.Logger
 }
 
+const (
+	// shutdownGrace bounds how long Shutdown waits for in-flight requests —
+	// and, once they drain, for in-flight background refiners.
+	shutdownGrace = 10 * time.Second
+	// degradeFraction is the in-use fraction of MaxConcurrent at or above
+	// which admitted requests run degraded (sampled sessions answer from the
+	// provisional pipeline; background refinement and prefetch are skipped).
+	degradeFraction = 0.75
+)
+
 func (c *Config) fill() {
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 1024
@@ -151,9 +152,6 @@ func (c *Config) fill() {
 	if c.MaxStreamBudget <= 0 {
 		c.MaxStreamBudget = 30 * time.Second
 	}
-	if c.ShutdownGrace <= 0 {
-		c.ShutdownGrace = 10 * time.Second
-	}
 	if c.MaxConcurrent == 0 {
 		c.MaxConcurrent = 4 * runtime.GOMAXPROCS(0)
 		if c.MaxConcurrent < 64 {
@@ -162,9 +160,6 @@ func (c *Config) fill() {
 	}
 	if c.AdmissionWait <= 0 {
 		c.AdmissionWait = time.Second
-	}
-	if c.DegradeFraction <= 0 {
-		c.DegradeFraction = 0.75
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
@@ -235,7 +230,7 @@ func New(cfg Config) *Server {
 	}
 	s.warmCtx, s.warmCancel = context.WithCancel(context.Background())
 	if cfg.MaxConcurrent > 0 {
-		s.adm = newAdmission(cfg.MaxConcurrent, cfg.AdmissionWait, cfg.DegradeFraction, cfg.RetryAfter)
+		s.adm = newAdmission(cfg.MaxConcurrent, cfg.AdmissionWait, degradeFraction, cfg.RetryAfter)
 	}
 	s.handler = s.routes()
 	return s
@@ -399,7 +394,7 @@ func (s *Server) routes() http.Handler {
 
 // ListenAndServe serves on addr until ctx is cancelled, then shuts down
 // gracefully: the listener closes immediately, in-flight requests (SSE
-// streams included) get ShutdownGrace to finish, in-flight background
+// streams included) get shutdownGrace to finish, in-flight background
 // refiners get whatever grace remains after the requests drain, and
 // stragglers are cut.
 func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
@@ -421,12 +416,12 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	case err := <-errc:
 		return err
 	case <-ctx.Done():
-		s.cfg.Logger.Printf("shutting down (grace %s)", s.cfg.ShutdownGrace)
+		s.cfg.Logger.Printf("shutting down (grace %s)", shutdownGrace)
 		// Cancel in-flight dataset warmers first: warming is best-effort
 		// precomputation, not work worth spending shutdown grace on. Their
 		// searches abort at the next counting-pass boundary.
 		s.warmCancel()
-		shutCtx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownGrace)
+		shutCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 		defer cancel()
 		if err := srv.Shutdown(shutCtx); err != nil {
 			srv.Close()
@@ -460,7 +455,7 @@ func (s *Server) logLimits(addr string) {
 	if s.backend != nil {
 		durable = "enabled (write-through snapshots; eviction demotes to backend)"
 	}
-	s.cfg.Logger.Printf("serving limits on %s: max-concurrent=%s admission-wait=%s degrade-fraction=%.2f request-timeout=%s read-header-timeout=%s idle-timeout=%s (no write timeout: SSE) max-sessions=%d durability=%s",
-		addr, maxConc, s.cfg.AdmissionWait, s.cfg.DegradeFraction, s.cfg.RequestTimeout,
-		s.cfg.ReadHeaderTimeout, s.cfg.IdleTimeout, s.cfg.MaxSessions, durable)
+	s.cfg.Logger.Printf("serving limits on %s: max-concurrent=%s admission-wait=%s degrade-fraction=%.2f request-timeout=%s read-header-timeout=%s idle-timeout=%s (no write timeout: SSE) shutdown-grace=%s max-sessions=%d durability=%s",
+		addr, maxConc, s.cfg.AdmissionWait, degradeFraction, s.cfg.RequestTimeout,
+		s.cfg.ReadHeaderTimeout, s.cfg.IdleTimeout, shutdownGrace, s.cfg.MaxSessions, durable)
 }

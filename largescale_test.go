@@ -159,8 +159,8 @@ func TestMillionRowInteractiveLatency(t *testing.T) {
 		if v.Method.String() != "Create" || e.LastAccessMethod() != "Find" || !v.Tab.Table().Weighted() {
 			t.Fatalf("rule %v: sample by %s, then drilled by %s, weighted %v", n.Rule, v.Method, e.LastAccessMethod(), v.Tab.Table().Weighted())
 		}
-		if again, _ := h.GetSample(n.Rule); again.Copied() != 0 || again.Tab != v.Tab {
-			t.Fatalf("rule %v: a sample served again copied %d rows", n.Rule, again.Copied())
+		if again, _ := h.GetSample(n.Rule); again.Read() != 0 || again.Tab != v.Tab {
+			t.Fatalf("rule %v: a sample served again copied %d rows", n.Rule, again.Read())
 		}
 	}
 	// The distinct table existed before the session did: nothing it has done

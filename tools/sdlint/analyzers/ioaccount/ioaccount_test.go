@@ -8,5 +8,5 @@ import (
 )
 
 func TestIoaccount(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), ioaccount.Analyzer, "internal/brs", "internal/storage")
+	analysistest.Run(t, analysistest.TestData(t), ioaccount.Analyzer, "internal/brs", "internal/storage", "internal/drill")
 }
