@@ -166,11 +166,12 @@ func fig5() {
 			strconv.FormatFloat(r.MW, 'g', -1, 64),
 			fmt.Sprintf("%.1f", r.Millis),
 			strconv.Itoa(r.Passes),
+			strconv.FormatInt(r.Reads, 10),
 			strconv.Itoa(r.Counted),
 			strconv.Itoa(r.Pruned),
 		})
 	}
-	eval.WriteTable(os.Stdout, []string{"Dataset", "Weighting", "mw", "ms", "passes", "counted", "pruned"}, cells)
+	eval.WriteTable(os.Stdout, []string{"Dataset", "Weighting", "mw", "ms", "passes", "reads", "counted", "pruned"}, cells)
 	fmt.Println()
 }
 

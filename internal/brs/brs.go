@@ -916,7 +916,7 @@ func (rn *runner) countLevelOne() []*cand {
 	}
 	virgin := len(rn.selected) == 0 // topW ≡ 0: marginal is weight·count
 
-	if virgin && rn.unitMass && rn.fullTable && rn.levelOneColumnsBuilt(accs) {
+	if virgin && rn.unitMass && rn.fullTable {
 		return rn.levelOneFromPostings(accs)
 	}
 

@@ -36,7 +36,7 @@ func sameResults(t *testing.T, label string, got, want []Result) {
 }
 
 // TestFastPathMatchesReference fuzzes the fast path against the reference
-// on random tables: full-table views with warmed posting lists,
+// on random tables: full-table views the index kernels count,
 // index-filtered base views, and self-restricting runs, auto-parallel and
 // at an explicit worker count.
 func TestFastPathMatchesReference(t *testing.T) {
@@ -45,7 +45,6 @@ func TestFastPathMatchesReference(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		cols := 3 + rng.Intn(3)
 		tab := randomTable(rng, cols, 2+rng.Intn(4), 100+rng.Intn(400))
-		tab.Index().Warm() // make the postings path eligible everywhere
 		var w weight.Weighter = weight.NewSize(cols)
 		if trial%2 == 1 {
 			w = weight.BitsFor(tab)
@@ -107,17 +106,20 @@ func TestFastPathMatchesReference(t *testing.T) {
 // TestCrossStepReuseObservable pins the headline reuse claim: on a
 // multi-step run, later steps serve level-1 candidates from the cache
 // (CandidatesReused > 0) and counting work drops versus the reference. The
-// table's index is cold, so the fast run scans too and reuse is the only
-// difference between the two.
+// view is no ascending row set, so the fast run scans too and reuse is the
+// only difference between the two.
 func TestCrossStepReuseObservable(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
-	tab := randomTable(rng, 5, 4, 600)
+	v := scanView(randomTable(rng, 5, 4, 600))
 	w := weight.NewSize(5)
-	fast, fs, err := Run(tab.All(), w, Options{K: 4, MaxWeight: 4})
+	fast, fs, err := Run(v, w, Options{K: 4, MaxWeight: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, rs, err := Run(tab.All(), w, Options{K: 4, MaxWeight: 4, Reference: true})
+	if fs.IndexLevels != 0 {
+		t.Fatalf("the fast run read the index: %+v", fs)
+	}
+	ref, rs, err := Run(v, w, Options{K: 4, MaxWeight: 4, Reference: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,42 +139,25 @@ func TestCrossStepReuseObservable(t *testing.T) {
 	}
 }
 
-// TestLevelOnePostingsPath pins the zero-row-read level 1: on a warmed
-// full-table Count run, the first level is answered from posting lengths
+// TestLevelOnePostingsPath pins the zero-row-read level 1: on a full-table
+// Count run, the first level is answered from posting lengths
 // (IndexLevels > 0) and results still match the scan reference.
 func TestLevelOnePostingsPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	tab := randomTable(rng, 4, 3, 500)
-	tab.Index().Warm()
 	w := weight.NewSize(4)
 	got, stats, err := Run(tab.All(), w, Options{K: 3, MaxWeight: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.IndexLevels == 0 {
-		t.Fatalf("warmed full-table run never used postings: %+v", stats)
+		t.Fatalf("full-table run never used postings: %+v", stats)
 	}
 	want, _, err := Run(tab.All(), w, Options{K: 3, MaxWeight: 4, Reference: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResults(t, "level-1 postings vs reference", got, want)
-
-	// Cold index: the planner must not build columns itself; the run still
-	// succeeds by scanning and reads no postings.
-	cold := randomTable(rng, 4, 3, 500)
-	_, cs, err := Run(cold.All(), w, Options{K: 3, MaxWeight: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.PostingsRead != 0 || cs.IndexLevels != 0 {
-		t.Fatalf("cold run paid index builds: %+v", cs)
-	}
-	for c := 0; c < cold.NumCols(); c++ {
-		if cold.Index().ColumnBuilt(c) {
-			t.Fatalf("cold run built column %d's posting lists", c)
-		}
-	}
 }
 
 // TestSumAggregateSerialEquivalence: under Sum the kernels accumulate
@@ -184,7 +169,6 @@ func TestSumAggregateSerialEquivalence(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		cols := 3
 		tab := randomMeasuredTable(rng, cols, 3, 200+rng.Intn(200))
-		tab.Index().Warm()
 		w := weight.NewSize(cols)
 		agg := score.SumAgg{Measure: 0}
 		want, _, err := Run(tab.All(), w, Options{K: 3, MaxWeight: 3, Agg: agg, Reference: true})
@@ -205,7 +189,6 @@ func TestIncrementalFastMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 10; trial++ {
 		tab := randomTable(rng, 4, 3, 300)
-		tab.Index().Warm()
 		w := weight.NewSize(4)
 		collect := func(opts Options) []Result {
 			var out []Result

@@ -15,7 +15,7 @@ import (
 // rows of one byte per column (its low two bits pick one of four values)
 // followed by the row's mass as eight little-endian float64 bytes.
 //
-//	[0] columns 2..5      [1] bit 0 Sum, bit 1 Bits weights, bit 2 cold index (scan
+//	[0] columns 2..5      [1] bit 0 Sum, bit 1 Bits weights, bit 2 rows last first (scan
 //	                          routes), bit 3 masses truncated to integers below 1024,
 //	                          bit 4 under Count, search the table's distinct tuples
 //	                          (where it has few enough), each weighing its multiplicity
@@ -26,7 +26,7 @@ type fuzzCase struct {
 	rows *table.Table // when tab is a distinct-tuple table: the table it was built from
 	w    weight.Weighter
 	opts Options // K, MaxWeight, Base, Agg
-	cold bool    // leave the index unbuilt: every pass scans
+	scan bool    // search scanView's permutation of the rows: every pass scans
 	// orderFree: every accumulator holds integers, so a sum depends neither
 	// on the order rows are added in nor on the order workers merge in.
 	orderFree bool
@@ -71,7 +71,7 @@ func decodeFuzzCase(data []byte) (fuzzCase, bool) {
 		integral = integral && mass == math.Trunc(mass)
 		b.MustAddRow(row, mass)
 	}
-	fc := fuzzCase{tab: b.Build(), cold: data[1]&4 != 0}
+	fc := fuzzCase{tab: b.Build(), scan: data[1]&4 != 0}
 	fc.w = weight.NewSize(cols)
 	if data[1]&2 != 0 {
 		fc.w = weight.BitsFor(fc.tab) // integral weights, like Size
@@ -127,7 +127,7 @@ func FuzzFastMatchesReference(f *testing.F) {
 	// Count, Size, trivial base, no weight cap: a twin-column table.
 	f.Add(encodeFuzzCase([fuzzHeader]byte{1, 0, 0, 2, 4},
 		[]string{"aaa", "aaa", "abb", "bcc", "bcc", "bcc", "cda"}, []float64{1, 1, 1, 1, 1, 1, 1}))
-	// Sum with integral masses under Bits, base on the last column, cold.
+	// Sum with integral masses under Bits, base on the last column, scanned.
 	f.Add(encodeFuzzCase([fuzzHeader]byte{0, 7, 2, 1, 2},
 		[]string{"ab", "ab", "ba", "bb", "cb", "ca", "ab"}, []float64{3, 0, 5, 2, 2, 7, 1}))
 	// Count over the distinct tuples of a table that repeats three of them:
@@ -141,24 +141,22 @@ func FuzzFastMatchesReference(f *testing.F) {
 			t.Skip()
 		}
 		tab, w, opts := fc.tab, fc.w, fc.opts
-		if !fc.cold {
-			tab.Index().Warm()
-		}
+		v := viewOf(tab, fc.scan)
 		ref := opts
 		ref.Reference = true
-		want := stream(t, tab.All(), w, ref, opts.K)
+		want := stream(t, v, w, ref, opts.K)
 		requireGreedyArgmax(t, "Reference", tab, w, opts, opts.K, want)
 		if fc.rows != nil {
 			sameResults(t, "Reference over the rows", stream(t, fc.rows.All(), w, ref, opts.K), want)
 		}
 		opts.Workers = 1
-		got := stream(t, tab.All(), w, opts, opts.K)
+		got := stream(t, v, w, opts, opts.K)
 		if !fc.orderFree {
 			requireGreedyArgmax(t, "workers=1", tab, w, opts, opts.K, got)
 			return
 		}
 		sameResults(t, "workers=1", got, want)
 		opts.Workers = 2
-		sameResults(t, "workers=2", stream(t, tab.All(), w, opts, opts.K), want)
+		sameResults(t, "workers=2", stream(t, v, w, opts, opts.K), want)
 	})
 }

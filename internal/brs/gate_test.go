@@ -25,18 +25,16 @@ import (
 // step without having existed in step 1.
 func TestEquivalenceGateOpensWithH(t *testing.T) {
 	w := weight.NewSize(3)
-	for _, warm := range []bool{true, false} {
-		tab := groupTable([]string{"A", "B", "C"},
-			group{cells: []string{"a1", "u#", "v#"}, n: 60},
-			group{cells: []string{"a2", "b2", "c2"}, n: 15})
-		if warm {
-			tab.Index().Warm()
-		}
-		label := fmt.Sprintf("warm=%v", warm)
+	tab := groupTable([]string{"A", "B", "C"},
+		group{cells: []string{"a1", "u#", "v#"}, n: 60},
+		group{cells: []string{"a2", "b2", "c2"}, n: 15})
+	for _, scan := range []bool{false, true} {
+		v := viewOf(tab, scan)
+		label := fmt.Sprintf("scan=%v", scan)
 		gated := []map[string]string{{"A": "a2"}, {"B": "b2"}, {"C": "c2"}}
 		deep := mustRule(t, tab, map[string]string{"A": "a2", "B": "b2", "C": "c2"})
 
-		rn, err := newRunner(tab.All(), w, Options{MaxWeight: 3, Workers: 1})
+		rn, err := newRunner(v, w, Options{MaxWeight: 3, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +57,7 @@ func TestEquivalenceGateOpensWithH(t *testing.T) {
 			t.Fatalf("%s: step 2 selected %+v, want (a2,b2,c2) measured fresh at 45", label, best)
 		}
 
-		sameStreams(t, label, tab, w, Options{MaxWeight: 3},
+		sameStreams(t, label, v, w, Options{MaxWeight: 3},
 			[]map[string]string{{"A": "a1"}, {"A": "a2", "B": "b2", "C": "c2"}})
 	}
 }
@@ -76,16 +74,14 @@ func TestEquivalenceGateOpensWithH(t *testing.T) {
 func TestEquivalenceMergeIsNotGated(t *testing.T) {
 	const m1, m2 = 5.971699358486874, 1.5059056377284654
 	w := weight.NewSize(3)
-	for _, warm := range []bool{true, false} {
-		tab := mergeNotGatedTable()
-		if warm {
-			tab.Index().Warm()
-		}
-		label := fmt.Sprintf("warm=%v", warm)
+	tab := mergeNotGatedTable()
+	for _, scan := range []bool{false, true} {
+		v := viewOf(tab, scan)
+		label := fmt.Sprintf("scan=%v", scan)
 		base := mustRule(t, tab, map[string]string{"A": "d"})
 		opts := Options{MaxWeight: 3, Base: base, Agg: score.SumAgg{Measure: 0}, Workers: 1}
 
-		rn, err := newRunner(tab.All(), w, opts)
+		rn, err := newRunner(v, w, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +100,7 @@ func TestEquivalenceMergeIsNotGated(t *testing.T) {
 			t.Fatalf("%s: parent bound %v is not below the child's marginal %v; the masses no longer reproduce the last-ulp gap", label, bound, child.marginal)
 		}
 
-		sameStreams(t, label, tab, w, opts, []map[string]string{
+		sameStreams(t, label, v, w, opts, []map[string]string{
 			{"A": "d", "B": "d", "C": "d"}, {"A": "d", "B": "b", "C": "b"}, {"A": "d", "B": "c", "C": "c"}})
 	}
 }
@@ -158,7 +154,6 @@ func TestEquivalenceWorkCeilings(t *testing.T) {
 		return out
 	}
 	for _, tc := range cases {
-		tc.tab.Index().Warm()
 		w := weight.NewSize(tc.tab.NumCols())
 		got, st, err := Run(tc.tab.All(), w, Options{K: 3, MaxWeight: tc.mw})
 		if err != nil {

@@ -52,6 +52,15 @@ func groupTable(cols []string, groups ...group) *table.Table {
 	return b.Build()
 }
 
+// viewOf is every row of tab: the whole table, which the index kernels
+// read, or — scan — scanView's permutation of it, which passes scan.
+func viewOf(tab *table.Table, scan bool) *table.View {
+	if scan {
+		return scanView(tab)
+	}
+	return tab.All()
+}
+
 func mustRule(t *testing.T, tab *table.Table, pattern map[string]string) rule.Rule {
 	t.Helper()
 	r, err := tab.EncodeRule(pattern)
@@ -80,23 +89,24 @@ func stream(t *testing.T, v *table.View, w weight.Weighter, opts Options, maxRul
 }
 
 // sameStreams requires Reference to stream exactly the hand-derived order
-// and the fast path to stream Reference's results at every worker count.
-func sameStreams(t *testing.T, label string, tab *table.Table, w weight.Weighter, opts Options, order []map[string]string) {
+// over v and the fast path to stream Reference's results at every worker
+// count.
+func sameStreams(t *testing.T, label string, v *table.View, w weight.Weighter, opts Options, order []map[string]string) {
 	t.Helper()
 	ref := opts
 	ref.Reference = true
-	want := stream(t, tab.All(), w, ref, len(order))
+	want := stream(t, v, w, ref, len(order))
 	if len(want) != len(order) {
 		t.Fatalf("%s: Reference streamed %d rules, want %d", label, len(want), len(order))
 	}
 	for i, p := range order {
-		if r := mustRule(t, tab, p); !want[i].Rule.Equal(r) {
+		if r := mustRule(t, v.Table(), p); !want[i].Rule.Equal(r) {
 			t.Fatalf("%s: Reference rule %d = %v, want %v", label, i, want[i].Rule, r)
 		}
 	}
 	for _, workers := range []int{1, 2, 8} {
 		opts.Workers = workers
-		got := stream(t, tab.All(), w, opts, len(order))
+		got := stream(t, v, w, opts, len(order))
 		sameResults(t, fmt.Sprintf("%s workers=%d", label, workers), got, want)
 	}
 }
@@ -115,8 +125,8 @@ func sameStreams(t *testing.T, label string, tab *table.Table, w weight.Weighter
 //     freshly generated rule.
 //
 // Each stream must equal the order worked out by hand and Reference's, on
-// the index routes (warm) and the scan routes (cold), at every worker
-// count.
+// the index routes (the whole table) and the scan routes (scanView), at
+// every worker count.
 func TestEquivalenceLazyTieBreaks(t *testing.T) {
 	cols := []string{"A", "B"}
 	common := []group{
@@ -140,15 +150,13 @@ func TestEquivalenceLazyTieBreaks(t *testing.T) {
 	}
 	w := weight.NewSize(2)
 	for _, tc := range cases {
-		for _, warm := range []bool{true, false} {
-			tab := groupTable(cols, append(append([]group{}, common...), tc.extra...)...)
-			if warm {
-				tab.Index().Warm()
-			}
-			label := fmt.Sprintf("%s warm=%v", tc.name, warm)
+		tab := groupTable(cols, append(append([]group{}, common...), tc.extra...)...)
+		for _, scan := range []bool{false, true} {
+			v := viewOf(tab, scan)
+			label := fmt.Sprintf("%s scan=%v", tc.name, scan)
 			x := mustRule(t, tab, map[string]string{"A": "a2", "B": "b2"})
 
-			rn, err := newRunner(tab.All(), w, Options{MaxWeight: 2, Workers: 1})
+			rn, err := newRunner(v, w, Options{MaxWeight: 2, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +173,7 @@ func TestEquivalenceLazyTieBreaks(t *testing.T) {
 				t.Fatalf("%s: after step 2 X = %+v, want counted with marginal 40", label, c)
 			}
 
-			sameStreams(t, label, tab, w, Options{MaxWeight: 2}, tc.want)
+			sameStreams(t, label, v, w, Options{MaxWeight: 2}, tc.want)
 		}
 	}
 }
@@ -213,14 +221,12 @@ func TestEquivalenceLateSurvivorTieBreaks(t *testing.T) {
 	}
 	w := weight.NewSize(2)
 	for _, tc := range cases {
-		for _, warm := range []bool{true, false} {
-			tab := groupTable([]string{"A", "B"}, append(append([]group{}, common...), tc.extra...)...)
-			if warm {
-				tab.Index().Warm()
-			}
-			label := fmt.Sprintf("%s warm=%v", tc.name, warm)
+		tab := groupTable([]string{"A", "B"}, append(append([]group{}, common...), tc.extra...)...)
+		for _, scan := range []bool{false, true} {
+			v := viewOf(tab, scan)
+			label := fmt.Sprintf("%s scan=%v", tc.name, scan)
 
-			rn, err := newRunner(tab.All(), w, Options{MaxWeight: 2, Workers: 1})
+			rn, err := newRunner(v, w, Options{MaxWeight: 2, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +247,7 @@ func TestEquivalenceLateSurvivorTieBreaks(t *testing.T) {
 				t.Fatalf("%s: after step 3 X = %+v, want counted with marginal 20", label, x)
 			}
 
-			sameStreams(t, label, tab, w, Options{MaxWeight: 2}, tc.want)
+			sameStreams(t, label, v, w, Options{MaxWeight: 2}, tc.want)
 		}
 	}
 }
@@ -262,18 +268,16 @@ func TestEquivalenceRefreshThroughTies(t *testing.T) {
 	}
 	groups = append(groups, group{cells: []string{"a0", "s#"}, n: 40})
 	w := weight.NewSize(2)
-	for _, warm := range []bool{true, false} {
-		tab := groupTable([]string{"A", "B"}, groups...)
-		if warm {
-			tab.Index().Warm()
-		}
-		want := stream(t, tab.All(), w, Options{MaxWeight: 1, Reference: true}, 2)
+	tab := groupTable([]string{"A", "B"}, groups...)
+	for _, scan := range []bool{false, true} {
+		v := viewOf(tab, scan)
+		want := stream(t, v, w, Options{MaxWeight: 1, Reference: true}, 2)
 		if len(want) != 2 || !want[1].Rule.Equal(mustRule(t, tab, map[string]string{"A": "a0"})) {
-			t.Fatalf("warm=%v: Reference streamed %v, want (a1,?) then (a0,?)", warm, want)
+			t.Fatalf("scan=%v: Reference streamed %v, want (a1,?) then (a0,?)", scan, want)
 		}
 		for _, workers := range []int{1, 2, 8} {
-			got := stream(t, tab.All(), w, Options{MaxWeight: 1, Workers: workers}, 2)
-			sameResults(t, fmt.Sprintf("warm=%v workers=%d", warm, workers), got, want)
+			got := stream(t, v, w, Options{MaxWeight: 1, Workers: workers}, 2)
+			sameResults(t, fmt.Sprintf("scan=%v workers=%d", scan, workers), got, want)
 		}
 	}
 }
@@ -318,12 +322,9 @@ func TestEquivalenceTiesAcrossParents(t *testing.T) {
 				ordered[i].cells = []string{g.cells[3], g.cells[2], g.cells[1], g.cells[0]}
 			}
 		}
-		for _, warm := range []bool{true, false} {
-			tab := groupTable(tc.cols, ordered...)
-			if warm {
-				tab.Index().Warm()
-			}
-			label := fmt.Sprintf("%s warm=%v", tc.name, warm)
+		tab := groupTable(tc.cols, ordered...)
+		for _, scan := range []bool{false, true} {
+			label := fmt.Sprintf("%s scan=%v", tc.name, scan)
 			// Each step's winner has the smaller key and is not the rule a
 			// parent of the first column reaches.
 			for i := 0; i < len(tc.want); i += 2 {
@@ -332,7 +333,7 @@ func TestEquivalenceTiesAcrossParents(t *testing.T) {
 					t.Fatalf("%s: fixture: %v must sort before %v and leave the first column starred", label, win, lose)
 				}
 			}
-			sameStreams(t, label, tab, w, Options{}, tc.want)
+			sameStreams(t, label, viewOf(tab, scan), w, Options{}, tc.want)
 		}
 	}
 }
@@ -362,17 +363,15 @@ func TestFusedChildExistsBySight(t *testing.T) {
 		{map[string]string{"B": "b2", "C": "c1"}, map[string]string{"B": "b2"}},
 	}
 	w := weight.NewSize(3)
-	for _, warm := range []bool{false, true} {
-		if warm {
-			tab.Index().Warm()
-		}
+	for _, scan := range []bool{true, false} {
+		v := viewOf(tab, scan)
 		opts := Options{MaxWeight: 3, Agg: score.SumAgg{Measure: 0}, Workers: 1}
-		fast, err := newRunner(tab.All(), w, opts)
+		fast, err := newRunner(v, w, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opts.Reference = true
-		ref, err := newRunner(tab.All(), w, opts)
+		ref, err := newRunner(v, w, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +379,7 @@ func TestFusedChildExistsBySight(t *testing.T) {
 		ref.findBestMarginal()
 		for pk, c := range ref.store.packed {
 			if c.counted && fast.store.byPK(pk) == nil {
-				t.Errorf("warm=%v: Reference counted %v in step 1, which the fast path never materialized", warm, c.r)
+				t.Errorf("scan=%v: Reference counted %v in step 1, which the fast path never materialized", scan, c.r)
 			}
 		}
 		walked := 0
@@ -393,14 +392,14 @@ func TestFusedChildExistsBySight(t *testing.T) {
 				}
 				walked++
 				if ext := fast.lookup(mustRule(t, tab, bs.ext)); ext == nil || !hasChild(pc, ext) {
-					t.Errorf("warm=%v step %d: %v was walked but its zero-sum extension %v is not among its children", warm, step, bs.parent, bs.ext)
+					t.Errorf("scan=%v step %d: %v was walked but its zero-sum extension %v is not among its children", scan, step, bs.parent, bs.ext)
 				}
 			}
 			fast.applySelection(best)
 			best = fast.findBestMarginal()
 		}
 		if walked == 0 {
-			t.Errorf("warm=%v: no parent of a zero-sum extension was ever walked; the table no longer tests anything", warm)
+			t.Errorf("scan=%v: no parent of a zero-sum extension was ever walked; the table no longer tests anything", scan)
 		}
 	}
 }
@@ -421,35 +420,32 @@ func hasChild(p, child *cand) bool {
 // the shorter run.
 func TestLastSelectionPaysNoWalk(t *testing.T) {
 	// One column: level 1 is the whole search, so a one-rule run is one
-	// pass (or, on a warm index, posting lengths alone).
+	// pass (or, over the whole table, posting lengths alone).
 	tab := groupTable([]string{"A"},
 		group{cells: []string{"x"}, n: 50}, group{cells: []string{"y"}, n: 30}, group{cells: []string{"z"}, n: 20})
 	w := weight.NewSize(1)
-	_, cold, err := Run(tab.All(), w, Options{K: 1})
+	_, scan, err := Run(scanView(tab), w, Options{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Passes != 1 || cold.RowsScanned != 100 {
-		t.Fatalf("one-rule scan run: %+v, want exactly the level-1 pass", cold)
+	if scan.Passes != 1 || scan.RowsScanned != 100 || scan.IndexLevels != 0 {
+		t.Fatalf("one-rule scan run: %+v, want exactly the level-1 pass", scan)
 	}
-	tab.Index().Warm()
-	_, warm, err := Run(tab.All(), w, Options{K: 1})
+	_, index, err := Run(tab.All(), w, Options{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.IndexLevels != 1 || warm.PostingsRead != 0 || warm.BitmapWordsRead != 0 || warm.Passes != 0 {
-		t.Fatalf("one-rule index run: %+v, want posting lengths only", warm)
+	if index.IndexLevels != 1 || index.PostingsRead != 0 || index.BitmapWordsRead != 0 || index.Passes != 0 {
+		t.Fatalf("one-rule index run: %+v, want posting lengths only", index)
 	}
 
 	wide := groupTable([]string{"A", "B"},
 		group{cells: []string{"a1", "u#"}, n: 60}, group{cells: []string{"a2", "b2"}, n: 20}, group{cells: []string{"a3", "b2"}, n: 15})
 	w2 := weight.NewSize(2)
-	for _, warmIndex := range []bool{false, true} {
-		if warmIndex {
-			wide.Index().Warm()
-		}
+	for _, scanned := range []bool{true, false} {
+		v := viewOf(wide, scanned)
 		statsOf := func(ctx context.Context, maxRules int, yield Yield) Stats {
-			st, err := RunIncrementalCtx(ctx, wide.All(), w2, Options{MaxWeight: 2}, maxRules, time.Time{}, yield)
+			st, err := RunIncrementalCtx(ctx, v, w2, Options{MaxWeight: 2}, maxRules, time.Time{}, yield)
 			if err != nil && !errors.Is(err, context.Canceled) {
 				t.Fatal(err)
 			}
@@ -458,23 +454,26 @@ func TestLastSelectionPaysNoWalk(t *testing.T) {
 		all := func(Result) bool { return true }
 		one, two := statsOf(context.Background(), 1, all), statsOf(context.Background(), 2, all)
 		if one == two {
-			t.Fatalf("warm=%v: a second step cost nothing: %+v", warmIndex, two)
+			t.Fatalf("scan=%v: a second step cost nothing: %+v", scanned, two)
+		}
+		if scanned && two.IndexLevels != 0 {
+			t.Fatalf("scan=%v: the two-rule stream read the index: %+v", scanned, two)
 		}
 		for k, want := range map[int]Stats{1: one, 2: two} {
-			_, batch, err := Run(wide.All(), w2, Options{K: k, MaxWeight: 2})
+			_, batch, err := Run(v, w2, Options{K: k, MaxWeight: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if batch != want {
-				t.Errorf("warm=%v: Run K=%d did %+v, the %d-rule stream %+v", warmIndex, k, batch, k, want)
+				t.Errorf("scan=%v: Run K=%d did %+v, the %d-rule stream %+v", scanned, k, batch, k, want)
 			}
 		}
 		if got := statsOf(context.Background(), 0, func(Result) bool { return false }); got != one {
-			t.Errorf("warm=%v: stream stopped by its callback did %+v, want the one-rule run's %+v", warmIndex, got, one)
+			t.Errorf("scan=%v: stream stopped by its callback did %+v, want the one-rule run's %+v", scanned, got, one)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		if got := statsOf(ctx, 0, func(Result) bool { cancel(); return true }); got != one {
-			t.Errorf("warm=%v: stream canceled after its first rule did %+v, want the one-rule run's %+v", warmIndex, got, one)
+			t.Errorf("scan=%v: stream canceled after its first rule did %+v, want the one-rule run's %+v", scanned, got, one)
 		}
 		cancel()
 	}
@@ -488,7 +487,6 @@ func TestMaxWeightClampedToWeighterBound(t *testing.T) {
 		group{cells: []string{"a1", "b#", "c1"}, n: 60},
 		group{cells: []string{"a2", "b2", "c#"}, n: 25},
 		group{cells: []string{"a3", "b2", "c2"}, n: 15})
-	tab.Index().Warm()
 	w := weight.NewSize(3)
 	top := w.MaxWeight(3)
 	for _, reference := range []bool{false, true} {

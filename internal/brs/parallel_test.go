@@ -96,7 +96,6 @@ func TestParallelRowsCoversAllRows(t *testing.T) {
 func TestParallelDeterministicMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	tab := randomTable(rng, 5, 4, 700)
-	tab.Index().Warm()
 	w := weight.BitsFor(tab)
 	opts := Options{K: 5, MaxWeight: 12, Workers: 8}
 

@@ -35,11 +35,9 @@ import (
 // candidate which kernel. Scan cost is one visit per view row plus the
 // anchor-match work the scan kernel pays per candidate (rows sharing the
 // candidate's anchor value, scaled to the view); kernel costs are the
-// entry/word volumes above. The planner only routes to columns whose
-// containers are already built (table.Index.ColumnBuilt): a build is a
-// full pass, and silently charging it to one counting step would make the
-// "cheap" path the expensive one. Warm indexes (the server warms every
-// dataset at registration) make the decision purely about read volume.
+// entry/word volumes above. The index is built whole by its first read
+// (table.Index.Warm), so the decision is purely about read volume, and the
+// same whether or not anyone warmed the index first.
 //
 // Every kernel visits rows ascending — the order a scan visits them — so
 // accumulated masses are bit-identical across all three access paths, and
@@ -59,8 +57,8 @@ type candPlan struct {
 
 // planCand costs the index kernels for rule r. anchor is the posting length
 // of r's anchor column (the scan kernel's per-candidate work, see
-// buildCandIndex); ok is false when some needed column has no built
-// containers, which forces the whole pass to scan.
+// buildCandIndex); ok is false for a rule with no instantiated free column,
+// which forces the whole pass to scan.
 func (rn *runner) planCand(r rule.Rule) (plan candPlan, anchor int64, ok bool) {
 	lists := 0
 	shortest := int64(^uint64(0) >> 1)
@@ -68,9 +66,6 @@ func (rn *runner) planCand(r rule.Rule) (plan candPlan, anchor int64, ok bool) {
 	for _, col := range rn.freeCols {
 		if r[col] == rule.Star {
 			continue
-		}
-		if !rn.ix.ColumnBuilt(col) {
-			return candPlan{}, 0, false
 		}
 		l := int64(rn.ix.PostingsLen(col, r[col]))
 		if lists == 0 {
@@ -234,20 +229,6 @@ func (rn *runner) countCandidatesIndex(cands []*cand, plans []candPlan) {
 		rn.stats.BitmapWordsRead += breads[g]
 	}
 	rn.stats.IndexLevels++
-}
-
-// levelOneColumnsBuilt reports whether every level-1 column already has
-// posting lists, the precondition for the length-only level-1 path.
-func (rn *runner) levelOneColumnsBuilt(accs []extAcc) bool {
-	if rn.ix == nil {
-		return false
-	}
-	for a := range accs {
-		if !rn.ix.ColumnBuilt(accs[a].col) {
-			return false
-		}
-	}
-	return true
 }
 
 // levelOneFromPostings answers level 1 on a full-table view of an

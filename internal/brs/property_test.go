@@ -49,7 +49,6 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 		cols := 3 + rng.Intn(2)
 		n := 1500 + rng.Intn(1500)
 		tab := skewedTable(rng, cols, 3+rng.Intn(3), n)
-		tab.Index().Warm()
 		size := weight.NewSize(cols)
 		var w weight.Weighter = size
 		if trial%2 == 1 {
@@ -80,11 +79,9 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat.Index().Warm()
 		// Forty values a column: every one but the skewed column's favourite
 		// is sparse.
 		thin := skewedTable(rand.New(rand.NewSource(int64(trial)+200)), 3, 40, n)
-		thin.Index().Warm()
 		// Irrational weights: a marginal is a sum of products no ± delta
 		// bookkeeping could keep exact, only a recount in row order.
 		per := make([]float64, cols)
@@ -96,7 +93,6 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 		// with exactly the same mass: steps ≥ 2 tie cached candidates with
 		// freshly counted ones to the last bit.
 		dup := withDuplicateColumn(tab, 1)
-		dup.Index().Warm()
 		multiStep := func(s Stats) bool { return s.CandidatesReused > 0 && s.IndexLevels > 0 }
 		// A table of few distinct tuples, and its distinct-tuple table: Count
 		// over rows that each weigh their multiplicity. A kernel that counts
@@ -104,7 +100,6 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 		// popcount, a count++ — disagrees with Reference, which sums
 		// Agg.Mass row by row; and either must return what the rows give.
 		heavy := skewedTable(rand.New(rand.NewSource(int64(trial)+100)), 4, 4, n)
-		heavy.Index().Warm()
 		weighted, _ := heavy.Distinct()
 		if weighted == nil {
 			t.Fatalf("trial %d: %d rows over at most 320 tuples did not compress", trial, n)

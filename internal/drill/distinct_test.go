@@ -101,7 +101,6 @@ func TestEquivalenceDistinctPath(t *testing.T) {
 		{"large", 5, 6, 2400, 12000, true, true},
 	} {
 		tab := pooledTable(rng, shape.cols, shape.vals, shape.pool, shape.n)
-		tab.Index().Warm()
 		for wi, inner := range []weight.Weighter{weight.NewSize(shape.cols), weight.BitsFor(tab), weight.SizeMinusOne{}} {
 			for _, workers := range []int{1, 2, 8} {
 				label := fmt.Sprintf("%s %s workers=%d", shape.name, inner.Name(), workers)

@@ -384,7 +384,6 @@ func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter, kind s
 	}
 	if kind == search.KindStream {
 		req.MaxRules = maxRules
-		req.MinGainRatio = 0.01 // drop the long tail of near-worthless rules
 		if budget > 0 {
 			// A deadline-bounded stream can truncate anywhere, so the service
 			// runs it directly — never cached, never joined by singleflight.
@@ -618,18 +617,14 @@ func (s *Session) useSample(r rule.Rule, degraded bool) bool {
 	return s.coverageUpperBound(r) > s.cfg.SampleThreshold
 }
 
-// coverageUpperBound cheaply upper-bounds Count(r): the shortest already-
-// built posting list among r's instantiated columns, falling back to the
-// table size when r is trivial or no list is warm. Overestimating is safe
-// — it keeps possibly-large views on the sampled path; the exact path is
-// chosen only when the bound proves the view small.
+// coverageUpperBound cheaply upper-bounds Count(r): the shortest posting
+// list among r's instantiated columns, the table size when r is trivial.
+// Overestimating is safe — it keeps possibly-large views on the sampled
+// path; the exact path is chosen only when the bound proves the view small.
 func (s *Session) coverageUpperBound(r rule.Rule) int {
 	bound := s.tab.NumRows()
 	ix := s.tab.Index()
 	for _, c := range r.InstantiatedColumns() {
-		if !ix.ColumnBuilt(c) {
-			continue
-		}
 		if l := ix.PostingsLen(c, r[c]); l < bound {
 			bound = l
 		}
@@ -715,28 +710,11 @@ func (s *Session) Traditional(n *Node, c int) ([]baseline.Group, error) {
 }
 
 // displayed reports whether n is still part of the session's displayed
-// tree: every link of its parent chain must still list it (or its
-// ancestor) as a child, and the chain must end at the root. Collapse and
-// re-expansion replace child slices, so orphaned nodes fail the check.
-func (s *Session) displayed(n *Node) bool {
-	for cur := n; ; {
-		p := cur.parent
-		if p == nil {
-			return cur == s.root
-		}
-		attached := false
-		for _, c := range p.Children {
-			if c == cur {
-				attached = true
-				break
-			}
-		}
-		if !attached {
-			return false
-		}
-		cur = p
-	}
-}
+// tree, which the id index holds exactly: adopt registers a node, Collapse
+// and re-expansion forget it, and Load replaces the index — the pointer
+// compare rejects a node from before the Load even where the snapshot
+// reuses its id.
+func (s *Session) displayed(n *Node) bool { return s.byID[n.id] == n }
 
 // ProvisionalNodes lists displayed nodes whose counts are still sample
 // estimates, in display (pre-order) order — the refiner's work queue.

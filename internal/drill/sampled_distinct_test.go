@@ -171,7 +171,6 @@ func TestEquivalenceSampledDistinctPath(t *testing.T) {
 		{"pooled", pooledTable(rand.New(rand.NewSource(13)), 5, 6, 4000, 40000), 20000, 9000, true, false},
 	} {
 		tab := shape.tab
-		tab.Index().Warm()
 		// Resolved here, so that no drill below is booked the build.
 		if d, _ := tab.Distinct(); d == nil {
 			t.Fatalf("%s does not compress", shape.name)

@@ -5,6 +5,7 @@ package drill
 // routing, and the provisional→exact refinement lifecycle.
 
 import (
+	"bytes"
 	"testing"
 
 	"smartdrill/internal/datagen"
@@ -151,7 +152,6 @@ func TestDisableSamplingBitIdentical(t *testing.T) {
 // smaller than the threshold are answered exactly.
 func TestSampleThresholdRouting(t *testing.T) {
 	tab := datagen.CensusProjected(30000, 7, 7)
-	tab.Index().Warm() // posting lengths drive the routing bound
 	s, err := NewSession(tab, Config{
 		K: 4, MaxWeight: 4,
 		SampleMemory:    30000,
@@ -298,8 +298,9 @@ func TestRefineNodeLifecycle(t *testing.T) {
 }
 
 // TestRefineSkipsOrphanedNodes: a background refiner can lose the race
-// with a collapse or re-expansion; refining the orphaned node must be a
-// no-op, not a wasted full pass.
+// with a collapse, a re-expansion or a Load; refining the orphaned node must
+// be a no-op, not a wasted full pass — also where the loaded snapshot
+// displays a node under the orphan's id.
 func TestRefineSkipsOrphanedNodes(t *testing.T) {
 	tab := datagen.CensusProjected(25000, 7, 7)
 	s, err := NewSession(tab, Config{
@@ -325,6 +326,34 @@ func TestRefineSkipsOrphanedNodes(t *testing.T) {
 	}
 	if orphan.Exact {
 		t.Fatal("orphan mutated")
+	}
+
+	if err := s.Expand(s.Root()); err != nil {
+		t.Fatal(err)
+	}
+	held := s.Root().Children[0]
+	if held.Exact {
+		t.Fatal("fixture: the re-expanded child is exact; there is nothing to refine")
+	}
+	var snap bytes.Buffer
+	if err := s.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Load(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.NodeByID(held.ID()); n == nil || n == held {
+		t.Fatalf("after Load id %d resolves to %p, want the restored node, not the held %p", held.ID(), n, held)
+	}
+	scans = s.Store().Stats().FullScans
+	if s.RefineNode(held) {
+		t.Fatal("refined a node held from before Load")
+	}
+	if got := s.Store().Stats().FullScans; got != scans {
+		t.Fatalf("refining a node held from before Load paid %d passes", got-scans)
+	}
+	if held.Exact {
+		t.Fatal("node held from before Load mutated")
 	}
 }
 

@@ -45,13 +45,16 @@ func StandardWeightings() []Weighting {
 }
 
 // Fig5Row is one point of Figure 5: time to expand the empty rule at a
-// given mw.
+// given mw. Reads is the search's work — rows scanned, posting entries and
+// bitmap words read — of which Passes counts only the scans: a search the
+// index answers makes none.
 type Fig5Row struct {
 	Dataset   string
 	Weighting string
 	MW        float64
 	Millis    float64
 	Passes    int
+	Reads     int64
 	Counted   int
 	Pruned    int
 }
@@ -96,6 +99,7 @@ func Fig5Sweep(cfg Fig5Config) []Fig5Row {
 					MW:        mw,
 					Millis:    totalMS / float64(cfg.Trials),
 					Passes:    stats.Passes,
+					Reads:     stats.RowsScanned + stats.PostingsRead + stats.BitmapWordsRead,
 					Counted:   stats.CandidatesCounted,
 					Pruned:    stats.CandidatesPruned,
 				})

@@ -31,7 +31,7 @@ func TestFig5SweepShape(t *testing.T) {
 		t.Fatalf("got %d rows, want 4", len(rows))
 	}
 	for _, r := range rows {
-		if r.Millis < 0 || r.Passes <= 0 || r.Counted <= 0 {
+		if r.Millis < 0 || r.Reads <= 0 || r.Counted <= 0 {
 			t.Fatalf("implausible row %+v", r)
 		}
 	}

@@ -29,17 +29,16 @@ var nonIdentity = map[string]bool{
 
 func baseRequest() Request {
 	return Request{
-		Kind:         KindBatch,
-		Rule:         rule.Trivial(4).With(0, 1),
-		K:            3,
-		MaxRules:     5,
-		MinGainRatio: 0.25,
-		Weighter:     weight.NewSize(4),
-		Agg:          score.CountAgg{},
-		MaxWeight:    2.5,
-		Seed:         7,
-		Workers:      2,
-		Column:       1,
+		Kind:      KindBatch,
+		Rule:      rule.Trivial(4).With(0, 1),
+		K:         3,
+		MaxRules:  5,
+		Weighter:  weight.NewSize(4),
+		Agg:       score.CountAgg{},
+		MaxWeight: 2.5,
+		Seed:      7,
+		Workers:   2,
+		Column:    1,
 	}
 }
 
@@ -48,17 +47,16 @@ func baseRequest() Request {
 // field without extending this table (and deciding its identity status)
 // fails the test.
 var mutations = map[string]func(*Request){
-	"Kind":         func(r *Request) { r.Kind = KindRefine },
-	"Rule":         func(r *Request) { r.Rule = r.Rule.With(1, 2) },
-	"K":            func(r *Request) { r.K++ },
-	"MaxRules":     func(r *Request) { r.MaxRules++ },
-	"MinGainRatio": func(r *Request) { r.MinGainRatio = 0.5 },
-	"Weighter":     func(r *Request) { r.Weighter = weight.SizeMinusOne{} },
-	"Agg":          func(r *Request) { r.Agg = score.SumAgg{Measure: 0} },
-	"MaxWeight":    func(r *Request) { r.MaxWeight = 3.5 },
-	"Seed":         func(r *Request) { r.Seed = 8 },
-	"Workers":      func(r *Request) { r.Workers = 3 },
-	"Column":       func(r *Request) { r.Column = 2 },
+	"Kind":      func(r *Request) { r.Kind = KindRefine },
+	"Rule":      func(r *Request) { r.Rule = r.Rule.With(1, 2) },
+	"K":         func(r *Request) { r.K++ },
+	"MaxRules":  func(r *Request) { r.MaxRules++ },
+	"Weighter":  func(r *Request) { r.Weighter = weight.SizeMinusOne{} },
+	"Agg":       func(r *Request) { r.Agg = score.SumAgg{Measure: 0} },
+	"MaxWeight": func(r *Request) { r.MaxWeight = 3.5 },
+	"Seed":      func(r *Request) { r.Seed = 8 },
+	"Workers":   func(r *Request) { r.Workers = 3 },
+	"Column":    func(r *Request) { r.Column = 2 },
 
 	"Deadline": func(r *Request) { r.Deadline = time.Unix(1, 0) },
 	"Yield":    func(r *Request) { r.Yield = func(brs.Result) bool { return true } },

@@ -68,8 +68,8 @@ func TestEquivalenceRefineOverDistinct(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if resp.Count != want || !resp.Exact || resp.Scale != 1 {
-				t.Fatalf("%s refine of %v: %v (exact %v, scale %v), want %v", agg.Name(), r, resp.Count, resp.Exact, resp.Scale, want)
+			if resp.Count != want {
+				t.Fatalf("%s refine of %v: %v, want %v", agg.Name(), r, resp.Count, want)
 			}
 		}
 		got := st.Stats()

@@ -75,8 +75,6 @@ type Request struct {
 	// MaxRules bounds a stream (0 = unbounded); it shapes the result list,
 	// so it is part of the key.
 	MaxRules int
-	// MinGainRatio is the stream's tail cutoff (see brs.Options).
-	MinGainRatio float64
 	// Weighter scores rules; its Name() canonicalizes it in the key.
 	Weighter weight.Weighter
 	// Agg is the aggregate; its Name() canonicalizes it in the key.
@@ -140,17 +138,14 @@ type Request struct {
 }
 
 // Response is the outcome of one search. Exactly one of Results (batch,
-// stream), Count (refine), or Groups (traditional) is meaningful. Cached
-// responses are always exact with Scale 1 — only such results enter the
-// cache — and their Stats carry only the cache counters: the stored
-// expansion's search work was already accounted by the request that ran
-// it.
+// stream), Count (refine), or Groups (traditional) is meaningful. Only
+// exact, unscaled results enter the cache, and a cached response's Stats
+// carry only the cache counters: the stored expansion's search work was
+// already accounted by the request that ran it.
 type Response struct {
 	Results []brs.Result
 	Count   float64
 	Groups  []baseline.Group
-	Scale   float64
-	Exact   bool
 	Stats   brs.Stats
 	// Cached reports the response was served without executing BRS — an
 	// LRU hit, or a singleflight waiter adopting the leader's run.
@@ -193,7 +188,6 @@ type key struct {
 	wide     string // Rule.Key() when the rule exceeds PackedKey capacity
 	k        int
 	maxRules int
-	minGain  float64
 	weighter string
 	agg      string
 	maxW     float64
@@ -298,7 +292,6 @@ func (*Service) keyOf(req Request) key {
 		kind:     req.Kind,
 		k:        req.K,
 		maxRules: req.MaxRules,
-		minGain:  req.MinGainRatio,
 		maxW:     req.MaxWeight,
 		seed:     req.Seed,
 		workers:  req.Workers,
@@ -446,14 +439,13 @@ func (s *Service) execute(ctx context.Context, req Request, cacheable bool) (Res
 		}
 		start = time.Now()
 		opts := brs.Options{
-			K:            req.K,
-			MaxWeight:    mw,
-			Base:         req.Rule,
-			BaseCovered:  true, // Resolve delivers exactly the rule's coverage
-			Agg:          req.Agg,
-			Workers:      req.Workers,
-			MinGainRatio: req.MinGainRatio,
-			SampleScale:  scale,
+			K:           req.K,
+			MaxWeight:   mw,
+			Base:        req.Rule,
+			BaseCovered: true, // Resolve delivers exactly the rule's coverage
+			Agg:         req.Agg,
+			Workers:     req.Workers,
+			SampleScale: scale,
 		}
 		var (
 			results []brs.Result
@@ -463,6 +455,7 @@ func (s *Service) execute(ctx context.Context, req Request, cacheable bool) (Res
 		if req.Kind == KindBatch {
 			results, stats, err = brs.RunCtx(ctx, view, req.Weighter, opts)
 		} else {
+			opts.MinGainRatio = 0.01 // drop the long tail of near-worthless rules
 			stats, err = brs.RunIncrementalCtx(ctx, view, req.Weighter, opts, req.MaxRules, req.Deadline, func(r brs.Result) bool {
 				results = append(results, r)
 				stopped = req.Yield != nil && !req.Yield(r)
@@ -470,7 +463,7 @@ func (s *Service) execute(ctx context.Context, req Request, cacheable bool) (Res
 			})
 		}
 		phases.Search = time.Since(start)
-		resp := Response{Results: results, Scale: scale, Exact: exact, Stats: stats, Phases: phases}
+		resp := Response{Results: results, Stats: stats, Phases: phases}
 		if err != nil {
 			return resp, nil, err
 		}
@@ -503,7 +496,7 @@ func (s *Service) execute(ctx context.Context, req Request, cacheable bool) (Res
 		if cacheable {
 			e = &entry{count: count}
 		}
-		return Response{Count: count, Scale: 1, Exact: true}, e, nil
+		return Response{Count: count}, e, nil
 
 	case KindTraditional:
 		groups, err := baseline.TraditionalDrillDown(req.Store.Table(), req.Rule, req.Column, req.Agg)
@@ -514,7 +507,7 @@ func (s *Service) execute(ctx context.Context, req Request, cacheable bool) (Res
 		if cacheable {
 			e = &entry{groups: cloneGroups(groups)}
 		}
-		return Response{Groups: groups, Scale: 1, Exact: true}, e, nil
+		return Response{Groups: groups}, e, nil
 	}
 	return Response{}, nil, errors.New("search: unknown request kind")
 }
@@ -523,7 +516,7 @@ func (s *Service) execute(ctx context.Context, req Request, cacheable bool) (Res
 // consumers (or the cache itself) ever share backing arrays, and stream
 // consumers see their Yield called per rule exactly as on a live search.
 func replay(e *entry, req Request, stats brs.Stats) Response {
-	resp := Response{Scale: 1, Exact: true, Stats: stats, Cached: true, Count: e.count}
+	resp := Response{Stats: stats, Cached: true, Count: e.count}
 	switch req.Kind {
 	case KindBatch, KindStream:
 		resp.Results = cloneResults(e.results)

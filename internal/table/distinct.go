@@ -31,8 +31,9 @@ type DistinctReport struct {
 // t, in the order t first shows them, sharing t's dictionaries (value ids
 // and rules mean the same on both), each row carrying the number of t's
 // rows equal to it (Multiplicity), with an inverted index of its own, built
-// with it. It has no measure columns: only the Count aggregate, whose
-// masses stay integral, can be summed per tuple in any order.
+// by its first read like any table's. It has no measure columns: only the
+// Count aggregate, whose masses stay integral, can be summed per tuple in
+// any order.
 //
 // The table is built by the first call, in one pass over t, and kept for
 // t's lifetime; so is the finding that t does not compress (see
@@ -92,10 +93,7 @@ func (t *Table) Weighted() bool { return t.mult != nil }
 // Tuples are interned in an open-addressing table of distinct-row ids keyed
 // by a hash of the row and confirmed by comparing the columns, so any width
 // works and the first-seen order depends on nothing but the list's order.
-// The table starts small and doubles; limit caps it at 4·limit slots. The
-// returned table's index is built with it, not column by column as searches
-// come: which columns are built steers a search's scan-or-index planning,
-// and its work must not depend on which drills ran before it.
+// The table starts small and doubles; limit caps it at 4·limit slots.
 func (t *Table) GroupRows(rows []int, limit int) (d *Table, read int) {
 	if limit <= 0 || t.mult != nil {
 		return nil, 0
@@ -155,7 +153,6 @@ func (t *Table) GroupRows(rows []int, limit int) (d *Table, read int) {
 		n:        len(mult),
 		mult:     mult,
 	}
-	d.Index().Warm()
 	return d, n
 }
 
@@ -163,10 +160,9 @@ func (t *Table) GroupRows(rows []int, limit int) (d *Table, read int) {
 // in the given order, row k standing for mult[k] tuples — the weighted
 // table of a multiset whose distinct tuples the caller already holds apart,
 // as a sample drawn from a distinct-tuple table's rows does, so nothing is
-// hashed or compared: the rows are copied out, mult is kept (not copied),
-// and the index is built with the table as GroupRows builds it. The rows
-// must be pairwise different tuples; t may be any table. read is the rows
-// copied, for the caller to account for.
+// hashed or compared: the rows are copied out and mult is kept (not
+// copied). The rows must be pairwise different tuples; t may be any table.
+// read is the rows copied, for the caller to account for.
 func (t *Table) SelectWeighted(rows []int, mult []int32) (d *Table, read int) {
 	d = &Table{
 		colNames: t.colNames,
@@ -178,7 +174,6 @@ func (t *Table) SelectWeighted(rows []int, mult []int32) (d *Table, read int) {
 	for c := range t.cols {
 		d.cols[c] = t.cols[c].gather(rows)
 	}
-	d.Index().Warm()
 	return d, len(rows)
 }
 

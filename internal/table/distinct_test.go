@@ -94,11 +94,6 @@ func TestEquivalenceDistinctTable(t *testing.T) {
 			if len(d.MeasureNames()) != 0 {
 				t.Fatalf("the distinct table carries measures %v", d.MeasureNames())
 			}
-			for c := 0; c < d.NumCols(); c++ {
-				if !d.Index().ColumnBuilt(c) {
-					t.Fatalf("column %d of the distinct table's index was left unbuilt", c)
-				}
-			}
 			if again, read := tab.Distinct(); again != d || read != 0 {
 				t.Fatalf("second call: same table %v, %d rows read; want the memoised table for nothing", again == d, read)
 			}
@@ -211,11 +206,6 @@ func TestEquivalenceGroupRows(t *testing.T) {
 			if total := d.All().NumTuples(); total != len(rows) {
 				t.Fatalf("multiplicities sum to %d, the list has %d rows", total, len(rows))
 			}
-			for c := 0; c < d.NumCols(); c++ {
-				if !d.Index().ColumnBuilt(c) {
-					t.Fatalf("column %d of the grouped table's index was left unbuilt", c)
-				}
-			}
 			if _, r := tab.Distinct(); r == 0 {
 				t.Fatal("grouping a row list resolved the table's own memoised Distinct")
 			}
@@ -304,7 +294,7 @@ func TestEquivalenceDistinctCarriedBySelect(t *testing.T) {
 // ranks over its distinct-tuple table, run-lengthed into (tuple, times drawn)
 // pairs and copied out by SelectWeighted, is the table GroupRows makes of the
 // same rows laid out tuple by tuple — same tuples, same order, same
-// multiplicities, index built — with nothing hashed; Ranks is the running
+// multiplicities, the table's dictionaries — with nothing hashed; Ranks is the running
 // total that names the rows, and EachRow the pass that stops when told.
 func TestEquivalenceSelectWeighted(t *testing.T) {
 	tab := datagen.CensusProjected(20000, 7, 5)
@@ -339,8 +329,8 @@ func TestEquivalenceSelectWeighted(t *testing.T) {
 	}
 	requireSameDistinct(t, "SelectWeighted", got, want)
 	for c := 0; c < got.NumCols(); c++ {
-		if got.Dict(c) != tab.Dict(c) || !got.Index().ColumnBuilt(c) {
-			t.Fatalf("column %d: a dictionary of its own, or its index left unbuilt", c)
+		if got.Dict(c) != tab.Dict(c) {
+			t.Fatalf("column %d: a dictionary of its own", c)
 		}
 	}
 	if empty, read := d.SelectWeighted(nil, []int32{}); read != 0 || empty.NumRows() != 0 || !empty.Weighted() {

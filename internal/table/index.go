@@ -15,25 +15,24 @@ import (
 // column's index therefore costs Σ over its values of min(4·len, rows/8)
 // bytes — at most four bytes per row whatever the data, and an eighth of a
 // byte per row and value on the few-valued columns the paper's tables are
-// made of. Containers are built lazily, one column at a time, on first use —
-// a dataset pays one pass per column it is ever filtered on, and nothing
-// for columns it is not. One Index exists per Table (see Table.Index), so
-// every session on a shared dataset reuses the same containers instead of
-// re-scanning per request.
+// made of. The index is built whole, every column in parallel, by its first
+// read (or by Warm), so a search's work never depends on which columns an
+// earlier one happened to touch. One Index exists per Table (see
+// Table.Index), so every session on a shared dataset reuses the same
+// containers instead of re-scanning per request.
 //
-// Building is guarded by a per-column sync.Once, making the Index safe for
-// concurrent use by any number of readers.
+// The build runs under one sync.Once, making the Index safe for concurrent
+// use by any number of readers.
 type Index struct {
 	t    *Table
-	cols []colPostings
+	once sync.Once
+	cols []colPostings // nil until the build
 }
 
 // colPostings is one column's containers. Value v's rows are bits[v] where
 // that is non-nil and lists[v] otherwise, never both; sizes[v] is how many
 // there are either way.
 type colPostings struct {
-	once  sync.Once
-	built atomic.Bool
 	sizes []int32
 	lists [][]int32 // ascending rows with Value(c, row) == v; nil where v is dense
 	bits  []*Bitset // nil where v is sparse
@@ -53,29 +52,23 @@ func (cp *colPostings) bytes() int64 {
 }
 
 // Index returns the table's inverted index, allocating it on first call.
-// The index itself builds per-column containers lazily.
+// The index builds its containers on first read.
 func (t *Table) Index() *Index {
-	t.idxOnce.Do(func() {
-		t.idx = &Index{t: t, cols: make([]colPostings, len(t.cols))}
-	})
+	t.idxOnce.Do(func() { t.idx = &Index{t: t} })
 	return t.idx
 }
 
 // buildCol materializes column c's containers.
 func (ix *Index) buildCol(c int) {
-	cp := &ix.cols[c]
-	cp.once.Do(func() {
-		col, vals := &ix.t.cols[c], ix.t.dicts[c].Len()
-		switch col.width {
-		case w8:
-			buildPostings(cp, col.u8, vals)
-		case w16:
-			buildPostings(cp, col.u16, vals)
-		default:
-			buildPostings(cp, col.i32, vals)
-		}
-		cp.built.Store(true)
-	})
+	cp, col, vals := &ix.cols[c], &ix.t.cols[c], ix.t.dicts[c].Len()
+	switch col.width {
+	case w8:
+		buildPostings(cp, col.u8, vals)
+	case w16:
+		buildPostings(cp, col.u16, vals)
+	default:
+		buildPostings(cp, col.i32, vals)
+	}
 }
 
 // buildPostings fills cp from a column of vals distinct values with one
@@ -116,18 +109,12 @@ func buildPostings[T cell](cp *colPostings, col []T, vals int) {
 	cp.sizes, cp.lists, cp.bits = sizes, lists, bits
 }
 
-// ColumnBuilt reports whether column c's containers are already
-// materialized. Cost planners (BRS's scan-vs-postings decision) use it to
-// avoid charging a surprise build pass to a single counting step: the
-// planner only routes work to columns that are already paid for.
-func (ix *Index) ColumnBuilt(c int) bool { return ix.cols[c].built.Load() }
-
 // PostingsLen returns the number of rows holding value v in column c —
-// Count(base+(c,v)) on the full table — building the column's containers on
-// first use. It is read from the sizes stored beside them: level-1 BRS
-// counting under the Count aggregate reads only these, no container.
+// Count(base+(c,v)) on the full table — building the index on first use. It
+// is read from the sizes stored beside the containers: level-1 BRS counting
+// under the Count aggregate reads only these, no container.
 func (ix *Index) PostingsLen(c int, v rule.Value) int {
-	ix.buildCol(c)
+	ix.Warm()
 	sizes := ix.cols[c].sizes
 	if v < 0 || int(v) >= len(sizes) {
 		return 0
@@ -135,15 +122,13 @@ func (ix *Index) PostingsLen(c int, v rule.Value) int {
 	return int(sizes[v])
 }
 
-// Container returns value v of column c's one container, building the
-// column's on first use: the ascending row list of a sparse value, the
-// Bitset of a dense one, neither for a value outside the column's
-// dictionary (never produced by Encode/Lookup). Neither may be modified.
-// This is how the kernels reach the index (View.EachInAll takes the pair
-// as it comes); callers that must not pay a build (cost planners) gate on
-// ColumnBuilt first.
+// Container returns value v of column c's one container, building the index
+// on first use: the ascending row list of a sparse value, the Bitset of a
+// dense one, neither for a value outside the column's dictionary (never
+// produced by Encode/Lookup). Neither may be modified. This is how the
+// kernels reach the index (View.EachInAll takes the pair as it comes).
 func (ix *Index) Container(c int, v rule.Value) (list []int32, bits *Bitset) {
-	ix.buildCol(c)
+	ix.Warm()
 	cp := &ix.cols[c]
 	if v < 0 || int(v) >= len(cp.sizes) {
 		return nil, nil
@@ -152,9 +137,9 @@ func (ix *Index) Container(c int, v rule.Value) (list []int32, bits *Bitset) {
 }
 
 // Postings returns the ascending row list for value v of column c, building
-// the column's containers on first use. A sparse value's list is the
-// index's own and must not be modified; a dense value has no list, so this
-// decodes its bitset into a fresh one of PostingsLen entries on every call
+// the index on first use. A sparse value's list is the index's own and must
+// not be modified; a dense value has no list, so this decodes its bitset
+// into a fresh one of PostingsLen entries on every call
 // — for callers outside the engine, whose kernels read the container as it
 // is (see Container). Values outside the column's dictionary yield nil.
 func (ix *Index) Postings(c int, v rule.Value) []int32 {
@@ -169,9 +154,8 @@ func (ix *Index) Postings(c int, v rule.Value) []int32 {
 
 // Bitmap returns the packed bitset holding value v's rows in column c, or
 // nil when the value is too sparse to be stored as one (see bitsetDense) or
-// v is outside the column's dictionary. Builds the column's containers on
-// first use, like Postings; callers that must not pay a build (cost
-// planners) gate on ColumnBuilt first.
+// v is outside the column's dictionary. Builds the index on first use, like
+// Postings.
 func (ix *Index) Bitmap(c int, v rule.Value) *Bitset {
 	_, bits := ix.Container(c, v)
 	return bits
@@ -217,25 +201,29 @@ func (ix *Index) FilterIndices(r rule.Rule) []int {
 	return rows
 }
 
-// Warm eagerly builds every column's containers. The server calls it at
-// dataset registration so no analyst's first drill-down pays the build.
-// Columns are independent (each behind its own once), so up to GOMAXPROCS
-// of them build at a time, the caller's goroutine included.
+// Warm builds the index unless it is built: every column's containers, up
+// to GOMAXPROCS columns at a time, the caller's goroutine included. Every
+// read goes through it, so calling it early only moves the build: the
+// server does at dataset registration, so no analyst's first drill-down
+// pays it.
 func (ix *Index) Warm() {
-	var next atomic.Int32
-	build := func() {
-		for c := int(next.Add(1)) - 1; c < len(ix.cols); c = int(next.Add(1)) - 1 {
-			ix.buildCol(c)
+	ix.once.Do(func() {
+		ix.cols = make([]colPostings, len(ix.t.cols))
+		var next atomic.Int32
+		build := func() {
+			for c := int(next.Add(1)) - 1; c < len(ix.cols); c = int(next.Add(1)) - 1 {
+				ix.buildCol(c)
+			}
 		}
-	}
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(ix.cols)); w > 1; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			build()
-		}()
-	}
-	build()
-	wg.Wait()
+		var wg sync.WaitGroup
+		for w := min(runtime.GOMAXPROCS(0), len(ix.cols)); w > 1; w-- {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				build()
+			}()
+		}
+		build()
+		wg.Wait()
+	})
 }

@@ -150,9 +150,9 @@ func TestIndexConcurrentBuild(t *testing.T) {
 			rules = append(rules, r)
 			want[r.Key()] = len(tab.FilterIndicesScan(r))
 		}
-		// Many goroutines race to build the lazy per-column containers and
-		// the shared Index allocation itself (run under -race in CI), against
-		// each other and against Warm's own builders.
+		// Many goroutines race to build the index with their first read and
+		// to allocate the shared Index itself (run under -race in CI),
+		// against each other and against Warm.
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -160,11 +160,6 @@ func TestIndexConcurrentBuild(t *testing.T) {
 				defer wg.Done()
 				if seed%4 == 0 {
 					tab.Index().Warm()
-					for c := 0; c < tab.NumCols(); c++ {
-						if !tab.Index().ColumnBuilt(c) {
-							t.Errorf("column %d not built after Warm", c)
-						}
-					}
 				}
 				rng := rand.New(rand.NewSource(seed))
 				for probe := 0; probe < 50; probe++ {

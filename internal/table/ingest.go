@@ -250,17 +250,6 @@ func (in *ingest) release(b *block) {
 // CSV field is: a categorical column c ≥ 0 of t, or measure ^fields[i].
 func (in *ingest) fill(t *Table, fields []int) error {
 	ncols, measures := len(t.cols), t.measureNames
-	if in.workers == 1 {
-		p := newBlockParser(fields, ncols, measures)
-		for b := in.head; b != nil; b = in.nextBlock() {
-			p.parse(b)
-			if err := in.merge(t, b); err != nil {
-				return err
-			}
-		}
-		return in.finish()
-	}
-
 	window := ingestWindow * in.workers
 	// Sized to the window so that the caller, which also merges, never
 	// blocks handing out a block a worker is not yet free to take.

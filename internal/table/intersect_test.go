@@ -36,24 +36,14 @@ func TestViewAscending(t *testing.T) {
 	}
 }
 
-func TestColumnBuiltAndPostingsLen(t *testing.T) {
+func TestPostingsLen(t *testing.T) {
 	b := MustBuilder([]string{"A", "B"}, nil)
 	b.MustAddRow([]string{"x", "p"})
 	b.MustAddRow([]string{"y", "p"})
 	b.MustAddRow([]string{"x", "q"})
 	tab := b.Build()
-	ix := tab.Index()
-	if ix.ColumnBuilt(0) || ix.ColumnBuilt(1) {
-		t.Fatal("no column should be built before first use")
-	}
-	if n := ix.PostingsLen(0, 0); n != 2 {
+	if n := tab.Index().PostingsLen(0, 0); n != 2 {
 		t.Fatalf("PostingsLen(A,x) = %d, want 2", n)
-	}
-	if !ix.ColumnBuilt(0) {
-		t.Fatal("column A must report built after PostingsLen")
-	}
-	if ix.ColumnBuilt(1) {
-		t.Fatal("column B must stay lazy")
 	}
 }
 

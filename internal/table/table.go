@@ -146,19 +146,18 @@ func (t *Table) Row(i int, buf []rule.Value) []rule.Value {
 // its arrays (nothing is measured): cells is the categorical columns at
 // their widths, eight bytes a row for each measure, and a distinct-tuple
 // table's multiplicities; index is the containers and stored sizes of the
-// index columns built so far (see Index) — all of them on a warmed table.
-// Dictionary strings, slice headers and the memoised distinct-tuple table,
-// a Table of its own, are not counted.
+// index (see Index), which asking builds. Dictionary strings, slice headers
+// and the memoised distinct-tuple table, a Table of its own, are not
+// counted.
 func (t *Table) ResidentBytes() (cells, index int64) {
 	for c := range t.cols {
 		cells += int64(t.cols[c].len()) * int64(t.cols[c].width.bytes())
 	}
 	cells += 8*int64(t.n)*int64(len(t.measures)) + 4*int64(len(t.mult))
 	ix := t.Index()
+	ix.Warm()
 	for c := range ix.cols {
-		if cp := &ix.cols[c]; cp.built.Load() {
-			index += cp.bytes()
-		}
+		index += ix.cols[c].bytes()
 	}
 	return cells, index
 }
@@ -232,7 +231,7 @@ func (t *Table) Count(r rule.Rule) int {
 
 // FilterIndices returns the row indices covered by r, in ascending order.
 // It is answered by posting-list intersection on the table's inverted
-// index (built lazily per referenced column), not by a full scan; use
+// index (built whole by its first read), not by a full scan; use
 // FilterIndicesScan for the scan-based reference path.
 func (t *Table) FilterIndices(r rule.Rule) []int {
 	return t.Index().FilterIndices(r)
