@@ -35,7 +35,10 @@
 //     Count are just posting lengths) instead of row scans. On every
 //     route the walk that discovers a parent's extensions also counts
 //     them, so a candidate that survives pruning in the step its parent
-//     was expanded in is never intersected on its own.
+//     was expanded in is never intersected on its own; and an index walk
+//     keeps the rows it visits as its parent's cover, so a later count or
+//     walk of a child intersects two containers, that cover and the
+//     child's added column, however deep the child is.
 //
 // Because counting is fused into generation, the bound is tested before
 // the walk: a counted rule whose own bound MV + Count·(mw − W) is below the
@@ -100,10 +103,6 @@ type Options struct {
 	// serial row scans — no cross-step reuse, no index, no bitmap, no
 	// workers. A-priori pruning stays: it is Algorithm 2.
 	Reference bool
-	// MaxCandidatesPerLevel caps the candidate set per pass as a memory
-	// safety valve; 0 means DefaultMaxCandidates. When the cap is hit the
-	// result may be suboptimal; Stats.CandidateCapHit records it.
-	MaxCandidatesPerLevel int
 	// Workers sets the number of goroutines used for table passes. 0 (the
 	// default) saturates the hardware: runtime.NumCPU() workers under the
 	// Count aggregate, serial otherwise (auto-parallelism is only applied
@@ -121,9 +120,14 @@ type Options struct {
 	MinGainRatio float64
 }
 
-// DefaultMaxCandidates bounds per-level candidate growth when the caller
-// does not specify a cap.
+// DefaultMaxCandidates caps the candidates one level may create, as a
+// memory safety valve. When the cap is hit the result may be suboptimal;
+// Stats.CandidateCapHit records it.
 const DefaultMaxCandidates = 1 << 20
+
+// maxCandidates is the cap a run applies: DefaultMaxCandidates, a variable
+// only so that a test can trip it on a small table.
+var maxCandidates = DefaultMaxCandidates
 
 // Result is one selected rule with its display statistics.
 type Result struct {
@@ -153,7 +157,7 @@ type Stats struct {
 	PostingsRead      int64 `json:"postings_read"`      // posting entries read by index-driven counting
 	BitmapWordsRead   int64 `json:"bitmap_words_read"`  // packed bitset words read by the bitmap kernel
 	IndexLevels       int   `json:"index_levels"`       // counting/generation/maintenance steps answered from the index
-	CandidateCapHit   bool  `json:"candidate_cap_hit"`  // a level hit MaxCandidatesPerLevel
+	CandidateCapHit   bool  `json:"candidate_cap_hit"`  // a level hit DefaultMaxCandidates
 	// SampledRowsScanned is the portion of RowsScanned read from a uniform
 	// sample rather than the authoritative table (runs with SampleScale
 	// set). Sessions accumulate it so the approximate pipeline's in-memory
@@ -318,18 +322,14 @@ func newRunner(v *table.View, w weight.Weighter, opts Options) (*runner, error) 
 	if top := w.MaxWeight(v.NumCols()); mw <= 0 || mw > top {
 		mw = top
 	}
-	maxCand := opts.MaxCandidatesPerLevel
-	if maxCand <= 0 {
-		maxCand = DefaultMaxCandidates
-	}
 	scale := opts.SampleScale
 	if scale <= 0 {
 		scale = 1
 	}
 	run := &runner{
 		v: v, parent: v.Table(), w: w, agg: agg, mw: mw, base: base,
-		maxCand: maxCand, par: opts.Workers, reference: opts.Reference,
-		scale: scale,
+		par: opts.Workers, reference: opts.Reference, scale: scale,
+		coverLeft: coverBudget,
 	}
 	if !opts.BaseCovered && !base.IsTrivial() {
 		// One pass narrows the view so every subsequent pass iterates only
@@ -396,7 +396,6 @@ type runner struct {
 	base        rule.Rule
 	baseMask    rule.Mask
 	freeCols    []int // columns the base leaves starred
-	maxCand     int
 	par         int
 	reference   bool    // Options.Reference: textbook steps, serial scans only
 	scale       float64 // SampleScale normalized: emitted masses multiply by it
@@ -406,12 +405,14 @@ type runner struct {
 	bitmapWords int64   // words per bitset container: ceil(parentRows/64)
 
 	topW     []float64 // W(TOP(t, selection[:raised])) per view row; nil until the first raise
-	selected []selectedRule
+	selected []*cand
 	raised   int // selections topW already reflects, see raiseTopW
 	store    candStore
 	level1   []*cand // cached single-extension candidates (step 1's pass)
 	gen      int     // generation-merge epoch, see generateCandidates
 	stats    Stats
+
+	coverLeft int64 // what is left of the run's cover budget, see coverBudget
 
 	// ctx cancels the search between counting passes; ctxErr latches the
 	// context's error once observed so every later check is a field read.
@@ -437,11 +438,6 @@ func (rn *runner) canceled() bool {
 	return false
 }
 
-type selectedRule struct {
-	r rule.Rule
-	w float64
-}
-
 // coversFreeParent reports whether r covers the parent-table row pi,
 // checking only the base's free columns — valid because every row of rn.v
 // covers rn.base and every rule tested derives from it. Passes resolve the
@@ -463,7 +459,6 @@ func (rn *runner) coversFreeParent(r rule.Rule, pi int) bool {
 type cand struct {
 	r      rule.Rule
 	pk     rule.PackedKey
-	packed bool
 	skey   string    // lazy Rule.Key(); identity and ordering fallback
 	mask   rule.Mask // full instantiated-column mask (base included)
 	weight float64
@@ -471,10 +466,17 @@ type cand struct {
 	count    float64 // aggregate mass covered (step-invariant)
 	marginal float64 // marginal value against the selection of step asOf
 	asOf     int     // greedy step that measured count and marginal; 0 = never
+	packed   bool    // pk is the identity
 	counted  bool    // survived pruning in some step: a bound source and a parent
 	expanded bool    // walked: children holds every supported one-column extension
 	children []*cand
 	lastGen  int // epoch marker deduplicating the cross-parent child merge
+
+	// from is the parent whose walk first created the candidate (nil at
+	// level 1): its cover, where held, ANDed with the container of the one
+	// column the candidate adds is the candidate's coverage.
+	from  *cand
+	cover *cover // the rows the candidate's own index walk visited; nil unless the run kept them
 }
 
 // key returns the candidate's string key, building it at most once. Only
@@ -651,7 +653,7 @@ func (rn *runner) findBestMarginal() *cand {
 // selection of a run — which no later step reads — costs nothing, and every
 // cached marginal simply turns stale.
 func (rn *runner) applySelection(best *cand) {
-	rn.selected = append(rn.selected, selectedRule{best.r, best.weight})
+	rn.selected = append(rn.selected, best)
 	// From the raise on topW is at least best.weight over all of best's
 	// coverage, for the rest of the run.
 	best.marginal = 0
@@ -669,16 +671,16 @@ func (rn *runner) raiseTopW() {
 		}
 		topW, sel := rn.topW, rn.selected[rn.raised]
 		raise := func(pos int) {
-			if topW[pos] < sel.w {
-				topW[pos] = sel.w
+			if topW[pos] < sel.weight {
+				topW[pos] = sel.weight
 			}
 		}
-		if plan, ok := rn.planPostingsOne(sel.r); ok {
+		if plan, ok := rn.planPostingsOne(sel); ok {
 			if plan.bitmap {
 				// Full-table bitmap walk: view positions are parent rows.
-				rn.stats.BitmapWordsRead += table.AndEach(rn.candBitmaps(sel.r), raise)
+				rn.stats.BitmapWordsRead += table.AndEach(rn.candBitmaps(sel), raise)
 			} else {
-				lists, sets := rn.candSets(sel.r)
+				lists, sets := rn.candSets(sel)
 				entries, words := rn.v.EachInAll(lists, func(pos, _ int) { raise(pos) }, sets...)
 				rn.stats.PostingsRead += entries
 				rn.stats.BitmapWordsRead += words
@@ -768,8 +770,8 @@ func (rn *runner) rebuildTopW() {
 		for i := lo; i < hi; i++ {
 			pi := rn.v.ParentRow(i)
 			for _, s := range rn.selected {
-				if s.w > topW[i] && rn.coversFreeParent(s.r, pi) {
-					topW[i] = s.w
+				if s.weight > topW[i] && rn.coversFreeParent(s.r, pi) {
+					topW[i] = s.weight
 				}
 			}
 		}
@@ -1065,7 +1067,7 @@ func (rn *runner) generateCandidates(prev []*cand, H float64) []*cand {
 			}
 			ch.lastGen = rn.gen
 			next = append(next, ch)
-			if len(next) >= rn.maxCand {
+			if len(next) >= maxCandidates {
 				rn.stats.CandidateCapHit = true
 				return next
 			}
@@ -1126,27 +1128,53 @@ func (rn *runner) expandParents(parents []*cand) {
 		// Index route: walk each parent's own coverage (bitset AND or
 		// probing intersection per its plan). Workers partition whole
 		// parents, and each parent's walk writes only that parent's
-		// accumulators, in ascending row order, so nothing is shared, no
-		// merge is needed, and the sums equal the scan route's.
+		// accumulators and cover, in ascending row order, so nothing is
+		// shared, no merge is needed, and the sums equal the scan route's.
+		reserved := rn.reserveCovers(parents, plans, accs)
 		nw := rn.workers()
 		preads := make([]int64, nw)
 		breads := make([]int64, nw)
 		rn.parallelRows(len(parents), func(lo, hi, g int) {
+			var kept []uint64 // the worker's bits for the rows a walk keeps, zero between walks
 			for p := lo; p < hi; p++ {
-				mine, r := accs[p], parents[p].r
+				mine, c, keep := accs[p], parents[p], reserved[p] > 0
+				if keep && kept == nil {
+					kept = make([]uint64, rn.bitmapWords)
+				}
+				// Only a walk that keeps its rows pays to set their bits; the
+				// per-row path of the others — most walks, once the budget is
+				// spent — is the bare booking.
+				visit := func(pos, row int) { rn.bookRow(mine, pos, row) }
+				visitRow := func(row int) { rn.bookRow(mine, row, row) }
+				if keep {
+					set := kept
+					visit = func(pos, row int) {
+						rn.bookRow(mine, pos, row)
+						set[row>>6] |= 1 << (uint(row) & 63)
+					}
+					visitRow = func(row int) { visit(row, row) }
+				}
 				if plans[p].bitmap {
-					breads[g] += table.AndEach(rn.candBitmaps(r), func(row int) { rn.bookRow(mine, row, row) })
+					breads[g] += table.AndEach(rn.candBitmaps(c), visitRow)
 				} else {
-					lists, sets := rn.candSets(r)
-					entries, words := rn.v.EachInAll(lists, func(pos, row int) { rn.bookRow(mine, pos, row) }, sets...)
+					lists, sets := rn.candSets(c)
+					entries, words := rn.v.EachInAll(lists, visit, sets...)
 					preads[g] += entries
 					breads[g] += words
+				}
+				if keep {
+					kept = rn.keepCover(c, kept)
 				}
 			}
 		})
 		for g := 0; g < nw; g++ {
 			rn.stats.PostingsRead += preads[g]
 			rn.stats.BitmapWordsRead += breads[g]
+		}
+		for p, c := range parents {
+			if reserved[p] > 0 {
+				rn.coverLeft += reserved[p] - c.cover.bytes()
+			}
 		}
 		rn.stats.IndexLevels++
 		rn.materializeChildren(parents, accs)
@@ -1215,7 +1243,7 @@ func (rn *runner) materializeChildren(parents []*cand, accs [][]extAcc) {
 				if acc.cnt != nil && !child.counted {
 					child.count, child.marginal, child.asOf = acc.cnt[val], acc.marginal(val), step
 				}
-				if created >= rn.maxCand {
+				if created >= maxCandidates {
 					// Abort without marking this parent expanded: a later
 					// step (with a smaller active candidate set) must be
 					// able to finish the enumeration. Re-expansion appends
@@ -1242,7 +1270,7 @@ func (rn *runner) childOf(parent *cand, acc *extAcc, val rule.Value, created *in
 			if c := rn.store.byPK(pk); c != nil {
 				return c
 			}
-			c := &cand{r: parent.r.With(acc.col, val), pk: pk, packed: true, mask: m, weight: acc.weight}
+			c := &cand{r: parent.r.With(acc.col, val), pk: pk, packed: true, mask: m, weight: acc.weight, from: parent}
 			rn.store.packed[pk] = c
 			*created++
 			return c
@@ -1255,7 +1283,7 @@ func (rn *runner) childOf(parent *cand, acc *extAcc, val rule.Value, created *in
 	if c := rn.store.over[key]; c != nil {
 		return c
 	}
-	c := &cand{r: ext, skey: key, mask: m, weight: acc.weight}
+	c := &cand{r: ext, skey: key, mask: m, weight: acc.weight, from: parent}
 	rn.store.addOver(key, c)
 	*created++
 	return c

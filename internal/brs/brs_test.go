@@ -464,7 +464,9 @@ func TestStatsAccounting(t *testing.T) {
 func TestCandidateCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	tab := randomTable(rng, 5, 4, 200)
-	_, stats, err := Run(tab.All(), weight.NewSize(5), Options{K: 2, MaxWeight: 5, MaxCandidatesPerLevel: 4})
+	defer func(cap int) { maxCandidates = cap }(maxCandidates)
+	maxCandidates = 4
+	_, stats, err := Run(tab.All(), weight.NewSize(5), Options{K: 2, MaxWeight: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

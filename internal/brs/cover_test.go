@@ -1,0 +1,196 @@
+package brs
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"smartdrill/internal/datagen"
+	"smartdrill/internal/table"
+	"smartdrill/internal/weight"
+)
+
+// withCoverBudget runs fn with the run-wide cover budget set to budget.
+func withCoverBudget(budget int64, fn func()) {
+	defer func(was int64) { coverBudget = was }(coverBudget)
+	coverBudget = budget
+	fn()
+}
+
+// mwSensitiveTable is package drill's table of the same name: four large
+// groups of all-distinct fillers under column A and one 100-row group that
+// agrees on all three columns, so (aX,bX,cX) is the only rule past level 1
+// that covers more than one row. Its sixth selection's raise walks it, by
+// its parent's cover.
+func mwSensitiveTable() *table.Table {
+	return groupTable([]string{"A", "B", "C"},
+		group{cells: []string{"a0", "f#", "g#"}, n: 1000},
+		group{cells: []string{"a1", "f#", "g#"}, n: 800},
+		group{cells: []string{"a2", "f#", "g#"}, n: 600},
+		group{cells: []string{"a3", "f#", "g#"}, n: 500},
+		group{cells: []string{"aX", "bX", "cX"}, n: 100})
+}
+
+// tiesTable is TestEquivalenceTiesAcrossParents' table in column order
+// A, B, C, D.
+func tiesTable() *table.Table {
+	return groupTable([]string{"A", "B", "C", "D"},
+		group{cells: []string{"a0", "b0", "c0", "d0"}, n: 1},
+		group{cells: []string{"a1", "b1", "c#", "d#"}, n: 30},
+		group{cells: []string{"a#", "b#", "c2", "d2"}, n: 30},
+		group{cells: []string{"a3", "b3", "c3", "d#"}, n: 15},
+		group{cells: []string{"a#", "b4", "c4", "d4"}, n: 15})
+}
+
+// TestEquivalenceCoverReuse: covers change what a search reads, never what
+// it finds or how it prunes. On each table the fast path at the default
+// budget, at a budget of a few covers and at none returns Reference's rules
+// bit-identical at Workers 1, 2 and 8, counts, prunes and reuses exactly
+// the same candidates at every budget, and reads fewer words with covers
+// than without.
+func TestEquivalenceCoverReuse(t *testing.T) {
+	census := datagen.CensusProjected(20000, 7, 7)
+	censusTuples, _ := census.Distinct()
+	if censusTuples == nil {
+		t.Fatal("census 20k does not compress")
+	}
+	cases := []struct {
+		name string
+		tab  *table.Table
+		k    int
+	}{
+		{"census-20k", census, 3},
+		{"census-20k-distinct", censusTuples, 3},
+		{"mw-sensitive", mwSensitiveTable(), 6},
+		{"ties", tiesTable(), 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			v := tc.tab.All()
+			w := weight.NewSize(tc.tab.NumCols())
+			want, _, err := Run(v, w, Options{K: tc.k, Reference: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fewCovers := 3 * 8 * int64((tc.tab.NumRows()+63)/64)
+			work := map[int64]Stats{}
+			for _, budget := range []int64{coverBudget, fewCovers, 0} {
+				for _, workers := range []int{1, 2, 8} {
+					label := fmt.Sprintf("budget=%d workers=%d", budget, workers)
+					var got []Result
+					var st Stats
+					withCoverBudget(budget, func() {
+						got, st, err = Run(v, w, Options{K: tc.k, Workers: workers})
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResults(t, label, got, want)
+					if prev, ok := work[budget]; ok && prev != st {
+						t.Fatalf("%s: work %+v, at Workers 1 %+v", label, st, prev)
+					}
+					work[budget] = st
+				}
+			}
+			with, few, none := work[coverBudget], work[fewCovers], work[0]
+			for _, st := range []Stats{with, few} {
+				if st.CandidatesCounted != none.CandidatesCounted || st.CandidatesPruned != none.CandidatesPruned || st.CandidatesReused != none.CandidatesReused {
+					t.Errorf("candidates with covers %+v, without %+v", st, none)
+				}
+			}
+			if with.BitmapWordsRead >= none.BitmapWordsRead {
+				t.Errorf("%d bitmap words with covers, %d without", with.BitmapWordsRead, none.BitmapWordsRead)
+			}
+			reads := func(st Stats) int64 { return st.RowsScanned + st.PostingsRead + st.BitmapWordsRead }
+			if reads(with) > reads(few) || reads(few) > reads(none) {
+				t.Errorf("reads %d with covers, %d with a few, %d without", reads(with), reads(few), reads(none))
+			}
+		})
+	}
+}
+
+// TestCoverWalkReadsTwoContainers: over four two-valued columns, every
+// value in 256 of 512 rows, each rule's coverage is dense, so every walk
+// ANDs bitsets. A level-3 rule's walk reads its level-2 parent's cover and
+// the added column's bitset — 2 × ⌈rows/64⌉ words — and, with the cover
+// dropped, one bitset a column.
+func TestCoverWalkReadsTwoContainers(t *testing.T) {
+	const rows = 512
+	b := table.MustBuilder([]string{"A", "B", "C", "D"}, nil)
+	for i := 0; i < rows; i++ {
+		b.MustAddRow([]string{fmt.Sprint("a", i&1), fmt.Sprint("b", i>>1&1), fmt.Sprint("c", i>>2&1), fmt.Sprint("d", i>>3&1)})
+	}
+	tab := b.Build()
+	words := int64((rows + 63) / 64)
+	rn, err := newRunner(tab.All(), weight.NewSize(4), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rn.findBestMarginal()
+	var x *cand
+	for _, c := range rn.store.counted {
+		if c.mask.Count() == 3 && c.expanded {
+			x = c
+			break
+		}
+	}
+	if x == nil || x.from.cover == nil || x.from.cover.bits == nil {
+		t.Fatalf("step 1 walked no level-3 rule whose parent holds a bitset cover: %+v", x)
+	}
+	walk := func() int64 {
+		before := rn.stats.BitmapWordsRead
+		rn.expandParents([]*cand{x})
+		return rn.stats.BitmapWordsRead - before
+	}
+	if got := walk(); got != 2*words {
+		t.Errorf("level-3 walk read %d words, want 2 × %d", got, words)
+	}
+	x.from.cover = nil
+	if got := walk(); got != 3*words {
+		t.Errorf("level-3 walk without its parent's cover read %d words, want 3 × %d", got, words)
+	}
+}
+
+// BenchmarkRootSearch is the search of the served census-100k root drill
+// (bench/drillload: census, 100 000 rows × 7 columns, generator seed 7, K 3
+// under Size weighting): BRS over the table's 6 372 distinct tuples at the
+// weighter's bound, with the words it reads and the bytes its covers hold.
+//
+//	go test -run '^$' -bench RootSearch -benchtime 50x ./internal/brs/
+func BenchmarkRootSearch(b *testing.B) {
+	tab, _ := datagen.CensusProjected(100_000, 7, 7).Distinct()
+	if tab == nil {
+		b.Fatal("census does not compress")
+	}
+	w := weight.NewSize(tab.NumCols())
+	all := tab.All()
+	opts := Options{K: 3}
+	var stats Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, st, err := Run(all, w, opts)
+		if err != nil || len(res) != opts.K {
+			b.Fatalf("root search: %d rules, err %v", len(res), err)
+		}
+		stats = st
+	}
+	b.StopTimer()
+	rn, err := newRunner(all, w, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := rn.greedy(opts.K, time.Time{}, 0, func(Result) bool { return true }); err != nil {
+		b.Fatal(err)
+	}
+	covers := 0
+	for _, c := range rn.store.counted {
+		if c.cover != nil {
+			covers += int(c.cover.bytes())
+		}
+	}
+	b.ReportMetric(float64(stats.BitmapWordsRead), "words/op")
+	b.ReportMetric(float64(stats.PostingsRead), "postings/op")
+	b.ReportMetric(float64(covers), "cover-bytes")
+	b.Logf("%d distinct tuples, search stats %+v", tab.NumRows(), stats)
+}

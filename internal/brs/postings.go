@@ -7,7 +7,8 @@ import (
 
 // Index-driven counting. A candidate's coverage within the view is the
 // intersection of the view's row set with the index containers of the
-// candidate's instantiated free columns, so counting (and candidate
+// candidate's instantiated free columns — or with its parent's cover and
+// one column's container (Covers, below) — so counting (and candidate
 // generation, and the topW raise over a selected rule) can be answered
 // from the index instead of scanning every view row. The index keeps each
 // (column, value) in one container — a sorted []int32 posting list where
@@ -20,8 +21,9 @@ import (
 //     candidate is roughly (number of containers) × (smallest's rows) —
 //     governed by the most selective column. Where the smallest is itself a
 //     bitset its rows are its set bits, read for its words instead of an
-//     entry each. A level-1 count on the full table under Count is just a
-//     container's stored size, read without touching a single row.
+//     entry each, and it is costed at those words. A level-1 count on the
+//     full table under Count is just a container's stored size, read
+//     without touching a single row.
 //
 //   - Bitmap: word-at-a-time AND over bitsets (table.AndCount, AndEach).
 //     Cost per candidate is (number of containers) × (words per container)
@@ -48,50 +50,158 @@ import (
 // cost model (list setup, probe and gallop restarts, AND-loop setup).
 const postingsCostSlack = 16
 
+// Covers. A walk over a candidate's coverage — an index-route expansion
+// walk — can keep the rows it visits, and then each child that walk created
+// (one column more, with the candidate as its from) has its coverage as the
+// AND of two containers, the parent's cover and the added column's, instead
+// of one container per column: the tid-set intersection of Eclat (Zaki, IEEE TKDE
+// 2000), which gets a child's tid-set from its parent's and one item's. A
+// level-1 candidate's cover is its own index container, held at no cost,
+// which is why its children's two containers are the same either way.
+// Covers are read only by the metering kernels, like every container, so a
+// cover's words and entries are booked to Stats exactly like the index's.
+//
+// Covers live as long as the run, under one byte budget per run. A walk
+// keeps its rows only if what they could hold at most — the smallest of
+// the containers it walks — still fits what is left of the budget; that
+// is decided in parent order before the walk and settled after it, so
+// which candidates hold covers, and so every count of words read, is the
+// same at any worker count.
+
+// coverBudget is the most the covers of one run may hold, in bytes. It is
+// a variable only so that a test can lower it.
+var coverBudget int64 = 32 << 20
+
+// cover is the rows of the parent table a candidate's walk visited, in
+// the one container the index would give a value of that many rows: an
+// ascending list where sparse, a bitset where dense (table.NewContainer).
+type cover struct {
+	list []int32
+	bits *table.Bitset
+}
+
+// size is how many rows the cover holds.
+func (cv *cover) size() int64 {
+	if cv.bits != nil {
+		return int64(cv.bits.Len())
+	}
+	return int64(len(cv.list))
+}
+
+// bytes is what the cover's container holds.
+func (cv *cover) bytes() int64 {
+	if cv.bits != nil {
+		return 8 * int64(cv.bits.NumWords())
+	}
+	return 4 * int64(len(cv.list))
+}
+
+// keepCover makes the rows set in kept — a walk's, one bit a parent row —
+// c's cover, and returns kept cleared for the next walk, or nil where the
+// cover took it for its bitset.
+func (rn *runner) keepCover(c *cand, kept []uint64) []uint64 {
+	list, bits := table.NewContainer(kept, rn.parent.NumRows())
+	c.cover = &cover{list, bits}
+	if bits != nil {
+		return nil
+	}
+	for _, r := range list {
+		kept[r>>6] = 0
+	}
+	return kept
+}
+
+// reserveCovers decides which parents' walks keep a cover, in parent order,
+// and returns what each one reserved of the budget (0: keeps none). A
+// parent keeps one when it has no cover yet, is past level 1, has a column
+// left to extend by, and the most its cover could hold still fits: 4 bytes
+// a row up to its plan's smallest container, a bitset's words from where
+// that many rows would be dense.
+func (rn *runner) reserveCovers(parents []*cand, plans []candPlan, accs [][]extAcc) []int64 {
+	reserved := make([]int64, len(parents))
+	numRows := rn.parent.NumRows()
+	for p, c := range parents {
+		if c.cover != nil || c.from == nil || len(accs[p]) == 0 {
+			continue
+		}
+		most := 4 * plans[p].rows
+		if table.Dense(int(plans[p].rows), numRows) {
+			most = 8 * rn.bitmapWords
+		}
+		if most <= rn.coverLeft {
+			rn.coverLeft -= most
+			reserved[p] = most
+		}
+	}
+	return reserved
+}
+
 // candPlan is the planner's routing decision for one candidate within an
 // index-driven pass.
 type candPlan struct {
 	cost   int64 // estimated entry/word reads for the chosen kernel
+	rows   int64 // the smallest container's rows: the most the walk can visit
 	bitmap bool  // true: bitset AND kernel; false: probing walk of the containers
 }
 
-// planCand costs the index kernels for rule r. anchor is the posting length
-// of r's anchor column (the scan kernel's per-candidate work, see
-// buildCandIndex); ok is false for a rule with no instantiated free column,
-// which forces the whole pass to scan.
-func (rn *runner) planCand(r rule.Rule) (plan candPlan, anchor int64, ok bool) {
-	lists := 0
-	shortest := int64(^uint64(0) >> 1)
-	allBitmaps := rn.bitmapOK
+// fromCover is the cover of the parent c was created under, which with the
+// container of the one column c adds is c's coverage; nil where that parent
+// holds none (always at level 1, whose candidates have no parent).
+func (c *cand) fromCover() *cover {
+	if c.from == nil {
+		return nil
+	}
+	return c.from.cover
+}
+
+// planCand costs the index kernels for candidate c over its containers —
+// its from's cover and the container of the column c adds where that cover
+// is held, the index container of each instantiated free column otherwise.
+// The probing walk takes its driver's rows and tests each against every
+// other container: a list driver is read an entry a row, a dense driver for
+// its words. The AND kernels read every container's words, and apply where
+// every container is a bitset on a full-table Count view; they win a tie,
+// since a count under unit masses needs no row enumerated. anchor is the
+// posting length of c's anchor column (the scan kernel's per-candidate
+// work, see buildCandIndex); ok is false for a rule with no instantiated
+// free column, which forces the whole pass to scan.
+func (rn *runner) planCand(c *cand) (plan candPlan, anchor int64, ok bool) {
+	cv, numRows := c.fromCover(), rn.parent.NumRows()
+	containers := int64(0)
+	denseDriver, allDense := false, rn.bitmapOK
+	add := func(size int64, dense bool) {
+		if containers == 0 || size < plan.rows {
+			plan.rows, denseDriver = size, dense
+		}
+		allDense = allDense && dense
+		containers++
+	}
 	for _, col := range rn.freeCols {
-		if r[col] == rule.Star {
+		v := c.r[col]
+		if v == rule.Star {
 			continue
 		}
-		l := int64(rn.ix.PostingsLen(col, r[col]))
-		if lists == 0 {
-			anchor = l // first instantiated free column = scan anchor
+		l := int64(rn.ix.PostingsLen(col, v))
+		if !ok {
+			anchor, ok = l, true // first instantiated free column = scan anchor
 		}
-		lists++
-		if l < shortest {
-			shortest = l
-		}
-		if allBitmaps && rn.ix.Bitmap(col, r[col]) == nil { //sdlint:allow ioaccount existence probe for the cost model; no bitmap words are read
-			allBitmaps = false
+		if cv == nil || !c.from.mask.Has(col) {
+			add(l, table.Dense(int(l), numRows))
 		}
 	}
-	if lists == 0 {
+	if !ok {
 		return candPlan{}, 0, false
 	}
-	// The probing walk is costed by its driver's rows — each is taken, then
-	// tested against every other container — whichever container the driver
-	// has: a dense driver's rows are read off its bitset for fewer reads
-	// than an entry each (Stats books the words), but they are still walked
-	// one by one.
-	plan.cost = int64(lists)*shortest + postingsCostSlack
-	if allBitmaps {
-		if bmCost := int64(lists)*rn.bitmapWords + postingsCostSlack; bmCost < plan.cost {
-			plan = candPlan{cost: bmCost, bitmap: true}
-		}
+	if cv != nil {
+		add(cv.size(), cv.bits != nil)
+	}
+	drive := plan.rows
+	if denseDriver {
+		drive = rn.bitmapWords
+	}
+	plan.cost = drive + (containers-1)*plan.rows + postingsCostSlack
+	if bmCost := containers*rn.bitmapWords + postingsCostSlack; allDense && bmCost <= plan.cost {
+		plan.cost, plan.bitmap = bmCost, true
 	}
 	return plan, anchor, true
 }
@@ -111,7 +221,7 @@ func (rn *runner) planIndex(cands []*cand) ([]candPlan, bool) {
 	var anchors int64
 	plans := make([]candPlan, len(cands))
 	for i, c := range cands {
-		plan, anchor, ok := rn.planCand(c.r)
+		plan, anchor, ok := rn.planCand(c)
 		if !ok {
 			return nil, false
 		}
@@ -130,41 +240,48 @@ func (rn *runner) planIndex(cands []*cand) ([]candPlan, bool) {
 // topW raise over a selected rule). The walk's visit work is identical on
 // every path, so the decision weighs only enumeration cost: posting
 // entries or bitmap words versus one row scan.
-func (rn *runner) planPostingsOne(r rule.Rule) (plan candPlan, ok bool) {
+func (rn *runner) planPostingsOne(c *cand) (plan candPlan, ok bool) {
 	if rn.ix == nil || !rn.sorted {
 		return candPlan{}, false
 	}
-	plan, _, ok = rn.planCand(r)
+	plan, _, ok = rn.planCand(c)
 	return plan, ok && plan.cost < int64(rn.v.NumRows())
 }
 
-// candSets gathers the index container of each of r's instantiated free
-// columns, as the probing walk takes them: a sparse value's posting list, a
-// dense value's bitset.
+// candSets gathers the containers whose intersection is c's coverage, as
+// planCand counted them, in the form the probing walk takes them: a sparse
+// value's posting list, a dense value's bitset.
 //
-//sdlint:allow ioaccount hands containers to the probing walk; the entries and words actually read are metered by EachInAll and booked by the pass that called it
-func (rn *runner) candSets(r rule.Rule) (lists [][]int32, sets []*table.Bitset) {
+//sdlint:allow ioaccount hands containers and covers to the probing walk; the entries and words actually read are metered by EachInAll and booked by the pass that called it
+func (rn *runner) candSets(c *cand) (lists [][]int32, sets []*table.Bitset) {
+	cv := c.fromCover()
 	lists = make([][]int32, 0, len(rn.freeCols))
 	sets = make([]*table.Bitset, 0, len(rn.freeCols))
+	if cv != nil {
+		lists, sets = append(lists, cv.list), append(sets, cv.bits)
+	}
 	for _, col := range rn.freeCols {
-		if r[col] != rule.Star {
-			list, set := rn.ix.Container(col, r[col])
+		if c.r[col] != rule.Star && (cv == nil || !c.from.mask.Has(col)) {
+			list, set := rn.ix.Container(col, c.r[col])
 			lists, sets = append(lists, list), append(sets, set)
 		}
 	}
 	return lists, sets
 }
 
-// candBitmaps gathers the bitsets of r's instantiated free columns for the
-// AND kernels, to which the planner routes a rule only when every one of
-// its values is dense.
+// candBitmaps is candSets for the AND kernels, to which the planner routes a
+// candidate only when every one of its containers is a bitset.
 //
-//sdlint:allow ioaccount hands bitset containers to the AND kernels; the words actually read are metered by AndCount/AndEach and booked by the pass that called it
-func (rn *runner) candBitmaps(r rule.Rule) []*table.Bitset {
+//sdlint:allow ioaccount hands bitset containers and covers to the AND kernels; the words actually read are metered by AndCount/AndEach and booked by the pass that called it
+func (rn *runner) candBitmaps(c *cand) []*table.Bitset {
+	cv := c.fromCover()
 	sets := make([]*table.Bitset, 0, len(rn.freeCols))
+	if cv != nil {
+		sets = append(sets, cv.bits)
+	}
 	for _, col := range rn.freeCols {
-		if r[col] != rule.Star {
-			sets = append(sets, rn.ix.Bitmap(col, r[col]))
+		if c.r[col] != rule.Star && (cv == nil || !c.from.mask.Has(col)) {
+			sets = append(sets, rn.ix.Bitmap(col, c.r[col]))
 		}
 	}
 	return sets
@@ -191,11 +308,11 @@ func (rn *runner) countCandidatesIndex(cands []*cand, plans []candPlan) {
 				// a virgin step needs no per-row work at all — the count is a
 				// popcount over the ANDed words.
 				if virgin && rn.unitMass {
-					cnt, words := table.AndCount(rn.candBitmaps(c.r))
+					cnt, words := table.AndCount(rn.candBitmaps(c))
 					c.count += float64(cnt)
 					breads[g] += words
 				} else {
-					breads[g] += table.AndEach(rn.candBitmaps(c.r), func(row int) {
+					breads[g] += table.AndEach(rn.candBitmaps(c), func(row int) {
 						mass := rn.mass(row)
 						c.count += mass
 						if !virgin {
@@ -206,7 +323,7 @@ func (rn *runner) countCandidatesIndex(cands []*cand, plans []candPlan) {
 					})
 				}
 			} else {
-				lists, sets := rn.candSets(c.r)
+				lists, sets := rn.candSets(c)
 				entries, words := rn.v.EachInAll(lists, func(pos, row int) {
 					mass := rn.agg.Mass(parent, row)
 					c.count += mass

@@ -4,20 +4,20 @@ import (
 	"bytes"
 	"testing"
 
-	"smartdrill/internal/brs"
 	"smartdrill/internal/datagen"
 	"smartdrill/internal/table"
 	"smartdrill/internal/weight"
 )
 
-// The three readings of an exact root drill, on the benchmark's own table
+// The readings of an exact root drill, on the benchmark's own table
 // (bench/drillload: census, 100 000 rows × 7 columns, generator seed 7) at
 // K 3 under Size weighting: the drill as a session runs it with the answer
-// cache off, and its two parts — the Section 6.1 probe over the table's row
-// view, and the search over the table's distinct tuples at the weighter's
-// bound, which is the mw the probe's estimate comes to on this table.
+// cache off, and its first part, the Section 6.1 probe over the table's row
+// view. Its second, the search over the table's distinct tuples at the
+// weighter's bound — the mw the probe's estimate comes to on this table — is
+// internal/brs's BenchmarkRootSearch.
 //
-//	go test -run '^$' -bench 'ExactRootDrill|EstimateMaxWeight|RootSearch' -benchtime 50x ./internal/drill/
+//	go test -run '^$' -bench 'ExactRootDrill|EstimateMaxWeight' -benchtime 50x ./internal/drill/
 
 const benchK = 3
 
@@ -56,27 +56,6 @@ func BenchmarkEstimateMaxWeight(b *testing.B) {
 	}
 	b.StopTimer()
 	b.Logf("estimate %g, weighter's bound %g", benchSink, w.MaxWeight(tab.NumCols()))
-}
-
-func BenchmarkRootSearch(b *testing.B) {
-	tab := benchCensus()
-	w := weight.NewSize(tab.NumCols())
-	d, _ := tab.Distinct()
-	if d == nil {
-		b.Fatal("census does not compress")
-	}
-	all := d.All()
-	var stats brs.Stats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, st, err := brs.Run(all, w, brs.Options{K: benchK})
-		if err != nil || len(res) != benchK {
-			b.Fatalf("root search: %d rules, err %v", len(res), err)
-		}
-		stats = st
-	}
-	b.StopTimer()
-	b.Logf("%d distinct tuples, search stats %+v", d.NumRows(), stats)
 }
 
 // BenchmarkSave13 is what a durable mutation serialises inside its session's

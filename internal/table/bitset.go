@@ -25,11 +25,35 @@ type Bitset struct {
 	n     int // set bits
 }
 
-// bitsetDense reports whether a value held by length of a table's numRows
+// Dense reports whether a value held by length of a table's numRows
 // rows is stored as a bitset: the bitmap's numRows/8 bytes must not exceed
 // the 4·length bytes a sorted list would cost, i.e. length ≥ numRows/32.
-func bitsetDense(length, numRows int) bool {
+func Dense(length, numRows int) bool {
 	return length > 0 && 32*length >= numRows
+}
+
+// NewContainer returns the rows set in words — row r as bit r%64 of word
+// r/64, over a universe of numRows rows, ⌈numRows/64⌉ words — in the one
+// container the index gives a value holding that many: a Bitset over words
+// itself where that is dense (see Dense), which then owns words; a
+// fresh ascending list otherwise, never nil, even when empty, and words left
+// as they were. A search keeps the rows a coverage walk visited this way, to
+// intersect in place of the containers it walked.
+func NewContainer(words []uint64, numRows int) (list []int32, set *Bitset) {
+	n := 0
+	for _, w := range words {
+		n += bits.OnesCount64(w)
+	}
+	if Dense(n, numRows) {
+		return nil, &Bitset{words: words, n: n}
+	}
+	list = make([]int32, 0, n)
+	for i, w := range words {
+		for ; w != 0; w &= w - 1 {
+			list = append(list, int32(i<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	return list, nil
 }
 
 // Len returns the number of set bits: the rows holding the value.

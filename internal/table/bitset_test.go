@@ -176,15 +176,16 @@ func TestBitsetDense(t *testing.T) {
 		{5, 5, true}, // tiny universe: everything is dense
 	}
 	for _, tc := range cases {
-		if got := bitsetDense(tc.length, tc.rows); got != tc.want {
-			t.Fatalf("bitsetDense(%d, %d) = %v, want %v", tc.length, tc.rows, got, tc.want)
+		if got := Dense(tc.length, tc.rows); got != tc.want {
+			t.Fatalf("Dense(%d, %d) = %v, want %v", tc.length, tc.rows, got, tc.want)
 		}
 	}
 }
 
 // TestBitsetMatchesIndexPostings cross-checks the index-built containers:
 // for every dense (column, value) the bitmap holds exactly the sorted
-// posting list's rows, and sparse values get no container.
+// posting list's rows, and sparse values get no container. NewContainer,
+// given a value's rows as bits, returns the container the index holds.
 func TestBitsetMatchesIndexPostings(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	names := []string{"A", "B"}
@@ -207,7 +208,16 @@ func TestBitsetMatchesIndexPostings(t *testing.T) {
 		for v := 0; v < tab.DistinctCount(c); v++ {
 			list := ix.Postings(c, rule.Value(v))
 			bm := ix.Bitmap(c, rule.Value(v))
-			if !bitsetDense(len(list), tab.NumRows()) {
+			words := make([]uint64, (tab.NumRows()+63)/64)
+			for _, r := range list {
+				words[r>>6] |= 1 << (uint(r) & 63)
+			}
+			gotList, gotBits := NewContainer(words, tab.NumRows())
+			if (gotBits != nil) != (bm != nil) || (gotBits == nil && !slices.Equal(gotList, list)) ||
+				(gotBits != nil && (gotList != nil || gotBits.Len() != bm.Len() || !slices.Equal(gotBits.words, bm.words))) {
+				t.Fatalf("col %d val %d: NewContainer gave list %v bitset %v, the index list %v bitset %v", c, v, gotList, gotBits, list, bm)
+			}
+			if !Dense(len(list), tab.NumRows()) {
 				if bm != nil {
 					t.Fatalf("col %d val %d: sparse list (len %d) has a container", c, v, len(list))
 				}

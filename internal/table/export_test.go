@@ -9,7 +9,6 @@ var (
 	SameTable        = sameTable
 	GridBlocks       = gridBlocks
 	GridWorkers      = gridWorkers
-	BitsetDense      = bitsetDense
 	CrossingCSV      = crossingCSV
 )
 

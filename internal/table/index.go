@@ -11,7 +11,7 @@ import (
 // Index is a table's inverted index: for every (column, value) pair, the
 // set of rows holding that value, in exactly one container — a packed
 // Bitset where the value is dense enough that the bitmap is the smaller of
-// the two (see bitsetDense), the sorted list of its rows otherwise. A
+// the two (see Dense), the sorted list of its rows otherwise. A
 // column's index therefore costs Σ over its values of min(4·len, rows/8)
 // bytes — at most four bytes per row whatever the data, and an eighth of a
 // byte per row and value on the few-valued columns the paper's tables are
@@ -87,7 +87,7 @@ func buildPostings[T cell](cp *colPostings, col []T, vals int) {
 	bits := make([]*Bitset, vals)
 	sparse := 0
 	for v, n := range sizes {
-		if bitsetDense(int(n), rows) {
+		if Dense(int(n), rows) {
 			bits[v] = &Bitset{words: make([]uint64, (rows+63)/64), n: int(n)}
 		} else {
 			sparse += int(n)
@@ -153,7 +153,7 @@ func (ix *Index) Postings(c int, v rule.Value) []int32 {
 }
 
 // Bitmap returns the packed bitset holding value v's rows in column c, or
-// nil when the value is too sparse to be stored as one (see bitsetDense) or
+// nil when the value is too sparse to be stored as one (see Dense) or
 // v is outside the column's dictionary. Builds the index on first use, like
 // Postings.
 func (ix *Index) Bitmap(c int, v rule.Value) *Bitset {

@@ -99,7 +99,7 @@ func checkLayout(t *testing.T, label string, tab *table.Table) {
 		bytes, dense := 0, 0
 		for v := 0; v < vals; v++ {
 			id, want := rule.Value(v), scan[v] // want nil: a value no row holds
-			isDense := table.BitsetDense(len(want), rows)
+			isDense := table.Dense(len(want), rows)
 			if (lists[v] != nil) == (bits[v] != nil) {
 				t.Fatalf("%s value %d: list %v and bitset %v, want exactly one container", label, v, lists[v] != nil, bits[v] != nil)
 			}
