@@ -12,10 +12,11 @@ import (
 // The readings of an exact root drill, on the benchmark's own table
 // (bench/drillload: census, 100 000 rows × 7 columns, generator seed 7) at
 // K 3 under Size weighting: the drill as a session runs it with the answer
-// cache off, and its first part, the Section 6.1 probe over the table's row
-// view. Its second, the search over the table's distinct tuples at the
-// weighter's bound — the mw the probe's estimate comes to on this table — is
-// internal/brs's BenchmarkRootSearch.
+// cache off — the search over the table's 6 372 distinct tuples at the
+// weighter's bound, no more than probeFloor of them, so not probed, which is
+// internal/brs's BenchmarkRootSearch — and the Section 6.1 probe over the
+// table's 100 000 rows, which the drill no longer runs: its estimate on this
+// table is the bound.
 //
 //	go test -run '^$' -bench 'ExactRootDrill|EstimateMaxWeight' -benchtime 50x ./internal/drill/
 

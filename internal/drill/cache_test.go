@@ -165,7 +165,7 @@ func TestNearIdenticalDrillsGetDistinctKeys(t *testing.T) {
 		{K: 4, Search: svc}, // different k
 		{K: 3, Search: svc, Weighter: weight.SizeMinusOne{}},                                   // different weighter
 		{K: 3, Search: svc, Weighter: weight.NewBits(distinct(tab.All().DistinctCount, cols))}, // and another
-		{K: 3, Search: svc, Seed: 7},                                                           // different seed (mw probe differs)
+		{K: 3, Search: svc, Seed: 7},                                                           // different seed (a probe above the floor reads it)
 	}
 	for i, cfg := range variants {
 		s, err := NewSession(tab, cfg)

@@ -94,15 +94,17 @@ func (c *pollCtx) Err() error {
 // a 14-column table — where the probe is most of a drill — a context that
 // is already dead, and one that dies a few pass boundaries into the probe,
 // both end the drill with context.Canceled within 100 ms, and the session
-// then expands like an untouched one.
+// then expands like an untouched one. The floor is lowered below the table's
+// rows, so that its drills probe.
 func TestProbeHonoursCancel(t *testing.T) {
 	tab := datagen.Marketing(2500, 1)
+	withProbeFloor(t, probeSize)
 	w := weight.NewSize(tab.NumCols())
 
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if mw := estimateMaxWeight(dead, tab.All(), w, 1, 1); mw != w.MaxWeight(tab.NumCols()) {
+	if mw, _ := estimateMaxWeight(dead, tab.All(), w, 1, 1); mw != w.MaxWeight(tab.NumCols()) {
 		t.Fatalf("probe under a dead context estimated %g, want the weighter's bound", mw)
 	}
 	if d := time.Since(start); d > 100*time.Millisecond {

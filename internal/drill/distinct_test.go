@@ -83,38 +83,31 @@ func drillable(n *Node) *Node {
 }
 
 // TestEquivalenceDistinctPath holds the distinct-tuple path to the row path
-// on random tables of three shapes — both views below the mw probe's size,
-// only the distinct view below it, both above it — under Size, Bits and
-// Size−1 weights and the star constraint over each, for rule, star and
-// streamed drills at Workers 1, 2 and 8: the same rules in the same order
-// with the same Count, MCount and mw.
+// on random tables of three sizes, all of them at most probeFloor rows, so
+// that both paths search at the weighter's bound (TestProbeOnlyAboveFloor
+// holds each path's probe above it) — under Size, Bits and Size−1 weights and
+// the star constraint over each, for rule, star and streamed drills at
+// Workers 1, 2 and 8: the same rules in the same order with the same Count,
+// MCount and mw.
 func TestEquivalenceDistinctPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	ctx := context.Background()
 	for _, shape := range []struct {
-		name                  string
-		cols, vals, pool, n   int
-		rootProbes, rowProbes bool // the root's distinct view, its row view, exceeds probeSize
+		name                string
+		cols, vals, pool, n int
 	}{
-		{"small", 4, 3, 60, 1200, false, false},
-		{"mixed", 4, 4, 200, 4000, false, true},
-		{"large", 5, 6, 2400, 12000, true, true},
+		{"small", 4, 3, 60, 1200},
+		{"mixed", 4, 4, 200, 4000},
+		{"large", 5, 6, 2400, 12000},
 	} {
 		tab := pooledTable(rng, shape.cols, shape.vals, shape.pool, shape.n)
 		for wi, inner := range []weight.Weighter{weight.NewSize(shape.cols), weight.BitsFor(tab), weight.SizeMinusOne{}} {
 			for _, workers := range []int{1, 2, 8} {
 				label := fmt.Sprintf("%s %s workers=%d", shape.name, inner.Name(), workers)
-				top := inner.MaxWeight(shape.cols)
 				cfg := Config{K: 4, Weighter: inner, Workers: workers, Seed: int64(3 + wi)}
 				dist, err := NewSession(tab, cfg)
 				if err != nil {
 					t.Fatal(err)
-				}
-				// Where only the row view is large enough to be probed, the
-				// distinct path searches at the weighter's bound; so does a
-				// row path told that bound.
-				if shape.rowProbes && !shape.rootProbes {
-					cfg.MaxWeight = top
 				}
 				rows, err := NewSession(tab, cfg)
 				if err != nil {
@@ -143,30 +136,18 @@ func TestEquivalenceDistinctPath(t *testing.T) {
 						if !dv.Table().Weighted() || rv.Table() != tab {
 							t.Fatalf("%s %v: distinct path reads a weighted table %v, row path the table %v", label, r, dv.Table().Weighted(), rv.Table() == tab)
 						}
-						if r.IsTrivial() && (dv.NumRows() > probeSize) != shape.rootProbes || r.IsTrivial() && (rv.NumRows() > probeSize) != shape.rowProbes {
-							t.Fatalf("%s: root views of %d and %d rows are not the shape's", label, dv.NumRows(), rv.NumRows())
+						top := w.MaxWeight(shape.cols)
+						dmw, dprobed := dist.maxWeightFor(ctx, dv, w, 0)
+						rmw, rprobed := rows.maxWeightFor(ctx, rv, w, 0)
+						if dprobed || rprobed || dmw != top || rmw != top {
+							t.Fatalf("%s %v under %s: mw %v (probed %v) on the distinct path, %v (%v) on the rows, want the weighter's bound %v",
+								label, r, w.Name(), dmw, dprobed, rmw, rprobed, top)
 						}
-						dmw := dist.maxWeightFor(ctx, dcov, w, 0)
-						rmw := rows.maxWeightFor(ctx, rcov, w, 0)
-						if cfg.MaxWeight > 0 {
-							rmw = cfg.MaxWeight
-						}
-						switch {
-						case (dv.NumRows() > probeSize) == (rv.NumRows() > probeSize):
-							if dmw != rmw {
-								t.Fatalf("%s %v under %s: mw %v on the distinct path, %v on the rows", label, r, w.Name(), dmw, rmw)
-							}
-						case dmw != top:
-							t.Fatalf("%s %v under %s: %d distinct tuples searched at mw %v, want the weighter's bound %v", label, r, w.Name(), dv.NumRows(), dmw, top)
-						default:
-							rmw = top
-						}
-						opts := brs.Options{K: 4, MaxWeight: dmw, Base: r, BaseCovered: true, Workers: workers}
+						opts := brs.Options{K: 4, MaxWeight: top, Base: r, BaseCovered: true, Workers: workers}
 						got, _, err := brs.Run(dv, w, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
-						opts.MaxWeight = rmw
 						want, _, err := brs.Run(rv, w, opts)
 						if err != nil {
 							t.Fatal(err)
@@ -179,17 +160,12 @@ func TestEquivalenceDistinctPath(t *testing.T) {
 				if err := dist.Expand(dist.Root()); err != nil {
 					t.Fatal(err)
 				}
-				// Below the root the two views can fall on different sides of
-				// the probe's size; only where neither is ever probed is the
-				// row path's mw the distinct path's at every depth.
-				if !shape.rootProbes {
-					if c := drillable(dist.Root()); c != nil {
-						if err := dist.Expand(c); err != nil {
-							t.Fatal(err)
-						}
-						if err := rows.Expand(drillable(rows.Root())); err != nil {
-							t.Fatal(err)
-						}
+				if c := drillable(dist.Root()); c != nil {
+					if err := dist.Expand(c); err != nil {
+						t.Fatal(err)
+					}
+					if err := rows.Expand(drillable(rows.Root())); err != nil {
+						t.Fatal(err)
 					}
 				}
 				sameSubtree(t, label+" rule drill", dist.Root(), rows.Root())

@@ -31,7 +31,7 @@ type Config struct {
 	// experiments use 4).
 	K int
 	// MaxWeight is BRS's mw parameter; 0 lets each expansion estimate it
-	// (EstimateMaxWeight) or fall back to the weighter's bound.
+	// (EstimateMaxWeight) above probeFloor, or use the weighter's bound.
 	MaxWeight float64
 	// Weighter scores rules; nil means Size weighting.
 	Weighter weight.Weighter
@@ -136,8 +136,8 @@ type Session struct {
 	LastMethod string
 	// LastStats holds the BRS statistics of the most recent expansion.
 	LastStats brs.Stats
-	// LastPhases times the most recent expansion's resolve, mw probe and
-	// search; zero when the answer cache served it.
+	// LastPhases times the most recent expansion's resolve, mw probe (zero
+	// if none ran) and search; zero when the answer cache served it.
 	LastPhases search.Phases
 	// TotalStats accumulates BRS statistics across every expansion of the
 	// session — repeated drill-downs share the dataset's warmed posting
@@ -155,9 +155,9 @@ type Session struct {
 	// rev counts changes to what Save writes; see Revision.
 	rev uint64
 
-	// unbooked is work done for an expansion outside its search — the pass
-	// that groups the table, or a sample of it, into distinct tuples — held
-	// until recordStats files it with the search's own.
+	// unbooked is work done for an expansion outside its search — grouping
+	// the table, or a sample of it, into distinct tuples, or the mw probe —
+	// held until recordStats files it with the search's own.
 	unbooked brs.Stats
 	// rowPath keeps expansions, exact and sampled, off distinct-tuple tables:
 	// the seam through which tests hold the two paths to the same answers.
@@ -368,7 +368,11 @@ func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter, kind s
 		bound = cov.scale * float64(cov.view.NumTuples())
 		return cov.view, cov.scale, cov.exact, nil
 	}
-	req.MaxWeightFor = func(*table.View) float64 { return s.maxWeightFor(ctx, cov, w, maxRules) }
+	probed := false
+	req.MaxWeightFor = func(v *table.View) (mw float64) {
+		mw, probed = s.maxWeightFor(ctx, v, w, maxRules)
+		return mw
+	}
 	addChild := func(r brs.Result) *Node {
 		child := &Node{
 			Rule:   r.Rule,
@@ -398,6 +402,9 @@ func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter, kind s
 	}
 	resp, err := s.svc.Run(ctx, req)
 	s.LastPhases = resp.Phases
+	if !probed {
+		s.LastPhases.MaxWeight = 0 // no probe ran
+	}
 	if resp.Cached {
 		// The view was never resolved: the expansion is a clone of a
 		// completed identical search.
@@ -425,31 +432,27 @@ func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter, kind s
 	return nil
 }
 
-// maxWeightFor estimates mw for an expansion whose resolved coverage cov is
-// about to be searched under w for maxRules rules (0: the session's k).
-func (s *Session) maxWeightFor(ctx context.Context, cov coverage, w weight.Weighter, maxRules int) float64 {
-	// Probe with the number of rules this expansion will request — maxRules
-	// when bounded, else the session's k — so the weight cap fits the rule
-	// list being built. The probe runs before a stream's deadline exists and
-	// its cost grows with k, so a caller-supplied maxRules is capped: past a
-	// screenful of rules the estimate has long saturated.
+// maxWeightFor returns the mw an expansion searching v — its rows, distinct
+// tuples or sample tuples — under w for maxRules rules (0: the session's k)
+// runs at, and whether it probed v for it: only where v holds more than
+// probeFloor tuples, booking what the probe read to the expansion.
+func (s *Session) maxWeightFor(ctx context.Context, v *table.View, w weight.Weighter, maxRules int) (float64, bool) {
+	if v.NumRows() <= probeFloor {
+		return w.MaxWeight(v.NumCols()), false
+	}
+	// Probe with the number of rules this expansion will request, so the
+	// weight cap fits the rule list being built — capped, since the probe
+	// runs before a stream's deadline exists and its cost grows with k, while
+	// past a screenful of rules the estimate has long saturated.
 	const maxProbeK = 100
 	k := s.cfg.K
 	if maxRules > 0 {
 		k = maxRules
 	}
-	if k > maxProbeK {
-		k = maxProbeK
-	}
-	v := cov.view
-	if v.Table().Weighted() && v.NumRows() > probeSize && cov.rows != nil {
-		// The probe samples tuples of the table, whatever structure the
-		// search reads them from: the row view, fetched only now that the
-		// distinct tuples are too many to search just once. A sample drawn
-		// from the distinct tuples has none, and is probed by mass.
-		v = cov.rows()
-	}
-	return estimateMaxWeight(ctx, v, w, k, s.cfg.Seed)
+	k = min(k, maxProbeK)
+	mw, read := estimateMaxWeight(ctx, v, w, k, s.cfg.Seed)
+	s.unbooked.Add(read)
+	return mw, true
 }
 
 // searchRequest assembles the canonical request for one expansion of this
@@ -494,12 +497,7 @@ type coverage struct {
 	// view is what the search reads: the tuples row by row, or — where
 	// groupable allows and they compress — grouped, each distinct tuple once
 	// with its multiplicity for a mass.
-	view *table.View
-	// rows returns the same tuples row by row, which is what the mw probe
-	// samples; a grouped exact view fetches them only when asked. It is nil
-	// for a sample drawn from the distinct tuples, which no row view stands
-	// behind (sampling.View.Rows): the probe draws from view by mass.
-	rows  func() *table.View
+	view  *table.View
 	scale float64 // converts view aggregates to table estimates
 	exact bool    // they need no scaling
 }
@@ -526,19 +524,10 @@ func (s *Session) coveredView(r rule.Rule, w weight.Weighter, degraded bool) (co
 			s.unbooked.RowsScanned += int64(read)
 			s.unbooked.SampledRowsScanned += int64(read)
 		}
-		cov := coverage{view: v.Tab, scale: v.Scale, exact: v.Scale == 1}
-		if v.Rows != nil {
-			cov.rows = func() *table.View { return v.Rows }
-		}
-		return cov, nil
+		return coverage{view: v.Tab, scale: v.Scale, exact: v.Scale == 1}, nil
 	}
 	s.LastMethod = "direct"
-	return coverage{
-		view:  s.exactView(s.exactTable(w), r),
-		rows:  func() *table.View { return s.exactView(s.tab, r) },
-		scale: 1,
-		exact: true,
-	}, nil
+	return coverage{view: s.exactView(s.exactTable(w), r), scale: 1, exact: true}, nil
 }
 
 // exactView is r's coverage in t — the table or its distinct-tuple table.
@@ -815,6 +804,12 @@ func (s *Session) findNode(n *Node, r rule.Rule) *Node {
 // probeSize is the number of tuples the mw probe samples (with replacement).
 const probeSize = 2000
 
+// probeFloor is the number of tuples a searched view must exceed for a drill
+// to probe for mw: below it the probe costs more than the bounded search saves
+// (docs/ARCHITECTURE.md, "The mw probe": on census × 14, 50 000 rows lose and
+// 100 000 win). Not an option; a var only so that tests can lower it.
+var probeFloor = 32 * probeSize
+
 // EstimateMaxWeight implements the Section 6.1 heuristic for mw: run BRS on
 // a small sample with an unbounded mw, observe the maximum selected weight
 // x, and return 2x to absorb sampling error — or the weighter's bound, which
@@ -822,13 +817,15 @@ const probeSize = 2000
 // caller will actually request — probing with a different k skews the
 // estimate toward the weights of a differently-sized rule list.
 func EstimateMaxWeight(v *table.View, w weight.Weighter, k int, seed int64) float64 {
-	return estimateMaxWeight(context.Background(), v, w, k, seed)
+	mw, _ := estimateMaxWeight(context.Background(), v, w, k, seed)
+	return mw
 }
 
 // estimateMaxWeight is EstimateMaxWeight under the drill's own context, so
-// the probe stops with the request it serves. A canceled probe returns the
-// weighter's bound; the search that follows reports ctx's error at its
-// first check.
+// the probe stops with the request it serves, returning beside the estimate
+// what the probe read: its draw and its search's passes and reads, not its
+// candidates. A canceled probe returns the weighter's bound; the search that
+// follows reports ctx's error at its first check.
 //
 // A view no larger than the probe would be its own sample: the unbounded
 // search would run once to choose mw and again, bounded, to re-pick the
@@ -840,20 +837,23 @@ func EstimateMaxWeight(v *table.View, w weight.Weighter, k int, seed int64) floa
 // weighing half the bound or more. Twice the heaviest then reaches the
 // bound whatever the remaining picks weigh, and the bound is what any
 // larger estimate is clamped to before a search reads it (brs.newRunner).
-func estimateMaxWeight(ctx context.Context, v *table.View, w weight.Weighter, k int, seed int64) float64 {
+func estimateMaxWeight(ctx context.Context, v *table.View, w weight.Weighter, k int, seed int64) (float64, brs.Stats) {
 	top := w.MaxWeight(v.NumCols())
 	if v.NumRows() <= probeSize {
-		return top
+		return top, brs.Stats{}
 	}
+	probe, read := probeView(v, w, sampling.NewTestRNG(seed))
 	maxW := 0.0
-	_, err := brs.RunIncrementalCtx(ctx, probeView(v, w, sampling.NewTestRNG(seed)), w, brs.Options{K: k, MaxWeight: top}, k, time.Time{}, func(r brs.Result) bool {
+	searched, err := brs.RunIncrementalCtx(ctx, probe, w, brs.Options{K: k, MaxWeight: top}, k, time.Time{}, func(r brs.Result) bool {
 		maxW = math.Max(maxW, r.Weight)
 		return 2*maxW < top
 	})
+	read.Add(brs.Stats{Passes: searched.Passes, RowsScanned: searched.RowsScanned,
+		PostingsRead: searched.PostingsRead, BitmapWordsRead: searched.BitmapWordsRead})
 	if err != nil || maxW == 0 || 2*maxW >= top {
-		return top
+		return top, read
 	}
-	return 2 * maxW
+	return 2 * maxW, read
 }
 
 // probeView draws the probe's probeSize tuples from v uniformly with
@@ -863,49 +863,51 @@ func estimateMaxWeight(ctx context.Context, v *table.View, w weight.Weighter, k 
 // where the draws laid out row by row, an unsorted view no index kernel
 // applies to, cost it a scan per level. From a view of rows the drawn rows
 // are grouped (Table.GroupRows, the one grouping routine). From a view of
-// distinct tuples with multiplicities — a sample born grouped — a tuple is
-// drawn with probability proportional to its multiplicity, which is drawing
-// among the rows it stands for, and the draws are tallied as they come. The
-// search's answer is bit for bit the rows' wherever exactGrouped holds;
-// elsewhere — fractional weights — the probe keeps the view of the drawn rows.
-func probeView(v *table.View, w weight.Weighter, rng *rand.Rand) *table.View {
+// distinct tuples with multiplicities — the table's, or a sample's — a tuple
+// is drawn with probability proportional to its multiplicity, which is
+// drawing among the rows it stands for, and the draws are tallied as they
+// come. The search's answer is bit for bit the rows' wherever exactGrouped
+// holds; elsewhere — fractional weights — the probe keeps the view of the
+// drawn rows. read is the pass that built the tally.
+func probeView(v *table.View, w weight.Weighter, rng *rand.Rand) (probe *table.View, read brs.Stats) {
 	t := v.Table()
+	var tally *table.Table
+	var rowsRead int
 	if !t.Weighted() {
 		rows := make([]int, probeSize) // view positions, then the table rows at them
 		for i := range rows {
 			rows[i] = rng.Intn(v.NumRows())
 		}
 		if !exactGrouped(w, v.NumCols(), probeSize) {
-			return v.Subset(rows)
+			return v.Subset(rows), read
 		}
 		for i, pos := range rows {
 			rows[i] = v.ParentRow(pos)
 		}
-		//sdlint:allow ioaccount the probe's reads are not booked: its search's brs.Stats are dropped too
-		tally, _ := t.GroupRows(rows, probeSize)
-		return tally.All()
-	}
-	// cum[i] is the number of tuples standing before view position i.
-	cum := make([]int, v.NumRows()+1)
-	for i := 0; i < v.NumRows(); i++ {
-		cum[i+1] = cum[i] + t.Multiplicity(v.ParentRow(i))
-	}
-	var rows []int
-	var times []int32
-	slot := make(map[int]int, probeSize) // view position → index in rows
-	for n := 0; n < probeSize; n++ {
-		u := rng.Intn(cum[len(cum)-1])
-		i := sort.Search(v.NumRows(), func(i int) bool { return cum[i+1] > u })
-		at, ok := slot[i]
-		if !ok {
-			at = len(rows)
-			slot[i] = at
-			rows = append(rows, v.ParentRow(i))
-			times = append(times, 0)
+		tally, rowsRead = t.GroupRows(rows, probeSize)
+	} else {
+		// cum[i] is the number of tuples standing before view position i.
+		cum := make([]int, v.NumRows()+1)
+		for i := 0; i < v.NumRows(); i++ {
+			cum[i+1] = cum[i] + t.Multiplicity(v.ParentRow(i))
 		}
-		times[at]++
+		var rows []int
+		var times []int32
+		slot := make(map[int]int, probeSize) // view position → index in rows
+		for n := 0; n < probeSize; n++ {
+			u := rng.Intn(cum[len(cum)-1])
+			i := sort.Search(v.NumRows(), func(i int) bool { return cum[i+1] > u })
+			at, ok := slot[i]
+			if !ok {
+				at = len(rows)
+				slot[i] = at
+				rows = append(rows, v.ParentRow(i))
+				times = append(times, 0)
+			}
+			times[at]++
+		}
+		tally, rowsRead = t.SelectWeighted(rows, times)
 	}
-	//sdlint:allow ioaccount the probe's reads are not booked: its search's brs.Stats are dropped too
-	tally, _ := t.SelectWeighted(rows, times)
-	return tally.All()
+	read.Passes, read.RowsScanned = 1, int64(rowsRead)
+	return tally.All(), read
 }

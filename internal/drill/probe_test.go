@@ -101,13 +101,13 @@ func TestEquivalenceProbeTally(t *testing.T) {
 					label := fmt.Sprintf("%s/%s/k%d/seed%d", fx.name, w.Name(), k, seed)
 					want := literalEstimate(t, v, w, k, seed)
 					polled := &pollCtx{Context: context.Background()}
-					if got := estimateMaxWeight(polled, v, w, k, seed); got != want {
+					if got, _ := estimateMaxWeight(polled, v, w, k, seed); got != want {
 						t.Fatalf("%s: estimate %v, literal Section 6.1 %v (bound %v)", label, got, want, top)
 					}
 
 					// The picks of a full search of the probe's own view, in
 					// selection order, say which one settles the estimate.
-					probe := probeView(v, w, sampling.NewTestRNG(seed))
+					probe, _ := probeView(v, w, sampling.NewTestRNG(seed))
 					if weighted := probe.Table().Weighted(); weighted != weight.Integral(w) {
 						t.Fatalf("%s: probe view tallied %v under a weighter with integral %v", label, weighted, weight.Integral(w))
 					}
@@ -179,7 +179,7 @@ func TestProbeTallyIsTheDraws(t *testing.T) {
 				}
 				times[tuple]++
 			}
-			probe := probeView(v, weight.NewSize(tab.NumCols()), sampling.NewTestRNG(seed))
+			probe, _ := probeView(v, weight.NewSize(tab.NumCols()), sampling.NewTestRNG(seed))
 			if probe.NumRows() != len(order) || probe.NumTuples() != probeSize {
 				t.Fatalf("%s, seed %d: the probe holds %d tuples for %d draws, the draws %d for %d",
 					name, seed, probe.NumRows(), probe.NumTuples(), len(order), probeSize)
@@ -207,14 +207,149 @@ func TestProbeSkipsSmallViewsAndDeadContexts(t *testing.T) {
 		rows[i] = i
 	}
 	polled := &pollCtx{Context: context.Background()}
-	if mw := estimateMaxWeight(polled, tab.ViewOf(rows), w, 1, 1); mw != top || polled.polls.Load() != 0 {
+	if mw, _ := estimateMaxWeight(polled, tab.ViewOf(rows), w, 1, 1); mw != top || polled.polls.Load() != 0 {
 		t.Errorf("a view of %d rows: estimate %v after %d pass boundaries, want the bound %v and no search", probeSize, mw, polled.polls.Load(), top)
 	}
 	if mw := EstimateMaxWeight(tab.ViewOf(append(rows, probeSize)), w, 1, 1); mw != 2 {
 		t.Errorf("a view of %d rows: estimate %v, want the probe's 2", probeSize+1, mw)
 	}
 	dead := &pollCtx{Context: context.Background(), cancelAt: 1}
-	if mw := estimateMaxWeight(dead, tab.All(), w, 1, 1); mw != top || dead.polls.Load() != 1 {
+	if mw, _ := estimateMaxWeight(dead, tab.All(), w, 1, 1); mw != top || dead.polls.Load() != 1 {
 		t.Errorf("a dead context: estimate %v after %d pass boundaries, want the bound %v at the first", mw, dead.polls.Load(), top)
+	}
+}
+
+// withProbeFloor has the drills of the rest of t probe every view of more
+// than floor tuples.
+func withProbeFloor(t testing.TB, floor int) {
+	old := probeFloor
+	probeFloor = floor
+	t.Cleanup(func() { probeFloor = old })
+}
+
+// lightTable's best rules weigh 1 under Size weighting, of a bound of 3, so a
+// probe of more tuples than it draws estimates 2: it holds unique rows
+// (a_{i mod 4}, u_i, v_i), each once, and tuples (a_{j mod 4}, p_j, q_j), each
+// copies times over.
+func lightTable(unique, tuples, copies int) *table.Table {
+	b := table.MustBuilder([]string{"A", "B", "C"}, nil)
+	for i := 0; i < unique; i++ {
+		b.MustAddRow([]string{fmt.Sprint("a", i%4), fmt.Sprint("u", i), fmt.Sprint("v", i)})
+	}
+	for n := 0; n < copies; n++ {
+		for j := 0; j < tuples; j++ {
+			b.MustAddRow([]string{fmt.Sprint("a", j%4), fmt.Sprint("p", j), fmt.Sprint("q", j)})
+		}
+	}
+	return b.Build()
+}
+
+// TestProbeOnlyAboveFloor: a drill probes for mw only where the view its
+// search reads holds more than probeFloor tuples, and probes that view. On
+// each of the four views a search reads — a table's rows, its distinct
+// tuples, a sample drawn from them and a sample of rows grouped — a drill at
+// the floor searches at the weighter's bound, with no probe timed or read.
+// One tuple above it, the drill searches at the probe's estimate over its
+// view, which binds, and on a weighted view is the literal Section 6.1 over
+// the same tuples laid out row by row; the probe's draw, passes and reads are
+// booked to the drill beside the bounded search's.
+func TestProbeOnlyAboveFloor(t *testing.T) {
+	for _, arm := range []struct {
+		name     string
+		tab      *table.Table
+		cfg      Config
+		weighted bool   // the search reads a table of distinct tuples
+		method   string // how the drills after the first are served
+	}{
+		{"exact rows", lightTable(3000, 0, 0), Config{}, false, "direct"},
+		{"exact distinct tuples", lightTable(0, 2500, 5), Config{}, true, "direct"},
+		{"tuple-born sample", lightTable(0, 2500, 8), Config{SampleMemory: 9000, MinSampleSize: 9000}, true, "Find"},
+		// The table does not compress, a sample of it does.
+		{"grouped row sample", lightTable(8000, 1000, 22), Config{SampleMemory: 9000, MinSampleSize: 9000}, true, "Find"},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			ctx := context.Background()
+			cfg := arm.cfg
+			cfg.K, cfg.Workers, cfg.Seed, cfg.DisableCache = 3, 1, 5, true
+			s, err := NewSession(arm.tab, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := s.cfg.Weighter
+			// The first drill builds what later ones read — the distinct
+			// tuples, a sample and its table — and probes nothing: the floor is
+			// far above.
+			if err := s.Expand(s.Root()); err != nil {
+				t.Fatal(err)
+			}
+			if s.LastPhases.MaxWeight != 0 {
+				t.Fatalf("a drill below the default floor timed a probe: %+v", s.LastPhases)
+			}
+			cov, err := s.coveredView(s.Root().Rule, w, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.unbooked = brs.Stats{}
+			v := cov.view
+			if v.Table().Weighted() != arm.weighted || v.NumRows() <= probeSize {
+				t.Fatalf("the search reads %d tuples, weighted %v", v.NumRows(), v.Table().Weighted())
+			}
+			// drill drills the root again, and requires the rules and reads of
+			// a search of v at mw, plus the probe's reads.
+			drill := func(label string, mw float64, probe brs.Stats) {
+				t.Helper()
+				if err := s.Expand(s.Root()); err != nil {
+					t.Fatal(err)
+				}
+				if s.LastMethod != arm.method {
+					t.Fatalf("%s: served by %s, want %s", label, s.LastMethod, arm.method)
+				}
+				want, st, err := brs.Run(v, w, brs.Options{K: 3, MaxWeight: mw, Base: s.Root().Rule, BaseCovered: true, Workers: 1, SampleScale: cov.scale})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(s.Root().Children) != len(want) {
+					t.Fatalf("%s: %d rules, a search at mw %v finds %d", label, len(s.Root().Children), mw, len(want))
+				}
+				for i, r := range want {
+					if c := s.Root().Children[i]; !c.Rule.Equal(r.Rule) || c.Weight != r.Weight || c.Count != r.Count {
+						t.Fatalf("%s: rule %d is %v (%v, %v), a search at mw %v finds %v (%v, %v)", label, i, c.Rule, c.Weight, c.Count, mw, r.Rule, r.Weight, r.Count)
+					}
+				}
+				st.Passes += probe.Passes
+				st.RowsScanned += probe.RowsScanned
+				st.PostingsRead += probe.PostingsRead
+				st.BitmapWordsRead += probe.BitmapWordsRead
+				if got := s.LastStats; got.Passes != st.Passes || got.RowsScanned != st.RowsScanned || got.PostingsRead != st.PostingsRead ||
+					got.BitmapWordsRead != st.BitmapWordsRead || got.CandidatesCounted != st.CandidatesCounted ||
+					got.CandidatesPruned != st.CandidatesPruned || got.CandidatesReused != st.CandidatesReused {
+					t.Fatalf("%s: the drill was booked %+v, want its search's plus the probe's reads %+v", label, got, st)
+				}
+			}
+
+			withProbeFloor(t, v.NumRows())
+			drill("at the floor", w.MaxWeight(v.NumCols()), brs.Stats{})
+			if s.LastPhases.MaxWeight != 0 {
+				t.Fatalf("at the floor: a probe was timed: %+v", s.LastPhases)
+			}
+
+			probeFloor = v.NumRows() - 1
+			mw, probe := estimateMaxWeight(ctx, v, w, 3, s.cfg.Seed)
+			if probe.Passes == 0 || probe.RowsScanned == 0 {
+				t.Fatalf("the probe read nothing: %+v", probe)
+			}
+			literal := v
+			if arm.weighted {
+				literal = expandedRows(t, arm.tab, v)
+			}
+			if want, _ := estimateMaxWeight(ctx, literal, w, 3, s.cfg.Seed); mw != want || mw >= w.MaxWeight(v.NumCols()) {
+				t.Fatalf("the probe of %d tuples estimates %v, Section 6.1 over their %d rows %v, the bound %v", v.NumRows(), mw, literal.NumRows(), want, w.MaxWeight(v.NumCols()))
+			}
+			drill("above the floor", mw, probe)
+			if s.LastPhases.MaxWeight <= 0 {
+				t.Fatalf("above the floor: no probe was timed: %+v", s.LastPhases)
+			}
+			t.Logf("%d tuples, mw %v of %v, probe %+v", v.NumRows(), mw, w.MaxWeight(v.NumCols()), probe)
+		})
 	}
 }

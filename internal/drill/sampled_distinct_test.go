@@ -20,7 +20,7 @@ import (
 // A sampled Count session under integer weights draws its samples from the
 // table's distinct tuples (sampling.Handler.ServeGrouped): a sample is a
 // weighted table of its own, a row for each distinct tuple it holds carrying
-// the number of sampled rows equal to it, and no row view stands behind it.
+// the number of sampled rows equal to it.
 // A session held to the rows (rowPath) draws different, equally uniform rows,
 // so the two no longer show the same trees. What still holds bit for bit is
 // what the grouping is for: a search of the weighted table returns what a
@@ -64,8 +64,8 @@ func sameAsExpanded(t *testing.T, label string, s *Session, n *Node, w weight.We
 		t.Fatal(err)
 	}
 	s.unbooked = brs.Stats{}
-	if !cov.view.Table().Weighted() || cov.rows != nil || cov.view.NumRows() != cov.view.Table().NumRows() {
-		t.Fatalf("%s: the sample is no weighted table of its own (weighted %v, row view %v)", label, cov.view.Table().Weighted(), cov.rows != nil)
+	if !cov.view.Table().Weighted() || cov.view.NumRows() != cov.view.Table().NumRows() {
+		t.Fatalf("%s: the sample is no weighted table of its own (weighted %v)", label, cov.view.Table().Weighted())
 	}
 	rows := expandedRows(t, s.tab, cov.view)
 	if rows.NumRows() != cov.view.NumTuples() {
@@ -77,15 +77,17 @@ func sameAsExpanded(t *testing.T, label string, s *Session, n *Node, w weight.We
 	}
 	mw := s.cfg.MaxWeight
 	if mw <= 0 {
-		// A sample of no more distinct tuples than the probe draws is searched
-		// once, at the weighter's bound, however many rows it stands for.
+		// A sample of no more distinct tuples than the floor is searched at
+		// the weighter's bound, however many rows it stands for; one above it
+		// at the probe's estimate, which is Section 6.1 over its rows.
 		mw = w.MaxWeight(rows.NumCols())
-		if cov.view.NumRows() > probeSize {
-			mw = estimateMaxWeight(ctx, rows, w, k, s.cfg.Seed)
+		if cov.view.NumRows() > probeFloor {
+			mw, _ = estimateMaxWeight(ctx, rows, w, k, s.cfg.Seed)
 		}
-		if got := s.maxWeightFor(ctx, cov, w, maxRules); got != mw {
+		if got, _ := s.maxWeightFor(ctx, cov.view, w, maxRules); got != mw {
 			t.Fatalf("%s: mw %v over %d distinct tuples, %v over their %d rows", label, got, cov.view.NumRows(), mw, rows.NumRows())
 		}
+		s.unbooked = brs.Stats{}
 	}
 	opts := brs.Options{K: s.cfg.K, MaxWeight: mw, Base: n.Rule, BaseCovered: true, Workers: s.cfg.Workers, SampleScale: cov.scale}
 	run := func(v *table.View) []brs.Result {
@@ -145,7 +147,8 @@ func sampledStep(t *testing.T, label string, s *Session, at func(*Session) *Node
 // TestEquivalenceSampledDistinctPath holds a session whose samples are drawn
 // from the distinct tuples to the rows those samples stand for, on census-
 // and Marketing-shaped tables and on one whose samples hold more distinct
-// tuples than the mw probe draws (so the probe draws them by mass) — under
+// tuples than the mw probe draws, with the floor lowered below them (so the
+// probe draws them by mass) — under
 // Size, Bits and Size−1 weights and the star constraint over each, for rule,
 // star and streamed drills at Workers 1, 2 and 8, on samples served by
 // Create, by Find and by Combine (of a parent sample holding its rule's
@@ -157,12 +160,13 @@ func TestEquivalenceSampledDistinctPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defaultFloor := probeFloor
 	for _, shape := range []struct {
 		name       string
 		tab        *table.Table
 		memory     int
 		minSS      int
-		rootProbes bool // the root sample's distinct tuples exceed probeSize
+		rootProbes bool // the root sample's distinct tuples exceed probeSize, and the floor is lowered to it
 		combines   bool // a child's whole coverage fits one sample, so its child is served by Combine
 	}{
 		{"census", datagen.CensusProjected(20000, 5, 7), 10000, 2500, false, false},
@@ -170,6 +174,11 @@ func TestEquivalenceSampledDistinctPath(t *testing.T) {
 		{"census-small", datagen.CensusProjected(3000, 6, 9), 3000, 2400, false, true},
 		{"pooled", pooledTable(rand.New(rand.NewSource(13)), 5, 6, 4000, 40000), 20000, 9000, true, false},
 	} {
+		floor := defaultFloor
+		if shape.rootProbes {
+			floor = probeSize
+		}
+		withProbeFloor(t, floor)
 		tab := shape.tab
 		// Resolved here, so that no drill below is booked the build.
 		if d, _ := tab.Distinct(); d == nil {
@@ -217,12 +226,18 @@ func TestEquivalenceSampledDistinctPath(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// Where the root is probed, the probe's reads are the Find
+				// drill's beyond its search, and not of the sample's rows.
+				var probe brs.Stats
+				if shape.rootProbes {
+					_, probe = estimateMaxWeight(context.Background(), cov.view, inner, 4, int64(3+wi))
+				}
 				tuples := int64(cov.view.NumRows())
-				if cov.view.NumTuples() != shape.minSS || 2*tuples > int64(shape.minSS) || (tuples > probeSize) != shape.rootProbes {
+				if cov.view.NumTuples() != shape.minSS || 2*tuples > int64(shape.minSS) || (tuples > int64(probeFloor)) != shape.rootProbes {
 					t.Fatalf("%s: a root sample of %d rows in %d distinct tuples is not the shape's", label, cov.view.NumTuples(), tuples)
 				}
 				if created.Passes != found.Passes+1 || created.RowsScanned != found.RowsScanned+tuples ||
-					created.SampledRowsScanned != found.SampledRowsScanned+tuples || found.SampledRowsScanned != found.RowsScanned {
+					created.SampledRowsScanned != found.SampledRowsScanned+tuples || found.SampledRowsScanned+probe.RowsScanned != found.RowsScanned {
 					t.Fatalf("%s: the Create drill read %d rows (%d sampled) in %d passes, the Find drill %d (%d) in %d; want the %d tuples copied in the first alone",
 						label, created.RowsScanned, created.SampledRowsScanned, created.Passes, found.RowsScanned, found.SampledRowsScanned, found.Passes, tuples)
 				}
@@ -247,9 +262,10 @@ func TestEquivalenceSampledDistinctPath(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
+						mw, _ := s.maxWeightFor(context.Background(), gcov.view, inner, 0)
 						s.unbooked = brs.Stats{}
 						_, search, err := brs.Run(gcov.view, inner, brs.Options{
-							K: 4, MaxWeight: s.maxWeightFor(context.Background(), gcov, inner, 0), Base: grandchild(s).Rule, BaseCovered: true,
+							K: 4, MaxWeight: mw, Base: grandchild(s).Rule, BaseCovered: true,
 							Workers: workers, SampleScale: gcov.scale,
 						})
 						if err != nil {
@@ -394,9 +410,6 @@ func TestEquivalenceSampledDistinctGates(t *testing.T) {
 		if got := cov.view.Table().Weighted(); got != tc.grouped {
 			t.Fatalf("%s: searched a weighted table: %v, want %v", tc.name, got, tc.grouped)
 		}
-		if (cov.rows == nil) != tc.tuples {
-			t.Fatalf("%s: a row view stands behind the sample: %v, want %v", tc.name, cov.rows != nil, !tc.tuples)
-		}
 		if s.unbooked != (brs.Stats{}) {
 			t.Fatalf("%s: a sample served again was booked %+v", tc.name, s.unbooked)
 		}
@@ -410,8 +423,8 @@ func TestEquivalenceSampledDistinctGates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.Tab != cov.view || v.Read() != 0 || (v.Rows == nil) != tc.tuples {
-			t.Fatalf("%s: served again the same view %v, %d rows read, row view %v", tc.name, v.Tab == cov.view, v.Read(), v.Rows != nil)
+		if v.Tab != cov.view || v.Read() != 0 {
+			t.Fatalf("%s: served again the same view %v, %d rows read", tc.name, v.Tab == cov.view, v.Read())
 		}
 	}
 }
@@ -525,7 +538,7 @@ func TestEquivalenceSampledDistinctBuildBookedOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !cov.view.Table().Weighted() || cov.rows != nil || s.LastMethod != "Find" {
+		if !cov.view.Table().Weighted() || s.LastMethod != "Find" {
 			t.Fatalf("session %d does not draw from the distinct tuples", i)
 		}
 		// Its drill: the search over the sample's tuples, their copy, and for

@@ -51,10 +51,12 @@ func childKeys(n *Node) []string {
 // TestStreamUsesConfiguredK is the regression test for the hardcoded k=4
 // in expandStream's mw estimation: with K=5 on an mw-sensitive table, the
 // streamed expansion must return exactly the batch expansion's rules —
-// including the weight-3 triple that a k=4 probe's mw would exclude.
+// including the weight-3 triple that a k=4 probe's mw would exclude. The
+// floor is lowered below the table's rows, so that its drills probe.
 func TestStreamUsesConfiguredK(t *testing.T) {
 	tab := mwSensitiveTable()
 	w := weight.NewSize(3)
+	withProbeFloor(t, probeSize)
 
 	// Establish that the scenario actually distinguishes the two probes;
 	// if this ever fails the fixture needs re-tuning, not the fix.

@@ -247,12 +247,12 @@ func (h *Handler) touch(s *Sample) {
 func (h *Handler) viewOf(s *Sample, units []int, scale float64, m Method) *View {
 	v := &View{Scale: scale, Method: m, EstimatedCount: float64(len(units)) * scale}
 	if s != nil && s.tab != nil {
-		v.Tab, v.Rows = s.tab, s.rowView
+		v.Tab = s.tab
 		return v
 	}
-	v.Tab, v.Rows, v.read = h.pop.view(units)
+	v.Tab, v.read = h.pop.view(units)
 	if s != nil {
-		s.tab, s.rowView = v.Tab, v.Rows
+		s.tab = v.Tab
 	}
 	return v
 }

@@ -30,10 +30,9 @@ type population interface {
 	draw(filters []rule.Rule, caps []int, rng *rand.Rand) []*Sample
 	// covers reports whether r covers unit u.
 	covers(r rule.Rule, u int) bool
-	// view returns the ascending units as the view a search reads, the same
-	// units as a zero-copy row view of the table (nil where no rows stand
-	// behind them), and the number of rows read to make the first.
-	view(units []int) (tab, rows *table.View, read int)
+	// view returns the ascending units as the view a search reads, and the
+	// number of rows read to make it.
+	view(units []int) (tab *table.View, read int)
 }
 
 // rowPopulation is the table's rows in file order, a row's unit its index.
@@ -74,17 +73,16 @@ func (p rowPopulation) covers(r rule.Rule, u int) bool { return p.store.Table().
 // population groups and the rows compress: then the search reads their
 // distinct tuples (table.Table.GroupRows), first-seen order following the
 // rows so ties break as on the row view, and the grouping pass is read.
-func (p rowPopulation) view(units []int) (tab, rows *table.View, read int) {
+func (p rowPopulation) view(units []int) (tab *table.View, read int) {
 	t := p.store.Table()
-	rows = t.ViewOf(units)
 	if !p.group {
-		return rows, rows, 0
+		return t.ViewOf(units), 0
 	}
 	d, read := t.GroupRows(units, len(units)/sampleGiveUp)
 	if d == nil {
-		return rows, rows, read
+		return t.ViewOf(units), read
 	}
-	return d.All(), rows, read
+	return d.All(), read
 }
 
 // reservoir maintains a fixed-capacity uniform sample of a stream of row
@@ -192,8 +190,8 @@ func (p tuplePopulation) covers(r rule.Rule, u int) bool { return p.d.Covers(r, 
 // from it) pairs and copies those tuples out of the distinct table into a
 // weighted table of their own (table.Table.SelectWeighted), in the distinct
 // table's order, index warmed: what a row sample becomes once grouped, without
-// the grouping. No row view stands behind it, and read is the tuples copied.
-func (p tuplePopulation) view(units []int) (tab, rows *table.View, read int) {
+// the grouping. read is the tuples copied.
+func (p tuplePopulation) view(units []int) (tab *table.View, read int) {
 	tuples := make([]int, 0, len(units))
 	mult := make([]int32, 0, len(units))
 	for i := 0; i < len(units); {
@@ -207,5 +205,5 @@ func (p tuplePopulation) view(units []int) (tab, rows *table.View, read int) {
 		i = n
 	}
 	d, read := p.d.SelectWeighted(tuples, mult)
-	return d.All(), nil, read
+	return d.All(), read
 }

@@ -99,8 +99,8 @@ func TestTupleDrawTotals(t *testing.T) {
 		if s.ExactCount != count || s.Size() != min(target, count) || v.Tab.NumTuples() != s.Size() {
 			t.Fatalf("%v: a sample of %d rows (view of %d) knowing a count of %d, want %d of %d", r, s.Size(), v.Tab.NumTuples(), s.ExactCount, min(target, count), count)
 		}
-		if v.Read() != v.Tab.NumRows() || v.Rows != nil {
-			t.Fatalf("%v: %d rows copied into a table of %d, a row view behind it %v", r, v.Read(), v.Tab.NumRows(), v.Rows != nil)
+		if v.Read() != v.Tab.NumRows() || !v.Tab.Table().Weighted() {
+			t.Fatalf("%v: %d rows copied into a table of %d, weighted %v", r, v.Read(), v.Tab.NumRows(), v.Tab.Table().Weighted())
 		}
 		for k, m := range multiplicities(t, v.Tab) {
 			if m < 1 || m > whole[k] {

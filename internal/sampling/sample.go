@@ -37,10 +37,10 @@ type Sample struct {
 
 	lastUsed int64 // eviction clock
 
-	// tab and rowView cache what the population makes of Rows
-	// (Handler.viewOf), built by the sample's first serve: a sample's grouping
-	// or weighted table is built once per sample, not per serve.
-	tab, rowView *table.View
+	// tab caches what the population makes of Rows (Handler.viewOf), built by
+	// the sample's first serve: a sample's grouping or weighted table is built
+	// once per sample, not per serve.
+	tab *table.View
 }
 
 // sampleGiveUp is the compression below which a row sample is searched row
@@ -83,12 +83,9 @@ type View struct {
 	// distinct tuples, the whole of a weighted table of the sample's own, a
 	// row for each distinct tuple carrying the number of sampled rows equal
 	// to it; drawn from the rows, that grouping of them where more than half
-	// repeat and the handler groups, else Rows.
+	// repeat and the handler groups, else a zero-copy view of the master
+	// table's rows, a row each.
 	Tab *table.View
-	// Rows is the sample as a zero-copy view of the master table's rows, a
-	// row each — what the Section 6.1 probe draws from — and nil for a sample
-	// drawn from the distinct tuples, which has no rows behind it.
-	Rows *table.View
 	// Scale converts counts on Tab to estimated counts on the master table.
 	Scale float64
 	// Method records how the view was served (Find, Combine, or Create).

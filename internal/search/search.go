@@ -161,7 +161,7 @@ type Response struct {
 // no result depends on the clock.
 type Phases struct {
 	Resolve   time.Duration // Request.Resolve: the rule's coverage, filtered or sampled
-	MaxWeight time.Duration // Request.MaxWeightFor: the Section 6.1 probe; zero under a configured mw
+	MaxWeight time.Duration // Request.MaxWeightFor: the Section 6.1 probe, where one runs; zero under a configured mw
 	Search    time.Duration // the BRS run
 }
 

@@ -201,3 +201,55 @@ func TestMillionRowInteractiveLatency(t *testing.T) {
 		}
 	}
 }
+
+// TestWideRootProbe is why the Section 6.1 probe stays, above a floor: on a
+// tall, wide table — census 200 000 rows × 14 columns, whose rows do not
+// compress — the probed root drill reads fewer rows, posting entries and
+// bitmap words, the probe's included, than the same drill searched at the
+// weighter's bound; on census 50 000 × 14, below the floor, the root drill is
+// not probed and reads exactly what the drill at the bound does. Both checks
+// are counts, not timings. Each drill is seconds of search, so the test is
+// gated:
+//
+//	make large            # or SMARTDRILL_LARGE=1 go test -run TestWideRootProbe .
+func TestWideRootProbe(t *testing.T) {
+	if os.Getenv("SMARTDRILL_LARGE") == "" {
+		t.Skip("set SMARTDRILL_LARGE=1 (or run `make large`) for the wide-table probe check")
+	}
+	reads := func(st SearchStats) int64 { return st.RowsScanned + st.PostingsRead + st.BitmapWordsRead }
+	for _, shape := range []struct {
+		rows   int
+		probes bool
+	}{
+		{200000, true},
+		{50000, false},
+	} {
+		tab := datagen.CensusProjected(shape.rows, 14, 7)
+		tab.Distinct() // resolved here, so that no drill below is booked the attempt
+		root := func(opts ...Option) (SearchStats, SearchPhases, string) {
+			e, err := New(tab, append(opts, WithK(3), WithCacheDisabled())...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			if err := e.DrillDown(e.Root()); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("census %d × 14: root drill in %s, %+v, %+v", shape.rows, time.Since(start), e.LastSearchPhases(), e.LastSearchStats())
+			return e.LastSearchStats(), e.LastSearchPhases(), e.Render()
+		}
+		probed, phases, rules := root()
+		bound, _, boundRules := root(WithMaxWeight(weight.NewSize(14).MaxWeight(14)))
+		if rules != boundRules {
+			t.Errorf("census %d × 14: the root drill shows\n%s\nat the bound\n%s", shape.rows, rules, boundRules)
+		}
+		switch {
+		case shape.probes && (phases.MaxWeight == 0 || reads(probed) >= reads(bound)):
+			t.Errorf("census %d × 14: probed %v, the root drill read %d, %d at the bound; want a probe that reads less",
+				shape.rows, phases.MaxWeight > 0, reads(probed), reads(bound))
+		case !shape.probes && (phases.MaxWeight != 0 || probed != bound):
+			t.Errorf("census %d × 14: probed %v, the root drill was booked %+v, at the bound %+v; want no probe",
+				shape.rows, phases.MaxWeight > 0, probed, bound)
+		}
+	}
+}

@@ -153,7 +153,7 @@ func WithWeighter(w Weighter) Option { return func(c *drill.Config) { c.Weighter
 
 // WithMaxWeight sets BRS's mw pruning parameter. Larger values guarantee
 // optimality for heavier rules at higher cost; 0 (default) estimates it
-// from a sample per Section 6.1.
+// per Section 6.1 on a large view, using the weighter's bound elsewhere.
 func WithMaxWeight(mw float64) Option { return func(c *drill.Config) { c.MaxWeight = mw } }
 
 // WithSampling enables the dynamic sample handler: memory tuples of budget
