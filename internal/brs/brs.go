@@ -13,10 +13,12 @@
 // Three hot-path optimizations sit on top of the textbook algorithm, all
 // result-preserving:
 //
-//   - Packed candidate identity: candidates are deduplicated, looked up,
-//     and — where a tie has to be broken — ordered by a fixed-size
-//     rule.PackedKey instead of heap-allocated Rule.Key() strings, so the
-//     inner loops never allocate per candidate.
+//   - One candidate identity: a candidate is deduplicated, looked up and —
+//     where a tie has to be broken — ordered by its rule's Key() bytes, built
+//     once when the candidate is created. Lookups of a child or a sub-rule
+//     write that neighbour's key into one scratch buffer and probe the
+//     store with it, so only a candidate the store has never seen
+//     allocates.
 //
 //   - Cross-step reuse with lazy marginals: candidate aggregate masses are
 //     invariant across the K greedy steps, and because Score is submodular
@@ -453,20 +455,16 @@ func (rn *runner) coversFreeParent(r rule.Rule, pi int) bool {
 }
 
 // cand is one candidate rule with accumulated statistics and cross-step
-// cache state. Identity is the packed key (pk) when the rule fits
-// rule.MaxPackedValues free values; deeper rules fall back to the string
-// key, built lazily.
+// cache state. Its identity is key, r's Key(), at any width.
 type cand struct {
 	r      rule.Rule
-	pk     rule.PackedKey
-	skey   string    // lazy Rule.Key(); identity and ordering fallback
+	key    string    // r.Key(): the store's map key and the tie-break order
 	mask   rule.Mask // full instantiated-column mask (base included)
 	weight float64
 
 	count    float64 // aggregate mass covered (step-invariant)
 	marginal float64 // marginal value against the selection of step asOf
 	asOf     int     // greedy step that measured count and marginal; 0 = never
-	packed   bool    // pk is the identity
 	counted  bool    // survived pruning in some step: a bound source and a parent
 	expanded bool    // walked: children holds every supported one-column extension
 	children []*cand
@@ -479,50 +477,30 @@ type cand struct {
 	cover *cover // the rows the candidate's own index walk visited; nil unless the run kept them
 }
 
-// key returns the candidate's string key, building it at most once. Only
-// ordering fallbacks and overflow (unpackable) candidates ever call it.
-func (c *cand) key() string {
-	if c.skey == "" {
-		c.skey = c.r.Key()
-	}
-	return c.skey
-}
-
 // candLess is the order that breaks a tie within a level (findBestMarginal):
-// Rule.Key() byte order, which packed keys compare in by construction, so
-// the two representations order consistently even when mixed.
-func candLess(a, b *cand) bool {
-	if a.packed && b.packed {
-		return a.pk.Compare(b.pk) < 0
-	}
-	return a.key() < b.key()
-}
+// Rule.Key() byte order.
+func candLess(a, b *cand) bool { return a.key < b.key }
 
 // candStore is the run-wide candidate registry (C in Algorithm 2, hoisted
 // out of the per-step procedure so steps 2..K reuse step 1's counting
 // work). counted lists counted candidates in counting order — level by
 // level, each level in merge order — for the next step's refresh to rank.
 type candStore struct {
-	packed  map[rule.PackedKey]*cand
-	over    map[string]*cand // candidates too deep for a packed key
+	byKey   map[string]*cand
 	counted []*cand
+	scratch []byte // the key find probed with; childOf and upperBound run serially
 }
 
 func newCandStore() candStore {
-	return candStore{packed: make(map[rule.PackedKey]*cand)}
+	return candStore{byKey: make(map[string]*cand)}
 }
 
-// byPK looks up a packed candidate; nil when absent.
-func (cs *candStore) byPK(pk rule.PackedKey) *cand { return cs.packed[pk] }
-
-// addOver registers an overflow candidate, allocating the map lazily
-// (overflow needs > rule.MaxPackedValues instantiated free columns, which
-// no realistic drill-down reaches).
-func (cs *candStore) addOver(key string, c *cand) {
-	if cs.over == nil {
-		cs.over = make(map[string]*cand)
-	}
-	cs.over[key] = c
+// find returns the candidate r.With(c, v) (r itself when c < 0), nil when
+// the store has none, and leaves that rule's key in scratch. The probe
+// allocates nothing.
+func (cs *candStore) find(r rule.Rule, c int, v rule.Value) *cand {
+	cs.scratch = r.AppendKeyWith(cs.scratch[:0], c, v)
+	return cs.byKey[string(cs.scratch)]
 }
 
 // step numbers the greedy step in progress from 1; a candidate whose asOf
@@ -963,20 +941,18 @@ func (rn *runner) countLevelOne() []*cand {
 
 // addLevelOne materializes and registers one level-1 candidate.
 func (rn *runner) addLevelOne(acc *extAcc, val rule.Value, count, marginal float64) *cand {
-	var pk rule.PackedKey
-	pk, _ = pk.Extend(acc.col, val) // one value always packs
 	m := rn.baseMask
 	m.Set(acc.col)
+	r := rn.base.With(acc.col, val)
 	c := &cand{
-		r:        rn.base.With(acc.col, val),
-		pk:       pk,
-		packed:   true,
+		r:        r,
+		key:      r.Key(),
 		mask:     m,
 		weight:   acc.weight,
 		count:    count,
 		marginal: marginal,
 	}
-	rn.store.packed[pk] = c
+	rn.store.byKey[c.key] = c
 	rn.markCounted(c)
 	return c
 }
@@ -1260,31 +1236,17 @@ func (rn *runner) materializeChildren(parents []*cand, accs [][]extAcc) {
 
 // childOf resolves the extension of parent in acc's column by val to its
 // shared cand — from the store when another parent (or an earlier step)
-// already materialized it, freshly registered otherwise; created counts
-// new registrations for the per-level cap.
+// already materialized it, freshly registered otherwise, which is the one
+// case that allocates (the rule and its key); created counts new
+// registrations for the per-level cap.
 func (rn *runner) childOf(parent *cand, acc *extAcc, val rule.Value, created *int) *cand {
-	m := parent.mask
-	m.Set(acc.col)
-	if parent.packed {
-		if pk, ok := parent.pk.Extend(acc.col, val); ok {
-			if c := rn.store.byPK(pk); c != nil {
-				return c
-			}
-			c := &cand{r: parent.r.With(acc.col, val), pk: pk, packed: true, mask: m, weight: acc.weight, from: parent}
-			rn.store.packed[pk] = c
-			*created++
-			return c
-		}
-	}
-	// Overflow: the extension needs more than rule.MaxPackedValues free
-	// values; identity falls back to the string key.
-	ext := parent.r.With(acc.col, val)
-	key := ext.Key()
-	if c := rn.store.over[key]; c != nil {
+	if c := rn.store.find(parent.r, acc.col, val); c != nil {
 		return c
 	}
-	c := &cand{r: ext, skey: key, mask: m, weight: acc.weight, from: parent}
-	rn.store.addOver(key, c)
+	m := parent.mask
+	m.Set(acc.col)
+	c := &cand{r: parent.r.With(acc.col, val), key: string(rn.store.scratch), mask: m, weight: acc.weight, from: parent}
+	rn.store.byKey[c.key] = c
 	*created++
 	return c
 }
@@ -1302,9 +1264,9 @@ func (rn *runner) subRuleBound(c *cand) float64 {
 // candidate's immediate sub-rules. Any counted sub-rule bounds all its
 // super-rules' marginal values, because each tuple a super-rule covers is
 // covered by R' and can contribute at most mw − (mass already claimed).
-// Sub-rule keys derive from the packed key directly — no rule or string
-// materialization. Only free columns are dropped: sub-rules starring a
-// base column are never counted, so probing them cannot tighten the bound.
+// Each sub-rule is probed by its key alone — no rule or string is built.
+// Only free columns are dropped: sub-rules starring a base column are never
+// counted, so probing them cannot tighten the bound.
 func (rn *runner) upperBound(c *cand) float64 {
 	bound := math.Inf(1)
 	consider := func(sc *cand) {
@@ -1315,25 +1277,9 @@ func (rn *runner) upperBound(c *cand) float64 {
 			bound = b
 		}
 	}
-	if c.packed {
-		for _, col := range rn.freeCols {
-			if !c.pk.Has(col) {
-				continue
-			}
-			sub, _ := c.pk.Drop(col)
-			consider(rn.store.byPK(sub))
-		}
-		return bound
-	}
 	for _, col := range rn.freeCols {
-		if c.r[col] == rule.Star {
-			continue
-		}
-		sub := c.r.Without(col)
-		if pk, ok := sub.PackKey(rn.baseMask); ok {
-			consider(rn.store.byPK(pk))
-		} else {
-			consider(rn.store.over[sub.Key()])
+		if c.r[col] != rule.Star {
+			consider(rn.store.find(c.r, col, rule.Star))
 		}
 	}
 	return bound

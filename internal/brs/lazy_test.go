@@ -70,10 +70,7 @@ func mustRule(t *testing.T, tab *table.Table, pattern map[string]string) rule.Ru
 	return r
 }
 
-func (rn *runner) lookup(r rule.Rule) *cand {
-	pk, _ := r.PackKey(rn.baseMask)
-	return rn.store.byPK(pk)
-}
+func (rn *runner) lookup(r rule.Rule) *cand { return rn.store.find(r, -1, rule.Star) }
 
 func stream(t *testing.T, v *table.View, w weight.Weighter, opts Options, maxRules int) []Result {
 	t.Helper()
@@ -377,8 +374,8 @@ func TestFusedChildExistsBySight(t *testing.T) {
 		}
 		best := fast.findBestMarginal()
 		ref.findBestMarginal()
-		for pk, c := range ref.store.packed {
-			if c.counted && fast.store.byPK(pk) == nil {
+		for key, c := range ref.store.byKey {
+			if c.counted && fast.store.byKey[key] == nil {
 				t.Errorf("scan=%v: Reference counted %v in step 1, which the fast path never materialized", scan, c.r)
 			}
 		}

@@ -140,9 +140,10 @@ type Session struct {
 	// if none ran) and search; zero when the answer cache served it.
 	LastPhases search.Phases
 	// TotalStats accumulates BRS statistics across every expansion of the
-	// session — repeated drill-downs share the dataset's warmed posting
-	// lists, so TotalStats.CandidatesReused and .PostingsRead measure how
-	// much of a session's search work the caches absorbed.
+	// session, and the reads of its refines and traditional listings —
+	// repeated drill-downs share the dataset's warmed posting lists, so
+	// TotalStats.CandidatesReused and .PostingsRead measure how much of a
+	// session's search work the caches absorbed.
 	TotalStats brs.Stats
 
 	// nextID feeds the session-scoped node ID sequence; byID is the O(1)

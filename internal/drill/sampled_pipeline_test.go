@@ -297,6 +297,66 @@ func TestRefineNodeLifecycle(t *testing.T) {
 	}
 }
 
+// TestRefineAndTraditionalInTotals: a refine and a traditional listing add
+// the passes they read to the session's totals (TotalStats, which
+// Engine.TotalSearchStats reports) and leave LastStats, the last
+// expansion's, alone. The session is fresh: it resumes another session's
+// provisional tree over a table nothing has read yet, so its first refine
+// builds the distinct tuples — one pass over the rows — before it reads
+// them; the second reads only the tuples; a listing reads the rows once.
+func TestRefineAndTraditionalInTotals(t *testing.T) {
+	cfg := Config{K: 4, MaxWeight: 4, SampleMemory: 25000, MinSampleSize: 2000, Seed: 3}
+	donorTab := datagen.CensusProjected(25000, 7, 7)
+	donor, err := NewSession(donorTab, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := donor.Expand(donor.Root()); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := donor.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	tab := datagen.CensusProjected(25000, 7, 7)
+	s, err := NewSession(tab, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Load(&snap); err != nil {
+		t.Fatal(err)
+	}
+	prov := s.ProvisionalNodes()
+	if len(prov) < 2 {
+		t.Fatalf("resumed tree has %d provisional nodes, want 2", len(prov))
+	}
+	last := s.LastStats
+	// The donor's table holds the same tuples and has built them already.
+	d, _ := donorTab.Distinct()
+	if d == nil {
+		t.Fatal("census does not compress")
+	}
+	rows, tuples := int64(tab.NumRows()), int64(d.NumRows())
+	booked := func(label string, do func(), passes int, read int64) {
+		t.Helper()
+		before := s.TotalStats
+		do()
+		if p, r := s.TotalStats.Passes-before.Passes, s.TotalStats.RowsScanned-before.RowsScanned; p != passes || r != read {
+			t.Fatalf("%s added %d passes and %d rows to the totals, want %d and %d", label, p, r, passes, read)
+		}
+		if s.LastStats != last {
+			t.Fatalf("%s overwrote LastStats: %+v", label, s.LastStats)
+		}
+	}
+	booked("the first refine", func() { s.RefineNode(prov[0]) }, 2, rows+tuples)
+	booked("the second refine", func() { s.RefineNode(prov[1]) }, 1, tuples)
+	booked("a traditional listing", func() {
+		if _, err := s.Traditional(s.Root(), 0); err != nil {
+			t.Fatal(err)
+		}
+	}, 1, rows)
+}
+
 // TestRefineSkipsOrphanedNodes: a background refiner can lose the race
 // with a collapse, a re-expansion or a Load; refining the orphaned node must
 // be a no-op, not a wasted full pass — also where the loaded snapshot

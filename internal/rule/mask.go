@@ -20,18 +20,6 @@ func (m Mask) Has(c int) bool { return m[c>>6]&(1<<(uint(c)&63)) != 0 }
 // Count returns the number of instantiated columns.
 func (m Mask) Count() int { return bits.OnesCount64(m[0]) + bits.OnesCount64(m[1]) }
 
-// CountBelow returns the number of instantiated columns with index < c —
-// the position a value for column c occupies in a column-ascending packed
-// layout.
-func (m Mask) CountBelow(c int) int {
-	w := c >> 6
-	n := bits.OnesCount64(m[w] & (1<<(uint(c)&63) - 1))
-	for i := 0; i < w; i++ {
-		n += bits.OnesCount64(m[i])
-	}
-	return n
-}
-
 // SubsetOf reports whether every column set in m is also set in o. A rule
 // r1 is a sub-rule of r2 only if r1's mask is a subset of r2's.
 func (m Mask) SubsetOf(o Mask) bool {

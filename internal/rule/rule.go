@@ -140,13 +140,22 @@ func (r Rule) Mask() Mask {
 // Key returns a compact canonical encoding of the rule, suitable for use as
 // a map key. Two rules have equal keys iff they are Equal.
 func (r Rule) Key() string {
-	buf := make([]byte, 0, len(r)*3)
-	var tmp [binary.MaxVarintLen32]byte
-	for _, v := range r {
-		n := binary.PutVarint(tmp[:], int64(v))
-		buf = append(buf, tmp[:n]...)
+	var buf [64]byte // most keys fit: only the string is allocated
+	return string(r.AppendKeyWith(buf[:0], -1, Star))
+}
+
+// AppendKeyWith appends to dst the Key of r.With(c, v) without building
+// that rule; c < 0 appends r's own Key. A lookup m[string(buf)] with the
+// result does not allocate, so a caller keeping one buffer can probe a
+// string-keyed map for any neighbour of r in the lattice for free.
+func (r Rule) AppendKeyWith(dst []byte, c int, v Value) []byte {
+	for i, x := range r {
+		if i == c {
+			x = v
+		}
+		dst = binary.AppendVarint(dst, int64(x))
 	}
-	return string(buf)
+	return dst
 }
 
 // InstantiatedColumns returns the indices of non-star columns in ascending

@@ -112,6 +112,60 @@ func TestKeyEqualIffEqual(t *testing.T) {
 	}
 }
 
+// TestAppendKeyWithMatchesWith: the key AppendKeyWith computes is the key of
+// the rule With would build, on random rules up to MaxColumns wide, for a
+// value or a star written over a value or a star, and values past 63, whose
+// varints take two bytes or more; the key is appended after whatever dst
+// already holds. Both sides share one encoder, so the test also checks the
+// encoding on its own terms: the key equals another rule's key exactly when
+// the rules are equal, against near misses — one column changed, or one
+// column more or fewer.
+func TestAppendKeyWithMatchesWith(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	value := func() Value {
+		switch rng.Intn(4) {
+		case 0:
+			return Star
+		case 1:
+			return Value(rng.Intn(64))
+		case 2:
+			return Value(64 + rng.Intn(8192))
+		}
+		return Value(rng.Int31())
+	}
+	prefix := []byte("prefix")
+	for trial := 0; trial < 2000; trial++ {
+		r := Trivial(1 + rng.Intn(MaxColumns))
+		for c := range r {
+			r[c] = value()
+		}
+		c, v := rng.Intn(len(r)), value()
+		with := r.With(c, v)
+		want := with.Key()
+		got := string(r.AppendKeyWith(nil, c, v))
+		if got != want {
+			t.Fatalf("trial %d: key of %v with (%d, %d) = %x, want %x", trial, r, c, v, got, want)
+		}
+		o := with.Clone()
+		switch rng.Intn(4) {
+		case 0: // the same rule
+		case 1:
+			o[rng.Intn(len(o))] = value()
+		case 2:
+			o = append(o, value())
+		case 3:
+			o = o[:len(o)-1]
+		}
+		if (got == o.Key()) != with.Equal(o) {
+			t.Fatalf("trial %d: key of %v equal to key of %v is %v, rules equal is %v", trial, with, o, got == o.Key(), with.Equal(o))
+		}
+		dst := append(make([]byte, 0, len(prefix)), prefix...)
+		if got := string(r.AppendKeyWith(dst, c, v)); got != string(prefix)+want {
+			t.Fatalf("trial %d: appending after %q gave %x", trial, prefix, got)
+		}
+	}
+}
+
 func TestMask(t *testing.T) {
 	r := Rule{1, Star, 3, Star, 5}
 	m := r.Mask()

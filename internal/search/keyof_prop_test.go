@@ -98,19 +98,16 @@ func TestKeyOfFieldIdentity(t *testing.T) {
 	}
 }
 
-// TestKeyOfWideRuleFallback drives keyOf past PackedKey capacity: rules
-// too wide to pack must still key distinctly through the string
-// fallback, against each other and against packable rules.
+// TestKeyOfWideRuleFallback: rules of 20 values key distinctly, against
+// each other and against a narrow rule — a rule's key has one form at
+// every width, with no fallback for wide rules.
 func TestKeyOfWideRuleFallback(t *testing.T) {
 	wide := func(firstVal rule.Value) rule.Rule {
-		r := rule.Trivial(rule.MaxPackedValues + 4)
-		for c := 0; c < rule.MaxPackedValues+4; c++ {
-			r = r.With(c, 1)
+		r := rule.Trivial(20)
+		for c := range r {
+			r[c] = 1
 		}
 		return r.With(0, firstVal)
-	}
-	if _, ok := wide(2).PackKey(rule.Mask{}); ok {
-		t.Fatal("test rule unexpectedly fits a PackedKey; widen it")
 	}
 
 	s := NewService(Config{})
@@ -126,7 +123,7 @@ func TestKeyOfWideRuleFallback(t *testing.T) {
 		t.Error("distinct wide rules map to the same key")
 	}
 	if w2 == narrow || w3 == narrow {
-		t.Error("wide rule collides with a packable rule's key")
+		t.Error("wide rule collides with a narrow rule's key")
 	}
 	if again := s.keyOf(reqW2); again != w2 {
 		t.Error("keyOf is not deterministic for wide rules")

@@ -6,9 +6,9 @@
 // per-call-site code could share:
 //
 //   - a bounded LRU answer cache of completed exact expansions, keyed by
-//     the canonicalized request (rule identity via rule.PackedKey, k,
-//     weighter and aggregate names, mw, seed and worker count), with hits
-//     served as clones so sessions can never mutate shared results;
+//     the canonicalized request (the rule's Key(), k, weighter and
+//     aggregate names, mw, seed and worker count), with hits served as
+//     clones so sessions can never mutate shared results;
 //   - singleflight collapsing of concurrent identical searches, so a
 //     thundering herd on one popular expansion costs one BRS run — and a
 //     canceled leader re-elects a waiter instead of poisoning the flight;
@@ -178,14 +178,11 @@ type Config struct {
 // DefaultEntries is the answer-cache bound when Config.Entries is 0.
 const DefaultEntries = 256
 
-// key is the canonicalized request identity. It is a comparable struct —
-// rule identity is the fixed-size PackedKey against the empty base mask,
-// falling back to the string form for rules too wide to pack — so cache
-// and flight lookups are single map operations with no allocation.
+// key is the canonicalized request identity. It is a comparable struct, so
+// cache and flight lookups are single map operations.
 type key struct {
 	kind     Kind
-	packed   rule.PackedKey
-	wide     string // Rule.Key() when the rule exceeds PackedKey capacity
+	rule     string // Rule.Key()
 	k        int
 	maxRules int
 	weighter string
@@ -290,6 +287,7 @@ func (s *Service) MarkWarmed() { s.warmed.Add(1) }
 func (*Service) keyOf(req Request) key {
 	k := key{
 		kind:     req.Kind,
+		rule:     req.Rule.Key(),
 		k:        req.K,
 		maxRules: req.MaxRules,
 		maxW:     req.MaxWeight,
@@ -302,11 +300,6 @@ func (*Service) keyOf(req Request) key {
 	}
 	if req.Agg != nil {
 		k.agg = req.Agg.Name()
-	}
-	if packed, ok := req.Rule.PackKey(rule.Mask{}); ok {
-		k.packed = packed
-	} else {
-		k.wide = req.Rule.Key()
 	}
 	return k
 }
@@ -478,10 +471,17 @@ func (s *Service) execute(ctx context.Context, req Request, cacheable bool) (Res
 	case KindRefine:
 		// A count is the same integer summed row by row or multiplicity by
 		// multiplicity, so Count reads the table's distinct tuples where it
-		// has them; a Sum's fractional masses are added in row order.
+		// has them; a Sum's fractional masses are added in row order. The
+		// refine that builds the distinct tuples is booked that pass too.
+		var stats brs.Stats
 		t := req.Store.Table()
 		if _, isCount := req.Agg.(score.CountAgg); isCount {
-			if d, _ := req.Store.Distinct(); d != nil {
+			d, read := req.Store.Distinct()
+			if read > 0 {
+				stats.Passes++
+				stats.RowsScanned += read
+			}
+			if d != nil {
 				t = d
 			}
 		}
@@ -492,14 +492,17 @@ func (s *Service) execute(ctx context.Context, req Request, cacheable bool) (Res
 			}
 			return true
 		})
+		stats.Passes++
+		stats.RowsScanned += int64(t.NumRows())
 		var e *entry
 		if cacheable {
 			e = &entry{count: count}
 		}
-		return Response{Count: count}, e, nil
+		return Response{Count: count, Stats: stats}, e, nil
 
 	case KindTraditional:
-		groups, err := baseline.TraditionalDrillDown(req.Store.Table(), req.Rule, req.Column, req.Agg)
+		t := req.Store.Table()
+		groups, err := baseline.TraditionalDrillDown(t, req.Rule, req.Column, req.Agg)
 		if err != nil {
 			return Response{}, nil, err
 		}
@@ -507,7 +510,8 @@ func (s *Service) execute(ctx context.Context, req Request, cacheable bool) (Res
 		if cacheable {
 			e = &entry{groups: cloneGroups(groups)}
 		}
-		return Response{Groups: groups}, e, nil
+		// The listing is one pass over the table's rows.
+		return Response{Groups: groups, Stats: brs.Stats{Passes: 1, RowsScanned: int64(t.NumRows())}}, e, nil
 	}
 	return Response{}, nil, errors.New("search: unknown request kind")
 }

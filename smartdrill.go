@@ -388,8 +388,9 @@ type SearchPhases = search.Phases
 func (e *Engine) LastSearchPhases() SearchPhases { return e.s.LastPhases }
 
 // TotalSearchStats returns BRS statistics accumulated across every
-// drill-down of this engine's session — the cross-expansion view of how
-// much search work the candidate caches and posting lists absorbed.
+// drill-down of this engine's session, plus the passes its refines and
+// traditional listings read — the cross-expansion view of how much search
+// work the candidate caches and posting lists absorbed.
 func (e *Engine) TotalSearchStats() SearchStats { return e.s.TotalStats }
 
 // TraditionalGroup is one value group of a classic drill-down.
