@@ -34,7 +34,8 @@
 //   - Postings-driven counting: when the view is the full table or a
 //     sorted row set, a per-level cost model routes coverage walks to
 //     intersections of the table's posting lists (level-1 counts under
-//     Count are just posting lengths) instead of row scans. On every
+//     Count are just posting lengths, or the masses beside them on a
+//     weighted table) instead of row scans. On every
 //     route the walk that discovers a parent's extensions also counts
 //     them, so a candidate that survives pruning in the step its parent
 //     was expanded in is never intersected on its own; and an index walk
@@ -566,7 +567,7 @@ func (rn *runner) findBestMarginal() *cand {
 	}
 
 	// Level 1: every single-extension rule base+(c,v), counted once per run
-	// (one pass, or posting lengths) and reused by later steps.
+	// (one pass, or the index's masses) and reused by later steps.
 	if rn.level1 == nil {
 		rn.level1 = rn.countLevelOne()
 	}
@@ -874,9 +875,9 @@ func (rn *runner) bookRow(accs []extAcc, pos, row int) {
 }
 
 // countLevelOne counts every rule extending the base by one (column,
-// value) pair — by posting-list lengths when the view is the whole of an
-// unweighted table under Count (zero row reads), otherwise in a single
-// column-major pass —
+// value) pair — by the masses the index stores beside its containers when
+// the view is the whole table under Count (zero row reads), otherwise in a
+// single column-major pass —
 // and registers the candidates in the store. Runs once per run (once per
 // step under Reference).
 func (rn *runner) countLevelOne() []*cand {
@@ -896,7 +897,7 @@ func (rn *runner) countLevelOne() []*cand {
 	}
 	virgin := len(rn.selected) == 0 // topW ≡ 0: marginal is weight·count
 
-	if virgin && rn.unitMass && rn.fullTable {
+	if virgin && rn.countAgg && rn.fullTable {
 		return rn.levelOneFromPostings(accs)
 	}
 

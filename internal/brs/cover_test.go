@@ -151,17 +151,50 @@ func TestCoverWalkReadsTwoContainers(t *testing.T) {
 	}
 }
 
+// rootSearchTable is the table the served census-100k root drill searches
+// (bench/drillload: census, 100 000 rows × 7 columns, generator seed 7): its
+// 6 372 distinct tuples.
+func rootSearchTable(tb testing.TB) *table.Table {
+	tab, _ := datagen.CensusProjected(100_000, 7, 7).Distinct()
+	if tab == nil {
+		tb.Fatal("census does not compress")
+	}
+	return tab
+}
+
+// TestRootSearchReads pins what the served census-100k root search reads, K
+// 3 under Size weighting at the weighter's bound. Level 1 comes from the
+// index's masses, so no row is read; every later count is an index walk or
+// AND over a table in tuple order, whose containers' spans are narrow. A
+// change to the layout of a grouped table, to what a bitset kernel reads,
+// or to which candidates are counted moves these figures.
+func TestRootSearchReads(t *testing.T) {
+	tab := rootSearchTable(t)
+	res, st, err := Run(tab.All(), weight.NewSize(tab.NumCols()), Options{K: 3})
+	if err != nil || len(res) != 3 {
+		t.Fatalf("root search: %d rules, err %v", len(res), err)
+	}
+	want := Stats{
+		CandidatesCounted: 2693,
+		CandidatesPruned:  4653,
+		CandidatesReused:  2786,
+		PostingsRead:      5906,
+		BitmapWordsRead:   52743,
+		IndexLevels:       24,
+	}
+	if st != want {
+		t.Fatalf("root search stats\n%+v\nwant\n%+v", st, want)
+	}
+}
+
 // BenchmarkRootSearch is the search of the served census-100k root drill
-// (bench/drillload: census, 100 000 rows × 7 columns, generator seed 7, K 3
-// under Size weighting): BRS over the table's 6 372 distinct tuples at the
-// weighter's bound, with the words it reads and the bytes its covers hold.
+// (rootSearchTable, K 3 under Size weighting): BRS over the table's 6 372
+// distinct tuples at the weighter's bound, with the words it reads and the
+// bytes its covers hold.
 //
 //	go test -run '^$' -bench RootSearch -benchtime 50x ./internal/brs/
 func BenchmarkRootSearch(b *testing.B) {
-	tab, _ := datagen.CensusProjected(100_000, 7, 7).Distinct()
-	if tab == nil {
-		b.Fatal("census does not compress")
-	}
+	tab := rootSearchTable(b)
 	w := weight.NewSize(tab.NumCols())
 	all := tab.All()
 	opts := Options{K: 3}

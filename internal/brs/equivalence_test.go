@@ -140,8 +140,9 @@ func TestCrossStepReuseObservable(t *testing.T) {
 }
 
 // TestLevelOnePostingsPath pins the zero-row-read level 1: on a full-table
-// Count run, the first level is answered from posting lengths
-// (IndexLevels > 0) and results still match the scan reference.
+// Count run, the first level is answered from posting lengths — from the
+// index's masses on a weighted table — (IndexLevels > 0) and results still
+// match the scan reference.
 func TestLevelOnePostingsPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	tab := randomTable(rng, 4, 3, 500)
@@ -158,6 +159,26 @@ func TestLevelOnePostingsPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, "level-1 postings vs reference", got, want)
+
+	// Over the distinct tuples, whose rows stand for several each, level 1
+	// is the index's masses: the table's counts, no row read.
+	d, _ := tab.Distinct()
+	if d == nil {
+		t.Fatal("the table does not compress")
+	}
+	rn, err := newRunner(d.All(), w, Options{K: 3, MaxWeight: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	level1 := rn.countLevelOne()
+	if rn.stats.RowsScanned != 0 || rn.stats.Passes != 0 || len(level1) == 0 {
+		t.Fatalf("level 1 over %d tuples: %d candidates after %+v, want them for no row read", d.NumRows(), len(level1), rn.stats)
+	}
+	for _, c := range level1 {
+		if want := float64(tab.Count(c.r)); c.count != want {
+			t.Fatalf("level-1 candidate %v counts %v over the tuples, the table %v", c.r, c.count, want)
+		}
+	}
 }
 
 // TestSumAggregateSerialEquivalence: under Sum the kernels accumulate

@@ -348,20 +348,21 @@ func (rn *runner) countCandidatesIndex(cands []*cand, plans []candPlan) {
 	rn.stats.IndexLevels++
 }
 
-// levelOneFromPostings answers level 1 on a full-table view of an
-// unweighted table under Count from posting-list lengths:
-// Count(base+(c,v)) over the whole table is
-// len(postings(c,v)), and with nothing selected the marginal is
-// weight·count. Zero rows are read. Candidate order (column, then value
-// ascending) matches the scan path's, so downstream tie-breaks are
-// unchanged.
+// levelOneFromPostings answers level 1 on a full-table view under Count
+// from the index: Count(base+(c,v)) over the whole table is the mass of
+// (c,v)'s rows (table.Index.Mass — the posting list's length on an
+// unweighted table, its multiplicities summed on a weighted one, an integer
+// either way, so the float is the one a scan would sum), and with nothing
+// selected the marginal is weight·count. Zero rows are read. Candidate
+// order (column, then value ascending) matches the scan path's, so
+// downstream tie-breaks are unchanged.
 func (rn *runner) levelOneFromPostings(accs []extAcc) []*cand {
 	var out []*cand
 	for a := range accs {
 		acc := &accs[a]
 		dc := rn.v.DistinctCount(acc.col)
 		for val := 0; val < dc; val++ {
-			cnt := rn.ix.PostingsLen(acc.col, rule.Value(val))
+			cnt := rn.ix.Mass(acc.col, rule.Value(val))
 			if cnt == 0 {
 				continue
 			}

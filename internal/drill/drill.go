@@ -9,8 +9,10 @@ package drill
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -859,15 +861,18 @@ func estimateMaxWeight(ctx context.Context, v *table.View, w weight.Weighter, k 
 
 // probeView draws the probe's probeSize tuples from v uniformly with
 // replacement and hands them to the search under w tallied: each drawn tuple
-// once, in the order first drawn, standing for the number of times it was —
+// once, in tuple order like every grouped table, standing for the number of
+// times it was —
 // a weighted table with its index built, which the search reads in one pass
 // where the draws laid out row by row, an unsorted view no index kernel
 // applies to, cost it a scan per level. From a view of rows the drawn rows
 // are grouped (Table.GroupRows, the one grouping routine). From a view of
 // distinct tuples with multiplicities — the table's, or a sample's — a tuple
 // is drawn with probability proportional to its multiplicity, which is
-// drawing among the rows it stands for, and the draws are tallied as they
-// come. The search's answer is bit for bit the rows' wherever exactGrouped
+// drawing among the rows it stands for, and the draws are tallied by view
+// position and copied out in ascending position — tuple order, since a
+// weighted table is in it and the views a search reads are ascending. The
+// search's answer is bit for bit the rows' wherever exactGrouped
 // holds; elsewhere — fractional weights — the probe keeps the view of the
 // drawn rows. read is the pass that built the tally.
 func probeView(v *table.View, w weight.Weighter, rng *rand.Rand) (probe *table.View, read brs.Stats) {
@@ -892,20 +897,15 @@ func probeView(v *table.View, w weight.Weighter, rng *rand.Rand) (probe *table.V
 		for i := 0; i < v.NumRows(); i++ {
 			cum[i+1] = cum[i] + t.Multiplicity(v.ParentRow(i))
 		}
-		var rows []int
-		var times []int32
-		slot := make(map[int]int, probeSize) // view position → index in rows
+		drawn := make(map[int]int32, probeSize) // view position → times drawn
 		for n := 0; n < probeSize; n++ {
 			u := rng.Intn(cum[len(cum)-1])
-			i := sort.Search(v.NumRows(), func(i int) bool { return cum[i+1] > u })
-			at, ok := slot[i]
-			if !ok {
-				at = len(rows)
-				slot[i] = at
-				rows = append(rows, v.ParentRow(i))
-				times = append(times, 0)
-			}
-			times[at]++
+			drawn[sort.Search(v.NumRows(), func(i int) bool { return cum[i+1] > u })]++
+		}
+		positions := slices.Sorted(maps.Keys(drawn))
+		rows, times := make([]int, len(positions)), make([]int32, len(positions))
+		for k, i := range positions {
+			rows[k], times[k] = v.ParentRow(i), drawn[i]
 		}
 		tally, rowsRead = t.SelectWeighted(rows, times)
 	}

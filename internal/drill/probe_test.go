@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -152,9 +153,11 @@ func TestEquivalenceProbeTally(t *testing.T) {
 }
 
 // TestProbeTallyIsTheDraws: the probe's view under integer weights is the
-// literal draws and nothing else — the same tuples, first drawn in the same
-// order, each standing for the number of times it was drawn — from the whole
-// table and from a view whose positions are not table rows.
+// literal draws and nothing else — the same tuples, in tuple order (the order
+// the table's own distinct-tuple table holds them in), each standing for the
+// number of times it was drawn — from the whole table and from a view whose
+// positions are not table rows; drawn from the distinct tuples, it is in
+// tuple order as well.
 func TestProbeTallyIsTheDraws(t *testing.T) {
 	tab := datagen.CensusProjected(20_000, 7, 3)
 	var odd []int
@@ -168,6 +171,11 @@ func TestProbeTallyIsTheDraws(t *testing.T) {
 		}
 		return fmt.Sprint(vals)
 	}
+	all, _ := tab.Distinct()
+	rank := make(map[string]int, all.NumRows())
+	for j := 0; j < all.NumRows(); j++ {
+		rank[tupleAt(all.All(), j)] = j
+	}
 	for name, v := range map[string]*table.View{"table": tab.All(), "odd rows": tab.ViewOf(odd)} {
 		for seed := int64(1); seed <= 3; seed++ {
 			var order []string
@@ -179,6 +187,7 @@ func TestProbeTallyIsTheDraws(t *testing.T) {
 				}
 				times[tuple]++
 			}
+			slices.SortFunc(order, func(a, b string) int { return rank[a] - rank[b] })
 			probe, _ := probeView(v, weight.NewSize(tab.NumCols()), sampling.NewTestRNG(seed))
 			if probe.NumRows() != len(order) || probe.NumTuples() != probeSize {
 				t.Fatalf("%s, seed %d: the probe holds %d tuples for %d draws, the draws %d for %d",
@@ -188,6 +197,19 @@ func TestProbeTallyIsTheDraws(t *testing.T) {
 				if got, mult := tupleAt(probe, i), probe.Table().Multiplicity(probe.ParentRow(i)); got != tuple || mult != times[tuple] {
 					t.Fatalf("%s, seed %d: probe row %d is %s × %d, the draws' is %s × %d", name, seed, i, got, mult, tuple, times[tuple])
 				}
+			}
+		}
+	}
+	// Drawn from the distinct tuples by multiplicity, the tally is in tuple
+	// order too.
+	for seed := int64(1); seed <= 3; seed++ {
+		probe, _ := probeView(all.All(), weight.NewSize(tab.NumCols()), sampling.NewTestRNG(seed))
+		if probe.NumTuples() != probeSize {
+			t.Fatalf("distinct tuples, seed %d: the probe holds %d draws, want %d", seed, probe.NumTuples(), probeSize)
+		}
+		for i := 1; i < probe.NumRows(); i++ {
+			if rank[tupleAt(probe, i-1)] >= rank[tupleAt(probe, i)] {
+				t.Fatalf("distinct tuples, seed %d: probe rows %d and %d are not in tuple order", seed, i-1, i)
 			}
 		}
 	}

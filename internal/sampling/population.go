@@ -71,8 +71,10 @@ func (p rowPopulation) covers(r rule.Rule, u int) bool { return p.store.Table().
 
 // view is zero-copy — it shares the table's column arrays — unless the
 // population groups and the rows compress: then the search reads their
-// distinct tuples (table.Table.GroupRows), first-seen order following the
-// rows so ties break as on the row view, and the grouping pass is read.
+// distinct tuples (table.Table.GroupRows), in tuple order like every grouped
+// table, and the grouping pass is read. The order changes no answer: Count's
+// masses are integers, summed alike in any order, and a search breaks its
+// ties by rule key, not by where a row sits.
 func (p rowPopulation) view(units []int) (tab *table.View, read int) {
 	t := p.store.Table()
 	if !p.group {

@@ -152,14 +152,17 @@ func skewed(n int) (*table.Table, []int) {
 	return b.Build(), mult
 }
 
-// TestTupleDrawIsHypergeometric: over 2 000 seeds on a skewed 50-tuple table
+// TestTupleDrawIsHypergeometric: over 6 000 seeds on a skewed 50-tuple table
 // the per-tuple sampled counts are what drawing rows without replacement
 // gives. Their means sit on target·mᵢ/N (a chi-square over the tuples against
 // the hypergeometric variance of a mean); their variances carry the
 // finite-population factor (N−n)/(N−1), which at n = N/2 halves a
 // multinomial's; and the two largest tuples' counts vary against each other.
+// The covariance is small beside its noise (a correlation near −0.06), so it
+// is tested against its own standard error, and the seeds are as many as it
+// takes for that band to exclude zero.
 func TestTupleDrawIsHypergeometric(t *testing.T) {
-	const tuples, seeds = 50, 2000
+	const tuples, seeds = 50, 6000
 	tab, mult := skewed(tuples)
 	total := tab.NumRows()
 	target := total / 2
@@ -174,7 +177,7 @@ func TestTupleDrawIsHypergeometric(t *testing.T) {
 		keyOf[tupleKey(d.All(), j)] = i
 	}
 	sum, sumSq := make([]float64, tuples), make([]float64, tuples)
-	var cross float64 // Σ x·y over seeds for the two largest tuples
+	var xs, ys []float64 // per seed, the two largest tuples' counts
 	trivial := rule.Trivial(2)
 	for seed := int64(1); seed <= seeds; seed++ {
 		h, _ := tupleHandler(t, tab, total, target, seed)
@@ -198,7 +201,7 @@ func TestTupleDrawIsHypergeometric(t *testing.T) {
 		if int(got) != target || v.Tab.NumTuples() != target {
 			t.Fatalf("a sample of %v rows, want %d", got, target)
 		}
-		cross += x[tuples-1] * x[tuples-2]
+		xs, ys = append(xs, x[tuples-1]), append(ys, x[tuples-2])
 	}
 
 	// 49 degrees of freedom: 85.4 is the 99.9th percentile.
@@ -224,12 +227,25 @@ func TestTupleDrawIsHypergeometric(t *testing.T) {
 	if math.Abs(ratio-fpc) > 0.05 {
 		t.Errorf("variances are %.3f of a multinomial's, want the finite-population factor %.3f", ratio, fpc)
 	}
+	// The covariance is the mean of the seeds' products of deviations; its
+	// standard error is theirs over √seeds, and a correct draw lands within
+	// four of them of the hypergeometric value but for one run in 15 000.
 	a, b := tuples-1, tuples-2
-	cov := cross/seeds - sum[a]/seeds*sum[b]/seeds
+	ma, mb := sum[a]/seeds, sum[b]/seeds
+	var cov, covSq float64
+	for s := range xs {
+		p := (xs[s] - ma) * (ys[s] - mb)
+		cov += p / seeds
+		covSq += p * p / seeds
+	}
+	se := math.Sqrt((covSq - cov*cov) / seeds)
 	want := -float64(target) * float64(mult[a]) / float64(total) * float64(mult[b]) / float64(total) * float64(total-target) / float64(total-1)
-	t.Logf("covariance of the two largest tuples' counts %.2f, hypergeometric %.2f", cov, want)
-	if cov >= 0 || math.Abs(cov-want) > 0.25*math.Abs(want) {
-		t.Errorf("covariance of the two largest tuples' counts %.2f, want about %.2f", cov, want)
+	t.Logf("covariance of the two largest tuples' counts %.2f ± %.2f, hypergeometric %.2f", cov, se, want)
+	if 4*se >= math.Abs(want) {
+		t.Fatalf("standard error %.2f: %d seeds cannot tell a covariance of %.2f from none", se, seeds, want)
+	}
+	if math.Abs(cov-want) > 4*se {
+		t.Errorf("covariance of the two largest tuples' counts %.2f, want %.2f within 4 standard errors of %.2f", cov, want, se)
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 )
 
 // requireTuplesOf fails unless v's Tab is rows, the sample's rows as a view
-// of the table, grouped: every distinct tuple once, in the order the ascending
-// rows first show it, multiplicities summing to the rows.
+// of the table, grouped: every distinct tuple once, in tuple order — the
+// order the table's own distinct-tuple table holds them in — multiplicities
+// summing to the rows.
 func requireTuplesOf(t *testing.T, label string, v *View, rows *table.View) {
 	t.Helper()
 	d := v.Tab.Table()
@@ -20,20 +21,25 @@ func requireTuplesOf(t *testing.T, label string, v *View, rows *table.View) {
 	if got := v.Tab.NumTuples(); got != rows.NumRows() {
 		t.Fatalf("%s: multiplicities sum to %d, the sample holds %d rows", label, got, rows.NumRows())
 	}
-	seen := map[string]int{}
 	buf := make([]rule.Value, d.NumCols())
+	all, _ := rows.Table().Distinct()
+	rank := make(map[string]int, all.NumRows())
+	for j := 0; j < all.NumRows(); j++ {
+		rank[rule.Rule(all.Row(j, buf)).Key()] = j
+	}
+	for j, prev := 0, -1; j < d.NumRows(); j++ {
+		r, ok := rank[rule.Rule(d.Row(j, buf)).Key()]
+		if !ok || r <= prev {
+			t.Fatalf("%s: distinct row %d is not in tuple order: the table's distinct row %d follows %d", label, j, r, prev)
+		}
+		prev = r
+	}
+	seen := map[string]int{}
 	for i := 0; i < rows.NumRows(); i++ {
 		for c := range buf {
 			buf[c] = rows.Value(c, i)
 		}
-		k := rule.Rule(buf).Key()
-		if _, ok := seen[k]; !ok {
-			j := len(seen)
-			if j >= d.NumRows() || rule.Rule(d.Row(j, make([]rule.Value, d.NumCols()))).Key() != k {
-				t.Fatalf("%s: sample row %d is the first of its tuple, which is not distinct row %d", label, i, j)
-			}
-		}
-		seen[k]++
+		seen[rule.Rule(buf).Key()]++
 	}
 	if len(seen) != d.NumRows() {
 		t.Fatalf("%s: %d distinct rows for %d distinct tuples", label, d.NumRows(), len(seen))

@@ -17,12 +17,33 @@ import "math/bits"
 // through them and probes the bitsets of the dense ones, or, where every
 // value is dense, ANDs their words (View.EachInAll); the cost planner picks
 // the kernel per candidate.
+//
+// A bitset also knows its span: the words from its first non-zero one up to,
+// not including, the word after its last. Outside the span every word is
+// zero, so an AND of several bitsets needs only the words where all of their
+// spans overlap, and reads — and books — only those. Grouped tables are laid
+// out in tuple order (see GroupRows), which packs a value's rows, and so a
+// rule's cover, into few words: there spans are narrow.
 
 // Bitset is an immutable packed row set over a fixed universe [0, n).
 // Safe for concurrent readers, like the posting lists of sparse values.
 type Bitset struct {
-	words []uint64
-	n     int // set bits
+	words  []uint64
+	n      int // set bits
+	lo, hi int // the span: words[lo:hi] holds every set bit; lo == hi when there is none
+}
+
+// newBitset makes words, holding n set bits, a Bitset, which then owns them.
+// It is the one way to build one, so every bitset carries its span.
+func newBitset(words []uint64, n int) *Bitset {
+	lo, hi := 0, len(words)
+	for hi > 0 && words[hi-1] == 0 {
+		hi--
+	}
+	for lo < hi && words[lo] == 0 {
+		lo++
+	}
+	return &Bitset{words: words, n: n, lo: lo, hi: hi}
 }
 
 // Dense reports whether a value held by length of a table's numRows
@@ -45,7 +66,7 @@ func NewContainer(words []uint64, numRows int) (list []int32, set *Bitset) {
 		n += bits.OnesCount64(w)
 	}
 	if Dense(n, numRows) {
-		return nil, &Bitset{words: words, n: n}
+		return nil, newBitset(words, n)
 	}
 	list = make([]int32, 0, n)
 	for i, w := range words {
@@ -70,44 +91,62 @@ func (b *Bitset) Contains(row int) bool {
 	return b.words[row>>6]&(1<<(uint(row)&63)) != 0
 }
 
+// overlap returns the words where every set's span overlaps — outside them
+// some set's word is zero, and so is the AND — and what reading them costs:
+// len(sets) words per position. Empty when the spans are disjoint.
+func overlap(sets []*Bitset) (lo, hi int, wordsRead int64) {
+	if len(sets) == 0 {
+		return 0, 0, 0
+	}
+	lo, hi = sets[0].lo, sets[0].hi
+	for _, s := range sets[1:] {
+		lo, hi = max(lo, s.lo), min(hi, s.hi)
+	}
+	if lo >= hi {
+		return 0, 0, 0
+	}
+	return lo, hi, int64(len(sets)) * int64(hi-lo)
+}
+
 // AndCount returns the number of rows common to all sets — the
 // intersection cardinality by word-at-a-time AND + popcount, no row
-// enumerated — together with the words read (len(sets) per word position,
-// the I/O charged in place of posting entries). All sets must share one
-// universe (containers of one Index always do). Zero sets yield zero.
+// enumerated — together with the words read (len(sets) per word position
+// where their spans overlap, the I/O charged in place of posting entries).
+// All sets must share one universe (containers of one Index always do).
+// Zero sets yield zero.
 func AndCount(sets []*Bitset) (count int, wordsRead int64) {
-	if len(sets) == 0 {
+	lo, hi, wordsRead := overlap(sets)
+	if lo == hi {
 		return 0, 0
 	}
-	first := sets[0].words
-	for i, w := range first {
+	for i, w := range sets[0].words[lo:hi] {
 		for _, s := range sets[1:] {
-			w &= s.words[i]
+			w &= s.words[lo+i]
 		}
 		count += bits.OnesCount64(w)
 	}
-	return count, int64(len(sets)) * int64(len(first))
+	return count, wordsRead
 }
 
 // AndEach calls fn(row) for every row common to all sets, in ascending
 // row order — the order a scan or a posting-list walk visits them, so
 // aggregate accumulation stays bit-identical across access paths — and
-// returns the words read. All sets must share one universe. Zero sets
-// visit nothing.
+// returns the words read, as AndCount books them. All sets must share one
+// universe. Zero sets visit nothing.
 func AndEach(sets []*Bitset, fn func(row int)) (wordsRead int64) {
-	if len(sets) == 0 {
+	lo, hi, wordsRead := overlap(sets)
+	if lo == hi {
 		return 0
 	}
-	first := sets[0].words
-	for i, w := range first {
+	for i, w := range sets[0].words[lo:hi] {
 		for _, s := range sets[1:] {
-			w &= s.words[i]
+			w &= s.words[lo+i]
 		}
-		base := i << 6
+		base := (lo + i) << 6
 		for w != 0 {
 			fn(base + bits.TrailingZeros64(w))
 			w &= w - 1
 		}
 	}
-	return int64(len(sets)) * int64(len(first))
+	return wordsRead
 }

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -12,11 +13,11 @@ import (
 // newBitsetFromSorted packs an ascending row list over universe [0, rows)
 // into a bitset, the way the index's fill pass sets a dense value's bits.
 func newBitsetFromSorted(list []int32, rows int) *Bitset {
-	b := &Bitset{words: make([]uint64, (rows+63)/64), n: len(list)}
+	words := make([]uint64, (rows+63)/64)
 	for _, r := range list {
-		b.words[r>>6] |= 1 << (uint(r) & 63)
+		words[r>>6] |= 1 << (uint(r) & 63)
 	}
-	return b
+	return newBitset(words, len(list))
 }
 
 // The bitmap kernel must agree with sorted-list intersection on every
@@ -47,6 +48,53 @@ func naiveIntersect(lists [][]int32) []int32 {
 	return out
 }
 
+// spanOf returns the span a bitset of an ascending list's rows has: the
+// words from the one holding its first row to past the one holding its
+// last, empty for an empty list.
+func spanOf(list []int32) (lo, hi int) {
+	if len(list) == 0 {
+		return 0, 0
+	}
+	return int(list[0]) >> 6, int(list[len(list)-1])>>6 + 1
+}
+
+// andWords is what the AND kernels book over the bitsets of lists: one word
+// a set at every position where all of their spans overlap, none where two
+// of them do not overlap at all.
+func andWords(lists [][]int32) int64 {
+	if len(lists) == 0 {
+		return 0
+	}
+	lo, hi := 0, math.MaxInt
+	for _, l := range lists {
+		a, b := spanOf(l)
+		lo, hi = max(lo, a), min(hi, b)
+	}
+	if lo >= hi {
+		return 0
+	}
+	return int64(len(lists)) * int64(hi-lo)
+}
+
+// randomRows returns the rows of [0, rows) a draw of rng.Intn(120) < d
+// keeps, ascending and never nil — within one random sub-range of the
+// universe when packed is set, so that the spans of sets drawn one after
+// another nest, overlap in part or miss each other.
+func randomRows(rng *rand.Rand, rows, d int, packed bool) []int32 {
+	lo, hi := 0, rows
+	if packed {
+		lo = rng.Intn(rows)
+		hi = lo + 1 + rng.Intn(rows-lo)
+	}
+	out := []int32{}
+	for r := lo; r < hi; r++ {
+		if rng.Intn(120) < d {
+			out = append(out, int32(r))
+		}
+	}
+	return out
+}
+
 // checkKernels runs AndCount and AndEach over the packed lists and
 // verifies count, visit order, visited rows, and words-read accounting
 // against the naive reference.
@@ -58,9 +106,12 @@ func checkKernels(t *testing.T, label string, lists [][]int32, rows int) {
 		if sets[i].Len() != len(l) {
 			t.Fatalf("%s: set %d Len = %d, want %d", label, i, sets[i].Len(), len(l))
 		}
+		if lo, hi := spanOf(l); sets[i].lo != lo || sets[i].hi != hi {
+			t.Fatalf("%s: set %d spans words [%d, %d), want [%d, %d)", label, i, sets[i].lo, sets[i].hi, lo, hi)
+		}
 	}
 	want := naiveIntersect(lists)
-	wantWords := int64(len(sets)) * int64((rows+63)/64)
+	wantWords := andWords(lists)
 
 	count, words := AndCount(sets)
 	if count != len(want) {
@@ -108,7 +159,9 @@ func every(rows, step, phase int32) []int32 {
 
 // TestBitsetKernelsAdversarial pins the kernels on hand-built shapes that
 // stress word packing: boundaries at 63/64 and 127/128, universes that
-// are not multiples of 64, empty/full/alternating containers.
+// are not multiples of 64, empty/full/alternating containers, and spans
+// that nest, overlap in part or meet at a word boundary. An empty set has
+// an empty span, so an AND with it reads nothing.
 func TestBitsetKernelsAdversarial(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -128,6 +181,9 @@ func TestBitsetKernelsAdversarial(t *testing.T) {
 		{"disjoint-halves", 128, [][]int32{span(0, 64), span(64, 128)}},
 		{"three-way", 129, [][]int32{every(129, 2, 0), every(129, 3, 0), every(129, 5, 0)}},
 		{"sparse-vs-dense", 256, [][]int32{{1, 64, 128, 255}, span(0, 256)}},
+		{"nested-spans", 640, [][]int32{span(0, 640), span(130, 300), span(200, 210)}},
+		{"partial-spans", 640, [][]int32{span(0, 400), span(250, 640)}},
+		{"spans-share-one-word", 640, [][]int32{span(0, 130), span(129, 640)}},
 	}
 	for _, tc := range cases {
 		checkKernels(t, tc.name, tc.lists, tc.rows)
@@ -139,6 +195,25 @@ func TestBitsetKernelsAdversarial(t *testing.T) {
 	}
 	if w := AndEach(nil, func(int) { t.Fatal("AndEach(nil) visited a row") }); w != 0 {
 		t.Fatalf("AndEach(nil) words = %d, want 0", w)
+	}
+}
+
+// TestBitsetDisjointSpans: two bitsets whose rows lie in words that do not
+// overlap have nothing in common, and an AND of them finds that out
+// without reading a word.
+func TestBitsetDisjointSpans(t *testing.T) {
+	a := newBitsetFromSorted(span(0, 100), 1000)
+	b := newBitsetFromSorted(span(500, 600), 1000)
+	if a.lo != 0 || a.hi != 2 || b.lo != 7 || b.hi != 10 {
+		t.Fatalf("spans [%d, %d) and [%d, %d), want [0, 2) and [7, 10)", a.lo, a.hi, b.lo, b.hi)
+	}
+	for _, sets := range [][]*Bitset{{a, b}, {b, a}} {
+		if c, w := AndCount(sets); c != 0 || w != 0 {
+			t.Fatalf("AndCount = (%d, %d), want (0, 0)", c, w)
+		}
+		if w := AndEach(sets, func(row int) { t.Fatalf("AndEach visited row %d", row) }); w != 0 {
+			t.Fatalf("AndEach read %d words, want 0", w)
+		}
 	}
 }
 
@@ -239,11 +314,14 @@ func TestBitsetMatchesIndexPostings(t *testing.T) {
 }
 
 // FuzzBitsetIntersect feeds the kernels randomized list shapes — sizes,
-// densities, and universes derived from the fuzz input — and checks both
-// against the naive reference. The top bit of nsets also runs the
+// densities, and universes derived from the fuzz input — and checks both,
+// and the words they book, against the naive reference. Bit 0x40 of nsets
+// packs each set's rows into a random sub-range of the universe, so that
+// spans nest, overlap in part or miss each other. The top bit also runs the
 // intersection walk over the same bitsets and nothing else, the way it gets
 // a rule whose every value is dense: the driver's rows are its set bits,
-// and the walk must visit what AndEach visits without reading an entry.
+// and the walk must visit what AndEach visits without reading an entry,
+// reading the words of the driver's span and one word a probe.
 func FuzzBitsetIntersect(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(3), uint8(50))
 	f.Add(int64(2), uint16(64), uint8(1), uint8(100))
@@ -253,43 +331,38 @@ func FuzzBitsetIntersect(f *testing.F) {
 	f.Add(int64(6), uint16(129), uint8(0x80|3), uint8(50))
 	f.Add(int64(7), uint16(4096), uint8(0x80|5), uint8(100))
 	f.Add(int64(8), uint16(64), uint8(0x80), uint8(1))
+	f.Add(int64(9), uint16(4096), uint8(0x40|3), uint8(60))
+	f.Add(int64(10), uint16(1000), uint8(0x80|0x40|4), uint8(100))
 	f.Fuzz(func(t *testing.T, seed int64, rows16 uint16, nsets uint8, density uint8) {
 		rows := int(rows16)%5000 + 1
-		k := int(nsets&0x7f)%6 + 1
+		k := int(nsets&0x3f)%6 + 1
 		rng := rand.New(rand.NewSource(seed))
 		lists := make([][]int32, k)
 		for i := range lists {
-			d := int(density)%101 + int(rng.Intn(20)) // per-set density jitter
-			for r := 0; r < rows; r++ {
-				if rng.Intn(120) < d {
-					lists[i] = append(lists[i], int32(r))
-				}
-			}
+			lists[i] = randomRows(rng, rows, int(density)%101+rng.Intn(20), nsets&0x40 != 0) // per-set density jitter
 		}
 		sets := make([]*Bitset, k)
 		for i, l := range lists {
 			sets[i] = newBitsetFromSorted(l, rows)
 		}
 		want := naiveIntersect(lists)
-		count, _ := AndCount(sets)
-		if count != len(want) {
-			t.Fatalf("AndCount = %d, want %d (rows=%d k=%d)", count, len(want), rows, k)
+		wantWords := andWords(lists)
+		count, words := AndCount(sets)
+		if count != len(want) || words != wantWords {
+			t.Fatalf("AndCount = %d reading %d words, want %d reading %d (rows=%d k=%d)", count, words, len(want), wantWords, rows, k)
 		}
 		var got []int32
-		AndEach(sets, func(row int) { got = append(got, int32(row)) })
-		if len(got) != len(want) {
-			t.Fatalf("AndEach visited %d, want %d", len(got), len(want))
+		if words := AndEach(sets, func(row int) { got = append(got, int32(row)) }); words != wantWords {
+			t.Fatalf("AndEach read %d words, want %d", words, wantWords)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("AndEach[%d] = %d, want %d", i, got[i], want[i])
-			}
+		if !slices.Equal(got, want) {
+			t.Fatalf("AndEach visited %v, want %v", got, want)
 		}
 		if nsets&0x80 == 0 {
 			return
 		}
 		var walked []int32
-		entries, _ := (&Table{n: rows}).All().EachInAll(make([][]int32, k), func(pos, row int) {
+		entries, words := (&Table{n: rows}).All().EachInAll(make([][]int32, k), func(pos, row int) {
 			if pos != row {
 				t.Fatalf("full-table walk visited row %d at position %d", row, pos)
 			}
@@ -298,5 +371,35 @@ func FuzzBitsetIntersect(f *testing.F) {
 		if entries != 0 || !slices.Equal(walked, want) {
 			t.Fatalf("walk over bitsets alone read %d entries and visited %d rows, want none and the %d of AndEach (rows=%d k=%d)", entries, len(walked), len(want), rows, k)
 		}
+		if wantWords := walkWords(lists); words != wantWords {
+			t.Fatalf("walk over bitsets alone read %d words, want %d (rows=%d k=%d)", words, wantWords, rows, k)
+		}
 	})
+}
+
+// walkWords is what a full-table walk over the bitsets of lists, and nothing
+// else, books: the words of the driver's span — the smallest set, the first
+// given of equals — then, for each of its rows, one word for each other set
+// probed, smallest first, up to and including the first that lacks the row.
+func walkWords(lists [][]int32) int64 {
+	order := make([]int, len(lists))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return len(lists[order[a]]) < len(lists[order[b]]) })
+	driver := lists[order[0]]
+	if len(driver) == 0 {
+		return 0
+	}
+	lo, hi := spanOf(driver)
+	words := int64(hi - lo)
+	for _, r := range driver {
+		for _, i := range order[1:] {
+			words++
+			if _, ok := slices.BinarySearch(lists[i], r); !ok {
+				break
+			}
+		}
+	}
+	return words
 }

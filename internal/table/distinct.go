@@ -1,6 +1,10 @@
 package table
 
-import "time"
+import (
+	"cmp"
+	"slices"
+	"time"
+)
 
 // The distinct-tuple table. A search's answer depends only on the multiset
 // of tuples it reads, and the paper's tables are categorical with a handful
@@ -9,6 +13,16 @@ import "time"
 // columns once — the finest cuboid of a data cube — lets every later pass
 // read each tuple once, carrying its multiplicity as the tuple's mass
 // (Section 6.3), instead of once per row that repeats it.
+//
+// Every grouped table is laid out in tuple order (see sortTuples), whatever
+// order its rows came in. Sorting a table packs each value's rows into runs
+// (Lemire, Kaser & Aouiche, "Sorting improves word-aligned bitmap indexes",
+// DKE 2010): the first column's values each fill one contiguous stretch, the
+// next column's a stretch within each of those, and so on. An index bitset,
+// and the cover a walk keeps of a rule's rows, then holds its rows in fewer
+// words, and the AND kernels read only the words where all of their
+// bitsets' spans overlap (see Bitset). Taking the smallest dictionaries
+// first makes the leading runs the longest.
 
 // distinctGiveUp is the compression below which the distinct table is not
 // worth having: the build abandons the table as soon as it has seen more
@@ -28,7 +42,7 @@ type DistinctReport struct {
 }
 
 // Distinct returns t's distinct-tuple table: one row per distinct tuple of
-// t, in the order t first shows them, sharing t's dictionaries (value ids
+// t, in tuple order, sharing t's dictionaries (value ids
 // and rules mean the same on both), each row carrying the number of t's
 // rows equal to it (Multiplicity), with an inverted index of its own, built
 // by its first read like any table's. It has no measure columns: only the
@@ -82,17 +96,17 @@ func (t *Table) Weighted() bool { return t.mult != nil }
 
 // GroupRows groups the given rows of t — nil for all of them — by all
 // columns in one pass: the distinct-tuple table of that row list, as
-// Distinct describes it, in the order the list first shows each tuple, a
-// row listed twice counted twice. It is the one grouping routine: Distinct
-// memoises its answer for the whole table, and a sample of t's rows groups
-// itself with it. The pass is abandoned — d nil, read the rows it got
-// through — at the first tuple beyond limit distinct ones; read is the
-// list's length otherwise, and nothing is read at all when limit is not
+// Distinct describes it, in tuple order, a row listed twice counted twice.
+// It is the one grouping routine: Distinct memoises its answer for the whole
+// table, a sample of t's rows groups itself with it, and so does the mw
+// probe's tally of its draws. The pass is abandoned — d nil, read the rows
+// it got through — at the first tuple beyond limit distinct ones; read is
+// the list's length otherwise, and nothing is read at all when limit is not
 // positive or t is itself a distinct table.
 //
 // Tuples are interned in an open-addressing table of distinct-row ids keyed
 // by a hash of the row and confirmed by comparing the columns, so any width
-// works and the first-seen order depends on nothing but the list's order.
+// works, then sorted into tuple order, which depends on the tuples alone.
 // The table starts small and doubles; limit caps it at 4·limit slots.
 func (t *Table) GroupRows(rows []int, limit int) (d *Table, read int) {
 	if limit <= 0 || t.mult != nil {
@@ -153,7 +167,51 @@ func (t *Table) GroupRows(rows []int, limit int) (d *Table, read int) {
 		n:        len(mult),
 		mult:     mult,
 	}
+	d.sortTuples()
 	return d, n
+}
+
+// sortTuples lays out the rows of t — pairwise different tuples — in tuple
+// order: ascending value ids, the column with the smallest dictionary
+// deciding first, then the next smallest, equal dictionaries by column index.
+// It is a least-significant-digit counting sort, one stable pass per column
+// from the largest dictionary to the smallest, O(columns × (rows + values)).
+// Each column, and then the multiplicities, is gathered into its new order
+// in turn, so only one of them is ever held twice.
+func (t *Table) sortTuples() {
+	sig := make([]int, len(t.cols)) // the columns, most significant first
+	for c := range sig {
+		sig[c] = c
+	}
+	slices.SortStableFunc(sig, func(a, b int) int { return cmp.Compare(t.dicts[a].Len(), t.dicts[b].Len()) })
+	perm, next := make([]int, t.n), make([]int, t.n)
+	for i := range perm {
+		perm[i] = i
+	}
+	for k := len(sig) - 1; k >= 0; k-- {
+		col := &t.cols[sig[k]]
+		at := make([]int, t.dicts[sig[k]].Len()+1) // where each value's rows go next
+		for _, i := range perm {
+			at[col.at(i)+1]++
+		}
+		for v := 1; v < len(at); v++ {
+			at[v] += at[v-1]
+		}
+		for _, i := range perm {
+			v := col.at(i)
+			next[at[v]] = i
+			at[v]++
+		}
+		perm, next = next, perm
+	}
+	for c := range t.cols {
+		t.cols[c] = t.cols[c].gather(perm)
+	}
+	mult := make([]int32, t.n)
+	for j, i := range perm {
+		mult[j] = t.mult[i]
+	}
+	t.mult = mult
 }
 
 // SelectWeighted returns the distinct-tuple table holding the given rows of t

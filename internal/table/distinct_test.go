@@ -3,6 +3,7 @@ package table_test
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -17,8 +18,8 @@ func tupleKey(t *table.Table, i int) string {
 }
 
 // requireDistinctOf fails unless d is the distinct-tuple table of t: every
-// row of t equal to exactly one row of d, d's rows in the order t first
-// shows them, each carrying the number of t's rows equal to it.
+// row of t equal to exactly one row of d, d's rows in tuple order (see
+// requireTupleOrder), each carrying the number of t's rows equal to it.
 func requireDistinctOf(t *testing.T, d, tab *table.Table) {
 	t.Helper()
 	if !d.Weighted() || tab.Weighted() {
@@ -29,16 +30,12 @@ func requireDistinctOf(t *testing.T, d, tab *table.Table) {
 			t.Fatalf("column %d: the distinct table has a dictionary of its own", c)
 		}
 	}
+	requireTupleOrder(t, d)
 	id := make(map[string]int, d.NumRows())
 	for j := 0; j < d.NumRows(); j++ {
-		k := tupleKey(d, j)
-		if _, dup := id[k]; dup {
-			t.Fatalf("distinct rows %d and %d hold the same tuple", id[k], j)
-		}
-		id[k] = j
+		id[tupleKey(d, j)] = j
 	}
 	count := make([]int, d.NumRows())
-	next := 0 // distinct rows 0..next-1 have been seen
 	for i := 0; i < tab.NumRows(); i++ {
 		if tab.Multiplicity(i) != 1 {
 			t.Fatalf("row %d of an ordinary table has multiplicity %d", i, tab.Multiplicity(i))
@@ -46,12 +43,6 @@ func requireDistinctOf(t *testing.T, d, tab *table.Table) {
 		j, ok := id[tupleKey(tab, i)]
 		if !ok {
 			t.Fatalf("row %d equals no distinct row", i)
-		}
-		if count[j] == 0 {
-			if j != next {
-				t.Fatalf("row %d is the first of its tuple, which is distinct row %d, not %d: not first-seen order", i, j, next)
-			}
-			next++
 		}
 		count[j]++
 	}
@@ -64,6 +55,29 @@ func requireDistinctOf(t *testing.T, d, tab *table.Table) {
 	}
 	if total != tab.NumRows() {
 		t.Fatalf("multiplicities sum to %d, the table has %d rows", total, tab.NumRows())
+	}
+}
+
+// requireTupleOrder fails unless d's rows are pairwise different tuples in
+// ascending order of their value ids, compared column by column from the
+// smallest dictionary to the largest, equal dictionaries by column index.
+func requireTupleOrder(t *testing.T, d *table.Table) {
+	t.Helper()
+	sig := make([]int, d.NumCols())
+	for c := range sig {
+		sig[c] = c
+	}
+	sort.SliceStable(sig, func(a, b int) bool { return d.Dict(sig[a]).Len() < d.Dict(sig[b]).Len() })
+	for j := 1; j < d.NumRows(); j++ {
+		for k, c := range sig {
+			prev, cur := d.Value(c, j-1), d.Value(c, j)
+			if prev < cur {
+				break
+			}
+			if prev > cur || k == len(sig)-1 {
+				t.Fatalf("distinct rows %d and %d are not in tuple order (columns by dictionary size %v)", j-1, j, sig)
+			}
+		}
 	}
 }
 
@@ -161,7 +175,7 @@ func requireSameDistinct(t *testing.T, label string, d, want *table.Table) {
 }
 
 // TestEquivalenceGroupRows: grouping a row list is grouping the table those
-// rows would make — in the list's order, a row listed twice counted twice —
+// rows would make — in tuple order, a row listed twice counted twice —
 // and is abandoned, after reading no more than it must, at the first tuple
 // beyond the limit.
 func TestEquivalenceGroupRows(t *testing.T) {
@@ -200,8 +214,8 @@ func TestEquivalenceGroupRows(t *testing.T) {
 			}
 			// The listed rows as a table of their own, one row per listing:
 			// d must be that table's distinct-tuple table, which pins the
-			// order (the list's), the multiplicities (listings, not rows)
-			// and their sum.
+			// order (tuple order, whatever the list's), the multiplicities
+			// (listings, not rows) and their sum.
 			requireDistinctOf(t, d, tab.Select(rows))
 			if total := d.All().NumTuples(); total != len(rows) {
 				t.Fatalf("multiplicities sum to %d, the list has %d rows", total, len(rows))

@@ -31,16 +31,18 @@ type Index struct {
 
 // colPostings is one column's containers. Value v's rows are bits[v] where
 // that is non-nil and lists[v] otherwise, never both; sizes[v] is how many
-// there are either way.
+// there are either way, and masses[v], on a weighted table, the sum of their
+// multiplicities.
 type colPostings struct {
-	sizes []int32
-	lists [][]int32 // ascending rows with Value(c, row) == v; nil where v is dense
-	bits  []*Bitset // nil where v is sparse
+	sizes  []int32
+	masses []int64   // nil on an unweighted table, where every mass is its size
+	lists  [][]int32 // ascending rows with Value(c, row) == v; nil where v is dense
+	bits   []*Bitset // nil where v is sparse
 }
 
-// bytes is what a built column's containers and sizes hold.
+// bytes is what a built column's containers, sizes and masses hold.
 func (cp *colPostings) bytes() int64 {
-	n := 4 * int64(len(cp.sizes))
+	n := 4*int64(len(cp.sizes)) + 8*int64(len(cp.masses))
 	for v, size := range cp.sizes {
 		if b := cp.bits[v]; b != nil {
 			n += 8 * int64(len(b.words))
@@ -60,14 +62,14 @@ func (t *Table) Index() *Index {
 
 // buildCol materializes column c's containers.
 func (ix *Index) buildCol(c int) {
-	cp, col, vals := &ix.cols[c], &ix.t.cols[c], ix.t.dicts[c].Len()
+	cp, col, vals, mult := &ix.cols[c], &ix.t.cols[c], ix.t.dicts[c].Len(), ix.t.mult
 	switch col.width {
 	case w8:
-		buildPostings(cp, col.u8, vals)
+		buildPostings(cp, col.u8, vals, mult)
 	case w16:
-		buildPostings(cp, col.u16, vals)
+		buildPostings(cp, col.u16, vals, mult)
 	default:
-		buildPostings(cp, col.i32, vals)
+		buildPostings(cp, col.i32, vals, mult)
 	}
 }
 
@@ -76,37 +78,50 @@ func (ix *Index) buildCol(c int) {
 // container, so every list is exact-capacity and ascending by construction
 // and no list is ever built for a dense value. The sparse lists are cut
 // from one array: a column of tens of thousands of values is one
-// allocation, not one per value.
-func buildPostings[T cell](cp *colPostings, col []T, vals int) {
+// allocation, not one per value. On a weighted table — mult non-nil, a
+// row's multiplicity — one more pass sums each value's masses.
+func buildPostings[T cell](cp *colPostings, col []T, vals int, mult []int32) {
 	rows := len(col)
 	sizes := make([]int32, vals)
 	for _, v := range col {
 		sizes[v]++
 	}
 	lists := make([][]int32, vals)
-	bits := make([]*Bitset, vals)
+	words := make([][]uint64, vals)
 	sparse := 0
 	for v, n := range sizes {
 		if Dense(int(n), rows) {
-			bits[v] = &Bitset{words: make([]uint64, (rows+63)/64), n: int(n)}
+			words[v] = make([]uint64, (rows+63)/64)
 		} else {
 			sparse += int(n)
 		}
 	}
 	arena := make([]int32, sparse)
 	for v, n := range sizes {
-		if bits[v] == nil {
+		if words[v] == nil {
 			lists[v], arena = arena[:0:n], arena[n:]
 		}
 	}
 	for i, v := range col {
-		if b := bits[v]; b != nil {
-			b.words[i>>6] |= 1 << (uint(i) & 63)
+		if w := words[v]; w != nil {
+			w[i>>6] |= 1 << (uint(i) & 63)
 		} else {
 			lists[v] = append(lists[v], int32(i))
 		}
 	}
+	bits := make([]*Bitset, vals)
+	for v, w := range words {
+		if w != nil {
+			bits[v] = newBitset(w, int(sizes[v]))
+		}
+	}
 	cp.sizes, cp.lists, cp.bits = sizes, lists, bits
+	if mult != nil {
+		cp.masses = make([]int64, vals)
+		for i, v := range col {
+			cp.masses[v] += int64(mult[i])
+		}
+	}
 }
 
 // PostingsLen returns the number of rows holding value v in column c —
@@ -120,6 +135,23 @@ func (ix *Index) PostingsLen(c int, v rule.Value) int {
 		return 0
 	}
 	return int(sizes[v])
+}
+
+// Mass returns the rows holding value v in column c summed by their
+// multiplicities — Count(base+(c,v)) over the tuples a distinct-tuple table
+// stands for — and PostingsLen on an unweighted table. Like PostingsLen it
+// is read from beside the containers: a level-1 count on a full weighted
+// table reads no row.
+func (ix *Index) Mass(c int, v rule.Value) int64 {
+	ix.Warm()
+	masses := ix.cols[c].masses
+	if masses == nil {
+		return int64(ix.PostingsLen(c, v))
+	}
+	if v < 0 || int(v) >= len(masses) {
+		return 0
+	}
+	return masses[v]
 }
 
 // Container returns value v of column c's one container, building the index

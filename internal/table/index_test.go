@@ -67,6 +67,32 @@ func TestPostingsMatchColumn(t *testing.T) {
 	}
 }
 
+// TestIndexMass: a value's mass is its rows' multiplicities summed — on a
+// distinct-tuple table the table rows it stands for, on an ordinary table
+// its posting list's length — and zero outside the dictionary.
+func TestIndexMass(t *testing.T) {
+	tab := randomIndexedTable(rand.New(rand.NewSource(5)), 3, 4, 2000)
+	d, _ := tab.Distinct()
+	if d == nil {
+		t.Fatal("the table does not compress")
+	}
+	for c := 0; c < tab.NumCols(); c++ {
+		for v := rule.Value(0); int(v) < tab.DistinctCount(c); v++ {
+			if got, want := tab.Index().Mass(c, v), int64(tab.Index().PostingsLen(c, v)); got != want {
+				t.Fatalf("table: col %d value %d has mass %d, want its %d rows", c, v, got, want)
+			}
+			if got, want := d.Index().Mass(c, v), int64(tab.Index().PostingsLen(c, v)); got != want {
+				t.Fatalf("distinct table: col %d value %d has mass %d, want the table's %d rows", c, v, got, want)
+			}
+		}
+		for _, ix := range []*Index{tab.Index(), d.Index()} {
+			if m := ix.Mass(c, rule.Value(tab.DistinctCount(c))); m != 0 {
+				t.Fatalf("col %d: out-of-dictionary value has mass %d", c, m)
+			}
+		}
+	}
+}
+
 func TestFilterIndicesMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for trial := 0; trial < 50; trial++ {

@@ -37,8 +37,8 @@ func (v *View) Ascending() bool {
 //
 // The smallest set drives the walk: its rows are taken in ascending order —
 // a list's entries one read each, a bitset's set bits for one read of each
-// of its words, which is fewer (a value is only dense enough to be a bitset
-// when it has at least two rows per word) — and each is tested against
+// word of its span, which is fewer (a value is only dense enough to be a
+// bitset when it has at least two rows per word) — and each is tested against
 // every other set: by one word read where the set has a bitset (membership
 // is over parent rows, so this holds on sub-views too), by galloping where
 // it has none. Cost is thus governed by the most selective column: when
@@ -92,9 +92,10 @@ func (v *View) EachInAll(lists [][]int32, fn func(pos, row int), bits ...*Bitset
 		}
 		return int64(len(driver)) + w.entries, w.words
 	}
-	for i, word := range bitsOf(order[0]).words {
+	d := bitsOf(order[0])
+	for i := d.lo; i < d.hi; i++ {
 		w.words++
-		for ; word != 0; word &= word - 1 {
+		for word := d.words[i]; word != 0; word &= word - 1 {
 			if !w.visit(int32(i<<6 + mathbits.TrailingZeros64(word))) {
 				return w.entries, w.words
 			}

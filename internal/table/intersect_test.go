@@ -154,7 +154,9 @@ func TestGallop(t *testing.T) {
 // The top bit of shadow hands the smallest set over the way the index hands
 // over a dense value — its bitset and no list — so that the walk takes the
 // driver's rows from set bits, not entries: the same visits, no entry read
-// for the driver, and no more words for it than its bitset has.
+// for the driver, and no more words for it than its span holds. The top bit
+// of nlists packs each list's rows into a random sub-range of the universe,
+// so that the spans of the bitsets nest, overlap in part or miss each other.
 func FuzzEachInAll(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(3), uint8(50), uint8(0xff), uint8(0))
 	f.Add(int64(2), uint16(64), uint8(1), uint8(100), uint8(1), uint8(2))
@@ -164,21 +166,17 @@ func FuzzEachInAll(f *testing.F) {
 	f.Add(int64(6), uint16(1000), uint8(3), uint8(60), uint8(0xff), uint8(2))
 	f.Add(int64(7), uint16(129), uint8(2), uint8(90), uint8(0x80), uint8(0))
 	f.Add(int64(8), uint16(4096), uint8(4), uint8(20), uint8(0x8a), uint8(5))
+	f.Add(int64(9), uint16(4096), uint8(0x80|3), uint8(70), uint8(0xff), uint8(0))
+	f.Add(int64(10), uint16(2000), uint8(0x80|4), uint8(90), uint8(0x85), uint8(3))
 	f.Fuzz(func(t *testing.T, seed int64, rows16 uint16, nlists, density, shadow, keep uint8) {
 		rows := int(rows16)%5000 + 1
-		k := int(nlists)%6 + 1
+		k := int(nlists&0x7f)%6 + 1
 		rng := rand.New(rand.NewSource(seed))
 		lists := make([][]int32, k)
 		bits := make([]*Bitset, k)
 		shadowed := 0
 		for i := range lists {
-			lists[i] = []int32{} // empty, not nil
-			d := int(density)%101 + rng.Intn(20)
-			for r := 0; r < rows; r++ {
-				if rng.Intn(120) < d {
-					lists[i] = append(lists[i], int32(r))
-				}
-			}
+			lists[i] = randomRows(rng, rows, int(density)%101+rng.Intn(20), nlists&0x80 != 0)
 			if shadow&(1<<i) != 0 {
 				bits[i] = newBitsetFromSorted(lists[i], rows)
 				shadowed++
@@ -231,8 +229,12 @@ func FuzzEachInAll(f *testing.F) {
 			if bits[smallest] != nil {
 				others--
 			}
-			if limit := int64(denseBits[smallest].NumWords()) + int64(shortest)*int64(others); denseWords > limit {
-				t.Fatalf("dense driver: read %d words, more than its %d and %d rows × %d other bitsets", denseWords, denseBits[smallest].NumWords(), shortest, others)
+			lo, hi := spanOf(lists[smallest])
+			if limit := int64(hi-lo) + int64(shortest)*int64(others); denseWords > limit {
+				t.Fatalf("dense driver: read %d words, more than the %d of its span and %d rows × %d other bitsets", denseWords, hi-lo, shortest, others)
+			}
+			if k == 1 && keep == 0 && denseWords != int64(hi-lo) {
+				t.Fatalf("dense driver alone over the full table: read %d words, want its span's %d", denseWords, hi-lo)
 			}
 			if others == k-1 && denseEntries != 0 {
 				t.Fatalf("dense driver, every other set a bitset, yet read %d entries", denseEntries)
