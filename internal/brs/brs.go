@@ -617,7 +617,7 @@ func (rn *runner) findBestMarginal() *cand {
 			break
 		}
 		if len(toCount) > 0 {
-			rn.countCandidates(toCount)
+			rn.countCandidates(toCount, rn.planIndex(toCount))
 		}
 		for _, c := range survivors {
 			consider(c, level)
@@ -649,33 +649,17 @@ func (rn *runner) raiseTopW() {
 			rn.topW = make([]float64, n)
 		}
 		topW, sel := rn.topW, rn.selected[rn.raised]
-		raise := func(pos int) {
+		raise := func(pos, _ int) {
 			if topW[pos] < sel.weight {
 				topW[pos] = sel.weight
 			}
 		}
 		if plan, ok := rn.planPostingsOne(sel); ok {
-			if plan.bitmap {
-				// Full-table bitmap walk: view positions are parent rows.
-				rn.stats.BitmapWordsRead += table.AndEach(rn.candBitmaps(sel), raise)
-			} else {
-				lists, sets := rn.candSets(sel)
-				entries, words := rn.v.EachInAll(lists, func(pos, _ int) { raise(pos) }, sets...)
-				rn.stats.PostingsRead += entries
-				rn.stats.BitmapWordsRead += words
-			}
+			rn.walk(sel, plan, &rn.stats, raise)
 			rn.stats.IndexLevels++
 			continue
 		}
-		rn.parallelRows(n, func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				if rn.coversFreeParent(sel.r, rn.v.ParentRow(i)) {
-					raise(i)
-				}
-			}
-		})
-		rn.stats.Passes++
-		rn.stats.RowsScanned += int64(n)
+		rn.scan([]*cand{sel}, rn.rowWorkers(n), func(_, _, pos, row int) { raise(pos, row) })
 	}
 }
 
@@ -723,7 +707,7 @@ func (rn *runner) refreshStale() float64 {
 		for _, c := range batch {
 			c.count, c.marginal = 0, 0
 		}
-		rn.countCandidates(batch)
+		rn.countCandidates(batch, rn.planIndex(batch))
 		rn.stats.CandidatesCounted += len(batch)
 		for _, c := range batch {
 			c.asOf = step
@@ -745,7 +729,7 @@ func (rn *runner) rebuildTopW() {
 	n := rn.v.NumRows()
 	rn.topW = make([]float64, n)
 	topW := rn.topW
-	rn.parallelRows(n, func(lo, hi, _ int) {
+	rn.parallelRows(n, rn.rowWorkers(n), func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
 			pi := rn.v.ParentRow(i)
 			for _, s := range rn.selected {
@@ -909,13 +893,13 @@ func (rn *runner) countLevelOne() []*cand {
 	}
 	n := v.NumRows()
 	// One accumulator set per worker; merged after the pass.
-	nw := rn.workers()
+	nw := rn.rowWorkers(n)
 	perWorker := make([][]extAcc, nw)
 	perWorker[0] = accs
 	for g := 1; g < nw; g++ {
 		perWorker[g] = blankCopy(accs)
 	}
-	rn.parallelRows(n, func(lo, hi, g int) {
+	rn.parallelRows(n, nw, func(lo, hi, g int) {
 		// Every view row covers the base: no per-row base check.
 		for i := lo; i < hi; i++ {
 			rn.bookRow(perWorker[g], i, v.ParentRow(i))
@@ -998,6 +982,30 @@ func (rn *runner) buildCandIndex(cands []*cand) candIndex {
 	return idx
 }
 
+// scan is the anchored row pass: one visit of each view row, in nw worker
+// chunks (rowWorkers, or 1), testing only the candidates whose anchor value
+// the row holds (see candIndex). visit(g, i, pos, row) gets, from worker g,
+// each candidate cands[i] that covers view position pos, parent row row —
+// ascending within a chunk. It books one pass over the view.
+func (rn *runner) scan(cands []*cand, nw int, visit func(g, i, pos, row int)) {
+	n := rn.v.NumRows()
+	idx := rn.buildCandIndex(cands)
+	rn.parallelRows(n, nw, func(lo, hi, g int) {
+		for pos := lo; pos < hi; pos++ {
+			row := rn.v.ParentRow(pos)
+			for ci, col := range idx.cols {
+				for _, i := range idx.byVal[ci][rn.parent.Value(col, row)] {
+					if rn.coversFreeParent(cands[i].r, row) {
+						visit(g, i, pos, row)
+					}
+				}
+			}
+		}
+	})
+	rn.stats.Passes++
+	rn.stats.RowsScanned += int64(n)
+}
+
 // generateCandidates builds the next level: every one-column extension of
 // a previous-level candidate with a value that co-occurs in the data, in
 // merge order — prev's parents in order, each one's children by (column,
@@ -1068,7 +1076,6 @@ func (rn *runner) generateCandidates(prev []*cand, H float64) []*cand {
 // has never seen.
 func (rn *runner) expandParents(parents []*cand) {
 	v := rn.v
-	n := v.NumRows()
 
 	// Phase 1: accs[p] holds one accumulator per star column of parent p
 	// whose extensions stay within mw (weights are monotone, so a column
@@ -1101,66 +1108,43 @@ func (rn *runner) expandParents(parents []*cand) {
 			accs[p] = append(accs[p], acc)
 		}
 	}
-	if plans, ok := rn.planIndex(parents); ok {
-		// Index route: walk each parent's own coverage (bitset AND or
-		// probing intersection per its plan). Workers partition whole
+	if plans := rn.planIndex(parents); plans != nil {
+		// Index route: walk each parent's own coverage. Workers take whole
 		// parents, and each parent's walk writes only that parent's
 		// accumulators and cover, in ascending row order, so nothing is
 		// shared, no merge is needed, and the sums equal the scan route's.
 		reserved := rn.reserveCovers(parents, plans, accs)
-		nw := rn.workers()
-		preads := make([]int64, nw)
-		breads := make([]int64, nw)
-		rn.parallelRows(len(parents), func(lo, hi, g int) {
+		rn.indexPass(len(parents), func(lo, hi int, st *Stats) {
 			var kept []uint64 // the worker's bits for the rows a walk keeps, zero between walks
 			for p := lo; p < hi; p++ {
-				mine, c, keep := accs[p], parents[p], reserved[p] > 0
-				if keep && kept == nil {
+				mine, c := accs[p], parents[p]
+				if reserved[p] == 0 {
+					rn.walk(c, plans[p], st, func(pos, row int) { rn.bookRow(mine, pos, row) })
+					continue
+				}
+				// Only a walk that keeps its rows pays to set their bits.
+				if kept == nil {
 					kept = make([]uint64, rn.bitmapWords)
 				}
-				// Only a walk that keeps its rows pays to set their bits; the
-				// per-row path of the others — most walks, once the budget is
-				// spent — is the bare booking.
-				visit := func(pos, row int) { rn.bookRow(mine, pos, row) }
-				visitRow := func(row int) { rn.bookRow(mine, row, row) }
-				if keep {
-					set := kept
-					visit = func(pos, row int) {
-						rn.bookRow(mine, pos, row)
-						set[row>>6] |= 1 << (uint(row) & 63)
-					}
-					visitRow = func(row int) { visit(row, row) }
-				}
-				if plans[p].bitmap {
-					breads[g] += table.AndEach(rn.candBitmaps(c), visitRow)
-				} else {
-					lists, sets := rn.candSets(c)
-					entries, words := rn.v.EachInAll(lists, visit, sets...)
-					preads[g] += entries
-					breads[g] += words
-				}
-				if keep {
-					kept = rn.keepCover(c, kept)
-				}
+				set := kept
+				rn.walk(c, plans[p], st, func(pos, row int) {
+					rn.bookRow(mine, pos, row)
+					set[row>>6] |= 1 << (uint(row) & 63)
+				})
+				kept = rn.keepCover(c, kept)
 			}
 		})
-		for g := 0; g < nw; g++ {
-			rn.stats.PostingsRead += preads[g]
-			rn.stats.BitmapWordsRead += breads[g]
-		}
 		for p, c := range parents {
 			if reserved[p] > 0 {
 				rn.coverLeft += reserved[p] - c.cover.bytes()
 			}
 		}
-		rn.stats.IndexLevels++
 		rn.materializeChildren(parents, accs)
 		return
 	}
-	idx := rn.buildCandIndex(parents)
-	// Parallelize with one accumulator set per worker, merged in worker
-	// order after the pass — but only while the extra copies stay modest.
-	nw := rn.workers()
+	// Scan route: one accumulator set per worker, merged in worker order
+	// after the pass — but only while the extra copies stay modest.
+	nw := rn.rowWorkers(v.NumRows())
 	const parallelAccCap = 64 << 20 // bytes
 	if nw > 1 && accBytes*(nw-1) > parallelAccCap {
 		nw = 1
@@ -1173,30 +1157,12 @@ func (rn *runner) expandParents(parents []*cand) {
 			perWorker[g][p] = blankCopy(accs[p])
 		}
 	}
-	scanRange := func(lo, hi int, mine [][]extAcc) {
-		for i := lo; i < hi; i++ {
-			pi := v.ParentRow(i)
-			for ci, col := range idx.cols {
-				for _, p := range idx.byVal[ci][rn.parent.Value(col, pi)] {
-					if rn.coversFreeParent(parents[p].r, pi) {
-						rn.bookRow(mine[p], i, pi)
-					}
-				}
-			}
-		}
-	}
-	if nw == 1 {
-		scanRange(0, n, accs)
-	} else {
-		rn.parallelRows(n, func(lo, hi, g int) { scanRange(lo, hi, perWorker[g]) })
-	}
+	rn.scan(parents, nw, func(g, p, pos, row int) { rn.bookRow(perWorker[g][p], pos, row) })
 	for g := 1; g < nw; g++ {
 		for p := range accs {
 			mergeAccs(accs[p], perWorker[g][p])
 		}
 	}
-	rn.stats.Passes++
-	rn.stats.RowsScanned += int64(n)
 	rn.materializeChildren(parents, accs)
 }
 
@@ -1286,70 +1252,62 @@ func (rn *runner) upperBound(c *cand) float64 {
 	return bound
 }
 
-// countCandidates measures count and marginal value for each candidate,
-// routing to the index kernels (bitset AND or probing intersection, per
-// candidate) or a row scan per the cost model.
-func (rn *runner) countCandidates(cands []*cand) {
-	if plans, ok := rn.planIndex(cands); ok {
-		rn.countCandidatesIndex(cands, plans)
-		return
-	}
-	rn.countCandidatesScan(cands)
-}
-
-// countCandidatesScan is the scan kernel: one pass over the view, visiting
-// only the candidates whose anchor value matches each row (see candIndex).
-func (rn *runner) countCandidatesScan(cands []*cand) {
-	v := rn.v
-	n := v.NumRows()
-	idx := rn.buildCandIndex(cands)
+// countCandidates measures count and marginal value for each candidate:
+// by plans — each candidate walked by its own kernel, candidates fanned
+// out across workers — or, where plans is nil, in one scan. Either way a
+// candidate's rows reach it ascending, so its sums are bit-identical on
+// every route and at any worker count.
+func (rn *runner) countCandidates(cands []*cand, plans []candPlan) {
 	virgin := len(rn.selected) == 0
 	topW := rn.topW
-	// Per-worker accumulators indexed by candidate position, merged after
-	// the pass.
-	nw := rn.workers()
-	cnt := make([][]float64, nw)
-	mv := make([][]float64, nw)
-	for g := 0; g < nw; g++ {
-		cnt[g] = make([]float64, len(cands))
-		if !virgin {
-			mv[g] = make([]float64, len(cands))
-		}
-	}
-	parent := rn.parent
-	rn.parallelRows(n, func(lo, hi, g int) {
-		myCnt := cnt[g]
-		var myMV []float64
-		if !virgin {
-			myMV = mv[g]
-		}
-		for i := lo; i < hi; i++ {
-			pi := v.ParentRow(i)
-			var mass float64
-			massSet := false
-			for ci, col := range idx.cols {
-				for _, pos := range idx.byVal[ci][parent.Value(col, pi)] {
-					c := cands[pos]
-					if !rn.coversFreeParent(c.r, pi) {
-						continue
-					}
-					if !massSet {
-						mass = rn.agg.Mass(parent, pi)
-						massSet = true
-					}
-					myCnt[pos] += mass
-					if !virgin && c.weight > topW[i] {
-						myMV[pos] += (c.weight - topW[i]) * mass
-					}
+	if plans != nil {
+		rn.indexPass(len(cands), func(lo, hi int, st *Stats) {
+			for i := lo; i < hi; i++ {
+				c := cands[i]
+				if virgin && rn.unitMass && plans[i].bitmap {
+					// Every mass is 1 and nothing is selected: the count is a
+					// popcount over the ANDed words.
+					c.count += float64(rn.walk(c, plans[i], st, nil))
+					continue
 				}
+				rn.walk(c, plans[i], st, func(pos, row int) {
+					mass := rn.mass(row)
+					c.count += mass
+					if !virgin {
+						if tw := topW[pos]; c.weight > tw {
+							c.marginal += (c.weight - tw) * mass
+						}
+					}
+				})
+			}
+		})
+	} else {
+		// Per-worker accumulators indexed by candidate, merged in worker
+		// order after the pass.
+		nw := rn.rowWorkers(rn.v.NumRows())
+		cnt := make([][]float64, nw)
+		mv := make([][]float64, nw)
+		for g := range cnt {
+			cnt[g] = make([]float64, len(cands))
+			if !virgin {
+				mv[g] = make([]float64, len(cands))
 			}
 		}
-	})
-	for g := 0; g < nw; g++ {
-		for pos, c := range cands {
-			c.count += cnt[g][pos]
+		rn.scan(cands, nw, func(g, i, pos, row int) {
+			mass := rn.mass(row)
+			cnt[g][i] += mass
 			if !virgin {
-				c.marginal += mv[g][pos]
+				if tw := topW[pos]; cands[i].weight > tw {
+					mv[g][i] += (cands[i].weight - tw) * mass
+				}
+			}
+		})
+		for g := range cnt {
+			for i, c := range cands {
+				c.count += cnt[g][i]
+				if !virgin {
+					c.marginal += mv[g][i]
+				}
 			}
 		}
 	}
@@ -1358,8 +1316,6 @@ func (rn *runner) countCandidatesScan(cands []*cand) {
 			c.marginal = c.weight * c.count
 		}
 	}
-	rn.stats.Passes++
-	rn.stats.RowsScanned += int64(n)
 }
 
 // finalStats snapshots the run's statistics, attributing scanned rows to

@@ -2,10 +2,12 @@ package brs
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"smartdrill/internal/datagen"
+	"smartdrill/internal/rule"
 	"smartdrill/internal/table"
 	"smartdrill/internal/weight"
 )
@@ -184,6 +186,60 @@ func TestRootSearchReads(t *testing.T) {
 	}
 	if st != want {
 		t.Fatalf("root search stats\n%+v\nwant\n%+v", st, want)
+	}
+}
+
+// TestEquivalenceRouteReads pins what two searches read on the routes the
+// root search never takes (it reads no row): census 20 000 × 7 rows
+// (generator seed 7), K 3 under Size weighting at the weighter's bound. A
+// child search under the first column's value 0, with Base set and not
+// covered, restricts the view itself with one pass and then plans scan and
+// index passes over a sorted sub-view; the whole table through a view that
+// is no ascending row set scans every pass. Reads are the same at every
+// worker count, and the rules are the reference's.
+func TestEquivalenceRouteReads(t *testing.T) {
+	tab := datagen.CensusProjected(20_000, 7, 7)
+	w := weight.NewSize(tab.NumCols())
+	cases := []struct {
+		name string
+		view *table.View
+		base rule.Rule
+		want Stats
+	}{
+		{"child", tab.All(), rule.Trivial(tab.NumCols()).With(0, 0), Stats{
+			Passes:            17,
+			CandidatesCounted: 1256,
+			CandidatesPruned:  2053,
+			CandidatesReused:  1019,
+			RowsScanned:       152512,
+			BitmapWordsRead:   5946,
+			IndexLevels:       3,
+		}},
+		{"scan", scanView(tab), nil, Stats{
+			Passes:            24,
+			CandidatesCounted: 2744,
+			CandidatesPruned:  4664,
+			CandidatesReused:  2837,
+			RowsScanned:       480000,
+		}},
+	}
+	for _, tc := range cases {
+		ref, _, err := Run(tc.view, w, Options{K: 3, Base: tc.base, Reference: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			res, st, err := Run(tc.view, w, Options{K: 3, Base: tc.base, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, ref) {
+				t.Fatalf("%s, %d workers: rules\n%v\nwant the reference's\n%v", tc.name, workers, res, ref)
+			}
+			if st != tc.want {
+				t.Fatalf("%s, %d workers: stats\n%+v\nwant\n%+v", tc.name, workers, st, tc.want)
+			}
+		}
 	}
 }
 

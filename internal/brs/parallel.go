@@ -48,23 +48,34 @@ func (rn *runner) workers() int {
 	return w
 }
 
-// parallelRows splits [0, n) into one contiguous chunk per worker and runs
-// fn(lo, hi, worker) concurrently. With a single worker it simply calls fn
-// inline, so serial behaviour (and profiling) is unchanged.
-func (rn *runner) parallelRows(n int, fn func(lo, hi, worker int)) {
+// rowWorkers is how many workers a pass over n rows (or candidates) runs
+// on: one where the workers are one or the pass is under four items a
+// worker, otherwise one per non-empty chunk of ⌈n/workers⌉ — the chunks
+// parallelRows cuts. A pass sizes its per-worker state by it, so no worker
+// that never runs gets a copy.
+func (rn *runner) rowWorkers(n int) int {
 	w := rn.workers()
 	if w == 1 || n < 4*w {
+		return 1
+	}
+	chunk := (n + w - 1) / w
+	return (n + chunk - 1) / chunk
+}
+
+// parallelRows splits [0, n) into at most nw contiguous chunks — exactly
+// rowWorkers(n)'s when nw is that — and runs fn(lo, hi, worker) on each
+// concurrently. With one worker it simply calls fn inline, so serial
+// behaviour (and profiling) is unchanged.
+func (rn *runner) parallelRows(n, nw int, fn func(lo, hi, worker int)) {
+	if nw <= 1 {
 		fn(0, n, 0)
 		return
 	}
 	var wg sync.WaitGroup
-	chunk := (n + w - 1) / w
-	for g := 0; g < w; g++ {
+	chunk := (n + nw - 1) / nw
+	for g := 0; g < nw; g++ {
 		lo := g * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		if lo >= hi {
 			break
 		}

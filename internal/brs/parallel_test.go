@@ -68,14 +68,23 @@ func TestParallelWithSelection(t *testing.T) {
 }
 
 func TestParallelRowsCoversAllRows(t *testing.T) {
-	rn := &runner{par: 4}
-	for _, n := range []int{0, 1, 7, 64, 1000} {
+	rn := &runner{par: 8}
+	// 33 rows: chunks of 5 fill seven workers, not eight.
+	for _, n := range []int{0, 1, 7, 32, 33, 64, 1000} {
 		visited := make([]int32, n)
-		rn.parallelRows(n, func(lo, hi, g int) {
+		nw := rn.rowWorkers(n)
+		ran := make([]bool, nw)
+		rn.parallelRows(n, nw, func(lo, hi, g int) {
+			ran[g] = true
 			for i := lo; i < hi; i++ {
 				visited[i]++
 			}
 		})
+		for g, ok := range ran {
+			if !ok {
+				t.Fatalf("n=%d: worker %d of the %d rowWorkers sized state for never ran", n, g, nw)
+			}
+		}
 		for i, v := range visited {
 			if v != 1 {
 				t.Fatalf("n=%d: row %d visited %d times", n, i, v)

@@ -43,8 +43,10 @@ import (
 //
 // Every kernel visits rows ascending — the order a scan visits them — so
 // accumulated masses are bit-identical across all three access paths, and
-// routing is a pure performance decision. Options.Reference removes both
-// index kernels (every step scans).
+// routing is a pure performance decision. Both index kernels are reached
+// through one function, walk, which also books what they read; the scan is
+// runner.scan. Options.Reference removes both index kernels (every step
+// scans).
 
 // postingsCostSlack is the fixed per-candidate overhead charged by the
 // cost model (list setup, probe and gallop restarts, AND-loop setup).
@@ -208,13 +210,13 @@ func (rn *runner) planCand(c *cand) (plan candPlan, anchor int64, ok bool) {
 
 // planIndex decides scan vs index for a pass over cands (counting or
 // generation), returning per-candidate kernel choices when the index path
-// wins: the kernels' total estimated read volume must undercut one scan of
-// the view, where the scan is charged its row visits plus each candidate's
-// anchor-match work (anchor posting length, scaled to the view's share of
-// the table).
-func (rn *runner) planIndex(cands []*cand) ([]candPlan, bool) {
+// wins and nil when the pass scans: the kernels' total estimated read
+// volume must undercut one scan of the view, where the scan is charged its
+// row visits plus each candidate's anchor-match work (anchor posting
+// length, scaled to the view's share of the table).
+func (rn *runner) planIndex(cands []*cand) []candPlan {
 	if rn.ix == nil || !rn.sorted || len(cands) == 0 {
-		return nil, false
+		return nil
 	}
 	n := int64(rn.v.NumRows())
 	total := int64(0)
@@ -223,7 +225,7 @@ func (rn *runner) planIndex(cands []*cand) ([]candPlan, bool) {
 	for i, c := range cands {
 		plan, anchor, ok := rn.planCand(c)
 		if !ok {
-			return nil, false
+			return nil
 		}
 		plans[i] = plan
 		total += plan.cost
@@ -231,9 +233,9 @@ func (rn *runner) planIndex(cands []*cand) ([]candPlan, bool) {
 	}
 	scanCost := n + anchors*n/int64(rn.parent.NumRows())
 	if total >= scanCost {
-		return nil, false
+		return nil
 	}
-	return plans, true
+	return plans
 }
 
 // planPostingsOne is the planner for a single rule's coverage walk (the
@@ -248,102 +250,56 @@ func (rn *runner) planPostingsOne(c *cand) (plan candPlan, ok bool) {
 	return plan, ok && plan.cost < int64(rn.v.NumRows())
 }
 
-// candSets gathers the containers whose intersection is c's coverage, as
-// planCand counted them, in the form the probing walk takes them: a sparse
-// value's posting list, a dense value's bitset.
-//
-//sdlint:allow ioaccount hands containers and covers to the probing walk; the entries and words actually read are metered by EachInAll and booked by the pass that called it
-func (rn *runner) candSets(c *cand) (lists [][]int32, sets []*table.Bitset) {
+// walk visits c's coverage in the view through the index, by the kernel
+// plan chose — bitset AND or probing walk — over the containers planCand
+// costed: its from's cover and the container of the one column c adds
+// where that cover is held, the index container of each instantiated free
+// column otherwise. It calls visit(pos, row) for every covered row in
+// ascending row order and books the entries and words it read into st.
+// visit may be nil on the bitset kernel alone: then walk only counts, by
+// popcount, no row enumerated, and returns the count.
+func (rn *runner) walk(c *cand, plan candPlan, st *Stats, visit func(pos, row int)) (rows int) {
+	// Room for the containers of a 16-column rule on the stack; a wider
+	// one's grow on the heap.
+	var listBuf [16][]int32
+	var setBuf [16]*table.Bitset
+	lists, sets := listBuf[:0], setBuf[:0]
 	cv := c.fromCover()
-	lists = make([][]int32, 0, len(rn.freeCols))
-	sets = make([]*table.Bitset, 0, len(rn.freeCols))
 	if cv != nil {
 		lists, sets = append(lists, cv.list), append(sets, cv.bits)
 	}
 	for _, col := range rn.freeCols {
-		if c.r[col] != rule.Star && (cv == nil || !c.from.mask.Has(col)) {
-			list, set := rn.ix.Container(col, c.r[col])
+		if v := c.r[col]; v != rule.Star && (cv == nil || !c.from.mask.Has(col)) {
+			list, set := rn.ix.Container(col, v)
 			lists, sets = append(lists, list), append(sets, set)
 		}
 	}
-	return lists, sets
+	var entries, words int64
+	switch {
+	case visit == nil:
+		rows, words = table.AndCount(sets)
+	case plan.bitmap:
+		// Full-table Count: view positions are parent rows.
+		words = table.AndEach(sets, visit)
+	default:
+		entries, words = rn.v.EachInAll(lists, visit, sets...)
+	}
+	st.PostingsRead += entries
+	st.BitmapWordsRead += words
+	return rows
 }
 
-// candBitmaps is candSets for the AND kernels, to which the planner routes a
-// candidate only when every one of its containers is a bitset.
+// indexPass is a pass routed through the index over n candidates: workers
+// take whole candidates, fn(lo, hi, st) walks candidates [lo, hi) booking
+// into st, one Stats a worker, and those merge into the run's after the
+// pass.
 //
-//sdlint:allow ioaccount hands bitset containers and covers to the AND kernels; the words actually read are metered by AndCount/AndEach and booked by the pass that called it
-func (rn *runner) candBitmaps(c *cand) []*table.Bitset {
-	cv := c.fromCover()
-	sets := make([]*table.Bitset, 0, len(rn.freeCols))
-	if cv != nil {
-		sets = append(sets, cv.bits)
-	}
-	for _, col := range rn.freeCols {
-		if c.r[col] != rule.Star && (cv == nil || !c.from.mask.Has(col)) {
-			sets = append(sets, rn.ix.Bitmap(col, c.r[col]))
-		}
-	}
-	return sets
-}
-
-// countCandidatesIndex is the index counting pass: each candidate's count
-// and marginal accumulate over its own intersection — bitset AND or
-// probing walk per its plan — with candidates fanned out across
-// workers. Per-candidate accumulation is self-contained and visits rows
-// ascending, so results are bit-identical to the scan kernel at any
-// worker count.
-func (rn *runner) countCandidatesIndex(cands []*cand, plans []candPlan) {
-	virgin := len(rn.selected) == 0
-	topW := rn.topW
-	parent := rn.parent
-	nw := rn.workers()
-	preads := make([]int64, nw)
-	breads := make([]int64, nw)
-	rn.parallelRows(len(cands), func(lo, hi, g int) { //sdlint:allow ioaccount fans out candidates, not rows; the kernels below meter posting entries and bitmap words into preads/breads
-		for i := lo; i < hi; i++ {
-			c := cands[i]
-			if plans[i].bitmap {
-				// Full-table Count: positions are rows. Where every mass is 1
-				// a virgin step needs no per-row work at all — the count is a
-				// popcount over the ANDed words.
-				if virgin && rn.unitMass {
-					cnt, words := table.AndCount(rn.candBitmaps(c))
-					c.count += float64(cnt)
-					breads[g] += words
-				} else {
-					breads[g] += table.AndEach(rn.candBitmaps(c), func(row int) {
-						mass := rn.mass(row)
-						c.count += mass
-						if !virgin {
-							if tw := topW[row]; c.weight > tw {
-								c.marginal += (c.weight - tw) * mass
-							}
-						}
-					})
-				}
-			} else {
-				lists, sets := rn.candSets(c)
-				entries, words := rn.v.EachInAll(lists, func(pos, row int) {
-					mass := rn.agg.Mass(parent, row)
-					c.count += mass
-					if !virgin {
-						if tw := topW[pos]; c.weight > tw {
-							c.marginal += (c.weight - tw) * mass
-						}
-					}
-				}, sets...)
-				preads[g] += entries
-				breads[g] += words
-			}
-			if virgin {
-				c.marginal = c.weight * c.count
-			}
-		}
-	})
-	for g := 0; g < nw; g++ {
-		rn.stats.PostingsRead += preads[g]
-		rn.stats.BitmapWordsRead += breads[g]
+//sdlint:allow ioaccount fans out candidates, not rows; walk books what every candidate's walk reads into its worker's Stats, which are merged here
+func (rn *runner) indexPass(n int, fn func(lo, hi int, st *Stats)) {
+	stats := make([]Stats, rn.rowWorkers(n))
+	rn.parallelRows(n, len(stats), func(lo, hi, g int) { fn(lo, hi, &stats[g]) })
+	for _, st := range stats {
+		rn.stats.Add(st)
 	}
 	rn.stats.IndexLevels++
 }

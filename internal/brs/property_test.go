@@ -272,7 +272,7 @@ func TestEquivalenceWeightedKernelsSumMasses(t *testing.T) {
 				t.Fatal("(a1,b1,?) was never generated")
 			}
 			c.count, c.marginal = 0, 0
-			rn.countCandidatesIndex([]*cand{c}, []candPlan{{bitmap: bitmap}})
+			rn.countCandidates([]*cand{c}, []candPlan{{bitmap: bitmap}})
 			// 47 tuples in 2 rows; selecting (?,?,c1) at weight 1 leaves the 40
 			// of them it covers a marginal of 1 each.
 			wantMarginal := 2.0 * 47

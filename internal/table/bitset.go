@@ -128,12 +128,14 @@ func AndCount(sets []*Bitset) (count int, wordsRead int64) {
 	return count, wordsRead
 }
 
-// AndEach calls fn(row) for every row common to all sets, in ascending
-// row order — the order a scan or a posting-list walk visits them, so
-// aggregate accumulation stays bit-identical across access paths — and
-// returns the words read, as AndCount books them. All sets must share one
-// universe. Zero sets visit nothing.
-func AndEach(sets []*Bitset, fn func(row int)) (wordsRead int64) {
+// AndEach calls fn(row, row) for every row common to all sets, in
+// ascending row order — the order a scan or a posting-list walk visits
+// them, so aggregate accumulation stays bit-identical across access paths
+// — and returns the words read, as AndCount books them. fn has the shape
+// of View.EachInAll's fn(pos, row): over the whole table, whose view
+// position of a row is the row, one visitor serves both kernels. All sets
+// must share one universe. Zero sets visit nothing.
+func AndEach(sets []*Bitset, fn func(pos, row int)) (wordsRead int64) {
 	lo, hi, wordsRead := overlap(sets)
 	if lo == hi {
 		return 0
@@ -144,7 +146,8 @@ func AndEach(sets []*Bitset, fn func(row int)) (wordsRead int64) {
 		}
 		base := (lo + i) << 6
 		for w != 0 {
-			fn(base + bits.TrailingZeros64(w))
+			row := base + bits.TrailingZeros64(w)
+			fn(row, row)
 			w &= w - 1
 		}
 	}

@@ -122,7 +122,10 @@ func checkKernels(t *testing.T, label string, lists [][]int32, rows int) {
 	}
 
 	var got []int32
-	words = AndEach(sets, func(row int) {
+	words = AndEach(sets, func(pos, row int) {
+		if pos != row {
+			t.Fatalf("%s: AndEach visited row %d at position %d", label, row, pos)
+		}
 		if row < 0 || row >= rows {
 			t.Fatalf("%s: AndEach visited out-of-universe row %d (rows=%d)", label, row, rows)
 		}
@@ -193,7 +196,7 @@ func TestBitsetKernelsAdversarial(t *testing.T) {
 	if c, w := AndCount(nil); c != 0 || w != 0 {
 		t.Fatalf("AndCount(nil) = (%d, %d), want (0, 0)", c, w)
 	}
-	if w := AndEach(nil, func(int) { t.Fatal("AndEach(nil) visited a row") }); w != 0 {
+	if w := AndEach(nil, func(int, int) { t.Fatal("AndEach(nil) visited a row") }); w != 0 {
 		t.Fatalf("AndEach(nil) words = %d, want 0", w)
 	}
 }
@@ -211,7 +214,7 @@ func TestBitsetDisjointSpans(t *testing.T) {
 		if c, w := AndCount(sets); c != 0 || w != 0 {
 			t.Fatalf("AndCount = (%d, %d), want (0, 0)", c, w)
 		}
-		if w := AndEach(sets, func(row int) { t.Fatalf("AndEach visited row %d", row) }); w != 0 {
+		if w := AndEach(sets, func(_, row int) { t.Fatalf("AndEach visited row %d", row) }); w != 0 {
 			t.Fatalf("AndEach read %d words, want 0", w)
 		}
 	}
@@ -352,7 +355,7 @@ func FuzzBitsetIntersect(f *testing.F) {
 			t.Fatalf("AndCount = %d reading %d words, want %d reading %d (rows=%d k=%d)", count, words, len(want), wantWords, rows, k)
 		}
 		var got []int32
-		if words := AndEach(sets, func(row int) { got = append(got, int32(row)) }); words != wantWords {
+		if words := AndEach(sets, func(_, row int) { got = append(got, int32(row)) }); words != wantWords {
 			t.Fatalf("AndEach read %d words, want %d", words, wantWords)
 		}
 		if !slices.Equal(got, want) {

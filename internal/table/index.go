@@ -180,7 +180,7 @@ func (ix *Index) Postings(c int, v rule.Value) []int32 {
 		return list
 	}
 	list = make([]int32, 0, bits.n)
-	AndEach([]*Bitset{bits}, func(row int) { list = append(list, int32(row)) })
+	AndEach([]*Bitset{bits}, func(_, row int) { list = append(list, int32(row)) })
 	return list
 }
 

@@ -13,7 +13,10 @@
 //  3. In internal/brs, any loop that drives counting passes must poll
 //     cancellation between passes (rn.canceled(), run.ctxErr, ctx.Err(),
 //     or ctx.Done()): passes are the unit of interruption, so a loop
-//     that never polls can outlive its caller by an entire search.
+//     that never polls can outlive its caller by an entire search. The
+//     passes are named in a table, and an entry that names no function
+//     of internal/brs is itself a diagnostic: a pass renamed or deleted
+//     must not leave the rule watching nothing.
 //  4. A goroutine closure that captures a context — a ctx-typed local or
 //     field declared outside the closure — has that context in scope
 //     exactly as a parameter would be: non-Ctx calls inside the spawned
@@ -29,6 +32,7 @@ package ctxflow
 import (
 	"go/ast"
 	"go/types"
+	"sort"
 	"strings"
 
 	"smartdrill/tools/sdlint/analysis"
@@ -45,16 +49,15 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // passFuncs are the BRS counting passes: the units of work between which
-// cancellation is polled (internal/brs only, rule 3).
+// cancellation is polled (internal/brs only, rule 3). Each must name a
+// function of internal/brs (checkPassFuncs).
 var passFuncs = map[string]bool{
-	"findBestMarginal":     true,
-	"countCandidates":      true,
-	"countLevelOne":        true,
-	"countCandidatesScan":  true,
-	"countCandidatesIndex": true,
-	"expandParents":        true,
-	"raiseTopW":            true,
-	"rebuildTopW":          true,
+	"findBestMarginal": true,
+	"countCandidates":  true,
+	"countLevelOne":    true,
+	"expandParents":    true,
+	"raiseTopW":        true,
+	"rebuildTopW":      true,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
@@ -76,7 +79,45 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			}
 		}
 	}
+	if brs {
+		checkPassFuncs(pass)
+	}
 	return nil, nil
+}
+
+// checkPassFuncs implements rule 3's table check: every passFuncs entry
+// names a function or method declared in the package's non-test files.
+// A stale entry is reported, in name order, at the package clause of the
+// first such file.
+func checkPassFuncs(pass *analysis.Pass) {
+	declared := make(map[string]bool)
+	var first *ast.File
+	for _, file := range pass.Files {
+		if lintutil.IsTestFile(pass.Fset, file) {
+			continue
+		}
+		if first == nil {
+			first = file
+		}
+		for _, decl := range file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				declared[fd.Name.Name] = true
+			}
+		}
+	}
+	if first == nil {
+		return
+	}
+	var stale []string
+	for name := range passFuncs {
+		if !declared[name] {
+			stale = append(stale, name)
+		}
+	}
+	sort.Strings(stale)
+	for _, name := range stale {
+		pass.Reportf(first.Name.Pos(), "ctxflow's passFuncs names %s, which no function of this package declares: drop or rename the entry", name)
+	}
 }
 
 // checkCtxCalls implements rule 1: with a ctx (or request) parameter in

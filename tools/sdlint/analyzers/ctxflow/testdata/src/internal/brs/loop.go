@@ -1,4 +1,6 @@
-package brs
+// Every pass the analyzer's table names is declared here but rebuildTopW,
+// whose entry is therefore stale.
+package brs // want "passFuncs names rebuildTopW, which no function of this package declares"
 
 type runner struct {
 	ctxErr error
@@ -8,6 +10,9 @@ func (rn *runner) canceled() bool       { return rn.ctxErr != nil }
 func (rn *runner) countCandidates() int { return 0 }
 func (rn *runner) raiseTopW()           {}
 func (rn *runner) housekeeping()        {}
+func (rn *runner) findBestMarginal()    {}
+func (rn *runner) countLevelOne()       {}
+func (rn *runner) expandParents()       {}
 
 func (rn *runner) searchPolledMethod() {
 	for i := 0; i < 10; i++ {

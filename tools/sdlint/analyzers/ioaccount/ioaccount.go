@@ -54,12 +54,13 @@ func (c class) String() string {
 
 // statsFields lists the counter field names that satisfy each class:
 // the search layer's exported Stats fields and the storage layer's
-// unexported mirrors. SampledRowsScanned/sampledRowsRead cover the
-// confidence-bounded sampling paths.
+// unexported mirrors. SampledRowsScanned covers the confidence-bounded
+// sampling paths. Every name is a field some counter has: an assignment to
+// a field of any name listed here counts as booking.
 var statsFields = map[class][]string{
-	rowscan:  {"RowsScanned", "SampledRowsScanned", "rowsRead", "sampledRowsRead"},
-	postings: {"PostingsRead", "indexRowsRead", "searchIndexRead"},
-	bitmap:   {"BitmapWordsRead", "searchBitmapRead"},
+	rowscan:  {"RowsScanned", "SampledRowsScanned", "rowsRead"},
+	postings: {"PostingsRead", "indexRowsRead"},
+	bitmap:   {"BitmapWordsRead"},
 }
 
 // rawOps maps "pkg.Recv.Func" (package NAME, so analysistest stubs

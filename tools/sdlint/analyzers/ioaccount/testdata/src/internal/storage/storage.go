@@ -5,9 +5,10 @@ package storage
 import "table"
 
 type Store struct {
-	ix            *table.Index
-	indexRowsRead int64
-	rowsRead      int64
+	ix              *table.Index
+	indexRowsRead   int64
+	rowsRead        int64
+	searchIndexRead int64 // no counter of the engine's: adding to it books nothing
 }
 
 // ScanOf is the accounted walk: over the rows, or over the distinct tuples
@@ -34,5 +35,13 @@ func (s *Store) FilterRows(r int) []int {
 
 func (s *Store) filterRowsUnbooked(r int) []int {
 	rows, _ := s.ix.Lookup(r) // want "table.Index.Lookup reads posting entries but this function never adds to Stats.PostingsRead"
+	return rows
+}
+
+// filterRowsMisbooked adds what it read to a field no counter carries, which
+// is no booking.
+func (s *Store) filterRowsMisbooked(r int) []int {
+	rows, read := s.ix.Lookup(r) // want "table.Index.Lookup reads posting entries but this function never adds to Stats.PostingsRead"
+	s.searchIndexRead += read
 	return rows
 }

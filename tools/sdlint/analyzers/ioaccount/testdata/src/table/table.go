@@ -25,5 +25,5 @@ func (v *View) EachInAll(lists [][]int32, fn func(pos, row int), bits ...*Bitset
 }
 func (v *View) Refine(base []int) *View { return nil }
 
-func AndCount(sets []*Bitset) (int, int64)           { return 0, 0 }
-func AndEach(sets []*Bitset, fn func(row int)) int64 { return 0 }
+func AndCount(sets []*Bitset) (int, int64)                { return 0, 0 }
+func AndEach(sets []*Bitset, fn func(pos, row int)) int64 { return 0 }
