@@ -112,7 +112,7 @@ bench-vet:
 	cd bench && $(GO) vet ./...
 
 # race-equivalence runs the kernel-equivalence and parallel-determinism
-# property layer under the race detector: fast path vs brs.Options.Reference
+# property layer under the race detector: fast path vs the brsref oracle
 # × worker counts on every arm-forcing view shape bit-identical — bitset AND,
 # the probing walk driven by a posting list and by a dense value's bitset
 # (Sum, and a sorted sub-view under Count), scan — index containers and

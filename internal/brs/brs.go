@@ -52,8 +52,10 @@
 // child can hold the step's maximum while its parent's bound, the same sum
 // taken in another order, is one ulp smaller.
 //
-// Options.Reference switches all of it off at once — the textbook
-// algorithm the equivalence suite holds the fast path bit-identical to.
+// The tests hold all of it bit-identical, wherever sums are exact, to
+// package brsref: Algorithms 1–2 as the paper writes them, test-only code
+// that shares nothing with the runner — no candidate store, cover, plan,
+// index kernel, worker or cache.
 package brs
 
 import (
@@ -100,12 +102,6 @@ type Options struct {
 	// comparison — but Stats.SampledRowsScanned records the sample rows the
 	// search read. 0 or 1 means the view is exact.
 	SampleScale float64
-	// Reference runs Algorithms 1–2 as the paper writes them, for the
-	// equivalence suite to compare the fast path against: every greedy step
-	// rebuilds topW with one pass and recounts every surviving candidate by
-	// serial row scans — no cross-step reuse, no index, no bitmap, no
-	// workers. A-priori pruning stays: it is Algorithm 2.
-	Reference bool
 	// Workers sets the number of goroutines used for table passes. 0 (the
 	// default) saturates the hardware: runtime.NumCPU() workers under the
 	// Count aggregate, serial otherwise (auto-parallelism is only applied
@@ -206,9 +202,10 @@ func Run(v *table.View, w weight.Weighter, opts Options) ([]Result, Stats, error
 }
 
 // RunCtx is Run under a cancellation context: the greedy search checks ctx
-// between counting passes and aborts with ctx's error (and the statistics
-// of the work already done) when it fires — an abandoned interactive
-// request stops paying for table passes at the next pass boundary.
+// between counting passes and inside them — every pollStride rows of a row
+// pass, every candidate of an index pass — and aborts with ctx's error (and
+// the statistics of the work already done) when it fires, so an abandoned
+// interactive request stops paying for table reads within a stride.
 func RunCtx(ctx context.Context, v *table.View, w weight.Weighter, opts Options) ([]Result, Stats, error) {
 	if opts.K <= 0 {
 		return nil, Stats{}, fmt.Errorf("brs: K must be positive, got %d", opts.K)
@@ -331,7 +328,7 @@ func newRunner(v *table.View, w weight.Weighter, opts Options) (*runner, error) 
 	}
 	run := &runner{
 		v: v, parent: v.Table(), w: w, agg: agg, mw: mw, base: base,
-		par: opts.Workers, reference: opts.Reference, scale: scale,
+		par: opts.Workers, scale: scale,
 		coverLeft: coverBudget,
 	}
 	if !opts.BaseCovered && !base.IsTrivial() {
@@ -345,27 +342,24 @@ func newRunner(v *table.View, w weight.Weighter, opts Options) (*runner, error) 
 	run.freeCols = run.freeColumns()
 	_, run.countAgg = agg.(score.CountAgg)
 	run.unitMass = run.countAgg && !run.parent.Weighted()
-	if !run.reference {
-		// Postings-driven counting needs the view to be a sorted row set so
-		// posting intersections enumerate view positions. The full table,
-		// index-backed rule filters, and handler-served samples (sorted row
-		// sets since the sampled pipeline) all qualify; probe subsets drawn
-		// with replacement fail the check and always scan. For sample views
-		// the cost planner weighs intersecting the master table's posting
-		// lists against scanning the (much smaller) sample and routes to
-		// whichever reads less.
-		run.sorted = run.v.Ascending()
-		run.fullTable = run.sorted && run.v.NumRows() == run.parent.NumRows()
-		if run.sorted {
-			run.ix = run.parent.Index()
-		}
-		// The bitmap kernel answers counting over the *parent* row universe,
-		// so it applies only when view positions are parent rows (full
-		// table), and is kept to Count, whose masses — 1, or a distinct
-		// tuple's multiplicity — keep every sum integral.
-		run.bitmapOK = run.fullTable && run.countAgg && run.ix != nil
-		run.bitmapWords = int64((run.parent.NumRows() + 63) / 64)
+	// Postings-driven counting needs the view to be a sorted row set so
+	// posting intersections enumerate view positions. The full table,
+	// index-backed rule filters, and handler-served samples (sorted row sets
+	// since the sampled pipeline) all qualify; probe subsets drawn with
+	// replacement fail the check and always scan. For sample views the cost
+	// planner weighs intersecting the master table's posting lists against
+	// scanning the (much smaller) sample and routes to whichever reads less.
+	run.sorted = run.v.Ascending()
+	run.fullTable = run.sorted && run.v.NumRows() == run.parent.NumRows()
+	if run.sorted {
+		run.ix = run.parent.Index()
 	}
+	// The bitmap kernel answers counting over the *parent* row universe, so
+	// it applies only when view positions are parent rows (full table), and
+	// is kept to Count, whose masses — 1, or a distinct tuple's multiplicity
+	// — keep every sum integral.
+	run.bitmapOK = run.fullTable && run.countAgg && run.ix != nil
+	run.bitmapWords = int64((run.parent.NumRows() + 63) / 64)
 	run.store = newCandStore()
 	return run, nil
 }
@@ -400,7 +394,6 @@ type runner struct {
 	baseMask    rule.Mask
 	freeCols    []int // columns the base leaves starred
 	par         int
-	reference   bool    // Options.Reference: textbook steps, serial scans only
 	scale       float64 // SampleScale normalized: emitted masses multiply by it
 	sorted      bool    // view rows ascending: postings-driven counting possible
 	fullTable   bool    // view spans every parent row
@@ -417,28 +410,34 @@ type runner struct {
 
 	coverLeft int64 // what is left of the run's cover budget, see coverBudget
 
-	// ctx cancels the search between counting passes; ctxErr latches the
-	// context's error once observed so every later check is a field read.
+	// ctx cancels the search between and inside counting passes; ctxErr
+	// latches the context's error once observed so every later check is a
+	// field read. Workers poll ctx but never write ctxErr: polled latches
+	// what they saw after they return.
 	ctx    context.Context
 	ctxErr error
 }
 
 // canceled reports (and latches) whether the run's context has fired. The
-// greedy loops consult it at pass boundaries — a canceled search abandons
-// its remaining passes but never corrupts per-candidate state, because
-// checks only sit between whole passes.
+// greedy loops consult it at pass boundaries, and a pass its workers cut
+// short latches the error before it returns. A cut pass leaves topW,
+// counts and covers half done, so a runner whose context fired is
+// discarded: greedy returns the error and never yields the rule of a step
+// that saw it.
 func (rn *runner) canceled() bool {
-	if rn.ctxErr != nil {
-		return true
+	if rn.ctxErr == nil {
+		rn.ctxErr = rn.fired()
 	}
+	return rn.ctxErr != nil
+}
+
+// fired polls the run's context without latching, so any worker may call
+// it.
+func (rn *runner) fired() error {
 	if rn.ctx == nil {
-		return false
+		return nil
 	}
-	if err := rn.ctx.Err(); err != nil {
-		rn.ctxErr = err
-		return true
-	}
-	return false
+	return rn.ctx.Err()
 }
 
 // coversFreeParent reports whether r covers the parent-table row pi,
@@ -527,17 +526,10 @@ func (rn *runner) findBestMarginal() *cand {
 	if rn.v.NumRows() == 0 || len(rn.freeCols) == 0 || rn.canceled() {
 		return nil
 	}
-	H := math.Inf(-1)
-	if rn.reference {
-		rn.store = newCandStore()
-		rn.level1 = nil
-		rn.rebuildTopW()
-	} else {
-		rn.raiseTopW()
-		H = rn.refreshStale()
-		if rn.canceled() {
-			return nil
-		}
+	rn.raiseTopW()
+	H := rn.refreshStale()
+	if rn.canceled() {
+		return nil
 	}
 	step := rn.step()
 
@@ -603,11 +595,9 @@ func (rn *runner) findBestMarginal() *cand {
 			survivors = append(survivors, c)
 			if c.asOf != step {
 				// Not measured by a parent's expansion walk in this step: a
-				// late survivor (measured and pruned by earlier steps' walks,
+				// late survivor, measured and pruned by earlier steps' walks,
 				// admitted now that H is lower with every parent already
-				// expanded — rare, since a parent gated then is walked now),
-				// or any survivor under Reference, which never counts while
-				// expanding.
+				// expanded — rare, since a parent gated then is walked now.
 				c.count, c.marginal = 0, 0
 				toCount = append(toCount, c)
 			}
@@ -640,11 +630,11 @@ func (rn *runner) applySelection(best *cand) {
 
 // raiseTopW lifts topW to each not yet applied selection's weight over
 // that rule's coverage — one walk of the coverage by the index, or one row
-// scan when that is cheaper. It runs to completion between cancellation
-// checks, so topW never reflects half a selection.
+// scan when that is cheaper. A scan cut short by cancellation leaves topW
+// half raised, which is why a runner whose context fired is discarded.
 func (rn *runner) raiseTopW() {
 	n := rn.v.NumRows()
-	for ; rn.raised < len(rn.selected); rn.raised++ {
+	for ; rn.raised < len(rn.selected) && rn.ctxErr == nil; rn.raised++ {
 		if rn.topW == nil {
 			rn.topW = make([]float64, n)
 		}
@@ -671,7 +661,7 @@ const refreshBatch = 32
 // refreshStale opens steps 2..K. Every cached marginal was measured
 // against a smaller selection and can only have fallen since, so cached
 // candidates are re-measured — reset and recounted in ascending row order
-// by the counting kernels, exactly as Reference recounts them — in
+// by the counting kernels, as a first count sums them — in
 // descending order of their stale marginal, until the best fresh marginal
 // matches or beats every stale one left. It continues through equality so
 // that each candidate tied for the maximum is fresh and the level-then-key
@@ -719,30 +709,6 @@ func (rn *runner) refreshStale() float64 {
 	return best
 }
 
-// rebuildTopW recomputes topW from the selected set with one pass — the
-// textbook per-step pass, kept for the Reference path.
-func (rn *runner) rebuildTopW() {
-	if len(rn.selected) == 0 {
-		rn.topW = nil
-		return
-	}
-	n := rn.v.NumRows()
-	rn.topW = make([]float64, n)
-	topW := rn.topW
-	rn.parallelRows(n, rn.rowWorkers(n), func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			pi := rn.v.ParentRow(i)
-			for _, s := range rn.selected {
-				if s.weight > topW[i] && rn.coversFreeParent(s.r, pi) {
-					topW[i] = s.weight
-				}
-			}
-		}
-	})
-	rn.stats.Passes++
-	rn.stats.RowsScanned += int64(n)
-}
-
 // freeColumns lists columns not instantiated by the base rule.
 func (rn *runner) freeColumns() []int {
 	var cols []int
@@ -761,7 +727,7 @@ func (rn *runner) freeColumns() []int {
 type extAcc struct {
 	col    int
 	weight float64   // of every extension in this column
-	cnt    []float64 // mass per value; nil when the walk only marks (Reference)
+	cnt    []float64 // mass per value
 	mv     []float64 // marginal per value; nil while nothing is selected (it is weight·cnt)
 	hit    []bool    // some covered row holds the value; nil where cnt > 0 says so
 }
@@ -772,10 +738,7 @@ func blankCopy(accs []extAcc) []extAcc {
 	cp := make([]extAcc, len(accs))
 	for i := range accs {
 		like := &accs[i]
-		cp[i] = extAcc{col: like.col, weight: like.weight}
-		if like.cnt != nil {
-			cp[i].cnt = make([]float64, len(like.cnt))
-		}
+		cp[i] = extAcc{col: like.col, weight: like.weight, cnt: make([]float64, len(like.cnt))}
 		if like.mv != nil {
 			cp[i].mv = make([]float64, len(like.mv))
 		}
@@ -791,9 +754,6 @@ func blankCopy(accs []extAcc) []extAcc {
 func (a *extAcc) add(val rule.Value, mass, tw float64) {
 	if a.hit != nil {
 		a.hit[val] = true
-	}
-	if a.cnt == nil {
-		return
 	}
 	a.cnt[val] += mass
 	if a.mv != nil && a.weight > tw {
@@ -862,8 +822,7 @@ func (rn *runner) bookRow(accs []extAcc, pos, row int) {
 // value) pair — by the masses the index stores beside its containers when
 // the view is the whole table under Count (zero row reads), otherwise in a
 // single column-major pass —
-// and registers the candidates in the store. Runs once per run (once per
-// step under Reference).
+// and registers the candidates in the store. Runs once per run.
 func (rn *runner) countLevelOne() []*cand {
 	v := rn.v
 	accs := make([]extAcc, 0, len(rn.freeCols))
@@ -891,15 +850,14 @@ func (rn *runner) countLevelOne() []*cand {
 			accs[a].mv = make([]float64, v.DistinctCount(accs[a].col))
 		}
 	}
-	n := v.NumRows()
 	// One accumulator set per worker; merged after the pass.
-	nw := rn.rowWorkers(n)
+	nw := rn.rowWorkers(v.NumRows())
 	perWorker := make([][]extAcc, nw)
 	perWorker[0] = accs
 	for g := 1; g < nw; g++ {
 		perWorker[g] = blankCopy(accs)
 	}
-	rn.parallelRows(n, nw, func(lo, hi, g int) {
+	rn.rowPass(nw, func(lo, hi, g int) {
 		// Every view row covers the base: no per-row base check.
 		for i := lo; i < hi; i++ {
 			rn.bookRow(perWorker[g], i, v.ParentRow(i))
@@ -908,8 +866,6 @@ func (rn *runner) countLevelOne() []*cand {
 	for g := 1; g < nw; g++ {
 		mergeAccs(accs, perWorker[g])
 	}
-	rn.stats.Passes++
-	rn.stats.RowsScanned += int64(n)
 
 	var out []*cand
 	for a := range accs {
@@ -982,15 +938,14 @@ func (rn *runner) buildCandIndex(cands []*cand) candIndex {
 	return idx
 }
 
-// scan is the anchored row pass: one visit of each view row, in nw worker
-// chunks (rowWorkers, or 1), testing only the candidates whose anchor value
-// the row holds (see candIndex). visit(g, i, pos, row) gets, from worker g,
-// each candidate cands[i] that covers view position pos, parent row row —
-// ascending within a chunk. It books one pass over the view.
+// scan is the anchored row pass (rowPass): one visit of each view row, in
+// nw worker chunks (rowWorkers, or 1), testing only the candidates whose
+// anchor value the row holds (see candIndex). visit(g, i, pos, row) gets,
+// from worker g, each candidate cands[i] that covers view position pos,
+// parent row row — ascending within a chunk.
 func (rn *runner) scan(cands []*cand, nw int, visit func(g, i, pos, row int)) {
-	n := rn.v.NumRows()
 	idx := rn.buildCandIndex(cands)
-	rn.parallelRows(n, nw, func(lo, hi, g int) {
+	rn.rowPass(nw, func(lo, hi, g int) {
 		for pos := lo; pos < hi; pos++ {
 			row := rn.v.ParentRow(pos)
 			for ci, col := range idx.cols {
@@ -1002,8 +957,14 @@ func (rn *runner) scan(cands []*cand, nw int, visit func(g, i, pos, row int)) {
 			}
 		}
 	})
+}
+
+// rowPass is one pass over the view's rows in nw worker chunks: fn(lo, hi,
+// g) reads view positions [lo, hi) for worker g, at most pollStride of them
+// a call (polled). It books one pass and the rows its workers read.
+func (rn *runner) rowPass(nw int, fn func(lo, hi, g int)) {
+	rn.stats.RowsScanned += rn.polled(rn.v.NumRows(), nw, pollStride, fn)
 	rn.stats.Passes++
-	rn.stats.RowsScanned += int64(n)
 }
 
 // generateCandidates builds the next level: every one-column extension of
@@ -1029,12 +990,11 @@ func (rn *runner) scan(cands []*cand, nw int, visit func(g, i, pos, row int)) {
 // its bound walks it, measuring its children fresh. Only the walk is gated,
 // never the merge: an expanded parent's cached child can hold the step's
 // maximum while the parent's bound — the same sum in another order — sits
-// one ulp below it. Reference expands every survivor, as Algorithm 2 is
-// written.
+// one ulp below it.
 func (rn *runner) generateCandidates(prev []*cand, H float64) []*cand {
 	fresh := prev[:0:0]
 	for _, c := range prev {
-		if !c.expanded && (rn.reference || rn.subRuleBound(c) >= H) {
+		if !c.expanded && rn.subRuleBound(c) >= H {
 			fresh = append(fresh, c)
 		}
 	}
@@ -1067,8 +1027,7 @@ func (rn *runner) generateCandidates(prev []*cand, H float64) []*cand {
 // them. The walk over a parent's coverage visits exactly the rows its
 // extensions cover, ascending like every counting kernel, so each
 // extension's mass and marginal accumulate per (parent, star column, value)
-// bit-identical to a count of its own. Reference only marks the values
-// seen and leaves counting to its per-level pass.
+// bit-identical to a count of its own.
 //
 // The pass is allocation-light: phase 1 fills one value-indexed accumulator
 // per (parent, star column); phase 2 materializes each distinct extension
@@ -1094,13 +1053,11 @@ func (rn *runner) expandParents(parents []*cand) {
 				continue
 			}
 			dc := v.DistinctCount(col)
-			if !rn.reference {
-				acc.cnt = make([]float64, dc)
-				if rn.topW != nil {
-					acc.mv = make([]float64, dc)
-				}
+			acc.cnt = make([]float64, dc)
+			if rn.topW != nil {
+				acc.mv = make([]float64, dc)
 			}
-			if !rn.countAgg || rn.reference {
+			if !rn.countAgg {
 				// Masses may be zero or negative: presence needs its own mark.
 				acc.hit = make([]bool, dc)
 			}
@@ -1114,26 +1071,29 @@ func (rn *runner) expandParents(parents []*cand) {
 		// accumulators and cover, in ascending row order, so nothing is
 		// shared, no merge is needed, and the sums equal the scan route's.
 		reserved := rn.reserveCovers(parents, plans, accs)
-		rn.indexPass(len(parents), func(lo, hi int, st *Stats) {
-			var kept []uint64 // the worker's bits for the rows a walk keeps, zero between walks
-			for p := lo; p < hi; p++ {
-				mine, c := accs[p], parents[p]
-				if reserved[p] == 0 {
-					rn.walk(c, plans[p], st, func(pos, row int) { rn.bookRow(mine, pos, row) })
-					continue
-				}
-				// Only a walk that keeps its rows pays to set their bits.
-				if kept == nil {
-					kept = make([]uint64, rn.bitmapWords)
-				}
-				set := kept
-				rn.walk(c, plans[p], st, func(pos, row int) {
-					rn.bookRow(mine, pos, row)
-					set[row>>6] |= 1 << (uint(row) & 63)
-				})
-				kept = rn.keepCover(c, kept)
+		// Each indexPass worker's bits for the rows a walk keeps, zero
+		// between walks.
+		kept := make([][]uint64, rn.rowWorkers(len(parents)))
+		rn.indexPass(len(parents), func(g, p int, st *Stats) {
+			mine, c := accs[p], parents[p]
+			if reserved[p] == 0 {
+				rn.walk(c, plans[p], st, func(pos, row int) { rn.bookRow(mine, pos, row) })
+				return
 			}
+			// Only a walk that keeps its rows pays to set their bits.
+			if kept[g] == nil {
+				kept[g] = make([]uint64, rn.bitmapWords)
+			}
+			set := kept[g]
+			rn.walk(c, plans[p], st, func(pos, row int) {
+				rn.bookRow(mine, pos, row)
+				set[row>>6] |= 1 << (uint(row) & 63)
+			})
+			kept[g] = rn.keepCover(c, set)
 		})
+		if rn.ctxErr != nil {
+			return // a cut pass: some parents were never walked
+		}
 		for p, c := range parents {
 			if reserved[p] > 0 {
 				rn.coverLeft += reserved[p] - c.cover.bytes()
@@ -1183,7 +1143,7 @@ func (rn *runner) materializeChildren(parents []*cand, accs [][]extAcc) {
 				}
 				child := rn.childOf(c, acc, rule.Value(val), &created)
 				c.children = append(c.children, child)
-				if acc.cnt != nil && !child.counted {
+				if !child.counted {
 					child.count, child.marginal, child.asOf = acc.cnt[val], acc.marginal(val), step
 				}
 				if created >= maxCandidates {
@@ -1261,25 +1221,23 @@ func (rn *runner) countCandidates(cands []*cand, plans []candPlan) {
 	virgin := len(rn.selected) == 0
 	topW := rn.topW
 	if plans != nil {
-		rn.indexPass(len(cands), func(lo, hi int, st *Stats) {
-			for i := lo; i < hi; i++ {
-				c := cands[i]
-				if virgin && rn.unitMass && plans[i].bitmap {
-					// Every mass is 1 and nothing is selected: the count is a
-					// popcount over the ANDed words.
-					c.count += float64(rn.walk(c, plans[i], st, nil))
-					continue
-				}
-				rn.walk(c, plans[i], st, func(pos, row int) {
-					mass := rn.mass(row)
-					c.count += mass
-					if !virgin {
-						if tw := topW[pos]; c.weight > tw {
-							c.marginal += (c.weight - tw) * mass
-						}
-					}
-				})
+		rn.indexPass(len(cands), func(_, i int, st *Stats) {
+			c := cands[i]
+			if virgin && rn.unitMass && plans[i].bitmap {
+				// Every mass is 1 and nothing is selected: the count is a
+				// popcount over the ANDed words.
+				c.count += float64(rn.walk(c, plans[i], st, nil))
+				return
 			}
+			rn.walk(c, plans[i], st, func(pos, row int) {
+				mass := rn.mass(row)
+				c.count += mass
+				if !virgin {
+					if tw := topW[pos]; c.weight > tw {
+						c.marginal += (c.weight - tw) * mass
+					}
+				}
+			})
 		})
 	} else {
 		// Per-worker accumulators indexed by candidate, merged in worker

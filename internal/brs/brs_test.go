@@ -304,24 +304,31 @@ func BenchmarkSumAggregate(b *testing.B) {
 // rules tie exactly at every step. 120 tables keep table 54 in the run: a
 // Sum table under a non-trivial base where a cached child's marginal and
 // its parent's bound differ in the last ulp (TestEquivalenceMergeIsNotGated
-// is that table by hand).
+// is that table by hand). Under Count, whose sums are exact, the fast path
+// must also stream exactly the oracle's rules.
 func TestGreedyStepIsArgmax(t *testing.T) {
 	pruned := 0
-	const k = 6
-	eachOracleCase(func(trial int, tab *table.Table, w weight.Weighter, opts Options) {
-		for _, reference := range []bool{false, true} {
-			opts.Reference = reference
-			var got []Result
-			stats, err := RunIncremental(tab.All(), w, opts, k, time.Time{}, func(r Result) bool {
-				got = append(got, r)
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireGreedyArgmax(t, fmt.Sprintf("trial %d reference=%v", trial, reference), tab, w, opts, k, got)
-			pruned += stats.CandidatesPruned
+	eachOracleCase(t, func(trial int, tab *table.Table, w weight.Weighter, opts Options, want []Result) {
+		label := fmt.Sprintf("trial %d", trial)
+		requireGreedyArgmax(t, label+" oracle", tab, w, opts, opts.K, want)
+		var got []Result
+		stats, err := RunIncremental(tab.All(), w, opts, opts.K, time.Time{}, func(r Result) bool {
+			got = append(got, r)
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		requireGreedyArgmax(t, label, tab, w, opts, opts.K, got)
+		if _, exact := opts.Agg.(score.CountAgg); exact {
+			sameResults(t, label+" vs the oracle", got, want)
+		}
+		ranked, _, err := Run(tab.All(), w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireListProperties(t, label, tab.All(), opts, ranked, got)
+		pruned += stats.CandidatesPruned
 	})
 	if pruned == 0 {
 		t.Error("a-priori pruning never engaged (CandidatesPruned == 0 everywhere)")
@@ -329,9 +336,11 @@ func TestGreedyStepIsArgmax(t *testing.T) {
 }
 
 // eachOracleCase calls fn on the 120 brute-forceable cases of the argmax
-// oracle: tiny measured tables, Size and Bits weighting, Count and Sum,
-// trivial and non-trivial bases, a drawn mw.
-func eachOracleCase(fn func(trial int, tab *table.Table, w weight.Weighter, opts Options)) {
+// oracle — tiny measured tables, Size and Bits weighting, Count and Sum,
+// trivial and non-trivial bases, a drawn mw, six rules — with the stream
+// brsref makes of each, after checking the list properties of brsref's
+// output there.
+func eachOracleCase(t *testing.T, fn func(trial int, tab *table.Table, w weight.Weighter, opts Options, want []Result)) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 120; trial++ {
 		cols := 2 + rng.Intn(3)
@@ -354,7 +363,58 @@ func eachOracleCase(fn func(trial int, tab *table.Table, w weight.Weighter, opts
 			base = base.With(rng.Intn(cols), 0)
 		}
 		mw := w.MaxWeight(1 + rng.Intn(cols))
-		fn(trial, tab, w, Options{MaxWeight: mw, Base: base, Agg: agg})
+		opts := Options{K: 6, MaxWeight: mw, Base: base, Agg: agg}
+		want := oracleStream(tab.All(), w, opts, opts.K)
+		requireListProperties(t, fmt.Sprintf("trial %d oracle", trial), tab.All(), opts, oracleRun(tab.All(), w, opts), want)
+		fn(trial, tab, w, opts, want)
+	}
+}
+
+// requireListProperties checks what the paper proves of a search's output
+// over v under opts, on its ranked list (Run's) and its stream (selection
+// order): the list is in display order — weight non-increasing, a tie in
+// key order (Lemma 1) — each MCount is at most its Count, and the MCounts
+// sum to at most the mass of the rows the search reads; the stream's
+// selection-time gains W·MCount do not increase (Score is submodular,
+// Section 3.3). The last two hold up to rounding: the sums they compare are
+// taken in different orders.
+func requireListProperties(t *testing.T, label string, v *table.View, opts Options, ranked, streamed []Result) {
+	t.Helper()
+	agg := opts.Agg
+	if agg == nil {
+		agg = score.CountAgg{}
+	}
+	base := opts.Base
+	if base == nil {
+		base = rule.Trivial(v.NumCols())
+	}
+	tab := v.Table()
+	mass := 0.0
+	for i := 0; i < v.NumRows(); i++ {
+		if row := v.ParentRow(i); tab.Covers(base, row) {
+			mass += agg.Mass(tab, row)
+		}
+	}
+	mcounts := 0.0
+	for i, r := range ranked {
+		if i > 0 {
+			if p := ranked[i-1]; r.Weight > p.Weight || r.Weight == p.Weight && r.Rule.Key() <= p.Rule.Key() {
+				t.Fatalf("%s: rule %d %v (weight %v) ranks after %v (weight %v)", label, i, r.Rule, r.Weight, p.Rule, p.Weight)
+			}
+		}
+		if r.MCount > r.Count {
+			t.Fatalf("%s: %v has MCount %v above its Count %v", label, r.Rule, r.MCount, r.Count)
+		}
+		mcounts += r.MCount
+	}
+	if mcounts > mass+1e-9*math.Max(1, mass) {
+		t.Fatalf("%s: the MCounts sum to %v, above the view's mass %v", label, mcounts, mass)
+	}
+	for i := 1; i < len(streamed); i++ {
+		prev, gain := streamed[i-1].Weight*streamed[i-1].MCount, streamed[i].Weight*streamed[i].MCount
+		if gain > prev+1e-9*math.Max(1, prev) {
+			t.Fatalf("%s: selection %d gained %v, more than the %v before it", label, i, gain, prev)
+		}
 	}
 }
 

@@ -1,0 +1,183 @@
+package brs
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"smartdrill/internal/datagen"
+	"smartdrill/internal/rule"
+	"smartdrill/internal/table"
+	"smartdrill/internal/weight"
+)
+
+// firesAt is a context whose Err reports context.Canceled from its n-th
+// call on: a cancellation placed by count, not by clock.
+type firesAt struct {
+	context.Context
+	n     int64
+	calls atomic.Int64
+}
+
+func newFiresAt(n int64) *firesAt { return &firesAt{Context: context.Background(), n: n} }
+
+func (c *firesAt) Err() error {
+	if c.calls.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// fired reports whether the poll that fires has been made.
+func (c *firesAt) fired() bool { return c.calls.Load() >= c.n }
+
+// oneValueRunner is a runner over n rows that all hold the one value of
+// the one column, whose level-1 rule therefore covers every row, searched
+// through a view that is no ascending row set.
+func oneValueRunner(t *testing.T, n, workers int) (*runner, *cand) {
+	t.Helper()
+	b := table.MustBuilder([]string{"A"}, nil)
+	for i := 0; i < n; i++ {
+		b.MustAddRow([]string{"x"})
+	}
+	tab := b.Build()
+	rn, err := newRunner(scanView(tab), weight.NewSize(1), Options{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rn, &cand{r: rule.Rule{0}}
+}
+
+// TestCancelInsideScan: a row pass polls its context every pollStride rows
+// a worker. A worker that has polled reads at most one stride more, the
+// one that sees the poll fire reads nothing more, the pass latches the
+// error, and it books exactly the rows its workers read.
+func TestCancelInsideScan(t *testing.T) {
+	const n = 5*pollStride + 100
+	for _, workers := range []int{1, 2, 8} {
+		for _, fireAt := range []int64{1, 2, 3, 4} {
+			label := fmt.Sprintf("workers=%d fire at poll %d", workers, fireAt)
+			rn, c := oneValueRunner(t, n, workers)
+			ctx := newFiresAt(fireAt)
+			rn.ctx = ctx
+			nw := rn.rowWorkers(n)
+			visited, late := make([]int64, nw), make([]int64, nw)
+			rn.scan([]*cand{c}, nw, func(g, _, _, _ int) {
+				visited[g]++
+				if ctx.fired() {
+					late[g]++
+				}
+			})
+			if !errors.Is(rn.ctxErr, context.Canceled) {
+				t.Fatalf("%s: the cut pass left ctxErr %v", label, rn.ctxErr)
+			}
+			var read int64
+			for g := range visited {
+				read += visited[g]
+				if late[g] > pollStride {
+					t.Errorf("%s: worker %d read %d rows after the firing poll, more than a stride", label, g, late[g])
+				}
+			}
+			if rn.stats.RowsScanned != read || rn.stats.Passes != 1 {
+				t.Errorf("%s: booked %+v for %d rows read", label, rn.stats, read)
+			}
+			if read >= n {
+				t.Errorf("%s: the pass read all %d rows", label, n)
+			}
+			if workers == 1 && read != (fireAt-1)*pollStride {
+				t.Errorf("%s: read %d rows, want the %d strides before the poll that fired", label, read, fireAt-1)
+			}
+		}
+	}
+}
+
+// TestCancelInsideIndexPass: an index pass polls its context before each
+// candidate. A worker that has polled walks at most its one candidate more,
+// and the pass latches the error.
+func TestCancelInsideIndexPass(t *testing.T) {
+	const n = 200
+	for _, workers := range []int{1, 2, 8} {
+		for _, fireAt := range []int64{1, 2, 50} {
+			label := fmt.Sprintf("workers=%d fire at poll %d", workers, fireAt)
+			rn, _ := oneValueRunner(t, 1, workers)
+			ctx := newFiresAt(fireAt)
+			rn.ctx = ctx
+			nw := rn.rowWorkers(n)
+			walked, late := make([]int64, nw), make([]int64, nw)
+			rn.indexPass(n, func(g, _ int, _ *Stats) {
+				walked[g]++
+				if ctx.fired() {
+					late[g]++
+				}
+			})
+			if !errors.Is(rn.ctxErr, context.Canceled) {
+				t.Fatalf("%s: the cut pass left ctxErr %v", label, rn.ctxErr)
+			}
+			var total int64
+			for g := range walked {
+				total += walked[g]
+				if late[g] > 1 {
+					t.Errorf("%s: worker %d walked %d candidates after the firing poll", label, g, late[g])
+				}
+			}
+			if workers == 1 && total != fireAt-1 {
+				t.Errorf("%s: walked %d candidates, want %d", label, total, fireAt-1)
+			}
+		}
+	}
+}
+
+// TestCancelInsideAPass cancels whole searches at polls spread over their
+// run, on the scan routes (the rows last first) and the index routes (the
+// whole table), serially and in parallel. RunIncrementalCtx and RunCtx
+// return context.Canceled wherever the context fires; the stream yields
+// the rules of the steps finished before it fired — a prefix of the
+// uncanceled stream — and no rule after it.
+func TestCancelInsideAPass(t *testing.T) {
+	tab := datagen.CensusProjected(10_000, 5, 7)
+	w := weight.NewSize(tab.NumCols())
+	for _, scan := range []bool{true, false} {
+		v := viewOf(tab, scan)
+		for _, workers := range []int{1, 2} {
+			opts := Options{K: 3, Workers: workers}
+			label := fmt.Sprintf("scan=%v workers=%d", scan, workers)
+			never := newFiresAt(math.MaxInt64)
+			var full []Result
+			if _, err := RunIncrementalCtx(never, v, w, opts, opts.K, time.Time{}, func(r Result) bool {
+				full = append(full, r)
+				return true
+			}); err != nil || len(full) != opts.K {
+				t.Fatalf("%s: uncanceled stream %d rules, err %v", label, len(full), err)
+			}
+			polls := never.calls.Load()
+			for i := int64(0); i < 6; i++ {
+				fireAt := 1 + i*(polls-1)/5
+				ctx := newFiresAt(fireAt)
+				var got []Result
+				_, err := RunIncrementalCtx(ctx, v, w, opts, opts.K, time.Time{}, func(r Result) bool {
+					if ctx.fired() {
+						t.Errorf("%s fire at poll %d of %d: yielded %v after the context fired", label, fireAt, polls, r.Rule)
+					}
+					got = append(got, r)
+					return true
+				})
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s fire at poll %d of %d: stream returned %v", label, fireAt, polls, err)
+				}
+				if len(got) >= len(full) {
+					t.Fatalf("%s fire at poll %d of %d: streamed all %d rules", label, fireAt, polls, len(got))
+				}
+				sameResults(t, fmt.Sprintf("%s fire at poll %d", label, fireAt), got, full[:len(got)])
+
+				res, _, err := RunCtx(newFiresAt(fireAt), v, w, opts)
+				if !errors.Is(err, context.Canceled) || res != nil {
+					t.Fatalf("%s fire at poll %d of %d: Run returned %d rules, err %v", label, fireAt, polls, len(res), err)
+				}
+			}
+		}
+	}
+}

@@ -46,7 +46,7 @@ func tiesTable() *table.Table {
 
 // TestEquivalenceCoverReuse: covers change what a search reads, never what
 // it finds or how it prunes. On each table the fast path at the default
-// budget, at a budget of a few covers and at none returns Reference's rules
+// budget, at a budget of a few covers and at none returns the oracle's rules
 // bit-identical at Workers 1, 2 and 8, counts, prunes and reuses exactly
 // the same candidates at every budget, and reads fewer words with covers
 // than without.
@@ -70,10 +70,7 @@ func TestEquivalenceCoverReuse(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			v := tc.tab.All()
 			w := weight.NewSize(tc.tab.NumCols())
-			want, _, err := Run(v, w, Options{K: tc.k, Reference: true})
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := oracleRun(v, w, Options{K: tc.k})
 			fewCovers := 3 * 8 * int64((tc.tab.NumRows()+63)/64)
 			work := map[int64]Stats{}
 			for _, budget := range []int64{coverBudget, fewCovers, 0} {
@@ -81,6 +78,7 @@ func TestEquivalenceCoverReuse(t *testing.T) {
 					label := fmt.Sprintf("budget=%d workers=%d", budget, workers)
 					var got []Result
 					var st Stats
+					var err error
 					withCoverBudget(budget, func() {
 						got, st, err = Run(v, w, Options{K: tc.k, Workers: workers})
 					})
@@ -165,17 +163,21 @@ func rootSearchTable(tb testing.TB) *table.Table {
 }
 
 // TestRootSearchReads pins what the served census-100k root search reads, K
-// 3 under Size weighting at the weighter's bound. Level 1 comes from the
-// index's masses, so no row is read; every later count is an index walk or
-// AND over a table in tuple order, whose containers' spans are narrow. A
-// change to the layout of a grouped table, to what a bitset kernel reads,
-// or to which candidates are counted moves these figures.
+// 3 under Size weighting at the weighter's bound, and requires its rules to
+// be the oracle's. Level 1 comes from the index's masses, so no row is
+// read; every later count is an index walk or AND over a table in tuple
+// order, whose containers' spans are narrow. A change to the layout of a
+// grouped table, to what a bitset kernel reads, to which containers a walk
+// ANDs — its from's cover, or one a column — or to which candidates are
+// counted moves these figures.
 func TestRootSearchReads(t *testing.T) {
 	tab := rootSearchTable(t)
-	res, st, err := Run(tab.All(), weight.NewSize(tab.NumCols()), Options{K: 3})
+	w := weight.NewSize(tab.NumCols())
+	res, st, err := Run(tab.All(), w, Options{K: 3})
 	if err != nil || len(res) != 3 {
 		t.Fatalf("root search: %d rules, err %v", len(res), err)
 	}
+	sameResults(t, "root search vs the oracle", res, oracleRun(tab.All(), w, Options{K: 3}))
 	want := Stats{
 		CandidatesCounted: 2693,
 		CandidatesPruned:  4653,
@@ -196,7 +198,7 @@ func TestRootSearchReads(t *testing.T) {
 // covered, restricts the view itself with one pass and then plans scan and
 // index passes over a sorted sub-view; the whole table through a view that
 // is no ascending row set scans every pass. Reads are the same at every
-// worker count, and the rules are the reference's.
+// worker count, and the rules are the oracle's.
 func TestEquivalenceRouteReads(t *testing.T) {
 	tab := datagen.CensusProjected(20_000, 7, 7)
 	w := weight.NewSize(tab.NumCols())
@@ -224,17 +226,14 @@ func TestEquivalenceRouteReads(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		ref, _, err := Run(tc.view, w, Options{K: 3, Base: tc.base, Reference: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := oracleRun(tc.view, w, Options{K: 3, Base: tc.base})
 		for _, workers := range []int{1, 2, 8} {
 			res, st, err := Run(tc.view, w, Options{K: 3, Base: tc.base, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(res, ref) {
-				t.Fatalf("%s, %d workers: rules\n%v\nwant the reference's\n%v", tc.name, workers, res, ref)
+				t.Fatalf("%s, %d workers: rules\n%v\nwant the oracle's\n%v", tc.name, workers, res, ref)
 			}
 			if st != tc.want {
 				t.Fatalf("%s, %d workers: stats\n%+v\nwant\n%+v", tc.name, workers, st, tc.want)

@@ -6,17 +6,45 @@ import (
 	"testing"
 	"time"
 
+	"smartdrill/internal/brs/brsref"
 	"smartdrill/internal/rule"
 	"smartdrill/internal/score"
+	"smartdrill/internal/table"
 	"smartdrill/internal/weight"
 )
 
-// The fast path — packed candidate keys, cross-step count reuse, and
-// postings-driven counting — must be a pure access-path change: results
-// bit-identical under the Count aggregate to Options.Reference (the
-// textbook per-step algorithm, serial by definition), at any worker
-// count. CI runs this file under -race, so the shared lazy index build is
-// exercised concurrently with parallel passes.
+// The fast path — cross-step count reuse, covers and postings-driven
+// counting — must be a pure access-path change: results bit-identical under
+// the Count aggregate to package brsref, the paper's Algorithms 1–2 as
+// written (per-step passes over the rows, no code shared with the runner),
+// at any worker count. CI runs this file under -race, so the shared lazy
+// index build is exercised concurrently with parallel passes.
+
+// oracleOptions is the search opts describes, as brsref reads it: Workers
+// and BaseCovered change how the runner reads, never what it finds.
+func oracleOptions(opts Options) brsref.Options {
+	return brsref.Options{K: opts.K, MaxWeight: opts.MaxWeight, Base: opts.Base, Agg: opts.Agg}
+}
+
+func fromOracle(rs []brsref.Result) []Result {
+	out := make([]Result, len(rs))
+	for i, r := range rs {
+		out[i] = Result{Rule: r.Rule, Weight: r.Weight, Count: r.Count, MCount: r.MCount}
+	}
+	return out
+}
+
+// oracleRun is brsref.Run on the search opts describes.
+func oracleRun(v *table.View, w weight.Weighter, opts Options) []Result {
+	rs, _ := brsref.Run(v, w, oracleOptions(opts))
+	return fromOracle(rs)
+}
+
+// oracleStream is brsref.Stream on the search opts describes.
+func oracleStream(v *table.View, w weight.Weighter, opts Options, maxRules int) []Result {
+	rs, _ := brsref.Stream(v, w, oracleOptions(opts), maxRules)
+	return fromOracle(rs)
+}
 
 func sameResults(t *testing.T, label string, got, want []Result) {
 	t.Helper()
@@ -35,7 +63,7 @@ func sameResults(t *testing.T, label string, got, want []Result) {
 	}
 }
 
-// TestFastPathMatchesReference fuzzes the fast path against the reference
+// TestFastPathMatchesReference fuzzes the fast path against the oracle
 // on random tables: full-table views the index kernels count,
 // index-filtered base views, and self-restricting runs, auto-parallel and
 // at an explicit worker count.
@@ -50,19 +78,10 @@ func TestFastPathMatchesReference(t *testing.T) {
 			w = weight.BitsFor(tab)
 		}
 		mw := w.MaxWeight(3)
-		ref := Options{K: 4, MaxWeight: mw, Reference: true}
-		want, _, err := Run(tab.All(), w, ref)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracleRun(tab.All(), w, Options{K: 4, MaxWeight: mw})
 		base := rule.Trivial(cols).With(rng.Intn(cols), rule.Value(rng.Intn(2)))
-		bRef := ref
-		bRef.Base, bRef.BaseCovered = base, true
 		bView := tab.ViewOf(tab.FilterIndices(base))
-		bWant, _, err := Run(bView, w, bRef)
-		if err != nil {
-			t.Fatal(err)
-		}
+		bWant := oracleRun(bView, w, Options{K: 4, MaxWeight: mw, Base: base})
 
 		for _, workers := range []int{0, 4} {
 			got, stats, err := Run(tab.All(), w, Options{K: 4, MaxWeight: mw, Workers: workers})
@@ -105,7 +124,7 @@ func TestFastPathMatchesReference(t *testing.T) {
 
 // TestCrossStepReuseObservable pins the headline reuse claim: on a
 // multi-step run, later steps serve level-1 candidates from the cache
-// (CandidatesReused > 0) and counting work drops versus the reference. The
+// (CandidatesReused > 0) and counting work drops versus the oracle. The
 // view is no ascending row set, so the fast run scans too and reuse is the
 // only difference between the two.
 func TestCrossStepReuseObservable(t *testing.T) {
@@ -119,30 +138,31 @@ func TestCrossStepReuseObservable(t *testing.T) {
 	if fs.IndexLevels != 0 {
 		t.Fatalf("the fast run read the index: %+v", fs)
 	}
-	ref, rs, err := Run(v, w, Options{K: 4, MaxWeight: 4, Reference: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, "reuse vs reference", fast, ref)
+	ref, steps := brsref.Run(v, w, brsref.Options{K: 4, MaxWeight: 4})
+	sameResults(t, "reuse vs the oracle", fast, fromOracle(ref))
 	if len(fast) < 2 {
 		t.Fatalf("expected a multi-step selection, got %d rules", len(fast))
 	}
 	if fs.CandidatesReused == 0 {
 		t.Fatalf("CandidatesReused = 0 on a %d-step run: %+v", len(fast), fs)
 	}
-	if fs.CandidatesCounted >= rs.CandidatesCounted {
-		t.Fatalf("reuse did not reduce counting: fast counted %d, reference %d",
-			fs.CandidatesCounted, rs.CandidatesCounted)
+	counted, passes := 0, 0
+	for _, st := range steps {
+		counted += len(st.Counted)
+		passes += st.Passes
 	}
-	if fs.Passes >= rs.Passes {
-		t.Fatalf("reuse did not reduce passes: fast %d, reference %d", fs.Passes, rs.Passes)
+	if fs.CandidatesCounted >= counted {
+		t.Fatalf("reuse did not reduce counting: fast counted %d, the oracle %d", fs.CandidatesCounted, counted)
+	}
+	if fs.Passes >= passes {
+		t.Fatalf("reuse did not reduce passes: fast %d, the oracle %d", fs.Passes, passes)
 	}
 }
 
 // TestLevelOnePostingsPath pins the zero-row-read level 1: on a full-table
 // Count run, the first level is answered from posting lengths — from the
 // index's masses on a weighted table — (IndexLevels > 0) and results still
-// match the scan reference.
+// match the oracle's.
 func TestLevelOnePostingsPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	tab := randomTable(rng, 4, 3, 500)
@@ -154,11 +174,7 @@ func TestLevelOnePostingsPath(t *testing.T) {
 	if stats.IndexLevels == 0 {
 		t.Fatalf("full-table run never used postings: %+v", stats)
 	}
-	want, _, err := Run(tab.All(), w, Options{K: 3, MaxWeight: 4, Reference: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, "level-1 postings vs reference", got, want)
+	sameResults(t, "level-1 postings vs the oracle", got, oracleRun(tab.All(), w, Options{K: 3, MaxWeight: 4}))
 
 	// Over the distinct tuples, whose rows stand for several each, level 1
 	// is the index's masses: the table's counts, no row read.
@@ -183,7 +199,7 @@ func TestLevelOnePostingsPath(t *testing.T) {
 
 // TestSumAggregateSerialEquivalence: under Sum the kernels accumulate
 // per-candidate masses in ascending row order on both access paths, so
-// serial fast results are bit-identical to the serial reference even with
+// serial fast results are bit-identical to the oracle's even with
 // fractional masses.
 func TestSumAggregateSerialEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
@@ -192,10 +208,7 @@ func TestSumAggregateSerialEquivalence(t *testing.T) {
 		tab := randomMeasuredTable(rng, cols, 3, 200+rng.Intn(200))
 		w := weight.NewSize(cols)
 		agg := score.SumAgg{Measure: 0}
-		want, _, err := Run(tab.All(), w, Options{K: 3, MaxWeight: 3, Agg: agg, Reference: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracleRun(tab.All(), w, Options{K: 3, MaxWeight: 3, Agg: agg})
 		got, _, err := Run(tab.All(), w, Options{K: 3, MaxWeight: 3, Agg: agg})
 		if err != nil {
 			t.Fatal(err)
@@ -205,7 +218,7 @@ func TestSumAggregateSerialEquivalence(t *testing.T) {
 }
 
 // TestIncrementalFastMatchesReference streams with reuse on and compares
-// to the reference stream, rule for rule.
+// to the oracle's stream, rule for rule.
 func TestIncrementalFastMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 10; trial++ {
@@ -220,7 +233,7 @@ func TestIncrementalFastMatchesReference(t *testing.T) {
 			}
 			return out
 		}
-		want := collect(Options{MaxWeight: 4, Reference: true})
+		want := oracleStream(tab.All(), w, Options{MaxWeight: 4}, 4)
 		got := collect(Options{MaxWeight: 4})
 		sameResults(t, fmt.Sprintf("incremental trial %d", trial), got, want)
 	}

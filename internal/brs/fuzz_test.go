@@ -108,20 +108,21 @@ func encodeFuzzCase(header [fuzzHeader]byte, rows []string, masses []float64) []
 
 // FuzzFastMatchesReference fuzzes the pruning, not a kernel: on any small
 // table, aggregate, weighter, base, mw and K every greedy step of the fast
-// path and of Reference must attain the brute-force maximum marginal value,
-// as in TestGreedyStepIsArgmax, and wherever sums are exact — Count, or Sum
-// over integral masses — the fast path must stream exactly Reference's
-// rules, counts and marginal counts, serially and with two workers. A bound
-// that gates a walk, a merge or a refresh it should not have loses a step
-// here.
+// path and of brsref, the literal Algorithms 1–2, must attain the
+// brute-force maximum marginal value, as in TestGreedyStepIsArgmax, both
+// outputs must have the list properties of requireListProperties, and
+// wherever sums are exact — Count, or Sum over integral masses — the fast
+// path must stream exactly brsref's rules, counts and marginal counts,
+// serially and with two workers. A bound that gates a walk, a merge or a
+// refresh it should not have loses a step here.
 //
 // Under Sum over fractional masses only the maximum is required, not the
 // same rule: a parent's bound and its child's marginal can be one number
 // summed in two orders, one ulp apart, and where the child ties the step's
 // maximum the fast path — whose H opens at the refreshed maximum, where
-// Reference's is still climbing through the levels — prunes it and takes
-// the other rule of the tie. Seed sum-fractional-tie-last-ulp is that case;
-// it predates the bound-before-walk gate, which prunes exactly what the
+// brsref's is still climbing through the levels — prunes it and takes the
+// other rule of the tie. Seed sum-fractional-tie-last-ulp is that case; it
+// predates the bound-before-walk gate, which prunes exactly what the
 // per-child test pruned.
 func FuzzFastMatchesReference(f *testing.F) {
 	// Count, Size, trivial base, no weight cap: a twin-column table.
@@ -142,15 +143,19 @@ func FuzzFastMatchesReference(f *testing.F) {
 		}
 		tab, w, opts := fc.tab, fc.w, fc.opts
 		v := viewOf(tab, fc.scan)
-		ref := opts
-		ref.Reference = true
-		want := stream(t, v, w, ref, opts.K)
-		requireGreedyArgmax(t, "Reference", tab, w, opts, opts.K, want)
+		want := oracleStream(v, w, opts, opts.K)
+		requireGreedyArgmax(t, "brsref", tab, w, opts, opts.K, want)
+		requireListProperties(t, "brsref", v, opts, oracleRun(v, w, opts), want)
 		if fc.rows != nil {
-			sameResults(t, "Reference over the rows", stream(t, fc.rows.All(), w, ref, opts.K), want)
+			sameResults(t, "brsref over the rows", oracleStream(fc.rows.All(), w, opts, opts.K), want)
 		}
 		opts.Workers = 1
 		got := stream(t, v, w, opts, opts.K)
+		ranked, _, err := Run(v, w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireListProperties(t, "workers=1", v, opts, ranked, got)
 		if !fc.orderFree {
 			requireGreedyArgmax(t, "workers=1", tab, w, opts, opts.K, got)
 			return

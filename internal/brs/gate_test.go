@@ -124,8 +124,8 @@ func mergeNotGatedTable() *table.Table {
 // gate, 2 402 331 with it) and a 14-column table (Marketing 9 k, mw = 8:
 // 42 727 387 before, 1 218 381 with it). Counts are functions of the code
 // and the generator seeds alone, so the ceilings hold on any machine. The
-// expected rules are what Reference returns; it takes 10 s and 26 s on
-// these tables, so it is rerun only under SMARTDRILL_LARGE=1.
+// expected rules are what brsref returns; it is slow on these tables, so it
+// is rerun only under SMARTDRILL_LARGE=1.
 func TestEquivalenceWorkCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a 100k-row table")
@@ -163,14 +163,10 @@ func TestEquivalenceWorkCeilings(t *testing.T) {
 			t.Errorf("%s: root search read %d rows + postings + bitmap words, ceiling %d: %+v", tc.name, reads, tc.ceiling, st)
 		}
 		if g := show(tc.tab, got); fmt.Sprint(g) != fmt.Sprint(tc.want) {
-			t.Errorf("%s: rules %v, want Reference's %v", tc.name, g, tc.want)
+			t.Errorf("%s: rules %v, want the oracle's %v", tc.name, g, tc.want)
 		}
 		if os.Getenv("SMARTDRILL_LARGE") != "" {
-			ref, _, err := Run(tc.tab.All(), w, Options{K: 3, MaxWeight: tc.mw, Reference: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, tc.name+" vs Reference", got, ref)
+			sameResults(t, tc.name+" vs the oracle", got, oracleRun(tc.tab.All(), w, Options{K: 3, MaxWeight: tc.mw}))
 		}
 	}
 }

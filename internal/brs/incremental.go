@@ -32,10 +32,10 @@ func RunIncremental(v *table.View, w weight.Weighter, opts Options, maxRules int
 }
 
 // RunIncrementalCtx is RunIncremental under a cancellation context: the
-// search checks ctx between counting passes and returns ctx's error (with
-// the statistics of the work already done) when it fires. Rules already
-// yielded stay yielded — cancellation stops future work, it does not
-// retract results.
+// search checks ctx between and inside counting passes, as RunCtx does, and
+// returns ctx's error (with the statistics of the work already done) when
+// it fires. Rules already yielded stay yielded — cancellation stops future
+// work, it does not retract results — and the step it cut yields none.
 func RunIncrementalCtx(ctx context.Context, v *table.View, w weight.Weighter, opts Options, maxRules int, deadline time.Time, yield Yield) (Stats, error) {
 	run, err := newRunner(v, w, opts)
 	if err != nil {

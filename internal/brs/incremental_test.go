@@ -48,8 +48,7 @@ func TestRunIncrementalMatchesRunPrefix(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		check(fmt.Sprintf("trial %d", trial), randomTable(rng, 4, 3, 80), weight.NewSize(4), Options{K: 4, MaxWeight: 4})
 	}
-	eachOracleCase(func(trial int, tab *table.Table, w weight.Weighter, opts Options) {
-		opts.K = 6
+	eachOracleCase(t, func(trial int, tab *table.Table, w weight.Weighter, opts Options, _ []Result) {
 		check(fmt.Sprintf("oracle table %d", trial), tab, w, opts)
 	})
 }

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"smartdrill/internal/brs/brsref"
 	"smartdrill/internal/rule"
 	"smartdrill/internal/score"
 	"smartdrill/internal/table"
@@ -85,20 +87,18 @@ func stream(t *testing.T, v *table.View, w weight.Weighter, opts Options, maxRul
 	return out
 }
 
-// sameStreams requires Reference to stream exactly the hand-derived order
-// over v and the fast path to stream Reference's results at every worker
+// sameStreams requires the oracle to stream exactly the hand-derived order
+// over v and the fast path to stream the oracle's results at every worker
 // count.
 func sameStreams(t *testing.T, label string, v *table.View, w weight.Weighter, opts Options, order []map[string]string) {
 	t.Helper()
-	ref := opts
-	ref.Reference = true
-	want := stream(t, v, w, ref, len(order))
+	want := oracleStream(v, w, opts, len(order))
 	if len(want) != len(order) {
-		t.Fatalf("%s: Reference streamed %d rules, want %d", label, len(want), len(order))
+		t.Fatalf("%s: the oracle streamed %d rules, want %d", label, len(want), len(order))
 	}
 	for i, p := range order {
 		if r := mustRule(t, v.Table(), p); !want[i].Rule.Equal(r) {
-			t.Fatalf("%s: Reference rule %d = %v, want %v", label, i, want[i].Rule, r)
+			t.Fatalf("%s: the oracle's rule %d = %v, want %v", label, i, want[i].Rule, r)
 		}
 	}
 	for _, workers := range []int{1, 2, 8} {
@@ -121,7 +121,7 @@ func sameStreams(t *testing.T, label string, v *table.View, w weight.Weighter, o
 //     with X, which sorts before it; key order gives the step to the
 //     freshly generated rule.
 //
-// Each stream must equal the order worked out by hand and Reference's, on
+// Each stream must equal the order worked out by hand and the oracle's, on
 // the index routes (the whole table) and the scan routes (scanView), at
 // every worker count.
 func TestEquivalenceLazyTieBreaks(t *testing.T) {
@@ -268,9 +268,9 @@ func TestEquivalenceRefreshThroughTies(t *testing.T) {
 	tab := groupTable([]string{"A", "B"}, groups...)
 	for _, scan := range []bool{false, true} {
 		v := viewOf(tab, scan)
-		want := stream(t, v, w, Options{MaxWeight: 1, Reference: true}, 2)
+		want := oracleStream(v, w, Options{MaxWeight: 1}, 2)
 		if len(want) != 2 || !want[1].Rule.Equal(mustRule(t, tab, map[string]string{"A": "a0"})) {
-			t.Fatalf("scan=%v: Reference streamed %v, want (a1,?) then (a0,?)", scan, want)
+			t.Fatalf("scan=%v: the oracle streamed %v, want (a1,?) then (a0,?)", scan, want)
 		}
 		for _, workers := range []int{1, 2, 8} {
 			got := stream(t, v, w, Options{MaxWeight: 1, Workers: workers}, 2)
@@ -337,12 +337,12 @@ func TestEquivalenceTiesAcrossParents(t *testing.T) {
 
 // TestFusedChildExistsBySight: under Sum an extension can cover rows whose
 // masses sum to nothing (SumAgg clamps negative measures to zero). It is
-// still a candidate — Reference marks the values it sees, not the masses —
-// so the first step, which opens H where Reference does, must leave every
-// candidate Reference counts in the fast store, and a walk must materialize
-// a zero-sum extension with its parent's other children. Which step walks
-// which parent is the gate's business: the extensions here sit under
-// parents step 1 leaves unexpanded.
+// still a candidate — the oracle extends a rule by the values its rows
+// hold, whatever their masses — so the first step, which opens H where the
+// oracle's does, must leave every rule the oracle's first step counts in
+// the fast store, and a walk must materialize a zero-sum extension with its
+// parent's other children. Which step walks which parent is the gate's
+// business: the extensions here sit under parents step 1 leaves unexpanded.
 func TestFusedChildExistsBySight(t *testing.T) {
 	tab := groupTable([]string{"A", "B", "C"},
 		group{cells: []string{"a1", "b1", "c#"}, n: 2, mass: []float64{5, -5}}, // (a1,b1,c#1) sums to 0
@@ -367,16 +367,14 @@ func TestFusedChildExistsBySight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.Reference = true
-		ref, err := newRunner(v, w, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
 		best := fast.findBestMarginal()
-		ref.findBestMarginal()
-		for key, c := range ref.store.byKey {
-			if c.counted && fast.store.byKey[key] == nil {
-				t.Errorf("scan=%v: Reference counted %v in step 1, which the fast path never materialized", scan, c.r)
+		_, steps := brsref.Stream(v, w, oracleOptions(opts), 1)
+		if len(steps[0].Counted) == 0 {
+			t.Fatalf("scan=%v: the oracle counted nothing in step 1", scan)
+		}
+		for _, r := range steps[0].Counted {
+			if fast.lookup(r) == nil {
+				t.Errorf("scan=%v: the oracle counted %v in step 1, which the fast path never materialized", scan, r)
 			}
 		}
 		walked := 0
@@ -486,23 +484,29 @@ func TestMaxWeightClampedToWeighterBound(t *testing.T) {
 		group{cells: []string{"a3", "b2", "c2"}, n: 15})
 	w := weight.NewSize(3)
 	top := w.MaxWeight(3)
-	for _, reference := range []bool{false, true} {
-		want, ws, err := Run(tab.All(), w, Options{K: 3, MaxWeight: top, Reference: reference})
+	want, ws, err := Run(tab.All(), w, Options{K: 3, MaxWeight: top})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws.CandidatesPruned == 0 {
+		t.Fatalf("pruning never engaged: %+v", ws)
+	}
+	ref, refSteps := brsref.Run(tab.All(), w, brsref.Options{K: 3, MaxWeight: top})
+	sameResults(t, "the oracle", fromOracle(ref), want)
+	for _, mw := range []float64{0, 2 * top, 100} {
+		got, gs, err := Run(tab.All(), w, Options{K: 3, MaxWeight: mw})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ws.CandidatesPruned == 0 {
-			t.Fatalf("reference=%v: pruning never engaged: %+v", reference, ws)
+		sameResults(t, fmt.Sprintf("mw=%g", mw), got, want)
+		if gs != ws {
+			t.Errorf("mw=%g: work %+v, want mw=%g's %+v", mw, gs, top, ws)
 		}
-		for _, mw := range []float64{0, 2 * top, 100} {
-			got, gs, err := Run(tab.All(), w, Options{K: 3, MaxWeight: mw, Reference: reference})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, fmt.Sprintf("reference=%v mw=%g", reference, mw), got, want)
-			if gs != ws {
-				t.Errorf("reference=%v mw=%g: work %+v, want mw=%g's %+v", reference, mw, gs, top, ws)
-			}
+		// The oracle clamps mw the same way: the same rules, counted alike.
+		ref, steps := brsref.Run(tab.All(), w, brsref.Options{K: 3, MaxWeight: mw})
+		sameResults(t, fmt.Sprintf("the oracle at mw=%g", mw), fromOracle(ref), want)
+		if !reflect.DeepEqual(steps, refSteps) {
+			t.Errorf("the oracle at mw=%g counted %v, at mw=%g %v", mw, steps, top, refSteps)
 		}
 	}
 }

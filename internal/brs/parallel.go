@@ -21,17 +21,13 @@ import (
 // accumulator-merge overheads outweigh any conceivable gain.
 const MaxWorkers = 64
 
-// workers resolves the configured parallelism. Reference forces serial.
-// Workers 0 saturates the hardware — runtime.NumCPU() under the Count
-// aggregate, serial otherwise (auto-parallelism only where bit-identity
-// to the serial path is guaranteed). An explicit request is
-// honored (capped at MaxWorkers) rather than clamped to NumCPU —
-// oversubscription is harmless, and honoring the request keeps the
-// parallel code paths exercised on single-core machines.
+// workers resolves the configured parallelism. Workers 0 saturates the
+// hardware — runtime.NumCPU() under the Count aggregate, serial otherwise
+// (auto-parallelism only where bit-identity to the serial path is
+// guaranteed). An explicit request is honored (capped at MaxWorkers) rather
+// than clamped to NumCPU — oversubscription is harmless, and honoring the
+// request keeps the parallel code paths exercised on single-core machines.
 func (rn *runner) workers() int {
-	if rn.reference {
-		return 1
-	}
 	w := rn.par
 	if w == 0 {
 		if !rn.countAgg {
@@ -86,4 +82,37 @@ func (rn *runner) parallelRows(n, nw int, fn func(lo, hi, worker int)) {
 		}(lo, hi, g)
 	}
 	wg.Wait()
+}
+
+// pollStride is how many rows a row pass's worker reads between two polls
+// of the run's context; an index pass polls before each candidate.
+const pollStride = 4096
+
+// polled splits [0, n) into nw worker chunks (parallelRows) and hands each
+// chunk to fn(lo, hi, g) stride items a call, ascending. A worker polls the
+// context before each call and stops at the first poll that fires; polled
+// latches that error before it returns how many items the workers covered.
+func (rn *runner) polled(n, nw, stride int, fn func(lo, hi, g int)) (covered int64) {
+	tallies := make([]struct {
+		covered int64
+		cut     error
+	}, nw)
+	rn.parallelRows(n, nw, func(lo, hi, g int) {
+		t := &tallies[g]
+		for ; lo < hi; lo += stride {
+			if t.cut = rn.fired(); t.cut != nil {
+				return
+			}
+			end := min(lo+stride, hi)
+			fn(lo, end, g)
+			t.covered += int64(end - lo)
+		}
+	})
+	for _, t := range tallies {
+		covered += t.covered
+		if t.cut != nil && rn.ctxErr == nil {
+			rn.ctxErr = t.cut
+		}
+	}
+	return covered
 }

@@ -133,13 +133,7 @@ func TestParallelDeterministicMerge(t *testing.T) {
 			if stats.IndexLevels == 0 {
 				t.Fatalf("run never used the index kernels: %+v", stats)
 			}
-			ref := opts
-			ref.Reference = true
-			want, _, err := Run(tab.All(), w, ref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, "parallel vs reference", got, want)
+			sameResults(t, "parallel vs the oracle", got, oracleRun(tab.All(), w, opts))
 			continue
 		}
 		if out != wantOut {

@@ -45,8 +45,8 @@ import (
 // accumulated masses are bit-identical across all three access paths, and
 // routing is a pure performance decision. Both index kernels are reached
 // through one function, walk, which also books what they read; the scan is
-// runner.scan. Options.Reference removes both index kernels (every step
-// scans).
+// runner.scan. Routing is the runner's alone: the tests' oracle, package
+// brsref, reads every row of every pass and shares none of this file.
 
 // postingsCostSlack is the fixed per-candidate overhead charged by the
 // cost model (list setup, probe and gallop restarts, AND-loop setup).
@@ -290,14 +290,14 @@ func (rn *runner) walk(c *cand, plan candPlan, st *Stats, visit func(pos, row in
 }
 
 // indexPass is a pass routed through the index over n candidates: workers
-// take whole candidates, fn(lo, hi, st) walks candidates [lo, hi) booking
-// into st, one Stats a worker, and those merge into the run's after the
-// pass.
+// take whole candidates, in order, polling the context before each
+// (polled), and fn(g, i, st) walks candidate i on worker g booking into st,
+// one Stats a worker, and those merge into the run's after the pass.
 //
 //sdlint:allow ioaccount fans out candidates, not rows; walk books what every candidate's walk reads into its worker's Stats, which are merged here
-func (rn *runner) indexPass(n int, fn func(lo, hi int, st *Stats)) {
+func (rn *runner) indexPass(n int, fn func(g, i int, st *Stats)) {
 	stats := make([]Stats, rn.rowWorkers(n))
-	rn.parallelRows(n, len(stats), func(lo, hi, g int) { fn(lo, hi, &stats[g]) })
+	rn.polled(n, len(stats), 1, func(i, _, g int) { fn(g, i, &stats[g]) })
 	for _, st := range stats {
 		rn.stats.Add(st)
 	}

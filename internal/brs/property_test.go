@@ -12,15 +12,16 @@ import (
 )
 
 // Property layer for the counting kernels: the fast path must be
-// bit-identical to Options.Reference — the textbook per-step serial scan
-// algorithm — at every worker count, on view shapes chosen so that each
-// planner arm (bitmap, probing walk, scan) is the one that runs. Arms are
-// selected by input shape, the way production selects them, and every
-// cell asserts its arm engaged, so the matrix cannot silently degenerate
-// into comparing the reference with itself. CI runs this file under -race
-// (the Equivalence|Parallel job), so the lazy shared index build, the
-// bitset containers, and the per-worker accumulator merges are all
-// exercised for data races, not just for answers.
+// bit-identical to package brsref — the paper's per-step algorithm over the
+// rows, sharing no code with the runner — at every worker count, on view
+// shapes chosen so that each planner arm (bitmap, probing walk, scan) is
+// the one that runs. Arms are selected by input shape, the way production
+// selects them, and every cell asserts its arm engaged, so the matrix
+// cannot silently degenerate into testing one arm under many names. CI
+// runs this file under -race (the Equivalence|Parallel job), so the lazy
+// shared index build, the bitset containers, and the per-worker
+// accumulator merges are all exercised for data races, not just for
+// answers.
 
 // armShape is one arm-forcing input: a view with the options and weighter
 // that go with it, the work its arm rules out, and the evidence its arm ran.
@@ -35,7 +36,7 @@ type armShape struct {
 }
 
 // TestEquivalencePropertyMatrix: seeded random tables × arm-forcing view
-// shapes × Workers ∈ {1, 2, 8}, every cell bit-identical to Reference.
+// shapes × Workers ∈ {1, 2, 8}, every cell bit-identical to brsref.
 // Skewed value distributions make some values dense (one bitset each:
 // probed, or walked by its set bits where it drives) and others sparse (one
 // posting list each: read by entry, galloped).
@@ -97,8 +98,8 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 		// A table of few distinct tuples, and its distinct-tuple table: Count
 		// over rows that each weigh their multiplicity. A kernel that counts
 		// rows where it should sum masses — a posting-list length, a
-		// popcount, a count++ — disagrees with Reference, which sums
-		// Agg.Mass row by row; and either must return what the rows give.
+		// popcount, a count++ — disagrees with brsref, which sums Agg.Mass
+		// row by row; and either must return what the rows give.
 		heavy := skewedTable(rand.New(rand.NewSource(int64(trial)+100)), 4, 4, n)
 		weighted, _ := heavy.Distinct()
 		if weighted == nil {
@@ -154,21 +155,9 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 				engaged: func(s Stats) bool { return s.RowsScanned > 0 }},
 		}
 		for _, sh := range shapes {
-			ref := sh.opts
-			ref.Reference = true
-			want, rs, err := Run(sh.view, sh.w, ref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rs.IndexLevels != 0 || rs.CandidatesReused != 0 {
-				t.Fatalf("trial %d %s: Reference used the index or the cross-step cache: %+v", trial, sh.name, rs)
-			}
+			want := oracleRun(sh.view, sh.w, sh.opts)
 			if sh.rows != nil {
-				fromRows, _, err := Run(sh.rows, sh.w, ref)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResults(t, fmt.Sprintf("trial %d %s: Reference over the rows", trial, sh.name), fromRows, want)
+				sameResults(t, fmt.Sprintf("trial %d %s: the oracle over the rows", trial, sh.name), oracleRun(sh.rows, sh.w, sh.opts), want)
 			}
 			for _, workers := range []int{1, 2, 8} {
 				opts := sh.opts

@@ -8,5 +8,5 @@ import (
 )
 
 func TestCtxflow(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), ctxflow.Analyzer, "ctxpkg", "internal/brs")
+	analysistest.Run(t, analysistest.TestData(t), ctxflow.Analyzer, "ctxpkg", "internal/brs", "internal/brs/brsref")
 }

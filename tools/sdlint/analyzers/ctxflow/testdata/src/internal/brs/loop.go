@@ -1,6 +1,6 @@
-// Every pass the analyzer's table names is declared here but rebuildTopW,
+// Every pass the analyzer's table names is declared here but expandParents,
 // whose entry is therefore stale.
-package brs // want "passFuncs names rebuildTopW, which no function of this package declares"
+package brs // want "passFuncs names expandParents, which no function of this package declares"
 
 type runner struct {
 	ctxErr error
@@ -12,7 +12,6 @@ func (rn *runner) raiseTopW()           {}
 func (rn *runner) housekeeping()        {}
 func (rn *runner) findBestMarginal()    {}
 func (rn *runner) countLevelOne()       {}
-func (rn *runner) expandParents()       {}
 
 func (rn *runner) searchPolledMethod() {
 	for i := 0; i < 10; i++ {

@@ -27,6 +27,21 @@ func (rn *runner) countScanUnaccounted(rows []int) {
 	rn.parallelRows(len(rows), func(lo, hi, g int) {}) // want "brs.runner.parallelRows reads rows but this function never adds to Stats.RowsScanned"
 }
 
+// polled is a raw op too: its own call to parallelRows is its business,
+// and what it returns its caller books.
+func (rn *runner) polled(n, stride int, fn func(lo, hi, g int)) int64 {
+	rn.parallelRows(n, fn)
+	return int64(n)
+}
+
+func (rn *runner) rowPassAccounted(rows []int) {
+	rn.stats.RowsScanned += rn.polled(len(rows), 4096, func(lo, hi, g int) {})
+}
+
+func (rn *runner) rowPassUnaccounted(rows []int) int64 {
+	return rn.polled(len(rows), 4096, func(lo, hi, g int) {}) // want "brs.runner.polled reads rows but this function never adds to Stats.RowsScanned"
+}
+
 func (rn *runner) gatherAccounted(lists [][]int32, bits []*table.Bitset) {
 	entries, words := rn.v.EachInAll(lists, func(pos, row int) {}, bits...)
 	rn.stats.PostingsRead += entries
