@@ -50,8 +50,9 @@ lint: lint-fast
 # Warm and the first reads that build the whole index racing on a table the
 # ingest loaded across both cell-width crossings (its first column was widened in place twice), and two sessions
 # racing to build a table's memoised distinct-tuple table with their first
-# drill — exact ones, and sampled ones resolving it through their first
-# GetSample: ten schedules find what one does not.
+# drill — exact ones, whose answers are held to brsref on the rows, and
+# sampled ones resolving it through their first GetSample: ten schedules
+# find what one does not.
 race:
 	$(GO) test -race ./client/ ./internal/server/ ./internal/drill/ ./internal/table/ ./internal/brs/ ./internal/search/
 	$(GO) test -race -count=10 -run 'TestIngestBlockIndependence/storesales|TestIndexConcurrentBuild' ./internal/table/
@@ -116,7 +117,8 @@ bench-vet:
 # × worker counts on every arm-forcing view shape bit-identical — bitset AND,
 # the probing walk driven by a posting list and by a dense value's bitset
 # (Sum, and a sorted sub-view under Count), scan — index containers and
-# accumulator merges raced.
+# accumulator merges raced; and one level up, every drill.Session access
+# path (TestEquivalenceDrillPaths) vs brsref on the rows it stands for.
 race-equivalence:
 	$(GO) test -race -run 'Equivalence|Parallel' ./internal/...
 

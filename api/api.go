@@ -120,8 +120,8 @@ type CreateSessionRequest struct {
 	// confidence-bounded counts, refined to exact afterwards), smaller
 	// ones exactly. 0 samples every expansion when sampling is enabled.
 	SampleThreshold int `json:"sample_threshold,omitempty"`
-	// DisableSampling forces exact search even when the sampling fields
-	// are set — the ablation/debugging switch.
+	// DisableSampling has the server ignore the sampling fields: the session
+	// is exact, as one created without them.
 	DisableSampling bool `json:"disable_sampling,omitempty"`
 	// Sum optimizes the named measure column instead of tuple counts.
 	Sum string `json:"sum,omitempty"`

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"smartdrill/internal/brs/brsref"
 	"smartdrill/internal/datagen"
 )
 
@@ -193,17 +194,35 @@ func TestSaveLoadStatePublic(t *testing.T) {
 	}
 }
 
+// TestWithWorkersMatchesSerial: an engine at eight workers shows, two levels
+// deep, what brsref — the paper's Algorithms 1–2 as written, one serial pass
+// at a time — finds on the rows each drilled rule covers: the same rules in
+// the same order, with the same weights and counts. StoreSales holds fewer
+// tuples than the mw probe's floor, so each search runs at the weighter's
+// bound.
 func TestWithWorkersMatchesSerial(t *testing.T) {
 	tab := datagen.StoreSales(42)
-	serial, _ := New(tab, WithK(3))
 	parallel, _ := New(tab, WithK(3), WithWorkers(8))
-	if err := serial.DrillDown(serial.Root()); err != nil {
-		t.Fatal(err)
+	w := SizeWeight(tab)
+	drill := func(n *Node) {
+		t.Helper()
+		if err := parallel.DrillDown(n); err != nil {
+			t.Fatal(err)
+		}
+		rows := tab.Select(tab.FilterIndicesScan(n.Rule)).All()
+		want, _ := brsref.Run(rows, w, brsref.Options{K: 3, Base: n.Rule})
+		if len(n.Children) != len(want) {
+			t.Fatalf("under %v: %d rules at eight workers, the oracle finds %d", n.Rule, len(n.Children), len(want))
+		}
+		for i, r := range want {
+			if c := n.Children[i]; !c.Rule.Equal(r.Rule) || c.Weight != r.Weight || c.Count != r.Count || !c.Exact {
+				t.Fatalf("under %v: rule %d is %v (%v, %v, exact %v), the oracle's %v (%v, %v)",
+					n.Rule, i, c.Rule, c.Weight, c.Count, c.Exact, r.Rule, r.Weight, r.Count)
+			}
+		}
 	}
-	if err := parallel.DrillDown(parallel.Root()); err != nil {
-		t.Fatal(err)
-	}
-	if serial.Render() != parallel.Render() {
-		t.Fatal("parallel drill-down differs from serial")
+	drill(parallel.Root())
+	for _, c := range parallel.Root().Children {
+		drill(c)
 	}
 }

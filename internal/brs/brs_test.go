@@ -327,7 +327,7 @@ func TestGreedyStepIsArgmax(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireListProperties(t, label, tab.All(), opts, ranked, got)
+		requireList(t, label, tab.All(), w, opts, ranked, got)
 		pruned += stats.CandidatesPruned
 	})
 	if pruned == 0 {
@@ -365,56 +365,8 @@ func eachOracleCase(t *testing.T, fn func(trial int, tab *table.Table, w weight.
 		mw := w.MaxWeight(1 + rng.Intn(cols))
 		opts := Options{K: 6, MaxWeight: mw, Base: base, Agg: agg}
 		want := oracleStream(tab.All(), w, opts, opts.K)
-		requireListProperties(t, fmt.Sprintf("trial %d oracle", trial), tab.All(), opts, oracleRun(tab.All(), w, opts), want)
+		requireList(t, fmt.Sprintf("trial %d oracle", trial), tab.All(), w, opts, oracleRun(tab.All(), w, opts), want)
 		fn(trial, tab, w, opts, want)
-	}
-}
-
-// requireListProperties checks what the paper proves of a search's output
-// over v under opts, on its ranked list (Run's) and its stream (selection
-// order): the list is in display order — weight non-increasing, a tie in
-// key order (Lemma 1) — each MCount is at most its Count, and the MCounts
-// sum to at most the mass of the rows the search reads; the stream's
-// selection-time gains W·MCount do not increase (Score is submodular,
-// Section 3.3). The last two hold up to rounding: the sums they compare are
-// taken in different orders.
-func requireListProperties(t *testing.T, label string, v *table.View, opts Options, ranked, streamed []Result) {
-	t.Helper()
-	agg := opts.Agg
-	if agg == nil {
-		agg = score.CountAgg{}
-	}
-	base := opts.Base
-	if base == nil {
-		base = rule.Trivial(v.NumCols())
-	}
-	tab := v.Table()
-	mass := 0.0
-	for i := 0; i < v.NumRows(); i++ {
-		if row := v.ParentRow(i); tab.Covers(base, row) {
-			mass += agg.Mass(tab, row)
-		}
-	}
-	mcounts := 0.0
-	for i, r := range ranked {
-		if i > 0 {
-			if p := ranked[i-1]; r.Weight > p.Weight || r.Weight == p.Weight && r.Rule.Key() <= p.Rule.Key() {
-				t.Fatalf("%s: rule %d %v (weight %v) ranks after %v (weight %v)", label, i, r.Rule, r.Weight, p.Rule, p.Weight)
-			}
-		}
-		if r.MCount > r.Count {
-			t.Fatalf("%s: %v has MCount %v above its Count %v", label, r.Rule, r.MCount, r.Count)
-		}
-		mcounts += r.MCount
-	}
-	if mcounts > mass+1e-9*math.Max(1, mass) {
-		t.Fatalf("%s: the MCounts sum to %v, above the view's mass %v", label, mcounts, mass)
-	}
-	for i := 1; i < len(streamed); i++ {
-		prev, gain := streamed[i-1].Weight*streamed[i-1].MCount, streamed[i].Weight*streamed[i].MCount
-		if gain > prev+1e-9*math.Max(1, prev) {
-			t.Fatalf("%s: selection %d gained %v, more than the %v before it", label, i, gain, prev)
-		}
 	}
 }
 

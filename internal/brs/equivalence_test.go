@@ -34,6 +34,24 @@ func fromOracle(rs []brsref.Result) []Result {
 	return out
 }
 
+// toOracle is fromOracle's inverse.
+func toOracle(rs []Result) []brsref.Result {
+	out := make([]brsref.Result, len(rs))
+	for i, r := range rs {
+		out[i] = brsref.Result{Rule: r.Rule, Weight: r.Weight, Count: r.Count, MCount: r.MCount}
+	}
+	return out
+}
+
+// requireList fails unless a search's ranked list and stream over v have
+// the properties the paper proves of them (brsref.CheckList).
+func requireList(t *testing.T, label string, v *table.View, w weight.Weighter, opts Options, ranked, streamed []Result) {
+	t.Helper()
+	if err := brsref.CheckList(v, w, oracleOptions(opts), toOracle(ranked), toOracle(streamed)); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
 // oracleRun is brsref.Run on the search opts describes.
 func oracleRun(v *table.View, w weight.Weighter, opts Options) []Result {
 	rs, _ := brsref.Run(v, w, oracleOptions(opts))

@@ -110,7 +110,7 @@ func encodeFuzzCase(header [fuzzHeader]byte, rows []string, masses []float64) []
 // table, aggregate, weighter, base, mw and K every greedy step of the fast
 // path and of brsref, the literal Algorithms 1–2, must attain the
 // brute-force maximum marginal value, as in TestGreedyStepIsArgmax, both
-// outputs must have the list properties of requireListProperties, and
+// outputs must have the list properties brsref.CheckList checks, and
 // wherever sums are exact — Count, or Sum over integral masses — the fast
 // path must stream exactly brsref's rules, counts and marginal counts,
 // serially and with two workers. A bound that gates a walk, a merge or a
@@ -145,7 +145,7 @@ func FuzzFastMatchesReference(f *testing.F) {
 		v := viewOf(tab, fc.scan)
 		want := oracleStream(v, w, opts, opts.K)
 		requireGreedyArgmax(t, "brsref", tab, w, opts, opts.K, want)
-		requireListProperties(t, "brsref", v, opts, oracleRun(v, w, opts), want)
+		requireList(t, "brsref", v, w, opts, oracleRun(v, w, opts), want)
 		if fc.rows != nil {
 			sameResults(t, "brsref over the rows", oracleStream(fc.rows.All(), w, opts, opts.K), want)
 		}
@@ -155,7 +155,7 @@ func FuzzFastMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireListProperties(t, "workers=1", v, opts, ranked, got)
+		requireList(t, "workers=1", v, w, opts, ranked, got)
 		if !fc.orderFree {
 			requireGreedyArgmax(t, "workers=1", tab, w, opts, opts.K, got)
 			return

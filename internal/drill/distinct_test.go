@@ -7,10 +7,7 @@ import (
 	"sync"
 	"testing"
 
-	"smartdrill/internal/brs"
-	"smartdrill/internal/rule"
 	"smartdrill/internal/score"
-	"smartdrill/internal/search"
 	"smartdrill/internal/table"
 	"smartdrill/internal/weight"
 )
@@ -18,8 +15,8 @@ import (
 // An exact Count drill searches the table's distinct tuples, each weighing
 // its multiplicity, instead of the rows. That is an access path, like the
 // index before it: everything a session shows must be what the rows give,
-// bit for bit. Session.rowPath is the seam that keeps a session on the rows
-// for the comparison.
+// bit for bit (TestEquivalenceDrillPaths holds it to brsref on them). The
+// tests here hold which drills take the path, and what building it costs.
 
 // pooledTable draws n rows from a pool of distinct random tuples over
 // cols columns of vals values each: every pool tuple once, then the first
@@ -53,25 +50,6 @@ func pooledTable(rng *rand.Rand, cols, vals, pool, n int) *table.Table {
 	return b.Build()
 }
 
-// sameSubtree fails unless got shows what want shows under the two nodes:
-// the same rules in the same order with the same weights, counts and
-// confidence intervals, as exact.
-func sameSubtree(t *testing.T, label string, got, want *Node) {
-	t.Helper()
-	if len(got.Children) != len(want.Children) {
-		t.Fatalf("%s: %d rules under %v, want %d", label, len(got.Children), got.Rule, len(want.Children))
-	}
-	for i, w := range want.Children {
-		g := got.Children[i]
-		if !g.Rule.Equal(w.Rule) || g.Weight != w.Weight || g.Count != w.Count || g.Exact != w.Exact ||
-			g.HasCI != w.HasCI || g.CILow != w.CILow || g.CIHigh != w.CIHigh {
-			t.Fatalf("%s: rule %d is %v (weight %v, count %v in [%v, %v], exact %v), want %v (%v, %v in [%v, %v], %v)",
-				label, i, g.Rule, g.Weight, g.Count, g.CILow, g.CIHigh, g.Exact, w.Rule, w.Weight, w.Count, w.CILow, w.CIHigh, w.Exact)
-		}
-		sameSubtree(t, label, g, w)
-	}
-}
-
 // drillable returns n's first child that leaves a column to drill on.
 func drillable(n *Node) *Node {
 	for _, c := range n.Children {
@@ -80,116 +58,6 @@ func drillable(n *Node) *Node {
 		}
 	}
 	return nil
-}
-
-// TestEquivalenceDistinctPath holds the distinct-tuple path to the row path
-// on random tables of three sizes, all of them at most probeFloor rows, so
-// that both paths search at the weighter's bound (TestProbeOnlyAboveFloor
-// holds each path's probe above it) — under Size, Bits and Size−1 weights and
-// the star constraint over each, for rule, star and streamed drills at
-// Workers 1, 2 and 8: the same rules in the same order with the same Count,
-// MCount and mw.
-func TestEquivalenceDistinctPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	ctx := context.Background()
-	for _, shape := range []struct {
-		name                string
-		cols, vals, pool, n int
-	}{
-		{"small", 4, 3, 60, 1200},
-		{"mixed", 4, 4, 200, 4000},
-		{"large", 5, 6, 2400, 12000},
-	} {
-		tab := pooledTable(rng, shape.cols, shape.vals, shape.pool, shape.n)
-		for wi, inner := range []weight.Weighter{weight.NewSize(shape.cols), weight.BitsFor(tab), weight.SizeMinusOne{}} {
-			for _, workers := range []int{1, 2, 8} {
-				label := fmt.Sprintf("%s %s workers=%d", shape.name, inner.Name(), workers)
-				cfg := Config{K: 4, Weighter: inner, Workers: workers, Seed: int64(3 + wi)}
-				dist, err := NewSession(tab, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rows, err := NewSession(tab, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rows.rowPath = true
-
-				// The search itself, where MCount and mw can be seen: the
-				// root, and the root's first drillable child.
-				targets := []rule.Rule{rule.Trivial(shape.cols)}
-				if err := rows.Expand(rows.Root()); err != nil {
-					t.Fatal(err)
-				}
-				if c := drillable(rows.Root()); c != nil {
-					targets = append(targets, c.Rule)
-				}
-				for _, r := range targets {
-					star := 0
-					for r[star] != rule.Star {
-						star++
-					}
-					for _, w := range []weight.Weighter{inner, weight.StarConstraint{Inner: inner, Column: star}} {
-						dcov, _ := dist.coveredView(r, w, false)
-						rcov, _ := rows.coveredView(r, w, false)
-						dv, rv := dcov.view, rcov.view
-						if !dv.Table().Weighted() || rv.Table() != tab {
-							t.Fatalf("%s %v: distinct path reads a weighted table %v, row path the table %v", label, r, dv.Table().Weighted(), rv.Table() == tab)
-						}
-						top := w.MaxWeight(shape.cols)
-						dmw, dprobed := dist.maxWeightFor(ctx, dv, w, 0)
-						rmw, rprobed := rows.maxWeightFor(ctx, rv, w, 0)
-						if dprobed || rprobed || dmw != top || rmw != top {
-							t.Fatalf("%s %v under %s: mw %v (probed %v) on the distinct path, %v (%v) on the rows, want the weighter's bound %v",
-								label, r, w.Name(), dmw, dprobed, rmw, rprobed, top)
-						}
-						opts := brs.Options{K: 4, MaxWeight: top, Base: r, BaseCovered: true, Workers: workers}
-						got, _, err := brs.Run(dv, w, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, _, err := brs.Run(rv, w, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameResults(t, fmt.Sprintf("%s %v under %s", label, r, w.Name()), got, want)
-					}
-				}
-
-				// The sessions, through the one expand: rule, star, stream.
-				if err := dist.Expand(dist.Root()); err != nil {
-					t.Fatal(err)
-				}
-				if c := drillable(dist.Root()); c != nil {
-					if err := dist.Expand(c); err != nil {
-						t.Fatal(err)
-					}
-					if err := rows.Expand(drillable(rows.Root())); err != nil {
-						t.Fatal(err)
-					}
-				}
-				sameSubtree(t, label+" rule drill", dist.Root(), rows.Root())
-				if dist.LastMethod != "direct" || rows.LastMethod != "direct" {
-					t.Fatalf("%s: access %q and %q, want direct on both paths", label, dist.LastMethod, rows.LastMethod)
-				}
-				for _, s := range []*Session{dist, rows} {
-					if err := s.ExpandStar(s.Root(), 1); err != nil {
-						t.Fatal(err)
-					}
-				}
-				sameSubtree(t, label+" star drill", dist.Root(), rows.Root())
-				for _, s := range []*Session{dist, rows} {
-					if err := s.ExpandStream(s.Root(), 5, 0, nil); err != nil {
-						t.Fatal(err)
-					}
-				}
-				sameSubtree(t, label+" stream", dist.Root(), rows.Root())
-				if dist.TotalStats.RowsScanned+dist.TotalStats.PostingsRead+dist.TotalStats.BitmapWordsRead == 0 {
-					t.Fatalf("%s: the distinct path reports no reads: %+v", label, dist.TotalStats)
-				}
-			}
-		}
-	}
 }
 
 // TestEquivalenceDistinctPathGates: what cannot be summed per distinct
@@ -307,8 +175,10 @@ func TestEquivalenceDistinctBuildBookedOnce(t *testing.T) {
 		if st := b.Store().Stats(); st.FullScans != 0 {
 			t.Fatalf("%s: the other session's store booked %+v", tc.name, st)
 		}
-		sameSubtree(t, tc.name, a.Root(), after.Root())
-		sameSubtree(t, tc.name, b.Root(), after.Root())
+		oracle := newPathOracle()
+		for _, s := range []*Session{a, b, after} {
+			oracle.require(t, tc.name, s, s.Root(), s.cfg.Weighter, drillKinds[0], false)
+		}
 		// A later drill of the building session is booked nothing more.
 		if err := a.Expand(a.Root()); err != nil {
 			t.Fatal(err)
@@ -321,10 +191,10 @@ func TestEquivalenceDistinctBuildBookedOnce(t *testing.T) {
 
 // FuzzDistinctMatchesRows: on any small table with repeated rows, under any
 // of the integer weightings and any k, a session searching the distinct
-// tuples shows what a session searching the rows shows — for a rule drill
-// at two depths, a star drill and a stream; and a session answering from
-// samples, which it draws from the distinct tuples, shows what a search of
-// each sample laid out row by row returns (sameAsExpanded).
+// tuples shows what brsref finds on the rows — for a rule drill at two
+// depths, a star drill and a stream — and a session answering from samples,
+// which it draws from the distinct tuples, shows what brsref finds on the
+// rows each sample's units stand for (pathOracle.require).
 //
 //	[0] columns 2..4; /3: the sampling seed   [1] weights: 0 Size, 1 Bits, 2 Size−1;
 //	/3: the sample size, 2..5 eighths of the rows   [2] low nibble: copies of the
@@ -375,41 +245,25 @@ func FuzzDistinctMatchesRows(f *testing.F) {
 			w = weight.SizeMinusOne{}
 		}
 		cfg := Config{K: 1 + int(data[3])%5, Weighter: w, Workers: 1 + int(data[3]>>4)%3}
+		oracle := newPathOracle()
+		ruleDrill, starDrill, stream := drillKinds[0], drillKinds[1], drillKind{name: "stream", stream: true}
+		drill := func(s *Session, n *Node, kind drillKind) {
+			t.Helper()
+			oracle.drill(t, context.Background(), s, n, kind, "", true)
+		}
 		dist, err := NewSession(tab, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := NewSession(tab, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows.rowPath = true
 		if cov, _ := dist.coveredView(dist.Root().Rule, w, false); !cov.view.Table().Weighted() {
 			t.Fatalf("%d rows holding at most %d tuples did not compress", tab.NumRows(), len(cells))
 		}
-		for _, s := range []*Session{dist, rows} {
-			if err := s.Expand(s.Root()); err != nil {
-				t.Fatal(err)
-			}
-			if c := drillable(s.Root()); c != nil {
-				if err := s.Expand(c); err != nil {
-					t.Fatal(err)
-				}
-			}
+		drill(dist, dist.Root(), ruleDrill)
+		if c := drillable(dist.Root()); c != nil {
+			drill(dist, c, ruleDrill)
 		}
-		sameSubtree(t, "rule drill", dist.Root(), rows.Root())
-		for _, s := range []*Session{dist, rows} {
-			if err := s.ExpandStar(s.Root(), cols-1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sameSubtree(t, "star drill", dist.Root(), rows.Root())
-		for _, s := range []*Session{dist, rows} {
-			if err := s.ExpandStream(s.Root(), 0, 0, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sameSubtree(t, "stream", dist.Root(), rows.Root())
+		drill(dist, dist.Root(), starDrill)
+		drill(dist, dist.Root(), stream)
 
 		// The sampled arm: samples drawn from the distinct tuples, against
 		// the rows they stand for.
@@ -420,22 +274,14 @@ func FuzzDistinctMatchesRows(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sampled := func(label string, n *Node, w weight.Weighter, kind search.Kind, step func(*Node) error) {
-			if err := step(n); err != nil {
-				t.Fatalf("%s: %v", label, err)
+		for _, kind := range []drillKind{ruleDrill, starDrill, stream} {
+			drill(tup, tup.Root(), kind)
+			if len(tup.Root().Children) > 0 && tup.Root().Children[0].Exact {
+				t.Fatalf("%s: a %d-row sample of %d rows was served by %s, as exact", kind.name, cfg.MinSampleSize, tab.NumRows(), tup.LastMethod)
 			}
-			if n == tup.Root() && len(n.Children) > 0 && n.Children[0].Exact {
-				t.Fatalf("%s: a %d-row sample of %d rows was served by %s, as exact", label, cfg.MinSampleSize, tab.NumRows(), tup.LastMethod)
+			if c := drillable(tup.Root()); c != nil && kind == ruleDrill {
+				drill(tup, c, ruleDrill)
 			}
-			sameAsExpanded(t, label, tup, n, w, kind, 0, false)
 		}
-		sampled("sampled rule drill", tup.Root(), w, search.KindBatch, tup.Expand)
-		if c := drillable(tup.Root()); c != nil {
-			sampled("sampled rule drill, depth 2", c, w, search.KindBatch, tup.Expand)
-		}
-		sampled("sampled star drill", tup.Root(), weight.StarConstraint{Inner: w, Column: cols - 1}, search.KindBatch,
-			func(n *Node) error { return tup.ExpandStar(n, cols-1) })
-		sampled("sampled stream", tup.Root(), w, search.KindStream,
-			func(n *Node) error { return tup.ExpandStream(n, 0, 0, nil) })
 	})
 }

@@ -50,10 +50,6 @@ type Config struct {
 	// ones exactly through the inverted index. 0 samples every expansion
 	// (the pre-threshold behavior).
 	SampleThreshold int
-	// DisableSampling forces every expansion down the exact path even when
-	// SampleMemory/MinSampleSize are set — the ablation that keeps results
-	// bit-identical to a session configured without sampling.
-	DisableSampling bool
 	// Prefetch rebuilds samples for likely next drill-downs after each
 	// expansion (Section 4.3) and upgrades displayed counts to exact.
 	Prefetch bool
@@ -162,10 +158,6 @@ type Session struct {
 	// the table, or a sample of it, into distinct tuples, or the mw probe —
 	// held until recordStats files it with the search's own.
 	unbooked brs.Stats
-	// rowPath keeps expansions, exact and sampled, off distinct-tuple tables:
-	// the seam through which tests hold the two paths to the same answers.
-	// Never set in production.
-	rowPath bool
 }
 
 // Revision identifies the state Save would write: it moves whenever the
@@ -228,7 +220,7 @@ func NewSession(t *table.Table, cfg Config) (*Session, error) {
 		// repeated expansions within the session are cached).
 		s.svc = search.NewService(search.Config{})
 	}
-	if !cfg.DisableSampling && cfg.SampleMemory > 0 && cfg.MinSampleSize > 0 && t.NumRows() > cfg.MinSampleSize {
+	if cfg.SampleMemory > 0 && cfg.MinSampleSize > 0 && t.NumRows() > cfg.MinSampleSize {
 		// The budget is row ids of this table: beyond its row count it buys
 		// nothing, and the prefetch allocator's tables grow with it — a
 		// client's 2 000 000 000 must not become a 16 GB allocation.
@@ -553,7 +545,7 @@ func (s *Session) exactView(t *table.Table, r rule.Rule) *table.View {
 // finds out.
 func (s *Session) groupable(w weight.Weighter, rows int) bool {
 	_, count := s.cfg.Agg.(score.CountAgg)
-	return count && !s.rowPath && exactGrouped(w, s.tab.NumCols(), rows)
+	return count && exactGrouped(w, s.tab.NumCols(), rows)
 }
 
 // exactGrouped reports whether a Count search under w over rows tuples of

@@ -298,3 +298,33 @@ func TestBaseArityChecked(t *testing.T) {
 		t.Fatalf("fully instantiated rule expanded into %d children", len(child.Children))
 	}
 }
+
+// TestExpandUsesIndexNotScans asserts the access-path claim itself: a
+// direct (unsampled) drill-down on a non-trivial rule is served entirely
+// from the inverted index — index lookups are accounted and no full scan
+// happens.
+func TestExpandUsesIndexNotScans(t *testing.T) {
+	tab := datagen.StoreSales(7)
+	s, err := NewSession(tab, Config{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Expand(s.Root()); err != nil {
+		t.Fatal(err)
+	}
+	s.Store().ResetStats()
+	if err := s.Expand(s.Root().Children[0]); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Store().Stats()
+	if st.IndexLookups == 0 {
+		t.Fatalf("expansion did not use the index: %+v", st)
+	}
+	if st.FullScans != 0 {
+		t.Fatalf("expansion fell back to full scans: %+v", st)
+	}
+	if st.IndexRowsRead == 0 || st.IndexRowsRead >= int64(tab.NumRows()) {
+		t.Fatalf("index read %d posting entries; want >0 and < %d (a full pass)",
+			st.IndexRowsRead, tab.NumRows())
+	}
+}

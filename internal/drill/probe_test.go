@@ -11,6 +11,7 @@ import (
 
 	"smartdrill/internal/brs"
 	"smartdrill/internal/datagen"
+	"smartdrill/internal/rule"
 	"smartdrill/internal/sampling"
 	"smartdrill/internal/table"
 	"smartdrill/internal/weight"
@@ -239,6 +240,28 @@ func TestProbeSkipsSmallViewsAndDeadContexts(t *testing.T) {
 	if mw, _ := estimateMaxWeight(dead, tab.All(), w, 1, 1); mw != top || dead.polls.Load() != 1 {
 		t.Errorf("a dead context: estimate %v after %d pass boundaries, want the bound %v at the first", mw, dead.polls.Load(), top)
 	}
+}
+
+// expandedRows lays a weighted view out row by row: an unweighted table, with
+// tab's dictionaries, holding each of v's tuples as many times over as its
+// multiplicity, in v's order.
+func expandedRows(t *testing.T, tab *table.Table, v *table.View) *table.View {
+	t.Helper()
+	var rows []int
+	tuple := make(rule.Rule, v.NumCols())
+	for i := 0; i < v.NumRows(); i++ {
+		for c := range tuple {
+			tuple[c] = v.Value(c, i)
+		}
+		equal := tab.FilterIndices(tuple)
+		if len(equal) == 0 {
+			t.Fatalf("the sample holds %v, which the table does not", tuple)
+		}
+		for m := v.Table().Multiplicity(v.ParentRow(i)); m > 0; m-- {
+			rows = append(rows, equal[0])
+		}
+	}
+	return tab.Select(rows).All()
 }
 
 // withProbeFloor has the drills of the rest of t probe every view of more

@@ -6,13 +6,11 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"smartdrill/internal/brs"
 	"smartdrill/internal/datagen"
 	"smartdrill/internal/rule"
 	"smartdrill/internal/score"
-	"smartdrill/internal/search"
 	"smartdrill/internal/table"
 	"smartdrill/internal/weight"
 )
@@ -20,115 +18,14 @@ import (
 // A sampled Count session under integer weights draws its samples from the
 // table's distinct tuples (sampling.Handler.ServeGrouped): a sample is a
 // weighted table of its own, a row for each distinct tuple it holds carrying
-// the number of sampled rows equal to it.
-// A session held to the rows (rowPath) draws different, equally uniform rows,
-// so the two no longer show the same trees. What still holds bit for bit is
-// what the grouping is for: a search of the weighted table returns what a
-// search of the same multiset of tuples laid out row by row returns, and the
-// session displays exactly that.
+// the number of sampled rows equal to it. TestEquivalenceDrillPaths holds
+// what such a session shows to brsref on the rows each sample stands for;
+// the tests here hold which sessions draw tuples, and what each drill is
+// booked for the sample's table.
 
-// expandedRows lays a weighted view out row by row: an unweighted table, with
-// tab's dictionaries, holding each of v's tuples as many times over as its
-// multiplicity, in v's order.
-func expandedRows(t *testing.T, tab *table.Table, v *table.View) *table.View {
-	t.Helper()
-	var rows []int
-	tuple := make(rule.Rule, v.NumCols())
-	for i := 0; i < v.NumRows(); i++ {
-		for c := range tuple {
-			tuple[c] = v.Value(c, i)
-		}
-		equal := tab.FilterIndices(tuple)
-		if len(equal) == 0 {
-			t.Fatalf("the sample holds %v, which the table does not", tuple)
-		}
-		for m := v.Table().Multiplicity(v.ParentRow(i)); m > 0; m-- {
-			rows = append(rows, equal[0])
-		}
-	}
-	return tab.Select(rows).All()
-}
-
-// sameAsExpanded fails unless what s shows under n — just drilled, under w,
-// as a batch or (kind search.KindStream, up to maxRules rules) streamed
-// search — is what BRS returns on n's sample laid out row by row: the same
-// rules in the same order with the same weights, counts, MCounts and
-// confidence intervals, found at the same mw, the probe included. It looks
-// the sample up again, which is a Find (or the same Combine) and no drill,
-// though it leaves its method in LastMethod.
-func sameAsExpanded(t *testing.T, label string, s *Session, n *Node, w weight.Weighter, kind search.Kind, maxRules int, degraded bool) {
-	t.Helper()
-	ctx := context.Background()
-	cov, err := s.coveredView(n.Rule, w, degraded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.unbooked = brs.Stats{}
-	if !cov.view.Table().Weighted() || cov.view.NumRows() != cov.view.Table().NumRows() {
-		t.Fatalf("%s: the sample is no weighted table of its own (weighted %v)", label, cov.view.Table().Weighted())
-	}
-	rows := expandedRows(t, s.tab, cov.view)
-	if rows.NumRows() != cov.view.NumTuples() {
-		t.Fatalf("%s: %d rows laid out for %d tuples", label, rows.NumRows(), cov.view.NumTuples())
-	}
-	k := s.cfg.K
-	if maxRules > 0 {
-		k = maxRules
-	}
-	mw := s.cfg.MaxWeight
-	if mw <= 0 {
-		// A sample of no more distinct tuples than the floor is searched at
-		// the weighter's bound, however many rows it stands for; one above it
-		// at the probe's estimate, which is Section 6.1 over its rows.
-		mw = w.MaxWeight(rows.NumCols())
-		if cov.view.NumRows() > probeFloor {
-			mw, _ = estimateMaxWeight(ctx, rows, w, k, s.cfg.Seed)
-		}
-		if got, _ := s.maxWeightFor(ctx, cov.view, w, maxRules); got != mw {
-			t.Fatalf("%s: mw %v over %d distinct tuples, %v over their %d rows", label, got, cov.view.NumRows(), mw, rows.NumRows())
-		}
-		s.unbooked = brs.Stats{}
-	}
-	opts := brs.Options{K: s.cfg.K, MaxWeight: mw, Base: n.Rule, BaseCovered: true, Workers: s.cfg.Workers, SampleScale: cov.scale}
-	run := func(v *table.View) []brs.Result {
-		if kind == search.KindBatch {
-			res, _, err := brs.Run(v, w, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}
-		var res []brs.Result
-		streamed := opts
-		streamed.MinGainRatio = 0.01
-		if _, err := brs.RunIncrementalCtx(ctx, v, w, streamed, maxRules, time.Time{}, func(r brs.Result) bool {
-			res = append(res, r)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	want := run(rows)
-	sameResults(t, label, run(cov.view), want)
-	if len(n.Children) != len(want) {
-		t.Fatalf("%s: %d rules shown, %d found on the rows", label, len(n.Children), len(want))
-	}
-	bound := cov.scale * float64(rows.NumRows())
-	for i, r := range want {
-		c := n.Children[i]
-		lo, hi, has := countCI(score.CountAgg{}, cov.exact, cov.scale, r.Count, bound)
-		if !c.Rule.Equal(r.Rule) || c.Weight != r.Weight || c.Count != r.Count || c.Exact != cov.exact ||
-			c.HasCI != has || c.CILow != lo || c.CIHigh != hi {
-			t.Fatalf("%s: rule %d is %v (weight %v, count %v in [%v, %v], exact %v), want %v (%v, %v in [%v, %v], %v)",
-				label, i, c.Rule, c.Weight, c.Count, c.CILow, c.CIHigh, c.Exact, r.Rule, r.Weight, r.Count, lo, hi, cov.exact)
-		}
-	}
-}
-
-// sampledStep drills s — step says how — and holds the result to
-// sameAsExpanded, returning what the drill was booked.
-func sampledStep(t *testing.T, label string, s *Session, at func(*Session) *Node, w weight.Weighter, kind search.Kind, maxRules int, step func(*Node) error) brs.Stats {
+// sampledStep drills s — step says how — requires the sample it searched to
+// be a weighted table of its own, and returns what the drill was booked.
+func sampledStep(t *testing.T, label string, s *Session, at func(*Session) *Node, w weight.Weighter, step func(*Node) error) brs.Stats {
 	t.Helper()
 	if at(s) == nil {
 		t.Fatalf("%s: no node to drill", label)
@@ -140,21 +37,28 @@ func sampledStep(t *testing.T, label string, s *Session, at func(*Session) *Node
 	if len(at(s).Children) == 0 {
 		t.Fatalf("%s: no rules", label)
 	}
-	sameAsExpanded(t, label, s, at(s), w, kind, maxRules, false)
+	cov, err := s.coveredView(at(s).Rule, w, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.unbooked = brs.Stats{}
+	if !cov.view.Table().Weighted() || cov.view.NumRows() != cov.view.Table().NumRows() {
+		t.Fatalf("%s: the sample is no weighted table of its own (weighted %v)", label, cov.view.Table().Weighted())
+	}
 	return drilled
 }
 
-// TestEquivalenceSampledDistinctPath holds a session whose samples are drawn
-// from the distinct tuples to the rows those samples stand for, on census-
-// and Marketing-shaped tables and on one whose samples hold more distinct
-// tuples than the mw probe draws, with the floor lowered below them (so the
-// probe draws them by mass) — under
-// Size, Bits and Size−1 weights and the star constraint over each, for rule,
-// star and streamed drills at Workers 1, 2 and 8, on samples served by
-// Create, by Find and by Combine (of a parent sample holding its rule's
-// whole coverage). The drill that makes a sample's table is booked the
-// distinct-table rows copied into it, once; a Combine, whose union is kept
-// nowhere, each time; and no drill of the session passes over the table.
+// TestEquivalenceSampledDistinctPath: what a session whose samples are drawn
+// from the distinct tuples is booked, on census- and Marketing-shaped tables
+// and on one whose samples hold more distinct tuples than the mw probe draws,
+// with the floor lowered below them — under Size, Bits and Size−1 weights,
+// for rule, star and streamed drills at Workers 1, 2 and 8, on samples
+// served by Create, by Find and by Combine (of a parent sample holding its
+// rule's whole coverage). Each sample is a weighted table of its own. The
+// drill that makes it is booked the distinct-table rows copied into it,
+// once; a Combine, whose union is kept nowhere, each time; and no drill of
+// the session passes over the table. (TestEquivalenceDrillPaths holds the
+// answers to brsref.)
 func TestEquivalenceSampledDistinctPath(t *testing.T) {
 	marketing, err := datagen.Marketing(9409, 3).ProjectFirst(5)
 	if err != nil {
@@ -210,7 +114,7 @@ func TestEquivalenceSampledDistinctPath(t *testing.T) {
 
 				// Create: the first drill draws the sample, builds its table
 				// and is booked the tuples copied; Find: the second nothing.
-				created := sampledStep(t, label+" root (Create)", s, root, inner, search.KindBatch, 0, served("Create", s.Expand))
+				created := sampledStep(t, label+" root (Create)", s, root, inner, served("Create", s.Expand))
 				interval := false
 				for _, c := range s.Root().Children {
 					if c.Exact || !c.HasCI || c.CILow > c.Count || c.CIHigh < c.Count {
@@ -221,7 +125,7 @@ func TestEquivalenceSampledDistinctPath(t *testing.T) {
 				if !interval {
 					t.Fatalf("%s: every interval is a point: the bound was taken from the distinct rows", label)
 				}
-				found := sampledStep(t, label+" root (Find)", s, root, inner, search.KindBatch, 0, served("Find", s.Expand))
+				found := sampledStep(t, label+" root (Find)", s, root, inner, served("Find", s.Expand))
 				cov, err := s.coveredView(s.Root().Rule, inner, false)
 				if err != nil {
 					t.Fatal(err)
@@ -242,11 +146,11 @@ func TestEquivalenceSampledDistinctPath(t *testing.T) {
 						label, created.RowsScanned, created.SampledRowsScanned, created.Passes, found.RowsScanned, found.SampledRowsScanned, found.Passes, tuples)
 				}
 
-				sampledStep(t, label+" star drill", s, root, starred, search.KindBatch, 0, func(n *Node) error { return s.ExpandStar(n, star) })
-				sampledStep(t, label+" stream", s, root, inner, search.KindStream, 5, func(n *Node) error { return s.ExpandStream(n, 5, 0, nil) })
-				sampledStep(t, label+" root again", s, root, inner, search.KindBatch, 0, s.Expand)
+				sampledStep(t, label+" star drill", s, root, starred, func(n *Node) error { return s.ExpandStar(n, star) })
+				sampledStep(t, label+" stream", s, root, inner, func(n *Node) error { return s.ExpandStream(n, 5, 0, nil) })
+				sampledStep(t, label+" root again", s, root, inner, s.Expand)
 				child := func(s *Session) *Node { return drillable(s.Root()) }
-				sampledStep(t, label+" child", s, child, inner, search.KindBatch, 0, served("Create", s.Expand))
+				sampledStep(t, label+" child", s, child, inner, served("Create", s.Expand))
 				if shape.combines {
 					// The child's sample holds every row the child covers, so
 					// the drill below it is served by combining: a union that
@@ -257,7 +161,7 @@ func TestEquivalenceSampledDistinctPath(t *testing.T) {
 					}
 					grandchild := func(s *Session) *Node { return drillable(child(s)) }
 					for round := 0; round < 2; round++ {
-						drilled := sampledStep(t, label+" grandchild", s, grandchild, inner, search.KindBatch, 0, served("Combine", s.Expand))
+						drilled := sampledStep(t, label+" grandchild", s, grandchild, inner, served("Combine", s.Expand))
 						gcov, err := s.coveredView(grandchild(s).Rule, inner, false)
 						if err != nil {
 							t.Fatal(err)
@@ -291,7 +195,9 @@ func TestEquivalenceSampledDistinctPath(t *testing.T) {
 }
 
 // TestEquivalenceSampledDistinctDegraded: a drill the overload ladder forces
-// onto a sample goes through the same branch, and gets the same treatment.
+// onto a sample goes through the same branch, and gets the same treatment: a
+// weighted table of the sample's own, made by a Create and found after it.
+// (TestEquivalenceDrillPaths holds the answers to brsref.)
 func TestEquivalenceSampledDistinctDegraded(t *testing.T) {
 	tab := datagen.CensusProjected(20000, 6, 11)
 	ctx := WithDegraded(context.Background())
@@ -311,28 +217,37 @@ func TestEquivalenceSampledDistinctDegraded(t *testing.T) {
 		if s.LastMethod != "direct" || !s.Root().Children[0].Exact {
 			t.Fatalf("%s: below the threshold the drill was served by %s", label, s.LastMethod)
 		}
-		if err := s.ExpandCtx(ctx, s.Root()); err != nil {
-			t.Fatal(err)
+		for _, d := range []struct {
+			name   string
+			method string
+			w      weight.Weighter
+			drill  func() error
+		}{
+			{"rule drill", "Create", inner, func() error { return s.ExpandCtx(ctx, s.Root()) }},
+			{"star drill", "Find", weight.StarConstraint{Inner: inner, Column: 2}, func() error { return s.ExpandStarCtx(ctx, s.Root(), 2) }},
+			{"stream", "Find", inner, func() error { return s.ExpandStreamCtx(ctx, s.Root(), 3, 0, nil) }},
+		} {
+			if err := d.drill(); err != nil {
+				t.Fatal(err)
+			}
+			if s.LastMethod != d.method || len(s.Root().Children) == 0 || s.Root().Children[0].Exact {
+				t.Fatalf("%s: the degraded %s was served by %s, exact %v", label, d.name, s.LastMethod, s.Root().Children[0].Exact)
+			}
+			cov, err := s.coveredView(s.Root().Rule, d.w, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cov.view.Table().Weighted() || cov.view.NumRows() != cov.view.Table().NumRows() {
+				t.Fatalf("%s: the degraded %s's sample is no weighted table of its own", label, d.name)
+			}
 		}
-		if s.LastMethod != "Create" || s.Root().Children[0].Exact {
-			t.Fatalf("%s: the degraded drill was served by %s, exact %v", label, s.LastMethod, s.Root().Children[0].Exact)
-		}
-		sameAsExpanded(t, label+" degraded rule drill", s, s.Root(), inner, search.KindBatch, 0, true)
-		if err := s.ExpandStarCtx(ctx, s.Root(), 2); err != nil {
-			t.Fatal(err)
-		}
-		sameAsExpanded(t, label+" degraded star drill", s, s.Root(), weight.StarConstraint{Inner: inner, Column: 2}, search.KindBatch, 0, true)
-		if err := s.ExpandStreamCtx(ctx, s.Root(), 3, 0, nil); err != nil {
-			t.Fatal(err)
-		}
-		sameAsExpanded(t, label+" degraded stream", s, s.Root(), inner, search.KindStream, 3, true)
 	}
 }
 
 // TestEquivalenceSampledDistinctGates: the form a session's handler serves
 // its samples in. What cannot be summed per distinct tuple bit for bit — a
-// Sum, weights that are not integers — gets plain rows, never grouped, as
-// does the rowPath seam. A Count session under integer weights draws from the
+// Sum, weights that are not integers — gets plain rows, never grouped. A
+// Count session under integer weights draws from the
 // distinct tuples where the table compresses; where it does not, it draws rows
 // and gets a sample grouped where more than half its rows repeat — the first
 // serve booked a pass over the sample's rows — and the rows otherwise, that
@@ -343,19 +258,7 @@ func TestEquivalenceSampledDistinctGates(t *testing.T) {
 	census := datagen.CensusProjected(30000, 7, 7)
 	marketing := datagen.Marketing(9409, 3)
 	const minSS = 3000
-	// Ten tuples in two thirds of the rows, the rest all different: the
-	// table does not compress (table.Distinct's ¼), a sample of it does (½).
-	skewed := func() *table.Table {
-		b := table.MustBuilder([]string{"A", "B", "C"}, nil)
-		for i := 0; i < 30000; i++ {
-			if i%3 == 2 {
-				b.MustAddRow([]string{fmt.Sprint(i % 7), fmt.Sprint(i), fmt.Sprint(i % 5)})
-			} else {
-				b.MustAddRow([]string{fmt.Sprint(i % 5), "h", fmt.Sprint(i % 2)})
-			}
-		}
-		return b.Build()
-	}()
+	skewed := skewedTable(30000)
 	for _, tc := range []struct {
 		name    string
 		tab     *table.Table
@@ -372,7 +275,6 @@ func TestEquivalenceSampledDistinctGates(t *testing.T) {
 		{"fractional linear", census, Config{Weighter: weight.NewLinear([]float64{1, 0.5, 1.25, 1, 1, 1, 1}, 1, "frac")}, false, false, 0, 0},
 		{"fractional scale", census, Config{Weighter: weight.Scaled{Inner: weight.NewSize(7), Factor: 0.1}}, false, false, 0, 0},
 		{"sum", sales, Config{Agg: score.SumAgg{Measure: 0}}, false, false, 0, 0},
-		{"row path seam", census, Config{}, false, false, 0, 0},
 		{"rows that repeat", skewed, Config{}, false, true, minSS, minSS},
 		{"more than half distinct", marketing, Config{}, false, false, minSS/2 + 1, minSS - 1},
 	} {
@@ -386,7 +288,6 @@ func TestEquivalenceSampledDistinctGates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.rowPath = tc.name == "row path seam"
 		var drills [2]brs.Stats
 		for i := range drills {
 			if err := s.Expand(s.Root()); err != nil {

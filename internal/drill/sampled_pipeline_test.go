@@ -1,8 +1,8 @@
 package drill
 
 // Tests for the approximate interactive pipeline: sampled-vs-exact
-// convergence, the DisableSampling ablation's bit-identity, threshold
-// routing, and the provisional→exact refinement lifecycle.
+// convergence, threshold routing, and the provisional→exact refinement
+// lifecycle.
 
 import (
 	"bytes"
@@ -92,59 +92,6 @@ func TestSampledTopKConvergence(t *testing.T) {
 		t.Errorf("convergence inverted: Jaccard %.2f at minSS=1500 vs %.2f near-full", small, nearFull)
 	}
 	t.Logf("top-k Jaccard vs exact: minSS=1500 %.2f, 10000 %.2f, 29000 %.2f", small, large, nearFull)
-}
-
-// sameTree compares two displayed trees field by field.
-func sameTree(t *testing.T, a, b *Node) {
-	t.Helper()
-	if a.Rule.Key() != b.Rule.Key() || a.Weight != b.Weight || a.Count != b.Count ||
-		a.Exact != b.Exact || a.CILow != b.CILow || a.CIHigh != b.CIHigh {
-		t.Fatalf("nodes differ:\n  %+v\n  %+v", a, b)
-	}
-	if len(a.Children) != len(b.Children) {
-		t.Fatalf("child counts differ at %v: %d vs %d", a.Rule, len(a.Children), len(b.Children))
-	}
-	for i := range a.Children {
-		sameTree(t, a.Children[i], b.Children[i])
-	}
-}
-
-// TestDisableSamplingBitIdentical: the ablation switch must reproduce a
-// session configured without sampling exactly — same rules, same counts,
-// same intervals — two levels deep.
-func TestDisableSamplingBitIdentical(t *testing.T) {
-	tab := datagen.CensusProjected(20000, 7, 7)
-	plain, err := NewSession(tab, Config{K: 4, MaxWeight: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ablated, err := NewSession(tab, Config{
-		K: 4, MaxWeight: 4,
-		SampleMemory:    20000,
-		MinSampleSize:   2000,
-		SampleThreshold: 100,
-		DisableSampling: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ablated.Handler() != nil {
-		t.Fatal("DisableSampling left a sample handler alive")
-	}
-	for _, s := range []*Session{plain, ablated} {
-		if err := s.Expand(s.Root()); err != nil {
-			t.Fatal(err)
-		}
-		if s.LastMethod != "direct" {
-			t.Fatalf("access method %q, want direct", s.LastMethod)
-		}
-		for _, c := range s.Root().Children {
-			if err := s.Expand(c); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	sameTree(t, plain.Root(), ablated.Root())
 }
 
 // TestSampleThresholdRouting: expansions route by (sub)view size — large

@@ -221,11 +221,6 @@ type Service struct {
 	misses atomic.Int64
 	waits  atomic.Int64
 	warmed atomic.Int64
-
-	// onFlightWait, when non-nil, runs each time a request starts waiting
-	// on another request's in-flight execution — a deterministic
-	// synchronization point for concurrency tests. Never set in production.
-	onFlightWait func()
 }
 
 // cacheState is everything the service's lock protects: the answer cache
@@ -341,9 +336,6 @@ func (s *Service) Run(ctx context.Context, req Request) (Response, error) {
 			return replay(e, req, brs.Stats{CacheHits: 1}), nil
 		}
 		if !leader {
-			if s.onFlightWait != nil {
-				s.onFlightWait()
-			}
 			select {
 			case <-ctx.Done():
 				return Response{}, ctx.Err()

@@ -189,13 +189,25 @@ func TestBypassesNeverTouchCache(t *testing.T) {
 	}
 }
 
+// counting is a request's context that counts the requests waiting on
+// another's flight: a waiter asks its context for Done where it waits, and
+// nothing else in a search does.
+type counting struct {
+	context.Context
+	waits *atomic.Int32
+}
+
+func (c counting) Done() <-chan struct{} {
+	c.waits.Add(1)
+	return c.Context.Done()
+}
+
 func TestSingleflightCollapsesConcurrentIdentical(t *testing.T) {
 	tab := testTable()
 	svc := NewService(Config{})
 
 	var execs atomic.Int32
 	var waiting atomic.Int32
-	svc.onFlightWait = func() { waiting.Add(1) }
 	gate := make(chan struct{})
 	mkReq := func() Request {
 		var ignored atomic.Int32
@@ -226,7 +238,7 @@ func TestSingleflightCollapsesConcurrentIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = svc.Run(context.Background(), mkReq())
+			results[i], errs[i] = svc.Run(counting{context.Background(), &waiting}, mkReq())
 		}(i)
 	}
 	waitFor(t, func() bool { return waiting.Load() == waiters })
@@ -263,7 +275,6 @@ func TestCanceledLeaderReelectsWaiter(t *testing.T) {
 	svc := NewService(Config{})
 
 	var waiting atomic.Int32
-	svc.onFlightWait = func() { waiting.Add(1) }
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	defer cancelLeader()
@@ -290,7 +301,7 @@ func TestCanceledLeaderReelectsWaiter(t *testing.T) {
 	var waiterErr error
 	go func() {
 		defer close(waiterDone)
-		waiterResp, waiterErr = svc.Run(context.Background(), batchReq(tab, &resolves))
+		waiterResp, waiterErr = svc.Run(counting{context.Background(), &waiting}, batchReq(tab, &resolves))
 	}()
 	waitFor(t, func() bool { return waiting.Load() == 1 })
 	cancelLeader()
@@ -318,7 +329,6 @@ func TestGenuineFailureSharedWithWaiters(t *testing.T) {
 	tab := testTable()
 	svc := NewService(Config{})
 	var waiting atomic.Int32
-	svc.onFlightWait = func() { waiting.Add(1) }
 
 	boom := errors.New("boom")
 	leaderIn := make(chan struct{})
@@ -338,7 +348,7 @@ func TestGenuineFailureSharedWithWaiters(t *testing.T) {
 
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, err := svc.Run(context.Background(), batchReq(tab, new(atomic.Int32)))
+		_, err := svc.Run(counting{context.Background(), &waiting}, batchReq(tab, new(atomic.Int32)))
 		waiterErr <- err
 	}()
 	waitFor(t, func() bool { return waiting.Load() == 1 })

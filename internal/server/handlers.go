@@ -118,7 +118,9 @@ func (s *Server) buildEngine(d dataset, req api.CreateSessionRequest) (*smartdri
 		// searches collapse onto one execution.
 		opts = append(opts, smartdrill.WithSearchService(d.svc))
 	}
-	if req.SampleMemory > 0 && req.MinSampleSize > 0 {
+	// disable_sampling asks for the session the sampling fields would give
+	// without them: exact, with no sample handler and so no prefetch.
+	if req.SampleMemory > 0 && req.MinSampleSize > 0 && !req.DisableSampling {
 		opts = append(opts, smartdrill.WithSampling(req.SampleMemory, req.MinSampleSize))
 		if req.Prefetch {
 			opts = append(opts, smartdrill.WithPrefetch())
@@ -126,9 +128,6 @@ func (s *Server) buildEngine(d dataset, req api.CreateSessionRequest) (*smartdri
 		if req.SampleThreshold > 0 {
 			opts = append(opts, smartdrill.WithSampleThreshold(req.SampleThreshold))
 		}
-	}
-	if req.DisableSampling {
-		opts = append(opts, smartdrill.WithSamplingDisabled())
 	}
 	if req.Sum != "" {
 		o, err := smartdrill.WithSum(d.table, req.Sum)

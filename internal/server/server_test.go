@@ -270,6 +270,58 @@ func TestSampledSumOmitsCI(t *testing.T) {
 	}
 }
 
+// TestDisableSamplingIgnoresSamplingFields: disable_sampling has the server
+// create the session the sampling fields would give without them. Two levels
+// of drills are all served direct, every node is exact, and the tree is the
+// one a session created with no sampling fields shows.
+func TestDisableSamplingIgnoresSamplingFields(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheOff: true})
+	drive := func(req api.CreateSessionRequest) *api.Node {
+		t.Helper()
+		sessURL := ts.URL + "/v1/sessions/" + createSession(t, ts.URL, req).ID
+		drill := func(node string) []*api.Node {
+			var dr api.DrillResponse
+			if code := doJSON(t, "POST", sessURL+"/drill", api.DrillRequest{Node: node}, &dr); code != http.StatusOK {
+				t.Fatalf("drill %q: status %d", node, code)
+			}
+			if dr.Access != "direct" {
+				t.Fatalf("drill %q: access %q, want direct", node, dr.Access)
+			}
+			return dr.Node.Children
+		}
+		for _, c := range drill("") {
+			drill(c.ID)
+		}
+		var tree api.Tree
+		if code := doJSON(t, "GET", sessURL+"/tree", nil, &tree); code != http.StatusOK {
+			t.Fatalf("tree: status %d", code)
+		}
+		return tree.Root
+	}
+	ablated := drive(api.CreateSessionRequest{
+		Dataset: "store", K: 4, Seed: 7, SampleMemory: 3000, MinSampleSize: 500,
+		SampleThreshold: 100, Prefetch: true, DisableSampling: true,
+	})
+	plain := drive(api.CreateSessionRequest{Dataset: "store", K: 4, Seed: 7})
+	var exact func(n *api.Node) bool
+	exact = func(n *api.Node) bool {
+		for _, c := range n.Children {
+			if !exact(c) {
+				return false
+			}
+		}
+		return n.Exact && n.CI == nil
+	}
+	if len(ablated.Children) == 0 || !exact(ablated) {
+		t.Fatalf("the session with sampling disabled shows estimates: %+v", ablated)
+	}
+	got, _ := json.Marshal(ablated)
+	want, _ := json.Marshal(plain)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("with sampling disabled the tree is\n%s\nwithout sampling fields\n%s", got, want)
+	}
+}
+
 // TestConcurrentSessions exercises the store's parallelism contract under
 // -race: distinct sessions drill simultaneously against one shared table.
 func TestConcurrentSessions(t *testing.T) {

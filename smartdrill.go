@@ -173,13 +173,6 @@ func WithSampleThreshold(rows int) Option {
 	return func(c *drill.Config) { c.SampleThreshold = rows }
 }
 
-// WithSamplingDisabled forces every expansion down the exact path even when
-// sampling options are set — the ablation switch: results are bit-identical
-// to a session configured without sampling.
-func WithSamplingDisabled() Option {
-	return func(c *drill.Config) { c.DisableSampling = true }
-}
-
 // WithPrefetch enables background-style sample reallocation after each
 // expansion, so the next drill-down is likely served from memory.
 func WithPrefetch() Option { return func(c *drill.Config) { c.Prefetch = true } }
@@ -233,9 +226,8 @@ func WithSearchService(svc *SearchService) Option {
 }
 
 // WithCacheDisabled bypasses the search service's answer cache and
-// singleflight for this engine — the ablation switch mirroring
-// WithSamplingDisabled: every expansion executes, and results are
-// bit-identical to the cached path.
+// singleflight for this engine — the ablation switch: every expansion
+// executes, and results are bit-identical to the cached path.
 func WithCacheDisabled() Option { return func(c *drill.Config) { c.DisableCache = true } }
 
 // New starts a drill-down session on t.
