@@ -39,9 +39,10 @@
 //     route the walk that discovers a parent's extensions also counts
 //     them, so a candidate that survives pruning in the step its parent
 //     was expanded in is never intersected on its own; and an index walk
-//     keeps the rows it visits as its parent's cover, so a later count or
-//     walk of a child intersects two containers, that cover and the
-//     child's added column, however deep the child is.
+//     keeps the rows it visits as its candidate's cover, so a later count
+//     or walk of that candidate reads that cover alone, and one of a child
+//     holding no cover intersects two containers, the parent's cover and
+//     the child's added column, however deep the child is.
 //
 // Because counting is fused into generation, the bound is tested before
 // the walk: a counted rule whose own bound MV + Count·(mw − W) is below the
@@ -59,9 +60,11 @@
 package brs
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -431,6 +434,14 @@ func (rn *runner) canceled() bool {
 	return rn.ctxErr != nil
 }
 
+// canceledAt is canceled for item i of a serial loop between passes over
+// many candidates — materializing a walk's extensions, bounding a level's —
+// polled only before every pollStride-th item, so that such a loop stops
+// within a stride and still costs no poll an item.
+func (rn *runner) canceledAt(i int) bool {
+	return i > 0 && i%pollStride == 0 && rn.canceled()
+}
+
 // fired polls the run's context without latching, so any worker may call
 // it.
 func (rn *runner) fired() error {
@@ -581,7 +592,10 @@ func (rn *runner) findBestMarginal() *cand {
 		}
 		survivors := next[:0]
 		var toCount []*cand
-		for _, c := range next {
+		for i, c := range next {
+			if rn.canceledAt(i) {
+				return nil
+			}
 			if c.counted {
 				// Cached from an earlier step: a parent and a bound source
 				// whatever its marginal, no bound test needed.
@@ -677,23 +691,36 @@ func (rn *runner) refreshStale() float64 {
 	if len(rn.selected) == 0 {
 		return best
 	}
-	var stale []*cand
-	for _, c := range rn.store.counted {
+	// Descending stale marginal, equal ones in counting order: a stable
+	// sort's order at an unstable sort's cost. The ranking is serial work no
+	// poll can cut, and a wide table counts a hundred thousand candidates.
+	type ranked struct {
+		marginal float64
+		at       int32 // the candidate's place in rn.store.counted
+	}
+	var order []ranked
+	for i, c := range rn.store.counted {
 		if c.marginal > 0 {
-			stale = append(stale, c)
+			order = append(order, ranked{c.marginal, int32(i)})
 		}
 	}
-	sort.SliceStable(stale, func(i, j int) bool { return stale[i].marginal > stale[j].marginal })
+	slices.SortFunc(order, func(a, b ranked) int {
+		if c := cmp.Compare(b.marginal, a.marginal); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.at, b.at)
+	})
 	step := rn.step()
-	for len(stale) > 0 && stale[0].marginal >= best {
+	batch := make([]*cand, 0, refreshBatch)
+	for len(order) > 0 && order[0].marginal >= best {
 		if rn.canceled() {
 			break
 		}
-		batch := stale
-		if len(batch) > refreshBatch {
-			batch = batch[:refreshBatch]
+		batch = batch[:0]
+		for _, r := range order[:min(refreshBatch, len(order))] {
+			batch = append(batch, rn.store.counted[r.at])
 		}
-		stale = stale[len(batch):]
+		order = order[len(batch):]
 		for _, c := range batch {
 			c.count, c.marginal = 0, 0
 		}
@@ -1000,6 +1027,9 @@ func (rn *runner) generateCandidates(prev []*cand, H float64) []*cand {
 	}
 	if len(fresh) > 0 {
 		rn.expandParents(fresh)
+		if rn.ctxErr != nil {
+			return nil
+		}
 	}
 	// Merge the parents' child lists, deduplicating shared children (one
 	// rule reachable through several parents) by epoch marker.
@@ -1118,6 +1148,9 @@ func (rn *runner) expandParents(parents []*cand) {
 		}
 	}
 	rn.scan(parents, nw, func(g, p, pos, row int) { rn.bookRow(perWorker[g][p], pos, row) })
+	if rn.ctxErr != nil {
+		return // a cut pass: some rows were never booked
+	}
 	for g := 1; g < nw; g++ {
 		for p := range accs {
 			mergeAccs(accs[p], perWorker[g][p])
@@ -1131,9 +1164,10 @@ func (rn *runner) expandParents(parents []*cand) {
 // (possibly already-registered) candidate, cache it on the parent, and hand
 // a not yet counted one the mass and marginal the walk measured — if it
 // survives this step's bound test it is counted without a read of its own.
+// It stops where the context fires, leaving that parent unexpanded.
 func (rn *runner) materializeChildren(parents []*cand, accs [][]extAcc) {
 	step := rn.step()
-	created := 0
+	created, resolved := 0, 0
 	for p, c := range parents {
 		for a := range accs[p] {
 			acc := &accs[p][a]
@@ -1141,6 +1175,10 @@ func (rn *runner) materializeChildren(parents []*cand, accs [][]extAcc) {
 				if !acc.seen(val) {
 					continue
 				}
+				if rn.canceledAt(resolved) {
+					return
+				}
+				resolved++
 				child := rn.childOf(c, acc, rule.Value(val), &created)
 				c.children = append(c.children, child)
 				if !child.counted {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -176,6 +178,111 @@ func TestCancelInsideAPass(t *testing.T) {
 				res, _, err := RunCtx(newFiresAt(fireAt), v, w, opts)
 				if !errors.Is(err, context.Canceled) || res != nil {
 					t.Fatalf("%s fire at poll %d of %d: Run returned %d rules, err %v", label, fireAt, polls, len(res), err)
+				}
+			}
+		}
+	}
+}
+
+// bookkeepingPolls is a context that never fires and records, for each
+// poll made by canceledAt, its number among all polls by the function that
+// called canceledAt. Pass workers poll it too, so it counts atomically; only
+// the serial canceledAt polls touch by.
+type bookkeepingPolls struct {
+	context.Context
+	calls atomic.Int64
+	by    map[string][]int64
+}
+
+func (c *bookkeepingPolls) Err() error {
+	k := c.calls.Add(1)
+	pcs := make([]uintptr, 16)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for more := true; more; {
+		var f runtime.Frame
+		if f, more = frames.Next(); strings.HasSuffix(f.Function, ".canceledAt") {
+			caller, _ := frames.Next()
+			name := caller.Function[strings.LastIndexByte(caller.Function, '.')+1:]
+			c.by[name] = append(c.by[name], k)
+			return nil
+		}
+	}
+	return nil
+}
+
+// bookedAt is firesAt that also keeps the runner's statistics and the
+// size of its candidate store as they stood at the poll that fired.
+type bookedAt struct {
+	*firesAt
+	rn     *runner
+	booked Stats
+	stored int
+}
+
+func (c *bookedAt) Err() error {
+	k := c.calls.Add(1)
+	if k == c.n {
+		c.booked, c.stored = c.rn.stats, len(c.rn.store.byKey)
+	}
+	if k >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelInsideBookkeeping: between passes the runner materializes a
+// walk's extensions and bounds a level's candidates in serial loops that
+// read no row; they poll the context every pollStride items. Over a table
+// whose level 2 holds thousands of extensions, a context that fires at a
+// poll inside either loop stops the search there: greedy returns the
+// error, and after the poll that fired yields no rule, books nothing — no
+// pass, no candidate bounded or counted — and registers no candidate.
+func TestCancelInsideBookkeeping(t *testing.T) {
+	const n = 12_000
+	b := table.MustBuilder([]string{"A", "B", "C"}, nil)
+	for i := 0; i < n; i++ {
+		b.MustAddRow([]string{fmt.Sprint("a", i%4), fmt.Sprint("b", i/4%3000), fmt.Sprint("c", i*7%3000)})
+	}
+	tab := b.Build()
+	w := weight.NewSize(tab.NumCols())
+	for _, scan := range []bool{true, false} {
+		v := viewOf(tab, scan)
+		for _, workers := range []int{1, 2} {
+			label := fmt.Sprintf("scan=%v workers=%d", scan, workers)
+			opts := Options{K: 3, Workers: workers}
+			runner := func(ctx context.Context) *runner {
+				rn, err := newRunner(v, w, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rn.ctx = ctx
+				return rn
+			}
+			rec := &bookkeepingPolls{Context: context.Background(), by: map[string][]int64{}}
+			if err := runner(rec).greedy(opts.K, time.Time{}, 0, func(Result) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+			for _, loop := range []string{"materializeChildren", "findBestMarginal"} {
+				polls := rec.by[loop]
+				if len(polls) == 0 {
+					t.Fatalf("%s: %s never polled: %v", label, loop, rec.by)
+				}
+				for _, fireAt := range []int64{polls[0], polls[len(polls)-1]} {
+					ctx := &bookedAt{firesAt: newFiresAt(fireAt)}
+					rn := runner(ctx)
+					ctx.rn = rn
+					if err := rn.greedy(opts.K, time.Time{}, 0, func(r Result) bool {
+						if ctx.fired() {
+							t.Errorf("%s fire at %s poll %d: yielded %v after the context fired", label, loop, fireAt, r.Rule)
+						}
+						return true
+					}); !errors.Is(err, context.Canceled) {
+						t.Fatalf("%s fire at %s poll %d: greedy returned %v", label, loop, fireAt, err)
+					}
+					if rn.stats != ctx.booked || len(rn.store.byKey) != ctx.stored {
+						t.Errorf("%s fire at %s poll %d: %+v and %d candidates at the end, %+v and %d at the poll that fired",
+							label, loop, fireAt, rn.stats, len(rn.store.byKey), ctx.booked, ctx.stored)
+					}
 				}
 			}
 		}

@@ -109,12 +109,13 @@ func TestEquivalenceCoverReuse(t *testing.T) {
 	}
 }
 
-// TestCoverWalkReadsTwoContainers: over four two-valued columns, every
+// TestCoverWalkReadsFewestContainers: over four two-valued columns, every
 // value in 256 of 512 rows, each rule's coverage is dense, so every walk
-// ANDs bitsets. A level-3 rule's walk reads its level-2 parent's cover and
-// the added column's bitset — 2 × ⌈rows/64⌉ words — and, with the cover
-// dropped, one bitset a column.
-func TestCoverWalkReadsTwoContainers(t *testing.T) {
+// ANDs bitsets. A re-walk of a level-3 rule reads its own cover alone — 1 ×
+// ⌈rows/64⌉ words; with that cover dropped, its level-2 parent's cover and
+// the added column's bitset — 2 ×; with both covers dropped, one bitset a
+// column — 3 ×.
+func TestCoverWalkReadsFewestContainers(t *testing.T) {
 	const rows = 512
 	b := table.MustBuilder([]string{"A", "B", "C", "D"}, nil)
 	for i := 0; i < rows; i++ {
@@ -134,20 +135,30 @@ func TestCoverWalkReadsTwoContainers(t *testing.T) {
 			break
 		}
 	}
-	if x == nil || x.from.cover == nil || x.from.cover.bits == nil {
-		t.Fatalf("step 1 walked no level-3 rule whose parent holds a bitset cover: %+v", x)
+	if x == nil || x.cover == nil || x.cover.bits == nil || x.from.cover == nil || x.from.cover.bits == nil {
+		t.Fatalf("step 1 walked no level-3 rule that holds a bitset cover under a parent that holds one: %+v", x)
 	}
-	walk := func() int64 {
+	// A walk that finds its candidate without a cover keeps one again, so
+	// each arm drops what it must right before it walks.
+	walk := func(dropOwn, dropParent bool) int64 {
+		if dropOwn {
+			x.cover = nil
+		}
+		if dropParent {
+			x.from.cover = nil
+		}
 		before := rn.stats.BitmapWordsRead
 		rn.expandParents([]*cand{x})
 		return rn.stats.BitmapWordsRead - before
 	}
-	if got := walk(); got != 2*words {
-		t.Errorf("level-3 walk read %d words, want 2 × %d", got, words)
+	if got := walk(false, false); got != words {
+		t.Errorf("level-3 walk through its own cover read %d words, want 1 × %d", got, words)
 	}
-	x.from.cover = nil
-	if got := walk(); got != 3*words {
-		t.Errorf("level-3 walk without its parent's cover read %d words, want 3 × %d", got, words)
+	if got := walk(true, false); got != 2*words {
+		t.Errorf("level-3 walk without its own cover read %d words, want 2 × %d", got, words)
+	}
+	if got := walk(true, true); got != 3*words {
+		t.Errorf("level-3 walk without either cover read %d words, want 3 × %d", got, words)
 	}
 }
 
@@ -168,8 +179,12 @@ func rootSearchTable(tb testing.TB) *table.Table {
 // read; every later count is an index walk or AND over a table in tuple
 // order, whose containers' spans are narrow. A change to the layout of a
 // grouped table, to what a bitset kernel reads, to which containers a walk
-// ANDs — its from's cover, or one a column — or to which candidates are
-// counted moves these figures.
+// ANDs — its own cover, its from's cover and one column, or one a column —
+// or to which candidates are counted moves these figures. The refresh walks
+// of later steps and the topW raises read a candidate's own cover where it
+// holds one, one container in place of its parent's cover and a column: a
+// sparse cover is a list, read an entry a row, which is why PostingsRead is
+// well above what the expansion walks alone read.
 func TestRootSearchReads(t *testing.T) {
 	tab := rootSearchTable(t)
 	w := weight.NewSize(tab.NumCols())
@@ -182,8 +197,8 @@ func TestRootSearchReads(t *testing.T) {
 		CandidatesCounted: 2693,
 		CandidatesPruned:  4653,
 		CandidatesReused:  2786,
-		PostingsRead:      5906,
-		BitmapWordsRead:   52743,
+		PostingsRead:      11951,
+		BitmapWordsRead:   38702,
 		IndexLevels:       24,
 	}
 	if st != want {

@@ -7,13 +7,13 @@ import (
 
 // Index-driven counting. A candidate's coverage within the view is the
 // intersection of the view's row set with the index containers of the
-// candidate's instantiated free columns — or with its parent's cover and
-// one column's container (Covers, below) — so counting (and candidate
-// generation, and the topW raise over a selected rule) can be answered
-// from the index instead of scanning every view row. The index keeps each
-// (column, value) in one container — a sorted []int32 posting list where
-// the value is sparse, a packed []uint64 bitset (table.Bitset) where it is
-// dense — and two kernels read them:
+// candidate's instantiated free columns — or with its own cover, or its
+// parent's cover and one column's container (Covers, below) — so counting
+// (and candidate generation, and the topW raise over a selected rule) can
+// be answered from the index instead of scanning every view row. The index
+// keeps each (column, value) in one container — a sorted []int32 posting
+// list where the value is sparse, a packed []uint64 bitset (table.Bitset)
+// where it is dense — and two kernels read them:
 //
 //   - Probing (table.View.EachInAll): a walk of the smallest container that
 //     tests each of its rows against the others — one word read where the
@@ -53,15 +53,19 @@ import (
 const postingsCostSlack = 16
 
 // Covers. A walk over a candidate's coverage — an index-route expansion
-// walk — can keep the rows it visits, and then each child that walk created
-// (one column more, with the candidate as its from) has its coverage as the
-// AND of two containers, the parent's cover and the added column's, instead
-// of one container per column: the tid-set intersection of Eclat (Zaki, IEEE TKDE
-// 2000), which gets a child's tid-set from its parent's and one item's. A
-// level-1 candidate's cover is its own index container, held at no cost,
-// which is why its children's two containers are the same either way.
-// Covers are read only by the metering kernels, like every container, so a
-// cover's words and entries are booked to Stats exactly like the index's.
+// walk — can keep the rows it visits. From then on every later walk of that
+// candidate — the refresh that re-measures it in a later greedy step, the
+// topW raise once it is selected — reads that one container, the cover's
+// span of words or its list entries, and each child the walk created (one
+// column more, with the candidate as its from) that holds no cover of its
+// own has its coverage as the AND of two containers, the parent's cover and
+// the added column's, instead of one container per column: the tid-set
+// intersection of Eclat (Zaki, IEEE TKDE 2000), which gets a child's
+// tid-set from its parent's and one item's. A level-1 candidate's cover is
+// its own index container, held at no cost, which is why its children's two
+// containers are the same either way. Covers are read only by the metering
+// kernels, like every container, so a cover's words and entries are booked
+// to Stats exactly like the index's.
 //
 // Covers live as long as the run, under one byte budget per run. A walk
 // keeps its rows only if what they could hold at most — the smallest of
@@ -80,14 +84,6 @@ var coverBudget int64 = 32 << 20
 type cover struct {
 	list []int32
 	bits *table.Bitset
-}
-
-// size is how many rows the cover holds.
-func (cv *cover) size() int64 {
-	if cv.bits != nil {
-		return int64(cv.bits.Len())
-	}
-	return int64(len(cv.list))
 }
 
 // bytes is what the cover's container holds.
@@ -146,19 +142,35 @@ type candPlan struct {
 	bitmap bool  // true: bitset AND kernel; false: probing walk of the containers
 }
 
-// fromCover is the cover of the parent c was created under, which with the
-// container of the one column c adds is c's coverage; nil where that parent
-// holds none (always at level 1, whose candidates have no parent).
-func (c *cand) fromCover() *cover {
-	if c.from == nil {
-		return nil
+// containers appends to lists and sets, aligned, the containers whose
+// intersection is c's coverage, each as it comes — a list or a bitset, the
+// other nil: c's own cover where it holds one; else its from's cover and
+// the container of the one column c adds, where that cover is held; else
+// the index container of each instantiated free column. planCand costs
+// them and walk reads them, so the two cannot disagree.
+//
+//sdlint:allow ioaccount gathers containers and reads none of them; walk, their one reader, books what its kernel reads
+func (rn *runner) containers(c *cand, lists [][]int32, sets []*table.Bitset) ([][]int32, []*table.Bitset) {
+	if cv := c.cover; cv != nil {
+		return append(lists, cv.list), append(sets, cv.bits)
 	}
-	return c.from.cover
+	var cv *cover
+	if c.from != nil {
+		cv = c.from.cover
+	}
+	if cv != nil {
+		lists, sets = append(lists, cv.list), append(sets, cv.bits)
+	}
+	for _, col := range rn.freeCols {
+		if v := c.r[col]; v != rule.Star && (cv == nil || !c.from.mask.Has(col)) {
+			list, set := rn.ix.Container(col, v)
+			lists, sets = append(lists, list), append(sets, set)
+		}
+	}
+	return lists, sets
 }
 
-// planCand costs the index kernels for candidate c over its containers —
-// its from's cover and the container of the column c adds where that cover
-// is held, the index container of each instantiated free column otherwise.
+// planCand costs the index kernels for candidate c over its containers.
 // The probing walk takes its driver's rows and tests each against every
 // other container: a list driver is read an entry a row, a dense driver for
 // its words. The AND kernels read every container's words, and apply where
@@ -168,35 +180,30 @@ func (c *cand) fromCover() *cover {
 // work, see buildCandIndex); ok is false for a rule with no instantiated
 // free column, which forces the whole pass to scan.
 func (rn *runner) planCand(c *cand) (plan candPlan, anchor int64, ok bool) {
-	cv, numRows := c.fromCover(), rn.parent.NumRows()
-	containers := int64(0)
-	denseDriver, allDense := false, rn.bitmapOK
-	add := func(size int64, dense bool) {
-		if containers == 0 || size < plan.rows {
-			plan.rows, denseDriver = size, dense
-		}
-		allDense = allDense && dense
-		containers++
-	}
 	for _, col := range rn.freeCols {
-		v := c.r[col]
-		if v == rule.Star {
-			continue
-		}
-		l := int64(rn.ix.PostingsLen(col, v))
-		if !ok {
-			anchor, ok = l, true // first instantiated free column = scan anchor
-		}
-		if cv == nil || !c.from.mask.Has(col) {
-			add(l, table.Dense(int(l), numRows))
+		if v := c.r[col]; v != rule.Star {
+			anchor, ok = int64(rn.ix.PostingsLen(col, v)), true // first instantiated free column = scan anchor
+			break
 		}
 	}
 	if !ok {
 		return candPlan{}, 0, false
 	}
-	if cv != nil {
-		add(cv.size(), cv.bits != nil)
+	var listBuf [16][]int32
+	var setBuf [16]*table.Bitset
+	lists, sets := rn.containers(c, listBuf[:0], setBuf[:0])
+	denseDriver, allDense := false, rn.bitmapOK
+	for i, set := range sets {
+		size := int64(len(lists[i]))
+		if set != nil {
+			size = int64(set.Len())
+		}
+		if i == 0 || size < plan.rows {
+			plan.rows, denseDriver = size, set != nil
+		}
+		allDense = allDense && set != nil
 	}
+	containers := int64(len(sets))
 	drive := plan.rows
 	if denseDriver {
 		drive = rn.bitmapWords
@@ -251,29 +258,17 @@ func (rn *runner) planPostingsOne(c *cand) (plan candPlan, ok bool) {
 }
 
 // walk visits c's coverage in the view through the index, by the kernel
-// plan chose — bitset AND or probing walk — over the containers planCand
-// costed: its from's cover and the container of the one column c adds
-// where that cover is held, the index container of each instantiated free
-// column otherwise. It calls visit(pos, row) for every covered row in
-// ascending row order and books the entries and words it read into st.
-// visit may be nil on the bitset kernel alone: then walk only counts, by
-// popcount, no row enumerated, and returns the count.
+// plan chose — bitset AND or probing walk — over c's containers. It calls
+// visit(pos, row) for every covered row in ascending row order and books
+// the entries and words it read into st. visit may be nil on the bitset
+// kernel alone: then walk only counts, by popcount, no row enumerated, and
+// returns the count.
 func (rn *runner) walk(c *cand, plan candPlan, st *Stats, visit func(pos, row int)) (rows int) {
 	// Room for the containers of a 16-column rule on the stack; a wider
 	// one's grow on the heap.
 	var listBuf [16][]int32
 	var setBuf [16]*table.Bitset
-	lists, sets := listBuf[:0], setBuf[:0]
-	cv := c.fromCover()
-	if cv != nil {
-		lists, sets = append(lists, cv.list), append(sets, cv.bits)
-	}
-	for _, col := range rn.freeCols {
-		if v := c.r[col]; v != rule.Star && (cv == nil || !c.from.mask.Has(col)) {
-			list, set := rn.ix.Container(col, v)
-			lists, sets = append(lists, list), append(sets, set)
-		}
-	}
+	lists, sets := rn.containers(c, listBuf[:0], setBuf[:0])
 	var entries, words int64
 	switch {
 	case visit == nil:

@@ -141,7 +141,8 @@ func TestConcurrentIdenticalDrillsExecuteOnce(t *testing.T) {
 }
 
 // TestNearIdenticalDrillsGetDistinctKeys: requests differing in any
-// identity field — k, weighter, seed — must never share an answer.
+// identity field — k, weighter — must never share an answer. A session's
+// seed is none: a drill differing only in it is served the same entry.
 func TestNearIdenticalDrillsGetDistinctKeys(t *testing.T) {
 	tab := datagen.StoreSales(42)
 	svc := search.NewService(search.Config{})
@@ -152,7 +153,6 @@ func TestNearIdenticalDrillsGetDistinctKeys(t *testing.T) {
 		{K: 4, Search: svc}, // different k
 		{K: 3, Search: svc, Weighter: weight.SizeMinusOne{}},                                   // different weighter
 		{K: 3, Search: svc, Weighter: weight.NewBits(distinct(tab.All().DistinctCount, cols))}, // and another
-		{K: 3, Search: svc, Seed: 7},                                                           // different seed (a probe above the floor reads it)
 	}
 	for i, cfg := range variants {
 		s, err := NewSession(tab, cfg)
@@ -166,9 +166,69 @@ func TestNearIdenticalDrillsGetDistinctKeys(t *testing.T) {
 			t.Fatalf("variant %d shared another variant's answer", i)
 		}
 	}
+	s, err := NewSession(tab, Config{K: 3, Search: svc, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Expand(s.Root()); err != nil {
+		t.Fatal(err)
+	}
+	if s.LastMethod != "cache" {
+		t.Fatalf("a drill differing only in its session's seed was served by %q, want cache", s.LastMethod)
+	}
 	c := svc.Counters()
-	if c.Misses != int64(len(variants)) || c.Hits != 0 {
-		t.Fatalf("counters = %+v; want %d distinct executions, 0 hits", c, len(variants))
+	if c.Misses != int64(len(variants)) || c.Hits != 1 {
+		t.Fatalf("counters = %+v; want %d distinct executions, 1 hit", c, len(variants))
+	}
+}
+
+// TestSeedStaysOutOfTheAnswer: above probeFloor a drill probes for mw, and
+// the probe's draw is seeded from the question — the rule's coverage and k
+// — not from the session. Two sessions that differ only in Seed get
+// byte-identical root trees: executed, each probes and reads exactly what
+// the other does; sharing a service, the second is served the first's one
+// cache entry. Seed still fixes what a sampled session draws.
+func TestSeedStaysOutOfTheAnswer(t *testing.T) {
+	tab := lightTable(3000, 0, 0)
+	withProbeFloor(t, tab.NumRows()-1)
+	root := func(cfg Config) *Session {
+		t.Helper()
+		cfg.K = 3
+		s, err := NewSession(tab, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Expand(s.Root()); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	root(Config{Seed: 5, DisableCache: true}) // books the table's one attempt at its distinct tuples
+	a, b := root(Config{Seed: 1, DisableCache: true}), root(Config{Seed: 99, DisableCache: true})
+	if a.LastPhases.MaxWeight <= 0 || a.LastStats.RowsScanned == 0 {
+		t.Fatalf("the root drill did not probe: phases %+v, stats %+v", a.LastPhases, a.LastStats)
+	}
+	if a.Render() != b.Render() || a.LastStats != b.LastStats {
+		t.Fatalf("seeds 1 and 99 drill\n%s%+v\nand\n%s%+v", a.Render(), a.LastStats, b.Render(), b.LastStats)
+	}
+
+	svc := search.NewService(search.Config{})
+	c, d := root(Config{Seed: 1, Search: svc}), root(Config{Seed: 99, Search: svc})
+	if d.LastMethod != "cache" {
+		t.Fatalf("the seed-99 session's root drill was served by %q, want cache", d.LastMethod)
+	}
+	if n := svc.Counters(); n.Misses != 1 || n.Hits != 1 || n.Entries != 1 {
+		t.Fatalf("counters = %+v; want one entry, executed once and hit once", n)
+	}
+	if c.Render() != a.Render() || d.Render() != a.Render() {
+		t.Fatalf("shared-service sessions drill\n%s\nand\n%s\nthe executed ones\n%s", c.Render(), d.Render(), a.Render())
+	}
+
+	sampled := func(seed int64) string {
+		return root(Config{Seed: seed, SampleMemory: 500, MinSampleSize: 500}).Render()
+	}
+	if sampled(3) != sampled(3) || sampled(3) == sampled(4) {
+		t.Fatalf("sampled root drills: seed 3\n%s\nseed 3 again\n%s\nseed 4\n%s", sampled(3), sampled(3), sampled(4))
 	}
 }
 

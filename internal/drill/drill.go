@@ -9,6 +9,7 @@ package drill
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"maps"
 	"math"
 	"math/rand"
@@ -364,8 +365,8 @@ func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter, kind s
 		return cov.view, cov.scale, cov.exact, nil
 	}
 	probed := false
-	req.MaxWeightFor = func(v *table.View) (mw float64) {
-		mw, probed = s.maxWeightFor(ctx, v, w, maxRules)
+	req.MaxWeightFor = func(*table.View) (mw float64) {
+		mw, probed = s.maxWeightFor(ctx, n.Rule, cov, w, maxRules)
 		return mw
 	}
 	addChild := func(r brs.Result) *Node {
@@ -427,11 +428,13 @@ func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter, kind s
 	return nil
 }
 
-// maxWeightFor returns the mw an expansion searching v — its rows, distinct
-// tuples or sample tuples — under w for maxRules rules (0: the session's k)
-// runs at, and whether it probed v for it: only where v holds more than
-// probeFloor tuples, booking what the probe read to the expansion.
-func (s *Session) maxWeightFor(ctx context.Context, v *table.View, w weight.Weighter, maxRules int) (float64, bool) {
+// maxWeightFor returns the mw an expansion of r searching cov — r's rows,
+// distinct tuples or sample tuples — under w for maxRules rules (0: the
+// session's k) runs at, and whether it probed cov for it: only where cov
+// holds more than probeFloor tuples, booking what the probe read to the
+// expansion.
+func (s *Session) maxWeightFor(ctx context.Context, r rule.Rule, cov coverage, w weight.Weighter, maxRules int) (float64, bool) {
+	v := cov.view
 	if v.NumRows() <= probeFloor {
 		return w.MaxWeight(v.NumCols()), false
 	}
@@ -445,9 +448,25 @@ func (s *Session) maxWeightFor(ctx context.Context, v *table.View, w weight.Weig
 		k = maxRules
 	}
 	k = min(k, maxProbeK)
-	mw, read := estimateMaxWeight(ctx, v, w, k, s.cfg.Seed)
+	mw, read := estimateMaxWeight(ctx, v, w, k, s.probeSeed(r, cov, k))
 	s.unbooked.Add(read)
 	return mw, true
+}
+
+// probeSeed seeds the probe of an expansion of r searching cov for k rules
+// from what the expansion asks, never from the session that asks it: the
+// dataset (its table's shape — a session drills one table), the rule,
+// whether cov is r's exact coverage or a sample — and then the sample's
+// tuples and scale — and k. An exact expansion's estimate, and with it its
+// answer, is then a function of fields the answer cache keys, and two
+// sessions that differ only in Seed share it; Seed fixes what samples draw.
+func (s *Session) probeSeed(r rule.Rule, cov coverage, k int) int64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%dx%d/%s/k=%d", s.tab.NumRows(), s.tab.NumCols(), r.Key(), k)
+	if !cov.exact {
+		fmt.Fprintf(h, "/sample %dx%g", cov.view.NumTuples(), cov.scale)
+	}
+	return int64(h.Sum64())
 }
 
 // searchRequest assembles the canonical request for one expansion of this
@@ -463,7 +482,6 @@ func (s *Session) searchRequest(kind search.Kind, r rule.Rule, w weight.Weighter
 		Weighter:  w,
 		Agg:       s.cfg.Agg,
 		MaxWeight: s.cfg.MaxWeight,
-		Seed:      s.cfg.Seed,
 		Workers:   s.cfg.Workers,
 		Sampled:   s.useSample(r, degraded),
 		NoCache:   s.cfg.DisableCache,

@@ -379,7 +379,8 @@ func TestProbeOnlyAboveFloor(t *testing.T) {
 			}
 
 			probeFloor = v.NumRows() - 1
-			mw, probe := estimateMaxWeight(ctx, v, w, 3, s.cfg.Seed)
+			seed := s.probeSeed(s.Root().Rule, cov, 3)
+			mw, probe := estimateMaxWeight(ctx, v, w, 3, seed)
 			if probe.Passes == 0 || probe.RowsScanned == 0 {
 				t.Fatalf("the probe read nothing: %+v", probe)
 			}
@@ -387,7 +388,7 @@ func TestProbeOnlyAboveFloor(t *testing.T) {
 			if arm.weighted {
 				literal = expandedRows(t, arm.tab, v)
 			}
-			if want, _ := estimateMaxWeight(ctx, literal, w, 3, s.cfg.Seed); mw != want || mw >= w.MaxWeight(v.NumCols()) {
+			if want, _ := estimateMaxWeight(ctx, literal, w, 3, seed); mw != want || mw >= w.MaxWeight(v.NumCols()) {
 				t.Fatalf("the probe of %d tuples estimates %v, Section 6.1 over their %d rows %v, the bound %v", v.NumRows(), mw, literal.NumRows(), want, w.MaxWeight(v.NumCols()))
 			}
 			drill("above the floor", mw, probe)

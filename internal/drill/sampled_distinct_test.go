@@ -134,7 +134,7 @@ func TestEquivalenceSampledDistinctPath(t *testing.T) {
 				// drill's beyond its search, and not of the sample's rows.
 				var probe brs.Stats
 				if shape.rootProbes {
-					_, probe = estimateMaxWeight(context.Background(), cov.view, inner, 4, int64(3+wi))
+					_, probe = estimateMaxWeight(context.Background(), cov.view, inner, 4, s.probeSeed(s.Root().Rule, cov, 4))
 				}
 				tuples := int64(cov.view.NumRows())
 				if cov.view.NumTuples() != shape.minSS || 2*tuples > int64(shape.minSS) || (tuples > int64(probeFloor)) != shape.rootProbes {
@@ -166,7 +166,7 @@ func TestEquivalenceSampledDistinctPath(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						mw, _ := s.maxWeightFor(context.Background(), gcov.view, inner, 0)
+						mw, _ := s.maxWeightFor(context.Background(), grandchild(s).Rule, gcov, inner, 0)
 						s.unbooked = brs.Stats{}
 						_, search, err := brs.Run(gcov.view, inner, brs.Options{
 							K: 4, MaxWeight: mw, Base: grandchild(s).Rule, BaseCovered: true,

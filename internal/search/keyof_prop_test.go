@@ -25,6 +25,7 @@ var nonIdentity = map[string]bool{
 	"Store":        true,
 	"Resolve":      true,
 	"MaxWeightFor": true,
+	"Seed":         true,
 }
 
 func baseRequest() Request {

@@ -80,11 +80,9 @@ type Request struct {
 	// Agg is the aggregate; its Name() canonicalizes it in the key.
 	Agg score.Aggregator
 	// MaxWeight is the configured mw; <= 0 means each execution estimates
-	// it via MaxWeightFor (the estimate is deterministic in Seed, so the
-	// configured value — not the estimate — belongs in the key).
+	// it via MaxWeightFor (the estimate is deterministic in keyed fields, so
+	// the configured value — not the estimate — belongs in the key).
 	MaxWeight float64
-	// Seed fixes the mw probe's sampling RNG.
-	Seed int64
 	// Workers shapes the execution; it is keyed conservatively (results are
 	// proven bit-identical across worker counts only under the Count
 	// aggregate).
@@ -131,10 +129,18 @@ type Request struct {
 	//sdlint:nonidentity view resolution is a pure function of the keyed Rule against the dataset
 	Resolve func() (v *table.View, scale float64, exact bool, err error)
 	// MaxWeightFor estimates mw from the resolved view when MaxWeight is
-	// unset (deterministic in the key's Seed and K/MaxRules fields).
+	// unset: the probe's draw is seeded from the searched rule's coverage and
+	// the K/MaxRules it searches for, never from a session's seed.
 	//
-	//sdlint:nonidentity mw estimation is deterministic in the keyed Seed/K/MaxRules fields
+	//sdlint:nonidentity mw estimation is deterministic in keyed fields
 	MaxWeightFor func(v *table.View) float64
+
+	// Seed is read by nothing: the answer of a request does not depend on
+	// its session's seed (see MaxWeightFor). It stays only so that callers
+	// built against it still compile.
+	//
+	//sdlint:nonidentity read by nothing; no answer depends on a session's seed
+	Seed int64
 }
 
 // Response is the outcome of one search. Exactly one of Results (batch,
@@ -188,7 +194,6 @@ type key struct {
 	weighter string
 	agg      string
 	maxW     float64
-	seed     int64
 	workers  int
 	column   int
 }
@@ -286,7 +291,6 @@ func (*Service) keyOf(req Request) key {
 		k:        req.K,
 		maxRules: req.MaxRules,
 		maxW:     req.MaxWeight,
-		seed:     req.Seed,
 		workers:  req.Workers,
 		column:   req.Column,
 	}

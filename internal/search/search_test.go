@@ -122,29 +122,29 @@ func TestLRUBoundAndEviction(t *testing.T) {
 	var resolves atomic.Int32
 	svc := NewService(Config{Entries: 2})
 
-	reqWithSeed := func(seed int64) Request {
+	reqWithK := func(k int) Request {
 		r := batchReq(tab, &resolves)
-		r.Seed = seed // distinct key per seed
+		r.K = k // distinct key per k
 		return r
 	}
-	for seed := int64(1); seed <= 3; seed++ {
-		if _, err := svc.Run(context.Background(), reqWithSeed(seed)); err != nil {
+	for k := 1; k <= 3; k++ {
+		if _, err := svc.Run(context.Background(), reqWithK(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if c := svc.Counters(); c.Entries != 2 {
 		t.Fatalf("entries = %d, want LRU bound 2", c.Entries)
 	}
-	// Seed 1 is the least recently used and must have been evicted: its
-	// re-run executes again. Seed 3 is still resident: a hit.
+	// K 1 is the least recently used and must have been evicted: its
+	// re-run executes again. K 3 is still resident: a hit.
 	before := resolves.Load()
-	if resp, err := svc.Run(context.Background(), reqWithSeed(1)); err != nil || resp.Cached {
+	if resp, err := svc.Run(context.Background(), reqWithK(1)); err != nil || resp.Cached {
 		t.Fatalf("evicted key served from cache (err=%v cached=%v)", err, resp.Cached)
 	}
 	if resolves.Load() != before+1 {
 		t.Fatal("evicted key did not re-execute")
 	}
-	if resp, err := svc.Run(context.Background(), reqWithSeed(3)); err != nil || !resp.Cached {
+	if resp, err := svc.Run(context.Background(), reqWithK(3)); err != nil || !resp.Cached {
 		t.Fatalf("resident key not served from cache (err=%v cached=%v)", err, resp.Cached)
 	}
 }

@@ -1,8 +1,9 @@
 package table
 
 import (
+	"cmp"
 	mathbits "math/bits"
-	"sort"
+	"slices"
 )
 
 // Posting intersection over views. BRS's postings-driven counting answers
@@ -63,12 +64,14 @@ func (v *View) EachInAll(lists [][]int32, fn func(pos, row int), bits ...*Bitset
 		return len(lists[i])
 	}
 	// Order by size ascending without mutating the caller's slices; of
-	// equals the first given comes first.
-	order := make([]int, len(lists))
-	for i := range order {
-		order[i] = i
+	// equals the first given comes first. Room for a 16-column rule's sets
+	// on the stack; a wider one's grow on the heap.
+	var orderBuf [16]int
+	order := orderBuf[:0]
+	for i := range lists {
+		order = append(order, i)
 	}
-	sort.SliceStable(order, func(i, j int) bool { return size(order[i]) < size(order[j]) })
+	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(size(i), size(j)) })
 	if size(order[0]) == 0 {
 		return 0, 0
 	}
