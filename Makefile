@@ -51,7 +51,8 @@ lint: lint-fast
 # ingest loaded across both cell-width crossings (its first column was widened in place twice), and two sessions
 # racing to build a table's memoised distinct-tuple table with their first
 # drill — exact ones, whose answers are held to brsref on the rows, and
-# sampled ones resolving it through their first GetSample: ten schedules
+# sampled ones resolving it through their first GetSample — and a refine and
+# a listing racing a drill to build it, the pass booked once: ten schedules
 # find what one does not.
 race:
 	$(GO) test -race ./client/ ./internal/server/ ./internal/drill/ ./internal/table/ ./internal/brs/ ./internal/search/

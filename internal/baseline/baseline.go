@@ -23,11 +23,16 @@ type Group struct {
 }
 
 // TraditionalDrillDown performs the classic OLAP drill-down on one column:
-// group the tuples covered by base by their value in the column and return
-// every group, ordered by descending count (ties broken by value). Unlike
-// smart drill-down it returns all distinct values — the flood of results
-// the paper's operator is designed to avoid.
-func TraditionalDrillDown(t *table.Table, base rule.Rule, column int, agg score.Aggregator) ([]Group, error) {
+// group the tuples of v covered by base by their value in the column and
+// return every group, ordered by descending count (ties broken by value).
+// v is the whole table (Table.All) or any part of it that holds base's
+// coverage — a distinct-tuple table's tuples weigh their multiplicity — and
+// its tuples are summed in v's order, so an ascending view of base's rows
+// gives the very floats a pass over the whole table does. Unlike smart
+// drill-down it returns all distinct values — the flood of results the
+// paper's operator is designed to avoid.
+func TraditionalDrillDown(v *table.View, base rule.Rule, column int, agg score.Aggregator) ([]Group, error) {
+	t := v.Table()
 	if column < 0 || column >= t.NumCols() {
 		return nil, fmt.Errorf("baseline: column %d out of range [0,%d)", column, t.NumCols())
 	}
@@ -38,9 +43,9 @@ func TraditionalDrillDown(t *table.Table, base rule.Rule, column int, agg score.
 		agg = score.CountAgg{}
 	}
 	mass := make([]float64, t.DistinctCount(column))
-	for i := 0; i < t.NumRows(); i++ {
-		if t.Covers(base, i) {
-			mass[t.Value(column, i)] += agg.Mass(t, i)
+	for i := 0; i < v.NumRows(); i++ {
+		if row := v.ParentRow(i); t.Covers(base, row) {
+			mass[t.Value(column, row)] += agg.Mass(t, row)
 		}
 	}
 	var groups []Group

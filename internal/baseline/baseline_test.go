@@ -31,7 +31,7 @@ func fixture(t *testing.T) *table.Table {
 
 func TestTraditionalDrillDown(t *testing.T) {
 	tab := fixture(t)
-	groups, err := TraditionalDrillDown(tab, nil, 0, nil)
+	groups, err := TraditionalDrillDown(tab.All(), nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestTraditionalDrillDown(t *testing.T) {
 func TestTraditionalDrillDownWithBase(t *testing.T) {
 	tab := fixture(t)
 	base, _ := tab.EncodeRule(map[string]string{"Store": "Walmart"})
-	groups, err := TraditionalDrillDown(tab, base, 1, nil)
+	groups, err := TraditionalDrillDown(tab.All(), base, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestTraditionalDrillDownWithBase(t *testing.T) {
 
 func TestTraditionalDrillDownSum(t *testing.T) {
 	tab := fixture(t)
-	groups, err := TraditionalDrillDown(tab, nil, 0, score.SumAgg{Measure: 0})
+	groups, err := TraditionalDrillDown(tab.All(), nil, 0, score.SumAgg{Measure: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestTraditionalDrillDownSum(t *testing.T) {
 
 func TestTraditionalDrillDownErrors(t *testing.T) {
 	tab := fixture(t)
-	if _, err := TraditionalDrillDown(tab, nil, 9, nil); err == nil {
+	if _, err := TraditionalDrillDown(tab.All(), nil, 9, nil); err == nil {
 		t.Error("out-of-range column should fail")
 	}
 }

@@ -849,7 +849,8 @@ func (rn *runner) bookRow(accs []extAcc, pos, row int) {
 // value) pair — by the masses the index stores beside its containers when
 // the view is the whole table under Count (zero row reads), otherwise in a
 // single column-major pass —
-// and registers the candidates in the store. Runs once per run.
+// and registers the candidates in the store. Runs once per run, in step 1,
+// before any rule is selected.
 func (rn *runner) countLevelOne() []*cand {
 	v := rn.v
 	accs := make([]extAcc, 0, len(rn.freeCols))
@@ -865,17 +866,14 @@ func (rn *runner) countLevelOne() []*cand {
 	if len(accs) == 0 {
 		return nil
 	}
-	virgin := len(rn.selected) == 0 // topW ≡ 0: marginal is weight·count
-
-	if virgin && rn.countAgg && rn.fullTable {
+	// Nothing is selected yet (topW ≡ 0), so a marginal is weight·count and
+	// the accumulators need no mv.
+	if rn.countAgg && rn.fullTable {
 		return rn.levelOneFromPostings(accs)
 	}
 
 	for a := range accs {
 		accs[a].cnt = make([]float64, v.DistinctCount(accs[a].col))
-		if !virgin {
-			accs[a].mv = make([]float64, v.DistinctCount(accs[a].col))
-		}
 	}
 	// One accumulator set per worker; merged after the pass.
 	nw := rn.rowWorkers(v.NumRows())

@@ -27,7 +27,7 @@ func benchCensus() *table.Table { return datagen.CensusProjected(100_000, 7, 7) 
 var benchSink float64
 
 func BenchmarkExactRootDrill(b *testing.B) {
-	s, err := NewSession(benchCensus(), Config{K: benchK, DisableCache: true})
+	s, err := NewSession(benchCensus(), Config{K: benchK, Search: cacheOff()})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,6 +11,10 @@ import (
 	"smartdrill/internal/weight"
 )
 
+// cacheOff is a search service with the answer cache off, for sessions
+// whose every drill must execute.
+func cacheOff() *search.Service { return search.NewService(search.Config{Disabled: true}) }
+
 // TestRepeatedDrillServedFromCache is the headline acceptance check: a
 // second identical full-table drill — from another session on the same
 // dataset, or a re-expansion within one session — is answered from the
@@ -203,8 +207,8 @@ func TestSeedStaysOutOfTheAnswer(t *testing.T) {
 		}
 		return s
 	}
-	root(Config{Seed: 5, DisableCache: true}) // books the table's one attempt at its distinct tuples
-	a, b := root(Config{Seed: 1, DisableCache: true}), root(Config{Seed: 99, DisableCache: true})
+	root(Config{Seed: 5, Search: cacheOff()}) // books the table's one attempt at its distinct tuples
+	a, b := root(Config{Seed: 1, Search: cacheOff()}), root(Config{Seed: 99, Search: cacheOff()})
 	if a.LastPhases.MaxWeight <= 0 || a.LastStats.RowsScanned == 0 {
 		t.Fatalf("the root drill did not probe: phases %+v, stats %+v", a.LastPhases, a.LastStats)
 	}

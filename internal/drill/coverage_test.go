@@ -159,3 +159,27 @@ func TestIntervalCoverageOverRealSamples(t *testing.T) {
 		}
 	}
 }
+
+// TestCountCIClampedToViewSize is the regression test for the unclamped
+// upper bound: on a small skewed sample the ±z band can exceed the
+// enclosing view's own scaled size, displaying a child interval wider than
+// its parent's count. countCI clamps the upper bound to that size and
+// leaves the lower bound where the band puts it.
+func TestCountCIClampedToViewSize(t *testing.T) {
+	// 10 sampled tuples at p = 0.02 → an enclosing view of 500. A rule
+	// matching all 10 has raw hi ≈ 500 + 1.96·√(10·0.98)/0.02 ≈ 810.
+	const scale, bound = 50, 500
+	loRaw, hiRaw := sampling.CountInterval(10, 1.0/scale, 1.96)
+	if hiRaw <= bound {
+		t.Fatalf("test premise broken: raw hi %g does not exceed the view's %d", hiRaw, bound)
+	}
+	lo, hi, has := countCI(score.CountAgg{}, false, scale, 10*scale, bound)
+	if !has || lo != loRaw || hi != bound {
+		t.Fatalf("countCI = [%g,%g] (interval %v), want [%g,%d]: the lower bound unmoved, the upper clamped", lo, hi, has, loRaw, bound)
+	}
+	// An interval already inside the bound is the band itself.
+	wantLo, wantHi := sampling.CountInterval(1, 1.0/scale, 1.96)
+	if lo, hi, _ := countCI(score.CountAgg{}, false, scale, scale, bound); lo != wantLo || hi != wantHi || wantHi >= bound {
+		t.Fatalf("one-match interval = [%g,%g], want [%g,%g] inside %d", lo, hi, wantLo, wantHi, bound)
+	}
+}

@@ -4,9 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
+	"smartdrill/internal/baseline"
+	"smartdrill/internal/brs"
 	"smartdrill/internal/score"
 	"smartdrill/internal/table"
 	"smartdrill/internal/weight"
@@ -114,7 +117,10 @@ func TestEquivalenceDistinctPathGates(t *testing.T) {
 // table — or finds there is none to have — is read once, by the first exact
 // Count drill on the table from whichever session, and shows in that
 // drill's statistics and in its store's; with two sessions racing to be
-// first, in exactly one of them. `make race` runs this under the detector.
+// first, in exactly one of them. A refine or a listing reads the same exact
+// views, so it may be the first: racing a drill, whichever builds books the
+// pass — a drill to its LastStats, a refine or a listing to its session's
+// totals — and the others nothing. `make race` runs this under the detector.
 func TestEquivalenceDistinctBuildBookedOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, tc := range []struct {
@@ -131,7 +137,7 @@ func TestEquivalenceDistinctBuildBookedOnce(t *testing.T) {
 		racers := make([]*Session, 2)
 		var wg sync.WaitGroup
 		for i := range racers {
-			s, err := NewSession(tab, Config{K: 3, Workers: 1, DisableCache: true})
+			s, err := NewSession(tab, Config{K: 3, Workers: 1, Search: cacheOff()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +151,7 @@ func TestEquivalenceDistinctBuildBookedOnce(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		after, err := NewSession(tab, Config{K: 3, Workers: 1, DisableCache: true})
+		after, err := NewSession(tab, Config{K: 3, Workers: 1, Search: cacheOff()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,6 +193,78 @@ func TestEquivalenceDistinctBuildBookedOnce(t *testing.T) {
 			t.Fatalf("%s: the building session's next drill scanned %d rows, want %d", tc.name, a.LastStats.RowsScanned, base.RowsScanned)
 		}
 	}
+
+	// A drill, a refine and a listing race on a fresh table.
+	tab := pooledTable(rng, 4, 4, 150, 4000)
+	const read = 4000
+	racers := make([]*Session, 4) // drill, refine, listing, and one after them
+	for i := range racers {
+		s, err := NewSession(tab, Config{K: 3, Workers: 1, Search: cacheOff()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		racers[i] = s
+	}
+	drilled, refined, listed, after := racers[0], racers[1], racers[2], racers[3]
+	// A provisional node, as a sampled tree resumed on this table shows it.
+	prov := &Node{Rule: refined.Root().Rule.With(0, 0)}
+	refined.adopt(prov)
+	var groups []baseline.Group
+	var wg sync.WaitGroup
+	for _, race := range []func() error{
+		func() error { return drilled.Expand(drilled.Root()) },
+		func() error { refined.RefineNode(prov); return nil },
+		func() (err error) { groups, err = listed.Traditional(listed.Root(), 1); return err },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := race(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := after.Expand(after.Root()); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := tab.Distinct()
+	if d == nil {
+		t.Fatal("the raced table does not compress")
+	}
+	covered, _ := d.Index().Lookup(prov.Rule)
+	base := after.LastStats
+	builders := 0
+	for _, r := range []struct {
+		name string
+		s    *Session
+		got  brs.Stats // what the racer booked: its drill's, or its totals
+		own  brs.Stats // what it books without the build
+	}{
+		{"drill", drilled, drilled.LastStats, base},
+		{"refine", refined, refined.TotalStats, brs.Stats{Passes: 1, RowsScanned: int64(len(covered))}},
+		{"listing", listed, listed.TotalStats, brs.Stats{Passes: 1, RowsScanned: int64(d.NumRows())}},
+	} {
+		st := r.s.Store().Stats()
+		switch {
+		case r.got == r.own && st.FullScans == 0:
+		case r.got.Passes == r.own.Passes+1 && r.got.RowsScanned == r.own.RowsScanned+read && st.FullScans == 1 && st.RowsRead == read:
+			builders++
+		default:
+			t.Fatalf("the racing %s booked %+v and its store %+v, want %+v and, if it built the tuples, %d rows more in one pass more",
+				r.name, r.got, st, r.own, read)
+		}
+	}
+	if builders != 1 {
+		t.Fatalf("%d of the racers were booked the build, want one", builders)
+	}
+	if want := float64(tab.Count(prov.Rule)); prov.Count != want || !prov.Exact {
+		t.Fatalf("the racing refine counts %v (exact %v), the table %v", prov.Count, prov.Exact, want)
+	}
+	if want, _ := baseline.TraditionalDrillDown(tab.All(), listed.Root().Rule, 1, score.CountAgg{}); !reflect.DeepEqual(groups, want) {
+		t.Fatalf("the racing listing is\n%v\nthe rows give\n%v", groups, want)
+	}
+	newPathOracle().require(t, "raced drill", drilled, drilled.Root(), drilled.cfg.Weighter, drillKinds[0], false)
 }
 
 // FuzzDistinctMatchesRows: on any small table with repeated rows, under any

@@ -72,12 +72,10 @@ type Config struct {
 	// cache: a repeated expansion — by this session or any other — is
 	// served as a clone of the completed result with zero counting passes.
 	// Nil gives the session a private service, so caching still works
-	// within the session.
+	// within the session; a service built with search.Config.Disabled is the
+	// ablation switch: every expansion executes, bit-identical to the
+	// cached path.
 	Search *search.Service
-	// DisableCache bypasses the search service's answer cache and
-	// singleflight for this session — the ablation switch: every expansion
-	// executes, and results are bit-identical to the cached path.
-	DisableCache bool
 }
 
 // Node is one displayed rule. Count is the displayed aggregate (estimated
@@ -471,8 +469,8 @@ func (s *Session) probeSeed(r rule.Rule, cov coverage, k int) int64 {
 
 // searchRequest assembles the canonical request for one expansion of this
 // session: every identity field the search service keys on, plus the
-// routing flags (Sampled, NoCache) that decide whether the
-// request may touch the shared answer cache at all. Kind-specific fields
+// routing flag (Sampled) that decides whether the request may touch the
+// shared answer cache at all. Kind-specific fields
 // (Resolve, MaxWeightFor, Yield, deadlines) are filled by the caller.
 func (s *Session) searchRequest(kind search.Kind, r rule.Rule, w weight.Weighter, degraded bool) search.Request {
 	return search.Request{
@@ -484,8 +482,6 @@ func (s *Session) searchRequest(kind search.Kind, r rule.Rule, w weight.Weighter
 		MaxWeight: s.cfg.MaxWeight,
 		Workers:   s.cfg.Workers,
 		Sampled:   s.useSample(r, degraded),
-		NoCache:   s.cfg.DisableCache,
-		Store:     s.store,
 	}
 }
 
@@ -498,10 +494,14 @@ func (s *Session) recordStats(stats brs.Stats) {
 	s.TotalStats.Add(stats)
 }
 
-// recordAuxStats accumulates statistics of a non-expansion search (refine,
-// traditional) without overwriting LastStats, which by contract reflects
-// the most recent *expansion*.
+// recordAuxStats files the reads of a refine or a traditional listing, with
+// the work held unbooked for it — the pass that builds the distinct tuples,
+// where it is the first to ask — to the session's totals, without
+// overwriting LastStats, which by contract reflects the most recent
+// *expansion*.
 func (s *Session) recordAuxStats(stats brs.Stats) {
+	stats.Add(s.unbooked)
+	s.unbooked = brs.Stats{}
 	s.TotalStats.Add(stats)
 }
 
@@ -654,36 +654,24 @@ func countCI(agg score.Aggregator, exact bool, scale, count, bound float64) (lo,
 // RefineNode upgrades a provisional (sample-estimated) node to its exact
 // aggregate — the paper's background count refinement: provisional rules
 // answer instantly from the sample, and the authoritative count arrives
-// once the store has re-counted the rule with one accounted pass. It reports
-// whether the node changed; exact nodes are left untouched, as are nodes
-// that have left the displayed tree (a background refiner can lose a race
-// with a collapse or re-expansion — paying a full pass for an orphaned
-// node would be pure waste and would distort the store's pass accounting).
+// once the session has read the rule's exact view (exactRead): under Count
+// its distinct tuples where the table has them, their multiplicities
+// summed, otherwise its rows, in row order, the floats a full pass adds. It
+// reports whether the node changed; exact nodes are left untouched, as are
+// nodes that have left the displayed tree (a background refiner can lose a
+// race with a collapse or re-expansion — reading an orphaned node's rows
+// would be pure waste and would distort the store's accounting).
 func (s *Session) RefineNode(n *Node) bool {
 	if n.Exact || !s.displayed(n) {
 		return false
 	}
-	// The re-count goes through the search service: exact counts are
-	// rule-identity facts, so concurrent refiners of one popular rule
-	// (background refiners racing the on-demand endpoint, SSE refine
-	// phases across sessions) collapse to one accounted pass and later
-	// refiners of the same rule are served from the answer cache. The
-	// refine request never samples and carries no degraded mode — it is
-	// exact by definition — so only kind, rule and aggregate key it.
-	req := search.Request{
-		Kind:    search.KindRefine,
-		Rule:    n.Rule,
-		Agg:     s.cfg.Agg,
-		NoCache: s.cfg.DisableCache,
-		Store:   s.store,
+	v := s.exactRead(n.Rule)
+	t, count := v.Table(), 0.0
+	for i := 0; i < v.NumRows(); i++ {
+		count += s.cfg.Agg.Mass(t, v.ParentRow(i))
 	}
-	resp, err := s.svc.Run(context.Background(), req)
-	if err != nil {
-		return false
-	}
-	s.recordAuxStats(resp.Stats)
-	n.Count = resp.Count
-	n.CILow, n.CIHigh = resp.Count, resp.Count
+	n.Count = count
+	n.CILow, n.CIHigh = count, count
 	n.HasCI = false
 	n.Exact = true
 	s.rev++
@@ -691,24 +679,23 @@ func (s *Session) RefineNode(n *Node) bool {
 }
 
 // Traditional runs the classic OLAP drill-down listing on column c under
-// n's rule — through the search service, so repeated listings (a
-// comparison panel every analyst opens) are served from the answer cache
-// with the group rules cloned per caller.
+// n's rule over the rule's exact view (exactRead), which gives the groups a
+// pass over the whole table does.
 func (s *Session) Traditional(n *Node, c int) ([]baseline.Group, error) {
-	req := search.Request{
-		Kind:    search.KindTraditional,
-		Rule:    n.Rule,
-		Column:  c,
-		Agg:     s.cfg.Agg,
-		NoCache: s.cfg.DisableCache,
-		Store:   s.store,
+	if c < 0 || c >= s.tab.NumCols() {
+		return nil, fmt.Errorf("drill: column %d out of range [0,%d)", c, s.tab.NumCols())
 	}
-	resp, err := s.svc.Run(context.Background(), req)
-	if err != nil {
-		return nil, err
-	}
-	s.recordAuxStats(resp.Stats)
-	return resp.Groups, nil
+	return baseline.TraditionalDrillDown(s.exactRead(n.Rule), n.Rule, c, s.cfg.Agg)
+}
+
+// exactRead returns r's exact view — what an exact drill of r under the
+// session's weighter searches: the ascending rows the index finds, or the
+// distinct tuples that hold them — and books one read of it to the
+// session's totals.
+func (s *Session) exactRead(r rule.Rule) *table.View {
+	v := s.exactView(s.exactTable(s.cfg.Weighter), r)
+	s.recordAuxStats(brs.Stats{Passes: 1, RowsScanned: int64(v.NumRows())})
+	return v
 }
 
 // displayed reports whether n is still part of the session's displayed

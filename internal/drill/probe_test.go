@@ -315,7 +315,7 @@ func TestProbeOnlyAboveFloor(t *testing.T) {
 		t.Run(arm.name, func(t *testing.T) {
 			ctx := context.Background()
 			cfg := arm.cfg
-			cfg.K, cfg.Workers, cfg.Seed, cfg.DisableCache = 3, 1, 5, true
+			cfg.K, cfg.Workers, cfg.Seed, cfg.Search = 3, 1, 5, cacheOff()
 			s, err := NewSession(arm.tab, cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -6,11 +6,16 @@ package drill
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
+	"strconv"
 	"testing"
 
+	"smartdrill/internal/baseline"
 	"smartdrill/internal/datagen"
 	"smartdrill/internal/rule"
 	"smartdrill/internal/score"
+	"smartdrill/internal/storage"
 	"smartdrill/internal/table"
 )
 
@@ -187,10 +192,14 @@ func TestSampleMemoryClampedToRows(t *testing.T) {
 }
 
 // TestRefineNodeLifecycle: provisional nodes refine to the authoritative
-// count, become exact, and refuse double work. Under Count a refine reads the
-// table's distinct tuples, each once: the one accounted pass over the table
-// that builds them was the first sampled drill's, whose sample is drawn from
-// them in a walk over them.
+// count, become exact, and refuse double work. A refine reads what an exact
+// drill of its rule searches: under Count the distinct tuples the rule
+// covers, found by one index lookup, and no pass over the table or over
+// all of its tuples — the one accounted pass over the table that builds
+// the tuples was the first sampled drill's, whose sample is drawn from them
+// in a walk over them. (Refines used to re-count through the search service
+// in a pass over every distinct tuple; the rule's view gives the same
+// integer for its covered tuples alone.)
 func TestRefineNodeLifecycle(t *testing.T) {
 	tab := datagen.CensusProjected(25000, 7, 7)
 	s, err := NewSession(tab, Config{
@@ -213,12 +222,16 @@ func TestRefineNodeLifecycle(t *testing.T) {
 	if d == nil {
 		t.Fatal("census does not compress")
 	}
-	before := s.Store().Stats()
+	before, totals := s.Store().Stats(), s.TotalStats
 	if want := int64(tab.NumRows() + d.NumRows()); before.FullScans != 1 || before.RowsRead != want {
 		t.Fatalf("the sampled root drill charged %d full scans and %d rows, want 1 (the build) and %d (it, and one walk of %d distinct tuples)",
 			before.FullScans, before.RowsRead, want, d.NumRows())
 	}
+	var lookups, tuples int64
 	for _, n := range prov {
+		covered, read := d.Index().Lookup(n.Rule)
+		lookups += read
+		tuples += int64(len(covered))
 		if !s.RefineNode(n) {
 			t.Fatalf("node %v did not refine", n.Rule)
 		}
@@ -234,10 +247,13 @@ func TestRefineNodeLifecycle(t *testing.T) {
 		}
 	}
 	after := s.Store().Stats()
-	wantRows := int64(len(prov) * d.NumRows())
-	if scans, rows := after.FullScans-before.FullScans, after.RowsRead-before.RowsRead; scans != 0 || rows != wantRows {
-		t.Fatalf("refinement charged %d full scans and %d rows, want none and %d (%d distinct tuples per node)",
-			scans, rows, wantRows, d.NumRows())
+	want := storage.Stats{IndexLookups: int64(len(prov)), IndexRowsRead: lookups}
+	if got := (storage.Stats{FullScans: after.FullScans - before.FullScans, RowsRead: after.RowsRead - before.RowsRead,
+		IndexLookups: after.IndexLookups - before.IndexLookups, IndexRowsRead: after.IndexRowsRead - before.IndexRowsRead}); got != want {
+		t.Fatalf("refinement charged the store %+v, want %+v (one lookup a node in the distinct tuples' index)", got, want)
+	}
+	if p, r := s.TotalStats.Passes-totals.Passes, s.TotalStats.RowsScanned-totals.RowsScanned; p != len(prov) || r != tuples {
+		t.Fatalf("refinement added %d passes and %d rows to the totals, want %d and the %d distinct tuples the nodes cover", p, r, len(prov), tuples)
 	}
 	if len(s.ProvisionalNodes()) != 0 {
 		t.Fatal("provisional nodes remain after refining all")
@@ -245,12 +261,18 @@ func TestRefineNodeLifecycle(t *testing.T) {
 }
 
 // TestRefineAndTraditionalInTotals: a refine and a traditional listing add
-// the passes they read to the session's totals (TotalStats, which
+// what they read to the session's totals (TotalStats, which
 // Engine.TotalSearchStats reports) and leave LastStats, the last
 // expansion's, alone. The session is fresh: it resumes another session's
 // provisional tree over a table nothing has read yet, so its first refine
 // builds the distinct tuples — one pass over the rows — before it reads
-// them; the second reads only the tuples; a listing reads the rows once.
+// the tuples its rule covers; the second reads only its own covered tuples;
+// a listing under the root reads every tuple once. (Each refine used to
+// read every distinct tuple, and a listing every row, through the search
+// service; now each reads its rule's exact view.) The build is booked to
+// the totals by the refine that caused it, so the next drill's LastStats
+// does not carry it: that drill books what the same drill books in a twin
+// session whose table had built its tuples before.
 func TestRefineAndTraditionalInTotals(t *testing.T) {
 	cfg := Config{K: 4, MaxWeight: 4, SampleMemory: 25000, MinSampleSize: 2000, Seed: 3}
 	donorTab := datagen.CensusProjected(25000, 7, 7)
@@ -265,14 +287,19 @@ func TestRefineAndTraditionalInTotals(t *testing.T) {
 	if err := donor.Save(&snap); err != nil {
 		t.Fatal(err)
 	}
+	resume := func(tab *table.Table) *Session {
+		t.Helper()
+		s, err := NewSession(tab, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Load(bytes.NewReader(snap.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
 	tab := datagen.CensusProjected(25000, 7, 7)
-	s, err := NewSession(tab, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Load(&snap); err != nil {
-		t.Fatal(err)
-	}
+	s, twin := resume(tab), resume(donorTab)
 	prov := s.ProvisionalNodes()
 	if len(prov) < 2 {
 		t.Fatalf("resumed tree has %d provisional nodes, want 2", len(prov))
@@ -283,30 +310,45 @@ func TestRefineAndTraditionalInTotals(t *testing.T) {
 	if d == nil {
 		t.Fatal("census does not compress")
 	}
-	rows, tuples := int64(tab.NumRows()), int64(d.NumRows())
-	booked := func(label string, do func(), passes int, read int64) {
+	covered := func(n *Node) int64 {
+		rows, _ := d.Index().Lookup(n.Rule)
+		return int64(len(rows))
+	}
+	booked := func(label string, do func(*Session), passes int, read int64) {
 		t.Helper()
 		before := s.TotalStats
-		do()
+		do(s)
 		if p, r := s.TotalStats.Passes-before.Passes, s.TotalStats.RowsScanned-before.RowsScanned; p != passes || r != read {
 			t.Fatalf("%s added %d passes and %d rows to the totals, want %d and %d", label, p, r, passes, read)
 		}
 		if s.LastStats != last {
 			t.Fatalf("%s overwrote LastStats: %+v", label, s.LastStats)
 		}
+		do(twin)
 	}
-	booked("the first refine", func() { s.RefineNode(prov[0]) }, 2, rows+tuples)
-	booked("the second refine", func() { s.RefineNode(prov[1]) }, 1, tuples)
-	booked("a traditional listing", func() {
+	refine := func(i int) func(*Session) {
+		return func(s *Session) { s.RefineNode(s.NodeByID(prov[i].ID())) }
+	}
+	booked("the first refine", refine(0), 2, int64(tab.NumRows())+covered(prov[0]))
+	booked("the second refine", refine(1), 1, covered(prov[1]))
+	booked("a traditional listing", func(s *Session) {
 		if _, err := s.Traditional(s.Root(), 0); err != nil {
 			t.Fatal(err)
 		}
-	}, 1, rows)
+	}, 1, int64(d.NumRows()))
+	for _, s := range []*Session{s, twin} {
+		if err := s.Expand(s.NodeByID(prov[0].ID())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.LastStats != twin.LastStats {
+		t.Fatalf("the drill after the building refine booked %+v, its twin %+v", s.LastStats, twin.LastStats)
+	}
 }
 
 // TestRefineSkipsOrphanedNodes: a background refiner can lose the race
 // with a collapse, a re-expansion or a Load; refining the orphaned node must
-// be a no-op, not a wasted full pass — also where the loaded snapshot
+// be a no-op that reads nothing — also where the loaded snapshot
 // displays a node under the orphan's id.
 func TestRefineSkipsOrphanedNodes(t *testing.T) {
 	tab := datagen.CensusProjected(25000, 7, 7)
@@ -324,12 +366,12 @@ func TestRefineSkipsOrphanedNodes(t *testing.T) {
 	}
 	orphan := s.Root().Children[0]
 	s.Collapse(s.Root())
-	scans := s.Store().Stats().FullScans
+	io := s.Store().Stats()
 	if s.RefineNode(orphan) {
 		t.Fatal("refined a node no longer in the displayed tree")
 	}
-	if got := s.Store().Stats().FullScans; got != scans {
-		t.Fatalf("orphan refinement paid %d passes", got-scans)
+	if got := s.Store().Stats(); got != io {
+		t.Fatalf("orphan refinement read %+v, after %+v", got, io)
 	}
 	if orphan.Exact {
 		t.Fatal("orphan mutated")
@@ -352,12 +394,12 @@ func TestRefineSkipsOrphanedNodes(t *testing.T) {
 	if n := s.NodeByID(held.ID()); n == nil || n == held {
 		t.Fatalf("after Load id %d resolves to %p, want the restored node, not the held %p", held.ID(), n, held)
 	}
-	scans = s.Store().Stats().FullScans
+	io = s.Store().Stats()
 	if s.RefineNode(held) {
 		t.Fatal("refined a node held from before Load")
 	}
-	if got := s.Store().Stats().FullScans; got != scans {
-		t.Fatalf("refining a node held from before Load paid %d passes", got-scans)
+	if got := s.Store().Stats(); got != io {
+		t.Fatalf("refining a node held from before Load read %+v, after %+v", got, io)
 	}
 	if held.Exact {
 		t.Fatal("node held from before Load mutated")
@@ -403,6 +445,85 @@ func TestRefineNodeSumAggregate(t *testing.T) {
 		}
 		if !n.Exact {
 			t.Fatalf("node %v not exact after refine", n.Rule)
+		}
+	}
+}
+
+// TestEquivalenceRefineAndListingOverExactView: a refine and a traditional
+// listing read a rule's exact view — under Count the distinct tuples that
+// hold its rows, under Sum its rows in row order — and for every rule of a
+// small random table, on an exact session and a sampled one, each returns
+// what the rows do: the refined count is the rule's rows summed in row
+// order, bit for bit, and the listing on every column is the baseline's
+// over the whole table.
+func TestEquivalenceRefineAndListingOverExactView(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	vals := []int{3, 2, 4}
+	b := table.MustBuilder([]string{"A", "B", "C"}, []string{"M"})
+	for i := 0; i < 600; i++ {
+		row := make([]string, len(vals))
+		for c, n := range vals {
+			row[c] = strconv.Itoa(rng.Intn(n))
+		}
+		b.MustAddRow(row, rng.Float64()*100-10) // some negative: a Sum counts them as zero
+	}
+	tab := b.Build()
+	if d, _ := tab.Distinct(); d == nil {
+		t.Fatal("the table does not compress: Count would not read distinct tuples")
+	}
+	var rules []rule.Rule
+	var extend func(r rule.Rule, c int)
+	extend = func(r rule.Rule, c int) {
+		if c == len(vals) {
+			rules = append(rules, append(rule.Rule(nil), r...))
+			return
+		}
+		for v := rule.Star; int(v) < vals[c]; v++ {
+			r[c] = v
+			extend(r, c+1)
+		}
+	}
+	extend(rule.Trivial(len(vals)), 0)
+	if want := 4 * 3 * 5; len(rules) != want {
+		t.Fatalf("%d rules enumerated, want %d", len(rules), want)
+	}
+
+	for _, agg := range []score.Aggregator{score.CountAgg{}, score.SumAgg{Measure: 0}} {
+		for _, cfg := range []Config{{}, {SampleMemory: 300, MinSampleSize: 100}} {
+			cfg.Agg = agg
+			s, err := NewSession(tab, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (s.Handler() != nil) != (cfg.SampleMemory > 0) {
+				t.Fatalf("%s: the session samples: %v", agg.Name(), s.Handler() != nil)
+			}
+			for _, r := range rules {
+				want := 0.0
+				for i := 0; i < tab.NumRows(); i++ {
+					if tab.Covers(r, i) {
+						want += agg.Mass(tab, i)
+					}
+				}
+				n := &Node{Rule: r}
+				s.adopt(n) // displayed and provisional: what a sampled drill shows
+				if !s.RefineNode(n) || n.Count != want {
+					t.Fatalf("%s, sampled %v: refine of %v gives %v, the rows %v", agg.Name(), s.Handler() != nil, r, n.Count, want)
+				}
+				for c := range vals {
+					got, err := s.Traditional(n, c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := baseline.TraditionalDrillDown(tab.All(), r, c, agg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s, sampled %v: listing of %v on column %d is\n%v\nthe rows give\n%v", agg.Name(), s.Handler() != nil, r, c, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -93,7 +93,7 @@ func (c QualitativeConfig) Fig4() (baselineTable, smartTable string, err error) 
 	if err != nil {
 		return "", "", err
 	}
-	groups, err := baseline.TraditionalDrillDown(c.Marketing, nil, age, score.CountAgg{})
+	groups, err := baseline.TraditionalDrillDown(c.Marketing.All(), nil, age, score.CountAgg{})
 	if err != nil {
 		return "", "", err
 	}

@@ -56,18 +56,3 @@ func ClampUpper(lo, hi, bound float64) (float64, float64) {
 	}
 	return lo, hi
 }
-
-// Interval95 returns the 95% confidence interval on a view's estimated
-// count for a rule matching n of its tuples, clamped to the view's own
-// scaled size (the enclosing bound: every tuple the rule covers lies in
-// the view).
-func (v *View) Interval95(n int) (lo, hi float64) {
-	if v.Scale <= 0 {
-		return 0, math.Inf(1)
-	}
-	lo, hi = CountInterval(n, 1/v.Scale, 1.96)
-	if v.EstimatedCount > 0 {
-		return ClampUpper(lo, hi, v.EstimatedCount)
-	}
-	return lo, hi
-}

@@ -135,35 +135,6 @@ func TestCountIntervalZeroCoverage(t *testing.T) {
 	}
 }
 
-// TestInterval95ClampedToViewSize is the regression test for the unclamped
-// upper bound: on a small skewed sample the ±z band can exceed the
-// enclosing view's own scaled size, displaying a child interval wider than
-// its parent's count.
-func TestInterval95ClampedToViewSize(t *testing.T) {
-	// 10 sampled rows at p = 0.02 → estimated view size 500. A rule
-	// matching all 10 sample rows has raw hi ≈ 500 + 1.96·√(10·0.98)/0.02
-	// ≈ 810, well past the view's own 500.
-	v := &View{Scale: 50, EstimatedCount: 500}
-	loRaw, hiRaw := CountInterval(10, 1.0/50, 1.96)
-	if hiRaw <= v.EstimatedCount {
-		t.Fatalf("test premise broken: raw hi %g does not exceed view size %g", hiRaw, v.EstimatedCount)
-	}
-	lo, hi := v.Interval95(10)
-	if lo != loRaw {
-		t.Fatalf("clamp moved the lower bound: %g != %g", lo, loRaw)
-	}
-	if hi != v.EstimatedCount {
-		t.Fatalf("hi = %g, want clamped to view size %g", hi, v.EstimatedCount)
-	}
-	// Intervals already inside the bound are untouched.
-	lo2, hi2 := v.Interval95(1)
-	wantLo, wantHi := CountInterval(1, 1.0/50, 1.96)
-	wantLo, wantHi = ClampUpper(wantLo, wantHi, 500)
-	if lo2 != wantLo || hi2 != wantHi {
-		t.Fatalf("small-n interval = [%g,%g], want [%g,%g]", lo2, hi2, wantLo, wantHi)
-	}
-}
-
 func TestClampUpperWellFormed(t *testing.T) {
 	if lo, hi := ClampUpper(40, 90, 100); lo != 40 || hi != 90 {
 		t.Fatalf("inside bound changed: [%g,%g]", lo, hi)
@@ -173,18 +144,5 @@ func TestClampUpperWellFormed(t *testing.T) {
 	}
 	if lo, hi := ClampUpper(40, 90, 10); lo != 40 || hi != 40 {
 		t.Fatalf("bound below lo must collapse to [lo,lo]: [%g,%g]", lo, hi)
-	}
-}
-
-func TestViewInterval95(t *testing.T) {
-	v := &View{Scale: 4} // p = 0.25
-	lo, hi := v.Interval95(100)
-	wantLo, wantHi := CountInterval(100, 0.25, 1.96)
-	if lo != wantLo || hi != wantHi {
-		t.Fatalf("Interval95 = [%g,%g], want [%g,%g]", lo, hi, wantLo, wantHi)
-	}
-	bad := &View{Scale: 0}
-	if lo, hi := bad.Interval95(5); lo != 0 || !math.IsInf(hi, 1) {
-		t.Fatal("zero-scale view must return a vacuous interval")
 	}
 }

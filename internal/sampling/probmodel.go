@@ -18,12 +18,6 @@ type ProbModel interface {
 	Assign(root *TreeNode)
 }
 
-// UniformModel is the paper's default: every leaf equally likely.
-type UniformModel struct{}
-
-// Assign implements ProbModel.
-func (UniformModel) Assign(root *TreeNode) { UniformLeafProbs(root) }
-
 // RankModel learns P(next drill | display rank, depth) from observed
 // drill-downs with additive smoothing, then scores each leaf by the
 // product of its rank and depth factors. It is safe for concurrent use.

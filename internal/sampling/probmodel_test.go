@@ -26,16 +26,6 @@ func probSum(root *TreeNode) float64 {
 	return s
 }
 
-func TestUniformModel(t *testing.T) {
-	root := twoLevelTree()
-	UniformModel{}.Assign(root)
-	for _, l := range root.Leaves() {
-		if l.Prob != 0.25 {
-			t.Fatalf("prob = %g, want 0.25", l.Prob)
-		}
-	}
-}
-
 func TestRankModelColdIsUniform(t *testing.T) {
 	root := twoLevelTree()
 	NewRankModel().Assign(root)

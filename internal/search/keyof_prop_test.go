@@ -21,7 +21,6 @@ var nonIdentity = map[string]bool{
 	"Deadline":     true,
 	"Yield":        true,
 	"Sampled":      true,
-	"NoCache":      true,
 	"Store":        true,
 	"Resolve":      true,
 	"MaxWeightFor": true,
@@ -39,7 +38,6 @@ func baseRequest() Request {
 		MaxWeight: 2.5,
 		Seed:      7,
 		Workers:   2,
-		Column:    1,
 	}
 }
 
@@ -48,7 +46,7 @@ func baseRequest() Request {
 // field without extending this table (and deciding its identity status)
 // fails the test.
 var mutations = map[string]func(*Request){
-	"Kind":      func(r *Request) { r.Kind = KindRefine },
+	"Kind":      func(r *Request) { r.Kind = KindStream },
 	"Rule":      func(r *Request) { r.Rule = r.Rule.With(1, 2) },
 	"K":         func(r *Request) { r.K++ },
 	"MaxRules":  func(r *Request) { r.MaxRules++ },
@@ -57,12 +55,10 @@ var mutations = map[string]func(*Request){
 	"MaxWeight": func(r *Request) { r.MaxWeight = 3.5 },
 	"Seed":      func(r *Request) { r.Seed = 8 },
 	"Workers":   func(r *Request) { r.Workers = 3 },
-	"Column":    func(r *Request) { r.Column = 2 },
 
 	"Deadline": func(r *Request) { r.Deadline = time.Unix(1, 0) },
 	"Yield":    func(r *Request) { r.Yield = func(brs.Result) bool { return true } },
 	"Sampled":  func(r *Request) { r.Sampled = true },
-	"NoCache":  func(r *Request) { r.NoCache = true },
 	"Store":    func(r *Request) { r.Store = storage.NewStore(nil) },
 	"Resolve": func(r *Request) {
 		r.Resolve = func() (*table.View, float64, bool, error) { return nil, 1, true, nil }

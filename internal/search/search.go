@@ -1,13 +1,13 @@
 // Package search is the dataset-scoped seam every BRS invocation goes
-// through: batch and star expansions, incremental (anytime) streams,
-// provisional→exact refinement re-counts, and the traditional OLAP
-// listing all arrive here as a canonical Request and leave as a
-// Response. Owning the single entry point lets the service add what no
+// through: batch and star expansions and incremental (anytime) streams
+// arrive here as a canonical Request and leave as a Response. A count or a
+// listing is no search: a session reads those from the rule's exact view
+// itself. Owning the single entry point lets the service add what no
 // per-call-site code could share:
 //
 //   - a bounded LRU answer cache of completed exact expansions, keyed by
-//     the canonicalized request (the rule's Key(), k, weighter and
-//     aggregate names, mw, seed and worker count), with hits served as
+//     the canonicalized request (the rule's Key(), k, max rules, weighter
+//     and aggregate names, mw and worker count), with hits served as
 //     clones so sessions can never mutate shared results;
 //   - singleflight collapsing of concurrent identical searches, so a
 //     thundering herd on one popular expansion costs one BRS run — and a
@@ -21,7 +21,8 @@
 // stream must never be replayed as a complete answer — both bypass the cache
 // entirely. A degraded (overloaded) drill needs no flag of its own: on a
 // sampled session the overload ladder makes it Sampled, and on an exact one
-// a cached answer is the cheapest there is.
+// a cached answer is the cheapest there is. A service built with
+// Config.Disabled is the one switch that turns the cache off.
 package search
 
 import (
@@ -31,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"smartdrill/internal/baseline"
 	"smartdrill/internal/brs"
 	"smartdrill/internal/guarded"
 	"smartdrill/internal/rule"
@@ -52,23 +52,18 @@ const (
 	// KindStream is the anytime expansion (brs.RunIncremental): rules are
 	// delivered through Yield as the greedy search finds them.
 	KindStream
-	// KindRefine re-counts one rule exactly (the provisional→exact upgrade).
-	KindRefine
-	// KindTraditional is the classic OLAP listing on one column.
-	KindTraditional
 )
 
 // Request is the canonical form of one search. Identity fields (Kind
-// through Column) make up the cache key; the remaining fields are
-// execution inputs that either route around the cache (Sampled, NoCache, a
-// Deadline-bounded stream) or are only consulted on a miss
-// (Resolve, MaxWeightFor, Store, Yield); each carries a
-// //sdlint:nonidentity comment saying why it stays out of the key, and
-// TestKeyOfFieldIdentity holds the split for every field.
+// through Workers) make up the cache key; the remaining fields route
+// around the cache (Sampled, a Deadline-bounded stream), are consulted
+// only on a miss (Resolve, MaxWeightFor, Yield), or are read by nothing
+// (Store, Seed). Each carries a //sdlint:nonidentity comment saying why it
+// stays out of the key, and TestKeyOfFieldIdentity holds the split for
+// every field.
 type Request struct {
 	Kind Kind
-	// Rule is the expansion target: the drilled rule for batch/stream,
-	// the re-counted rule for refine, the base rule for traditional.
+	// Rule is the expansion target: the drilled rule.
 	Rule rule.Rule
 	// K is the rules-per-expansion for batch (and the mw probe size).
 	K int
@@ -87,8 +82,6 @@ type Request struct {
 	// proven bit-identical across worker counts only under the Count
 	// aggregate).
 	Workers int
-	// Column is the traditional listing's group-by column.
-	Column int
 
 	// Deadline bounds a stream. A deadline-bounded stream can truncate
 	// anywhere, so it bypasses the cache and singleflight entirely rather
@@ -110,16 +103,11 @@ type Request struct {
 	//
 	//sdlint:nonidentity cache-routing flag: sampled requests bypass the cache entirely
 	Sampled bool
-	// NoCache bypasses the cache for this request (the session-level
-	// DisableCache ablation).
-	//
-	//sdlint:nonidentity cache-routing flag: NoCache requests bypass the cache entirely
-	NoCache bool
 
-	// Store is the caller's accounting store; refine and traditional
-	// execute their accounted passes through it on a miss.
+	// Store is read by nothing: a search reads the view Resolve delivers.
+	// It stays only so that callers built against it still compile.
 	//
-	//sdlint:nonidentity accounting plumbing consulted only on a miss; every store sees the same table
+	//sdlint:nonidentity read by nothing; a search reads only the view Resolve delivers
 	Store *storage.Store
 	// Resolve lazily produces the batch/stream view: the rule's covered
 	// tuples, the estimate scale, and whether counts are exact. It runs
@@ -143,22 +131,18 @@ type Request struct {
 	Seed int64
 }
 
-// Response is the outcome of one search. Exactly one of Results (batch,
-// stream), Count (refine), or Groups (traditional) is meaningful. Only
-// exact, unscaled results enter the cache, and a cached response's Stats
-// carry only the cache counters: the stored expansion's search work was
-// already accounted by the request that ran it.
+// Response is the outcome of one search. Only exact, unscaled results
+// enter the cache, and a cached response's Stats carry only the cache
+// counters: the stored expansion's search work was already accounted by
+// the request that ran it.
 type Response struct {
 	Results []brs.Result
-	Count   float64
-	Groups  []baseline.Group
 	Stats   brs.Stats
 	// Cached reports the response was served without executing BRS — an
 	// LRU hit, or a singleflight waiter adopting the leader's run.
 	Cached bool
-	// Phases is where the time of a batch or stream request that executed
-	// went; zero when nothing executed — a hit, a wait — and for refine and
-	// traditional.
+	// Phases is where the time of a request that executed went; zero when
+	// nothing executed — a hit, a wait.
 	Phases Phases
 }
 
@@ -195,15 +179,12 @@ type key struct {
 	agg      string
 	maxW     float64
 	workers  int
-	column   int
 }
 
 // entry is one cached completed search: an immutable master copy whose
 // rules are cloned again on every hit.
 type entry struct {
 	results []brs.Result
-	count   float64
-	groups  []baseline.Group
 }
 
 // flight is one in-progress execution that identical requests wait on.
@@ -292,7 +273,6 @@ func (*Service) keyOf(req Request) key {
 		maxRules: req.MaxRules,
 		maxW:     req.MaxWeight,
 		workers:  req.Workers,
-		column:   req.Column,
 	}
 	if req.Weighter != nil {
 		k.weighter = req.Weighter.Name()
@@ -304,13 +284,13 @@ func (*Service) keyOf(req Request) key {
 }
 
 // Run executes (or serves) one search. Requests that can never be shared
-// — sampled, cache-disabled, or deadline-bounded streams —
+// — on a disabled service, sampled, or deadline-bounded streams —
 // execute directly with bit-identical behavior to the pre-service call
 // sites. Everything else consults the answer cache, joins an identical
 // in-flight execution, or runs as the flight leader and publishes its
 // completed result.
 func (s *Service) Run(ctx context.Context, req Request) (Response, error) {
-	if s.cfg.Disabled || req.NoCache || req.Sampled ||
+	if s.cfg.Disabled || req.Sampled ||
 		(req.Kind == KindStream && !req.Deadline.IsZero()) {
 		resp, _, err := s.execute(ctx, req, false)
 		return resp, err
@@ -412,124 +392,72 @@ func (st *cacheState) insert(k key, e *entry, bound int) {
 // and unscaled. Partial statistics ride back even on error: an aborted
 // search did real work the session's accounting must see.
 func (s *Service) execute(ctx context.Context, req Request, cacheable bool) (Response, *entry, error) {
-	switch req.Kind {
-	case KindBatch, KindStream:
-		var phases Phases
-		start := time.Now()
-		view, scale, exact, err := req.Resolve()
-		if err != nil {
-			return Response{}, nil, err
-		}
-		phases.Resolve = time.Since(start)
-		mw := req.MaxWeight
-		if mw <= 0 {
-			mw = req.MaxWeightFor(view)
-			phases.MaxWeight = time.Since(start) - phases.Resolve
-		}
-		start = time.Now()
-		opts := brs.Options{
-			K:           req.K,
-			MaxWeight:   mw,
-			Base:        req.Rule,
-			BaseCovered: true, // Resolve delivers exactly the rule's coverage
-			Agg:         req.Agg,
-			Workers:     req.Workers,
-			SampleScale: scale,
-		}
-		var (
-			results []brs.Result
-			stats   brs.Stats
-			stopped bool
-		)
-		if req.Kind == KindBatch {
-			results, stats, err = brs.RunCtx(ctx, view, req.Weighter, opts)
-		} else {
-			opts.MinGainRatio = 0.01 // drop the long tail of near-worthless rules
-			stats, err = brs.RunIncrementalCtx(ctx, view, req.Weighter, opts, req.MaxRules, req.Deadline, func(r brs.Result) bool {
-				results = append(results, r)
-				stopped = req.Yield != nil && !req.Yield(r)
-				return !stopped
-			})
-		}
-		phases.Search = time.Since(start)
-		resp := Response{Results: results, Stats: stats, Phases: phases}
-		if err != nil {
-			return resp, nil, err
-		}
-		var e *entry
-		// A consumer-stopped stream is truncated: the search would have
-		// gone on. It must never be replayed as the complete expansion.
-		if cacheable && !stopped && exact && scale == 1 {
-			e = &entry{results: cloneResults(results)}
-		}
-		return resp, e, nil
-
-	case KindRefine:
-		// A count is the same integer summed row by row or multiplicity by
-		// multiplicity, so Count reads the table's distinct tuples where it
-		// has them; a Sum's fractional masses are added in row order. The
-		// refine that builds the distinct tuples is booked that pass too.
-		var stats brs.Stats
-		t := req.Store.Table()
-		if _, isCount := req.Agg.(score.CountAgg); isCount {
-			d, read := req.Store.Distinct()
-			if read > 0 {
-				stats.Passes++
-				stats.RowsScanned += read
-			}
-			if d != nil {
-				t = d
-			}
-		}
-		var count float64
-		req.Store.ScanOf(t, func(i int) bool {
-			if t.Covers(req.Rule, i) {
-				count += req.Agg.Mass(t, i)
-			}
-			return true
-		})
-		stats.Passes++
-		stats.RowsScanned += int64(t.NumRows())
-		var e *entry
-		if cacheable {
-			e = &entry{count: count}
-		}
-		return Response{Count: count, Stats: stats}, e, nil
-
-	case KindTraditional:
-		t := req.Store.Table()
-		groups, err := baseline.TraditionalDrillDown(t, req.Rule, req.Column, req.Agg)
-		if err != nil {
-			return Response{}, nil, err
-		}
-		var e *entry
-		if cacheable {
-			e = &entry{groups: cloneGroups(groups)}
-		}
-		// The listing is one pass over the table's rows.
-		return Response{Groups: groups, Stats: brs.Stats{Passes: 1, RowsScanned: int64(t.NumRows())}}, e, nil
+	if req.Kind != KindBatch && req.Kind != KindStream {
+		return Response{}, nil, errors.New("search: unknown request kind")
 	}
-	return Response{}, nil, errors.New("search: unknown request kind")
+	var phases Phases
+	start := time.Now()
+	view, scale, exact, err := req.Resolve()
+	if err != nil {
+		return Response{}, nil, err
+	}
+	phases.Resolve = time.Since(start)
+	mw := req.MaxWeight
+	if mw <= 0 {
+		mw = req.MaxWeightFor(view)
+		phases.MaxWeight = time.Since(start) - phases.Resolve
+	}
+	start = time.Now()
+	opts := brs.Options{
+		K:           req.K,
+		MaxWeight:   mw,
+		Base:        req.Rule,
+		BaseCovered: true, // Resolve delivers exactly the rule's coverage
+		Agg:         req.Agg,
+		Workers:     req.Workers,
+		SampleScale: scale,
+	}
+	var (
+		results []brs.Result
+		stats   brs.Stats
+		stopped bool
+	)
+	if req.Kind == KindBatch {
+		results, stats, err = brs.RunCtx(ctx, view, req.Weighter, opts)
+	} else {
+		opts.MinGainRatio = 0.01 // drop the long tail of near-worthless rules
+		stats, err = brs.RunIncrementalCtx(ctx, view, req.Weighter, opts, req.MaxRules, req.Deadline, func(r brs.Result) bool {
+			results = append(results, r)
+			stopped = req.Yield != nil && !req.Yield(r)
+			return !stopped
+		})
+	}
+	phases.Search = time.Since(start)
+	resp := Response{Results: results, Stats: stats, Phases: phases}
+	if err != nil {
+		return resp, nil, err
+	}
+	var e *entry
+	// A consumer-stopped stream is truncated: the search would have
+	// gone on. It must never be replayed as the complete expansion.
+	if cacheable && !stopped && exact && scale == 1 {
+		e = &entry{results: cloneResults(results)}
+	}
+	return resp, e, nil
 }
 
 // replay serves a cached entry: every rule slice is cloned so no two
 // consumers (or the cache itself) ever share backing arrays, and stream
 // consumers see their Yield called per rule exactly as on a live search.
 func replay(e *entry, req Request, stats brs.Stats) Response {
-	resp := Response{Stats: stats, Cached: true, Count: e.count}
-	switch req.Kind {
-	case KindBatch, KindStream:
-		resp.Results = cloneResults(e.results)
-		if req.Kind == KindStream && req.Yield != nil {
-			for i := range resp.Results {
-				if !req.Yield(resp.Results[i]) {
-					resp.Results = resp.Results[:i+1]
-					break
-				}
+	resp := Response{Results: cloneResults(e.results), Stats: stats, Cached: true}
+	if req.Kind == KindStream && req.Yield != nil {
+		for i := range resp.Results {
+			if !req.Yield(resp.Results[i]) {
+				resp.Results = resp.Results[:i+1]
+				break
 			}
 		}
-	case KindTraditional:
-		resp.Groups = cloneGroups(e.groups)
 	}
 	return resp
 }
@@ -542,18 +470,6 @@ func cloneResults(rs []brs.Result) []brs.Result {
 	for i, r := range rs {
 		out[i] = r
 		out[i].Rule = append(rule.Rule(nil), r.Rule...)
-	}
-	return out
-}
-
-func cloneGroups(gs []baseline.Group) []baseline.Group {
-	if gs == nil {
-		return nil
-	}
-	out := make([]baseline.Group, len(gs))
-	for i, g := range gs {
-		out[i] = g
-		out[i].Rule = append(rule.Rule(nil), g.Rule...)
 	}
 	return out
 }

@@ -12,7 +12,6 @@ import (
 	"smartdrill/internal/brs"
 	"smartdrill/internal/rule"
 	"smartdrill/internal/score"
-	"smartdrill/internal/storage"
 	"smartdrill/internal/table"
 	"smartdrill/internal/weight"
 )
@@ -157,7 +156,6 @@ func TestBypassesNeverTouchCache(t *testing.T) {
 		mod  func(*Request)
 	}{
 		{"disabled service", Config{Disabled: true}, func(*Request) {}},
-		{"NoCache request", Config{}, func(r *Request) { r.NoCache = true }},
 		{"Sampled request", Config{}, func(r *Request) { r.Sampled = true }},
 		{"deadline stream", Config{}, func(r *Request) {
 			r.Kind = KindStream
@@ -423,40 +421,6 @@ func TestStreamReplayDrivesYield(t *testing.T) {
 	}
 	if !reflect.DeepEqual(live, replayed) {
 		t.Fatalf("replay diverged:\nlive:     %v\nreplayed: %v", live, replayed)
-	}
-}
-
-func TestRefineAndTraditionalCached(t *testing.T) {
-	tab := testTable()
-	st := storage.NewStore(tab)
-	svc := NewService(Config{})
-
-	r := rule.Trivial(2)
-	r[0] = tab.All().Value(0, 0) // A = "x"
-	refine := Request{Kind: KindRefine, Rule: r, Agg: score.CountAgg{}, Store: st}
-	first, err := svc.Run(context.Background(), refine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := svc.Run(context.Background(), refine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.Cached || second.Count != first.Count || first.Count != 4 {
-		t.Fatalf("refine: first=%v second=%v cached=%v", first.Count, second.Count, second.Cached)
-	}
-
-	trad := Request{Kind: KindTraditional, Rule: rule.Trivial(2), Column: 0, Agg: score.CountAgg{}, Store: st}
-	g1, err := svc.Run(context.Background(), trad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := svc.Run(context.Background(), trad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g2.Cached || !reflect.DeepEqual(g1.Groups, g2.Groups) || len(g1.Groups) == 0 {
-		t.Fatalf("traditional: groups=%v cached=%v", g2.Groups, g2.Cached)
 	}
 }
 

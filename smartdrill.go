@@ -225,10 +225,14 @@ func WithSearchService(svc *SearchService) Option {
 	return func(c *drill.Config) { c.Search = svc }
 }
 
-// WithCacheDisabled bypasses the search service's answer cache and
-// singleflight for this engine — the ablation switch: every expansion
-// executes, and results are bit-identical to the cached path.
-func WithCacheDisabled() Option { return func(c *drill.Config) { c.DisableCache = true } }
+// WithCacheDisabled gives the engine a private search service with the
+// answer cache and singleflight off — the ablation switch: every expansion
+// executes, and results are bit-identical to the cached path. It replaces
+// a service set before it (WithSearchService), and one set after it
+// replaces it.
+func WithCacheDisabled() Option {
+	return func(c *drill.Config) { c.Search = search.NewService(search.Config{Disabled: true}) }
+}
 
 // New starts a drill-down session on t.
 func New(t *Table, opts ...Option) (*Engine, error) {
