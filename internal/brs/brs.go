@@ -1117,7 +1117,7 @@ func (rn *runner) expandParents(parents []*cand) {
 				rn.bookRow(mine, pos, row)
 				set[row>>6] |= 1 << (uint(row) & 63)
 			})
-			kept[g] = rn.keepCover(c, set)
+			kept[g] = rn.keepCover(c, set, reserved[p])
 		})
 		if rn.ctxErr != nil {
 			return // a cut pass: some parents were never walked

@@ -162,6 +162,124 @@ func TestCoverWalkReadsFewestContainers(t *testing.T) {
 	}
 }
 
+// TestCoverContainerRule pins which container a walk's rows are kept in and
+// what the budget is charged for it. Over 6 400 rows — 100 words, a
+// 2-word summary — 40 rows are far too few to be a dense value of the
+// index. In two words three zero words apart they become a bitset cover,
+// read through its summary — a summary word and two data words, not the
+// five of its span — and its bytes count that summary; in one word, a
+// bitset that keeps no summary, read for that word; either stays a list
+// where its bitset does not fit what the walk reserved, here a list's 160
+// bytes. 40 rows a word apart stay a list, which reads 40 entries where the
+// bitset would read 42 words. On the census 20k tuples, in tuple order,
+// re-walking the first step's level-2 and deeper parents keeps bitset
+// covers of rows too few to be dense, and settling the budget gives back
+// exactly what was reserved minus what the covers hold; a budget one byte
+// short of a bitset's words and summary keeps no cover of dense rows.
+func TestCoverContainerRule(t *testing.T) {
+	const rows, words = 6400, 100
+	b := table.MustBuilder([]string{"A"}, nil)
+	for i := 0; i < rows; i++ {
+		b.MustAddRow([]string{fmt.Sprint("a", i%2)})
+	}
+	rn, err := newRunner(b.Build().All(), weight.NewSize(1), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := func(rows []int, reserved int64) *cover {
+		kept := make([]uint64, words)
+		for _, r := range rows {
+			kept[r>>6] |= 1 << (r & 63)
+		}
+		c := &cand{}
+		back := rn.keepCover(c, kept, reserved)
+		if (back == nil) != (c.cover.bits != nil) || (back != nil && !reflect.DeepEqual(back, make([]uint64, words))) {
+			t.Errorf("rows %v: the cover took its words %v, handed back %v", rows, c.cover.bits != nil, back)
+		}
+		return c.cover
+	}
+	for _, tc := range []struct {
+		name        string
+		rows        []int
+		read, bytes int64
+	}{
+		{"40 rows in two words three zero words apart", append(rowRange(640, 660), rowRange(896, 916)...), 3, 8 * (words + 2)},
+		{"40 rows in one word", rowRange(640, 680), 1, 8 * words},
+	} {
+		cv := keep(tc.rows, coverBudget)
+		if cv.bits == nil || cv.bits.Len() != 40 || table.Dense(40, rows) {
+			t.Fatalf("%s: cover %+v, want a bitset of rows that are not dense", tc.name, cv)
+		}
+		if n, got := table.AndCount([]*table.Bitset{cv.bits}); n != 40 || got != tc.read {
+			t.Errorf("%s: the bitset cover counts %d rows reading %d words, want 40 reading %d", tc.name, n, got, tc.read)
+		}
+		if got := cv.bytes(); got != tc.bytes {
+			t.Errorf("%s: bitset cover holds %d bytes, want %d", tc.name, got, tc.bytes)
+		}
+		if cv := keep(tc.rows, 4*40); cv.bits != nil || len(cv.list) != 40 {
+			t.Errorf("%s, 160 bytes reserved: cover %+v, want a list", tc.name, cv)
+		}
+	}
+	scattered := make([]int, 40)
+	for i := range scattered {
+		scattered[i] = 128 * i
+	}
+	if cv := keep(scattered, coverBudget); cv.bits != nil || len(cv.list) != 40 || cv.bytes() != 4*40 {
+		t.Fatalf("40 rows a word apart: cover %+v, want a list of 160 bytes", cv)
+	}
+
+	tab, _ := datagen.CensusProjected(20_000, 7, 7).Distinct()
+	rn, err = newRunner(tab.All(), weight.NewSize(tab.NumCols()), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rn.findBestMarginal()
+	var parents []*cand
+	for _, c := range rn.store.counted {
+		if c.cover != nil && c.from != nil {
+			c.cover = nil
+			parents = append(parents, c)
+		}
+	}
+	bitset := table.MaxBytes(int(rn.bitmapWords))
+	for _, budget := range []int64{coverBudget, bitset - 1} {
+		rn.coverLeft = budget
+		rn.expandParents(parents)
+		var held int64
+		sparseBits, dense := 0, 0
+		for _, c := range parents {
+			if c.cover == nil {
+				continue
+			}
+			held += c.cover.bytes()
+			if set := c.cover.bits; set != nil && table.Dense(set.Len(), tab.NumRows()) {
+				dense++
+			} else if set != nil {
+				sparseBits++
+			}
+			c.cover = nil
+		}
+		if rn.coverLeft != budget-held {
+			t.Errorf("budget %d: %d left after covers holding %d, want %d", budget, rn.coverLeft, held, budget-held)
+		}
+		if budget < bitset && dense != 0 {
+			t.Errorf("budget %d, below a bitset's %d: %d covers of dense rows", budget, bitset, dense)
+		}
+		if budget == coverBudget && sparseBits == 0 {
+			t.Errorf("%d parents re-walked, and no cover is a bitset of rows that are not dense", len(parents))
+		}
+	}
+}
+
+// rowRange returns the rows lo, lo+1, …, hi-1.
+func rowRange(lo, hi int) []int {
+	out := make([]int, 0, hi-lo)
+	for r := lo; r < hi; r++ {
+		out = append(out, r)
+	}
+	return out
+}
+
 // rootSearchTable is the table the served census-100k root drill searches
 // (bench/drillload: census, 100 000 rows × 7 columns, generator seed 7): its
 // 6 372 distinct tuples.
@@ -177,14 +295,16 @@ func rootSearchTable(tb testing.TB) *table.Table {
 // 3 under Size weighting at the weighter's bound, and requires its rules to
 // be the oracle's. Level 1 comes from the index's masses, so no row is
 // read; every later count is an index walk or AND over a table in tuple
-// order, whose containers' spans are narrow. A change to the layout of a
-// grouped table, to what a bitset kernel reads, to which containers a walk
-// ANDs — its own cover, its from's cover and one column, or one a column —
-// or to which candidates are counted moves these figures. The refresh walks
-// of later steps and the topW raises read a candidate's own cover where it
-// holds one, one container in place of its parent's cover and a column: a
-// sparse cover is a list, read an entry a row, which is why PostingsRead is
-// well above what the expansion walks alone read.
+// order, whose containers' spans are narrow and whose summaries mark few
+// of their words. A change to the layout of a grouped table, to what a
+// bitset kernel reads, to which containers a walk ANDs — its own cover,
+// its from's cover and one column, or one a column — to which container a
+// cover is kept in, or to which candidates are counted moves these figures.
+// The refresh walks of later steps and the topW raises read a candidate's
+// own cover where it holds one, one container in place of its parent's
+// cover and a column: a cover whose rows cluster into few words is a
+// bitset, read for those words, and only a scattered one is a list, read an
+// entry a row — which is why PostingsRead is small.
 func TestRootSearchReads(t *testing.T) {
 	tab := rootSearchTable(t)
 	w := weight.NewSize(tab.NumCols())
@@ -197,8 +317,8 @@ func TestRootSearchReads(t *testing.T) {
 		CandidatesCounted: 2693,
 		CandidatesPruned:  4653,
 		CandidatesReused:  2786,
-		PostingsRead:      11951,
-		BitmapWordsRead:   38702,
+		PostingsRead:      354,
+		BitmapWordsRead:   22272,
 		IndexLevels:       24,
 	}
 	if st != want {
@@ -229,7 +349,7 @@ func TestEquivalenceRouteReads(t *testing.T) {
 			CandidatesPruned:  2053,
 			CandidatesReused:  1019,
 			RowsScanned:       152512,
-			BitmapWordsRead:   5946,
+			BitmapWordsRead:   5944,
 			IndexLevels:       3,
 		}},
 		{"scan", scanView(tab), nil, Stats{

@@ -21,17 +21,22 @@ import (
 //     candidate is roughly (number of containers) × (smallest's rows) —
 //     governed by the most selective column. Where the smallest is itself a
 //     bitset its rows are its set bits, read for its words instead of an
-//     entry each, and it is costed at those words. A level-1 count on the
-//     full table under Count is just a container's stored size, read
-//     without touching a single row.
+//     entry each — its span's, or its summary's and its non-zero words
+//     where those are fewer — and it is costed at ⌈N/64⌉ words, the most
+//     either reads. A level-1 count on the full table under Count is just a
+//     container's stored size, read without touching a single row.
 //
 //   - Bitmap: word-at-a-time AND over bitsets (table.AndCount, AndEach).
-//     Cost per candidate is (number of containers) × (words per container)
-//     regardless of selectivity, and a pure *count* needs only popcount —
-//     zero rows enumerated — where every row's mass is 1 (Count over an
+//     Cost per candidate is at most (number of containers) × (words per
+//     container), and costed at that: a kernel reads only the words where
+//     every set's span overlaps, or, where fewer, the summary words over
+//     them and the data words every set's summary marks non-zero (see
+//     table.Bitset) — on a table in tuple order, where rows cluster, a
+//     fraction of the universe. A pure *count* needs only popcount — zero
+//     rows enumerated — where every row's mass is 1 (Count over an
 //     unweighted table). Applies on full-table views under the Count
 //     aggregate, where view positions are parent rows and masses stay
-//     integral, to candidates whose every value is dense.
+//     integral, to candidates whose every container is a bitset.
 //
 // A cost model decides per counting step which access path runs, and per
 // candidate which kernel. Scan cost is one visit per view row plus the
@@ -56,7 +61,7 @@ const postingsCostSlack = 16
 // walk — can keep the rows it visits. From then on every later walk of that
 // candidate — the refresh that re-measures it in a later greedy step, the
 // topW raise once it is selected — reads that one container, the cover's
-// span of words or its list entries, and each child the walk created (one
+// words or its list entries, and each child the walk created (one
 // column more, with the candidate as its from) that holds no cover of its
 // own has its coverage as the AND of two containers, the parent's cover and
 // the added column's, instead of one container per column: the tid-set
@@ -68,37 +73,41 @@ const postingsCostSlack = 16
 // to Stats exactly like the index's.
 //
 // Covers live as long as the run, under one byte budget per run. A walk
-// keeps its rows only if what they could hold at most — the smallest of
-// the containers it walks — still fits what is left of the budget; that
-// is decided in parent order before the walk and settled after it, so
-// which candidates hold covers, and so every count of words read, is the
-// same at any worker count.
+// keeps its rows only if the most they could hold — the smallest of the
+// containers it walks, in the index's container for that many rows —
+// still fits what is left of the budget; that is decided in parent order
+// before the walk and settled after it, so which candidates hold covers,
+// and so every count of words read, is the same at any worker count.
 
 // coverBudget is the most the covers of one run may hold, in bytes. It is
 // a variable only so that a test can lower it.
 var coverBudget int64 = 32 << 20
 
 // cover is the rows of the parent table a candidate's walk visited, in
-// the one container the index would give a value of that many rows: an
-// ascending list where sparse, a bitset where dense (table.NewContainer).
+// the container that reads them in fewer words among those that fit what
+// the walk reserved (table.NewContainer): a bitset wherever its span's
+// words, or its summary's and its non-zero ones, are fewer than its rows —
+// a dense cover, and a sparse one whose rows cluster into few words, as a
+// rule's do on a table in tuple order — an ascending list otherwise, read
+// an entry a row.
 type cover struct {
 	list []int32
 	bits *table.Bitset
 }
 
-// bytes is what the cover's container holds.
+// bytes is what the cover's container holds, a bitset's summary included.
 func (cv *cover) bytes() int64 {
 	if cv.bits != nil {
-		return 8 * int64(cv.bits.NumWords())
+		return cv.bits.Bytes()
 	}
 	return 4 * int64(len(cv.list))
 }
 
 // keepCover makes the rows set in kept — a walk's, one bit a parent row —
-// c's cover, and returns kept cleared for the next walk, or nil where the
-// cover took it for its bitset.
-func (rn *runner) keepCover(c *cand, kept []uint64) []uint64 {
-	list, bits := table.NewContainer(kept, rn.parent.NumRows())
+// c's cover, in at most the reserved bytes, and returns kept cleared for the
+// next walk, or nil where the cover took it for its bitset.
+func (rn *runner) keepCover(c *cand, kept []uint64, reserved int64) []uint64 {
+	list, bits := table.NewContainer(kept, reserved)
 	c.cover = &cover{list, bits}
 	if bits != nil {
 		return nil
@@ -112,9 +121,11 @@ func (rn *runner) keepCover(c *cand, kept []uint64) []uint64 {
 // reserveCovers decides which parents' walks keep a cover, in parent order,
 // and returns what each one reserved of the budget (0: keeps none). A
 // parent keeps one when it has no cover yet, is past level 1, has a column
-// left to extend by, and the most its cover could hold still fits: 4 bytes
-// a row up to its plan's smallest container, a bitset's words from where
-// that many rows would be dense.
+// left to extend by, and the most its cover could hold by the index's
+// memory rule still fits: 4 bytes a row up to its plan's smallest
+// container, a bitset's words and summary from where that many rows would
+// be dense. The walk's rows then take the container that reads them in
+// fewer words among those that fit: a list of them always does.
 func (rn *runner) reserveCovers(parents []*cand, plans []candPlan, accs [][]extAcc) []int64 {
 	reserved := make([]int64, len(parents))
 	numRows := rn.parent.NumRows()
@@ -124,7 +135,7 @@ func (rn *runner) reserveCovers(parents []*cand, plans []candPlan, accs [][]extA
 		}
 		most := 4 * plans[p].rows
 		if table.Dense(int(plans[p].rows), numRows) {
-			most = 8 * rn.bitmapWords
+			most = table.MaxBytes(int(rn.bitmapWords))
 		}
 		if most <= rn.coverLeft {
 			rn.coverLeft -= most

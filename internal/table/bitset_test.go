@@ -1,6 +1,7 @@
 package table
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -58,38 +59,125 @@ func spanOf(list []int32) (lo, hi int) {
 	return int(list[0]) >> 6, int(list[len(list)-1])>>6 + 1
 }
 
-// andWords is what the AND kernels book over the bitsets of lists: one word
-// a set at every position where all of their spans overlap, none where two
-// of them do not overlap at all.
-func andWords(lists [][]int32) int64 {
-	if len(lists) == 0 {
-		return 0
+// wordsOf returns the words an ascending list's rows lie in: the non-zero
+// words of its bitset, ascending.
+func wordsOf(list []int32) []int {
+	var out []int
+	for _, r := range list {
+		if w := int(r) >> 6; len(out) == 0 || out[len(out)-1] != w {
+			out = append(out, w)
+		}
 	}
-	lo, hi := 0, math.MaxInt
+	return out
+}
+
+// summaryPays reports whether a bitset of an ascending list's rows keeps a
+// summary: where reading it alone through one — the summary words over its
+// span, then the words its rows lie in — reads fewer words than its span.
+func summaryPays(list []int32) bool {
+	lo, hi := spanOf(list)
+	return lo < hi && (hi-1)/64-lo/64+1+len(wordsOf(list)) < hi-lo
+}
+
+// andWords is what the AND kernels book over the bitsets of lists, and
+// spanOnly what they would book reading every word where all of their
+// spans overlap: one word a set at each such position, none where two of
+// them do not overlap at all. Where some sets keep a summary (summaryPays),
+// and the summary words over that overlap and the fewest non-zero words of
+// any of those are fewer than its positions, the kernels read instead each
+// of those summary words of every set that keeps one and, a set, each data
+// word in which every set that keeps one has a row.
+func andWords(lists [][]int32) (words, spanOnly int64) {
+	if len(lists) == 0 {
+		return 0, 0
+	}
+	lo, hi, nz := 0, math.MaxInt, math.MaxInt
+	var summarised [][]int32
 	for _, l := range lists {
 		a, b := spanOf(l)
 		lo, hi = max(lo, a), min(hi, b)
+		if summaryPays(l) {
+			summarised = append(summarised, l)
+			nz = min(nz, len(wordsOf(l)))
+		}
 	}
 	if lo >= hi {
-		return 0
+		return 0, 0
 	}
-	return int64(len(lists)) * int64(hi-lo)
+	k := int64(len(lists))
+	spanOnly = k * int64(hi-lo)
+	summary := (hi-1)/64 - lo/64 + 1
+	if len(summarised) == 0 || summary+nz >= hi-lo {
+		return spanOnly, spanOnly
+	}
+	in := map[int]int{} // word → how many of summarised have a row in it
+	for _, l := range summarised {
+		for _, w := range wordsOf(l) {
+			in[w]++
+		}
+	}
+	marked := 0
+	for w, n := range in {
+		if n == len(summarised) && lo <= w && w < hi {
+			marked++
+		}
+	}
+	return int64(len(summarised)*summary) + k*int64(marked), spanOnly
+}
+
+// requireSummary fails unless b counts its non-zero words and, where a
+// summary pays (summaryPays), keeps one marking exactly them, and otherwise
+// none.
+func requireSummary(t *testing.T, label string, b *Bitset) {
+	t.Helper()
+	var rows []int32
+	AndEach([]*Bitset{b}, func(_, row int) { rows = append(rows, int32(row)) })
+	if nz := len(wordsOf(rows)); b.nz != nz {
+		t.Fatalf("%s: %d non-zero words counted, want %d", label, b.nz, nz)
+	}
+	if !summaryPays(rows) {
+		if b.summary != nil {
+			t.Fatalf("%s: %d non-zero words spanning [%d, %d) keep a summary that does not pay", label, b.nz, b.lo, b.hi)
+		}
+		return
+	}
+	if len(b.summary) != (len(b.words)+63)/64 {
+		t.Fatalf("%s: %d summary words, want %d", label, len(b.summary), (len(b.words)+63)/64)
+	}
+	for i, w := range b.words {
+		if marked := b.summary[i>>6]&(1<<(uint(i)&63)) != 0; marked != (w != 0) {
+			t.Fatalf("%s: word %d is %#x, yet its summary bit is %v", label, i, w, marked)
+		}
+	}
 }
 
 // randomRows returns the rows of [0, rows) a draw of rng.Intn(120) < d
 // keeps, ascending and never nil — within one random sub-range of the
 // universe when packed is set, so that the spans of sets drawn one after
-// another nest, overlap in part or miss each other.
-func randomRows(rng *rand.Rand, rows, d int, packed bool) []int32 {
+// another nest, overlap in part or miss each other; and, when runs is set,
+// only in runs of one to three words separated by up to three zero words,
+// so that a set's summary marks a part of its span and an AND of several
+// marks less.
+func randomRows(rng *rand.Rand, rows, d int, packed, runs bool) []int32 {
 	lo, hi := 0, rows
 	if packed {
 		lo = rng.Intn(rows)
 		hi = lo + 1 + rng.Intn(rows-lo)
 	}
 	out := []int32{}
-	for r := lo; r < hi; r++ {
-		if rng.Intn(120) < d {
-			out = append(out, int32(r))
+	left := 0 // words of the current run still to draw rows in
+	for w := lo >> 6; w<<6 < hi; w++ {
+		if runs {
+			if left == 0 {
+				w += rng.Intn(4)
+				left = 1 + rng.Intn(3)
+			}
+			left--
+		}
+		for r := max(w<<6, lo); r < min(w<<6+64, hi); r++ {
+			if rng.Intn(120) < d {
+				out = append(out, int32(r))
+			}
 		}
 	}
 	return out
@@ -109,9 +197,10 @@ func checkKernels(t *testing.T, label string, lists [][]int32, rows int) {
 		if lo, hi := spanOf(l); sets[i].lo != lo || sets[i].hi != hi {
 			t.Fatalf("%s: set %d spans words [%d, %d), want [%d, %d)", label, i, sets[i].lo, sets[i].hi, lo, hi)
 		}
+		requireSummary(t, label, sets[i])
 	}
 	want := naiveIntersect(lists)
-	wantWords := andWords(lists)
+	wantWords, _ := andWords(lists)
 
 	count, words := AndCount(sets)
 	if count != len(want) {
@@ -160,11 +249,28 @@ func every(rows, step, phase int32) []int32 {
 	return out
 }
 
+// inWords returns three rows in each given word — its first, middle and
+// last bit — ascending for ascending words.
+func inWords(words ...int32) []int32 {
+	var out []int32
+	for _, w := range words {
+		out = append(out, w<<6, w<<6+31, w<<6+63)
+	}
+	return out
+}
+
 // TestBitsetKernelsAdversarial pins the kernels on hand-built shapes that
 // stress word packing: boundaries at 63/64 and 127/128, universes that
 // are not multiples of 64, empty/full/alternating containers, and spans
-// that nest, overlap in part or meet at a word boundary. An empty set has
-// an empty span, so an AND with it reads nothing.
+// that nest, overlap in part or meet at a word boundary, and rows in a few
+// words far apart, which the kernels find through the summaries: within
+// one summary word and across two, with no word common to all sets, and
+// where the summaries' bound only ties the span's, which is then read; and
+// beside a set whose summary would not pay, which keeps none — one with no
+// zero word in its span, also where its span bounds the overlap and the
+// other set marks words outside it, and one with a few zero words, read as
+// though they were not. An empty set has an empty span, so an AND with it
+// reads nothing.
 func TestBitsetKernelsAdversarial(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -187,6 +293,14 @@ func TestBitsetKernelsAdversarial(t *testing.T) {
 		{"nested-spans", 640, [][]int32{span(0, 640), span(130, 300), span(200, 210)}},
 		{"partial-spans", 640, [][]int32{span(0, 400), span(250, 640)}},
 		{"spans-share-one-word", 640, [][]int32{span(0, 130), span(129, 640)}},
+		{"summary-one-set", 10000, [][]int32{inWords(3, 70, 150)}},
+		{"summary-no-common-word", 10000, [][]int32{inWords(3, 70, 150), inWords(4, 71, 149)}},
+		{"summary-across-summary-words", 10000, [][]int32{inWords(63, 64, 127, 128), inWords(63, 128), inWords(0, 63, 100, 128, 155)}},
+		{"summary-ragged-last-word", 8200, [][]int32{inWords(1, 128), {64, 8199}}},
+		{"summary-bound-ties-span", 640, [][]int32{inWords(0, 2, 4, 6, 8), inWords(0, 9)}},
+		{"summary-beside-no-summary", 10000, [][]int32{inWords(3, 70, 150), span(0, 10000)}},
+		{"no-summary-bounds-overlap", 10000, [][]int32{span(640, 1280), inWords(2, 12, 15, 40)}},
+		{"no-summary-with-zero-words", 10000, [][]int32{inWords(10, 12, 13, 14, 15, 16, 17, 18, 19, 20), inWords(11, 15, 60)}},
 	}
 	for _, tc := range cases {
 		checkKernels(t, tc.name, tc.lists, tc.rows)
@@ -262,8 +376,9 @@ func TestBitsetDense(t *testing.T) {
 
 // TestBitsetMatchesIndexPostings cross-checks the index-built containers:
 // for every dense (column, value) the bitmap holds exactly the sorted
-// posting list's rows, and sparse values get no container. NewContainer,
-// given a value's rows as bits, returns the container the index holds.
+// posting list's rows, and its summary marks its non-zero words, and sparse
+// values get no container. The index's rule is memory (see Dense), which a
+// search's covers do not follow (see NewContainer).
 func TestBitsetMatchesIndexPostings(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	names := []string{"A", "B"}
@@ -286,15 +401,6 @@ func TestBitsetMatchesIndexPostings(t *testing.T) {
 		for v := 0; v < tab.DistinctCount(c); v++ {
 			list := ix.Postings(c, rule.Value(v))
 			bm := ix.Bitmap(c, rule.Value(v))
-			words := make([]uint64, (tab.NumRows()+63)/64)
-			for _, r := range list {
-				words[r>>6] |= 1 << (uint(r) & 63)
-			}
-			gotList, gotBits := NewContainer(words, tab.NumRows())
-			if (gotBits != nil) != (bm != nil) || (gotBits == nil && !slices.Equal(gotList, list)) ||
-				(gotBits != nil && (gotList != nil || gotBits.Len() != bm.Len() || !slices.Equal(gotBits.words, bm.words))) {
-				t.Fatalf("col %d val %d: NewContainer gave list %v bitset %v, the index list %v bitset %v", c, v, gotList, gotBits, list, bm)
-			}
 			if !Dense(len(list), tab.NumRows()) {
 				if bm != nil {
 					t.Fatalf("col %d val %d: sparse list (len %d) has a container", c, v, len(list))
@@ -307,6 +413,7 @@ func TestBitsetMatchesIndexPostings(t *testing.T) {
 			if bm.Len() != len(list) {
 				t.Fatalf("col %d val %d: bitmap Len %d != list len %d", c, v, bm.Len(), len(list))
 			}
+			requireSummary(t, fmt.Sprintf("col %d val %d", c, v), bm)
 			for _, r := range list {
 				if !bm.Contains(int(r)) {
 					t.Fatalf("col %d val %d: row %d in list but not bitmap", c, v, r)
@@ -320,11 +427,16 @@ func TestBitsetMatchesIndexPostings(t *testing.T) {
 // densities, and universes derived from the fuzz input — and checks both,
 // and the words they book, against the naive reference. Bit 0x40 of nsets
 // packs each set's rows into a random sub-range of the universe, so that
-// spans nest, overlap in part or miss each other. The top bit also runs the
-// intersection walk over the same bitsets and nothing else, the way it gets
-// a rule whose every value is dense: the driver's rows are its set bits,
-// and the walk must visit what AndEach visits without reading an entry,
-// reading the words of the driver's span and one word a probe.
+// spans nest, overlap in part or miss each other; bit 0x20 packs them into
+// runs of words with zero words between them, so that the summaries mark
+// part of each span: every set's summary must mark exactly its non-zero
+// words, the rows visited must not change, and the words booked must be
+// andWords' and never more than the spans' overlap alone would book. The
+// top bit also runs the intersection walk over the same bitsets and nothing
+// else, the way it gets a rule whose every value is dense: the driver's
+// rows are its set bits, and the walk must visit what AndEach visits
+// without reading an entry, reading the words that reading the driver
+// alone reads and one word a probe.
 func FuzzBitsetIntersect(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(3), uint8(50))
 	f.Add(int64(2), uint16(64), uint8(1), uint8(100))
@@ -336,20 +448,27 @@ func FuzzBitsetIntersect(f *testing.F) {
 	f.Add(int64(8), uint16(64), uint8(0x80), uint8(1))
 	f.Add(int64(9), uint16(4096), uint8(0x40|3), uint8(60))
 	f.Add(int64(10), uint16(1000), uint8(0x80|0x40|4), uint8(100))
+	f.Add(int64(11), uint16(4999), uint8(0x20|2), uint8(40))
+	f.Add(int64(12), uint16(4999), uint8(0x80|0x20|3), uint8(100))
+	f.Add(int64(13), uint16(4096), uint8(0x40|0x20|1), uint8(5))
 	f.Fuzz(func(t *testing.T, seed int64, rows16 uint16, nsets uint8, density uint8) {
 		rows := int(rows16)%5000 + 1
-		k := int(nsets&0x3f)%6 + 1
+		k := int(nsets&0x1f)%6 + 1
 		rng := rand.New(rand.NewSource(seed))
 		lists := make([][]int32, k)
 		for i := range lists {
-			lists[i] = randomRows(rng, rows, int(density)%101+rng.Intn(20), nsets&0x40 != 0) // per-set density jitter
+			lists[i] = randomRows(rng, rows, int(density)%101+rng.Intn(20), nsets&0x40 != 0, nsets&0x20 != 0) // per-set density jitter
 		}
 		sets := make([]*Bitset, k)
 		for i, l := range lists {
 			sets[i] = newBitsetFromSorted(l, rows)
+			requireSummary(t, fmt.Sprintf("set %d", i), sets[i])
 		}
 		want := naiveIntersect(lists)
-		wantWords := andWords(lists)
+		wantWords, spanOnly := andWords(lists)
+		if wantWords > spanOnly {
+			t.Fatalf("the model books %d words, more than the %d of the spans' overlap", wantWords, spanOnly)
+		}
 		count, words := AndCount(sets)
 		if count != len(want) || words != wantWords {
 			t.Fatalf("AndCount = %d reading %d words, want %d reading %d (rows=%d k=%d)", count, words, len(want), wantWords, rows, k)
@@ -381,9 +500,10 @@ func FuzzBitsetIntersect(f *testing.F) {
 }
 
 // walkWords is what a full-table walk over the bitsets of lists, and nothing
-// else, books: the words of the driver's span — the smallest set, the first
-// given of equals — then, for each of its rows, one word for each other set
-// probed, smallest first, up to and including the first that lacks the row.
+// else, books: what reading the driver alone books (andWords of it) — the
+// smallest set, the first given of equals — then, for each of its rows, one
+// word for each other set probed, smallest first, up to and including the
+// first that lacks the row.
 func walkWords(lists [][]int32) int64 {
 	order := make([]int, len(lists))
 	for i := range order {
@@ -394,8 +514,7 @@ func walkWords(lists [][]int32) int64 {
 	if len(driver) == 0 {
 		return 0
 	}
-	lo, hi := spanOf(driver)
-	words := int64(hi - lo)
+	words, _ := andWords([][]int32{driver})
 	for _, r := range driver {
 		for _, i := range order[1:] {
 			words++

@@ -13,13 +13,15 @@ import (
 // Bitset where the value is dense enough that the bitmap is the smaller of
 // the two (see Dense), the sorted list of its rows otherwise. A
 // column's index therefore costs Σ over its values of min(4·len, rows/8)
-// bytes — at most four bytes per row whatever the data, and an eighth of a
-// byte per row and value on the few-valued columns the paper's tables are
-// made of. The index is built whole, every column in parallel, by its first
-// read (or by Warm), so a search's work never depends on which columns an
-// earlier one happened to touch. One Index exists per Table (see
-// Table.Index), so every session on a shared dataset reuses the same
-// containers instead of re-scanning per request.
+// bytes, and a bitset's summary, where it keeps one, a 64th of its words
+// more (see Bitset) — at most four bytes per row whatever the data, and a
+// sixteenth for the summaries, and an eighth of a byte per row and value on
+// the few-valued columns the paper's tables are made of. The index is built
+// whole, every column in parallel, by its first read (or by Warm), so a
+// search's work never depends on which columns an earlier one happened to
+// touch. One Index exists per Table (see Table.Index), so every session on
+// a shared dataset reuses the same containers instead of re-scanning per
+// request.
 //
 // The build runs under one sync.Once, making the Index safe for concurrent
 // use by any number of readers.
@@ -45,7 +47,7 @@ func (cp *colPostings) bytes() int64 {
 	n := 4*int64(len(cp.sizes)) + 8*int64(len(cp.masses))
 	for v, size := range cp.sizes {
 		if b := cp.bits[v]; b != nil {
-			n += 8 * int64(len(b.words))
+			n += b.Bytes()
 		} else {
 			n += 4 * int64(size)
 		}

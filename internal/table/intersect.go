@@ -37,12 +37,13 @@ func (v *View) Ascending() bool {
 // given the list is the set and the bitset must hold the same rows.
 //
 // The smallest set drives the walk: its rows are taken in ascending order —
-// a list's entries one read each, a bitset's set bits for one read of each
-// word of its span, which is fewer (a value is only dense enough to be a
-// bitset when it has at least two rows per word) — and each is tested against
-// every other set: by one word read where the set has a bitset (membership
-// is over parent rows, so this holds on sub-views too), by galloping where
-// it has none. Cost is thus governed by the most selective column: when
+// a list's entries one read each, a bitset's set bits for the words that
+// reading it alone reads (its span's, or, where it keeps a summary, the
+// summary's and its non-zero words), which are fewer — and each is tested
+// against every other set: by one word read where the set has a bitset
+// (membership is over parent rows, so this holds on sub-views too), by
+// galloping where it has none. Cost is thus governed by the most selective
+// column: when
 // every other set has a bitset, at most one unit per driver row per set,
 // however many rows of the larger sets lie between. Bit order is row order,
 // the order a scan meets the rows in, so what fn accumulates is
@@ -95,16 +96,16 @@ func (v *View) EachInAll(lists [][]int32, fn func(pos, row int), bits ...*Bitset
 		}
 		return int64(len(driver)) + w.entries, w.words
 	}
-	d := bitsOf(order[0])
-	for i := d.lo; i < d.hi; i++ {
-		w.words++
-		for word := d.words[i]; word != 0; word &= word - 1 {
+	d := [1]*Bitset{bitsOf(order[0])}
+	driven := eachWord(d[:], func(i int) bool {
+		for word := d[0].words[i]; word != 0; word &= word - 1 {
 			if !w.visit(int32(i<<6 + mathbits.TrailingZeros64(word))) {
-				return w.entries, w.words
+				return false
 			}
 		}
-	}
-	return w.entries, w.words
+		return true
+	})
+	return w.entries, w.words + driven
 }
 
 // walk is the part of an intersection walk every driver shares: a row of

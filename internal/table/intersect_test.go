@@ -154,9 +154,13 @@ func TestGallop(t *testing.T) {
 // The top bit of shadow hands the smallest set over the way the index hands
 // over a dense value — its bitset and no list — so that the walk takes the
 // driver's rows from set bits, not entries: the same visits, no entry read
-// for the driver, and no more words for it than its span holds. The top bit
-// of nlists packs each list's rows into a random sub-range of the universe,
-// so that the spans of the bitsets nest, overlap in part or miss each other.
+// for the driver, and no more words for it than reading it alone reads —
+// its span's, or its summary's and its non-zero words where those are fewer
+// (andWords) — which is never more than its span holds. The top bit of
+// nlists packs each list's rows into a random sub-range of the universe,
+// so that the spans of the bitsets nest, overlap in part or miss each
+// other; bit 0x40 packs them into runs of words with zero words between
+// them, so that the driver's summary marks part of its span.
 func FuzzEachInAll(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(3), uint8(50), uint8(0xff), uint8(0))
 	f.Add(int64(2), uint16(64), uint8(1), uint8(100), uint8(1), uint8(2))
@@ -168,15 +172,18 @@ func FuzzEachInAll(f *testing.F) {
 	f.Add(int64(8), uint16(4096), uint8(4), uint8(20), uint8(0x8a), uint8(5))
 	f.Add(int64(9), uint16(4096), uint8(0x80|3), uint8(70), uint8(0xff), uint8(0))
 	f.Add(int64(10), uint16(2000), uint8(0x80|4), uint8(90), uint8(0x85), uint8(3))
+	f.Add(int64(11), uint16(4999), uint8(0x40|1), uint8(30), uint8(0x80), uint8(0))
+	f.Add(int64(12), uint16(4999), uint8(0x40|3), uint8(90), uint8(0x83), uint8(0))
+	f.Add(int64(13), uint16(4096), uint8(0x80|0x40|4), uint8(60), uint8(0x8f), uint8(4))
 	f.Fuzz(func(t *testing.T, seed int64, rows16 uint16, nlists, density, shadow, keep uint8) {
 		rows := int(rows16)%5000 + 1
-		k := int(nlists&0x7f)%6 + 1
+		k := int(nlists&0x3f)%6 + 1
 		rng := rand.New(rand.NewSource(seed))
 		lists := make([][]int32, k)
 		bits := make([]*Bitset, k)
 		shadowed := 0
 		for i := range lists {
-			lists[i] = randomRows(rng, rows, int(density)%101+rng.Intn(20), nlists&0x80 != 0)
+			lists[i] = randomRows(rng, rows, int(density)%101+rng.Intn(20), nlists&0x80 != 0, nlists&0x40 != 0)
 			if shadow&(1<<i) != 0 {
 				bits[i] = newBitsetFromSorted(lists[i], rows)
 				shadowed++
@@ -229,12 +236,15 @@ func FuzzEachInAll(f *testing.F) {
 			if bits[smallest] != nil {
 				others--
 			}
-			lo, hi := spanOf(lists[smallest])
-			if limit := int64(hi-lo) + int64(shortest)*int64(others); denseWords > limit {
-				t.Fatalf("dense driver: read %d words, more than the %d of its span and %d rows × %d other bitsets", denseWords, hi-lo, shortest, others)
+			driverWords, spanWords := andWords([][]int32{lists[smallest]})
+			if driverWords > spanWords {
+				t.Fatalf("the model reads the driver in %d words, more than the %d of its span", driverWords, spanWords)
 			}
-			if k == 1 && keep == 0 && denseWords != int64(hi-lo) {
-				t.Fatalf("dense driver alone over the full table: read %d words, want its span's %d", denseWords, hi-lo)
+			if limit := driverWords + int64(shortest)*int64(others); denseWords > limit {
+				t.Fatalf("dense driver: read %d words, more than the %d of reading it alone and %d rows × %d other bitsets", denseWords, driverWords, shortest, others)
+			}
+			if k == 1 && keep == 0 && denseWords != driverWords {
+				t.Fatalf("dense driver alone over the full table: read %d words, want the %d of reading it alone", denseWords, driverWords)
 			}
 			if others == k-1 && denseEntries != 0 {
 				t.Fatalf("dense driver, every other set a bitset, yet read %d entries", denseEntries)

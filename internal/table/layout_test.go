@@ -17,7 +17,8 @@ import (
 // skewed: every column is stored at the narrowest width its dictionary
 // fits; every value has exactly one index container, a bitset exactly when
 // it is dense; a column's containers cost at most four bytes a row, plus a
-// word of rounding for each of its at most 32 dense values; and the stored
+// word of rounding and a summary — a 64th of the bitset's words, rounded up
+// — for each of its at most 32 dense values; and the stored
 // size, the decoded list, the bitset's count and a scan of the column agree
 // on which rows hold the value. ResidentBytes adds the same bytes up.
 func TestLayoutBounds(t *testing.T) {
@@ -108,7 +109,7 @@ func checkLayout(t *testing.T, label string, tab *table.Table) {
 			}
 			if isDense {
 				dense++
-				bytes += 8 * bits[v].NumWords()
+				bytes += int(bits[v].Bytes())
 				if bm := ix.Bitmap(c, id); bm != bits[v] || bm.Len() != len(want) {
 					t.Fatalf("%s value %d: Bitmap holds %d rows, want the container and %d", label, v, bm.Len(), len(want))
 				}
@@ -127,8 +128,8 @@ func checkLayout(t *testing.T, label string, tab *table.Table) {
 		}
 		cells += int64(rows * cellBytes)
 		index += int64(bytes + 4*vals) // the containers, and a stored size a value
-		if dense > 32 || bytes > 4*rows+8*dense {
-			t.Errorf("%s: containers hold %d bytes (%d bitsets) for %d rows, want at most 4 a row and a word a bitset", label, bytes, dense, rows)
+		if summary := 8 * (((rows+63)/64 + 63) / 64); dense > 32 || bytes > 4*rows+(8+summary)*dense {
+			t.Errorf("%s: containers hold %d bytes (%d bitsets) for %d rows, want at most 4 a row and a word and a summary a bitset", label, bytes, dense, rows)
 		}
 		if ix.Postings(c, rule.Value(vals)) != nil || ix.PostingsLen(c, rule.Value(vals)) != 0 || ix.Bitmap(c, rule.Star) != nil {
 			t.Errorf("%s: a value outside the dictionary has a container", label)
