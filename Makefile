@@ -52,12 +52,15 @@ lint: lint-fast
 # racing to build a table's memoised distinct-tuple table with their first
 # drill — exact ones, whose answers are held to brsref on the rows, and
 # sampled ones resolving it through their first GetSample — and a refine and
-# a listing racing a drill to build it, the pass booked once: ten schedules
-# find what one does not.
+# a listing racing a drill to build it, the pass booked once; and a drill,
+# the background refiner it starts and a stream racing on one durable
+# session, each request filling its own span record and the refiner none:
+# ten schedules find what one does not.
 race:
-	$(GO) test -race ./client/ ./internal/server/ ./internal/drill/ ./internal/table/ ./internal/brs/ ./internal/search/
+	$(GO) test -race ./client/ ./internal/server/ ./internal/drill/ ./internal/table/ ./internal/brs/ ./internal/search/ ./internal/spans/
 	$(GO) test -race -count=10 -run 'TestIngestBlockIndependence/storesales|TestIndexConcurrentBuild' ./internal/table/
 	$(GO) test -race -count=10 -run 'TestEquivalence(Sampled)?DistinctBuildBookedOnce' ./internal/drill/
+	$(GO) test -race -count=10 -run 'TestSpansRaceDrillRefinerStream' ./internal/server/
 
 # chaos runs the fault-injection end-to-end suite (crash/restart resume,
 # 429-storm convergence, dropped connections, flaky-disk snapshots) under

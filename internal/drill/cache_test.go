@@ -8,6 +8,7 @@ import (
 	"smartdrill/internal/brs"
 	"smartdrill/internal/datagen"
 	"smartdrill/internal/search"
+	"smartdrill/internal/spans"
 	"smartdrill/internal/weight"
 )
 
@@ -195,6 +196,7 @@ func TestNearIdenticalDrillsGetDistinctKeys(t *testing.T) {
 func TestSeedStaysOutOfTheAnswer(t *testing.T) {
 	tab := lightTable(3000, 0, 0)
 	withProbeFloor(t, tab.NumRows()-1)
+	var rec spans.Record // the last root drill's spans
 	root := func(cfg Config) *Session {
 		t.Helper()
 		cfg.K = 3
@@ -202,16 +204,18 @@ func TestSeedStaysOutOfTheAnswer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Expand(s.Root()); err != nil {
+		rec = spans.Start()
+		if err := s.ExpandCtx(spans.With(context.Background(), &rec), s.Root()); err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
 	root(Config{Seed: 5, Search: cacheOff()}) // books the table's one attempt at its distinct tuples
-	a, b := root(Config{Seed: 1, Search: cacheOff()}), root(Config{Seed: 99, Search: cacheOff()})
-	if a.LastPhases.MaxWeight <= 0 || a.LastStats.RowsScanned == 0 {
-		t.Fatalf("the root drill did not probe: phases %+v, stats %+v", a.LastPhases, a.LastStats)
+	a := root(Config{Seed: 1, Search: cacheOff()})
+	if mw, probed := rec.Duration(spans.MW); !probed || mw <= 0 || a.LastStats.RowsScanned == 0 {
+		t.Fatalf("the root drill did not probe: spans %q, stats %+v", rec.String(), a.LastStats)
 	}
+	b := root(Config{Seed: 99, Search: cacheOff()})
 	if a.Render() != b.Render() || a.LastStats != b.LastStats {
 		t.Fatalf("seeds 1 and 99 drill\n%s%+v\nand\n%s%+v", a.Render(), a.LastStats, b.Render(), b.LastStats)
 	}

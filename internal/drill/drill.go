@@ -23,6 +23,7 @@ import (
 	"smartdrill/internal/sampling"
 	"smartdrill/internal/score"
 	"smartdrill/internal/search"
+	"smartdrill/internal/spans"
 	"smartdrill/internal/storage"
 	"smartdrill/internal/table"
 	"smartdrill/internal/weight"
@@ -133,9 +134,6 @@ type Session struct {
 	LastMethod string
 	// LastStats holds the BRS statistics of the most recent expansion.
 	LastStats brs.Stats
-	// LastPhases times the most recent expansion's resolve, mw probe (zero
-	// if none ran) and search; zero when the answer cache served it.
-	LastPhases search.Phases
 	// TotalStats accumulates BRS statistics across every expansion of the
 	// session, and the reads of its refines and traditional listings —
 	// repeated drill-downs share the dataset's warmed posting lists, so
@@ -362,11 +360,7 @@ func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter, kind s
 		bound = cov.scale * float64(cov.view.NumTuples())
 		return cov.view, cov.scale, cov.exact, nil
 	}
-	probed := false
-	req.MaxWeightFor = func(*table.View) (mw float64) {
-		mw, probed = s.maxWeightFor(ctx, n.Rule, cov, w, maxRules)
-		return mw
-	}
+	req.MaxWeightFor = func(*table.View) float64 { return s.maxWeightFor(ctx, n.Rule, cov, w, maxRules) }
 	addChild := func(r brs.Result) *Node {
 		child := &Node{
 			Rule:   r.Rule,
@@ -395,10 +389,6 @@ func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter, kind s
 		}
 	}
 	resp, err := s.svc.Run(ctx, req)
-	s.LastPhases = resp.Phases
-	if !probed {
-		s.LastPhases.MaxWeight = 0 // no probe ran
-	}
 	if resp.Cached {
 		// The view was never resolved: the expansion is a clone of a
 		// completed identical search.
@@ -428,14 +418,15 @@ func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter, kind s
 
 // maxWeightFor returns the mw an expansion of r searching cov — r's rows,
 // distinct tuples or sample tuples — under w for maxRules rules (0: the
-// session's k) runs at, and whether it probed cov for it: only where cov
-// holds more than probeFloor tuples, booking what the probe read to the
-// expansion.
-func (s *Session) maxWeightFor(ctx context.Context, r rule.Rule, cov coverage, w weight.Weighter, maxRules int) (float64, bool) {
+// session's k) runs at. It probes cov for it only where cov holds more than
+// probeFloor tuples, booking what the probe read to the expansion and its
+// time to ctx's mw span.
+func (s *Session) maxWeightFor(ctx context.Context, r rule.Rule, cov coverage, w weight.Weighter, maxRules int) float64 {
 	v := cov.view
 	if v.NumRows() <= probeFloor {
-		return w.MaxWeight(v.NumCols()), false
+		return w.MaxWeight(v.NumCols())
 	}
+	defer spans.Since(ctx, spans.MW, time.Now())
 	// Probe with the number of rules this expansion will request, so the
 	// weight cap fits the rule list being built — capped, since the probe
 	// runs before a stream's deadline exists and its cost grows with k, while
@@ -448,7 +439,7 @@ func (s *Session) maxWeightFor(ctx context.Context, r rule.Rule, cov coverage, w
 	k = min(k, maxProbeK)
 	mw, read := estimateMaxWeight(ctx, v, w, k, s.probeSeed(r, cov, k))
 	s.unbooked.Add(read)
-	return mw, true
+	return mw
 }
 
 // probeSeed seeds the probe of an expansion of r searching cov for k rules

@@ -178,7 +178,7 @@ func (o *pathOracle) require(t *testing.T, label string, s *Session, n *Node, w 
 		if err != nil {
 			t.Fatal(err)
 		}
-		mw, _ = s.maxWeightFor(context.Background(), n.Rule, cov, w, kind.maxRules)
+		mw = s.maxWeightFor(context.Background(), n.Rule, cov, w, kind.maxRules)
 		s.unbooked = brs.Stats{}
 	}
 	h := fnv.New64a()

@@ -13,6 +13,7 @@ import (
 	"smartdrill/internal/datagen"
 	"smartdrill/internal/rule"
 	"smartdrill/internal/sampling"
+	"smartdrill/internal/spans"
 	"smartdrill/internal/table"
 	"smartdrill/internal/weight"
 )
@@ -321,14 +322,22 @@ func TestProbeOnlyAboveFloor(t *testing.T) {
 				t.Fatal(err)
 			}
 			w := s.cfg.Weighter
+			// expand drills the root again under a span record of its own, and
+			// reports whether the drill timed an mw probe.
+			expand := func() (probed bool) {
+				t.Helper()
+				rec := spans.Start()
+				if err := s.ExpandCtx(spans.With(ctx, &rec), s.Root()); err != nil {
+					t.Fatal(err)
+				}
+				_, probed = rec.Duration(spans.MW)
+				return probed
+			}
 			// The first drill builds what later ones read — the distinct
 			// tuples, a sample and its table — and probes nothing: the floor is
 			// far above.
-			if err := s.Expand(s.Root()); err != nil {
-				t.Fatal(err)
-			}
-			if s.LastPhases.MaxWeight != 0 {
-				t.Fatalf("a drill below the default floor timed a probe: %+v", s.LastPhases)
+			if expand() {
+				t.Fatal("a drill below the default floor timed a probe")
 			}
 			cov, err := s.coveredView(s.Root().Rule, w, false)
 			if err != nil {
@@ -339,13 +348,12 @@ func TestProbeOnlyAboveFloor(t *testing.T) {
 			if v.Table().Weighted() != arm.weighted || v.NumRows() <= probeSize {
 				t.Fatalf("the search reads %d tuples, weighted %v", v.NumRows(), v.Table().Weighted())
 			}
-			// drill drills the root again, and requires the rules and reads of
-			// a search of v at mw, plus the probe's reads.
-			drill := func(label string, mw float64, probe brs.Stats) {
+			// drill drills the root again, requires the rules and reads of a
+			// search of v at mw, plus the probe's reads, and reports whether it
+			// timed a probe.
+			drill := func(label string, mw float64, probe brs.Stats) (probed bool) {
 				t.Helper()
-				if err := s.Expand(s.Root()); err != nil {
-					t.Fatal(err)
-				}
+				probed = expand()
 				if s.LastMethod != arm.method {
 					t.Fatalf("%s: served by %s, want %s", label, s.LastMethod, arm.method)
 				}
@@ -370,12 +378,12 @@ func TestProbeOnlyAboveFloor(t *testing.T) {
 					got.CandidatesPruned != st.CandidatesPruned || got.CandidatesReused != st.CandidatesReused {
 					t.Fatalf("%s: the drill was booked %+v, want its search's plus the probe's reads %+v", label, got, st)
 				}
+				return probed
 			}
 
 			withProbeFloor(t, v.NumRows())
-			drill("at the floor", w.MaxWeight(v.NumCols()), brs.Stats{})
-			if s.LastPhases.MaxWeight != 0 {
-				t.Fatalf("at the floor: a probe was timed: %+v", s.LastPhases)
+			if drill("at the floor", w.MaxWeight(v.NumCols()), brs.Stats{}) {
+				t.Fatal("at the floor: a probe was timed")
 			}
 
 			probeFloor = v.NumRows() - 1
@@ -391,9 +399,8 @@ func TestProbeOnlyAboveFloor(t *testing.T) {
 			if want, _ := estimateMaxWeight(ctx, literal, w, 3, seed); mw != want || mw >= w.MaxWeight(v.NumCols()) {
 				t.Fatalf("the probe of %d tuples estimates %v, Section 6.1 over their %d rows %v, the bound %v", v.NumRows(), mw, literal.NumRows(), want, w.MaxWeight(v.NumCols()))
 			}
-			drill("above the floor", mw, probe)
-			if s.LastPhases.MaxWeight <= 0 {
-				t.Fatalf("above the floor: no probe was timed: %+v", s.LastPhases)
+			if !drill("above the floor", mw, probe) {
+				t.Fatal("above the floor: no probe was timed")
 			}
 			t.Logf("%d tuples, mw %v of %v, probe %+v", v.NumRows(), mw, w.MaxWeight(v.NumCols()), probe)
 		})

@@ -166,7 +166,7 @@ func TestEquivalenceSampledDistinctPath(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						mw, _ := s.maxWeightFor(context.Background(), grandchild(s).Rule, gcov, inner, 0)
+						mw := s.maxWeightFor(context.Background(), grandchild(s).Rule, gcov, inner, 0)
 						s.unbooked = brs.Stats{}
 						_, search, err := brs.Run(gcov.view, inner, brs.Options{
 							K: 4, MaxWeight: mw, Base: grandchild(s).Rule, BaseCovered: true,

@@ -36,6 +36,7 @@ import (
 	"smartdrill/internal/guarded"
 	"smartdrill/internal/rule"
 	"smartdrill/internal/score"
+	"smartdrill/internal/spans"
 	"smartdrill/internal/storage"
 	"smartdrill/internal/table"
 	"smartdrill/internal/weight"
@@ -141,18 +142,6 @@ type Response struct {
 	// Cached reports the response was served without executing BRS — an
 	// LRU hit, or a singleflight waiter adopting the leader's run.
 	Cached bool
-	// Phases is where the time of a request that executed went; zero when
-	// nothing executed — a hit, a wait.
-	Phases Phases
-}
-
-// Phases times the three steps of an executed expansion. The durations are
-// reported (the Server-Timing header, the warm log line), never read back:
-// no result depends on the clock.
-type Phases struct {
-	Resolve   time.Duration // Request.Resolve: the rule's coverage, filtered or sampled
-	MaxWeight time.Duration // Request.MaxWeightFor: the Section 6.1 probe, where one runs; zero under a configured mw
-	Search    time.Duration // the BRS run
 }
 
 // Config tunes a Service.
@@ -395,17 +384,15 @@ func (s *Service) execute(ctx context.Context, req Request, cacheable bool) (Res
 	if req.Kind != KindBatch && req.Kind != KindStream {
 		return Response{}, nil, errors.New("search: unknown request kind")
 	}
-	var phases Phases
 	start := time.Now()
 	view, scale, exact, err := req.Resolve()
 	if err != nil {
 		return Response{}, nil, err
 	}
-	phases.Resolve = time.Since(start)
+	spans.Since(ctx, spans.Resolve, start)
 	mw := req.MaxWeight
 	if mw <= 0 {
 		mw = req.MaxWeightFor(view)
-		phases.MaxWeight = time.Since(start) - phases.Resolve
 	}
 	start = time.Now()
 	opts := brs.Options{
@@ -432,8 +419,8 @@ func (s *Service) execute(ctx context.Context, req Request, cacheable bool) (Res
 			return !stopped
 		})
 	}
-	phases.Search = time.Since(start)
-	resp := Response{Results: results, Stats: stats, Phases: phases}
+	spans.Since(ctx, spans.BRS, start)
+	resp := Response{Results: results, Stats: stats}
 	if err != nil {
 		return resp, nil, err
 	}

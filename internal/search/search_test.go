@@ -12,6 +12,7 @@ import (
 	"smartdrill/internal/brs"
 	"smartdrill/internal/rule"
 	"smartdrill/internal/score"
+	"smartdrill/internal/spans"
 	"smartdrill/internal/table"
 	"smartdrill/internal/weight"
 )
@@ -53,14 +54,15 @@ func TestCacheHitSkipsExecution(t *testing.T) {
 	var resolves atomic.Int32
 	svc := NewService(Config{})
 
-	first, err := svc.Run(context.Background(), batchReq(tab, &resolves))
+	ran, served := spans.Start(), spans.Start()
+	first, err := svc.Run(spans.With(context.Background(), &ran), batchReq(tab, &resolves))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Cached || first.Stats.CacheMisses != 1 || len(first.Results) == 0 {
 		t.Fatalf("first run: cached=%v misses=%d results=%d", first.Cached, first.Stats.CacheMisses, len(first.Results))
 	}
-	second, err := svc.Run(context.Background(), batchReq(tab, &resolves))
+	second, err := svc.Run(spans.With(context.Background(), &served), batchReq(tab, &resolves))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +77,19 @@ func TestCacheHitSkipsExecution(t *testing.T) {
 	if second.Stats.CacheHits != 1 || second.Stats.Passes != 0 || second.Stats.RowsScanned != 0 {
 		t.Fatalf("hit stats = %+v; want only CacheHits=1", second.Stats)
 	}
-	// Only the run that executed has phase times; under a configured mw no
-	// probe ran, so that phase stays zero.
-	if first.Phases.Search <= 0 || first.Phases.MaxWeight != 0 || second.Phases != (Phases{}) {
-		t.Fatalf("phases: executed %+v, hit %+v", first.Phases, second.Phases)
+	// Only the run that executed has spans: the service adds resolve and
+	// brs, never mw (the session's probe adds that).
+	if brs, ok := ran.Duration(spans.BRS); !ok || brs <= 0 || ran.String() == "" {
+		t.Fatalf("executed run's spans: %q", ran.String())
+	}
+	if _, ok := ran.Duration(spans.Resolve); !ok {
+		t.Fatalf("executed run's spans: %q", ran.String())
+	}
+	if _, ok := ran.Duration(spans.MW); ok {
+		t.Fatalf("the service timed a probe: %q", ran.String())
+	}
+	if got := served.String(); got != "" {
+		t.Fatalf("the hit has spans %q", got)
 	}
 	if !reflect.DeepEqual(first.Results, second.Results) {
 		t.Fatalf("cached results diverge:\nfirst:  %v\nsecond: %v", first.Results, second.Results)
@@ -86,6 +97,31 @@ func TestCacheHitSkipsExecution(t *testing.T) {
 	c := svc.Counters()
 	if c.Hits != 1 || c.Misses != 1 || c.Entries != 1 {
 		t.Fatalf("counters = %+v", c)
+	}
+}
+
+// TestHitAllocsWithRecord: a cache hit allocates the same whether or not
+// its context carries a span record — serving a hit adds no span, so the
+// record costs the hot path nothing.
+func TestHitAllocsWithRecord(t *testing.T) {
+	tab := testTable()
+	var resolves atomic.Int32
+	svc := NewService(Config{})
+	req := batchReq(tab, &resolves)
+	if _, err := svc.Run(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	rec := spans.Start()
+	hit := func(ctx context.Context) float64 {
+		return testing.AllocsPerRun(200, func() {
+			if resp, err := svc.Run(ctx, req); err != nil || !resp.Cached {
+				t.Fatalf("not a hit: cached %v, err %v", resp.Cached, err)
+			}
+		})
+	}
+	bare, traced := hit(context.Background()), hit(spans.With(context.Background(), &rec))
+	if bare != traced || rec.String() != "" {
+		t.Fatalf("a hit allocates %v bare, %v with a record (spans %q)", bare, traced, rec.String())
 	}
 }
 
@@ -221,6 +257,7 @@ func TestSingleflightCollapsesConcurrentIdentical(t *testing.T) {
 	const waiters = 9
 	results := make([]Response, 1+waiters)
 	errs := make([]error, 1+waiters)
+	recs := make([]spans.Record, 1+waiters) // each request's own
 	var wg sync.WaitGroup
 
 	// Elect a deterministic leader: start one request and wait until it is
@@ -228,7 +265,7 @@ func TestSingleflightCollapsesConcurrentIdentical(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		results[0], errs[0] = svc.Run(context.Background(), mkReq())
+		results[0], errs[0] = svc.Run(spans.With(context.Background(), &recs[0]), mkReq())
 	}()
 	waitFor(t, func() bool { return execs.Load() == 1 })
 
@@ -236,7 +273,7 @@ func TestSingleflightCollapsesConcurrentIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = svc.Run(counting{context.Background(), &waiting}, mkReq())
+			results[i], errs[i] = svc.Run(counting{spans.With(context.Background(), &recs[i]), &waiting}, mkReq())
 		}(i)
 	}
 	waitFor(t, func() bool { return waiting.Load() == waiters })
@@ -265,6 +302,13 @@ func TestSingleflightCollapsesConcurrentIdentical(t *testing.T) {
 		if !results[i].Cached || results[i].Stats.SingleflightWaits != 1 {
 			t.Fatalf("waiter %d stats = %+v cached=%v", i, results[i].Stats, results[i].Cached)
 		}
+		// A wait executed nothing: no span of the leader's is its.
+		if got := recs[i].String(); got != "" {
+			t.Fatalf("waiter %d has spans %q", i, got)
+		}
+	}
+	if _, ran := recs[0].Duration(spans.BRS); !ran {
+		t.Fatalf("the leader's spans %q have no brs", recs[0].String())
 	}
 }
 

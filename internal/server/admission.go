@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"smartdrill"
+	"smartdrill/internal/spans"
 )
 
 // Admission control: work endpoints (session create, drill, collapse,
@@ -26,22 +27,23 @@ import (
 // Cheap read endpoints (health, datasets, tree, delete) bypass admission
 // so probes and dashboards keep working while the server sheds work.
 type admission struct {
-	slots      chan struct{} // buffered to the concurrency cap
-	wait       time.Duration // max queueing time before shedding
-	degradeAt  int           // in-use count at/above which requests run degraded
-	retryAfter time.Duration // hint for shed responses
+	slots     chan struct{} // buffered to the concurrency cap
+	wait      time.Duration // max queueing time before shedding
+	degradeAt int           // in-use count at/above which requests run degraded
 }
 
-func newAdmission(maxConcurrent int, wait time.Duration, degradeFraction float64, retryAfter time.Duration) *admission {
+// retryAfter is the Retry-After hint of a shed (429) response.
+const retryAfter = time.Second
+
+func newAdmission(maxConcurrent int, wait time.Duration, degradeFraction float64) *admission {
 	degradeAt := int(float64(maxConcurrent)*degradeFraction + 0.5)
 	if degradeAt < 1 {
 		degradeAt = 1
 	}
 	return &admission{
-		slots:      make(chan struct{}, maxConcurrent),
-		wait:       wait,
-		degradeAt:  degradeAt,
-		retryAfter: retryAfter,
+		slots:     make(chan struct{}, maxConcurrent),
+		wait:      wait,
+		degradeAt: degradeAt,
 	}
 }
 
@@ -65,9 +67,6 @@ func (a *admission) acquire(ctx context.Context) (release func(), degraded, ok b
 	return func() { <-a.slots }, len(a.slots) >= a.degradeAt, true
 }
 
-// InUse reports the number of currently admitted work requests.
-func (a *admission) InUse() int { return len(a.slots) }
-
 // withAdmission is the admission + degradation + deadline middleware for
 // one work endpoint. stream marks SSE endpoints, which keep their slot
 // for the whole stream but are exempt from the per-request deadline (the
@@ -76,9 +75,11 @@ func (a *admission) InUse() int { return len(a.slots) }
 func (s *Server) withAdmission(stream bool, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.adm != nil {
+			start := time.Now()
 			release, degraded, ok := s.adm.acquire(r.Context())
+			spans.Since(r.Context(), spans.Admit, start)
 			if !ok {
-				writeOverloaded(w, s.adm.retryAfter)
+				writeOverloaded(w)
 				return
 			}
 			defer release()

@@ -16,7 +16,7 @@ import (
 
 func TestAdmissionAcquireRelease(t *testing.T) {
 	// degradeAt = ceil-ish(2×1.0) = 2: only the last slot runs degraded.
-	a := newAdmission(2, 10*time.Millisecond, 1.0, time.Second)
+	a := newAdmission(2, 10*time.Millisecond, 1.0)
 	r1, deg1, ok := a.acquire(context.Background())
 	if !ok || deg1 {
 		t.Fatalf("first acquire: ok=%v degraded=%v", ok, deg1)
@@ -30,13 +30,13 @@ func TestAdmissionAcquireRelease(t *testing.T) {
 	}
 	r1()
 	r2()
-	if a.InUse() != 0 {
-		t.Fatalf("InUse = %d after releases", a.InUse())
+	if n := len(a.slots); n != 0 {
+		t.Fatalf("%d slots in use after releases", n)
 	}
 }
 
 func TestAdmissionAcquireCanceledContext(t *testing.T) {
-	a := newAdmission(1, time.Minute, 1, time.Second)
+	a := newAdmission(1, time.Minute, 1)
 	release, _, ok := a.acquire(context.Background())
 	if !ok {
 		t.Fatal("first acquire failed")
@@ -60,7 +60,7 @@ func TestAdmissionAcquireCanceledContext(t *testing.T) {
 // second work request is shed with 429 overloaded and a positive integer
 // Retry-After header.
 func TestOverloadSheds429(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxConcurrent: 1, AdmissionWait: 5 * time.Millisecond, RetryAfter: 2 * time.Second})
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1, AdmissionWait: 5 * time.Millisecond})
 	tree := createSession(t, ts.URL, api.CreateSessionRequest{Dataset: "store", Seed: 1})
 
 	// Occupy the only slot with a held-open stream request.

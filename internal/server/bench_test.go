@@ -164,7 +164,7 @@ func BenchmarkEncodeTree(b *testing.B) {
 	s, id, _ := benchSession(b, nil)
 	sess, _ := s.store.get(id)
 	var tree *api.Tree
-	sess.do(func(e *smartdrill.Engine) { tree = encodeTree(sess, e) })
+	sess.do(context.Background(), func(e *smartdrill.Engine) { tree = encodeTree(sess, e) })
 	var body []byte
 	b.ReportAllocs()
 	b.ResetTimer()

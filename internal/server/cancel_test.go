@@ -153,7 +153,7 @@ func TestStreamCancelStopsSearch(t *testing.T) {
 		t.Fatal("canceled session vanished")
 	}
 	var canceledStats smartdrill.SearchStats
-	sess.do(func(e *smartdrill.Engine) { canceledStats = e.TotalSearchStats() })
+	sess.do(context.Background(), func(e *smartdrill.Engine) { canceledStats = e.TotalSearchStats() })
 	// Total reads, whichever access path served them: on this table the
 	// search is bitmap words and postings, no scan pass at all.
 	reads := func(st smartdrill.SearchStats) int64 {
@@ -164,7 +164,7 @@ func TestStreamCancelStopsSearch(t *testing.T) {
 	}
 	ctlSess, _ := s.store.get(controlID)
 	var ctlStats smartdrill.SearchStats
-	ctlSess.do(func(e *smartdrill.Engine) { ctlStats = e.TotalSearchStats() })
+	ctlSess.do(context.Background(), func(e *smartdrill.Engine) { ctlStats = e.TotalSearchStats() })
 	if reads(canceledStats) >= reads(ctlStats) {
 		t.Fatalf("canceled search read %d rows+postings+bitmap words, control read %d — the abort saved nothing",
 			reads(canceledStats), reads(ctlStats))

@@ -32,7 +32,7 @@ func TestPanicInsideSessionDoesNotWedge(t *testing.T) {
 		if !ok {
 			return
 		}
-		sess.do(func(*smartdrill.Engine) { panic("engine bug") })
+		sess.do(context.Background(), func(*smartdrill.Engine) { panic("engine bug") })
 	})))
 	ts := httptest.NewServer(mux) // closed by the test's last step, which is about Close
 
@@ -50,7 +50,7 @@ func TestPanicInsideSessionDoesNotWedge(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("tree after a recovered panic: status %d", resp.StatusCode)
 	}
-	if n := s.adm.InUse(); n != 0 {
+	if n := len(s.adm.slots); n != 0 {
 		t.Fatalf("admission slots in use after the panic: %d", n)
 	}
 	done := make(chan struct{})

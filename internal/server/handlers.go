@@ -55,8 +55,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req api.CreateSessionRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, api.ErrBadRequest, err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Dataset == "" {
@@ -81,7 +80,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	s.putSession(sess)
 	// A new session is ahead of disk, so this first visit also saves it.
 	var tree *api.Tree
-	sess.do(func(e *smartdrill.Engine) { tree = encodeTree(sess, e) })
+	sess.do(r.Context(), func(e *smartdrill.Engine) { tree = encodeTree(sess, e) })
 	s.writeJSON(w, http.StatusCreated, tree)
 }
 
@@ -159,6 +158,15 @@ func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request) (*session
 	return sess, true
 }
 
+// sessionRequest resolves the {id} session, then decodes the body into a T.
+// False means it wrote the error: not_found, or bad_request.
+func sessionRequest[T any](s *Server, w http.ResponseWriter, r *http.Request) (*session, T, bool) {
+	var req T
+	sess, ok := s.lookupSession(w, r)
+	ok = ok && decodeBody(w, r, &req)
+	return sess, req, ok
+}
+
 // Every session handler has the same shape: decode, one visit through the
 // session's door that computes the whole outcome (an error or an encoded
 // response), then write. Nothing is written from inside the door — the SSE
@@ -166,11 +174,14 @@ func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request) (*session
 // a slow client reading the response never holds up the session, and every
 // response follows the visit's write-through.
 
-// visitNode runs fn inside sess's door on the node nodeID addresses — a
-// stable ID, empty meaning the root — and returns fn's verdict. An unknown
-// (or no-longer-displayed) ID is not_found, a malformed ID is bad_rule.
-func visitNode(sess *session, nodeID string, fn func(e *smartdrill.Engine, n *smartdrill.Node) *api.Error) (fail *api.Error) {
-	sess.do(func(e *smartdrill.Engine) {
+// visitNode runs fn inside sess's door, for request r, on the node nodeID
+// addresses — a stable ID, empty meaning the root — and reports whether fn
+// succeeded. If not, it writes the error once out of the door: fn's, or
+// not_found for an unknown (or no-longer-displayed) ID, bad_rule for a
+// malformed one.
+func visitNode(w http.ResponseWriter, r *http.Request, sess *session, nodeID string, fn func(e *smartdrill.Engine, n *smartdrill.Node) *api.Error) bool {
+	var fail *api.Error
+	sess.do(r.Context(), func(e *smartdrill.Engine) {
 		n := e.Root()
 		if nodeID != "" {
 			var err error
@@ -184,7 +195,10 @@ func visitNode(sess *session, nodeID string, fn func(e *smartdrill.Engine, n *sm
 		}
 		fail = fn(e, n)
 	})
-	return fail
+	if fail != nil {
+		writeError(w, fail.Code, fail.Message)
+	}
+	return fail == nil
 }
 
 func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
@@ -193,28 +207,22 @@ func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var tree *api.Tree
-	sess.do(func(e *smartdrill.Engine) { tree = encodeTree(sess, e) })
+	sess.do(r.Context(), func(e *smartdrill.Engine) { tree = encodeTree(sess, e) })
 	s.writeJSON(w, http.StatusOK, tree)
 }
 
 func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookupSession(w, r)
+	sess, req, ok := sessionRequest[api.DrillRequest](s, w, r)
 	if !ok {
-		return
-	}
-	var req api.DrillRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, api.ErrBadRequest, err.Error())
 		return
 	}
 	var (
 		resp        api.DrillResponse
-		phases      smartdrill.SearchPhases
 		provisional []*smartdrill.Node
 	)
 	// The request context rides into the BRS search, so a client that
 	// abandons the request stops the search at the next pass boundary.
-	fail := visitNode(sess, req.Node, func(e *smartdrill.Engine, n *smartdrill.Node) *api.Error {
+	if !visitNode(w, r, sess, req.Node, func(e *smartdrill.Engine, n *smartdrill.Node) *api.Error {
 		var err error
 		if req.Column != "" {
 			err = e.DrillDownStarCtx(r.Context(), n, req.Column)
@@ -232,7 +240,6 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 			Search: encodeStats(e.LastSearchStats()),
 			Node:   encodeNode(e, n),
 		}
-		phases = e.LastSearchPhases()
 		// Under degraded admission pressure the refinement is skipped, not
 		// queued: provisional estimates are the graceful-degradation answer,
 		// and the refiner's extra counting passes are exactly the load the
@@ -242,9 +249,7 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 			provisional = e.ProvisionalNodesIn(n)
 		}
 		return nil
-	})
-	if fail != nil {
-		writeError(w, fail.Code, fail.Message)
+	}) {
 		return
 	}
 	if len(provisional) > 0 {
@@ -252,39 +257,20 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 		// arrive in the background and show up on the next /tree fetch.
 		s.refineInBackground(sess, provisional)
 	}
-	if phases != (smartdrill.SearchPhases{}) {
-		// The drill executed its search: say where the time went, beside the
-		// body rather than in it (a hit or a wait has nothing to say).
-		w.Header().Set("Server-Timing", serverTiming(phases))
-	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// serverTiming renders a drill's phase times as a Server-Timing header
-// value, durations in milliseconds as the header defines them.
-func serverTiming(p smartdrill.SearchPhases) string {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	return fmt.Sprintf("resolve;dur=%.3f, mw;dur=%.3f, brs;dur=%.3f", ms(p.Resolve), ms(p.MaxWeight), ms(p.Search))
-}
-
 func (s *Server) handleCollapse(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookupSession(w, r)
+	sess, req, ok := sessionRequest[api.DrillRequest](s, w, r)
 	if !ok {
 		return
 	}
-	var req api.DrillRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, api.ErrBadRequest, err.Error())
-		return
-	}
 	var resp api.DrillResponse
-	fail := visitNode(sess, req.Node, func(e *smartdrill.Engine, n *smartdrill.Node) *api.Error {
+	if !visitNode(w, r, sess, req.Node, func(e *smartdrill.Engine, n *smartdrill.Node) *api.Error {
 		e.Collapse(n)
 		resp = api.DrillResponse{Node: encodeNode(e, n)}
 		return nil
-	})
-	if fail != nil {
-		writeError(w, fail.Code, fail.Message)
+	}) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, resp)
@@ -295,23 +281,16 @@ func (s *Server) handleCollapse(w http.ResponseWriter, r *http.Request) {
 // provisional→exact lifecycle the SSE stream and the background refiner
 // drive automatically.
 func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookupSession(w, r)
+	sess, req, ok := sessionRequest[api.RefineRequest](s, w, r)
 	if !ok {
 		return
 	}
-	var req api.RefineRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, api.ErrBadRequest, err.Error())
-		return
-	}
 	var resp api.RefineResponse
-	fail := visitNode(sess, req.Node, func(e *smartdrill.Engine, n *smartdrill.Node) *api.Error {
+	if !visitNode(w, r, sess, req.Node, func(e *smartdrill.Engine, n *smartdrill.Node) *api.Error {
 		changed := e.RefineNode(n)
 		resp = api.RefineResponse{Changed: changed, Node: encodeNode(e, n)}
 		return nil
-	})
-	if fail != nil {
-		writeError(w, fail.Code, fail.Message)
+	}) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, resp)
@@ -321,13 +300,8 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 // column under a node — read-only, for comparison with smart drill-down
 // (Figure 4 of the paper).
 func (s *Server) handleTraditional(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookupSession(w, r)
+	sess, req, ok := sessionRequest[api.TraditionalRequest](s, w, r)
 	if !ok {
-		return
-	}
-	var req api.TraditionalRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, api.ErrBadRequest, err.Error())
 		return
 	}
 	if req.Column == "" {
@@ -335,15 +309,13 @@ func (s *Server) handleTraditional(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var groups []smartdrill.TraditionalGroup
-	fail := visitNode(sess, req.Node, func(e *smartdrill.Engine, n *smartdrill.Node) *api.Error {
+	if !visitNode(w, r, sess, req.Node, func(e *smartdrill.Engine, n *smartdrill.Node) *api.Error {
 		var err error
 		if groups, err = e.TraditionalDrillDown(n, req.Column); err != nil {
 			return &api.Error{Code: api.ErrBadRule, Message: err.Error()}
 		}
 		return nil
-	})
-	if fail != nil {
-		writeError(w, fail.Code, fail.Message)
+	}) {
 		return
 	}
 	resp := api.TraditionalResponse{Groups: []api.TraditionalGroup{}}
@@ -387,15 +359,14 @@ const maxBodyBytes = 1 << 20
 
 // decodeBody parses a JSON request body of at most maxBodyBytes into v,
 // rejecting unknown fields so client typos surface as 400s instead of
-// silently-default behavior. An empty body decodes as the zero request.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+// silently-default behavior; false means it wrote that 400. An empty body
+// decodes as the zero request.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		return fmt.Errorf("bad request body: %v", err)
+	if err := dec.Decode(v); err != nil && !errors.Is(err, io.EOF) {
+		writeError(w, api.ErrBadRequest, "bad request body: "+err.Error())
+		return false
 	}
-	return nil
+	return true
 }

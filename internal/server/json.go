@@ -104,15 +104,9 @@ func writeError(w http.ResponseWriter, code api.ErrorCode, msg string) {
 	writeBody(w, api.HTTPStatus(code), body)
 }
 
-// writeOverloaded writes the shed-load response: 429 overloaded with a
-// Retry-After hint in whole seconds (rounded up, at least 1 — a zero
-// Retry-After would invite an immediate identical retry).
-func writeOverloaded(w http.ResponseWriter, retryAfter time.Duration) {
-	secs := int((retryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeError(w, api.ErrOverloaded,
-		fmt.Sprintf("server at concurrency capacity; retry after %ds", secs))
+// writeOverloaded writes the shed-load response: 429 overloaded with the
+// retryAfter hint in whole seconds.
+func writeOverloaded(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
+	writeError(w, api.ErrOverloaded, fmt.Sprintf("server at concurrency capacity; retry after %s", retryAfter))
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"smartdrill/api"
+	"smartdrill/internal/spans"
 )
 
 // requestIDHeader names a request on both sides of the wire: a client may
@@ -54,24 +55,29 @@ func mintRequestID() string {
 }
 
 // statusWriter records the response status and byte count for the request
-// log. It forwards Flush so SSE streaming works through the middleware
+// log, and holds the request's span record, sent as Server-Timing with the
+// header. It forwards Flush so SSE streaming works through the middleware
 // stack, and Unwrap so http.ResponseController finds the original writer.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
+	rec    spans.Record
 }
 
 func (sw *statusWriter) WriteHeader(status int) {
 	if sw.status == 0 {
 		sw.status = status
+		if timing := sw.rec.String(); timing != "" {
+			sw.Header().Set("Server-Timing", timing)
+		}
 	}
 	sw.ResponseWriter.WriteHeader(status)
 }
 
 func (sw *statusWriter) Write(p []byte) (int, error) {
 	if sw.status == 0 {
-		sw.status = http.StatusOK
+		sw.WriteHeader(http.StatusOK)
 	}
 	n, err := sw.ResponseWriter.Write(p)
 	sw.bytes += int64(n)
@@ -86,24 +92,23 @@ func (sw *statusWriter) Flush() {
 
 func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
 
-// withLogging logs one line per request: method, path, status, bytes,
-// duration, request id — and, for a drill that executed its search, the
-// phase times its Server-Timing header reports, so the slow drill a client
-// names by id shows where its time went without a second lookup.
+// withLogging puts a span record on every request and logs one line per
+// request: method, path, status, bytes, the record's total, request id and
+// spans — a stream's too after its header went out — so the slow request a
+// client names by id shows where its time went without a second lookup.
 func (s *Server) withLogging(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		next.ServeHTTP(sw, r)
+		sw := &statusWriter{ResponseWriter: w, rec: spans.Start()}
+		next.ServeHTTP(sw, r.WithContext(spans.With(r.Context(), &sw.rec)))
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
-		timing := w.Header().Get("Server-Timing")
+		timing := sw.rec.String()
 		if timing != "" {
 			timing = " timing=(" + timing + ")"
 		}
 		s.cfg.Logger.Printf("%s %s %d %dB %s rid=%s%s", r.Method, r.URL.Path, sw.status, sw.bytes,
-			time.Since(start).Round(time.Microsecond), w.Header().Get(requestIDHeader), timing)
+			sw.rec.Total().Round(time.Microsecond), w.Header().Get(requestIDHeader), timing)
 	})
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -79,7 +80,7 @@ func (s *Server) putSession(sess *session) {
 		return
 	}
 	if s.backend != nil {
-		evicted.do(func(*smartdrill.Engine) {})
+		evicted.do(context.Background(), func(*smartdrill.Engine) {})
 		s.cfg.Logger.Printf("session %s evicted to disk (LRU, session cap %d)", evicted.id, s.cfg.MaxSessions)
 		return
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log"
@@ -50,7 +51,7 @@ func recordServer() (*Server, *memBackend) {
 // serialise it, and its rendering.
 func snapshotOf(tb testing.TB, sess *session) (snap []byte, rendered string) {
 	tb.Helper()
-	sess.do(func(e *smartdrill.Engine) {
+	sess.do(context.Background(), func(e *smartdrill.Engine) {
 		var buf bytes.Buffer
 		if err := e.SaveState(&buf); err != nil {
 			tb.Fatal(err)
@@ -158,7 +159,7 @@ func FuzzLoadRecord(f *testing.F) {
 
 		// Reloading its own snapshot moves the revision and nothing else, so
 		// the door saves.
-		sess.do(func(e *smartdrill.Engine) {
+		sess.do(context.Background(), func(e *smartdrill.Engine) {
 			if err := e.LoadState(bytes.NewReader(snap)); err != nil {
 				t.Fatalf("a session refuses its own snapshot: %v", err)
 			}

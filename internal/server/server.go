@@ -43,6 +43,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,6 +51,7 @@ import (
 	"smartdrill"
 	"smartdrill/api"
 	"smartdrill/internal/guarded"
+	"smartdrill/internal/spans"
 	"smartdrill/internal/table"
 )
 
@@ -71,8 +73,6 @@ type Config struct {
 	// suggested interactive limit ("within a time limit (of say 5
 	// seconds)").
 	StreamBudget time.Duration
-	// MaxStreamBudget bounds client-requested budgets. Default 30s.
-	MaxStreamBudget time.Duration
 	// Backend, when set, makes sessions durable: every mutation writes a
 	// snapshot through to it, LRU eviction demotes sessions to it instead
 	// of destroying them, store misses rehydrate from it, and a restarted
@@ -89,9 +89,6 @@ type Config struct {
 	// AdmissionWait bounds how long a work request may queue for an
 	// admission slot before being shed. Default 1s.
 	AdmissionWait time.Duration
-	// RetryAfter is the Retry-After hint attached to shed (429)
-	// responses. Default 1s.
-	RetryAfter time.Duration
 	// RequestTimeout is the default per-request deadline applied to
 	// non-streaming work endpoints, threaded into the engine's context so
 	// an over-deadline search stops at the next counting-pass boundary.
@@ -139,6 +136,10 @@ const (
 	degradeFraction = 0.75
 )
 
+// maxStreamBudget bounds the budget a stream may ask for. Not an option; a
+// var only so that tests can lower it.
+var maxStreamBudget = 30 * time.Second
+
 func (c *Config) fill() {
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 1024
@@ -149,9 +150,6 @@ func (c *Config) fill() {
 	if c.StreamBudget <= 0 {
 		c.StreamBudget = 5 * time.Second
 	}
-	if c.MaxStreamBudget <= 0 {
-		c.MaxStreamBudget = 30 * time.Second
-	}
 	if c.MaxConcurrent == 0 {
 		c.MaxConcurrent = 4 * runtime.GOMAXPROCS(0)
 		if c.MaxConcurrent < 64 {
@@ -160,9 +158,6 @@ func (c *Config) fill() {
 	}
 	if c.AdmissionWait <= 0 {
 		c.AdmissionWait = time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
@@ -230,7 +225,7 @@ func New(cfg Config) *Server {
 	}
 	s.warmCtx, s.warmCancel = context.WithCancel(context.Background())
 	if cfg.MaxConcurrent > 0 {
-		s.adm = newAdmission(cfg.MaxConcurrent, cfg.AdmissionWait, degradeFraction, cfg.RetryAfter)
+		s.adm = newAdmission(cfg.MaxConcurrent, cfg.AdmissionWait, degradeFraction)
 	}
 	s.handler = s.routes()
 	return s
@@ -286,41 +281,34 @@ func (s *Server) RegisterDataset(name string, t *smartdrill.Table) {
 // ones default sessions will ask for. Warming is best-effort: failures
 // (including shutdown cancellation) are logged and abandoned, never
 // surfaced — the cache just stays cold. The engine never backs a session,
-// so nothing here is persisted.
+// so nothing here is persisted. Each expansion gets a span record of its
+// own, and the log line renders it.
 func (s *Server) warmDataset(name string, d dataset) {
 	eng, err := s.buildEngine(d, api.CreateSessionRequest{Dataset: name})
 	if err != nil {
 		s.cfg.Logger.Printf("dataset %s: warming skipped: %v", name, err)
 		return
 	}
-	start := time.Now()
-	if err := eng.DrillDownCtx(s.warmCtx, eng.Root()); err != nil {
-		s.cfg.Logger.Printf("dataset %s: warming root expansion failed: %v", name, err)
-		return
-	}
-	d.svc.MarkWarmed()
-	warmed := 1
-	phases := "root " + warmPhases(eng.LastSearchPhases())
-	children := eng.Root().Children
-	for i := 0; i < len(children) && i < s.cfg.WarmChildren; i++ {
-		if err := s.warmCtx.Err(); err != nil {
-			break
-		}
-		if err := eng.DrillDownCtx(s.warmCtx, children[i]); err != nil {
-			s.cfg.Logger.Printf("dataset %s: warming child %d failed: %v", name, i, err)
-			continue
+	all := spans.Start()
+	var timings []string
+	warm := func(what string, n *smartdrill.Node) bool {
+		rec := spans.Start()
+		if err := eng.DrillDownCtx(spans.With(s.warmCtx, &rec), n); err != nil {
+			s.cfg.Logger.Printf("dataset %s: warming %s failed: %v", name, what, err)
+			return false
 		}
 		d.svc.MarkWarmed()
-		warmed++
-		phases += fmt.Sprintf(", child %d %s", i, warmPhases(eng.LastSearchPhases()))
+		timings = append(timings, what+" ("+rec.String()+")")
+		return true
 	}
-	s.cfg.Logger.Printf("dataset %s: warmed %d expansions in %s: %s", name, warmed, time.Since(start).Round(time.Millisecond), phases)
-}
-
-// warmPhases renders one warmed expansion's phase times for the log.
-func warmPhases(p smartdrill.SearchPhases) string {
-	r := func(d time.Duration) time.Duration { return d.Round(10 * time.Microsecond) }
-	return fmt.Sprintf("(resolve %s, mw %s, brs %s)", r(p.Resolve), r(p.MaxWeight), r(p.Search))
+	if !warm("root", eng.Root()) {
+		return
+	}
+	children := eng.Root().Children
+	for i := 0; i < len(children) && i < s.cfg.WarmChildren && s.warmCtx.Err() == nil; i++ {
+		warm(fmt.Sprintf("child %d", i), children[i])
+	}
+	s.cfg.Logger.Printf("dataset %s: warmed %d expansions in %s: %s", name, len(timings), all.Total().Round(time.Millisecond), strings.Join(timings, ", "))
 }
 
 // dataset looks up a registered dataset.
@@ -368,7 +356,7 @@ func (s *Server) WaitWarmers() { s.warmers.Wait() }
 func (s *Server) refineInBackground(sess *session, nodes []*smartdrill.Node) {
 	s.refiners.Go(func() {
 		for _, n := range nodes {
-			sess.do(func(e *smartdrill.Engine) { e.RefineNode(n) })
+			sess.do(context.Background(), func(e *smartdrill.Engine) { e.RefineNode(n) })
 		}
 	})
 }

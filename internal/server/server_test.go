@@ -488,7 +488,10 @@ func TestDrillStreamSSE(t *testing.T) {
 // TestDrillStreamBudget verifies the stream honors a tight anytime budget
 // rather than running the search to completion.
 func TestDrillStreamBudget(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxStreamBudget: 500 * time.Millisecond})
+	old := maxStreamBudget
+	maxStreamBudget = 500 * time.Millisecond
+	t.Cleanup(func() { maxStreamBudget = old })
+	_, ts := newTestServer(t, Config{})
 	id := createSession(t, ts.URL, api.CreateSessionRequest{Dataset: "store"}).ID
 	start := time.Now()
 	resp, err := http.Get(ts.URL + "/v1/sessions/" + id + "/drill/stream?budget_ms=60000")

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"sync/atomic"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"smartdrill"
 	"smartdrill/api"
 	"smartdrill/internal/guarded"
+	"smartdrill/internal/spans"
 )
 
 // session is one live drill-down exploration: immutable identity, plus one
@@ -30,7 +32,8 @@ type session struct {
 	// the sampling machinery behind it are single-writer structures, so
 	// concurrent requests against one session serialize here while distinct
 	// sessions proceed fully in parallel. Nodes fn obtains may be carried to
-	// a later do, but read or written only inside one.
+	// a later do, but read or written only inside one. The wait for the lock
+	// is ctx's lock span, the write-through below its save span.
 	//
 	// With a backend configured, do is also the write-through: when fn
 	// returns with the engine's revision ahead of the record on disk —
@@ -42,7 +45,7 @@ type session struct {
 	// availability: it is logged and counted, and the next do of any kind
 	// retries it. The lock is released by defer, so a panic in fn — which
 	// the recovery middleware turns into a 500 — leaves the session usable.
-	do func(fn func(*smartdrill.Engine))
+	do func(ctx context.Context, fn func(*smartdrill.Engine))
 
 	// tombstone is DELETE's mark: after it returns (it waits out a save in
 	// flight) no do writes this session back, so a request or refiner that
@@ -53,17 +56,10 @@ type session struct {
 // newSession wraps eng in its session handle. onDisk says the backend
 // already holds eng's current tree (rehydration), so the session starts
 // clean; a created session starts ahead of disk and its first do saves it.
+// Without a backend, do never saves.
 func (s *Server) newSession(id, dataset string, created time.Time, req api.CreateSessionRequest, eng *smartdrill.Engine, onDisk bool) *session {
 	sess := &session{id: id, dataset: dataset, created: created, req: req}
 	engine := guarded.New(eng)
-	if s.backend == nil {
-		sess.do = func(fn func(*smartdrill.Engine)) {
-			engine.Do(func(e **smartdrill.Engine) { fn(*e) })
-		}
-		sess.tombstone = func() {}
-		return sess
-	}
-
 	var (
 		// savedRev is the engine revision of the record on disk; 0 (which
 		// no engine is ever at) means none. Stored only under deleted's
@@ -78,23 +74,27 @@ func (s *Server) newSession(id, dataset string, created time.Time, req api.Creat
 		s.persistFailures.Add(1)
 		s.cfg.Logger.Printf("session %s: %s failed: %v", id, what, err)
 	}
-	sess.do = func(fn func(*smartdrill.Engine)) {
+	sess.do = func(ctx context.Context, fn func(*smartdrill.Engine)) {
 		var (
 			tree  bytes.Buffer
 			rev   uint64
 			dirty bool
 			err   error
 		)
+		start := time.Now()
 		engine.Do(func(e **smartdrill.Engine) {
+			spans.Since(ctx, spans.Lock, start)
 			fn(*e)
 			rev = (*e).Revision()
-			if dirty = rev > savedRev.Load(); dirty {
+			if dirty = s.backend != nil && rev > savedRev.Load(); dirty {
+				start = time.Now()
 				err = (*e).SaveState(&tree)
 			}
 		})
 		if !dirty {
 			return
 		}
+		defer spans.Since(ctx, spans.Save, start)
 		if err != nil {
 			failed("snapshot", err)
 			return

@@ -23,7 +23,7 @@ import (
 //
 //	node       stable node ID of the target (default root)
 //	budget_ms  search budget in milliseconds (default Config.StreamBudget,
-//	           capped at Config.MaxStreamBudget)
+//	           capped at maxStreamBudget)
 //	max_rules  stop after this many rules (default 0 = budget-bound only)
 //
 // Events: one api.EventRule per discovered rule carrying the child's
@@ -59,9 +59,7 @@ func (s *Server) handleDrillStream(w http.ResponseWriter, r *http.Request) {
 		}
 		budget = time.Duration(ms) * time.Millisecond
 	}
-	if budget > s.cfg.MaxStreamBudget {
-		budget = s.cfg.MaxStreamBudget
-	}
+	budget = min(budget, maxStreamBudget)
 	maxRules := 0
 	if raw := q.Get("max_rules"); raw != "" {
 		n, err := strconv.Atoi(raw)
@@ -96,7 +94,7 @@ func (s *Server) handleDrillStream(w http.ResponseWriter, r *http.Request) {
 		// provisional lists the children streamed with a sample estimate.
 		provisional []*smartdrill.Node
 	)
-	fail := visitNode(sess, nodeID, func(e *smartdrill.Engine, n *smartdrill.Node) *api.Error {
+	if !visitNode(w, r, sess, nodeID, func(e *smartdrill.Engine, n *smartdrill.Node) *api.Error {
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-cache")
 		w.Header().Set("Connection", "keep-alive")
@@ -115,9 +113,7 @@ func (s *Server) handleDrillStream(w http.ResponseWriter, r *http.Request) {
 		})
 		access = e.LastAccessMethod()
 		return nil
-	})
-	if fail != nil {
-		writeError(w, fail.Code, fail.Message)
+	}) {
 		return
 	}
 
@@ -137,7 +133,7 @@ func (s *Server) handleDrillStream(w http.ResponseWriter, r *http.Request) {
 				break // client went away; stop paying for passes
 			}
 			var payload *api.Node
-			sess.do(func(e *smartdrill.Engine) {
+			sess.do(ctx, func(e *smartdrill.Engine) {
 				// A child the stream's own prefetch already upgraded owes
 				// the client its exact count just the same.
 				if e.RefineNode(child) || child.Exact {

@@ -90,18 +90,20 @@ func TestCacheOffDisablesSharing(t *testing.T) {
 	}
 }
 
-// TestServerTimingOnExecutedDrills: a drill that executed its search says
-// where the time went in a Server-Timing header — resolve, mw, brs, each a
-// parsable duration — and a drill the answer cache served says nothing. The
-// warm log line names each warmed expansion with the same three phases.
+// TestServerTimingOnExecutedDrills: every work response says where its time
+// went in a Server-Timing header, each span a parsable duration. A drill that
+// executed its search names the admission and lock waits, resolve and brs (mw
+// only where a probe ran — never on this small table); a drill the answer
+// cache served names the two waits and nothing else. The warm log line names
+// each warmed expansion's spans, which are its search's alone.
 func TestServerTimingOnExecutedDrills(t *testing.T) {
 	var logged bytes.Buffer
 	s := New(Config{Logger: log.New(&logged, "", 0), WarmChildren: 1})
 	s.RegisterDataset("store", storeTable())
 	s.WaitWarmers()
-	phases := `\(resolve \S+, mw \S+, brs \S+\)`
-	if line := regexp.MustCompile(`warmed 2 expansions in \S+: root ` + phases + `, child 0 ` + phases + `\n`); !line.Match(logged.Bytes()) {
-		t.Errorf("warm log line does not name its expansions' phases: %q", logged.String())
+	searched := `\(resolve;dur=[0-9.]+, brs;dur=[0-9.]+\)`
+	if line := regexp.MustCompile(`warmed 2 expansions in \S+: root ` + searched + `, child 0 ` + searched + `\n`); !line.Match(logged.Bytes()) {
+		t.Errorf("warm log line does not name its expansions' spans: %q", logged.String())
 	}
 
 	ts := httptest.NewServer(s.Handler())
@@ -125,7 +127,7 @@ func TestServerTimingOnExecutedDrills(t *testing.T) {
 	// the second is served the entry the first published.
 	miss := api.CreateSessionRequest{Dataset: "store", K: 4}
 	access, timing := drill(miss)
-	m := regexp.MustCompile(`^resolve;dur=([0-9.]+), mw;dur=([0-9.]+), brs;dur=([0-9.]+)$`).FindStringSubmatch(timing)
+	m := regexp.MustCompile(`^admit;dur=([0-9.]+), lock;dur=([0-9.]+), resolve;dur=([0-9.]+), brs;dur=([0-9.]+)$`).FindStringSubmatch(timing)
 	if access != "direct" || m == nil {
 		t.Fatalf("executed drill: access %q, Server-Timing %q", access, timing)
 	}
@@ -134,11 +136,12 @@ func TestServerTimingOnExecutedDrills(t *testing.T) {
 			t.Errorf("Server-Timing %q: duration %q: %v", timing, dur, err)
 		}
 	}
-	if brs, _ := strconv.ParseFloat(m[3], 64); brs <= 0 {
+	if brs, _ := strconv.ParseFloat(m[4], 64); brs <= 0 {
 		t.Errorf("Server-Timing %q: the search took no time", timing)
 	}
+	waits := regexp.MustCompile(`^admit;dur=[0-9.]+, lock;dur=[0-9.]+$`)
 	for _, hit := range []api.CreateSessionRequest{miss, {Dataset: "store"}} {
-		if access, timing := drill(hit); access != "cache" || timing != "" {
+		if access, timing := drill(hit); access != "cache" || !waits.MatchString(timing) {
 			t.Errorf("drill served from the cache (K %d): access %q, Server-Timing %q", hit.K, access, timing)
 		}
 	}

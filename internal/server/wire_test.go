@@ -187,7 +187,7 @@ func TestRequestID(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &tree); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(logged.String(), "POST /v1/sessions 201 ") || !strings.Contains(logged.String(), " rid=analyst-7/click.42\n") {
+	if !strings.Contains(logged.String(), "POST /v1/sessions 201 ") || !strings.Contains(logged.String(), " rid=analyst-7/click.42 timing=(") {
 		t.Errorf("the access-log line does not carry the request id:\n%s", logged.String())
 	}
 

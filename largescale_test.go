@@ -33,6 +33,7 @@ package smartdrill
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"slices"
 	"testing"
@@ -41,6 +42,7 @@ import (
 	"smartdrill/internal/brs"
 	"smartdrill/internal/datagen"
 	"smartdrill/internal/rule"
+	"smartdrill/internal/spans"
 	"smartdrill/internal/weight"
 )
 
@@ -226,30 +228,31 @@ func TestWideRootProbe(t *testing.T) {
 	} {
 		tab := datagen.CensusProjected(shape.rows, 14, 7)
 		tab.Distinct() // resolved here, so that no drill below is booked the attempt
-		root := func(opts ...Option) (SearchStats, SearchPhases, string) {
+		root := func(opts ...Option) (SearchStats, bool, string) {
 			e, err := New(tab, append(opts, WithK(3), WithCacheDisabled())...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			start := time.Now()
-			if err := e.DrillDown(e.Root()); err != nil {
+			rec := spans.Start()
+			if err := e.DrillDownCtx(spans.With(context.Background(), &rec), e.Root()); err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("census %d × 14: root drill in %s, %+v, %+v", shape.rows, time.Since(start), e.LastSearchPhases(), e.LastSearchStats())
-			return e.LastSearchStats(), e.LastSearchPhases(), e.Render()
+			t.Logf("census %d × 14: root drill in %s, spans %s, %+v", shape.rows, rec.Total(), rec.String(), e.LastSearchStats())
+			_, probed := rec.Duration(spans.MW)
+			return e.LastSearchStats(), probed, e.Render()
 		}
-		probed, phases, rules := root()
+		probed, didProbe, rules := root()
 		bound, _, boundRules := root(WithMaxWeight(weight.NewSize(14).MaxWeight(14)))
 		if rules != boundRules {
 			t.Errorf("census %d × 14: the root drill shows\n%s\nat the bound\n%s", shape.rows, rules, boundRules)
 		}
 		switch {
-		case shape.probes && (phases.MaxWeight == 0 || reads(probed) >= reads(bound)):
+		case shape.probes && (!didProbe || reads(probed) >= reads(bound)):
 			t.Errorf("census %d × 14: probed %v, the root drill read %d, %d at the bound; want a probe that reads less",
-				shape.rows, phases.MaxWeight > 0, reads(probed), reads(bound))
-		case !shape.probes && (phases.MaxWeight != 0 || probed != bound):
+				shape.rows, didProbe, reads(probed), reads(bound))
+		case !shape.probes && (didProbe || probed != bound):
 			t.Errorf("census %d × 14: probed %v, the root drill was booked %+v, at the bound %+v; want no probe",
-				shape.rows, phases.MaxWeight > 0, probed, bound)
+				shape.rows, didProbe, probed, bound)
 		}
 	}
 }

@@ -375,14 +375,6 @@ type SearchStats = brs.Stats
 // drill-down.
 func (e *Engine) LastSearchStats() SearchStats { return e.s.LastStats }
 
-// SearchPhases times the steps of a drill-down that executed its search:
-// resolving the rule's coverage, the Section 6.1 mw probe, the BRS run.
-type SearchPhases = search.Phases
-
-// LastSearchPhases returns the phase times of the most recent drill-down;
-// zero when the answer cache served it.
-func (e *Engine) LastSearchPhases() SearchPhases { return e.s.LastPhases }
-
 // TotalSearchStats returns BRS statistics accumulated across every
 // drill-down of this engine's session, plus the passes its refines and
 // traditional listings read — the cross-expansion view of how much search
