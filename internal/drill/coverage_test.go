@@ -113,7 +113,7 @@ func TestIntervalCoverageOverRealSamples(t *testing.T) {
 				t.Fatal(err)
 			}
 			if pop.tuples {
-				h.ServeGrouped(func() (bool, *table.Table) { return true, d })
+				h.ServeGrouped(func() *table.Table { return d })
 			}
 			for f, filter := range filters {
 				v, err := h.GetSample(filter)

@@ -229,11 +229,11 @@ func NewSession(t *table.Table, cfg Config) (*Session, error) {
 		// How the handler serves samples is decided once, by the session's
 		// own weighter, and resolved by the first drill that samples: creating
 		// a session reads nothing.
-		h.ServeGrouped(func() (bool, *table.Table) {
+		h.ServeGrouped(func() *table.Table {
 			if !s.groupable(s.cfg.Weighter, t.NumRows()) {
-				return false, nil
+				return nil
 			}
-			return true, s.distinct()
+			return s.distinct()
 		})
 		s.handler = h
 	}
@@ -510,12 +510,12 @@ type coverage struct {
 // sample for large tables, otherwise the rule's exact coverage answered by an
 // inverted index through the accounting store (no full scan, no materialized
 // copy). Either is read as distinct tuples where groupable allows and the
-// tuples repeat enough. An exact view reads the table's own memoised grouping
-// (exactTable). A sample comes as the handler serves it, a form decided once
-// per session (sampling.Handler.ServeGrouped): drawn from the table's
-// distinct tuples and born grouped, or drawn from its rows and grouped where
-// they repeat, or plain rows. The serve that builds a sample's form — its
-// first, or each of a Combine's — is booked the rows it read.
+// table's tuples repeat enough. An exact view reads the table's own memoised
+// grouping (exactTable). A sample comes as the handler serves it, a form
+// decided once per session (sampling.Handler.ServeGrouped): drawn from the
+// table's distinct tuples and born grouped, or drawn from its rows and served
+// as they are. The serve that builds a tuple sample's table — its first, or
+// each of a Combine's — is booked the tuples it copied.
 func (s *Session) coveredView(r rule.Rule, w weight.Weighter, degraded bool) (coverage, error) {
 	if s.useSample(r, degraded) {
 		v, err := s.handler.GetSample(r)

@@ -256,8 +256,8 @@ func measuredTable(rng *rand.Rand, n int, names string, cell func(i, c int) stri
 }
 
 // skewedTable holds ten tuples in two thirds of its n rows and the rest all
-// different: the table does not compress (table.Distinct's ¼), a sample of
-// it does (½).
+// different: the table does not compress (table.Distinct's ¼), though most
+// of its rows repeat.
 func skewedTable(n int) *table.Table {
 	b := table.MustBuilder([]string{"A", "B", "C"}, nil)
 	for i := 0; i < n; i++ {
@@ -276,8 +276,9 @@ func skewedTable(n int) *table.Table {
 //
 //   - exact rows — a table that does not compress, a Sum, fractional
 //     weights — and the dataset's distinct tuples, probed for mw or not;
-//   - sample tuples and sample rows — plain, grouped, under a Sum and under
-//     fractional weights — served by Create and by Find, by a Combine that
+//   - sample tuples and sample rows — of a table that does not compress,
+//     under a Sum and under fractional weights — served by Create and by
+//     Find, by a Combine that
 //     is a sample of its own and by one that is exhaustive, and a degraded
 //     drill's;
 //   - a cache hit, and a singleflight wait, on one shared search.Service.
@@ -348,7 +349,7 @@ func TestEquivalenceDrillPaths(t *testing.T) {
 		{name: "sample tuples, probed", tab: lightTable(0, 2100, 4), cfg: sampled(Config{}, 6000, 6000), tuples: true, floor: probeSize},
 		{name: "sample rows, sum", tab: pool, cfg: sampled(Config{Agg: sum}, 4000, 1000)},
 		{name: "sample rows, fractional weights", tab: scattered, cfg: sampled(Config{Weighter: fractional}, 3000, 800)},
-		{name: "sample rows, grouped", tab: skewed, cfg: sampled(Config{}, 6000, 1500)},
+		{name: "sample rows, no compression", tab: skewed, cfg: sampled(Config{}, 6000, 1500)},
 		{name: "sample tuples, combined", tab: pool, cfg: sampled(Config{}, 4000, 400), tuples: true, combine: combined("0")},
 		{name: "sample tuples, combined exhaustively", tab: pool, cfg: sampled(Config{}, 4000, 1000), tuples: true, combine: combined("1")},
 		{name: "sample rows, sum, combined", tab: pool, cfg: sampled(Config{Agg: sum}, 4000, 400), combine: combined("0")},

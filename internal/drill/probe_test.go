@@ -293,7 +293,7 @@ func lightTable(unique, tuples, copies int) *table.Table {
 // TestProbeOnlyAboveFloor: a drill probes for mw only where the view its
 // search reads holds more than probeFloor tuples, and probes that view. On
 // each of the four views a search reads — a table's rows, its distinct
-// tuples, a sample drawn from them and a sample of rows grouped — a drill at
+// tuples, a sample drawn from them and a sample of rows — a drill at
 // the floor searches at the weighter's bound, with no probe timed or read.
 // One tuple above it, the drill searches at the probe's estimate over its
 // view, which binds, and on a weighted view is the literal Section 6.1 over
@@ -310,8 +310,8 @@ func TestProbeOnlyAboveFloor(t *testing.T) {
 		{"exact rows", lightTable(3000, 0, 0), Config{}, false, "direct"},
 		{"exact distinct tuples", lightTable(0, 2500, 5), Config{}, true, "direct"},
 		{"tuple-born sample", lightTable(0, 2500, 8), Config{SampleMemory: 9000, MinSampleSize: 9000}, true, "Find"},
-		// The table does not compress, a sample of it does.
-		{"grouped row sample", lightTable(8000, 1000, 22), Config{SampleMemory: 9000, MinSampleSize: 9000}, true, "Find"},
+		// The table does not compress: the sample is of its rows.
+		{"row sample", lightTable(8000, 1000, 22), Config{SampleMemory: 9000, MinSampleSize: 9000}, false, "Find"},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			ctx := context.Background()

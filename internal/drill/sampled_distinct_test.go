@@ -247,12 +247,10 @@ func TestEquivalenceSampledDistinctDegraded(t *testing.T) {
 // TestEquivalenceSampledDistinctGates: the form a session's handler serves
 // its samples in. What cannot be summed per distinct tuple bit for bit — a
 // Sum, weights that are not integers — gets plain rows, never grouped. A
-// Count session under integer weights draws from the
-// distinct tuples where the table compresses; where it does not, it draws rows
-// and gets a sample grouped where more than half its rows repeat — the first
-// serve booked a pass over the sample's rows — and the rows otherwise, that
-// finding costing the first serve the rows it read. A sample served again
-// comes in the form its first serve built, for nothing.
+// Count session under integer weights draws from the distinct tuples where
+// the table compresses — the first serve booked the tuples it copied — and
+// plain rows where it does not, however many of them repeat, for nothing. A
+// sample served again comes in the form its first serve built, for nothing.
 func TestEquivalenceSampledDistinctGates(t *testing.T) {
 	sales := buildSalesTable(30000, 5)
 	census := datagen.CensusProjected(30000, 7, 7)
@@ -266,8 +264,7 @@ func TestEquivalenceSampledDistinctGates(t *testing.T) {
 		tuples  bool // the handler draws from the distinct tuples
 		grouped bool // the search reads a weighted table
 		// rows the first drill is booked beyond the second: the distinct
-		// tuples copied into a tuple sample's table, or the rows grouping a
-		// row sample read, or what finding it does not compress read
+		// tuples copied into a tuple sample's table
 		readMin, readMax int64
 	}{
 		{"size", census, Config{}, true, true, 1, minSS / 2},
@@ -275,8 +272,8 @@ func TestEquivalenceSampledDistinctGates(t *testing.T) {
 		{"fractional linear", census, Config{Weighter: weight.NewLinear([]float64{1, 0.5, 1.25, 1, 1, 1, 1}, 1, "frac")}, false, false, 0, 0},
 		{"fractional scale", census, Config{Weighter: weight.Scaled{Inner: weight.NewSize(7), Factor: 0.1}}, false, false, 0, 0},
 		{"sum", sales, Config{Agg: score.SumAgg{Measure: 0}}, false, false, 0, 0},
-		{"rows that repeat", skewed, Config{}, false, true, minSS, minSS},
-		{"more than half distinct", marketing, Config{}, false, false, minSS/2 + 1, minSS - 1},
+		{"rows that repeat", skewed, Config{}, false, false, 0, 0},
+		{"more than half distinct", marketing, Config{}, false, false, 0, 0},
 	} {
 		// Resolved here, so that no drill below is booked the build.
 		tc.tab.Distinct()

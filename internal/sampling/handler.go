@@ -5,15 +5,16 @@ import (
 	"math/rand"
 	"sort"
 
+	"smartdrill/internal/lru"
 	"smartdrill/internal/rule"
 	"smartdrill/internal/storage"
 	"smartdrill/internal/table"
 )
 
 // Handler is the SampleHandler of Section 4.3: it owns a set of in-memory
-// samples within a tuple budget M and serves drill-down requests via Find,
-// Combine, or Create. It is not safe for concurrent use; the drill session
-// serializes interactions as a UI would.
+// samples within a tuple budget M, evicting the least recently used, and
+// serves drill-down requests via Find, Combine, or Create. It is not safe for
+// concurrent use; the drill session serializes interactions as a UI would.
 type Handler struct {
 	store *storage.Store
 	m     int // the memory capacity in tuples across all samples
@@ -23,11 +24,13 @@ type Handler struct {
 	// they are served in: the table's rows as they are, unless grouping,
 	// called once by the first draw, says otherwise (see ServeGrouped).
 	pop      population
-	grouping func() (grouped bool, distinct *table.Table)
+	grouping func() *table.Table
 
-	samples map[string]*Sample
+	// samples are the resident samples by filter key, each costing its Size,
+	// within m. A serve touches the samples it reads: find the one it
+	// serves, combine its contributors.
+	samples lru.List[string, *Sample]
 	rng     *rand.Rand
-	clock   int64
 
 	// stats
 	finds, combines, creates int
@@ -52,27 +55,27 @@ func NewHandler(store *storage.Store, m, minSS int, rng *rand.Rand) (*Handler, e
 		m:       m,
 		minSS:   minSS,
 		pop:     rowPopulation{store: store},
-		samples: make(map[string]*Sample),
+		samples: lru.New[string](m, (*Sample).Size),
 		rng:     rng,
 	}, nil
 }
 
 // ServeGrouped decides, once, the form the handler serves its samples in.
 // grouping is called by the first draw — a GetSample that has to Create, or a
-// Prefetch — so that setting a handler up never costs a pass, and reports
-// whether the owner's searches may read tuples grouped, each distinct tuple
+// Prefetch — so that setting a handler up never costs a pass, and returns the
+// store's table grouped into its distinct tuples (storage.Store.Distinct)
+// where the owner's searches may read tuples grouped, each distinct tuple
 // once with its multiplicity for a mass (the Count aggregate under integer
-// weights) and, if so, the store's table grouped (storage.Store.Distinct) or
-// nil where the table does not compress. Only the owner knows what its
-// searches may read, so it decides; call this before any sample is drawn.
+// weights), and the table compresses; nil otherwise. Only the owner knows
+// what its searches may read, so it decides; call this before any sample is
+// drawn.
 //
 // With a distinct table the handler draws from the distinct tuples and a
-// sample is born grouped (tuplePopulation). Without one it draws rows, and
-// groups a sample where more than half its rows repeat (rowPopulation); a
-// handler whose owner may not group, or never called this, serves rows as
-// they are. Samples, estimates and intervals are uniform-sample statistics
-// in every form.
-func (h *Handler) ServeGrouped(grouping func() (grouped bool, distinct *table.Table)) {
+// sample is born grouped (tuplePopulation). Without one — or if the owner
+// never called this — it draws rows and serves them as they are
+// (rowPopulation). Samples, estimates and intervals are uniform-sample
+// statistics in both forms.
+func (h *Handler) ServeGrouped(grouping func() *table.Table) {
 	h.grouping = grouping
 }
 
@@ -84,11 +87,8 @@ func (h *Handler) resolve() {
 		return
 	}
 	h.grouping = nil
-	switch grouped, d := grouping(); {
-	case d != nil:
+	if d := grouping(); d != nil {
 		h.pop = tuplePopulation{store: h.store, d: d, ranks: d.Ranks()}
-	case grouped:
-		h.pop = rowPopulation{store: h.store, group: true}
 	}
 }
 
@@ -99,22 +99,13 @@ func (h *Handler) Stats() (finds, combines, creates int) {
 
 // Samples returns the resident samples in filter-key order.
 func (h *Handler) Samples() []*Sample {
-	out := make([]*Sample, 0, len(h.samples))
-	for _, s := range h.samples {
-		out = append(out, s)
-	}
+	out := h.samples.Values()
 	sort.Slice(out, func(i, j int) bool { return out[i].Filter.Key() < out[j].Filter.Key() })
 	return out
 }
 
 // MemoryUsed returns the total resident sample size in tuples.
-func (h *Handler) MemoryUsed() int {
-	used := 0
-	for _, s := range h.samples {
-		used += s.Size()
-	}
-	return used
-}
+func (h *Handler) MemoryUsed() int { return h.samples.Used() }
 
 // GetSample returns a uniform sample of at least minSS tuples covered by r,
 // trying Find, then Combine, then Create — exactly the Section 4.3 cascade.
@@ -140,16 +131,18 @@ func (h *Handler) GetSample(r rule.Rule) (*View, error) {
 
 // find serves r from a resident sample whose filter is exactly r and which
 // holds at least minSS tuples (or the filter's entire coverage, which is
-// even better — the estimate is exact).
+// even better — the estimate is exact). Only a sample that serves is
+// touched.
 func (h *Handler) find(r rule.Rule) *View {
-	s, ok := h.samples[r.Key()]
+	key := r.Key()
+	s, ok := h.samples.Peek(key)
 	if !ok {
 		return nil
 	}
 	if s.Size() < h.minSS && s.Size() < s.ExactCount {
 		return nil
 	}
-	h.touch(s)
+	h.samples.Get(key)
 	return h.viewOf(s, s.Rows, s.Scale(), Find)
 }
 
@@ -198,41 +191,20 @@ func (h *Handler) combine(r rule.Rule) *View {
 	}
 	sort.Ints(rows)
 	for _, s := range contributors {
-		h.touch(s)
+		h.samples.Get(s.Filter.Key())
 	}
 	return h.viewOf(nil, rows, 1/pInclude, Combine)
 }
 
 // create walks the population once, installing a fresh sample for r of up
 // to target tuples (at least minSS, at most m), evicting least-recently-used
-// samples if the budget requires.
+// samples until the budget holds — which it does with the new one alone.
 func (h *Handler) create(r rule.Rule, target int) (*View, error) {
 	target = min(max(target, h.minSS), h.m)
 	h.resolve()
 	s := h.pop.draw([]rule.Rule{r}, []int{target}, h.rng)[0]
-	h.install(s)
+	h.samples.Put(s.Filter.Key(), s)
 	return h.viewOf(s, s.Rows, s.Scale(), Create), nil
-}
-
-// install adds s, evicting LRU samples (never s itself) until the budget
-// holds — which it does with s alone, drawn at most m units.
-func (h *Handler) install(s *Sample) {
-	h.touch(s)
-	h.samples[s.Filter.Key()] = s
-	for h.MemoryUsed() > h.m {
-		var victim *Sample
-		for _, c := range h.samples {
-			if c != s && (victim == nil || c.lastUsed < victim.lastUsed) {
-				victim = c
-			}
-		}
-		delete(h.samples, victim.Filter.Key())
-	}
-}
-
-func (h *Handler) touch(s *Sample) {
-	h.clock++
-	s.lastUsed = h.clock
 }
 
 // viewOf wraps an ascending unit set — resident sample s's, or with s nil a
@@ -241,9 +213,8 @@ func (h *Handler) touch(s *Sample) {
 // let BRS's cost planner answer candidate counting by intersecting the master
 // table's posting lists with the sample (materialization-free) whenever that
 // reads fewer entries than scanning it, and are what the tuple population
-// run-lengths into a sample's tuples and the row population groups in the
-// order a search of the rows would meet them. A resident sample keeps the
-// form its first serve built; Combine's union is built per call.
+// run-lengths into a sample's tuples. A resident sample keeps the form its
+// first serve built; Combine's union is built per call.
 func (h *Handler) viewOf(s *Sample, units []int, scale float64, m Method) *View {
 	v := &View{Scale: scale, Method: m, EstimatedCount: float64(len(units)) * scale}
 	if s != nil && s.tab != nil {

@@ -200,6 +200,47 @@ func TestMemoryBudgetAndEviction(t *testing.T) {
 	}
 }
 
+// TestEvictionFollowsRecency: the budget evicts the least recently used
+// sample, not the oldest. Three samples fill it; a Find of the first one
+// created touches it, so the next Create evicts the second, and the first is
+// served by Find again.
+func TestEvictionFollowsRecency(t *testing.T) {
+	tab := grid(100000, 10, 10)
+	store := storage.NewStore(tab)
+	h, err := NewHandler(store, 3000, 1000, NewTestRNG(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules := map[string]rule.Rule{}
+	for _, val := range []string{"a", "b", "c", "d"} {
+		rules[val], _ = tab.EncodeRule(map[string]string{"A": val})
+	}
+	serve := func(val string, want Method) {
+		t.Helper()
+		v, err := h.GetSample(rules[val])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Method != want {
+			t.Fatalf("A=%s served by %v, want %v", val, v.Method, want)
+		}
+	}
+	serve("a", Create)
+	serve("b", Create)
+	serve("c", Create)
+	serve("a", Find) // a is now the most recently used; b the least
+	serve("d", Create)
+	if _, ok := h.samples.Peek(rules["b"].Key()); ok {
+		t.Fatal("A=b, the least recently used sample, survived the Create")
+	}
+	for _, val := range []string{"a", "c", "d"} {
+		if _, ok := h.samples.Peek(rules[val].Key()); !ok {
+			t.Fatalf("A=%s was evicted in place of the least recently used", val)
+		}
+	}
+	serve("a", Find)
+}
+
 func TestCombineEstimateUnbiased(t *testing.T) {
 	// Average the Combine estimate over many RNG seeds; the mean must be
 	// close to the true count (uniformity of the deduplicated union).
@@ -278,9 +319,9 @@ func TestCombineIgnoresMapOrder(t *testing.T) {
 			t.Fatalf("served by %s, want Combine", v.Method)
 		}
 		patterns[math.Float64bits(v.Scale)]++
-		samples := h.Samples()
+		samples, recent := h.Samples(), h.samples.Values() // recent: most recently used first
 		for k := 1; k < len(samples); k++ {
-			if samples[k].lastUsed <= samples[k-1].lastUsed {
+			if recent[len(recent)-1-k] != samples[k] {
 				t.Fatalf("handler %d: Combine touched %v before %v", i, samples[k].Filter, samples[k-1].Filter)
 			}
 		}
@@ -291,8 +332,8 @@ func TestCombineIgnoresMapOrder(t *testing.T) {
 }
 
 // TestPropertyResidentSamples holds the handler to what a budget trim used to
-// stand for, over random GetSample and Prefetch sequences in all three
-// serving forms (tuples, grouped rows, plain rows): after every call the
+// stand for, over random GetSample and Prefetch sequences in both serving
+// forms (tuples, plain rows): after every call the
 // resident samples fit the budget; each one's Rows are strictly ascending,
 // covered by its filter and exactly the units it was drawn with; and a
 // re-serve of what was just served from a resident sample is a Find of the
@@ -315,11 +356,10 @@ func TestPropertyResidentSamples(t *testing.T) {
 	const m, minSS = 6000, 400
 	for _, mode := range []struct {
 		name     string
-		grouping func() (bool, *table.Table)
+		grouping func() *table.Table
 	}{
-		{"tuples", func() (bool, *table.Table) { return true, d }},
-		{"grouped rows", func() (bool, *table.Table) { return true, nil }},
-		{"plain rows", func() (bool, *table.Table) { return false, nil }},
+		{"tuples", func() *table.Table { return d }},
+		{"plain rows", func() *table.Table { return nil }},
 	} {
 		for seed := int64(1); seed <= 4; seed++ {
 			label := fmt.Sprintf("%s seed %d", mode.name, seed)

@@ -36,11 +36,8 @@ type population interface {
 }
 
 // rowPopulation is the table's rows in file order, a row's unit its index.
-// group has it serve a sample grouped into its distinct tuples where that
-// compresses it (see sampleGiveUp).
 type rowPopulation struct {
 	store *storage.Store
-	group bool
 }
 
 // draw fills one reservoir per filter (Vitter's Algorithm R, the method
@@ -69,22 +66,9 @@ func (p rowPopulation) draw(filters []rule.Rule, caps []int, rng *rand.Rand) []*
 
 func (p rowPopulation) covers(r rule.Rule, u int) bool { return p.store.Table().Covers(r, u) }
 
-// view is zero-copy — it shares the table's column arrays — unless the
-// population groups and the rows compress: then the search reads their
-// distinct tuples (table.Table.GroupRows), in tuple order like every grouped
-// table, and the grouping pass is read. The order changes no answer: Count's
-// masses are integers, summed alike in any order, and a search breaks its
-// ties by rule key, not by where a row sits.
+// view is zero-copy: it shares the table's column arrays, and reads nothing.
 func (p rowPopulation) view(units []int) (tab *table.View, read int) {
-	t := p.store.Table()
-	if !p.group {
-		return t.ViewOf(units), 0
-	}
-	d, read := t.GroupRows(units, len(units)/sampleGiveUp)
-	if d == nil {
-		return t.ViewOf(units), read
-	}
-	return d.All(), read
+	return p.store.Table().ViewOf(units), 0
 }
 
 // reservoir maintains a fixed-capacity uniform sample of a stream of row

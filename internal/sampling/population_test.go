@@ -23,7 +23,7 @@ func tupleHandler(t *testing.T, tab *table.Table, m, minSS int, seed int64) (*Ha
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.ServeGrouped(func() (bool, *table.Table) { return true, d })
+	h.ServeGrouped(func() *table.Table { return d })
 	return h, d
 }
 
@@ -87,7 +87,7 @@ func TestTupleDrawTotals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := h.samples[r.Key()]
+		s, _ := h.samples.Peek(r.Key())
 		if v.Method != Create || s == nil {
 			t.Fatalf("%v served by %s", r, v.Method)
 		}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"smartdrill/internal/lru"
 	"smartdrill/internal/rule"
 )
 
@@ -61,10 +62,9 @@ func (h *Handler) Prefetch(root *TreeNode) (Allocation, error) {
 
 	// Replace the resident sample set with the prefetched one.
 	h.resolve()
-	h.samples = make(map[string]*Sample, len(keys))
+	h.samples = lru.New[string](h.m, (*Sample).Size)
 	for _, s := range h.pop.draw(targets, sizes, h.rng) {
-		h.touch(s)
-		h.samples[s.Filter.Key()] = s
+		h.samples.Put(s.Filter.Key(), s)
 	}
 	return alloc, nil
 }

@@ -9,8 +9,15 @@
 // samples whose filters are sub-rules of the request — uniform because every
 // requested tuple had the same inclusion probability in each contributing
 // sample), falling back to Create (one accounted walk drawing a fresh
-// sample). Memory is allocated across displayed rules by the Problem 5
-// dynamic program.
+// sample). The resident samples stay within the memory budget M by evicting
+// the least recently used (lru.List, each sample costing its size), and
+// memory is allocated across displayed rules by the Problem 5 dynamic
+// program.
+//
+// A sample is served in one of two forms, chosen once per handler
+// (Handler.ServeGrouped): drawn from the table's distinct tuples, the
+// weighted table of its own distinct tuples; drawn from the rows, the rows
+// as they are.
 package sampling
 
 import (
@@ -35,23 +42,11 @@ type Sample struct {
 	// during the creating walk.
 	ExactCount int
 
-	lastUsed int64 // eviction clock
-
 	// tab caches what the population makes of Rows (Handler.viewOf), built by
-	// the sample's first serve: a sample's grouping or weighted table is built
-	// once per sample, not per serve.
+	// the sample's first serve: a sample's weighted table is built once per
+	// sample, not per serve.
 	tab *table.View
 }
-
-// sampleGiveUp is the compression below which a row sample is searched row
-// by row: grouping stops at the first tuple beyond len(rows)/sampleGiveUp
-// distinct ones. Grouping n rows into D tuples costs n reads and saves
-// n − D on every pass of the search it is built for, which makes at least
-// two; from D < n/2 the first search already repays it. (The dataset's own
-// table keeps a stricter rule, table.Distinct's, for a costlier build.) Only
-// the row population groups: a sample drawn from the distinct tuples has
-// nothing to find out.
-const sampleGiveUp = 2
 
 // Rate returns the per-tuple inclusion probability of the sample.
 func (s *Sample) Rate() float64 {
@@ -82,9 +77,8 @@ type View struct {
 	// form the handler serves them (Handler.ServeGrouped): drawn from the
 	// distinct tuples, the whole of a weighted table of the sample's own, a
 	// row for each distinct tuple carrying the number of sampled rows equal
-	// to it; drawn from the rows, that grouping of them where more than half
-	// repeat and the handler groups, else a zero-copy view of the master
-	// table's rows, a row each.
+	// to it; drawn from the rows, a zero-copy view of the master table's
+	// rows, a row each.
 	Tab *table.View
 	// Scale converts counts on Tab to estimated counts on the master table.
 	Scale float64
@@ -97,12 +91,12 @@ type View struct {
 	read int // see Read
 }
 
-// Read returns the number of rows this serve read to build Tab: the sample
-// rows a grouping pass read, or the distinct-table rows copied into a tuple
-// sample's table. A resident sample's Tab is built by its first serve (its
-// Create, or the first Find after a Prefetch drew it), and Combine's union,
-// kept nowhere, by every serve; a serve that found Tab built, or serves plain
-// rows, read nothing. The caller accounts for the reads it caused.
+// Read returns the number of rows this serve read to build Tab: the
+// distinct-table rows copied into a tuple sample's table. A resident sample's
+// Tab is built by its first serve (its Create, or the first Find after a
+// Prefetch drew it), and Combine's union, kept nowhere, by every serve; a
+// serve that found Tab built, or serves plain rows, read nothing. The caller
+// accounts for the reads it caused.
 func (v *View) Read() int { return v.read }
 
 // Method identifies which of Section 4.3's three mechanisms served a

@@ -26,7 +26,6 @@
 package search
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"sync/atomic"
@@ -34,6 +33,7 @@ import (
 
 	"smartdrill/internal/brs"
 	"smartdrill/internal/guarded"
+	"smartdrill/internal/lru"
 	"smartdrill/internal/rule"
 	"smartdrill/internal/score"
 	"smartdrill/internal/spans"
@@ -198,17 +198,12 @@ type Service struct {
 	warmed atomic.Int64
 }
 
-// cacheState is everything the service's lock protects: the answer cache
-// and the table of in-flight executions.
+// cacheState is everything the service's lock protects: the answer cache,
+// each answer costing 1 within Config.Entries, and the table of in-flight
+// executions.
 type cacheState struct {
-	lru     *list.List // front = most recent; values are *lruItem
-	byKey   map[key]*list.Element
+	answers lru.List[key, *entry]
 	flights map[key]*flight
-}
-
-type lruItem struct {
-	k key
-	e *entry
 }
 
 // NewService builds a search service for one dataset.
@@ -219,8 +214,7 @@ func NewService(cfg Config) *Service {
 	return &Service{
 		cfg: cfg,
 		state: guarded.New(cacheState{
-			lru:     list.New(),
-			byKey:   make(map[key]*list.Element),
+			answers: lru.New[key](cfg.Entries, func(*entry) int { return 1 }),
 			flights: make(map[key]*flight),
 		}),
 	}
@@ -239,7 +233,7 @@ type Counters struct {
 // Counters returns a snapshot of the cache counters.
 func (s *Service) Counters() Counters {
 	var entries int
-	s.state.Do(func(st *cacheState) { entries = st.lru.Len() })
+	s.state.Do(func(st *cacheState) { entries = st.answers.Len() })
 	return Counters{
 		Entries:           entries,
 		Hits:              s.hits.Load(),
@@ -295,7 +289,7 @@ func (s *Service) Run(ctx context.Context, req Request) (Response, error) {
 			leader bool
 		)
 		s.state.Do(func(st *cacheState) {
-			if e = st.lookup(k); e != nil {
+			if e, _ = st.answers.Get(k); e != nil {
 				return
 			}
 			if f = st.flights[k]; f == nil {
@@ -336,7 +330,7 @@ func (s *Service) Run(ctx context.Context, req Request) (Response, error) {
 		s.state.Do(func(st *cacheState) {
 			delete(st.flights, k)
 			if err == nil && e != nil {
-				st.insert(k, e, s.cfg.Entries)
+				st.answers.Put(k, e)
 			}
 		})
 		f.entry, f.err = e, err
@@ -346,32 +340,6 @@ func (s *Service) Run(ctx context.Context, req Request) (Response, error) {
 			resp.Stats.CacheMisses = 1
 		}
 		return resp, err
-	}
-}
-
-// lookup finds and refreshes a cached entry, nil when absent.
-func (st *cacheState) lookup(k key) *entry {
-	el, ok := st.byKey[k]
-	if !ok {
-		return nil
-	}
-	st.lru.MoveToFront(el)
-	return el.Value.(*lruItem).e
-}
-
-// insert files a completed search, evicting the least recently used
-// entries beyond bound.
-func (st *cacheState) insert(k key, e *entry, bound int) {
-	if el, ok := st.byKey[k]; ok {
-		st.lru.MoveToFront(el)
-		el.Value.(*lruItem).e = e
-		return
-	}
-	st.byKey[k] = st.lru.PushFront(&lruItem{k: k, e: e})
-	for st.lru.Len() > bound {
-		oldest := st.lru.Back()
-		st.lru.Remove(oldest)
-		delete(st.byKey, oldest.Value.(*lruItem).k)
 	}
 }
 

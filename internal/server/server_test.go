@@ -508,6 +508,32 @@ func TestDrillStreamBudget(t *testing.T) {
 	}
 }
 
+// TestStreamBudgetCappedBeforeConversion: a budget_ms past the cap is the
+// cap, however large — including counts whose conversion to a Duration
+// wraps, to −1 ms (which the session reads as no deadline at all) or to
+// 192 µs.
+func TestStreamBudgetCappedBeforeConversion(t *testing.T) {
+	for _, tc := range []struct {
+		raw  string
+		want time.Duration
+	}{
+		{"", 2 * time.Second},
+		{"1500", 1500 * time.Millisecond},
+		{"60000", maxStreamBudget},
+		{"9223372036854775807", maxStreamBudget},
+		{"9223372036854776", maxStreamBudget},
+	} {
+		if got, fail := streamBudget(tc.raw, 2*time.Second); fail != nil || got != tc.want {
+			t.Errorf("budget_ms=%q: %v (%v), want %v", tc.raw, got, fail, tc.want)
+		}
+	}
+	for raw, code := range map[string]api.ErrorCode{"x": api.ErrBadRequest, "0": api.ErrBudget, "-5": api.ErrBudget} {
+		if _, fail := streamBudget(raw, time.Second); fail == nil || fail.Code != code {
+			t.Errorf("budget_ms=%q: %v, want %s", raw, fail, code)
+		}
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	id := createSession(t, ts.URL, api.CreateSessionRequest{Dataset: "store"}).ID

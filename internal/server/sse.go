@@ -46,20 +46,11 @@ func (s *Server) handleDrillStream(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.Query()
 	nodeID := q.Get("node")
-	budget := s.cfg.StreamBudget
-	if raw := q.Get("budget_ms"); raw != "" {
-		ms, err := strconv.Atoi(raw)
-		switch {
-		case err != nil: // malformed, not out of range
-			writeError(w, api.ErrBadRequest, fmt.Sprintf("budget_ms must be a positive integer, got %q", raw))
-			return
-		case ms <= 0:
-			writeError(w, api.ErrBudget, fmt.Sprintf("budget_ms must be a positive integer, got %q", raw))
-			return
-		}
-		budget = time.Duration(ms) * time.Millisecond
+	budget, fail := streamBudget(q.Get("budget_ms"), s.cfg.StreamBudget)
+	if fail != nil {
+		writeError(w, fail.Code, fail.Message)
+		return
 	}
-	budget = min(budget, maxStreamBudget)
 	maxRules := 0
 	if raw := q.Get("max_rules"); raw != "" {
 		n, err := strconv.Atoi(raw)
@@ -162,6 +153,24 @@ func (s *Server) handleDrillStream(w http.ResponseWriter, r *http.Request) {
 	}
 	writeSSE(w, api.EventDone, done)
 	flusher.Flush()
+}
+
+// streamBudget parses a stream's budget_ms (raw, empty for the server's
+// default def) and caps it at maxStreamBudget. The cap is taken in
+// milliseconds, before the conversion to a Duration, whose multiplication
+// would wrap for a large enough count.
+func streamBudget(raw string, def time.Duration) (time.Duration, *api.Error) {
+	if raw == "" {
+		return min(def, maxStreamBudget), nil
+	}
+	ms, err := strconv.Atoi(raw)
+	switch {
+	case err != nil: // malformed, not out of range
+		return 0, &api.Error{Code: api.ErrBadRequest, Message: fmt.Sprintf("budget_ms must be a positive integer, got %q", raw)}
+	case ms <= 0:
+		return 0, &api.Error{Code: api.ErrBudget, Message: fmt.Sprintf("budget_ms must be a positive integer, got %q", raw)}
+	}
+	return time.Duration(min(ms, int(maxStreamBudget/time.Millisecond))) * time.Millisecond, nil
 }
 
 // writeSSE emits one event with a JSON data payload.

@@ -79,7 +79,7 @@ var rawOps = map[string][]class{
 	"table.Table.SelectWeighted": {rowscan},          // hash-free weighted-table builder: returns the rows it copied
 	"table.Table.GroupRows":      {rowscan},          // metered grouping pass: returns the rows it read
 	"table.Table.Distinct":       {rowscan},          // GroupRows memoised per table: returns the rows its one pass read (0 once resolved)
-	"sampling.View.Read":         {rowscan},          // GroupRows or SelectWeighted memoised per sample: the rows this serve read to build its Tab (0 once built)
+	"sampling.View.Read":         {rowscan},          // SelectWeighted memoised per sample: the rows this serve read to build its Tab (0 once built)
 	"brs.runner.parallelRows":    {rowscan},          // chunked row fan-out of a counting pass
 	"brs.runner.polled":          {rowscan},          // parallelRows polling cancellation: returns the items its workers covered
 }
