@@ -8,7 +8,8 @@
 // weight of every rule in the optimal set. Each greedy step finds the best
 // marginal rule in level-wise passes over the table, pruning candidate
 // super-rules whose marginal value is upper-bounded below the best already
-// found.
+// found. Level 0 is the base alone and level k+1 the extensions of level
+// k's survivors, so level 1 is the base's expansion, made like any other.
 //
 // Three hot-path optimizations sit on top of the textbook algorithm, all
 // result-preserving:
@@ -33,8 +34,8 @@
 //
 //   - Postings-driven counting: when the view is the full table or a
 //     sorted row set, a per-level cost model routes coverage walks to
-//     intersections of the table's posting lists (level-1 counts under
-//     Count are just posting lengths, or the masses beside them on a
+//     intersections of the table's posting lists (the base's expansion
+//     under Count is just posting lengths, or the masses beside them on a
 //     weighted table) instead of row scans. On every
 //     route the walk that discovers a parent's extensions also counts
 //     them, so a candidate that survives pruning in the step its parent
@@ -122,9 +123,9 @@ type Options struct {
 	MinGainRatio float64
 }
 
-// DefaultMaxCandidates caps the candidates one level may create, as a
-// memory safety valve. When the cap is hit the result may be suboptimal;
-// Stats.CandidateCapHit records it.
+// DefaultMaxCandidates caps the candidates a level past the first may
+// create, as a memory safety valve. When the cap is hit the result may be
+// suboptimal; Stats.CandidateCapHit records it.
 const DefaultMaxCandidates = 1 << 20
 
 // maxCandidates is the cap a run applies: DefaultMaxCandidates, a variable
@@ -364,6 +365,7 @@ func newRunner(v *table.View, w weight.Weighter, opts Options) (*runner, error) 
 	run.bitmapOK = run.fullTable && run.countAgg && run.ix != nil
 	run.bitmapWords = int64((run.parent.NumRows() + 63) / 64)
 	run.store = newCandStore()
+	run.root = &cand{r: base, mask: run.baseMask}
 	return run, nil
 }
 
@@ -383,7 +385,9 @@ func resultsToRules(rs []Result) []rule.Rule {
 // The cross-step caches live here: topW (weight of the best selected rule
 // covering each view row, raised by raiseTopW), the candidate store (every
 // candidate materialized this run, with its mass and the marginal it had in
-// the step that last measured it), and the cached level-1 candidate list.
+// the step that last measured it), and root, level 0: the base, never
+// registered or counted, whose children — its expansion, made in step 1 —
+// are level 1.
 type runner struct {
 	v           *table.View
 	parent      *table.Table // v's parent, for aggregate mass and sub-rule tests
@@ -407,8 +411,8 @@ type runner struct {
 	selected []*cand
 	raised   int // selections topW already reflects, see raiseTopW
 	store    candStore
-	level1   []*cand // cached single-extension candidates (step 1's pass)
-	gen      int     // generation-merge epoch, see generateCandidates
+	root     *cand // level 0: the base's rule and mask, and level 1 as its children
+	gen      int   // generation-merge epoch, see generateCandidates
 	stats    Stats
 
 	coverLeft int64 // what is left of the run's cover budget, see coverBudget
@@ -546,10 +550,11 @@ func (rn *runner) findBestMarginal() *cand {
 
 	// The winner is the candidate holding the step's maximum marginal. A tie
 	// goes to the earlier level; within level 1 to the earlier in its list
-	// (column, then value id); within a deeper level — merged, not sorted, so
-	// its list order only says which parent reached a rule first — to the
-	// smaller key (candLess). Stale candidates never win (refreshStale
-	// re-measured every one that could); they ride along as survivors.
+	// (column, then value id, as the base's expansion lists them); within a
+	// deeper level — merged, not sorted, so its list order only says which
+	// parent reached a rule first — to the smaller key (candLess). Stale
+	// candidates never win (refreshStale re-measured every one that could);
+	// they ride along as survivors.
 	var best *cand
 	bestLevel := 0
 	consider := func(c *cand, level int) {
@@ -569,20 +574,14 @@ func (rn *runner) findBestMarginal() *cand {
 		}
 	}
 
-	// Level 1: every single-extension rule base+(c,v), counted once per run
-	// (one pass, or the index's masses) and reused by later steps.
-	if rn.level1 == nil {
-		rn.level1 = rn.countLevelOne()
-	}
-	for _, c := range rn.level1 {
-		consider(c, 1)
-	}
-
-	// Levels 2..: generate super-rules of the previous level's candidates
-	// whose own bound reaches H, prune uncounted ones by upper bound, count
-	// the survivors.
-	prev := rn.level1
-	for level := 2; level <= len(rn.freeCols); level++ {
+	// Level by level from level 0, the base alone: generate super-rules of
+	// the previous level's candidates whose own bound reaches H, prune
+	// uncounted ones by upper bound, count the survivors. Level 1, every
+	// single-extension rule base+(c,v), is the base's expansion in step 1
+	// (one pass, or the index's masses), reused by later steps; its rules
+	// have no counted sub-rule, so none is pruned.
+	prev := []*cand{rn.root}
+	for level := 1; level <= len(rn.freeCols); level++ {
 		if rn.canceled() {
 			return nil
 		}
@@ -749,14 +748,14 @@ func (rn *runner) freeColumns() []int {
 
 // extAcc accumulates, for one parent rule and one of its star columns, the
 // mass and marginal value of every one-value extension, indexed by value
-// id. Level 1 uses it with the base as the parent; expandParents with each
-// candidate it expands.
+// id. expandParents fills one set per parent it expands, the base
+// included.
 type extAcc struct {
 	col    int
 	weight float64   // of every extension in this column
 	cnt    []float64 // mass per value
 	mv     []float64 // marginal per value; nil while nothing is selected (it is weight·cnt)
-	hit    []bool    // some covered row holds the value; nil where cnt > 0 says so
+	hit    []bool    // some covered row holds the value; nil where cnt ≠ 0 says so
 }
 
 // blankCopy returns accumulators shaped like accs — same columns, the same
@@ -788,12 +787,13 @@ func (a *extAcc) add(val rule.Value, mass, tw float64) {
 	}
 }
 
-// seen reports whether any covered row held value val.
+// seen reports whether any covered row held value val — without presence
+// marks, whether the extension's mass is non-zero.
 func (a *extAcc) seen(val int) bool {
 	if a.hit != nil {
 		return a.hit[val]
 	}
-	return a.cnt[val] > 0
+	return a.cnt[val] != 0
 }
 
 // marginal is the marginal value of the extension by val.
@@ -845,84 +845,6 @@ func (rn *runner) bookRow(accs []extAcc, pos, row int) {
 	}
 }
 
-// countLevelOne counts every rule extending the base by one (column,
-// value) pair — by the masses the index stores beside its containers when
-// the view is the whole table under Count (zero row reads), otherwise in a
-// single column-major pass —
-// and registers the candidates in the store. Runs once per run, in step 1,
-// before any rule is selected.
-func (rn *runner) countLevelOne() []*cand {
-	v := rn.v
-	accs := make([]extAcc, 0, len(rn.freeCols))
-	for _, c := range rn.freeCols {
-		m := rn.baseMask
-		m.Set(c)
-		wgt := rn.w.Weight(m)
-		if wgt > rn.mw {
-			continue // weight cap: super-rules only get heavier (monotone)
-		}
-		accs = append(accs, extAcc{col: c, weight: wgt})
-	}
-	if len(accs) == 0 {
-		return nil
-	}
-	// Nothing is selected yet (topW ≡ 0), so a marginal is weight·count and
-	// the accumulators need no mv.
-	if rn.countAgg && rn.fullTable {
-		return rn.levelOneFromPostings(accs)
-	}
-
-	for a := range accs {
-		accs[a].cnt = make([]float64, v.DistinctCount(accs[a].col))
-	}
-	// One accumulator set per worker; merged after the pass.
-	nw := rn.rowWorkers(v.NumRows())
-	perWorker := make([][]extAcc, nw)
-	perWorker[0] = accs
-	for g := 1; g < nw; g++ {
-		perWorker[g] = blankCopy(accs)
-	}
-	rn.rowPass(nw, func(lo, hi, g int) {
-		// Every view row covers the base: no per-row base check.
-		for i := lo; i < hi; i++ {
-			rn.bookRow(perWorker[g], i, v.ParentRow(i))
-		}
-	})
-	for g := 1; g < nw; g++ {
-		mergeAccs(accs, perWorker[g])
-	}
-
-	var out []*cand
-	for a := range accs {
-		acc := &accs[a]
-		for val := range acc.cnt {
-			if acc.cnt[val] == 0 {
-				continue
-			}
-			out = append(out, rn.addLevelOne(acc, rule.Value(val), acc.cnt[val], acc.marginal(val)))
-		}
-	}
-	return out
-}
-
-// addLevelOne materializes and registers one level-1 candidate.
-func (rn *runner) addLevelOne(acc *extAcc, val rule.Value, count, marginal float64) *cand {
-	m := rn.baseMask
-	m.Set(acc.col)
-	r := rn.base.With(acc.col, val)
-	c := &cand{
-		r:        r,
-		key:      r.Key(),
-		mask:     m,
-		weight:   acc.weight,
-		count:    count,
-		marginal: marginal,
-	}
-	rn.store.byKey[c.key] = c
-	rn.markCounted(c)
-	return c
-}
-
 // candIndex buckets candidate rules by the value they require in one
 // chosen anchor column (their first instantiated non-base column). During a
 // table pass, only the candidates whose anchor value matches the row are
@@ -931,11 +853,12 @@ func (rn *runner) addLevelOne(acc *extAcc, val rule.Value, count, marginal float
 type candIndex struct {
 	cols  []int     // anchor columns in use
 	byVal [][][]int // byVal[ci][valueID] = positions of candidates anchored at (cols[ci], valueID)
+	every []int     // positions of candidates with no anchor: the base, which covers every row
 }
 
 // buildCandIndex indexes cands by anchor column/value. Anchor choice: the
-// first instantiated column that the base leaves free (every non-base
-// candidate has one).
+// first instantiated column that the base leaves free (every candidate but
+// the base has one).
 func (rn *runner) buildCandIndex(cands []*cand) candIndex {
 	var idx candIndex
 	slot := make(map[int]int) // column → position in idx.cols
@@ -948,7 +871,8 @@ func (rn *runner) buildCandIndex(cands []*cand) candIndex {
 			}
 		}
 		if anchor < 0 {
-			continue // candidate equals base; cannot happen at level ≥ 1
+			idx.every = append(idx.every, pos)
+			continue
 		}
 		ci, ok := slot[anchor]
 		if !ok {
@@ -965,7 +889,8 @@ func (rn *runner) buildCandIndex(cands []*cand) candIndex {
 
 // scan is the anchored row pass (rowPass): one visit of each view row, in
 // nw worker chunks (rowWorkers, or 1), testing only the candidates whose
-// anchor value the row holds (see candIndex). visit(g, i, pos, row) gets,
+// anchor value the row holds (see candIndex) and visiting an anchorless
+// one, the base, on every row. visit(g, i, pos, row) gets,
 // from worker g, each candidate cands[i] that covers view position pos,
 // parent row row — ascending within a chunk.
 func (rn *runner) scan(cands []*cand, nw int, visit func(g, i, pos, row int)) {
@@ -973,6 +898,9 @@ func (rn *runner) scan(cands []*cand, nw int, visit func(g, i, pos, row int)) {
 	rn.rowPass(nw, func(lo, hi, g int) {
 		for pos := lo; pos < hi; pos++ {
 			row := rn.v.ParentRow(pos)
+			for _, i := range idx.every {
+				visit(g, i, pos, row)
+			}
 			for ci, col := range idx.cols {
 				for _, i := range idx.byVal[ci][rn.parent.Value(col, row)] {
 					if rn.coversFreeParent(cands[i].r, row) {
@@ -999,12 +927,13 @@ func (rn *runner) rowPass(nw int, fn func(lo, hi, g int)) {
 // not sorted: nothing reads its order but the merge of the next level, and
 // the one thing a sort decided, which of two equal marginals wins a step,
 // findBestMarginal decides by comparing the two keys (lazy greedy needs the
-// maximum, not a ranking). prev is itself a level-1 list or a filtered merge,
-// so the order is a function of the view alone — no map is iterated.
-// Extension sets are step-invariant (they depend only on the view's rows),
-// so each parent's supported children are discovered once (expandParents)
-// and merged from the cache on later steps — a greedy step only pays a
-// generation pass for parents it is the first to reach.
+// maximum, not a ranking). prev is level 0 or a filtered merge, so the
+// order is a function of the view alone — no map is iterated. Level 1 is
+// never capped by maxCandidates. Extension sets are step-invariant (they
+// depend only on the view's rows), so each parent's supported children are
+// discovered once (expandParents) and merged from the cache on later steps
+// — a greedy step only pays a generation pass for parents it is the first
+// to reach.
 //
 // The bound is tested before the walk: a parent whose own subRuleBound is
 // below the step's threshold H is not expanded. Every extension its walk
@@ -1040,7 +969,7 @@ func (rn *runner) generateCandidates(prev []*cand, H float64) []*cand {
 			}
 			ch.lastGen = rn.gen
 			next = append(next, ch)
-			if len(next) >= maxCandidates {
+			if len(next) >= maxCandidates && p != rn.root {
 				rn.stats.CandidateCapHit = true
 				return next
 			}
@@ -1061,6 +990,10 @@ func (rn *runner) generateCandidates(prev []*cand, H float64) []*cand {
 // per (parent, star column); phase 2 materializes each distinct extension
 // once, and only touches the rule/key machinery for candidates the store
 // has never seen.
+//
+// The base, level 0, is expanded alone, in step 1. Its coverage is the
+// whole view, so a scan visits it on every row, and on a full-table Count
+// view the index's masses are its extensions' counts, no row read.
 func (rn *runner) expandParents(parents []*cand) {
 	v := rn.v
 
@@ -1085,13 +1018,35 @@ func (rn *runner) expandParents(parents []*cand) {
 			if rn.topW != nil {
 				acc.mv = make([]float64, dc)
 			}
-			if !rn.countAgg {
-				// Masses may be zero or negative: presence needs its own mark.
+			if !rn.countAgg && c != rn.root {
+				// Masses may be zero or negative: presence needs its own
+				// mark. Level 1 holds the extensions of non-zero mass alone,
+				// so the base's accumulators keep none.
 				acc.hit = make([]bool, dc)
 			}
 			accBytes += acc.bytes()
 			accs[p] = append(accs[p], acc)
 		}
+	}
+	switch {
+	case parents[0] != rn.root:
+	case len(accs[0]) == 0:
+		rn.root.expanded = true // no column within mw: nothing to read
+		return
+	case rn.countAgg && rn.fullTable:
+		// Count(base+(c,v)) over the whole table is the mass of (c,v)'s rows
+		// (table.Index.Mass — the posting list's length on an unweighted
+		// table, its multiplicities summed on a weighted one, an integer
+		// either way, so the float is the one a scan would sum).
+		for a := range accs[0] {
+			acc := &accs[0][a]
+			for val := range acc.cnt {
+				acc.cnt[val] = float64(rn.ix.Mass(acc.col, rule.Value(val)))
+			}
+		}
+		rn.stats.IndexLevels++
+		rn.materializeChildren(parents, accs)
+		return
 	}
 	if plans := rn.planIndex(parents); plans != nil {
 		// Index route: walk each parent's own coverage. Workers take whole
@@ -1162,7 +1117,8 @@ func (rn *runner) expandParents(parents []*cand) {
 // (possibly already-registered) candidate, cache it on the parent, and hand
 // a not yet counted one the mass and marginal the walk measured — if it
 // survives this step's bound test it is counted without a read of its own.
-// It stops where the context fires, leaving that parent unexpanded.
+// It stops where the context fires, leaving that parent unexpanded, and
+// where a level past the first reaches maxCandidates.
 func (rn *runner) materializeChildren(parents []*cand, accs [][]extAcc) {
 	step := rn.step()
 	created, resolved := 0, 0
@@ -1182,7 +1138,7 @@ func (rn *runner) materializeChildren(parents []*cand, accs [][]extAcc) {
 				if !child.counted {
 					child.count, child.marginal, child.asOf = acc.cnt[val], acc.marginal(val), step
 				}
-				if created >= maxCandidates {
+				if created >= maxCandidates && c != rn.root {
 					// Abort without marking this parent expanded: a later
 					// step (with a smaller active candidate set) must be
 					// able to finish the enumeration. Re-expansion appends
@@ -1209,6 +1165,9 @@ func (rn *runner) childOf(parent *cand, acc *extAcc, val rule.Value, created *in
 	m := parent.mask
 	m.Set(acc.col)
 	c := &cand{r: parent.r.With(acc.col, val), key: string(rn.store.scratch), mask: m, weight: acc.weight, from: parent}
+	if parent == rn.root {
+		c.from = nil // level 1: its own index containers are its cover
+	}
 	rn.store.byKey[c.key] = c
 	*created++
 	return c

@@ -2,6 +2,7 @@ package brs
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -204,7 +205,7 @@ func TestLevelOnePostingsPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	level1 := rn.countLevelOne()
+	level1 := rn.generateCandidates([]*cand{rn.root}, math.Inf(-1))
 	if rn.stats.RowsScanned != 0 || rn.stats.Passes != 0 || len(level1) == 0 {
 		t.Fatalf("level 1 over %d tuples: %d candidates after %+v, want them for no row read", d.NumRows(), len(level1), rn.stats)
 	}

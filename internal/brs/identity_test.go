@@ -30,7 +30,7 @@ func TestCandidateIdentityAtEveryWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	level1 := make(map[int]*cand)
-	for _, c := range rn.countLevelOne() {
+	for _, c := range rn.generateCandidates([]*cand{rn.root}, math.Inf(-1)) {
 		level1[c.r.InstantiatedColumns()[0]] = c
 	}
 	if len(level1) != cols {

@@ -343,6 +343,9 @@ func TestEquivalenceTiesAcrossParents(t *testing.T) {
 // the fast store, and a walk must materialize a zero-sum extension with its
 // parent's other children. Which step walks which parent is the gate's
 // business: the extensions here sit under parents step 1 leaves unexpanded.
+// Level 1 alone keeps the extensions of non-zero mass: the fast path's is
+// the oracle's, list for list, whether an extension sums to zero or — with
+// the measures left unclamped — below it.
 func TestFusedChildExistsBySight(t *testing.T) {
 	tab := groupTable([]string{"A", "B", "C"},
 		group{cells: []string{"a1", "b1", "c#"}, n: 2, mass: []float64{5, -5}}, // (a1,b1,c#1) sums to 0
@@ -352,7 +355,7 @@ func TestFusedChildExistsBySight(t *testing.T) {
 		group{cells: []string{"a3", "b3", "c3"}, n: 6, mass: []float64{1}},
 	)
 	// Each zero-sum extension under each parent that is a candidate itself
-	// ((?,?,c1), zero too, is no level-1 candidate on either path).
+	// ((?,?,c1) and (?,?,c#1), zero too, are no level-1 candidates).
 	bySight := []struct{ ext, parent map[string]string }{
 		{map[string]string{"A": "a2", "B": "b2"}, map[string]string{"A": "a2"}},
 		{map[string]string{"A": "a2", "B": "b2"}, map[string]string{"B": "b2"}},
@@ -362,6 +365,33 @@ func TestFusedChildExistsBySight(t *testing.T) {
 	w := weight.NewSize(3)
 	for _, scan := range []bool{true, false} {
 		v := viewOf(tab, scan)
+		for _, agg := range []score.Aggregator{score.SumAgg{Measure: 0}, signedSum{}} {
+			opts := Options{MaxWeight: 3, Agg: agg, Workers: 1}
+			fast, err := newRunner(v, w, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fast.findBestMarginal()
+			_, steps := brsref.Stream(v, w, oracleOptions(opts), 1)
+			var got, want []rule.Rule
+			for _, c := range fast.root.children {
+				got = append(got, c.r)
+			}
+			for _, r := range steps[0].Counted {
+				if r.Size() == 1 {
+					want = append(want, r)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("scan=%v %s: level 1 is %v, the oracle's %v", scan, agg.Name(), got, want)
+			}
+			// (?,?,c#1) sums to zero under Sum and to −5 unclamped.
+			neg := fast.lookup(mustRule(t, tab, map[string]string{"C": "c#1"}))
+			if _, signed := agg.(signedSum); signed != (neg != nil && hasChild(fast.root, neg)) {
+				t.Errorf("scan=%v %s: (?,?,c#1) a level-1 candidate = %v, want %v", scan, agg.Name(), !signed, signed)
+			}
+		}
+
 		opts := Options{MaxWeight: 3, Agg: score.SumAgg{Measure: 0}, Workers: 1}
 		fast, err := newRunner(v, w, opts)
 		if err != nil {
@@ -398,6 +428,13 @@ func TestFusedChildExistsBySight(t *testing.T) {
 		}
 	}
 }
+
+// signedSum is Sum without SumAgg's clamp: a row's mass is its measure,
+// negative ones included.
+type signedSum struct{}
+
+func (signedSum) Mass(t *table.Table, i int) float64 { return t.Measure(0)[i] }
+func (signedSum) Name() string                       { return "SignedSum" }
 
 func hasChild(p, child *cand) bool {
 	for _, ch := range p.children {

@@ -23,8 +23,7 @@ import (
 //     bitset its rows are its set bits, read for its words instead of an
 //     entry each — its span's, or its summary's and its non-zero words
 //     where those are fewer — and it is costed at ⌈N/64⌉ words, the most
-//     either reads. A level-1 count on the full table under Count is just a
-//     container's stored size, read without touching a single row.
+//     either reads.
 //
 //   - Bitmap: word-at-a-time AND over bitsets (table.AndCount, AndEach).
 //     Cost per candidate is at most (number of containers) × (words per
@@ -38,6 +37,12 @@ import (
 //     aggregate, where view positions are parent rows and masses stay
 //     integral, to candidates whose every container is a bitset.
 //
+// The base, level 0, instantiates no free column: its coverage is the
+// whole view, and it has no container to walk. On the full table under
+// Count its expansion reads the masses the index stores beside its
+// extensions' containers (table.Index.Mass), not a single row; on any other
+// view the pass that expands it scans.
+//
 // A cost model decides per counting step which access path runs, and per
 // candidate which kernel. Scan cost is one visit per view row plus the
 // anchor-match work the scan kernel pays per candidate (rows sharing the
@@ -47,7 +52,7 @@ import (
 // same whether or not anyone warmed the index first.
 //
 // Every kernel visits rows ascending — the order a scan visits them — so
-// accumulated masses are bit-identical across all three access paths, and
+// accumulated masses are bit-identical across all the access paths, and
 // routing is a pure performance decision. Both index kernels are reached
 // through one function, walk, which also books what they read; the scan is
 // runner.scan. Routing is the runner's alone: the tests' oracle, package
@@ -308,30 +313,4 @@ func (rn *runner) indexPass(n int, fn func(g, i int, st *Stats)) {
 		rn.stats.Add(st)
 	}
 	rn.stats.IndexLevels++
-}
-
-// levelOneFromPostings answers level 1 on a full-table view under Count
-// from the index: Count(base+(c,v)) over the whole table is the mass of
-// (c,v)'s rows (table.Index.Mass — the posting list's length on an
-// unweighted table, its multiplicities summed on a weighted one, an integer
-// either way, so the float is the one a scan would sum), and with nothing
-// selected the marginal is weight·count. Zero rows are read. Candidate
-// order (column, then value ascending) matches the scan path's, so
-// downstream tie-breaks are unchanged.
-func (rn *runner) levelOneFromPostings(accs []extAcc) []*cand {
-	var out []*cand
-	for a := range accs {
-		acc := &accs[a]
-		dc := rn.v.DistinctCount(acc.col)
-		for val := 0; val < dc; val++ {
-			cnt := rn.ix.Mass(acc.col, rule.Value(val))
-			if cnt == 0 {
-				continue
-			}
-			count := float64(cnt)
-			out = append(out, rn.addLevelOne(acc, rule.Value(val), count, acc.weight*count))
-		}
-	}
-	rn.stats.IndexLevels++
-	return out
 }

@@ -10,28 +10,7 @@ import (
 // row of column names plus the aggregate and Weight columns, then the
 // displayed tree in depth-first order with ". " markers per depth level
 // (matching Tables 2–3 of the paper).
-func (s *Session) Render() string {
-	headers := append(append([]string{}, s.tab.ColumnNames()...), s.cfg.Agg.Name(), "Weight")
-	var rows [][]string
-	var walk func(n *Node, depth int)
-	walk = func(n *Node, depth int) {
-		cells := s.tab.DecodeRule(n.Rule)
-		if depth > 0 {
-			cells[0] = strings.Repeat(". ", depth) + cells[0]
-		}
-		count := formatCount(n.Count)
-		if !n.Exact {
-			count = "~" + count
-		}
-		cells = append(cells, count, strconv.FormatFloat(n.Weight, 'g', 4, 64))
-		rows = append(rows, cells)
-		for _, c := range n.Children {
-			walk(c, depth+1)
-		}
-	}
-	walk(s.root, 0)
-	return formatAligned(headers, rows)
-}
+func (s *Session) Render() string { return s.RenderNode(s.root) }
 
 // RenderNode renders just the subtree under n (with n as the first row).
 func (s *Session) RenderNode(n *Node) string {

@@ -318,15 +318,25 @@ func (s *Service) Run(ctx context.Context, req Request) (Response, error) {
 				return Response{}, f.err
 			}
 			if f.entry == nil {
-				// The leader finished but its result was uncacheable (a
-				// stream stopped early by its consumer); run it ourselves.
+				// The leader's result was uncacheable (a stream stopped
+				// early by its consumer) or it panicked; run it ourselves.
 				continue
 			}
 			s.waits.Add(1)
 			return replay(f.entry, req, brs.Stats{SingleflightWaits: 1}), nil
 		}
+		return s.lead(ctx, req, k, f)
+	}
+}
 
-		resp, e, err := s.execute(ctx, req, true)
+// lead executes req as the leader of flight f, publishes a cacheable
+// result, and retires f for its waiters. The retirement is deferred: a
+// search that panics still retires its flight — with no entry and no error,
+// so its waiters re-elect a leader instead of waiting on it until their
+// deadlines — and the panic goes on to the leader's caller.
+func (s *Service) lead(ctx context.Context, req Request, k key, f *flight) (resp Response, err error) {
+	var e *entry
+	defer func() {
 		s.state.Do(func(st *cacheState) {
 			delete(st.flights, k)
 			if err == nil && e != nil {
@@ -335,12 +345,13 @@ func (s *Service) Run(ctx context.Context, req Request) (Response, error) {
 		})
 		f.entry, f.err = e, err
 		close(f.done)
-		if err == nil {
-			s.misses.Add(1)
-			resp.Stats.CacheMisses = 1
-		}
-		return resp, err
+	}()
+	resp, e, err = s.execute(ctx, req, true)
+	if err == nil {
+		s.misses.Add(1)
+		resp.Stats.CacheMisses = 1
 	}
+	return resp, err
 }
 
 // execute runs the search for real. cacheable asks it to also build the

@@ -406,6 +406,36 @@ func TestGenuineFailureSharedWithWaiters(t *testing.T) {
 	}
 }
 
+// TestPanickingLeaderRetiresFlight: a search that panics still retires its
+// flight, so the next identical request leads a run of its own and
+// publishes it, instead of waiting on the dead flight until its deadline.
+func TestPanickingLeaderRetiresFlight(t *testing.T) {
+	tab := testTable()
+	svc := NewService(Config{})
+	panicking := batchReq(tab, new(atomic.Int32))
+	panicking.Resolve = func() (*table.View, float64, bool, error) { panic("boom") }
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the panicking search returned")
+			}
+		}()
+		_, _ = svc.Run(context.Background(), panicking)
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	var resolves atomic.Int32
+	resp, err := svc.Run(ctx, batchReq(tab, &resolves))
+	if err != nil || resp.Cached || resolves.Load() != 1 || len(resp.Results) == 0 {
+		t.Fatalf("after a panicking leader: err=%v cached=%v resolves=%d results=%d",
+			err, resp.Cached, resolves.Load(), len(resp.Results))
+	}
+	if resp, err := svc.Run(context.Background(), batchReq(tab, &resolves)); err != nil || !resp.Cached {
+		t.Fatalf("the run after the panic was not published (err=%v cached=%v)", err, resp.Cached)
+	}
+}
+
 func streamReq(tab *table.Table, resolves *atomic.Int32) Request {
 	req := batchReq(tab, resolves)
 	req.Kind = KindStream

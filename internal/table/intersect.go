@@ -15,9 +15,10 @@ import (
 
 // Ascending reports whether the view's rows form a strictly increasing
 // sequence of parent rows — i.e. the view is a sorted row *set*. The
-// full-table view is ascending; index-backed rule filters are ascending by
-// construction; sampled views (shuffled, possibly with replacement) are
-// not and must be counted by scans.
+// full-table view is ascending; index-backed rule filters and samples are
+// ascending by construction. The mw probe's subset drawn with replacement
+// (where its draws are not tallied) and the tests' permuted views are not,
+// and must be counted by scans.
 func (v *View) Ascending() bool {
 	for i := 1; i < len(v.rows); i++ {
 		if v.rows[i] <= v.rows[i-1] {
@@ -126,7 +127,7 @@ type walk struct {
 // false once a list or the view is exhausted: no later row can be common.
 func (w *walk) visit(r int32) bool {
 	for j, list := range w.others {
-		o := gallop32(list, w.offs[j], r)
+		o := gallop(list, w.offs[j], r)
 		w.entries += int64(o - w.offs[j])
 		w.offs[j] = o
 		if o == len(list) {
@@ -144,7 +145,7 @@ func (w *walk) visit(r int32) bool {
 		}
 	}
 	if rows := w.v.rows; rows != nil {
-		w.vo = gallopInt(rows, w.vo, pos)
+		w.vo = gallop(rows, w.vo, pos)
 		if w.vo == len(rows) {
 			return false
 		}
@@ -157,11 +158,12 @@ func (w *walk) visit(r int32) bool {
 	return true
 }
 
-// gallop32 returns the smallest index i in [from, len(a)] with a[i] >=
+// gallop returns the smallest index i in [from, len(a)] with a[i] >=
 // target, probing exponentially from `from` before binary-searching the
 // bracketed range — O(log distance) instead of O(distance) when the
-// target is near, which it is on intersection walks.
-func gallop32(a []int32, from int, target int32) int {
+// target is near, which it is on intersection walks. It reads posting
+// lists ([]int32) and the view's row list ([]int).
+func gallop[T int32 | int](a []T, from int, target T) int {
 	if from >= len(a) || a[from] >= target {
 		return from
 	}
@@ -176,32 +178,6 @@ func gallop32(a []int32, from int, target int32) int {
 		hi = len(a)
 	}
 	// Invariant: a[lo] < target, a[hi] >= target (or hi == len(a)).
-	for lo+1 < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a[mid] < target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
-}
-
-// gallopInt is gallop32 over an []int (the view's row list).
-func gallopInt(a []int, from, target int) int {
-	if from >= len(a) || a[from] >= target {
-		return from
-	}
-	step := 1
-	lo := from
-	for lo+step < len(a) && a[lo+step] < target {
-		lo += step
-		step <<= 1
-	}
-	hi := lo + step
-	if hi > len(a) {
-		hi = len(a)
-	}
 	for lo+1 < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if a[mid] < target {

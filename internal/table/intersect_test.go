@@ -133,13 +133,13 @@ func TestGallop(t *testing.T) {
 	a := []int32{2, 4, 4, 8, 16, 32, 33}
 	for target := int32(0); target < 40; target++ {
 		for from := 0; from <= len(a); from++ {
-			got := gallop32(a, from, target)
+			got := gallop(a, from, target)
 			want := from
 			for want < len(a) && a[want] < target {
 				want++
 			}
 			if got != want {
-				t.Fatalf("gallop32(from=%d, target=%d) = %d, want %d", from, target, got, want)
+				t.Fatalf("gallop(from=%d, target=%d) = %d, want %d", from, target, got, want)
 			}
 		}
 	}

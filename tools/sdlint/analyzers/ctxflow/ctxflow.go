@@ -54,7 +54,6 @@ var Analyzer = &analysis.Analyzer{
 var passFuncs = map[string]bool{
 	"findBestMarginal": true,
 	"countCandidates":  true,
-	"countLevelOne":    true,
 	"expandParents":    true,
 	"raiseTopW":        true,
 }

@@ -11,7 +11,6 @@ func (rn *runner) countCandidates() int { return 0 }
 func (rn *runner) raiseTopW()           {}
 func (rn *runner) housekeeping()        {}
 func (rn *runner) findBestMarginal()    {}
-func (rn *runner) countLevelOne()       {}
 
 func (rn *runner) searchPolledMethod() {
 	for i := 0; i < 10; i++ {
