@@ -23,6 +23,13 @@
 //	curl -s localhost:8080/v1/datasets
 //	curl -s -X POST localhost:8080/v1/sessions -d '{"dataset":"store"}'
 //
+// Start-up parses each -dataset file and builds nothing else, so the
+// server is ready at parse speed. A dataset's distinct-tuple table and its
+// inverted index over the rows are each built by the first drill that
+// needs them, and logged then in one line each; a dataset served only by
+// Count sessions, which search its distinct tuples, never builds the index
+// over its rows (docs/OPERATIONS.md, "Cold start and restart").
+//
 // With -snapshot-dir, sessions are durable: every mutation writes through
 // to one JSON snapshot file per session, LRU eviction demotes sessions to
 // disk instead of destroying them, and a restarted smartdrilld on the same
@@ -176,15 +183,10 @@ func main() {
 			log.Fatalf("dataset %s: %v", spec.name, err)
 		}
 		parsed := time.Since(start)
-		// RegisterDataset warms the index; warming it here first only
-		// moves that work to where it can be timed.
-		t.Index().Warm()
-		indexed := time.Since(start) - parsed
 		srv.RegisterDataset(spec.name, t)
-		cells, index := t.ResidentBytes()
-		logger.Printf("registered dataset %q: %d rows × %d columns from %s (parsed %.2fs, indexed %.2fs, cells %.1f MiB, index %.1f MiB)",
-			spec.name, t.NumRows(), t.NumCols(), spec.path, parsed.Seconds(), indexed.Seconds(),
-			float64(cells)/(1<<20), float64(index)/(1<<20))
+		cells, _ := t.ResidentBytes()
+		logger.Printf("registered dataset %q: %d rows × %d columns from %s (parsed %.2fs, cells %.1f MiB)",
+			spec.name, t.NumRows(), t.NumCols(), spec.path, parsed.Seconds(), float64(cells)/(1<<20))
 	}
 
 	if backend != nil {

@@ -47,9 +47,10 @@ import (
 // candidate which kernel. Scan cost is one visit per view row plus the
 // anchor-match work the scan kernel pays per candidate (rows sharing the
 // candidate's anchor value, scaled to the view); kernel costs are the
-// entry/word volumes above. The index is built whole by its first read
-// (table.Index.Warm), so the decision is purely about read volume, and the
-// same whether or not anyone warmed the index first.
+// entry/word volumes above. Each stage of the index — sizes and masses,
+// then containers — is built whole by its first read (table.Index), so the
+// decision is purely about read volume, and the same whether or not anyone
+// warmed the index first.
 //
 // Every kernel visits rows ascending — the order a scan visits them — so
 // accumulated masses are bit-identical across all the access paths, and

@@ -132,8 +132,12 @@ func TestEquivalenceDistinctBuildBookedOnce(t *testing.T) {
 		{"incompressible", pooledTable(rng, 6, 6, 2600, 2604), 2604/4 + 1},
 	} {
 		tab := tc.tab
-		var resolved []table.DistinctReport
-		tab.OnDistinct(func(r table.DistinctReport) { resolved = append(resolved, r) })
+		var resolved []table.BuildReport
+		tab.OnBuild(func(r table.BuildReport) {
+			if !r.Index {
+				resolved = append(resolved, r)
+			}
+		})
 		racers := make([]*Session, 2)
 		var wg sync.WaitGroup
 		for i := range racers {

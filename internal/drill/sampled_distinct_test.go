@@ -396,8 +396,12 @@ func TestSampledSessionNeverPassesOverTheTable(t *testing.T) {
 // `make race` runs this under the detector.
 func TestEquivalenceSampledDistinctBuildBookedOnce(t *testing.T) {
 	tab := pooledTable(rand.New(rand.NewSource(21)), 4, 4, 150, 6000)
-	var resolved []table.DistinctReport
-	tab.OnDistinct(func(r table.DistinctReport) { resolved = append(resolved, r) })
+	var resolved []table.BuildReport
+	tab.OnBuild(func(r table.BuildReport) {
+		if !r.Index {
+			resolved = append(resolved, r)
+		}
+	})
 	cfg := Config{K: 3, Workers: 1, SampleMemory: 3000, MinSampleSize: 1000}
 	sessions := make([]*Session, 3)
 	for i := range sessions {

@@ -175,8 +175,8 @@ func (p tuplePopulation) covers(r rule.Rule, u int) bool { return p.d.Covers(r, 
 // view run-lengths the ascending units against ranks into (tuple, units drawn
 // from it) pairs and copies those tuples out of the distinct table into a
 // weighted table of their own (table.Table.SelectWeighted), in the distinct
-// table's order, index warmed: what a row sample becomes once grouped, without
-// the grouping. read is the tuples copied.
+// table's order, with an index of its own: what a row sample becomes once
+// grouped, without the grouping. read is the tuples copied.
 func (p tuplePopulation) view(units []int) (tab *table.View, read int) {
 	tuples := make([]int, 0, len(units))
 	mult := make([]int32, 0, len(units))

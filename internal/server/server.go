@@ -235,31 +235,35 @@ func New(cfg Config) *Server {
 // replacing any previous registration. The table must not be mutated after
 // registration: sessions read it concurrently without locks.
 //
-// Registration eagerly builds the table's inverted index, so every session
-// on the dataset shares one set of posting lists — rule filters are
-// answered by posting-list intersection instead of per-request scans, and
-// no analyst's first drill-down pays the build.
-// Registration also creates the dataset's search service — the answer
-// cache and singleflight domain shared by every session's engine — and,
-// when Config.WarmChildren is set, spawns a background warmer that
-// precomputes the root expansion plus the top-N level-1 children with
-// the server's default session parameters, so the first analyst's
-// default drills are cache hits.
+// Registration creates the dataset's search service — the answer cache
+// and singleflight domain shared by every session's engine — and, when
+// Config.WarmChildren is set, spawns a background warmer that precomputes
+// the root expansion plus the top-N level-1 children with the server's
+// default session parameters, so the first analyst's default drills are
+// cache hits.
 //
-// What registration does not build is the table's distinct-tuple table,
+// What registration does not build is either of the table's lazy
+// structures, so start-up stays at parse speed. The distinct-tuple table,
 // which exact Count drills search in place of the rows and sampled ones
-// draw their samples from: the first such drill builds it (start-up stays
-// at parse speed), and one log line says how it resolved.
+// draw their samples from, is built by the first such drill. The inverted
+// index over the rows is built by the first search that reads rows — a Sum
+// session, a non-integral weighter, or any drill on a table that does not
+// compress — and never on a dataset served only by Count sessions over its
+// distinct tuples. Every session on the dataset shares whichever gets
+// built, and one log line says how each build resolved.
 func (s *Server) RegisterDataset(name string, t *smartdrill.Table) {
-	t.Index().Warm()
-	t.OnDistinct(func(r table.DistinctReport) {
-		if r.Distinct == 0 {
+	t.OnBuild(func(r table.BuildReport) {
+		switch {
+		case r.Index:
+			s.cfg.Logger.Printf("dataset %s: indexed %d rows (%.1f MiB) in %s",
+				name, r.Rows, float64(r.Bytes)/(1<<20), r.Elapsed.Round(time.Microsecond))
+		case r.Distinct == 0:
 			s.cfg.Logger.Printf("dataset %s: %d rows not compressible, gave up after %d rows in %s",
 				name, r.Rows, r.Read, r.Elapsed.Round(time.Microsecond))
-			return
+		default:
+			s.cfg.Logger.Printf("dataset %s: %d rows → %d distinct tuples (%.1f×) in %s",
+				name, r.Rows, r.Distinct, float64(r.Rows)/float64(r.Distinct), r.Elapsed.Round(time.Microsecond))
 		}
-		s.cfg.Logger.Printf("dataset %s: %d rows → %d distinct tuples (%.1f×) in %s",
-			name, r.Rows, r.Distinct, float64(r.Rows)/float64(r.Distinct), r.Elapsed.Round(time.Microsecond))
 	})
 	d := dataset{
 		table:    t,

@@ -31,6 +31,12 @@ func (l *lineLog) Write(p []byte) (int, error) {
 	return l.b.Write(p)
 }
 
+func (l *lineLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
 // accessLine matches the access line withLogging prints for a request.
 var accessLine = regexp.MustCompile(`(?m)^\S+ \S+ \d+ \d+B (\S+) rid=(\S+)(?: timing=\((.*)\))?$`)
 

@@ -33,11 +33,15 @@ import (
 // is a pass over them that only many later searches repay.
 const distinctGiveUp = 4
 
-// DistinctReport describes how a table's distinct-tuple table resolved.
-type DistinctReport struct {
-	Rows     int // rows of the table
-	Read     int // rows the build read: Rows, or fewer when it gave up
-	Distinct int // rows of the distinct table; 0 when the table does not compress
+// BuildReport describes how one of a table's two lazy builds resolved: its
+// distinct-tuple table (see Distinct), or its index's containers (see
+// Index). Each is built once, by the first read that needs it.
+type BuildReport struct {
+	Index    bool  // the index's containers were built; otherwise the distinct table resolved
+	Rows     int   // rows of the table
+	Read     int   // rows the distinct build read: Rows, or fewer when it gave up
+	Distinct int   // rows of the distinct table; 0 when the table does not compress
+	Bytes    int64 // what the built index holds (see ResidentBytes)
 	Elapsed  time.Duration
 }
 
@@ -60,23 +64,24 @@ func (t *Table) Distinct() (d *Table, read int) {
 	t.distinctOnce.Do(func() {
 		start := time.Now()
 		t.distinct, read = t.GroupRows(nil, t.n/distinctGiveUp)
-		rep := DistinctReport{Rows: t.n, Read: read}
+		rep := BuildReport{Rows: t.n, Read: read}
 		if t.distinct != nil {
 			rep.Distinct = t.distinct.n
 		}
 		rep.Elapsed = time.Since(start)
-		if fn := t.onDistinct.Load(); fn != nil {
+		if fn := t.onBuild.Load(); fn != nil {
 			(*fn)(rep)
 		}
 	})
 	return t.distinct, read
 }
 
-// OnDistinct registers fn to be told, once, how the distinct table resolved
-// — by the goroutine whose Distinct call resolves it, before that call
-// returns. A serving layer registers its log line here before it publishes
-// the table; a later registration replaces an earlier one.
-func (t *Table) OnDistinct(fn func(DistinctReport)) { t.onDistinct.Store(&fn) }
+// OnBuild registers fn to be told, once each, how the distinct table
+// resolved and that the index's containers were built — by the goroutine
+// whose read resolves the build, before that read returns. A serving layer
+// registers its log lines here before it publishes the table; a later
+// registration replaces an earlier one.
+func (t *Table) OnBuild(fn func(BuildReport)) { t.onBuild.Store(&fn) }
 
 // Multiplicity returns the number of tuples row i stands for: 1 on an
 // ordinary table, the count of equal rows in the table it was built from on

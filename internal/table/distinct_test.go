@@ -98,8 +98,8 @@ func TestEquivalenceDistinctTable(t *testing.T) {
 		"random":     random.Build(),
 	} {
 		t.Run(name, func(t *testing.T) {
-			var reports []table.DistinctReport
-			tab.OnDistinct(func(r table.DistinctReport) { reports = append(reports, r) })
+			var reports []table.BuildReport
+			tab.OnBuild(func(r table.BuildReport) { reports = append(reports, r) })
 			d, read := tab.Distinct()
 			if d == nil || read != tab.NumRows() {
 				t.Fatalf("first call: table %v, %d rows read; want a table and one pass of %d", d != nil, read, tab.NumRows())
@@ -265,8 +265,8 @@ func TestEquivalenceDistinctGivesUp(t *testing.T) {
 		b.MustAddRow([]string{strconv.Itoa(i), strconv.Itoa(i % 2)})
 	}
 	tab := b.Build()
-	var reports []table.DistinctReport
-	tab.OnDistinct(func(r table.DistinctReport) { reports = append(reports, r) })
+	var reports []table.BuildReport
+	tab.OnBuild(func(r table.BuildReport) { reports = append(reports, r) })
 	d, read := tab.Distinct()
 	if d != nil || read != n/4+1 {
 		t.Fatalf("first call: table %v after %d rows; want none after %d", d != nil, read, n/4+1)
@@ -276,7 +276,7 @@ func TestEquivalenceDistinctGivesUp(t *testing.T) {
 			t.Fatalf("call %d: table %v, %d rows read; the finding is not to be retried", i+2, d != nil, read)
 		}
 	}
-	if want := (table.DistinctReport{Rows: n, Read: n/4 + 1, Elapsed: reports[0].Elapsed}); len(reports) != 1 || reports[0] != want {
+	if want := (table.BuildReport{Rows: n, Read: n/4 + 1, Elapsed: reports[0].Elapsed}); len(reports) != 1 || reports[0] != want {
 		t.Fatalf("reports %+v, want one %+v", reports, want)
 	}
 	// Too few rows for any tuple to repeat enough: nothing is read at all.

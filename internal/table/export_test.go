@@ -17,7 +17,6 @@ var (
 // column's dictionary the posting list and the bitset the index keeps —
 // as it keeps them, not as Postings and Bitmap hand them out.
 func Layout(t *Table, c int) (cellBytes int, lists [][]int32, bits []*Bitset) {
-	t.Index().Warm()
-	cp := &t.Index().cols[c]
-	return t.cols[c].width.bytes(), cp.lists, cp.bits
+	cc := &t.Index().columns()[c]
+	return t.cols[c].width.bytes(), cc.lists, cc.bits
 }

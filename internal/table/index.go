@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"smartdrill/internal/rule"
 )
@@ -16,80 +17,150 @@ import (
 // bytes, and a bitset's summary, where it keeps one, a 64th of its words
 // more (see Bitset) — at most four bytes per row whatever the data, and a
 // sixteenth for the summaries, and an eighth of a byte per row and value on
-// the few-valued columns the paper's tables are made of. The index is built
-// whole, every column in parallel, by its first read (or by Warm), so a
-// search's work never depends on which columns an earlier one happened to
-// touch. One Index exists per Table (see Table.Index), so every session on
-// a shared dataset reuses the same containers instead of re-scanning per
-// request.
+// the few-valued columns the paper's tables are made of.
 //
-// The build runs under one sync.Once, making the Index safe for concurrent
-// use by any number of readers.
+// The index is built in two stages, each whole — every column in parallel,
+// under a sync.Once of its own — by the first read that needs it. The first
+// is one counting pass: each value's size and, on a weighted table, its
+// mass, which is all PostingsLen and Mass read, so routing a request and
+// counting level 1 of a full table never build a container. The second
+// fills the containers from those sizes (Container, Lookup, Postings,
+// Bitmap, Warm). A search's work therefore never depends on which columns
+// an earlier one happened to touch, and no reader ever sees a half-built
+// stage. One Index exists per Table (see Table.Index), so every session on
+// a shared dataset reuses the same containers instead of re-scanning per
+// request; a dataset whose searches read only its distinct-tuple table
+// never builds its rows' containers at all.
 type Index struct {
-	t    *Table
-	once sync.Once
-	cols []colPostings // nil until the build
+	t *Table
+
+	countsOnce sync.Once
+	counts     []valueCounts // nil until the first stage
+
+	containersOnce sync.Once
+	containers     []columnContainers // nil until the second stage
+	built          atomic.Bool        // set once containers is published
 }
 
-// colPostings is one column's containers. Value v's rows are bits[v] where
-// that is non-nil and lists[v] otherwise, never both; sizes[v] is how many
-// there are either way, and masses[v], on a weighted table, the sum of their
-// multiplicities.
-type colPostings struct {
+// valueCounts is one column's first stage: sizes[v] rows hold value v, and
+// masses[v], on a weighted table, is the sum of their multiplicities.
+type valueCounts struct {
 	sizes  []int32
-	masses []int64   // nil on an unweighted table, where every mass is its size
-	lists  [][]int32 // ascending rows with Value(c, row) == v; nil where v is dense
-	bits   []*Bitset // nil where v is sparse
+	masses []int64 // nil on an unweighted table, where every mass is its size
 }
 
-// bytes is what a built column's containers, sizes and masses hold.
-func (cp *colPostings) bytes() int64 {
-	n := 4*int64(len(cp.sizes)) + 8*int64(len(cp.masses))
-	for v, size := range cp.sizes {
-		if b := cp.bits[v]; b != nil {
-			n += b.Bytes()
-		} else {
-			n += 4 * int64(size)
-		}
-	}
-	return n
+// columnContainers is one column's second stage. Value v's rows are
+// bits[v] where that is non-nil and lists[v] otherwise, never both.
+type columnContainers struct {
+	lists [][]int32 // ascending rows with Value(c, row) == v; nil where v is dense
+	bits  []*Bitset // nil where v is sparse
 }
 
 // Index returns the table's inverted index, allocating it on first call.
-// The index builds its containers on first read.
+// The index builds each stage on its first read.
 func (t *Table) Index() *Index {
 	t.idxOnce.Do(func() { t.idx = &Index{t: t} })
 	return t.idx
 }
 
-// buildCol materializes column c's containers.
-func (ix *Index) buildCol(c int) {
-	cp, col, vals, mult := &ix.cols[c], &ix.t.cols[c], ix.t.dicts[c].Len(), ix.t.mult
-	switch col.width {
-	case w8:
-		buildPostings(cp, col.u8, vals, mult)
-	case w16:
-		buildPostings(cp, col.u16, vals, mult)
-	default:
-		buildPostings(cp, col.i32, vals, mult)
+// eachColumn runs fn on every column of the table, up to GOMAXPROCS columns
+// at a time, the caller's goroutine included.
+func (ix *Index) eachColumn(fn func(c int)) {
+	cols := len(ix.t.cols)
+	var next atomic.Int32
+	work := func() {
+		for c := int(next.Add(1)) - 1; c < cols; c = int(next.Add(1)) - 1 {
+			fn(c)
+		}
 	}
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), cols); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
-// buildPostings fills cp from a column of vals distinct values with one
-// counting pass (sizes) and one fill pass straight into each value's
-// container, so every list is exact-capacity and ascending by construction
-// and no list is ever built for a dense value. The sparse lists are cut
-// from one array: a column of tens of thousands of values is one
-// allocation, not one per value. On a weighted table — mult non-nil, a
-// row's multiplicity — one more pass sums each value's masses.
-func buildPostings[T cell](cp *colPostings, col []T, vals int, mult []int32) {
-	rows := len(col)
-	sizes := make([]int32, vals)
-	for _, v := range col {
-		sizes[v]++
+// valueCounts returns the first stage, building it unless it is built.
+func (ix *Index) valueCounts() []valueCounts {
+	ix.countsOnce.Do(func() {
+		counts := make([]valueCounts, len(ix.t.cols))
+		ix.eachColumn(func(c int) {
+			col, vals, mult := &ix.t.cols[c], ix.t.dicts[c].Len(), ix.t.mult
+			switch col.width {
+			case w8:
+				counts[c] = countValues(col.u8, vals, mult)
+			case w16:
+				counts[c] = countValues(col.u16, vals, mult)
+			default:
+				counts[c] = countValues(col.i32, vals, mult)
+			}
+		})
+		ix.counts = counts
+	})
+	return ix.counts
+}
+
+// countValues is a column's first stage, from one pass over its cells: how
+// many rows hold each of its vals values and, where mult is non-nil — a
+// weighted table's multiplicity per row — how many tuples.
+func countValues[T cell](col []T, vals int, mult []int32) valueCounts {
+	vc := valueCounts{sizes: make([]int32, vals)}
+	if mult == nil {
+		for _, v := range col {
+			vc.sizes[v]++
+		}
+		return vc
 	}
-	lists := make([][]int32, vals)
-	words := make([][]uint64, vals)
+	vc.masses = make([]int64, vals)
+	for i, v := range col {
+		vc.sizes[v]++
+		vc.masses[v] += int64(mult[i])
+	}
+	return vc
+}
+
+// columns returns the second stage, building it — and the first, where that
+// is not built yet — unless it is built, and telling the table's OnBuild
+// hook what the build held and took.
+func (ix *Index) columns() []columnContainers {
+	ix.containersOnce.Do(func() {
+		start := time.Now()
+		counts := ix.valueCounts()
+		containers := make([]columnContainers, len(ix.t.cols))
+		ix.eachColumn(func(c int) {
+			col, sizes := &ix.t.cols[c], counts[c].sizes
+			switch col.width {
+			case w8:
+				containers[c] = fillContainers(col.u8, sizes)
+			case w16:
+				containers[c] = fillContainers(col.u16, sizes)
+			default:
+				containers[c] = fillContainers(col.i32, sizes)
+			}
+		})
+		ix.containers = containers
+		ix.built.Store(true)
+		if fn := ix.t.onBuild.Load(); fn != nil {
+			(*fn)(BuildReport{Index: true, Rows: ix.t.n, Bytes: ix.bytes(), Elapsed: time.Since(start)})
+		}
+	})
+	return ix.containers
+}
+
+// fillContainers is a column's second stage: one pass straight into each
+// value's container, sized by the first stage's counts, so every list is
+// exact-capacity and ascending by construction and no list is ever built
+// for a dense value. The sparse lists are cut from one array: a column of
+// tens of thousands of values is one allocation, not one per value.
+func fillContainers[T cell](col []T, sizes []int32) columnContainers {
+	rows := len(col)
+	lists := make([][]int32, len(sizes))
+	words := make([][]uint64, len(sizes))
 	sparse := 0
 	for v, n := range sizes {
 		if Dense(int(n), rows) {
@@ -111,28 +182,43 @@ func buildPostings[T cell](cp *colPostings, col []T, vals int, mult []int32) {
 			lists[v] = append(lists[v], int32(i))
 		}
 	}
-	bits := make([]*Bitset, vals)
+	bits := make([]*Bitset, len(sizes))
 	for v, w := range words {
 		if w != nil {
 			bits[v] = newBitset(w, int(sizes[v]))
 		}
 	}
-	cp.sizes, cp.lists, cp.bits = sizes, lists, bits
-	if mult != nil {
-		cp.masses = make([]int64, vals)
-		for i, v := range col {
-			cp.masses[v] += int64(mult[i])
+	return columnContainers{lists: lists, bits: bits}
+}
+
+// bytes is what the index holds once its containers are built: the
+// containers, and each value's stored size and mass; 0 before, whatever the
+// first stage holds (a few bytes a value). It never builds anything.
+func (ix *Index) bytes() int64 {
+	if !ix.built.Load() {
+		return 0
+	}
+	var n int64
+	for c, cc := range ix.containers {
+		vc := ix.counts[c]
+		n += 4*int64(len(vc.sizes)) + 8*int64(len(vc.masses))
+		for v, size := range vc.sizes {
+			if b := cc.bits[v]; b != nil {
+				n += b.Bytes()
+			} else {
+				n += 4 * int64(size)
+			}
 		}
 	}
+	return n
 }
 
 // PostingsLen returns the number of rows holding value v in column c —
-// Count(base+(c,v)) on the full table — building the index on first use. It
-// is read from the sizes stored beside the containers: level-1 BRS counting
-// under the Count aggregate reads only these, no container.
+// Count(base+(c,v)) on the full table — building the first stage on first
+// use, never a container: routing by coverage and level-1 BRS counting
+// under the Count aggregate read only these sizes.
 func (ix *Index) PostingsLen(c int, v rule.Value) int {
-	ix.Warm()
-	sizes := ix.cols[c].sizes
+	sizes := ix.valueCounts()[c].sizes
 	if v < 0 || int(v) >= len(sizes) {
 		return 0
 	}
@@ -142,11 +228,10 @@ func (ix *Index) PostingsLen(c int, v rule.Value) int {
 // Mass returns the rows holding value v in column c summed by their
 // multiplicities — Count(base+(c,v)) over the tuples a distinct-tuple table
 // stands for — and PostingsLen on an unweighted table. Like PostingsLen it
-// is read from beside the containers: a level-1 count on a full weighted
-// table reads no row.
+// is read from the first stage: a level-1 count on a full weighted table
+// reads no row and builds no container.
 func (ix *Index) Mass(c int, v rule.Value) int64 {
-	ix.Warm()
-	masses := ix.cols[c].masses
+	masses := ix.valueCounts()[c].masses
 	if masses == nil {
 		return int64(ix.PostingsLen(c, v))
 	}
@@ -156,22 +241,22 @@ func (ix *Index) Mass(c int, v rule.Value) int64 {
 	return masses[v]
 }
 
-// Container returns value v of column c's one container, building the index
-// on first use: the ascending row list of a sparse value, the Bitset of a
-// dense one, neither for a value outside the column's dictionary (never
-// produced by Encode/Lookup). Neither may be modified. This is how the
-// kernels reach the index (View.EachInAll takes the pair as it comes).
+// Container returns value v of column c's one container, building the
+// containers on first use: the ascending row list of a sparse value, the
+// Bitset of a dense one, neither for a value outside the column's
+// dictionary (never produced by Encode/Lookup). Neither may be modified.
+// This is how the kernels reach the index (View.EachInAll takes the pair as
+// it comes).
 func (ix *Index) Container(c int, v rule.Value) (list []int32, bits *Bitset) {
-	ix.Warm()
-	cp := &ix.cols[c]
-	if v < 0 || int(v) >= len(cp.sizes) {
+	cc := &ix.columns()[c]
+	if v < 0 || int(v) >= len(cc.bits) {
 		return nil, nil
 	}
-	return cp.lists[v], cp.bits[v]
+	return cc.lists[v], cc.bits[v]
 }
 
 // Postings returns the ascending row list for value v of column c, building
-// the index on first use. A sparse value's list is the index's own and must
+// the containers on first use. A sparse value's list is the index's own and must
 // not be modified; a dense value has no list, so this decodes its bitset
 // into a fresh one of PostingsLen entries on every call
 // — for callers outside the engine, whose kernels read the container as it
@@ -188,8 +273,8 @@ func (ix *Index) Postings(c int, v rule.Value) []int32 {
 
 // Bitmap returns the packed bitset holding value v's rows in column c, or
 // nil when the value is too sparse to be stored as one (see Dense) or
-// v is outside the column's dictionary. Builds the index on first use, like
-// Postings.
+// v is outside the column's dictionary. Builds the containers on first use,
+// like Postings.
 func (ix *Index) Bitmap(c int, v rule.Value) *Bitset {
 	_, bits := ix.Container(c, v)
 	return bits
@@ -235,29 +320,10 @@ func (ix *Index) FilterIndices(r rule.Rule) []int {
 	return rows
 }
 
-// Warm builds the index unless it is built: every column's containers, up
-// to GOMAXPROCS columns at a time, the caller's goroutine included. Every
-// read goes through it, so calling it early only moves the build: the
-// server does at dataset registration, so no analyst's first drill-down
-// pays it.
-func (ix *Index) Warm() {
-	ix.once.Do(func() {
-		ix.cols = make([]colPostings, len(ix.t.cols))
-		var next atomic.Int32
-		build := func() {
-			for c := int(next.Add(1)) - 1; c < len(ix.cols); c = int(next.Add(1)) - 1 {
-				ix.buildCol(c)
-			}
-		}
-		var wg sync.WaitGroup
-		for w := min(runtime.GOMAXPROCS(0), len(ix.cols)); w > 1; w-- {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				build()
-			}()
-		}
-		build()
-		wg.Wait()
-	})
-}
+// Warm builds the index's containers unless they are built. Every read of
+// a container goes through the same build, so calling it early only moves
+// the cost: the benchmark's layer readings time it, and a test that needs
+// the containers in hand calls it. Nothing in the engine or the server
+// does — a dataset's containers are built by its first search that reads
+// rows.
+func (ix *Index) Warm() { ix.columns() }

@@ -160,15 +160,75 @@ func TestFilterIndicesEmptyPostingList(t *testing.T) {
 
 func TestIndexConcurrentBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
-	// A table built row by row, and one the block-parallel ingest loaded
-	// through both width crossings (its first column ends at four bytes a
-	// cell, having been one and two): what readers and builders share must
-	// not depend on how the columns got their width.
-	crossed, err := readCSV(bytes.NewReader(crossingCSV(1<<16, 66000, 40, true)), []string{"MMM"}, 4096, 2)
-	if err != nil {
-		t.Fatal(err)
+	// A table built row by row, its weighted distinct-tuple table, and one
+	// the block-parallel ingest loaded through both width crossings (its
+	// first column ends at four bytes a cell, having been one and two): what
+	// readers and builders share must not depend on how the columns got
+	// their width, nor on whether the table weighs its rows. Each is made
+	// twice, so both races below start from an index with nothing built.
+	crossed := func() *Table {
+		tab, err := readCSV(bytes.NewReader(crossingCSV(1<<16, 66000, 40, true)), []string{"MMM"}, 4096, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
 	}
-	for _, tab := range []*Table{randomIndexedTable(rng, 4, 3, 500), crossed} {
+	distinct := func(seed int64) func() *Table {
+		return func() *Table {
+			d, _ := randomIndexedTable(rand.New(rand.NewSource(seed)), 4, 3, 500).Distinct()
+			if d == nil {
+				t.Fatal("the table does not compress")
+			}
+			return d
+		}
+	}
+	for _, fresh := range []func() *Table{
+		func() *Table { return randomIndexedTable(rand.New(rand.NewSource(35)), 4, 3, 500) },
+		distinct(36),
+		crossed,
+	} {
+		// Sizes and masses as a scan finds them.
+		tab := fresh()
+		sizes := make([][]int, tab.NumCols())
+		masses := make([][]int64, tab.NumCols())
+		for c := range sizes {
+			sizes[c] = make([]int, tab.DistinctCount(c))
+			masses[c] = make([]int64, tab.DistinctCount(c))
+			for i := 0; i < tab.NumRows(); i++ {
+				sizes[c][tab.Value(c, i)]++
+				masses[c][tab.Value(c, i)] += int64(tab.Multiplicity(i))
+			}
+		}
+		stageOne := func(rng *rand.Rand) {
+			c := rng.Intn(tab.NumCols())
+			v := rule.Value(rng.Intn(tab.DistinctCount(c)))
+			if n, m := tab.Index().PostingsLen(c, v), tab.Index().Mass(c, v); n != sizes[c][v] || m != masses[c][v] {
+				t.Errorf("column %d value %d: PostingsLen %d and Mass %d, want %d and %d", c, v, n, m, sizes[c][v], masses[c][v])
+			}
+		}
+
+		// Readers of the sizes and masses alone race to build them and
+		// to allocate the shared Index itself, and build no container.
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for probe := 0; probe < 50; probe++ {
+					stageOne(rng)
+				}
+			}(int64(g))
+		}
+		wg.Wait()
+		if _, index := tab.ResidentBytes(); tab.Index().built.Load() || index != 0 {
+			t.Errorf("reading sizes and masses built the containers (%d bytes resident)", index)
+		}
+
+		// On a fresh table, the same readers race the containers' readers
+		// — Container, Lookup through FilterIndices — and Warm, both
+		// stages' builds among them (run under -race in CI).
+		tab = fresh()
 		var rules []rule.Rule
 		want := make(map[string]int)
 		for probe := 0; probe < 8; probe++ {
@@ -176,18 +236,31 @@ func TestIndexConcurrentBuild(t *testing.T) {
 			rules = append(rules, r)
 			want[r.Key()] = len(tab.FilterIndicesScan(r))
 		}
-		// Many goroutines race to build the index with their first read and
-		// to allocate the shared Index itself (run under -race in CI),
-		// against each other and against Warm.
-		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func(seed int64) {
 				defer wg.Done()
-				if seed%4 == 0 {
-					tab.Index().Warm()
-				}
 				rng := rand.New(rand.NewSource(seed))
+				switch seed % 4 {
+				case 0:
+					tab.Index().Warm()
+				case 1:
+					for probe := 0; probe < 50; probe++ {
+						stageOne(rng)
+					}
+					return
+				case 2:
+					c := rng.Intn(tab.NumCols())
+					v := rule.Value(rng.Intn(tab.DistinctCount(c)))
+					list, bits := tab.Index().Container(c, v)
+					n := len(list)
+					if bits != nil {
+						n = bits.Len()
+					}
+					if n != sizes[c][v] {
+						t.Errorf("column %d value %d: a container of %d rows, want %d", c, v, n, sizes[c][v])
+					}
+				}
 				for probe := 0; probe < 50; probe++ {
 					r := rules[rng.Intn(len(rules))]
 					if probe%2 == 0 {
@@ -207,6 +280,9 @@ func TestIndexConcurrentBuild(t *testing.T) {
 			}(int64(g))
 		}
 		wg.Wait()
+		if _, index := tab.ResidentBytes(); !tab.Index().built.Load() || index == 0 {
+			t.Errorf("after the containers' readers, %d index bytes resident", index)
+		}
 	}
 }
 

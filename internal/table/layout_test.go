@@ -20,7 +20,8 @@ import (
 // word of rounding and a summary — a 64th of the bitset's words, rounded up
 // — for each of its at most 32 dense values; and the stored
 // size, the decoded list, the bitset's count and a scan of the column agree
-// on which rows hold the value. ResidentBytes adds the same bytes up.
+// on which rows hold the value. ResidentBytes adds the same bytes up once
+// Warm has built the containers, and counts none before.
 func TestLayoutBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	// draw picks row i's value in a column of up to vals values: each in
@@ -69,6 +70,16 @@ func TestLayoutBounds(t *testing.T) {
 func checkLayout(t *testing.T, label string, tab *table.Table) {
 	t.Helper()
 	rows, ix := tab.NumRows(), tab.Index()
+	// The sizes and masses alone build no container, and ResidentBytes,
+	// which builds nothing, counts none until Warm has built them.
+	for c := 0; c < tab.NumCols(); c++ {
+		ix.PostingsLen(c, 0)
+		ix.Mass(c, 0)
+	}
+	if _, index := tab.ResidentBytes(); index != 0 {
+		t.Errorf("%s: %d index bytes resident before the containers are built", label, index)
+	}
+	ix.Warm()
 	var cells, index int64 // what ResidentBytes should add up to
 	defer func() {
 		if gotCells, gotIndex := tab.ResidentBytes(); gotCells != cells || gotIndex != index {

@@ -89,10 +89,12 @@ type Table struct {
 	mass     []float64
 
 	// distinct memoises Distinct — the table, or nil for the finding that
-	// there is none worth having — and onDistinct is who to tell.
+	// there is none worth having.
 	distinctOnce sync.Once
 	distinct     *Table
-	onDistinct   atomic.Pointer[func(DistinctReport)]
+
+	// onBuild is who to tell how a lazy build resolved (see OnBuild).
+	onBuild atomic.Pointer[func(BuildReport)]
 
 	// mult is a distinct-tuple table's multiplicity per row (see Distinct);
 	// nil on an ordinary table, where every row is one tuple.
@@ -146,20 +148,15 @@ func (t *Table) Row(i int, buf []rule.Value) []rule.Value {
 // its arrays (nothing is measured): cells is the categorical columns at
 // their widths, eight bytes a row for each measure, and a distinct-tuple
 // table's multiplicities; index is the containers and stored sizes of the
-// index (see Index), which asking builds. Dictionary strings, slice headers
-// and the memoised distinct-tuple table, a Table of its own, are not
-// counted.
+// index (see Index) once its containers are built, and 0 before — asking
+// builds nothing. Dictionary strings, slice headers and the memoised
+// distinct-tuple table, a Table of its own, are not counted.
 func (t *Table) ResidentBytes() (cells, index int64) {
 	for c := range t.cols {
 		cells += int64(t.cols[c].len()) * int64(t.cols[c].width.bytes())
 	}
 	cells += 8*int64(t.n)*int64(len(t.measures)) + 4*int64(len(t.mult))
-	ix := t.Index()
-	ix.Warm()
-	for c := range ix.cols {
-		index += ix.cols[c].bytes()
-	}
-	return cells, index
+	return cells, t.Index().bytes()
 }
 
 // MeasureNames returns the measure (numeric aggregate) column names.
