@@ -33,10 +33,13 @@ lint-fast: sdlint
 	fi
 
 # lint machine-checks the engine's invariants (see docs/INVARIANTS.md):
-# lint-fast's analyzer pass, then the suite's own golden tests.
+# lint-fast's analyzer pass, then go vet over the suite's own nested module
+# (the root `go vet ./...` never reaches it, and `go test` runs only vet's
+# test subset), then the suite's golden tests.
 # staticcheck joins when installed (CI installs a pinned version; locally
 # it is optional so the target works in hermetic environments).
 lint: lint-fast
+	cd tools/sdlint && $(GO) vet ./...
 	cd tools/sdlint && $(GO) test ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

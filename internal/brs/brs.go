@@ -10,6 +10,9 @@
 // super-rules whose marginal value is upper-bounded below the best already
 // found. Level 0 is the base alone and level k+1 the extensions of level
 // k's survivors, so level 1 is the base's expansion, made like any other.
+// The greedy yields each rule as it selects it (RunIncremental, the §6.1
+// anytime stream); a batch search (Run) is that stream stopped at K and
+// sorted into display order, every value as the stream yielded it.
 //
 // Three hot-path optimizations sit on top of the textbook algorithm, all
 // result-preserving:
@@ -66,7 +69,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 	"time"
 
 	"smartdrill/internal/rule"
@@ -117,9 +120,10 @@ type Options struct {
 	// never depend on goroutine scheduling.
 	Workers int
 	// MinGainRatio (used by RunIncremental only) stops the stream once a
-	// rule's marginal value drops below this fraction of the first rule's
-	// — the anytime mode's guard against flooding the display with
-	// near-worthless rules. 0 disables the cutoff.
+	// rule's marginal value at selection — its Weight·MCount, up to the
+	// sample scale — drops below this fraction of the first rule's: the
+	// anytime mode's guard against flooding the display with near-worthless
+	// rules. 0 disables the cutoff.
 	MinGainRatio float64
 }
 
@@ -139,8 +143,14 @@ type Result struct {
 	// Count is the aggregate mass of all tuples covered by Rule in the
 	// table BRS ran on (the value shown to the analyst).
 	Count float64
-	// MCount is the marginal mass: tuples covered by Rule and by no
-	// higher-weight rule selected before it.
+	// MCount is the marginal mass at selection: the marginal value of the
+	// greedy step that selected Rule — Σ (Weight − W(TOP(t)))·mass over the
+	// tuples t it covers that no rule selected before it as heavy covers —
+	// divided by Weight (the value itself for a weightless rule), times the
+	// sample scale. Weight·MCount is the Score the selection added, so
+	// MCount is at most Count (up to rounding) and equal to it for the
+	// first rule selected. Run and RunIncremental carry the same value for
+	// the same rule.
 	MCount float64
 }
 
@@ -196,11 +206,14 @@ func (s *Stats) Add(o Stats) {
 	s.SingleflightWaits += o.SingleflightWaits
 }
 
-// Run executes BRS on the view v and returns up to opts.K rules ordered by
-// descending weight (the display order mandated by Lemma 1), together with
-// run statistics. It returns fewer than K rules when no remaining rule has
-// positive marginal value. Counts are masses over v's rows; pass the
-// full-table view (Table.All) for whole-table searches.
+// Run executes BRS on the view v and returns up to opts.K rules — the
+// greedy's first K selections, RunIncremental's stream stopped at K —
+// ordered by descending weight, a tie by rule key (the display order
+// mandated by Lemma 1), together with run statistics. Each Result carries
+// the values the stream yields for it: Count, and MCount at selection. It
+// returns fewer than K rules when no remaining rule has positive marginal
+// value. Counts are masses over v's rows; pass the full-table view
+// (Table.All) for whole-table searches.
 func Run(v *table.View, w weight.Weighter, opts Options) ([]Result, Stats, error) {
 	return RunCtx(context.Background(), v, w, opts)
 }
@@ -228,33 +241,7 @@ func RunCtx(ctx context.Context, v *table.View, w weight.Weighter, opts Options)
 	}); err != nil {
 		return nil, run.finalStats(), err
 	}
-	// Order by descending weight and fill marginal counts in that order.
-	// Each tie-break key is built once, not on every comparison.
-	keys := make([]string, len(selected))
-	for i := range selected {
-		keys[i] = selected[i].Rule.Key()
-	}
-	order := make([]int, len(selected))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		if selected[i].Weight != selected[j].Weight {
-			return selected[i].Weight > selected[j].Weight
-		}
-		return keys[i] < keys[j]
-	})
-	ordered := make([]Result, len(selected))
-	for a, i := range order {
-		ordered[a] = selected[i]
-	}
-	selected = ordered
-	rules := resultsToRules(selected)
-	mcs := score.MCountsView(run.v, run.w, run.agg, rules)
-	for i := range selected {
-		selected[i].MCount = mcs[i] * run.scale
-	}
+	displayOrder(selected)
 	return selected, run.finalStats(), nil
 }
 
@@ -264,10 +251,8 @@ func RunCtx(ctx context.Context, v *table.View, w weight.Weighter, opts Options)
 // deadline passes, no rule adds positive marginal value, or — when
 // minGainRatio is positive — a rule's marginal value falls below that
 // fraction of the first rule's. The yielded MCount is the marginal mass at
-// selection time: marginal = Σ (W − wS) per tuple, which is W·MCount for the
-// first selection and makes the quotient only an upper bound for later ones;
-// RunCtx replaces it with score.MCounts on the final list. It returns the
-// context's error when that is what stopped it.
+// selection (see Result): the step's marginal value Σ (W − topW)·mass over
+// the weight. It returns the context's error when that is what stopped it.
 func (rn *runner) greedy(maxRules int, deadline time.Time, minGainRatio float64, yield Yield) error {
 	firstGain := 0.0
 	for step := 0; maxRules <= 0 || step < maxRules; step++ {
@@ -369,12 +354,23 @@ func newRunner(v *table.View, w weight.Weighter, opts Options) (*runner, error) 
 	return run, nil
 }
 
-func resultsToRules(rs []Result) []rule.Rule {
-	out := make([]rule.Rule, len(rs))
-	for i := range rs {
-		out[i] = rs[i].Rule
+// displayOrder sorts rs into display order (Lemma 1): weight descending, a
+// tie by rule key, each key built once.
+func displayOrder(rs []Result) {
+	type keyed struct {
+		key string
+		r   Result
 	}
-	return out
+	ks := make([]keyed, len(rs))
+	for i, r := range rs {
+		ks[i] = keyed{r.Rule.Key(), r}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		return cmp.Or(cmp.Compare(b.r.Weight, a.r.Weight), strings.Compare(a.key, b.key))
+	})
+	for i := range ks {
+		rs[i] = ks[i].r
+	}
 }
 
 // runner holds per-Run state shared by greedy steps. All passes iterate

@@ -165,33 +165,33 @@ func TestResultsOrderedByWeightDesc(t *testing.T) {
 	}
 }
 
+// TestCountsAndMCountsConsistent: each rule the greedy yields shows its
+// exact Count, and as MCount the marginal value its selection added over
+// the rules selected before it, divided by its weight — at most the Count,
+// and the Count itself for the first rule.
 func TestCountsAndMCountsConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tab := randomTable(rng, 3, 3, 50)
 	w := weight.NewSize(3)
-	results, _, err := Run(tab.All(), w, Options{K: 4, MaxWeight: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mcSum float64
-	for _, r := range results {
+	var selected []rule.Rule
+	_, err := RunIncremental(tab.All(), w, Options{MaxWeight: 3}, 4, time.Time{}, func(r Result) bool {
 		if got := float64(tab.Count(r.Rule)); got != r.Count {
 			t.Fatalf("displayed count %g != exact %g for %v", r.Count, got, r.Rule)
 		}
-		if r.MCount > r.Count {
-			t.Fatalf("MCount %g > Count %g", r.MCount, r.Count)
+		if want := score.MarginalGain(tab, w, score.CountAgg{}, selected, r.Rule) / r.Weight; r.MCount != want {
+			t.Fatalf("MCount of %v = %g, want its marginal value over its weight, %g", r.Rule, r.MCount, want)
 		}
-		mcSum += r.MCount
-	}
-	if mcSum > float64(tab.NumRows()) {
-		t.Fatalf("ΣMCount %g > table size %d", mcSum, tab.NumRows())
-	}
-	// MCounts must equal the exact marginal counts in display order.
-	mcs := score.MCounts(tab, w, score.CountAgg{}, rulesOf(results))
-	for i, r := range results {
-		if mcs[i] != r.MCount {
-			t.Fatalf("MCount[%d] = %g, want %g", i, r.MCount, mcs[i])
+		if r.MCount > r.Count || len(selected) == 0 && r.MCount != r.Count {
+			t.Fatalf("selection %d: MCount %g against Count %g", len(selected), r.MCount, r.Count)
 		}
+		selected = append(selected, r.Rule)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(selected) < 2 {
+		t.Fatalf("%d rules selected; the test needs a second", len(selected))
 	}
 }
 
@@ -327,7 +327,7 @@ func TestGreedyStepIsArgmax(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireList(t, label, tab.All(), w, opts, ranked, got)
+		requireList(t, label, w, ranked, got)
 		pruned += stats.CandidatesPruned
 	})
 	if pruned == 0 {
@@ -365,7 +365,7 @@ func eachOracleCase(t *testing.T, fn func(trial int, tab *table.Table, w weight.
 		mw := w.MaxWeight(1 + rng.Intn(cols))
 		opts := Options{K: 6, MaxWeight: mw, Base: base, Agg: agg}
 		want := oracleStream(tab.All(), w, opts, opts.K)
-		requireList(t, fmt.Sprintf("trial %d oracle", trial), tab.All(), w, opts, oracleRun(tab.All(), w, opts), want)
+		requireList(t, fmt.Sprintf("trial %d oracle", trial), w, oracleRun(tab.All(), w, opts), want)
 		fn(trial, tab, w, opts, want)
 	}
 }

@@ -56,9 +56,9 @@ type Result struct {
 	Rule   rule.Rule
 	Weight float64
 	Count  float64
-	// MCount is, from Stream, the marginal value at selection time over the
-	// weight (the marginal value itself for a weightless rule); from Run,
-	// the mass of the rows the rule is the first in the list to cover.
+	// MCount is the marginal value at selection time over the weight (the
+	// marginal value itself for a weightless rule), from Stream and Run
+	// alike.
 	MCount float64
 }
 
@@ -79,28 +79,15 @@ func Stream(v *table.View, w weight.Weighter, opts Options, maxRules int) ([]Res
 }
 
 // Run is the batch search: Stream's first opts.K rules in display order —
-// weight descending, ties by key (Lemma 1) — each with the mass of the rows
-// it is the first in that order to cover.
+// weight descending, ties by key (Lemma 1) — each as Stream yields it.
 func Run(v *table.View, w weight.Weighter, opts Options) ([]Result, []Step) {
-	s := newSearch(v, w, opts)
-	out, steps := s.stream(opts.K)
+	out, steps := Stream(v, w, opts, opts.K)
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Weight != out[j].Weight {
 			return out[i].Weight > out[j].Weight
 		}
 		return out[i].Rule.Key() < out[j].Rule.Key()
 	})
-	for i := range out {
-		out[i].MCount = 0
-	}
-	for _, row := range s.rows {
-		for i := range out {
-			if s.tab.Covers(out[i].Rule, row) {
-				out[i].MCount += s.agg.Mass(s.tab, row)
-				break
-			}
-		}
-	}
 	return out, steps
 }
 

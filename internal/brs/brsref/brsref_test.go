@@ -64,8 +64,8 @@ func TestHandWorkedSearch(t *testing.T) {
 		t.Fatalf("steps\n%v\nwant\n%v", steps, wantSteps)
 	}
 
-	// Run shows the same rules in display order, each with the rows it is
-	// the first to cover.
+	// Run shows the same rules in display order, each as the stream
+	// yielded it.
 	ranked, _ := brsref.Run(tab.All(), w, opts)
 	if fmt.Sprint(ranked) != fmt.Sprint(stream) {
 		t.Fatalf("Run %v, want the stream's %v", ranked, stream)

@@ -44,11 +44,11 @@ func toOracle(rs []Result) []brsref.Result {
 	return out
 }
 
-// requireList fails unless a search's ranked list and stream over v have
+// requireList fails unless a search's ranked list and stream under w have
 // the properties the paper proves of them (brsref.CheckList).
-func requireList(t *testing.T, label string, v *table.View, w weight.Weighter, opts Options, ranked, streamed []Result) {
+func requireList(t *testing.T, label string, w weight.Weighter, ranked, streamed []Result) {
 	t.Helper()
-	if err := brsref.CheckList(v, w, oracleOptions(opts), toOracle(ranked), toOracle(streamed)); err != nil {
+	if err := brsref.CheckList(w, toOracle(ranked), toOracle(streamed)); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 }

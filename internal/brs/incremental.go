@@ -24,9 +24,9 @@ type Yield func(Result) bool
 // deadline passes, maxRules rules have been emitted (0 = unbounded), no
 // rule adds positive marginal value, or the marginal value falls below
 // MinGainRatio of the first rule's. The Result passed to yield carries the
-// rule's Count; MCount is the marginal mass at selection time, exact for the
-// first rule and an upper bound after it — callers needing exact MCounts use
-// score.MCounts on the final list, as Run does.
+// rule's Count and its marginal mass at selection, MCount (see Result); Run
+// with K = maxRules returns the same Results, sorted into display order,
+// wherever no MinGainRatio cut the stream short.
 func RunIncremental(v *table.View, w weight.Weighter, opts Options, maxRules int, deadline time.Time, yield Yield) (Stats, error) {
 	return RunIncrementalCtx(context.Background(), v, w, opts, maxRules, deadline, yield)
 }

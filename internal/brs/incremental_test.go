@@ -1,8 +1,11 @@
 package brs
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,36 +15,32 @@ import (
 )
 
 func TestRunIncrementalMatchesRunPrefix(t *testing.T) {
-	// The incremental stream must equal the greedy selection order of Run:
-	// greedy is prefix-stable (the k-rule answer extends the (k−1)-rule
-	// answer), the property Section 6.1 builds on. Run re-orders by weight,
-	// so the two are compared as sets.
+	// A batch search is the stream stopped at K (Section 6.1): Run's list
+	// is RunIncremental's first K rules sorted into display order — weight
+	// descending, a tie by key — with every field as the stream yielded
+	// it, MCount the marginal mass at selection included, at any worker
+	// count.
 	check := func(label string, tab *table.Table, w weight.Weighter, opts Options) {
 		t.Helper()
-		var streamed []Result
-		_, err := RunIncremental(tab.All(), w, opts, opts.K, time.Time{},
-			func(r Result) bool {
-				streamed = append(streamed, r)
-				return true
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, _, err := Run(tab.All(), w, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(streamed) != len(full) {
-			t.Fatalf("%s: streamed %d rules, Run returned %d", label, len(streamed), len(full))
-		}
-		want := map[string]bool{}
-		for _, r := range full {
-			want[r.Rule.Key()] = true
-		}
-		for _, r := range streamed {
-			if !want[r.Rule.Key()] {
-				t.Fatalf("%s: streamed rule %v not in Run result", label, r.Rule)
+		for _, workers := range []int{1, 2, 8} {
+			opts.Workers = workers
+			var streamed []Result
+			_, err := RunIncremental(tab.All(), w, opts, opts.K, time.Time{},
+				func(r Result) bool {
+					streamed = append(streamed, r)
+					return true
+				})
+			if err != nil {
+				t.Fatal(err)
 			}
+			full, _, err := Run(tab.All(), w, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.SortFunc(streamed, func(a, b Result) int {
+				return cmp.Or(cmp.Compare(b.Weight, a.Weight), strings.Compare(a.Rule.Key(), b.Rule.Key()))
+			})
+			sameResults(t, fmt.Sprintf("%s workers=%d", label, workers), full, streamed)
 		}
 	}
 	rng := rand.New(rand.NewSource(31))

@@ -343,21 +343,24 @@ func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter, kind s
 	degraded := DegradedFrom(ctx)
 	req := s.searchRequest(kind, n.Rule, w, degraded)
 	// cov is the searched coverage, of which the children's display needs
-	// the scale, the exactness and bound, the enclosing view's scaled size.
-	// On a cache hit Resolve never runs and the replayed results are exact
-	// with scale 1 — the initial values.
+	// the scale and the exactness; bound, the enclosing view's scaled size,
+	// clamps the intervals only a sample's counts get. On a cache hit
+	// Resolve never runs and the replayed results are exact with scale 1 —
+	// the initial values.
 	cov := coverage{scale: 1, exact: true}
-	bound := float64(s.tab.NumRows())
+	var bound float64
 	req.Resolve = func() (*table.View, float64, bool, error) {
 		resolved, err := s.coveredView(n.Rule, w, degraded)
 		if err != nil {
 			return nil, 0, false, err
 		}
 		cov = resolved
-		// The tuples the view holds, not the rows it holds them in: scaled
-		// by distinct tuples the bound would clamp every interval's upper
-		// end down onto its lower one.
-		bound = cov.scale * float64(cov.view.NumTuples())
+		if !cov.exact {
+			// The tuples the view holds, not the rows it holds them in:
+			// scaled by distinct tuples the bound would clamp every
+			// interval's upper end down onto its lower one.
+			bound = cov.scale * float64(cov.view.NumTuples())
+		}
 		return cov.view, cov.scale, cov.exact, nil
 	}
 	req.MaxWeightFor = func(*table.View) float64 { return s.maxWeightFor(ctx, n.Rule, cov, w, maxRules) }

@@ -198,10 +198,10 @@ func (o *pathOracle) require(t *testing.T, label string, s *Session, n *Node, w 
 					break
 				}
 			}
-			err = brsref.CheckList(v, w, opts, nil, res)
+			err = brsref.CheckList(w, nil, res)
 		} else {
 			res, _ = brsref.Run(v, w, opts)
-			err = brsref.CheckList(v, w, opts, res, nil)
+			err = brsref.CheckList(w, res, nil)
 		}
 		if err != nil {
 			t.Fatalf("%s: the oracle's list under %v: %v", label, n.Rule, err)

@@ -135,56 +135,6 @@ func SetScore(t *table.Table, w weight.Weighter, agg Aggregator, rules []rule.Ru
 	return ListScore(t, w, agg, SortByWeightDesc(w, rules))
 }
 
-// MCounts returns the marginal aggregate of each rule within the given
-// ordering: mass of tuples covered by rules[i] but by no earlier rule.
-func MCounts(t *table.Table, w weight.Weighter, agg Aggregator, rules []rule.Rule) []float64 {
-	out := make([]float64, len(rules))
-	for i := 0; i < t.NumRows(); i++ {
-		for j, r := range rules {
-			if t.Covers(r, i) {
-				out[j] += agg.Mass(t, i)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// MCountsView is MCounts over a zero-copy row view: marginal masses are
-// measured on exactly the view's rows (a rule-filtered subset or a
-// sample), with tuple mass read through the parent table. BRS uses it so
-// result post-processing never materializes the subset it ran on.
-func MCountsView(v *table.View, w weight.Weighter, agg Aggregator, rules []rule.Rule) []float64 {
-	out := make([]float64, len(rules))
-	n := v.NumRows()
-	parent := v.Table()
-	for i := 0; i < n; i++ {
-		pi := v.ParentRow(i)
-		for j, r := range rules {
-			if parent.Covers(r, pi) {
-				out[j] += agg.Mass(parent, pi)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// Counts returns the plain (non-marginal) aggregate of each rule: the value
-// smart drill-down displays to the analyst (Counts are easier to interpret
-// than MCounts, per Section 2.1).
-func Counts(t *table.Table, agg Aggregator, rules []rule.Rule) []float64 {
-	out := make([]float64, len(rules))
-	for i := 0; i < t.NumRows(); i++ {
-		for j, r := range rules {
-			if t.Covers(r, i) {
-				out[j] += agg.Mass(t, i)
-			}
-		}
-	}
-	return out
-}
-
 // MarginalGain returns SetScore(rules ∪ {r}) − SetScore(rules): the greedy
 // objective BRS maximizes at each step. Exact (full-table) version used by
 // tests and the exhaustive baseline.

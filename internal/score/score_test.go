@@ -80,48 +80,6 @@ func TestTopWeights(t *testing.T) {
 	}
 }
 
-func TestMCountsSumBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 50; trial++ {
-		tab := randomTable(rng, 3, 4, 40)
-		w := weight.NewSize(3)
-		rules := randomRules(rng, tab, 4)
-		mcs := MCounts(tab, w, CountAgg{}, rules)
-		sum := 0.0
-		for _, m := range mcs {
-			if m < 0 {
-				t.Fatal("negative MCount")
-			}
-			sum += m
-		}
-		if sum > float64(tab.NumRows())+1e-9 {
-			t.Fatalf("ΣMCount = %g exceeds table size %d", sum, tab.NumRows())
-		}
-	}
-}
-
-func TestCountsVsMCounts(t *testing.T) {
-	tab := fixture(t)
-	w := weight.NewSize(2)
-	ra := mustRule(t, tab, map[string]string{"A": "a"})
-	rax := mustRule(t, tab, map[string]string{"A": "a", "B": "x"})
-	rules := SortByWeightDesc(w, []rule.Rule{ra, rax})
-	counts := Counts(tab, CountAgg{}, rules)
-	mcs := MCounts(tab, w, CountAgg{}, rules)
-	// Counts are plain coverage: (a,x)=2, (a,?)=3. MCounts: 2, 1.
-	if counts[0] != 2 || counts[1] != 3 {
-		t.Fatalf("Counts = %v", counts)
-	}
-	if mcs[0] != 2 || mcs[1] != 1 {
-		t.Fatalf("MCounts = %v", mcs)
-	}
-	for i := range mcs {
-		if mcs[i] > counts[i] {
-			t.Fatal("MCount cannot exceed Count")
-		}
-	}
-}
-
 func TestSumAggregate(t *testing.T) {
 	tab := fixture(t)
 	w := weight.NewSize(2)

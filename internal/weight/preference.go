@@ -44,7 +44,7 @@ func (p Preference) MaxWeight(cols int) float64 {
 	if bonus == 0 {
 		bonus = 1
 	}
-	return p.Inner.MaxWeight(cols) + bonus*float64(minInt(cols, p.Favored.Count()))
+	return p.Inner.MaxWeight(cols) + bonus*float64(min(cols, p.Favored.Count()))
 }
 
 // Integral reports whether a whole bonus is added to integer weights (see
@@ -64,11 +64,4 @@ func (p Preference) Name() string {
 		return p.Inner.Name()
 	}
 	return p.Inner.Name() + "+" + strings.Join(parts, ",")
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -314,10 +314,3 @@ func (s Scaled) Name() string { return fmt.Sprintf("%.3g*%s", s.Factor, s.Inner.
 // Integral reports whether a whole factor scales integer weights (see
 // Integral).
 func (s Scaled) Integral() bool { return whole(s.Factor) && Integral(s.Inner) }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
