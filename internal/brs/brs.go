@@ -35,11 +35,12 @@
 //     1978). The rest stay stale: they cannot win the step, and serve as
 //     parents and as looser, still sound, sub-rule bounds.
 //
-//   - Postings-driven counting: when the view is the full table or a
-//     sorted row set, a per-level cost model routes coverage walks to
-//     intersections of the table's posting lists (the base's expansion
-//     under Count is just posting lengths, or the masses beside them on a
-//     weighted table) instead of row scans. On every
+//   - Postings-driven counting: a per-level cost model routes coverage
+//     walks to intersections of the table's posting lists (the base's
+//     expansion under Count is just posting lengths, or the masses beside
+//     them on a weighted table) instead of row scans. A search reads a
+//     whole table and its index: any other view is copied into one before
+//     the search starts. On every
 //     route the walk that discovers a parent's extensions also counts
 //     them, so a candidate that survives pruning in the step its parent
 //     was expanded in is never intersected on its own; and an index walk
@@ -93,10 +94,10 @@ type Options struct {
 	// Nil means the trivial rule.
 	Base rule.Rule
 	// BaseCovered asserts every row of the view already covers Base, so the
-	// run skips its own restriction pass. The drill layer sets it: rule
-	// filters (index-backed) and samples both deliver exactly Base's
-	// coverage. When false and Base is non-trivial, the run restricts the
-	// view itself with one accounted pass.
+	// run tests none of them. The drill layer sets it: rule filters
+	// (index-backed) and samples both deliver exactly Base's coverage. When
+	// false and Base is non-trivial, the run restricts the view itself, in
+	// the one accounted pass that copies it into the table it searches.
 	BaseCovered bool
 	// Agg is the aggregated mass; nil means Count. Sum over a measure column
 	// implements the Section 6.3 extension.
@@ -213,7 +214,9 @@ func (s *Stats) Add(o Stats) {
 // the values the stream yields for it: Count, and MCount at selection. It
 // returns fewer than K rules when no remaining rule has positive marginal
 // value. Counts are masses over v's rows; pass the full-table view
-// (Table.All) for whole-table searches.
+// (Table.All) for whole-table searches. Any other view is copied, in one
+// pass booked to the run's Stats, into a table of its own (View.Select):
+// the search reads a whole table and its index.
 func Run(v *table.View, w weight.Weighter, opts Options) ([]Result, Stats, error) {
 	return RunCtx(context.Background(), v, w, opts)
 }
@@ -289,9 +292,10 @@ func (rn *runner) greedy(maxRules int, deadline time.Time, minGainRatio float64,
 	return nil
 }
 
-// newRunner normalizes options and restricts the view to Base's coverage
-// when the caller has not already done so. Shared by Run and
-// RunIncremental.
+// newRunner normalizes options and resolves the table the run searches: v's
+// own where v spans it whole and needs no restriction, else a copy of v's
+// rows — restricted to Base's coverage when the caller has not already done
+// so — made in one pass. Shared by Run and RunIncremental.
 func newRunner(v *table.View, w weight.Weighter, opts Options) (*runner, error) {
 	base := opts.Base
 	if base == nil {
@@ -315,40 +319,30 @@ func newRunner(v *table.View, w weight.Weighter, opts Options) (*runner, error) 
 	if scale <= 0 {
 		scale = 1
 	}
+	var restrict rule.Rule
+	if !opts.BaseCovered {
+		restrict = base
+	}
+	// A copy's index is built by its first read and booked nowhere, like a
+	// tuple sample's.
+	tab, read := v.Select(restrict)
 	run := &runner{
-		v: v, parent: v.Table(), w: w, agg: agg, mw: mw, base: base,
+		tab: tab, w: w, agg: agg, mw: mw, base: base,
 		par: opts.Workers, scale: scale,
 		coverLeft: coverBudget,
 	}
-	if !opts.BaseCovered && !base.IsTrivial() {
-		// One pass narrows the view so every subsequent pass iterates only
-		// covered rows and never re-evaluates Covers(base, i).
+	if tab != v.Table() {
 		run.stats.Passes++
-		run.stats.RowsScanned += int64(v.NumRows())
-		run.v = v.Refine(base)
+		run.stats.RowsScanned += int64(read)
+	}
+	if indexRoutes {
+		run.ix = tab.Index()
 	}
 	run.baseMask = base.Mask()
 	run.freeCols = run.freeColumns()
 	_, run.countAgg = agg.(score.CountAgg)
-	run.unitMass = run.countAgg && !run.parent.Weighted()
-	// Postings-driven counting needs the view to be a sorted row set so
-	// posting intersections enumerate view positions. The full table,
-	// index-backed rule filters, and handler-served samples (sorted row sets
-	// since the sampled pipeline) all qualify; probe subsets drawn with
-	// replacement fail the check and always scan. For sample views the cost
-	// planner weighs intersecting the master table's posting lists against
-	// scanning the (much smaller) sample and routes to whichever reads less.
-	run.sorted = run.v.Ascending()
-	run.fullTable = run.sorted && run.v.NumRows() == run.parent.NumRows()
-	if run.sorted {
-		run.ix = run.parent.Index()
-	}
-	// The bitmap kernel answers counting over the *parent* row universe, so
-	// it applies only when view positions are parent rows (full table), and
-	// is kept to Count, whose masses — 1, or a distinct tuple's multiplicity
-	// — keep every sum integral.
-	run.bitmapOK = run.fullTable && run.countAgg && run.ix != nil
-	run.bitmapWords = int64((run.parent.NumRows() + 63) / 64)
+	run.unitMass = run.countAgg && !tab.Weighted()
+	run.bitmapWords = int64((tab.NumRows() + 63) / 64)
 	run.store = newCandStore()
 	run.root = &cand{r: base, mask: run.baseMask}
 	return run, nil
@@ -374,20 +368,19 @@ func displayOrder(rs []Result) {
 }
 
 // runner holds per-Run state shared by greedy steps. All passes iterate
-// rn.v, whose every row covers rn.base, so per-row base checks are gone
+// rn.tab, whose every row covers rn.base, so per-row base checks are gone
 // from the inner loops; coverage tests against candidates touch only the
 // base's free columns.
 //
 // The cross-step caches live here: topW (weight of the best selected rule
-// covering each view row, raised by raiseTopW), the candidate store (every
+// covering each row, raised by raiseTopW), the candidate store (every
 // candidate materialized this run, with its mass and the marginal it had in
 // the step that last measured it), and root, level 0: the base, never
 // registered or counted, whose children — its expansion, made in step 1 —
 // are level 1.
 type runner struct {
-	v           *table.View
-	parent      *table.Table // v's parent, for aggregate mass and sub-rule tests
-	ix          *table.Index // parent's inverted index; nil when unusable
+	tab         *table.Table // the table searched: the view's, or a copy of its rows
+	ix          *table.Index // tab's inverted index; nil where a test turned indexRoutes off
 	w           weight.Weighter
 	agg         score.Aggregator
 	countAgg    bool // agg is the plain Count aggregate
@@ -398,12 +391,9 @@ type runner struct {
 	freeCols    []int // columns the base leaves starred
 	par         int
 	scale       float64 // SampleScale normalized: emitted masses multiply by it
-	sorted      bool    // view rows ascending: postings-driven counting possible
-	fullTable   bool    // view spans every parent row
-	bitmapOK    bool    // bitset kernel eligible: full table, Count, index present
-	bitmapWords int64   // words per bitset container: ceil(parentRows/64)
+	bitmapWords int64   // words per bitset container: ceil(rows/64)
 
-	topW     []float64 // W(TOP(t, selection[:raised])) per view row; nil until the first raise
+	topW     []float64 // W(TOP(t, selection[:raised])) per row; nil until the first raise
 	selected []*cand
 	raised   int // selections topW already reflects, see raiseTopW
 	store    candStore
@@ -451,14 +441,12 @@ func (rn *runner) fired() error {
 	return rn.ctx.Err()
 }
 
-// coversFreeParent reports whether r covers the parent-table row pi,
-// checking only the base's free columns — valid because every row of rn.v
-// covers rn.base and every rule tested derives from it. Passes resolve the
-// parent row once per row and test candidates against the parent arrays
-// directly.
-func (rn *runner) coversFreeParent(r rule.Rule, pi int) bool {
+// coversFree reports whether r covers row, checking only the base's free
+// columns — valid because every row of rn.tab covers rn.base and every rule
+// tested derives from it.
+func (rn *runner) coversFree(r rule.Rule, row int) bool {
 	for _, c := range rn.freeCols {
-		if v := r[c]; v != rule.Star && rn.parent.Value(c, pi) != v {
+		if v := r[c]; v != rule.Star && rn.tab.Value(c, row) != v {
 			return false
 		}
 	}
@@ -534,7 +522,7 @@ func (rn *runner) markCounted(c *cand) {
 // step first re-measures the few that could still win (refreshStale),
 // starts H there, and only genuinely new candidates touch the data.
 func (rn *runner) findBestMarginal() *cand {
-	if rn.v.NumRows() == 0 || len(rn.freeCols) == 0 || rn.canceled() {
+	if rn.tab.NumRows() == 0 || len(rn.freeCols) == 0 || rn.canceled() {
 		return nil
 	}
 	rn.raiseTopW()
@@ -642,15 +630,15 @@ func (rn *runner) applySelection(best *cand) {
 // scan when that is cheaper. A scan cut short by cancellation leaves topW
 // half raised, which is why a runner whose context fired is discarded.
 func (rn *runner) raiseTopW() {
-	n := rn.v.NumRows()
+	n := rn.tab.NumRows()
 	for ; rn.raised < len(rn.selected) && rn.ctxErr == nil; rn.raised++ {
 		if rn.topW == nil {
 			rn.topW = make([]float64, n)
 		}
 		topW, sel := rn.topW, rn.selected[rn.raised]
-		raise := func(pos, _ int) {
-			if topW[pos] < sel.weight {
-				topW[pos] = sel.weight
+		raise := func(row int) {
+			if topW[row] < sel.weight {
+				topW[row] = sel.weight
 			}
 		}
 		if plan, ok := rn.planPostingsOne(sel); ok {
@@ -658,7 +646,7 @@ func (rn *runner) raiseTopW() {
 			rn.stats.IndexLevels++
 			continue
 		}
-		rn.scan([]*cand{sel}, rn.rowWorkers(n), func(_, _, pos, row int) { raise(pos, row) })
+		rn.scan([]*cand{sel}, rn.rowWorkers(n), func(_, _, row int) { raise(row) })
 	}
 }
 
@@ -821,23 +809,22 @@ func mergeAccs(accs, other []extAcc) {
 // bytes is the memory of one copy of a's arrays.
 func (a *extAcc) bytes() int { return 8*len(a.cnt) + 8*len(a.mv) + len(a.hit) }
 
-// mass is the aggregate mass of parent row.
+// mass is the aggregate mass of row.
 func (rn *runner) mass(row int) float64 {
 	if rn.unitMass {
 		return 1
 	}
-	return rn.agg.Mass(rn.parent, row)
+	return rn.agg.Mass(rn.tab, row)
 }
 
-// bookRow adds one covered row — view position pos, parent row — to each
-// of a parent's accumulators.
-func (rn *runner) bookRow(accs []extAcc, pos, row int) {
+// bookRow adds one covered row to each of a parent's accumulators.
+func (rn *runner) bookRow(accs []extAcc, row int) {
 	mass, tw := rn.mass(row), 0.0
 	if rn.topW != nil {
-		tw = rn.topW[pos]
+		tw = rn.topW[row]
 	}
 	for a := range accs {
-		accs[a].add(rn.parent.Value(accs[a].col, row), mass, tw)
+		accs[a].add(rn.tab.Value(accs[a].col, row), mass, tw)
 	}
 }
 
@@ -875,7 +862,7 @@ func (rn *runner) buildCandIndex(cands []*cand) candIndex {
 			ci = len(idx.cols)
 			slot[anchor] = ci
 			idx.cols = append(idx.cols, anchor)
-			idx.byVal = append(idx.byVal, make([][]int, rn.v.DistinctCount(anchor)))
+			idx.byVal = append(idx.byVal, make([][]int, rn.tab.DistinctCount(anchor)))
 		}
 		v := c.r[anchor]
 		idx.byVal[ci][v] = append(idx.byVal[ci][v], pos)
@@ -883,24 +870,22 @@ func (rn *runner) buildCandIndex(cands []*cand) candIndex {
 	return idx
 }
 
-// scan is the anchored row pass (rowPass): one visit of each view row, in
-// nw worker chunks (rowWorkers, or 1), testing only the candidates whose
+// scan is the anchored row pass (rowPass): one visit of each row, in nw
+// worker chunks (rowWorkers, or 1), testing only the candidates whose
 // anchor value the row holds (see candIndex) and visiting an anchorless
-// one, the base, on every row. visit(g, i, pos, row) gets,
-// from worker g, each candidate cands[i] that covers view position pos,
-// parent row row — ascending within a chunk.
-func (rn *runner) scan(cands []*cand, nw int, visit func(g, i, pos, row int)) {
+// one, the base, on every row. visit(g, i, row) gets, from worker g, each
+// candidate cands[i] that covers row — ascending within a chunk.
+func (rn *runner) scan(cands []*cand, nw int, visit func(g, i, row int)) {
 	idx := rn.buildCandIndex(cands)
 	rn.rowPass(nw, func(lo, hi, g int) {
-		for pos := lo; pos < hi; pos++ {
-			row := rn.v.ParentRow(pos)
+		for row := lo; row < hi; row++ {
 			for _, i := range idx.every {
-				visit(g, i, pos, row)
+				visit(g, i, row)
 			}
 			for ci, col := range idx.cols {
-				for _, i := range idx.byVal[ci][rn.parent.Value(col, row)] {
-					if rn.coversFreeParent(cands[i].r, row) {
-						visit(g, i, pos, row)
+				for _, i := range idx.byVal[ci][rn.tab.Value(col, row)] {
+					if rn.coversFree(cands[i].r, row) {
+						visit(g, i, row)
 					}
 				}
 			}
@@ -908,11 +893,11 @@ func (rn *runner) scan(cands []*cand, nw int, visit func(g, i, pos, row int)) {
 	})
 }
 
-// rowPass is one pass over the view's rows in nw worker chunks: fn(lo, hi,
-// g) reads view positions [lo, hi) for worker g, at most pollStride of them
-// a call (polled). It books one pass and the rows its workers read.
+// rowPass is one pass over the table's rows in nw worker chunks: fn(lo,
+// hi, g) reads rows [lo, hi) for worker g, at most pollStride of them a
+// call (polled). It books one pass and the rows its workers read.
 func (rn *runner) rowPass(nw int, fn func(lo, hi, g int)) {
-	rn.stats.RowsScanned += rn.polled(rn.v.NumRows(), nw, pollStride, fn)
+	rn.stats.RowsScanned += rn.polled(rn.tab.NumRows(), nw, pollStride, fn)
 	rn.stats.Passes++
 }
 
@@ -988,10 +973,10 @@ func (rn *runner) generateCandidates(prev []*cand, H float64) []*cand {
 // has never seen.
 //
 // The base, level 0, is expanded alone, in step 1. Its coverage is the
-// whole view, so a scan visits it on every row, and on a full-table Count
-// view the index's masses are its extensions' counts, no row read.
+// whole table, so a scan visits it on every row, and under Count the
+// index's masses are its extensions' counts, no row read.
 func (rn *runner) expandParents(parents []*cand) {
-	v := rn.v
+	tab := rn.tab
 
 	// Phase 1: accs[p] holds one accumulator per star column of parent p
 	// whose extensions stay within mw (weights are monotone, so a column
@@ -1009,7 +994,7 @@ func (rn *runner) expandParents(parents []*cand) {
 			if acc.weight > rn.mw {
 				continue
 			}
-			dc := v.DistinctCount(col)
+			dc := tab.DistinctCount(col)
 			acc.cnt = make([]float64, dc)
 			if rn.topW != nil {
 				acc.mv = make([]float64, dc)
@@ -1029,7 +1014,7 @@ func (rn *runner) expandParents(parents []*cand) {
 	case len(accs[0]) == 0:
 		rn.root.expanded = true // no column within mw: nothing to read
 		return
-	case rn.countAgg && rn.fullTable:
+	case rn.countAgg && rn.ix != nil:
 		// Count(base+(c,v)) over the whole table is the mass of (c,v)'s rows
 		// (table.Index.Mass — the posting list's length on an unweighted
 		// table, its multiplicities summed on a weighted one, an integer
@@ -1056,7 +1041,7 @@ func (rn *runner) expandParents(parents []*cand) {
 		rn.indexPass(len(parents), func(g, p int, st *Stats) {
 			mine, c := accs[p], parents[p]
 			if reserved[p] == 0 {
-				rn.walk(c, plans[p], st, func(pos, row int) { rn.bookRow(mine, pos, row) })
+				rn.walk(c, plans[p], st, func(row int) { rn.bookRow(mine, row) })
 				return
 			}
 			// Only a walk that keeps its rows pays to set their bits.
@@ -1064,8 +1049,8 @@ func (rn *runner) expandParents(parents []*cand) {
 				kept[g] = make([]uint64, rn.bitmapWords)
 			}
 			set := kept[g]
-			rn.walk(c, plans[p], st, func(pos, row int) {
-				rn.bookRow(mine, pos, row)
+			rn.walk(c, plans[p], st, func(row int) {
+				rn.bookRow(mine, row)
 				set[row>>6] |= 1 << (uint(row) & 63)
 			})
 			kept[g] = rn.keepCover(c, set, reserved[p])
@@ -1083,7 +1068,7 @@ func (rn *runner) expandParents(parents []*cand) {
 	}
 	// Scan route: one accumulator set per worker, merged in worker order
 	// after the pass — but only while the extra copies stay modest.
-	nw := rn.rowWorkers(v.NumRows())
+	nw := rn.rowWorkers(tab.NumRows())
 	const parallelAccCap = 64 << 20 // bytes
 	if nw > 1 && accBytes*(nw-1) > parallelAccCap {
 		nw = 1
@@ -1096,7 +1081,7 @@ func (rn *runner) expandParents(parents []*cand) {
 			perWorker[g][p] = blankCopy(accs[p])
 		}
 	}
-	rn.scan(parents, nw, func(g, p, pos, row int) { rn.bookRow(perWorker[g][p], pos, row) })
+	rn.scan(parents, nw, func(g, p, row int) { rn.bookRow(perWorker[g][p], row) })
 	if rn.ctxErr != nil {
 		return // a cut pass: some rows were never booked
 	}
@@ -1121,7 +1106,7 @@ func (rn *runner) materializeChildren(parents []*cand, accs [][]extAcc) {
 	for p, c := range parents {
 		for a := range accs[p] {
 			acc := &accs[p][a]
-			for val, nv := 0, rn.v.DistinctCount(acc.col); val < nv; val++ {
+			for val, nv := 0, rn.tab.DistinctCount(acc.col); val < nv; val++ {
 				if !acc.seen(val) {
 					continue
 				}
@@ -1220,11 +1205,11 @@ func (rn *runner) countCandidates(cands []*cand, plans []candPlan) {
 				c.count += float64(rn.walk(c, plans[i], st, nil))
 				return
 			}
-			rn.walk(c, plans[i], st, func(pos, row int) {
+			rn.walk(c, plans[i], st, func(row int) {
 				mass := rn.mass(row)
 				c.count += mass
 				if !virgin {
-					if tw := topW[pos]; c.weight > tw {
+					if tw := topW[row]; c.weight > tw {
 						c.marginal += (c.weight - tw) * mass
 					}
 				}
@@ -1233,7 +1218,7 @@ func (rn *runner) countCandidates(cands []*cand, plans []candPlan) {
 	} else {
 		// Per-worker accumulators indexed by candidate, merged in worker
 		// order after the pass.
-		nw := rn.rowWorkers(rn.v.NumRows())
+		nw := rn.rowWorkers(rn.tab.NumRows())
 		cnt := make([][]float64, nw)
 		mv := make([][]float64, nw)
 		for g := range cnt {
@@ -1242,11 +1227,11 @@ func (rn *runner) countCandidates(cands []*cand, plans []candPlan) {
 				mv[g] = make([]float64, len(cands))
 			}
 		}
-		rn.scan(cands, nw, func(g, i, pos, row int) {
+		rn.scan(cands, nw, func(g, i, row int) {
 			mass := rn.mass(row)
 			cnt[g][i] += mass
 			if !virgin {
-				if tw := topW[pos]; cands[i].weight > tw {
+				if tw := topW[row]; cands[i].weight > tw {
 					mv[g][i] += (cands[i].weight - tw) * mass
 				}
 			}
@@ -1269,7 +1254,8 @@ func (rn *runner) countCandidates(cands []*cand, plans []candPlan) {
 
 // finalStats snapshots the run's statistics, attributing scanned rows to
 // the sample when the view was one (SampleScale set): every row a sampled
-// run visits is an in-memory sample tuple, not authoritative table I/O.
+// run visits — the copy's included — is an in-memory sample tuple, not
+// authoritative table I/O.
 func (rn *runner) finalStats() Stats {
 	if rn.scale != 1 {
 		rn.stats.SampledRowsScanned = rn.stats.RowsScanned

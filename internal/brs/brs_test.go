@@ -31,18 +31,17 @@ func randomTable(rng *rand.Rand, cols, vals, n int) *table.Table {
 	return b.Build()
 }
 
-// scanView is every row of tab, last first: a permutation, so no ascending
-// row set, and every pass over it scans whatever the index holds — the view
-// a test searches to run the scan kernel where tab.All() would run the
-// index kernels.
-func scanView(tab *table.Table) *table.View {
-	n := tab.NumRows()
-	pos := make([]int, n)
-	for i := range pos {
-		pos[i] = n - 1 - i
-	}
-	return tab.All().Subset(pos)
+// viewOf is every row of tab, searched on the index routes, or — scan —
+// with indexRoutes off until the test ends, so that every pass of a search
+// runs the scan kernel where the index kernels would run otherwise.
+func viewOf(t testing.TB, tab *table.Table, scan bool) *table.View {
+	indexRoutes = !scan
+	t.Cleanup(func() { indexRoutes = true })
+	return tab.All()
 }
+
+// scanView is viewOf's scan: every row of tab, every pass scanned.
+func scanView(t testing.TB, tab *table.Table) *table.View { return viewOf(t, tab, true) }
 
 // randomMeasuredTable is randomTable with one measure column "M" of
 // fractional masses in [0, 10), for the Sum aggregate.
@@ -464,7 +463,7 @@ func TestKLargerThanRuleSpace(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tab := randomTable(rng, 3, 3, 50)
-	_, stats, err := Run(scanView(tab), weight.NewSize(3), Options{K: 2, MaxWeight: 3})
+	_, stats, err := Run(scanView(t, tab), weight.NewSize(3), Options{K: 2, MaxWeight: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,8 +38,7 @@ func (c *firesAt) Err() error {
 func (c *firesAt) fired() bool { return c.calls.Load() >= c.n }
 
 // oneValueRunner is a runner over n rows that all hold the one value of
-// the one column, whose level-1 rule therefore covers every row, searched
-// through a view that is no ascending row set.
+// the one column, whose level-1 rule therefore covers every row.
 func oneValueRunner(t *testing.T, n, workers int) (*runner, *cand) {
 	t.Helper()
 	b := table.MustBuilder([]string{"A"}, nil)
@@ -47,7 +46,7 @@ func oneValueRunner(t *testing.T, n, workers int) (*runner, *cand) {
 		b.MustAddRow([]string{"x"})
 	}
 	tab := b.Build()
-	rn, err := newRunner(scanView(tab), weight.NewSize(1), Options{Workers: workers})
+	rn, err := newRunner(tab.All(), weight.NewSize(1), Options{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +67,7 @@ func TestCancelInsideScan(t *testing.T) {
 			rn.ctx = ctx
 			nw := rn.rowWorkers(n)
 			visited, late := make([]int64, nw), make([]int64, nw)
-			rn.scan([]*cand{c}, nw, func(g, _, _, _ int) {
+			rn.scan([]*cand{c}, nw, func(g, _, _ int) {
 				visited[g]++
 				if ctx.fired() {
 					late[g]++
@@ -134,8 +133,7 @@ func TestCancelInsideIndexPass(t *testing.T) {
 }
 
 // TestCancelInsideAPass cancels whole searches at polls spread over their
-// run, on the scan routes (the rows last first) and the index routes (the
-// whole table), serially and in parallel. RunIncrementalCtx and RunCtx
+// run, on the scan routes (indexRoutes off) and the index routes, serially and in parallel. RunIncrementalCtx and RunCtx
 // return context.Canceled wherever the context fires; the stream yields
 // the rules of the steps finished before it fired — a prefix of the
 // uncanceled stream — and no rule after it.
@@ -143,7 +141,7 @@ func TestCancelInsideAPass(t *testing.T) {
 	tab := datagen.CensusProjected(10_000, 5, 7)
 	w := weight.NewSize(tab.NumCols())
 	for _, scan := range []bool{true, false} {
-		v := viewOf(tab, scan)
+		v := viewOf(t, tab, scan)
 		for _, workers := range []int{1, 2} {
 			opts := Options{K: 3, Workers: workers}
 			label := fmt.Sprintf("scan=%v workers=%d", scan, workers)
@@ -246,7 +244,7 @@ func TestCancelInsideBookkeeping(t *testing.T) {
 	tab := b.Build()
 	w := weight.NewSize(tab.NumCols())
 	for _, scan := range []bool{true, false} {
-		v := viewOf(tab, scan)
+		v := viewOf(t, tab, scan)
 		for _, workers := range []int{1, 2} {
 			label := fmt.Sprintf("scan=%v workers=%d", scan, workers)
 			opts := Options{K: 3, Workers: workers}

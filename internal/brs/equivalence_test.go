@@ -144,11 +144,11 @@ func TestFastPathMatchesReference(t *testing.T) {
 // TestCrossStepReuseObservable pins the headline reuse claim: on a
 // multi-step run, later steps serve level-1 candidates from the cache
 // (CandidatesReused > 0) and counting work drops versus the oracle. The
-// view is no ascending row set, so the fast run scans too and reuse is the
-// only difference between the two.
+// index routes are off, so the fast run scans too and reuse is the only
+// difference between the two.
 func TestCrossStepReuseObservable(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
-	v := scanView(randomTable(rng, 5, 4, 600))
+	v := scanView(t, randomTable(rng, 5, 4, 600))
 	w := weight.NewSize(5)
 	fast, fs, err := Run(v, w, Options{K: 4, MaxWeight: 4})
 	if err != nil {

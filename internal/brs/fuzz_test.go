@@ -15,8 +15,8 @@ import (
 // rows of one byte per column (its low two bits pick one of four values)
 // followed by the row's mass as eight little-endian float64 bytes.
 //
-//	[0] columns 2..5      [1] bit 0 Sum, bit 1 Bits weights, bit 2 rows last first (scan
-//	                          routes), bit 3 masses truncated to integers below 1024,
+//	[0] columns 2..5      [1] bit 0 Sum, bit 1 Bits weights, bit 2 index routes off (every
+//	                          pass scans), bit 3 masses truncated to integers below 1024,
 //	                          bit 4 under Count, search the table's distinct tuples
 //	                          (where it has few enough), each weighing its multiplicity
 //	[2] base: 0 trivial, else column (b−1) mod columns at its first row's value
@@ -26,7 +26,7 @@ type fuzzCase struct {
 	rows *table.Table // when tab is a distinct-tuple table: the table it was built from
 	w    weight.Weighter
 	opts Options // K, MaxWeight, Base, Agg
-	scan bool    // search scanView's permutation of the rows: every pass scans
+	scan bool    // search with indexRoutes off: every pass scans
 	// orderFree: every accumulator holds integers, so a sum depends neither
 	// on the order rows are added in nor on the order workers merge in.
 	orderFree bool
@@ -142,7 +142,7 @@ func FuzzFastMatchesReference(f *testing.F) {
 			t.Skip()
 		}
 		tab, w, opts := fc.tab, fc.w, fc.opts
-		v := viewOf(tab, fc.scan)
+		v := viewOf(t, tab, fc.scan)
 		want := oracleStream(v, w, opts, opts.K)
 		requireGreedyArgmax(t, "brsref", tab, w, opts, opts.K, want)
 		requireList(t, "brsref", w, oracleRun(v, w, opts), want)

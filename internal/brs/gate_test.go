@@ -29,7 +29,7 @@ func TestEquivalenceGateOpensWithH(t *testing.T) {
 		group{cells: []string{"a1", "u#", "v#"}, n: 60},
 		group{cells: []string{"a2", "b2", "c2"}, n: 15})
 	for _, scan := range []bool{false, true} {
-		v := viewOf(tab, scan)
+		v := viewOf(t, tab, scan)
 		label := fmt.Sprintf("scan=%v", scan)
 		gated := []map[string]string{{"A": "a2"}, {"B": "b2"}, {"C": "c2"}}
 		deep := mustRule(t, tab, map[string]string{"A": "a2", "B": "b2", "C": "c2"})
@@ -76,7 +76,7 @@ func TestEquivalenceMergeIsNotGated(t *testing.T) {
 	w := weight.NewSize(3)
 	tab := mergeNotGatedTable()
 	for _, scan := range []bool{false, true} {
-		v := viewOf(tab, scan)
+		v := viewOf(t, tab, scan)
 		label := fmt.Sprintf("scan=%v", scan)
 		base := mustRule(t, tab, map[string]string{"A": "d"})
 		opts := Options{MaxWeight: 3, Base: base, Agg: score.SumAgg{Measure: 0}, Workers: 1}

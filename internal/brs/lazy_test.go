@@ -54,15 +54,6 @@ func groupTable(cols []string, groups ...group) *table.Table {
 	return b.Build()
 }
 
-// viewOf is every row of tab: the whole table, which the index kernels
-// read, or — scan — scanView's permutation of it, which passes scan.
-func viewOf(tab *table.Table, scan bool) *table.View {
-	if scan {
-		return scanView(tab)
-	}
-	return tab.All()
-}
-
 func mustRule(t *testing.T, tab *table.Table, pattern map[string]string) rule.Rule {
 	t.Helper()
 	r, err := tab.EncodeRule(pattern)
@@ -122,7 +113,7 @@ func sameStreams(t *testing.T, label string, v *table.View, w weight.Weighter, o
 //     freshly generated rule.
 //
 // Each stream must equal the order worked out by hand and the oracle's, on
-// the index routes (the whole table) and the scan routes (scanView), at
+// the index routes and the scan routes (indexRoutes off), at
 // every worker count.
 func TestEquivalenceLazyTieBreaks(t *testing.T) {
 	cols := []string{"A", "B"}
@@ -149,7 +140,7 @@ func TestEquivalenceLazyTieBreaks(t *testing.T) {
 	for _, tc := range cases {
 		tab := groupTable(cols, append(append([]group{}, common...), tc.extra...)...)
 		for _, scan := range []bool{false, true} {
-			v := viewOf(tab, scan)
+			v := viewOf(t, tab, scan)
 			label := fmt.Sprintf("%s scan=%v", tc.name, scan)
 			x := mustRule(t, tab, map[string]string{"A": "a2", "B": "b2"})
 
@@ -220,7 +211,7 @@ func TestEquivalenceLateSurvivorTieBreaks(t *testing.T) {
 	for _, tc := range cases {
 		tab := groupTable([]string{"A", "B"}, append(append([]group{}, common...), tc.extra...)...)
 		for _, scan := range []bool{false, true} {
-			v := viewOf(tab, scan)
+			v := viewOf(t, tab, scan)
 			label := fmt.Sprintf("%s scan=%v", tc.name, scan)
 
 			rn, err := newRunner(v, w, Options{MaxWeight: 2, Workers: 1})
@@ -267,7 +258,7 @@ func TestEquivalenceRefreshThroughTies(t *testing.T) {
 	w := weight.NewSize(2)
 	tab := groupTable([]string{"A", "B"}, groups...)
 	for _, scan := range []bool{false, true} {
-		v := viewOf(tab, scan)
+		v := viewOf(t, tab, scan)
 		want := oracleStream(v, w, Options{MaxWeight: 1}, 2)
 		if len(want) != 2 || !want[1].Rule.Equal(mustRule(t, tab, map[string]string{"A": "a0"})) {
 			t.Fatalf("scan=%v: the oracle streamed %v, want (a1,?) then (a0,?)", scan, want)
@@ -330,7 +321,7 @@ func TestEquivalenceTiesAcrossParents(t *testing.T) {
 					t.Fatalf("%s: fixture: %v must sort before %v and leave the first column starred", label, win, lose)
 				}
 			}
-			sameStreams(t, label, viewOf(tab, scan), w, Options{}, tc.want)
+			sameStreams(t, label, viewOf(t, tab, scan), w, Options{}, tc.want)
 		}
 	}
 }
@@ -364,7 +355,7 @@ func TestFusedChildExistsBySight(t *testing.T) {
 	}
 	w := weight.NewSize(3)
 	for _, scan := range []bool{true, false} {
-		v := viewOf(tab, scan)
+		v := viewOf(t, tab, scan)
 		for _, agg := range []score.Aggregator{score.SumAgg{Measure: 0}, signedSum{}} {
 			opts := Options{MaxWeight: 3, Agg: agg, Workers: 1}
 			fast, err := newRunner(v, w, opts)
@@ -456,14 +447,14 @@ func TestLastSelectionPaysNoWalk(t *testing.T) {
 	tab := groupTable([]string{"A"},
 		group{cells: []string{"x"}, n: 50}, group{cells: []string{"y"}, n: 30}, group{cells: []string{"z"}, n: 20})
 	w := weight.NewSize(1)
-	_, scan, err := Run(scanView(tab), w, Options{K: 1})
+	_, scan, err := Run(scanView(t, tab), w, Options{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if scan.Passes != 1 || scan.RowsScanned != 100 || scan.IndexLevels != 0 {
 		t.Fatalf("one-rule scan run: %+v, want exactly the level-1 pass", scan)
 	}
-	_, index, err := Run(tab.All(), w, Options{K: 1})
+	_, index, err := Run(viewOf(t, tab, false), w, Options{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +466,7 @@ func TestLastSelectionPaysNoWalk(t *testing.T) {
 		group{cells: []string{"a1", "u#"}, n: 60}, group{cells: []string{"a2", "b2"}, n: 20}, group{cells: []string{"a3", "b2"}, n: 15})
 	w2 := weight.NewSize(2)
 	for _, scanned := range []bool{true, false} {
-		v := viewOf(wide, scanned)
+		v := viewOf(t, wide, scanned)
 		statsOf := func(ctx context.Context, maxRules int, yield Yield) Stats {
 			st, err := RunIncrementalCtx(ctx, v, w2, Options{MaxWeight: 2}, maxRules, time.Time{}, yield)
 			if err != nil && !errors.Is(err, context.Canceled) {

@@ -5,17 +5,18 @@ import (
 	"smartdrill/internal/table"
 )
 
-// Index-driven counting. A candidate's coverage within the view is the
-// intersection of the view's row set with the index containers of the
-// candidate's instantiated free columns — or with its own cover, or its
-// parent's cover and one column's container (Covers, below) — so counting
-// (and candidate generation, and the topW raise over a selected rule) can
-// be answered from the index instead of scanning every view row. The index
-// keeps each (column, value) in one container — a sorted []int32 posting
-// list where the value is sparse, a packed []uint64 bitset (table.Bitset)
-// where it is dense — and two kernels read them:
+// Index-driven counting. A search reads a whole table — newRunner copies any
+// other view into one — so a candidate's coverage is the intersection of
+// the index containers of the candidate's instantiated free columns — or
+// its own cover, or its parent's cover and one column's container (Covers,
+// below) — and counting (and candidate generation, and the topW raise over
+// a selected rule) can be answered from the index instead of scanning every
+// row. The index keeps each (column, value) in one container — a sorted
+// []int32 posting list where the value is sparse, a packed []uint64 bitset
+// (table.Bitset) where it is dense — and two kernels read them, each
+// handing its visitor the rows it finds, nothing else:
 //
-//   - Probing (table.View.EachInAll): a walk of the smallest container that
+//   - Probing (table.EachInAll): a walk of the smallest container that
 //     tests each of its rows against the others — one word read where the
 //     other is a bitset, a galloping search where it is a list. Cost per
 //     candidate is roughly (number of containers) × (smallest's rows) —
@@ -33,20 +34,19 @@ import (
 //     table.Bitset) — on a table in tuple order, where rows cluster, a
 //     fraction of the universe. A pure *count* needs only popcount — zero
 //     rows enumerated — where every row's mass is 1 (Count over an
-//     unweighted table). Applies on full-table views under the Count
-//     aggregate, where view positions are parent rows and masses stay
-//     integral, to candidates whose every container is a bitset.
+//     unweighted table). Applies under the Count aggregate, whose masses
+//     stay integral, to candidates whose every container is a bitset.
 //
 // The base, level 0, instantiates no free column: its coverage is the
-// whole view, and it has no container to walk. On the full table under
-// Count its expansion reads the masses the index stores beside its
-// extensions' containers (table.Index.Mass), not a single row; on any other
-// view the pass that expands it scans.
+// whole table, and it has no container to walk. Under Count its expansion
+// reads the masses the index stores beside its extensions' containers
+// (table.Index.Mass), not a single row; under Sum the pass that expands it
+// scans.
 //
 // A cost model decides per counting step which access path runs, and per
-// candidate which kernel. Scan cost is one visit per view row plus the
+// candidate which kernel. Scan cost is one visit per row plus the
 // anchor-match work the scan kernel pays per candidate (rows sharing the
-// candidate's anchor value, scaled to the view); kernel costs are the
+// candidate's anchor value); kernel costs are the
 // entry/word volumes above. Each stage of the index — sizes and masses,
 // then containers — is built whole by its first read (table.Index), so the
 // decision is purely about read volume, and the same whether or not anyone
@@ -89,7 +89,13 @@ const postingsCostSlack = 16
 // a variable only so that a test can lower it.
 var coverBudget int64 = 32 << 20
 
-// cover is the rows of the parent table a candidate's walk visited, in
+// indexRoutes lets a search read its table's index. It is a variable only
+// so that a test can turn it off and run every pass of a search on the scan
+// kernel, which a Sum run's level-1 pass and the passes the planner finds
+// cheaper to scan take.
+var indexRoutes = true
+
+// cover is the rows of the searched table a candidate's walk visited, in
 // the container that reads them in fewer words among those that fit what
 // the walk reserved (table.NewContainer): a bitset wherever its span's
 // words, or its summary's and its non-zero ones, are fewer than its rows —
@@ -109,7 +115,7 @@ func (cv *cover) bytes() int64 {
 	return 4 * int64(len(cv.list))
 }
 
-// keepCover makes the rows set in kept — a walk's, one bit a parent row —
+// keepCover makes the rows set in kept — a walk's, one bit a row —
 // c's cover, in at most the reserved bytes, and returns kept cleared for the
 // next walk, or nil where the cover took it for its bitset.
 func (rn *runner) keepCover(c *cand, kept []uint64, reserved int64) []uint64 {
@@ -134,7 +140,7 @@ func (rn *runner) keepCover(c *cand, kept []uint64, reserved int64) []uint64 {
 // fewer words among those that fit: a list of them always does.
 func (rn *runner) reserveCovers(parents []*cand, plans []candPlan, accs [][]extAcc) []int64 {
 	reserved := make([]int64, len(parents))
-	numRows := rn.parent.NumRows()
+	numRows := rn.tab.NumRows()
 	for p, c := range parents {
 		if c.cover != nil || c.from == nil || len(accs[p]) == 0 {
 			continue
@@ -191,7 +197,7 @@ func (rn *runner) containers(c *cand, lists [][]int32, sets []*table.Bitset) ([]
 // The probing walk takes its driver's rows and tests each against every
 // other container: a list driver is read an entry a row, a dense driver for
 // its words. The AND kernels read every container's words, and apply where
-// every container is a bitset on a full-table Count view; they win a tie,
+// every container is a bitset under Count; they win a tie,
 // since a count under unit masses needs no row enumerated. anchor is the
 // posting length of c's anchor column (the scan kernel's per-candidate
 // work, see buildCandIndex); ok is false for a rule with no instantiated
@@ -209,7 +215,7 @@ func (rn *runner) planCand(c *cand) (plan candPlan, anchor int64, ok bool) {
 	var listBuf [16][]int32
 	var setBuf [16]*table.Bitset
 	lists, sets := rn.containers(c, listBuf[:0], setBuf[:0])
-	denseDriver, allDense := false, rn.bitmapOK
+	denseDriver, allDense := false, rn.countAgg
 	for i, set := range sets {
 		size := int64(len(lists[i]))
 		if set != nil {
@@ -235,14 +241,13 @@ func (rn *runner) planCand(c *cand) (plan candPlan, anchor int64, ok bool) {
 // planIndex decides scan vs index for a pass over cands (counting or
 // generation), returning per-candidate kernel choices when the index path
 // wins and nil when the pass scans: the kernels' total estimated read
-// volume must undercut one scan of the view, where the scan is charged its
+// volume must undercut one scan of the table, where the scan is charged its
 // row visits plus each candidate's anchor-match work (anchor posting
-// length, scaled to the view's share of the table).
+// length).
 func (rn *runner) planIndex(cands []*cand) []candPlan {
-	if rn.ix == nil || !rn.sorted || len(cands) == 0 {
+	if rn.ix == nil || len(cands) == 0 {
 		return nil
 	}
-	n := int64(rn.v.NumRows())
 	total := int64(0)
 	var anchors int64
 	plans := make([]candPlan, len(cands))
@@ -255,8 +260,7 @@ func (rn *runner) planIndex(cands []*cand) []candPlan {
 		total += plan.cost
 		anchors += anchor
 	}
-	scanCost := n + anchors*n/int64(rn.parent.NumRows())
-	if total >= scanCost {
+	if total >= int64(rn.tab.NumRows())+anchors {
 		return nil
 	}
 	return plans
@@ -267,20 +271,19 @@ func (rn *runner) planIndex(cands []*cand) []candPlan {
 // every path, so the decision weighs only enumeration cost: posting
 // entries or bitmap words versus one row scan.
 func (rn *runner) planPostingsOne(c *cand) (plan candPlan, ok bool) {
-	if rn.ix == nil || !rn.sorted {
+	if rn.ix == nil {
 		return candPlan{}, false
 	}
 	plan, _, ok = rn.planCand(c)
-	return plan, ok && plan.cost < int64(rn.v.NumRows())
+	return plan, ok && plan.cost < int64(rn.tab.NumRows())
 }
 
-// walk visits c's coverage in the view through the index, by the kernel
-// plan chose — bitset AND or probing walk — over c's containers. It calls
-// visit(pos, row) for every covered row in ascending row order and books
-// the entries and words it read into st. visit may be nil on the bitset
-// kernel alone: then walk only counts, by popcount, no row enumerated, and
-// returns the count.
-func (rn *runner) walk(c *cand, plan candPlan, st *Stats, visit func(pos, row int)) (rows int) {
+// walk visits c's coverage through the index, by the kernel plan chose —
+// bitset AND or probing walk — over c's containers. It calls visit(row) for
+// every covered row in ascending order and books the entries and words it
+// read into st. visit may be nil on the bitset kernel alone: then walk only
+// counts, by popcount, no row enumerated, and returns the count.
+func (rn *runner) walk(c *cand, plan candPlan, st *Stats, visit func(row int)) (rows int) {
 	// Room for the containers of a 16-column rule on the stack; a wider
 	// one's grow on the heap.
 	var listBuf [16][]int32
@@ -291,10 +294,9 @@ func (rn *runner) walk(c *cand, plan candPlan, st *Stats, visit func(pos, row in
 	case visit == nil:
 		rows, words = table.AndCount(sets)
 	case plan.bitmap:
-		// Full-table Count: view positions are parent rows.
 		words = table.AndEach(sets, visit)
 	default:
-		entries, words = rn.v.EachInAll(lists, visit, sets...)
+		entries, words = table.EachInAll(lists, visit, sets...)
 	}
 	st.PostingsRead += entries
 	st.BitmapWordsRead += words

@@ -3,6 +3,8 @@ package brs
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"smartdrill/internal/rule"
@@ -16,8 +18,13 @@ import (
 // rows, sharing no code with the runner — at every worker count, on view
 // shapes chosen so that each planner arm (bitmap, probing walk, scan) is
 // the one that runs. Arms are selected by input shape, the way production
-// selects them, and every cell asserts its arm engaged, so the matrix
-// cannot silently degenerate into testing one arm under many names. CI
+// selects them — but for the scan arm, which a test reaches by turning the
+// index routes off — and every cell asserts its arm engaged, so the matrix
+// cannot silently degenerate into testing one arm under many names. A
+// search of a sub-view is a search of its copy: every cell must also
+// return, field for field, what the same search over Select of the view's
+// rows returns, having read exactly what that search read plus the one
+// pass that copied them. CI
 // runs this file under -race (the Equivalence|Parallel job), so the lazy
 // shared index build, the bitset containers, and the per-worker
 // accumulator merges are all exercised for data races, not just for
@@ -29,6 +36,7 @@ type armShape struct {
 	name    string
 	view    *table.View
 	rows    *table.View // when view is of a distinct-tuple table: the same tuples, one per row
+	scan    bool        // search with the index routes off
 	w       weight.Weighter
 	opts    Options
 	forbid  func(Stats) bool // nil: nothing ruled out
@@ -61,13 +69,33 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 		// a rule drill-down (ascending rows, a strict subset of the table).
 		base := rule.Trivial(cols).With(0, 0)
 		// Probe view: rows drawn with replacement (the mw estimator's
-		// shape) — not ascending, so no index kernel applies.
+		// shape) — in no order, a row drawn twice listed twice.
 		probe := make([]int, n/2)
 		for i := range probe {
 			probe[i] = rng.Intn(n)
 		}
-		// Off the full table, and under Sum, the bitset AND kernel cannot
-		// run: every index read is the intersection walk's. Where every
+		// Every row of the table, last first; a tenth of the rows, each
+		// listed twice, in order; and a row sample of a quarter, drawn
+		// without replacement and in order as a sample handler serves one,
+		// its counts scaled to the table.
+		reversed := make([]int, n)
+		for i := range reversed {
+			reversed[i] = n - 1 - i
+		}
+		var twice, sample []int
+		for i := 0; i < n; i++ {
+			if i%10 == 0 {
+				twice = append(twice, i, i)
+			}
+			if rng.Intn(4) == 0 {
+				sample = append(sample, i)
+			}
+		}
+		sampleScale := float64(n) / float64(len(sample))
+		// A copy reads its own index: the copy's pass, then index levels.
+		copiedIndexed := func(s Stats) bool { return s.Passes > 0 && s.IndexLevels > 0 }
+		// Under Sum the bitset AND kernel cannot run: every index read is
+		// the intersection walk's. Where every
 		// value the walk can meet is dense there is no posting list to read
 		// an entry of — the driver's rows are its bitset's set bits — and
 		// where every one is sparse there is no bitset to read a word of.
@@ -121,11 +149,19 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 				opts: Options{K: 4, MaxWeight: frac.MaxWeight(3)}, engaged: multiStep},
 			{name: "dup-column", view: dup.All(), w: weight.NewSize(cols + 1),
 				opts: Options{K: 5, MaxWeight: 3}, engaged: multiStep},
-			// A sorted sub-view under Count, its free columns all dense: the
-			// probing walk with a bitset for a driver.
+			// A sorted sub-view under Count, copied, its free columns all
+			// dense: no posting entry to read.
 			{name: "child", view: tab.ViewOf(tab.FilterIndices(base)), w: w,
-				opts:   Options{K: 4, MaxWeight: mw, Base: base, BaseCovered: true},
-				forbid: noEntries, engaged: denseWalk},
+				opts:    Options{K: 4, MaxWeight: mw, Base: base, BaseCovered: true},
+				forbid:  noEntries,
+				engaged: func(s Stats) bool { return copiedIndexed(s) && denseWalk(s) }},
+			{name: "permuted", view: tab.ViewOf(reversed), w: w,
+				opts: Options{K: 4, MaxWeight: mw}, engaged: copiedIndexed},
+			{name: "duplicates", view: tab.ViewOf(twice), w: w,
+				opts: Options{K: 4, MaxWeight: mw}, engaged: copiedIndexed},
+			{name: "row-sample", view: tab.ViewOf(sample), w: w,
+				opts:    Options{K: 4, MaxWeight: mw, SampleScale: sampleScale},
+				engaged: func(s Stats) bool { return copiedIndexed(s) && s.SampledRowsScanned == s.RowsScanned }},
 			// Integral masses under Size weights keep every Sum accumulator
 			// exact, so worker merge order cannot show in the last ulp.
 			{name: "sum", view: tab.All(), w: size,
@@ -149,16 +185,20 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 				rows:    heavy.ViewOf(heavy.FilterIndices(heavyBase)),
 				opts:    Options{K: 4, MaxWeight: heavyW.MaxWeight(3), Base: heavyBase, BaseCovered: true},
 				engaged: func(s Stats) bool { return s.RowsScanned+s.PostingsRead > 0 }},
-			{name: "probe", view: tab.ViewOf(probe), w: w,
+			{name: "probe", view: tab.ViewOf(probe), w: w, scan: true,
 				opts:    Options{K: 4, MaxWeight: mw},
 				forbid:  func(s Stats) bool { return s.IndexLevels != 0 },
 				engaged: func(s Stats) bool { return s.RowsScanned > 0 }},
 		}
 		for _, sh := range shapes {
-			want := oracleRun(sh.view, sh.w, sh.opts)
+			want := scaled(oracleRun(sh.view, sh.w, sh.opts), sh.opts.SampleScale)
 			if sh.rows != nil {
-				sameResults(t, fmt.Sprintf("trial %d %s: the oracle over the rows", trial, sh.name), oracleRun(sh.rows, sh.w, sh.opts), want)
+				sameResults(t, fmt.Sprintf("trial %d %s: the oracle over the rows", trial, sh.name), scaled(oracleRun(sh.rows, sh.w, sh.opts), sh.opts.SampleScale), want)
 			}
+			rows := rowsOf(sh.view)
+			whole := slices.Equal(rows, rowsOf(sh.view.Table().All()))
+			copied := sh.view.Table().Select(rows).All()
+			viewOf(t, sh.view.Table(), sh.scan)
 			for _, workers := range []int{1, 2, 8} {
 				opts := sh.opts
 				opts.Workers = workers
@@ -168,6 +208,23 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 				}
 				label := fmt.Sprintf("trial %d %s workers=%d", trial, sh.name, workers)
 				sameResults(t, label, got, want)
+				fromCopy, copyStats, err := Run(copied, sh.w, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, fromCopy) {
+					t.Fatalf("%s: results\n%v\nthe copy's\n%v", label, got, fromCopy)
+				}
+				if !whole {
+					copyStats.Passes++
+					copyStats.RowsScanned += int64(len(rows))
+					if sh.opts.SampleScale != 0 {
+						copyStats.SampledRowsScanned += int64(len(rows))
+					}
+				}
+				if stats != copyStats {
+					t.Fatalf("%s: stats\n%+v\nwant the copy's and its pass\n%+v", label, stats, copyStats)
+				}
 				if sh.forbid != nil && sh.forbid(stats) {
 					t.Fatalf("%s: did work its shape rules out: %+v", label, stats)
 				}
@@ -177,6 +234,29 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rowsOf lists the rows of its table v holds, in view order.
+func rowsOf(v *table.View) []int {
+	rows := make([]int, v.NumRows())
+	for i := range rows {
+		rows[i] = v.ParentRow(i)
+	}
+	return rows
+}
+
+// scaled is rs with every Count and MCount times scale, as a search under
+// SampleScale emits them; 0 leaves rs as it is.
+func scaled(rs []Result, scale float64) []Result {
+	if scale == 0 {
+		return rs
+	}
+	out := slices.Clone(rs)
+	for i := range out {
+		out[i].Count *= scale
+		out[i].MCount *= scale
+	}
+	return out
 }
 
 // skewedTable builds a random table whose first column concentrates 85%

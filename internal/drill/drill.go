@@ -854,9 +854,9 @@ func estimateMaxWeight(ctx context.Context, v *table.View, w weight.Weighter, k 
 // replacement and hands them to the search under w tallied: each drawn tuple
 // once, in tuple order like every grouped table, standing for the number of
 // times it was —
-// a weighted table with its index built, which the search reads in one pass
-// where the draws laid out row by row, an unsorted view no index kernel
-// applies to, cost it a scan per level. From a view of rows the drawn rows
+// a weighted table, which the search reads as it is, where the draws laid
+// out row by row, a view, would be copied row by row first and searched
+// without multiplicities. From a view of rows the drawn rows
 // are grouped (Table.GroupRows, the one grouping routine). From a view of
 // distinct tuples with multiplicities — the table's, or a sample's — a tuple
 // is drawn with probability proportional to its multiplicity, which is
@@ -865,7 +865,8 @@ func estimateMaxWeight(ctx context.Context, v *table.View, w weight.Weighter, k 
 // weighted table is in it and the views a search reads are ascending. The
 // search's answer is bit for bit the rows' wherever exactGrouped
 // holds; elsewhere — fractional weights — the probe keeps the view of the
-// drawn rows. read is the pass that built the tally.
+// drawn rows, which the search copies. read is the pass that built the
+// tally.
 func probeView(v *table.View, w weight.Weighter, rng *rand.Rand) (probe *table.View, read brs.Stats) {
 	t := v.Table()
 	var tally *table.Table

@@ -209,12 +209,11 @@ func (h *Handler) create(r rule.Rule, target int) (*View, error) {
 
 // viewOf wraps an ascending unit set — resident sample s's, or with s nil a
 // union belonging to none — as a sample view. Ascending units are the
-// serving contract: uniformity does not depend on order, and ascending rows
-// let BRS's cost planner answer candidate counting by intersecting the master
-// table's posting lists with the sample (materialization-free) whenever that
-// reads fewer entries than scanning it, and are what the tuple population
-// run-lengths into a sample's tuples. A resident sample keeps the form its
-// first serve built; Combine's union is built per call.
+// serving contract: uniformity does not depend on order, ascending rows keep
+// the copy BRS searches of a row sample in the master table's order, and
+// they are what the tuple population run-lengths into a sample's tuples. A
+// resident sample keeps the form its first serve built; Combine's union is
+// built per call.
 func (h *Handler) viewOf(s *Sample, units []int, scale float64, m Method) *View {
 	v := &View{Scale: scale, Method: m, EstimatedCount: float64(len(units)) * scale}
 	if s != nil && s.tab != nil {

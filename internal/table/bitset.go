@@ -15,7 +15,7 @@ import "math/bits"
 // would (4 bytes per entry), i.e. when the value covers at least 1/32 of the
 // table (Dense). Sparse values are sorted lists only: an intersection walk
 // gallops through them and probes the bitsets of the dense ones
-// (View.EachInAll), or, where every value is dense, the AND kernels read
+// (EachInAll), or, where every value is dense, the AND kernels read
 // their words; the cost planner picks the kernel per candidate. The rows a
 // search keeps of a walk are another matter: they live for one search, and
 // are kept in whichever container reads them in fewer words (NewContainer).
@@ -278,19 +278,16 @@ func AndCount(sets []*Bitset) (count int, wordsRead int64) {
 	return count, wordsRead
 }
 
-// AndEach calls fn(row, row) for every row common to all sets, in
-// ascending row order — the order a scan or a posting-list walk visits
-// them, so aggregate accumulation stays bit-identical across access paths
-// — and returns the words read, as AndCount books them. fn has the shape
-// of View.EachInAll's fn(pos, row): over the whole table, whose view
-// position of a row is the row, one visitor serves both kernels. All sets
-// must share one universe. Zero sets visit nothing.
-func AndEach(sets []*Bitset, fn func(pos, row int)) (wordsRead int64) {
+// AndEach calls fn(row) for every row common to all sets, in ascending
+// row order — the order a scan or a posting-list walk visits them, so
+// aggregate accumulation stays bit-identical across access paths — and
+// returns the words read, as AndCount books them. All sets must share one
+// universe. Zero sets visit nothing.
+func AndEach(sets []*Bitset, fn func(row int)) (wordsRead int64) {
 	return eachWord(sets, func(i int) bool {
 		base := i << 6
 		for w := and(sets, i); w != 0; w &= w - 1 {
-			row := base + bits.TrailingZeros64(w)
-			fn(row, row)
+			fn(base + bits.TrailingZeros64(w))
 		}
 		return true
 	})

@@ -131,7 +131,7 @@ func andWords(lists [][]int32) (words, spanOnly int64) {
 func requireSummary(t *testing.T, label string, b *Bitset) {
 	t.Helper()
 	var rows []int32
-	AndEach([]*Bitset{b}, func(_, row int) { rows = append(rows, int32(row)) })
+	AndEach([]*Bitset{b}, func(row int) { rows = append(rows, int32(row)) })
 	if nz := len(wordsOf(rows)); b.nz != nz {
 		t.Fatalf("%s: %d non-zero words counted, want %d", label, b.nz, nz)
 	}
@@ -211,10 +211,7 @@ func checkKernels(t *testing.T, label string, lists [][]int32, rows int) {
 	}
 
 	var got []int32
-	words = AndEach(sets, func(pos, row int) {
-		if pos != row {
-			t.Fatalf("%s: AndEach visited row %d at position %d", label, row, pos)
-		}
+	words = AndEach(sets, func(row int) {
 		if row < 0 || row >= rows {
 			t.Fatalf("%s: AndEach visited out-of-universe row %d (rows=%d)", label, row, rows)
 		}
@@ -310,7 +307,7 @@ func TestBitsetKernelsAdversarial(t *testing.T) {
 	if c, w := AndCount(nil); c != 0 || w != 0 {
 		t.Fatalf("AndCount(nil) = (%d, %d), want (0, 0)", c, w)
 	}
-	if w := AndEach(nil, func(int, int) { t.Fatal("AndEach(nil) visited a row") }); w != 0 {
+	if w := AndEach(nil, func(int) { t.Fatal("AndEach(nil) visited a row") }); w != 0 {
 		t.Fatalf("AndEach(nil) words = %d, want 0", w)
 	}
 }
@@ -328,7 +325,7 @@ func TestBitsetDisjointSpans(t *testing.T) {
 		if c, w := AndCount(sets); c != 0 || w != 0 {
 			t.Fatalf("AndCount = (%d, %d), want (0, 0)", c, w)
 		}
-		if w := AndEach(sets, func(_, row int) { t.Fatalf("AndEach visited row %d", row) }); w != 0 {
+		if w := AndEach(sets, func(row int) { t.Fatalf("AndEach visited row %d", row) }); w != 0 {
 			t.Fatalf("AndEach read %d words, want 0", w)
 		}
 	}
@@ -474,7 +471,7 @@ func FuzzBitsetIntersect(f *testing.F) {
 			t.Fatalf("AndCount = %d reading %d words, want %d reading %d (rows=%d k=%d)", count, words, len(want), wantWords, rows, k)
 		}
 		var got []int32
-		if words := AndEach(sets, func(_, row int) { got = append(got, int32(row)) }); words != wantWords {
+		if words := AndEach(sets, func(row int) { got = append(got, int32(row)) }); words != wantWords {
 			t.Fatalf("AndEach read %d words, want %d", words, wantWords)
 		}
 		if !slices.Equal(got, want) {
@@ -484,12 +481,7 @@ func FuzzBitsetIntersect(f *testing.F) {
 			return
 		}
 		var walked []int32
-		entries, words := (&Table{n: rows}).All().EachInAll(make([][]int32, k), func(pos, row int) {
-			if pos != row {
-				t.Fatalf("full-table walk visited row %d at position %d", row, pos)
-			}
-			walked = append(walked, int32(row))
-		}, sets...)
+		entries, words := EachInAll(make([][]int32, k), func(row int) { walked = append(walked, int32(row)) }, sets...)
 		if entries != 0 || !slices.Equal(walked, want) {
 			t.Fatalf("walk over bitsets alone read %d entries and visited %d rows, want none and the %d of AndEach (rows=%d k=%d)", entries, len(walked), len(want), rows, k)
 		}
@@ -499,7 +491,7 @@ func FuzzBitsetIntersect(f *testing.F) {
 	})
 }
 
-// walkWords is what a full-table walk over the bitsets of lists, and nothing
+// walkWords is what a walk over the bitsets of lists, and nothing
 // else, books: what reading the driver alone books (andWords of it) — the
 // smallest set, the first given of equals — then, for each of its rows, one
 // word for each other set probed, smallest first, up to and including the

@@ -245,8 +245,8 @@ func (ix *Index) Mass(c int, v rule.Value) int64 {
 // containers on first use: the ascending row list of a sparse value, the
 // Bitset of a dense one, neither for a value outside the column's
 // dictionary (never produced by Encode/Lookup). Neither may be modified.
-// This is how the kernels reach the index (View.EachInAll takes the pair as
-// it comes).
+// This is how the kernels reach the index (EachInAll takes the pair as it
+// comes).
 func (ix *Index) Container(c int, v rule.Value) (list []int32, bits *Bitset) {
 	cc := &ix.columns()[c]
 	if v < 0 || int(v) >= len(cc.bits) {
@@ -267,7 +267,7 @@ func (ix *Index) Postings(c int, v rule.Value) []int32 {
 		return list
 	}
 	list = make([]int32, 0, bits.n)
-	AndEach([]*Bitset{bits}, func(_, row int) { list = append(list, int32(row)) })
+	AndEach([]*Bitset{bits}, func(row int) { list = append(list, int32(row)) })
 	return list
 }
 
@@ -281,8 +281,7 @@ func (ix *Index) Bitmap(c int, v rule.Value) *Bitset {
 }
 
 // Lookup returns the ascending rows covered by r by intersecting the
-// containers of r's instantiated columns (the walk of View.EachInAll over
-// the whole table), along with what it read in place of a full scan:
+// containers of r's instantiated columns (the walk of EachInAll), along with what it read in place of a full scan:
 // posting entries plus bitset words. The trivial rule yields every row.
 // The smallest container drives the intersection, so cost is bounded by the
 // most selective column's coverage — or, where that is dense, by its
@@ -308,7 +307,7 @@ func (ix *Index) Lookup(r rule.Rule) (rows []int, postingsRead int64) {
 	if len(cols) == 1 {
 		rows = make([]int, 0, ix.PostingsLen(cols[0], r[cols[0]]))
 	}
-	entries, words := ix.t.All().EachInAll(lists, func(_, row int) { rows = append(rows, row) }, bits...)
+	entries, words := EachInAll(lists, func(row int) { rows = append(rows, row) }, bits...)
 	return rows, entries + words
 }
 

@@ -6,50 +6,34 @@ import (
 	"slices"
 )
 
-// Posting intersection over views. BRS's postings-driven counting answers
-// "which of this view's rows does candidate R cover?" by intersecting the
-// index containers of R's instantiated columns with the view's row set,
-// instead of scanning every view row. The walk below visits the common
-// rows in ascending order — the same order a scan visits them — so
-// aggregate accumulation is bit-identical between the two access paths.
+// Posting intersection. BRS's postings-driven counting answers "which rows
+// of the table does candidate R cover?" by intersecting the index
+// containers of R's instantiated columns, instead of scanning every row. A
+// search reads a whole table — BRS copies a sub-view into one before it
+// starts (View.Select) — so the walk below is over containers alone. It
+// visits the common rows in ascending order — the order a scan visits them
+// — so aggregate accumulation is bit-identical between the two access
+// paths.
 
-// Ascending reports whether the view's rows form a strictly increasing
-// sequence of parent rows — i.e. the view is a sorted row *set*. The
-// full-table view is ascending; index-backed rule filters and samples are
-// ascending by construction. The mw probe's subset drawn with replacement
-// (where its draws are not tallied) and the tests' permuted views are not,
-// and must be counted by scans.
-func (v *View) Ascending() bool {
-	for i := 1; i < len(v.rows); i++ {
-		if v.rows[i] <= v.rows[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
-// EachInAll calls fn(pos, row) for every view position pos whose parent
-// row is in all of the given row sets, in ascending row order, and returns
-// what it read in place of a scan: posting entries and packed bitset words.
-// The view's rows must be ascending (see Ascending). Set i is the ascending
-// list lists[i], or — where that is nil and bits, aligned with lists, has
-// a Bitset at i — that bitset: a value of the index comes as exactly one of
-// the two (Index.Container), and is passed as it comes. Where both are
-// given the list is the set and the bitset must hold the same rows.
+// EachInAll calls fn(row) for every row in all of the given row sets, in
+// ascending order, and returns what it read in place of a scan: posting
+// entries and packed bitset words. Set i is the ascending list lists[i],
+// or — where that is nil and bits, aligned with lists, has a Bitset at i —
+// that bitset: a value of the index comes as exactly one of the two
+// (Index.Container), and is passed as it comes. Where both are given the
+// list is the set and the bitset must hold the same rows.
 //
 // The smallest set drives the walk: its rows are taken in ascending order —
 // a list's entries one read each, a bitset's set bits for the words that
 // reading it alone reads (its span's, or, where it keeps a summary, the
 // summary's and its non-zero words), which are fewer — and each is tested
-// against every other set: by one word read where the set has a bitset
-// (membership is over parent rows, so this holds on sub-views too), by
+// against every other set: by one word read where the set has a bitset, by
 // galloping where it has none. Cost is thus governed by the most selective
-// column: when
-// every other set has a bitset, at most one unit per driver row per set,
-// however many rows of the larger sets lie between. Bit order is row order,
-// the order a scan meets the rows in, so what fn accumulates is
-// bit-identical whichever container a value happens to have.
-func (v *View) EachInAll(lists [][]int32, fn func(pos, row int), bits ...*Bitset) (postingsRead, wordsRead int64) {
+// column: when every other set has a bitset, at most one unit per driver
+// row per set, however many rows of the larger sets lie between. Bit order
+// is row order, the order a scan meets the rows in, so what fn accumulates
+// is bit-identical whichever container a value happens to have.
+func EachInAll(lists [][]int32, fn func(row int), bits ...*Bitset) (postingsRead, wordsRead int64) {
 	if len(lists) == 0 {
 		return 0, 0
 	}
@@ -79,7 +63,7 @@ func (v *View) EachInAll(lists [][]int32, fn func(pos, row int), bits ...*Bitset
 	}
 	// The non-driver sets, smallest (most selective) first: those with a
 	// bitset are probed, the rest galloped through.
-	w := walk{v: v, fn: fn}
+	w := walk{fn: fn}
 	for _, i := range order[1:] {
 		if b := bitsOf(i); b != nil {
 			w.probe = append(w.probe, b)
@@ -109,22 +93,32 @@ func (v *View) EachInAll(lists [][]int32, fn func(pos, row int), bits ...*Bitset
 	return w.entries, w.words + driven
 }
 
+// EachInAll is the kernel EachInAll over a view of its whole table, fn
+// getting each row as its own view position too. The benchmark's layer
+// reading of the kernel (bench/drillload) calls it; the engine calls the
+// kernel. It panics on a sub-view, which has no containers of its own: copy
+// it into a table first (View.Select).
+func (v *View) EachInAll(lists [][]int32, fn func(pos, row int), bits ...*Bitset) (postingsRead, wordsRead int64) {
+	if v.rows != nil {
+		panic("table: View.EachInAll on a sub-view")
+	}
+	return EachInAll(lists, func(row int) { fn(row, row) }, bits...)
+}
+
 // walk is the part of an intersection walk every driver shares: a row of
 // the driver is sought in the sorted lists, each from where the previous
-// row left off, then in the bitsets, then in the view's rows.
+// row left off, then in the bitsets.
 type walk struct {
-	v      *View
-	fn     func(pos, row int)
+	fn     func(row int)
 	others [][]int32 // the non-driver sets without a bitset
 	offs   []int     // how far each of others has been read
 	probe  []*Bitset // the non-driver sets with one
-	vo     int       // how far the view's rows have been read
 
 	entries, words int64 // read of others and of probe
 }
 
-// visit calls fn if row r is in every set and in the view. It returns
-// false once a list or the view is exhausted: no later row can be common.
+// visit calls fn if row r is in every set. It returns false once a list is
+// exhausted: no later row can be common.
 func (w *walk) visit(r int32) bool {
 	for j, list := range w.others {
 		o := gallop(list, w.offs[j], r)
@@ -137,33 +131,21 @@ func (w *walk) visit(r int32) bool {
 			return true
 		}
 	}
-	pos := int(r)
 	for _, b := range w.probe {
 		w.words++
-		if !b.Contains(pos) {
+		if !b.Contains(int(r)) {
 			return true
 		}
 	}
-	if rows := w.v.rows; rows != nil {
-		w.vo = gallop(rows, w.vo, pos)
-		if w.vo == len(rows) {
-			return false
-		}
-		if rows[w.vo] != pos {
-			return true
-		}
-		pos = w.vo
-	}
-	w.fn(pos, int(r))
+	w.fn(int(r))
 	return true
 }
 
 // gallop returns the smallest index i in [from, len(a)] with a[i] >=
 // target, probing exponentially from `from` before binary-searching the
 // bracketed range — O(log distance) instead of O(distance) when the
-// target is near, which it is on intersection walks. It reads posting
-// lists ([]int32) and the view's row list ([]int).
-func gallop[T int32 | int](a []T, from int, target T) int {
+// target is near, which it is on intersection walks.
+func gallop(a []int32, from int, target int32) int {
 	if from >= len(a) || a[from] >= target {
 		return from
 	}

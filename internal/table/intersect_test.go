@@ -8,30 +8,66 @@ import (
 	"smartdrill/internal/rule"
 )
 
-func TestViewAscending(t *testing.T) {
-	b := MustBuilder([]string{"A"}, nil)
+// TestViewSelect: a view copied into a table of its own keeps its rows in
+// view order — duplicates and all — with their measures and
+// multiplicities, and books the view rows it read; the whole table, not
+// narrowed, is its own table and reads nothing; a rule narrows the copy to
+// the rows it covers, having read every view row.
+func TestViewSelect(t *testing.T) {
+	b := MustBuilder([]string{"A"}, []string{"M"})
 	for i := 0; i < 10; i++ {
-		b.MustAddRow([]string{"x"})
+		b.MustAddRow([]string{string(rune('a' + i%3))}, float64(i))
 	}
 	tab := b.Build()
+	a := rule.Rule{0}
 	cases := []struct {
-		rows []int
-		want bool
+		rows   []int
+		r      rule.Rule
+		want   []int // tab's rows the copy holds, in order; nil: tab itself
+		wantRd int
 	}{
-		{nil, true}, // full table
-		{[]int{}, true},
-		{[]int{3}, true},
-		{[]int{0, 2, 5, 9}, true},
-		{[]int{0, 2, 2}, false}, // duplicate: a multiset, not a set
-		{[]int{5, 3}, false},
+		{nil, nil, nil, 0}, // full table
+		{nil, a, []int{0, 3, 6, 9}, 10},
+		{[]int{}, nil, []int{}, 0},
+		{[]int{3}, nil, []int{3}, 1},
+		{[]int{0, 2, 5, 9}, nil, []int{0, 2, 5, 9}, 4},
+		{[]int{0, 2, 2}, nil, []int{0, 2, 2}, 3}, // duplicate: a multiset, not a set
+		{[]int{5, 3}, nil, []int{5, 3}, 2},
+		{[]int{9, 1, 3, 3}, a, []int{9, 3, 3}, 4},
 	}
 	for _, c := range cases {
 		v := tab.All()
 		if c.rows != nil {
 			v = tab.ViewOf(c.rows)
 		}
-		if got := v.Ascending(); got != c.want {
-			t.Errorf("Ascending(%v) = %v, want %v", c.rows, got, c.want)
+		got, read := v.Select(c.r)
+		if read != c.wantRd {
+			t.Errorf("Select(%v) of %v read %d rows, want %d", c.r, c.rows, read, c.wantRd)
+		}
+		if c.want == nil {
+			if got != tab {
+				t.Errorf("Select(%v) of the whole table copied it", c.r)
+			}
+			continue
+		}
+		if got == tab || got.NumRows() != len(c.want) {
+			t.Fatalf("Select(%v) of %v: %d rows, want a copy of %v", c.r, c.rows, got.NumRows(), c.want)
+		}
+		for i, row := range c.want {
+			if got.Value(0, i) != tab.Value(0, row) || got.Measure(0)[i] != tab.Measure(0)[row] {
+				t.Errorf("Select(%v) of %v: row %d is not tab's row %d", c.r, c.rows, i, row)
+			}
+		}
+	}
+	// A distinct-tuple table's rows keep their multiplicities.
+	d, _ := tab.GroupRows(nil, 3)
+	if d == nil {
+		t.Fatal("ten rows of three tuples did not group")
+	}
+	got, _ := d.ViewOf([]int{2, 0, 2}).Select(nil)
+	for i, row := range []int{2, 0, 2} {
+		if got.Multiplicity(i) != d.Multiplicity(row) || got.Value(0, i) != d.Value(0, row) {
+			t.Errorf("weighted copy row %d: multiplicity %d, want tuple %d's %d", i, got.Multiplicity(i), row, d.Multiplicity(row))
 		}
 	}
 }
@@ -48,8 +84,9 @@ func TestPostingsLen(t *testing.T) {
 }
 
 // TestEachInAll cross-checks the intersection walk against a naive
-// reference over random tables, rules, and view subsets — full-table and
-// explicit ascending views, one to three posting lists, with and without
+// reference over random tables and rules — over the table's own containers,
+// or over those of a copy of a random sub-view (View.Select), the table a
+// search of that view reads — one to three posting lists, with and without
 // the index's bitsets to probe.
 func TestEachInAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -69,28 +106,20 @@ func TestEachInAll(t *testing.T) {
 			b.MustAddRow(row)
 		}
 		tab := b.Build()
-		ix := tab.Index()
 
 		// Random rule over a random subset of columns.
 		r := rule.Trivial(cols)
-		var lists [][]int32
-		var bits []*Bitset
 		for c := 0; c < cols; c++ {
 			if rng.Intn(2) == 0 {
 				r[c] = rule.Value(rng.Intn(tab.DistinctCount(c)))
-				lists = append(lists, ix.Postings(c, r[c]))
-				bits = append(bits, ix.Bitmap(c, r[c]))
 			}
 		}
-		if trial%2 == 0 {
-			bits = nil // all-gallop
-		}
-		if len(lists) == 0 {
+		allGallop := trial%2 == 0
+		if r.IsTrivial() {
 			continue
 		}
 
-		// Random ascending view (sometimes the full table).
-		v := tab.All()
+		// Random ascending sub-view, copied (sometimes the full table).
 		if rng.Intn(2) == 0 {
 			var rows []int
 			for i := 0; i < n; i++ {
@@ -101,30 +130,29 @@ func TestEachInAll(t *testing.T) {
 			if rows == nil {
 				rows = []int{}
 			}
-			v = tab.ViewOf(rows)
+			tab, _ = tab.ViewOf(rows).Select(nil)
 		}
-
-		var gotPos, gotRow []int
-		v.EachInAll(lists, func(pos, row int) {
-			gotPos = append(gotPos, pos)
-			gotRow = append(gotRow, row)
-		}, bits...)
-
-		var wantPos, wantRow []int
-		for i := 0; i < v.NumRows(); i++ {
-			if v.Covers(r, i) {
-				wantPos = append(wantPos, i)
-				wantRow = append(wantRow, v.ParentRow(i))
+		ix := tab.Index()
+		var lists [][]int32
+		var bits []*Bitset
+		for _, c := range r.InstantiatedColumns() {
+			lists = append(lists, ix.Postings(c, r[c]))
+			if !allGallop {
+				bits = append(bits, ix.Bitmap(c, r[c]))
 			}
 		}
-		if len(gotPos) != len(wantPos) {
-			t.Fatalf("trial %d: %d matches, want %d (rule %v)", trial, len(gotPos), len(wantPos), r)
-		}
-		for i := range wantPos {
-			if gotPos[i] != wantPos[i] || gotRow[i] != wantRow[i] {
-				t.Fatalf("trial %d: match %d = (%d,%d), want (%d,%d)",
-					trial, i, gotPos[i], gotRow[i], wantPos[i], wantRow[i])
+
+		var got []int
+		EachInAll(lists, func(row int) { got = append(got, row) }, bits...)
+
+		var want []int
+		for i := 0; i < tab.NumRows(); i++ {
+			if tab.Covers(r, i) {
+				want = append(want, i)
 			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: visited %v, want %v (rule %v)", trial, got, want, r)
 		}
 	}
 }
@@ -146,11 +174,12 @@ func TestGallop(t *testing.T) {
 }
 
 // FuzzEachInAll drives the intersection walk with random ascending lists,
-// an arbitrary subset of them shadowed by bitsets, over the full table and
-// over a sub-view. Whatever is probed and whatever is galloped, the walk
-// must visit the rows — in the order, at the positions — that the
-// all-gallop walk and a naive set intersection do, and when every list
-// has a bitset it may read no more than one unit per driver entry per list.
+// an arbitrary subset of them shadowed by bitsets, over the full universe
+// or over a copy of a sub-view of it: the rows keep drops numbered afresh,
+// the containers a search of that sub-view reads. Whatever is probed and
+// whatever is galloped, the walk must visit the rows — in order — that the
+// all-gallop walk and a naive set intersection do, and when every list has
+// a bitset it may read no more than one unit per driver entry per list.
 // The top bit of shadow hands the smallest set over the way the index hands
 // over a dense value — its bitset and no list — so that the walk takes the
 // driver's rows from set bits, not entries: the same visits, no entry read
@@ -180,41 +209,44 @@ func FuzzEachInAll(f *testing.F) {
 		k := int(nlists&0x3f)%6 + 1
 		rng := rand.New(rand.NewSource(seed))
 		lists := make([][]int32, k)
+		for i := range lists {
+			lists[i] = randomRows(rng, rows, int(density)%101+rng.Intn(20), nlists&0x80 != 0, nlists&0x40 != 0)
+		}
+		// keep = 0: the full universe; otherwise a sub-view that drops about
+		// one row in keep+1, copied: its rows numbered from 0 in order.
+		if keep != 0 {
+			at := make([]int32, rows) // a kept row's number in the copy; −1 dropped
+			kept := 0
+			for r := range at {
+				at[r] = -1
+				if rng.Intn(int(keep)+1) != 0 {
+					at[r] = int32(kept)
+					kept++
+				}
+			}
+			for i, list := range lists {
+				copied := []int32{}
+				for _, r := range list {
+					if at[r] >= 0 {
+						copied = append(copied, at[r])
+					}
+				}
+				lists[i] = copied
+			}
+			rows = kept
+		}
 		bits := make([]*Bitset, k)
 		shadowed := 0
 		for i := range lists {
-			lists[i] = randomRows(rng, rows, int(density)%101+rng.Intn(20), nlists&0x80 != 0, nlists&0x40 != 0)
 			if shadow&(1<<i) != 0 {
 				bits[i] = newBitsetFromSorted(lists[i], rows)
 				shadowed++
 			}
 		}
-		// keep = 0: the full table; otherwise a sub-view that drops about one
-		// row in keep+1.
-		v := (&Table{n: rows}).All()
-		inView := func(r int32) (int, bool) { return int(r), true }
-		if keep != 0 {
-			pos := map[int32]int{}
-			vrows := []int{}
-			for r := 0; r < rows; r++ {
-				if rng.Intn(int(keep)+1) != 0 {
-					pos[int32(r)] = len(vrows)
-					vrows = append(vrows, r)
-				}
-			}
-			v = v.t.ViewOf(vrows)
-			inView = func(r int32) (int, bool) { p, ok := pos[r]; return p, ok }
-		}
 
-		type visit struct{ pos, row int }
-		var want []visit
-		for _, r := range naiveIntersect(lists) {
-			if p, ok := inView(r); ok {
-				want = append(want, visit{p, int(r)})
-			}
-		}
-		walk := func(lists [][]int32, bits []*Bitset) (got []visit, entries, words int64) {
-			entries, words = v.EachInAll(lists, func(pos, row int) { got = append(got, visit{pos, row}) }, bits...)
+		want := naiveIntersect(lists)
+		walk := func(lists [][]int32, bits []*Bitset) (got []int32, entries, words int64) {
+			entries, words = EachInAll(lists, func(row int) { got = append(got, int32(row)) }, bits...)
 			return got, entries, words
 		}
 		smallest := 0
@@ -226,7 +258,7 @@ func FuzzEachInAll(f *testing.F) {
 		shortest := len(lists[smallest])
 		gallop, _, gallopWords := walk(lists, nil)
 		probed, entries, words := walk(lists, bits)
-		walks := map[string][]visit{"all-gallop": gallop, "probing": probed}
+		walks := map[string][]int32{"all-gallop": gallop, "probing": probed}
 		if shadow&0x80 != 0 {
 			denseLists, denseBits := slices.Clone(lists), slices.Clone(bits)
 			denseLists[smallest], denseBits[smallest] = nil, newBitsetFromSorted(lists[smallest], rows)
@@ -243,8 +275,8 @@ func FuzzEachInAll(f *testing.F) {
 			if limit := driverWords + int64(shortest)*int64(others); denseWords > limit {
 				t.Fatalf("dense driver: read %d words, more than the %d of reading it alone and %d rows × %d other bitsets", denseWords, driverWords, shortest, others)
 			}
-			if k == 1 && keep == 0 && denseWords != driverWords {
-				t.Fatalf("dense driver alone over the full table: read %d words, want the %d of reading it alone", denseWords, driverWords)
+			if k == 1 && denseWords != driverWords {
+				t.Fatalf("dense driver alone: read %d words, want the %d of reading it alone", denseWords, driverWords)
 			}
 			if others == k-1 && denseEntries != 0 {
 				t.Fatalf("dense driver, every other set a bitset, yet read %d entries", denseEntries)
@@ -265,7 +297,7 @@ func FuzzEachInAll(f *testing.F) {
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%s walk visit %d = %+v, want %+v", name, i, got[i], want[i])
+					t.Fatalf("%s walk visit %d = %d, want %d", name, i, got[i], want[i])
 				}
 			}
 		}

@@ -249,9 +249,11 @@ func (t *Table) FilterIndicesScan(r rule.Rule) []int {
 }
 
 // Select materializes a new Table containing exactly the given rows (in the
-// given order), sharing dictionaries with t. The drill-down hot path uses
-// zero-copy Views instead (see View); Select remains for callers that want
-// an independent dense table (tests, reference baselines).
+// given order, a row given twice copied twice), sharing dictionaries with t
+// and keeping each row's measures and multiplicity. It is how a search gets
+// the whole table its index kernels need: BRS copies every sub-view it is
+// handed — a rule's coverage, a sample of rows, a probe's draw — once,
+// before it starts (View.Select).
 func (t *Table) Select(rows []int) *Table {
 	out := &Table{
 		colNames:     t.colNames,

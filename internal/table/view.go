@@ -4,10 +4,11 @@ import "smartdrill/internal/rule"
 
 // View is a zero-copy subset of a parent Table's rows: it shares the
 // parent's column arrays, measure arrays, and dictionaries, adding only a
-// list of parent row indices. Views replace the copying Filter/Select on
-// the drill-down hot path — materializing a million-row coverage set per
-// expansion is exactly the cost the paper's interactivity budget cannot
-// afford. A View is immutable and safe for concurrent reads, like its
+// list of parent row indices. A rule's coverage, a sample and the mw probe's
+// draw are handed around as views, and refine and the listings read them
+// in place. A search reads a whole table, whose index its kernels walk: BRS
+// copies any other view into a table of its own once, before it starts
+// (Select). A View is immutable and safe for concurrent reads, like its
 // parent.
 //
 // Row positions are view-local: position i of a view with an explicit row
@@ -92,6 +93,21 @@ func (v *View) Subset(positions []int) *View {
 		rows[j] = v.ParentRow(p)
 	}
 	return &View{t: v.t, rows: rows}
+}
+
+// Select returns the view's rows that r covers as a table of their own —
+// in view order, duplicates, multiplicities and measures kept
+// (Table.Select) — and the view rows it read to make it, r tested on each.
+// A view of its whole table that r does not narrow is one already: Select
+// returns that table and reads nothing.
+func (v *View) Select(r rule.Rule) (t *Table, rowsRead int) {
+	rows := v.rows
+	if !r.IsTrivial() {
+		rows = v.Refine(r).rows
+	} else if rows == nil {
+		return v.t, 0
+	}
+	return v.t.Select(rows), v.NumRows()
 }
 
 // Refine returns the view restricted to the rows covered by r, scanning

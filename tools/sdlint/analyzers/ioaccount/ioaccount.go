@@ -70,11 +70,13 @@ var rawOps = map[string][]class{
 	"table.Index.Container":      {postings, bitmap}, // hands out a value's one container: its posting list if sparse, its bitset if dense
 	"table.Index.Postings":       {postings},         // hands out the raw posting list (a dense value's decoded from its bitset)
 	"table.Index.Lookup":         {postings},         // metered kernel: returns postingsRead, bitset words included
-	"table.View.EachInAll":       {postings, bitmap}, // metered kernel: returns entries read and words read (probes, and a dense driver's set bits)
+	"table..EachInAll":           {postings, bitmap}, // metered kernel: returns entries read and words read (probes, and a dense driver's set bits)
+	"table.View.EachInAll":       {postings, bitmap}, // EachInAll over a whole-table view, the benchmark's layer reading of the kernel
 	"table.Index.Bitmap":         {bitmap},           // hands out the raw bitset
 	"table..AndCount":            {bitmap},           // metered kernel: returns wordsRead
 	"table..AndEach":             {bitmap},           // metered kernel: returns wordsRead
 	"table.View.Refine":          {rowscan},          // full scan of the view's rows
+	"table.View.Select":          {rowscan},          // copies a sub-view (its rows a rule covers) into a table of its own: returns the view rows it read
 	"table.Table.EachRow":        {rowscan},          // the pass itself — over the table, or over its distinct tuples when a sample is drawn from them: returns the rows it offered
 	"table.Table.SelectWeighted": {rowscan},          // hash-free weighted-table builder: returns the rows it copied
 	"table.Table.GroupRows":      {rowscan},          // metered grouping pass: returns the rows it read

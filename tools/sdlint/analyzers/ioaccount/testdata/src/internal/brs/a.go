@@ -10,7 +10,6 @@ type Stats struct {
 
 type runner struct {
 	ix    *table.Index
-	v     *table.View
 	stats Stats
 }
 
@@ -43,19 +42,19 @@ func (rn *runner) rowPassUnaccounted(rows []int) int64 {
 }
 
 func (rn *runner) gatherAccounted(lists [][]int32, bits []*table.Bitset) {
-	entries, words := rn.v.EachInAll(lists, func(pos, row int) {}, bits...)
+	entries, words := table.EachInAll(lists, func(row int) {}, bits...)
 	rn.stats.PostingsRead += entries
 	rn.stats.BitmapWordsRead += words
 }
 
 func (rn *runner) gatherUnaccounted(lists [][]int32) (int64, int64) {
-	return rn.v.EachInAll(lists, func(pos, row int) {}) // want "table.View.EachInAll reads posting entries" "table.View.EachInAll reads bitmap words"
+	return table.EachInAll(lists, func(row int) {}) // want "table..EachInAll reads posting entries" "table..EachInAll reads bitmap words"
 }
 
 // gatherDropsWords books the entries the walk read but not the bitset
 // words it probed: the walk reads both classes.
 func (rn *runner) gatherDropsWords(lists [][]int32, bits []*table.Bitset) {
-	entries, _ := rn.v.EachInAll(lists, func(pos, row int) {}, bits...) // want "table.View.EachInAll reads bitmap words but this function never adds to Stats.BitmapWordsRead"
+	entries, _ := table.EachInAll(lists, func(row int) {}, bits...) // want "table..EachInAll reads bitmap words but this function never adds to Stats.BitmapWordsRead"
 	rn.stats.PostingsRead += entries
 }
 
@@ -83,9 +82,22 @@ func (rn *runner) candSets(col, val int) ([][]int32, []*table.Bitset) {
 // books entries only: where the value is dense the container is a bitset,
 // its rows are read off its words, and those are bitmap words.
 func (rn *runner) walkDenseDriverUnbooked(col, val int) {
-	list, set := rn.ix.Container(col, val)                                    // want "table.Index.Container reads bitmap words but this function never adds to Stats.BitmapWordsRead"
-	entries, _ := rn.v.EachInAll([][]int32{list}, func(pos, row int) {}, set) // want "table.View.EachInAll reads bitmap words but this function never adds to Stats.BitmapWordsRead"
+	list, set := rn.ix.Container(col, val)                                // want "table.Index.Container reads bitmap words but this function never adds to Stats.BitmapWordsRead"
+	entries, _ := table.EachInAll([][]int32{list}, func(row int) {}, set) // want "table..EachInAll reads bitmap words but this function never adds to Stats.BitmapWordsRead"
 	rn.stats.PostingsRead += entries
+}
+
+// searchedAccounted copies a view into the table a search reads and books
+// the rows the copy read; searchedUnaccounted drops them.
+func (rn *runner) searchedAccounted(v *table.View) *table.Table {
+	t, read := v.Select(nil)
+	rn.stats.RowsScanned += int64(read)
+	return t
+}
+
+func (rn *runner) searchedUnaccounted(v *table.View) *table.Table {
+	t, _ := v.Select(nil) // want "table.View.Select reads rows but this function never adds to Stats.RowsScanned"
+	return t
 }
 
 func (rn *runner) planLen(col, val int) int {

@@ -20,10 +20,9 @@ func (t *Table) SelectWeighted(rows []int, mult []int32) (*Table, int) { return 
 
 type View struct{}
 
-func (v *View) EachInAll(lists [][]int32, fn func(pos, row int), bits ...*Bitset) (int64, int64) {
-	return 0, 0
-}
-func (v *View) Refine(base []int) *View { return nil }
+func (v *View) Refine(base []int) *View         { return nil }
+func (v *View) Select(base []int) (*Table, int) { return nil, 0 }
 
-func AndCount(sets []*Bitset) (int, int64)                { return 0, 0 }
-func AndEach(sets []*Bitset, fn func(pos, row int)) int64 { return 0 }
+func EachInAll(lists [][]int32, fn func(row int), bits ...*Bitset) (int64, int64) { return 0, 0 }
+func AndCount(sets []*Bitset) (int, int64)                                        { return 0, 0 }
+func AndEach(sets []*Bitset, fn func(row int)) int64                              { return 0 }
