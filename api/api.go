@@ -142,9 +142,9 @@ type DrillRequest struct {
 
 // SearchStats mirrors the BRS search counters of one request — clients
 // can watch candidate reuse and postings-vs-scan routing per drill. The
-// server fills it by struct conversion from the engine's counters, so the
-// two definitions must keep identical field names, types and order; a
-// drift fails the build.
+// server copies it from the engine's counters, every one but the
+// in-process CellsBooked, and a test fails when the two definitions
+// drift.
 //
 // CandidatesPruned counts rules the search generated and then dropped by
 // the a-priori bound test. Super-rules of a rule whose own bound already

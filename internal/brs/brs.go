@@ -172,6 +172,15 @@ type Stats struct {
 	BitmapWordsRead   int64 `json:"bitmap_words_read"`  // packed bitset words read by the bitmap kernel
 	IndexLevels       int   `json:"index_levels"`       // counting/generation/maintenance steps answered from the index
 	CandidateCapHit   bool  `json:"candidate_cap_hit"`  // a level hit DefaultMaxCandidates
+	// CellsBooked counts (row, accumulator) updates, the CPU the read
+	// counters do not see: one a covered row and extension column of an
+	// expansion walk, one a covered row of a counting walk or refresh (none
+	// for a count by popcount), and one a raised row and level-1 rule whose
+	// residual bound a topW raise lowers. Each pass books its own, and each
+	// walk owns whole candidates, so the count is the same at any worker
+	// count. It stays in process: the wire's search block has no field for
+	// it.
+	CellsBooked int64 `json:"-"`
 	// SampledRowsScanned is the portion of RowsScanned read from a uniform
 	// sample rather than the authoritative table (runs with SampleScale
 	// set). Sessions accumulate it so the approximate pipeline's in-memory
@@ -200,6 +209,7 @@ func (s *Stats) Add(o Stats) {
 	s.PostingsRead += o.PostingsRead
 	s.BitmapWordsRead += o.BitmapWordsRead
 	s.IndexLevels += o.IndexLevels
+	s.CellsBooked += o.CellsBooked
 	s.CandidateCapHit = s.CandidateCapHit || o.CandidateCapHit
 	s.SampledRowsScanned += o.SampledRowsScanned
 	s.CacheHits += o.CacheHits
@@ -394,6 +404,7 @@ type runner struct {
 	bitmapWords int64   // words per bitset container: ceil(rows/64)
 
 	topW     []float64 // W(TOP(t, selection[:raised])) per row; nil until the first raise
+	claimed  float64   // the heaviest weight topW holds, see tracksResidual
 	selected []*cand
 	raised   int // selections topW already reflects, see raiseTopW
 	store    candStore
@@ -463,6 +474,7 @@ type cand struct {
 
 	count    float64 // aggregate mass covered (step-invariant)
 	marginal float64 // marginal value against the selection of step asOf
+	resid    float64 // R, the residual bound (see subRuleBound); +Inf until a step past the first measures it
 	asOf     int     // greedy step that measured count and marginal; 0 = never
 	counted  bool    // survived pruning in some step: a bound source and a parent
 	expanded bool    // walked: children holds every supported one-column extension
@@ -595,7 +607,6 @@ func (rn *runner) findBestMarginal() *cand {
 				// late survivor, measured and pruned by earlier steps' walks,
 				// admitted now that H is lower with every parent already
 				// expanded — rare, since a parent gated then is walked now.
-				c.count, c.marginal = 0, 0
 				toCount = append(toCount, c)
 			}
 			rn.markCounted(c)
@@ -629,6 +640,11 @@ func (rn *runner) applySelection(best *cand) {
 // that rule's coverage — one walk of the coverage by the index, or one row
 // scan when that is cheaper. A scan cut short by cancellation leaves topW
 // half raised, which is why a runner whose context fired is discarded.
+//
+// Where sums are exact the raise also keeps level 1's residual bounds
+// current: every row whose topW rises takes (new − old)·mass from the R of
+// the level-1 rule of its value in each free column, a subtraction that
+// needs no row the raise does not already visit (see levelOneClaims).
 func (rn *runner) raiseTopW() {
 	n := rn.tab.NumRows()
 	for ; rn.raised < len(rn.selected) && rn.ctxErr == nil; rn.raised++ {
@@ -636,39 +652,122 @@ func (rn *runner) raiseTopW() {
 			rn.topW = make([]float64, n)
 		}
 		topW, sel := rn.topW, rn.selected[rn.raised]
-		raise := func(row int) {
-			if topW[row] < sel.weight {
-				topW[row] = sel.weight
+		rn.claimed = max(rn.claimed, sel.weight)
+		claims := rn.levelOneClaims()
+		// raise lifts row, books what it claims into accs, and returns the
+		// cells that booked.
+		raise := func(accs []extAcc, row int) int64 {
+			old := topW[row]
+			if old >= sel.weight {
+				return 0
 			}
+			topW[row] = sel.weight
+			if len(accs) == 0 {
+				return 0
+			}
+			claim := (sel.weight - old) * rn.mass(row)
+			for a := range accs {
+				accs[a].cnt[rn.tab.Value(accs[a].col, row)] += claim
+			}
+			return int64(len(accs))
 		}
 		if plan, ok := rn.planPostingsOne(sel); ok {
-			rn.walk(sel, plan, &rn.stats, raise)
+			rn.walk(sel, plan, &rn.stats, func(row int) { rn.stats.CellsBooked += raise(claims, row) })
 			rn.stats.IndexLevels++
-			continue
+		} else {
+			nw := rn.rowWorkers(n)
+			perWorker, cells := make([][]extAcc, nw), make([]int64, nw)
+			perWorker[0] = claims
+			for g := 1; g < nw; g++ {
+				perWorker[g] = blankCopy(claims)
+			}
+			rn.scan([]*cand{sel}, nw, func(g, _, row int) { cells[g] += raise(perWorker[g], row) })
+			for g := range perWorker {
+				if g > 0 {
+					mergeAccs(claims, perWorker[g])
+				}
+				rn.stats.CellsBooked += cells[g]
+			}
 		}
-		rn.scan([]*cand{sel}, rn.rowWorkers(n), func(_, _, row int) { raise(row) })
+		rn.lowerLevelOne(claims)
 	}
 }
 
-// refreshBatch is how many stale candidates one refresh pass re-measures:
-// enough to amortise a scan-route pass over the view, few enough that the
-// pass which overshoots the winner wastes little.
+// levelOneClaims returns, where the run's sums are exact — Count under
+// integral weights and mw, every mass, marginal and bound an integer — one
+// accumulator for each free column that has level-1 rules, to book by
+// value what a topW raise claims from that value's level-1 rule; nil
+// otherwise. Only exact sums may be lowered by subtraction: a rounded
+// difference could fall below the sum R stands for, and prune a rule that
+// ties the step.
+func (rn *runner) levelOneClaims() []extAcc {
+	if !rn.countAgg || !weight.Integral(rn.w) || rn.mw != math.Trunc(rn.mw) {
+		return nil
+	}
+	var accs []extAcc
+	for _, col := range rn.freeCols {
+		m := rn.baseMask
+		m.Set(col)
+		if rn.w.Weight(m) <= rn.mw {
+			accs = append(accs, extAcc{col: col, cnt: make([]float64, rn.tab.DistinctCount(col))})
+		}
+	}
+	return accs
+}
+
+// lowerLevelOne takes what a raise claimed (levelOneClaims) from the R of
+// each level-1 rule it claimed from — R against no selection, mw·Count,
+// where no later step has measured it.
+func (rn *runner) lowerLevelOne(claims []extAcc) {
+	if rn.ctxErr != nil {
+		return // a cut pass: some rows were never claimed
+	}
+	for a := range claims {
+		acc := &claims[a]
+		for val, claim := range acc.cnt {
+			if claim == 0 {
+				continue
+			}
+			c := rn.store.find(rn.base, acc.col, rule.Value(val))
+			if c == nil {
+				continue
+			}
+			if math.IsInf(c.resid, 1) {
+				c.resid = rn.mw * c.count
+			}
+			c.resid -= claim
+		}
+	}
+}
+
+// refreshBatch is how many stale candidates one refresh plans together:
+// enough to amortise a pass that scans the table, few enough that the pass
+// which overshoots the winner wastes little.
 const refreshBatch = 32
+
+// refreshRound is how many of a batch the index route re-measures at a
+// time before it compares the best fresh marginal with the next stale one:
+// its walks cost by the candidate, not by the pass, so the rest of a batch
+// past the winner is never walked. It is fixed, never a function of
+// Workers, so that what a refresh reads is the same at any worker count.
+const refreshRound = 4
 
 // refreshStale opens steps 2..K. Every cached marginal was measured
 // against a smaller selection and can only have fallen since, so cached
 // candidates are re-measured — reset and recounted in ascending row order
-// by the counting kernels, as a first count sums them — in
-// descending order of their stale marginal, until the best fresh marginal
-// matches or beats every stale one left. It continues through equality so
+// by the counting kernels, as a first count sums them — in descending
+// order of their stale marginal, until the best fresh marginal matches or
+// beats every stale one left: a batch of refreshBatch at a time, planned
+// together, and counted whole where the plan scans the table, in rounds of
+// refreshRound where it walks the index. It continues through equality so
 // that each candidate tied for the maximum is fresh and the level-then-key
 // tie-break of findBestMarginal sees them all — which is also why it does
 // not matter that candidates of equal stale marginal stand here in merge
-// order, and a batch boundary may fall between any two of them: the loop
-// ends only past the last one that could tie. A candidate whose stale
-// marginal is not positive can never be selected and is left alone. The
-// best fresh marginal (−Inf when nothing was refreshed) is returned as the
-// step's opening threshold H.
+// order, and a round or batch boundary may fall between any two of them:
+// the loop ends only past the last one that could tie. A candidate whose
+// stale marginal is not positive can never be selected and is left alone.
+// The best fresh marginal (−Inf when nothing was refreshed) is returned as
+// the step's opening threshold H.
 func (rn *runner) refreshStale() float64 {
 	best := math.Inf(-1)
 	if len(rn.selected) == 0 {
@@ -694,27 +793,39 @@ func (rn *runner) refreshStale() float64 {
 		return cmp.Compare(a.at, b.at)
 	})
 	step := rn.step()
-	batch := make([]*cand, 0, refreshBatch)
+	buf := make([]*cand, 0, refreshBatch)
+	var batch []*cand // what is left of the planned batch, in order's order
+	var plans []candPlan
+	round := 0
 	for len(order) > 0 && order[0].marginal >= best {
-		if rn.canceled() {
+		if len(batch) == 0 {
+			if rn.canceled() {
+				break
+			}
+			batch = buf[:0]
+			for _, r := range order[:min(refreshBatch, len(order))] {
+				batch = append(batch, rn.store.counted[r.at])
+			}
+			plans = rn.planIndex(batch)
+			round = len(batch)
+			if plans != nil {
+				round = refreshRound
+			}
+		} else if rn.ctxErr != nil {
 			break
 		}
-		batch = batch[:0]
-		for _, r := range order[:min(refreshBatch, len(order))] {
-			batch = append(batch, rn.store.counted[r.at])
+		cands := batch[:min(round, len(batch))]
+		var cp []candPlan
+		if plans != nil {
+			cp, plans = plans[:len(cands)], plans[len(cands):]
 		}
-		order = order[len(batch):]
-		for _, c := range batch {
-			c.count, c.marginal = 0, 0
-		}
-		rn.countCandidates(batch, rn.planIndex(batch))
-		rn.stats.CandidatesCounted += len(batch)
-		for _, c := range batch {
+		rn.countCandidates(cands, cp)
+		rn.stats.CandidatesCounted += len(cands)
+		for _, c := range cands {
 			c.asOf = step
-			if c.marginal > best {
-				best = c.marginal
-			}
+			best = max(best, c.marginal)
 		}
+		batch, order = batch[len(cands):], order[len(cands):]
 	}
 	return best
 }
@@ -731,14 +842,15 @@ func (rn *runner) freeColumns() []int {
 }
 
 // extAcc accumulates, for one parent rule and one of its star columns, the
-// mass and marginal value of every one-value extension, indexed by value
-// id. expandParents fills one set per parent it expands, the base
-// included.
+// mass, marginal value and residual bound of every one-value extension,
+// indexed by value id. expandParents fills one set per parent it expands,
+// the base included.
 type extAcc struct {
 	col    int
 	weight float64   // of every extension in this column
 	cnt    []float64 // mass per value
 	mv     []float64 // marginal per value; nil while nothing is selected (it is weight·cnt)
+	r      []float64 // R per value; nil where it is the paper's bound (see tracksResidual)
 	hit    []bool    // some covered row holds the value; nil where cnt ≠ 0 says so
 }
 
@@ -752,6 +864,9 @@ func blankCopy(accs []extAcc) []extAcc {
 		if like.mv != nil {
 			cp[i].mv = make([]float64, len(like.mv))
 		}
+		if like.r != nil {
+			cp[i].r = make([]float64, len(like.r))
+		}
 		if like.hit != nil {
 			cp[i].hit = make([]bool, len(like.hit))
 		}
@@ -759,15 +874,19 @@ func blankCopy(accs []extAcc) []extAcc {
 	return cp
 }
 
-// add books one covered row holding value val: its mass, and its marginal
-// contribution given tw, the weight the selection already claims for it.
-func (a *extAcc) add(val rule.Value, mass, tw float64) {
+// add books one covered row holding value val: its mass, its marginal
+// contribution given tw, the weight the selection already claims for it,
+// and its term of R, resid (see residual).
+func (a *extAcc) add(val rule.Value, mass, tw, resid float64) {
 	if a.hit != nil {
 		a.hit[val] = true
 	}
 	a.cnt[val] += mass
 	if a.mv != nil && a.weight > tw {
 		a.mv[val] += (a.weight - tw) * mass
+	}
+	if a.r != nil {
+		a.r[val] += resid
 	}
 }
 
@@ -788,6 +907,19 @@ func (a *extAcc) marginal(val int) float64 {
 	return a.weight * a.cnt[val]
 }
 
+// residual is the extension by val's R: as the walk kept it, or, where it
+// kept none (tracksResidual), the paper's bound over what the walk
+// measured, which is R there; +Inf before anything is selected.
+func (a *extAcc) residual(val int, mw float64) float64 {
+	switch {
+	case a.r != nil:
+		return a.r[val]
+	case a.mv != nil:
+		return a.mv[val] + a.cnt[val]*(mw-a.weight)
+	}
+	return math.Inf(1)
+}
+
 // mergeAccs folds another worker's copy into accs.
 func mergeAccs(accs, other []extAcc) {
 	for i := range accs {
@@ -798,6 +930,9 @@ func mergeAccs(accs, other []extAcc) {
 		for v, x := range o.mv {
 			a.mv[v] += x
 		}
+		for v, x := range o.r {
+			a.r[v] += x
+		}
 		for v, ok := range o.hit {
 			if ok {
 				a.hit[v] = true
@@ -807,7 +942,7 @@ func mergeAccs(accs, other []extAcc) {
 }
 
 // bytes is the memory of one copy of a's arrays.
-func (a *extAcc) bytes() int { return 8*len(a.cnt) + 8*len(a.mv) + len(a.hit) }
+func (a *extAcc) bytes() int { return 8*len(a.cnt) + 8*len(a.mv) + 8*len(a.r) + len(a.hit) }
 
 // mass is the aggregate mass of row.
 func (rn *runner) mass(row int) float64 {
@@ -817,15 +952,38 @@ func (rn *runner) mass(row int) float64 {
 	return rn.agg.Mass(rn.tab, row)
 }
 
-// bookRow adds one covered row to each of a parent's accumulators.
-func (rn *runner) bookRow(accs []extAcc, row int) {
+// tracksResidual reports whether an expansion walk keeps R for extensions
+// of the given weight. Against the selection topW reflects, R falls below
+// the paper's bound only by what rows claimed above the rule's own weight
+// take from it — Σ (topW − W)·mass over them — so for an extension no
+// lighter than every selected rule, and for every extension before the
+// first selection, R is the paper's bound, and the walk saves itself the
+// add.
+func (rn *runner) tracksResidual(weight float64) bool { return weight < rn.claimed }
+
+// residual is a row's term of R: what it leaves a rule of weight mw to
+// claim, (mw − tw)·mass, where tw is the weight the selection already
+// claims for it — a negative mass, which no super-rule's marginal gains
+// by, counted as none.
+func (rn *runner) residual(mass, tw float64) float64 {
+	if mass <= 0 {
+		return 0
+	}
+	return (rn.mw - tw) * mass
+}
+
+// bookRow adds one covered row to each of a parent's accumulators and
+// returns the cells that booked.
+func (rn *runner) bookRow(accs []extAcc, row int) int64 {
 	mass, tw := rn.mass(row), 0.0
 	if rn.topW != nil {
 		tw = rn.topW[row]
 	}
+	resid := rn.residual(mass, tw)
 	for a := range accs {
-		accs[a].add(rn.tab.Value(accs[a].col, row), mass, tw)
+		accs[a].add(rn.tab.Value(accs[a].col, row), mass, tw, resid)
 	}
+	return int64(len(accs))
 }
 
 // candIndex buckets candidate rules by the value they require in one
@@ -999,6 +1157,9 @@ func (rn *runner) expandParents(parents []*cand) {
 			if rn.topW != nil {
 				acc.mv = make([]float64, dc)
 			}
+			if rn.tracksResidual(acc.weight) {
+				acc.r = make([]float64, dc)
+			}
 			if !rn.countAgg && c != rn.root {
 				// Masses may be zero or negative: presence needs its own
 				// mark. Level 1 holds the extensions of non-zero mass alone,
@@ -1041,7 +1202,7 @@ func (rn *runner) expandParents(parents []*cand) {
 		rn.indexPass(len(parents), func(g, p int, st *Stats) {
 			mine, c := accs[p], parents[p]
 			if reserved[p] == 0 {
-				rn.walk(c, plans[p], st, func(row int) { rn.bookRow(mine, row) })
+				rn.walk(c, plans[p], st, func(row int) { st.CellsBooked += rn.bookRow(mine, row) })
 				return
 			}
 			// Only a walk that keeps its rows pays to set their bits.
@@ -1050,7 +1211,7 @@ func (rn *runner) expandParents(parents []*cand) {
 			}
 			set := kept[g]
 			rn.walk(c, plans[p], st, func(row int) {
-				rn.bookRow(mine, row)
+				st.CellsBooked += rn.bookRow(mine, row)
 				set[row>>6] |= 1 << (uint(row) & 63)
 			})
 			kept[g] = rn.keepCover(c, set, reserved[p])
@@ -1081,14 +1242,18 @@ func (rn *runner) expandParents(parents []*cand) {
 			perWorker[g][p] = blankCopy(accs[p])
 		}
 	}
-	rn.scan(parents, nw, func(g, p, row int) { rn.bookRow(perWorker[g][p], row) })
+	cells := make([]int64, nw)
+	rn.scan(parents, nw, func(g, p, row int) { cells[g] += rn.bookRow(perWorker[g][p], row) })
 	if rn.ctxErr != nil {
 		return // a cut pass: some rows were never booked
 	}
-	for g := 1; g < nw; g++ {
-		for p := range accs {
-			mergeAccs(accs[p], perWorker[g][p])
+	for g := range perWorker {
+		if g > 0 {
+			for p := range accs {
+				mergeAccs(accs[p], perWorker[g][p])
+			}
 		}
+		rn.stats.CellsBooked += cells[g]
 	}
 	rn.materializeChildren(parents, accs)
 }
@@ -1119,6 +1284,9 @@ func (rn *runner) materializeChildren(parents []*cand, accs [][]extAcc) {
 				if !child.counted {
 					child.count, child.marginal, child.asOf = acc.cnt[val], acc.marginal(val), step
 				}
+				// A cached child keeps its marginal, stale or not, but no R
+				// the walk measured is looser than an older one.
+				child.resid = min(child.resid, acc.residual(val, rn.mw))
 				if created >= maxCandidates && c != rn.root {
 					// Abort without marking this parent expanded: a later
 					// step (with a smaller active candidate set) must be
@@ -1145,7 +1313,7 @@ func (rn *runner) childOf(parent *cand, acc *extAcc, val rule.Value, created *in
 	}
 	m := parent.mask
 	m.Set(acc.col)
-	c := &cand{r: parent.r.With(acc.col, val), key: string(rn.store.scratch), mask: m, weight: acc.weight, from: parent}
+	c := &cand{r: parent.r.With(acc.col, val), key: string(rn.store.scratch), mask: m, weight: acc.weight, from: parent, resid: math.Inf(1)}
 	if parent == rn.root {
 		c.from = nil // level 1: its own index containers are its cover
 	}
@@ -1155,10 +1323,22 @@ func (rn *runner) childOf(parent *cand, acc *extAcc, val rule.Value, created *in
 }
 
 // subRuleBound is the bound a counted rule c places on the marginal value
-// of every super-rule: MV(c) + Count(c)·(mw − W(c)). upperBound takes the
-// min of it over a candidate's sub-rules and generateCandidates gates c's
-// expansion walk by it, so both read the same float.
+// of every super-rule: the smaller of the paper's MV(c) + Count(c)·(mw −
+// W(c)) and the residual bound R(c) = Σ over c's rows of (mw − topW)·mass.
+// A super-rule gains at most mw − topW on each row it covers, and covers
+// only rows of c; the paper's bound charges every row mw − W(c) beyond its
+// marginal, even a row a selected rule already claims above W(c), so R is
+// the tighter from the second step on, and equal in the first. topW only
+// rises, so an R measured in an earlier step stays a bound. upperBound
+// takes the min of it over a candidate's sub-rules and generateCandidates
+// gates c's expansion walk by it, so both read the same float.
 func (rn *runner) subRuleBound(c *cand) float64 {
+	return min(rn.paperBound(c), c.resid)
+}
+
+// paperBound is Algorithm 2's bound on the marginal value of c's
+// super-rules, MV(c) + Count(c)·(mw − W(c)), over c's last measure.
+func (rn *runner) paperBound(c *cand) float64 {
 	return c.marginal + c.count*(rn.mw-c.weight)
 }
 
@@ -1188,14 +1368,18 @@ func (rn *runner) upperBound(c *cand) float64 {
 	return bound
 }
 
-// countCandidates measures count and marginal value for each candidate:
-// by plans — each candidate walked by its own kernel, candidates fanned
-// out across workers — or, where plans is nil, in one scan. Either way a
-// candidate's rows reach it ascending, so its sums are bit-identical on
-// every route and at any worker count.
+// countCandidates measures count, marginal value and, once something is
+// selected, R for each candidate, from zero: by plans — each candidate
+// walked by its own kernel, candidates fanned out across workers — or,
+// where plans is nil, in one scan. Either way a candidate's rows reach it
+// ascending, so its sums are bit-identical on every route and at any
+// worker count.
 func (rn *runner) countCandidates(cands []*cand, plans []candPlan) {
 	virgin := len(rn.selected) == 0
 	topW := rn.topW
+	for _, c := range cands {
+		c.count, c.marginal, c.resid = 0, 0, 0
+	}
 	if plans != nil {
 		rn.indexPass(len(cands), func(_, i int, st *Stats) {
 			c := cands[i]
@@ -1209,10 +1393,13 @@ func (rn *runner) countCandidates(cands []*cand, plans []candPlan) {
 				mass := rn.mass(row)
 				c.count += mass
 				if !virgin {
-					if tw := topW[row]; c.weight > tw {
+					tw := topW[row]
+					if c.weight > tw {
 						c.marginal += (c.weight - tw) * mass
 					}
+					c.resid += rn.residual(mass, tw)
 				}
+				st.CellsBooked++
 			})
 		})
 	} else {
@@ -1221,33 +1408,41 @@ func (rn *runner) countCandidates(cands []*cand, plans []candPlan) {
 		nw := rn.rowWorkers(rn.tab.NumRows())
 		cnt := make([][]float64, nw)
 		mv := make([][]float64, nw)
+		r := make([][]float64, nw)
+		cells := make([]int64, nw)
 		for g := range cnt {
 			cnt[g] = make([]float64, len(cands))
 			if !virgin {
 				mv[g] = make([]float64, len(cands))
+				r[g] = make([]float64, len(cands))
 			}
 		}
 		rn.scan(cands, nw, func(g, i, row int) {
 			mass := rn.mass(row)
 			cnt[g][i] += mass
 			if !virgin {
-				if tw := topW[row]; cands[i].weight > tw {
+				tw := topW[row]
+				if cands[i].weight > tw {
 					mv[g][i] += (cands[i].weight - tw) * mass
 				}
+				r[g][i] += rn.residual(mass, tw)
 			}
+			cells[g]++
 		})
 		for g := range cnt {
 			for i, c := range cands {
 				c.count += cnt[g][i]
 				if !virgin {
 					c.marginal += mv[g][i]
+					c.resid += r[g][i]
 				}
 			}
+			rn.stats.CellsBooked += cells[g]
 		}
 	}
 	if virgin {
 		for _, c := range cands {
-			c.marginal = c.weight * c.count
+			c.marginal, c.resid = c.weight*c.count, math.Inf(1)
 		}
 	}
 }

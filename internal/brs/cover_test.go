@@ -314,12 +314,13 @@ func TestRootSearchReads(t *testing.T) {
 	}
 	sameResults(t, "root search vs the oracle", res, oracleRun(tab.All(), w, Options{K: 3}))
 	want := Stats{
-		CandidatesCounted: 2693,
-		CandidatesPruned:  4653,
-		CandidatesReused:  2786,
-		PostingsRead:      354,
-		BitmapWordsRead:   22272,
-		IndexLevels:       24,
+		CandidatesCounted: 2678,
+		CandidatesPruned:  4564,
+		CandidatesReused:  2809,
+		PostingsRead:      338,
+		BitmapWordsRead:   20463,
+		IndexLevels:       62,
+		CellsBooked:       634686,
 	}
 	if st != want {
 		t.Fatalf("root search stats\n%+v\nwant\n%+v", st, want)
@@ -346,19 +347,21 @@ func TestEquivalenceRouteReads(t *testing.T) {
 	}{
 		{"child", false, rule.Trivial(tab.NumCols()).With(0, 0), Stats{
 			Passes:            1,
-			CandidatesCounted: 1256,
-			CandidatesPruned:  2053,
-			CandidatesReused:  1019,
+			CandidatesCounted: 1151,
+			CandidatesPruned:  1902,
+			CandidatesReused:  1073,
 			RowsScanned:       20000,
-			BitmapWordsRead:   57067,
-			IndexLevels:       19,
+			BitmapWordsRead:   48229,
+			IndexLevels:       43,
+			CellsBooked:       1137766,
 		}},
 		{"scan", true, nil, Stats{
 			Passes:            24,
-			CandidatesCounted: 2744,
-			CandidatesPruned:  4664,
+			CandidatesCounted: 2704,
+			CandidatesPruned:  4552,
 			CandidatesReused:  2837,
 			RowsScanned:       480000,
+			CellsBooked:       5588843,
 		}},
 	}
 	for _, tc := range cases {

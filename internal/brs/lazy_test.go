@@ -242,11 +242,19 @@ func TestEquivalenceLateSurvivorTieBreaks(t *testing.T) {
 
 // TestEquivalenceRefreshThroughTies: the refresh must go on while the next
 // stale marginal *equals* the best fresh one. After (a1,?) is selected,
-// each of the refreshBatch rules (?,b_i) falls from a stale 50 to 40 — one
-// full batch — and the next stale candidate, (a0,?), is worth 40 before and
-// after. It precedes every (?,b_i) in level-1 order, so it is step 2's
-// winner, which only a refresh that continues through the tie can see.
+// each of the refreshBatch rules (?,b_i) falls from a stale 50 to 40, and
+// the next stale candidate, (a0,?), is worth 40 before and after. It
+// precedes every (?,b_i) in level-1 order, so it is step 2's winner, which
+// only a refresh that continues through the tie can see. refreshBatch is a
+// whole number of refreshRound, so the tie straddles a boundary on both
+// routes: the index route re-measures the (?,b_i) in rounds of
+// refreshRound and (a0,?) opens a round of its own, the first of the next
+// batch; the scan route re-measures them in one pass and (a0,?) opens the
+// next.
 func TestEquivalenceRefreshThroughTies(t *testing.T) {
+	if refreshBatch%refreshRound != 0 {
+		t.Fatalf("refreshBatch %d is not a whole number of rounds of %d", refreshBatch, refreshRound)
+	}
 	var groups []group
 	for i := 0; i < refreshBatch; i++ {
 		b := fmt.Sprintf("b%d", i)
@@ -257,15 +265,39 @@ func TestEquivalenceRefreshThroughTies(t *testing.T) {
 	groups = append(groups, group{cells: []string{"a0", "s#"}, n: 40})
 	w := weight.NewSize(2)
 	tab := groupTable([]string{"A", "B"}, groups...)
+	a0 := mustRule(t, tab, map[string]string{"A": "a0"})
 	for _, scan := range []bool{false, true} {
 		v := viewOf(t, tab, scan)
 		want := oracleStream(v, w, Options{MaxWeight: 1}, 2)
-		if len(want) != 2 || !want[1].Rule.Equal(mustRule(t, tab, map[string]string{"A": "a0"})) {
+		if len(want) != 2 || !want[1].Rule.Equal(a0) {
 			t.Fatalf("scan=%v: the oracle streamed %v, want (a1,?) then (a0,?)", scan, want)
 		}
 		for _, workers := range []int{1, 2, 8} {
 			got := stream(t, v, w, Options{MaxWeight: 1, Workers: workers}, 2)
 			sameResults(t, fmt.Sprintf("scan=%v workers=%d", scan, workers), got, want)
+		}
+
+		// Step 2's refresh, alone: two scan passes, one a batch; or a round
+		// of index walks for every refreshRound of the (?,b_i), then one
+		// more, which (a0,?) opens.
+		rn, err := newRunner(v, w, Options{MaxWeight: 1, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rn.applySelection(rn.findBestMarginal())
+		rn.raiseTopW()
+		before := rn.stats
+		if best := rn.refreshStale(); best != 40 {
+			t.Fatalf("scan=%v: the refresh opened step 2 at %v, want 40", scan, best)
+		}
+		passes, rounds := rn.stats.Passes-before.Passes, rn.stats.IndexLevels-before.IndexLevels
+		wantPasses, wantRounds := 0, refreshBatch/refreshRound+1
+		if scan {
+			wantPasses, wantRounds = 2, 0
+		}
+		if passes != wantPasses || rounds != wantRounds || rn.lookup(a0).asOf != 2 {
+			t.Fatalf("scan=%v: the refresh took %d passes and %d index rounds, (a0,?) measured in step %d; want %d, %d and step 2",
+				scan, passes, rounds, rn.lookup(a0).asOf, wantPasses, wantRounds)
 		}
 	}
 }

@@ -23,19 +23,18 @@ import (
 //     governed by the most selective column. Where the smallest is itself a
 //     bitset its rows are its set bits, read for its words instead of an
 //     entry each — its span's, or its summary's and its non-zero words
-//     where those are fewer — and it is costed at ⌈N/64⌉ words, the most
-//     either reads.
+//     where those are fewer — and it is costed at exactly those words.
 //
 //   - Bitmap: word-at-a-time AND over bitsets (table.AndCount, AndEach).
-//     Cost per candidate is at most (number of containers) × (words per
-//     container), and costed at that: a kernel reads only the words where
-//     every set's span overlaps, or, where fewer, the summary words over
-//     them and the data words every set's summary marks non-zero (see
-//     table.Bitset) — on a table in tuple order, where rows cluster, a
-//     fraction of the universe. A pure *count* needs only popcount — zero
-//     rows enumerated — where every row's mass is 1 (Count over an
-//     unweighted table). Applies under the Count aggregate, whose masses
-//     stay integral, to candidates whose every container is a bitset.
+//     A kernel reads only the words where every set's span overlaps, or,
+//     where fewer, the summary words over them and the data words every
+//     set's summary marks non-zero (see table.Bitset) — on a table in tuple
+//     order, where rows cluster, a fraction of the universe — and a
+//     candidate is costed at the most that books (table.AndWords). A pure
+//     *count* needs only popcount — zero rows enumerated — where every
+//     row's mass is 1 (Count over an unweighted table). Applies under the
+//     Count aggregate, whose masses stay integral, to candidates whose
+//     every container is a bitset.
 //
 // The base, level 0, instantiates no free column: its coverage is the
 // whole table, and it has no container to walk. Under Count its expansion
@@ -193,15 +192,17 @@ func (rn *runner) containers(c *cand, lists [][]int32, sets []*table.Bitset) ([]
 	return lists, sets
 }
 
-// planCand costs the index kernels for candidate c over its containers.
-// The probing walk takes its driver's rows and tests each against every
-// other container: a list driver is read an entry a row, a dense driver for
-// its words. The AND kernels read every container's words, and apply where
-// every container is a bitset under Count; they win a tie,
-// since a count under unit masses needs no row enumerated. anchor is the
-// posting length of c's anchor column (the scan kernel's per-candidate
-// work, see buildCandIndex); ok is false for a rule with no instantiated
-// free column, which forces the whole pass to scan.
+// planCand costs the index kernels for candidate c over its containers, at
+// what each books. The probing walk takes its driver's rows and tests each
+// against every other container: a list driver is read an entry a row, a
+// dense driver for the words reading it alone books — its span's, or its
+// summary's and its non-zero words. The AND kernels read the words the
+// containers' spans and summaries leave them (table.AndWords, the most
+// they book), and apply where every container is a bitset under Count;
+// they win a tie, since a count under unit masses needs no row
+// enumerated. anchor is the posting length of c's anchor column (the scan
+// kernel's per-candidate work, see buildCandIndex); ok is false for a rule
+// with no instantiated free column, which forces the whole pass to scan.
 func (rn *runner) planCand(c *cand) (plan candPlan, anchor int64, ok bool) {
 	for _, col := range rn.freeCols {
 		if v := c.r[col]; v != rule.Star {
@@ -215,25 +216,26 @@ func (rn *runner) planCand(c *cand) (plan candPlan, anchor int64, ok bool) {
 	var listBuf [16][]int32
 	var setBuf [16]*table.Bitset
 	lists, sets := rn.containers(c, listBuf[:0], setBuf[:0])
-	denseDriver, allDense := false, rn.countAgg
+	driver, allDense := 0, rn.countAgg
 	for i, set := range sets {
 		size := int64(len(lists[i]))
 		if set != nil {
 			size = int64(set.Len())
 		}
 		if i == 0 || size < plan.rows {
-			plan.rows, denseDriver = size, set != nil
+			plan.rows, driver = size, i
 		}
 		allDense = allDense && set != nil
 	}
-	containers := int64(len(sets))
 	drive := plan.rows
-	if denseDriver {
-		drive = rn.bitmapWords
+	if sets[driver] != nil {
+		drive = table.AndWords(sets[driver : driver+1])
 	}
-	plan.cost = drive + (containers-1)*plan.rows + postingsCostSlack
-	if bmCost := containers*rn.bitmapWords + postingsCostSlack; allDense && bmCost <= plan.cost {
-		plan.cost, plan.bitmap = bmCost, true
+	plan.cost = drive + int64(len(sets)-1)*plan.rows + postingsCostSlack
+	if allDense {
+		if bmCost := table.AndWords(sets) + postingsCostSlack; bmCost <= plan.cost {
+			plan.cost, plan.bitmap = bmCost, true
+		}
 	}
 	return plan, anchor, true
 }

@@ -58,11 +58,25 @@ func encodeTree(sess *session, e *smartdrill.Engine) *api.Tree {
 	}
 }
 
-// encodeStats converts the engine's BRS counters to their wire mirror — a
-// struct conversion, so the build breaks if the two definitions drift.
+// encodeStats copies the engine's BRS counters to their wire mirror: every
+// counter but CellsBooked, which stays in process
+// (TestSearchStatsMirror holds the two definitions in step).
 func encodeStats(s smartdrill.SearchStats) *api.SearchStats {
-	out := api.SearchStats(s)
-	return &out
+	return &api.SearchStats{
+		Passes:             s.Passes,
+		CandidatesCounted:  s.CandidatesCounted,
+		CandidatesPruned:   s.CandidatesPruned,
+		CandidatesReused:   s.CandidatesReused,
+		RowsScanned:        s.RowsScanned,
+		PostingsRead:       s.PostingsRead,
+		BitmapWordsRead:    s.BitmapWordsRead,
+		IndexLevels:        s.IndexLevels,
+		CandidateCapHit:    s.CandidateCapHit,
+		SampledRowsScanned: s.SampledRowsScanned,
+		CacheHits:          s.CacheHits,
+		CacheMisses:        s.CacheMisses,
+		SingleflightWaits:  s.SingleflightWaits,
+	}
 }
 
 // encodeJSON is the wire form of every response body: compact JSON from one

@@ -254,3 +254,45 @@ func TestRequestID(t *testing.T) {
 		t.Errorf("the panic line does not carry the request id:\n%s", logged.String())
 	}
 }
+
+// TestSearchStatsMirror: the wire's search block carries every BRS counter
+// under the engine's own name, type and JSON name, but CellsBooked, which
+// stays in process (its JSON name is "-"); and encodeStats copies each of
+// them, so a counter added to one definition and not the other fails here.
+func TestSearchStatsMirror(t *testing.T) {
+	var s smartdrill.SearchStats
+	sv := reflect.ValueOf(&s).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		switch f := sv.Field(i); f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			f.SetInt(int64(i + 1))
+		}
+	}
+	wire := reflect.ValueOf(encodeStats(s)).Elem()
+	st, wt := sv.Type(), wire.Type()
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		wf, ok := wt.FieldByName(f.Name)
+		if f.Name == "CellsBooked" {
+			if ok || f.Tag.Get("json") != "-" {
+				t.Errorf("CellsBooked: on the wire %v, JSON name %q; want it in process only", ok, f.Tag.Get("json"))
+			}
+			continue
+		}
+		if !ok {
+			t.Errorf("%s: no wire field", f.Name)
+			continue
+		}
+		if wf.Type != f.Type || wf.Tag.Get("json") != f.Tag.Get("json") {
+			t.Errorf("%s: wire %v %q, engine %v %q", f.Name, wf.Type, wf.Tag.Get("json"), f.Type, f.Tag.Get("json"))
+		}
+		if got, want := wire.FieldByIndex(wf.Index).Interface(), sv.Field(i).Interface(); got != want {
+			t.Errorf("%s: encoded %v, want %v", f.Name, got, want)
+		}
+	}
+	if wt.NumField() != st.NumField()-1 {
+		t.Errorf("the wire has %d counters, the engine %d besides CellsBooked", wt.NumField(), st.NumField()-1)
+	}
+}

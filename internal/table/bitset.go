@@ -166,32 +166,47 @@ func hasSummary(lo, hi, nz int) bool { return summaryWords(lo, hi)+nz < hi-lo }
 // the span route, which reads, a set, every word of the overlap. The
 // summary route reads the summary words over the overlap of every set that
 // has a summary and, a set, the data words every summary marks, which are
-// at most the fewest non-zero words of any set with a summary; it is taken
-// only where that bound is below the overlap's words, so no call reads
-// more than the span route would. Where no set has a summary — dense
+// at most marks, the fewest non-zero words of any set with a summary; it
+// is taken only where that bound is below the overlap's words, so no call
+// reads more than the span route would. Where no set has a summary — dense
 // values of a table in no particular order — the sets are read as by the
 // span alone.
-func overlap(sets []*Bitset) (lo, hi int, summaries int64) {
+func overlap(sets []*Bitset) (lo, hi int, summaries int64, marks int) {
 	if len(sets) == 0 {
-		return 0, 0, 0
+		return 0, 0, 0, 0
 	}
-	lo, hi, nz := sets[0].lo, sets[0].hi, 0
+	lo, hi = sets[0].lo, sets[0].hi
 	for _, s := range sets {
 		lo, hi = max(lo, s.lo), min(hi, s.hi)
 		if s.summary != nil {
-			if summaries == 0 || s.nz < nz {
-				nz = s.nz
+			if summaries == 0 || s.nz < marks {
+				marks = s.nz
 			}
 			summaries++
 		}
 	}
 	if lo >= hi {
-		return 0, 0, 0
+		return 0, 0, 0, 0
 	}
-	if summaries == 0 || summaryWords(lo, hi)+nz >= hi-lo {
-		return lo, hi, 0
+	if summaries == 0 || summaryWords(lo, hi)+marks >= hi-lo {
+		return lo, hi, 0, 0
 	}
-	return lo, hi, summaries
+	return lo, hi, summaries, marks
+}
+
+// AndWords returns the most AndCount or AndEach books for sets, from what
+// overlap decides and without reading a word: on the span route every
+// set's words of the spans' overlap; on the summary route the summaries'
+// words over it and, a set, the most data words the summaries can mark.
+// Of one set it is exactly what reading that set alone books — its span's
+// words, or its summary's and its non-zero words — which is what the
+// driver of EachInAll books.
+func AndWords(sets []*Bitset) int64 {
+	lo, hi, summaries, marks := overlap(sets)
+	if summaries == 0 {
+		return int64(len(sets)) * int64(hi-lo)
+	}
+	return summaries*int64(summaryWords(lo, hi)) + int64(len(sets))*int64(marks)
 }
 
 // eachWord calls fn(i) for every data word i the AND of sets can hold a row
@@ -202,7 +217,7 @@ func overlap(sets []*Bitset) (lo, hi int, summaries int64) {
 // word reached of every set that has a summary. AndCount reads the same
 // words in a loop of its own, which calls nothing a word.
 func eachWord(sets []*Bitset, fn func(i int) bool) (wordsRead int64) {
-	lo, hi, summaries := overlap(sets)
+	lo, hi, summaries, _ := overlap(sets)
 	k := int64(len(sets))
 	if summaries == 0 {
 		for i := lo; i < hi; i++ {
@@ -260,7 +275,7 @@ func and(sets []*Bitset, i int) uint64 {
 // I/O charged in place of posting entries). All sets must share one
 // universe (containers of one Index always do). Zero sets yield zero.
 func AndCount(sets []*Bitset) (count int, wordsRead int64) {
-	lo, hi, summaries := overlap(sets)
+	lo, hi, summaries, _ := overlap(sets)
 	k := int64(len(sets))
 	if summaries == 0 {
 		for i := lo; i < hi; i++ {

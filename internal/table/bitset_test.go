@@ -470,6 +470,11 @@ func FuzzBitsetIntersect(f *testing.F) {
 		if count != len(want) || words != wantWords {
 			t.Fatalf("AndCount = %d reading %d words, want %d reading %d (rows=%d k=%d)", count, words, len(want), wantWords, rows, k)
 		}
+		// What the planner prices the kernels at: the most they book, and,
+		// of one set, exactly what reading it alone books.
+		if bound := AndWords(sets); words > bound || (k == 1 && words != bound) {
+			t.Fatalf("AndWords = %d, but the kernels booked %d (rows=%d k=%d)", bound, words, rows, k)
+		}
 		var got []int32
 		if words := AndEach(sets, func(row int) { got = append(got, int32(row)) }); words != wantWords {
 			t.Fatalf("AndEach read %d words, want %d", words, wantWords)
