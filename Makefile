@@ -18,7 +18,8 @@ sdlint:
 	cd tools/sdlint && $(GO) build -o bin/sdlint .
 
 # lint-fast is the pre-commit inner loop: build the vettool and run the
-# sdlint analyzers over every package — nothing else. The pass is timed
+# three sdlint analyzers (ctxflow, detwalk, apicodes) over every package —
+# nothing else. The pass is timed
 # and fails above a 120s budget: the analyzers guard every developer's
 # edit-lint cycle, so their own cost is an invariant too (CI enforces the
 # same bound; the recorded seconds in its log are the trend line).
@@ -141,5 +142,8 @@ smoke:
 # the table's CSV through the ingest pipeline and back, cell for cell. Then
 # the wide-table probe check: a root drill on census 200 000 × 14 reads less
 # probed than at the weighter's bound, and one on 50 000 × 14 is not probed.
+# Last, the heavy wide shapes' pinned reads (TestWideRouteCountsLarge:
+# census 100 000 × 14 at K 3 and 20 000 × 14 at K 6, Workers 1, 2 and 8).
 large:
 	SMARTDRILL_LARGE=1 $(GO) test -run 'TestMillionRow|TestWideRootProbe' -v .
+	SMARTDRILL_LARGE=1 $(GO) test -run 'TestWideRouteCountsLarge' -v ./internal/brs/

@@ -174,9 +174,9 @@ type Stats struct {
 	CandidateCapHit   bool  `json:"candidate_cap_hit"`  // a level hit DefaultMaxCandidates
 	// CellsBooked counts (row, accumulator) updates, the CPU the read
 	// counters do not see: one a covered row and extension column of an
-	// expansion walk, one a covered row of a counting walk or refresh (none
-	// for a count by popcount), and one a raised row and level-1 rule whose
-	// residual bound a topW raise lowers. Each pass books its own, and each
+	// expansion walk, one a covered row of a counting walk or refresh, and
+	// one a raised row and level-1 rule whose residual bound a topW raise
+	// lowers. Each pass books its own, and each
 	// walk owns whole candidates, so the count is the same at any worker
 	// count. It stays in process: the wire's search block has no field for
 	// it.
@@ -196,6 +196,15 @@ type Stats struct {
 	CacheHits         int `json:"cache_hits"`
 	CacheMisses       int `json:"cache_misses"`
 	SingleflightWaits int `json:"singleflight_waits"`
+}
+
+// Book makes Stats the table kernels' meter (table.Meter): rows into
+// RowsScanned, posting entries into PostingsRead and bitset words into
+// BitmapWordsRead.
+func (s *Stats) Book(rows, entries, words int64) {
+	s.RowsScanned += rows
+	s.PostingsRead += entries
+	s.BitmapWordsRead += words
 }
 
 // Add accumulates o into s (CandidateCapHit ORs). Sessions use it to keep
@@ -333,18 +342,18 @@ func newRunner(v *table.View, w weight.Weighter, opts Options) (*runner, error) 
 	if !opts.BaseCovered {
 		restrict = base
 	}
-	// A copy's index is built by its first read and booked nowhere, like a
-	// tuple sample's.
-	tab, read := v.Select(restrict)
 	run := &runner{
-		tab: tab, w: w, agg: agg, mw: mw, base: base,
+		w: w, agg: agg, mw: mw, base: base,
 		par: opts.Workers, scale: scale,
 		coverLeft: coverBudget,
 	}
+	// A copy's index is built by its first read and booked nowhere, like a
+	// tuple sample's.
+	tab := v.Select(&run.stats, restrict)
 	if tab != v.Table() {
 		run.stats.Passes++
-		run.stats.RowsScanned += int64(read)
 	}
+	run.tab = tab
 	if indexRoutes {
 		run.ix = tab.Index()
 	}
@@ -1055,7 +1064,7 @@ func (rn *runner) scan(cands []*cand, nw int, visit func(g, i, row int)) {
 // hi, g) reads rows [lo, hi) for worker g, at most pollStride of them a
 // call (polled). It books one pass and the rows its workers read.
 func (rn *runner) rowPass(nw int, fn func(lo, hi, g int)) {
-	rn.stats.RowsScanned += rn.polled(rn.tab.NumRows(), nw, pollStride, fn)
+	rn.stats.Book(rn.polled(rn.tab.NumRows(), nw, pollStride, fn), 0, 0)
 	rn.stats.Passes++
 }
 
@@ -1368,14 +1377,14 @@ func (rn *runner) upperBound(c *cand) float64 {
 	return bound
 }
 
-// countCandidates measures count, marginal value and, once something is
-// selected, R for each candidate, from zero: by plans — each candidate
+// countCandidates measures count, marginal value and R for each candidate
+// against the selection so far, from zero: by plans — each candidate
 // walked by its own kernel, candidates fanned out across workers — or,
 // where plans is nil, in one scan. Either way a candidate's rows reach it
 // ascending, so its sums are bit-identical on every route and at any
-// worker count.
+// worker count. It runs from step 2 on: every candidate of step 1 is
+// measured by the walk that creates it.
 func (rn *runner) countCandidates(cands []*cand, plans []candPlan) {
-	virgin := len(rn.selected) == 0
 	topW := rn.topW
 	for _, c := range cands {
 		c.count, c.marginal, c.resid = 0, 0, 0
@@ -1383,67 +1392,46 @@ func (rn *runner) countCandidates(cands []*cand, plans []candPlan) {
 	if plans != nil {
 		rn.indexPass(len(cands), func(_, i int, st *Stats) {
 			c := cands[i]
-			if virgin && rn.unitMass && plans[i].bitmap {
-				// Every mass is 1 and nothing is selected: the count is a
-				// popcount over the ANDed words.
-				c.count += float64(rn.walk(c, plans[i], st, nil))
-				return
-			}
 			rn.walk(c, plans[i], st, func(row int) {
-				mass := rn.mass(row)
+				mass, tw := rn.mass(row), topW[row]
 				c.count += mass
-				if !virgin {
-					tw := topW[row]
-					if c.weight > tw {
-						c.marginal += (c.weight - tw) * mass
-					}
-					c.resid += rn.residual(mass, tw)
+				if c.weight > tw {
+					c.marginal += (c.weight - tw) * mass
 				}
+				c.resid += rn.residual(mass, tw)
 				st.CellsBooked++
 			})
 		})
-	} else {
-		// Per-worker accumulators indexed by candidate, merged in worker
-		// order after the pass.
-		nw := rn.rowWorkers(rn.tab.NumRows())
-		cnt := make([][]float64, nw)
-		mv := make([][]float64, nw)
-		r := make([][]float64, nw)
-		cells := make([]int64, nw)
-		for g := range cnt {
-			cnt[g] = make([]float64, len(cands))
-			if !virgin {
-				mv[g] = make([]float64, len(cands))
-				r[g] = make([]float64, len(cands))
-			}
-		}
-		rn.scan(cands, nw, func(g, i, row int) {
-			mass := rn.mass(row)
-			cnt[g][i] += mass
-			if !virgin {
-				tw := topW[row]
-				if cands[i].weight > tw {
-					mv[g][i] += (cands[i].weight - tw) * mass
-				}
-				r[g][i] += rn.residual(mass, tw)
-			}
-			cells[g]++
-		})
-		for g := range cnt {
-			for i, c := range cands {
-				c.count += cnt[g][i]
-				if !virgin {
-					c.marginal += mv[g][i]
-					c.resid += r[g][i]
-				}
-			}
-			rn.stats.CellsBooked += cells[g]
-		}
+		return
 	}
-	if virgin {
-		for _, c := range cands {
-			c.marginal, c.resid = c.weight*c.count, math.Inf(1)
+	// Per-worker accumulators indexed by candidate, merged in worker order
+	// after the pass.
+	nw := rn.rowWorkers(rn.tab.NumRows())
+	cnt := make([][]float64, nw)
+	mv := make([][]float64, nw)
+	r := make([][]float64, nw)
+	cells := make([]int64, nw)
+	for g := range cnt {
+		cnt[g] = make([]float64, len(cands))
+		mv[g] = make([]float64, len(cands))
+		r[g] = make([]float64, len(cands))
+	}
+	rn.scan(cands, nw, func(g, i, row int) {
+		mass, tw := rn.mass(row), topW[row]
+		cnt[g][i] += mass
+		if cands[i].weight > tw {
+			mv[g][i] += (cands[i].weight - tw) * mass
 		}
+		r[g][i] += rn.residual(mass, tw)
+		cells[g]++
+	})
+	for g := range cnt {
+		for i, c := range cands {
+			c.count += cnt[g][i]
+			c.marginal += mv[g][i]
+			c.resid += r[g][i]
+		}
+		rn.stats.CellsBooked += cells[g]
 	}
 }
 

@@ -28,7 +28,7 @@ func BenchmarkChildDrill(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			tab := bc.tab
-			if d, _ := tab.Distinct(); d != nil {
+			if d := tab.Distinct(new(table.Tally)); d != nil {
 				tab = d
 			}
 			w := weight.NewSize(tab.NumCols())

@@ -52,7 +52,7 @@ func tiesTable() *table.Table {
 // than without.
 func TestEquivalenceCoverReuse(t *testing.T) {
 	census := datagen.CensusProjected(20000, 7, 7)
-	censusTuples, _ := census.Distinct()
+	censusTuples := census.Distinct(new(table.Tally))
 	if censusTuples == nil {
 		t.Fatal("census 20k does not compress")
 	}
@@ -228,7 +228,7 @@ func TestCoverContainerRule(t *testing.T) {
 		t.Fatalf("40 rows a word apart: cover %+v, want a list of 160 bytes", cv)
 	}
 
-	tab, _ := datagen.CensusProjected(20_000, 7, 7).Distinct()
+	tab := datagen.CensusProjected(20_000, 7, 7).Distinct(new(table.Tally))
 	rn, err = newRunner(tab.All(), weight.NewSize(tab.NumCols()), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func rowRange(lo, hi int) []int {
 // (bench/drillload: census, 100 000 rows × 7 columns, generator seed 7): its
 // 6 372 distinct tuples.
 func rootSearchTable(tb testing.TB) *table.Table {
-	tab, _ := datagen.CensusProjected(100_000, 7, 7).Distinct()
+	tab := datagen.CensusProjected(100_000, 7, 7).Distinct(new(table.Tally))
 	if tab == nil {
 		tb.Fatal("census does not compress")
 	}

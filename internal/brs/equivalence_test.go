@@ -197,7 +197,7 @@ func TestLevelOnePostingsPath(t *testing.T) {
 
 	// Over the distinct tuples, whose rows stand for several each, level 1
 	// is the index's masses: the table's counts, no row read.
-	d, _ := tab.Distinct()
+	d := tab.Distinct(new(table.Tally))
 	if d == nil {
 		t.Fatal("the table does not compress")
 	}

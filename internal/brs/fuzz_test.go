@@ -86,7 +86,7 @@ func decodeFuzzCase(data []byte) (fuzzCase, bool) {
 		fc.opts.Base = fc.opts.Base.With((int(data[2])-1)%cols, 0)
 	}
 	if data[1]&16 != 0 && fc.opts.Agg == nil {
-		if d, _ := fc.tab.Distinct(); d != nil {
+		if d := fc.tab.Distinct(new(table.Tally)); d != nil {
 			fc.tab, fc.rows = d, fc.tab
 		}
 	}

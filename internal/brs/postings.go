@@ -25,16 +25,14 @@ import (
 //     entry each — its span's, or its summary's and its non-zero words
 //     where those are fewer — and it is costed at exactly those words.
 //
-//   - Bitmap: word-at-a-time AND over bitsets (table.AndCount, AndEach).
-//     A kernel reads only the words where every set's span overlaps, or,
-//     where fewer, the summary words over them and the data words every
-//     set's summary marks non-zero (see table.Bitset) — on a table in tuple
-//     order, where rows cluster, a fraction of the universe — and a
-//     candidate is costed at the most that books (table.AndWords). A pure
-//     *count* needs only popcount — zero rows enumerated — where every
-//     row's mass is 1 (Count over an unweighted table). Applies under the
-//     Count aggregate, whose masses stay integral, to candidates whose
-//     every container is a bitset.
+//   - Bitmap: word-at-a-time AND over bitsets (table.AndEach), handing
+//     each common row to the visitor. The kernel reads only the words
+//     where every set's span overlaps, or, where fewer, the summary words
+//     over them and the data words every set's summary marks non-zero (see
+//     table.Bitset) — on a table in tuple order, where rows cluster, a
+//     fraction of the universe — and a candidate is costed at the most that
+//     books (table.AndWords). Applies under the Count aggregate to
+//     candidates whose every container is a bitset.
 //
 // The base, level 0, instantiates no free column: its coverage is the
 // whole table, and it has no container to walk. Under Count its expansion
@@ -54,9 +52,10 @@ import (
 // Every kernel visits rows ascending — the order a scan visits them — so
 // accumulated masses are bit-identical across all the access paths, and
 // routing is a pure performance decision. Both index kernels are reached
-// through one function, walk, which also books what they read; the scan is
-// runner.scan. Routing is the runner's alone: the tests' oracle, package
-// brsref, reads every row of every pass and shares none of this file.
+// through one function, walk, which hands them the worker's Stats to book
+// what they read into; the scan is runner.scan. Routing is the runner's
+// alone: the tests' oracle, package brsref, reads every row of every pass
+// and shares none of this file.
 
 // postingsCostSlack is the fixed per-candidate overhead charged by the
 // cost model (list setup, probe and gallop restarts, AND-loop setup).
@@ -170,8 +169,6 @@ type candPlan struct {
 // the container of the one column c adds, where that cover is held; else
 // the index container of each instantiated free column. planCand costs
 // them and walk reads them, so the two cannot disagree.
-//
-//sdlint:allow ioaccount gathers containers and reads none of them; walk, their one reader, books what its kernel reads
 func (rn *runner) containers(c *cand, lists [][]int32, sets []*table.Bitset) ([][]int32, []*table.Bitset) {
 	if cv := c.cover; cv != nil {
 		return append(lists, cv.list), append(sets, cv.bits)
@@ -199,10 +196,10 @@ func (rn *runner) containers(c *cand, lists [][]int32, sets []*table.Bitset) ([]
 // summary's and its non-zero words. The AND kernels read the words the
 // containers' spans and summaries leave them (table.AndWords, the most
 // they book), and apply where every container is a bitset under Count;
-// they win a tie, since a count under unit masses needs no row
-// enumerated. anchor is the posting length of c's anchor column (the scan
-// kernel's per-candidate work, see buildCandIndex); ok is false for a rule
-// with no instantiated free column, which forces the whole pass to scan.
+// they win a tie, the routing every pinned read count was recorded under.
+// anchor is the posting length of c's anchor column (the scan kernel's
+// per-candidate work, see buildCandIndex); ok is false for a rule with no
+// instantiated free column, which forces the whole pass to scan.
 func (rn *runner) planCand(c *cand) (plan candPlan, anchor int64, ok bool) {
 	for _, col := range rn.freeCols {
 		if v := c.r[col]; v != rule.Star {
@@ -282,35 +279,26 @@ func (rn *runner) planPostingsOne(c *cand) (plan candPlan, ok bool) {
 
 // walk visits c's coverage through the index, by the kernel plan chose —
 // bitset AND or probing walk — over c's containers. It calls visit(row) for
-// every covered row in ascending order and books the entries and words it
-// read into st. visit may be nil on the bitset kernel alone: then walk only
-// counts, by popcount, no row enumerated, and returns the count.
-func (rn *runner) walk(c *cand, plan candPlan, st *Stats, visit func(row int)) (rows int) {
+// every covered row in ascending order, and the kernel books the entries
+// and words it read into st.
+func (rn *runner) walk(c *cand, plan candPlan, st *Stats, visit func(row int)) {
 	// Room for the containers of a 16-column rule on the stack; a wider
 	// one's grow on the heap.
 	var listBuf [16][]int32
 	var setBuf [16]*table.Bitset
 	lists, sets := rn.containers(c, listBuf[:0], setBuf[:0])
-	var entries, words int64
-	switch {
-	case visit == nil:
-		rows, words = table.AndCount(sets)
-	case plan.bitmap:
-		words = table.AndEach(sets, visit)
-	default:
-		entries, words = table.EachInAll(lists, visit, sets...)
+	if plan.bitmap {
+		table.AndEach(st, sets, visit)
+	} else {
+		table.EachInAll(st, lists, visit, sets...)
 	}
-	st.PostingsRead += entries
-	st.BitmapWordsRead += words
-	return rows
 }
 
 // indexPass is a pass routed through the index over n candidates: workers
 // take whole candidates, in order, polling the context before each
 // (polled), and fn(g, i, st) walks candidate i on worker g booking into st,
-// one Stats a worker, and those merge into the run's after the pass.
-//
-//sdlint:allow ioaccount fans out candidates, not rows; walk books what every candidate's walk reads into its worker's Stats, which are merged here
+// one Stats a worker, and those merge into the run's after the pass. It
+// fans out candidates, not rows, so it books no read itself.
 func (rn *runner) indexPass(n int, fn func(g, i int, st *Stats)) {
 	stats := make([]Stats, rn.rowWorkers(n))
 	rn.polled(n, len(stats), 1, func(i, _, g int) { fn(g, i, &stats[g]) })

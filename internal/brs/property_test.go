@@ -129,7 +129,7 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 		// popcount, a count++ — disagrees with brsref, which sums Agg.Mass
 		// row by row; and either must return what the rows give.
 		heavy := skewedTable(rand.New(rand.NewSource(int64(trial)+100)), 4, 4, n)
-		weighted, _ := heavy.Distinct()
+		weighted := heavy.Distinct(new(table.Tally))
 		if weighted == nil {
 			t.Fatalf("trial %d: %d rows over at most 320 tuples did not compress", trial, n)
 		}
@@ -308,11 +308,10 @@ func withDuplicateColumn(tab *table.Table, c int) *table.Table {
 	return b.Build()
 }
 
-// TestEquivalenceWeightedKernelsSumMasses drives the two counting kernels a
-// search seldom reaches in its first step — there the walk that generates a
-// candidate also counts it — directly: over a distinct-tuple table both the
-// bitset kernel and the probing walk must return the multiplicities'
-// sum, not the number of rows, before anything is selected and after.
+// TestEquivalenceWeightedKernelsSumMasses drives the two counting kernels
+// of a refresh directly: over a distinct-tuple table, after a selection,
+// both the bitset kernel and the probing walk must return the
+// multiplicities' sum, not the number of rows.
 func TestEquivalenceWeightedKernelsSumMasses(t *testing.T) {
 	tab := groupTable([]string{"A", "B", "C"},
 		group{cells: []string{"a1", "b1", "c1"}, n: 40},
@@ -320,38 +319,30 @@ func TestEquivalenceWeightedKernelsSumMasses(t *testing.T) {
 		group{cells: []string{"a1", "b2", "c1"}, n: 12},
 		group{cells: []string{"a2", "b1", "c1"}, n: 5},
 		group{cells: []string{"a2", "b2", "c2"}, n: 30})
-	d, _ := tab.Distinct()
+	d := tab.Distinct(new(table.Tally))
 	if d == nil || d.NumRows() != 5 {
 		t.Fatalf("distinct table %v, want 5 rows", d)
 	}
 	w := weight.NewSize(3)
-	for _, selected := range []bool{false, true} {
-		for _, bitmap := range []bool{true, false} {
-			rn, err := newRunner(d.All(), w, Options{MaxWeight: 3, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rn.findBestMarginal()
-			if selected {
-				rn.applySelection(rn.lookup(mustRule(t, tab, map[string]string{"C": "c1"})))
-				rn.raiseTopW()
-			}
-			c := rn.lookup(mustRule(t, tab, map[string]string{"A": "a1", "B": "b1"}))
-			if c == nil {
-				t.Fatal("(a1,b1,?) was never generated")
-			}
-			c.count, c.marginal = 0, 0
-			rn.countCandidates([]*cand{c}, []candPlan{{bitmap: bitmap}})
-			// 47 tuples in 2 rows; selecting (?,?,c1) at weight 1 leaves the 40
-			// of them it covers a marginal of 1 each.
-			wantMarginal := 2.0 * 47
-			if selected {
-				wantMarginal = 1*40 + 2*7
-			}
-			if c.count != 47 || c.marginal != wantMarginal {
-				t.Fatalf("selected=%v bitmap=%v: (a1,b1,?) counted %v with marginal %v, want 47 and %v",
-					selected, bitmap, c.count, c.marginal, wantMarginal)
-			}
+	for _, bitmap := range []bool{true, false} {
+		rn, err := newRunner(d.All(), w, Options{MaxWeight: 3, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rn.findBestMarginal()
+		rn.applySelection(rn.lookup(mustRule(t, tab, map[string]string{"C": "c1"})))
+		rn.raiseTopW()
+		c := rn.lookup(mustRule(t, tab, map[string]string{"A": "a1", "B": "b1"}))
+		if c == nil {
+			t.Fatal("(a1,b1,?) was never generated")
+		}
+		c.count, c.marginal = 0, 0
+		rn.countCandidates([]*cand{c}, []candPlan{{bitmap: bitmap}})
+		// 47 tuples in 2 rows; selecting (?,?,c1) at weight 1 leaves the 40
+		// of them it covers a marginal of 1 each.
+		if wantMarginal := 1.0*40 + 2*7; c.count != 47 || c.marginal != wantMarginal {
+			t.Fatalf("bitmap=%v: (a1,b1,?) counted %v with marginal %v, want 47 and %v",
+				bitmap, c.count, c.marginal, wantMarginal)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package brs
 
 import (
 	"fmt"
+	"os"
 	"testing"
 
 	"smartdrill/internal/datagen"
@@ -72,6 +73,67 @@ func TestWideRouteCounts(t *testing.T) {
 		}
 		if st != tc.want {
 			t.Errorf("%s: stats\n%#v\nwant\n%#v", tc.name, st, tc.want)
+		}
+	}
+}
+
+// TestWideRouteCountsLarge pins the heavy wide shapes the same way, at the
+// weighter's bound and at Workers 1, 2 and 8: census 100 000 × 14 at K 3,
+// and census 20 000 × 14 at K 6, where steps 2..K cost the most. The six
+// runs take about two minutes on a 2-vCPU box, so they run only under
+// SMARTDRILL_LARGE=1 (make large).
+func TestWideRouteCountsLarge(t *testing.T) {
+	if os.Getenv("SMARTDRILL_LARGE") == "" {
+		t.Skip("set SMARTDRILL_LARGE=1 (or run `make large`) for the heavy wide shapes")
+	}
+	cases := []struct {
+		name  string
+		tab   *table.Table
+		k     int
+		rules []string
+		want  Stats
+	}{
+		{"census100k-14", datagen.CensusProjected(100_000, 14, 7), 3, []string{
+			"[? ? ? ? ? ? ? ? v08_00 v09_00 v10_00 v11_00 ? ?] 31541 21003",
+			"[v00_00 v01_00 v02_00 v03_00 ? ? ? ? ? ? ? ? ? ?] 33341 33341",
+			"[? ? ? ? v04_00 ? v06_00 v07_00 ? ? ? ? ? ?] 39493 18012",
+		}, Stats{
+			CandidatesCounted: 308383,
+			CandidatesPruned:  610712,
+			CandidatesReused:  271250,
+			BitmapWordsRead:   110241202,
+			IndexLevels:       943,
+			CellsBooked:       1366771566,
+		}},
+		{"census20k-14-k6", datagen.CensusProjected(20_000, 14, 7), 6, []string{
+			"[v00_00 v01_00 v02_00 v03_00 ? ? ? ? v08_00 v09_00 v10_00 v11_00 ? ?] 2103 1051.5",
+			"[? ? ? ? v04_00 v05_00 ? v07_00 ? v09_00 ? ? v12_00 v13_00] 2468 1016.1666666666666",
+			"[v00_01 v01_01 v02_01 v03_01 ? ? ? ? ? ? ? ? ? ?] 2730 1232.5",
+			"[? ? ? ? ? ? ? ? v08_00 v09_00 v10_00 v11_00 ? ?] 6253 4150",
+			"[v00_00 v01_00 v02_00 v03_00 ? ? ? ? ? ? ? ? ? ?] 6648 6648",
+			"[? ? ? ? v04_00 ? v06_00 v07_00 ? ? ? ? ? ?] 7867 3621",
+		}, Stats{
+			CandidatesCounted: 729875,
+			CandidatesPruned:  2399409,
+			CandidatesReused:  1544149,
+			PostingsRead:      2564,
+			BitmapWordsRead:   36719794,
+			IndexLevels:       3231,
+			CellsBooked:       429637407,
+		}},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 2, 8} {
+			res, st, err := Run(tc.tab.All(), weight.NewSize(tc.tab.NumCols()), Options{K: tc.k, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := showResults(tc.tab, res); fmt.Sprint(got) != fmt.Sprint(tc.rules) {
+				t.Errorf("%s workers=%d: rules\n%q\nwant\n%q", tc.name, workers, got, tc.rules)
+			}
+			if st != tc.want {
+				t.Errorf("%s workers=%d: stats\n%#v\nwant\n%#v", tc.name, workers, st, tc.want)
+			}
 		}
 	}
 }

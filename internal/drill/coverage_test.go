@@ -44,7 +44,7 @@ func TestIntervalCoverageOverRealSamples(t *testing.T) {
 		seeds  = 12
 	)
 	tab := datagen.CensusProjected(200000, 7, 7)
-	d, _ := tab.Distinct()
+	d := tab.Distinct(new(table.Tally))
 	if d == nil {
 		t.Fatal("census does not compress")
 	}

@@ -107,8 +107,9 @@ func TestEquivalenceDistinctPathGates(t *testing.T) {
 		}
 		// Whoever resolves the distinct table is told how many rows that
 		// read; being told now means no drill asked before.
-		if _, read := tab.Distinct(); (read == 0) != tc.distinct {
-			t.Fatalf("%s: the drill built the distinct table: %v, want %v", tc.name, read == 0, tc.distinct)
+		var read table.Tally
+		if tab.Distinct(&read); (read.Rows == 0) != tc.distinct {
+			t.Fatalf("%s: the drill built the distinct table: %v, want %v", tc.name, read.Rows == 0, tc.distinct)
 		}
 	}
 }
@@ -232,7 +233,7 @@ func TestEquivalenceDistinctBuildBookedOnce(t *testing.T) {
 	if err := after.Expand(after.Root()); err != nil {
 		t.Fatal(err)
 	}
-	d, _ := tab.Distinct()
+	d := tab.Distinct(new(table.Tally))
 	if d == nil {
 		t.Fatal("the raced table does not compress")
 	}

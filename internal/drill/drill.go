@@ -586,10 +586,11 @@ func (s *Session) exactTable(w weight.Weighter) *table.Table {
 // or nil where it does not compress. The first expansion to ask, exact or
 // sampled, builds it, and is booked the pass.
 func (s *Session) distinct() *table.Table {
-	d, read := s.store.Distinct()
-	if read > 0 {
+	var read table.Tally
+	d := s.store.Distinct(&read)
+	if read.Rows > 0 {
 		s.unbooked.Passes++
-		s.unbooked.RowsScanned += read
+		s.unbooked.Book(read.Rows, 0, 0)
 	}
 	return d
 }
@@ -870,7 +871,6 @@ func estimateMaxWeight(ctx context.Context, v *table.View, w weight.Weighter, k 
 func probeView(v *table.View, w weight.Weighter, rng *rand.Rand) (probe *table.View, read brs.Stats) {
 	t := v.Table()
 	var tally *table.Table
-	var rowsRead int
 	if !t.Weighted() {
 		rows := make([]int, probeSize) // view positions, then the table rows at them
 		for i := range rows {
@@ -882,7 +882,7 @@ func probeView(v *table.View, w weight.Weighter, rng *rand.Rand) (probe *table.V
 		for i, pos := range rows {
 			rows[i] = v.ParentRow(pos)
 		}
-		tally, rowsRead = t.GroupRows(rows, probeSize)
+		tally = t.GroupRows(&read, rows, probeSize)
 	} else {
 		// cum[i] is the number of tuples standing before view position i.
 		cum := make([]int, v.NumRows()+1)
@@ -899,8 +899,8 @@ func probeView(v *table.View, w weight.Weighter, rng *rand.Rand) (probe *table.V
 		for k, i := range positions {
 			rows[k], times[k] = v.ParentRow(i), drawn[i]
 		}
-		tally, rowsRead = t.SelectWeighted(rows, times)
+		tally = t.SelectWeighted(&read, rows, times)
 	}
-	read.Passes, read.RowsScanned = 1, int64(rowsRead)
+	read.Passes = 1
 	return tally.All(), read
 }

@@ -46,7 +46,7 @@ func TestSearchWorkIndependentOfHistory(t *testing.T) {
 			// Whether the table has distinct tuples is its own memo, booked to
 			// the drill that resolves it: resolved here, only the index's
 			// history differs between the runs.
-			if d, _ := tab.Distinct(); d != nil && cfg.Agg == nil {
+			if d := tab.Distinct(new(table.Tally)); d != nil && cfg.Agg == nil {
 				t.Fatalf("%s: fixture: the table compresses; its Count searches would not read its own index", tc.name)
 			}
 			switch history {

@@ -85,7 +85,7 @@ func (o *pathOracle) unitRow(t *testing.T, tab *table.Table) func(u int) int {
 	if f := o.units[tab]; f != nil {
 		return f
 	}
-	d, _ := tab.Distinct()
+	d := tab.Distinct(new(table.Tally))
 	if d == nil {
 		t.Fatal("a tuple sample of a table that does not compress")
 	}
@@ -304,7 +304,7 @@ func TestEquivalenceDrillPaths(t *testing.T) {
 	scattered := measuredTable(rng, 3000, "ABCDEF", func(int, int) string { return fmt.Sprint(rng.Intn(6)) })
 	skewed := skewedTable(6000)
 	for _, tab := range []*table.Table{pool, scattered, skewed} {
-		if d, _ := tab.Distinct(); (d != nil) != (tab == pool) {
+		if d := tab.Distinct(new(table.Tally)); (d != nil) != (tab == pool) {
 			t.Fatalf("a %d-row table compresses: %v", tab.NumRows(), d != nil)
 		}
 	}

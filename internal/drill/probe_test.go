@@ -173,7 +173,7 @@ func TestProbeTallyIsTheDraws(t *testing.T) {
 		}
 		return fmt.Sprint(vals)
 	}
-	all, _ := tab.Distinct()
+	all := tab.Distinct(new(table.Tally))
 	rank := make(map[string]int, all.NumRows())
 	for j := 0; j < all.NumRows(); j++ {
 		rank[tupleAt(all.All(), j)] = j

@@ -85,7 +85,7 @@ func TestEquivalenceSampledDistinctPath(t *testing.T) {
 		withProbeFloor(t, floor)
 		tab := shape.tab
 		// Resolved here, so that no drill below is booked the build.
-		if d, _ := tab.Distinct(); d == nil {
+		if d := tab.Distinct(new(table.Tally)); d == nil {
 			t.Fatalf("%s does not compress", shape.name)
 		}
 		cols := tab.NumCols()
@@ -276,7 +276,7 @@ func TestEquivalenceSampledDistinctGates(t *testing.T) {
 		{"more than half distinct", marketing, Config{}, false, false, 0, 0},
 	} {
 		// Resolved here, so that no drill below is booked the build.
-		tc.tab.Distinct()
+		tc.tab.Distinct(new(table.Tally))
 		cfg := tc.cfg
 		cfg.K, cfg.Workers, cfg.Seed = 3, 1, 2
 		cfg.MaxWeight = 2 // the gates do not look at mw, and fourteen columns searched unbounded take seconds
@@ -335,7 +335,7 @@ func TestEquivalenceSampledDistinctGates(t *testing.T) {
 // the covered tuples' multiplicities, upgrade the display to exact.
 func TestSampledSessionNeverPassesOverTheTable(t *testing.T) {
 	tab := datagen.CensusProjected(100000, 7, 7)
-	d, _ := tab.Distinct()
+	d := tab.Distinct(new(table.Tally))
 	if d == nil {
 		t.Fatal("census does not compress")
 	}
@@ -433,7 +433,7 @@ func TestEquivalenceSampledDistinctBuildBookedOnce(t *testing.T) {
 	if len(resolved) != 1 || resolved[0].Read != tab.NumRows() {
 		t.Fatalf("resolved %+v, want once after %d rows", resolved, tab.NumRows())
 	}
-	d, _ := tab.Distinct()
+	d := tab.Distinct(new(table.Tally))
 	builders := 0
 	for i, s := range sessions {
 		cov, err := s.coveredView(s.Root().Rule, s.cfg.Weighter, false)

@@ -218,7 +218,7 @@ func TestRefineNodeLifecycle(t *testing.T) {
 	if len(prov) == 0 {
 		t.Fatal("sampled expansion produced no provisional nodes")
 	}
-	d, _ := tab.Distinct()
+	d := tab.Distinct(new(table.Tally))
 	if d == nil {
 		t.Fatal("census does not compress")
 	}
@@ -306,7 +306,7 @@ func TestRefineAndTraditionalInTotals(t *testing.T) {
 	}
 	last := s.LastStats
 	// The donor's table holds the same tuples and has built them already.
-	d, _ := donorTab.Distinct()
+	d := donorTab.Distinct(new(table.Tally))
 	if d == nil {
 		t.Fatal("census does not compress")
 	}
@@ -468,7 +468,7 @@ func TestEquivalenceRefineAndListingOverExactView(t *testing.T) {
 		b.MustAddRow(row, rng.Float64()*100-10) // some negative: a Sum counts them as zero
 	}
 	tab := b.Build()
-	if d, _ := tab.Distinct(); d == nil {
+	if d := tab.Distinct(new(table.Tally)); d == nil {
 		t.Fatal("the table does not compress: Count would not read distinct tuples")
 	}
 	var rules []rule.Rule

@@ -220,7 +220,7 @@ func (h *Handler) viewOf(s *Sample, units []int, scale float64, m Method) *View 
 		v.Tab = s.tab
 		return v
 	}
-	v.Tab, v.read = h.pop.view(units)
+	v.Tab = h.pop.view(&v.read, units)
 	if s != nil {
 		s.tab = v.Tab
 	}

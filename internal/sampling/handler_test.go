@@ -340,7 +340,7 @@ func TestCombineIgnoresMapOrder(t *testing.T) {
 // same Tab, read for nothing.
 func TestPropertyResidentSamples(t *testing.T) {
 	tab := datagen.CensusProjected(20000, 6, 5)
-	d, _ := tab.Distinct()
+	d := tab.Distinct(new(table.Tally))
 	if d == nil {
 		t.Fatal("census does not compress")
 	}

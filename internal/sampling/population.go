@@ -30,9 +30,9 @@ type population interface {
 	draw(filters []rule.Rule, caps []int, rng *rand.Rand) []*Sample
 	// covers reports whether r covers unit u.
 	covers(r rule.Rule, u int) bool
-	// view returns the ascending units as the view a search reads, and the
-	// number of rows read to make it.
-	view(units []int) (tab *table.View, read int)
+	// view returns the ascending units as the view a search reads, and
+	// books into m the rows read to make it.
+	view(m table.Meter, units []int) *table.View
 }
 
 // rowPopulation is the table's rows in file order, a row's unit its index.
@@ -67,8 +67,8 @@ func (p rowPopulation) draw(filters []rule.Rule, caps []int, rng *rand.Rand) []*
 func (p rowPopulation) covers(r rule.Rule, u int) bool { return p.store.Table().Covers(r, u) }
 
 // view is zero-copy: it shares the table's column arrays, and reads nothing.
-func (p rowPopulation) view(units []int) (tab *table.View, read int) {
-	return p.store.Table().ViewOf(units), 0
+func (p rowPopulation) view(_ table.Meter, units []int) *table.View {
+	return p.store.Table().ViewOf(units)
 }
 
 // reservoir maintains a fixed-capacity uniform sample of a stream of row
@@ -176,8 +176,8 @@ func (p tuplePopulation) covers(r rule.Rule, u int) bool { return p.d.Covers(r, 
 // from it) pairs and copies those tuples out of the distinct table into a
 // weighted table of their own (table.Table.SelectWeighted), in the distinct
 // table's order, with an index of its own: what a row sample becomes once
-// grouped, without the grouping. read is the tuples copied.
-func (p tuplePopulation) view(units []int) (tab *table.View, read int) {
+// grouped, without the grouping. The tuples copied are booked into m.
+func (p tuplePopulation) view(m table.Meter, units []int) *table.View {
 	tuples := make([]int, 0, len(units))
 	mult := make([]int32, 0, len(units))
 	for i := 0; i < len(units); {
@@ -190,6 +190,5 @@ func (p tuplePopulation) view(units []int) (tab *table.View, read int) {
 		mult = append(mult, int32(n-i))
 		i = n
 	}
-	d, read := p.d.SelectWeighted(tuples, mult)
-	return d.All(), read
+	return p.d.SelectWeighted(m, tuples, mult).All()
 }

@@ -15,7 +15,7 @@ import (
 // tuples, and returns them.
 func tupleHandler(t *testing.T, tab *table.Table, m, minSS int, seed int64) (*Handler, *table.Table) {
 	t.Helper()
-	d, _ := tab.Distinct()
+	d := tab.Distinct(new(table.Tally))
 	if d == nil {
 		t.Fatal("the table does not compress")
 	}
@@ -166,7 +166,7 @@ func TestTupleDrawIsHypergeometric(t *testing.T) {
 	tab, mult := skewed(tuples)
 	total := tab.NumRows()
 	target := total / 2
-	d, _ := tab.Distinct()
+	d := tab.Distinct(new(table.Tally))
 	keyOf := make(map[string]int, tuples) // tuple → its index in mult
 	for j := 0; j < d.NumRows(); j++ {
 		var i int

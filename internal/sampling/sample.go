@@ -88,7 +88,7 @@ type View struct {
 	// rule (Tab.NumTuples() * Scale, precomputed for convenience).
 	EstimatedCount float64
 
-	read int // see Read
+	read table.Tally // see Read
 }
 
 // Read returns the number of rows this serve read to build Tab: the
@@ -97,7 +97,7 @@ type View struct {
 // Prefetch drew it), and Combine's union, kept nowhere, by every serve; a
 // serve that found Tab built, or serves plain rows, read nothing. The caller
 // accounts for the reads it caused.
-func (v *View) Read() int { return v.read }
+func (v *View) Read() int { return int(v.read.Rows) }
 
 // Method identifies which of Section 4.3's three mechanisms served a
 // request.

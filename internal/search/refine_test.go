@@ -90,7 +90,7 @@ func TestEquivalenceRefineOverDistinct(t *testing.T) {
 		s := sampledSession(t, tab, agg, svc)
 		read, covers := tab, tab.Covers
 		if _, isCount := agg.(score.CountAgg); isCount {
-			d, _ := tab.Distinct()
+			d := tab.Distinct(new(table.Tally))
 			if d == nil {
 				t.Fatal("the table does not compress: Count would not read distinct tuples")
 			}

@@ -61,13 +61,12 @@ func (s *Store) Scan(fn func(i int) bool) { s.ScanOf(s.t, fn) }
 // distinct-tuple table Distinct returned for it. The rows read are
 // accounted either way; only a pass over the backing table is a full scan.
 func (s *Store) ScanOf(t *table.Table, fn func(i int) bool) {
-	read := t.EachRow(fn)
-	s.mu.Lock()
+	t.EachRow(s, fn)
 	if t == s.t {
+		s.mu.Lock()
 		s.fullScans++
+		s.mu.Unlock()
 	}
-	s.rowsRead += int64(read)
-	s.mu.Unlock()
 }
 
 // FilterRows returns the row indices covered by r, answered from the
@@ -79,10 +78,9 @@ func (s *Store) FilterRows(r rule.Rule) []int { return s.FilterRowsOf(s.t, r) }
 // table or the distinct-tuple table Distinct returned for it: rules mean
 // the same on both, and the store accounts for reads of either.
 func (s *Store) FilterRowsOf(t *table.Table, r rule.Rule) []int {
-	rows, read := t.Index().Lookup(r)
+	rows := t.Index().Rows(s, r)
 	s.mu.Lock()
 	s.indexLookups++
-	s.indexRowsRead += read
 	s.mu.Unlock()
 	return rows
 }
@@ -91,18 +89,29 @@ func (s *Store) FilterRowsOf(t *table.Table, r rule.Rule) []int {
 // table does not compress (see table.Table.Distinct). The table is built
 // once, by whichever store asks first; that store accounts for the pass —
 // the rows it read, fewer than a full scan when the build gave up — and
-// reports them as read so the caller can book them to the request that
-// caused them. Every other call reads nothing and returns 0.
-func (s *Store) Distinct() (d *table.Table, read int64) {
-	d, n := s.t.Distinct()
-	if n > 0 {
-		read = int64(n)
+// books them into m too, the ledger of the request that caused them. Every
+// other call reads nothing and books nothing.
+func (s *Store) Distinct(m table.Meter) *table.Table {
+	var read table.Tally
+	d := s.t.Distinct(&read)
+	if read.Rows > 0 {
 		s.mu.Lock()
 		s.fullScans++
-		s.rowsRead += read
+		s.rowsRead += read.Rows
 		s.mu.Unlock()
+		m.Book(read.Rows, 0, 0)
 	}
-	return d, read
+	return d
+}
+
+// Book makes the store a table.Meter for the kernels that read its tables:
+// rows into the rows read, posting entries and bitset words into the index
+// rows read.
+func (s *Store) Book(rows, entries, words int64) {
+	s.mu.Lock()
+	s.rowsRead += rows
+	s.indexRowsRead += entries + words
+	s.mu.Unlock()
 }
 
 // Stats returns a snapshot of accumulated I/O counters.

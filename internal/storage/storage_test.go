@@ -44,9 +44,10 @@ func TestScanAccounting(t *testing.T) {
 // the tuples it read and no full scan — that is a pass over the table itself.
 func TestScanOfDistinctAccounting(t *testing.T) {
 	s := NewStore(fixture(t))
-	d, read := s.Distinct()
-	if d == nil || read != 10 || d.NumRows() != 2 {
-		t.Fatalf("distinct table %v after %d rows", d != nil, read)
+	var read table.Tally
+	d := s.Distinct(&read)
+	if d == nil || read != (table.Tally{Rows: 10}) || d.NumRows() != 2 {
+		t.Fatalf("distinct table %v after %+v booked", d != nil, read)
 	}
 	built := s.Stats()
 	mass := 0

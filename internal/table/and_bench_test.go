@@ -16,7 +16,7 @@ import (
 //
 //	go test -run '^$' -bench AndGrouped ./internal/table/
 func BenchmarkAndGrouped(b *testing.B) {
-	tab, _ := datagen.CensusProjected(100_000, 7, 7).Distinct()
+	tab := datagen.CensusProjected(100_000, 7, 7).Distinct(new(table.Tally))
 	if tab == nil {
 		b.Fatal("census does not compress")
 	}

@@ -5,9 +5,7 @@ import "math/bits"
 // Packed bitset containers. A Bitset stores one (column, value) row set as
 // row-membership bits in []uint64 words: bit (row % 64) of word (row / 64)
 // is set iff the row holds the value. Dense sets answer intersections
-// word-at-a-time — 64 rows per AND — and intersection *counts* by popcount
-// alone, never touching rows, which is exactly what BRS candidate counting
-// under the Count aggregate needs.
+// word-at-a-time — 64 rows per AND.
 //
 // A bitset is a dense value's only container, instead of a sorted []int32
 // list, not beside one: the index stores a value as a bitset exactly when
@@ -271,9 +269,11 @@ func and(sets []*Bitset, i int) uint64 {
 
 // AndCount returns the number of rows common to all sets — the
 // intersection cardinality by word-at-a-time AND + popcount, no row
-// enumerated — together with the words read, as eachWord books them (the
-// I/O charged in place of posting entries). All sets must share one
-// universe (containers of one Index always do). Zero sets yield zero.
+// enumerated — together with the words read, as AndEach books them. The
+// engine never counts without enumerating rows (a count is a sum of
+// masses); AndCount is kept for the benchmark's layer reading of the AND
+// kernel. All sets must share one universe (containers of one Index always
+// do). Zero sets yield zero.
 func AndCount(sets []*Bitset) (count int, wordsRead int64) {
 	lo, hi, summaries, _ := overlap(sets)
 	k := int64(len(sets))
@@ -296,14 +296,14 @@ func AndCount(sets []*Bitset) (count int, wordsRead int64) {
 // AndEach calls fn(row) for every row common to all sets, in ascending
 // row order — the order a scan or a posting-list walk visits them, so
 // aggregate accumulation stays bit-identical across access paths — and
-// returns the words read, as AndCount books them. All sets must share one
-// universe. Zero sets visit nothing.
-func AndEach(sets []*Bitset, fn func(row int)) (wordsRead int64) {
-	return eachWord(sets, func(i int) bool {
+// books the words it read into m, as eachWord counts them. All sets must
+// share one universe. Zero sets visit nothing.
+func AndEach(m Meter, sets []*Bitset, fn func(row int)) {
+	m.Book(0, 0, eachWord(sets, func(i int) bool {
 		base := i << 6
 		for w := and(sets, i); w != 0; w &= w - 1 {
 			fn(base + bits.TrailingZeros64(w))
 		}
 		return true
-	})
+	}))
 }

@@ -131,7 +131,7 @@ func andWords(lists [][]int32) (words, spanOnly int64) {
 func requireSummary(t *testing.T, label string, b *Bitset) {
 	t.Helper()
 	var rows []int32
-	AndEach([]*Bitset{b}, func(row int) { rows = append(rows, int32(row)) })
+	AndEach(new(Tally), []*Bitset{b}, func(row int) { rows = append(rows, int32(row)) })
 	if nz := len(wordsOf(rows)); b.nz != nz {
 		t.Fatalf("%s: %d non-zero words counted, want %d", label, b.nz, nz)
 	}
@@ -211,14 +211,15 @@ func checkKernels(t *testing.T, label string, lists [][]int32, rows int) {
 	}
 
 	var got []int32
-	words = AndEach(sets, func(row int) {
+	var read Tally
+	AndEach(&read, sets, func(row int) {
 		if row < 0 || row >= rows {
 			t.Fatalf("%s: AndEach visited out-of-universe row %d (rows=%d)", label, row, rows)
 		}
 		got = append(got, int32(row))
 	})
-	if words != wantWords {
-		t.Fatalf("%s: AndEach words = %d, want %d", label, words, wantWords)
+	if read != (Tally{Words: wantWords}) {
+		t.Fatalf("%s: AndEach booked %+v, want %d words", label, read, wantWords)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%s: AndEach visited %d rows, want %d\ngot %v\nwant %v", label, len(got), len(want), got, want)
@@ -307,8 +308,9 @@ func TestBitsetKernelsAdversarial(t *testing.T) {
 	if c, w := AndCount(nil); c != 0 || w != 0 {
 		t.Fatalf("AndCount(nil) = (%d, %d), want (0, 0)", c, w)
 	}
-	if w := AndEach(nil, func(int) { t.Fatal("AndEach(nil) visited a row") }); w != 0 {
-		t.Fatalf("AndEach(nil) words = %d, want 0", w)
+	var read Tally
+	if AndEach(&read, nil, func(int) { t.Fatal("AndEach(nil) visited a row") }); read != (Tally{}) {
+		t.Fatalf("AndEach(nil) booked %+v, want nothing", read)
 	}
 }
 
@@ -325,8 +327,9 @@ func TestBitsetDisjointSpans(t *testing.T) {
 		if c, w := AndCount(sets); c != 0 || w != 0 {
 			t.Fatalf("AndCount = (%d, %d), want (0, 0)", c, w)
 		}
-		if w := AndEach(sets, func(row int) { t.Fatalf("AndEach visited row %d", row) }); w != 0 {
-			t.Fatalf("AndEach read %d words, want 0", w)
+		var read Tally
+		if AndEach(&read, sets, func(row int) { t.Fatalf("AndEach visited row %d", row) }); read != (Tally{}) {
+			t.Fatalf("AndEach booked %+v, want nothing", read)
 		}
 	}
 }
@@ -476,8 +479,9 @@ func FuzzBitsetIntersect(f *testing.F) {
 			t.Fatalf("AndWords = %d, but the kernels booked %d (rows=%d k=%d)", bound, words, rows, k)
 		}
 		var got []int32
-		if words := AndEach(sets, func(row int) { got = append(got, int32(row)) }); words != wantWords {
-			t.Fatalf("AndEach read %d words, want %d", words, wantWords)
+		var read Tally
+		if AndEach(&read, sets, func(row int) { got = append(got, int32(row)) }); read != (Tally{Words: wantWords}) {
+			t.Fatalf("AndEach booked %+v, want %d words", read, wantWords)
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("AndEach visited %v, want %v", got, want)
@@ -486,12 +490,13 @@ func FuzzBitsetIntersect(f *testing.F) {
 			return
 		}
 		var walked []int32
-		entries, words := EachInAll(make([][]int32, k), func(row int) { walked = append(walked, int32(row)) }, sets...)
-		if entries != 0 || !slices.Equal(walked, want) {
-			t.Fatalf("walk over bitsets alone read %d entries and visited %d rows, want none and the %d of AndEach (rows=%d k=%d)", entries, len(walked), len(want), rows, k)
+		var walkRead Tally
+		EachInAll(&walkRead, make([][]int32, k), func(row int) { walked = append(walked, int32(row)) }, sets...)
+		if walkRead.Entries != 0 || !slices.Equal(walked, want) {
+			t.Fatalf("walk over bitsets alone booked %d entries and visited %d rows, want none and the %d of AndEach (rows=%d k=%d)", walkRead.Entries, len(walked), len(want), rows, k)
 		}
-		if wantWords := walkWords(lists); words != wantWords {
-			t.Fatalf("walk over bitsets alone read %d words, want %d (rows=%d k=%d)", words, wantWords, rows, k)
+		if wantWords := walkWords(lists); walkRead != (Tally{Words: wantWords}) {
+			t.Fatalf("walk over bitsets alone booked %+v, want %d words (rows=%d k=%d)", walkRead, wantWords, rows, k)
 		}
 	})
 }

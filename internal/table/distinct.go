@@ -56,15 +56,17 @@ type BuildReport struct {
 // The table is built by the first call, in one pass over t, and kept for
 // t's lifetime; so is the finding that t does not compress (see
 // distinctGiveUp), which costs that call the rows it read before giving up
-// and every later call nothing. d is nil when t does not compress, or is
-// itself a distinct table. read is the number of rows this call's build
-// read — zero for every call but the one that resolved the table — so the
-// caller can account for the pass it caused.
-func (t *Table) Distinct() (d *Table, read int) {
+// and every later call nothing. It is nil when t does not compress, or is
+// itself a distinct table. The rows the build read are booked into the
+// meter of the one call that resolved the table, and of no other, so the
+// caller that caused the pass accounts for it.
+func (t *Table) Distinct(m Meter) *Table {
 	t.distinctOnce.Do(func() {
 		start := time.Now()
-		t.distinct, read = t.GroupRows(nil, t.n/distinctGiveUp)
-		rep := BuildReport{Rows: t.n, Read: read}
+		var read Tally
+		t.distinct = t.GroupRows(&read, nil, t.n/distinctGiveUp)
+		m.Book(read.Rows, 0, 0)
+		rep := BuildReport{Rows: t.n, Read: int(read.Rows)}
 		if t.distinct != nil {
 			rep.Distinct = t.distinct.n
 		}
@@ -73,7 +75,7 @@ func (t *Table) Distinct() (d *Table, read int) {
 			(*fn)(rep)
 		}
 	})
-	return t.distinct, read
+	return t.distinct
 }
 
 // OnBuild registers fn to be told, once each, how the distinct table
@@ -95,8 +97,7 @@ func (t *Table) Multiplicity(i int) int {
 
 // Weighted reports whether some row may stand for more than one tuple,
 // i.e. whether t is a distinct-tuple table. Kernels that count rows instead
-// of summing masses (posting-list lengths, popcounts) apply only where it
-// is false.
+// of summing masses (posting-list lengths) apply only where it is false.
 func (t *Table) Weighted() bool { return t.mult != nil }
 
 // GroupRows groups the given rows of t — nil for all of them — by all
@@ -104,18 +105,19 @@ func (t *Table) Weighted() bool { return t.mult != nil }
 // Distinct describes it, in tuple order, a row listed twice counted twice.
 // It is the one grouping routine: Distinct memoises its answer for the whole
 // table, a sample of t's rows groups itself with it, and so does the mw
-// probe's tally of its draws. The pass is abandoned — d nil, read the rows
-// it got through — at the first tuple beyond limit distinct ones; read is
-// the list's length otherwise, and nothing is read at all when limit is not
-// positive or t is itself a distinct table.
+// probe's tally of its draws. The rows it reads are booked into m. The pass
+// is abandoned — d nil, the rows it got through booked — at the first tuple
+// beyond limit distinct ones; the list's length is booked otherwise, and
+// nothing is read at all when limit is not positive or t is itself a
+// distinct table.
 //
 // Tuples are interned in an open-addressing table of distinct-row ids keyed
 // by a hash of the row and confirmed by comparing the columns, so any width
 // works, then sorted into tuple order, which depends on the tuples alone.
 // The table starts small and doubles; limit caps it at 4·limit slots.
-func (t *Table) GroupRows(rows []int, limit int) (d *Table, read int) {
+func (t *Table) GroupRows(m Meter, rows []int, limit int) *Table {
 	if limit <= 0 || t.mult != nil {
-		return nil, 0
+		return nil
 	}
 	n := t.n
 	if rows != nil {
@@ -147,7 +149,8 @@ func (t *Table) GroupRows(rows []int, limit int) (d *Table, read int) {
 			switch {
 			case id < 0:
 				if len(mult) == limit {
-					return nil, k + 1
+					m.Book(int64(k+1), 0, 0)
+					return nil
 				}
 				for c := range t.cols {
 					cols[c].append(t.cols[c].at(i))
@@ -165,7 +168,8 @@ func (t *Table) GroupRows(rows []int, limit int) (d *Table, read int) {
 			}
 		}
 	}
-	d = &Table{
+	m.Book(int64(n), 0, 0)
+	d := &Table{
 		colNames: t.colNames,
 		dicts:    t.dicts,
 		cols:     cols,
@@ -173,7 +177,7 @@ func (t *Table) GroupRows(rows []int, limit int) (d *Table, read int) {
 		mult:     mult,
 	}
 	d.sortTuples()
-	return d, n
+	return d
 }
 
 // sortTuples lays out the rows of t — pairwise different tuples — in tuple
@@ -225,9 +229,9 @@ func (t *Table) sortTuples() {
 // as a sample drawn from a distinct-tuple table's rows does, so nothing is
 // hashed or compared: the rows are copied out and mult is kept (not
 // copied). The rows must be pairwise different tuples; t may be any table.
-// read is the rows copied, for the caller to account for.
-func (t *Table) SelectWeighted(rows []int, mult []int32) (d *Table, read int) {
-	d = &Table{
+// The rows copied are booked into m.
+func (t *Table) SelectWeighted(m Meter, rows []int, mult []int32) *Table {
+	d := &Table{
 		colNames: t.colNames,
 		dicts:    t.dicts,
 		cols:     make([]column, len(t.cols)),
@@ -237,7 +241,8 @@ func (t *Table) SelectWeighted(rows []int, mult []int32) (d *Table, read int) {
 	for c := range t.cols {
 		d.cols[c] = t.cols[c].gather(rows)
 	}
-	return d, len(rows)
+	m.Book(int64(len(rows)), 0, 0)
+	return d
 }
 
 // Ranks returns the running total of a distinct-tuple table's

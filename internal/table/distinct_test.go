@@ -100,19 +100,21 @@ func TestEquivalenceDistinctTable(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var reports []table.BuildReport
 			tab.OnBuild(func(r table.BuildReport) { reports = append(reports, r) })
-			d, read := tab.Distinct()
-			if d == nil || read != tab.NumRows() {
-				t.Fatalf("first call: table %v, %d rows read; want a table and one pass of %d", d != nil, read, tab.NumRows())
+			var read table.Tally
+			d := tab.Distinct(&read)
+			if d == nil || read != (table.Tally{Rows: int64(tab.NumRows())}) {
+				t.Fatalf("first call: table %v, %+v booked; want a table and one pass of %d rows", d != nil, read, tab.NumRows())
 			}
 			requireDistinctOf(t, d, tab)
 			if len(d.MeasureNames()) != 0 {
 				t.Fatalf("the distinct table carries measures %v", d.MeasureNames())
 			}
-			if again, read := tab.Distinct(); again != d || read != 0 {
-				t.Fatalf("second call: same table %v, %d rows read; want the memoised table for nothing", again == d, read)
+			read = table.Tally{}
+			if again := tab.Distinct(&read); again != d || read != (table.Tally{}) {
+				t.Fatalf("second call: same table %v, %+v booked; want the memoised table for nothing", again == d, read)
 			}
-			if dd, read := d.Distinct(); dd != nil || read != 0 {
-				t.Fatalf("a distinct table's own Distinct: table %v, %d rows read", dd != nil, read)
+			if dd := d.Distinct(&read); dd != nil || read != (table.Tally{}) {
+				t.Fatalf("a distinct table's own Distinct: table %v, %+v booked", dd != nil, read)
 			}
 			if len(reports) != 1 || reports[0].Rows != tab.NumRows() || reports[0].Read != tab.NumRows() || reports[0].Distinct != d.NumRows() {
 				t.Fatalf("reports %+v, want one for %d rows → %d", reports, tab.NumRows(), d.NumRows())
@@ -135,15 +137,16 @@ func TestEquivalenceDistinctAcrossIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, _ := tab.Distinct()
+		d := tab.Distinct(new(table.Tally))
 		if d == nil {
 			t.Fatalf("workers=%d: census does not compress", workers)
 		}
 		// Distinct is the one grouping routine, memoised: asked for every
 		// row under the same limit it builds the same table, byte for byte.
-		g, read := tab.GroupRows(nil, tab.NumRows()/4)
-		if g == nil || read != tab.NumRows() {
-			t.Fatalf("workers=%d: GroupRows over the whole table: table %v after %d rows", workers, g != nil, read)
+		var read table.Tally
+		g := tab.GroupRows(&read, nil, tab.NumRows()/4)
+		if g == nil || read != (table.Tally{Rows: int64(tab.NumRows())}) {
+			t.Fatalf("workers=%d: GroupRows over the whole table: table %v after %+v booked", workers, g != nil, read)
 		}
 		requireSameDistinct(t, "workers="+strconv.Itoa(workers)+" GroupRows vs Distinct", g, d)
 		if want == nil {
@@ -202,15 +205,16 @@ func TestEquivalenceGroupRows(t *testing.T) {
 		"empty":               {},
 	} {
 		t.Run(name, func(t *testing.T) {
-			d, read := tab.GroupRows(rows, len(rows)/2)
+			var read table.Tally
+			d := tab.GroupRows(&read, rows, len(rows)/2)
 			if len(rows) < 2 {
-				if d != nil || read != 0 {
-					t.Fatalf("%d rows under limit %d: table %v after %d rows; want nothing read", len(rows), len(rows)/2, d != nil, read)
+				if d != nil || read != (table.Tally{}) {
+					t.Fatalf("%d rows under limit %d: table %v after %+v booked; want nothing read", len(rows), len(rows)/2, d != nil, read)
 				}
 				return
 			}
-			if d == nil || read != len(rows) {
-				t.Fatalf("table %v after %d rows; want a table and one pass of %d", d != nil, read, len(rows))
+			if d == nil || read != (table.Tally{Rows: int64(len(rows))}) {
+				t.Fatalf("table %v after %+v booked; want a table and one pass of %d rows", d != nil, read, len(rows))
 			}
 			// The listed rows as a table of their own, one row per listing:
 			// d must be that table's distinct-tuple table, which pins the
@@ -220,7 +224,8 @@ func TestEquivalenceGroupRows(t *testing.T) {
 			if total := d.All().NumTuples(); total != len(rows) {
 				t.Fatalf("multiplicities sum to %d, the list has %d rows", total, len(rows))
 			}
-			if _, r := tab.Distinct(); r == 0 {
+			read = table.Tally{}
+			if tab.Distinct(&read); read.Rows == 0 {
 				t.Fatal("grouping a row list resolved the table's own memoised Distinct")
 			}
 		})
@@ -239,20 +244,23 @@ func TestEquivalenceGroupRows(t *testing.T) {
 	for i := 0; i < n; i += 3 {
 		rows = append(rows, i)
 	}
-	if d, read := ids.GroupRows(rows, len(rows)/2); d != nil || read != len(rows)/2+1 {
-		t.Fatalf("%d distinct rows under the half rule: table %v after %d rows; want none after %d", len(rows), d != nil, read, len(rows)/2+1)
+	var read table.Tally
+	if d := ids.GroupRows(&read, rows, len(rows)/2); d != nil || read != (table.Tally{Rows: int64(len(rows)/2 + 1)}) {
+		t.Fatalf("%d distinct rows under the half rule: table %v after %+v booked; want none after %d rows", len(rows), d != nil, read, len(rows)/2+1)
 	}
 	// Exactly at the limit is kept; one tuple more is not.
-	if d, read := ids.GroupRows(rows, len(rows)); d == nil || read != len(rows) || d.NumRows() != len(rows) {
-		t.Fatalf("limit = distinct tuples: table %v after %d rows", d != nil, read)
+	read = table.Tally{}
+	if d := ids.GroupRows(&read, rows, len(rows)); d == nil || read != (table.Tally{Rows: int64(len(rows))}) || d.NumRows() != len(rows) {
+		t.Fatalf("limit = distinct tuples: table %v after %+v booked", d != nil, read)
 	}
-	if d, _ := ids.GroupRows(rows, len(rows)-1); d != nil {
+	if d := ids.GroupRows(new(table.Tally), rows, len(rows)-1); d != nil {
 		t.Fatal("limit one below the distinct tuples: the table was kept")
 	}
 	// A distinct table is not grouped again.
-	d, _ := tab.Distinct()
-	if dd, read := d.GroupRows(nil, d.NumRows()); dd != nil || read != 0 {
-		t.Fatalf("grouping a distinct table: table %v, %d rows read", dd != nil, read)
+	d := tab.Distinct(new(table.Tally))
+	read = table.Tally{}
+	if dd := d.GroupRows(&read, nil, d.NumRows()); dd != nil || read != (table.Tally{}) {
+		t.Fatalf("grouping a distinct table: table %v, %+v booked", dd != nil, read)
 	}
 }
 
@@ -267,13 +275,14 @@ func TestEquivalenceDistinctGivesUp(t *testing.T) {
 	tab := b.Build()
 	var reports []table.BuildReport
 	tab.OnBuild(func(r table.BuildReport) { reports = append(reports, r) })
-	d, read := tab.Distinct()
-	if d != nil || read != n/4+1 {
-		t.Fatalf("first call: table %v after %d rows; want none after %d", d != nil, read, n/4+1)
+	var read table.Tally
+	if d := tab.Distinct(&read); d != nil || read != (table.Tally{Rows: n/4 + 1}) {
+		t.Fatalf("first call: table %v after %+v booked; want none after %d rows", d != nil, read, n/4+1)
 	}
 	for i := 0; i < 3; i++ {
-		if d, read := tab.Distinct(); d != nil || read != 0 {
-			t.Fatalf("call %d: table %v, %d rows read; the finding is not to be retried", i+2, d != nil, read)
+		read = table.Tally{}
+		if d := tab.Distinct(&read); d != nil || read != (table.Tally{}) {
+			t.Fatalf("call %d: table %v, %+v booked; the finding is not to be retried", i+2, d != nil, read)
 		}
 	}
 	if want := (table.BuildReport{Rows: n, Read: n/4 + 1, Elapsed: reports[0].Elapsed}); len(reports) != 1 || reports[0] != want {
@@ -283,15 +292,16 @@ func TestEquivalenceDistinctGivesUp(t *testing.T) {
 	tiny := table.MustBuilder([]string{"A"}, nil)
 	tiny.MustAddRow([]string{"x"})
 	tiny.MustAddRow([]string{"x"})
-	if d, read := tiny.Build().Distinct(); d != nil || read != 0 {
-		t.Fatalf("two rows: table %v, %d rows read", d != nil, read)
+	read = table.Tally{}
+	if d := tiny.Build().Distinct(&read); d != nil || read != (table.Tally{}) {
+		t.Fatalf("two rows: table %v, %+v booked", d != nil, read)
 	}
 }
 
 // TestEquivalenceDistinctCarriedBySelect: materializing rows of a distinct
 // table keeps their multiplicities.
 func TestEquivalenceDistinctCarriedBySelect(t *testing.T) {
-	d, _ := datagen.CensusProjected(8000, 4, 3).Distinct()
+	d := datagen.CensusProjected(8000, 4, 3).Distinct(new(table.Tally))
 	if d == nil {
 		t.Fatal("census does not compress")
 	}
@@ -312,7 +322,7 @@ func TestEquivalenceDistinctCarriedBySelect(t *testing.T) {
 // total that names the rows, and EachRow the pass that stops when told.
 func TestEquivalenceSelectWeighted(t *testing.T) {
 	tab := datagen.CensusProjected(20000, 7, 5)
-	d, _ := tab.Distinct()
+	d := tab.Distinct(new(table.Tally))
 	ranks := d.Ranks()
 	if len(ranks) != d.NumRows()+1 || ranks[0] != 0 || ranks[d.NumRows()] != tab.NumRows() {
 		t.Fatalf("%d ranks from %d to %d for %d tuples of %d rows", len(ranks), ranks[0], ranks[len(ranks)-1], d.NumRows(), tab.NumRows())
@@ -336,10 +346,11 @@ func TestEquivalenceSelectWeighted(t *testing.T) {
 			}
 		}
 	}
-	got, read := d.SelectWeighted(tuples, mult)
-	want, _ := tab.GroupRows(laidOut, len(laidOut))
-	if read != len(tuples) || !got.Weighted() || got.All().NumTuples() != len(laidOut) {
-		t.Fatalf("%d rows copied for %d tuples standing for %d rows of %d", read, len(tuples), got.All().NumTuples(), len(laidOut))
+	var read table.Tally
+	got := d.SelectWeighted(&read, tuples, mult)
+	want := tab.GroupRows(new(table.Tally), laidOut, len(laidOut))
+	if read != (table.Tally{Rows: int64(len(tuples))}) || !got.Weighted() || got.All().NumTuples() != len(laidOut) {
+		t.Fatalf("%+v booked for %d tuples standing for %d rows of %d", read, len(tuples), got.All().NumTuples(), len(laidOut))
 	}
 	requireSameDistinct(t, "SelectWeighted", got, want)
 	for c := 0; c < got.NumCols(); c++ {
@@ -347,15 +358,18 @@ func TestEquivalenceSelectWeighted(t *testing.T) {
 			t.Fatalf("column %d: a dictionary of its own", c)
 		}
 	}
-	if empty, read := d.SelectWeighted(nil, []int32{}); read != 0 || empty.NumRows() != 0 || !empty.Weighted() {
-		t.Fatalf("no rows selected: %d read into a table of %d, weighted %v", read, empty.NumRows(), empty.Weighted())
+	read = table.Tally{}
+	if empty := d.SelectWeighted(&read, nil, []int32{}); read != (table.Tally{}) || empty.NumRows() != 0 || !empty.Weighted() {
+		t.Fatalf("no rows selected: %+v booked into a table of %d, weighted %v", read, empty.NumRows(), empty.Weighted())
 	}
 
 	seen := 0
-	if read := d.EachRow(func(i int) bool { seen++; return i < 9 }); read != 10 || seen != 10 {
-		t.Fatalf("a pass stopped at row 9 offered %d rows to %d calls", read, seen)
+	read = table.Tally{}
+	if d.EachRow(&read, func(i int) bool { seen++; return i < 9 }); read != (table.Tally{Rows: 10}) || seen != 10 {
+		t.Fatalf("a pass stopped at row 9 booked %+v for %d calls", read, seen)
 	}
-	if read := d.EachRow(func(int) bool { return true }); read != d.NumRows() {
-		t.Fatalf("a whole pass offered %d of %d rows", read, d.NumRows())
+	read = table.Tally{}
+	if d.EachRow(&read, func(int) bool { return true }); read != (table.Tally{Rows: int64(d.NumRows())}) {
+		t.Fatalf("a whole pass booked %+v of %d rows", read, d.NumRows())
 	}
 }

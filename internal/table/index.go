@@ -24,7 +24,7 @@ import (
 // is one counting pass: each value's size and, on a weighted table, its
 // mass, which is all PostingsLen and Mass read, so routing a request and
 // counting level 1 of a full table never build a container. The second
-// fills the containers from those sizes (Container, Lookup, Postings,
+// fills the containers from those sizes (Container, Rows, Lookup, Postings,
 // Bitmap, Warm). A search's work therefore never depends on which columns
 // an earlier one happened to touch, and no reader ever sees a half-built
 // stage. One Index exists per Table (see Table.Index), so every session on
@@ -267,7 +267,7 @@ func (ix *Index) Postings(c int, v rule.Value) []int32 {
 		return list
 	}
 	list = make([]int32, 0, bits.n)
-	AndEach([]*Bitset{bits}, func(row int) { list = append(list, int32(row)) })
+	AndEach(new(Tally), []*Bitset{bits}, func(row int) { list = append(list, int32(row)) })
 	return list
 }
 
@@ -280,20 +280,22 @@ func (ix *Index) Bitmap(c int, v rule.Value) *Bitset {
 	return bits
 }
 
-// Lookup returns the ascending rows covered by r by intersecting the
-// containers of r's instantiated columns (the walk of EachInAll), along with what it read in place of a full scan:
-// posting entries plus bitset words. The trivial rule yields every row.
-// The smallest container drives the intersection, so cost is bounded by the
+// Rows returns the ascending rows covered by r by intersecting the
+// containers of r's instantiated columns (the walk of EachInAll), and books
+// what it read in place of a full scan into m: posting entries and bitset
+// words. The trivial rule yields every row, booked an entry each. The
+// smallest container drives the intersection, so cost is bounded by the
 // most selective column's coverage — or, where that is dense, by its
 // bitset's words — not the table size.
-func (ix *Index) Lookup(r rule.Rule) (rows []int, postingsRead int64) {
+func (ix *Index) Rows(m Meter, r rule.Rule) []int {
 	cols := r.InstantiatedColumns()
 	if len(cols) == 0 {
-		rows = make([]int, ix.t.n)
+		rows := make([]int, ix.t.n)
 		for i := range rows {
 			rows[i] = i
 		}
-		return rows, int64(ix.t.n)
+		m.Book(0, int64(ix.t.n), 0)
+		return rows
 	}
 	lists := make([][]int32, len(cols))
 	bits := make([]*Bitset, len(cols))
@@ -303,20 +305,21 @@ func (ix *Index) Lookup(r rule.Rule) (rows []int, postingsRead int64) {
 	// Non-nil also when nothing is covered: a nil row list means "all rows"
 	// to View, the opposite of an empty coverage set. A single column's
 	// coverage is its container's size; an intersection's is found out.
-	rows = []int{}
+	rows := []int{}
 	if len(cols) == 1 {
 		rows = make([]int, 0, ix.PostingsLen(cols[0], r[cols[0]]))
 	}
-	entries, words := EachInAll(lists, func(row int) { rows = append(rows, row) }, bits...)
-	return rows, entries + words
+	EachInAll(m, lists, func(row int) { rows = append(rows, row) }, bits...)
+	return rows
 }
 
-// FilterIndices returns the rows covered by r, ascending, via the index.
-//
-//sdlint:allow ioaccount untracked convenience path for Table.Filter and the bench/equivalence harnesses; the engine's accounted route is storage.Store.FilterRows, which books Lookup's postingsRead
-func (ix *Index) FilterIndices(r rule.Rule) []int {
-	rows, _ := ix.Lookup(r)
-	return rows
+// Lookup is Rows returning what it booked, entries and words summed: the
+// benchmark's layer reading of the lookup (bench/drillload) calls it; the
+// engine calls Rows.
+func (ix *Index) Lookup(r rule.Rule) (rows []int, postingsRead int64) {
+	var read Tally
+	rows = ix.Rows(&read, r)
+	return rows, read.Entries + read.Words
 }
 
 // Warm builds the index's containers unless they are built. Every read of

@@ -72,7 +72,7 @@ func TestPostingsMatchColumn(t *testing.T) {
 // its posting list's length — and zero outside the dictionary.
 func TestIndexMass(t *testing.T) {
 	tab := randomIndexedTable(rand.New(rand.NewSource(5)), 3, 4, 2000)
-	d, _ := tab.Distinct()
+	d := tab.Distinct(new(Tally))
 	if d == nil {
 		t.Fatal("the table does not compress")
 	}
@@ -175,7 +175,7 @@ func TestIndexConcurrentBuild(t *testing.T) {
 	}
 	distinct := func(seed int64) func() *Table {
 		return func() *Table {
-			d, _ := randomIndexedTable(rand.New(rand.NewSource(seed)), 4, 3, 500).Distinct()
+			d := randomIndexedTable(rand.New(rand.NewSource(seed)), 4, 3, 500).Distinct(new(Tally))
 			if d == nil {
 				t.Fatal("the table does not compress")
 			}
@@ -266,7 +266,7 @@ func TestIndexConcurrentBuild(t *testing.T) {
 					if probe%2 == 0 {
 						r = randomRule(rng, tab)
 					}
-					rows := tab.Index().FilterIndices(r)
+					rows := tab.FilterIndices(r)
 					if n, ok := want[r.Key()]; ok && n != len(rows) {
 						t.Errorf("rule %v: %d rows, want %d", r, len(rows), n)
 					}

@@ -16,12 +16,12 @@ import (
 // paths.
 
 // EachInAll calls fn(row) for every row in all of the given row sets, in
-// ascending order, and returns what it read in place of a scan: posting
-// entries and packed bitset words. Set i is the ascending list lists[i],
-// or — where that is nil and bits, aligned with lists, has a Bitset at i —
-// that bitset: a value of the index comes as exactly one of the two
-// (Index.Container), and is passed as it comes. Where both are given the
-// list is the set and the bitset must hold the same rows.
+// ascending order, and books what it read in place of a scan into m:
+// posting entries and packed bitset words. Set i is the ascending list
+// lists[i], or — where that is nil and bits, aligned with lists, has a
+// Bitset at i — that bitset: a value of the index comes as exactly one of
+// the two (Index.Container), and is passed as it comes. Where both are
+// given the list is the set and the bitset must hold the same rows.
 //
 // The smallest set drives the walk: its rows are taken in ascending order —
 // a list's entries one read each, a bitset's set bits for the words that
@@ -33,9 +33,9 @@ import (
 // row per set, however many rows of the larger sets lie between. Bit order
 // is row order, the order a scan meets the rows in, so what fn accumulates
 // is bit-identical whichever container a value happens to have.
-func EachInAll(lists [][]int32, fn func(row int), bits ...*Bitset) (postingsRead, wordsRead int64) {
+func EachInAll(m Meter, lists [][]int32, fn func(row int), bits ...*Bitset) {
 	if len(lists) == 0 {
-		return 0, 0
+		return
 	}
 	bitsOf := func(i int) *Bitset {
 		if i < len(bits) {
@@ -59,7 +59,7 @@ func EachInAll(lists [][]int32, fn func(row int), bits ...*Bitset) (postingsRead
 	}
 	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(size(i), size(j)) })
 	if size(order[0]) == 0 {
-		return 0, 0
+		return
 	}
 	// The non-driver sets, smallest (most selective) first: those with a
 	// bitset are probed, the rest galloped through.
@@ -79,7 +79,8 @@ func EachInAll(lists [][]int32, fn func(row int), bits ...*Bitset) (postingsRead
 				break
 			}
 		}
-		return int64(len(driver)) + w.entries, w.words
+		m.Book(0, int64(len(driver))+w.entries, w.words)
+		return
 	}
 	d := [1]*Bitset{bitsOf(order[0])}
 	driven := eachWord(d[:], func(i int) bool {
@@ -90,19 +91,21 @@ func EachInAll(lists [][]int32, fn func(row int), bits ...*Bitset) (postingsRead
 		}
 		return true
 	})
-	return w.entries, w.words + driven
+	m.Book(0, w.entries, w.words+driven)
 }
 
 // EachInAll is the kernel EachInAll over a view of its whole table, fn
-// getting each row as its own view position too. The benchmark's layer
-// reading of the kernel (bench/drillload) calls it; the engine calls the
-// kernel. It panics on a sub-view, which has no containers of its own: copy
-// it into a table first (View.Select).
+// getting each row as its own view position too, returning what the kernel
+// booked. The benchmark's layer reading of the kernel (bench/drillload)
+// calls it; the engine calls the kernel. It panics on a sub-view, which has
+// no containers of its own: copy it into a table first (View.Select).
 func (v *View) EachInAll(lists [][]int32, fn func(pos, row int), bits ...*Bitset) (postingsRead, wordsRead int64) {
 	if v.rows != nil {
 		panic("table: View.EachInAll on a sub-view")
 	}
-	return EachInAll(lists, func(row int) { fn(row, row) }, bits...)
+	var read Tally
+	EachInAll(&read, lists, func(row int) { fn(row, row) }, bits...)
+	return read.Entries, read.Words
 }
 
 // walk is the part of an intersection walk every driver shares: a row of

@@ -40,9 +40,10 @@ func TestViewSelect(t *testing.T) {
 		if c.rows != nil {
 			v = tab.ViewOf(c.rows)
 		}
-		got, read := v.Select(c.r)
-		if read != c.wantRd {
-			t.Errorf("Select(%v) of %v read %d rows, want %d", c.r, c.rows, read, c.wantRd)
+		var read Tally
+		got := v.Select(&read, c.r)
+		if read != (Tally{Rows: int64(c.wantRd)}) {
+			t.Errorf("Select(%v) of %v booked %+v, want %d rows", c.r, c.rows, read, c.wantRd)
 		}
 		if c.want == nil {
 			if got != tab {
@@ -60,11 +61,11 @@ func TestViewSelect(t *testing.T) {
 		}
 	}
 	// A distinct-tuple table's rows keep their multiplicities.
-	d, _ := tab.GroupRows(nil, 3)
+	d := tab.GroupRows(new(Tally), nil, 3)
 	if d == nil {
 		t.Fatal("ten rows of three tuples did not group")
 	}
-	got, _ := d.ViewOf([]int{2, 0, 2}).Select(nil)
+	got := d.ViewOf([]int{2, 0, 2}).Select(new(Tally), nil)
 	for i, row := range []int{2, 0, 2} {
 		if got.Multiplicity(i) != d.Multiplicity(row) || got.Value(0, i) != d.Value(0, row) {
 			t.Errorf("weighted copy row %d: multiplicity %d, want tuple %d's %d", i, got.Multiplicity(i), row, d.Multiplicity(row))
@@ -130,7 +131,7 @@ func TestEachInAll(t *testing.T) {
 			if rows == nil {
 				rows = []int{}
 			}
-			tab, _ = tab.ViewOf(rows).Select(nil)
+			tab = tab.ViewOf(rows).Select(new(Tally), nil)
 		}
 		ix := tab.Index()
 		var lists [][]int32
@@ -143,7 +144,7 @@ func TestEachInAll(t *testing.T) {
 		}
 
 		var got []int
-		EachInAll(lists, func(row int) { got = append(got, row) }, bits...)
+		EachInAll(new(Tally), lists, func(row int) { got = append(got, row) }, bits...)
 
 		var want []int
 		for i := 0; i < tab.NumRows(); i++ {
@@ -246,8 +247,12 @@ func FuzzEachInAll(f *testing.F) {
 
 		want := naiveIntersect(lists)
 		walk := func(lists [][]int32, bits []*Bitset) (got []int32, entries, words int64) {
-			entries, words = EachInAll(lists, func(row int) { got = append(got, int32(row)) }, bits...)
-			return got, entries, words
+			var read Tally
+			EachInAll(&read, lists, func(row int) { got = append(got, int32(row)) }, bits...)
+			if read.Rows != 0 {
+				t.Fatalf("the walk booked %d rows", read.Rows)
+			}
+			return got, read.Entries, read.Words
 		}
 		smallest := 0
 		for i, l := range lists {

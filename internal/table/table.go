@@ -193,16 +193,16 @@ func (t *Table) MeasureMass(m int) float64 {
 }
 
 // EachRow calls fn for every row index of t in order until fn returns false
-// and returns the number of rows it offered: the pass itself, which books
-// nothing — the caller accounts for read (storage.Store.ScanOf does).
-func (t *Table) EachRow(fn func(i int) bool) (read int) {
+// and books the rows it offered into m.
+func (t *Table) EachRow(m Meter, fn func(i int) bool) {
+	read := t.n
 	for i := 0; i < t.n; i++ {
-		read++
 		if !fn(i) {
+			read = i + 1
 			break
 		}
 	}
-	return read
+	m.Book(int64(read), 0, 0)
 }
 
 // Covers reports whether rule r covers row i, without materializing the row.
@@ -229,9 +229,11 @@ func (t *Table) Count(r rule.Rule) int {
 // FilterIndices returns the row indices covered by r, in ascending order.
 // It is answered by posting-list intersection on the table's inverted
 // index (built whole by its first read), not by a full scan; use
-// FilterIndicesScan for the scan-based reference path.
+// FilterIndicesScan for the scan-based reference path. What it reads is
+// booked nowhere: it is a convenience for tests and harnesses, and the
+// engine's route is storage.Store.FilterRows, which books Index.Rows.
 func (t *Table) FilterIndices(r rule.Rule) []int {
-	return t.Index().FilterIndices(r)
+	return t.Index().Rows(new(Tally), r)
 }
 
 // FilterIndicesScan returns the row indices covered by r, in ascending

@@ -97,17 +97,18 @@ func (v *View) Subset(positions []int) *View {
 
 // Select returns the view's rows that r covers as a table of their own —
 // in view order, duplicates, multiplicities and measures kept
-// (Table.Select) — and the view rows it read to make it, r tested on each.
-// A view of its whole table that r does not narrow is one already: Select
-// returns that table and reads nothing.
-func (v *View) Select(r rule.Rule) (t *Table, rowsRead int) {
+// (Table.Select) — and books into m the view rows it read to make it, r
+// tested on each. A view of its whole table that r does not narrow is one
+// already: Select returns that table and reads nothing.
+func (v *View) Select(m Meter, r rule.Rule) *Table {
 	rows := v.rows
 	if !r.IsTrivial() {
 		rows = v.Refine(r).rows
 	} else if rows == nil {
-		return v.t, 0
+		return v.t
 	}
-	return v.t.Select(rows), v.NumRows()
+	m.Book(int64(v.NumRows()), 0, 0)
+	return v.t.Select(rows)
 }
 
 // Refine returns the view restricted to the rows covered by r, scanning

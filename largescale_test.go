@@ -44,6 +44,7 @@ import (
 	"smartdrill/internal/datagen"
 	"smartdrill/internal/rule"
 	"smartdrill/internal/spans"
+	"smartdrill/internal/table"
 	"smartdrill/internal/weight"
 )
 
@@ -235,7 +236,7 @@ func TestWideRootProbe(t *testing.T) {
 		{50000, false},
 	} {
 		tab := datagen.CensusProjected(shape.rows, 14, 7)
-		tab.Distinct() // resolved here, so that no drill below is booked the attempt
+		tab.Distinct(new(table.Tally)) // resolved here, so that no drill below is booked the attempt
 		root := func(opts ...Option) (SearchStats, bool, string) {
 			e, err := New(tab, append(opts, WithK(3), WithCacheDisabled())...)
 			if err != nil {

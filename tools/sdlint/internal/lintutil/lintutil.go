@@ -1,6 +1,6 @@
 // Package lintutil carries the small AST/type helpers shared by the
-// sdlint analyzers: callee resolution, receiver naming, path-scoped
-// package matching, and test-file detection.
+// sdlint analyzers: callee resolution, path-scoped package matching, type
+// tests, and test-file detection.
 package lintutil
 
 import (
@@ -29,39 +29,6 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := obj.(*types.Func)
 	return fn
-}
-
-// RecvTypeName returns the name of fn's receiver's named type ("" for
-// plain functions), looking through pointers.
-func RecvTypeName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	return NamedName(sig.Recv().Type())
-}
-
-// NamedName returns the name of t's named type, dereferencing one
-// pointer level, or "" when t is unnamed.
-func NamedName(t types.Type) string {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
-// PkgName returns the name of fn's defining package ("" for builtins).
-func PkgName(fn *types.Func) string {
-	if fn.Pkg() == nil {
-		return ""
-	}
-	return fn.Pkg().Name()
 }
 
 // PathIn reports whether pkgpath lies in one of the given package-path

@@ -1,7 +1,7 @@
 // Command sdlint is smartdrill's repo-specific static-analysis suite: a
 // go/analysis-style multichecker that machine-checks the engine's
-// cross-cutting invariants — I/O accounting, context threading,
-// determinism of result-producing paths, and API error-code coverage.
+// cross-cutting invariants — context threading, determinism of
+// result-producing paths, and API error-code coverage.
 // See docs/INVARIANTS.md at the repository root for the
 // catalogue and the annotation syntax.
 //
@@ -13,7 +13,7 @@
 //
 // Individual analyzers can be selected like standard vet checks:
 //
-//	go vet -vettool=... -ioaccount ./internal/...
+//	go vet -vettool=... -detwalk ./internal/...
 package main
 
 import (
@@ -21,12 +21,10 @@ import (
 	"smartdrill/tools/sdlint/analyzers/apicodes"
 	"smartdrill/tools/sdlint/analyzers/ctxflow"
 	"smartdrill/tools/sdlint/analyzers/detwalk"
-	"smartdrill/tools/sdlint/analyzers/ioaccount"
 )
 
 func main() {
 	unitchecker.Main(
-		ioaccount.Analyzer,
 		ctxflow.Analyzer,
 		detwalk.Analyzer,
 		apicodes.Analyzer,

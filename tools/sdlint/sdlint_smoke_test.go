@@ -35,9 +35,9 @@ func TestLintCleanOnTree(t *testing.T) {
 	}
 }
 
-// TestLintCatchesViolations plants the acceptance scenario — a counting
-// pass whose Stats increment was removed — in a scratch module and checks
-// that the suite fails on it.
+// TestLintCatchesViolations plants a violation — a result-producing loop
+// that ranges over a map, so its output follows the map's random order — in
+// a scratch module and checks that the suite fails on it.
 func TestLintCatchesViolations(t *testing.T) {
 	bin := buildSdlint(t)
 	dir := t.TempDir()
@@ -52,18 +52,15 @@ func TestLintCatchesViolations(t *testing.T) {
 		}
 	}
 	write("go.mod", "module scratch\n\ngo 1.24\n")
-	// ioaccount: parallelRows drives a counting pass, but the
-	// RowsScanned increment has been "deleted".
+	// detwalk: the rules a search returns are listed in map order.
 	write("internal/brs/bad.go", `package brs
 
-type Stats struct{ RowsScanned int64 }
-
-type runner struct{ stats Stats }
-
-func (rn *runner) parallelRows(n int, fn func(lo, hi, g int)) { fn(0, n, 0) }
-
-func (rn *runner) countPass(rows []int) {
-	rn.parallelRows(len(rows), func(lo, hi, g int) {})
+func rules(byKey map[string]float64) []string {
+	var out []string
+	for key := range byKey {
+		out = append(out, key)
+	}
+	return out
 }
 `)
 	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
@@ -72,7 +69,7 @@ func (rn *runner) countPass(rows []int) {
 	if err == nil {
 		t.Fatalf("sdlint passed a tree with planted violations:\n%s", out)
 	}
-	for _, wantFrag := range []string{"[ioaccount]", "Stats.RowsScanned"} {
+	for _, wantFrag := range []string{"[detwalk]", "range over a map"} {
 		if !strings.Contains(string(out), wantFrag) {
 			t.Errorf("vet output missing %q:\n%s", wantFrag, out)
 		}
