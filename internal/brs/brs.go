@@ -361,7 +361,6 @@ func newRunner(v *table.View, w weight.Weighter, opts Options) (*runner, error) 
 	run.freeCols = run.freeColumns()
 	_, run.countAgg = agg.(score.CountAgg)
 	run.unitMass = run.countAgg && !tab.Weighted()
-	run.bitmapWords = int64((tab.NumRows() + 63) / 64)
 	run.store = newCandStore()
 	run.root = &cand{r: base, mask: run.baseMask}
 	return run, nil
@@ -398,19 +397,18 @@ func displayOrder(rs []Result) {
 // registered or counted, whose children — its expansion, made in step 1 —
 // are level 1.
 type runner struct {
-	tab         *table.Table // the table searched: the view's, or a copy of its rows
-	ix          *table.Index // tab's inverted index; nil where a test turned indexRoutes off
-	w           weight.Weighter
-	agg         score.Aggregator
-	countAgg    bool // agg is the plain Count aggregate
-	unitMass    bool // Count over an unweighted table: every row's mass is 1, a count of rows is a sum of masses
-	mw          float64
-	base        rule.Rule
-	baseMask    rule.Mask
-	freeCols    []int // columns the base leaves starred
-	par         int
-	scale       float64 // SampleScale normalized: emitted masses multiply by it
-	bitmapWords int64   // words per bitset container: ceil(rows/64)
+	tab      *table.Table // the table searched: the view's, or a copy of its rows
+	ix       *table.Index // tab's inverted index; nil where a test turned indexRoutes off
+	w        weight.Weighter
+	agg      score.Aggregator
+	countAgg bool // agg is the plain Count aggregate
+	unitMass bool // Count over an unweighted table: every row's mass is 1, a count of rows is a sum of masses
+	mw       float64
+	base     rule.Rule
+	baseMask rule.Mask
+	freeCols []int // columns the base leaves starred
+	par      int
+	scale    float64 // SampleScale normalized: emitted masses multiply by it
 
 	topW     []float64 // W(TOP(t, selection[:raised])) per row; nil until the first raise
 	claimed  float64   // the heaviest weight topW holds, see tracksResidual
@@ -494,7 +492,7 @@ type cand struct {
 	// level 1): its cover, where held, ANDed with the container of the one
 	// column the candidate adds is the candidate's coverage.
 	from  *cand
-	cover *cover // the rows the candidate's own index walk visited; nil unless the run kept them
+	cover *table.Set // the rows the candidate's own index walk visited; nil unless the run kept them
 }
 
 // candLess is the order that breaks a tie within a level (findBestMarginal):
@@ -1205,32 +1203,30 @@ func (rn *runner) expandParents(parents []*cand) {
 		// accumulators and cover, in ascending row order, so nothing is
 		// shared, no merge is needed, and the sums equal the scan route's.
 		reserved := rn.reserveCovers(parents, plans, accs)
-		// Each indexPass worker's bits for the rows a walk keeps, zero
-		// between walks.
-		kept := make([][]uint64, rn.rowWorkers(len(parents)))
+		// Each indexPass worker's keeper of the rows a walk keeps.
+		kept := make([]table.Keeper, rn.rowWorkers(len(parents)))
 		rn.indexPass(len(parents), func(g, p int, st *Stats) {
 			mine, c := accs[p], parents[p]
 			if reserved[p] == 0 {
 				rn.walk(c, plans[p], st, func(row int) { st.CellsBooked += rn.bookRow(mine, row) })
 				return
 			}
-			// Only a walk that keeps its rows pays to set their bits.
-			if kept[g] == nil {
-				kept[g] = make([]uint64, rn.bitmapWords)
-			}
-			set := kept[g]
+			// Only a walk that keeps its rows pays to collect them.
+			k := &kept[g]
+			k.Start(tab.NumRows())
 			rn.walk(c, plans[p], st, func(row int) {
 				st.CellsBooked += rn.bookRow(mine, row)
-				set[row>>6] |= 1 << (uint(row) & 63)
+				k.Add(row)
 			})
-			kept[g] = rn.keepCover(c, set, reserved[p])
+			cover := k.Keep(reserved[p])
+			c.cover = &cover
 		})
 		if rn.ctxErr != nil {
 			return // a cut pass: some parents were never walked
 		}
 		for p, c := range parents {
 			if reserved[p] > 0 {
-				rn.coverLeft += reserved[p] - c.cover.bytes()
+				rn.coverLeft += reserved[p] - c.cover.Bytes()
 			}
 		}
 		rn.materializeChildren(parents, accs)

@@ -135,7 +135,7 @@ func TestCoverWalkReadsFewestContainers(t *testing.T) {
 			break
 		}
 	}
-	if x == nil || x.cover == nil || x.cover.bits == nil || x.from.cover == nil || x.from.cover.bits == nil {
+	if x == nil || x.cover == nil || !x.cover.IsBitset() || x.from.cover == nil || !x.from.cover.IsBitset() {
 		t.Fatalf("step 1 walked no level-3 rule that holds a bitset cover under a parent that holds one: %+v", x)
 	}
 	// A walk that finds its candidate without a cover keeps one again, so
@@ -171,32 +171,26 @@ func TestCoverWalkReadsFewestContainers(t *testing.T) {
 // bitset that keeps no summary, read for that word; either stays a list
 // where its bitset does not fit what the walk reserved, here a list's 160
 // bytes. 40 rows a word apart stay a list, which reads 40 entries where the
-// bitset would read 42 words. On the census 20k tuples, in tuple order,
+// bitset would read 42 words. Whatever a cover takes, its keeper is empty
+// for the next walk. On the census 20k tuples, in tuple order,
 // re-walking the first step's level-2 and deeper parents keeps bitset
 // covers of rows too few to be dense, and settling the budget gives back
 // exactly what was reserved minus what the covers hold; a budget one byte
 // short of a bitset's words and summary keeps no cover of dense rows.
 func TestCoverContainerRule(t *testing.T) {
-	const rows, words = 6400, 100
-	b := table.MustBuilder([]string{"A"}, nil)
-	for i := 0; i < rows; i++ {
-		b.MustAddRow([]string{fmt.Sprint("a", i%2)})
-	}
-	rn, err := newRunner(b.Build().All(), weight.NewSize(1), Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keep := func(rows []int, reserved int64) *cover {
-		kept := make([]uint64, words)
+	const universe, words = 6400, 100
+	keep := func(rows []int, reserved int64) table.Set {
+		var k table.Keeper
+		k.Start(universe)
 		for _, r := range rows {
-			kept[r>>6] |= 1 << (r & 63)
+			k.Add(r)
 		}
-		c := &cand{}
-		back := rn.keepCover(c, kept, reserved)
-		if (back == nil) != (c.cover.bits != nil) || (back != nil && !reflect.DeepEqual(back, make([]uint64, words))) {
-			t.Errorf("rows %v: the cover took its words %v, handed back %v", rows, c.cover.bits != nil, back)
+		cv := k.Keep(reserved)
+		k.Start(universe)
+		if rest := k.Keep(coverBudget); rest.Len() != 0 {
+			t.Errorf("rows %v: the keeper still holds %d rows after the cover took them", rows, rest.Len())
 		}
-		return c.cover
+		return cv
 	}
 	for _, tc := range []struct {
 		name        string
@@ -207,16 +201,18 @@ func TestCoverContainerRule(t *testing.T) {
 		{"40 rows in one word", rowRange(640, 680), 1, 8 * words},
 	} {
 		cv := keep(tc.rows, coverBudget)
-		if cv.bits == nil || cv.bits.Len() != 40 || table.Dense(40, rows) {
-			t.Fatalf("%s: cover %+v, want a bitset of rows that are not dense", tc.name, cv)
+		if !cv.IsBitset() || cv.Len() != 40 {
+			t.Fatalf("%s: cover %+v, want a bitset of 40 rows", tc.name, cv)
 		}
-		if n, got := table.AndCount([]*table.Bitset{cv.bits}); n != 40 || got != tc.read {
-			t.Errorf("%s: the bitset cover counts %d rows reading %d words, want 40 reading %d", tc.name, n, got, tc.read)
+		n := 0
+		var read table.Tally
+		if table.AndEach(&read, []table.Set{cv}, func(int) { n++ }); n != 40 || read != (table.Tally{Words: tc.read}) {
+			t.Errorf("%s: the bitset cover visits %d rows booking %+v, want 40 reading %d words", tc.name, n, read, tc.read)
 		}
-		if got := cv.bytes(); got != tc.bytes {
+		if got := cv.Bytes(); got != tc.bytes {
 			t.Errorf("%s: bitset cover holds %d bytes, want %d", tc.name, got, tc.bytes)
 		}
-		if cv := keep(tc.rows, 4*40); cv.bits != nil || len(cv.list) != 40 {
+		if cv := keep(tc.rows, 4*40); cv.IsBitset() || cv.Len() != 40 {
 			t.Errorf("%s, 160 bytes reserved: cover %+v, want a list", tc.name, cv)
 		}
 	}
@@ -224,12 +220,12 @@ func TestCoverContainerRule(t *testing.T) {
 	for i := range scattered {
 		scattered[i] = 128 * i
 	}
-	if cv := keep(scattered, coverBudget); cv.bits != nil || len(cv.list) != 40 || cv.bytes() != 4*40 {
+	if cv := keep(scattered, coverBudget); cv.IsBitset() || cv.Len() != 40 || cv.Bytes() != 4*40 {
 		t.Fatalf("40 rows a word apart: cover %+v, want a list of 160 bytes", cv)
 	}
 
 	tab := datagen.CensusProjected(20_000, 7, 7).Distinct(new(table.Tally))
-	rn, err = newRunner(tab.All(), weight.NewSize(tab.NumCols()), Options{Workers: 1})
+	rn, err := newRunner(tab.All(), weight.NewSize(tab.NumCols()), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +237,7 @@ func TestCoverContainerRule(t *testing.T) {
 			parents = append(parents, c)
 		}
 	}
-	bitset := table.MaxBytes(int(rn.bitmapWords))
+	bitset := table.MaxContainerBytes(tab.NumRows(), tab.NumRows())
 	for _, budget := range []int64{coverBudget, bitset - 1} {
 		rn.coverLeft = budget
 		rn.expandParents(parents)
@@ -251,10 +247,11 @@ func TestCoverContainerRule(t *testing.T) {
 			if c.cover == nil {
 				continue
 			}
-			held += c.cover.bytes()
-			if set := c.cover.bits; set != nil && table.Dense(set.Len(), tab.NumRows()) {
+			held += c.cover.Bytes()
+			// Dense by the index's rule: at least 1/32 of the rows.
+			if c.cover.IsBitset() && 32*c.cover.Len() >= tab.NumRows() {
 				dense++
-			} else if set != nil {
+			} else if c.cover.IsBitset() {
 				sparseBits++
 			}
 			c.cover = nil
@@ -414,7 +411,7 @@ func BenchmarkRootSearch(b *testing.B) {
 	covers := 0
 	for _, c := range rn.store.counted {
 		if c.cover != nil {
-			covers += int(c.cover.bytes())
+			covers += int(c.cover.Bytes())
 		}
 	}
 	b.ReportMetric(float64(stats.BitmapWordsRead), "words/op")

@@ -11,10 +11,10 @@ import (
 // its own cover, or its parent's cover and one column's container (Covers,
 // below) — and counting (and candidate generation, and the topW raise over
 // a selected rule) can be answered from the index instead of scanning every
-// row. The index keeps each (column, value) in one container — a sorted
-// []int32 posting list where the value is sparse, a packed []uint64 bitset
-// (table.Bitset) where it is dense — and two kernels read them, each
-// handing its visitor the rows it finds, nothing else:
+// row. The index keeps each (column, value) in one table.Set — a sorted
+// list of its rows where the value is sparse, a packed bitset where it is
+// dense — and a cover is one too; two kernels read them, each handing its
+// visitor the rows it finds, nothing else:
 //
 //   - Probing (table.EachInAll): a walk of the smallest container that
 //     tests each of its rows against the others — one word read where the
@@ -72,9 +72,11 @@ const postingsCostSlack = 16
 // intersection of Eclat (Zaki, IEEE TKDE 2000), which gets a child's
 // tid-set from its parent's and one item's. A level-1 candidate's cover is
 // its own index container, held at no cost, which is why its children's two
-// containers are the same either way. Covers are read only by the metering
-// kernels, like every container, so a cover's words and entries are booked
-// to Stats exactly like the index's.
+// containers are the same either way. A cover is a table.Set, like every
+// container, so only the metering kernels read it, and its words and
+// entries are booked to Stats exactly like the index's. Its rows are kept
+// in whichever container reads them in fewer words among those that fit
+// what the walk reserved (table.Keeper).
 //
 // Covers live as long as the run, under one byte budget per run. A walk
 // keeps its rows only if the most they could hold — the smallest of the
@@ -93,49 +95,14 @@ var coverBudget int64 = 32 << 20
 // cheaper to scan take.
 var indexRoutes = true
 
-// cover is the rows of the searched table a candidate's walk visited, in
-// the container that reads them in fewer words among those that fit what
-// the walk reserved (table.NewContainer): a bitset wherever its span's
-// words, or its summary's and its non-zero ones, are fewer than its rows —
-// a dense cover, and a sparse one whose rows cluster into few words, as a
-// rule's do on a table in tuple order — an ascending list otherwise, read
-// an entry a row.
-type cover struct {
-	list []int32
-	bits *table.Bitset
-}
-
-// bytes is what the cover's container holds, a bitset's summary included.
-func (cv *cover) bytes() int64 {
-	if cv.bits != nil {
-		return cv.bits.Bytes()
-	}
-	return 4 * int64(len(cv.list))
-}
-
-// keepCover makes the rows set in kept — a walk's, one bit a row —
-// c's cover, in at most the reserved bytes, and returns kept cleared for the
-// next walk, or nil where the cover took it for its bitset.
-func (rn *runner) keepCover(c *cand, kept []uint64, reserved int64) []uint64 {
-	list, bits := table.NewContainer(kept, reserved)
-	c.cover = &cover{list, bits}
-	if bits != nil {
-		return nil
-	}
-	for _, r := range list {
-		kept[r>>6] = 0
-	}
-	return kept
-}
-
 // reserveCovers decides which parents' walks keep a cover, in parent order,
 // and returns what each one reserved of the budget (0: keeps none). A
 // parent keeps one when it has no cover yet, is past level 1, has a column
-// left to extend by, and the most its cover could hold by the index's
-// memory rule still fits: 4 bytes a row up to its plan's smallest
-// container, a bitset's words and summary from where that many rows would
-// be dense. The walk's rows then take the container that reads them in
-// fewer words among those that fit: a list of them always does.
+// left to extend by, and the most the index's container for its plan's
+// smallest container's rows could hold still fits
+// (table.MaxContainerBytes). The walk's rows then take the container that
+// reads them in fewer words among those that fit (table.Keeper): a list of
+// them always does.
 func (rn *runner) reserveCovers(parents []*cand, plans []candPlan, accs [][]extAcc) []int64 {
 	reserved := make([]int64, len(parents))
 	numRows := rn.tab.NumRows()
@@ -143,11 +110,7 @@ func (rn *runner) reserveCovers(parents []*cand, plans []candPlan, accs [][]extA
 		if c.cover != nil || c.from == nil || len(accs[p]) == 0 {
 			continue
 		}
-		most := 4 * plans[p].rows
-		if table.Dense(int(plans[p].rows), numRows) {
-			most = table.MaxBytes(int(rn.bitmapWords))
-		}
-		if most <= rn.coverLeft {
+		if most := table.MaxContainerBytes(int(plans[p].rows), numRows); most <= rn.coverLeft {
 			rn.coverLeft -= most
 			reserved[p] = most
 		}
@@ -163,30 +126,28 @@ type candPlan struct {
 	bitmap bool  // true: bitset AND kernel; false: probing walk of the containers
 }
 
-// containers appends to lists and sets, aligned, the containers whose
-// intersection is c's coverage, each as it comes — a list or a bitset, the
-// other nil: c's own cover where it holds one; else its from's cover and
-// the container of the one column c adds, where that cover is held; else
-// the index container of each instantiated free column. planCand costs
-// them and walk reads them, so the two cannot disagree.
-func (rn *runner) containers(c *cand, lists [][]int32, sets []*table.Bitset) ([][]int32, []*table.Bitset) {
-	if cv := c.cover; cv != nil {
-		return append(lists, cv.list), append(sets, cv.bits)
+// containers appends to sets the Sets whose intersection is c's coverage:
+// c's own cover where it holds one; else its from's cover and the
+// container of the one column c adds, where that cover is held; else the
+// index container of each instantiated free column. planCand costs them
+// and walk reads them, so the two cannot disagree.
+func (rn *runner) containers(c *cand, sets []table.Set) []table.Set {
+	if c.cover != nil {
+		return append(sets, *c.cover)
 	}
-	var cv *cover
+	var cv *table.Set
 	if c.from != nil {
 		cv = c.from.cover
 	}
 	if cv != nil {
-		lists, sets = append(lists, cv.list), append(sets, cv.bits)
+		sets = append(sets, *cv)
 	}
 	for _, col := range rn.freeCols {
 		if v := c.r[col]; v != rule.Star && (cv == nil || !c.from.mask.Has(col)) {
-			list, set := rn.ix.Container(col, v)
-			lists, sets = append(lists, list), append(sets, set)
+			sets = append(sets, rn.ix.Container(col, v))
 		}
 	}
-	return lists, sets
+	return sets
 }
 
 // planCand costs the index kernels for candidate c over its containers, at
@@ -210,22 +171,17 @@ func (rn *runner) planCand(c *cand) (plan candPlan, anchor int64, ok bool) {
 	if !ok {
 		return candPlan{}, 0, false
 	}
-	var listBuf [16][]int32
-	var setBuf [16]*table.Bitset
-	lists, sets := rn.containers(c, listBuf[:0], setBuf[:0])
+	var buf [16]table.Set
+	sets := rn.containers(c, buf[:0])
 	driver, allDense := 0, rn.countAgg
 	for i, set := range sets {
-		size := int64(len(lists[i]))
-		if set != nil {
-			size = int64(set.Len())
-		}
-		if i == 0 || size < plan.rows {
+		if size := int64(set.Len()); i == 0 || size < plan.rows {
 			plan.rows, driver = size, i
 		}
-		allDense = allDense && set != nil
+		allDense = allDense && set.IsBitset()
 	}
 	drive := plan.rows
-	if sets[driver] != nil {
+	if sets[driver].IsBitset() {
 		drive = table.AndWords(sets[driver : driver+1])
 	}
 	plan.cost = drive + int64(len(sets)-1)*plan.rows + postingsCostSlack
@@ -284,13 +240,12 @@ func (rn *runner) planPostingsOne(c *cand) (plan candPlan, ok bool) {
 func (rn *runner) walk(c *cand, plan candPlan, st *Stats, visit func(row int)) {
 	// Room for the containers of a 16-column rule on the stack; a wider
 	// one's grow on the heap.
-	var listBuf [16][]int32
-	var setBuf [16]*table.Bitset
-	lists, sets := rn.containers(c, listBuf[:0], setBuf[:0])
+	var buf [16]table.Set
+	sets := rn.containers(c, buf[:0])
 	if plan.bitmap {
 		table.AndEach(st, sets, visit)
 	} else {
-		table.EachInAll(st, lists, visit, sets...)
+		table.EachInAll(st, sets, visit)
 	}
 }
 

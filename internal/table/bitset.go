@@ -2,21 +2,21 @@ package table
 
 import "math/bits"
 
-// Packed bitset containers. A Bitset stores one (column, value) row set as
-// row-membership bits in []uint64 words: bit (row % 64) of word (row / 64)
-// is set iff the row holds the value. Dense sets answer intersections
+// Packed bitset containers. A Bitset stores one row set as row-membership
+// bits in []uint64 words: bit (row % 64) of word (row / 64) is set iff the
+// set holds the row. It is one of the two things a Set can hold, the other
+// being a sorted []int32 list; dense sets answer intersections
 // word-at-a-time — 64 rows per AND.
 //
-// A bitset is a dense value's only container, instead of a sorted []int32
-// list, not beside one: the index stores a value as a bitset exactly when
-// the bitmap (numRows/8 bytes) costs no more memory than the sorted list
-// would (4 bytes per entry), i.e. when the value covers at least 1/32 of the
-// table (Dense). Sparse values are sorted lists only: an intersection walk
-// gallops through them and probes the bitsets of the dense ones
-// (EachInAll), or, where every value is dense, the AND kernels read
-// their words; the cost planner picks the kernel per candidate. The rows a
-// search keeps of a walk are another matter: they live for one search, and
-// are kept in whichever container reads them in fewer words (NewContainer).
+// The index stores a value's Set as a bitset exactly when the bitmap
+// (numRows/8 bytes) costs no more memory than the sorted list would (4
+// bytes per entry), i.e. when the value covers at least 1/32 of the table
+// (see dense). An intersection walk gallops through the lists and probes
+// the bitsets (EachInAll), or, where every set is a bitset, the AND kernels
+// read their words; the cost planner picks the kernel per candidate. The
+// rows a search keeps of a walk are another matter: they live for one
+// search, and are kept in whichever container reads them in fewer words
+// (Keeper).
 //
 // A bitset also knows where its rows are, at two levels. Its span is the
 // words from its first non-zero one up to, not including, the word after
@@ -84,55 +84,8 @@ func shape(words []uint64) (nz, lo, hi int) {
 	return nz, lo, hi
 }
 
-// MaxBytes returns the most a bitset over numWords words holds: its words
-// and a summary's (see Bytes).
-func MaxBytes(numWords int) int64 { return 8 * int64(numWords+(numWords+63)/64) }
-
-// Dense reports whether a value held by length of a table's numRows
-// rows is stored as a bitset: the bitmap's numRows/8 bytes must not exceed
-// the 4·length bytes a sorted list would cost, i.e. length ≥ numRows/32.
-func Dense(length, numRows int) bool {
-	return length > 0 && 32*length >= numRows
-}
-
-// NewContainer returns the rows set in words — row r as bit r%64 of word
-// r/64 — in the container that reads them in fewer words: a Bitset over
-// words itself where reading it alone — its span's words, or its summary's
-// and its non-zero words where it keeps one — costs fewer words than the
-// sorted list's entries and it holds at most maxBytes (see Bytes),
-// which then owns words; a fresh ascending list otherwise, never nil, even
-// when empty, and words left as they were. A search keeps the rows a
-// coverage walk visited this way, to intersect in place of the containers
-// it walked, within what it set aside for them. This is not the index's
-// rule (see Dense), which weighs memory: rows that cluster into a few words
-// read for less as a bitset than as a list, however sparse they are.
-func NewContainer(words []uint64, maxBytes int64) (list []int32, set *Bitset) {
-	n := 0
-	for _, w := range words {
-		n += bits.OnesCount64(w)
-	}
-	nz, lo, hi := shape(words)
-	read, size := hi-lo, 8*int64(len(words))
-	if hasSummary(lo, hi, nz) {
-		read, size = summaryWords(lo, hi)+nz, MaxBytes(len(words))
-	}
-	if n > 0 && read < n && size <= maxBytes {
-		return nil, newBitset(words, n)
-	}
-	list = make([]int32, 0, n)
-	for i, w := range words {
-		for ; w != 0; w &= w - 1 {
-			list = append(list, int32(i<<6+bits.TrailingZeros64(w)))
-		}
-	}
-	return list, nil
-}
-
 // Len returns the number of set bits: the rows holding the value.
 func (b *Bitset) Len() int { return b.n }
-
-// NumWords returns the container's word count: ceil(universe / 64).
-func (b *Bitset) NumWords() int { return len(b.words) }
 
 // Bytes returns what the bitset holds: its words and its summary's.
 func (b *Bitset) Bytes() int64 { return 8 * int64(len(b.words)+len(b.summary)) }
@@ -168,17 +121,18 @@ func hasSummary(lo, hi, nz int) bool { return summaryWords(lo, hi)+nz < hi-lo }
 // is taken only where that bound is below the overlap's words, so no call
 // reads more than the span route would. Where no set has a summary — dense
 // values of a table in no particular order — the sets are read as by the
-// span alone.
-func overlap(sets []*Bitset) (lo, hi int, summaries int64, marks int) {
+// span alone. Every set must be a bitset.
+func overlap(sets []Set) (lo, hi int, summaries int64, marks int) {
 	if len(sets) == 0 {
 		return 0, 0, 0, 0
 	}
-	lo, hi = sets[0].lo, sets[0].hi
+	lo, hi = sets[0].bits.lo, sets[0].bits.hi
 	for _, s := range sets {
-		lo, hi = max(lo, s.lo), min(hi, s.hi)
-		if s.summary != nil {
-			if summaries == 0 || s.nz < marks {
-				marks = s.nz
+		b := s.bits
+		lo, hi = max(lo, b.lo), min(hi, b.hi)
+		if b.summary != nil {
+			if summaries == 0 || b.nz < marks {
+				marks = b.nz
 			}
 			summaries++
 		}
@@ -192,14 +146,14 @@ func overlap(sets []*Bitset) (lo, hi int, summaries int64, marks int) {
 	return lo, hi, summaries, marks
 }
 
-// AndWords returns the most AndCount or AndEach books for sets, from what
-// overlap decides and without reading a word: on the span route every
-// set's words of the spans' overlap; on the summary route the summaries'
-// words over it and, a set, the most data words the summaries can mark.
-// Of one set it is exactly what reading that set alone books — its span's
-// words, or its summary's and its non-zero words — which is what the
-// driver of EachInAll books.
-func AndWords(sets []*Bitset) int64 {
+// AndWords returns the most AndEach books for sets, every one a bitset,
+// from what overlap decides and without reading a word: on the span route
+// every set's words of the spans' overlap; on the summary route the
+// summaries' words over it and, a set, the most data words the summaries
+// can mark. Of one set it is exactly what reading that set alone books —
+// its span's words, or its summary's and its non-zero words — which is
+// what the driver of EachInAll books.
+func AndWords(sets []Set) int64 {
 	lo, hi, summaries, marks := overlap(sets)
 	if summaries == 0 {
 		return int64(len(sets)) * int64(hi-lo)
@@ -214,7 +168,7 @@ func AndWords(sets []*Bitset) int64 {
 // position handed to fn and, on the summary route, one for every summary
 // word reached of every set that has a summary. AndCount reads the same
 // words in a loop of its own, which calls nothing a word.
-func eachWord(sets []*Bitset, fn func(i int) bool) (wordsRead int64) {
+func eachWord(sets []Set, fn func(i int) bool) (wordsRead int64) {
 	lo, hi, summaries, _ := overlap(sets)
 	k := int64(len(sets))
 	if summaries == 0 {
@@ -242,7 +196,7 @@ func eachWord(sets []*Bitset, fn func(i int) bool) (wordsRead int64) {
 // set's summary marks non-zero, a set without a summary marking every word
 // of its span, and so of [lo, hi): a data word it holds as zero is read,
 // and ANDs to nothing, as on the span route.
-func marked(sets []*Bitset, s, lo, hi int) uint64 {
+func marked(sets []Set, s, lo, hi int) uint64 {
 	m := ^uint64(0)
 	if s == lo>>6 {
 		m <<= uint(lo) & 63
@@ -251,30 +205,35 @@ func marked(sets []*Bitset, s, lo, hi int) uint64 {
 		m &= ^uint64(0) >> (63 - uint(hi-1)&63)
 	}
 	for _, t := range sets {
-		if t.summary != nil {
-			m &= t.summary[s]
+		if t.bits.summary != nil {
+			m &= t.bits.summary[s]
 		}
 	}
 	return m
 }
 
 // and returns the AND of every set's word i.
-func and(sets []*Bitset, i int) uint64 {
-	w := sets[0].words[i]
+func and(sets []Set, i int) uint64 {
+	w := sets[0].bits.words[i]
 	for _, s := range sets[1:] {
-		w &= s.words[i]
+		w &= s.bits.words[i]
 	}
 	return w
 }
 
-// AndCount returns the number of rows common to all sets — the
+// AndCount returns the number of rows common to all bitsets — the
 // intersection cardinality by word-at-a-time AND + popcount, no row
 // enumerated — together with the words read, as AndEach books them. The
 // engine never counts without enumerating rows (a count is a sum of
-// masses); AndCount is kept for the benchmark's layer reading of the AND
-// kernel. All sets must share one universe (containers of one Index always
-// do). Zero sets yield zero.
-func AndCount(sets []*Bitset) (count int, wordsRead int64) {
+// masses); AndCount is kept, an adapter over Set, for the benchmark's
+// layer reading of the AND kernel. All bitsets must share one universe
+// (containers of one Index always do). Zero bitsets yield zero.
+func AndCount(bitsets []*Bitset) (count int, wordsRead int64) {
+	var buf [16]Set
+	sets := buf[:0]
+	for _, b := range bitsets {
+		sets = append(sets, Set{bits: b})
+	}
 	lo, hi, summaries, _ := overlap(sets)
 	k := int64(len(sets))
 	if summaries == 0 {
@@ -293,12 +252,12 @@ func AndCount(sets []*Bitset) (count int, wordsRead int64) {
 	return count, wordsRead
 }
 
-// AndEach calls fn(row) for every row common to all sets, in ascending
-// row order — the order a scan or a posting-list walk visits them, so
-// aggregate accumulation stays bit-identical across access paths — and
-// books the words it read into m, as eachWord counts them. All sets must
-// share one universe. Zero sets visit nothing.
-func AndEach(m Meter, sets []*Bitset, fn func(row int)) {
+// AndEach calls fn(row) for every row common to all sets, every one a
+// bitset, in ascending row order — the order a scan or a probing walk
+// visits them, so aggregate accumulation stays bit-identical across access
+// paths — and books the words it read into m, as eachWord counts them. All
+// sets must share one universe. Zero sets visit nothing.
+func AndEach(m Meter, sets []Set, fn func(row int)) {
 	m.Book(0, 0, eachWord(sets, func(i int) bool {
 		base := i << 6
 		for w := and(sets, i); w != 0; w &= w - 1 {

@@ -125,13 +125,22 @@ func andWords(lists [][]int32) (words, spanOnly int64) {
 	return int64(len(summarised)*summary) + k*int64(marked), spanOnly
 }
 
+// setsOf is bitsets as Sets, for the kernels that take them.
+func setsOf(bitsets []*Bitset) []Set {
+	sets := make([]Set, len(bitsets))
+	for i, b := range bitsets {
+		sets[i].bits = b
+	}
+	return sets
+}
+
 // requireSummary fails unless b counts its non-zero words and, where a
 // summary pays (summaryPays), keeps one marking exactly them, and otherwise
 // none.
 func requireSummary(t *testing.T, label string, b *Bitset) {
 	t.Helper()
 	var rows []int32
-	AndEach(new(Tally), []*Bitset{b}, func(row int) { rows = append(rows, int32(row)) })
+	AndEach(new(Tally), []Set{{bits: b}}, func(row int) { rows = append(rows, int32(row)) })
 	if nz := len(wordsOf(rows)); b.nz != nz {
 		t.Fatalf("%s: %d non-zero words counted, want %d", label, b.nz, nz)
 	}
@@ -212,7 +221,7 @@ func checkKernels(t *testing.T, label string, lists [][]int32, rows int) {
 
 	var got []int32
 	var read Tally
-	AndEach(&read, sets, func(row int) {
+	AndEach(&read, setsOf(sets), func(row int) {
 		if row < 0 || row >= rows {
 			t.Fatalf("%s: AndEach visited out-of-universe row %d (rows=%d)", label, row, rows)
 		}
@@ -328,7 +337,7 @@ func TestBitsetDisjointSpans(t *testing.T) {
 			t.Fatalf("AndCount = (%d, %d), want (0, 0)", c, w)
 		}
 		var read Tally
-		if AndEach(&read, sets, func(row int) { t.Fatalf("AndEach visited row %d", row) }); read != (Tally{}) {
+		if AndEach(&read, setsOf(sets), func(row int) { t.Fatalf("AndEach visited row %d", row) }); read != (Tally{}) {
 			t.Fatalf("AndEach booked %+v, want nothing", read)
 		}
 	}
@@ -337,8 +346,8 @@ func TestBitsetDisjointSpans(t *testing.T) {
 // TestBitsetContains covers membership including out-of-universe probes.
 func TestBitsetContains(t *testing.T) {
 	b := newBitsetFromSorted([]int32{0, 63, 64, 99}, 100)
-	if b.NumWords() != 2 {
-		t.Fatalf("NumWords = %d, want 2 for 100 rows", b.NumWords())
+	if len(b.words) != 2 {
+		t.Fatalf("%d words, want 2 for 100 rows", len(b.words))
 	}
 	for _, r := range []int{0, 63, 64, 99} {
 		if !b.Contains(r) {
@@ -368,8 +377,8 @@ func TestBitsetDense(t *testing.T) {
 		{5, 5, true}, // tiny universe: everything is dense
 	}
 	for _, tc := range cases {
-		if got := Dense(tc.length, tc.rows); got != tc.want {
-			t.Fatalf("Dense(%d, %d) = %v, want %v", tc.length, tc.rows, got, tc.want)
+		if got := dense(tc.length, tc.rows); got != tc.want {
+			t.Fatalf("dense(%d, %d) = %v, want %v", tc.length, tc.rows, got, tc.want)
 		}
 	}
 }
@@ -377,8 +386,8 @@ func TestBitsetDense(t *testing.T) {
 // TestBitsetMatchesIndexPostings cross-checks the index-built containers:
 // for every dense (column, value) the bitmap holds exactly the sorted
 // posting list's rows, and its summary marks its non-zero words, and sparse
-// values get no container. The index's rule is memory (see Dense), which a
-// search's covers do not follow (see NewContainer).
+// values get no container. The index's rule is memory (see dense), which a
+// search's covers do not follow (see Keeper).
 func TestBitsetMatchesIndexPostings(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	names := []string{"A", "B"}
@@ -401,7 +410,7 @@ func TestBitsetMatchesIndexPostings(t *testing.T) {
 		for v := 0; v < tab.DistinctCount(c); v++ {
 			list := ix.Postings(c, rule.Value(v))
 			bm := ix.Bitmap(c, rule.Value(v))
-			if !Dense(len(list), tab.NumRows()) {
+			if !dense(len(list), tab.NumRows()) {
 				if bm != nil {
 					t.Fatalf("col %d val %d: sparse list (len %d) has a container", c, v, len(list))
 				}
@@ -475,12 +484,12 @@ func FuzzBitsetIntersect(f *testing.F) {
 		}
 		// What the planner prices the kernels at: the most they book, and,
 		// of one set, exactly what reading it alone books.
-		if bound := AndWords(sets); words > bound || (k == 1 && words != bound) {
+		if bound := AndWords(setsOf(sets)); words > bound || (k == 1 && words != bound) {
 			t.Fatalf("AndWords = %d, but the kernels booked %d (rows=%d k=%d)", bound, words, rows, k)
 		}
 		var got []int32
 		var read Tally
-		if AndEach(&read, sets, func(row int) { got = append(got, int32(row)) }); read != (Tally{Words: wantWords}) {
+		if AndEach(&read, setsOf(sets), func(row int) { got = append(got, int32(row)) }); read != (Tally{Words: wantWords}) {
 			t.Fatalf("AndEach booked %+v, want %d words", read, wantWords)
 		}
 		if !slices.Equal(got, want) {
@@ -491,7 +500,7 @@ func FuzzBitsetIntersect(f *testing.F) {
 		}
 		var walked []int32
 		var walkRead Tally
-		EachInAll(&walkRead, make([][]int32, k), func(row int) { walked = append(walked, int32(row)) }, sets...)
+		EachInAll(&walkRead, setsOf(sets), func(row int) { walked = append(walked, int32(row)) })
 		if walkRead.Entries != 0 || !slices.Equal(walked, want) {
 			t.Fatalf("walk over bitsets alone booked %d entries and visited %d rows, want none and the %d of AndEach (rows=%d k=%d)", walkRead.Entries, len(walked), len(want), rows, k)
 		}

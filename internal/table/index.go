@@ -10,9 +10,9 @@ import (
 )
 
 // Index is a table's inverted index: for every (column, value) pair, the
-// set of rows holding that value, in exactly one container — a packed
-// Bitset where the value is dense enough that the bitmap is the smaller of
-// the two (see Dense), the sorted list of its rows otherwise. A
+// set of rows holding that value, in one Set — a packed Bitset where the
+// value is dense enough that the bitmap is the smaller of the two (see
+// dense), the sorted list of its rows otherwise. A
 // column's index therefore costs Σ over its values of min(4·len, rows/8)
 // bytes, and a bitset's summary, where it keeps one, a 64th of its words
 // more (see Bitset) — at most four bytes per row whatever the data, and a
@@ -38,8 +38,8 @@ type Index struct {
 	counts     []valueCounts // nil until the first stage
 
 	containersOnce sync.Once
-	containers     []columnContainers // nil until the second stage
-	built          atomic.Bool        // set once containers is published
+	containers     [][]Set     // per column, a Set per value; nil until the second stage
+	built          atomic.Bool // set once containers is published
 }
 
 // valueCounts is one column's first stage: sizes[v] rows hold value v, and
@@ -47,13 +47,6 @@ type Index struct {
 type valueCounts struct {
 	sizes  []int32
 	masses []int64 // nil on an unweighted table, where every mass is its size
-}
-
-// columnContainers is one column's second stage. Value v's rows are
-// bits[v] where that is non-nil and lists[v] otherwise, never both.
-type columnContainers struct {
-	lists [][]int32 // ascending rows with Value(c, row) == v; nil where v is dense
-	bits  []*Bitset // nil where v is sparse
 }
 
 // Index returns the table's inverted index, allocating it on first call.
@@ -127,11 +120,11 @@ func countValues[T cell](col []T, vals int, mult []int32) valueCounts {
 // columns returns the second stage, building it — and the first, where that
 // is not built yet — unless it is built, and telling the table's OnBuild
 // hook what the build held and took.
-func (ix *Index) columns() []columnContainers {
+func (ix *Index) columns() [][]Set {
 	ix.containersOnce.Do(func() {
 		start := time.Now()
 		counts := ix.valueCounts()
-		containers := make([]columnContainers, len(ix.t.cols))
+		containers := make([][]Set, len(ix.t.cols))
 		ix.eachColumn(func(c int) {
 			col, sizes := &ix.t.cols[c], counts[c].sizes
 			switch col.width {
@@ -157,13 +150,13 @@ func (ix *Index) columns() []columnContainers {
 // exact-capacity and ascending by construction and no list is ever built
 // for a dense value. The sparse lists are cut from one array: a column of
 // tens of thousands of values is one allocation, not one per value.
-func fillContainers[T cell](col []T, sizes []int32) columnContainers {
+func fillContainers[T cell](col []T, sizes []int32) []Set {
 	rows := len(col)
-	lists := make([][]int32, len(sizes))
+	sets := make([]Set, len(sizes))
 	words := make([][]uint64, len(sizes))
 	sparse := 0
 	for v, n := range sizes {
-		if Dense(int(n), rows) {
+		if dense(int(n), rows) {
 			words[v] = make([]uint64, (rows+63)/64)
 		} else {
 			sparse += int(n)
@@ -172,23 +165,22 @@ func fillContainers[T cell](col []T, sizes []int32) columnContainers {
 	arena := make([]int32, sparse)
 	for v, n := range sizes {
 		if words[v] == nil {
-			lists[v], arena = arena[:0:n], arena[n:]
+			sets[v].list, arena = arena[:0:n], arena[n:]
 		}
 	}
 	for i, v := range col {
 		if w := words[v]; w != nil {
 			w[i>>6] |= 1 << (uint(i) & 63)
 		} else {
-			lists[v] = append(lists[v], int32(i))
+			sets[v].list = append(sets[v].list, int32(i))
 		}
 	}
-	bits := make([]*Bitset, len(sizes))
 	for v, w := range words {
 		if w != nil {
-			bits[v] = newBitset(w, int(sizes[v]))
+			sets[v].bits = newBitset(w, int(sizes[v]))
 		}
 	}
-	return columnContainers{lists: lists, bits: bits}
+	return sets
 }
 
 // bytes is what the index holds once its containers are built: the
@@ -199,15 +191,11 @@ func (ix *Index) bytes() int64 {
 		return 0
 	}
 	var n int64
-	for c, cc := range ix.containers {
+	for c, sets := range ix.containers {
 		vc := ix.counts[c]
 		n += 4*int64(len(vc.sizes)) + 8*int64(len(vc.masses))
-		for v, size := range vc.sizes {
-			if b := cc.bits[v]; b != nil {
-				n += b.Bytes()
-			} else {
-				n += 4 * int64(size)
-			}
+		for _, s := range sets {
+			n += s.Bytes()
 		}
 	}
 	return n
@@ -241,44 +229,31 @@ func (ix *Index) Mass(c int, v rule.Value) int64 {
 	return masses[v]
 }
 
-// Container returns value v of column c's one container, building the
-// containers on first use: the ascending row list of a sparse value, the
-// Bitset of a dense one, neither for a value outside the column's
-// dictionary (never produced by Encode/Lookup). Neither may be modified.
-// This is how the kernels reach the index (EachInAll takes the pair as it
-// comes).
-func (ix *Index) Container(c int, v rule.Value) (list []int32, bits *Bitset) {
-	cc := &ix.columns()[c]
-	if v < 0 || int(v) >= len(cc.bits) {
-		return nil, nil
+// Container returns value v of column c's Set, building the containers on
+// first use: the empty Set for a value outside the column's dictionary
+// (never produced by Encode/Lookup). This is how the kernels reach the
+// index.
+func (ix *Index) Container(c int, v rule.Value) Set {
+	sets := ix.columns()[c]
+	if v < 0 || int(v) >= len(sets) {
+		return Set{}
 	}
-	return cc.lists[v], cc.bits[v]
+	return sets[v]
 }
 
-// Postings returns the ascending row list for value v of column c, building
-// the containers on first use. A sparse value's list is the index's own and must
-// not be modified; a dense value has no list, so this decodes its bitset
-// into a fresh one of PostingsLen entries on every call
-// — for callers outside the engine, whose kernels read the container as it
-// is (see Container). Values outside the column's dictionary yield nil.
-func (ix *Index) Postings(c int, v rule.Value) []int32 {
-	list, bits := ix.Container(c, v)
-	if bits == nil {
-		return list
-	}
-	list = make([]int32, 0, bits.n)
-	AndEach(new(Tally), []*Bitset{bits}, func(row int) { list = append(list, int32(row)) })
-	return list
-}
+// Postings returns the ascending row list for value v of column c, an
+// adapter over Container for callers outside the engine, whose kernels read
+// the Set as it is. A sparse value's list is the index's own and must not
+// be modified; a dense value's bitset is decoded into a fresh list of
+// PostingsLen entries on every call. Values outside the column's dictionary
+// yield nil.
+func (ix *Index) Postings(c int, v rule.Value) []int32 { return ix.Container(c, v).rows() }
 
 // Bitmap returns the packed bitset holding value v's rows in column c, or
-// nil when the value is too sparse to be stored as one (see Dense) or
-// v is outside the column's dictionary. Builds the containers on first use,
-// like Postings.
-func (ix *Index) Bitmap(c int, v rule.Value) *Bitset {
-	_, bits := ix.Container(c, v)
-	return bits
-}
+// nil when the value is too sparse to be stored as one (see dense) or v is
+// outside the column's dictionary: an adapter over Container, like
+// Postings.
+func (ix *Index) Bitmap(c int, v rule.Value) *Bitset { return ix.Container(c, v).bits }
 
 // Rows returns the ascending rows covered by r by intersecting the
 // containers of r's instantiated columns (the walk of EachInAll), and books
@@ -297,10 +272,9 @@ func (ix *Index) Rows(m Meter, r rule.Rule) []int {
 		m.Book(0, int64(ix.t.n), 0)
 		return rows
 	}
-	lists := make([][]int32, len(cols))
-	bits := make([]*Bitset, len(cols))
+	sets := make([]Set, len(cols))
 	for j, c := range cols {
-		lists[j], bits[j] = ix.Container(c, r[c])
+		sets[j] = ix.Container(c, r[c])
 	}
 	// Non-nil also when nothing is covered: a nil row list means "all rows"
 	// to View, the opposite of an empty coverage set. A single column's
@@ -309,7 +283,7 @@ func (ix *Index) Rows(m Meter, r rule.Rule) []int {
 	if len(cols) == 1 {
 		rows = make([]int, 0, ix.PostingsLen(cols[0], r[cols[0]]))
 	}
-	EachInAll(m, lists, func(row int) { rows = append(rows, row) }, bits...)
+	EachInAll(m, sets, func(row int) { rows = append(rows, row) })
 	return rows
 }
 

@@ -252,12 +252,7 @@ func TestIndexConcurrentBuild(t *testing.T) {
 				case 2:
 					c := rng.Intn(tab.NumCols())
 					v := rule.Value(rng.Intn(tab.DistinctCount(c)))
-					list, bits := tab.Index().Container(c, v)
-					n := len(list)
-					if bits != nil {
-						n = bits.Len()
-					}
-					if n != sizes[c][v] {
+					if n := tab.Index().Container(c, v).Len(); n != sizes[c][v] {
 						t.Errorf("column %d value %d: a container of %d rows, want %d", c, v, n, sizes[c][v])
 					}
 				}

@@ -7,84 +7,70 @@ import (
 )
 
 // Posting intersection. BRS's postings-driven counting answers "which rows
-// of the table does candidate R cover?" by intersecting the index
-// containers of R's instantiated columns, instead of scanning every row. A
-// search reads a whole table — BRS copies a sub-view into one before it
-// starts (View.Select) — so the walk below is over containers alone. It
-// visits the common rows in ascending order — the order a scan visits them
-// — so aggregate accumulation is bit-identical between the two access
-// paths.
+// of the table does candidate R cover?" by intersecting the Sets of R's
+// instantiated columns — the index's containers, or a cover a walk kept
+// (Keeper) — instead of scanning every row. A search reads a whole table —
+// BRS copies a sub-view into one before it starts (View.Select) — so the
+// walk below is over Sets alone. It visits the common rows in ascending
+// order — the order a scan visits them — so aggregate accumulation is
+// bit-identical between the two access paths.
 
-// EachInAll calls fn(row) for every row in all of the given row sets, in
-// ascending order, and books what it read in place of a scan into m:
-// posting entries and packed bitset words. Set i is the ascending list
-// lists[i], or — where that is nil and bits, aligned with lists, has a
-// Bitset at i — that bitset: a value of the index comes as exactly one of
-// the two (Index.Container), and is passed as it comes. Where both are
-// given the list is the set and the bitset must hold the same rows.
+// EachInAll calls fn(row) for every row in all of sets, in ascending
+// order, and books what it read in place of a scan into m: list entries
+// and packed bitset words.
 //
-// The smallest set drives the walk: its rows are taken in ascending order —
-// a list's entries one read each, a bitset's set bits for the words that
-// reading it alone reads (its span's, or, where it keeps a summary, the
-// summary's and its non-zero words), which are fewer — and each is tested
-// against every other set: by one word read where the set has a bitset, by
-// galloping where it has none. Cost is thus governed by the most selective
-// column: when every other set has a bitset, at most one unit per driver
-// row per set, however many rows of the larger sets lie between. Bit order
-// is row order, the order a scan meets the rows in, so what fn accumulates
-// is bit-identical whichever container a value happens to have.
-func EachInAll(m Meter, lists [][]int32, fn func(row int), bits ...*Bitset) {
-	if len(lists) == 0 {
+// The smallest set (Len) drives the walk: its rows are taken in ascending
+// order — a list's entries one read each, a bitset's set bits for the words
+// that reading it alone reads (its span's, or, where it keeps a summary,
+// the summary's and its non-zero words), which are fewer — and each is
+// tested against every other set: by one word read where the set is a
+// bitset, by galloping where it is a list. Cost is thus governed by the
+// most selective set: when every other set is a bitset, at most one unit
+// per driver row per set, however many rows of the larger sets lie
+// between. Bit order is row order, the order a scan meets the rows in, so
+// what fn accumulates is bit-identical whichever container a set happens
+// to be.
+func EachInAll(m Meter, sets []Set, fn func(row int)) {
+	if len(sets) == 0 {
 		return
 	}
-	bitsOf := func(i int) *Bitset {
-		if i < len(bits) {
-			return bits[i]
-		}
-		return nil
-	}
-	size := func(i int) int {
-		if b := bitsOf(i); lists[i] == nil && b != nil {
-			return b.n
-		}
-		return len(lists[i])
-	}
-	// Order by size ascending without mutating the caller's slices; of
+	// Order by size ascending without mutating the caller's slice; of
 	// equals the first given comes first. Room for a 16-column rule's sets
 	// on the stack; a wider one's grow on the heap.
 	var orderBuf [16]int
 	order := orderBuf[:0]
-	for i := range lists {
+	for i := range sets {
 		order = append(order, i)
 	}
-	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(size(i), size(j)) })
-	if size(order[0]) == 0 {
+	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(sets[i].Len(), sets[j].Len()) })
+	driver := sets[order[0]]
+	if driver.Len() == 0 {
 		return
 	}
-	// The non-driver sets, smallest (most selective) first: those with a
-	// bitset are probed, the rest galloped through.
+	// The non-driver sets, smallest (most selective) first: the bitsets are
+	// probed, the lists galloped through.
 	w := walk{fn: fn}
 	for _, i := range order[1:] {
-		if b := bitsOf(i); b != nil {
+		if b := sets[i].bits; b != nil {
 			w.probe = append(w.probe, b)
 		} else {
-			w.others = append(w.others, lists[i])
+			w.others = append(w.others, sets[i].list)
 		}
 	}
 	w.offs = make([]int, len(w.others))
 
-	if driver := lists[order[0]]; driver != nil {
-		for _, r := range driver {
+	if driver.bits == nil {
+		for _, r := range driver.list {
 			if !w.visit(r) {
 				break
 			}
 		}
-		m.Book(0, int64(len(driver))+w.entries, w.words)
+		m.Book(0, int64(len(driver.list))+w.entries, w.words)
 		return
 	}
-	d := [1]*Bitset{bitsOf(order[0])}
-	driven := eachWord(d[:], func(i int) bool {
-		for word := d[0].words[i]; word != 0; word &= word - 1 {
+	words := driver.bits.words
+	driven := eachWord(sets[order[0]:order[0]+1], func(i int) bool {
+		for word := words[i]; word != 0; word &= word - 1 {
 			if !w.visit(int32(i<<6 + mathbits.TrailingZeros64(word))) {
 				return false
 			}
@@ -94,17 +80,26 @@ func EachInAll(m Meter, lists [][]int32, fn func(row int), bits ...*Bitset) {
 	m.Book(0, w.entries, w.words+driven)
 }
 
-// EachInAll is the kernel EachInAll over a view of its whole table, fn
-// getting each row as its own view position too, returning what the kernel
-// booked. The benchmark's layer reading of the kernel (bench/drillload)
-// calls it; the engine calls the kernel. It panics on a sub-view, which has
-// no containers of its own: copy it into a table first (View.Select).
+// EachInAll is the kernel EachInAll over a view of its whole table, an
+// adapter over Set: set i is bits[i] where that is given, and lists[i]
+// otherwise (bits is aligned with lists). fn gets each row as its own view
+// position too, and it returns what the kernel booked. The benchmark's layer reading of the kernel
+// (bench/drillload) calls it; the engine calls the kernel. It panics on a
+// sub-view, which has no containers of its own: copy it into a table first
+// (View.Select).
 func (v *View) EachInAll(lists [][]int32, fn func(pos, row int), bits ...*Bitset) (postingsRead, wordsRead int64) {
 	if v.rows != nil {
 		panic("table: View.EachInAll on a sub-view")
 	}
+	sets := make([]Set, len(lists))
+	for i, l := range lists {
+		sets[i].list = l
+		if i < len(bits) && bits[i] != nil {
+			sets[i] = Set{bits: bits[i]}
+		}
+	}
 	var read Tally
-	EachInAll(&read, lists, func(row int) { fn(row, row) }, bits...)
+	EachInAll(&read, sets, func(row int) { fn(row, row) })
 	return read.Entries, read.Words
 }
 
@@ -113,9 +108,9 @@ func (v *View) EachInAll(lists [][]int32, fn func(pos, row int), bits ...*Bitset
 // row left off, then in the bitsets.
 type walk struct {
 	fn     func(row int)
-	others [][]int32 // the non-driver sets without a bitset
+	others [][]int32 // the non-driver sets that are lists
 	offs   []int     // how far each of others has been read
-	probe  []*Bitset // the non-driver sets with one
+	probe  []*Bitset // the non-driver sets that are bitsets
 
 	entries, words int64 // read of others and of probe
 }

@@ -87,8 +87,8 @@ func TestPostingsLen(t *testing.T) {
 // TestEachInAll cross-checks the intersection walk against a naive
 // reference over random tables and rules — over the table's own containers,
 // or over those of a copy of a random sub-view (View.Select), the table a
-// search of that view reads — one to three posting lists, with and without
-// the index's bitsets to probe.
+// search of that view reads — one to three sets, as the index keeps them or
+// every one as a list.
 func TestEachInAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 200; trial++ {
@@ -134,17 +134,17 @@ func TestEachInAll(t *testing.T) {
 			tab = tab.ViewOf(rows).Select(new(Tally), nil)
 		}
 		ix := tab.Index()
-		var lists [][]int32
-		var bits []*Bitset
+		var sets []Set
 		for _, c := range r.InstantiatedColumns() {
-			lists = append(lists, ix.Postings(c, r[c]))
-			if !allGallop {
-				bits = append(bits, ix.Bitmap(c, r[c]))
+			s := ix.Container(c, r[c])
+			if allGallop {
+				s = Set{list: s.rows()}
 			}
+			sets = append(sets, s)
 		}
 
 		var got []int
-		EachInAll(new(Tally), lists, func(row int) { got = append(got, row) }, bits...)
+		EachInAll(new(Tally), sets, func(row int) { got = append(got, row) })
 
 		var want []int
 		for i := 0; i < tab.NumRows(); i++ {
@@ -174,23 +174,23 @@ func TestGallop(t *testing.T) {
 	}
 }
 
-// FuzzEachInAll drives the intersection walk with random ascending lists,
-// an arbitrary subset of them shadowed by bitsets, over the full universe
-// or over a copy of a sub-view of it: the rows keep drops numbered afresh,
-// the containers a search of that sub-view reads. Whatever is probed and
-// whatever is galloped, the walk must visit the rows — in order — that the
-// all-gallop walk and a naive set intersection do, and when every list has
-// a bitset it may read no more than one unit per driver entry per list.
-// The top bit of shadow hands the smallest set over the way the index hands
-// over a dense value — its bitset and no list — so that the walk takes the
-// driver's rows from set bits, not entries: the same visits, no entry read
-// for the driver, and no more words for it than reading it alone reads —
-// its span's, or its summary's and its non-zero words where those are fewer
-// (andWords) — which is never more than its span holds. The top bit of
-// nlists packs each list's rows into a random sub-range of the universe,
-// so that the spans of the bitsets nest, overlap in part or miss each
-// other; bit 0x40 packs them into runs of words with zero words between
-// them, so that the driver's summary marks part of its span.
+// FuzzEachInAll drives the intersection walk with random ascending row
+// sets, each passed as a list or as a bitset holding the same rows, over
+// the full universe or over a copy of a sub-view of it: the rows keep drops
+// numbered afresh, the containers a search of that sub-view reads. Bit i
+// of shadow passes set i as a bitset. Whatever mix of lists and bitsets it
+// gets — the shadow's, every set a list, every set a bitset — the walk
+// must visit exactly the rows, in order, of a naive set intersection, and
+// read no more than its driver (the smallest set, the first given of
+// equals) and one unit per driver row per other bitset, with every list
+// entry read at most once: a list driver an entry a row, a bitset driver
+// the words that reading it alone reads — its span's, or its summary's and
+// its non-zero words where those are fewer (andWords), never more than its
+// span holds. A walk over bitsets alone reads no entry. The top bit of
+// nlists packs each set's rows into a random sub-range of the universe, so
+// that the spans of the bitsets nest, overlap in part or miss each other;
+// bit 0x40 packs them into runs of words with zero words between them, so
+// that the driver's summary marks part of its span.
 func FuzzEachInAll(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(3), uint8(50), uint8(0xff), uint8(0))
 	f.Add(int64(2), uint16(64), uint8(1), uint8(100), uint8(1), uint8(2))
@@ -236,75 +236,65 @@ func FuzzEachInAll(f *testing.F) {
 			}
 			rows = kept
 		}
-		bits := make([]*Bitset, k)
-		shadowed := 0
-		for i := range lists {
-			if shadow&(1<<i) != 0 {
-				bits[i] = newBitsetFromSorted(lists[i], rows)
-				shadowed++
-			}
-		}
-
 		want := naiveIntersect(lists)
-		walk := func(lists [][]int32, bits []*Bitset) (got []int32, entries, words int64) {
-			var read Tally
-			EachInAll(&read, lists, func(row int) { got = append(got, int32(row)) }, bits...)
-			if read.Rows != 0 {
-				t.Fatalf("the walk booked %d rows", read.Rows)
-			}
-			return got, read.Entries, read.Words
-		}
 		smallest := 0
 		for i, l := range lists {
 			if len(l) < len(lists[smallest]) {
 				smallest = i
 			}
 		}
-		shortest := len(lists[smallest])
-		gallop, _, gallopWords := walk(lists, nil)
-		probed, entries, words := walk(lists, bits)
-		walks := map[string][]int32{"all-gallop": gallop, "probing": probed}
-		if shadow&0x80 != 0 {
-			denseLists, denseBits := slices.Clone(lists), slices.Clone(bits)
-			denseLists[smallest], denseBits[smallest] = nil, newBitsetFromSorted(lists[smallest], rows)
-			dense, denseEntries, denseWords := walk(denseLists, denseBits)
-			walks["dense-driver"] = dense
-			others := shadowed
-			if bits[smallest] != nil {
-				others--
-			}
-			driverWords, spanWords := andWords([][]int32{lists[smallest]})
-			if driverWords > spanWords {
-				t.Fatalf("the model reads the driver in %d words, more than the %d of its span", driverWords, spanWords)
-			}
-			if limit := driverWords + int64(shortest)*int64(others); denseWords > limit {
-				t.Fatalf("dense driver: read %d words, more than the %d of reading it alone and %d rows × %d other bitsets", denseWords, driverWords, shortest, others)
-			}
-			if k == 1 && denseWords != driverWords {
-				t.Fatalf("dense driver alone: read %d words, want the %d of reading it alone", denseWords, driverWords)
-			}
-			if others == k-1 && denseEntries != 0 {
-				t.Fatalf("dense driver, every other set a bitset, yet read %d entries", denseEntries)
-			}
+		shortest := int64(len(lists[smallest]))
+		driverWords, spanWords := andWords([][]int32{lists[smallest]})
+		if driverWords > spanWords {
+			t.Fatalf("the model reads the driver in %d words, more than the %d of its span", driverWords, spanWords)
 		}
-		if gallopWords != 0 {
-			t.Fatalf("all-gallop walk read %d bitset words", gallopWords)
-		}
-		if words > int64(shortest)*int64(k-1) {
-			t.Fatalf("probed %d words, more than %d driver entries × %d other lists", words, shortest, k-1)
-		}
-		if shadowed == k && entries+words > int64(shortest)*int64(k) {
-			t.Fatalf("every list has a bitset, yet read %d entries + %d words > %d × %d", entries, words, shortest, k)
-		}
-		for name, got := range walks {
-			if len(got) != len(want) {
-				t.Fatalf("%s walk visited %d rows, want %d (rows=%d k=%d shadow=%b keep=%d)", name, len(got), len(want), rows, k, shadow, keep)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s walk visit %d = %d, want %d", name, i, got[i], want[i])
+		// walk passes set i as a bitset where asBits(i), as a list otherwise.
+		walk := func(name string, asBits func(i int) bool) Tally {
+			sets := make([]Set, k)
+			var listEntries, probes int64 // entries of the non-driver lists, non-driver bitsets
+			for i, l := range lists {
+				switch {
+				case asBits(i):
+					sets[i].bits = newBitsetFromSorted(l, rows)
+					if i != smallest {
+						probes++
+					}
+				default:
+					sets[i].list = l
+					if i != smallest {
+						listEntries += int64(len(l))
+					}
 				}
 			}
+			var got []int32
+			var read Tally
+			EachInAll(&read, sets, func(row int) { got = append(got, int32(row)) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s walk visited %v, want %v (rows=%d k=%d shadow=%b keep=%d)", name, got, want, rows, k, shadow, keep)
+			}
+			driver := shortest // a list driver: an entry a row
+			if asBits(smallest) {
+				driver = 0
+				if limit := driverWords + shortest*probes; read.Words > limit || (k == 1 && read.Words != driverWords) {
+					t.Fatalf("%s walk, bitset driver: read %d words, want at most the %d of reading it alone and %d rows × %d other bitsets", name, read.Words, driverWords, shortest, probes)
+				}
+			} else if read.Words > shortest*probes {
+				t.Fatalf("%s walk, list driver: read %d words, more than %d rows × %d other bitsets", name, read.Words, shortest, probes)
+			}
+			if read.Entries < driver || read.Entries > driver+listEntries {
+				t.Fatalf("%s walk: read %d entries, want the driver's %d and at most the %d of the other lists", name, read.Entries, driver, listEntries)
+			}
+			if read.Rows != 0 {
+				t.Fatalf("%s walk booked %d rows", name, read.Rows)
+			}
+			return read
+		}
+		walk("shadowed", func(i int) bool { return shadow&(1<<i) != 0 })
+		if read := walk("all-list", func(int) bool { return false }); read.Words != 0 {
+			t.Fatalf("all-list walk read %d bitset words", read.Words)
+		}
+		if read := walk("all-bitset", func(int) bool { return true }); read.Entries != 0 {
+			t.Fatalf("all-bitset walk read %d entries", read.Entries)
 		}
 	})
 }
