@@ -124,12 +124,12 @@ bench-vet:
 # property layer under the race detector: fast path vs the brsref oracle
 # × worker counts on every arm-forcing view shape bit-identical — bitset AND,
 # the probing walk driven by a posting list and by a dense value's bitset
-# (Sum, and the copy of a sub-view under Count), scan — index containers
-# and accumulator merges raced; the residual bound held between every
-# super-rule's brute-force marginal and the paper's bound
-# (TestEquivalenceResidualBound); and one level up, every drill.Session
-# access path (TestEquivalenceDrillPaths) vs brsref on the rows it stands
-# for.
+# (Sum, and the copy of a sub-view under Count), Sum's row pass over
+# fractional masses — index containers and the workers' fan-out raced; the
+# residual bound held between every super-rule's brute-force marginal and
+# the paper's bound (TestEquivalenceResidualBound); and one level up, every
+# drill.Session access path (TestEquivalenceDrillPaths) vs brsref on the
+# rows it stands for.
 race-equivalence:
 	$(GO) test -race -run 'Equivalence|Parallel' ./internal/...
 

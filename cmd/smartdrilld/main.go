@@ -48,9 +48,9 @@
 //
 // -workers N is the number of goroutines one expansion's counting passes
 // fan out over, for sessions that do not ask for their own. The default 0
-// means every CPU when the session counts tuples and one goroutine when it
-// sums a measure (parallel float sums are not bit-identical to serial
-// ones); -workers 1 is serial for both.
+// means every CPU; -workers 1 is serial. No worker takes a share of
+// another's sum, so answers are the same at any value, Sum sessions
+// included.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM.
 package main
@@ -117,7 +117,7 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		demo         = flag.Bool("demo", false, "register the paper's department-store example as dataset \"store\"")
 		maxSessions  = flag.Int("max-sessions", 1024, "live session cap (LRU eviction beyond it)")
-		workers      = flag.Int("workers", 0, "default BRS worker goroutines per expansion (0 = every CPU for Count sessions, serial for Sum; 1 = serial)")
+		workers      = flag.Int("workers", 0, "default BRS worker goroutines per expansion (0 = every CPU; 1 = serial)")
 		k            = flag.Int("k", 3, "default rules per expansion")
 		streamBudget = flag.Duration("stream-budget", 5*time.Second, "default anytime budget for /drill/stream")
 		bgRefine     = flag.Bool("background-refine", true, "re-count provisional sampled drill results exactly in the background")

@@ -35,15 +35,16 @@
 //     1978). The rest stay stale: they cannot win the step, and serve as
 //     parents and as looser, still sound, sub-rule bounds.
 //
-//   - Postings-driven counting: a per-level cost model routes coverage
-//     walks to intersections of the table's posting lists (the base's
-//     expansion under Count is just posting lengths, or the masses beside
-//     them on a weighted table) instead of row scans. A search reads a
-//     whole table and its index: any other view is copied into one before
-//     the search starts. On every
-//     route the walk that discovers a parent's extensions also counts
-//     them, so a candidate that survives pruning in the step its parent
-//     was expanded in is never intersected on its own; and an index walk
+//   - Index-driven counting: every expansion, count, refresh and topW
+//     raise walks a candidate's coverage as an intersection of the
+//     table's index containers, by the kernel a per-candidate cost model
+//     picks. The base's expansion is the one exception: under Count it is
+//     the index's posting lengths, or the masses beside them on a weighted
+//     table, and under Sum one pass over the rows. A search reads a whole
+//     table and its index: any other view is copied into one before the
+//     search starts. The walk that discovers a parent's extensions also
+//     counts them, so a candidate that survives pruning in the step its
+//     parent was expanded in is never intersected on its own; and a walk
 //     keeps the rows it visits as its candidate's cover, so a later count
 //     or walk of that candidate reads that cover alone, and one of a child
 //     holding no cover intersects two containers, the parent's cover and
@@ -110,15 +111,13 @@ type Options struct {
 	// comparison — but Stats.SampledRowsScanned records the sample rows the
 	// search read. 0 or 1 means the view is exact.
 	SampleScale float64
-	// Workers sets the number of goroutines used for table passes. 0 (the
-	// default) saturates the hardware: runtime.NumCPU() workers under the
-	// Count aggregate, serial otherwise (auto-parallelism is only applied
-	// where bit-identity to the serial path is guaranteed — Count
-	// accumulators stay integral; Sum callers opt in explicitly and accept
-	// last-ulp float reordering). 1 runs serially. Every pass splits rows
-	// (or candidates) into one contiguous chunk per worker with private
-	// accumulators merged in worker order at the pass boundary, so results
-	// never depend on goroutine scheduling.
+	// Workers sets the number of goroutines a pass fans out to. 0 (the
+	// default) saturates the hardware, runtime.NumCPU() workers; 1 runs
+	// serially. A worker takes whole candidates (an index pass) or whole
+	// columns (Sum's level-1 row pass), never a share of one sum, so every
+	// accumulator sums its rows in row order and results — Count or Sum,
+	// fractional masses included — and Stats are bit-identical at any
+	// worker count.
 	Workers int
 	// MinGainRatio (used by RunIncremental only) stops the stream once a
 	// rule's marginal value at selection — its Weight·MCount, up to the
@@ -163,11 +162,11 @@ type Result struct {
 // before the walk — and are not counted: a smaller number means fewer
 // coverage walks, not weaker pruning.
 type Stats struct {
-	Passes            int   `json:"passes"`             // row-scan passes across all greedy steps
+	Passes            int   `json:"passes"`             // row passes: a sub-view's copy, and Sum's level 1
 	CandidatesCounted int   `json:"candidates_counted"` // rules whose aggregate mass was measured
 	CandidatesPruned  int   `json:"candidates_pruned"`  // rules generated, then dropped by the upper-bound test
 	CandidatesReused  int   `json:"candidates_reused"`  // counted rules served from the cross-step cache
-	RowsScanned       int64 `json:"rows_scanned"`       // total row visits by scan passes
+	RowsScanned       int64 `json:"rows_scanned"`       // total row visits by row passes
 	PostingsRead      int64 `json:"postings_read"`      // posting entries read by index-driven counting
 	BitmapWordsRead   int64 `json:"bitmap_words_read"`  // packed bitset words read by the bitmap kernel
 	IndexLevels       int   `json:"index_levels"`       // counting/generation/maintenance steps answered from the index
@@ -241,10 +240,11 @@ func Run(v *table.View, w weight.Weighter, opts Options) ([]Result, Stats, error
 }
 
 // RunCtx is Run under a cancellation context: the greedy search checks ctx
-// between counting passes and inside them — every pollStride rows of a row
-// pass, every candidate of an index pass — and aborts with ctx's error (and
-// the statistics of the work already done) when it fires, so an abandoned
-// interactive request stops paying for table reads within a stride.
+// between counting passes and inside them — every candidate of an index
+// pass, every pollStride rows of the row pass — and aborts with ctx's
+// error (and the statistics of the work already done) when it fires, so an
+// abandoned interactive request stops paying for table reads within a
+// stride.
 func RunCtx(ctx context.Context, v *table.View, w weight.Weighter, opts Options) ([]Result, Stats, error) {
 	if opts.K <= 0 {
 		return nil, Stats{}, fmt.Errorf("brs: K must be positive, got %d", opts.K)
@@ -353,10 +353,7 @@ func newRunner(v *table.View, w weight.Weighter, opts Options) (*runner, error) 
 	if tab != v.Table() {
 		run.stats.Passes++
 	}
-	run.tab = tab
-	if indexRoutes {
-		run.ix = tab.Index()
-	}
+	run.tab, run.ix = tab, tab.Index()
 	run.baseMask = base.Mask()
 	run.freeCols = run.freeColumns()
 	_, run.countAgg = agg.(score.CountAgg)
@@ -398,7 +395,7 @@ func displayOrder(rs []Result) {
 // are level 1.
 type runner struct {
 	tab      *table.Table // the table searched: the view's, or a copy of its rows
-	ix       *table.Index // tab's inverted index; nil where a test turned indexRoutes off
+	ix       *table.Index // tab's inverted index, built by its first read
 	w        weight.Weighter
 	agg      score.Aggregator
 	countAgg bool // agg is the plain Count aggregate
@@ -423,18 +420,17 @@ type runner struct {
 
 	// ctx cancels the search between and inside counting passes; ctxErr
 	// latches the context's error once observed so every later check is a
-	// field read. Workers poll ctx but never write ctxErr: polled latches
-	// what they saw after they return.
+	// field read. Workers poll ctx but never write ctxErr: their pass
+	// latches what they saw after they return.
 	ctx    context.Context
 	ctxErr error
 }
 
 // canceled reports (and latches) whether the run's context has fired. The
 // greedy loops consult it at pass boundaries, and a pass its workers cut
-// short latches the error before it returns. A cut pass leaves topW,
-// counts and covers half done, so a runner whose context fired is
-// discarded: greedy returns the error and never yields the rule of a step
-// that saw it.
+// short latches the error before it returns. A cut pass leaves counts and
+// covers half done, so a runner whose context fired is discarded: greedy
+// returns the error and never yields the rule of a step that saw it.
 func (rn *runner) canceled() bool {
 	if rn.ctxErr == nil {
 		rn.ctxErr = rn.fired()
@@ -457,18 +453,6 @@ func (rn *runner) fired() error {
 		return nil
 	}
 	return rn.ctx.Err()
-}
-
-// coversFree reports whether r covers row, checking only the base's free
-// columns — valid because every row of rn.tab covers rn.base and every rule
-// tested derives from it.
-func (rn *runner) coversFree(r rule.Rule, row int) bool {
-	for _, c := range rn.freeCols {
-		if v := r[c]; v != rule.Star && rn.tab.Value(c, row) != v {
-			return false
-		}
-	}
-	return true
 }
 
 // cand is one candidate rule with accumulated statistics and cross-step
@@ -581,8 +565,8 @@ func (rn *runner) findBestMarginal() *cand {
 	// the previous level's candidates whose own bound reaches H, prune
 	// uncounted ones by upper bound, count the survivors. Level 1, every
 	// single-extension rule base+(c,v), is the base's expansion in step 1
-	// (one pass, or the index's masses), reused by later steps; its rules
-	// have no counted sub-rule, so none is pruned.
+	// (the index's masses, or under Sum one row pass), reused by later
+	// steps; its rules have no counted sub-rule, so none is pruned.
 	prev := []*cand{rn.root}
 	for level := 1; level <= len(rn.freeCols); level++ {
 		if rn.canceled() {
@@ -644,58 +628,36 @@ func (rn *runner) applySelection(best *cand) {
 }
 
 // raiseTopW lifts topW to each not yet applied selection's weight over
-// that rule's coverage — one walk of the coverage by the index, or one row
-// scan when that is cheaper. A scan cut short by cancellation leaves topW
-// half raised, which is why a runner whose context fired is discarded.
+// that rule's coverage, one walk of it.
 //
 // Where sums are exact the raise also keeps level 1's residual bounds
 // current: every row whose topW rises takes (new − old)·mass from the R of
 // the level-1 rule of its value in each free column, a subtraction that
 // needs no row the raise does not already visit (see levelOneClaims).
 func (rn *runner) raiseTopW() {
-	n := rn.tab.NumRows()
 	for ; rn.raised < len(rn.selected) && rn.ctxErr == nil; rn.raised++ {
 		if rn.topW == nil {
-			rn.topW = make([]float64, n)
+			rn.topW = make([]float64, rn.tab.NumRows())
 		}
 		topW, sel := rn.topW, rn.selected[rn.raised]
 		rn.claimed = max(rn.claimed, sel.weight)
 		claims := rn.levelOneClaims()
-		// raise lifts row, books what it claims into accs, and returns the
-		// cells that booked.
-		raise := func(accs []extAcc, row int) int64 {
+		rn.walk(sel, rn.planCand(sel), &rn.stats, func(row int) {
 			old := topW[row]
 			if old >= sel.weight {
-				return 0
+				return
 			}
 			topW[row] = sel.weight
-			if len(accs) == 0 {
-				return 0
+			if len(claims) == 0 {
+				return
 			}
 			claim := (sel.weight - old) * rn.mass(row)
-			for a := range accs {
-				accs[a].cnt[rn.tab.Value(accs[a].col, row)] += claim
+			for a := range claims {
+				claims[a].cnt[rn.tab.Value(claims[a].col, row)] += claim
 			}
-			return int64(len(accs))
-		}
-		if plan, ok := rn.planPostingsOne(sel); ok {
-			rn.walk(sel, plan, &rn.stats, func(row int) { rn.stats.CellsBooked += raise(claims, row) })
-			rn.stats.IndexLevels++
-		} else {
-			nw := rn.rowWorkers(n)
-			perWorker, cells := make([][]extAcc, nw), make([]int64, nw)
-			perWorker[0] = claims
-			for g := 1; g < nw; g++ {
-				perWorker[g] = blankCopy(claims)
-			}
-			rn.scan([]*cand{sel}, nw, func(g, _, row int) { cells[g] += raise(perWorker[g], row) })
-			for g := range perWorker {
-				if g > 0 {
-					mergeAccs(claims, perWorker[g])
-				}
-				rn.stats.CellsBooked += cells[g]
-			}
-		}
+			rn.stats.CellsBooked += int64(len(claims))
+		})
+		rn.stats.IndexLevels++
 		rn.lowerLevelOne(claims)
 	}
 }
@@ -726,9 +688,6 @@ func (rn *runner) levelOneClaims() []extAcc {
 // each level-1 rule it claimed from — R against no selection, mw·Count,
 // where no later step has measured it.
 func (rn *runner) lowerLevelOne(claims []extAcc) {
-	if rn.ctxErr != nil {
-		return // a cut pass: some rows were never claimed
-	}
 	for a := range claims {
 		acc := &claims[a]
 		for val, claim := range acc.cnt {
@@ -747,34 +706,27 @@ func (rn *runner) lowerLevelOne(claims []extAcc) {
 	}
 }
 
-// refreshBatch is how many stale candidates one refresh plans together:
-// enough to amortise a pass that scans the table, few enough that the pass
-// which overshoots the winner wastes little.
-const refreshBatch = 32
-
-// refreshRound is how many of a batch the index route re-measures at a
+// refreshRound is how many stale candidates a refresh re-measures at a
 // time before it compares the best fresh marginal with the next stale one:
-// its walks cost by the candidate, not by the pass, so the rest of a batch
-// past the winner is never walked. It is fixed, never a function of
-// Workers, so that what a refresh reads is the same at any worker count.
+// its walks cost by the candidate, so what is past the winner is never
+// walked. It is fixed, never a function of Workers, so that what a refresh
+// reads is the same at any worker count.
 const refreshRound = 4
 
 // refreshStale opens steps 2..K. Every cached marginal was measured
 // against a smaller selection and can only have fallen since, so cached
 // candidates are re-measured — reset and recounted in ascending row order
 // by the counting kernels, as a first count sums them — in descending
-// order of their stale marginal, until the best fresh marginal matches or
-// beats every stale one left: a batch of refreshBatch at a time, planned
-// together, and counted whole where the plan scans the table, in rounds of
-// refreshRound where it walks the index. It continues through equality so
-// that each candidate tied for the maximum is fresh and the level-then-key
-// tie-break of findBestMarginal sees them all — which is also why it does
-// not matter that candidates of equal stale marginal stand here in merge
-// order, and a round or batch boundary may fall between any two of them:
-// the loop ends only past the last one that could tie. A candidate whose
-// stale marginal is not positive can never be selected and is left alone.
-// The best fresh marginal (−Inf when nothing was refreshed) is returned as
-// the step's opening threshold H.
+// order of their stale marginal, in rounds of refreshRound, until the best
+// fresh marginal matches or beats every stale one left. It continues
+// through equality so that each candidate tied for the maximum is fresh
+// and the level-then-key tie-break of findBestMarginal sees them all —
+// which is also why it does not matter that candidates of equal stale
+// marginal stand here in merge order, and a round boundary may fall
+// between any two of them: the loop ends only past the last one that
+// could tie. A candidate whose stale marginal is not positive can never be
+// selected and is left alone. The best fresh marginal (−Inf when nothing
+// was refreshed) is returned as the step's opening threshold H.
 func (rn *runner) refreshStale() float64 {
 	best := math.Inf(-1)
 	if len(rn.selected) == 0 {
@@ -800,39 +752,23 @@ func (rn *runner) refreshStale() float64 {
 		return cmp.Compare(a.at, b.at)
 	})
 	step := rn.step()
-	buf := make([]*cand, 0, refreshBatch)
-	var batch []*cand // what is left of the planned batch, in order's order
-	var plans []candPlan
-	round := 0
+	round, plans := make([]*cand, 0, refreshRound), make([]candPlan, 0, refreshRound)
 	for len(order) > 0 && order[0].marginal >= best {
-		if len(batch) == 0 {
-			if rn.canceled() {
-				break
-			}
-			batch = buf[:0]
-			for _, r := range order[:min(refreshBatch, len(order))] {
-				batch = append(batch, rn.store.counted[r.at])
-			}
-			plans = rn.planIndex(batch)
-			round = len(batch)
-			if plans != nil {
-				round = refreshRound
-			}
-		} else if rn.ctxErr != nil {
-			break
+		if rn.ctxErr != nil {
+			break // a cut round: indexPass polls before every walk
 		}
-		cands := batch[:min(round, len(batch))]
-		var cp []candPlan
-		if plans != nil {
-			cp, plans = plans[:len(cands)], plans[len(cands):]
+		round, plans = round[:0], plans[:0]
+		for _, r := range order[:min(refreshRound, len(order))] {
+			c := rn.store.counted[r.at]
+			round, plans = append(round, c), append(plans, rn.planCand(c))
 		}
-		rn.countCandidates(cands, cp)
-		rn.stats.CandidatesCounted += len(cands)
-		for _, c := range cands {
+		rn.countCandidates(round, plans)
+		rn.stats.CandidatesCounted += len(round)
+		for _, c := range round {
 			c.asOf = step
 			best = max(best, c.marginal)
 		}
-		batch, order = batch[len(cands):], order[len(cands):]
+		order = order[len(round):]
 	}
 	return best
 }
@@ -859,26 +795,6 @@ type extAcc struct {
 	mv     []float64 // marginal per value; nil while nothing is selected (it is weight·cnt)
 	r      []float64 // R per value; nil where it is the paper's bound (see tracksResidual)
 	hit    []bool    // some covered row holds the value; nil where cnt ≠ 0 says so
-}
-
-// blankCopy returns accumulators shaped like accs — same columns, the same
-// arrays present — and zeroed: one more worker's private set.
-func blankCopy(accs []extAcc) []extAcc {
-	cp := make([]extAcc, len(accs))
-	for i := range accs {
-		like := &accs[i]
-		cp[i] = extAcc{col: like.col, weight: like.weight, cnt: make([]float64, len(like.cnt))}
-		if like.mv != nil {
-			cp[i].mv = make([]float64, len(like.mv))
-		}
-		if like.r != nil {
-			cp[i].r = make([]float64, len(like.r))
-		}
-		if like.hit != nil {
-			cp[i].hit = make([]bool, len(like.hit))
-		}
-	}
-	return cp
 }
 
 // add books one covered row holding value val: its mass, its marginal
@@ -927,30 +843,6 @@ func (a *extAcc) residual(val int, mw float64) float64 {
 	return math.Inf(1)
 }
 
-// mergeAccs folds another worker's copy into accs.
-func mergeAccs(accs, other []extAcc) {
-	for i := range accs {
-		a, o := &accs[i], &other[i]
-		for v, x := range o.cnt {
-			a.cnt[v] += x
-		}
-		for v, x := range o.mv {
-			a.mv[v] += x
-		}
-		for v, x := range o.r {
-			a.r[v] += x
-		}
-		for v, ok := range o.hit {
-			if ok {
-				a.hit[v] = true
-			}
-		}
-	}
-}
-
-// bytes is the memory of one copy of a's arrays.
-func (a *extAcc) bytes() int { return 8*len(a.cnt) + 8*len(a.mv) + 8*len(a.r) + len(a.hit) }
-
 // mass is the aggregate mass of row.
 func (rn *runner) mass(row int) float64 {
 	if rn.unitMass {
@@ -991,79 +883,6 @@ func (rn *runner) bookRow(accs []extAcc, row int) int64 {
 		accs[a].add(rn.tab.Value(accs[a].col, row), mass, tw, resid)
 	}
 	return int64(len(accs))
-}
-
-// candIndex buckets candidate rules by the value they require in one
-// chosen anchor column (their first instantiated non-base column). During a
-// table pass, only the candidates whose anchor value matches the row are
-// checked for full coverage — turning the O(rows × candidates) inner loop
-// into O(rows × anchor-matches).
-type candIndex struct {
-	cols  []int     // anchor columns in use
-	byVal [][][]int // byVal[ci][valueID] = positions of candidates anchored at (cols[ci], valueID)
-	every []int     // positions of candidates with no anchor: the base, which covers every row
-}
-
-// buildCandIndex indexes cands by anchor column/value. Anchor choice: the
-// first instantiated column that the base leaves free (every candidate but
-// the base has one).
-func (rn *runner) buildCandIndex(cands []*cand) candIndex {
-	var idx candIndex
-	slot := make(map[int]int) // column → position in idx.cols
-	for pos, c := range cands {
-		anchor := -1
-		for _, col := range rn.freeCols {
-			if c.r[col] != rule.Star {
-				anchor = col
-				break
-			}
-		}
-		if anchor < 0 {
-			idx.every = append(idx.every, pos)
-			continue
-		}
-		ci, ok := slot[anchor]
-		if !ok {
-			ci = len(idx.cols)
-			slot[anchor] = ci
-			idx.cols = append(idx.cols, anchor)
-			idx.byVal = append(idx.byVal, make([][]int, rn.tab.DistinctCount(anchor)))
-		}
-		v := c.r[anchor]
-		idx.byVal[ci][v] = append(idx.byVal[ci][v], pos)
-	}
-	return idx
-}
-
-// scan is the anchored row pass (rowPass): one visit of each row, in nw
-// worker chunks (rowWorkers, or 1), testing only the candidates whose
-// anchor value the row holds (see candIndex) and visiting an anchorless
-// one, the base, on every row. visit(g, i, row) gets, from worker g, each
-// candidate cands[i] that covers row — ascending within a chunk.
-func (rn *runner) scan(cands []*cand, nw int, visit func(g, i, row int)) {
-	idx := rn.buildCandIndex(cands)
-	rn.rowPass(nw, func(lo, hi, g int) {
-		for row := lo; row < hi; row++ {
-			for _, i := range idx.every {
-				visit(g, i, row)
-			}
-			for ci, col := range idx.cols {
-				for _, i := range idx.byVal[ci][rn.tab.Value(col, row)] {
-					if rn.coversFree(cands[i].r, row) {
-						visit(g, i, row)
-					}
-				}
-			}
-		}
-	})
-}
-
-// rowPass is one pass over the table's rows in nw worker chunks: fn(lo,
-// hi, g) reads rows [lo, hi) for worker g, at most pollStride of them a
-// call (polled). It books one pass and the rows its workers read.
-func (rn *runner) rowPass(nw int, fn func(lo, hi, g int)) {
-	rn.stats.Book(rn.polled(rn.tab.NumRows(), nw, pollStride, fn), 0, 0)
-	rn.stats.Passes++
 }
 
 // generateCandidates builds the next level: every one-column extension of
@@ -1124,13 +943,13 @@ func (rn *runner) generateCandidates(prev []*cand, H float64) []*cand {
 	return next
 }
 
-// expandParents discovers, in one pass, every supported one-column
-// extension of the given parents and caches them as the parents' children,
-// registering new candidates in the store — and counts them where it finds
-// them. The walk over a parent's coverage visits exactly the rows its
-// extensions cover, ascending like every counting kernel, so each
-// extension's mass and marginal accumulate per (parent, star column, value)
-// bit-identical to a count of its own.
+// expandParents discovers every supported one-column extension of the
+// given parents and caches them as the parents' children, registering new
+// candidates in the store — and counts them where it finds them. The walk
+// over a parent's coverage visits exactly the rows its extensions cover,
+// ascending like every counting kernel, so each extension's mass and
+// marginal accumulate per (parent, star column, value) bit-identical to a
+// count of its own.
 //
 // The pass is allocation-light: phase 1 fills one value-indexed accumulator
 // per (parent, star column); phase 2 materializes each distinct extension
@@ -1138,8 +957,8 @@ func (rn *runner) generateCandidates(prev []*cand, H float64) []*cand {
 // has never seen.
 //
 // The base, level 0, is expanded alone, in step 1. Its coverage is the
-// whole table, so a scan visits it on every row, and under Count the
-// index's masses are its extensions' counts, no row read.
+// whole table: under Count the index's masses are its extensions' counts,
+// no row read; under Sum one pass over the rows sums them (rowPass).
 func (rn *runner) expandParents(parents []*cand) {
 	tab := rn.tab
 
@@ -1147,7 +966,6 @@ func (rn *runner) expandParents(parents []*cand) {
 	// whose extensions stay within mw (weights are monotone, so a column
 	// over the cap has no admissible extension at any depth).
 	accs := make([][]extAcc, len(parents))
-	accBytes := 0
 	for p, c := range parents {
 		for _, col := range rn.freeCols {
 			if c.r[col] != rule.Star {
@@ -1173,7 +991,6 @@ func (rn *runner) expandParents(parents []*cand) {
 				// so the base's accumulators keep none.
 				acc.hit = make([]bool, dc)
 			}
-			accBytes += acc.bytes()
 			accs[p] = append(accs[p], acc)
 		}
 	}
@@ -1182,11 +999,11 @@ func (rn *runner) expandParents(parents []*cand) {
 	case len(accs[0]) == 0:
 		rn.root.expanded = true // no column within mw: nothing to read
 		return
-	case rn.countAgg && rn.ix != nil:
+	case rn.countAgg:
 		// Count(base+(c,v)) over the whole table is the mass of (c,v)'s rows
 		// (table.Index.Mass — the posting list's length on an unweighted
 		// table, its multiplicities summed on a weighted one, an integer
-		// either way, so the float is the one a scan would sum).
+		// either way, so the float is the one a sum over the rows gives).
 		for a := range accs[0] {
 			acc := &accs[0][a]
 			for val := range acc.cnt {
@@ -1196,75 +1013,49 @@ func (rn *runner) expandParents(parents []*cand) {
 		rn.stats.IndexLevels++
 		rn.materializeChildren(parents, accs)
 		return
-	}
-	if plans := rn.planIndex(parents); plans != nil {
-		// Index route: walk each parent's own coverage. Workers take whole
-		// parents, and each parent's walk writes only that parent's
-		// accumulators and cover, in ascending row order, so nothing is
-		// shared, no merge is needed, and the sums equal the scan route's.
-		reserved := rn.reserveCovers(parents, plans, accs)
-		// Each indexPass worker's keeper of the rows a walk keeps.
-		kept := make([]table.Keeper, rn.rowWorkers(len(parents)))
-		rn.indexPass(len(parents), func(g, p int, st *Stats) {
-			mine, c := accs[p], parents[p]
-			if reserved[p] == 0 {
-				rn.walk(c, plans[p], st, func(row int) { st.CellsBooked += rn.bookRow(mine, row) })
-				return
-			}
-			// Only a walk that keeps its rows pays to collect them.
-			k := &kept[g]
-			k.Start(tab.NumRows())
-			rn.walk(c, plans[p], st, func(row int) {
-				st.CellsBooked += rn.bookRow(mine, row)
-				k.Add(row)
-			})
-			cover := k.Keep(reserved[p])
-			c.cover = &cover
-		})
+	default:
+		rn.rowPass(accs[0])
 		if rn.ctxErr != nil {
-			return // a cut pass: some parents were never walked
-		}
-		for p, c := range parents {
-			if reserved[p] > 0 {
-				rn.coverLeft += reserved[p] - c.cover.Bytes()
-			}
+			return // a cut pass: some rows were never booked
 		}
 		rn.materializeChildren(parents, accs)
 		return
 	}
-	// Scan route: one accumulator set per worker, merged in worker order
-	// after the pass — but only while the extra copies stay modest.
-	nw := rn.rowWorkers(tab.NumRows())
-	const parallelAccCap = 64 << 20 // bytes
-	if nw > 1 && accBytes*(nw-1) > parallelAccCap {
-		nw = 1
-	}
-	perWorker := make([][][]extAcc, nw)
-	perWorker[0] = accs
-	for g := 1; g < nw; g++ {
-		perWorker[g] = make([][]extAcc, len(accs))
-		for p := range accs {
-			perWorker[g][p] = blankCopy(accs[p])
+	// Walk each parent's own coverage. Workers take whole parents, and each
+	// parent's walk writes only that parent's accumulators and cover, in
+	// ascending row order, so nothing is shared and no merge is needed.
+	plans := rn.planIndex(parents)
+	reserved := rn.reserveCovers(parents, plans, accs)
+	// Each indexPass worker's keeper of the rows a walk keeps.
+	kept := make([]table.Keeper, rn.passWorkers(len(parents)))
+	rn.indexPass(len(parents), func(g, p int, st *Stats) {
+		mine, c := accs[p], parents[p]
+		if reserved[p] == 0 {
+			rn.walk(c, plans[p], st, func(row int) { st.CellsBooked += rn.bookRow(mine, row) })
+			return
 		}
-	}
-	cells := make([]int64, nw)
-	rn.scan(parents, nw, func(g, p, row int) { cells[g] += rn.bookRow(perWorker[g][p], row) })
+		// Only a walk that keeps its rows pays to collect them.
+		k := &kept[g]
+		k.Start(tab.NumRows())
+		rn.walk(c, plans[p], st, func(row int) {
+			st.CellsBooked += rn.bookRow(mine, row)
+			k.Add(row)
+		})
+		cover := k.Keep(reserved[p])
+		c.cover = &cover
+	})
 	if rn.ctxErr != nil {
-		return // a cut pass: some rows were never booked
+		return // a cut pass: some parents were never walked
 	}
-	for g := range perWorker {
-		if g > 0 {
-			for p := range accs {
-				mergeAccs(accs[p], perWorker[g][p])
-			}
+	for p, c := range parents {
+		if reserved[p] > 0 {
+			rn.coverLeft += reserved[p] - c.cover.Bytes()
 		}
-		rn.stats.CellsBooked += cells[g]
 	}
 	rn.materializeChildren(parents, accs)
 }
 
-// materializeChildren is expandParents' phase 2, shared by the scan and
-// index routes: resolve each distinct extension the walk saw to its
+// materializeChildren is expandParents' phase 2: resolve each distinct extension the walk saw to its
 // (possibly already-registered) candidate, cache it on the parent, and hand
 // a not yet counted one the mass and marginal the walk measured — if it
 // survives this step's bound test it is counted without a read of its own.
@@ -1374,61 +1165,26 @@ func (rn *runner) upperBound(c *cand) float64 {
 }
 
 // countCandidates measures count, marginal value and R for each candidate
-// against the selection so far, from zero: by plans — each candidate
-// walked by its own kernel, candidates fanned out across workers — or,
-// where plans is nil, in one scan. Either way a candidate's rows reach it
-// ascending, so its sums are bit-identical on every route and at any
-// worker count. It runs from step 2 on: every candidate of step 1 is
-// measured by the walk that creates it.
+// against the selection so far, from zero, each candidate walked by the
+// kernel its plan names and candidates fanned out across workers. A
+// candidate's rows reach it ascending, so its sums are bit-identical on
+// every kernel and at any worker count. It runs from step 2 on: every
+// candidate of step 1 is measured by the walk that creates it.
 func (rn *runner) countCandidates(cands []*cand, plans []candPlan) {
 	topW := rn.topW
-	for _, c := range cands {
+	rn.indexPass(len(cands), func(_, i int, st *Stats) {
+		c := cands[i]
 		c.count, c.marginal, c.resid = 0, 0, 0
-	}
-	if plans != nil {
-		rn.indexPass(len(cands), func(_, i int, st *Stats) {
-			c := cands[i]
-			rn.walk(c, plans[i], st, func(row int) {
-				mass, tw := rn.mass(row), topW[row]
-				c.count += mass
-				if c.weight > tw {
-					c.marginal += (c.weight - tw) * mass
-				}
-				c.resid += rn.residual(mass, tw)
-				st.CellsBooked++
-			})
+		rn.walk(c, plans[i], st, func(row int) {
+			mass, tw := rn.mass(row), topW[row]
+			c.count += mass
+			if c.weight > tw {
+				c.marginal += (c.weight - tw) * mass
+			}
+			c.resid += rn.residual(mass, tw)
+			st.CellsBooked++
 		})
-		return
-	}
-	// Per-worker accumulators indexed by candidate, merged in worker order
-	// after the pass.
-	nw := rn.rowWorkers(rn.tab.NumRows())
-	cnt := make([][]float64, nw)
-	mv := make([][]float64, nw)
-	r := make([][]float64, nw)
-	cells := make([]int64, nw)
-	for g := range cnt {
-		cnt[g] = make([]float64, len(cands))
-		mv[g] = make([]float64, len(cands))
-		r[g] = make([]float64, len(cands))
-	}
-	rn.scan(cands, nw, func(g, i, row int) {
-		mass, tw := rn.mass(row), topW[row]
-		cnt[g][i] += mass
-		if cands[i].weight > tw {
-			mv[g][i] += (cands[i].weight - tw) * mass
-		}
-		r[g][i] += rn.residual(mass, tw)
-		cells[g]++
 	})
-	for g := range cnt {
-		for i, c := range cands {
-			c.count += cnt[g][i]
-			c.marginal += mv[g][i]
-			c.resid += r[g][i]
-		}
-		rn.stats.CellsBooked += cells[g]
-	}
 }
 
 // finalStats snapshots the run's statistics, attributing scanned rows to

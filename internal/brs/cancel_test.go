@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"smartdrill/internal/datagen"
-	"smartdrill/internal/rule"
+	"smartdrill/internal/score"
 	"smartdrill/internal/table"
 	"smartdrill/internal/weight"
 )
@@ -38,8 +38,8 @@ func (c *firesAt) Err() error {
 func (c *firesAt) fired() bool { return c.calls.Load() >= c.n }
 
 // oneValueRunner is a runner over n rows that all hold the one value of
-// the one column, whose level-1 rule therefore covers every row.
-func oneValueRunner(t *testing.T, n, workers int) (*runner, *cand) {
+// the one column.
+func oneValueRunner(t *testing.T, n, workers int) *runner {
 	t.Helper()
 	b := table.MustBuilder([]string{"A"}, nil)
 	for i := 0; i < n; i++ {
@@ -50,47 +50,88 @@ func oneValueRunner(t *testing.T, n, workers int) (*runner, *cand) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rn, &cand{r: rule.Rule{0}}
+	return rn
 }
 
-// TestCancelInsideScan: a row pass polls its context every pollStride rows
-// a worker. A worker that has polled reads at most one stride more, the
-// one that sees the poll fire reads nothing more, the pass latches the
-// error, and it books exactly the rows its workers read.
+// watchedMass is a Sum whose every row weighs 1 and that counts the masses
+// read after ctx's firing poll.
+type watchedMass struct {
+	ctx  *firesAt
+	late *atomic.Int64
+}
+
+func (m watchedMass) Mass(*table.Table, int) float64 {
+	if m.ctx.fired() {
+		m.late.Add(1)
+	}
+	return 1
+}
+
+func (watchedMass) Name() string { return "Watched" }
+
+// rowMass is a Sum of fractional masses that follow the row number.
+type rowMass struct{}
+
+func (rowMass) Mass(_ *table.Table, i int) float64 { return 1 + float64(i%7)/4 }
+func (rowMass) Name() string                       { return "RowMass" }
+
+// TestCancelInsideScan: the row pass, Sum's level 1, gives each worker
+// whole columns and polls its context after every pollStride rows a
+// worker. A worker that has polled reads at most one stride more, the one
+// that sees the poll fire reads nothing more, the pass latches the error,
+// and it books one pass and the rows of the worker that read furthest.
 func TestCancelInsideScan(t *testing.T) {
-	const n = 5*pollStride + 100
+	const n, cols = 5*pollStride + 100, 8
+	names := make([]string, cols)
+	for c := range names {
+		names[c] = fmt.Sprint("C", c)
+	}
+	b := table.MustBuilder(names, nil)
+	row := make([]string, cols)
+	for i := 0; i < n; i++ {
+		for c := range row {
+			row[c] = fmt.Sprint(i % (c + 2))
+		}
+		b.MustAddRow(row)
+	}
+	tab := b.Build()
 	for _, workers := range []int{1, 2, 8} {
 		for _, fireAt := range []int64{1, 2, 3, 4} {
 			label := fmt.Sprintf("workers=%d fire at poll %d", workers, fireAt)
-			rn, c := oneValueRunner(t, n, workers)
-			ctx := newFiresAt(fireAt)
+			ctx, late := newFiresAt(fireAt), new(atomic.Int64)
+			rn, err := newRunner(tab.All(), weight.NewSize(cols), Options{Workers: workers, Agg: watchedMass{ctx, late}})
+			if err != nil {
+				t.Fatal(err)
+			}
 			rn.ctx = ctx
-			nw := rn.rowWorkers(n)
-			visited, late := make([]int64, nw), make([]int64, nw)
-			rn.scan([]*cand{c}, nw, func(g, _, _ int) {
-				visited[g]++
-				if ctx.fired() {
-					late[g]++
-				}
-			})
+			accs := make([]extAcc, cols)
+			for c := range accs {
+				accs[c] = extAcc{col: c, cnt: make([]float64, tab.DistinctCount(c))}
+			}
+			rn.rowPass(accs)
 			if !errors.Is(rn.ctxErr, context.Canceled) {
 				t.Fatalf("%s: the cut pass left ctxErr %v", label, rn.ctxErr)
 			}
-			var read int64
-			for g := range visited {
-				read += visited[g]
-				if late[g] > pollStride {
-					t.Errorf("%s: worker %d read %d rows after the firing poll, more than a stride", label, g, late[g])
+			// Each column's masses sum to the rows its worker read.
+			var furthest int64
+			for _, acc := range accs {
+				read := int64(0)
+				for _, m := range acc.cnt {
+					read += int64(m)
 				}
+				if read >= n || read%pollStride != 0 {
+					t.Errorf("%s: column %d read %d rows, want whole strides short of %d", label, acc.col, read, n)
+				}
+				furthest = max(furthest, read)
 			}
-			if rn.stats.RowsScanned != read || rn.stats.Passes != 1 {
-				t.Errorf("%s: booked %+v for %d rows read", label, rn.stats, read)
+			if nw := min(workers, cols); late.Load() > int64(nw)*pollStride {
+				t.Errorf("%s: %d rows read after the firing poll, more than a stride for each of %d workers", label, late.Load(), nw)
 			}
-			if read >= n {
-				t.Errorf("%s: the pass read all %d rows", label, n)
+			if rn.stats.RowsScanned != furthest || rn.stats.Passes != 1 {
+				t.Errorf("%s: booked %+v, want one pass of the %d rows the furthest worker read", label, rn.stats, furthest)
 			}
-			if workers == 1 && read != (fireAt-1)*pollStride {
-				t.Errorf("%s: read %d rows, want the %d strides before the poll that fired", label, read, fireAt-1)
+			if workers == 1 && furthest != fireAt*pollStride {
+				t.Errorf("%s: read %d rows, want the %d strides up to the poll that fired", label, furthest, fireAt)
 			}
 		}
 	}
@@ -104,10 +145,10 @@ func TestCancelInsideIndexPass(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		for _, fireAt := range []int64{1, 2, 50} {
 			label := fmt.Sprintf("workers=%d fire at poll %d", workers, fireAt)
-			rn, _ := oneValueRunner(t, 1, workers)
+			rn := oneValueRunner(t, 1, workers)
 			ctx := newFiresAt(fireAt)
 			rn.ctx = ctx
-			nw := rn.rowWorkers(n)
+			nw := rn.passWorkers(n)
 			walked, late := make([]int64, nw), make([]int64, nw)
 			rn.indexPass(n, func(g, _ int, _ *Stats) {
 				walked[g]++
@@ -133,18 +174,19 @@ func TestCancelInsideIndexPass(t *testing.T) {
 }
 
 // TestCancelInsideAPass cancels whole searches at polls spread over their
-// run, on the scan routes (indexRoutes off) and the index routes, serially and in parallel. RunIncrementalCtx and RunCtx
-// return context.Canceled wherever the context fires; the stream yields
-// the rules of the steps finished before it fired — a prefix of the
-// uncanceled stream — and no rule after it.
+// run, under Count (index passes only) and under Sum (the row pass too),
+// serially and in parallel. RunIncrementalCtx and RunCtx return
+// context.Canceled wherever the context fires; the stream yields the rules
+// of the steps finished before it fired — a prefix of the uncanceled
+// stream — and no rule after it.
 func TestCancelInsideAPass(t *testing.T) {
 	tab := datagen.CensusProjected(10_000, 5, 7)
 	w := weight.NewSize(tab.NumCols())
-	for _, scan := range []bool{true, false} {
-		v := viewOf(t, tab, scan)
+	v := tab.All()
+	for _, agg := range []score.Aggregator{score.CountAgg{}, rowMass{}} {
 		for _, workers := range []int{1, 2} {
-			opts := Options{K: 3, Workers: workers}
-			label := fmt.Sprintf("scan=%v workers=%d", scan, workers)
+			opts := Options{K: 3, Workers: workers, Agg: agg}
+			label := fmt.Sprintf("%s workers=%d", agg.Name(), workers)
 			never := newFiresAt(math.MaxInt64)
 			var full []Result
 			if _, err := RunIncrementalCtx(never, v, w, opts, opts.K, time.Time{}, func(r Result) bool {
@@ -243,44 +285,42 @@ func TestCancelInsideBookkeeping(t *testing.T) {
 	}
 	tab := b.Build()
 	w := weight.NewSize(tab.NumCols())
-	for _, scan := range []bool{true, false} {
-		v := viewOf(t, tab, scan)
-		for _, workers := range []int{1, 2} {
-			label := fmt.Sprintf("scan=%v workers=%d", scan, workers)
-			opts := Options{K: 3, Workers: workers}
-			runner := func(ctx context.Context) *runner {
-				rn, err := newRunner(v, w, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rn.ctx = ctx
-				return rn
-			}
-			rec := &bookkeepingPolls{Context: context.Background(), by: map[string][]int64{}}
-			if err := runner(rec).greedy(opts.K, time.Time{}, 0, func(Result) bool { return true }); err != nil {
+	v := tab.All()
+	for _, workers := range []int{1, 2} {
+		label := fmt.Sprintf("workers=%d", workers)
+		opts := Options{K: 3, Workers: workers}
+		runner := func(ctx context.Context) *runner {
+			rn, err := newRunner(v, w, opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-			for _, loop := range []string{"materializeChildren", "findBestMarginal"} {
-				polls := rec.by[loop]
-				if len(polls) == 0 {
-					t.Fatalf("%s: %s never polled: %v", label, loop, rec.by)
+			rn.ctx = ctx
+			return rn
+		}
+		rec := &bookkeepingPolls{Context: context.Background(), by: map[string][]int64{}}
+		if err := runner(rec).greedy(opts.K, time.Time{}, 0, func(Result) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+		for _, loop := range []string{"materializeChildren", "findBestMarginal"} {
+			polls := rec.by[loop]
+			if len(polls) == 0 {
+				t.Fatalf("%s: %s never polled: %v", label, loop, rec.by)
+			}
+			for _, fireAt := range []int64{polls[0], polls[len(polls)-1]} {
+				ctx := &bookedAt{firesAt: newFiresAt(fireAt)}
+				rn := runner(ctx)
+				ctx.rn = rn
+				if err := rn.greedy(opts.K, time.Time{}, 0, func(r Result) bool {
+					if ctx.fired() {
+						t.Errorf("%s fire at %s poll %d: yielded %v after the context fired", label, loop, fireAt, r.Rule)
+					}
+					return true
+				}); !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s fire at %s poll %d: greedy returned %v", label, loop, fireAt, err)
 				}
-				for _, fireAt := range []int64{polls[0], polls[len(polls)-1]} {
-					ctx := &bookedAt{firesAt: newFiresAt(fireAt)}
-					rn := runner(ctx)
-					ctx.rn = rn
-					if err := rn.greedy(opts.K, time.Time{}, 0, func(r Result) bool {
-						if ctx.fired() {
-							t.Errorf("%s fire at %s poll %d: yielded %v after the context fired", label, loop, fireAt, r.Rule)
-						}
-						return true
-					}); !errors.Is(err, context.Canceled) {
-						t.Fatalf("%s fire at %s poll %d: greedy returned %v", label, loop, fireAt, err)
-					}
-					if rn.stats != ctx.booked || len(rn.store.byKey) != ctx.stored {
-						t.Errorf("%s fire at %s poll %d: %+v and %d candidates at the end, %+v and %d at the poll that fired",
-							label, loop, fireAt, rn.stats, len(rn.store.byKey), ctx.booked, ctx.stored)
-					}
+				if rn.stats != ctx.booked || len(rn.store.byKey) != ctx.stored {
+					t.Errorf("%s fire at %s poll %d: %+v and %d candidates at the end, %+v and %d at the poll that fired",
+						label, loop, fireAt, rn.stats, len(rn.store.byKey), ctx.booked, ctx.stored)
 				}
 			}
 		}

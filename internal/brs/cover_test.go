@@ -8,6 +8,7 @@ import (
 
 	"smartdrill/internal/datagen"
 	"smartdrill/internal/rule"
+	"smartdrill/internal/score"
 	"smartdrill/internal/table"
 	"smartdrill/internal/weight"
 )
@@ -325,24 +326,26 @@ func TestRootSearchReads(t *testing.T) {
 }
 
 // TestEquivalenceRouteReads pins what two searches read on the routes the
-// root search never takes (it reads no row): census 20 000 × 7 rows
-// (generator seed 7), K 3 under Size weighting at the weighter's bound. A
-// child search under the first column's value 0, with Base set and not
-// covered, copies the rows Base covers into a table of its own in the one
-// pass that reads every row, and then reads only that table's index: level
-// 1 its masses, every later count a bitset AND or walk. With the index
-// routes off the whole table scans every pass. Reads are the same at every worker count, and the rules are the
-// oracle's.
+// root search never takes (it reads no row), K 3 under Size weighting at
+// the weighter's bound. A child search on census 20 000 × 7 rows
+// (generator seed 7) under the first column's value 0, with Base set and
+// not covered, copies the rows Base covers into a table of its own in the
+// one pass that reads every row, and then reads only that table's index:
+// level 1 its masses, every later count a bitset AND or walk. A Sum search
+// of the whole storesales table makes the one row pass a Sum search makes,
+// its level 1, booked once at any worker count, and walks the index for
+// the rest. Reads are the same at every worker count, and the rules are
+// the oracle's.
 func TestEquivalenceRouteReads(t *testing.T) {
-	tab := datagen.CensusProjected(20_000, 7, 7)
-	w := weight.NewSize(tab.NumCols())
+	census := datagen.CensusProjected(20_000, 7, 7)
+	sales := datagen.StoreSales(1)
 	cases := []struct {
 		name string
-		scan bool
-		base rule.Rule
+		tab  *table.Table
+		opts Options
 		want Stats
 	}{
-		{"child", false, rule.Trivial(tab.NumCols()).With(0, 0), Stats{
+		{"child", census, Options{K: 3, Base: rule.Trivial(census.NumCols()).With(0, 0)}, Stats{
 			Passes:            1,
 			CandidatesCounted: 1151,
 			CandidatesPruned:  1902,
@@ -352,20 +355,25 @@ func TestEquivalenceRouteReads(t *testing.T) {
 			IndexLevels:       43,
 			CellsBooked:       1137766,
 		}},
-		{"scan", true, nil, Stats{
-			Passes:            24,
-			CandidatesCounted: 2704,
-			CandidatesPruned:  4552,
-			CandidatesReused:  2837,
-			RowsScanned:       480000,
-			CellsBooked:       5588843,
+		{"sum", sales, Options{K: 3, Agg: score.SumAgg{Measure: 0}}, Stats{
+			Passes:            1,
+			CandidatesCounted: 267,
+			CandidatesPruned:  933,
+			CandidatesReused:  510,
+			RowsScanned:       6000,
+			PostingsRead:      145,
+			BitmapWordsRead:   939,
+			IndexLevels:       6,
+			CellsBooked:       27145,
 		}},
 	}
 	for _, tc := range cases {
-		v := viewOf(t, tab, tc.scan)
-		ref := oracleRun(v, w, Options{K: 3, Base: tc.base})
+		v, w := tc.tab.All(), weight.NewSize(tc.tab.NumCols())
+		ref := oracleRun(v, w, tc.opts)
 		for _, workers := range []int{1, 2, 8} {
-			res, st, err := Run(v, w, Options{K: 3, Base: tc.base, Workers: workers})
+			opts := tc.opts
+			opts.Workers = workers
+			res, st, err := Run(v, w, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

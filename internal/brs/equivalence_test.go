@@ -143,19 +143,14 @@ func TestFastPathMatchesReference(t *testing.T) {
 
 // TestCrossStepReuseObservable pins the headline reuse claim: on a
 // multi-step run, later steps serve level-1 candidates from the cache
-// (CandidatesReused > 0) and counting work drops versus the oracle. The
-// index routes are off, so the fast run scans too and reuse is the only
-// difference between the two.
+// (CandidatesReused > 0) and counting work drops versus the oracle.
 func TestCrossStepReuseObservable(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
-	v := scanView(t, randomTable(rng, 5, 4, 600))
+	v := randomTable(rng, 5, 4, 600).All()
 	w := weight.NewSize(5)
 	fast, fs, err := Run(v, w, Options{K: 4, MaxWeight: 4})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if fs.IndexLevels != 0 {
-		t.Fatalf("the fast run read the index: %+v", fs)
 	}
 	ref, steps := brsref.Run(v, w, brsref.Options{K: 4, MaxWeight: 4})
 	sameResults(t, "reuse vs the oracle", fast, fromOracle(ref))
@@ -216,10 +211,10 @@ func TestLevelOnePostingsPath(t *testing.T) {
 	}
 }
 
-// TestSumAggregateSerialEquivalence: under Sum the kernels accumulate
-// per-candidate masses in ascending row order on both access paths, so
-// serial fast results are bit-identical to the oracle's even with
-// fractional masses.
+// TestSumAggregateSerialEquivalence: under Sum the row pass and the
+// kernels accumulate every sum in ascending row order, and no worker takes
+// a share of one, so fast results are bit-identical to the oracle's even
+// with fractional masses, serially and at any worker count.
 func TestSumAggregateSerialEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	for trial := 0; trial < 10; trial++ {
@@ -228,11 +223,13 @@ func TestSumAggregateSerialEquivalence(t *testing.T) {
 		w := weight.NewSize(cols)
 		agg := score.SumAgg{Measure: 0}
 		want := oracleRun(tab.All(), w, Options{K: 3, MaxWeight: 3, Agg: agg})
-		got, _, err := Run(tab.All(), w, Options{K: 3, MaxWeight: 3, Agg: agg})
-		if err != nil {
-			t.Fatal(err)
+		for _, workers := range []int{1, 2, 8} {
+			got, _, err := Run(tab.All(), w, Options{K: 3, MaxWeight: 3, Agg: agg, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResults(t, fmt.Sprintf("sum trial %d workers=%d", trial, workers), got, want)
 		}
-		sameResults(t, fmt.Sprintf("sum trial %d", trial), got, want)
 	}
 }
 

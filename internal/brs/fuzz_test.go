@@ -15,10 +15,10 @@ import (
 // rows of one byte per column (its low two bits pick one of four values)
 // followed by the row's mass as eight little-endian float64 bytes.
 //
-//	[0] columns 2..5      [1] bit 0 Sum, bit 1 Bits weights, bit 2 index routes off (every
-//	                          pass scans), bit 3 masses truncated to integers below 1024,
-//	                          bit 4 under Count, search the table's distinct tuples
-//	                          (where it has few enough), each weighing its multiplicity
+//	[0] columns 2..5      [1] bit 0 Sum, bit 1 Bits weights, bit 2 ignored (it once
+//	                          turned the index off), bit 3 masses truncated to integers
+//	                          below 1024, bit 4 under Count, search the table's distinct
+//	                          tuples (where it has few enough), each weighing its multiplicity
 //	[2] base: 0 trivial, else column (b−1) mod columns at its first row's value
 //	[3] mw = MaxWeight(1 + b mod columns)      [4] K = 1 + b mod 5
 type fuzzCase struct {
@@ -26,7 +26,6 @@ type fuzzCase struct {
 	rows *table.Table // when tab is a distinct-tuple table: the table it was built from
 	w    weight.Weighter
 	opts Options // K, MaxWeight, Base, Agg
-	scan bool    // search with indexRoutes off: every pass scans
 	// orderFree: every accumulator holds integers, so a sum depends neither
 	// on the order rows are added in nor on the order workers merge in.
 	orderFree bool
@@ -71,7 +70,7 @@ func decodeFuzzCase(data []byte) (fuzzCase, bool) {
 		integral = integral && mass == math.Trunc(mass)
 		b.MustAddRow(row, mass)
 	}
-	fc := fuzzCase{tab: b.Build(), scan: data[1]&4 != 0}
+	fc := fuzzCase{tab: b.Build()}
 	fc.w = weight.NewSize(cols)
 	if data[1]&2 != 0 {
 		fc.w = weight.BitsFor(fc.tab) // integral weights, like Size
@@ -110,11 +109,11 @@ func encodeFuzzCase(header [fuzzHeader]byte, rows []string, masses []float64) []
 // table, aggregate, weighter, base, mw and K every greedy step of the fast
 // path and of brsref, the literal Algorithms 1–2, must attain the
 // brute-force maximum marginal value, as in TestGreedyStepIsArgmax, both
-// outputs must have the list properties brsref.CheckList checks, and
-// wherever sums are exact — Count, or Sum over integral masses — the fast
-// path must stream exactly brsref's rules, counts and marginal counts,
-// serially and with two workers. A bound that gates a walk, a merge or a
-// refresh it should not have loses a step here.
+// outputs must have the list properties brsref.CheckList checks, the fast
+// path must stream the same rules, counts and marginal counts serially and
+// with two workers, and wherever sums are exact — Count, or Sum over
+// integral masses — exactly brsref's. A bound that gates a walk, a merge or
+// a refresh it should not have loses a step here.
 //
 // Under Sum over fractional masses only the maximum is required, not the
 // same rule: a parent's bound and its child's marginal can be one number
@@ -128,7 +127,7 @@ func FuzzFastMatchesReference(f *testing.F) {
 	// Count, Size, trivial base, no weight cap: a twin-column table.
 	f.Add(encodeFuzzCase([fuzzHeader]byte{1, 0, 0, 2, 4},
 		[]string{"aaa", "aaa", "abb", "bcc", "bcc", "bcc", "cda"}, []float64{1, 1, 1, 1, 1, 1, 1}))
-	// Sum with integral masses under Bits, base on the last column, scanned.
+	// Sum with integral masses under Bits, base on the last column.
 	f.Add(encodeFuzzCase([fuzzHeader]byte{0, 7, 2, 1, 2},
 		[]string{"ab", "ab", "ba", "bb", "cb", "ca", "ab"}, []float64{3, 0, 5, 2, 2, 7, 1}))
 	// Count over the distinct tuples of a table that repeats three of them:
@@ -142,7 +141,7 @@ func FuzzFastMatchesReference(f *testing.F) {
 			t.Skip()
 		}
 		tab, w, opts := fc.tab, fc.w, fc.opts
-		v := viewOf(t, tab, fc.scan)
+		v := tab.All()
 		want := oracleStream(v, w, opts, opts.K)
 		requireGreedyArgmax(t, "brsref", tab, w, opts, opts.K, want)
 		requireList(t, "brsref", w, oracleRun(v, w, opts), want)
@@ -156,12 +155,12 @@ func FuzzFastMatchesReference(f *testing.F) {
 			t.Fatal(err)
 		}
 		requireList(t, "workers=1", w, ranked, got)
+		opts.Workers = 2
+		sameResults(t, "workers=2", stream(t, v, w, opts, opts.K), got)
 		if !fc.orderFree {
 			requireGreedyArgmax(t, "workers=1", tab, w, opts, opts.K, got)
 			return
 		}
 		sameResults(t, "workers=1", got, want)
-		opts.Workers = 2
-		sameResults(t, "workers=2", stream(t, v, w, opts, opts.K), want)
 	})
 }

@@ -28,38 +28,35 @@ func TestEquivalenceGateOpensWithH(t *testing.T) {
 	tab := groupTable([]string{"A", "B", "C"},
 		group{cells: []string{"a1", "u#", "v#"}, n: 60},
 		group{cells: []string{"a2", "b2", "c2"}, n: 15})
-	for _, scan := range []bool{false, true} {
-		v := viewOf(t, tab, scan)
-		label := fmt.Sprintf("scan=%v", scan)
-		gated := []map[string]string{{"A": "a2"}, {"B": "b2"}, {"C": "c2"}}
-		deep := mustRule(t, tab, map[string]string{"A": "a2", "B": "b2", "C": "c2"})
+	v := tab.All()
+	gated := []map[string]string{{"A": "a2"}, {"B": "b2"}, {"C": "c2"}}
+	deep := mustRule(t, tab, map[string]string{"A": "a2", "B": "b2", "C": "c2"})
 
-		rn, err := newRunner(v, w, Options{MaxWeight: 3, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rn.applySelection(rn.findBestMarginal())
-		for _, p := range gated {
-			if c := rn.lookup(mustRule(t, tab, p)); c == nil || !c.counted || c.expanded || len(c.children) != 0 {
-				t.Fatalf("%s: after step 1 %v = %+v, want counted and never walked", label, p, c)
-			}
-		}
-		if rn.lookup(deep) != nil {
-			t.Fatalf("%s: step 1 generated (a2,b2,c2) under parents whose bound is below H", label)
-		}
-		best := rn.findBestMarginal()
-		for _, p := range gated {
-			if c := rn.lookup(mustRule(t, tab, p)); !c.expanded {
-				t.Fatalf("%s: %v still not walked in step 2, with H at its bound or below", label, p)
-			}
-		}
-		if best == nil || !best.r.Equal(deep) || best.asOf != 2 || best.marginal != 45 {
-			t.Fatalf("%s: step 2 selected %+v, want (a2,b2,c2) measured fresh at 45", label, best)
-		}
-
-		sameStreams(t, label, v, w, Options{MaxWeight: 3},
-			[]map[string]string{{"A": "a1"}, {"A": "a2", "B": "b2", "C": "c2"}})
+	rn, err := newRunner(v, w, Options{MaxWeight: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
+	rn.applySelection(rn.findBestMarginal())
+	for _, p := range gated {
+		if c := rn.lookup(mustRule(t, tab, p)); c == nil || !c.counted || c.expanded || len(c.children) != 0 {
+			t.Fatalf("after step 1 %v = %+v, want counted and never walked", p, c)
+		}
+	}
+	if rn.lookup(deep) != nil {
+		t.Fatal("step 1 generated (a2,b2,c2) under parents whose bound is below H")
+	}
+	best := rn.findBestMarginal()
+	for _, p := range gated {
+		if c := rn.lookup(mustRule(t, tab, p)); !c.expanded {
+			t.Fatalf("%v still not walked in step 2, with H at its bound or below", p)
+		}
+	}
+	if best == nil || !best.r.Equal(deep) || best.asOf != 2 || best.marginal != 45 {
+		t.Fatalf("step 2 selected %+v, want (a2,b2,c2) measured fresh at 45", best)
+	}
+
+	sameStreams(t, "gate", v, w, Options{MaxWeight: 3},
+		[]map[string]string{{"A": "a1"}, {"A": "a2", "B": "b2", "C": "c2"}})
 }
 
 // TestEquivalenceMergeIsNotGated: the gate may skip a walk, never a merge.
@@ -75,34 +72,31 @@ func TestEquivalenceMergeIsNotGated(t *testing.T) {
 	const m1, m2 = 5.971699358486874, 1.5059056377284654
 	w := weight.NewSize(3)
 	tab := mergeNotGatedTable()
-	for _, scan := range []bool{false, true} {
-		v := viewOf(t, tab, scan)
-		label := fmt.Sprintf("scan=%v", scan)
-		base := mustRule(t, tab, map[string]string{"A": "d"})
-		opts := Options{MaxWeight: 3, Base: base, Agg: score.SumAgg{Measure: 0}, Workers: 1}
+	v := tab.All()
+	base := mustRule(t, tab, map[string]string{"A": "d"})
+	opts := Options{MaxWeight: 3, Base: base, Agg: score.SumAgg{Measure: 0}, Workers: 1}
 
-		rn, err := newRunner(v, w, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rn.applySelection(rn.findBestMarginal())
-		parent := rn.lookup(mustRule(t, tab, map[string]string{"A": "d", "B": "c"}))
-		child := rn.lookup(mustRule(t, tab, map[string]string{"A": "d", "B": "c", "C": "c"}))
-		if parent == nil || !parent.expanded || child == nil || !child.counted {
-			t.Fatalf("%s: step 1 left parent %+v child %+v, want the parent walked and the child cached", label, parent, child)
-		}
-		rn.applySelection(rn.findBestMarginal())
-		best := rn.findBestMarginal()
-		if best != child || child.marginal != 3*m1+3*m2 {
-			t.Fatalf("%s: step 3 selected %+v, want the cached child (d,c,c) at %v", label, best, 3*m1+3*m2)
-		}
-		if bound := rn.subRuleBound(parent); bound >= child.marginal {
-			t.Fatalf("%s: parent bound %v is not below the child's marginal %v; the masses no longer reproduce the last-ulp gap", label, bound, child.marginal)
-		}
-
-		sameStreams(t, label, v, w, opts, []map[string]string{
-			{"A": "d", "B": "d", "C": "d"}, {"A": "d", "B": "b", "C": "b"}, {"A": "d", "B": "c", "C": "c"}})
+	rn, err := newRunner(v, w, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
+	rn.applySelection(rn.findBestMarginal())
+	parent := rn.lookup(mustRule(t, tab, map[string]string{"A": "d", "B": "c"}))
+	child := rn.lookup(mustRule(t, tab, map[string]string{"A": "d", "B": "c", "C": "c"}))
+	if parent == nil || !parent.expanded || child == nil || !child.counted {
+		t.Fatalf("step 1 left parent %+v child %+v, want the parent walked and the child cached", parent, child)
+	}
+	rn.applySelection(rn.findBestMarginal())
+	best := rn.findBestMarginal()
+	if best != child || child.marginal != 3*m1+3*m2 {
+		t.Fatalf("step 3 selected %+v, want the cached child (d,c,c) at %v", best, 3*m1+3*m2)
+	}
+	if bound := rn.subRuleBound(parent); bound >= child.marginal {
+		t.Fatalf("parent bound %v is not below the child's marginal %v; the masses no longer reproduce the last-ulp gap", bound, child.marginal)
+	}
+
+	sameStreams(t, "merge", v, w, opts, []map[string]string{
+		{"A": "d", "B": "d", "C": "d"}, {"A": "d", "B": "b", "C": "b"}, {"A": "d", "B": "c", "C": "c"}})
 }
 
 // mergeNotGatedTable is the view TestGreedyStepIsArgmax's table 54 leaves

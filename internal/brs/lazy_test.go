@@ -112,8 +112,7 @@ func sameStreams(t *testing.T, label string, v *table.View, w weight.Weighter, o
 //     with X, which sorts before it; key order gives the step to the
 //     freshly generated rule.
 //
-// Each stream must equal the order worked out by hand and the oracle's, on
-// the index routes and the scan routes (indexRoutes off), at
+// Each stream must equal the order worked out by hand and the oracle's at
 // every worker count.
 func TestEquivalenceLazyTieBreaks(t *testing.T) {
 	cols := []string{"A", "B"}
@@ -139,30 +138,28 @@ func TestEquivalenceLazyTieBreaks(t *testing.T) {
 	w := weight.NewSize(2)
 	for _, tc := range cases {
 		tab := groupTable(cols, append(append([]group{}, common...), tc.extra...)...)
-		for _, scan := range []bool{false, true} {
-			v := viewOf(t, tab, scan)
-			label := fmt.Sprintf("%s scan=%v", tc.name, scan)
-			x := mustRule(t, tab, map[string]string{"A": "a2", "B": "b2"})
+		v := tab.All()
+		label := tc.name
+		x := mustRule(t, tab, map[string]string{"A": "a2", "B": "b2"})
 
-			rn, err := newRunner(v, w, Options{MaxWeight: 2, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rn.applySelection(rn.findBestMarginal())
-			a2 := rn.lookup(mustRule(t, tab, map[string]string{"A": "a2"}))
-			if a2 == nil || !a2.counted || a2.expanded {
-				t.Fatalf("%s: after step 1 (a2,?) = %+v, want counted and not expanded", label, a2)
-			}
-			rn.findBestMarginal()
-			if !a2.expanded {
-				t.Fatalf("%s: (a2,?) still not expanded after step 2", label)
-			}
-			if c := rn.lookup(x); c == nil || !c.counted || c.asOf != 2 || c.marginal != 40 {
-				t.Fatalf("%s: after step 2 X = %+v, want counted with marginal 40", label, c)
-			}
-
-			sameStreams(t, label, v, w, Options{MaxWeight: 2}, tc.want)
+		rn, err := newRunner(v, w, Options{MaxWeight: 2, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
+		rn.applySelection(rn.findBestMarginal())
+		a2 := rn.lookup(mustRule(t, tab, map[string]string{"A": "a2"}))
+		if a2 == nil || !a2.counted || a2.expanded {
+			t.Fatalf("%s: after step 1 (a2,?) = %+v, want counted and not expanded", label, a2)
+		}
+		rn.findBestMarginal()
+		if !a2.expanded {
+			t.Fatalf("%s: (a2,?) still not expanded after step 2", label)
+		}
+		if c := rn.lookup(x); c == nil || !c.counted || c.asOf != 2 || c.marginal != 40 {
+			t.Fatalf("%s: after step 2 X = %+v, want counted with marginal 40", label, c)
+		}
+
+		sameStreams(t, label, v, w, Options{MaxWeight: 2}, tc.want)
 	}
 }
 
@@ -210,53 +207,47 @@ func TestEquivalenceLateSurvivorTieBreaks(t *testing.T) {
 	w := weight.NewSize(2)
 	for _, tc := range cases {
 		tab := groupTable([]string{"A", "B"}, append(append([]group{}, common...), tc.extra...)...)
-		for _, scan := range []bool{false, true} {
-			v := viewOf(t, tab, scan)
-			label := fmt.Sprintf("%s scan=%v", tc.name, scan)
+		v := tab.All()
+		label := tc.name
 
-			rn, err := newRunner(v, w, Options{MaxWeight: 2, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rn.applySelection(rn.findBestMarginal())
-			a1 := rn.lookup(mustRule(t, tab, map[string]string{"A": "a1"}))
-			b1 := rn.lookup(mustRule(t, tab, map[string]string{"B": "b1"}))
-			x := rn.lookup(mustRule(t, tab, map[string]string{"A": "a1", "B": "b1"}))
-			if !a1.expanded || b1.expanded || x == nil || x.counted || x.asOf != 1 || x.count != 10 {
-				t.Fatalf("%s: after step 1 (a1,?) expanded=%v (?,b1) expanded=%v X=%+v, want X measured under (a1,?) alone and pruned",
-					label, a1.expanded, b1.expanded, x)
-			}
-			rn.applySelection(rn.findBestMarginal())
-			if !b1.expanded || x.counted || x.asOf != 2 {
-				t.Fatalf("%s: after step 2 (?,b1) expanded=%v X=%+v, want X measured again and pruned under (a1,?)", label, b1.expanded, x)
-			}
-			rn.findBestMarginal()
-			if !x.counted || x.asOf != 3 || x.marginal != 20 {
-				t.Fatalf("%s: after step 3 X = %+v, want counted with marginal 20", label, x)
-			}
-
-			sameStreams(t, label, v, w, Options{MaxWeight: 2}, tc.want)
+		rn, err := newRunner(v, w, Options{MaxWeight: 2, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
+		rn.applySelection(rn.findBestMarginal())
+		a1 := rn.lookup(mustRule(t, tab, map[string]string{"A": "a1"}))
+		b1 := rn.lookup(mustRule(t, tab, map[string]string{"B": "b1"}))
+		x := rn.lookup(mustRule(t, tab, map[string]string{"A": "a1", "B": "b1"}))
+		if !a1.expanded || b1.expanded || x == nil || x.counted || x.asOf != 1 || x.count != 10 {
+			t.Fatalf("%s: after step 1 (a1,?) expanded=%v (?,b1) expanded=%v X=%+v, want X measured under (a1,?) alone and pruned",
+				label, a1.expanded, b1.expanded, x)
+		}
+		rn.applySelection(rn.findBestMarginal())
+		if !b1.expanded || x.counted || x.asOf != 2 {
+			t.Fatalf("%s: after step 2 (?,b1) expanded=%v X=%+v, want X measured again and pruned under (a1,?)", label, b1.expanded, x)
+		}
+		rn.findBestMarginal()
+		if !x.counted || x.asOf != 3 || x.marginal != 20 {
+			t.Fatalf("%s: after step 3 X = %+v, want counted with marginal 20", label, x)
+		}
+
+		sameStreams(t, label, v, w, Options{MaxWeight: 2}, tc.want)
 	}
 }
 
 // TestEquivalenceRefreshThroughTies: the refresh must go on while the next
 // stale marginal *equals* the best fresh one. After (a1,?) is selected,
-// each of the refreshBatch rules (?,b_i) falls from a stale 50 to 40, and
-// the next stale candidate, (a0,?), is worth 40 before and after. It
-// precedes every (?,b_i) in level-1 order, so it is step 2's winner, which
-// only a refresh that continues through the tie can see. refreshBatch is a
-// whole number of refreshRound, so the tie straddles a boundary on both
-// routes: the index route re-measures the (?,b_i) in rounds of
-// refreshRound and (a0,?) opens a round of its own, the first of the next
-// batch; the scan route re-measures them in one pass and (a0,?) opens the
-// next.
+// each of eight rounds' worth of rules (?,b_i) falls from a stale 50 to
+// 40, and the next stale candidate, (a0,?), is worth 40 before and after.
+// It precedes every (?,b_i) in level-1 order, so it is step 2's winner,
+// which only a refresh that continues through the tie can see. The (?,b_i)
+// are a whole number of rounds, so the tie straddles a round boundary:
+// the refresh re-measures the (?,b_i) in rounds of refreshRound and (a0,?)
+// opens a round of its own.
 func TestEquivalenceRefreshThroughTies(t *testing.T) {
-	if refreshBatch%refreshRound != 0 {
-		t.Fatalf("refreshBatch %d is not a whole number of rounds of %d", refreshBatch, refreshRound)
-	}
+	const ties = 8 * refreshRound
 	var groups []group
-	for i := 0; i < refreshBatch; i++ {
+	for i := 0; i < ties; i++ {
 		b := fmt.Sprintf("b%d", i)
 		groups = append(groups,
 			group{cells: []string{"a1", b}, n: 10},
@@ -266,39 +257,32 @@ func TestEquivalenceRefreshThroughTies(t *testing.T) {
 	w := weight.NewSize(2)
 	tab := groupTable([]string{"A", "B"}, groups...)
 	a0 := mustRule(t, tab, map[string]string{"A": "a0"})
-	for _, scan := range []bool{false, true} {
-		v := viewOf(t, tab, scan)
-		want := oracleStream(v, w, Options{MaxWeight: 1}, 2)
-		if len(want) != 2 || !want[1].Rule.Equal(a0) {
-			t.Fatalf("scan=%v: the oracle streamed %v, want (a1,?) then (a0,?)", scan, want)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			got := stream(t, v, w, Options{MaxWeight: 1, Workers: workers}, 2)
-			sameResults(t, fmt.Sprintf("scan=%v workers=%d", scan, workers), got, want)
-		}
+	v := tab.All()
+	want := oracleStream(v, w, Options{MaxWeight: 1}, 2)
+	if len(want) != 2 || !want[1].Rule.Equal(a0) {
+		t.Fatalf("the oracle streamed %v, want (a1,?) then (a0,?)", want)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		got := stream(t, v, w, Options{MaxWeight: 1, Workers: workers}, 2)
+		sameResults(t, fmt.Sprintf("workers=%d", workers), got, want)
+	}
 
-		// Step 2's refresh, alone: two scan passes, one a batch; or a round
-		// of index walks for every refreshRound of the (?,b_i), then one
-		// more, which (a0,?) opens.
-		rn, err := newRunner(v, w, Options{MaxWeight: 1, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rn.applySelection(rn.findBestMarginal())
-		rn.raiseTopW()
-		before := rn.stats
-		if best := rn.refreshStale(); best != 40 {
-			t.Fatalf("scan=%v: the refresh opened step 2 at %v, want 40", scan, best)
-		}
-		passes, rounds := rn.stats.Passes-before.Passes, rn.stats.IndexLevels-before.IndexLevels
-		wantPasses, wantRounds := 0, refreshBatch/refreshRound+1
-		if scan {
-			wantPasses, wantRounds = 2, 0
-		}
-		if passes != wantPasses || rounds != wantRounds || rn.lookup(a0).asOf != 2 {
-			t.Fatalf("scan=%v: the refresh took %d passes and %d index rounds, (a0,?) measured in step %d; want %d, %d and step 2",
-				scan, passes, rounds, rn.lookup(a0).asOf, wantPasses, wantRounds)
-		}
+	// Step 2's refresh, alone: a round of index walks for every
+	// refreshRound of the (?,b_i), then one more, which (a0,?) opens.
+	rn, err := newRunner(v, w, Options{MaxWeight: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rn.applySelection(rn.findBestMarginal())
+	rn.raiseTopW()
+	before := rn.stats
+	if best := rn.refreshStale(); best != 40 {
+		t.Fatalf("the refresh opened step 2 at %v, want 40", best)
+	}
+	passes, rounds := rn.stats.Passes-before.Passes, rn.stats.IndexLevels-before.IndexLevels
+	if wantRounds := ties/refreshRound + 1; passes != 0 || rounds != wantRounds || rn.lookup(a0).asOf != 2 {
+		t.Fatalf("the refresh took %d passes and %d index rounds, (a0,?) measured in step %d; want 0, %d and step 2",
+			passes, rounds, rn.lookup(a0).asOf, wantRounds)
 	}
 }
 
@@ -343,18 +327,16 @@ func TestEquivalenceTiesAcrossParents(t *testing.T) {
 			}
 		}
 		tab := groupTable(tc.cols, ordered...)
-		for _, scan := range []bool{false, true} {
-			label := fmt.Sprintf("%s scan=%v", tc.name, scan)
-			// Each step's winner has the smaller key and is not the rule a
-			// parent of the first column reaches.
-			for i := 0; i < len(tc.want); i += 2 {
-				win, lose := mustRule(t, tab, tc.want[i]), mustRule(t, tab, tc.want[i+1])
-				if win.Key() >= lose.Key() || win[0] != rule.Star || lose[0] == rule.Star {
-					t.Fatalf("%s: fixture: %v must sort before %v and leave the first column starred", label, win, lose)
-				}
+		label := tc.name
+		// Each step's winner has the smaller key and is not the rule a
+		// parent of the first column reaches.
+		for i := 0; i < len(tc.want); i += 2 {
+			win, lose := mustRule(t, tab, tc.want[i]), mustRule(t, tab, tc.want[i+1])
+			if win.Key() >= lose.Key() || win[0] != rule.Star || lose[0] == rule.Star {
+				t.Fatalf("%s: fixture: %v must sort before %v and leave the first column starred", label, win, lose)
 			}
-			sameStreams(t, label, viewOf(t, tab, scan), w, Options{}, tc.want)
 		}
+		sameStreams(t, label, tab.All(), w, Options{}, tc.want)
 	}
 }
 
@@ -386,69 +368,67 @@ func TestFusedChildExistsBySight(t *testing.T) {
 		{map[string]string{"B": "b2", "C": "c1"}, map[string]string{"B": "b2"}},
 	}
 	w := weight.NewSize(3)
-	for _, scan := range []bool{true, false} {
-		v := viewOf(t, tab, scan)
-		for _, agg := range []score.Aggregator{score.SumAgg{Measure: 0}, signedSum{}} {
-			opts := Options{MaxWeight: 3, Agg: agg, Workers: 1}
-			fast, err := newRunner(v, w, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fast.findBestMarginal()
-			_, steps := brsref.Stream(v, w, oracleOptions(opts), 1)
-			var got, want []rule.Rule
-			for _, c := range fast.root.children {
-				got = append(got, c.r)
-			}
-			for _, r := range steps[0].Counted {
-				if r.Size() == 1 {
-					want = append(want, r)
-				}
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("scan=%v %s: level 1 is %v, the oracle's %v", scan, agg.Name(), got, want)
-			}
-			// (?,?,c#1) sums to zero under Sum and to −5 unclamped.
-			neg := fast.lookup(mustRule(t, tab, map[string]string{"C": "c#1"}))
-			if _, signed := agg.(signedSum); signed != (neg != nil && hasChild(fast.root, neg)) {
-				t.Errorf("scan=%v %s: (?,?,c#1) a level-1 candidate = %v, want %v", scan, agg.Name(), !signed, signed)
-			}
-		}
-
-		opts := Options{MaxWeight: 3, Agg: score.SumAgg{Measure: 0}, Workers: 1}
+	v := tab.All()
+	for _, agg := range []score.Aggregator{score.SumAgg{Measure: 0}, signedSum{}} {
+		opts := Options{MaxWeight: 3, Agg: agg, Workers: 1}
 		fast, err := newRunner(v, w, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		best := fast.findBestMarginal()
+		fast.findBestMarginal()
 		_, steps := brsref.Stream(v, w, oracleOptions(opts), 1)
-		if len(steps[0].Counted) == 0 {
-			t.Fatalf("scan=%v: the oracle counted nothing in step 1", scan)
+		var got, want []rule.Rule
+		for _, c := range fast.root.children {
+			got = append(got, c.r)
 		}
 		for _, r := range steps[0].Counted {
-			if fast.lookup(r) == nil {
-				t.Errorf("scan=%v: the oracle counted %v in step 1, which the fast path never materialized", scan, r)
+			if r.Size() == 1 {
+				want = append(want, r)
 			}
 		}
-		walked := 0
-		for step := 1; best != nil && best.marginal > 0; step++ {
-			walked = 0
-			for _, bs := range bySight {
-				pc := fast.lookup(mustRule(t, tab, bs.parent))
-				if !pc.expanded {
-					continue
-				}
-				walked++
-				if ext := fast.lookup(mustRule(t, tab, bs.ext)); ext == nil || !hasChild(pc, ext) {
-					t.Errorf("scan=%v step %d: %v was walked but its zero-sum extension %v is not among its children", scan, step, bs.parent, bs.ext)
-				}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: level 1 is %v, the oracle's %v", agg.Name(), got, want)
+		}
+		// (?,?,c#1) sums to zero under Sum and to −5 unclamped.
+		neg := fast.lookup(mustRule(t, tab, map[string]string{"C": "c#1"}))
+		if _, signed := agg.(signedSum); signed != (neg != nil && hasChild(fast.root, neg)) {
+			t.Errorf("%s: (?,?,c#1) a level-1 candidate = %v, want %v", agg.Name(), !signed, signed)
+		}
+	}
+
+	opts := Options{MaxWeight: 3, Agg: score.SumAgg{Measure: 0}, Workers: 1}
+	fast, err := newRunner(v, w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := fast.findBestMarginal()
+	_, steps := brsref.Stream(v, w, oracleOptions(opts), 1)
+	if len(steps[0].Counted) == 0 {
+		t.Fatal("the oracle counted nothing in step 1")
+	}
+	for _, r := range steps[0].Counted {
+		if fast.lookup(r) == nil {
+			t.Errorf("the oracle counted %v in step 1, which the fast path never materialized", r)
+		}
+	}
+	walked := 0
+	for step := 1; best != nil && best.marginal > 0; step++ {
+		walked = 0
+		for _, bs := range bySight {
+			pc := fast.lookup(mustRule(t, tab, bs.parent))
+			if !pc.expanded {
+				continue
 			}
-			fast.applySelection(best)
-			best = fast.findBestMarginal()
+			walked++
+			if ext := fast.lookup(mustRule(t, tab, bs.ext)); ext == nil || !hasChild(pc, ext) {
+				t.Errorf("step %d: %v was walked but its zero-sum extension %v is not among its children", step, bs.parent, bs.ext)
+			}
 		}
-		if walked == 0 {
-			t.Errorf("scan=%v: no parent of a zero-sum extension was ever walked; the table no longer tests anything", scan)
-		}
+		fast.applySelection(best)
+		best = fast.findBestMarginal()
+	}
+	if walked == 0 {
+		t.Error("no parent of a zero-sum extension was ever walked; the table no longer tests anything")
 	}
 }
 
@@ -474,33 +454,33 @@ func hasChild(p, child *cand) bool {
 // costs no coverage walk, and a stopped run has done exactly the work of
 // the shorter run.
 func TestLastSelectionPaysNoWalk(t *testing.T) {
-	// One column: level 1 is the whole search, so a one-rule run is one
-	// pass (or, over the whole table, posting lengths alone).
+	// One column: level 1 is the whole search, so a one-rule run is the
+	// row pass under Sum, and posting lengths alone under Count.
 	tab := groupTable([]string{"A"},
 		group{cells: []string{"x"}, n: 50}, group{cells: []string{"y"}, n: 30}, group{cells: []string{"z"}, n: 20})
 	w := weight.NewSize(1)
-	_, scan, err := Run(scanView(t, tab), w, Options{K: 1})
+	_, sum, err := Run(tab.All(), w, Options{K: 1, Agg: score.SumAgg{Measure: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scan.Passes != 1 || scan.RowsScanned != 100 || scan.IndexLevels != 0 {
-		t.Fatalf("one-rule scan run: %+v, want exactly the level-1 pass", scan)
+	if sum.Passes != 1 || sum.RowsScanned != 100 || sum.IndexLevels != 0 {
+		t.Fatalf("one-rule Sum run: %+v, want exactly the level-1 pass", sum)
 	}
-	_, index, err := Run(viewOf(t, tab, false), w, Options{K: 1})
+	_, index, err := Run(tab.All(), w, Options{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if index.IndexLevels != 1 || index.PostingsRead != 0 || index.BitmapWordsRead != 0 || index.Passes != 0 {
-		t.Fatalf("one-rule index run: %+v, want posting lengths only", index)
+		t.Fatalf("one-rule Count run: %+v, want posting lengths only", index)
 	}
 
 	wide := groupTable([]string{"A", "B"},
 		group{cells: []string{"a1", "u#"}, n: 60}, group{cells: []string{"a2", "b2"}, n: 20}, group{cells: []string{"a3", "b2"}, n: 15})
 	w2 := weight.NewSize(2)
-	for _, scanned := range []bool{true, false} {
-		v := viewOf(t, wide, scanned)
+	for _, agg := range []score.Aggregator{score.CountAgg{}, score.SumAgg{Measure: 0}} {
+		opts := Options{MaxWeight: 2, Agg: agg}
 		statsOf := func(ctx context.Context, maxRules int, yield Yield) Stats {
-			st, err := RunIncrementalCtx(ctx, v, w2, Options{MaxWeight: 2}, maxRules, time.Time{}, yield)
+			st, err := RunIncrementalCtx(ctx, wide.All(), w2, opts, maxRules, time.Time{}, yield)
 			if err != nil && !errors.Is(err, context.Canceled) {
 				t.Fatal(err)
 			}
@@ -509,26 +489,25 @@ func TestLastSelectionPaysNoWalk(t *testing.T) {
 		all := func(Result) bool { return true }
 		one, two := statsOf(context.Background(), 1, all), statsOf(context.Background(), 2, all)
 		if one == two {
-			t.Fatalf("scan=%v: a second step cost nothing: %+v", scanned, two)
-		}
-		if scanned && two.IndexLevels != 0 {
-			t.Fatalf("scan=%v: the two-rule stream read the index: %+v", scanned, two)
+			t.Fatalf("%s: a second step cost nothing: %+v", agg.Name(), two)
 		}
 		for k, want := range map[int]Stats{1: one, 2: two} {
-			_, batch, err := Run(v, w2, Options{K: k, MaxWeight: 2})
+			batchOpts := opts
+			batchOpts.K = k
+			_, batch, err := Run(wide.All(), w2, batchOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if batch != want {
-				t.Errorf("scan=%v: Run K=%d did %+v, the %d-rule stream %+v", scanned, k, batch, k, want)
+				t.Errorf("%s: Run K=%d did %+v, the %d-rule stream %+v", agg.Name(), k, batch, k, want)
 			}
 		}
 		if got := statsOf(context.Background(), 0, func(Result) bool { return false }); got != one {
-			t.Errorf("scan=%v: stream stopped by its callback did %+v, want the one-rule run's %+v", scanned, got, one)
+			t.Errorf("%s: stream stopped by its callback did %+v, want the one-rule run's %+v", agg.Name(), got, one)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		if got := statsOf(ctx, 0, func(Result) bool { cancel(); return true }); got != one {
-			t.Errorf("scan=%v: stream canceled after its first rule did %+v, want the one-rule run's %+v", scanned, got, one)
+			t.Errorf("%s: stream canceled after its first rule did %+v, want the one-rule run's %+v", agg.Name(), got, one)
 		}
 		cancel()
 	}

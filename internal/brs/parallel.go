@@ -3,53 +3,43 @@ package brs
 import (
 	"runtime"
 	"sync"
+
+	"smartdrill/internal/table"
 )
 
-// Parallel row processing. BRS's passes are embarrassingly parallel over
-// rows (and, for index-driven counting, over candidates): each pass
-// accumulates per-candidate counts/marginals, so workers process disjoint
-// chunks into private accumulators that are merged in worker order at the
-// pass boundary. The chunk split depends only on the pass size and worker
-// count — never on goroutine scheduling — so a given (data, Workers)
-// configuration always merges in the same order and results are
-// deterministic. With the Count aggregate all accumulators hold integral
-// values, so parallel runs are additionally bit-identical to serial ones;
-// with Sum, floating-point addition order may differ in the last ulps,
-// which is why automatic parallelism applies only under Count.
+// Parallel passes. A pass fans its work out in whole accumulators: an
+// index pass gives each worker whole candidates, each walked into its own
+// sums (indexPass), and the one row pass, Sum's level 1, gives each worker
+// whole columns, each summed over every row (rowPass). No sum is ever split
+// between workers, so each accumulates its rows in row order, as a serial
+// run does, and nothing is merged but integer read counters. The split
+// depends only on the pass size and worker count, never on goroutine
+// scheduling, and results and Stats are bit-identical at any worker count,
+// under Count and Sum alike.
 
-// MaxWorkers caps the configured parallelism; beyond this, goroutine and
-// accumulator-merge overheads outweigh any conceivable gain.
+// MaxWorkers caps the configured parallelism; beyond this, goroutine
+// overheads outweigh any conceivable gain.
 const MaxWorkers = 64
 
 // workers resolves the configured parallelism. Workers 0 saturates the
-// hardware — runtime.NumCPU() under the Count aggregate, serial otherwise
-// (auto-parallelism only where bit-identity to the serial path is
-// guaranteed). An explicit request is honored (capped at MaxWorkers) rather
-// than clamped to NumCPU — oversubscription is harmless, and honoring the
-// request keeps the parallel code paths exercised on single-core machines.
+// hardware, runtime.NumCPU(). An explicit request is honored (capped at
+// MaxWorkers) rather than clamped to NumCPU — oversubscription is harmless,
+// and honoring the request keeps the parallel code paths exercised on
+// single-core machines.
 func (rn *runner) workers() int {
 	w := rn.par
 	if w == 0 {
-		if !rn.countAgg {
-			return 1
-		}
 		w = runtime.NumCPU()
 	}
-	if w <= 1 {
-		return 1
-	}
-	if w > MaxWorkers {
-		w = MaxWorkers
-	}
-	return w
+	return max(1, min(w, MaxWorkers))
 }
 
-// rowWorkers is how many workers a pass over n rows (or candidates) runs
-// on: one where the workers are one or the pass is under four items a
+// passWorkers is how many workers an index pass over n candidates runs on:
+// one where the workers are one or the pass is under four candidates a
 // worker, otherwise one per non-empty chunk of ⌈n/workers⌉ — the chunks
-// parallelRows cuts. A pass sizes its per-worker state by it, so no worker
-// that never runs gets a copy.
-func (rn *runner) rowWorkers(n int) int {
+// fanOut cuts. A pass sizes its per-worker state by it, so no worker that
+// never runs gets a copy.
+func (rn *runner) passWorkers(n int) int {
 	w := rn.workers()
 	if w == 1 || n < 4*w {
 		return 1
@@ -58,11 +48,11 @@ func (rn *runner) rowWorkers(n int) int {
 	return (n + chunk - 1) / chunk
 }
 
-// parallelRows splits [0, n) into at most nw contiguous chunks — exactly
-// rowWorkers(n)'s when nw is that — and runs fn(lo, hi, worker) on each
+// fanOut splits [0, n) into at most nw contiguous chunks — exactly
+// passWorkers(n)'s when nw is that — and runs fn(lo, hi, worker) on each
 // concurrently. With one worker it simply calls fn inline, so serial
 // behaviour (and profiling) is unchanged.
-func (rn *runner) parallelRows(n, nw int, fn func(lo, hi, worker int)) {
+func fanOut(n, nw int, fn func(lo, hi, worker int)) {
 	if nw <= 1 {
 		fn(0, n, 0)
 		return
@@ -88,31 +78,44 @@ func (rn *runner) parallelRows(n, nw int, fn func(lo, hi, worker int)) {
 // of the run's context; an index pass polls before each candidate.
 const pollStride = 4096
 
-// polled splits [0, n) into nw worker chunks (parallelRows) and hands each
-// chunk to fn(lo, hi, g) stride items a call, ascending. A worker polls the
-// context before each call and stops at the first poll that fires; polled
-// latches that error before it returns how many items the workers covered.
-func (rn *runner) polled(n, nw, stride int, fn func(lo, hi, g int)) (covered int64) {
-	tallies := make([]struct {
-		covered int64
-		cut     error
-	}, nw)
-	rn.parallelRows(n, nw, func(lo, hi, g int) {
-		t := &tallies[g]
-		for ; lo < hi; lo += stride {
-			if t.cut = rn.fired(); t.cut != nil {
-				return
-			}
-			end := min(lo+stride, hi)
-			fn(lo, end, g)
-			t.covered += int64(end - lo)
-		}
-	})
-	for _, t := range tallies {
-		covered += t.covered
-		if t.cut != nil && rn.ctxErr == nil {
-			rn.ctxErr = t.cut
-		}
+// latch keeps the first context error a pass's worker saw.
+func (rn *runner) latch(cut error) {
+	if cut != nil && rn.ctxErr == nil {
+		rn.ctxErr = cut
 	}
-	return covered
+}
+
+// rowPass is the one pass that reads rows: under Sum, the base's
+// expansion, level 1, which books every row's mass into accs, one
+// accumulator a free column within mw. Workers take whole accumulators,
+// never rows. Each worker reads every row through Table.EachRow, polls the
+// context after every pollStride rows and stops at the first poll that
+// fires; the pass latches that error. It books one pass, the rows of the
+// worker that read furthest, and the cells every worker booked.
+func (rn *runner) rowPass(accs []extAcc) {
+	nw := min(rn.workers(), len(accs))
+	tallies := make([]struct {
+		read  table.Tally
+		cells int64
+		cut   error
+	}, nw)
+	fanOut(len(accs), nw, func(lo, hi, g int) {
+		t, mine := &tallies[g], accs[lo:hi]
+		rn.tab.EachRow(&t.read, func(row int) bool {
+			t.cells += rn.bookRow(mine, row)
+			if (row+1)%pollStride != 0 {
+				return true
+			}
+			t.cut = rn.fired()
+			return t.cut == nil
+		})
+	})
+	var rows int64
+	for _, t := range tallies {
+		rows = max(rows, t.read.Rows)
+		rn.stats.CellsBooked += t.cells
+		rn.latch(t.cut)
+	}
+	rn.stats.Book(rows, 0, 0)
+	rn.stats.Passes++
 }

@@ -46,8 +46,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelWithSelection exercises the topW pass (non-empty selection)
-// and the Sum aggregate under parallelism.
+// TestParallelWithSelection exercises the topW raise (non-empty selection)
+// under parallelism.
 func TestParallelWithSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	tab := randomTable(rng, 4, 3, 300)
@@ -67,14 +67,17 @@ func TestParallelWithSelection(t *testing.T) {
 	}
 }
 
+// TestParallelRowsCoversAllRows: fanOut hands every item of a pass —
+// candidates, or a row pass's columns — to exactly one worker, and every
+// worker passWorkers sized state for runs.
 func TestParallelRowsCoversAllRows(t *testing.T) {
 	rn := &runner{par: 8}
-	// 33 rows: chunks of 5 fill seven workers, not eight.
+	// 33 items: chunks of 5 fill seven workers, not eight.
 	for _, n := range []int{0, 1, 7, 32, 33, 64, 1000} {
 		visited := make([]int32, n)
-		nw := rn.rowWorkers(n)
+		nw := rn.passWorkers(n)
 		ran := make([]bool, nw)
-		rn.parallelRows(n, nw, func(lo, hi, g int) {
+		fanOut(n, nw, func(lo, hi, g int) {
 			ran[g] = true
 			for i := lo; i < hi; i++ {
 				visited[i]++
@@ -82,20 +85,20 @@ func TestParallelRowsCoversAllRows(t *testing.T) {
 		})
 		for g, ok := range ran {
 			if !ok {
-				t.Fatalf("n=%d: worker %d of the %d rowWorkers sized state for never ran", n, g, nw)
+				t.Fatalf("n=%d: worker %d of the %d passWorkers sized state for never ran", n, g, nw)
 			}
 		}
 		for i, v := range visited {
 			if v != 1 {
-				t.Fatalf("n=%d: row %d visited %d times", n, i, v)
+				t.Fatalf("n=%d: item %d visited %d times", n, i, v)
 			}
 		}
 	}
 }
 
 // TestParallelDeterministicMerge pins the merge contract: the chunk split
-// depends only on (pass size, worker count) and per-worker accumulators
-// merge in worker order, so the same parallel search repeated under
+// depends only on (pass size, worker count) and no worker takes a share of
+// another's sum, so the same parallel search repeated under
 // GOMAXPROCS jitter — forcing wildly different goroutine schedules, from
 // fully serialized to oversubscribed — yields byte-identical rule output
 // AND identical statistics counters every single time. A scheduling
@@ -153,8 +156,8 @@ func TestWorkersClamped(t *testing.T) {
 		t.Fatalf("workers = %d, want cap %d", got, MaxWorkers)
 	}
 	rn.par = 0
-	if rn.workers() != 1 {
-		t.Fatal("0 workers must mean serial")
+	if got, want := rn.workers(), min(runtime.NumCPU(), MaxWorkers); got != want {
+		t.Fatalf("0 workers = %d, want every CPU, %d", got, want)
 	}
 	rn.par = -3
 	if rn.workers() != 1 {

@@ -5,16 +5,16 @@ import (
 	"smartdrill/internal/table"
 )
 
-// Index-driven counting. A search reads a whole table — newRunner copies any
-// other view into one — so a candidate's coverage is the intersection of
-// the index containers of the candidate's instantiated free columns — or
-// its own cover, or its parent's cover and one column's container (Covers,
-// below) — and counting (and candidate generation, and the topW raise over
-// a selected rule) can be answered from the index instead of scanning every
-// row. The index keeps each (column, value) in one table.Set — a sorted
-// list of its rows where the value is sparse, a packed bitset where it is
-// dense — and a cover is one too; two kernels read them, each handing its
-// visitor the rows it finds, nothing else:
+// Index-driven counting, the only way a search counts. A search reads a
+// whole table — newRunner copies any other view into one — so a
+// candidate's coverage is the intersection of the index containers of the
+// candidate's instantiated free columns — or its own cover, or its
+// parent's cover and one column's container (Covers, below) — and every
+// count, expansion, refresh and topW raise walks that intersection. The
+// index keeps each (column, value) in one table.Set — a sorted list of its
+// rows where the value is sparse, a packed bitset where it is dense — and
+// a cover is one too; two kernels read them, each handing its visitor the
+// rows it finds, nothing else:
 //
 //   - Probing (table.EachInAll): a walk of the smallest container that
 //     tests each of its rows against the others — one word read where the
@@ -37,29 +37,22 @@ import (
 // The base, level 0, instantiates no free column: its coverage is the
 // whole table, and it has no container to walk. Under Count its expansion
 // reads the masses the index stores beside its extensions' containers
-// (table.Index.Mass), not a single row; under Sum the pass that expands it
-// scans.
+// (table.Index.Mass), not a single row; under Sum one pass over the rows
+// sums them (rowPass).
 //
-// A cost model decides per counting step which access path runs, and per
-// candidate which kernel. Scan cost is one visit per row plus the
-// anchor-match work the scan kernel pays per candidate (rows sharing the
-// candidate's anchor value); kernel costs are the
-// entry/word volumes above. Each stage of the index — sizes and masses,
-// then containers — is built whole by its first read (table.Index), so the
-// decision is purely about read volume, and the same whether or not anyone
+// A cost model picks each candidate's kernel by the entries and words it
+// books (planCand). Each stage of the index — sizes and masses, then
+// containers — is built whole by its first read (table.Index), so the
+// choice is purely about read volume, and the same whether or not anyone
 // warmed the index first.
 //
-// Every kernel visits rows ascending — the order a scan visits them — so
-// accumulated masses are bit-identical across all the access paths, and
-// routing is a pure performance decision. Both index kernels are reached
-// through one function, walk, which hands them the worker's Stats to book
-// what they read into; the scan is runner.scan. Routing is the runner's
-// alone: the tests' oracle, package brsref, reads every row of every pass
-// and shares none of this file.
-
-// postingsCostSlack is the fixed per-candidate overhead charged by the
-// cost model (list setup, probe and gallop restarts, AND-loop setup).
-const postingsCostSlack = 16
+// Every kernel visits rows ascending — the order a pass over the rows
+// meets them in — so accumulated masses are bit-identical whichever kernel
+// runs, and the choice is a pure performance decision. Both kernels are
+// reached through one function, walk, which hands them the worker's Stats
+// to book what they read into. Routing is the runner's alone: the tests'
+// oracle, package brsref, reads every row of every pass and shares none of
+// this file.
 
 // Covers. A walk over a candidate's coverage — an index-route expansion
 // walk — can keep the rows it visits. From then on every later walk of that
@@ -89,12 +82,6 @@ const postingsCostSlack = 16
 // a variable only so that a test can lower it.
 var coverBudget int64 = 32 << 20
 
-// indexRoutes lets a search read its table's index. It is a variable only
-// so that a test can turn it off and run every pass of a search on the scan
-// kernel, which a Sum run's level-1 pass and the passes the planner finds
-// cheaper to scan take.
-var indexRoutes = true
-
 // reserveCovers decides which parents' walks keep a cover, in parent order,
 // and returns what each one reserved of the budget (0: keeps none). A
 // parent keeps one when it has no cover yet, is past level 1, has a column
@@ -121,7 +108,6 @@ func (rn *runner) reserveCovers(parents []*cand, plans []candPlan, accs [][]extA
 // candPlan is the planner's routing decision for one candidate within an
 // index-driven pass.
 type candPlan struct {
-	cost   int64 // estimated entry/word reads for the chosen kernel
 	rows   int64 // the smallest container's rows: the most the walk can visit
 	bitmap bool  // true: bitset AND kernel; false: probing walk of the containers
 }
@@ -150,27 +136,16 @@ func (rn *runner) containers(c *cand, sets []table.Set) []table.Set {
 	return sets
 }
 
-// planCand costs the index kernels for candidate c over its containers, at
-// what each books. The probing walk takes its driver's rows and tests each
-// against every other container: a list driver is read an entry a row, a
-// dense driver for the words reading it alone books — its span's, or its
-// summary's and its non-zero words. The AND kernels read the words the
-// containers' spans and summaries leave them (table.AndWords, the most
-// they book), and apply where every container is a bitset under Count;
-// they win a tie, the routing every pinned read count was recorded under.
-// anchor is the posting length of c's anchor column (the scan kernel's
-// per-candidate work, see buildCandIndex); ok is false for a rule with no
-// instantiated free column, which forces the whole pass to scan.
-func (rn *runner) planCand(c *cand) (plan candPlan, anchor int64, ok bool) {
-	for _, col := range rn.freeCols {
-		if v := c.r[col]; v != rule.Star {
-			anchor, ok = int64(rn.ix.PostingsLen(col, v)), true // first instantiated free column = scan anchor
-			break
-		}
-	}
-	if !ok {
-		return candPlan{}, 0, false
-	}
+// planCand picks the kernel for candidate c over its containers by what
+// each books. The AND kernel applies where every container is a bitset
+// under Count, and reads the words the containers' spans and summaries
+// leave it (table.AndWords, the most it books). The probing walk then
+// reads its driver for the words reading it alone books — its span's, or
+// its summary's and its non-zero words — and tests each of the driver's
+// rows against every other container, a word each. The AND kernel wins a
+// tie, the routing every pinned read count was recorded under. c
+// instantiates a free column: the base is never walked.
+func (rn *runner) planCand(c *cand) (plan candPlan) {
 	var buf [16]table.Set
 	sets := rn.containers(c, buf[:0])
 	driver, allDense := 0, rn.countAgg
@@ -180,57 +155,21 @@ func (rn *runner) planCand(c *cand) (plan candPlan, anchor int64, ok bool) {
 		}
 		allDense = allDense && set.IsBitset()
 	}
-	drive := plan.rows
-	if sets[driver].IsBitset() {
-		drive = table.AndWords(sets[driver : driver+1])
-	}
-	plan.cost = drive + int64(len(sets)-1)*plan.rows + postingsCostSlack
 	if allDense {
-		if bmCost := table.AndWords(sets) + postingsCostSlack; bmCost <= plan.cost {
-			plan.cost, plan.bitmap = bmCost, true
-		}
+		probe := table.AndWords(sets[driver:driver+1]) + int64(len(sets)-1)*plan.rows
+		plan.bitmap = table.AndWords(sets) <= probe
 	}
-	return plan, anchor, true
+	return plan
 }
 
-// planIndex decides scan vs index for a pass over cands (counting or
-// generation), returning per-candidate kernel choices when the index path
-// wins and nil when the pass scans: the kernels' total estimated read
-// volume must undercut one scan of the table, where the scan is charged its
-// row visits plus each candidate's anchor-match work (anchor posting
-// length).
+// planIndex plans a pass over cands (counting or generation): one
+// planCand a candidate.
 func (rn *runner) planIndex(cands []*cand) []candPlan {
-	if rn.ix == nil || len(cands) == 0 {
-		return nil
-	}
-	total := int64(0)
-	var anchors int64
 	plans := make([]candPlan, len(cands))
 	for i, c := range cands {
-		plan, anchor, ok := rn.planCand(c)
-		if !ok {
-			return nil
-		}
-		plans[i] = plan
-		total += plan.cost
-		anchors += anchor
-	}
-	if total >= int64(rn.tab.NumRows())+anchors {
-		return nil
+		plans[i] = rn.planCand(c)
 	}
 	return plans
-}
-
-// planPostingsOne is the planner for a single rule's coverage walk (the
-// topW raise over a selected rule). The walk's visit work is identical on
-// every path, so the decision weighs only enumeration cost: posting
-// entries or bitmap words versus one row scan.
-func (rn *runner) planPostingsOne(c *cand) (plan candPlan, ok bool) {
-	if rn.ix == nil {
-		return candPlan{}, false
-	}
-	plan, _, ok = rn.planCand(c)
-	return plan, ok && plan.cost < int64(rn.tab.NumRows())
 }
 
 // walk visits c's coverage through the index, by the kernel plan chose —
@@ -249,16 +188,28 @@ func (rn *runner) walk(c *cand, plan candPlan, st *Stats, visit func(row int)) {
 	}
 }
 
-// indexPass is a pass routed through the index over n candidates: workers
-// take whole candidates, in order, polling the context before each
-// (polled), and fn(g, i, st) walks candidate i on worker g booking into st,
-// one Stats a worker, and those merge into the run's after the pass. It
-// fans out candidates, not rows, so it books no read itself.
+// indexPass is a pass over n candidates: workers take whole candidates, in
+// order, polling the context before each, and fn(g, i, st) walks candidate
+// i on worker g booking into st, one Stats a worker, and those merge into
+// the run's after the pass; the pass latches the first error a worker saw.
+// It fans out candidates, not rows, so it books no read itself.
 func (rn *runner) indexPass(n int, fn func(g, i int, st *Stats)) {
-	stats := make([]Stats, rn.rowWorkers(n))
-	rn.polled(n, len(stats), 1, func(i, _, g int) { fn(g, i, &stats[g]) })
-	for _, st := range stats {
-		rn.stats.Add(st)
+	ws := make([]struct {
+		st  Stats
+		cut error
+	}, rn.passWorkers(n))
+	fanOut(n, len(ws), func(lo, hi, g int) {
+		w := &ws[g]
+		for i := lo; i < hi; i++ {
+			if w.cut = rn.fired(); w.cut != nil {
+				return
+			}
+			fn(g, i, &w.st)
+		}
+	})
+	for _, w := range ws {
+		rn.stats.Add(w.st)
+		rn.latch(w.cut)
 	}
 	rn.stats.IndexLevels++
 }

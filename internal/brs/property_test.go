@@ -15,20 +15,18 @@ import (
 
 // Property layer for the counting kernels: the fast path must be
 // bit-identical to package brsref — the paper's per-step algorithm over the
-// rows, sharing no code with the runner — at every worker count, on view
-// shapes chosen so that each planner arm (bitmap, probing walk, scan) is
-// the one that runs. Arms are selected by input shape, the way production
-// selects them — but for the scan arm, which a test reaches by turning the
-// index routes off — and every cell asserts its arm engaged, so the matrix
-// cannot silently degenerate into testing one arm under many names. A
-// search of a sub-view is a search of its copy: every cell must also
-// return, field for field, what the same search over Select of the view's
-// rows returns, having read exactly what that search read plus the one
-// pass that copied them. CI
-// runs this file under -race (the Equivalence|Parallel job), so the lazy
-// shared index build, the bitset containers, and the per-worker
-// accumulator merges are all exercised for data races, not just for
-// answers.
+// rows, sharing no code with the runner — and read the same at every worker
+// count, on view shapes chosen so that each planner arm (bitmap, probing
+// walk) and Sum's row pass is the one that runs. Arms are selected by input
+// shape, the way production selects them, and every cell asserts its arm
+// engaged, so the matrix cannot silently degenerate into testing one arm
+// under many names. A search of a sub-view is a search of its copy: every
+// cell must also return, field for field, what the same search over Select
+// of the view's rows returns, having read exactly what that search read
+// plus the one pass that copied them. CI runs this file under -race (the
+// Equivalence|Parallel job), so the lazy shared index build, the bitset
+// containers and the workers' fan-out are all exercised for data races,
+// not just for answers.
 
 // armShape is one arm-forcing input: a view with the options and weighter
 // that go with it, the work its arm rules out, and the evidence its arm ran.
@@ -36,7 +34,6 @@ type armShape struct {
 	name    string
 	view    *table.View
 	rows    *table.View // when view is of a distinct-tuple table: the same tuples, one per row
-	scan    bool        // search with the index routes off
 	w       weight.Weighter
 	opts    Options
 	forbid  func(Stats) bool // nil: nothing ruled out
@@ -44,7 +41,8 @@ type armShape struct {
 }
 
 // TestEquivalencePropertyMatrix: seeded random tables × arm-forcing view
-// shapes × Workers ∈ {1, 2, 8}, every cell bit-identical to brsref.
+// shapes × Workers ∈ {1, 2, 8}, every cell bit-identical to brsref, its
+// Stats the same at every worker count.
 // Skewed value distributions make some values dense (one bitset each:
 // probed, or walked by its set bits where it drives) and others sparse (one
 // posting list each: read by entry, galloped).
@@ -162,10 +160,18 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 			{name: "row-sample", view: tab.ViewOf(sample), w: w,
 				opts:    Options{K: 4, MaxWeight: mw, SampleScale: sampleScale},
 				engaged: func(s Stats) bool { return copiedIndexed(s) && s.SampledRowsScanned == s.RowsScanned }},
-			// Integral masses under Size weights keep every Sum accumulator
-			// exact, so worker merge order cannot show in the last ulp.
 			{name: "sum", view: tab.All(), w: size,
 				opts: Options{K: 4, MaxWeight: 3, Agg: score.SumAgg{Measure: 0}}, engaged: walk},
+			// Fractional masses under irrational weights: no sum is exact, so
+			// only summing every accumulator in row order, at any worker
+			// count, keeps the last ulp. Level 1 is the one row pass.
+			{name: "sum-fractional", view: tab.All(), w: frac,
+				opts:    Options{K: 4, MaxWeight: frac.MaxWeight(3), Agg: score.SumAgg{Measure: 2}},
+				engaged: func(s Stats) bool { return s.Passes == 1 && walk(s) }},
+			// And over a copied child: the copy's pass, then the row pass.
+			{name: "sum-fractional-child", view: tab.ViewOf(tab.FilterIndices(base)), w: frac,
+				opts:    Options{K: 4, MaxWeight: frac.MaxWeight(3), Base: base, BaseCovered: true, Agg: score.SumAgg{Measure: 2}},
+				engaged: func(s Stats) bool { return s.Passes == 2 && walk(s) }},
 			// Zero and negative masses: an extension exists because a row
 			// was seen, whatever its mass sums to.
 			{name: "sum-signed", view: tab.All(), w: size,
@@ -185,10 +191,8 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 				rows:    heavy.ViewOf(heavy.FilterIndices(heavyBase)),
 				opts:    Options{K: 4, MaxWeight: heavyW.MaxWeight(3), Base: heavyBase, BaseCovered: true},
 				engaged: func(s Stats) bool { return s.RowsScanned+s.PostingsRead > 0 }},
-			{name: "probe", view: tab.ViewOf(probe), w: w, scan: true,
-				opts:    Options{K: 4, MaxWeight: mw},
-				forbid:  func(s Stats) bool { return s.IndexLevels != 0 },
-				engaged: func(s Stats) bool { return s.RowsScanned > 0 }},
+			{name: "probe", view: tab.ViewOf(probe), w: w,
+				opts: Options{K: 4, MaxWeight: mw}, engaged: copiedIndexed},
 		}
 		for _, sh := range shapes {
 			want := scaled(oracleRun(sh.view, sh.w, sh.opts), sh.opts.SampleScale)
@@ -198,7 +202,7 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 			rows := rowsOf(sh.view)
 			whole := slices.Equal(rows, rowsOf(sh.view.Table().All()))
 			copied := sh.view.Table().Select(rows).All()
-			viewOf(t, sh.view.Table(), sh.scan)
+			var serial Stats
 			for _, workers := range []int{1, 2, 8} {
 				opts := sh.opts
 				opts.Workers = workers
@@ -224,6 +228,11 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 				}
 				if stats != copyStats {
 					t.Fatalf("%s: stats\n%+v\nwant the copy's and its pass\n%+v", label, stats, copyStats)
+				}
+				if workers == 1 {
+					serial = stats
+				} else if stats != serial {
+					t.Fatalf("%s: stats\n%+v\nat Workers 1\n%+v", label, stats, serial)
 				}
 				if sh.forbid != nil && sh.forbid(stats) {
 					t.Fatalf("%s: did work its shape rules out: %+v", label, stats)
@@ -262,16 +271,17 @@ func scaled(rs []Result, scale float64) []Result {
 // skewedTable builds a random table whose first column concentrates 85%
 // of its mass on one value — its posting list is dense enough for a
 // bitmap container — while the remaining columns draw uniformly, leaving
-// a mix of dense and sparse lists for the planner to choose between. Two
+// a mix of dense and sparse lists for the planner to choose between. Three
 // measure columns ride along for the Sum shapes: M, small positive
-// integers, and Z, integers in [−2, 5] (zeros and negatives included)
-// that follow the row number and leave the random stream alone.
+// integers; Z, integers in [−2, 5] (zeros and negatives included); and F,
+// sevenths in [0, 14.3), no sum of which is exact. Z and F follow the row
+// number and leave the random stream alone.
 func skewedTable(rng *rand.Rand, cols, vals, n int) *table.Table {
 	names := make([]string, cols)
 	for c := range names {
 		names[c] = string(rune('A' + c))
 	}
-	b := table.MustBuilder(names, []string{"M", "Z"})
+	b := table.MustBuilder(names, []string{"M", "Z", "F"})
 	row := make([]string, cols)
 	for i := 0; i < n; i++ {
 		if rng.Intn(100) < 85 {
@@ -282,7 +292,7 @@ func skewedTable(rng *rand.Rand, cols, vals, n int) *table.Table {
 		for c := 1; c < cols; c++ {
 			row[c] = string(rune('a' + rng.Intn(vals)))
 		}
-		b.MustAddRow(row, float64(1+rng.Intn(9)), float64((i*7+3)%8-2))
+		b.MustAddRow(row, float64(1+rng.Intn(9)), float64((i*7+3)%8-2), float64(i*37%101)/7)
 	}
 	return b.Build()
 }

@@ -57,10 +57,9 @@ type Config struct {
 	Prefetch bool
 	// Seed makes sampling deterministic; 0 means seed 1.
 	Seed int64
-	// Workers parallelizes BRS table passes across goroutines; 0 picks the
-	// hardware core count under the Count aggregate (serial otherwise), 1
-	// runs serially. Results are identical under the Count aggregate at any
-	// worker count.
+	// Workers parallelizes BRS passes across goroutines; 0 picks the
+	// hardware core count, 1 runs serially. Results are identical at any
+	// worker count, under Count and Sum alike (see brs.Options.Workers).
 	Workers int
 	// ProbModel predicts which displayed rule the analyst drills next,
 	// steering prefetch memory allocation (Section 4.1). Nil means the

@@ -64,9 +64,8 @@ type Config struct {
 	// specify k. Default 3 (the paper's UI default).
 	DefaultK int
 	// Workers is the per-expansion BRS parallelism applied to every
-	// session that does not request its own. 0 means every CPU for a
-	// session that counts tuples and serial for one that sums a measure
-	// (see brs.Options.Workers); 1 is serial for both.
+	// session that does not request its own. 0 means every CPU, 1 serial;
+	// answers are the same at any value (see brs.Options.Workers).
 	Workers int
 	// StreamBudget is the default anytime budget for /drill/stream when
 	// the request does not set budget_ms. Default 5s — the paper's

@@ -48,16 +48,20 @@ func EachInAll(m Meter, sets []Set, fn func(row int)) {
 		return
 	}
 	// The non-driver sets, smallest (most selective) first: the bitsets are
-	// probed, the lists galloped through.
-	w := walk{fn: fn}
+	// probed, the lists galloped through. Like order, they and the lists'
+	// offsets stay on the stack for a 16-column rule.
+	var probeBuf [16]*Bitset
+	var othersBuf [16][]int32
+	var offsBuf [16]int
+	w := walk{fn: fn, probe: probeBuf[:0], others: othersBuf[:0], offs: offsBuf[:0]}
 	for _, i := range order[1:] {
 		if b := sets[i].bits; b != nil {
 			w.probe = append(w.probe, b)
 		} else {
 			w.others = append(w.others, sets[i].list)
+			w.offs = append(w.offs, 0)
 		}
 	}
-	w.offs = make([]int, len(w.others))
 
 	if driver.bits == nil {
 		for _, r := range driver.list {

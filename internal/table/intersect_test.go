@@ -158,6 +158,33 @@ func TestEachInAll(t *testing.T) {
 	}
 }
 
+// TestEachInAllAllocatesNothing: a probing walk of a 16-column rule's sets
+// — the driver and the other lists, and the bitsets it probes — keeps
+// every slice it needs on the stack.
+func TestEachInAllAllocatesNothing(t *testing.T) {
+	const rows = 4096
+	var sets []Set
+	for k := 1; k <= 16; k++ {
+		var list []int32
+		for r := 0; r < rows; r += k {
+			list = append(list, int32(r))
+		}
+		if k%2 == 0 {
+			sets = append(sets, Set{bits: newBitsetFromSorted(list, rows)})
+		} else {
+			sets = append(sets, Set{list: list})
+		}
+	}
+	var read Tally
+	visited := 0
+	if allocs := testing.AllocsPerRun(20, func() { EachInAll(&read, sets, func(int) { visited++ }) }); allocs != 0 {
+		t.Fatalf("a walk of %d sets allocated %v times", len(sets), allocs)
+	}
+	if visited == 0 {
+		t.Fatal("the walk visited no row")
+	}
+}
+
 func TestGallop(t *testing.T) {
 	a := []int32{2, 4, 4, 8, 16, 32, 33}
 	for target := int32(0); target < 40; target++ {

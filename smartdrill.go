@@ -193,8 +193,8 @@ func WithSum(t *Table, measure string) (Option, error) {
 func WithSeed(seed int64) Option { return func(c *drill.Config) { c.Seed = seed } }
 
 // WithWorkers parallelizes drill-down computation across the given number
-// of goroutines. Results are unchanged (bit-identical under Count). 0 (the
-// default) saturates the hardware under Count; 1 is a guaranteed-serial
+// of goroutines. Results are unchanged, bit-identical under Count and Sum.
+// 0 (the default) saturates the hardware; 1 is a guaranteed-serial
 // session.
 func WithWorkers(n int) Option { return func(c *drill.Config) { c.Workers = n } }
 
