@@ -29,11 +29,18 @@
 //     a marginal measured in an earlier step is an upper bound on today's.
 //     Counted candidates (and each candidate's generated super-rule set)
 //     live on the runner; a selection only raises topW over its own
-//     coverage, and the next step opens by re-measuring cached candidates
-//     in descending order of their stale marginal until the best fresh one
-//     matches or beats every stale one left (lazy greedy evaluation, Minoux
-//     1978). The rest stay stale: they cannot win the step, and serve as
-//     parents and as looser, still sound, sub-rule bounds.
+//     coverage, and the next step opens by re-measuring cached candidates.
+//     Where sums are exact (Count under integral weights and mw) it first
+//     derives them with no read: a candidate's marginal and residual bound
+//     are fixed by its own count and the counts of the rules it merges
+//     into with each set of compatible selections, by inclusion–exclusion,
+//     and those merged rules are usually in the store already (counting
+//     inference, Bastide et al., SIGKDD Explorations 2000). What it cannot
+//     derive it walks, in descending order of the stale marginal, until
+//     the best fresh one matches or beats every stale one left (lazy
+//     greedy evaluation, Minoux 1978). The rest stay stale: they cannot
+//     win the step, and serve as parents and as looser, still sound,
+//     sub-rule bounds.
 //
 //   - Index-driven counting: every expansion, count, refresh and topW
 //     raise walks a candidate's coverage as an intersection of the
@@ -165,7 +172,7 @@ type Stats struct {
 	Passes            int   `json:"passes"`             // row passes: a sub-view's copy, and Sum's level 1
 	CandidatesCounted int   `json:"candidates_counted"` // rules whose aggregate mass was measured
 	CandidatesPruned  int   `json:"candidates_pruned"`  // rules generated, then dropped by the upper-bound test
-	CandidatesReused  int   `json:"candidates_reused"`  // counted rules served from the cross-step cache
+	CandidatesReused  int   `json:"candidates_reused"`  // counted rules served from the cross-step cache: left stale, or derived from stored counts
 	RowsScanned       int64 `json:"rows_scanned"`       // total row visits by row passes
 	PostingsRead      int64 `json:"postings_read"`      // posting entries read by index-driven counting
 	BitmapWordsRead   int64 `json:"bitmap_words_read"`  // packed bitset words read by the bitmap kernel
@@ -173,12 +180,11 @@ type Stats struct {
 	CandidateCapHit   bool  `json:"candidate_cap_hit"`  // a level hit DefaultMaxCandidates
 	// CellsBooked counts (row, accumulator) updates, the CPU the read
 	// counters do not see: one a covered row and extension column of an
-	// expansion walk, one a covered row of a counting walk or refresh, and
-	// one a raised row and level-1 rule whose residual bound a topW raise
-	// lowers. Each pass books its own, and each
-	// walk owns whole candidates, so the count is the same at any worker
-	// count. It stays in process: the wire's search block has no field for
-	// it.
+	// expansion walk, and one a covered row of a counting walk or refresh;
+	// a topW raise and a derivation from stored counts book none. Each pass
+	// books its own, and each walk owns whole candidates, so the count is
+	// the same at any worker count. It stays in process: the wire's search
+	// block has no field for it.
 	CellsBooked int64 `json:"-"`
 	// SampledRowsScanned is the portion of RowsScanned read from a uniform
 	// sample rather than the authoritative table (runs with SampleScale
@@ -358,6 +364,7 @@ func newRunner(v *table.View, w weight.Weighter, opts Options) (*runner, error) 
 	run.freeCols = run.freeColumns()
 	_, run.countAgg = agg.(score.CountAgg)
 	run.unitMass = run.countAgg && !tab.Weighted()
+	run.exactSums = run.countAgg && weight.Integral(w) && mw == math.Trunc(mw)
 	run.store = newCandStore()
 	run.root = &cand{r: base, mask: run.baseMask}
 	return run, nil
@@ -407,6 +414,11 @@ type runner struct {
 	par      int
 	scale    float64 // SampleScale normalized: emitted masses multiply by it
 
+	// exactSums: Count under integral weights and mw, so every mass,
+	// marginal and bound is an integer below 2^53, the same float in any
+	// order — where deriveStale may run.
+	exactSums bool
+
 	topW     []float64 // W(TOP(t, selection[:raised])) per row; nil until the first raise
 	claimed  float64   // the heaviest weight topW holds, see tracksResidual
 	selected []*cand
@@ -415,6 +427,14 @@ type runner struct {
 	root     *cand // level 0: the base's rule and mask, and level 1 as its children
 	gen      int   // generation-merge epoch, see generateCandidates
 	stats    Stats
+
+	// deriveStale's scratch: the selection heaviest first, the terms
+	// compatible with the candidate being derived, the merged rule whose
+	// count is looked up, and the columns overlap set in it.
+	terms  []selTerm
+	compat []selTerm
+	merged rule.Rule
+	undo   []int
 
 	coverLeft int64 // what is left of the run's cover budget, see coverBudget
 
@@ -522,13 +542,16 @@ func (rn *runner) markCounted(c *cand) {
 // with sub-rule upper-bound pruning against threshold H. Candidates counted
 // in earlier greedy steps are served from the runner's store: their counts
 // are invariant and their marginals are upper bounds on today's, so the
-// step first re-measures the few that could still win (refreshStale),
-// starts H there, and only genuinely new candidates touch the data.
+// step first re-measures them — from stored counts where it can
+// (deriveStale), else by walking the few that could still win
+// (refreshStale) — starts H there, and only genuinely new candidates touch
+// the data.
 func (rn *runner) findBestMarginal() *cand {
 	if rn.tab.NumRows() == 0 || len(rn.freeCols) == 0 || rn.canceled() {
 		return nil
 	}
 	rn.raiseTopW()
+	rn.deriveStale()
 	H := rn.refreshStale()
 	if rn.canceled() {
 		return nil
@@ -629,11 +652,6 @@ func (rn *runner) applySelection(best *cand) {
 
 // raiseTopW lifts topW to each not yet applied selection's weight over
 // that rule's coverage, one walk of it.
-//
-// Where sums are exact the raise also keeps level 1's residual bounds
-// current: every row whose topW rises takes (new − old)·mass from the R of
-// the level-1 rule of its value in each free column, a subtraction that
-// needs no row the raise does not already visit (see levelOneClaims).
 func (rn *runner) raiseTopW() {
 	for ; rn.raised < len(rn.selected) && rn.ctxErr == nil; rn.raised++ {
 		if rn.topW == nil {
@@ -641,69 +659,161 @@ func (rn *runner) raiseTopW() {
 		}
 		topW, sel := rn.topW, rn.selected[rn.raised]
 		rn.claimed = max(rn.claimed, sel.weight)
-		claims := rn.levelOneClaims()
 		rn.walk(sel, rn.planCand(sel), &rn.stats, func(row int) {
-			old := topW[row]
-			if old >= sel.weight {
-				return
-			}
-			topW[row] = sel.weight
-			if len(claims) == 0 {
-				return
-			}
-			claim := (sel.weight - old) * rn.mass(row)
-			for a := range claims {
-				claims[a].cnt[rn.tab.Value(claims[a].col, row)] += claim
-			}
-			rn.stats.CellsBooked += int64(len(claims))
+			topW[row] = max(topW[row], sel.weight)
 		})
 		rn.stats.IndexLevels++
-		rn.lowerLevelOne(claims)
 	}
 }
 
-// levelOneClaims returns, where the run's sums are exact — Count under
-// integral weights and mw, every mass, marginal and bound an integer — one
-// accumulator for each free column that has level-1 rules, to book by
-// value what a topW raise claims from that value's level-1 rule; nil
-// otherwise. Only exact sums may be lowered by subtraction: a rounded
-// difference could fall below the sum R stands for, and prune a rule that
-// ties the step.
-func (rn *runner) levelOneClaims() []extAcc {
-	if !rn.countAgg || !weight.Integral(rn.w) || rn.mw != math.Trunc(rn.mw) {
-		return nil
-	}
-	var accs []extAcc
-	for _, col := range rn.freeCols {
-		m := rn.baseMask
-		m.Set(col)
-		if rn.w.Weight(m) <= rn.mw {
-			accs = append(accs, extAcc{col: col, cnt: make([]float64, rn.tab.DistinctCount(col))})
-		}
-	}
-	return accs
+// deriveCap is the most selections compatible with a stale candidate that
+// derive resolves: inclusion–exclusion over them looks up to 2^deriveCap − 1
+// intersections, and a candidate past the cap is walked instead.
+const deriveCap = 6
+
+// selTerm is a selection as derive reads it: its candidate and the free
+// columns its rule instantiates.
+type selTerm struct {
+	c    *cand
+	cols []int
 }
 
-// lowerLevelOne takes what a raise claimed (levelOneClaims) from the R of
-// each level-1 rule it claimed from — R against no selection, mw·Count,
-// where no later step has measured it.
-func (rn *runner) lowerLevelOne(claims []extAcc) {
-	for a := range claims {
-		acc := &claims[a]
-		for val, claim := range acc.cnt {
-			if claim == 0 {
-				continue
+// deriveStale opens steps 2..K where sums are exact (exactSums) by
+// re-measuring stale counted candidates from counts the run already holds,
+// with no read (derive). A derived candidate is fresh: refreshStale ranks
+// only the rest, and its opening threshold includes the derived marginals.
+// Each derivation is booked as a candidate served from the cross-step
+// cache.
+func (rn *runner) deriveStale() {
+	if !rn.exactSums || len(rn.selected) == 0 || rn.ctxErr != nil {
+		return
+	}
+	for _, s := range rn.selected[len(rn.terms):] {
+		t := selTerm{c: s}
+		for _, col := range rn.freeCols {
+			if s.r[col] != rule.Star {
+				t.cols = append(t.cols, col)
 			}
-			c := rn.store.find(rn.base, acc.col, rule.Value(val))
-			if c == nil {
-				continue
-			}
-			if math.IsInf(c.resid, 1) {
-				c.resid = rn.mw * c.count
-			}
-			c.resid -= claim
+		}
+		rn.terms = append(rn.terms, t)
+	}
+	// Heaviest first; among equal weights any order gives the same sums.
+	slices.SortStableFunc(rn.terms, func(a, b selTerm) int { return cmp.Compare(b.c.weight, a.c.weight) })
+	if rn.merged == nil {
+		rn.merged = slices.Clone(rn.base)
+	}
+	step := rn.step()
+	for i, c := range rn.store.counted {
+		if rn.canceledAt(i) {
+			return
+		}
+		if c.asOf != step && rn.derive(c) {
+			c.asOf = step
+			rn.stats.CandidatesReused++
 		}
 	}
+}
+
+// derive re-measures c against the selection so far from stored counts,
+// and reports whether it could. Let S_1..S_n be the selections compatible
+// with c, heaviest first, and U_j = Count(c ∧ (S_1 ∪ … ∪ S_j)). The mass
+// U_j − U_{j−1} is what topW holds at S_j's weight, and Count(c) − U_n what
+// no selection covers, so
+//
+//	marginal = Σ_j (W(c) − W(S_j))⁺·(U_j − U_{j−1}) + W(c)·(Count(c) − U_n)
+//	R        = mw·Count(c) − Σ_j W(S_j)·(U_j − U_{j−1}),
+//
+// each difference a signed sum of the counts of merged rules (overlap).
+// Every term is an integer below 2^53, so the floats are those a walk
+// summing the rows in order gives. c is left as it was when more than
+// deriveCap selections are compatible with it or a merged rule's count is
+// not in the store.
+func (rn *runner) derive(c *cand) bool {
+	rn.compat = rn.compat[:0]
+	for _, t := range rn.terms {
+		if t.fits(c.r) {
+			if len(rn.compat) == deriveCap {
+				return false
+			}
+			rn.compat = append(rn.compat, t)
+		}
+	}
+	copy(rn.merged, c.r)
+	marginal, claimed, covered := 0.0, 0.0, 0.0
+	for j, t := range rn.compat {
+		gained, ok := rn.overlap(c, t, rn.compat[:j], 1)
+		if !ok {
+			return false
+		}
+		if c.weight > t.c.weight {
+			marginal += (c.weight - t.c.weight) * gained
+		}
+		claimed += t.c.weight * gained
+		covered += gained
+	}
+	c.marginal = marginal + c.weight*(c.count-covered)
+	c.resid = rn.mw*c.count - claimed
+	return true
+}
+
+// fits reports whether rule r and selection t agree on every free column
+// both instantiate — whether the two can cover a row in common.
+func (t selTerm) fits(r rule.Rule) bool {
+	for _, col := range t.cols {
+		if v := r[col]; v != rule.Star && v != t.c.r[col] {
+			return false
+		}
+	}
+	return true
+}
+
+// overlap returns sign·Σ over T ⊆ earlier of (−1)^|T|·Count(merged ∧ t ∧
+// S_T), merged the rule rn.merged holds — c with the selections of the
+// caller's subset — and ok false where a count it needs is not stored. At
+// the top, merged = c, sign = 1 and earlier the heavier selections, it is
+// the mass of c that t covers and no heavier selection does. A merged rule
+// whose columns disagree covers nothing, nor does any of its super-rules;
+// one that adds no column to c is c; any other is looked up by key in the
+// store's scratch buffer, allocating nothing. rn.merged is restored before
+// it returns.
+func (rn *runner) overlap(c *cand, t selTerm, earlier []selTerm, sign float64) (float64, bool) {
+	mark := len(rn.undo)
+	defer rn.unmerge(mark)
+	for _, col := range t.cols {
+		switch v, have := t.c.r[col], rn.merged[col]; have {
+		case v:
+		case rule.Star:
+			rn.merged[col] = v
+			rn.undo = append(rn.undo, col)
+		default:
+			return 0, true
+		}
+	}
+	n := c.count
+	if len(rn.undo) > 0 {
+		m := rn.store.find(rn.merged, -1, rule.Star)
+		if m == nil {
+			return 0, false
+		}
+		n = m.count
+	}
+	sum := sign * n
+	for i, e := range earlier {
+		part, ok := rn.overlap(c, e, earlier[:i], -sign)
+		if !ok {
+			return 0, false
+		}
+		sum += part
+	}
+	return sum, true
+}
+
+// unmerge stars again the columns overlap set in rn.merged past mark.
+func (rn *runner) unmerge(mark int) {
+	for _, col := range rn.undo[mark:] {
+		rn.merged[col] = rule.Star
+	}
+	rn.undo = rn.undo[:mark]
 }
 
 // refreshRound is how many stale candidates a refresh re-measures at a
@@ -714,24 +824,26 @@ func (rn *runner) lowerLevelOne(claims []extAcc) {
 const refreshRound = 4
 
 // refreshStale opens steps 2..K. Every cached marginal was measured
-// against a smaller selection and can only have fallen since, so cached
-// candidates are re-measured — reset and recounted in ascending row order
-// by the counting kernels, as a first count sums them — in descending
-// order of their stale marginal, in rounds of refreshRound, until the best
-// fresh marginal matches or beats every stale one left. It continues
-// through equality so that each candidate tied for the maximum is fresh
-// and the level-then-key tie-break of findBestMarginal sees them all —
-// which is also why it does not matter that candidates of equal stale
-// marginal stand here in merge order, and a round boundary may fall
-// between any two of them: the loop ends only past the last one that
-// could tie. A candidate whose stale marginal is not positive can never be
-// selected and is left alone. The best fresh marginal (−Inf when nothing
-// was refreshed) is returned as the step's opening threshold H.
+// against a smaller selection and can only have fallen since, so stale
+// candidates — those deriveStale could not re-measure — are re-measured,
+// reset and recounted in ascending row order by the counting kernels, as a
+// first count sums them, in descending order of their stale marginal, in
+// rounds of refreshRound, until the best fresh marginal matches or beats
+// every stale one left. It continues through equality so that each
+// candidate tied for the maximum is fresh and the level-then-key tie-break
+// of findBestMarginal sees them all — which is also why it does not matter
+// that candidates of equal stale marginal stand here in merge order, and a
+// round boundary may fall between any two of them: the loop ends only past
+// the last one that could tie. A candidate whose stale marginal is not
+// positive can never be selected and is left alone. The best fresh
+// marginal, derived or refreshed (−Inf when nothing is fresh), is returned
+// as the step's opening threshold H.
 func (rn *runner) refreshStale() float64 {
 	best := math.Inf(-1)
 	if len(rn.selected) == 0 {
 		return best
 	}
+	step := rn.step()
 	// Descending stale marginal, equal ones in counting order: a stable
 	// sort's order at an unstable sort's cost. The ranking is serial work no
 	// poll can cut, and a wide table counts a hundred thousand candidates.
@@ -741,17 +853,21 @@ func (rn *runner) refreshStale() float64 {
 	}
 	var order []ranked
 	for i, c := range rn.store.counted {
-		if c.marginal > 0 {
+		switch {
+		case c.asOf == step:
+			best = max(best, c.marginal)
+		case c.marginal > 0:
 			order = append(order, ranked{c.marginal, int32(i)})
 		}
 	}
+	// A stale marginal below a derived one is never walked: best only rises.
+	order = slices.DeleteFunc(order, func(r ranked) bool { return r.marginal < best })
 	slices.SortFunc(order, func(a, b ranked) int {
 		if c := cmp.Compare(b.marginal, a.marginal); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.at, b.at)
 	})
-	step := rn.step()
 	round, plans := make([]*cand, 0, refreshRound), make([]candPlan, 0, refreshRound)
 	for len(order) > 0 && order[0].marginal >= best {
 		if rn.ctxErr != nil {

@@ -271,12 +271,13 @@ func (c *bookedAt) Err() error {
 }
 
 // TestCancelInsideBookkeeping: between passes the runner materializes a
-// walk's extensions and bounds a level's candidates in serial loops that
-// read no row; they poll the context every pollStride items. Over a table
-// whose level 2 holds thousands of extensions, a context that fires at a
-// poll inside either loop stops the search there: greedy returns the
-// error, and after the poll that fired yields no rule, books nothing — no
-// pass, no candidate bounded or counted — and registers no candidate.
+// walk's extensions, bounds a level's candidates and derives stale
+// candidates from stored counts in serial loops that read no row; they
+// poll the context every pollStride items. Over a table whose level 2
+// holds thousands of extensions, a context that fires at a poll inside any
+// of these loops stops the search there: greedy returns the error, and
+// after the poll that fired yields no rule, books nothing — no pass, no
+// candidate bounded or counted — and registers no candidate.
 func TestCancelInsideBookkeeping(t *testing.T) {
 	const n = 12_000
 	b := table.MustBuilder([]string{"A", "B", "C"}, nil)
@@ -301,7 +302,7 @@ func TestCancelInsideBookkeeping(t *testing.T) {
 		if err := runner(rec).greedy(opts.K, time.Time{}, 0, func(Result) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
-		for _, loop := range []string{"materializeChildren", "findBestMarginal"} {
+		for _, loop := range []string{"materializeChildren", "findBestMarginal", "deriveStale"} {
 			polls := rec.by[loop]
 			if len(polls) == 0 {
 				t.Fatalf("%s: %s never polled: %v", label, loop, rec.by)

@@ -61,6 +61,7 @@ func BenchmarkChildDrill(b *testing.B) {
 			b.ReportMetric(float64(stats.RowsScanned), "rows/op")
 			b.ReportMetric(float64(stats.PostingsRead), "postings/op")
 			b.ReportMetric(float64(stats.CandidatesCounted), "counted/op")
+			b.ReportMetric(float64(stats.CellsBooked), "cells/op")
 			b.Logf("%d rows searched, child %v covers %d, search stats %+v", tab.NumRows(), tab.DecodeRule(r), tab.ViewOf(tab.FilterIndices(r)).NumRows(), stats)
 		})
 	}

@@ -312,13 +312,13 @@ func TestRootSearchReads(t *testing.T) {
 	}
 	sameResults(t, "root search vs the oracle", res, oracleRun(tab.All(), w, Options{K: 3}))
 	want := Stats{
-		CandidatesCounted: 2678,
-		CandidatesPruned:  4564,
-		CandidatesReused:  2809,
-		PostingsRead:      338,
-		BitmapWordsRead:   20463,
-		IndexLevels:       62,
-		CellsBooked:       634686,
+		CandidatesCounted: 2335,
+		CandidatesPruned:  4479,
+		CandidatesReused:  2943,
+		PostingsRead:      187,
+		BitmapWordsRead:   15894,
+		IndexLevels:       26,
+		CellsBooked:       551370,
 	}
 	if st != want {
 		t.Fatalf("root search stats\n%+v\nwant\n%+v", st, want)
@@ -347,13 +347,13 @@ func TestEquivalenceRouteReads(t *testing.T) {
 	}{
 		{"child", census, Options{K: 3, Base: rule.Trivial(census.NumCols()).With(0, 0)}, Stats{
 			Passes:            1,
-			CandidatesCounted: 1151,
-			CandidatesPruned:  1902,
-			CandidatesReused:  1073,
+			CandidatesCounted: 1028,
+			CandidatesPruned:  1937,
+			CandidatesReused:  1015,
 			RowsScanned:       20000,
-			BitmapWordsRead:   48229,
-			IndexLevels:       43,
-			CellsBooked:       1137766,
+			BitmapWordsRead:   33408,
+			IndexLevels:       20,
+			CellsBooked:       863270,
 		}},
 		{"sum", sales, Options{K: 3, Agg: score.SumAgg{Measure: 0}}, Stats{
 			Passes:            1,
@@ -389,8 +389,9 @@ func TestEquivalenceRouteReads(t *testing.T) {
 
 // BenchmarkRootSearch is the search of the served census-100k root drill
 // (rootSearchTable, K 3 under Size weighting): BRS over the table's 6 372
-// distinct tuples at the weighter's bound, with the words it reads and the
-// bytes its covers hold.
+// distinct tuples at the weighter's bound, with the words and entries it
+// reads, the cells it books, the candidates it counts and the bytes its
+// covers hold.
 //
 //	go test -run '^$' -bench RootSearch -benchtime 50x ./internal/brs/
 func BenchmarkRootSearch(b *testing.B) {
@@ -424,6 +425,8 @@ func BenchmarkRootSearch(b *testing.B) {
 	}
 	b.ReportMetric(float64(stats.BitmapWordsRead), "words/op")
 	b.ReportMetric(float64(stats.PostingsRead), "postings/op")
+	b.ReportMetric(float64(stats.CellsBooked), "cells/op")
+	b.ReportMetric(float64(stats.CandidatesCounted), "counted/op")
 	b.ReportMetric(float64(covers), "cover-bytes")
 	b.Logf("%d distinct tuples, search stats %+v", tab.NumRows(), stats)
 }

@@ -15,12 +15,13 @@ import (
 
 // TestEquivalenceResidualBound holds the runner's sub-rule bound to what
 // makes it one: at every greedy step, at Workers 1, 2 and 8, under Count
-// (where level 1's R is kept by the topW raise) and under Sum (where R is
-// only ever accumulated), every counted candidate's bound is at least the
-// brute-force marginal value of each of its super-rules within mw against
-// the selection so far, and at most the paper's MV + Count·(mw − W) over the same stored values. The
-// bound must also be strictly below the paper's somewhere under each
-// aggregate, or the test would pass with R switched off.
+// (where a stale candidate's R is derived from stored counts) and under Sum
+// (where R is only ever accumulated by a walk), every counted candidate's
+// bound is at least the brute-force marginal value of each of its
+// super-rules within mw against the selection so far, and at most the
+// paper's MV + Count·(mw − W) over the same stored values. The bound must
+// also be strictly below the paper's somewhere under each aggregate, or
+// the test would pass with R switched off.
 func TestEquivalenceResidualBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	tighter := map[string]int{}

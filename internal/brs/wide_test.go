@@ -43,24 +43,24 @@ func TestWideRouteCounts(t *testing.T) {
 			"[? ? ? ? ? ? ? No ? 0 ? ? ? English] 4427 4427",
 			"[? ? Married ? ? ? ? Yes ? ? ? ? ? English] 2206 2206",
 		}, Stats{
-			CandidatesCounted: 119408,
-			CandidatesPruned:  261406,
-			CandidatesReused:  82398,
-			BitmapWordsRead:   2266505,
-			IndexLevels:       168,
-			CellsBooked:       52689082,
+			CandidatesCounted: 120864,
+			CandidatesPruned:  250130,
+			CandidatesReused:  84221,
+			BitmapWordsRead:   2124396,
+			IndexLevels:       23,
+			CellsBooked:       50819825,
 		}},
 		{"census20k-14", datagen.CensusProjected(20_000, 14, 7), 8, 8, []string{
 			"[? ? ? ? ? ? ? ? v08_00 v09_00 v10_00 v11_00 ? ?] 6253 4150",
 			"[v00_00 v01_00 v02_00 v03_00 ? ? ? ? ? ? ? ? ? ?] 6648 6648",
 			"[? ? ? ? v04_00 ? v06_00 v07_00 ? ? ? ? ? ?] 7867 3621",
 		}, Stats{
-			CandidatesCounted: 95818,
-			CandidatesPruned:  175246,
-			CandidatesReused:  86663,
-			BitmapWordsRead:   3385094,
-			IndexLevels:       519,
-			CellsBooked:       133030030,
+			CandidatesCounted: 86305,
+			CandidatesPruned:  160881,
+			CandidatesReused:  79463,
+			BitmapWordsRead:   2789142,
+			IndexLevels:       282,
+			CellsBooked:       120444060,
 		}},
 	}
 	for _, tc := range cases {
@@ -98,12 +98,12 @@ func TestWideRouteCountsLarge(t *testing.T) {
 			"[v00_00 v01_00 v02_00 v03_00 ? ? ? ? ? ? ? ? ? ?] 33341 33341",
 			"[? ? ? ? v04_00 ? v06_00 v07_00 ? ? ? ? ? ?] 39493 18012",
 		}, Stats{
-			CandidatesCounted: 308383,
-			CandidatesPruned:  610712,
-			CandidatesReused:  271250,
-			BitmapWordsRead:   110241202,
-			IndexLevels:       943,
-			CellsBooked:       1366771566,
+			CandidatesCounted: 301108,
+			CandidatesPruned:  602116,
+			CandidatesReused:  270335,
+			BitmapWordsRead:   98984574,
+			IndexLevels:       203,
+			CellsBooked:       1308423774,
 		}},
 		{"census20k-14-k6", datagen.CensusProjected(20_000, 14, 7), 6, []string{
 			"[v00_00 v01_00 v02_00 v03_00 ? ? ? ? v08_00 v09_00 v10_00 v11_00 ? ?] 2103 1051.5",
@@ -113,13 +113,13 @@ func TestWideRouteCountsLarge(t *testing.T) {
 			"[v00_00 v01_00 v02_00 v03_00 ? ? ? ? ? ? ? ? ? ?] 6648 6648",
 			"[? ? ? ? v04_00 ? v06_00 v07_00 ? ? ? ? ? ?] 7867 3621",
 		}, Stats{
-			CandidatesCounted: 729875,
-			CandidatesPruned:  2399409,
-			CandidatesReused:  1544149,
+			CandidatesCounted: 708205,
+			CandidatesPruned:  2346568,
+			CandidatesReused:  1524022,
 			PostingsRead:      2564,
-			BitmapWordsRead:   36719794,
-			IndexLevels:       3231,
-			CellsBooked:       429637407,
+			BitmapWordsRead:   32428364,
+			IndexLevels:       930,
+			CellsBooked:       404997110,
 		}},
 	}
 	for _, tc := range cases {
