@@ -122,10 +122,10 @@ bench-vet:
 
 # race-equivalence runs the kernel-equivalence and parallel-determinism
 # property layer under the race detector: fast path vs the brsref oracle
-# × worker counts on every arm-forcing view shape bit-identical — bitset AND,
-# the probing walk driven by a posting list and by a dense value's bitset
-# (Sum, and the copy of a sub-view under Count), Sum's row pass over
-# fractional masses — index containers and the workers' fan-out raced; the
+# × worker counts on every arm-forcing view shape bit-identical — bitset AND
+# under any aggregate, the probing walk driven by a posting list and by a
+# dense value's bitset, Sum's row pass over fractional masses — index
+# containers and the workers' fan-out raced; the
 # residual bound held between every super-rule's brute-force marginal and
 # the paper's bound (TestEquivalenceResidualBound); and one level up, every
 # drill.Session access path (TestEquivalenceDrillPaths) vs brsref on the

@@ -364,7 +364,7 @@ func newRunner(v *table.View, w weight.Weighter, opts Options) (*runner, error) 
 	run.freeCols = run.freeColumns()
 	_, run.countAgg = agg.(score.CountAgg)
 	run.unitMass = run.countAgg && !tab.Weighted()
-	run.exactSums = run.countAgg && weight.Integral(w) && mw == math.Trunc(mw)
+	run.exactSums = score.ExactSums(agg, w, mw, float64(tab.NumTuples()))
 	run.store = newCandStore()
 	run.root = &cand{r: base, mask: run.baseMask}
 	return run, nil
@@ -414,9 +414,9 @@ type runner struct {
 	par      int
 	scale    float64 // SampleScale normalized: emitted masses multiply by it
 
-	// exactSums: Count under integral weights and mw, so every mass,
-	// marginal and bound is an integer below 2^53, the same float in any
-	// order — where deriveStale may run.
+	// exactSums: every mass, marginal and bound is an integer below 2^53,
+	// the same float in any order (score.ExactSums over tab's tuples) —
+	// where deriveStale may run.
 	exactSums bool
 
 	topW     []float64 // W(TOP(t, selection[:raised])) per row; nil until the first raise

@@ -226,8 +226,10 @@ func TestCancelInsideAPass(t *testing.T) {
 
 // bookkeepingPolls is a context that never fires and records, for each
 // poll made by canceledAt, its number among all polls by the function that
-// called canceledAt. Pass workers poll it too, so it counts atomically; only
-// the serial canceledAt polls touch by.
+// called canceledAt, and for each poll a refresh round's pass makes — a
+// round is too few candidates to fan out, so its one worker polls on the
+// refresh's own goroutine — its number under "refreshStale". Pass workers
+// poll it too, so it counts atomically; only the serial polls touch by.
 type bookkeepingPolls struct {
 	context.Context
 	calls atomic.Int64
@@ -240,10 +242,15 @@ func (c *bookkeepingPolls) Err() error {
 	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
 	for more := true; more; {
 		var f runtime.Frame
-		if f, more = frames.Next(); strings.HasSuffix(f.Function, ".canceledAt") {
+		f, more = frames.Next()
+		switch {
+		case strings.HasSuffix(f.Function, ".canceledAt"):
 			caller, _ := frames.Next()
 			name := caller.Function[strings.LastIndexByte(caller.Function, '.')+1:]
 			c.by[name] = append(c.by[name], k)
+			return nil
+		case strings.HasSuffix(f.Function, ".refreshStale"):
+			c.by["refreshStale"] = append(c.by["refreshStale"], k)
 			return nil
 		}
 	}
@@ -277,7 +284,12 @@ func (c *bookedAt) Err() error {
 // holds thousands of extensions, a context that fires at a poll inside any
 // of these loops stops the search there: greedy returns the error, and
 // after the poll that fired yields no rule, books nothing — no pass, no
-// candidate bounded or counted — and registers no candidate.
+// candidate bounded or counted — and registers no candidate. A refresh
+// round's pass polls before each walk; one cut there stops the refresh
+// before its next round and the search with it: no rule of the step is
+// yielded, and the stats returned are those booked at the poll that fired
+// and the cut round's — its level, its candidates and what the walks
+// before the poll read.
 func TestCancelInsideBookkeeping(t *testing.T) {
 	const n = 12_000
 	b := table.MustBuilder([]string{"A", "B", "C"}, nil)
@@ -285,24 +297,40 @@ func TestCancelInsideBookkeeping(t *testing.T) {
 		b.MustAddRow([]string{fmt.Sprint("a", i%4), fmt.Sprint("b", i/4%3000), fmt.Sprint("c", i*7%3000)})
 	}
 	tab := b.Build()
-	w := weight.NewSize(tab.NumCols())
-	v := tab.All()
+	// A refresh walks what derivation cannot answer: everything under
+	// fractional weights. Ten equal values of A keep level 1 tied through
+	// more than one round.
+	tb := table.MustBuilder([]string{"A", "B"}, nil)
+	for i := 0; i < n; i++ {
+		tb.MustAddRow([]string{fmt.Sprint("a", i%10), fmt.Sprint("b", i%1000)})
+	}
+	tied := tb.Build()
+	arms := []struct {
+		loop string
+		v    *table.View
+		w    weight.Weighter
+	}{
+		{"materializeChildren", tab.All(), weight.NewSize(tab.NumCols())},
+		{"findBestMarginal", tab.All(), weight.NewSize(tab.NumCols())},
+		{"deriveStale", tab.All(), weight.NewSize(tab.NumCols())},
+		{"refreshStale", tied.All(), weight.NewLinear([]float64{1.5, 0.25}, 1, "frac")},
+	}
 	for _, workers := range []int{1, 2} {
-		label := fmt.Sprintf("workers=%d", workers)
-		opts := Options{K: 3, Workers: workers}
-		runner := func(ctx context.Context) *runner {
-			rn, err := newRunner(v, w, opts)
-			if err != nil {
+		for _, arm := range arms {
+			label, loop := fmt.Sprintf("workers=%d", workers), arm.loop
+			opts := Options{K: 3, Workers: workers}
+			runner := func(ctx context.Context) *runner {
+				rn, err := newRunner(arm.v, arm.w, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rn.ctx = ctx
+				return rn
+			}
+			rec := &bookkeepingPolls{Context: context.Background(), by: map[string][]int64{}}
+			if err := runner(rec).greedy(opts.K, time.Time{}, 0, func(Result) bool { return true }); err != nil {
 				t.Fatal(err)
 			}
-			rn.ctx = ctx
-			return rn
-		}
-		rec := &bookkeepingPolls{Context: context.Background(), by: map[string][]int64{}}
-		if err := runner(rec).greedy(opts.K, time.Time{}, 0, func(Result) bool { return true }); err != nil {
-			t.Fatal(err)
-		}
-		for _, loop := range []string{"materializeChildren", "findBestMarginal", "deriveStale"} {
 			polls := rec.by[loop]
 			if len(polls) == 0 {
 				t.Fatalf("%s: %s never polled: %v", label, loop, rec.by)
@@ -319,9 +347,19 @@ func TestCancelInsideBookkeeping(t *testing.T) {
 				}); !errors.Is(err, context.Canceled) {
 					t.Fatalf("%s fire at %s poll %d: greedy returned %v", label, loop, fireAt, err)
 				}
-				if rn.stats != ctx.booked || len(rn.store.byKey) != ctx.stored {
+				got, want := rn.finalStats(), ctx.booked
+				if loop == "refreshStale" {
+					if n := got.CandidatesCounted - want.CandidatesCounted; n < 1 || n > refreshRound ||
+						got.PostingsRead < want.PostingsRead || got.BitmapWordsRead < want.BitmapWordsRead || got.CellsBooked < want.CellsBooked {
+						t.Errorf("%s fire at %s poll %d: %+v at the end, %+v at the poll that fired: want the cut round's on top",
+							label, loop, fireAt, got, want)
+					}
+					want.CandidatesCounted, want.IndexLevels = got.CandidatesCounted, want.IndexLevels+1
+					want.PostingsRead, want.BitmapWordsRead, want.CellsBooked = got.PostingsRead, got.BitmapWordsRead, got.CellsBooked
+				}
+				if got != want || len(rn.store.byKey) != ctx.stored {
 					t.Errorf("%s fire at %s poll %d: %+v and %d candidates at the end, %+v and %d at the poll that fired",
-						label, loop, fireAt, rn.stats, len(rn.store.byKey), ctx.booked, ctx.stored)
+						label, loop, fireAt, got, len(rn.store.byKey), want, ctx.stored)
 				}
 			}
 		}

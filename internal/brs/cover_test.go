@@ -334,7 +334,8 @@ func TestRootSearchReads(t *testing.T) {
 // level 1 its masses, every later count a bitset AND or walk. A Sum search
 // of the whole storesales table makes the one row pass a Sum search makes,
 // its level 1, booked once at any worker count, and walks the index for
-// the rest. Reads are the same at every worker count, and the rules are
+// the rest, by the bitset AND where every container is a bitset, as a
+// Count search does. Reads are the same at every worker count, and the rules are
 // the oracle's.
 func TestEquivalenceRouteReads(t *testing.T) {
 	census := datagen.CensusProjected(20_000, 7, 7)
@@ -362,7 +363,7 @@ func TestEquivalenceRouteReads(t *testing.T) {
 			CandidatesReused:  510,
 			RowsScanned:       6000,
 			PostingsRead:      145,
-			BitmapWordsRead:   939,
+			BitmapWordsRead:   153,
 			IndexLevels:       6,
 			CellsBooked:       27145,
 		}},

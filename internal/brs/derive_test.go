@@ -24,7 +24,7 @@ type derivedShape struct {
 	view  *table.View
 	w     weight.Weighter
 	opts  Options
-	exact bool // derivation may run: Count under integral weights and mw
+	exact bool // derivation may run: score.ExactSums holds
 }
 
 // rowRecount measures c over the rows of rn's table against the selection
@@ -139,7 +139,8 @@ func driveDerived(t *testing.T, label string, sh derivedShape) ([]Result, int) {
 // itself, K up to 8 and mw below the weighter's bound, every candidate a
 // step derives has, bit for bit, the count, marginal and R a recount over
 // the rows gives, at Workers 1, 2 and 8, and the stream is brsref's. Under
-// an irrational weighter or the Sum aggregate no candidate is derived.
+// an irrational weighter, the Sum aggregate or integral weights so large
+// that mw times the table's mass reaches 2^53 no candidate is derived.
 func TestEquivalenceDerivedMarginals(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	derived := 0
@@ -162,6 +163,10 @@ func TestEquivalenceDerivedMarginals(t *testing.T) {
 			per[c] = 0.5 + float64(c)*0.75
 		}
 		frac := weight.NewLinear(per, 1.3, "frac")
+		huge := hugeWeights(cols)
+		if hugeMW := huge.MaxWeight(2); hugeMW*float64(tab.NumRows()) < 1<<53 {
+			t.Fatalf("trial %d: the huge shape's mw·rows %v is below 2^53", trial, hugeMW*float64(tab.NumRows()))
+		}
 		shapes := []derivedShape{
 			{name: "plain", view: tab.All(), w: w, opts: Options{K: k, MaxWeight: mw}, exact: true},
 			{name: "weighted", view: distinct.All(), w: weight.NewSize(4),
@@ -170,6 +175,7 @@ func TestEquivalenceDerivedMarginals(t *testing.T) {
 				opts: Options{K: k, MaxWeight: mw, Base: rule.Trivial(cols).With(1, 0)}, exact: true},
 			{name: "frac", view: tab.All(), w: frac, opts: Options{K: k, MaxWeight: frac.MaxWeight(3)}},
 			{name: "sum", view: tab.All(), w: w, opts: Options{K: k, MaxWeight: mw, Agg: score.SumAgg{Measure: 0}}},
+			{name: "huge", view: tab.All(), w: huge, opts: Options{K: k, MaxWeight: huge.MaxWeight(2)}},
 		}
 		for _, sh := range shapes {
 			want := oracleStream(sh.view, sh.w, sh.opts, sh.opts.K)

@@ -15,8 +15,8 @@ import (
 // rows of one byte per column (its low two bits pick one of four values)
 // followed by the row's mass as eight little-endian float64 bytes.
 //
-//	[0] columns 2..5      [1] bit 0 Sum, bit 1 Bits weights, bit 2 ignored (it once
-//	                          turned the index off), bit 3 masses truncated to integers
+//	[0] columns 2..5      [1] bit 0 Sum, bit 1 Bits weights, bit 2 hugeWeights (in place
+//	                          of Size or Bits), bit 3 masses truncated to integers
 //	                          below 1024, bit 4 under Count, search the table's distinct
 //	                          tuples (where it has few enough), each weighing its multiplicity
 //	[2] base: 0 trivial, else column (b−1) mod columns at its first row's value
@@ -26,8 +26,9 @@ type fuzzCase struct {
 	rows *table.Table // when tab is a distinct-tuple table: the table it was built from
 	w    weight.Weighter
 	opts Options // K, MaxWeight, Base, Agg
-	// orderFree: every accumulator holds integers, so a sum depends neither
-	// on the order rows are added in nor on the order workers merge in.
+	// orderFree: every accumulator holds integers below 2^53, so a sum
+	// depends neither on the order rows are added in nor on the order
+	// workers merge in.
 	orderFree bool
 }
 
@@ -75,12 +76,25 @@ func decodeFuzzCase(data []byte) (fuzzCase, bool) {
 	if data[1]&2 != 0 {
 		fc.w = weight.BitsFor(fc.tab) // integral weights, like Size
 	}
+	if data[1]&4 != 0 {
+		fc.w = hugeWeights(cols)
+	}
 	fc.opts = Options{K: 1 + int(data[4])%5, MaxWeight: fc.w.MaxWeight(1 + int(data[3])%cols), Base: rule.Trivial(cols)}
-	fc.orderFree = true
+	// A Sum over integral masses adds what a Count adds over a table whose
+	// rows stand for their masses; one over fractional masses is not exact.
+	exact, mass := score.Aggregator(score.CountAgg{}), float64(n)
 	if data[1]&1 != 0 {
 		fc.opts.Agg = score.SumAgg{Measure: 0}
-		fc.orderFree = integral
+		exact, mass = fc.opts.Agg, fc.tab.MeasureMass(0)
+		if integral {
+			exact = score.CountAgg{}
+		}
 	}
+	mw := fc.opts.MaxWeight
+	if mw <= 0 {
+		mw = fc.w.MaxWeight(cols) // what newRunner searches at
+	}
+	fc.orderFree = score.ExactSums(exact, fc.w, mw, mass)
 	if data[2] != 0 {
 		fc.opts.Base = fc.opts.Base.With((int(data[2])-1)%cols, 0)
 	}
@@ -90,6 +104,17 @@ func decodeFuzzCase(data []byte) (fuzzCase, bool) {
 		}
 	}
 	return fc, true
+}
+
+// hugeWeights is a Linear weighter of whole per-column weights near 2^50,
+// Power 1: integral, yet a handful of rows takes mw times their mass past
+// 2^53, where sums of weights round and how depends on the order.
+func hugeWeights(cols int) weight.Linear {
+	per := make([]float64, cols)
+	for c := range per {
+		per[c] = 1<<50 + float64(c*c*7919+c+1)
+	}
+	return weight.NewLinear(per, 1, "huge")
 }
 
 // encodeFuzzCase is decodeFuzzCase's inverse for a table of letter cells,
@@ -111,9 +136,10 @@ func encodeFuzzCase(header [fuzzHeader]byte, rows []string, masses []float64) []
 // brute-force maximum marginal value, as in TestGreedyStepIsArgmax, both
 // outputs must have the list properties brsref.CheckList checks, the fast
 // path must stream the same rules, counts and marginal counts serially and
-// with two workers, and wherever sums are exact — Count, or Sum over
-// integral masses — exactly brsref's. A bound that gates a walk, a merge or
-// a refresh it should not have loses a step here.
+// with two workers, and wherever sums are exact — score.ExactSums, a Sum
+// over integral masses taken as the Count it adds — exactly brsref's. A
+// bound that gates a walk, a merge or a refresh it should not have loses a
+// step here.
 //
 // Under Sum over fractional masses only the maximum is required, not the
 // same rule: a parent's bound and its child's marginal can be one number
@@ -135,6 +161,13 @@ func FuzzFastMatchesReference(f *testing.F) {
 	f.Add(encodeFuzzCase([fuzzHeader]byte{1, 16, 1, 2, 2},
 		[]string{"aab", "aab", "abc", "aab", "abc", "aab", "aab", "abc", "aab", "aab", "abc", "aab", "abc", "abc", "aab", "bca"},
 		[]float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}))
+	// Count under hugeWeights over 12 rows, base (?, a, ?, ?), mw three
+	// columns' worth: mw times the mass passes 2^53, so sums are not exact.
+	// A runner that derived marginals here anyway streamed another fourth
+	// rule than brsref, one of a tie that rounding had split.
+	f.Add(encodeFuzzCase([fuzzHeader]byte{2, 4, 2, 6, 4},
+		[]string{"cacc", "bbca", "bcac", "caac", "abca", "cabb", "aaab", "cbbc", "bccb", "bbac", "baac", "abbb"},
+		[]float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fc, ok := decodeFuzzCase(data)
 		if !ok {

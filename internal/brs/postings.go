@@ -31,8 +31,8 @@ import (
 //     over them and the data words every set's summary marks non-zero (see
 //     table.Bitset) — on a table in tuple order, where rows cluster, a
 //     fraction of the universe — and a candidate is costed at the most that
-//     books (table.AndWords). Applies under the Count aggregate to
-//     candidates whose every container is a bitset.
+//     books (table.AndWords). Applies, under any aggregate, to candidates
+//     whose every container is a bitset.
 //
 // The base, level 0, instantiates no free column: its coverage is the
 // whole table, and it has no container to walk. Under Count its expansion
@@ -137,8 +137,8 @@ func (rn *runner) containers(c *cand, sets []table.Set) []table.Set {
 }
 
 // planCand picks the kernel for candidate c over its containers by what
-// each books. The AND kernel applies where every container is a bitset
-// under Count, and reads the words the containers' spans and summaries
+// each books. The AND kernel applies where every container is a bitset,
+// under any aggregate, and reads the words the containers' spans and summaries
 // leave it (table.AndWords, the most it books). The probing walk then
 // reads its driver for the words reading it alone books — its span's, or
 // its summary's and its non-zero words — and tests each of the driver's
@@ -148,7 +148,7 @@ func (rn *runner) containers(c *cand, sets []table.Set) []table.Set {
 func (rn *runner) planCand(c *cand) (plan candPlan) {
 	var buf [16]table.Set
 	sets := rn.containers(c, buf[:0])
-	driver, allDense := 0, rn.countAgg
+	driver, allDense := 0, true
 	for i, set := range sets {
 		if size := int64(set.Len()); i == 0 || size < plan.rows {
 			plan.rows, driver = size, i

@@ -7,6 +7,7 @@ import (
 
 	"smartdrill/internal/brs"
 	"smartdrill/internal/datagen"
+	"smartdrill/internal/score"
 	"smartdrill/internal/search"
 	"smartdrill/internal/spans"
 	"smartdrill/internal/weight"
@@ -237,6 +238,45 @@ func TestSeedStaysOutOfTheAnswer(t *testing.T) {
 	}
 	if sampled(3) != sampled(3) || sampled(3) == sampled(4) {
 		t.Fatalf("sampled root drills: seed 3\n%s\nseed 3 again\n%s\nseed 4\n%s", sampled(3), sampled(3), sampled(4))
+	}
+}
+
+// TestWorkersShareOneCacheEntry: a search answers and reads the same at
+// any worker count, under Count and Sum alike, so Workers stays out of the
+// cache key. Executed, sessions differing only in Workers drill the same
+// root tree and read the same; sharing a service, the second is served the
+// first's one entry.
+func TestWorkersShareOneCacheEntry(t *testing.T) {
+	tab := datagen.StoreSales(42)
+	m, err := tab.MeasureIndex("Sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, agg := range []score.Aggregator{score.CountAgg{}, score.SumAgg{Measure: m, Label: "Sales"}} {
+		root := func(workers int, svc *search.Service) *Session {
+			t.Helper()
+			s, err := NewSession(tab, Config{K: 3, Agg: agg, Workers: workers, Search: svc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Expand(s.Root()); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		root(1, cacheOff()) // books the table's one build of its distinct tuples
+		a, b := root(1, cacheOff()), root(8, cacheOff())
+		if a.Render() != b.Render() || a.LastStats != b.LastStats {
+			t.Fatalf("%s: Workers 1 and 8 drill\n%s%+v\nand\n%s%+v", agg.Name(), a.Render(), a.LastStats, b.Render(), b.LastStats)
+		}
+		svc := search.NewService(search.Config{})
+		root(1, svc)
+		if d := root(8, svc); d.LastMethod != "cache" || d.Render() != a.Render() {
+			t.Fatalf("%s: the Workers 8 session's root drill was served by %q:\n%s", agg.Name(), d.LastMethod, d.Render())
+		}
+		if n := svc.Counters(); n.Misses != 1 || n.Hits != 1 || n.Entries != 1 {
+			t.Fatalf("%s: counters = %+v; want one entry, executed once and hit once", agg.Name(), n)
+		}
 	}
 }
 

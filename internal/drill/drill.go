@@ -548,24 +548,13 @@ func (s *Session) exactView(t *table.Table, r rule.Rule) *table.View {
 // may read them grouped instead. BRS's answer depends only on the multiset
 // of tuples, so it can be searched over the distinct ones, each with its
 // multiplicity for a mass (Section 6.3), when that search returns bit for
-// bit what the rows would: under the Count aggregate — a Sum adds fractional
-// masses, and its total depends on the order they are added in — and under
-// weights that are integers small enough for every product and sum to be
-// exact (weight.Integral). Everything else reads the rows, and so do tuples
-// too varied for their grouping to be worth having, which only grouping them
-// finds out.
+// bit what the rows would: where every sum it adds is exact at the
+// weighter's bound (score.ExactSums) — a Sum adds fractional masses, and its
+// total depends on the order they are added in. Everything else reads the
+// rows, and so do tuples too varied for their grouping to be worth having,
+// which only grouping them finds out.
 func (s *Session) groupable(w weight.Weighter, rows int) bool {
-	_, count := s.cfg.Agg.(score.CountAgg)
-	return count && exactGrouped(w, s.tab.NumCols(), rows)
-}
-
-// exactGrouped reports whether a Count search under w over rows tuples of
-// cols columns adds the same floats however the tuples are grouped: integer
-// weights (weight.Integral), small enough for every product and sum to be
-// exact.
-func exactGrouped(w weight.Weighter, cols, rows int) bool {
-	const exactInts = 1 << 53 // float64 holds every integer below it
-	return weight.Integral(w) && w.MaxWeight(cols)*float64(rows) < exactInts
+	return score.ExactSums(s.cfg.Agg, w, w.MaxWeight(s.tab.NumCols()), float64(rows))
 }
 
 // exactTable picks what an exact expansion under w reads: the table's
@@ -863,10 +852,10 @@ func estimateMaxWeight(ctx context.Context, v *table.View, w weight.Weighter, k 
 // drawing among the rows it stands for, and the draws are tallied by view
 // position and copied out in ascending position — tuple order, since a
 // weighted table is in it and the views a search reads are ascending. The
-// search's answer is bit for bit the rows' wherever exactGrouped
-// holds; elsewhere — fractional weights — the probe keeps the view of the
-// drawn rows, which the search copies. read is the pass that built the
-// tally.
+// search's answer is bit for bit the rows' wherever its Count sums are
+// exact (score.ExactSums); elsewhere — fractional or huge weights — the
+// probe keeps the view of the drawn rows, which the search copies. read is
+// the pass that built the tally.
 func probeView(v *table.View, w weight.Weighter, rng *rand.Rand) (probe *table.View, read brs.Stats) {
 	t := v.Table()
 	var tally *table.Table
@@ -875,7 +864,7 @@ func probeView(v *table.View, w weight.Weighter, rng *rand.Rand) (probe *table.V
 		for i := range rows {
 			rows[i] = rng.Intn(v.NumRows())
 		}
-		if !exactGrouped(w, v.NumCols(), probeSize) {
+		if !score.ExactSums(score.CountAgg{}, w, w.MaxWeight(v.NumCols()), probeSize) {
 			return v.Subset(rows), read
 		}
 		for i, pos := range rows {

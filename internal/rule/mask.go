@@ -11,23 +11,11 @@ type Mask [2]uint64
 // Set marks column c as instantiated.
 func (m *Mask) Set(c int) { m[c>>6] |= 1 << (uint(c) & 63) }
 
-// Clear marks column c as a star.
-func (m *Mask) Clear(c int) { m[c>>6] &^= 1 << (uint(c) & 63) }
-
 // Has reports whether column c is instantiated.
 func (m Mask) Has(c int) bool { return m[c>>6]&(1<<(uint(c)&63)) != 0 }
 
 // Count returns the number of instantiated columns.
 func (m Mask) Count() int { return bits.OnesCount64(m[0]) + bits.OnesCount64(m[1]) }
-
-// SubsetOf reports whether every column set in m is also set in o. A rule
-// r1 is a sub-rule of r2 only if r1's mask is a subset of r2's.
-func (m Mask) SubsetOf(o Mask) bool {
-	return m[0]&^o[0] == 0 && m[1]&^o[1] == 0
-}
-
-// Union returns the mask with all columns from either operand.
-func (m Mask) Union(o Mask) Mask { return Mask{m[0] | o[0], m[1] | o[1]} }
 
 // Columns returns the indices of set columns in ascending order.
 func (m Mask) Columns() []int {

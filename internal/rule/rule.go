@@ -188,15 +188,3 @@ func (r Rule) String() string {
 	b.WriteByte(')')
 	return b.String()
 }
-
-// ImmediateSubRules returns the rules obtained by starring out exactly one
-// instantiated column of r — the parents of r in the a-priori lattice.
-func (r Rule) ImmediateSubRules() []Rule {
-	subs := make([]Rule, 0, r.Size())
-	for c, v := range r {
-		if v != Star {
-			subs = append(subs, r.Without(c))
-		}
-	}
-	return subs
-}

@@ -10,6 +10,7 @@
 package score
 
 import (
+	"math"
 	"sort"
 
 	"smartdrill/internal/rule"
@@ -60,6 +61,21 @@ func (s SumAgg) Name() string {
 		return "Sum(" + s.Label + ")"
 	}
 	return "Sum"
+}
+
+// ExactSums reports whether a search under agg, w and mw over a table of
+// mass tuples adds only integers that float64 holds exactly: the Count
+// aggregate, integral weights (weight.Integral) and an integral mw, and
+// mw·mass below 2^53. No weight exceeds mw and no rule's mass the table's,
+// so no marginal, bound or partial sum of one exceeds mw·mass, and each is
+// then the same float in whatever order, and however grouped, its terms
+// are added. It is the one test of that: a search may derive sums
+// from stored counts, and a drill may read distinct tuples in place of
+// rows, only where it holds.
+func ExactSums(agg Aggregator, w weight.Weighter, mw, mass float64) bool {
+	const exactInts = 1 << 53 // float64 holds every integer below it
+	_, count := agg.(CountAgg)
+	return count && weight.Integral(w) && mw == math.Trunc(mw) && mw*mass < exactInts
 }
 
 // SortByWeightDesc orders rules in descending weight (stable, with rule key

@@ -219,3 +219,31 @@ func permute(rules []rule.Rule, fn func([]rule.Rule)) {
 	}
 	rec(0)
 }
+
+// TestExactSums: exact only under Count, integral weights and mw, and
+// mw times the mass below 2^53 — the boundary itself is not exact.
+func TestExactSums(t *testing.T) {
+	size := weight.NewSize(4)
+	huge := weight.NewLinear([]float64{1 << 50, 1<<50 + 1}, 1, "huge")
+	for _, c := range []struct {
+		name     string
+		agg      Aggregator
+		w        weight.Weighter
+		mw, mass float64
+		want     bool
+	}{
+		{"count", CountAgg{}, size, 4, 1e6, true},
+		{"sum", SumAgg{}, size, 4, 1e6, false},
+		{"fractional weights", CountAgg{}, weight.NewLinear([]float64{0.5, 1}, 1, ""), 1, 10, false},
+		{"power", CountAgg{}, weight.NewLinear([]float64{1, 2}, 2, ""), 9, 10, false},
+		{"fractional mw", CountAgg{}, size, 2.5, 10, false},
+		{"below 2^53", CountAgg{}, huge, 1 << 50, 7, true},
+		{"at 2^53", CountAgg{}, huge, 1 << 50, 8, false},
+		{"past 2^53", CountAgg{}, huge, huge.MaxWeight(2), 4, false},
+		{"unbounded", CountAgg{}, size, math.Inf(1), 1, false},
+	} {
+		if got := ExactSums(c.agg, c.w, c.mw, c.mass); got != c.want {
+			t.Errorf("%s: ExactSums = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -25,6 +25,7 @@ var nonIdentity = map[string]bool{
 	"Resolve":      true,
 	"MaxWeightFor": true,
 	"Seed":         true,
+	"Workers":      true,
 }
 
 func baseRequest() Request {

@@ -56,7 +56,7 @@ const (
 )
 
 // Request is the canonical form of one search. Identity fields (Kind
-// through Workers) make up the cache key; the remaining fields route
+// through MaxWeight) make up the cache key; the remaining fields route
 // around the cache (Sampled, a Deadline-bounded stream), are consulted
 // only on a miss (Resolve, MaxWeightFor, Yield), or are read by nothing
 // (Store, Seed). Each carries a //sdlint:nonidentity comment saying why it
@@ -79,9 +79,9 @@ type Request struct {
 	// it via MaxWeightFor (the estimate is deterministic in keyed fields, so
 	// the configured value — not the estimate — belongs in the key).
 	MaxWeight float64
-	// Workers shapes the execution; it is keyed conservatively (results are
-	// proven bit-identical across worker counts only under the Count
-	// aggregate).
+	// Workers shapes the execution.
+	//
+	//sdlint:nonidentity every search answers, and reads, the same at any worker count
 	Workers int
 
 	// Deadline bounds a stream. A deadline-bounded stream can truncate
@@ -167,7 +167,6 @@ type key struct {
 	weighter string
 	agg      string
 	maxW     float64
-	workers  int
 }
 
 // entry is one cached completed search: an immutable master copy whose
@@ -255,7 +254,6 @@ func (*Service) keyOf(req Request) key {
 		k:        req.K,
 		maxRules: req.MaxRules,
 		maxW:     req.MaxWeight,
-		workers:  req.Workers,
 	}
 	if req.Weighter != nil {
 		k.weighter = req.Weighter.Name()

@@ -175,6 +175,7 @@ func (t *Table) GroupRows(m Meter, rows []int, limit int) *Table {
 		cols:     cols,
 		n:        len(mult),
 		mult:     mult,
+		tuples:   n,
 	}
 	d.sortTuples()
 	return d
@@ -240,6 +241,9 @@ func (t *Table) SelectWeighted(m Meter, rows []int, mult []int32) *Table {
 	}
 	for c := range t.cols {
 		d.cols[c] = t.cols[c].gather(rows)
+	}
+	for _, k := range mult {
+		d.tuples += int(k)
 	}
 	m.Book(int64(len(rows)), 0, 0)
 	return d

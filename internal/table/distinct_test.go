@@ -53,8 +53,8 @@ func requireDistinctOf(t *testing.T, d, tab *table.Table) {
 		}
 		total += n
 	}
-	if total != tab.NumRows() {
-		t.Fatalf("multiplicities sum to %d, the table has %d rows", total, tab.NumRows())
+	if total != tab.NumRows() || d.NumTuples() != total {
+		t.Fatalf("multiplicities sum to %d, recorded as %d, the table has %d rows", total, d.NumTuples(), tab.NumRows())
 	}
 }
 
@@ -299,7 +299,7 @@ func TestEquivalenceDistinctGivesUp(t *testing.T) {
 }
 
 // TestEquivalenceDistinctCarriedBySelect: materializing rows of a distinct
-// table keeps their multiplicities.
+// table keeps their multiplicities, and the copy records their sum.
 func TestEquivalenceDistinctCarriedBySelect(t *testing.T) {
 	d := datagen.CensusProjected(8000, 4, 3).Distinct(new(table.Tally))
 	if d == nil {
@@ -311,6 +311,9 @@ func TestEquivalenceDistinctCarriedBySelect(t *testing.T) {
 		if sel.Multiplicity(j) != d.Multiplicity(i) {
 			t.Fatalf("selected row %d: multiplicity %d, want %d", j, sel.Multiplicity(j), d.Multiplicity(i))
 		}
+	}
+	if want := d.ViewOf(rows).NumTuples(); sel.NumTuples() != want {
+		t.Fatalf("the copy stands for %d tuples, its rows for %d", sel.NumTuples(), want)
 	}
 }
 

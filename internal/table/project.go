@@ -15,6 +15,7 @@ func (t *Table) Project(columns []string) (*Table, error) {
 		measureNames: t.measureNames,
 		measures:     t.measures,
 		mult:         t.mult,
+		tuples:       t.tuples,
 	}
 	for i, name := range columns {
 		c, err := t.ColumnIndex(name)

@@ -97,16 +97,28 @@ type Table struct {
 	onBuild atomic.Pointer[func(BuildReport)]
 
 	// mult is a distinct-tuple table's multiplicity per row (see Distinct);
-	// nil on an ordinary table, where every row is one tuple.
-	mult []int32
+	// nil on an ordinary table, where every row is one tuple. tuples is
+	// their sum, recorded where mult is set (see NumTuples).
+	mult   []int32
+	tuples int
 
 	// ranks memoises Ranks, the running total of mult.
 	ranksOnce sync.Once
 	ranks     []int
 }
 
-// NumRows returns the number of tuples.
+// NumRows returns the number of rows.
 func (t *Table) NumRows() int { return t.n }
+
+// NumTuples returns the number of tuples t stands for — its total mass
+// under the Count aggregate: its rows, or on a distinct-tuple table the sum
+// of their multiplicities, recorded when the table was built.
+func (t *Table) NumTuples() int {
+	if t.mult == nil {
+		return t.n
+	}
+	return t.tuples
+}
 
 // NumCols returns the number of categorical (drillable) columns.
 func (t *Table) NumCols() int { return len(t.colNames) }
@@ -280,6 +292,7 @@ func (t *Table) Select(rows []int) *Table {
 		out.mult = make([]int32, len(rows))
 		for j, i := range rows {
 			out.mult[j] = t.mult[i]
+			out.tuples += int(t.mult[i])
 		}
 	}
 	return out

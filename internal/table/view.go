@@ -42,13 +42,15 @@ func (v *View) NumRows() int {
 // NumTuples returns the number of tuples the view's rows stand for: its
 // rows, or on a distinct-tuple table the sum of their multiplicities.
 func (v *View) NumTuples() int {
-	n := v.NumRows()
+	if v.rows == nil {
+		return v.t.NumTuples()
+	}
 	if v.t.mult == nil {
-		return n
+		return len(v.rows)
 	}
 	tuples := 0
-	for i := 0; i < n; i++ {
-		tuples += int(v.t.mult[v.ParentRow(i)])
+	for _, i := range v.rows {
+		tuples += int(v.t.mult[i])
 	}
 	return tuples
 }

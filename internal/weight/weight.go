@@ -33,13 +33,12 @@ type Weighter interface {
 }
 
 // Integral reports whether w vouches that every weight it assigns is an
-// integer. Products and sums of integers are exact in float64 (below 2^53),
-// so a marginal value Σ (W − W_top)·mass over integral masses is then the
-// same float in whatever order, and however grouped, the tuples are added —
-// which is what lets a search read each distinct tuple once with its
-// multiplicity for a mass and still return, bit for bit, what it returns
-// reading the rows. A weighter reports the property with an
-// Integral() bool method; one without the method is taken not to have it.
+// integer. It is one condition of exact sums, not all of them: products
+// and sums of integers are exact in float64 only below 2^53, so whether a
+// search's sums are order-free also depends on its aggregate, its mw and
+// its table's mass (score.ExactSums). A weighter reports the property with
+// an Integral() bool method; one without the method is taken not to have
+// it.
 func Integral(w Weighter) bool {
 	i, ok := w.(interface{ Integral() bool })
 	return ok && i.Integral()
