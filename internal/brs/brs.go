@@ -55,7 +55,10 @@
 //     keeps the rows it visits as its candidate's cover, so a later count
 //     or walk of that candidate reads that cover alone, and one of a child
 //     holding no cover intersects two containers, the parent's cover and
-//     the child's added column, however deep the child is.
+//     the child's added column, however deep the child is. Siblings that
+//     an expansion pass walks — children of one parent, that share its
+//     cover — are walked together where that reads less, the parent's
+//     cover read once for all of them (table.AndEachShared).
 //
 // Because counting is fused into generation, the bound is tested before
 // the walk: a counted rule whose own bound MV + Count·(mw − W) is below the
@@ -1137,28 +1140,58 @@ func (rn *runner) expandParents(parents []*cand) {
 		rn.materializeChildren(parents, accs)
 		return
 	}
-	// Walk each parent's own coverage. Workers take whole parents, and each
-	// parent's walk writes only that parent's accumulators and cover, in
+	// Walk each parent's own coverage, siblings that share their from's
+	// together (expansionUnits). Workers take whole units, and each
+	// parent's rows reach only that parent's accumulators and cover, in
 	// ascending row order, so nothing is shared and no merge is needed.
 	plans := rn.planIndex(parents)
 	reserved := rn.reserveCovers(parents, plans, accs)
-	// Each indexPass worker's keeper of the rows a walk keeps.
-	kept := make([]table.Keeper, rn.passWorkers(len(parents)))
-	rn.indexPass(len(parents), func(g, p int, st *Stats) {
-		mine, c := accs[p], parents[p]
-		if reserved[p] == 0 {
-			rn.walk(c, plans[p], st, func(row int) { st.CellsBooked += rn.bookRow(mine, row) })
-			return
+	order, starts, added, shared := rn.expansionUnits(parents, plans)
+	// Each indexPass worker's keepers, one a member of a unit.
+	kept := make([][maxSiblings]table.Keeper, rn.passWorkers(len(parents)))
+	rn.indexPass(len(parents), starts, func(g, u int, st *Stats) {
+		members := order[starts[u]:starts[u+1]]
+		// Each member's accumulators, and its keeper where its walk keeps
+		// its rows: only a walk that keeps them pays to collect them.
+		var mine [maxSiblings][]extAcc
+		var keeps [maxSiblings]*table.Keeper
+		for j, p := range members {
+			mine[j] = accs[p]
+			if reserved[p] > 0 {
+				keeps[j] = &kept[g][j]
+				keeps[j].Start(tab.NumRows())
+			}
 		}
-		// Only a walk that keeps its rows pays to collect them.
-		k := &kept[g]
-		k.Start(tab.NumRows())
-		rn.walk(c, plans[p], st, func(row int) {
-			st.CellsBooked += rn.bookRow(mine, row)
-			k.Add(row)
-		})
-		cover := k.Keep(reserved[p])
-		c.cover = &cover
+		if p := members[0]; len(members) == 1 {
+			acc, k := mine[0], keeps[0]
+			rn.walk(parents[p], plans[p], st, func(row int) {
+				st.CellsBooked += rn.bookRow(acc, row)
+				if k != nil {
+					k.Add(row)
+				}
+			})
+		} else {
+			before := st.BitmapWordsRead
+			table.AndEachShared(st, shared[u], added[starts[u]:starts[u+1]], func(j, row int) {
+				st.CellsBooked += rn.bookRow(mine[j], row)
+				if k := keeps[j]; k != nil {
+					k.Add(row)
+				}
+			})
+			if sharedWalked != nil {
+				group, priced := make([]*cand, len(members)), int64(0)
+				for j, p := range members {
+					group[j], priced = parents[p], priced+plans[p].words
+				}
+				sharedWalked(group, st.BitmapWordsRead-before, priced)
+			}
+		}
+		for j, p := range members {
+			if keeps[j] != nil {
+				cover := keeps[j].Keep(reserved[p])
+				parents[p].cover = &cover
+			}
+		}
 	})
 	if rn.ctxErr != nil {
 		return // a cut pass: some parents were never walked
@@ -1288,7 +1321,7 @@ func (rn *runner) upperBound(c *cand) float64 {
 // candidate of step 1 is measured by the walk that creates it.
 func (rn *runner) countCandidates(cands []*cand, plans []candPlan) {
 	topW := rn.topW
-	rn.indexPass(len(cands), func(_, i int, st *Stats) {
+	rn.indexPass(len(cands), nil, func(_, i int, st *Stats) {
 		c := cands[i]
 		c.count, c.marginal, c.resid = 0, 0, 0
 		rn.walk(c, plans[i], st, func(row int) {

@@ -150,7 +150,7 @@ func TestCancelInsideIndexPass(t *testing.T) {
 			rn.ctx = ctx
 			nw := rn.passWorkers(n)
 			walked, late := make([]int64, nw), make([]int64, nw)
-			rn.indexPass(n, func(g, _ int, _ *Stats) {
+			rn.indexPass(n, nil, func(g, _ int, _ *Stats) {
 				walked[g]++
 				if ctx.fired() {
 					late[g]++
@@ -220,6 +220,97 @@ func TestCancelInsideAPass(t *testing.T) {
 					t.Fatalf("%s fire at poll %d of %d: Run returned %d rules, err %v", label, fireAt, polls, len(res), err)
 				}
 			}
+		}
+	}
+	cancelSharedWalk(t, v, w)
+}
+
+// expansionPolls is a context that never fires and records which of its
+// polls an expansion pass made.
+type expansionPolls struct {
+	context.Context
+	calls atomic.Int64
+	by    map[int64]bool
+}
+
+func (c *expansionPolls) Err() error {
+	k := c.calls.Add(1)
+	pcs := make([]uintptr, 16)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for more := true; more; {
+		var f runtime.Frame
+		f, more = frames.Next()
+		if strings.HasSuffix(f.Function, ".expandParents") {
+			c.by[k] = true
+		}
+	}
+	return nil
+}
+
+// cancelSharedWalk is TestCancelInsideAPass's arm for a shared walk of
+// siblings (table.AndEachShared), which an expansion pass polls for once,
+// before the walk, not once a member. On one worker it fires at the poll
+// of a shared walk that opens its pass, so the pass walks nothing: greedy
+// returns the error, yields no rule after the poll, marks no member of the
+// cut group — nor any parent of its pass — expanded, and returns the Stats
+// booked at the poll and the cut pass's level.
+func cancelSharedWalk(t *testing.T, v *table.View, w weight.Weighter) {
+	opts := Options{K: 3, Workers: 1}
+	runner := func(ctx context.Context) *runner {
+		rn, err := newRunner(v, w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rn.ctx = ctx
+		return rn
+	}
+	// Record the poll before each shared walk that opens its pass: a poll
+	// of an expansion pass that follows one made elsewhere.
+	rec := &expansionPolls{Context: context.Background(), by: map[int64]bool{}}
+	type cut struct {
+		poll  int64
+		group []string
+	}
+	var opening []cut
+	defer func() { sharedWalked = nil }()
+	sharedWalked = func(group []*cand, _, _ int64) {
+		if k := rec.calls.Load(); rec.by[k] && !rec.by[k-1] {
+			keys := make([]string, len(group))
+			for i, c := range group {
+				keys[i] = c.key
+			}
+			opening = append(opening, cut{k, keys})
+		}
+	}
+	if err := runner(rec).greedy(opts.K, time.Time{}, 0, func(Result) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	sharedWalked = nil
+	if len(opening) == 0 {
+		t.Fatal("no shared walk opened an expansion pass")
+	}
+	for _, at := range []cut{opening[0], opening[len(opening)-1]} {
+		ctx := &bookedAt{firesAt: newFiresAt(at.poll)}
+		rn := runner(ctx)
+		ctx.rn = rn
+		if err := rn.greedy(opts.K, time.Time{}, 0, func(r Result) bool {
+			if ctx.fired() {
+				t.Errorf("shared walk at poll %d: yielded %v after the context fired", at.poll, r.Rule)
+			}
+			return true
+		}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("shared walk at poll %d: greedy returned %v", at.poll, err)
+		}
+		for _, key := range at.group {
+			if c := rn.store.byKey[key]; c == nil || c.expanded || c.cover != nil {
+				t.Errorf("shared walk at poll %d: member %+v of the cut group is missing, expanded or covered", at.poll, c)
+			}
+		}
+		want := ctx.booked
+		want.IndexLevels++
+		if got := rn.finalStats(); got != want || len(rn.store.byKey) != ctx.stored {
+			t.Errorf("shared walk at poll %d: %+v and %d candidates at the end, want %+v and the %d at the poll that fired",
+				at.poll, got, len(rn.store.byKey), want, ctx.stored)
 		}
 	}
 }

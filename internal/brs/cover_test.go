@@ -316,7 +316,7 @@ func TestRootSearchReads(t *testing.T) {
 		CandidatesPruned:  4479,
 		CandidatesReused:  2943,
 		PostingsRead:      187,
-		BitmapWordsRead:   15894,
+		BitmapWordsRead:   12333,
 		IndexLevels:       26,
 		CellsBooked:       551370,
 	}
@@ -352,7 +352,7 @@ func TestEquivalenceRouteReads(t *testing.T) {
 			CandidatesPruned:  1937,
 			CandidatesReused:  1015,
 			RowsScanned:       20000,
-			BitmapWordsRead:   33408,
+			BitmapWordsRead:   26908,
 			IndexLevels:       20,
 			CellsBooked:       863270,
 		}},

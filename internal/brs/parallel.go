@@ -8,14 +8,14 @@ import (
 )
 
 // Parallel passes. A pass fans its work out in whole accumulators: an
-// index pass gives each worker whole candidates, each walked into its own
-// sums (indexPass), and the one row pass, Sum's level 1, gives each worker
-// whole columns, each summed over every row (rowPass). No sum is ever split
-// between workers, so each accumulates its rows in row order, as a serial
-// run does, and nothing is merged but integer read counters. The split
-// depends only on the pass size and worker count, never on goroutine
-// scheduling, and results and Stats are bit-identical at any worker count,
-// under Count and Sum alike.
+// index pass gives each worker whole candidates — the siblings of a shared
+// walk together — each walked into its own sums (indexPass), and the one
+// row pass, Sum's level 1, gives each worker whole columns, each summed
+// over every row (rowPass). No sum is ever split between workers, so each
+// accumulates its rows in row order, as a serial run does, and nothing is
+// merged but integer read counters. The split depends only on the pass
+// size and worker count, never on goroutine scheduling, and results and
+// Stats are bit-identical at any worker count, under Count and Sum alike.
 
 // MaxWorkers caps the configured parallelism; beyond this, goroutine
 // overheads outweigh any conceivable gain.

@@ -1,6 +1,9 @@
 package brs
 
 import (
+	"cmp"
+	"slices"
+
 	"smartdrill/internal/rule"
 	"smartdrill/internal/table"
 )
@@ -13,8 +16,8 @@ import (
 // count, expansion, refresh and topW raise walks that intersection. The
 // index keeps each (column, value) in one table.Set — a sorted list of its
 // rows where the value is sparse, a packed bitset where it is dense — and
-// a cover is one too; two kernels read them, each handing its visitor the
-// rows it finds, nothing else:
+// a cover is one too; three kernels read them, each handing its visitor
+// the rows it finds, nothing else:
 //
 //   - Probing (table.EachInAll): a walk of the smallest container that
 //     tests each of its rows against the others — one word read where the
@@ -34,6 +37,17 @@ import (
 //     books (table.AndWords). Applies, under any aggregate, to candidates
 //     whose every container is a bitset.
 //
+//   - Shared bitmap: the AND of one bitset with each of several others
+//     (table.AndEachShared), handing each pair's rows to that pair's
+//     visitor. An expansion pass walks siblings — parents that share their
+//     from's coverage, one bitset, and each add one column whose container
+//     is a bitset — together, reading the shared coverage once instead of
+//     once a sibling, as Eclat reads a prefix's tid-set once for its whole
+//     equivalence class (Zaki, IEEE TKDE 2000). A group is costed at the
+//     most it books (table.SharedWords) and walked together only where that
+//     is below what its members' own plans are priced at
+//     (expansionUnits).
+//
 // The base, level 0, instantiates no free column: its coverage is the
 // whole table, and it has no container to walk. Under Count its expansion
 // reads the masses the index stores beside its extensions' containers
@@ -48,9 +62,10 @@ import (
 //
 // Every kernel visits rows ascending — the order a pass over the rows
 // meets them in — so accumulated masses are bit-identical whichever kernel
-// runs, and the choice is a pure performance decision. Both kernels are
-// reached through one function, walk, which hands them the worker's Stats
-// to book what they read into. Routing is the runner's alone: the tests'
+// runs, and the choice is a pure performance decision. The first two are
+// reached through one function, walk, and the third from expandParents'
+// grouped walks; each is handed the worker's Stats to book what it reads
+// into. Routing is the runner's alone: the tests'
 // oracle, package brsref, reads every row of every pass and shares none of
 // this file.
 
@@ -109,6 +124,7 @@ func (rn *runner) reserveCovers(parents []*cand, plans []candPlan, accs [][]extA
 // index-driven pass.
 type candPlan struct {
 	rows   int64 // the smallest container's rows: the most the walk can visit
+	words  int64 // where every container is a bitset, the most the chosen kernel books; else 0
 	bitmap bool  // true: bitset AND kernel; false: probing walk of the containers
 }
 
@@ -156,8 +172,9 @@ func (rn *runner) planCand(c *cand) (plan candPlan) {
 		allDense = allDense && set.IsBitset()
 	}
 	if allDense {
+		and := table.AndWords(sets)
 		probe := table.AndWords(sets[driver:driver+1]) + int64(len(sets)-1)*plan.rows
-		plan.bitmap = table.AndWords(sets) <= probe
+		plan.bitmap, plan.words = and <= probe, min(and, probe)
 	}
 	return plan
 }
@@ -188,23 +205,129 @@ func (rn *runner) walk(c *cand, plan candPlan, st *Stats, visit func(row int)) {
 	}
 }
 
-// indexPass is a pass over n candidates: workers take whole candidates, in
-// order, polling the context before each, and fn(g, i, st) walks candidate
-// i on worker g booking into st, one Stats a worker, and those merge into
-// the run's after the pass; the pass latches the first error a worker saw.
-// It fans out candidates, not rows, so it books no read itself.
-func (rn *runner) indexPass(n int, fn func(g, i int, st *Stats)) {
+// siblingSets returns, for a parent c that holds no cover, its from's
+// coverage where that is one bitset — the from's cover, or a level-1
+// from's one index container — and the bitset of the one column c adds:
+// the two sets whose AND is c's coverage, which c's siblings share the
+// first of. ok is false at level 1, where c holds a cover, and where
+// either is not one bitset.
+func (rn *runner) siblingSets(c *cand) (shared, added table.Set, ok bool) {
+	f := c.from
+	if c.cover != nil || f == nil {
+		return shared, added, false
+	}
+	var buf [16]table.Set
+	if fs := rn.containers(f, buf[:0]); len(fs) == 1 && fs[0].IsBitset() {
+		shared = fs[0]
+	} else {
+		return shared, added, false
+	}
+	for _, col := range rn.freeCols {
+		if v := c.r[col]; v != rule.Star && !f.mask.Has(col) {
+			added = rn.ix.Container(col, v)
+		}
+	}
+	return shared, added, added.IsBitset()
+}
+
+// maxSiblings is the most parents one shared walk takes: the shared kernel
+// keeps that many members' state on the stack.
+const maxSiblings = 16
+
+// sharedWalked, where set, is handed, for each shared walk of an expansion
+// pass, its parents, the words it booked and the words their own plans
+// were priced at. It is a variable only so that tests can hold the planner
+// to its choice and find a shared walk to cancel; workers call it
+// concurrently.
+var sharedWalked func(group []*cand, booked, priced int64)
+
+// expansionUnits cuts an expansion pass's parents into the units its
+// workers walk, a poll each. Siblings — parents holding no cover of their
+// own whose from's coverage is one bitset and whose added column's
+// container is a bitset (siblingSets) — are grouped by from, in runs of at
+// most maxSiblings in parent order, and a run is walked as one unit by
+// table.AndEachShared, which reads the from's coverage once for all of
+// them, where that books fewer words than the run's own plans
+// (table.SharedWords against their planCand words); every other parent is
+// a unit of its own, walked by its plan. Units come in the order of their
+// first parent. It returns order, the parents' indices unit by unit;
+// starts, where each unit begins in order, and then len(order); added,
+// aligned with order, each grouped parent's added container; and shared,
+// each unit's shared coverage, the zero Set for a unit of one parent. The
+// cut is a function of the parents and their plans alone, never of
+// Workers, so what a pass reads is the same at any worker count.
+func (rn *runner) expansionUnits(parents []*cand, plans []candPlan) (order, starts []int, added, shared []table.Set) {
+	n := len(parents)
+	type sibling struct {
+		head          int // the first parent of its group; itself where it is no sibling
+		shared, added table.Set
+	}
+	sibs := make([]sibling, n)
+	firstOf := make(map[*cand]int)
+	for p, c := range parents {
+		sh, ad, ok := rn.siblingSets(c)
+		sibs[p] = sibling{head: p, shared: sh, added: ad}
+		if !ok {
+			continue
+		}
+		if h, seen := firstOf[c.from]; seen {
+			sibs[p].head = h
+		} else {
+			firstOf[c.from] = p
+		}
+	}
+	order = make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(sibs[a].head, sibs[b].head) })
+	added = make([]table.Set, n)
+	for i, p := range order {
+		added[i] = sibs[p].added
+	}
+	for lo := 0; lo < n; {
+		h := sibs[order[lo]].head
+		hi, priced := lo, int64(0)
+		for ; hi < n && hi-lo < maxSiblings && sibs[order[hi]].head == h; hi++ {
+			priced += plans[order[hi]].words
+		}
+		if hi-lo > 1 && table.SharedWords(sibs[h].shared, added[lo:hi]) < priced {
+			starts, shared = append(starts, lo), append(shared, sibs[h].shared)
+		} else {
+			for i := lo; i < hi; i++ {
+				starts, shared = append(starts, i), append(shared, table.Set{})
+			}
+		}
+		lo = hi
+	}
+	return order, append(starts, n), added, shared
+}
+
+// indexPass is a pass over n candidates in units: unit u is candidates
+// starts[u] up to starts[u+1], the last of starts being n, and nil starts
+// makes every candidate a unit. It runs on passWorkers(n) workers, each
+// taking the units that begin in its fanOut chunk of the n candidates,
+// whole and in order, polling the context once before each — before a
+// grouped walk, not before each of its members — and fn(g, u, st) walks
+// unit u on worker g booking into st, one Stats a worker, and those merge
+// into the run's after the pass; the pass latches the first error a worker
+// saw. It fans out candidates, not rows, so it books no read itself.
+func (rn *runner) indexPass(n int, starts []int, fn func(g, u int, st *Stats)) {
 	ws := make([]struct {
 		st  Stats
 		cut error
 	}, rn.passWorkers(n))
 	fanOut(n, len(ws), func(lo, hi, g int) {
 		w := &ws[g]
-		for i := lo; i < hi; i++ {
+		if starts != nil {
+			lo, _ = slices.BinarySearch(starts, lo)
+			hi, _ = slices.BinarySearch(starts[:len(starts)-1], hi)
+		}
+		for u := lo; u < hi; u++ {
 			if w.cut = rn.fired(); w.cut != nil {
 				return
 			}
-			fn(g, i, &w.st)
+			fn(g, u, &w.st)
 		}
 	})
 	for _, w := range ws {

@@ -1,10 +1,12 @@
 package brs
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"smartdrill/internal/rule"
@@ -53,148 +55,7 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 		trials = 2
 	}
 	for trial := 0; trial < trials; trial++ {
-		cols := 3 + rng.Intn(2)
-		n := 1500 + rng.Intn(1500)
-		tab := skewedTable(rng, cols, 3+rng.Intn(3), n)
-		size := weight.NewSize(cols)
-		var w weight.Weighter = size
-		if trial%2 == 1 {
-			w = weight.BitsFor(tab)
-		}
-		mw := w.MaxWeight(3)
-
-		// Child view: an index-backed rule filter, the way a session serves
-		// a rule drill-down (ascending rows, a strict subset of the table).
-		base := rule.Trivial(cols).With(0, 0)
-		// Probe view: rows drawn with replacement (the mw estimator's
-		// shape) — in no order, a row drawn twice listed twice.
-		probe := make([]int, n/2)
-		for i := range probe {
-			probe[i] = rng.Intn(n)
-		}
-		// Every row of the table, last first; a tenth of the rows, each
-		// listed twice, in order; and a row sample of a quarter, drawn
-		// without replacement and in order as a sample handler serves one,
-		// its counts scaled to the table.
-		reversed := make([]int, n)
-		for i := range reversed {
-			reversed[i] = n - 1 - i
-		}
-		var twice, sample []int
-		for i := 0; i < n; i++ {
-			if i%10 == 0 {
-				twice = append(twice, i, i)
-			}
-			if rng.Intn(4) == 0 {
-				sample = append(sample, i)
-			}
-		}
-		sampleScale := float64(n) / float64(len(sample))
-		// A copy reads its own index: the copy's pass, then index levels.
-		copiedIndexed := func(s Stats) bool { return s.Passes > 0 && s.IndexLevels > 0 }
-		// Under Sum the bitset AND kernel cannot run: every index read is
-		// the intersection walk's. Where every
-		// value the walk can meet is dense there is no posting list to read
-		// an entry of — the driver's rows are its bitset's set bits — and
-		// where every one is sparse there is no bitset to read a word of.
-		walk := func(s Stats) bool { return s.IndexLevels > 0 && s.PostingsRead+s.BitmapWordsRead > 0 }
-		denseWalk := func(s Stats) bool { return s.IndexLevels > 0 && s.BitmapWordsRead > 0 }
-		noEntries := func(s Stats) bool { return s.PostingsRead != 0 }
-		// tab without its skewed first column: a few uniform values a column,
-		// every one of them dense.
-		flat, err := tab.Project(tab.ColumnNames()[1:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Forty values a column: every one but the skewed column's favourite
-		// is sparse.
-		thin := skewedTable(rand.New(rand.NewSource(int64(trial)+200)), 3, 40, n)
-		// Irrational weights: a marginal is a sum of products no ± delta
-		// bookkeeping could keep exact, only a recount in row order.
-		per := make([]float64, cols)
-		for c := range per {
-			per[c] = 0.5 + float64(c)*0.75
-		}
-		frac := weight.NewLinear(per, 1.3, "frac")
-		// A duplicated column makes every rule over it a twin of another
-		// with exactly the same mass: steps ≥ 2 tie cached candidates with
-		// freshly counted ones to the last bit.
-		dup := withDuplicateColumn(tab, 1)
-		multiStep := func(s Stats) bool { return s.CandidatesReused > 0 && s.IndexLevels > 0 }
-		// A table of few distinct tuples, and its distinct-tuple table: Count
-		// over rows that each weigh their multiplicity. A kernel that counts
-		// rows where it should sum masses — a posting-list length, a
-		// popcount, a count++ — disagrees with brsref, which sums Agg.Mass
-		// row by row; and either must return what the rows give.
-		heavy := skewedTable(rand.New(rand.NewSource(int64(trial)+100)), 4, 4, n)
-		weighted := heavy.Distinct(new(table.Tally))
-		if weighted == nil {
-			t.Fatalf("trial %d: %d rows over at most 320 tuples did not compress", trial, n)
-		}
-		heavyW := w
-		if trial%2 == 1 {
-			heavyW = weight.BitsFor(heavy)
-		}
-		heavyBase := rule.Trivial(4).With(0, 0)
-		shapes := []armShape{
-			{name: "full-count", view: tab.All(), w: w,
-				opts:    Options{K: 4, MaxWeight: mw},
-				engaged: func(s Stats) bool { return s.BitmapWordsRead > 0 }},
-			// Six rules: the lazy refresh runs across five steps.
-			{name: "k6", view: tab.All(), w: w,
-				opts: Options{K: 6, MaxWeight: mw}, engaged: multiStep},
-			{name: "fractional", view: tab.All(), w: frac,
-				opts: Options{K: 4, MaxWeight: frac.MaxWeight(3)}, engaged: multiStep},
-			{name: "dup-column", view: dup.All(), w: weight.NewSize(cols + 1),
-				opts: Options{K: 5, MaxWeight: 3}, engaged: multiStep},
-			// A sorted sub-view under Count, copied, its free columns all
-			// dense: no posting entry to read.
-			{name: "child", view: tab.ViewOf(tab.FilterIndices(base)), w: w,
-				opts:    Options{K: 4, MaxWeight: mw, Base: base, BaseCovered: true},
-				forbid:  noEntries,
-				engaged: func(s Stats) bool { return copiedIndexed(s) && denseWalk(s) }},
-			{name: "permuted", view: tab.ViewOf(reversed), w: w,
-				opts: Options{K: 4, MaxWeight: mw}, engaged: copiedIndexed},
-			{name: "duplicates", view: tab.ViewOf(twice), w: w,
-				opts: Options{K: 4, MaxWeight: mw}, engaged: copiedIndexed},
-			{name: "row-sample", view: tab.ViewOf(sample), w: w,
-				opts:    Options{K: 4, MaxWeight: mw, SampleScale: sampleScale},
-				engaged: func(s Stats) bool { return copiedIndexed(s) && s.SampledRowsScanned == s.RowsScanned }},
-			{name: "sum", view: tab.All(), w: size,
-				opts: Options{K: 4, MaxWeight: 3, Agg: score.SumAgg{Measure: 0}}, engaged: walk},
-			// Fractional masses under irrational weights: no sum is exact, so
-			// only summing every accumulator in row order, at any worker
-			// count, keeps the last ulp. Level 1 is the one row pass.
-			{name: "sum-fractional", view: tab.All(), w: frac,
-				opts:    Options{K: 4, MaxWeight: frac.MaxWeight(3), Agg: score.SumAgg{Measure: 2}},
-				engaged: func(s Stats) bool { return s.Passes == 1 && walk(s) }},
-			// And over a copied child: the copy's pass, then the row pass.
-			{name: "sum-fractional-child", view: tab.ViewOf(tab.FilterIndices(base)), w: frac,
-				opts:    Options{K: 4, MaxWeight: frac.MaxWeight(3), Base: base, BaseCovered: true, Agg: score.SumAgg{Measure: 2}},
-				engaged: func(s Stats) bool { return s.Passes == 2 && walk(s) }},
-			// Zero and negative masses: an extension exists because a row
-			// was seen, whatever its mass sums to.
-			{name: "sum-signed", view: tab.All(), w: size,
-				opts: Options{K: 4, MaxWeight: 3, Agg: score.SumAgg{Measure: 1}}, engaged: walk},
-			// The whole table under Sum, every value dense: bitset drivers
-			// again, this time because of the aggregate.
-			{name: "sum-dense", view: flat.All(), w: weight.NewSize(cols - 1),
-				opts:   Options{K: 4, MaxWeight: 3, Agg: score.SumAgg{Measure: 0}},
-				forbid: noEntries, engaged: denseWalk},
-			// And nearly every value sparse: list drivers, galloped lists.
-			{name: "sum-sparse", view: thin.All(), w: weight.NewSize(3),
-				opts:    Options{K: 4, MaxWeight: 3, Agg: score.SumAgg{Measure: 0}},
-				engaged: func(s Stats) bool { return s.IndexLevels > 0 && s.PostingsRead > 0 }},
-			{name: "weighted-count", view: weighted.All(), w: heavyW, rows: heavy.All(),
-				opts: Options{K: 6, MaxWeight: heavyW.MaxWeight(3)}, engaged: multiStep},
-			{name: "weighted-child", view: weighted.ViewOf(weighted.FilterIndices(heavyBase)), w: heavyW,
-				rows:    heavy.ViewOf(heavy.FilterIndices(heavyBase)),
-				opts:    Options{K: 4, MaxWeight: heavyW.MaxWeight(3), Base: heavyBase, BaseCovered: true},
-				engaged: func(s Stats) bool { return s.RowsScanned+s.PostingsRead > 0 }},
-			{name: "probe", view: tab.ViewOf(probe), w: w,
-				opts: Options{K: 4, MaxWeight: mw}, engaged: copiedIndexed},
-		}
-		for _, sh := range shapes {
+		for _, sh := range matrixShapes(t, rng, trial) {
 			want := scaled(oracleRun(sh.view, sh.w, sh.opts), sh.opts.SampleScale)
 			if sh.rows != nil {
 				sameResults(t, fmt.Sprintf("trial %d %s: the oracle over the rows", trial, sh.name), scaled(oracleRun(sh.rows, sh.w, sh.opts), sh.opts.SampleScale), want)
@@ -242,6 +103,152 @@ func TestEquivalencePropertyMatrix(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// matrixShapes builds trial's tables and the arm-forcing shapes over
+// them, drawing from rng as TestEquivalencePropertyMatrix does.
+func matrixShapes(t *testing.T, rng *rand.Rand, trial int) []armShape {
+	cols := 3 + rng.Intn(2)
+	n := 1500 + rng.Intn(1500)
+	tab := skewedTable(rng, cols, 3+rng.Intn(3), n)
+	size := weight.NewSize(cols)
+	var w weight.Weighter = size
+	if trial%2 == 1 {
+		w = weight.BitsFor(tab)
+	}
+	mw := w.MaxWeight(3)
+
+	// Child view: an index-backed rule filter, the way a session serves
+	// a rule drill-down (ascending rows, a strict subset of the table).
+	base := rule.Trivial(cols).With(0, 0)
+	// Probe view: rows drawn with replacement (the mw estimator's
+	// shape) — in no order, a row drawn twice listed twice.
+	probe := make([]int, n/2)
+	for i := range probe {
+		probe[i] = rng.Intn(n)
+	}
+	// Every row of the table, last first; a tenth of the rows, each
+	// listed twice, in order; and a row sample of a quarter, drawn
+	// without replacement and in order as a sample handler serves one,
+	// its counts scaled to the table.
+	reversed := make([]int, n)
+	for i := range reversed {
+		reversed[i] = n - 1 - i
+	}
+	var twice, sample []int
+	for i := 0; i < n; i++ {
+		if i%10 == 0 {
+			twice = append(twice, i, i)
+		}
+		if rng.Intn(4) == 0 {
+			sample = append(sample, i)
+		}
+	}
+	sampleScale := float64(n) / float64(len(sample))
+	// A copy reads its own index: the copy's pass, then index levels.
+	copiedIndexed := func(s Stats) bool { return s.Passes > 0 && s.IndexLevels > 0 }
+	// Under Sum the bitset AND kernel cannot run: every index read is
+	// the intersection walk's. Where every
+	// value the walk can meet is dense there is no posting list to read
+	// an entry of — the driver's rows are its bitset's set bits — and
+	// where every one is sparse there is no bitset to read a word of.
+	walk := func(s Stats) bool { return s.IndexLevels > 0 && s.PostingsRead+s.BitmapWordsRead > 0 }
+	denseWalk := func(s Stats) bool { return s.IndexLevels > 0 && s.BitmapWordsRead > 0 }
+	noEntries := func(s Stats) bool { return s.PostingsRead != 0 }
+	// tab without its skewed first column: a few uniform values a column,
+	// every one of them dense.
+	flat, err := tab.Project(tab.ColumnNames()[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Forty values a column: every one but the skewed column's favourite
+	// is sparse.
+	thin := skewedTable(rand.New(rand.NewSource(int64(trial)+200)), 3, 40, n)
+	// Irrational weights: a marginal is a sum of products no ± delta
+	// bookkeeping could keep exact, only a recount in row order.
+	per := make([]float64, cols)
+	for c := range per {
+		per[c] = 0.5 + float64(c)*0.75
+	}
+	frac := weight.NewLinear(per, 1.3, "frac")
+	// A duplicated column makes every rule over it a twin of another
+	// with exactly the same mass: steps ≥ 2 tie cached candidates with
+	// freshly counted ones to the last bit.
+	dup := withDuplicateColumn(tab, 1)
+	multiStep := func(s Stats) bool { return s.CandidatesReused > 0 && s.IndexLevels > 0 }
+	// A table of few distinct tuples, and its distinct-tuple table: Count
+	// over rows that each weigh their multiplicity. A kernel that counts
+	// rows where it should sum masses — a posting-list length, a
+	// popcount, a count++ — disagrees with brsref, which sums Agg.Mass
+	// row by row; and either must return what the rows give.
+	heavy := skewedTable(rand.New(rand.NewSource(int64(trial)+100)), 4, 4, n)
+	weighted := heavy.Distinct(new(table.Tally))
+	if weighted == nil {
+		t.Fatalf("trial %d: %d rows over at most 320 tuples did not compress", trial, n)
+	}
+	heavyW := w
+	if trial%2 == 1 {
+		heavyW = weight.BitsFor(heavy)
+	}
+	heavyBase := rule.Trivial(4).With(0, 0)
+	return []armShape{
+		{name: "full-count", view: tab.All(), w: w,
+			opts:    Options{K: 4, MaxWeight: mw},
+			engaged: func(s Stats) bool { return s.BitmapWordsRead > 0 }},
+		// Six rules: the lazy refresh runs across five steps.
+		{name: "k6", view: tab.All(), w: w,
+			opts: Options{K: 6, MaxWeight: mw}, engaged: multiStep},
+		{name: "fractional", view: tab.All(), w: frac,
+			opts: Options{K: 4, MaxWeight: frac.MaxWeight(3)}, engaged: multiStep},
+		{name: "dup-column", view: dup.All(), w: weight.NewSize(cols + 1),
+			opts: Options{K: 5, MaxWeight: 3}, engaged: multiStep},
+		// A sorted sub-view under Count, copied, its free columns all
+		// dense: no posting entry to read.
+		{name: "child", view: tab.ViewOf(tab.FilterIndices(base)), w: w,
+			opts:    Options{K: 4, MaxWeight: mw, Base: base, BaseCovered: true},
+			forbid:  noEntries,
+			engaged: func(s Stats) bool { return copiedIndexed(s) && denseWalk(s) }},
+		{name: "permuted", view: tab.ViewOf(reversed), w: w,
+			opts: Options{K: 4, MaxWeight: mw}, engaged: copiedIndexed},
+		{name: "duplicates", view: tab.ViewOf(twice), w: w,
+			opts: Options{K: 4, MaxWeight: mw}, engaged: copiedIndexed},
+		{name: "row-sample", view: tab.ViewOf(sample), w: w,
+			opts:    Options{K: 4, MaxWeight: mw, SampleScale: sampleScale},
+			engaged: func(s Stats) bool { return copiedIndexed(s) && s.SampledRowsScanned == s.RowsScanned }},
+		{name: "sum", view: tab.All(), w: size,
+			opts: Options{K: 4, MaxWeight: 3, Agg: score.SumAgg{Measure: 0}}, engaged: walk},
+		// Fractional masses under irrational weights: no sum is exact, so
+		// only summing every accumulator in row order, at any worker
+		// count, keeps the last ulp. Level 1 is the one row pass.
+		{name: "sum-fractional", view: tab.All(), w: frac,
+			opts:    Options{K: 4, MaxWeight: frac.MaxWeight(3), Agg: score.SumAgg{Measure: 2}},
+			engaged: func(s Stats) bool { return s.Passes == 1 && walk(s) }},
+		// And over a copied child: the copy's pass, then the row pass.
+		{name: "sum-fractional-child", view: tab.ViewOf(tab.FilterIndices(base)), w: frac,
+			opts:    Options{K: 4, MaxWeight: frac.MaxWeight(3), Base: base, BaseCovered: true, Agg: score.SumAgg{Measure: 2}},
+			engaged: func(s Stats) bool { return s.Passes == 2 && walk(s) }},
+		// Zero and negative masses: an extension exists because a row
+		// was seen, whatever its mass sums to.
+		{name: "sum-signed", view: tab.All(), w: size,
+			opts: Options{K: 4, MaxWeight: 3, Agg: score.SumAgg{Measure: 1}}, engaged: walk},
+		// The whole table under Sum, every value dense: bitset drivers
+		// again, this time because of the aggregate.
+		{name: "sum-dense", view: flat.All(), w: weight.NewSize(cols - 1),
+			opts:   Options{K: 4, MaxWeight: 3, Agg: score.SumAgg{Measure: 0}},
+			forbid: noEntries, engaged: denseWalk},
+		// And nearly every value sparse: list drivers, galloped lists.
+		{name: "sum-sparse", view: thin.All(), w: weight.NewSize(3),
+			opts:    Options{K: 4, MaxWeight: 3, Agg: score.SumAgg{Measure: 0}},
+			engaged: func(s Stats) bool { return s.IndexLevels > 0 && s.PostingsRead > 0 }},
+		{name: "weighted-count", view: weighted.All(), w: heavyW, rows: heavy.All(),
+			opts: Options{K: 6, MaxWeight: heavyW.MaxWeight(3)}, engaged: multiStep},
+		{name: "weighted-child", view: weighted.ViewOf(weighted.FilterIndices(heavyBase)), w: heavyW,
+			rows:    heavy.ViewOf(heavy.FilterIndices(heavyBase)),
+			opts:    Options{K: 4, MaxWeight: heavyW.MaxWeight(3), Base: heavyBase, BaseCovered: true},
+			engaged: func(s Stats) bool { return s.RowsScanned+s.PostingsRead > 0 }},
+		{name: "probe", view: tab.ViewOf(probe), w: w,
+			opts: Options{K: 4, MaxWeight: mw}, engaged: copiedIndexed},
 	}
 }
 
@@ -355,4 +362,85 @@ func TestEquivalenceWeightedKernelsSumMasses(t *testing.T) {
 				bitmap, c.count, c.marginal, wantMarginal)
 		}
 	}
+}
+
+// TestPlannerSharedWalksReadLess: on the TestEquivalencePropertyMatrix
+// shapes at Workers 1, 2 and 8, and on spreadSiblingsTable, every shared
+// walk of siblings books at most the words the per-candidate plans it
+// replaced were priced at — the planner groups siblings only where the
+// shared kernel's bound is below those prices — and a search makes the
+// same shared walks, booking the same words, at every worker count:
+// grouping is a function of a pass's parents, never of Workers.
+func TestPlannerSharedWalksReadLess(t *testing.T) {
+	var mu sync.Mutex
+	var walks [][2]int64 // booked, priced
+	defer func() { sharedWalked = nil }()
+	sharedWalked = func(_ []*cand, booked, priced int64) {
+		mu.Lock()
+		walks = append(walks, [2]int64{booked, priced})
+		mu.Unlock()
+	}
+	grouped := 0
+	check := func(label string, sh armShape) {
+		var serial [][2]int64
+		for _, workers := range []int{1, 2, 8} {
+			opts := sh.opts
+			opts.Workers = workers
+			walks = nil
+			if _, _, err := Run(sh.view, sh.w, opts); err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s workers=%d", label, workers)
+			for _, w := range walks {
+				if w[0] > w[1] {
+					t.Fatalf("%s: a shared walk booked %d words, its parents' plans were priced at %d", label, w[0], w[1])
+				}
+			}
+			slices.SortFunc(walks, func(a, b [2]int64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+			if workers == 1 {
+				serial = walks
+				grouped += len(walks)
+			} else if !slices.Equal(walks, serial) {
+				t.Fatalf("%s: shared walks (booked, priced)\n%v\nat Workers 1\n%v", label, walks, serial)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(61))
+	trials := 6
+	if testing.Short() {
+		trials = 2
+	}
+	for trial := 0; trial < trials; trial++ {
+		for _, sh := range matrixShapes(t, rng, trial) {
+			check(fmt.Sprintf("trial %d %s", trial, sh.name), sh)
+		}
+	}
+	if grouped == 0 {
+		t.Fatal("no shape made a shared walk")
+	}
+	t.Logf("%d shared walks at Workers 1", grouped)
+	spread := spreadSiblingsTable()
+	check("spread siblings", armShape{view: spread.All(), w: weight.NewSize(3), opts: Options{K: 3}})
+}
+
+// spreadSiblingsTable is 6 400 rows, 100 words, on which two siblings do
+// not pay to walk together: A holds one value, a bitset over every word;
+// B's b1 fills the first 40 words and b2 the last 40, dense, and seven
+// sparse values the 20 between; C's 64 values are sparse. (a0,b1) and
+// (a0,b2), both reached first from (a0), are expanded in step 1, and each
+// walked alone reads 2 × 40 words, while one shared walk would read A's
+// 100 and 40 of each: 180 against 160.
+func spreadSiblingsTable() *table.Table {
+	b := table.MustBuilder([]string{"A", "B", "C"}, nil)
+	for i := 0; i < 6400; i++ {
+		v := "b1"
+		switch {
+		case i >= 3840:
+			v = "b2"
+		case i >= 2560:
+			v = fmt.Sprint("b", 3+(i-2560)/183)
+		}
+		b.MustAddRow([]string{"a0", v, fmt.Sprint("c", i%64)})
+	}
+	return b.Build()
 }

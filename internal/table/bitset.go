@@ -197,19 +197,23 @@ func eachWord(sets []Set, fn func(i int) bool) (wordsRead int64) {
 // of its span, and so of [lo, hi): a data word it holds as zero is read,
 // and ANDs to nothing, as on the span route.
 func marked(sets []Set, s, lo, hi int) uint64 {
-	m := ^uint64(0)
-	if s == lo>>6 {
-		m <<= uint(lo) & 63
-	}
-	if s == (hi-1)>>6 {
-		m &= ^uint64(0) >> (63 - uint(hi-1)&63)
-	}
+	m := within(s, lo, hi)
 	for _, t := range sets {
 		if t.bits.summary != nil {
 			m &= t.bits.summary[s]
 		}
 	}
 	return m
+}
+
+// within returns the data words s·64 … s·64+63 that lie in [lo, hi), one
+// bit a word.
+func within(s, lo, hi int) uint64 {
+	a, b := max(lo-s<<6, 0), min(hi-s<<6, 64)
+	if a >= b {
+		return 0
+	}
+	return ^uint64(0) >> uint(64-(b-a)) << uint(a)
 }
 
 // and returns the AND of every set's word i.
@@ -265,4 +269,128 @@ func AndEach(m Meter, sets []Set, fn func(row int)) {
 		}
 		return true
 	}))
+}
+
+// AndEachShared is AndEach over several pairs that share one set: for each
+// j it calls fn(j, row) for every row common to shared and others[j],
+// every one a bitset, j's rows in ascending order — the rows, in the
+// order, that AndEach([shared, others[j]]) hands its visitor — and books
+// the words it read into m. The pairs are ANDed together, 64 words at a
+// time, so shared is read once however many pairs read it, as Eclat
+// streams a prefix's tid-set once for every item that extends it (Zaki,
+// IEEE TKDE 2000): its words over the hull of the pairs' overlaps, or,
+// where fewer, its summary's words over the hull and the words that
+// summary marks. Member j's word is read only where shared's word is
+// non-zero within the overlap of the two spans and, where j keeps a
+// summary, that summary marks it; j's summary word over 64 words is read
+// where one of them is left to read. It books at most SharedWords. All
+// sets must share one universe. The plan for 16 members stays on the
+// stack; more grow it on the heap.
+func AndEachShared(m Meter, shared Set, others []Set, fn func(j, row int)) {
+	var buf [16]sharedMember
+	ms, lo, hi, viaSummary := sharedPlan(shared.bits, others, buf[:0])
+	if lo >= hi {
+		return
+	}
+	s, words := shared.bits, int64(0)
+	var block [64]uint64 // shared's words of one summary word's 64, as read
+	for sw := lo >> 6; sw <= (hi-1)>>6; sw++ {
+		live := within(sw, lo, hi)
+		if viaSummary {
+			words++
+			live &= s.summary[sw]
+		}
+		for mk := live; mk != 0; mk &= mk - 1 {
+			t := bits.TrailingZeros64(mk)
+			words++
+			if block[t] = s.words[sw<<6+t]; block[t] == 0 {
+				live &^= 1 << uint(t)
+			}
+		}
+		for j := 0; j < len(ms) && live != 0; j++ {
+			mb := &ms[j]
+			left := live & within(sw, mb.lo, mb.hi)
+			if left == 0 {
+				continue
+			}
+			o := others[j].bits
+			if o.summary != nil {
+				words++
+				left &= o.summary[sw]
+			}
+			for ; left != 0; left &= left - 1 {
+				t := bits.TrailingZeros64(left)
+				words++
+				i := sw<<6 + t
+				for x := block[t] & o.words[i]; x != 0; x &= x - 1 {
+					fn(j, i<<6+bits.TrailingZeros64(x))
+				}
+			}
+		}
+	}
+	m.Book(0, 0, words)
+}
+
+// SharedWords returns the most AndEachShared books for shared and others,
+// every one a bitset, from what sharedPlan decides and without reading a
+// word: shared's words over the hull, or its summary's words over the hull
+// and its non-zero words; and, a member, one word for each word of its
+// overlap with shared, at most shared's non-zero words, or, where it keeps
+// a summary, that summary's words over the overlap and at most its own
+// non-zero words besides.
+func SharedWords(shared Set, others []Set) int64 {
+	var buf [16]sharedMember
+	ms, lo, hi, viaSummary := sharedPlan(shared.bits, others, buf[:0])
+	if lo >= hi {
+		return 0
+	}
+	s := shared.bits
+	words := int64(hi - lo)
+	if viaSummary {
+		words = int64(summaryWords(lo, hi) + s.nz)
+	}
+	for j, mb := range ms {
+		words += int64(mb.most(s, others[j].bits))
+	}
+	return words
+}
+
+// sharedMember is AndEachShared's plan for one member: the words where
+// shared's span and the member's overlap, lo ≥ hi where they do not.
+type sharedMember struct{ lo, hi int }
+
+// most returns the most words of member o that AndEachShared reads: one a
+// word of its overlap with shared where shared's word is non-zero, so at
+// most shared's non-zero words; where o keeps a summary — which a bitset
+// does only where it holds few non-zero words for its span, so it is
+// always read — the summary's words over the overlap and at most o's own
+// non-zero words.
+func (mb sharedMember) most(shared, o *Bitset) int {
+	if mb.lo >= mb.hi {
+		return 0
+	}
+	words := min(mb.hi-mb.lo, shared.nz)
+	if o.summary != nil {
+		words = summaryWords(mb.lo, mb.hi) + min(words, o.nz)
+	}
+	return words
+}
+
+// sharedPlan appends to ms each member's overlap with shared, and returns
+// the hull of the overlaps, over which shared is read, and whether shared
+// is read through its summary: where it keeps one and the summary's words
+// over the hull and its non-zero words are fewer than the hull's.
+func sharedPlan(shared *Bitset, others []Set, ms []sharedMember) (_ []sharedMember, lo, hi int, viaSummary bool) {
+	lo, hi = shared.hi, shared.lo
+	for _, o := range others {
+		mb := sharedMember{max(shared.lo, o.bits.lo), min(shared.hi, o.bits.hi)}
+		if mb.lo < mb.hi {
+			lo, hi = min(lo, mb.lo), max(hi, mb.hi)
+		}
+		ms = append(ms, mb)
+	}
+	if lo >= hi {
+		return ms, 0, 0, false
+	}
+	return ms, lo, hi, shared.summary != nil && summaryWords(lo, hi)+shared.nz < hi-lo
 }
