@@ -1146,11 +1146,11 @@ func (rn *runner) expandParents(parents []*cand) {
 	// ascending row order, so nothing is shared and no merge is needed.
 	plans := rn.planIndex(parents)
 	reserved := rn.reserveCovers(parents, plans, accs)
-	order, starts, added, shared := rn.expansionUnits(parents, plans)
+	units, rows := rn.expansionUnits(parents, plans)
 	// Each indexPass worker's keepers, one a member of a unit.
 	kept := make([][maxSiblings]table.Keeper, rn.passWorkers(len(parents)))
-	rn.indexPass(len(parents), starts, func(g, u int, st *Stats) {
-		members := order[starts[u]:starts[u+1]]
+	rn.indexPass(len(parents), rows, func(g, u int, st *Stats) {
+		members := units[u].members
 		// Each member's accumulators, and its keeper where its walk keeps
 		// its rows: only a walk that keeps them pays to collect them.
 		var mine [maxSiblings][]extAcc
@@ -1172,7 +1172,7 @@ func (rn *runner) expandParents(parents []*cand) {
 			})
 		} else {
 			before := st.BitmapWordsRead
-			table.AndEachShared(st, shared[u], added[starts[u]:starts[u+1]], func(j, row int) {
+			table.AndEachShared(st, units[u].shared, units[u].added, func(j, row int) {
 				st.CellsBooked += rn.bookRow(mine[j], row)
 				if k := keeps[j]; k != nil {
 					k.Add(row)

@@ -74,6 +74,31 @@ func fanOut(n, nw int, fn func(lo, hi, worker int)) {
 	wg.Wait()
 }
 
+// balance cuts units that visit rows[u] rows each, in order, into nw
+// contiguous runs of about equal rows — a unit goes to the run whose share
+// of the total holds the middle of its rows, each unit counted one row
+// more, so that units of no rows still spread — and returns where each run
+// starts, and then len(rows). Like fanOut's chunks, the cut depends only
+// on its inputs, never on scheduling.
+func balance(rows []int64, nw int) []int {
+	var total int64
+	for _, r := range rows {
+		total += r + 1
+	}
+	runs := make([]int, nw+1)
+	for g := 1; g <= nw; g++ {
+		runs[g] = len(rows)
+	}
+	next, done := 1, int64(0) // the next run whose start is still to find; the rows before unit u
+	for u, r := range rows {
+		for g := min(nw-1, int((2*done+r+1)*int64(nw)/(2*total))); next <= g; next++ {
+			runs[next] = u
+		}
+		done += r + 1
+	}
+	return runs
+}
+
 // pollStride is how many rows a row pass's worker reads between two polls
 // of the run's context; an index pass polls before each candidate.
 const pollStride = 4096

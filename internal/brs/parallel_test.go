@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"smartdrill/internal/score"
@@ -92,6 +93,29 @@ func TestParallelRowsCoversAllRows(t *testing.T) {
 			if v != 1 {
 				t.Fatalf("n=%d: item %d visited %d times", n, i, v)
 			}
+		}
+	}
+}
+
+// TestBalanceCutsRunsOfEqualRows: balance cuts units into nw contiguous
+// runs that together hold every unit once, each run holding the units
+// whose middle row falls in its share: units of no rows spread like
+// fanOut's chunks, and one heavy unit takes a run of its own.
+func TestBalanceCutsRunsOfEqualRows(t *testing.T) {
+	for _, tc := range []struct {
+		rows []int64
+		nw   int
+		want []int
+	}{
+		{make([]int64, 8), 2, []int{0, 4, 8}},
+		{make([]int64, 7), 1, []int{0, 7}},
+		{[]int64{1, 1, 1, 1, 100, 1, 1}, 2, []int{0, 4, 7}},
+		{[]int64{100, 1, 1, 1, 1, 1, 1}, 2, []int{0, 1, 7}},
+		{[]int64{10, 10, 10, 10, 10, 10, 10, 10}, 4, []int{0, 2, 4, 6, 8}},
+		{[]int64{1000, 0, 0}, 4, []int{0, 0, 1, 1, 3}},
+	} {
+		if got := balance(tc.rows, tc.nw); !slices.Equal(got, tc.want) {
+			t.Errorf("balance(%v, %d) = %v, want %v", tc.rows, tc.nw, got, tc.want)
 		}
 	}
 }

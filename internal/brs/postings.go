@@ -241,22 +241,28 @@ const maxSiblings = 16
 // concurrently.
 var sharedWalked func(group []*cand, booked, priced int64)
 
+// unit is what one poll of an expansion pass walks: one parent, by its
+// plan, or a run of siblings, by one shared walk.
+type unit struct {
+	members []int       // the parents' indices in the pass
+	shared  table.Set   // the siblings' from's coverage; zero for one parent
+	added   []table.Set // each sibling's added container, aligned with members
+}
+
 // expansionUnits cuts an expansion pass's parents into the units its
-// workers walk, a poll each. Siblings — parents holding no cover of their
-// own whose from's coverage is one bitset and whose added column's
-// container is a bitset (siblingSets) — are grouped by from, in runs of at
-// most maxSiblings in parent order, and a run is walked as one unit by
+// workers walk. Siblings — parents holding no cover of their own whose
+// from's coverage is one bitset and whose added column's container is a
+// bitset (siblingSets) — are grouped by from, in runs of at most
+// maxSiblings in parent order, and a run is walked as one unit by
 // table.AndEachShared, which reads the from's coverage once for all of
 // them, where that books fewer words than the run's own plans
 // (table.SharedWords against their planCand words); every other parent is
 // a unit of its own, walked by its plan. Units come in the order of their
-// first parent. It returns order, the parents' indices unit by unit;
-// starts, where each unit begins in order, and then len(order); added,
-// aligned with order, each grouped parent's added container; and shared,
-// each unit's shared coverage, the zero Set for a unit of one parent. The
-// cut is a function of the parents and their plans alone, never of
-// Workers, so what a pass reads is the same at any worker count.
-func (rn *runner) expansionUnits(parents []*cand, plans []candPlan) (order, starts []int, added, shared []table.Set) {
+// first parent, each with rows, the most rows its walks visit (its plans'
+// rows), which indexPass balances its workers by. The cut is a function of
+// the parents and their plans alone, never of Workers, so what a pass
+// reads is the same at any worker count.
+func (rn *runner) expansionUnits(parents []*cand, plans []candPlan) (units []unit, rows []int64) {
 	n := len(parents)
 	type sibling struct {
 		head          int // the first parent of its group; itself where it is no sibling
@@ -276,60 +282,66 @@ func (rn *runner) expansionUnits(parents []*cand, plans []candPlan) (order, star
 			firstOf[c.from] = p
 		}
 	}
-	order = make([]int, n)
+	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(sibs[a].head, sibs[b].head) })
-	added = make([]table.Set, n)
+	added := make([]table.Set, n)
 	for i, p := range order {
 		added[i] = sibs[p].added
 	}
 	for lo := 0; lo < n; {
 		h := sibs[order[lo]].head
-		hi, priced := lo, int64(0)
+		hi, priced, walked := lo, int64(0), int64(0)
 		for ; hi < n && hi-lo < maxSiblings && sibs[order[hi]].head == h; hi++ {
 			priced += plans[order[hi]].words
+			walked += plans[order[hi]].rows
 		}
 		if hi-lo > 1 && table.SharedWords(sibs[h].shared, added[lo:hi]) < priced {
-			starts, shared = append(starts, lo), append(shared, sibs[h].shared)
+			units = append(units, unit{members: order[lo:hi], shared: sibs[h].shared, added: added[lo:hi]})
+			rows = append(rows, walked)
 		} else {
 			for i := lo; i < hi; i++ {
-				starts, shared = append(starts, i), append(shared, table.Set{})
+				units = append(units, unit{members: order[i : i+1]})
+				rows = append(rows, plans[order[i]].rows)
 			}
 		}
 		lo = hi
 	}
-	return order, append(starts, n), added, shared
+	return units, rows
 }
 
-// indexPass is a pass over n candidates in units: unit u is candidates
-// starts[u] up to starts[u+1], the last of starts being n, and nil starts
-// makes every candidate a unit. It runs on passWorkers(n) workers, each
-// taking the units that begin in its fanOut chunk of the n candidates,
-// whole and in order, polling the context once before each — before a
-// grouped walk, not before each of its members — and fn(g, u, st) walks
-// unit u on worker g booking into st, one Stats a worker, and those merge
+// indexPass is a pass over n candidates in units, each walked by fn(g, u,
+// st) on worker g booking into st, one Stats a worker, and those merge
 // into the run's after the pass; the pass latches the first error a worker
-// saw. It fans out candidates, not rows, so it books no read itself.
-func (rn *runner) indexPass(n int, starts []int, fn func(g, u int, st *Stats)) {
+// saw. It runs on passWorkers(n) workers, each taking a run of whole
+// units in order and polling the context once before each — before a
+// shared walk of siblings, not before each of its members. Nil rows makes
+// every candidate a unit and cuts them as fanOut does; otherwise unit u is
+// given the most rows its walks visit, rows[u], and the runs are cut to
+// about equal rows (balance). It fans out candidates, not rows, so it
+// books no read itself.
+func (rn *runner) indexPass(n int, rows []int64, fn func(g, u int, st *Stats)) {
 	ws := make([]struct {
 		st  Stats
 		cut error
 	}, rn.passWorkers(n))
-	fanOut(n, len(ws), func(lo, hi, g int) {
+	walk := func(lo, hi, g int) {
 		w := &ws[g]
-		if starts != nil {
-			lo, _ = slices.BinarySearch(starts, lo)
-			hi, _ = slices.BinarySearch(starts[:len(starts)-1], hi)
-		}
 		for u := lo; u < hi; u++ {
 			if w.cut = rn.fired(); w.cut != nil {
 				return
 			}
 			fn(g, u, &w.st)
 		}
-	})
+	}
+	if rows == nil {
+		fanOut(n, len(ws), walk)
+	} else {
+		runs := balance(rows, len(ws))
+		fanOut(len(ws), len(ws), func(g, _, _ int) { walk(runs[g], runs[g+1], g) })
+	}
 	for _, w := range ws {
 		rn.stats.Add(w.st)
 		rn.latch(w.cut)

@@ -275,7 +275,7 @@ func AndEach(m Meter, sets []Set, fn func(row int)) {
 // j it calls fn(j, row) for every row common to shared and others[j],
 // every one a bitset, j's rows in ascending order — the rows, in the
 // order, that AndEach([shared, others[j]]) hands its visitor — and books
-// the words it read into m. The pairs are ANDed together, 64 words at a
+// the words it read into m. The pairs are ANDed together, 512 words at a
 // time, so shared is read once however many pairs read it, as Eclat
 // streams a prefix's tid-set once for every item that extends it (Zaki,
 // IEEE TKDE 2000): its words over the hull of the pairs' overlaps, or,
@@ -293,43 +293,57 @@ func AndEachShared(m Meter, shared Set, others []Set, fn func(j, row int)) {
 		return
 	}
 	s, words := shared.bits, int64(0)
-	var block [64]uint64 // shared's words of one summary word's 64, as read
-	for sw := lo >> 6; sw <= (hi-1)>>6; sw++ {
-		live := within(sw, lo, hi)
-		if viaSummary {
-			words++
-			live &= s.summary[sw]
-		}
-		for mk := live; mk != 0; mk &= mk - 1 {
-			t := bits.TrailingZeros64(mk)
-			words++
-			if block[t] = s.words[sw<<6+t]; block[t] == 0 {
-				live &^= 1 << uint(t)
+	// Shared's words are read sharedSpan summary words' worth at a time and
+	// kept on the stack, so that each member then takes all of its rows
+	// there in one go: live marks the words read that are not zero.
+	var block [sharedSpan * 64]uint64
+	var live [sharedSpan]uint64
+	for first := lo >> 6; first <= (hi-1)>>6; first += sharedSpan {
+		last := min(first+sharedSpan, (hi-1)>>6+1)
+		for sw := first; sw < last; sw++ {
+			l := within(sw, lo, hi)
+			if viaSummary {
+				words++
+				l &= s.summary[sw]
 			}
-		}
-		for j := 0; j < len(ms) && live != 0; j++ {
-			mb := &ms[j]
-			left := live & within(sw, mb.lo, mb.hi)
-			if left == 0 {
-				continue
+			words += int64(bits.OnesCount64(l))
+			for mk := l; mk != 0; mk &= mk - 1 {
+				t := bits.TrailingZeros64(mk)
+				at := (sw-first)<<6 + t
+				if block[at] = s.words[sw<<6+t]; block[at] == 0 {
+					l &^= 1 << uint(t)
+				}
 			}
+			live[sw-first] = l
+		}
+		for j := range ms {
 			o := others[j].bits
-			if o.summary != nil {
-				words++
-				left &= o.summary[sw]
-			}
-			for ; left != 0; left &= left - 1 {
-				t := bits.TrailingZeros64(left)
-				words++
-				i := sw<<6 + t
-				for x := block[t] & o.words[i]; x != 0; x &= x - 1 {
-					fn(j, i<<6+bits.TrailingZeros64(x))
+			for sw := first; sw < last; sw++ {
+				left := live[sw-first] & within(sw, ms[j].lo, ms[j].hi)
+				if left == 0 {
+					continue
+				}
+				if o.summary != nil {
+					words++
+					left &= o.summary[sw]
+				}
+				words += int64(bits.OnesCount64(left))
+				for ; left != 0; left &= left - 1 {
+					t := bits.TrailingZeros64(left)
+					i := sw<<6 + t
+					for x := block[(sw-first)<<6+t] & o.words[i]; x != 0; x &= x - 1 {
+						fn(j, i<<6+bits.TrailingZeros64(x))
+					}
 				}
 			}
 		}
 	}
 	m.Book(0, 0, words)
 }
+
+// sharedSpan is how many summary words' worth of shared's words — 64 data
+// words each — AndEachShared reads and keeps at a time: 4 KiB of stack.
+const sharedSpan = 8
 
 // SharedWords returns the most AndEachShared books for shared and others,
 // every one a bitset, from what sharedPlan decides and without reading a
