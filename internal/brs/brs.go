@@ -439,7 +439,8 @@ type runner struct {
 	merged rule.Rule
 	undo   []int
 
-	coverLeft int64 // what is left of the run's cover budget, see coverBudget
+	coverLeft int64                       // what is left of the run's cover budget, see coverBudget
+	keepers   [][maxSiblings]table.Keeper // expansion pass workers' keepers, see expandParents
 
 	// ctx cancels the search between and inside counting passes; ctxErr
 	// latches the context's error once observed so every later check is a
@@ -1147,8 +1148,15 @@ func (rn *runner) expandParents(parents []*cand) {
 	plans := rn.planIndex(parents)
 	reserved := rn.reserveCovers(parents, plans, accs)
 	units, rows := rn.expansionUnits(parents, plans)
-	// Each indexPass worker's keepers, one a member of a unit.
-	kept := make([][maxSiblings]table.Keeper, rn.passWorkers(len(parents)))
+	if passUnits != nil {
+		passUnits(parents, plans, units)
+	}
+	// Each indexPass worker's keepers, one a member of a unit. The run
+	// keeps them from pass to pass: a keeper allocates its words once, and
+	// again only after a Keep gave them to a bitset.
+	if nw := rn.passWorkers(len(parents)); len(rn.keepers) < nw {
+		rn.keepers = append(rn.keepers, make([][maxSiblings]table.Keeper, nw-len(rn.keepers))...)
+	}
 	rn.indexPass(len(parents), rows, func(g, u int, st *Stats) {
 		members := units[u].members
 		// Each member's accumulators, and its keeper where its walk keeps
@@ -1158,7 +1166,7 @@ func (rn *runner) expandParents(parents []*cand) {
 		for j, p := range members {
 			mine[j] = accs[p]
 			if reserved[p] > 0 {
-				keeps[j] = &kept[g][j]
+				keeps[j] = &rn.keepers[g][j]
 				keeps[j].Start(tab.NumRows())
 			}
 		}
@@ -1171,20 +1179,12 @@ func (rn *runner) expandParents(parents []*cand) {
 				}
 			})
 		} else {
-			before := st.BitmapWordsRead
 			table.AndEachShared(st, units[u].shared, units[u].added, func(j, row int) {
 				st.CellsBooked += rn.bookRow(mine[j], row)
 				if k := keeps[j]; k != nil {
 					k.Add(row)
 				}
 			})
-			if sharedWalked != nil {
-				group, priced := make([]*cand, len(members)), int64(0)
-				for j, p := range members {
-					group[j], priced = parents[p], priced+plans[p].words
-				}
-				sharedWalked(group, st.BitmapWordsRead-before, priced)
-			}
 		}
 		for j, p := range members {
 			if keeps[j] != nil {
@@ -1315,13 +1315,18 @@ func (rn *runner) upperBound(c *cand) float64 {
 
 // countCandidates measures count, marginal value and R for each candidate
 // against the selection so far, from zero, each candidate walked by the
-// kernel its plan names and candidates fanned out across workers. A
+// kernel its plan names and candidates fanned out across workers, a unit
+// each, weighed by the rows its plan visits at most. A
 // candidate's rows reach it ascending, so its sums are bit-identical on
 // every kernel and at any worker count. It runs from step 2 on: every
 // candidate of step 1 is measured by the walk that creates it.
 func (rn *runner) countCandidates(cands []*cand, plans []candPlan) {
 	topW := rn.topW
-	rn.indexPass(len(cands), nil, func(_, i int, st *Stats) {
+	rows := make([]int64, len(plans))
+	for i, plan := range plans {
+		rows[i] = plan.rows
+	}
+	rn.indexPass(len(cands), rows, func(_, i int, st *Stats) {
 		c := cands[i]
 		c.count, c.marginal, c.resid = 0, 0, 0
 		rn.walk(c, plans[i], st, func(row int) {

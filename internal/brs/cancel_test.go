@@ -150,7 +150,7 @@ func TestCancelInsideIndexPass(t *testing.T) {
 			rn.ctx = ctx
 			nw := rn.passWorkers(n)
 			walked, late := make([]int64, nw), make([]int64, nw)
-			rn.indexPass(n, nil, func(g, _ int, _ *Stats) {
+			rn.indexPass(n, make([]int64, n), func(g, _ int, _ *Stats) {
 				walked[g]++
 				if ctx.fired() {
 					late[g]++
@@ -225,35 +225,19 @@ func TestCancelInsideAPass(t *testing.T) {
 	cancelSharedWalk(t, v, w)
 }
 
-// expansionPolls is a context that never fires and records which of its
-// polls an expansion pass made.
-type expansionPolls struct {
-	context.Context
-	calls atomic.Int64
-	by    map[int64]bool
-}
-
-func (c *expansionPolls) Err() error {
-	k := c.calls.Add(1)
-	pcs := make([]uintptr, 16)
-	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
-	for more := true; more; {
-		var f runtime.Frame
-		f, more = frames.Next()
-		if strings.HasSuffix(f.Function, ".expandParents") {
-			c.by[k] = true
-		}
-	}
-	return nil
-}
-
 // cancelSharedWalk is TestCancelInsideAPass's arm for a shared walk of
 // siblings (table.AndEachShared), which an expansion pass polls for once,
-// before the walk, not once a member. On one worker it fires at the poll
-// of a shared walk that opens its pass, so the pass walks nothing: greedy
-// returns the error, yields no rule after the poll, marks no member of the
-// cut group — nor any parent of its pass — expanded, and returns the Stats
-// booked at the poll and the cut pass's level.
+// before the walk, not once a member. On one worker, where the poll before
+// unit u of a pass is the (u+1)th after passUnits is handed the pass's
+// units, it fires at the poll before a shared walk that opens its pass,
+// the first and the last such — nothing of the pass walked — and at the
+// poll after a shared walk with a unit after it in its pass, the first and
+// the last such — the walk's members walked and their covers kept, the
+// pass cut in its middle. Each time greedy returns the error and yields no
+// rule after the poll, no parent of the cut pass is marked expanded, none
+// the pass had yet to walk holds a cover, the store holds the candidates
+// it held at the poll, and the Stats are those booked at the poll, the cut
+// pass's level and what its walks before the poll read.
 func cancelSharedWalk(t *testing.T, v *table.View, w weight.Weighter) {
 	opts := Options{K: 3, Workers: 1}
 	runner := func(ctx context.Context) *runner {
@@ -264,53 +248,71 @@ func cancelSharedWalk(t *testing.T, v *table.View, w weight.Weighter) {
 		rn.ctx = ctx
 		return rn
 	}
-	// Record the poll before each shared walk that opens its pass: a poll
-	// of an expansion pass that follows one made elsewhere.
-	rec := &expansionPolls{Context: context.Background(), by: map[int64]bool{}}
 	type cut struct {
-		poll  int64
-		group []string
+		poll         int64
+		walked, rest []string // the keys of the parents the pass walked before the poll, and after it
 	}
-	var opening []cut
-	defer func() { sharedWalked = nil }()
-	sharedWalked = func(group []*cand, _, _ int64) {
-		if k := rec.calls.Load(); rec.by[k] && !rec.by[k-1] {
-			keys := make([]string, len(group))
-			for i, c := range group {
-				keys[i] = c.key
+	var opening, middle []cut
+	rec := newFiresAt(math.MaxInt64)
+	defer func() { passUnits = nil }()
+	passUnits = func(parents []*cand, _ []candPlan, units []unit) {
+		keys := func(units []unit) (ks []string) {
+			for _, u := range units {
+				for _, p := range u.members {
+					ks = append(ks, parents[p].key)
+				}
 			}
-			opening = append(opening, cut{k, keys})
+			return ks
+		}
+		first := rec.calls.Load() + 1 // the poll before unit 0
+		for u := range units {
+			if len(units[u].members) == 1 {
+				continue
+			}
+			if u == 0 {
+				opening = append(opening, cut{first, nil, keys(units)})
+			}
+			if u+1 < len(units) {
+				middle = append(middle, cut{first + int64(u+1), keys(units[:u+1]), keys(units[u+1:])})
+			}
 		}
 	}
 	if err := runner(rec).greedy(opts.K, time.Time{}, 0, func(Result) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
-	sharedWalked = nil
-	if len(opening) == 0 {
-		t.Fatal("no shared walk opened an expansion pass")
+	passUnits = nil
+	if len(opening) == 0 || len(middle) == 0 {
+		t.Fatalf("%d shared walks open a pass, %d have a unit after them: want both", len(opening), len(middle))
 	}
-	for _, at := range []cut{opening[0], opening[len(opening)-1]} {
+	for _, at := range []cut{opening[0], opening[len(opening)-1], middle[0], middle[len(middle)-1]} {
+		label := fmt.Sprintf("shared walk, fire at poll %d after %d parents of its pass", at.poll, len(at.walked))
 		ctx := &bookedAt{firesAt: newFiresAt(at.poll)}
 		rn := runner(ctx)
 		ctx.rn = rn
 		if err := rn.greedy(opts.K, time.Time{}, 0, func(r Result) bool {
 			if ctx.fired() {
-				t.Errorf("shared walk at poll %d: yielded %v after the context fired", at.poll, r.Rule)
+				t.Errorf("%s: yielded %v after the context fired", label, r.Rule)
 			}
 			return true
 		}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("shared walk at poll %d: greedy returned %v", at.poll, err)
+			t.Fatalf("%s: greedy returned %v", label, err)
 		}
-		for _, key := range at.group {
-			if c := rn.store.byKey[key]; c == nil || c.expanded || c.cover != nil {
-				t.Errorf("shared walk at poll %d: member %+v of the cut group is missing, expanded or covered", at.poll, c)
+		for i, key := range append(at.walked, at.rest...) {
+			if c := rn.store.byKey[key]; c == nil || c.expanded || (i >= len(at.walked) && c.cover != nil) {
+				t.Errorf("%s: parent %+v of the cut pass is missing, expanded, or covered though never walked", label, c)
 			}
 		}
-		want := ctx.booked
+		got, want := rn.finalStats(), ctx.booked
 		want.IndexLevels++
-		if got := rn.finalStats(); got != want || len(rn.store.byKey) != ctx.stored {
-			t.Errorf("shared walk at poll %d: %+v and %d candidates at the end, want %+v and the %d at the poll that fired",
-				at.poll, got, len(rn.store.byKey), want, ctx.stored)
+		if len(at.walked) > 0 {
+			if got.BitmapWordsRead <= want.BitmapWordsRead || got.PostingsRead < want.PostingsRead || got.CellsBooked <= want.CellsBooked {
+				t.Errorf("%s: %+v at the end, %+v at the poll that fired: want the walks before the poll on top", label, got, want)
+			}
+			want.PostingsRead, want.BitmapWordsRead, want.CellsBooked = got.PostingsRead, got.BitmapWordsRead, got.CellsBooked
+		}
+		if got != want || len(rn.store.byKey) != ctx.stored {
+			t.Errorf("%s: %+v and %d candidates at the end, want %+v and the %d at the poll that fired",
+				label, got, len(rn.store.byKey), want, ctx.stored)
 		}
 	}
 }

@@ -100,7 +100,7 @@ func balance(rows []int64, nw int) []int {
 }
 
 // pollStride is how many rows a row pass's worker reads between two polls
-// of the run's context; an index pass polls before each candidate.
+// of the run's context; an index pass polls before each unit.
 const pollStride = 4096
 
 // latch keeps the first context error a pass's worker saw.

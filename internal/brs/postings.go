@@ -97,6 +97,14 @@ import (
 // a variable only so that a test can lower it.
 var coverBudget int64 = 32 << 20
 
+// passUnits, where set, is handed each expansion pass's parents, their
+// plans and the units expansionUnits cut them into, before the pass walks
+// a unit; expandParents calls it serially. Like coverBudget, it is a
+// variable only for tests: they hold the planner to its rule and find the
+// poll before a unit (at Workers 1 unit u's is the (u+1)th poll after the
+// call). It is the one hook the package calls.
+var passUnits func(parents []*cand, plans []candPlan, units []unit)
+
 // reserveCovers decides which parents' walks keep a cover, in parent order,
 // and returns what each one reserved of the budget (0: keeps none). A
 // parent keeps one when it has no cover yet, is past level 1, has a column
@@ -234,13 +242,6 @@ func (rn *runner) siblingSets(c *cand) (shared, added table.Set, ok bool) {
 // keeps that many members' state on the stack.
 const maxSiblings = 16
 
-// sharedWalked, where set, is handed, for each shared walk of an expansion
-// pass, its parents, the words it booked and the words their own plans
-// were priced at. It is a variable only so that tests can hold the planner
-// to its choice and find a shared walk to cancel; workers call it
-// concurrently.
-var sharedWalked func(group []*cand, booked, priced int64)
-
 // unit is what one poll of an expansion pass walks: one parent, by its
 // plan, or a run of siblings, by one shared walk.
 type unit struct {
@@ -270,6 +271,7 @@ func (rn *runner) expansionUnits(parents []*cand, plans []candPlan) (units []uni
 	}
 	sibs := make([]sibling, n)
 	firstOf := make(map[*cand]int)
+	units, rows = make([]unit, 0, n), make([]int64, 0, n)
 	for p, c := range parents {
 		sh, ad, ok := rn.siblingSets(c)
 		sibs[p] = sibling{head: p, shared: sh, added: ad}
@@ -312,16 +314,14 @@ func (rn *runner) expansionUnits(parents []*cand, plans []candPlan) (units []uni
 	return units, rows
 }
 
-// indexPass is a pass over n candidates in units, each walked by fn(g, u,
-// st) on worker g booking into st, one Stats a worker, and those merge
-// into the run's after the pass; the pass latches the first error a worker
-// saw. It runs on passWorkers(n) workers, each taking a run of whole
-// units in order and polling the context once before each — before a
-// shared walk of siblings, not before each of its members. Nil rows makes
-// every candidate a unit and cuts them as fanOut does; otherwise unit u is
-// given the most rows its walks visit, rows[u], and the runs are cut to
-// about equal rows (balance). It fans out candidates, not rows, so it
-// books no read itself.
+// indexPass is a pass over n candidates in units, unit u visiting at most
+// rows[u] rows, each walked by fn(g, u, st) on worker g booking into st,
+// one Stats a worker, and those merge into the run's after the pass; the
+// pass latches the first error a worker saw. It runs on passWorkers(n)
+// workers, each taking a run of whole units in order, the runs cut to
+// about equal rows (balance), and polling the context once before each
+// unit — before a shared walk of siblings, not before each of its members.
+// It fans out candidates, not rows, so it books no read itself.
 func (rn *runner) indexPass(n int, rows []int64, fn func(g, u int, st *Stats)) {
 	ws := make([]struct {
 		st  Stats
@@ -336,12 +336,8 @@ func (rn *runner) indexPass(n int, rows []int64, fn func(g, u int, st *Stats)) {
 			fn(g, u, &w.st)
 		}
 	}
-	if rows == nil {
-		fanOut(n, len(ws), walk)
-	} else {
-		runs := balance(rows, len(ws))
-		fanOut(len(ws), len(ws), func(g, _, _ int) { walk(runs[g], runs[g+1], g) })
-	}
+	runs := balance(rows, len(ws))
+	fanOut(len(ws), len(ws), func(g, _, _ int) { walk(runs[g], runs[g+1], g) })
 	for _, w := range ws {
 		rn.stats.Add(w.st)
 		rn.latch(w.cut)

@@ -1,12 +1,11 @@
 package brs
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
-	"sync"
+	"strings"
 	"testing"
 
 	"smartdrill/internal/rule"
@@ -364,44 +363,69 @@ func TestEquivalenceWeightedKernelsSumMasses(t *testing.T) {
 	}
 }
 
-// TestPlannerSharedWalksReadLess: on the TestEquivalencePropertyMatrix
-// shapes at Workers 1, 2 and 8, and on spreadSiblingsTable, every shared
-// walk of siblings books at most the words the per-candidate plans it
-// replaced were priced at — the planner groups siblings only where the
-// shared kernel's bound is below those prices — and a search makes the
-// same shared walks, booking the same words, at every worker count:
-// grouping is a function of a pass's parents, never of Workers.
+// TestPlannerSharedWalksReadLess holds the planner to its rule on the
+// TestEquivalencePropertyMatrix shapes at Workers 1, 2 and 8, and on
+// spreadSiblingsTable: every unit of more than one parent is siblings of
+// one from, at most maxSiblings, whose shared walk table.SharedWords
+// bounds below the words their own plans were priced at — and books no
+// more than that bound — so no expansion pass books more than the plans
+// it replaced; every pass's units are the same at every worker count,
+// because the cut is a function of the pass's parents, never of Workers.
 func TestPlannerSharedWalksReadLess(t *testing.T) {
-	var mu sync.Mutex
-	var walks [][2]int64 // booked, priced
-	defer func() { sharedWalked = nil }()
-	sharedWalked = func(_ []*cand, booked, priced int64) {
-		mu.Lock()
-		walks = append(walks, [2]int64{booked, priced})
-		mu.Unlock()
+	var passes [][][]string // each pass's units, each unit its parents' keys
+	var bad []string
+	defer func() { passUnits = nil }()
+	passUnits = func(parents []*cand, plans []candPlan, units []unit) {
+		var cut [][]string
+		for _, u := range units {
+			keys, rules := make([]string, len(u.members)), make([]rule.Rule, len(u.members))
+			priced := int64(0)
+			for j, p := range u.members {
+				keys[j], rules[j], priced = parents[p].key, parents[p].r, priced+plans[p].words
+			}
+			cut = append(cut, keys)
+			if len(u.members) == 1 {
+				continue
+			}
+			var read table.Tally
+			table.AndEachShared(&read, u.shared, u.added, func(int, int) {})
+			bound := table.SharedWords(u.shared, u.added)
+			siblings := true
+			for _, p := range u.members {
+				siblings = siblings && parents[p].from != nil && parents[p].from == parents[u.members[0]].from
+			}
+			if !siblings || len(u.members) > maxSiblings || bound >= priced || read.Words > bound {
+				bad = append(bad, fmt.Sprintf("%v: siblings %v, bound %d, booked %d, plans priced at %d",
+					rules, siblings, bound, read.Words, priced))
+			}
+		}
+		passes = append(passes, cut)
 	}
 	grouped := 0
 	check := func(label string, sh armShape) {
-		var serial [][2]int64
+		var serial [][][]string
 		for _, workers := range []int{1, 2, 8} {
 			opts := sh.opts
 			opts.Workers = workers
-			walks = nil
+			passes, bad = nil, nil
 			if _, _, err := Run(sh.view, sh.w, opts); err != nil {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("%s workers=%d", label, workers)
-			for _, w := range walks {
-				if w[0] > w[1] {
-					t.Fatalf("%s: a shared walk booked %d words, its parents' plans were priced at %d", label, w[0], w[1])
-				}
+			if len(bad) > 0 {
+				t.Fatalf("%s: units that are not siblings reading less than their plans:\n%s", label, strings.Join(bad, "\n"))
 			}
-			slices.SortFunc(walks, func(a, b [2]int64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
 			if workers == 1 {
-				serial = walks
-				grouped += len(walks)
-			} else if !slices.Equal(walks, serial) {
-				t.Fatalf("%s: shared walks (booked, priced)\n%v\nat Workers 1\n%v", label, walks, serial)
+				serial = passes
+				for _, cut := range passes {
+					for _, keys := range cut {
+						if len(keys) > 1 {
+							grouped++
+						}
+					}
+				}
+			} else if !reflect.DeepEqual(passes, serial) {
+				t.Fatalf("%s: expansion units\n%v\nat Workers 1\n%v", label, passes, serial)
 			}
 		}
 	}

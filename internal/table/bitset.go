@@ -316,10 +316,10 @@ func AndEachShared(m Meter, shared Set, others []Set, fn func(j, row int)) {
 			}
 			live[sw-first] = l
 		}
-		for j := range ms {
+		for j, mb := range ms {
 			o := others[j].bits
-			for sw := first; sw < last; sw++ {
-				left := live[sw-first] & within(sw, ms[j].lo, ms[j].hi)
+			for sw := max(first, mb.lo>>6); sw < min(last, (mb.hi-1)>>6+1); sw++ {
+				left := live[sw-first] & within(sw, mb.lo, mb.hi)
 				if left == 0 {
 					continue
 				}
@@ -331,8 +331,9 @@ func AndEachShared(m Meter, shared Set, others []Set, fn func(j, row int)) {
 				for ; left != 0; left &= left - 1 {
 					t := bits.TrailingZeros64(left)
 					i := sw<<6 + t
-					for x := block[(sw-first)<<6+t] & o.words[i]; x != 0; x &= x - 1 {
-						fn(j, i<<6+bits.TrailingZeros64(x))
+					x, base := block[(sw-first)<<6+t]&o.words[i], i<<6
+					for ; x != 0; x &= x - 1 {
+						fn(j, base+bits.TrailingZeros64(x))
 					}
 				}
 			}
