@@ -57,8 +57,10 @@
 //     holding no cover intersects two containers, the parent's cover and
 //     the child's added column, however deep the child is. Siblings that
 //     an expansion pass walks — children of one parent, that share its
-//     cover — are walked together where that reads less, the parent's
-//     cover read once for all of them (table.AndEachShared).
+//     coverage — are routed where that reads less: one walk of the
+//     parent's coverage reads each row's value in the column each child
+//     adds and books the row to the child that holds it, as Algorithm 2
+//     counts a rule's extensions from the tuples it covers.
 //
 // Because counting is fused into generation, the bound is tested before
 // the walk: a counted rule whose own bound MV + Count·(mw − W) is below the
@@ -184,10 +186,11 @@ type Stats struct {
 	// CellsBooked counts (row, accumulator) updates, the CPU the read
 	// counters do not see: one a covered row and extension column of an
 	// expansion walk, and one a covered row of a counting walk or refresh;
-	// a topW raise and a derivation from stored counts book none. Each pass
-	// books its own, and each walk owns whole candidates, so the count is
-	// the same at any worker count. It stays in process: the wire's search
-	// block has no field for it.
+	// a topW raise, a derivation from stored counts and the reads of a
+	// row's values that route it to its siblings (see route) book none.
+	// Each pass books its own, and each walk owns whole candidates, so the
+	// count is the same at any worker count. It stays in process: the
+	// wire's search block has no field for it.
 	CellsBooked int64 `json:"-"`
 	// SampledRowsScanned is the portion of RowsScanned read from a uniform
 	// sample rather than the authoritative table (runs with SampleScale
@@ -1080,40 +1083,7 @@ func (rn *runner) generateCandidates(prev []*cand, H float64) []*cand {
 // whole table: under Count the index's masses are its extensions' counts,
 // no row read; under Sum one pass over the rows sums them (rowPass).
 func (rn *runner) expandParents(parents []*cand) {
-	tab := rn.tab
-
-	// Phase 1: accs[p] holds one accumulator per star column of parent p
-	// whose extensions stay within mw (weights are monotone, so a column
-	// over the cap has no admissible extension at any depth).
-	accs := make([][]extAcc, len(parents))
-	for p, c := range parents {
-		for _, col := range rn.freeCols {
-			if c.r[col] != rule.Star {
-				continue
-			}
-			m := c.mask
-			m.Set(col)
-			acc := extAcc{col: col, weight: rn.w.Weight(m)}
-			if acc.weight > rn.mw {
-				continue
-			}
-			dc := tab.DistinctCount(col)
-			acc.cnt = make([]float64, dc)
-			if rn.topW != nil {
-				acc.mv = make([]float64, dc)
-			}
-			if rn.tracksResidual(acc.weight) {
-				acc.r = make([]float64, dc)
-			}
-			if !rn.countAgg && c != rn.root {
-				// Masses may be zero or negative: presence needs its own
-				// mark. Level 1 holds the extensions of non-zero mass alone,
-				// so the base's accumulators keep none.
-				acc.hit = make([]bool, dc)
-			}
-			accs[p] = append(accs[p], acc)
-		}
-	}
+	accs := rn.accumulators(parents)
 	switch {
 	case parents[0] != rn.root:
 	case len(accs[0]) == 0:
@@ -1141,15 +1111,15 @@ func (rn *runner) expandParents(parents []*cand) {
 		rn.materializeChildren(parents, accs)
 		return
 	}
-	// Walk each parent's own coverage, siblings that share their from's
-	// together (expansionUnits). Workers take whole units, and each
-	// parent's rows reach only that parent's accumulators and cover, in
-	// ascending row order, so nothing is shared and no merge is needed.
+	// Walk each parent's own coverage, or route siblings' rows from one
+	// walk of their from's (expansionUnits). Workers take whole units, and
+	// each parent's rows reach only that parent's accumulators and cover,
+	// in ascending row order, so nothing is shared and no merge is needed.
 	plans := rn.planIndex(parents)
 	reserved := rn.reserveCovers(parents, plans, accs)
 	units, rows := rn.expansionUnits(parents, plans)
 	if passUnits != nil {
-		passUnits(parents, plans, units)
+		passUnits(rn, parents, plans, units)
 	}
 	// Each indexPass worker's keepers, one a member of a unit. The run
 	// keeps them from pass to pass: a keeper allocates its words once, and
@@ -1158,40 +1128,7 @@ func (rn *runner) expandParents(parents []*cand) {
 		rn.keepers = append(rn.keepers, make([][maxSiblings]table.Keeper, nw-len(rn.keepers))...)
 	}
 	rn.indexPass(len(parents), rows, func(g, u int, st *Stats) {
-		members := units[u].members
-		// Each member's accumulators, and its keeper where its walk keeps
-		// its rows: only a walk that keeps them pays to collect them.
-		var mine [maxSiblings][]extAcc
-		var keeps [maxSiblings]*table.Keeper
-		for j, p := range members {
-			mine[j] = accs[p]
-			if reserved[p] > 0 {
-				keeps[j] = &rn.keepers[g][j]
-				keeps[j].Start(tab.NumRows())
-			}
-		}
-		if p := members[0]; len(members) == 1 {
-			acc, k := mine[0], keeps[0]
-			rn.walk(parents[p], plans[p], st, func(row int) {
-				st.CellsBooked += rn.bookRow(acc, row)
-				if k != nil {
-					k.Add(row)
-				}
-			})
-		} else {
-			table.AndEachShared(st, units[u].shared, units[u].added, func(j, row int) {
-				st.CellsBooked += rn.bookRow(mine[j], row)
-				if k := keeps[j]; k != nil {
-					k.Add(row)
-				}
-			})
-		}
-		for j, p := range members {
-			if keeps[j] != nil {
-				cover := keeps[j].Keep(reserved[p])
-				parents[p].cover = &cover
-			}
-		}
+		rn.walkUnit(&rn.keepers[g], parents, plans, units[u], accs, reserved, st)
 	})
 	if rn.ctxErr != nil {
 		return // a cut pass: some parents were never walked
@@ -1202,6 +1139,77 @@ func (rn *runner) expandParents(parents []*cand) {
 		}
 	}
 	rn.materializeChildren(parents, accs)
+}
+
+// accumulators is expandParents' phase 1: accs[p] holds one accumulator per
+// star column of parent p whose extensions stay within mw (weights are
+// monotone, so a column over the cap has no admissible extension at any
+// depth).
+func (rn *runner) accumulators(parents []*cand) [][]extAcc {
+	accs := make([][]extAcc, len(parents))
+	for p, c := range parents {
+		for _, col := range rn.freeCols {
+			if c.r[col] != rule.Star {
+				continue
+			}
+			m := c.mask
+			m.Set(col)
+			acc := extAcc{col: col, weight: rn.w.Weight(m)}
+			if acc.weight > rn.mw {
+				continue
+			}
+			dc := rn.tab.DistinctCount(col)
+			acc.cnt = make([]float64, dc)
+			if rn.topW != nil {
+				acc.mv = make([]float64, dc)
+			}
+			if rn.tracksResidual(acc.weight) {
+				acc.r = make([]float64, dc)
+			}
+			if !rn.countAgg && c != rn.root {
+				// Masses may be zero or negative: presence needs its own
+				// mark. Level 1 holds the extensions of non-zero mass alone,
+				// so the base's accumulators keep none.
+				acc.hit = make([]bool, dc)
+			}
+			accs[p] = append(accs[p], acc)
+		}
+	}
+	return accs
+}
+
+// walkUnit walks unit u of an expansion pass, booking into st: one parent
+// by its plan, or a routed run of siblings by route. Each member's rows go
+// to its accumulators, accs[p], and, where the walk keeps its rows
+// (reserved[p] > 0), to one of the worker's keepers, which then gives the
+// member its cover: only a walk that keeps them pays to collect them.
+func (rn *runner) walkUnit(keepers *[maxSiblings]table.Keeper, parents []*cand, plans []candPlan, u unit, accs [][]extAcc, reserved []int64, st *Stats) {
+	var mine [maxSiblings][]extAcc
+	var keeps [maxSiblings]*table.Keeper
+	for j, p := range u.members {
+		mine[j] = accs[p]
+		if reserved[p] > 0 {
+			keeps[j] = &keepers[j]
+			keeps[j].Start(rn.tab.NumRows())
+		}
+	}
+	if p := u.members[0]; u.routed {
+		rn.route(st, parents, u, &mine, &keeps)
+	} else {
+		acc, k := mine[0], keeps[0]
+		rn.walk(parents[p], plans[p], st, func(row int) {
+			st.CellsBooked += rn.bookRow(acc, row)
+			if k != nil {
+				k.Add(row)
+			}
+		})
+	}
+	for j, p := range u.members {
+		if keeps[j] != nil {
+			cover := keeps[j].Keep(reserved[p])
+			parents[p].cover = &cover
+		}
+	}
 }
 
 // materializeChildren is expandParents' phase 2: resolve each distinct extension the walk saw to its

@@ -222,25 +222,25 @@ func TestCancelInsideAPass(t *testing.T) {
 			}
 		}
 	}
-	cancelSharedWalk(t, v, w)
+	cancelRoutedWalk(t, v, w)
 }
 
-// cancelSharedWalk is TestCancelInsideAPass's arm for a shared walk of
-// siblings (table.AndEachShared), which an expansion pass polls for once,
-// before the walk, not once a member. On one worker, where the poll before
-// unit u of a pass is the (u+1)th after passUnits is handed the pass's
-// units, it fires at the poll before a shared walk that opens its pass,
-// the first and the last such — nothing of the pass walked — and at the
-// poll after a shared walk with a unit after it in its pass, the first and
-// the last such — the walk's members walked and their covers kept, the
-// pass cut in its middle. Each time greedy returns the error and yields no
-// rule after the poll, no parent of the cut pass is marked expanded, none
-// the pass had yet to walk holds a cover, the store holds the candidates
-// it held at the poll, and the Stats are those booked at the poll, the cut
-// pass's level and what its walks before the poll read.
-func cancelSharedWalk(t *testing.T, v *table.View, w weight.Weighter) {
+// cancelRoutedWalk is TestCancelInsideAPass's arm for a routed walk of
+// siblings (route), which an expansion pass polls for once, before the
+// walk, not once a member. On one worker, where the poll before unit u of
+// a pass is the (u+1)th after passUnits is handed the pass's units, it
+// fires at the poll before a routed walk that opens its pass, the first
+// and the last such — nothing of the pass walked — and at the poll after a
+// routed walk with a unit after it in its pass, the first and the last
+// such — the walk's members walked and their covers kept, the pass cut in
+// its middle. Each time greedy returns the error and yields no rule after
+// the poll, no parent of the cut pass is marked expanded, none the pass
+// had yet to walk holds a cover, the store holds the candidates it held at
+// the poll, and the Stats are those booked at the poll, the cut pass's
+// level and what its walks before the poll read.
+func cancelRoutedWalk(t *testing.T, v *table.View, w weight.Weighter) {
 	opts := Options{K: 3, Workers: 1}
-	runner := func(ctx context.Context) *runner {
+	start := func(ctx context.Context) *runner {
 		rn, err := newRunner(v, w, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -255,7 +255,7 @@ func cancelSharedWalk(t *testing.T, v *table.View, w weight.Weighter) {
 	var opening, middle []cut
 	rec := newFiresAt(math.MaxInt64)
 	defer func() { passUnits = nil }()
-	passUnits = func(parents []*cand, _ []candPlan, units []unit) {
+	passUnits = func(_ *runner, parents []*cand, _ []candPlan, units []unit) {
 		keys := func(units []unit) (ks []string) {
 			for _, u := range units {
 				for _, p := range u.members {
@@ -266,7 +266,7 @@ func cancelSharedWalk(t *testing.T, v *table.View, w weight.Weighter) {
 		}
 		first := rec.calls.Load() + 1 // the poll before unit 0
 		for u := range units {
-			if len(units[u].members) == 1 {
+			if !units[u].routed {
 				continue
 			}
 			if u == 0 {
@@ -277,17 +277,17 @@ func cancelSharedWalk(t *testing.T, v *table.View, w weight.Weighter) {
 			}
 		}
 	}
-	if err := runner(rec).greedy(opts.K, time.Time{}, 0, func(Result) bool { return true }); err != nil {
+	if err := start(rec).greedy(opts.K, time.Time{}, 0, func(Result) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	passUnits = nil
 	if len(opening) == 0 || len(middle) == 0 {
-		t.Fatalf("%d shared walks open a pass, %d have a unit after them: want both", len(opening), len(middle))
+		t.Fatalf("%d routed walks open a pass, %d have a unit after them: want both", len(opening), len(middle))
 	}
 	for _, at := range []cut{opening[0], opening[len(opening)-1], middle[0], middle[len(middle)-1]} {
-		label := fmt.Sprintf("shared walk, fire at poll %d after %d parents of its pass", at.poll, len(at.walked))
+		label := fmt.Sprintf("routed walk, fire at poll %d after %d parents of its pass", at.poll, len(at.walked))
 		ctx := &bookedAt{firesAt: newFiresAt(at.poll)}
-		rn := runner(ctx)
+		rn := start(ctx)
 		ctx.rn = rn
 		if err := rn.greedy(opts.K, time.Time{}, 0, func(r Result) bool {
 			if ctx.fired() {

@@ -113,9 +113,11 @@ func TestEquivalenceCoverReuse(t *testing.T) {
 // TestCoverWalkReadsFewestContainers: over four two-valued columns, every
 // value in 256 of 512 rows, each rule's coverage is dense, so every walk
 // ANDs bitsets. A re-walk of a level-3 rule reads its own cover alone — 1 ×
-// ⌈rows/64⌉ words; with that cover dropped, its level-2 parent's cover and
-// the added column's bitset — 2 ×; with both covers dropped, one bitset a
-// column — 3 ×.
+// ⌈rows/64⌉ words; with that cover dropped, it is routed from its level-2
+// parent's cover, which it reads alone too — 1 ×, where its parent's cover
+// and the added column's bitset would read 2 ×; with both covers dropped,
+// its parent's coverage is no one Set, and it reads one bitset a column —
+// 3 ×.
 func TestCoverWalkReadsFewestContainers(t *testing.T) {
 	const rows = 512
 	b := table.MustBuilder([]string{"A", "B", "C", "D"}, nil)
@@ -155,8 +157,8 @@ func TestCoverWalkReadsFewestContainers(t *testing.T) {
 	if got := walk(false, false); got != words {
 		t.Errorf("level-3 walk through its own cover read %d words, want 1 × %d", got, words)
 	}
-	if got := walk(true, false); got != 2*words {
-		t.Errorf("level-3 walk without its own cover read %d words, want 2 × %d", got, words)
+	if got := walk(true, false); got != words {
+		t.Errorf("level-3 walk without its own cover read %d words, want 1 × %d", got, words)
 	}
 	if got := walk(true, true); got != 3*words {
 		t.Errorf("level-3 walk without either cover read %d words, want 3 × %d", got, words)
@@ -296,8 +298,10 @@ func rootSearchTable(tb testing.TB) *table.Table {
 // order, whose containers' spans are narrow and whose summaries mark few
 // of their words. A change to the layout of a grouped table, to what a
 // bitset kernel reads, to which containers a walk ANDs — its own cover,
-// its from's cover and one column, or one a column — to which container a
-// cover is kept in, or to which candidates are counted moves these figures.
+// its from's cover and one column, or one a column — to which siblings an
+// expansion pass routes from one read of their from's coverage, to which
+// container a cover is kept in, or to which candidates are counted moves
+// these figures.
 // The refresh walks of later steps and the topW raises read a candidate's
 // own cover where it holds one, one container in place of its parent's
 // cover and a column: a cover whose rows cluster into few words is a
@@ -316,7 +320,7 @@ func TestRootSearchReads(t *testing.T) {
 		CandidatesPruned:  4479,
 		CandidatesReused:  2943,
 		PostingsRead:      187,
-		BitmapWordsRead:   12333,
+		BitmapWordsRead:   5977,
 		IndexLevels:       26,
 		CellsBooked:       551370,
 	}
@@ -352,7 +356,7 @@ func TestEquivalenceRouteReads(t *testing.T) {
 			CandidatesPruned:  1937,
 			CandidatesReused:  1015,
 			RowsScanned:       20000,
-			BitmapWordsRead:   26908,
+			BitmapWordsRead:   12608,
 			IndexLevels:       20,
 			CellsBooked:       863270,
 		}},
@@ -363,7 +367,7 @@ func TestEquivalenceRouteReads(t *testing.T) {
 			CandidatesReused:  510,
 			RowsScanned:       6000,
 			PostingsRead:      145,
-			BitmapWordsRead:   153,
+			BitmapWordsRead:   139,
 			IndexLevels:       6,
 			CellsBooked:       27145,
 		}},

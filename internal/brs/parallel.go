@@ -8,7 +8,7 @@ import (
 )
 
 // Parallel passes. A pass fans its work out in whole accumulators: an
-// index pass gives each worker whole candidates — the siblings of a shared
+// index pass gives each worker whole candidates — the siblings of a routed
 // walk together — each walked into its own sums (indexPass), and the one
 // row pass, Sum's level 1, gives each worker whole columns, each summed
 // over every row (rowPass). No sum is ever split between workers, so each

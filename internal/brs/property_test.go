@@ -2,6 +2,7 @@ package brs
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -363,47 +364,50 @@ func TestEquivalenceWeightedKernelsSumMasses(t *testing.T) {
 	}
 }
 
-// TestPlannerSharedWalksReadLess holds the planner to its rule on the
-// TestEquivalencePropertyMatrix shapes at Workers 1, 2 and 8, and on
-// spreadSiblingsTable: every unit of more than one parent is siblings of
-// one from, at most maxSiblings, whose shared walk table.SharedWords
-// bounds below the words their own plans were priced at — and books no
-// more than that bound — so no expansion pass books more than the plans
-// it replaced; every pass's units are the same at every worker count,
-// because the cut is a function of the pass's parents, never of Workers.
-func TestPlannerSharedWalksReadLess(t *testing.T) {
-	var passes [][][]string // each pass's units, each unit its parents' keys
+// TestPlannerRoutedWalksReadLess holds the planner to its rule on the
+// TestEquivalencePropertyMatrix shapes at Workers 1, 2 and 8, and on tables
+// made for the arms the matrix does not reach. Every routed unit is
+// cover-less siblings of one from, at most maxSiblings, whose from's one
+// Set costs less to read alone (readAlone) than their own plans are priced
+// at; routed into fresh accumulators (checkRouted), it books exactly that
+// cost and hands each member exactly the rows, in the order, and so the
+// sums, a walk of the member's own plan gives it. Every pass's units are
+// the same at every worker count, because the cut is a function of the
+// pass's parents, never of Workers. Across the matrix, routed units read a
+// from's cover and a level-1 from's container, and a bitset and a list of
+// each; listFromTable adds a list cover, and spreadSiblingsTable a run of
+// siblings the planner must walk by their plans.
+func TestPlannerRoutedWalksReadLess(t *testing.T) {
+	var passes [][]string // each pass's units: routed or not, and the parents' keys
 	var bad []string
+	arms := map[string]int{}
 	defer func() { passUnits = nil }()
-	passUnits = func(parents []*cand, plans []candPlan, units []unit) {
-		var cut [][]string
+	passUnits = func(rn *runner, parents []*cand, plans []candPlan, units []unit) {
+		var cut []string
 		for _, u := range units {
-			keys, rules := make([]string, len(u.members)), make([]rule.Rule, len(u.members))
-			priced := int64(0)
+			keys := make([]string, len(u.members))
 			for j, p := range u.members {
-				keys[j], rules[j], priced = parents[p].key, parents[p].r, priced+plans[p].words
+				keys[j] = parents[p].key
 			}
-			cut = append(cut, keys)
-			if len(u.members) == 1 {
+			cut = append(cut, fmt.Sprint(u.routed, keys))
+			if !u.routed {
 				continue
 			}
-			var read table.Tally
-			table.AndEachShared(&read, u.shared, u.added, func(int, int) {})
-			bound := table.SharedWords(u.shared, u.added)
-			siblings := true
-			for _, p := range u.members {
-				siblings = siblings && parents[p].from != nil && parents[p].from == parents[u.members[0]].from
+			if err := checkRouted(rn, parents, plans, u); err != nil {
+				bad = append(bad, err.Error())
 			}
-			if !siblings || len(u.members) > maxSiblings || bound >= priced || read.Words > bound {
-				bad = append(bad, fmt.Sprintf("%v: siblings %v, bound %d, booked %d, plans priced at %d",
-					rules, siblings, bound, read.Words, priced))
+			from := parents[u.members[0]].from
+			arms[fmt.Sprintf("from's cover %v, bitset %v", from.cover != nil, u.from.IsBitset())]++
+			for _, p := range u.members {
+				col := rn.addedCol(parents[p])
+				arms[fmt.Sprintf("added bitset %v", rn.ix.Container(col, parents[p].r[col]).IsBitset())]++
 			}
 		}
 		passes = append(passes, cut)
 	}
-	grouped := 0
-	check := func(label string, sh armShape) {
-		var serial [][][]string
+	routed := 0
+	check := func(label string, sh armShape) [][]string {
+		var serial [][]string
 		for _, workers := range []int{1, 2, 8} {
 			opts := sh.opts
 			opts.Workers = workers
@@ -413,14 +417,14 @@ func TestPlannerSharedWalksReadLess(t *testing.T) {
 			}
 			label := fmt.Sprintf("%s workers=%d", label, workers)
 			if len(bad) > 0 {
-				t.Fatalf("%s: units that are not siblings reading less than their plans:\n%s", label, strings.Join(bad, "\n"))
+				t.Fatalf("%s: routed units that break the planner's rule:\n%s", label, strings.Join(bad, "\n"))
 			}
 			if workers == 1 {
 				serial = passes
 				for _, cut := range passes {
-					for _, keys := range cut {
-						if len(keys) > 1 {
-							grouped++
+					for _, u := range cut {
+						if strings.HasPrefix(u, "true") {
+							routed++
 						}
 					}
 				}
@@ -428,6 +432,7 @@ func TestPlannerSharedWalksReadLess(t *testing.T) {
 				t.Fatalf("%s: expansion units\n%v\nat Workers 1\n%v", label, passes, serial)
 			}
 		}
+		return serial
 	}
 	rng := rand.New(rand.NewSource(61))
 	trials := 6
@@ -439,32 +444,192 @@ func TestPlannerSharedWalksReadLess(t *testing.T) {
 			check(fmt.Sprintf("trial %d %s", trial, sh.name), sh)
 		}
 	}
-	if grouped == 0 {
-		t.Fatal("no shape made a shared walk")
+	check("list cover", armShape{view: listFromTable().All(), w: weight.NewSize(4), opts: Options{K: 3}})
+	for _, arm := range []string{"from's cover true, bitset true", "from's cover true, bitset false",
+		"from's cover false, bitset true", "from's cover false, bitset false", "added bitset true", "added bitset false"} {
+		if arms[arm] == 0 {
+			t.Errorf("no routed unit with %s", arm)
+		}
 	}
-	t.Logf("%d shared walks at Workers 1", grouped)
+	t.Logf("%d routed walks at Workers 1; %v", routed, arms)
+
+	// Two dense siblings at the two ends of the table: walked together they
+	// would read the whole of their from's container, more than both their
+	// plans.
 	spread := spreadSiblingsTable()
-	check("spread siblings", armShape{view: spread.All(), w: weight.NewSize(3), opts: Options{K: 3}})
+	units := check("spread siblings", armShape{view: spread.All(), w: weight.NewSize(3), opts: Options{K: 3}})
+	alone := func(b string) string {
+		return fmt.Sprint(false, []string{mustRule(t, spread, map[string]string{"A": "a0", "B": b}).Key()})
+	}
+	if !slices.ContainsFunc(units, func(cut []string) bool {
+		return slices.Contains(cut, alone("b1")) && slices.Contains(cut, alone("b2"))
+	}) {
+		t.Fatalf("no pass walks the spread siblings each by its plan: %v", units)
+	}
+}
+
+// TestRoutedWalkAllocatesNothing: a routed unit's walk keeps its one Set,
+// its members' accumulators and keepers and their column groups on the
+// stack, and books its rows into accumulators and keepers that exist
+// before it starts, so it allocates nothing — walked as a pass walks it
+// (walkUnit, where it keeps no cover), and routed with a keeper for every
+// member — over a bitset, the first routed unit of the census root search
+// (rootSearchTable), and over a list, the first of listFromTable's.
+func TestRoutedWalkAllocatesNothing(t *testing.T) {
+	defer func() { passUnits = nil }()
+	for _, tab := range []*table.Table{rootSearchTable(t), listFromTable()} {
+		walked := map[bool]int{} // members of the first routed unit over a bitset, over a list
+		passUnits = func(rn *runner, parents []*cand, plans []candPlan, units []unit) {
+			for _, u := range units {
+				if !u.routed || walked[u.from.IsBitset()] > 0 {
+					continue
+				}
+				var st Stats
+				var keepers [maxSiblings]table.Keeper
+				accs, none := rn.accumulators(parents), make([]int64, len(parents))
+				if allocs := testing.AllocsPerRun(10, func() { rn.walkUnit(&keepers, parents, plans, u, accs, none, &st) }); allocs != 0 {
+					t.Errorf("a routed unit of %d members over a bitset %v allocated %v times", len(u.members), u.from.IsBitset(), allocs)
+				}
+				var mine [maxSiblings][]extAcc
+				var keeps [maxSiblings]*table.Keeper
+				for j, p := range u.members {
+					mine[j] = accs[p]
+					keeps[j] = &keepers[j]
+					keeps[j].Start(rn.tab.NumRows())
+				}
+				if allocs := testing.AllocsPerRun(10, func() { rn.route(&st, parents, u, &mine, &keeps) }); allocs != 0 {
+					t.Errorf("a routed walk of %d members over a bitset %v, each keeping its rows, allocated %v times", len(u.members), u.from.IsBitset(), allocs)
+				}
+				if st.CellsBooked == 0 {
+					t.Errorf("a routed walk of %d members booked nothing", len(u.members))
+				}
+				walked[u.from.IsBitset()] = len(u.members)
+			}
+		}
+		if _, _, err := Run(tab.All(), weight.NewSize(tab.NumCols()), Options{K: 3, Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if len(walked) == 0 {
+			t.Fatalf("%d rows × %d columns: no routed walk", tab.NumRows(), tab.NumCols())
+		}
+		t.Logf("%d rows × %d columns: members of the first routed walk over a bitset, a list: %v", tab.NumRows(), tab.NumCols(), walked)
+	}
+}
+
+// checkRouted re-walks routed unit u of a pass, before the pass walks it,
+// into fresh accumulators, every member keeping its rows; it returns what
+// breaks the planner's rule: members that are not cover-less siblings of
+// one from, more than maxSiblings, a from's Set that does not cost less
+// alone than their plans are priced at or a walk that books other than
+// that cost, or a member whose rows or sums differ from those a walk of its
+// own plan gives it, or, routed alone with every mass it books recorded,
+// whose rows come in another order.
+func checkRouted(rn *runner, parents []*cand, plans []candPlan, u unit) error {
+	from := parents[u.members[0]].from
+	label := make([]rule.Rule, len(u.members))
+	priced := int64(0)
+	for j, p := range u.members {
+		c := parents[p]
+		label[j] = c.r
+		if c.from == nil || c.from != from || c.cover != nil {
+			return fmt.Errorf("%v: not cover-less siblings of one from", label)
+		}
+		priced += plans[p].price
+	}
+	cost := readAlone(u.from)
+	if len(u.members) > maxSiblings || cost >= priced {
+		return fmt.Errorf("%v: %d members, the from's set read alone %d, plans priced at %d", label, len(u.members), cost, priced)
+	}
+	routeInto := func(u unit) (st Stats, mine [maxSiblings][]extAcc, keepers [maxSiblings]table.Keeper) {
+		var keeps [maxSiblings]*table.Keeper
+		for j, p := range u.members {
+			mine[j] = rn.accumulators(parents[p : p+1])[0]
+			keeps[j] = &keepers[j]
+			keeps[j].Start(rn.tab.NumRows())
+		}
+		rn.route(&st, parents, u, &mine, &keeps)
+		return st, mine, keepers
+	}
+	st, mine, keepers := routeInto(u)
+	if st.BitmapWordsRead+st.PostingsRead != cost || st.RowsScanned != 0 {
+		return fmt.Errorf("%v: the routed walk booked %+v, want %d", label, st, cost)
+	}
+	for j, p := range u.members {
+		var rows []int
+		want := rn.accumulators(parents[p : p+1])[0]
+		rn.walk(parents[p], plans[p], new(Stats), func(row int) {
+			rows = append(rows, row)
+			rn.bookRow(want, row)
+		})
+		if got := setRows(keepers[j].Keep(math.MaxInt64)); !slices.Equal(got, rows) || !reflect.DeepEqual(mine[j], want) {
+			return fmt.Errorf("%v: member %v routed rows %v and sums %v, its plan's walk %v and %v", label, label[j], got, mine[j], rows, want)
+		}
+		// Every booking reads one mass: routed alone, the member books its
+		// rows in the order its plan's walk visits them.
+		rec := &recordMass{Aggregator: rn.agg}
+		agg, unitMass := rn.agg, rn.unitMass
+		rn.agg, rn.unitMass = rec, false
+		routeInto(unit{members: u.members[j : j+1], routed: true, from: u.from})
+		rn.agg, rn.unitMass = agg, unitMass
+		if !slices.Equal(rec.rows, rows) {
+			return fmt.Errorf("%v: member %v routed alone books rows in the order %v, its plan's walk %v", label, label[j], rec.rows, rows)
+		}
+	}
+	return nil
+}
+
+// recordMass is an aggregator that records the row of every mass it is
+// asked for.
+type recordMass struct {
+	score.Aggregator
+	rows []int
+}
+
+func (r *recordMass) Mass(t *table.Table, i int) float64 {
+	r.rows = append(r.rows, i)
+	return r.Aggregator.Mass(t, i)
+}
+
+// setRows returns s's rows, ascending.
+func setRows(s table.Set) []int {
+	var rows []int
+	table.EachInAll(new(table.Tally), []table.Set{s}, func(row int) { rows = append(rows, row) })
+	return rows
 }
 
 // spreadSiblingsTable is 6 400 rows, 100 words, on which two siblings do
-// not pay to walk together: A holds one value, a bitset over every word;
-// B's b1 fills the first 40 words and b2 the last 40, dense, and seven
-// sparse values the 20 between; C's 64 values are sparse. (a0,b1) and
-// (a0,b2), both reached first from (a0), are expanded in step 1, and each
-// walked alone reads 2 × 40 words, while one shared walk would read A's
-// 100 and 40 of each: 180 against 160.
+// not pay to route: A holds one value, a bitset over every word; B's b1
+// fills the first 10 words and b2 the last 10, dense, and sparse values
+// the 80 between; C's 64 values are sparse. (a0,b1) and (a0,b2), both
+// reached first from (a0), are expanded in the same pass, and each walked
+// by its plan reads 2 × 10 words, while one routed walk would read A's
+// 100: 100 against 40.
 func spreadSiblingsTable() *table.Table {
 	b := table.MustBuilder([]string{"A", "B", "C"}, nil)
 	for i := 0; i < 6400; i++ {
 		v := "b1"
 		switch {
-		case i >= 3840:
+		case i >= 5760:
 			v = "b2"
-		case i >= 2560:
-			v = fmt.Sprint("b", 3+(i-2560)/183)
+		case i >= 640:
+			v = fmt.Sprint("b", 3+(i-640)/183)
 		}
 		b.MustAddRow([]string{"a0", v, fmt.Sprint("c", i%64)})
+	}
+	return b.Build()
+}
+
+// listFromTable is 6 400 rows of 64 tuples, tuple p in every 64th row
+// from row p: every value sparse, a list of 100 rows spread over the whole
+// table. Each tuple's level-2 and level-3 rules are expanded in step 1,
+// the first routed from a level-1 value's list and the second from a
+// level-2 rule's cover, a list: its rows are scattered one a word, so a
+// bitset would read more words than the list has entries.
+func listFromTable() *table.Table {
+	b := table.MustBuilder([]string{"A", "B", "C", "D"}, nil)
+	for i := 0; i < 6400; i++ {
+		p := i % 64
+		b.MustAddRow([]string{fmt.Sprint("a", p), fmt.Sprint("b", p*5%64), fmt.Sprint("c", p*9%64), fmt.Sprint("d", p*13%64)})
 	}
 	return b.Build()
 }

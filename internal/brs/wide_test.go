@@ -46,7 +46,7 @@ func TestWideRouteCounts(t *testing.T) {
 			CandidatesCounted: 120864,
 			CandidatesPruned:  250130,
 			CandidatesReused:  84221,
-			BitmapWordsRead:   1413753,
+			BitmapWordsRead:   356943,
 			IndexLevels:       23,
 			CellsBooked:       50819825,
 		}},
@@ -58,7 +58,7 @@ func TestWideRouteCounts(t *testing.T) {
 			CandidatesCounted: 86305,
 			CandidatesPruned:  160881,
 			CandidatesReused:  79463,
-			BitmapWordsRead:   2089898,
+			BitmapWordsRead:   909890,
 			IndexLevels:       282,
 			CellsBooked:       120444060,
 		}},
@@ -101,7 +101,7 @@ func TestWideRouteCountsLarge(t *testing.T) {
 			CandidatesCounted: 301108,
 			CandidatesPruned:  602116,
 			CandidatesReused:  270335,
-			BitmapWordsRead:   89138733,
+			BitmapWordsRead:   73587407,
 			IndexLevels:       203,
 			CellsBooked:       1308423774,
 		}},
@@ -117,7 +117,7 @@ func TestWideRouteCountsLarge(t *testing.T) {
 			CandidatesPruned:  2346568,
 			CandidatesReused:  1524022,
 			PostingsRead:      2564,
-			BitmapWordsRead:   26127225,
+			BitmapWordsRead:   14206092,
 			IndexLevels:       930,
 			CellsBooked:       404997110,
 		}},

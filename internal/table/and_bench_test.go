@@ -1,7 +1,6 @@
 package table_test
 
 import (
-	"fmt"
 	"testing"
 
 	"smartdrill/internal/datagen"
@@ -43,69 +42,4 @@ func BenchmarkAndGrouped(b *testing.B) {
 	}
 	b.ReportMetric(float64(words), "words/op")
 	b.Logf("%d distinct tuples, %d dense containers", tab.NumRows(), len(dense))
-}
-
-// BenchmarkAndEachShared is the shared AND kernel on the same table: an op
-// visits, for every dense container, the rows it has in common with each
-// of k dense containers of other columns — siblings that share their
-// parent's rows, as an expansion pass walks them — by one AndEachShared
-// ("shared") or by k AndEach calls ("separate"). words/op is what the op
-// reads.
-//
-//	go test -run '^$' -bench AndEachShared -benchmem ./internal/table/
-func BenchmarkAndEachShared(b *testing.B) {
-	tab := datagen.CensusProjected(100_000, 7, 7).Distinct(new(table.Tally))
-	if tab == nil {
-		b.Fatal("census does not compress")
-	}
-	ix := tab.Index()
-	type dense struct {
-		col int
-		set table.Set
-	}
-	var all []dense
-	for c := 0; c < tab.NumCols(); c++ {
-		for v := 0; v < tab.DistinctCount(c); v++ {
-			if set := ix.Container(c, rule.Value(v)); set.IsBitset() {
-				all = append(all, dense{c, set})
-			}
-		}
-	}
-	for _, k := range []int{4, 16} {
-		// groups[i] is the first k dense containers of other columns than
-		// all[i]'s, in column order.
-		groups := make([][]table.Set, len(all))
-		for i, s := range all {
-			for _, o := range all {
-				if o.col != s.col && len(groups[i]) < k {
-					groups[i] = append(groups[i], o.set)
-				}
-			}
-		}
-		rows := 0
-		b.Run(fmt.Sprintf("k%d/shared", k), func(b *testing.B) {
-			var read table.Tally
-			b.ReportAllocs()
-			for n := 0; n < b.N; n++ {
-				read = table.Tally{}
-				for i, s := range all {
-					table.AndEachShared(&read, s.set, groups[i], func(_, _ int) { rows++ })
-				}
-			}
-			b.ReportMetric(float64(read.Words), "words/op")
-		})
-		b.Run(fmt.Sprintf("k%d/separate", k), func(b *testing.B) {
-			var read table.Tally
-			b.ReportAllocs()
-			for n := 0; n < b.N; n++ {
-				read = table.Tally{}
-				for i, s := range all {
-					for _, o := range groups[i] {
-						table.AndEach(&read, []table.Set{s.set, o}, func(int) { rows++ })
-					}
-				}
-			}
-			b.ReportMetric(float64(read.Words), "words/op")
-		})
-	}
 }

@@ -270,142 +270,3 @@ func AndEach(m Meter, sets []Set, fn func(row int)) {
 		return true
 	}))
 }
-
-// AndEachShared is AndEach over several pairs that share one set: for each
-// j it calls fn(j, row) for every row common to shared and others[j],
-// every one a bitset, j's rows in ascending order — the rows, in the
-// order, that AndEach([shared, others[j]]) hands its visitor — and books
-// the words it read into m. The pairs are ANDed together, 512 words at a
-// time, so shared is read once however many pairs read it, as Eclat
-// streams a prefix's tid-set once for every item that extends it (Zaki,
-// IEEE TKDE 2000): its words over the hull of the pairs' overlaps, or,
-// where fewer, its summary's words over the hull and the words that
-// summary marks. Member j's word is read only where shared's word is
-// non-zero within the overlap of the two spans and, where j keeps a
-// summary, that summary marks it; j's summary word over 64 words is read
-// where one of them is left to read. It books at most SharedWords. All
-// sets must share one universe. The plan for 16 members stays on the
-// stack; more grow it on the heap.
-func AndEachShared(m Meter, shared Set, others []Set, fn func(j, row int)) {
-	var buf [16]sharedMember
-	ms, lo, hi, viaSummary := sharedPlan(shared.bits, others, buf[:0])
-	if lo >= hi {
-		return
-	}
-	s, words := shared.bits, int64(0)
-	// Shared's words are read sharedSpan summary words' worth at a time and
-	// kept on the stack, so that each member then takes all of its rows
-	// there in one go: live marks the words read that are not zero.
-	var block [sharedSpan * 64]uint64
-	var live [sharedSpan]uint64
-	for first := lo >> 6; first <= (hi-1)>>6; first += sharedSpan {
-		last := min(first+sharedSpan, (hi-1)>>6+1)
-		for sw := first; sw < last; sw++ {
-			l := within(sw, lo, hi)
-			if viaSummary {
-				words++
-				l &= s.summary[sw]
-			}
-			words += int64(bits.OnesCount64(l))
-			for mk := l; mk != 0; mk &= mk - 1 {
-				t := bits.TrailingZeros64(mk)
-				at := (sw-first)<<6 + t
-				if block[at] = s.words[sw<<6+t]; block[at] == 0 {
-					l &^= 1 << uint(t)
-				}
-			}
-			live[sw-first] = l
-		}
-		for j, mb := range ms {
-			o := others[j].bits
-			for sw := max(first, mb.lo>>6); sw < min(last, (mb.hi-1)>>6+1); sw++ {
-				left := live[sw-first] & within(sw, mb.lo, mb.hi)
-				if left == 0 {
-					continue
-				}
-				if o.summary != nil {
-					words++
-					left &= o.summary[sw]
-				}
-				words += int64(bits.OnesCount64(left))
-				for ; left != 0; left &= left - 1 {
-					t := bits.TrailingZeros64(left)
-					i := sw<<6 + t
-					x, base := block[(sw-first)<<6+t]&o.words[i], i<<6
-					for ; x != 0; x &= x - 1 {
-						fn(j, base+bits.TrailingZeros64(x))
-					}
-				}
-			}
-		}
-	}
-	m.Book(0, 0, words)
-}
-
-// sharedSpan is how many summary words' worth of shared's words — 64 data
-// words each — AndEachShared reads and keeps at a time: 4 KiB of stack.
-const sharedSpan = 8
-
-// SharedWords returns the most AndEachShared books for shared and others,
-// every one a bitset, from what sharedPlan decides and without reading a
-// word: shared's words over the hull, or its summary's words over the hull
-// and its non-zero words; and, a member, one word for each word of its
-// overlap with shared, at most shared's non-zero words, or, where it keeps
-// a summary, that summary's words over the overlap and at most its own
-// non-zero words besides.
-func SharedWords(shared Set, others []Set) int64 {
-	var buf [16]sharedMember
-	ms, lo, hi, viaSummary := sharedPlan(shared.bits, others, buf[:0])
-	if lo >= hi {
-		return 0
-	}
-	s := shared.bits
-	words := int64(hi - lo)
-	if viaSummary {
-		words = int64(summaryWords(lo, hi) + s.nz)
-	}
-	for j, mb := range ms {
-		words += int64(mb.most(s, others[j].bits))
-	}
-	return words
-}
-
-// sharedMember is AndEachShared's plan for one member: the words where
-// shared's span and the member's overlap, lo ≥ hi where they do not.
-type sharedMember struct{ lo, hi int }
-
-// most returns the most words of member o that AndEachShared reads: one a
-// word of its overlap with shared where shared's word is non-zero, so at
-// most shared's non-zero words; where o keeps a summary — which a bitset
-// does only where it holds few non-zero words for its span, so it is
-// always read — the summary's words over the overlap and at most o's own
-// non-zero words.
-func (mb sharedMember) most(shared, o *Bitset) int {
-	if mb.lo >= mb.hi {
-		return 0
-	}
-	words := min(mb.hi-mb.lo, shared.nz)
-	if o.summary != nil {
-		words = summaryWords(mb.lo, mb.hi) + min(words, o.nz)
-	}
-	return words
-}
-
-// sharedPlan appends to ms each member's overlap with shared, and returns
-// the hull of the overlaps, over which shared is read, and whether shared
-// is read through its summary: where it keeps one and the summary's words
-// over the hull and its non-zero words are fewer than the hull's.
-func sharedPlan(shared *Bitset, others []Set, ms []sharedMember) (_ []sharedMember, lo, hi int, viaSummary bool) {
-	lo, hi = shared.hi, shared.lo
-	for _, o := range others {
-		mb := sharedMember{max(shared.lo, o.bits.lo), min(shared.hi, o.bits.hi)}
-		if mb.lo < mb.hi {
-			lo, hi = min(lo, mb.lo), max(hi, mb.hi)
-		}
-		ms = append(ms, mb)
-	}
-	if lo >= hi {
-		return ms, 0, 0, false
-	}
-	return ms, lo, hi, shared.summary != nil && summaryWords(lo, hi)+shared.nz < hi-lo
-}

@@ -536,71 +536,3 @@ func walkWords(lists [][]int32) int64 {
 	}
 	return words
 }
-
-// FuzzAndEachShared feeds the shared AND kernel one shared set and up to
-// twenty members, drawn as FuzzBitsetIntersect draws its sets and under
-// the same header bits: 0x40 packs each set into a random sub-range of the
-// universe, so that spans nest, overlap in part or miss each other, and
-// 0x20 packs it into runs of words with zero words between them, so that
-// summaries mark part of each span. Every member must be handed, in
-// ascending order, exactly the rows AndEach hands a visitor of it and the
-// shared set, and the kernel must book no entry and at most SharedWords
-// words.
-func FuzzAndEachShared(f *testing.F) {
-	f.Add(int64(1), uint16(100), uint8(3), uint8(50))
-	f.Add(int64(2), uint16(4096), uint8(16), uint8(100))
-	f.Add(int64(3), uint16(65), uint8(1), uint8(1))
-	f.Add(int64(4), uint16(4999), uint8(0x40|5), uint8(60))
-	f.Add(int64(5), uint16(4999), uint8(0x20|8), uint8(40))
-	f.Add(int64(6), uint16(4096), uint8(0x40|0x20|19), uint8(100))
-	f.Add(int64(7), uint16(1000), uint8(0x20|2), uint8(5))
-	f.Fuzz(func(t *testing.T, seed int64, rows16 uint16, nsets uint8, density uint8) {
-		rows := int(rows16)%5000 + 1
-		k := int(nsets&0x1f)%20 + 1
-		rng := rand.New(rand.NewSource(seed))
-		draw := func() Set {
-			list := randomRows(rng, rows, int(density)%101+rng.Intn(20), nsets&0x40 != 0, nsets&0x20 != 0)
-			return Set{bits: newBitsetFromSorted(list, rows)}
-		}
-		shared, others := draw(), make([]Set, k)
-		for j := range others {
-			others[j] = draw()
-		}
-		got := make([][]int32, k)
-		var read Tally
-		AndEachShared(&read, shared, others, func(j, row int) { got[j] = append(got[j], int32(row)) })
-		for j, o := range others {
-			var want []int32
-			AndEach(new(Tally), []Set{shared, o}, func(row int) { want = append(want, int32(row)) })
-			if !slices.Equal(got[j], want) {
-				t.Fatalf("member %d of %d: visited %v, want AndEach's %v (rows=%d)", j, k, got[j], want, rows)
-			}
-		}
-		if bound := SharedWords(shared, others); read.Rows != 0 || read.Entries != 0 || read.Words > bound {
-			t.Fatalf("booked %+v, want only words and at most SharedWords' %d (rows=%d k=%d)", read, bound, rows, k)
-		}
-	})
-}
-
-// TestAndEachSharedAllocatesNothing: a shared walk of 16 members keeps
-// every member's plan and state on the stack.
-func TestAndEachSharedAllocatesNothing(t *testing.T) {
-	const rows = 4096
-	shared := Set{bits: newBitsetFromSorted(every(rows, 2, 0), rows)}
-	var others []Set
-	for k := 1; k <= 16; k++ {
-		others = append(others, Set{bits: newBitsetFromSorted(every(rows, int32(k), 0), rows)})
-	}
-	var read Tally
-	visited := 0
-	visit := func(int, int) { visited++ }
-	if allocs := testing.AllocsPerRun(20, func() { AndEachShared(&read, shared, others, visit) }); allocs != 0 {
-		t.Fatalf("a shared walk of %d members allocated %v times", len(others), allocs)
-	}
-	if allocs := testing.AllocsPerRun(20, func() { SharedWords(shared, others) }); allocs != 0 {
-		t.Fatalf("pricing a shared walk of %d members allocated %v times", len(others), allocs)
-	}
-	if visited == 0 {
-		t.Fatal("the walk visited no row")
-	}
-}

@@ -49,19 +49,22 @@ func EachInAll(m Meter, sets []Set, fn func(row int)) {
 	}
 	// The non-driver sets, smallest (most selective) first: the bitsets are
 	// probed, the lists galloped through. Like order, they and the lists'
-	// offsets stay on the stack for a 16-column rule.
+	// offsets stay on the stack for a 16-column rule, and are appended to
+	// before the walk holds fn, which an append to the walk's own fields
+	// would leak, and with it everything fn's closure captures.
 	var probeBuf [16]*Bitset
 	var othersBuf [16][]int32
 	var offsBuf [16]int
-	w := walk{fn: fn, probe: probeBuf[:0], others: othersBuf[:0], offs: offsBuf[:0]}
+	probe, others, offs := probeBuf[:0], othersBuf[:0], offsBuf[:0]
 	for _, i := range order[1:] {
 		if b := sets[i].bits; b != nil {
-			w.probe = append(w.probe, b)
+			probe = append(probe, b)
 		} else {
-			w.others = append(w.others, sets[i].list)
-			w.offs = append(w.offs, 0)
+			others = append(others, sets[i].list)
+			offs = append(offs, 0)
 		}
 	}
+	w := walk{fn: fn, probe: probe, others: others, offs: offs}
 
 	if driver.bits == nil {
 		for _, r := range driver.list {

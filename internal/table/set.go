@@ -6,7 +6,7 @@ import "math/bits"
 // holding them, never both — one container type with an array or a bitmap
 // inside, as in Roaring (see Bitset). It is what the index stores a value
 // in (Index.Container), what a search keeps a walk's rows in (Keeper), and
-// what every kernel reads (EachInAll, AndEach, AndEachShared). Its rows
+// what every kernel reads (EachInAll, AndEach). Its rows
 // are this package's alone to read, so no read of one can be made but by a
 // kernel, which books it. The zero Set is empty.
 type Set struct {

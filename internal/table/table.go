@@ -148,6 +148,16 @@ func (t *Table) DistinctCount(c int) int { return t.dicts[c].Len() }
 // Value returns the encoded value at (column c, row i).
 func (t *Table) Value(c, i int) rule.Value { return t.cols[c].at(i) }
 
+// Column is one categorical column's cells, for a loop that reads many
+// rows of one column: At is Value with the column looked up once.
+type Column struct{ c *column }
+
+// Column returns column c's cells.
+func (t *Table) Column(c int) Column { return Column{&t.cols[c]} }
+
+// At returns the dictionary id in row i.
+func (c Column) At(i int) rule.Value { return c.c.at(i) }
+
 // Row copies row i into buf (which must have length NumCols) and returns it.
 func (t *Table) Row(i int, buf []rule.Value) []rule.Value {
 	for c := range t.cols {
