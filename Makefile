@@ -51,8 +51,9 @@ lint: lint-fast
 # race runs the concurrent packages under the race detector, then repeats
 # the CSV ingest's block-independence check on the bundled table — what its
 # workers and its in-order merge share is exercised by every block — with
-# Warm and the first reads that build the whole index racing on a table the
-# ingest loaded across both cell-width crossings (its first column was widened in place twice), and two sessions
+# Warm and the first reads that build the whole index — its three stages'
+# builds racing one another — on a table the ingest loaded across both
+# cell-width crossings (its first column was widened in place twice), and two sessions
 # racing to build a table's memoised distinct-tuple table with their first
 # drill — exact ones, whose answers are held to brsref on the rows, and
 # sampled ones resolving it through their first GetSample — and a refine and

@@ -45,9 +45,11 @@
 //   - Index-driven counting: every expansion, count, refresh and topW
 //     raise walks a candidate's coverage as an intersection of the
 //     table's index containers, by the kernel a per-candidate cost model
-//     picks. The base's expansion is the one exception: under Count it is
-//     the index's posting lengths, or the masses beside them on a weighted
-//     table, and under Sum one pass over the rows. A search reads a whole
+//     picks. The base's expansion and step 1's expansion of level 1 are
+//     the exceptions: under Count the base's is the index's posting
+//     lengths, or the masses beside them on a weighted table, and level
+//     1's the index's pair masses where the table keeps them; under Sum
+//     the base's is one pass over the rows. A search reads a whole
 //     table and its index: any other view is copied into one before the
 //     search starts. The walk that discovers a parent's extensions also
 //     counts them, so a candidate that survives pruning in the step its
@@ -192,6 +194,15 @@ type Stats struct {
 	// count is the same at any worker count. It stays in process: the
 	// wire's search block has no field for it.
 	CellsBooked int64 `json:"-"`
+	// RoutedReads, KeeperAdds and StoreProbes count more of that CPU, and
+	// stay in process too: the cells route reads to hand a row to the
+	// sibling holding its value, booked a block at a time; the rows walks
+	// add to the keepers that become covers, booked a cover at a time; and
+	// the candidate store's lookups (runner.find), which run serially.
+	// Each is the same at any worker count.
+	RoutedReads int64 `json:"-"`
+	KeeperAdds  int64 `json:"-"`
+	StoreProbes int64 `json:"-"`
 	// SampledRowsScanned is the portion of RowsScanned read from a uniform
 	// sample rather than the authoritative table (runs with SampleScale
 	// set). Sessions accumulate it so the approximate pipeline's in-memory
@@ -230,6 +241,9 @@ func (s *Stats) Add(o Stats) {
 	s.BitmapWordsRead += o.BitmapWordsRead
 	s.IndexLevels += o.IndexLevels
 	s.CellsBooked += o.CellsBooked
+	s.RoutedReads += o.RoutedReads
+	s.KeeperAdds += o.KeeperAdds
+	s.StoreProbes += o.StoreProbes
 	s.CandidateCapHit = s.CandidateCapHit || o.CandidateCapHit
 	s.SampledRowsScanned += o.SampledRowsScanned
 	s.CacheHits += o.CacheHits
@@ -532,6 +546,12 @@ func (cs *candStore) find(r rule.Rule, c int, v rule.Value) *cand {
 	return cs.byKey[string(cs.scratch)]
 }
 
+// find is the store's find, booked to Stats.StoreProbes.
+func (rn *runner) find(r rule.Rule, c int, v rule.Value) *cand {
+	rn.stats.StoreProbes++
+	return rn.store.find(r, c, v)
+}
+
 // step numbers the greedy step in progress from 1; a candidate whose asOf
 // equals it carries a marginal against the current selection.
 func (rn *runner) step() int { return len(rn.selected) + 1 }
@@ -798,7 +818,7 @@ func (rn *runner) overlap(c *cand, t selTerm, earlier []selTerm, sign float64) (
 	}
 	n := c.count
 	if len(rn.undo) > 0 {
-		m := rn.store.find(rn.merged, -1, rule.Star)
+		m := rn.find(rn.merged, -1, rule.Star)
 		if m == nil {
 			return 0, false
 		}
@@ -1081,7 +1101,9 @@ func (rn *runner) generateCandidates(prev []*cand, H float64) []*cand {
 //
 // The base, level 0, is expanded alone, in step 1. Its coverage is the
 // whole table: under Count the index's masses are its extensions' counts,
-// no row read; under Sum one pass over the rows sums them (rowPass).
+// no row read; under Sum one pass over the rows sums them (rowPass). Level
+// 1, expanded in step 1 under Count, is counted from the index's pair
+// masses where the table keeps them (pairPass), no row read either.
 func (rn *runner) expandParents(parents []*cand) {
 	accs := rn.accumulators(parents)
 	switch {
@@ -1108,6 +1130,11 @@ func (rn *runner) expandParents(parents []*cand) {
 		if rn.ctxErr != nil {
 			return // a cut pass: some rows were never booked
 		}
+		rn.materializeChildren(parents, accs)
+		return
+	}
+	if rn.pairPass(parents, accs) {
+		rn.stats.IndexLevels++
 		rn.materializeChildren(parents, accs)
 		return
 	}
@@ -1139,6 +1166,40 @@ func (rn *runner) expandParents(parents []*cand) {
 		}
 	}
 	rn.materializeChildren(parents, accs)
+}
+
+// pairPass fills a pass's accumulators from the index's pair masses
+// (table.Index.Pairs) and reports whether it did: where every parent is
+// level 1, the pass runs before the first selection (topW nil) under the
+// Count aggregate — so that every accumulator holds counts alone, weights
+// being non-negative — and the table keeps the grids. Count(base+(a,va)+(b,vb)) over the whole table is
+// the grid's mass, an integer, so the float is the one a walk of (a,va)'s
+// container summing its rows gives. The pass reads no word and books no
+// cell, and keeps no cover, as level 1's walks keep none. Any other pass —
+// later steps, Sum, tables over the grids' budget — walks.
+func (rn *runner) pairPass(parents []*cand, accs [][]extAcc) bool {
+	if rn.topW != nil || !rn.countAgg {
+		return false
+	}
+	for _, c := range parents {
+		if c.from != nil {
+			return false
+		}
+	}
+	pm := rn.ix.Pairs()
+	if pm == nil {
+		return false
+	}
+	for p, c := range parents {
+		a := rn.addedCol(c)
+		for i := range accs[p] {
+			acc := &accs[p][i]
+			for vb := range acc.cnt {
+				acc.cnt[vb] = float64(pm.Mass(a, c.r[a], acc.col, rule.Value(vb)))
+			}
+		}
+	}
+	return true
 }
 
 // accumulators is expandParents' phase 1: accs[p] holds one accumulator per
@@ -1208,6 +1269,7 @@ func (rn *runner) walkUnit(keepers *[maxSiblings]table.Keeper, parents []*cand, 
 		if keeps[j] != nil {
 			cover := keeps[j].Keep(reserved[p])
 			parents[p].cover = &cover
+			st.KeeperAdds += int64(cover.Len())
 		}
 	}
 }
@@ -1261,7 +1323,7 @@ func (rn *runner) materializeChildren(parents []*cand, accs [][]extAcc) {
 // case that allocates (the rule and its key); created counts new
 // registrations for the per-level cap.
 func (rn *runner) childOf(parent *cand, acc *extAcc, val rule.Value, created *int) *cand {
-	if c := rn.store.find(parent.r, acc.col, val); c != nil {
+	if c := rn.find(parent.r, acc.col, val); c != nil {
 		return c
 	}
 	m := parent.mask
@@ -1315,7 +1377,7 @@ func (rn *runner) upperBound(c *cand) float64 {
 	}
 	for _, col := range rn.freeCols {
 		if c.r[col] != rule.Star {
-			consider(rn.store.find(c.r, col, rule.Star))
+			consider(rn.find(c.r, col, rule.Star))
 		}
 	}
 	return bound

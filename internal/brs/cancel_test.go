@@ -309,6 +309,7 @@ func cancelRoutedWalk(t *testing.T, v *table.View, w weight.Weighter) {
 				t.Errorf("%s: %+v at the end, %+v at the poll that fired: want the walks before the poll on top", label, got, want)
 			}
 			want.PostingsRead, want.BitmapWordsRead, want.CellsBooked = got.PostingsRead, got.BitmapWordsRead, got.CellsBooked
+			want.RoutedReads, want.KeeperAdds = got.RoutedReads, got.KeeperAdds
 		}
 		if got != want || len(rn.store.byKey) != ctx.stored {
 			t.Errorf("%s: %+v and %d candidates at the end, want %+v and the %d at the poll that fired",

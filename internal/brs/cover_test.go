@@ -310,22 +310,28 @@ func rootSearchTable(tb testing.TB) *table.Table {
 func TestRootSearchReads(t *testing.T) {
 	tab := rootSearchTable(t)
 	w := weight.NewSize(tab.NumCols())
-	res, st, err := Run(tab.All(), w, Options{K: 3})
-	if err != nil || len(res) != 3 {
-		t.Fatalf("root search: %d rules, err %v", len(res), err)
-	}
-	sameResults(t, "root search vs the oracle", res, oracleRun(tab.All(), w, Options{K: 3}))
+	ref := oracleRun(tab.All(), w, Options{K: 3})
 	want := Stats{
 		CandidatesCounted: 2335,
 		CandidatesPruned:  4479,
 		CandidatesReused:  2943,
 		PostingsRead:      187,
-		BitmapWordsRead:   5977,
+		BitmapWordsRead:   4918,
 		IndexLevels:       26,
-		CellsBooked:       551370,
+		CellsBooked:       370260,
+		RoutedReads:       295995,
+		KeeperAdds:        77438,
+		StoreProbes:       32531,
 	}
-	if st != want {
-		t.Fatalf("root search stats\n%+v\nwant\n%+v", st, want)
+	for _, workers := range []int{1, 2, 8} {
+		res, st, err := Run(tab.All(), w, Options{K: 3, Workers: workers})
+		if err != nil || len(res) != 3 {
+			t.Fatalf("workers=%d: root search: %d rules, err %v", workers, len(res), err)
+		}
+		sameResults(t, fmt.Sprintf("workers=%d: root search vs the oracle", workers), res, ref)
+		if st != want {
+			t.Fatalf("workers=%d: root search stats\n%+v\nwant\n%+v", workers, st, want)
+		}
 	}
 }
 
@@ -356,9 +362,12 @@ func TestEquivalenceRouteReads(t *testing.T) {
 			CandidatesPruned:  1937,
 			CandidatesReused:  1015,
 			RowsScanned:       20000,
-			BitmapWordsRead:   12608,
+			BitmapWordsRead:   11438,
 			IndexLevels:       20,
-			CellsBooked:       863270,
+			CellsBooked:       675775,
+			RoutedReads:       396721,
+			KeeperAdds:        187995,
+			StoreProbes:       12915,
 		}},
 		{"sum", sales, Options{K: 3, Agg: score.SumAgg{Measure: 0}}, Stats{
 			Passes:            1,
@@ -370,6 +379,9 @@ func TestEquivalenceRouteReads(t *testing.T) {
 			BitmapWordsRead:   139,
 			IndexLevels:       6,
 			CellsBooked:       27145,
+			RoutedReads:       800,
+			KeeperAdds:        800,
+			StoreProbes:       2897,
 		}},
 	}
 	for _, tc := range cases {
@@ -434,4 +446,28 @@ func BenchmarkRootSearch(b *testing.B) {
 	b.ReportMetric(float64(stats.CandidatesCounted), "counted/op")
 	b.ReportMetric(float64(covers), "cover-bytes")
 	b.Logf("%d distinct tuples, search stats %+v", tab.NumRows(), stats)
+}
+
+// BenchmarkRootSearchFresh is BenchmarkRootSearch on a fresh copy of the
+// distinct tuples each time, grouped from the rows outside the timer: every
+// stage of its index — sizes and masses, containers, pair masses — is
+// built inside the timed search, by the first read that needs it, as the
+// first root drill on a dataset builds them.
+//
+//	go test -run '^$' -bench RootSearchFresh -benchtime 50x ./internal/brs/
+func BenchmarkRootSearchFresh(b *testing.B) {
+	census := datagen.CensusProjected(100_000, 7, 7)
+	w := weight.NewSize(census.NumCols())
+	opts := Options{K: 3}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tab := census.GroupRows(new(table.Tally), nil, census.NumRows())
+		b.StartTimer()
+		res, _, err := Run(tab.All(), w, opts)
+		if err != nil || len(res) != opts.K {
+			b.Fatalf("root search: %d rules, err %v", len(res), err)
+		}
+	}
 }

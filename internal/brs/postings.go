@@ -53,11 +53,15 @@ import (
 // whole table, and it has no container to walk. Under Count its expansion
 // reads the masses the index stores beside its extensions' containers
 // (table.Index.Mass), not a single row; under Sum one pass over the rows
-// sums them (rowPass).
+// sums them (rowPass). Step 1's expansion of level 1 under Count is the
+// other pass that walks nothing where the table keeps the index's pair
+// masses (table.Index.Pairs): each level-1 rule's extensions' counts are
+// a row of a grid (pairPass).
 //
 // A cost model picks each candidate's kernel by the entries and words it
 // books (planCand). Each stage of the index — sizes and masses, then
-// containers — is built whole by its first read (table.Index), so the
+// containers, and the pair masses — is built whole by its first read
+// (table.Index), so the
 // choice is purely about read volume, and the same whether or not anyone
 // warmed the index first.
 //
@@ -158,10 +162,15 @@ func (rn *runner) containers(c *cand, sets []table.Set) []table.Set {
 	return sets
 }
 
-// addedCol returns the one column c instantiates that its from does not.
+// addedCol returns the one column c instantiates that its from does not —
+// at level 1, where c has no from, the one free column it instantiates.
 func (rn *runner) addedCol(c *cand) int {
+	from := rn.baseMask
+	if c.from != nil {
+		from = c.from.mask
+	}
 	for _, col := range rn.freeCols {
-		if c.r[col] != rule.Star && !c.from.mask.Has(col) {
+		if c.r[col] != rule.Star && !from.Has(col) {
 			return col
 		}
 	}
@@ -367,6 +376,7 @@ func (rn *runner) route(st *Stats, parents []*cand, u unit, accs *[maxSiblings][
 	var rows [routeBlock]int32
 	nr := 0
 	flush := func() {
+		st.RoutedReads += int64(runs * nr)
 		for g := range runs {
 			c, lo, hi := cells[g], first[g], first[g+1]
 			if hi == lo+1 {

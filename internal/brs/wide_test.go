@@ -26,19 +26,18 @@ func showResults(tab *table.Table, rs []Result) []string {
 }
 
 // TestWideRouteCounts pins every rule and every Stats field of two wide
-// root searches, K 3: Marketing at the weighter's bound, serially, and
-// census 20 000 × 14 at mw 8 on eight workers (Stats are the same at any
-// worker count). Each run takes about 1.5 s on a 2-vCPU box.
+// root searches, K 3, Marketing at the weighter's bound and census 20 000 ×
+// 14 at mw 8, each at Workers 1, 2 and 8: Stats are the same at any worker
+// count. Each run takes about 1.5 s on a 2-vCPU box.
 func TestWideRouteCounts(t *testing.T) {
 	cases := []struct {
-		name    string
-		tab     *table.Table
-		mw      float64
-		workers int
-		rules   []string
-		want    Stats
+		name  string
+		tab   *table.Table
+		mw    float64
+		rules []string
+		want  Stats
 	}{
-		{"marketing", datagen.Marketing(datagen.MarketingN, 1), 0, 1, []string{
+		{"marketing", datagen.Marketing(datagen.MarketingN, 1), 0, []string{
 			"[? ? ? ? ? ? ? No ? ? Rent Apartment ? English] 2520 1074.75",
 			"[? ? ? ? ? ? ? No ? 0 ? ? ? English] 4427 4427",
 			"[? ? Married ? ? ? ? Yes ? ? ? ? ? English] 2206 2206",
@@ -46,11 +45,14 @@ func TestWideRouteCounts(t *testing.T) {
 			CandidatesCounted: 120864,
 			CandidatesPruned:  250130,
 			CandidatesReused:  84221,
-			BitmapWordsRead:   356943,
+			BitmapWordsRead:   348550,
 			IndexLevels:       23,
-			CellsBooked:       50819825,
+			CellsBooked:       49163183,
+			RoutedReads:       10025614,
+			KeeperAdds:        4767712,
+			StoreProbes:       2234703,
 		}},
-		{"census20k-14", datagen.CensusProjected(20_000, 14, 7), 8, 8, []string{
+		{"census20k-14", datagen.CensusProjected(20_000, 14, 7), 8, []string{
 			"[? ? ? ? ? ? ? ? v08_00 v09_00 v10_00 v11_00 ? ?] 6253 4150",
 			"[v00_00 v01_00 v02_00 v03_00 ? ? ? ? ? ? ? ? ? ?] 6648 6648",
 			"[? ? ? ? v04_00 ? v06_00 v07_00 ? ? ? ? ? ?] 7867 3621",
@@ -58,21 +60,26 @@ func TestWideRouteCounts(t *testing.T) {
 			CandidatesCounted: 86305,
 			CandidatesPruned:  160881,
 			CandidatesReused:  79463,
-			BitmapWordsRead:   909890,
+			BitmapWordsRead:   899248,
 			IndexLevels:       282,
-			CellsBooked:       120444060,
+			CellsBooked:       117242888,
+			RoutedReads:       19301909,
+			KeeperAdds:        11300963,
+			StoreProbes:       1473030,
 		}},
 	}
 	for _, tc := range cases {
-		res, st, err := Run(tc.tab.All(), weight.NewSize(tc.tab.NumCols()), Options{K: 3, MaxWeight: tc.mw, Workers: tc.workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := showResults(tc.tab, res); fmt.Sprint(got) != fmt.Sprint(tc.rules) {
-			t.Errorf("%s: rules\n%q\nwant\n%q", tc.name, got, tc.rules)
-		}
-		if st != tc.want {
-			t.Errorf("%s: stats\n%#v\nwant\n%#v", tc.name, st, tc.want)
+		for _, workers := range []int{1, 2, 8} {
+			res, st, err := Run(tc.tab.All(), weight.NewSize(tc.tab.NumCols()), Options{K: 3, MaxWeight: tc.mw, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := showResults(tc.tab, res); fmt.Sprint(got) != fmt.Sprint(tc.rules) {
+				t.Errorf("%s workers=%d: rules\n%q\nwant\n%q", tc.name, workers, got, tc.rules)
+			}
+			if st != tc.want {
+				t.Errorf("%s workers=%d: stats\n%#v\nwant\n%#v", tc.name, workers, st, tc.want)
+			}
 		}
 	}
 }
@@ -101,9 +108,12 @@ func TestWideRouteCountsLarge(t *testing.T) {
 			CandidatesCounted: 301108,
 			CandidatesPruned:  602116,
 			CandidatesReused:  270335,
-			BitmapWordsRead:   73587407,
+			BitmapWordsRead:   73517088,
 			IndexLevels:       203,
-			CellsBooked:       1308423774,
+			CellsBooked:       1291335560,
+			RoutedReads:       193464226,
+			KeeperAdds:        43639673,
+			StoreProbes:       6334866,
 		}},
 		{"census20k-14-k6", datagen.CensusProjected(20_000, 14, 7), 6, []string{
 			"[v00_00 v01_00 v02_00 v03_00 ? ? ? ? v08_00 v09_00 v10_00 v11_00 ? ?] 2103 1051.5",
@@ -117,9 +127,12 @@ func TestWideRouteCountsLarge(t *testing.T) {
 			CandidatesPruned:  2346568,
 			CandidatesReused:  1524022,
 			PostingsRead:      2564,
-			BitmapWordsRead:   14206092,
+			BitmapWordsRead:   14191698,
 			IndexLevels:       930,
-			CellsBooked:       404997110,
+			CellsBooked:       401567086,
+			RoutedReads:       113726275,
+			KeeperAdds:        24825247,
+			StoreProbes:       23610736,
 		}},
 	}
 	for _, tc := range cases {

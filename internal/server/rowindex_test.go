@@ -51,7 +51,8 @@ func stream(t *testing.T, url string) {
 // served to Count sessions from its distinct tuples alone, so no route
 // builds the inverted index over its rows — exact and sampled sessions
 // alike, through every route, the warmer and the background refiner, and
-// across a restart that resumes them. A Sum session reads the rows: its
+// across a restart that resumes them. The first root search builds the
+// distinct tuples' pair masses, and one log line says so. A Sum session reads the rows: its
 // first drill builds the index, one log line says so, and it answers what
 // a server whose index was built at registration answers.
 func TestCountRoutesLeaveRowIndexUnbuilt(t *testing.T) {
@@ -119,6 +120,9 @@ func TestCountRoutesLeaveRowIndexUnbuilt(t *testing.T) {
 	s.WaitRefiners()
 	if _, index := census.ResidentBytes(); index != 0 || strings.Contains(logs.String(), "dataset census: indexed") {
 		t.Fatalf("Count sessions built the row index (%d bytes); log:\n%s", index, logs.String())
+	}
+	if n := strings.Count(logs.String(), "dataset census: pair masses of "); n != 1 {
+		t.Fatalf("%d pair mass lines, want the one of the distinct tuples' index; log:\n%s", n, logs.String())
 	}
 
 	// A Sum session reads the rows: its first drill builds the index. (The

@@ -249,10 +249,15 @@ func New(cfg Config) *Server {
 // session, a non-integral weighter, or any drill on a table that does not
 // compress — and never on a dataset served only by Count sessions over its
 // distinct tuples. Every session on the dataset shares whichever gets
-// built, and one log line says how each build resolved.
+// built, and one log line says how each build resolved — the pair masses
+// (table.Index.Pairs) too, which the first Count search builds on the
+// table it searches where that keeps them, the distinct tuples or the rows.
 func (s *Server) RegisterDataset(name string, t *smartdrill.Table) {
 	t.OnBuild(func(r table.BuildReport) {
 		switch {
+		case r.Pairs > 0:
+			s.cfg.Logger.Printf("dataset %s: pair masses of %d rows, %d column pairs (%.1f KiB) in %s",
+				name, r.Rows, r.Pairs, float64(r.Bytes)/(1<<10), r.Elapsed.Round(time.Microsecond))
 		case r.Index:
 			s.cfg.Logger.Printf("dataset %s: indexed %d rows (%.1f MiB) in %s",
 				name, r.Rows, float64(r.Bytes)/(1<<20), r.Elapsed.Round(time.Microsecond))

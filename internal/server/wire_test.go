@@ -256,9 +256,10 @@ func TestRequestID(t *testing.T) {
 }
 
 // TestSearchStatsMirror: the wire's search block carries every BRS counter
-// under the engine's own name, type and JSON name, but CellsBooked, which
-// stays in process (its JSON name is "-"); and encodeStats copies each of
-// them, so a counter added to one definition and not the other fails here.
+// under the engine's own name, type and JSON name, but those that stay in
+// process (their JSON name is "-": CellsBooked, RoutedReads, KeeperAdds and
+// StoreProbes); and encodeStats copies each of them, so a counter added to
+// one definition and not the other fails here.
 func TestSearchStatsMirror(t *testing.T) {
 	var s smartdrill.SearchStats
 	sv := reflect.ValueOf(&s).Elem()
@@ -272,12 +273,13 @@ func TestSearchStatsMirror(t *testing.T) {
 	}
 	wire := reflect.ValueOf(encodeStats(s)).Elem()
 	st, wt := sv.Type(), wire.Type()
+	inProcess := map[string]bool{"CellsBooked": true, "RoutedReads": true, "KeeperAdds": true, "StoreProbes": true}
 	for i := 0; i < st.NumField(); i++ {
 		f := st.Field(i)
 		wf, ok := wt.FieldByName(f.Name)
-		if f.Name == "CellsBooked" {
-			if ok || f.Tag.Get("json") != "-" {
-				t.Errorf("CellsBooked: on the wire %v, JSON name %q; want it in process only", ok, f.Tag.Get("json"))
+		if inProcess[f.Name] || f.Tag.Get("json") == "-" {
+			if ok || !inProcess[f.Name] || f.Tag.Get("json") != "-" {
+				t.Errorf("%s: on the wire %v, JSON name %q; want exactly %v in process only", f.Name, ok, f.Tag.Get("json"), inProcess)
 			}
 			continue
 		}
@@ -292,7 +294,7 @@ func TestSearchStatsMirror(t *testing.T) {
 			t.Errorf("%s: encoded %v, want %v", f.Name, got, want)
 		}
 	}
-	if wt.NumField() != st.NumField()-1 {
-		t.Errorf("the wire has %d counters, the engine %d besides CellsBooked", wt.NumField(), st.NumField()-1)
+	if wt.NumField() != st.NumField()-len(inProcess) {
+		t.Errorf("the wire has %d counters, the engine %d besides %v", wt.NumField(), st.NumField()-len(inProcess), inProcess)
 	}
 }

@@ -33,15 +33,18 @@ import (
 // is a pass over them that only many later searches repay.
 const distinctGiveUp = 4
 
-// BuildReport describes how one of a table's two lazy builds resolved: its
-// distinct-tuple table (see Distinct), or its index's containers (see
-// Index). Each is built once, by the first read that needs it.
+// BuildReport describes how one of a table's lazy builds resolved: its
+// distinct-tuple table (see Distinct), its index's containers (see Index),
+// or its index's pair masses (see Index.Pairs), reported to the table the
+// distinct table was built from where it is one. Each is built once, by the
+// first read that needs it.
 type BuildReport struct {
-	Index    bool  // the index's containers were built; otherwise the distinct table resolved
-	Rows     int   // rows of the table
+	Index    bool  // an index stage was built: the pair masses where Pairs > 0, else the containers; otherwise the distinct table resolved
+	Pairs    int   // the pairs of columns whose grids the pair masses hold
+	Rows     int   // rows of the table whose index was built, or whose distinct table resolved
 	Read     int   // rows the distinct build read: Rows, or fewer when it gave up
 	Distinct int   // rows of the distinct table; 0 when the table does not compress
-	Bytes    int64 // what the built index holds (see ResidentBytes)
+	Bytes    int64 // what the built containers hold (see ResidentBytes), or the pair masses' grids
 	Elapsed  time.Duration
 }
 
@@ -69,6 +72,7 @@ func (t *Table) Distinct(m Meter) *Table {
 		rep := BuildReport{Rows: t.n, Read: int(read.Rows)}
 		if t.distinct != nil {
 			rep.Distinct = t.distinct.n
+			t.distinct.source = t
 		}
 		rep.Elapsed = time.Since(start)
 		if fn := t.onBuild.Load(); fn != nil {
@@ -79,7 +83,8 @@ func (t *Table) Distinct(m Meter) *Table {
 }
 
 // OnBuild registers fn to be told, once each, how the distinct table
-// resolved and that the index's containers were built — by the goroutine
+// resolved, that the index's containers were built, and that the pair
+// masses of the index of t or of its distinct table were — by the goroutine
 // whose read resolves the build, before that read returns. A serving layer
 // registers its log lines here before it publishes the table; a later
 // registration replaces an earlier one.

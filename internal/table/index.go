@@ -19,18 +19,21 @@ import (
 // sixteenth for the summaries, and an eighth of a byte per row and value on
 // the few-valued columns the paper's tables are made of.
 //
-// The index is built in two stages, each whole — every column in parallel,
-// under a sync.Once of its own — by the first read that needs it. The first
-// is one counting pass: each value's size and, on a weighted table, its
-// mass, which is all PostingsLen and Mass read, so routing a request and
-// counting level 1 of a full table never build a container. The second
-// fills the containers from those sizes (Container, Rows, Lookup, Postings,
-// Bitmap, Warm). A search's work therefore never depends on which columns
-// an earlier one happened to touch, and no reader ever sees a half-built
-// stage. One Index exists per Table (see Table.Index), so every session on
-// a shared dataset reuses the same containers instead of re-scanning per
-// request; a dataset whose searches read only its distinct-tuple table
-// never builds its rows' containers at all.
+// The index is built in three stages, each whole — every column in
+// parallel, under a sync.Once of its own — by the first read that needs it.
+// The first is one counting pass: each value's size and, on a weighted
+// table, its mass, which is all PostingsLen and Mass read, so routing a
+// request and counting level 1 of a full table never build a container.
+// The second fills the containers from those sizes (Container, Rows,
+// Lookup, Postings, Bitmap, Warm). The third, the pair masses (Pairs),
+// needs neither: it sums the rows' masses by each pair of values of each
+// pair of columns, and only a search's first count of level 2 reads it. A
+// search's work therefore never depends on which columns an earlier one
+// happened to touch, and no reader ever sees a half-built stage. One Index
+// exists per Table (see Table.Index), so every session on a shared dataset
+// reuses the same containers instead of re-scanning per request; a dataset
+// whose searches read only its distinct-tuple table never builds its rows'
+// containers at all.
 type Index struct {
 	t *Table
 
@@ -40,6 +43,9 @@ type Index struct {
 	containersOnce sync.Once
 	containers     [][]Set     // per column, a Set per value; nil until the second stage
 	built          atomic.Bool // set once containers is published
+
+	pairsOnce sync.Once
+	pairs     atomic.Pointer[PairMasses] // nil until the third stage, and where the table keeps none
 }
 
 // valueCounts is one column's first stage: sizes[v] rows hold value v, and
@@ -183,14 +189,18 @@ func fillContainers[T cell](col []T, sizes []int32) []Set {
 	return sets
 }
 
-// bytes is what the index holds once its containers are built: the
-// containers, and each value's stored size and mass; 0 before, whatever the
-// first stage holds (a few bytes a value). It never builds anything.
+// bytes is what the index holds once its containers are built — the
+// containers, and each value's stored size and mass — and its pair masses
+// once they are built; 0 before either, whatever the first stage holds (a
+// few bytes a value). It never builds anything.
 func (ix *Index) bytes() int64 {
-	if !ix.built.Load() {
-		return 0
-	}
 	var n int64
+	if pm := ix.pairs.Load(); pm != nil {
+		n += pm.Bytes()
+	}
+	if !ix.built.Load() {
+		return n
+	}
 	for c, sets := range ix.containers {
 		vc := ix.counts[c]
 		n += 4*int64(len(vc.sizes)) + 8*int64(len(vc.masses))
@@ -295,6 +305,121 @@ func (ix *Index) Lookup(r rule.Rule) (rows []int, postingsRead int64) {
 	rows = ix.Rows(&read, r)
 	return rows, read.Entries + read.Words
 }
+
+// PairMasses is an index's third stage: for every pair of columns a < b,
+// a d_a × d_b grid holding, for each value va of a and vb of b, the mass of
+// the rows holding both — their count, or on a weighted table their
+// multiplicities summed. The grids are a categorical table's 2-D cuboids
+// (Gray et al., "Data Cube", ICDE 1996), and the count of every one-column
+// extension of a level-1 rule over a whole table, as Mass is of the base's.
+type PairMasses struct {
+	dims  []int   // per column, the values its grids were sized for
+	at    []int   // grid (a, b), a < b, starts at cells[at[a·columns+b]]
+	cells []int64 // every grid, row va of (a, b) one run of d_b masses
+}
+
+// Pairs returns the index's pair masses, building them unless they are
+// built: nil where the table keeps none. A table keeps them only where its
+// grids take at most one entry a row — Σ over pairs of columns of d_a·d_b
+// at most the table's rows, d its dictionaries' sizes — so the stage never
+// holds more entries than one more index column's lists would. Its one
+// pass over the rows adds a row's mass once for each pair of columns: half
+// the cells that walking every level-1 rule's rows books to count level 2
+// from them, a row's for each column and each column it adds. A table
+// narrower than two columns keeps none either. PostingsLen, Mass and Warm
+// never build the stage, and it builds no other; the table's OnBuild hook,
+// or a distinct-tuple table's source's, is told what it holds and took.
+func (ix *Index) Pairs() *PairMasses {
+	ix.pairsOnce.Do(func() {
+		t := ix.t
+		cols := len(t.cols)
+		if cols < 2 {
+			return
+		}
+		start := time.Now()
+		pm := &PairMasses{dims: make([]int, cols), at: make([]int, cols*cols)}
+		for c := range pm.dims {
+			pm.dims[c] = t.dicts[c].Len()
+		}
+		entries := 0
+		for a := range cols {
+			for b := a + 1; b < cols; b++ {
+				pm.at[a*cols+b] = entries
+				if entries += pm.dims[a] * pm.dims[b]; entries > t.n {
+					return
+				}
+			}
+		}
+		pm.cells = make([]int64, entries)
+		ix.eachColumn(func(a int) {
+			for b := a + 1; b < cols; b++ {
+				grid := pm.cells[pm.at[a*cols+b]:][:pm.dims[a]*pm.dims[b]]
+				fillPair(&t.cols[a], &t.cols[b], pm.dims[b], t.mult, grid)
+			}
+		})
+		ix.pairs.Store(pm)
+		hook := t
+		if t.source != nil {
+			hook = t.source
+		}
+		if fn := hook.onBuild.Load(); fn != nil {
+			(*fn)(BuildReport{Index: true, Pairs: cols * (cols - 1) / 2, Rows: t.n, Bytes: pm.Bytes(), Elapsed: time.Since(start)})
+		}
+	})
+	return ix.pairs.Load()
+}
+
+// fillPair adds up grid (a, b) in one pass over columns a and b: each row's
+// mass — 1, or its multiplicity where mult is non-nil — into the cell of
+// its two values, a's value its row of the grid and b's, one of db, its
+// place in that row.
+func fillPair(a, b *column, db int, mult []int32, grid []int64) {
+	switch a.width {
+	case w8:
+		fillPairFrom(a.u8, b, db, mult, grid)
+	case w16:
+		fillPairFrom(a.u16, b, db, mult, grid)
+	default:
+		fillPairFrom(a.i32, b, db, mult, grid)
+	}
+}
+
+func fillPairFrom[A cell](a []A, b *column, db int, mult []int32, grid []int64) {
+	switch b.width {
+	case w8:
+		fillPairCells(a, b.u8, db, mult, grid)
+	case w16:
+		fillPairCells(a, b.u16, db, mult, grid)
+	default:
+		fillPairCells(a, b.i32, db, mult, grid)
+	}
+}
+
+func fillPairCells[A, B cell](a []A, b []B, db int, mult []int32, grid []int64) {
+	b = b[:len(a)]
+	if mult == nil {
+		for i, va := range a {
+			grid[int(va)*db+int(b[i])]++
+		}
+		return
+	}
+	mult = mult[:len(a)]
+	for i, va := range a {
+		grid[int(va)*db+int(b[i])] += int64(mult[i])
+	}
+}
+
+// Mass returns the mass of the rows holding va in column a and vb in
+// column b, in either order of the two columns, which must differ.
+func (pm *PairMasses) Mass(a int, va rule.Value, b int, vb rule.Value) int64 {
+	if a > b {
+		a, va, b, vb = b, vb, a, va
+	}
+	return pm.cells[pm.at[a*len(pm.dims)+b]+int(va)*pm.dims[b]+int(vb)]
+}
+
+// Bytes is what the grids hold: eight bytes a cell.
+func (pm *PairMasses) Bytes() int64 { return 8 * int64(len(pm.cells)) }
 
 // Warm builds the index's containers unless they are built. Every read of
 // a container goes through the same build, so calling it early only moves

@@ -158,6 +158,10 @@ func TestFilterIndicesEmptyPostingList(t *testing.T) {
 	}
 }
 
+// TestIndexConcurrentBuild races the index's three stages' readers and
+// builds on fresh tables: the sizes and masses alone build nothing more,
+// and with the containers' readers, Warm and the pair masses' readers
+// racing, each reader sees its stage whole and as a scan finds it.
 func TestIndexConcurrentBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	// A table built row by row, its weighted distinct-tuple table, and one
@@ -221,13 +225,14 @@ func TestIndexConcurrentBuild(t *testing.T) {
 			}(int64(g))
 		}
 		wg.Wait()
-		if _, index := tab.ResidentBytes(); tab.Index().built.Load() || index != 0 {
-			t.Errorf("reading sizes and masses built the containers (%d bytes resident)", index)
+		if _, index := tab.ResidentBytes(); tab.Index().built.Load() || tab.Index().pairs.Load() != nil || index != 0 {
+			t.Errorf("reading sizes and masses built the containers or the pair masses (%d bytes resident)", index)
 		}
 
 		// On a fresh table, the same readers race the containers' readers
-		// — Container, Lookup through FilterIndices — and Warm, both
-		// stages' builds among them (run under -race in CI).
+		// — Container, Lookup through FilterIndices — Warm, and the pair
+		// masses' readers, all three stages' builds among them (run under
+		// -race in CI).
 		tab = fresh()
 		var rules []rule.Rule
 		want := make(map[string]int)
@@ -255,6 +260,24 @@ func TestIndexConcurrentBuild(t *testing.T) {
 					if n := tab.Index().Container(c, v).Len(); n != sizes[c][v] {
 						t.Errorf("column %d value %d: a container of %d rows, want %d", c, v, n, sizes[c][v])
 					}
+				case 3:
+					if seed == 3 {
+						if err := pairsMismatch(tab); err != nil {
+							t.Error(err)
+						}
+						return
+					}
+					if pm := tab.Index().Pairs(); pm != nil {
+						a := rng.Intn(tab.NumCols())
+						va := rule.Value(rng.Intn(tab.DistinctCount(a)))
+						var sum int64
+						for vb := range tab.DistinctCount((a + 1) % tab.NumCols()) {
+							sum += pm.Mass(a, va, (a+1)%tab.NumCols(), rule.Value(vb))
+						}
+						if sum != masses[a][va] {
+							t.Errorf("column %d value %d: its pair masses sum to %d, want %d", a, va, sum, masses[a][va])
+						}
+					}
 				}
 				for probe := 0; probe < 50; probe++ {
 					r := rules[rng.Intn(len(rules))]
@@ -277,6 +300,9 @@ func TestIndexConcurrentBuild(t *testing.T) {
 		wg.Wait()
 		if _, index := tab.ResidentBytes(); !tab.Index().built.Load() || index == 0 {
 			t.Errorf("after the containers' readers, %d index bytes resident", index)
+		}
+		if err := pairsMismatch(tab); err != nil {
+			t.Error(err)
 		}
 	}
 }

@@ -95,6 +95,9 @@ type Table struct {
 
 	// onBuild is who to tell how a lazy build resolved (see OnBuild).
 	onBuild atomic.Pointer[func(BuildReport)]
+	// source is the table a distinct-tuple table was built from (see
+	// Distinct), whose hook hears its pair masses' build; nil otherwise.
+	source *Table
 
 	// mult is a distinct-tuple table's multiplicity per row (see Distinct);
 	// nil on an ordinary table, where every row is one tuple. tuples is
@@ -170,7 +173,8 @@ func (t *Table) Row(i int, buf []rule.Value) []rule.Value {
 // its arrays (nothing is measured): cells is the categorical columns at
 // their widths, eight bytes a row for each measure, and a distinct-tuple
 // table's multiplicities; index is the containers and stored sizes of the
-// index (see Index) once its containers are built, and 0 before — asking
+// index (see Index) once its containers are built, and its pair masses'
+// grids once they are (see Index.Pairs), and 0 before either — asking
 // builds nothing. Dictionary strings, slice headers and the memoised
 // distinct-tuple table, a Table of its own, are not counted.
 func (t *Table) ResidentBytes() (cells, index int64) {
