@@ -258,9 +258,10 @@ func (s *Stats) Add(o Stats) {
 // the values the stream yields for it: Count, and MCount at selection. It
 // returns fewer than K rules when no remaining rule has positive marginal
 // value. Counts are masses over v's rows; pass the full-table view
-// (Table.All) for whole-table searches. Any other view is copied, in one
-// pass booked to the run's Stats, into a table of its own (View.Select):
-// the search reads a whole table and its index.
+// (Table.All) for whole-table searches. Any other view becomes a table of
+// its own (View.Select): a slice of its table where its rows are one run of
+// it, which reads nothing, else a copy made in one pass booked to the run's
+// Stats. The search reads a whole table and its index.
 func Run(v *table.View, w weight.Weighter, opts Options) ([]Result, Stats, error) {
 	return RunCtx(context.Background(), v, w, opts)
 }
@@ -338,9 +339,10 @@ func (rn *runner) greedy(maxRules int, deadline time.Time, minGainRatio float64,
 }
 
 // newRunner normalizes options and resolves the table the run searches: v's
-// own where v spans it whole and needs no restriction, else a copy of v's
-// rows — restricted to Base's coverage when the caller has not already done
-// so — made in one pass. Shared by Run and RunIncremental.
+// own where v spans it whole and needs no restriction, a slice of it where
+// v's rows are one run of it and need none, else a copy of v's rows —
+// restricted to Base's coverage when the caller has not already done so —
+// made in one pass (View.Select). Shared by Run and RunIncremental.
 func newRunner(v *table.View, w weight.Weighter, opts Options) (*runner, error) {
 	base := opts.Base
 	if base == nil {
@@ -373,11 +375,13 @@ func newRunner(v *table.View, w weight.Weighter, opts Options) (*runner, error) 
 		par: opts.Workers, scale: scale,
 		coverLeft: coverBudget,
 	}
-	// A copy's index is built by its first read and booked nowhere, like a
-	// tuple sample's.
-	tab := v.Select(&run.stats, restrict)
-	if tab != v.Table() {
+	// A copy's index, and a slice's, is built by its first read and booked
+	// nowhere, like a tuple sample's. A slice reads no row and is no pass.
+	var read table.Tally
+	tab := v.Select(&read, restrict)
+	if read.Rows > 0 {
 		run.stats.Passes++
+		run.stats.Book(read.Rows, 0, 0)
 	}
 	run.tab, run.ix = tab, tab.Index()
 	run.baseMask = base.Mask()

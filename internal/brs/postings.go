@@ -9,7 +9,7 @@ import (
 )
 
 // Index-driven counting, the only way a search counts. A search reads a
-// whole table — newRunner copies any other view into one — so a
+// whole table — newRunner slices or copies any other view into one — so a
 // candidate's coverage is the intersection of the index containers of the
 // candidate's instantiated free columns — or its own cover, or its
 // parent's cover and one column's container (Covers, below) — and every

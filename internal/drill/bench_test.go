@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"smartdrill/internal/datagen"
+	"smartdrill/internal/rule"
 	"smartdrill/internal/table"
 	"smartdrill/internal/weight"
 )
@@ -99,4 +100,50 @@ func baseTree(tb testing.TB, tab *table.Table) *Session {
 		tb.Fatalf("base tree has %d nodes, want 13", n)
 	}
 	return s
+}
+
+// BenchmarkChildThenStars is a node's exploration as an analyst makes it,
+// with the answer cache off: a rule drill of the root's first rule, then a
+// star drill of that node on each of its first three starred columns. The
+// session is new each time, outside the timer, on a table whose distinct
+// tuples are built, so each round resolves the node's coverage afresh.
+//
+//	go test -run '^$' -bench ChildThenStars -benchtime 200x ./internal/drill/
+func BenchmarkChildThenStars(b *testing.B) {
+	tab := benchCensus()
+	s, err := NewSession(tab, Config{K: benchK, Search: cacheOff()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Expand(s.Root()); err != nil {
+		b.Fatal(err)
+	}
+	r := s.Root().Children[0].Rule
+	var stars []int
+	for c := range r {
+		if r[c] == rule.Star && len(stars) < 3 {
+			stars = append(stars, c)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err = NewSession(tab, Config{K: benchK, Search: cacheOff()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := &Node{Rule: r}
+		b.StartTimer()
+		if err := s.Expand(n); err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range stars {
+			if err := s.ExpandStar(n, c); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	b.Logf("drilled %v, then on columns %v; the drills booked %+v", r, stars, s.TotalStats)
 }

@@ -63,6 +63,17 @@ func drillable(n *Node) *Node {
 	return nil
 }
 
+// widerThan returns n's first child with more than stars stars, nil if
+// none has.
+func widerThan(n *Node, stars int) *Node {
+	for _, c := range n.Children {
+		if len(c.Rule)-c.Rule.Size() > stars {
+			return c
+		}
+	}
+	return nil
+}
+
 // TestEquivalenceDistinctPathGates: what cannot be summed per distinct
 // tuple bit for bit stays on the rows — a Sum, whose masses are fractional,
 // and weights that are not integers — without the distinct table ever being

@@ -151,9 +151,40 @@ type Session struct {
 	rev uint64
 
 	// unbooked is work done for an expansion outside its search — grouping
-	// the table, or a sample of it, into distinct tuples, or the mw probe —
-	// held until recordStats files it with the search's own.
+	// the table, or a sample of it, into distinct tuples, copying a rule's
+	// coverage, or the mw probe — held until recordStats files it with the
+	// search's own.
 	unbooked brs.Stats
+
+	// cover is the table the last exact expansion of a non-trivial rule
+	// searched (see coveredTable).
+	cover coverSlot
+}
+
+// coverSlot holds one rule's exact coverage as the table a search reads: a
+// slice or a copy of the exact table it was found in (table.View.Select),
+// with whatever of its index its searches have built. A star drill, a
+// re-drill or a stream of the same node reads it again instead of looking
+// the rule up and copying its rows and building their index anew. It holds
+// one coverage, at most coverSlotBytes of it.
+type coverSlot struct {
+	src *table.Table // the exact table the coverage is of
+	key string       // the rule's Key
+	tab *table.Table // nil: the slot is empty
+}
+
+// coverSlotBytes bounds what the slot keeps: a coverage whose cells and
+// index (table.Table.ResidentBytes) take more is searched and let go. A
+// census-100k child takes a few KiB; the bound keeps a session on a wide
+// raw table from pinning megabytes between its drills. A variable only so
+// that package tests can lower it.
+var coverSlotBytes int64 = 4 << 20
+
+// fits reports whether t is small enough for the slot. A slice's cells are
+// its parent's and counted all the same.
+func fits(t *table.Table) bool {
+	cells, index := t.ResidentBytes()
+	return cells+index <= coverSlotBytes
 }
 
 // Revision identifies the state Save would write: it moves whenever the
@@ -400,6 +431,9 @@ func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter, kind s
 	// the session's accounting (and the caller's SearchStats view) shows
 	// the aborted passes. Rules a stream delivered before the error stay.
 	s.recordStats(resp.Stats)
+	if s.cover.tab != nil && !fits(s.cover.tab) {
+		s.cover = coverSlot{} // its index, built by the search, outgrew the slot
+	}
 	if err != nil {
 		return err
 	}
@@ -509,14 +543,15 @@ type coverage struct {
 }
 
 // coveredView obtains the tuples covered by r, to be searched under w: a
-// sample for large tables, otherwise the rule's exact coverage answered by an
-// inverted index through the accounting store (no full scan, no materialized
-// copy). Either is read as distinct tuples where groupable allows and the
-// table's tuples repeat enough. An exact view reads the table's own memoised
-// grouping (exactTable). A sample comes as the handler serves it, a form
-// decided once per session (sampling.Handler.ServeGrouped): drawn from the
-// table's distinct tuples and born grouped, or drawn from its rows and served
-// as they are. The serve that builds a tuple sample's table — its first, or
+// sample for large tables, otherwise the rule's exact coverage answered by
+// an inverted index through the accounting store (no full scan) and made
+// into the table the search reads, or found in the session's slot
+// (coveredTable). Either is read as distinct tuples where groupable allows
+// and the table's tuples repeat enough. An exact view reads the table's own
+// memoised grouping (exactTable). A sample comes as the handler serves it,
+// a form decided once per session (sampling.Handler.ServeGrouped): drawn
+// from the table's distinct tuples and born grouped, or drawn from its rows
+// and served as they are. The serve that builds a tuple sample's table — its first, or
 // each of a Combine's — is booked the tuples it copied.
 func (s *Session) coveredView(r rule.Rule, w weight.Weighter, degraded bool) (coverage, error) {
 	if s.useSample(r, degraded) {
@@ -533,7 +568,35 @@ func (s *Session) coveredView(r rule.Rule, w weight.Weighter, degraded bool) (co
 		return coverage{view: v.Tab, scale: v.Scale, exact: v.Scale == 1}, nil
 	}
 	s.LastMethod = "direct"
-	return coverage{view: s.exactView(s.exactTable(w), r), scale: 1, exact: true}, nil
+	return coverage{view: s.coveredTable(s.exactTable(w), r).All(), scale: 1, exact: true}, nil
+}
+
+// coveredTable returns r's exact coverage in t — the table or its
+// distinct-tuple table — as the table a search reads: t itself for the
+// trivial rule, the slot's table where it holds r's coverage in t, else the
+// table View.Select makes of exactView's rows, kept in the slot where it
+// fits. Select slices a coverage that is one run of t's rows and copies
+// any other; a copy's pass is booked to the expansion, as the search would
+// book it.
+func (s *Session) coveredTable(t *table.Table, r rule.Rule) *table.Table {
+	if r.IsTrivial() {
+		return t
+	}
+	key := r.Key()
+	if c := s.cover; c.tab != nil && c.src == t && c.key == key {
+		return c.tab
+	}
+	var read table.Tally
+	tab := s.exactView(t, r).Select(&read, nil)
+	if read.Rows > 0 {
+		s.unbooked.Passes++
+		s.unbooked.Book(read.Rows, 0, 0)
+	}
+	s.cover = coverSlot{}
+	if fits(tab) {
+		s.cover = coverSlot{src: t, key: key, tab: tab}
+	}
+	return tab
 }
 
 // exactView is r's coverage in t — the table or its distinct-tuple table.

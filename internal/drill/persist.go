@@ -115,6 +115,7 @@ func (s *Session) Load(r io.Reader) error {
 	s.byID = byID
 	s.nextID = max(snap.NextID, maxID)
 	s.root = root
+	s.cover = coverSlot{} // the old tree's coverage
 	s.rev++
 	return nil
 }

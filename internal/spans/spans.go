@@ -16,7 +16,7 @@ type Span uint8
 const (
 	Admit   Span = iota // the wait for an admission slot
 	Lock                // the wait for the session lock
-	Resolve             // the searched view's resolution: filtered, grouped or sampled
+	Resolve             // the searched view's resolution: filtered, grouped or sampled, and an exact coverage sliced or copied into its table
 	MW                  // the Section 6.1 mw probe, where one runs
 	BRS                 // the BRS run
 	Save                // the session's write-through: snapshot, record, backend save

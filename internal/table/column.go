@@ -180,6 +180,21 @@ func (c *column) gather(rows []int) column {
 	return out
 }
 
+// slice returns the column of cells [lo, hi), sharing c's array: nothing is
+// copied, and the capacity ends at hi, so no append can reach c's cells.
+func (c *column) slice(lo, hi int) column {
+	out := column{width: c.width}
+	switch c.width {
+	case w8:
+		out.u8 = c.u8[lo:hi:hi]
+	case w16:
+		out.u16 = c.u16[lo:hi:hi]
+	default:
+		out.i32 = c.i32[lo:hi:hi]
+	}
+	return out
+}
+
 func gathered[T cell](cells []T, rows []int) []T {
 	out := make([]T, len(rows))
 	for j, i := range rows {

@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"slices"
 	"time"
+
+	"smartdrill/internal/rule"
 )
 
 // The distinct-tuple table. A search's answer depends only on the multiset
@@ -22,7 +24,11 @@ import (
 // and the cover a walk keeps of a rule's rows, then holds its rows in fewer
 // words, and the AND kernels read only the words where all of their
 // bitsets' spans overlap (see Bitset). Taking the smallest dictionaries
-// first makes the leading runs the longest.
+// first makes the leading runs the longest, and a reflected Gray order of
+// the rest joins the runs of each column across the boundaries of the
+// columns above it (see sortTuples). Either way a rule over the leading
+// columns covers one run of rows, which a search reads as a slice of the
+// table, not a copy (View.Select).
 
 // distinctGiveUp is the compression below which the distinct table is not
 // worth having: the build abandons the table as soon as it has seen more
@@ -187,12 +193,23 @@ func (t *Table) GroupRows(m Meter, rows []int, limit int) *Table {
 }
 
 // sortTuples lays out the rows of t — pairwise different tuples — in tuple
-// order: ascending value ids, the column with the smallest dictionary
-// deciding first, then the next smallest, equal dictionaries by column index.
+// order: the column with the smallest dictionary decides first, then the
+// next smallest, equal dictionaries by column index, and within that order
+// the tuples follow a reflected mixed-radix Gray code. A column's values
+// ascend where the row's values in the more significant columns hold an
+// even count of odd values and descend where they hold an odd count, so
+// each column's direction turns at every step of the columns above it: the
+// last run of a value under one prefix continues as the first run under the
+// next, and a value's rows fall into fewer, longer runs than ascending order
+// gives them. Every prefix rule still covers one run of rows, since the
+// columns above decide first.
+//
 // It is a least-significant-digit counting sort, one stable pass per column
-// from the largest dictionary to the smallest, O(columns × (rows + values)).
-// Each column, and then the multiplicities, is gathered into its new order
-// in turn, so only one of them is ever held twice.
+// from the largest dictionary to the smallest, O(columns × (rows + values)),
+// each pass on the column's digit: v, or d − 1 − v where the row's more
+// significant values hold an odd count of odd values (d the column's
+// dictionary size). Each column, and then the multiplicities, is gathered
+// into its new order in turn, so only one of them is ever held twice.
 func (t *Table) sortTuples() {
 	sig := make([]int, len(t.cols)) // the columns, most significant first
 	for c := range sig {
@@ -203,17 +220,34 @@ func (t *Table) sortTuples() {
 	for i := range perm {
 		perm[i] = i
 	}
+	// odd[i] is the parity of row i's values in the columns not yet sorted
+	// on: all of them at first, the more significant ones once a column's
+	// own value is taken off it as its pass begins.
+	odd := make([]rule.Value, t.n)
+	for c := range t.cols {
+		col := &t.cols[c]
+		for i := range odd {
+			odd[i] ^= col.at(i) & 1
+		}
+	}
+	digit := make([]rule.Value, t.n)
 	for k := len(sig) - 1; k >= 0; k-- {
-		col := &t.cols[sig[k]]
-		at := make([]int, t.dicts[sig[k]].Len()+1) // where each value's rows go next
-		for _, i := range perm {
-			at[col.at(i)+1]++
+		col, d := &t.cols[sig[k]], rule.Value(t.dicts[sig[k]].Len())
+		at := make([]int, d+1) // where each digit's rows go next
+		for i := range digit {
+			v := col.at(i)
+			odd[i] ^= v & 1
+			if odd[i] != 0 {
+				v = d - 1 - v
+			}
+			digit[i] = v
+			at[v+1]++
 		}
 		for v := 1; v < len(at); v++ {
 			at[v] += at[v-1]
 		}
 		for _, i := range perm {
-			v := col.at(i)
+			v := digit[i]
 			next[at[v]] = i
 			at[v]++
 		}

@@ -59,8 +59,11 @@ func requireDistinctOf(t *testing.T, d, tab *table.Table) {
 }
 
 // requireTupleOrder fails unless d's rows are pairwise different tuples in
-// ascending order of their value ids, compared column by column from the
-// smallest dictionary to the largest, equal dictionaries by column index.
+// tuple order: compared column by column from the smallest dictionary to
+// the largest, equal dictionaries by column index, each column's value ids
+// ascending where the values the two rows share in the columns before it
+// hold an even count of odd values and descending where they hold an odd
+// count — a reflected mixed-radix Gray code.
 func requireTupleOrder(t *testing.T, d *table.Table) {
 	t.Helper()
 	sig := make([]int, d.NumCols())
@@ -69,14 +72,19 @@ func requireTupleOrder(t *testing.T, d *table.Table) {
 	}
 	sort.SliceStable(sig, func(a, b int) bool { return d.Dict(sig[a]).Len() < d.Dict(sig[b]).Len() })
 	for j := 1; j < d.NumRows(); j++ {
+		odd := false
 		for k, c := range sig {
 			prev, cur := d.Value(c, j-1), d.Value(c, j)
+			if odd {
+				prev, cur = cur, prev
+			}
 			if prev < cur {
 				break
 			}
 			if prev > cur || k == len(sig)-1 {
 				t.Fatalf("distinct rows %d and %d are not in tuple order (columns by dictionary size %v)", j-1, j, sig)
 			}
+			odd = odd != (d.Value(c, j)%2 == 1)
 		}
 	}
 }

@@ -11,8 +11,10 @@ import (
 // TestViewSelect: a view copied into a table of its own keeps its rows in
 // view order — duplicates and all — with their measures and
 // multiplicities, and books the view rows it read; the whole table, not
-// narrowed, is its own table and reads nothing; a rule narrows the copy to
-// the rows it covers, having read every view row.
+// narrowed, is its own table and reads nothing; so is a view that is one
+// ascending run of the table's rows, whose table is a slice sharing the
+// parent's arrays; a rule narrows the copy to the rows it covers, having
+// read every view row.
 func TestViewSelect(t *testing.T) {
 	b := MustBuilder([]string{"A"}, []string{"M"})
 	for i := 0; i < 10; i++ {
@@ -29,9 +31,12 @@ func TestViewSelect(t *testing.T) {
 		{nil, nil, nil, 0}, // full table
 		{nil, a, []int{0, 3, 6, 9}, 10},
 		{[]int{}, nil, []int{}, 0},
-		{[]int{3}, nil, []int{3}, 1},
+		{[]int{3}, nil, []int{3}, 0}, // one run: a slice
+		{[]int{4, 5, 6, 7}, nil, []int{4, 5, 6, 7}, 0},
 		{[]int{0, 2, 5, 9}, nil, []int{0, 2, 5, 9}, 4},
 		{[]int{0, 2, 2}, nil, []int{0, 2, 2}, 3}, // duplicate: a multiset, not a set
+		{[]int{1, 1, 3}, nil, []int{1, 1, 3}, 3}, // spans three rows, but not a run
+		{[]int{5, 4, 6}, nil, []int{5, 4, 6}, 3},
 		{[]int{5, 3}, nil, []int{5, 3}, 2},
 		{[]int{9, 1, 3, 3}, a, []int{9, 3, 3}, 4},
 	}
@@ -53,6 +58,11 @@ func TestViewSelect(t *testing.T) {
 		}
 		if got == tab || got.NumRows() != len(c.want) {
 			t.Fatalf("Select(%v) of %v: %d rows, want a copy of %v", c.r, c.rows, got.NumRows(), c.want)
+		}
+		if len(c.want) > 0 {
+			if shared := &got.Measure(0)[0] == &tab.Measure(0)[c.want[0]]; shared != (c.wantRd == 0) {
+				t.Errorf("Select(%v) of %v: shares tab's arrays %v, booked %d rows", c.r, c.rows, shared, c.wantRd)
+			}
 		}
 		for i, row := range c.want {
 			if got.Value(0, i) != tab.Value(0, row) || got.Measure(0)[i] != tab.Measure(0)[row] {

@@ -69,12 +69,39 @@ func pairsMismatch(t *Table) error {
 	return nil
 }
 
-// FuzzPairStage builds a random table — a few columns of a few values, the
+// fuzzTable builds a random table of a few columns of a few values, the
 // first one past a byte's 256 values where wide is set, so that its cells
-// widen mid-load, and grouped into its distinct tuples with their
-// multiplicities where weighted is set — and holds its pair masses to a
-// brute scan (pairsMismatch): a table over the grids' budget keeps none. The
-// stage builds alone: no container, and the index bytes are the grids'.
+// widen mid-load, grouped into its distinct tuples with their
+// multiplicities where weighted is set.
+func fuzzTable(rng *rand.Rand, cols uint8, rows uint16, vals uint8, wide, weighted bool) *Table {
+	ncols, n, nv := 1+int(cols)%4, int(rows)%2000, 1+int(vals)%8
+	names := make([]string, ncols)
+	for c := range names {
+		names[c] = string(rune('A' + c))
+	}
+	b := MustBuilder(names, nil)
+	row := make([]string, ncols)
+	for i := 0; i < n; i++ {
+		for c := range row {
+			v := rng.Intn(nv)
+			if wide && c == 0 {
+				v = rng.Intn(300)
+			}
+			row[c] = fmt.Sprint(v)
+		}
+		b.MustAddRow(row)
+	}
+	tab := b.Build()
+	if weighted && n > 0 {
+		tab = tab.GroupRows(new(Tally), nil, n)
+	}
+	return tab
+}
+
+// FuzzPairStage builds a random table (fuzzTable) and holds its pair masses
+// to a brute scan (pairsMismatch): a table over the grids' budget keeps
+// none. The stage builds alone: no container, and the index bytes are the
+// grids'.
 func FuzzPairStage(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint16(500), uint8(4), false, false)
 	f.Add(int64(2), uint8(1), uint16(1500), uint8(3), true, false)
@@ -84,28 +111,7 @@ func FuzzPairStage(f *testing.F) {
 	f.Add(int64(5), uint8(3), uint16(60), uint8(6), false, false)
 	f.Add(int64(6), uint8(0), uint16(10), uint8(2), false, false)
 	f.Fuzz(func(t *testing.T, seed int64, cols uint8, rows uint16, vals uint8, wide, weighted bool) {
-		ncols, n, nv := 1+int(cols)%4, int(rows)%2000, 1+int(vals)%8
-		rng := rand.New(rand.NewSource(seed))
-		names := make([]string, ncols)
-		for c := range names {
-			names[c] = string(rune('A' + c))
-		}
-		b := MustBuilder(names, nil)
-		row := make([]string, ncols)
-		for i := 0; i < n; i++ {
-			for c := range row {
-				v := rng.Intn(nv)
-				if wide && c == 0 {
-					v = rng.Intn(300)
-				}
-				row[c] = fmt.Sprint(v)
-			}
-			b.MustAddRow(row)
-		}
-		tab := b.Build()
-		if weighted && n > 0 {
-			tab = tab.GroupRows(new(Tally), nil, n)
-		}
+		tab := fuzzTable(rand.New(rand.NewSource(seed)), cols, rows, vals, wide, weighted)
 		if err := pairsMismatch(tab); err != nil {
 			t.Fatal(err)
 		}

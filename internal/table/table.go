@@ -279,9 +279,9 @@ func (t *Table) FilterIndicesScan(r rule.Rule) []int {
 // Select materializes a new Table containing exactly the given rows (in the
 // given order, a row given twice copied twice), sharing dictionaries with t
 // and keeping each row's measures and multiplicity. It is how a search gets
-// the whole table its index kernels need: BRS copies every sub-view it is
-// handed — a rule's coverage, a sample of rows, a probe's draw — once,
-// before it starts (View.Select).
+// the whole table its index kernels need where a view's rows are not one run
+// of t's: View.Select copies such a view — a rule's coverage, a sample of
+// rows, a probe's draw — once, and slices every other (see slice).
 func (t *Table) Select(rows []int) *Table {
 	out := &Table{
 		colNames:     t.colNames,
@@ -308,6 +308,34 @@ func (t *Table) Select(rows []int) *Table {
 			out.mult[j] = t.mult[i]
 			out.tuples += int(t.mult[i])
 		}
+	}
+	return out
+}
+
+// slice returns the table of t's rows [lo, hi) — what Select of those rows
+// returns, cell for cell, without copying one: it shares t's column arrays,
+// measures and multiplicities, and takes its tuple count from t's Ranks.
+// It has an index of its own, built by its first read like any table's, so
+// its containers, masses and pair grids are a copy's.
+func (t *Table) slice(lo, hi int) *Table {
+	out := &Table{
+		colNames:     t.colNames,
+		dicts:        t.dicts,
+		cols:         make([]column, len(t.cols)),
+		n:            hi - lo,
+		measureNames: t.measureNames,
+		measures:     make([][]float64, len(t.measures)),
+	}
+	for c := range t.cols {
+		out.cols[c] = t.cols[c].slice(lo, hi)
+	}
+	for m := range t.measures {
+		out.measures[m] = t.measures[m][lo:hi:hi]
+	}
+	if t.mult != nil {
+		out.mult = t.mult[lo:hi:hi]
+		ranks := t.Ranks()
+		out.tuples = ranks[hi] - ranks[lo]
 	}
 	return out
 }

@@ -6,10 +6,10 @@ import "smartdrill/internal/rule"
 // parent's column arrays, measure arrays, and dictionaries, adding only a
 // list of parent row indices. A rule's coverage, a sample and the mw probe's
 // draw are handed around as views, and refine and the listings read them
-// in place. A search reads a whole table, whose index its kernels walk: BRS
-// copies any other view into a table of its own once, before it starts
-// (Select). A View is immutable and safe for concurrent reads, like its
-// parent.
+// in place. A search reads a whole table, whose index its kernels walk: any
+// other view becomes a table of its own once, before the search starts
+// (Select) — a slice of its parent where its rows are one run, else a copy.
+// A View is immutable and safe for concurrent reads, like its parent.
 //
 // Row positions are view-local: position i of a view with an explicit row
 // list refers to parent row rows[i]. A nil row list denotes the whole
@@ -98,19 +98,42 @@ func (v *View) Subset(positions []int) *View {
 }
 
 // Select returns the view's rows that r covers as a table of their own —
-// in view order, duplicates, multiplicities and measures kept
-// (Table.Select) — and books into m the view rows it read to make it, r
-// tested on each. A view of its whole table that r does not narrow is one
-// already: Select returns that table and reads nothing.
+// in view order, duplicates, multiplicities and measures kept — and books
+// into m the view rows it read to make it, r tested on each. A view of its
+// whole table that r does not narrow is one already: Select returns that
+// table and reads nothing. So is a view whose rows are one ascending run of
+// its table's, as a rule over a grouped table's leading columns covers (see
+// sortTuples), where r does not narrow it: Select returns the slice of the
+// table over that run (Table.slice), which reads no row and books nothing.
+// Every other view is copied (Table.Select). Select is the one place that
+// chooses between the two.
 func (v *View) Select(m Meter, r rule.Rule) *Table {
 	rows := v.rows
 	if !r.IsTrivial() {
 		rows = v.Refine(r).rows
 	} else if rows == nil {
 		return v.t
+	} else if lo, ok := oneRun(rows); ok {
+		return v.t.slice(lo, lo+len(rows))
 	}
 	m.Book(int64(v.NumRows()), 0, 0)
 	return v.t.Select(rows)
+}
+
+// oneRun reports whether rows are consecutive ascending rows lo, lo+1, …,
+// and returns lo. It reads the row list, not the table.
+func oneRun(rows []int) (lo int, ok bool) {
+	n := len(rows)
+	if n == 0 || rows[n-1]-rows[0]+1 != n {
+		return 0, false
+	}
+	lo = rows[0]
+	for i, row := range rows {
+		if row != lo+i {
+			return 0, false
+		}
+	}
+	return lo, true
 }
 
 // Refine returns the view restricted to the rows covered by r, scanning
