@@ -338,6 +338,21 @@ func (rn *runner) greedy(maxRules int, deadline time.Time, minGainRatio float64,
 	return nil
 }
 
+// TableOf returns the table a search of v reads — v's restricted to r's
+// coverage unless r is trivial — as View.Select makes it, and what making
+// it cost: a copy is one pass, booked the rows it read; v's own table, or
+// a slice of it, reads no row and is no pass.
+func TableOf(v *table.View, r rule.Rule) (*table.Table, Stats) {
+	var read table.Tally
+	tab := v.Select(&read, r)
+	var made Stats
+	if read.Rows > 0 {
+		made.Passes = 1
+		made.Book(read.Rows, 0, 0)
+	}
+	return tab, made
+}
+
 // newRunner normalizes options and resolves the table the run searches: v's
 // own where v spans it whole and needs no restriction, a slice of it where
 // v's rows are one run of it and need none, else a copy of v's rows —
@@ -376,13 +391,9 @@ func newRunner(v *table.View, w weight.Weighter, opts Options) (*runner, error) 
 		coverLeft: coverBudget,
 	}
 	// A copy's index, and a slice's, is built by its first read and booked
-	// nowhere, like a tuple sample's. A slice reads no row and is no pass.
-	var read table.Tally
-	tab := v.Select(&read, restrict)
-	if read.Rows > 0 {
-		run.stats.Passes++
-		run.stats.Book(read.Rows, 0, 0)
-	}
+	// nowhere, like a tuple sample's.
+	tab, made := TableOf(v, restrict)
+	run.stats.Add(made)
 	run.tab, run.ix = tab, tab.Index()
 	run.baseMask = base.Mask()
 	run.freeCols = run.freeColumns()

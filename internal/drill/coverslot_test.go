@@ -15,13 +15,6 @@ import (
 	"smartdrill/internal/weight"
 )
 
-// withCoverSlotBytes lowers the cover slot's bound for one test.
-func withCoverSlotBytes(t testing.TB, bytes int64) {
-	old := coverSlotBytes
-	coverSlotBytes = bytes
-	t.Cleanup(func() { coverSlotBytes = old })
-}
-
 // copiedSearch is what a drill of n under w as kind finds when its
 // coverage, rows of d, is copied into a table of its own first: brs over
 // the copy, with the options the search service hands it for an exact
@@ -120,10 +113,11 @@ func TestEquivalenceCoverSlot(t *testing.T) {
 
 // TestCoverSlot: the session keeps the table its last exact search of a
 // non-trivial rule read, and only that one: a drill of another rule
-// replaces it, a drill of the root leaves it, a Load drops it, a coverage
-// over the slot's bound — at the copy, or once its search has built its
-// index — is not kept, and nothing keeps it alive once the session is gone.
-// Whatever the slot holds, every tree is a fresh session's.
+// replaces it, a drill of the root leaves it, a Load drops it, a slot that
+// keeps more of its own than a bound — a copy's cells and the index its
+// searches built, a slice's index alone — is let go, and nothing keeps it
+// alive once the session is gone. Whatever the slot holds, every tree is a
+// fresh session's.
 func TestCoverSlot(t *testing.T) {
 	tab := benchCensus()
 	s, err := NewSession(tab, Config{K: benchK, Search: cacheOff()})
@@ -143,8 +137,8 @@ func TestCoverSlot(t *testing.T) {
 		if got, want := render(n), render(m); got != want {
 			t.Fatalf("%s: the session shows\n%s\na fresh session\n%s", label, got, want)
 		}
-		if s.cover.tab != nil && !fits(s.cover.tab) {
-			t.Fatalf("%s: the slot holds %v over its bound", label, s.cover.tab)
+		if s.cover.tab != nil && s.cover.bytes() > coverSlotBytes {
+			t.Fatalf("%s: the slot keeps %d bytes, over its bound", label, s.cover.bytes())
 		}
 	}
 	if err := s.Expand(s.Root()); err != nil {
@@ -195,24 +189,53 @@ func TestCoverSlot(t *testing.T) {
 		t.Fatal("a Load kept the slot")
 	}
 
-	// Over the bound: a copy whose cells take more is not kept, and one
-	// whose index its search built takes more is let go after the search.
-	a = s.Root().Children[0]
-	cells, _ := s.coveredTable(tab.Distinct(new(table.Tally)), a.Rule).ResidentBytes()
-	s.cover, s.unbooked = coverSlot{}, brs.Stats{}
-	for _, bound := range []int64{cells - 1, cells} {
-		withCoverSlotBytes(t, bound)
-		if err := s.Expand(a); err != nil {
+	// Over the bound: the slot keeps of its own a copy's cells and the
+	// index its searches built, a slice's index alone, and is let go when
+	// that is more than the bound; the node's next drill finds its
+	// coverage anew, as a fresh session does.
+	d := tab.Distinct(new(table.Tally))
+	copies := 0
+	for _, n := range s.Root().Children {
+		if err := s.Expand(n); err != nil {
 			t.Fatal(err)
 		}
-		fresh(fmt.Sprintf("bound %d", bound), a, drillKinds[0])
-		if s.cover.tab != nil {
-			t.Fatalf("bound %d: the slot keeps %d bytes of cells and their index", bound, cells)
+		rows := d.FilterIndicesScan(n.Rule)
+		copied := rows[len(rows)-1]-rows[0]+1 != len(rows)
+		if s.cover.copied != copied {
+			t.Fatalf("%v: the slot holds a copy %v, want %v", n.Rule, s.cover.copied, copied)
 		}
+		cells, index := s.cover.tab.ResidentBytes()
+		if !copied {
+			cells = 0
+		}
+		own := s.cover.bytes()
+		if own != cells+index || index == 0 {
+			t.Fatalf("%v: the slot keeps %d bytes, want %d of cells and %d of index", n.Rule, own, cells, index)
+		}
+		if s.cover.trim(own); s.cover.tab == nil {
+			t.Fatalf("%v: a slot of %d bytes let go at a bound of %d", n.Rule, own, own)
+		}
+		if s.cover.trim(own - 1); s.cover.tab != nil {
+			t.Fatalf("%v: a slot of %d bytes kept at a bound of %d", n.Rule, own, own-1)
+		}
+		lookups := s.Store().Stats().IndexLookups
+		if err := s.Expand(n); err != nil {
+			t.Fatal(err)
+		}
+		fresh(fmt.Sprintf("%v after its slot was let go", n.Rule), n, drillKinds[0])
+		if got := s.Store().Stats().IndexLookups - lookups; got != 1 || s.cover.key != n.Rule.Key() {
+			t.Fatalf("%v: the drill after the slot was let go made %d index lookups and kept %q", n.Rule, got, s.cover.key)
+		}
+		if copied {
+			copies++
+		}
+	}
+	if copies != 1 {
+		t.Fatalf("%d of the root's rules are copied, want 1", copies)
 	}
 
 	// A session that is gone holds its slot no longer.
-	withCoverSlotBytes(t, 4<<20)
+	a = s.Root().Children[0]
 	if err := s.Expand(a); err != nil {
 		t.Fatal(err)
 	}

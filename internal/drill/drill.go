@@ -166,25 +166,36 @@ type Session struct {
 // with whatever of its index its searches have built. A star drill, a
 // re-drill or a stream of the same node reads it again instead of looking
 // the rule up and copying its rows and building their index anew. It holds
-// one coverage, at most coverSlotBytes of it.
+// one coverage, at most coverSlotBytes of its own.
 type coverSlot struct {
-	src *table.Table // the exact table the coverage is of
-	key string       // the rule's Key
-	tab *table.Table // nil: the slot is empty
+	src    *table.Table // the exact table the coverage is of
+	key    string       // the rule's Key
+	tab    *table.Table // nil: the slot is empty
+	copied bool         // tab holds its own cells, not a slice of src's
 }
 
-// coverSlotBytes bounds what the slot keeps: a coverage whose cells and
-// index (table.Table.ResidentBytes) take more is searched and let go. A
-// census-100k child takes a few KiB; the bound keeps a session on a wide
-// raw table from pinning megabytes between its drills. A variable only so
-// that package tests can lower it.
-var coverSlotBytes int64 = 4 << 20
+// coverSlotBytes bounds what the slot keeps of its own: a coverage whose
+// index, and cells if it is a copy, take more is searched and let go. A
+// census-100k child keeps a few KiB; the bound keeps a session on a wide
+// raw table from pinning megabytes between its drills.
+const coverSlotBytes = 4 << 20
 
-// fits reports whether t is small enough for the slot. A slice's cells are
-// its parent's and counted all the same.
-func fits(t *table.Table) bool {
-	cells, index := t.ResidentBytes()
-	return cells+index <= coverSlotBytes
+// bytes is what c keeps alive of its own (table.Table.ResidentBytes): the
+// index its searches built, and a copy's cells. A slice's cells are its
+// source's, which the session holds anyway.
+func (c *coverSlot) bytes() int64 {
+	cells, index := c.tab.ResidentBytes()
+	if !c.copied {
+		cells = 0
+	}
+	return cells + index
+}
+
+// trim empties c if it keeps more than bound bytes.
+func (c *coverSlot) trim(bound int64) {
+	if c.tab != nil && c.bytes() > bound {
+		*c = coverSlot{}
+	}
 }
 
 // Revision identifies the state Save would write: it moves whenever the
@@ -431,9 +442,7 @@ func (s *Session) expand(ctx context.Context, n *Node, w weight.Weighter, kind s
 	// the session's accounting (and the caller's SearchStats view) shows
 	// the aborted passes. Rules a stream delivered before the error stay.
 	s.recordStats(resp.Stats)
-	if s.cover.tab != nil && !fits(s.cover.tab) {
-		s.cover = coverSlot{} // its index, built by the search, outgrew the slot
-	}
+	s.cover.trim(coverSlotBytes) // the index the search built may outgrow it
 	if err != nil {
 		return err
 	}
@@ -574,10 +583,9 @@ func (s *Session) coveredView(r rule.Rule, w weight.Weighter, degraded bool) (co
 // coveredTable returns r's exact coverage in t — the table or its
 // distinct-tuple table — as the table a search reads: t itself for the
 // trivial rule, the slot's table where it holds r's coverage in t, else the
-// table View.Select makes of exactView's rows, kept in the slot where it
-// fits. Select slices a coverage that is one run of t's rows and copies
-// any other; a copy's pass is booked to the expansion, as the search would
-// book it.
+// table brs.TableOf makes of exactView's rows, kept in the slot where it
+// fits: a slice where the coverage is one run of t's rows, else a copy,
+// whose pass is booked to the expansion as the search would book it.
 func (s *Session) coveredTable(t *table.Table, r rule.Rule) *table.Table {
 	if r.IsTrivial() {
 		return t
@@ -586,16 +594,10 @@ func (s *Session) coveredTable(t *table.Table, r rule.Rule) *table.Table {
 	if c := s.cover; c.tab != nil && c.src == t && c.key == key {
 		return c.tab
 	}
-	var read table.Tally
-	tab := s.exactView(t, r).Select(&read, nil)
-	if read.Rows > 0 {
-		s.unbooked.Passes++
-		s.unbooked.Book(read.Rows, 0, 0)
-	}
-	s.cover = coverSlot{}
-	if fits(tab) {
-		s.cover = coverSlot{src: t, key: key, tab: tab}
-	}
+	tab, made := brs.TableOf(s.exactView(t, r), nil)
+	s.unbooked.Add(made)
+	s.cover = coverSlot{src: t, key: key, tab: tab, copied: made.Passes > 0}
+	s.cover.trim(coverSlotBytes)
 	return tab
 }
 
@@ -773,16 +775,18 @@ func (s *Session) ProvisionalNodesIn(n *Node) []*Node {
 
 // prefetch rebuilds samples for the displayed tree's likely next
 // drill-downs and upgrades displayed counts to exact values learned during
-// the prefetching scan.
-func (s *Session) prefetch() {
+// the prefetching scan. It returns the allocation the samples were drawn
+// to, nil if there was none.
+func (s *Session) prefetch() sampling.Allocation {
 	troot := s.buildTree(s.root, nil)
 	if s.cfg.ProbModel != nil {
 		s.cfg.ProbModel.Assign(troot)
 	} else {
 		sampling.UniformLeafProbs(troot)
 	}
-	if _, err := s.handler.Prefetch(troot); err != nil {
-		return // prefetching is best-effort; the next expand will Create
+	alloc, err := s.handler.Prefetch(troot)
+	if err != nil {
+		return nil // prefetching is best-effort; the next expand will Create
 	}
 	// Samples created by the prefetch carry exact coverage counts; reflect
 	// them in the display (the paper's background count refinement).
@@ -790,7 +794,7 @@ func (s *Session) prefetch() {
 	// Count aggregate — under Sum it would overwrite a mass estimate with a
 	// row tally and corrupt the displayed totals.
 	if _, isCount := s.cfg.Agg.(score.CountAgg); !isCount {
-		return
+		return alloc
 	}
 	for _, smp := range s.handler.Samples() {
 		if node := s.findNode(s.root, smp.Filter); node != nil && !node.Exact {
@@ -801,6 +805,7 @@ func (s *Session) prefetch() {
 			s.rev++
 		}
 	}
+	return alloc
 }
 
 // observeDrill feeds the probability model the rank and depth of a drill.

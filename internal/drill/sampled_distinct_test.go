@@ -152,6 +152,9 @@ func TestEquivalenceSampledDistinctPath(t *testing.T) {
 				child := func(s *Session) *Node { return drillable(s.Root()) }
 				if shape.combines {
 					// A child with two stars, so that its rules leave one to drill.
+					if widerThan(s.Root(), 1) == nil {
+						t.Fatalf("%s: no root rule has two stars", label)
+					}
 					child = func(s *Session) *Node { return widerThan(s.Root(), 1) }
 				}
 				sampledStep(t, label+" child", s, child, inner, served("Create", s.Expand))
@@ -336,7 +339,10 @@ func TestEquivalenceSampledDistinctGates(t *testing.T) {
 // streamed drills, Find re-serves, prefetch after each of them — passes over
 // the table's rows: every Create and Prefetch walks the distinct table. A
 // re-served sample is booked no copy, and a prefetch's counts, the sums of
-// the covered tuples' multiplicities, upgrade the display to exact.
+// the covered tuples' multiplicities, upgrade the display to exact: every
+// displayed rule the prefetch's allocation gives rows to shows the table's
+// count. The test runs each prefetch itself, after the drill, as the drill
+// would, to see the allocation it drew.
 func TestSampledSessionNeverPassesOverTheTable(t *testing.T) {
 	tab := datagen.CensusProjected(100000, 7, 7)
 	d := tab.Distinct(new(table.Tally))
@@ -345,7 +351,7 @@ func TestSampledSessionNeverPassesOverTheTable(t *testing.T) {
 	}
 	for _, prefetch := range []bool{false, true} {
 		s, err := NewSession(tab, Config{
-			K: 3, Workers: 1, Seed: 4, Prefetch: prefetch,
+			K: 3, Workers: 1, Seed: 4,
 			SampleMemory: 20000, MinSampleSize: 2000, SampleThreshold: 10000,
 		})
 		if err != nil {
@@ -357,11 +363,41 @@ func TestSampledSessionNeverPassesOverTheTable(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
+			if prefetch && label != "create" {
+				alloc := s.prefetch()
+				walks++    // one per drill
+				roots := 0 // root rules the allocation gives rows to
+				drawn := map[string]bool{}
+				for _, smp := range s.Handler().Samples() {
+					drawn[smp.Filter.Key()] = true
+				}
+				var check func(n *Node)
+				check = func(n *Node) {
+					if key := n.Rule.Key(); alloc[key] > 0 {
+						if !drawn[key] || !n.Exact || n.HasCI || n.Count != float64(tab.Count(n.Rule)) {
+							t.Fatalf("%s: after a prefetch that allocated it %d tuples (drawn %v) %v shows %v (exact %v, interval %v), the table counts %d",
+								label, alloc[key], drawn[key], n.Rule, n.Count, n.Exact, n.HasCI, tab.Count(n.Rule))
+						}
+						if n.parent == s.Root() {
+							roots++
+						}
+					}
+					for _, c := range n.Children {
+						check(c)
+					}
+				}
+				check(s.Root())
+				if roots == 0 {
+					t.Fatalf("%s: the prefetch allocated no root rule rows, so it shows no upgrade", label)
+				}
+				for key := range drawn {
+					if alloc[key] == 0 {
+						t.Fatalf("%s: the prefetch drew a sample the allocation gave no rows", label)
+					}
+				}
+			}
 			st := s.Store().Stats()
 			_, _, creates := s.Handler().Stats()
-			if prefetch && label != "create" {
-				walks++ // one per drill
-			}
 			if want := (int64(creates) + walks) * int64(d.NumRows()); st.FullScans != 0 || st.RowsRead != want {
 				t.Fatalf("%s (prefetch %v): the store served %d passes over the table and %d rows, want none and %d (%d creates, %d prefetches, of %d distinct tuples)",
 					label, prefetch, st.FullScans, st.RowsRead, want, creates, walks, d.NumRows())
@@ -382,28 +418,6 @@ func TestSampledSessionNeverPassesOverTheTable(t *testing.T) {
 		}
 		step("star", s.ExpandStar(last, star))
 		step("stream", s.ExpandStream(s.Root(), 4, 0, nil))
-		if !prefetch {
-			continue
-		}
-		// The prefetch draws a sample for the rules its allocation gives
-		// rows to; each of them shows the table's count, every other rule
-		// its estimate.
-		upgraded := 0
-		for _, n := range s.Root().Children {
-			sampled := false
-			for _, smp := range s.Handler().Samples() {
-				sampled = sampled || smp.Filter.Equal(n.Rule)
-			}
-			if sampled {
-				upgraded++
-			}
-			if n.Exact != sampled || n.HasCI == sampled || sampled && n.Count != float64(tab.Count(n.Rule)) {
-				t.Fatalf("after a prefetch %v shows %v (exact %v, sampled %v), the table counts %d", n.Rule, n.Count, n.Exact, sampled, tab.Count(n.Rule))
-			}
-		}
-		if upgraded == 0 {
-			t.Fatal("the prefetch upgraded no rule")
-		}
 	}
 }
 
